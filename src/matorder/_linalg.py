@@ -92,11 +92,6 @@ def nullspace(mat: np.ndarray, rtol: float = 1e-10, atol: float = 0.0) -> np.nda
     return vt[rank:].conj().T
 
 
-def project_coeffs(basis_rows: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Coefficients of v against orthonormal rows (real inner product)."""
-    return basis_rows @ v
-
-
 def project_residual(basis_rows: np.ndarray, v: np.ndarray) -> float:
     if basis_rows.shape[0] == 0:
         return float(np.linalg.norm(v))

@@ -16,7 +16,6 @@ from . import _linalg as la
 from .errors import DimensionCapExceeded, DimensionMismatch, MembershipError
 
 DEFAULT_STRUCTURE_TOL = 1e-9
-DEFAULT_TOL_HERM = 1e-9
 DEFAULT_MAX_DIM = 256
 
 # Acceptance threshold for a new basis direction, relative to the largest
@@ -66,12 +65,15 @@ class OperatorAlgebra:
         return int(self.basis.shape[0])
 
     def synthesize(self, coords: np.ndarray) -> np.ndarray:
-        """Matrix sum coords[k] * basis[k]."""
-        return np.tensordot(np.asarray(coords, dtype=complex), self.basis, axes=(0, 0))
+        """Matrix sum coords[..., k] * basis[k] (a stack for stacked coords)."""
+        return np.tensordot(np.asarray(coords, dtype=complex), self.basis, axes=(-1, 0))
 
     def coords_of(self, x: np.ndarray) -> np.ndarray:
-        """Trace-pairing coordinates of x (no membership check)."""
-        return np.tensordot(self.basis.conj(), np.asarray(x, dtype=complex), axes=([1, 2], [0, 1]))
+        """Trace-pairing coordinates of x, or of each matrix of a stack
+        (no membership check)."""
+        x = np.asarray(x, dtype=complex)
+        flat = self.basis.reshape(self.dim, -1)
+        return np.conj(np.conj(x).reshape(x.shape[:-2] + (-1,)) @ flat.T)
 
     def unit_matrix(self) -> np.ndarray:
         return self.synthesize(self.unit_coords)
@@ -141,6 +143,18 @@ def project(algebra: OperatorAlgebra, x: np.ndarray, tol: float | None = None) -
 def membership_residual(algebra: OperatorAlgebra, x: np.ndarray) -> float:
     x = as_matrix(x)
     return la.frob(x - algebra.synthesize(algebra.coords_of(x)))
+
+
+def level_residual(algebra: OperatorAlgebra, n: int, x: np.ndarray) -> float:
+    """Distance of an (nN) x (nN) matrix from M_n(A), block by block.
+
+    The amplified basis kron(E_ij, b_k) is orthonormal, so this equals
+    membership_residual(amplify(algebra, n), x): the Frobenius norm of the
+    n^2 block residuals against the algebra's own basis.
+    """
+    big_n = algebra.ambient_dim
+    blocks = as_matrix(x).reshape(n, big_n, n, big_n).swapaxes(1, 2)
+    return la.frob(blocks - algebra.synthesize(algebra.coords_of(blocks)))
 
 
 def _mgs_residual(stack: np.ndarray | None, cand: np.ndarray) -> np.ndarray:
@@ -249,7 +263,9 @@ def amplify(algebra: OperatorAlgebra, n: int, max_dim: int = 4096) -> OperatorAl
 
     Entries live in the block (i, j) of an (n*N) x (n*N) matrix, so block
     matrices over the algebra are represented directly.  The unit is the
-    identity of the amplified space.
+    identity of the amplified space.  The materialised basis is the source
+    of exact span bases and the reference for the blockwise membership
+    test (`level_residual`); cone membership never builds it.
     """
     if n < 1:
         raise DimensionMismatch(f"amplification level must be >= 1, got {n}")
@@ -286,9 +302,15 @@ def doubling_embed(x: np.ndarray) -> np.ndarray:
     return np.kron(np.eye(2, dtype=complex), x)
 
 
-def random_element(algebra: OperatorAlgebra, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """Random algebra member with complex Gaussian coordinates."""
-    return algebra.synthesize(scale * la.random_complex(rng, algebra.dim))
+def random_element(algebra: OperatorAlgebra, rng: np.random.Generator, scale: float = 1.0,
+                   level: int = 1) -> np.ndarray:
+    """Random member of M_level(A) with complex Gaussian coordinates.
+
+    Draws the coordinates in the order of amplify(algebra, level)'s basis
+    (block (i, j) row-major, then k), block by block without amplifying.
+    """
+    blocks = algebra.synthesize(scale * la.random_complex(rng, (level, level, algebra.dim)))
+    return blocks.swapaxes(1, 2).reshape(level * algebra.ambient_dim, -1)
 
 
 def hermitian_part_basis(algebra: OperatorAlgebra) -> np.ndarray:

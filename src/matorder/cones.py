@@ -20,6 +20,7 @@ from .algebra import (
     as_matrix,
     conjugate_algebra,
     hermitian_part_basis,
+    level_residual,
     random_element,
 )
 from .errors import (
@@ -187,10 +188,22 @@ class ConeOracle:
         """Involution of a rectangular block matrix over the algebra."""
         return la.dagger(as_matrix(a))
 
+    def level_element(self, n: int, x) -> np.ndarray:
+        """x as a matrix checked against M_n(A) block by block: DimensionMismatch
+        unless it is (nN) x (nN), MembershipError when its distance from
+        M_n(A) exceeds structure_tol * (1 + ||x||_F)."""
+        x = as_matrix(x)
+        dim = self.level_dim(n)
+        if n < 1 or x.shape != (dim, dim):
+            raise DimensionMismatch(f"level-{n} element must be {dim}x{dim}, got {x.shape}")
+        residual = level_residual(self.algebra, n, x)
+        if residual > self.algebra.structure_tol * (1.0 + la.frob(x)):
+            raise MembershipError("element outside the amplified algebra", residual)
+        return x
+
     def _psd_test(self, x: np.ndarray) -> bool:
-        if not la.is_hermitian(x, self.tol_psd * (1.0 + la.opnorm(x))):
-            return False
-        return la.min_eig(x) >= -self.tol_psd * (1.0 + la.opnorm(x))
+        slack = self.tol_psd * (1.0 + la.opnorm(x))
+        return la.is_hermitian(x, slack) and la.min_eig(x) >= -slack
 
     # -- sampling ----------------------------------------------------------
 
@@ -238,20 +251,14 @@ class StandardCone(ConeOracle):
     variant = "standard"
 
     def member(self, n: int, x) -> bool:
-        x = as_matrix(x)
-        lvl = self.level_algebra(n)
-        coords = lvl.coords_of(x)
-        residual = la.frob(x - lvl.synthesize(coords))
-        if residual > lvl.structure_tol * (1.0 + la.frob(x)):
-            raise MembershipError("element outside the amplified algebra", residual)
-        return self._psd_test(x)
+        return self._psd_test(self.level_element(n, x))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        g = random_element(self.level_algebra(n), rng)
+        g = random_element(self.algebra, rng, level=n)
         return la.dagger(g) @ g
 
     def sample_span(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        g = random_element(self.level_algebra(n), rng)
+        g = random_element(self.algebra, rng, level=n)
         return 0.5 * (g + la.dagger(g))
 
     def span_basis(self, n: int) -> np.ndarray:
@@ -276,53 +283,33 @@ class SimilarityCone(ConeOracle):
         self.s_inv = np.linalg.inv(s)
         # Straightened algebra A = S B S^-1; star-closed for honest inputs.
         self.straight_algebra = conjugate_algebra(algebra, s)
-        self._straight_levels: dict[int, OperatorAlgebra] = {}
-
-    def _straight_level(self, n: int) -> OperatorAlgebra:
-        if n not in self._straight_levels:
-            self._straight_levels[n] = amplify(self.straight_algebra, n)
-        return self._straight_levels[n]
-
-    def _s_at(self, n: int) -> tuple:
-        eye = np.eye(n, dtype=complex)
-        return np.kron(eye, self.s), np.kron(eye, self.s_inv)
 
     def straighten(self, n: int, x) -> np.ndarray:
-        s, s_inv = self._s_at(n)
-        return s @ as_matrix(x) @ s_inv
+        return _blockwise(self.s, as_matrix(x), self.s_inv)
 
     def unstraighten(self, n: int, y) -> np.ndarray:
-        s, s_inv = self._s_at(n)
-        return s_inv @ as_matrix(y) @ s
+        return _blockwise(self.s_inv, as_matrix(y), self.s)
 
     def member(self, n: int, x) -> bool:
-        x = as_matrix(x)
-        lvl = self.level_algebra(n)
-        coords = lvl.coords_of(x)
-        residual = la.frob(x - lvl.synthesize(coords))
-        if residual > lvl.structure_tol * (1.0 + la.frob(x)):
-            raise MembershipError("element outside the amplified algebra", residual)
-        return self._psd_test(self.straighten(n, x))
+        return self._psd_test(self.straighten(n, self.level_element(n, x)))
 
     def sharp(self, n: int, x) -> np.ndarray:
         return self.unstraighten(n, la.dagger(self.straighten(n, x)))
 
     def sharp_block(self, n: int, m: int, a: np.ndarray) -> np.ndarray:
         # (a_ij)^sharp transposed at block level, written as one conjugation.
-        sn, sn_inv = self._s_at(n)
-        sm, sm_inv = self._s_at(m)
-        return sm_inv @ la.dagger(sn @ as_matrix(a) @ sm_inv) @ sn
+        return self.unstraighten(m, la.dagger(self.straighten(n, a)))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        g = random_element(self._straight_level(n), rng)
+        g = random_element(self.straight_algebra, rng, level=n)
         return self.unstraighten(n, la.dagger(g) @ g)
 
     def sample_span(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        g = random_element(self._straight_level(n), rng)
+        g = random_element(self.straight_algebra, rng, level=n)
         return self.unstraighten(n, 0.5 * (g + la.dagger(g)))
 
     def span_basis(self, n: int) -> np.ndarray:
-        herm = hermitian_part_basis(self._straight_level(n))
+        herm = hermitian_part_basis(amplify(self.straight_algebra, n))
         if herm.shape[0] == 0:
             return herm
         conj = np.stack([self.unstraighten(n, h) for h in herm])
@@ -334,6 +321,14 @@ class SimilarityCone(ConeOracle):
         out = super().describe()
         out["similarity_cond"] = float(np.linalg.cond(self.s))
         return out
+
+
+def _blockwise(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """(I kron left) x (I kron right), applied to the N x N blocks of x."""
+    big_n = left.shape[0]
+    rows, cols = x.shape
+    y = (left @ x.reshape(rows // big_n, big_n, cols)).reshape(rows, cols)
+    return (y.reshape(-1, big_n) @ right).reshape(rows, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +445,8 @@ def audit_algebraically_admissible(cone: ConeOracle, n: int = 1,
     checks.append(_lineality_check(cone, n))
 
     bad = None
-    lvl = cone.level_algebra(n)
     for _ in range(samples):
-        x = random_element(lvl, rng)
+        x = random_element(cone.algebra, rng, level=n)
         c = cone.sample(n, rng)
         cand = x @ c @ cone.sharp(n, x)
         if not cone.member(n, cand):

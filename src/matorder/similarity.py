@@ -367,27 +367,14 @@ def minimize_condition(space: np.ndarray, seed: int = 0,
     return _certificate_from(best_q)
 
 
-def conjugation_images(algebra: OperatorAlgebra, s: np.ndarray) -> np.ndarray:
-    """Images of the algebra basis under b -> S b S^-1."""
-    s_inv = np.linalg.inv(s)
-    return np.stack([s @ b @ s_inv for b in algebra.basis])
-
-
 def apply_blockwise(images: np.ndarray, from_algebra: OperatorAlgebra, x,
                     k: int) -> np.ndarray:
     """Amplified map: apply the basis-image map to each block of a level-k
     element."""
-    x = as_matrix(x)
     n_from = from_algebra.ambient_dim
-    n_to = images.shape[1]
-    out = np.zeros((k * n_to, k * n_to), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            blk = x[i * n_from:(i + 1) * n_from, j * n_from:(j + 1) * n_from]
-            coords = from_algebra.coords_of(blk)
-            out[i * n_to:(i + 1) * n_to, j * n_to:(j + 1) * n_to] = np.tensordot(
-                coords, images, axes=(0, 0))
-    return out
+    blocks = as_matrix(x).reshape(k, n_from, k, n_from).swapaxes(1, 2)
+    out = np.tensordot(from_algebra.coords_of(blocks), images, axes=(-1, 0))
+    return out.swapaxes(1, 2).reshape(k * images.shape[1], -1)
 
 
 def build_star_rep(algebra: OperatorAlgebra, cone: ConeOracle, q: np.ndarray,

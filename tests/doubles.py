@@ -4,7 +4,6 @@ import numpy as np
 
 from matorder import _linalg as la
 from matorder.cones import StandardCone
-from matorder.errors import MembershipError
 
 
 class AllHermitianCone(StandardCone):
@@ -14,12 +13,7 @@ class AllHermitianCone(StandardCone):
     variant = "all-hermitian"
 
     def member(self, n, x):
-        x = np.asarray(x, dtype=complex)
-        lvl = self.level_algebra(n)
-        coords = lvl.coords_of(x)
-        residual = la.frob(x - lvl.synthesize(coords))
-        if residual > lvl.structure_tol * (1.0 + la.frob(x)):
-            raise MembershipError("element outside the amplified algebra", residual)
+        x = self.level_element(n, x)
         return la.is_hermitian(x, self.tol_psd * (1.0 + la.opnorm(x)))
 
     def straighten(self, n, x):

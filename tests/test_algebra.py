@@ -10,8 +10,10 @@ from matorder.algebra import (
     doubling_embed,
     generate_algebra,
     hermitian_part_basis,
+    level_residual,
     membership_residual,
     project,
+    random_element,
     spans_equal,
 )
 from matorder.errors import DimensionCapExceeded, DimensionMismatch, MembershipError
@@ -111,6 +113,24 @@ def test_amplify_composition_spans(m2_full):
     twice = amplify(amplify(m2_full, 2), 2)
     direct = amplify(m2_full, 4)
     assert spans_equal(twice, direct, 1e-8)
+
+
+def test_random_element_level_matches_amplified(m3_full):
+    # Same Gaussian draws, in the order of the amplified basis.
+    for n in (1, 2, 3):
+        ref = random_element(amplify(m3_full, n), np.random.default_rng(n))
+        got = random_element(m3_full, np.random.default_rng(n), level=n)
+        np.testing.assert_allclose(got, ref, atol=1e-12)
+        assert level_residual(m3_full, n, got) < 1e-12
+
+
+def test_coords_of_stack_matches_single(m3_full):
+    rng = np.random.default_rng(4)
+    stack = rng.standard_normal((2, 4, 3, 3)) + 1j * rng.standard_normal((2, 4, 3, 3))
+    coords = m3_full.coords_of(stack)
+    assert coords.shape == (2, 4, m3_full.dim)
+    np.testing.assert_allclose(coords[1, 2], m3_full.coords_of(stack[1, 2]), atol=1e-14)
+    np.testing.assert_allclose(m3_full.synthesize(coords), stack, atol=1e-12)
 
 
 def test_generate_idempotent_on_own_basis(m3_full):

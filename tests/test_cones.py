@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
-from conftest import E11, E12, WORKED_B, WORKED_S, mat
+from conftest import E11, E12, WORKED_B, WORKED_S, mat, random_similarity, random_unitary
 from doubles import AllHermitianCone, ZeroedCornerCone
-from matorder.algebra import doubling_embed, generate_algebra
+from matorder.algebra import (
+    amplify,
+    conjugate_algebra,
+    doubling_embed,
+    generate_algebra,
+    level_residual,
+    membership_residual,
+)
 from matorder.cones import (
     SimilarityCone,
     StandardCone,
@@ -46,6 +54,83 @@ def test_similarity_member_matches_straightened(worked_sim_cone):
             h = worked_sim_cone.sample_span(n, rng)
             assert worked_sim_cone.member(n, h) == std.member(
                 n, worked_sim_cone.straighten(n, h))
+
+
+def _m2_plus_c_cone(variant):
+    """A cone over a unitary conjugate of M_2 (+) C inside M_3, a proper
+    subalgebra, so random matrices fall outside it."""
+    rng = np.random.default_rng(11)
+    u = random_unitary(rng, 3)
+    gens = [u @ block_diag(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
+                           rng.standard_normal((1, 1))) @ u.conj().T for _ in range(2)]
+    alg = generate_algebra(gens, include_adjoints=True)
+    if variant == "standard":
+        return StandardCone(alg), np.eye(3, dtype=complex)
+    s = random_similarity(rng, 3)
+    return SimilarityCone(conjugate_algebra(alg, np.linalg.inv(s)), s), s
+
+
+@pytest.mark.parametrize("variant", ["standard", "similarity"])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_blockwise_oracle_matches_amplified_reference(variant, n):
+    cone, s = _m2_plus_c_cone(variant)
+    rng = np.random.default_rng(n)
+    ref_level = amplify(cone.algebra, n)
+    big_s = np.kron(np.eye(n), s)
+    dim = cone.level_dim(n)
+    cands = [cone.sample(n, rng) for _ in range(3)]
+    cands += [-cone.sample(n, rng), cone.sample_span(n, rng), cone.unit(n)]
+    cands += [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))]
+    verdicts = []
+    for x in cands:
+        ref = membership_residual(ref_level, x)
+        assert level_residual(cone.algebra, n, x) == pytest.approx(ref, rel=1e-9, abs=1e-12)
+        if ref > cone.algebra.structure_tol * (1.0 + np.linalg.norm(x)):
+            with pytest.raises(MembershipError):
+                cone.member(n, x)
+            verdicts.append("outside")
+        else:
+            expected = cone._psd_test(big_s @ x @ np.linalg.inv(big_s))
+            assert cone.member(n, x) == expected
+            verdicts.append(expected)
+    assert verdicts.count(True) >= 4 and False in verdicts and "outside" in verdicts
+
+
+@pytest.mark.parametrize("variant", ["standard", "similarity"])
+def test_member_raises_outside_algebra_at_level_2(variant, span_i_e11, worked_sim_cone):
+    cone = StandardCone(span_i_e11) if variant == "standard" else worked_sim_cone
+    x = np.kron(mat([[1, 0], [0, 0]]), np.eye(2)) + np.kron(mat([[0, 0], [0, 1]]), E12)
+    with pytest.raises(MembershipError) as err:
+        cone.member(2, x)
+    ref = membership_residual(amplify(cone.algebra, 2), x)
+    assert ref > 0.1
+    assert err.value.residual == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("fixture", ["std_m2", "worked_sim_cone"])
+@pytest.mark.parametrize("n, shape", [(1, (3, 3)), (1, (4, 4)), (2, (4, 2)), (0, (0, 0))])
+def test_member_rejects_wrong_shape(fixture, n, shape, request):
+    cone = request.getfixturevalue(fixture)
+    with pytest.raises(DimensionMismatch):
+        cone.member(n, np.zeros(shape, dtype=complex))
+
+
+def test_blockwise_similarity_maps_match_kron(worked_sim_cone):
+    rng = np.random.default_rng(5)
+    s, s_inv = WORKED_S, np.linalg.inv(WORKED_S)
+
+    def kron_i(k, t):
+        return np.kron(np.eye(k), t)
+
+    for n in (1, 2, 4):
+        x = rng.standard_normal((2 * n, 2 * n)) + 1j * rng.standard_normal((2 * n, 2 * n))
+        np.testing.assert_allclose(worked_sim_cone.straighten(n, x),
+                                   kron_i(n, s) @ x @ kron_i(n, s_inv), atol=1e-12)
+        np.testing.assert_allclose(worked_sim_cone.unstraighten(n, x),
+                                   kron_i(n, s_inv) @ x @ kron_i(n, s), atol=1e-12)
+    a = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+    ref = kron_i(3, s_inv) @ (kron_i(2, s) @ a @ kron_i(3, s_inv)).conj().T @ kron_i(2, s)
+    np.testing.assert_allclose(worked_sim_cone.sharp_block(2, 3, a), ref, atol=1e-12)
 
 
 @pytest.mark.parametrize("fixture", ["std_m2", "std_m3", "worked_sim_cone"])

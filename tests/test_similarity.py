@@ -168,6 +168,22 @@ def test_amplified_conjugation_identity(worked_algebra, worked_sim_cone):
             assert np.linalg.norm(direct - conj) <= 1e-9 * (1 + np.linalg.norm(x))
 
 
+def test_apply_blockwise_matches_block_loop(m3_full):
+    # Images of another size (the doubling b -> diag(b, b*)), against the
+    # block-by-block loop.
+    images = np.stack([np.block([[b, np.zeros((3, 3))], [np.zeros((3, 3)), b.conj().T]])
+                       for b in m3_full.basis])
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3):
+        x = random_element(m3_full, rng, level=n)
+        ref = np.zeros((6 * n, 6 * n), dtype=complex)
+        for i in range(n):
+            for j in range(n):
+                coords = m3_full.coords_of(x[3 * i:3 * i + 3, 3 * j:3 * j + 3])
+                ref[6 * i:6 * i + 6, 6 * j:6 * j + 6] = np.tensordot(coords, images, axes=(0, 0))
+        np.testing.assert_allclose(apply_blockwise(images, m3_full, x, n), ref, atol=1e-12)
+
+
 def test_order_isomorphism_both_ways(worked_algebra, worked_sim_cone):
     cert = minimize_condition(_worked_space(worked_algebra, worked_sim_cone))
     star = build_star_rep(worked_algebra, worked_sim_cone, cert.q)
