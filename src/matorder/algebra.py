@@ -24,11 +24,6 @@ DEFAULT_MAX_DIM = 256
 NEW_DIRECTION_FACTOR = 1e-8
 
 
-def trace_inner(x: np.ndarray, y: np.ndarray) -> complex:
-    """Trace pairing <X, Y> = sum conj(Y_ij) X_ij."""
-    return complex(np.vdot(y, x))
-
-
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)

@@ -56,9 +56,6 @@ class JSymmetricRep:
         coords = self.algebra.coords_of(as_matrix(x))
         return np.tensordot(coords, self.rho_images, axes=(0, 0))
 
-    def rho_level(self, x, n: int) -> np.ndarray:
-        return apply_blockwise(self.rho_images, self.algebra, x, n)
-
 
 def j_symmetrize(algebra: OperatorAlgebra, pi_images: np.ndarray | None = None) -> JSymmetricRep:
     """Double a representation of a star-closed algebra into a J-symmetric one.

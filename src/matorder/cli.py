@@ -66,15 +66,6 @@ class RunConfig:
         return obj
 
 
-def _norm_report_obj(rep: order_norms.NormReport) -> dict:
-    return {
-        "value": rep.value,
-        "bracket": [rep.bracket[0], rep.bracket[1]],
-        "iterations": rep.iterations,
-        "oracle_calls": rep.oracle_calls,
-    }
-
-
 def _certificate_obj(cert: similarity.SimilarityCertificate) -> dict:
     return {
         "Q": matrix_to_obj(cert.q),
@@ -151,7 +142,7 @@ def _cmd_order_norm(args, config: RunConfig):
         rep = order_norms.pre_cstar_norm(cone, None, level, x,
                                          bisect_tol=config.bisect_tol)
     return EXIT_OK, {"kind": args.kind, "level": level,
-                     "report": _norm_report_obj(rep)}
+                     "report": asdict(rep)}
 
 
 def _cmd_involution(args, config: RunConfig):

@@ -27,13 +27,16 @@ from .errors import (
     DimensionMismatch,
     LevelUnsupported,
     MembershipError,
+    NumericalStall,
     SourceNotStarClosed,
+    UnboundedAbove,
 )
 
 DEFAULT_TOL_PSD = 1e-9
+MAX_BISECT_ITER = 200
 
-# Archimedean surrogate: boundary elements are located by bisection to this
-# fraction of tol_psd so the limit membership lands inside the PSD slack.
+# Archimedean surrogate: boundary elements are bracketed (exact shift, else
+# bisection) to this fraction of tol_psd, so the limit lands inside the slack.
 _BOUNDARY_WIDTH_FACTOR = 0.2
 
 
@@ -62,6 +65,16 @@ class AxiomCheck:
     verdict: str  # "pass" | "fail" | "unknown"
     detail: str = ""
     witness: Witness | None = None
+
+
+def _verdict(axiom: str, detail: str, bad: Witness | None) -> AxiomCheck:
+    """A sampled check: "fail" with its witness when one was found."""
+    return AxiomCheck(axiom, "fail" if bad else "pass", detail, bad)
+
+
+def _unit_check(cone: "ConeOracle", n: int, axiom: str, detail: str) -> AxiomCheck:
+    e = cone.unit(n)
+    return _verdict(axiom, detail, None if cone.member(n, e) else Witness("unit", n, (), e))
 
 
 @dataclass(frozen=True)
@@ -176,6 +189,11 @@ class ConeOracle:
     def member(self, n: int, x) -> bool:
         raise NotImplementedError
 
+    def min_shift(self, n: int, c) -> float | None:
+        """inf{r real : r e_n + c in C_n} in closed form; None when the cone
+        is opaque and shifts must be found by bisection on `member`."""
+        return None
+
     def straighten(self, n: int, x) -> np.ndarray:
         """Conjugate a level-n element into the frame where the cone is PSD."""
         return as_matrix(x)
@@ -204,6 +222,13 @@ class ConeOracle:
     def _psd_test(self, x: np.ndarray) -> bool:
         slack = self.tol_psd * (1.0 + la.opnorm(x))
         return la.is_hermitian(x, slack) and la.min_eig(x) >= -slack
+
+    def _frame_shift(self, n: int, c) -> float:
+        """min_shift of a PSD-frame cone from one eigensolve: the boundary of
+        `_psd_test` on r I + straighten(c), slack tol (1 + lambda_max) included."""
+        y = self.straighten(n, self.level_element(n, c))
+        ev = np.linalg.eigvalsh(0.5 * (y + la.dagger(y)))
+        return float((-ev[0] - self.tol_psd * (1.0 + ev[-1])) / (1.0 + self.tol_psd))
 
     # -- sampling ----------------------------------------------------------
 
@@ -253,6 +278,8 @@ class StandardCone(ConeOracle):
     def member(self, n: int, x) -> bool:
         return self._psd_test(self.level_element(n, x))
 
+    min_shift = ConeOracle._frame_shift
+
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         g = random_element(self.algebra, rng, level=n)
         return la.dagger(g) @ g
@@ -293,6 +320,8 @@ class SimilarityCone(ConeOracle):
     def member(self, n: int, x) -> bool:
         return self._psd_test(self.straighten(n, self.level_element(n, x)))
 
+    min_shift = ConeOracle._frame_shift
+
     def sharp(self, n: int, x) -> np.ndarray:
         return self.unstraighten(n, la.dagger(self.straighten(n, x)))
 
@@ -332,54 +361,94 @@ def _blockwise(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# Shift bisection used by the audits
+# Order-unit shifts: exact with an oracle-certified bracket, bisection fallback
 # ---------------------------------------------------------------------------
+
+class _Bisection:
+    """Shift search on a predicate monotone in r (false below the boundary,
+    true above), counting predicate calls and bisection steps."""
+
+    def __init__(self, pred):
+        self.pred, self.calls, self.iterations = pred, 0, 0
+
+    def __call__(self, r: float) -> bool:
+        self.calls += 1
+        return self.pred(r)
+
+    def certify(self, r: float | None, width: float, floor: float = 0.0) -> tuple | None:
+        """Bracket of an exact boundary r >= floor, checked by the oracle:
+        (floor, floor) if r <= floor and pred(floor); else [lo, hi] of width
+        <= width/2, pred true at hi and at the midpoint r + width/8, false at
+        lo = max(r - width/8, floor).  None if r is None or pred disagrees."""
+        if r is None:
+            return None
+        if r <= floor:
+            return (floor, floor) if self(floor) else None
+        lo, mid = max(r - 0.125 * width, floor), r + 0.125 * width
+        hi = 2.0 * mid - lo
+        return (lo, hi) if self(hi) and self(mid) and not self(lo) else None
+
+    def search(self, exact: float | None, width: float, upper0, stop,
+               doublings: int = 3) -> tuple:
+        """Bracket of inf{r >= 0 : pred(r)}: the certified exact value, else
+        [0, upper0()] doubled at most `doublings` times and bisected to `stop`."""
+        found = self.certify(exact, width)
+        if found is not None:
+            return found
+        if self(0.0):
+            return 0.0, 0.0
+        hi = max(upper0(), 1e-12)
+        attempts = 0
+        while not self(hi):
+            attempts += 1
+            if attempts > doublings:
+                raise UnboundedAbove(
+                    f"predicate still false at r = {hi:.6g} after {doublings} doublings")
+            hi *= 2.0
+        return self.refine(0.0, hi, stop)
+
+    def refine(self, lo: float, hi: float, stop) -> tuple:
+        while hi - lo > stop(lo, hi):
+            if self.iterations >= MAX_BISECT_ITER:
+                raise NumericalStall(f"bisection exceeded {MAX_BISECT_ITER} iterations "
+                                     f"(bracket [{lo:.6g}, {hi:.6g}])")
+            self.iterations += 1
+            mid = 0.5 * (lo + hi)
+            if self(mid):
+                hi = mid
+            else:
+                lo = mid
+        return lo, hi
+
 
 def _inf_shift(cone: ConeOracle, n: int, c: np.ndarray, scale: float,
                abs_tol: float, doublings: int = 3) -> float | None:
-    """inf{r >= 0 : r * scale * e_n + c in C_n}; None when no bracket found."""
+    """inf{r >= 0 : r * scale * e_n + c in C_n} to abs_tol: the certified exact
+    shift, else bisection; None when bisection finds no bracket."""
     e = cone.unit(n)
-
-    def pred(r: float) -> bool:
-        return cone.member(n, r * scale * e + c)
-
-    if pred(0.0):
-        return 0.0
-    hi = la.opnorm(cone.straighten(n, c)) / scale + 1.0
-    attempts = 0
-    while not pred(hi):
-        attempts += 1
-        if attempts > doublings:
-            return None
-        hi *= 2.0
-    lo = 0.0
-    while hi - lo > abs_tol:
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
+    bis = _Bisection(lambda r: cone.member(n, r * scale * e + c))
+    exact = cone.min_shift(n, c)
+    try:
+        lo, hi = bis.search(None if exact is None else exact / scale, abs_tol,
+                            lambda: la.opnorm(cone.straighten(n, c)) / scale + 1.0,
+                            lambda l, h: abs_tol, doublings)
+    except UnboundedAbove:
+        return None
     return 0.5 * (lo + hi)
 
 
 def _sup_shift_down(cone: ConeOracle, n: int, c: np.ndarray, abs_tol: float) -> tuple:
-    """Bracket of sup{mu >= 0 : c - mu * e_n in C_n} for a cone member c."""
+    """Bracket of sup{mu >= 0 : c - mu * e_n in C_n} for a cone member c:
+    -min_shift(c) certified by the oracle, else bisection in r = -mu."""
     e = cone.unit(n)
-
-    def pred(mu: float) -> bool:
-        return cone.member(n, c - mu * e)
-
-    hi = la.opnorm(cone.straighten(n, c)) + 1.0
-    if pred(hi):  # defensive; should not happen for pointed cones
-        return hi, hi
-    lo = 0.0
-    while hi - lo > abs_tol:
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    bis = _Bisection(lambda r: cone.member(n, r * e + c))
+    found = bis.certify(cone.min_shift(n, c), abs_tol, floor=-np.inf)
+    if found is None or found[1] > 0.0:  # uncertified, or c is not a member
+        top = la.opnorm(cone.straighten(n, c)) + 1.0
+        if bis(-top):  # defensive; should not happen for pointed cones
+            return top, top
+        found = bis.refine(-top, 0.0, lambda l, h: abs_tol)
+    return -found[1], -found[0]
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +494,7 @@ def audit_algebraically_admissible(cone: ConeOracle, n: int = 1,
     checks = []
     e = cone.unit(n)
 
-    e_ok = cone.member(n, e)
-    checks.append(AxiomCheck("unit-membership", "pass" if e_ok else "fail",
-                             "e_n in C_n",
-                             None if e_ok else Witness("unit", n, (), e)))
+    checks.append(_unit_check(cone, n, "unit-membership", "e_n in C_n"))
 
     bad = None
     for _ in range(samples):
@@ -439,8 +505,7 @@ def audit_algebraically_admissible(cone: ConeOracle, n: int = 1,
             bad = Witness("conic-combination", n, (c1, c2), cand,
                           f"coefficients ({lam:.3f}, {beta:.3f})")
             break
-    checks.append(AxiomCheck("cone-combinations", "fail" if bad else "pass",
-                             f"{samples} random conic combinations", bad))
+    checks.append(_verdict("cone-combinations", f"{samples} random conic combinations", bad))
 
     checks.append(_lineality_check(cone, n))
 
@@ -452,8 +517,7 @@ def audit_algebraically_admissible(cone: ConeOracle, n: int = 1,
         if not cone.member(n, cand):
             bad = Witness("conjugation", n, (c,), cand, "x c x^sharp escaped the cone")
             break
-    checks.append(AxiomCheck("conjugation-stability", "fail" if bad else "pass",
-                             "x c x^sharp stays in C", bad))
+    checks.append(_verdict("conjugation-stability", "x c x^sharp stays in C", bad))
 
     bad = None
     shift_tol = 1e-9 * float(np.sqrt(cone.level_dim(n)))
@@ -463,8 +527,7 @@ def audit_algebraically_admissible(cone: ConeOracle, n: int = 1,
         if r is None:
             bad = Witness("order-unit", n, (), a, "no shift r e + a entered the cone")
             break
-    checks.append(AxiomCheck("order-unit", "fail" if bad else "pass",
-                             "bisection found r with r e + a in C", bad))
+    checks.append(_verdict("order-unit", "exact or bisected shift r with r e + a in C", bad))
 
     bad = None
     width = _BOUNDARY_WIDTH_FACTOR * cone.tol_psd
@@ -482,8 +545,8 @@ def audit_algebraically_admissible(cone: ConeOracle, n: int = 1,
             bad = Witness("archimedean", n, (), near,
                           "member at every r > 0 but not at r = 0")
             break
-    checks.append(AxiomCheck("archimedean", "fail" if bad else "pass",
-                             "membership survives the r -> 0 limit at the boundary", bad))
+    checks.append(_verdict("archimedean",
+                           "membership survives the r -> 0 limit at the boundary", bad))
 
     return ConeAuditReport("algebraically-admissible", (n,), samples, seed, checks)
 
@@ -501,9 +564,7 @@ def audit_matrix_ordered(cone: ConeOracle, levels=(1, 2), samples: int = 30,
     levels = tuple(levels)
     checks = []
 
-    e_ok = cone.member(1, cone.unit(1))
-    checks.append(AxiomCheck("unit-in-C1", "pass" if e_ok else "fail", "e in C_1",
-                             None if e_ok else Witness("unit", 1, (), cone.unit(1))))
+    checks.append(_unit_check(cone, 1, "unit-in-C1", "e in C_1"))
 
     for n in levels:
         checks.append(_lineality_check(cone, n))
@@ -529,8 +590,8 @@ def audit_matrix_ordered(cone: ConeOracle, levels=(1, 2), samples: int = 30,
                     bad = Witness("scalar-conjugation", m, (), cand,
                                   f"B* C_{n} B escaped C_{m}")
                     break
-    checks.append(AxiomCheck("scalar-rectangular-conjugation", "fail" if bad else "pass",
-                             "B* C_n B subset C_m for scalar B", bad))
+    checks.append(_verdict("scalar-rectangular-conjugation",
+                           "B* C_n B subset C_m for scalar B", bad))
 
     bad = None
     for n in levels:
@@ -547,8 +608,8 @@ def audit_matrix_ordered(cone: ConeOracle, levels=(1, 2), samples: int = 30,
                     bad = Witness("algebra-conjugation", m, (), cand,
                                   f"A^sharp C_{n} A escaped C_{m}")
                     break
-    checks.append(AxiomCheck("algebra-rectangular-conjugation", "fail" if bad else "pass",
-                             "A^sharp C_n A subset C_m for algebra-valued A", bad))
+    checks.append(_verdict("algebra-rectangular-conjugation",
+                           "A^sharp C_n A subset C_m for algebra-valued A", bad))
 
     return ConeAuditReport("matrix-ordered", levels, samples, seed, checks)
 
@@ -576,9 +637,7 @@ def audit_star_admissible(cone: ConeOracle, levels=(1, 2), samples: int = 50,
     checks = []
     constants: dict[str, ConstantEstimate] = {}
 
-    e_ok = cone.member(1, cone.unit(1))
-    checks.append(AxiomCheck("unit-in-C1", "pass" if e_ok else "fail", "e in C_1",
-                             None if e_ok else Witness("unit", 1, (), cone.unit(1))))
+    checks.append(_unit_check(cone, 1, "unit-in-C1", "e in C_1"))
 
     for n in levels:
         span = cone.span_basis(n)
@@ -635,8 +694,7 @@ def audit_star_admissible(cone: ConeOracle, levels=(1, 2), samples: int = 50,
                 bad = Witness("difference-conjugation", n, (c1, c2, c), cand,
                               "(c1 - c2) c (c1 - c2) escaped the cone")
                 break
-    checks.append(AxiomCheck("difference-conjugation-3i", "fail" if bad else "pass",
-                             "(c1 - c2) c (c1 - c2) in C_n", bad))
+    checks.append(_verdict("difference-conjugation-3i", "(c1 - c2) c (c1 - c2) in C_n", bad))
 
     big_n = cone.algebra.ambient_dim
     bad = None
@@ -653,8 +711,7 @@ def audit_star_admissible(cone: ConeOracle, levels=(1, 2), samples: int = 50,
                     bad = Witness("scalar-conjugation", m, (), cand,
                                   f"B* C_{n} B escaped C_{m}")
                     break
-    checks.append(AxiomCheck("scalar-compression-3ii", "fail" if bad else "pass",
-                             "B* C_n B subset C_m for scalar B", bad))
+    checks.append(_verdict("scalar-compression-3ii", "B* C_n B subset C_m for scalar B", bad))
 
     # Condition 4: r4 = sup over candidates of inf{r : r ||c|| e + c in C}.
     # Negated cone elements (and -e) attain the supremum for PSD-type cones.
@@ -679,8 +736,7 @@ def audit_star_admissible(cone: ConeOracle, levels=(1, 2), samples: int = 50,
             if r > r4_best:
                 r4_best, r4_wit, r4_level = r, (c,), n
     constants["r4"] = ConstantEstimate("r4", r4_best, r4_level, r4_wit)
-    checks.append(AxiomCheck("order-bound-r4", "fail" if bad else "pass",
-                             f"empirical r4 = {r4_best:.12g}", bad))
+    checks.append(_verdict("order-bound-r4", f"empirical r4 = {r4_best:.12g}", bad))
 
     k_best, k_wit, k_level = 0.0, (), levels[0]
     bad = None
@@ -706,8 +762,7 @@ def audit_star_admissible(cone: ConeOracle, levels=(1, 2), samples: int = 50,
             if ratio > k_best:
                 k_best, k_wit, k_level = ratio, (a, b), n
     constants["K"] = ConstantEstimate("K", k_best, k_level, k_wit)
-    checks.append(AxiomCheck("norm-comparison-K", "fail" if bad else "pass",
-                             f"empirical K = {k_best:.12g}", bad))
+    checks.append(_verdict("norm-comparison-K", f"empirical K = {k_best:.12g}", bad))
 
     return ConeAuditReport("star-admissible", levels, samples, seed, checks, constants)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _linalg as la
 from .algebra import OperatorAlgebra, as_matrix, random_element
-from .cones import ConeOracle
+from .cones import ConeOracle, _rank_of
 from .errors import (
     DecompositionInfeasible,
     DecompositionNotUnique,
@@ -78,10 +78,7 @@ def _check_span_conditions(cone: ConeOracle, n: int, span: np.ndarray) -> None:
     lvl_dim = cone.level_algebra(n).dim
     if v == 0:
         raise DecompositionInfeasible("cone span is trivial")
-    rows = [la.real_vec(h) for h in span] + [la.real_vec(1j * h) for h in span]
-    m = np.stack(rows)
-    s = np.linalg.svd(m, compute_uv=False)
-    rank = int(np.sum(s > 1e-10 * s[0])) if s.size else 0
+    rank = _rank_of([la.real_vec(h) for h in span] + [la.real_vec(1j * h) for h in span])
     if rank != 2 * v:
         raise DecompositionNotUnique(
             f"span meets i*span in dimension {2 * v - rank}"

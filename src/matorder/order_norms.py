@@ -1,9 +1,10 @@
 """Cone-induced order-unit seminorms and the induced pre-C*-norm.
 
-The seminorm of a self-adjoint element is inf{r : r e +- a in C}, located
-by bisection against the membership oracle.  The pre-C*-norm is the square
-root of the seminorm of x^sharp x and is cross-checked against the direct
-bisection of inf{r : r^2 e +- x^sharp x in C}.
+The seminorm of a self-adjoint element is inf{r : r e +- a in C}, computed
+exactly as max(min_shift(a), min_shift(-a), 0) with a bracket certified by
+the membership oracle; opaque cones and uncertified values fall back to
+bisection.  The pre-C*-norm is the square root of the seminorm of x^sharp x,
+cross-checked against the direct search for inf{r : r^2 e +- x^sharp x in C}.
 """
 
 from __future__ import annotations
@@ -14,17 +15,18 @@ import numpy as np
 
 from . import _linalg as la
 from .algebra import as_matrix
-from .cones import AxiomCheck, ConeAuditReport, ConeOracle, Witness
-from .errors import CertificationFailed, NotSelfAdjoint, NumericalStall, UnboundedAbove
+from .cones import ConeAuditReport, ConeOracle, Witness, _Bisection, _verdict
+from .errors import CertificationFailed, NotSelfAdjoint, UnboundedAbove
 
 DEFAULT_BISECT_TOL = 1e-10
 DEFAULT_NULL_TOL = 1e-6
-MAX_BISECT_ITER = 200
 
 
 @dataclass(frozen=True)
 class NormReport:
-    """Bisection result: value with its bracket and work counters."""
+    """Value with its oracle-certified bracket and work counters: iterations
+    is 0 on the exact path, else the number of fallback bisection steps;
+    oracle_calls counts evaluations of the (two-sided) shift predicate."""
 
     value: float
     bracket: tuple
@@ -43,81 +45,62 @@ def _sharp_fn(cone: ConeOracle, involution, n: int):
     return involution
 
 
-class _Bisection:
-    """Monotone-predicate bisection with doubling bracket search."""
+def _norm_search(cone: ConeOracle, n: int, z: np.ndarray, bisect_tol: float,
+                 squared: bool = False, sqrt_refine: bool = False) -> NormReport:
+    """inf{r >= 0 : t e_n + z and t e_n - z in C_n}, t = r (r^2 if squared).
 
-    def __init__(self, pred, max_iter: int = MAX_BISECT_ITER):
-        self.pred = pred
-        self.calls = 0
-        self.iterations = 0
-        self.max_iter = max_iter
+    The exact shift is tried first (the binding sign is tested first, so
+    the certificate's failing test at lo costs one membership test); the
+    fallback bisection starts from [0, 2 ||straighten(z)|| + 1]
+    (square-rooted if squared).
+    """
+    e = cone.unit(n)
+    up, down = cone.min_shift(n, z), cone.min_shift(n, -z)
+    exact = None if up is None or down is None else max(up, down, 0.0)
+    first, second = (z, -z) if exact is None or up >= down else (-z, z)
+    t = (lambda r: r * r) if squared else (lambda r: r)
+    bis = _Bisection(lambda r: cone.member(n, t(r) * e + first)
+                     and cone.member(n, t(r) * e + second))
 
-    def __call__(self, r: float) -> bool:
-        self.calls += 1
-        return self.pred(r)
+    def width(r):
+        # sqrt_refine: sqrt(bracket) has width ~ bisect_tol, as accurate as a
+        # direct search in r (and never looser, since 2 sqrt(r) <= 1 + r).
+        if sqrt_refine:
+            return max(2.0 * np.sqrt(r) * bisect_tol, bisect_tol ** 2)
+        return bisect_tol * (1.0 + r)
 
-    def bracket(self, upper0: float, doublings: int = 3) -> tuple:
-        if self(0.0):
-            return 0.0, 0.0
-        hi = max(upper0, 1e-12)
-        attempts = 0
-        while not self(hi):
-            attempts += 1
-            if attempts > doublings:
-                raise UnboundedAbove(
-                    f"predicate still false at r = {hi:.6g} after {doublings} doublings"
-                )
-            hi *= 2.0
-        return 0.0, hi
-
-    def refine(self, lo: float, hi: float, stop) -> tuple:
-        while hi - lo > stop(lo, hi):
-            if self.iterations >= self.max_iter:
-                raise NumericalStall(
-                    f"bisection exceeded {self.max_iter} iterations "
-                    f"(bracket [{lo:.6g}, {hi:.6g}])"
-                )
-            self.iterations += 1
-            mid = 0.5 * (lo + hi)
-            if self(mid):
-                hi = mid
-            else:
-                lo = mid
-        return lo, hi
+    if exact is not None and squared:
+        exact = float(np.sqrt(exact))
+    lo, hi = bis.search(
+        exact, width(exact or 0.0),
+        lambda: (np.sqrt if squared else float)(2.0 * la.opnorm(cone.straighten(n, z)) + 1.0),
+        lambda l, h: bisect_tol * (1.0 + 0.5 * (l + h)))
+    if sqrt_refine and hi > 0.0:  # a no-op on a certified bracket
+        target = width(max(lo, 0.0))
+        lo, hi = bis.refine(lo, hi, lambda l, h: target)
+    return NormReport(0.5 * (lo + hi), (lo, hi), bis.iterations, bis.calls)
 
 
 def order_unit_seminorm(cone: ConeOracle, n: int, a, involution=None,
                         bisect_tol: float = DEFAULT_BISECT_TOL,
                         _sqrt_refine: bool = False) -> NormReport:
-    """inf{r > 0 : r e_n + a in C_n and r e_n - a in C_n} by bisection.
+    """inf{r > 0 : r e_n + a in C_n and r e_n - a in C_n}.
 
-    Requires a to be sharp-self-adjoint at level n.  The initial bracket is
-    [0, 2 ||straighten(a)|| + 1]; three doublings are allowed before the
-    element is declared unbounded (not dominated by the order unit).
+    Requires a to be sharp-self-adjoint at level n.  The value is the exact
+    shift with a certified bracket of width bisect_tol (1 + value), or the
+    bisection fallback's midpoint (see `_norm_search`).
     """
     a = as_matrix(a)
     sharp = _sharp_fn(cone, involution, n)
     if la.frob(sharp(a) - a) > 1e-8 * (1.0 + la.frob(a)):
         raise NotSelfAdjoint("order-unit seminorm needs a sharp-self-adjoint element")
-    e = cone.unit(n)
-
-    bis = _Bisection(lambda r: cone.member(n, r * e + a) and cone.member(n, r * e - a))
-    upper0 = 2.0 * la.opnorm(cone.straighten(n, a)) + 1.0
-    lo, hi = bis.bracket(upper0)
-    lo, hi = bis.refine(lo, hi, lambda l, h: bisect_tol * (1.0 + 0.5 * (l + h)))
-    if _sqrt_refine and hi > 0.0:
-        # Tighten until sqrt(bracket) has width ~ bisect_tol, so the square
-        # root of the midpoint is as accurate as a direct bisection in r.
-        target = max(2.0 * np.sqrt(max(lo, 0.0)) * bisect_tol, bisect_tol ** 2)
-        lo, hi = bis.refine(lo, hi, lambda l, h: target)
-    value = 0.5 * (lo + hi)
-    return NormReport(value, (lo, hi), bis.iterations, bis.calls)
+    return _norm_search(cone, n, a, bisect_tol, sqrt_refine=_sqrt_refine)
 
 
 def pre_cstar_norm(cone: ConeOracle, involution, n: int, x,
                    bisect_tol: float = DEFAULT_BISECT_TOL) -> NormReport:
     """sqrt of the seminorm of x^sharp x, cross-checked against the direct
-    bisection of inf{r : r^2 e +- x^sharp x in C}; the two must agree to
+    search for inf{r : r^2 e +- x^sharp x in C}; the two must agree to
     2 * bisect_tol (relative)."""
     x = as_matrix(x)
     sharp = _sharp_fn(cone, involution, n)
@@ -126,26 +109,18 @@ def pre_cstar_norm(cone: ConeOracle, involution, n: int, x,
     via_sqrt = order_unit_seminorm(cone, n, z, involution=involution,
                                    bisect_tol=bisect_tol, _sqrt_refine=True)
     value_sqrt = float(np.sqrt(via_sqrt.value))
-
-    e = cone.unit(n)
-    bis = _Bisection(
-        lambda r: cone.member(n, r * r * e + z) and cone.member(n, r * r * e - z)
-    )
-    upper0 = np.sqrt(2.0 * la.opnorm(cone.straighten(n, z)) + 1.0)
-    lo, hi = bis.bracket(upper0)
-    lo, hi = bis.refine(lo, hi, lambda l, h: bisect_tol * (1.0 + 0.5 * (l + h)))
-    value_direct = 0.5 * (lo + hi)
+    direct = _norm_search(cone, n, z, bisect_tol, squared=True)
+    value_direct = direct.value
 
     if abs(value_sqrt - value_direct) > 2.0 * bisect_tol * (1.0 + value_direct):
         raise CertificationFailed(
             f"pre-C*-norm formulas disagree: sqrt path {value_sqrt:.17g}, "
             f"direct path {value_direct:.17g}"
         )
-    bracket = (float(np.sqrt(max(via_sqrt.bracket[0], 0.0))),
-               float(np.sqrt(max(via_sqrt.bracket[1], 0.0))))
+    bracket = tuple(float(np.sqrt(max(b, 0.0))) for b in via_sqrt.bracket)
     return NormReport(value_sqrt, bracket,
-                      via_sqrt.iterations + bis.iterations,
-                      via_sqrt.oracle_calls + bis.calls)
+                      via_sqrt.iterations + direct.iterations,
+                      via_sqrt.oracle_calls + direct.oracle_calls)
 
 
 def null_space(cone: ConeOracle, involution, n: int,
@@ -157,26 +132,18 @@ def null_space(cone: ConeOracle, involution, n: int,
     span of small-norm directions on random combinations and drops it if a
     combination escapes.  Returns a (k, D, D) stack, possibly empty.
     """
-    lvl = cone.level_algebra(n)
-    small = []
-    for b in lvl.basis:
-        rep = pre_cstar_norm(cone, involution, n, b, bisect_tol=bisect_tol)
-        if rep.value <= null_tol:
-            small.append(b)
-    if not small:
-        dim = cone.level_dim(n)
-        return np.zeros((0, dim, dim), dtype=complex)
+    def norm(x):
+        return pre_cstar_norm(cone, involution, n, x, bisect_tol=bisect_tol).value
+
+    small = [b for b in cone.level_algebra(n).basis if norm(b) <= null_tol]
     rng = np.random.default_rng(0)
-    for _ in range(3):
+    for _ in range(3 if small else 0):
         coeffs = la.random_complex(rng, len(small))
         coeffs /= np.linalg.norm(coeffs)
-        comb = np.tensordot(coeffs, np.stack(small), axes=(0, 0))
-        rep = pre_cstar_norm(cone, involution, n, comb, bisect_tol=bisect_tol)
-        if rep.value > null_tol:
+        if norm(np.tensordot(coeffs, np.stack(small), axes=(0, 0))) > null_tol:
             # Span is not closed under combination: keep only directions
             # re-verified individually at a tightened threshold.
-            small = [b for b in small
-                     if pre_cstar_norm(cone, involution, n, b).value <= null_tol / 10]
+            small = [b for b in small if norm(b) <= null_tol / 10]
             break
     if not small:
         dim = cone.level_dim(n)
@@ -200,15 +167,14 @@ def check_order_unit_archimedean(cone: ConeOracle, n: int = 1, samples: int = 20
         try:
             rep = order_unit_seminorm(cone, n, a)
         except UnboundedAbove:
-            bad = Witness("order-unit", n, (), a, "seminorm bisection unbounded")
+            bad = Witness("order-unit", n, (), a, "seminorm unbounded: no bracket found")
             break
         shifted = (rep.value + 1e-8 * (1.0 + rep.value)) * e + a
         if not cone.member(n, shifted):
             bad = Witness("order-unit", n, (), shifted,
                           "r e + a outside C at r = seminorm + tol")
             break
-    checks.append(AxiomCheck("order-unit", "fail" if bad else "pass",
-                             "r e + a in C at r = seminorm(a) + tol", bad))
+    checks.append(_verdict("order-unit", "r e + a in C at r = seminorm(a) + tol", bad))
 
     bad = None
     for _ in range(samples):
@@ -226,7 +192,6 @@ def check_order_unit_archimedean(cone: ConeOracle, n: int = 1, samples: int = 20
             bad = Witness("archimedean", n, (), near,
                           "shift memberships do not survive the r -> 0 limit")
             break
-    checks.append(AxiomCheck("archimedean", "fail" if bad else "pass",
-                             "membership closed along r -> 0 at the boundary", bad))
+    checks.append(_verdict("archimedean", "membership closed along r -> 0 at the boundary", bad))
 
     return ConeAuditReport("order-unit-archimedean", (n,), samples, seed, checks)
