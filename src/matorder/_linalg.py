@@ -44,13 +44,6 @@ def principal_sqrt(q: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(evals)) @ vecs.conj().T
 
 
-def cond_hermitian(q: np.ndarray) -> float:
-    evals = np.linalg.eigvalsh(0.5 * (q + q.conj().T))
-    if evals[0] <= 0.0:
-        return float("inf")
-    return float(evals[-1] / evals[0])
-
-
 def real_vec(x: np.ndarray) -> np.ndarray:
     """Flatten a complex matrix into a real vector (re parts then im parts)."""
     return np.concatenate([x.real.ravel(), x.imag.ravel()])

@@ -55,6 +55,22 @@ class OperatorAlgebra:
             self, "unit_coords", _freeze(np.asarray(self.unit_coords, dtype=complex))
         )
 
+    @classmethod
+    def from_basis(cls, basis, tol: float = DEFAULT_STRUCTURE_TOL,
+                   star_closed: bool | None = None) -> "OperatorAlgebra":
+        """Algebra on a trace-orthonormal basis (d, N, N) with the unit's
+        coordinates; star_closed, unless given, is decided by projecting
+        every adjoint b* back onto the span at tol (1 + ||b*||_F)."""
+        basis = np.asarray(basis, dtype=complex)
+        n = basis.shape[1]
+        flat = basis.reshape(len(basis), -1)
+        if star_closed is None:
+            adj = basis.conj().swapaxes(1, 2).reshape(len(basis), -1)
+            residual = np.linalg.norm(adj - (adj @ flat.conj().T) @ flat, axis=1)
+            star_closed = bool(np.all(residual <= tol * (1.0 + np.linalg.norm(adj, axis=1))))
+        return cls(ambient_dim=n, basis=basis, unit_coords=flat.conj() @ np.eye(n).ravel(),
+                   star_closed=star_closed, structure_tol=tol)
+
     @property
     def dim(self) -> int:
         return int(self.basis.shape[0])
@@ -228,23 +244,7 @@ def generate_algebra(
         if absorb(products) == 0:
             break
 
-    stacked = np.stack(basis)
-    unit_coords = np.tensordot(stacked.conj(), np.eye(n, dtype=complex), axes=([1, 2], [0, 1]))
-    star_closed = True
-    for b in basis:
-        adj = la.dagger(b)
-        coords = np.tensordot(stacked.conj(), adj, axes=([1, 2], [0, 1]))
-        if la.frob(adj - np.tensordot(coords, stacked, axes=(0, 0))) > tol * (1.0 + la.frob(adj)):
-            star_closed = False
-            break
-
-    return OperatorAlgebra(
-        ambient_dim=n,
-        basis=stacked,
-        unit_coords=unit_coords,
-        star_closed=star_closed,
-        structure_tol=tol,
-    )
+    return OperatorAlgebra.from_basis(np.stack(basis), tol)
 
 
 def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
@@ -345,23 +345,7 @@ def conjugate_algebra(algebra: OperatorAlgebra, s: np.ndarray) -> OperatorAlgebr
     if rank != algebra.dim:
         raise DimensionMismatch("conjugation lost rank; similarity is singular")
     n = algebra.ambient_dim
-    basis = np.stack([vt[k].reshape(n, n) for k in range(rank)])
-    stacked = basis
-    unit_coords = np.tensordot(stacked.conj(), np.eye(n, dtype=complex), axes=([1, 2], [0, 1]))
-    star_closed = True
-    for b in basis:
-        adj = la.dagger(b)
-        coords = np.tensordot(stacked.conj(), adj, axes=([1, 2], [0, 1]))
-        if la.frob(adj - np.tensordot(coords, stacked, axes=(0, 0))) > algebra.structure_tol * 2.0:
-            star_closed = False
-            break
-    return OperatorAlgebra(
-        ambient_dim=n,
-        basis=basis,
-        unit_coords=unit_coords,
-        star_closed=star_closed,
-        structure_tol=algebra.structure_tol,
-    )
+    return OperatorAlgebra.from_basis(vt[:rank].reshape(rank, n, n), algebra.structure_tol)
 
 
 def spans_equal(a: OperatorAlgebra, b: OperatorAlgebra, tol: float) -> bool:

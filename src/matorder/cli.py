@@ -71,6 +71,7 @@ def _certificate_obj(cert: similarity.SimilarityCertificate) -> dict:
         "Q": matrix_to_obj(cert.q),
         "S": matrix_to_obj(cert.s),
         "cond": cert.cond,
+        "gap": cert.gap,
         "residual_star": cert.residual_star,
         "residual_cone": cert.residual_cone,
     }

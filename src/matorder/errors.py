@@ -32,7 +32,8 @@ class UnboundedAbove(MatOrderError):
 
 
 class NumericalStall(MatOrderError):
-    pass
+    """An iterative solve stopped short of its tolerance (budget spent or no
+    progress); it gives no verdict."""
 
 
 class SpanUnstable(MatOrderError):
@@ -48,11 +49,14 @@ class DecompositionNotUnique(MatOrderError):
 
 
 class NoPositiveSolution(MatOrderError):
-    """No positive definite element found in a Hermitian solution space."""
+    """No positive definite element in a Hermitian solution space; carries
+    the dual certificate W >= 0, tr W = 1, with tr(W Q_j) ~ 0 for every
+    basis element Q_j."""
 
-    def __init__(self, message: str, best_lambda_min: float):
+    def __init__(self, message: str, best_lambda_min: float, dual):
         super().__init__(f"{message} (best lambda_min {best_lambda_min:.6g})")
         self.best_lambda_min = float(best_lambda_min)
+        self.dual = dual
 
 
 class CertificationFailed(MatOrderError):

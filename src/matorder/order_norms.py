@@ -46,16 +46,18 @@ def _sharp_fn(cone: ConeOracle, involution, n: int):
 
 
 def _norm_search(cone: ConeOracle, n: int, z: np.ndarray, bisect_tol: float,
-                 squared: bool = False, sqrt_refine: bool = False) -> NormReport:
+                 squared: bool = False, sqrt_refine: bool = False,
+                 shifts: tuple | None = None) -> NormReport:
     """inf{r >= 0 : t e_n + z and t e_n - z in C_n}, t = r (r^2 if squared).
 
     The exact shift is tried first (the binding sign is tested first, so
     the certificate's failing test at lo costs one membership test); the
     fallback bisection starts from [0, 2 ||straighten(z)|| + 1]
-    (square-rooted if squared).
+    (square-rooted if squared).  shifts, when given, is the precomputed
+    pair (min_shift(n, z), min_shift(n, -z)).
     """
     e = cone.unit(n)
-    up, down = cone.min_shift(n, z), cone.min_shift(n, -z)
+    up, down = shifts or (cone.min_shift(n, z), cone.min_shift(n, -z))
     exact = None if up is None or down is None else max(up, down, 0.0)
     first, second = (z, -z) if exact is None or up >= down else (-z, z)
     t = (lambda r: r * r) if squared else (lambda r: r)
@@ -83,7 +85,7 @@ def _norm_search(cone: ConeOracle, n: int, z: np.ndarray, bisect_tol: float,
 
 def order_unit_seminorm(cone: ConeOracle, n: int, a, involution=None,
                         bisect_tol: float = DEFAULT_BISECT_TOL,
-                        _sqrt_refine: bool = False) -> NormReport:
+                        _sqrt_refine: bool = False, _shifts: tuple | None = None) -> NormReport:
     """inf{r > 0 : r e_n + a in C_n and r e_n - a in C_n}.
 
     Requires a to be sharp-self-adjoint at level n.  The value is the exact
@@ -94,7 +96,7 @@ def order_unit_seminorm(cone: ConeOracle, n: int, a, involution=None,
     sharp = _sharp_fn(cone, involution, n)
     if la.frob(sharp(a) - a) > 1e-8 * (1.0 + la.frob(a)):
         raise NotSelfAdjoint("order-unit seminorm needs a sharp-self-adjoint element")
-    return _norm_search(cone, n, a, bisect_tol, sqrt_refine=_sqrt_refine)
+    return _norm_search(cone, n, a, bisect_tol, sqrt_refine=_sqrt_refine, shifts=_shifts)
 
 
 def pre_cstar_norm(cone: ConeOracle, involution, n: int, x,
@@ -105,11 +107,14 @@ def pre_cstar_norm(cone: ConeOracle, involution, n: int, x,
     x = as_matrix(x)
     sharp = _sharp_fn(cone, involution, n)
     z = sharp(x) @ x
+    # Both paths start from the same pair of exact shifts.
+    shifts = (cone.min_shift(n, z), cone.min_shift(n, -z))
 
     via_sqrt = order_unit_seminorm(cone, n, z, involution=involution,
-                                   bisect_tol=bisect_tol, _sqrt_refine=True)
+                                   bisect_tol=bisect_tol, _sqrt_refine=True,
+                                   _shifts=shifts)
     value_sqrt = float(np.sqrt(via_sqrt.value))
-    direct = _norm_search(cone, n, z, bisect_tol, squared=True)
+    direct = _norm_search(cone, n, z, bisect_tol, squared=True, shifts=shifts)
     value_direct = direct.value
 
     if abs(value_sqrt - value_direct) > 2.0 * bisect_tol * (1.0 + value_direct):

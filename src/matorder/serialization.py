@@ -132,13 +132,7 @@ def algebra_from_obj(obj, pointer: str = "") -> OperatorAlgebra:
         basis.append(mat)
     _expect(isinstance(obj.get("star_closed"), bool), pointer + "/star_closed",
             "must be a boolean")
-    stacked = np.stack(basis)
-    unit_coords = np.tensordot(stacked.conj(), np.eye(n, dtype=complex),
-                               axes=([1, 2], [0, 1]))
-    algebra = OperatorAlgebra(
-        ambient_dim=n, basis=stacked, unit_coords=unit_coords,
-        star_closed=obj["star_closed"],
-    )
+    algebra = OperatorAlgebra.from_basis(np.stack(basis), star_closed=obj["star_closed"])
     algebra.validate()
     return algebra
 

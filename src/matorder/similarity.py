@@ -3,10 +3,14 @@ adjoint-closed one.
 
 Requiring (S b S^-1)* = S b^sharp S^-1 for Q = S* S reduces to the linear
 system b* Q = Q b^sharp, so the candidate Q's form a real vector space of
-Hermitian matrices.  A positive definite solution is located by concave
-maximization of the bottom eigenvalue, the condition number is then
-minimized over the solution space, and the principal square root of the
-optimum gives the similarity together with completely-bounded-norm bounds.
+Hermitian matrices.  One log-barrier Newton solver for linear matrix
+inequalities serves two phases: phase one maximizes lambda_min over
+Q(c) <= I and either finds a positive definite solution or returns a dual
+certificate that none exists; phase two minimizes t subject to
+I <= Q(c) <= t I (Boyd, El Ghaoui, Feron & Balakrishnan, LMIs in System
+and Control Theory, 3.1), and its duality gap certifies the optimum.  The
+principal square root of the optimum gives the similarity together with
+completely-bounded-norm bounds.
 """
 
 from __future__ import annotations
@@ -14,16 +18,25 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 from . import _linalg as la
-from .algebra import OperatorAlgebra, as_matrix, generate_algebra, random_element
+from .algebra import OperatorAlgebra, as_matrix, generate_algebra
 from .cones import ConeOracle
-from .errors import CertificationFailed, NoPositiveSolution
+from .errors import CertificationFailed, NoPositiveSolution, NumericalStall
 from .involution import InvolutionMap, recover_involution
 
 DEFAULT_PD_TOL = 1e-7
 DEFAULT_CERT_TOL = 1e-7
+
+# Barrier solve: stop at duality gap <= GAP_RTOL (1 + |objective|); a
+# solve that needs more Newton steps raises NumericalStall.
+GAP_RTOL = 1e-10
+NEWTON_BUDGET = 400
+# With lambda_min pinned at 1 and the objective t ~ lambda_max, the blocks'
+# entries of size t carry rounding ~ m eps t (m the total block size), so
+# no gap below ~ m eps t^2 can be certified: the relative target never
+# drops below GAP_FLOOR_FACTOR m t.
+GAP_FLOOR_FACTOR = 10.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -31,6 +44,8 @@ class SimilarityCertificate:
     """Positive definite Q with S = Q^(1/2) and the certified residuals.
 
     cond is lambda_max(Q) / lambda_min(Q), so ||S|| ||S^-1|| = sqrt(cond).
+    gap is the duality gap of minimize_condition's solve: no element of the
+    solution space has a condition number below cond - gap.
     residual_star / residual_cone are filled in by build_star_rep.
     """
 
@@ -39,6 +54,7 @@ class SimilarityCertificate:
     cond: float
     residual_star: float | None = None
     residual_cone: float | None = None
+    gap: float | None = None
 
 
 @dataclass(frozen=True)
@@ -92,279 +108,150 @@ def _synth(space: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return np.tensordot(coeffs, space, axes=(0, 0))
 
 
-def _lambda_min(space: np.ndarray, coeffs: np.ndarray) -> tuple:
-    q = _synth(space, coeffs)
-    evals, vecs = np.linalg.eigh(0.5 * (q + la.dagger(q)))
-    return float(evals[0]), vecs[:, 0]
+def _barrier(blocks: list, cost: np.ndarray, x: np.ndarray) -> tuple:
+    """Minimize cost @ x subject to F_b(x) = f0 + sum_i x_i fs[i] > 0 for
+    every block (f0, fs), from a strictly feasible x.
 
-
-def _exchange_refine(space: np.ndarray, coeffs: np.ndarray, rounds: int = 30) -> np.ndarray:
-    """Cutting-plane refinement of max lambda_min over the coefficient ball.
-
-    Maintains a finite set of bottom eigenvectors and solves the resulting
-    max-min program; the objective is concave so this converges to the
-    global maximum.
+    Barrier method (Boyd & Vandenberghe, ch. 11): damped Newton steps on
+    tau cost @ x - sum_b log det F_b(x), trial points tested for
+    feasibility by Cholesky, tau raised tenfold once the Newton decrement
+    lambda is below 1/2.  At any iterate with lambda < 1 the Newton step dF
+    gives duals Z_b = F_b^-1 (I - dF_b F_b^-1) / tau, positive definite and
+    meeting sum_b tr(Z_b fs_b[i]) = cost[i] exactly, so
+    gap = sum_b tr(Z_b F_b(x)) bounds cost @ x minus the optimum.  Returns
+    (x, gap, [Z_b]) once gap <= max(GAP_RTOL, GAP_FLOOR_FACTOR m |cost @ x|)
+    (1 + |cost @ x|), m the total block size; raises NumericalStall when the
+    Newton budget runs out or no step makes progress.
     """
+    m = sum(f0.shape[0] for f0, _ in blocks)
+    tau = m / (1.0 + abs(cost @ x))
+
+    def inverse_factors(x):
+        # L_b^-1 with F_b(x) = L_b L_b*, or None when some F_b(x) is not PD.
+        try:
+            return [np.linalg.inv(np.linalg.cholesky(f0 + np.tensordot(x, fs, axes=(0, 0))))
+                    for f0, fs in blocks]
+        except np.linalg.LinAlgError:
+            return None
+
+    def neg_logdet(linvs):
+        return sum(2.0 * np.sum(np.log(np.abs(np.diagonal(li)))) for li in linvs)
+
+    linvs = inverse_factors(x)
+    for _ in range(NEWTON_BUDGET):
+        # Whitened data G_bi = L_b^-1 fs_b[i] L_b^-*: the barrier's gradient
+        # is -tr G_bi and its Hessian J^T J with J = [vec G_bi] (real
+        # parts over imaginary parts); solving through J's QR factor keeps
+        # the accuracy that forming J^T J would square away near the optimum.
+        gs = [(li @ fs @ li.conj().T).reshape(len(x), -1) for li, (_, fs) in zip(linvs, blocks)]
+        grad = tau * cost - sum(g[:, ::li.shape[0] + 1].sum(axis=1).real
+                                for g, li in zip(gs, linvs))
+        r = np.linalg.qr(np.concatenate([np.hstack([g.real, g.imag]) for g in gs], axis=1).T,
+                         mode="r")
+        try:
+            dx = -np.linalg.solve(r, np.linalg.solve(r.T, grad))
+        except np.linalg.LinAlgError:  # dependent basis: no unique Newton step
+            break
+        lam2 = float(-grad @ dx)
+        if lam2 < 1.0:
+            dgs = [(dx @ g).reshape(li.shape) for g, li in zip(gs, linvs)]
+            gap = sum(li.shape[0] - np.trace(dg).real for dg, li in zip(dgs, linvs)) / tau
+            obj = abs(cost @ x)
+            if gap <= max(GAP_RTOL, GAP_FLOOR_FACTOR * m * obj) * (1.0 + obj):
+                duals = [li.conj().T @ (np.eye(li.shape[0]) - dg) @ li / tau
+                         for dg, li in zip(dgs, linvs)]
+                return x, float(gap), duals
+            if lam2 < 0.25:
+                tau *= 10.0
+                continue
+        step, base = 1.0, neg_logdet(linvs)
+        while step > 1e-12:
+            # Armijo test on the step actually taken: one lost to rounding
+            # (x + step dx == x) is no progress.
+            xt = x + step * dx
+            trial = inverse_factors(xt)
+            if trial is not None and (tau * (cost @ (xt - x)) + neg_logdet(trial) - base
+                                      <= -0.25 * step * lam2):
+                break
+            step *= 0.5
+        else:
+            break
+        x, linvs = xt, trial
+    raise NumericalStall(f"barrier solve stalled short of its gap tolerance "
+                         f"(budget {NEWTON_BUDGET} Newton steps, tau {tau:.3g})")
+
+
+def _box_blocks(space: np.ndarray, low: tuple, high: tuple) -> list:
+    """LMI blocks for low I <= Q(c) <= high I in the variables x = (c, v);
+    each bound is a pair (constant, coefficient of v)."""
+    eye = np.eye(space.shape[1], dtype=complex)
+    return [(-low[0] * eye, np.concatenate([space, [-low[1] * eye]])),
+            (high[0] * eye, np.concatenate([-space, [high[1] * eye]]))]
+
+
+def _phase_one(space: np.ndarray, pd_tol: float) -> tuple:
+    """(c, s) maximizing s subject to s I <= Q(c) <= I, started at c = 0,
+    s = -1; NoPositiveSolution with the dual certificate when s <= pd_tol."""
     k = space.shape[0]
-    val, vec = _lambda_min(space, coeffs)
-    witnesses = [vec]
-    best_c, best_val = coeffs.copy(), val
-    for _ in range(rounds):
-        qs = np.stack([
-            np.real(np.einsum("a,kab,b->k", w.conj(), space, w)) for w in witnesses
-        ])
-
-        def neg_t(x):
-            return -x[-1]
-
-        cons = [
-            {"type": "ineq", "fun": (lambda x, row=row: float(row @ x[:k] - x[-1]))}
-            for row in qs
-        ]
-        cons.append({"type": "ineq", "fun": lambda x: 1.0 - float(x[:k] @ x[:k])})
-        x0 = np.concatenate([best_c, [best_val]])
-        res = optimize.minimize(neg_t, x0, method="SLSQP", constraints=cons,
-                                options={"maxiter": 200, "ftol": 1e-14})
-        if not res.success:
-            break
-        c_new = res.x[:k]
-        nrm = np.linalg.norm(c_new)
-        if nrm > 1.0:
-            c_new = c_new / nrm
-        val_new, vec_new = _lambda_min(space, c_new)
-        if val_new > best_val:
-            best_val, best_c = val_new, c_new.copy()
-        witnesses.append(vec_new)
-        if res.x[-1] - val_new < 1e-13:
-            break
-    return best_c
+    x, gap, (w, _) = _barrier(_box_blocks(space, (0.0, 1.0), (1.0, 0.0)),
+                              -np.eye(k + 1)[k], -np.eye(k + 1)[k])
+    c, s = x[:k], float(x[k])
+    if s <= pd_tol:
+        raise NoPositiveSolution(
+            f"no positive definite solution: lambda_min <= {s + gap:.3g} over "
+            "Q(c) <= I", s, dual=w)
+    return c, s
 
 
-def find_pd(space: np.ndarray, pd_tol: float = DEFAULT_PD_TOL, restarts: int = 20,
-            steps: int = 500, seed: int = 0) -> np.ndarray:
+def _hermitian_space(space) -> np.ndarray:
+    space = np.asarray(space, dtype=complex)
+    return 0.5 * (space + space.conj().swapaxes(1, 2))
+
+
+def find_pd(space: np.ndarray, pd_tol: float = DEFAULT_PD_TOL) -> np.ndarray:
     """Positive definite element of the solution space, rescaled to
     lambda_min = 1.
 
-    Maximizes lambda_min over the unit-Frobenius ball by projected
-    subgradient ascent with restarts, followed by a cutting-plane
-    refinement; raises NoPositiveSolution when the maximum stays below
-    pd_tol (the cone family is not realizable by any similarity).
+    Phase one of the barrier solve: maximizes s subject to
+    s I <= Q(c) <= I (a compact set for an orthonormal basis).  When the
+    maximum is at most pd_tol no similarity realizes the cone family, and
+    NoPositiveSolution carries the dual W >= 0 with tr W = 1 and
+    |tr(W Q_j)| <= s + gap for every basis element (the theorem of the
+    alternatives: an exact W with tr(W Q_j) = 0 excludes every positive
+    definite Q).
     """
-    space = np.asarray(space, dtype=complex)
-    k = space.shape[0]
-    if k == 0:
-        raise NoPositiveSolution("solution space is trivial", float("-inf"))
-    rng = np.random.default_rng(seed)
-
-    starts = []
-    n = space.shape[1]
-    c_eye = np.real(np.einsum("kab,ab->k", space.conj(), np.eye(n, dtype=complex)))
-    if np.linalg.norm(c_eye) > 1e-12:
-        starts.append(c_eye / np.linalg.norm(c_eye))
-    while len(starts) < restarts:
-        c = rng.standard_normal(k)
-        starts.append(c / np.linalg.norm(c))
-
-    best_c, best_val = starts[0], -np.inf
-    for c0 in starts:
-        c = c0.copy()
-        stale = 0
-        for t in range(1, steps + 1):
-            val, vec = _lambda_min(space, c)
-            if val > best_val + 1e-14:
-                best_val, best_c = val, c.copy()
-                stale = 0
-            else:
-                stale += 1
-                if stale > 60:
-                    break
-            g = np.real(np.einsum("a,kab,b->k", vec.conj(), space, vec))
-            gn = np.linalg.norm(g)
-            if gn < 1e-15:
-                break
-            c = c + (0.5 / np.sqrt(t)) * g / gn
-            nrm = np.linalg.norm(c)
-            if nrm > 1.0:
-                c = c / nrm
-
-    best_c = _exchange_refine(space, best_c)
-    best_val, _ = _lambda_min(space, best_c)
-    if best_val <= pd_tol:
-        raise NoPositiveSolution("no positive definite solution", best_val)
-    q = _synth(space, best_c)
-    q = 0.5 * (q + la.dagger(q))
+    space = _hermitian_space(space)
+    q = _synth(space, _phase_one(space, pd_tol)[0])
     return q / np.linalg.eigvalsh(q)[0]
 
 
-def _certificate_from(q: np.ndarray) -> SimilarityCertificate:
+def _certificate_from(q: np.ndarray, gap: float | None = None) -> SimilarityCertificate:
     q = 0.5 * (q + la.dagger(q))
     evals = np.linalg.eigvalsh(q)
     q = q / evals[0]
     return SimilarityCertificate(
-        q=q, s=la.principal_sqrt(q), cond=float(evals[-1] / evals[0])
+        q=q, s=la.principal_sqrt(q), cond=float(evals[-1] / evals[0]), gap=gap
     )
 
 
-def _golden_two_param(space: np.ndarray, c_start: np.ndarray) -> np.ndarray:
-    """Golden-section minimization of the condition number over the positive
-    definite arc of a two-parameter space."""
-    theta0 = float(np.arctan2(c_start[1], c_start[0]))
-
-    def lam_min(theta: float) -> float:
-        c = np.array([np.cos(theta), np.sin(theta)])
-        return _lambda_min(space, c)[0]
-
-    def edge(sign: float) -> float:
-        step = 0.05
-        t = theta0
-        while lam_min(t + sign * step) > 0.0 and step < np.pi:
-            t += sign * step
-            step *= 1.6
-        lo, hi = t, t + sign * step
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if lam_min(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    lo, hi = edge(-1.0), edge(+1.0)
-
-    def logcond(theta: float) -> float:
-        c = np.array([np.cos(theta), np.sin(theta)])
-        evals = np.linalg.eigvalsh(_synth(space, c))
-        if evals[0] <= 0.0:
-            return np.inf
-        return float(np.log(evals[-1]) - np.log(evals[0]))
-
-    res = optimize.minimize_scalar(logcond, bounds=(lo, hi), method="bounded",
-                                   options={"xatol": 1e-13})
-    theta = float(res.x)
-    return np.array([np.cos(theta), np.sin(theta)])
-
-
-def _descent_logcond(space: np.ndarray, c0: np.ndarray, steps: int = 200) -> np.ndarray:
-    """Projected subgradient descent on log cond over the coefficient sphere."""
-    c = c0 / np.linalg.norm(c0)
-    best_c = c.copy()
-    best_f = np.inf
-    for t in range(1, steps + 1):
-        q = _synth(space, c)
-        evals, vecs = np.linalg.eigh(0.5 * (q + la.dagger(q)))
-        if evals[0] <= 0.0:
-            c = best_c.copy() if np.isfinite(best_f) else c
-            break
-        f = float(np.log(evals[-1] / evals[0]))
-        if f < best_f:
-            best_f, best_c = f, c.copy()
-        u, v = vecs[:, -1], vecs[:, 0]
-        g = (np.real(np.einsum("a,kab,b->k", u.conj(), space, u)) / evals[-1]
-             - np.real(np.einsum("a,kab,b->k", v.conj(), space, v)) / evals[0])
-        g = g - (g @ c) * c
-        gn = np.linalg.norm(g)
-        if gn < 1e-15:
-            break
-        c = c - (0.25 / np.sqrt(t)) * g / gn
-        c = c / np.linalg.norm(c)
-    return best_c
-
-
-def _dykstra_feasible(space: np.ndarray, q0: np.ndarray, t: float,
-                      max_iter: int = 400) -> np.ndarray | None:
-    """Point of span(space) with spectrum in [1, t], or None.
-
-    Dykstra alternating projections between the subspace and the spectral
-    box {I <= Q <= t I}; both projections are exact.
-    """
-    def proj_box(q):
-        h = 0.5 * (q + la.dagger(q))
-        evals, vecs = np.linalg.eigh(h)
-        return (vecs * np.clip(evals, 1.0, t)) @ la.dagger(vecs)
-
-    def proj_span(q):
-        coeffs = np.real(np.einsum("kab,ab->k", space.conj(), q))
-        return _synth(space, coeffs)
-
-    def box_ok(q) -> bool:
-        evals = np.linalg.eigvalsh(0.5 * (q + la.dagger(q)))
-        # Asymmetric slack: the lower edge sits at 1, so its tolerance must
-        # not scale with t or the reported condition drifts above target.
-        return evals[0] >= 1.0 - 2e-9 and evals[-1] <= t * (1.0 + 2e-9)
-
-    x = q0.copy()
-    p = np.zeros_like(x)
-    qinc = np.zeros_like(x)
-    for it in range(max_iter):
-        y = proj_box(x + p)
-        p = x + p - y
-        x = proj_span(y + qinc)
-        qinc = y + qinc - x
-        if it % 50 == 49 and box_ok(x):
-            return x
-    return x if box_ok(x) else None
-
-
-def minimize_condition(space: np.ndarray, seed: int = 0,
-                       restarts: int = 3) -> SimilarityCertificate:
+def minimize_condition(space: np.ndarray, seed: int = 0) -> SimilarityCertificate:
     """Certificate with the condition number minimized over the positive
     definite elements of the solution space.
 
-    Gradient descent on the log-condition with restarts, golden-section
-    refinement on one- and two-parameter spaces, and a bisection over the
-    target condition with alternating-projection feasibility as the final
-    polish (the sublevel sets are convex, so the polish certifies the
-    optimum up to the bisection width).
+    Phase two of the barrier solve: minimizes t subject to
+    I <= Q(c) <= t I, warm-started from phase one's (c, s) at
+    (2 c / s, 4 / s), until the duality gap is at most 1e-10 (1 + t); beyond
+    t ~ 1e5 the target rises to the rounding floor 20 N eps t (1 + t).  The
+    gap is recorded on the certificate and certifies the optimum: the
+    minimal condition number lies in [cond - gap, cond].  The solve is
+    deterministic; seed is accepted for call compatibility and ignored.
     """
-    space = np.asarray(space, dtype=complex)
-    q_pd = find_pd(space, seed=seed)
+    space = _hermitian_space(space)
+    c, s = _phase_one(space, DEFAULT_PD_TOL)
     k = space.shape[0]
-    if k == 1:
-        return _certificate_from(q_pd)
-    if k == 2:
-        coeffs = np.real(np.einsum("kab,ab->k", space.conj(), q_pd))
-        c = _golden_two_param(space, coeffs / np.linalg.norm(coeffs))
-        return _certificate_from(_synth(space, c))
-
-    rng = np.random.default_rng(seed)
-    c_pd = np.real(np.einsum("kab,ab->k", space.conj(), q_pd))
-    c_pd /= np.linalg.norm(c_pd)
-    c_best = c_pd
-    f_best = la.cond_hermitian(_synth(space, c_best))
-    for r in range(restarts):
-        if r == 0:
-            c0 = c_pd
-        else:
-            # Random PD starting point: blend toward the known PD center.
-            mix = rng.standard_normal(k)
-            mix /= np.linalg.norm(mix)
-            c0 = c_pd + 0.3 * mix
-        c = _descent_logcond(space, c0)
-        f = la.cond_hermitian(_synth(space, c))
-        if f < f_best:
-            f_best, c_best = f, c
-
-    best_q = _synth(space, c_best)
-    best_q = 0.5 * (best_q + la.dagger(best_q))
-    best_q = best_q / np.linalg.eigvalsh(best_q)[0]
-    t_hi = la.cond_hermitian(best_q)
-    t_lo = 1.0
-    calls = 0
-    while t_hi - t_lo > 1e-8 * t_hi + 1e-12 and calls < 80:
-        calls += 1
-        t_mid = float(np.sqrt(max(t_lo, 1.0) * t_hi))
-        if not t_lo < t_mid < t_hi:
-            break
-        found = _dykstra_feasible(space, best_q, t_mid)
-        if found is None:
-            t_lo = t_mid
-            continue
-        cnd = la.cond_hermitian(found)
-        if cnd >= t_hi - 1e-9 * t_hi:  # tolerance floor reached
-            break
-        best_q = found / np.linalg.eigvalsh(0.5 * (found + la.dagger(found)))[0]
-        t_hi = cnd
-    return _certificate_from(best_q)
+    x, gap, _ = _barrier(_box_blocks(space, (1.0, 0.0), (0.0, 1.0)),
+                         np.eye(k + 1)[k], np.append(2.0 * c / s, 4.0 / s))
+    return _certificate_from(_synth(space, x[:k]), gap)
 
 
 def apply_blockwise(images: np.ndarray, from_algebra: OperatorAlgebra, x,
@@ -571,6 +458,7 @@ def reconstruct_similarity(algebra: OperatorAlgebra, cone: ConeOracle,
     cert = minimize_condition(space, seed=seed)
     star = build_star_rep(algebra, cone, cert.q, involution=involution,
                           cert_tol=cert_tol, levels=levels, seed=seed)
+    star = replace(star, certificate=replace(star.certificate, gap=cert.gap))
     s_inv = np.linalg.inv(star.certificate.s)
     inverse_images = np.stack(
         [s_inv @ b @ star.certificate.s for b in star.image_algebra.basis]

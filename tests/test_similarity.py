@@ -8,6 +8,7 @@ from conftest import (
     mat,
     random_similarity,
     random_star_closed_algebra,
+    random_unitary,
 )
 from matorder.algebra import conjugate_algebra, generate_algebra, random_element
 from matorder.cones import SimilarityCone, StandardCone
@@ -258,3 +259,88 @@ def test_planted_recovery_small_batch():
         res = reconstruct_similarity(b, cone, cb_level=2, levels=(1, 2))
         assert res.certificate.residual_star <= 1e-7
         assert res.certificate.cond <= planted_cond + 1e-6
+
+
+def _replay_dual(space, exc):
+    # The dual certificate of infeasibility, checked without the solver:
+    # W >= 0, tr W = 1, and W orthogonal to every element of the space.
+    w = exc.dual
+    assert np.linalg.eigvalsh(0.5 * (w + w.conj().T))[0] >= -1e-12
+    assert abs(np.trace(w).real - 1.0) <= 1e-9
+    assert max(abs(np.trace(w @ q)) for q in space) <= 1e-8
+
+
+def test_find_pd_indefinite_ray_dual_certificate():
+    space = np.stack([np.diag([1.0, -1.0]).astype(complex) / np.sqrt(2)])
+    with pytest.raises(NoPositiveSolution) as info:
+        find_pd(space)
+    _replay_dual(space, info.value)
+
+
+def test_find_pd_indefinite_plane_dual_certificate():
+    space = np.stack([np.diag([1.0, -1.0, 0.0]), np.diag([0.0, 1.0, -1.0])]).astype(complex)
+    with pytest.raises(NoPositiveSolution) as info:
+        find_pd(space)
+    _replay_dual(space, info.value)
+    with pytest.raises(NoPositiveSolution) as info:
+        minimize_condition(space)
+    _replay_dual(space, info.value)
+
+
+def test_budget_exhaustion_is_a_stall_not_a_verdict(monkeypatch, worked_algebra,
+                                                    worked_sim_cone):
+    import matorder.similarity as similarity
+    from matorder.errors import NumericalStall
+
+    monkeypatch.setattr(similarity, "NEWTON_BUDGET", 3)
+    with pytest.raises(NumericalStall):
+        find_pd(np.stack([np.diag([1.0, -1.0]).astype(complex) / np.sqrt(2)]))
+    with pytest.raises(NumericalStall):
+        minimize_condition(_worked_space(worked_algebra, worked_sim_cone))
+
+
+@pytest.mark.parametrize("n,seed", [(4, 401), (4, 402), (5, 501), (5, 502)])
+def test_minimize_condition_optimal_on_planted_commutative(n, seed):
+    # Commutative algebra with n // 2 + 1 distinct eigenvalues, conjugated by
+    # an S with cond(S) = 1e2: the planted S* S lies in the Q-space, and the
+    # duality gap certifies that nothing in the space does better than
+    # cond - gap.
+    rng = np.random.default_rng(seed)
+    u = random_unitary(rng, n)
+    evals = np.arange(n) % (n // 2 + 1)
+    algebra = generate_algebra([u @ np.diag(evals).astype(complex) @ u.conj().T],
+                               include_adjoints=True)
+    s = random_unitary(rng, n) @ np.diag(np.geomspace(1.0, 1e-2, n)) @ random_unitary(rng, n)
+    planted = np.linalg.cond(s.conj().T @ s)
+    b = conjugate_algebra(algebra, np.linalg.inv(s))
+    space = solve_Q(b, recover_involution(SimilarityCone(b, s), 1, seed=seed))
+    assert space.shape[0] >= 3
+    cert = minimize_condition(space)
+    assert cert.gap <= 1e-7 * cert.cond
+    assert cert.cond <= planted * (1 + 1e-6)
+
+
+def test_minimize_condition_two_parameter_scalar_search():
+    # Q-space span{A, B} of two positive definite matrices: every element is
+    # a multiple of A + t B or of B, so a bounded scalar search over t is an
+    # independent oracle for the optimum.
+    rng = np.random.default_rng(7)
+
+    def pd(n):
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return g @ g.conj().T + 0.2 * np.eye(n)
+
+    a, b = pd(3), pd(3)
+
+    def cond_of(t):
+        evals = np.linalg.eigvalsh(a + t * b)
+        return evals[-1] / evals[0] if evals[0] > 0 else np.inf
+
+    res = optimize.minimize_scalar(cond_of, bounds=(0.0, 100.0), method="bounded",
+                                   options={"xatol": 1e-12})
+    rows = np.stack([np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in (a, b)])
+    basis = np.linalg.qr(rows.T)[0].T
+    space = np.stack([(r[:9] + 1j * r[9:]).reshape(3, 3) for r in basis])
+    cert = minimize_condition(space)
+    assert cert.cond == pytest.approx(res.fun, rel=1e-8)
+    assert cert.gap <= 1e-7 * cert.cond
