@@ -49,9 +49,18 @@ def real_vec(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x.real.ravel(), x.imag.ravel()])
 
 
-def real_unvec(v: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    half = v.size // 2
-    return (v[:half] + 1j * v[half:]).reshape(shape)
+def real_rows(mats: np.ndarray) -> np.ndarray:
+    """real_vec of every matrix of a (k, n, m) stack, as the rows of a (k, 2nm) array."""
+    flat = mats.reshape(len(mats), int(np.prod(mats.shape[1:])))
+    return np.concatenate([flat.real, flat.imag], axis=1)
+
+
+def orthonormal_stack(mats: np.ndarray) -> np.ndarray:
+    """Real-orthonormal basis, as a stack of matrices, of the real span of a
+    (k, n, m) stack of complex matrices (`orthonormalize_rows` decides the rank)."""
+    rows = orthonormalize_rows(real_rows(mats))
+    half = rows.shape[1] // 2
+    return (rows[:, :half] + 1j * rows[:, half:]).reshape((-1,) + mats.shape[1:])
 
 
 def random_complex(rng: np.random.Generator, shape) -> np.ndarray:

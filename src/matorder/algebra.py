@@ -325,9 +325,8 @@ def hermitian_part_basis(algebra: OperatorAlgebra) -> np.ndarray:
     if null.shape[1] == 0:
         return np.zeros((0, n, n), dtype=complex)
     stacked = np.stack(real_basis)
-    mats = [np.tensordot(null[:, k], stacked, axes=(0, 0)) for k in range(null.shape[1])]
-    rows = la.orthonormalize_rows(np.stack([la.real_vec(m) for m in mats]))
-    return np.stack([la.real_unvec(r, (n, n)) for r in rows])
+    return la.orthonormal_stack(np.stack([np.tensordot(null[:, k], stacked, axes=(0, 0))
+                                          for k in range(null.shape[1])]))
 
 
 def conjugate_algebra(algebra: OperatorAlgebra, s: np.ndarray) -> OperatorAlgebra:

@@ -1,10 +1,12 @@
 """Cone families over matrix algebras: membership oracles, axiom audits,
 constant estimators, and the block-compression map.
 
-Three oracle variants are provided: the standard positive cone of a
-star-closed algebra, its conjugate under a fixed similarity, and (in
-`case_studies`) a function-positivity pullback.  Audits report verdicts
-with replayable witnesses instead of raising.
+Two oracle classes are provided: `SimilarityCone`, the one PSD-frame
+cone (a cone that is Hermitian PSD after a fixed similarity S, with
+`StandardCone` its identity frame S = I, the standard positive cone of a
+star-closed algebra), and (in `case_studies`) a function-positivity
+pullback.  Audits report verdicts with replayable witnesses instead of
+raising.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from . import _linalg as la
 from .algebra import (
     OperatorAlgebra,
+    _freeze,
     amplify,
     as_matrix,
     conjugate_algebra,
@@ -115,12 +118,9 @@ def replay_witness(cone: "ConeOracle", witness: Witness) -> bool:
         span = cone.span_basis(witness.level)
         if span is None:
             return False
-        rows = np.stack([la.real_vec(h) for h in span]) if span.shape[0] else \
-            np.zeros((0, 2 * cone.level_dim(witness.level) ** 2))
-        irows = np.stack([la.real_vec(1j * h) for h in span]) if span.shape[0] else rows
+        rows, irows = la.real_rows(span), la.real_rows(1j * span)
         if witness.kind == "span-deficiency":
-            both = la.orthonormalize_rows(np.concatenate([rows, irows])) \
-                if rows.shape[0] else rows
+            both = la.orthonormalize_rows(np.concatenate([rows, irows]))
             vec = la.real_vec(witness.outside)
             return la.project_residual(both, vec) > 1e-8 * (1.0 + float(np.linalg.norm(vec)))
         h = witness.members[0]
@@ -145,9 +145,9 @@ def replay_witness(cone: "ConeOracle", witness: Witness) -> bool:
 class ConeOracle:
     """Membership oracle for a cone family {C_n}.
 
-    Subclasses provide `member`; the remaining hooks (sampling, exact span
-    and lineality bases, the reference involution) have sensible defaults
-    for matrix-algebra variants.
+    Subclasses provide `member`, `straighten`, the reference involution
+    and sampling; `min_shift` and the exact span basis default to unknown
+    (None), which sends shifts to bisection and span checks to "unknown".
     """
 
     variant = "abstract"
@@ -196,15 +196,15 @@ class ConeOracle:
 
     def straighten(self, n: int, x) -> np.ndarray:
         """Conjugate a level-n element into the frame where the cone is PSD."""
-        return as_matrix(x)
+        raise NotImplementedError
 
     def sharp(self, n: int, x) -> np.ndarray:
         """Reference involution at level n (ambient adjoint, transported)."""
-        return la.dagger(as_matrix(x))
+        raise NotImplementedError
 
     def sharp_block(self, n: int, m: int, a: np.ndarray) -> np.ndarray:
         """Involution of a rectangular block matrix over the algebra."""
-        return la.dagger(as_matrix(a))
+        raise NotImplementedError
 
     def level_element(self, n: int, x) -> np.ndarray:
         """x as a matrix checked against M_n(A) block by block: DimensionMismatch
@@ -218,17 +218,6 @@ class ConeOracle:
         if residual > self.algebra.structure_tol * (1.0 + la.frob(x)):
             raise MembershipError("element outside the amplified algebra", residual)
         return x
-
-    def _psd_test(self, x: np.ndarray) -> bool:
-        slack = self.tol_psd * (1.0 + la.opnorm(x))
-        return la.is_hermitian(x, slack) and la.min_eig(x) >= -slack
-
-    def _frame_shift(self, n: int, c) -> float:
-        """min_shift of a PSD-frame cone from one eigensolve: the boundary of
-        `_psd_test` on r I + straighten(c), slack tol (1 + lambda_max) included."""
-        y = self.straighten(n, self.level_element(n, c))
-        ev = np.linalg.eigvalsh(0.5 * (y + la.dagger(y)))
-        return float((-ev[0] - self.tol_psd * (1.0 + ev[-1])) / (1.0 + self.tol_psd))
 
     # -- sampling ----------------------------------------------------------
 
@@ -270,37 +259,28 @@ class ConeOracle:
         return out
 
 
-class StandardCone(ConeOracle):
-    """C_n = Hermitian PSD elements of the amplified algebra."""
-
-    variant = "standard"
-
-    def member(self, n: int, x) -> bool:
-        return self._psd_test(self.level_element(n, x))
-
-    min_shift = ConeOracle._frame_shift
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        g = random_element(self.algebra, rng, level=n)
-        return la.dagger(g) @ g
-
-    def sample_span(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        g = random_element(self.algebra, rng, level=n)
-        return 0.5 * (g + la.dagger(g))
-
-    def span_basis(self, n: int) -> np.ndarray:
-        return hermitian_part_basis(self.level_algebra(n))
-
-
 class SimilarityCone(ConeOracle):
-    """Conjugated positive cone: X is a member when (I_n kron S) X (.)^-1
-    is Hermitian PSD, i.e. the cone pi^(n)(M_n(A)^+) for pi = S^-1 (.) S."""
+    """PSD-frame cone: X is a member when (I_n kron S) X (.)^-1 is Hermitian
+    PSD, i.e. the cone pi^(n)(M_n(A)^+) for pi = S^-1 (.) S over the
+    star-closed A = S B S^-1 (`straight_algebra`) of the algebra B.
 
-    variant = "similarity"
+    s=None is the identity frame: the standard cone of B itself, with no
+    S products and variant "standard" (`StandardCone`).  Each level's exact
+    span basis is built once and kept, read-only, for the life of the cone.
+    """
 
-    def __init__(self, algebra: OperatorAlgebra, s: np.ndarray,
+    @property
+    def variant(self) -> str:
+        return "standard" if self.s is None else "similarity"
+
+    def __init__(self, algebra: OperatorAlgebra, s: np.ndarray | None,
                  tol_psd: float = DEFAULT_TOL_PSD):
         super().__init__(algebra, tol_psd)
+        self.s = self.s_inv = None
+        self.straight_algebra = algebra
+        self._spans: dict[int, np.ndarray] = {}
+        if s is None:
+            return
         s = np.asarray(s, dtype=complex)
         if s.shape != (algebra.ambient_dim, algebra.ambient_dim):
             raise DimensionMismatch(
@@ -312,21 +292,35 @@ class SimilarityCone(ConeOracle):
         self.straight_algebra = conjugate_algebra(algebra, s)
 
     def straighten(self, n: int, x) -> np.ndarray:
-        return _blockwise(self.s, as_matrix(x), self.s_inv)
+        x = as_matrix(x)
+        return x if self.s is None else _blockwise(self.s, x, self.s_inv)
 
     def unstraighten(self, n: int, y) -> np.ndarray:
-        return _blockwise(self.s_inv, as_matrix(y), self.s)
+        y = as_matrix(y)
+        return y if self.s is None else _blockwise(self.s_inv, y, self.s)
 
     def member(self, n: int, x) -> bool:
         return self._psd_test(self.straighten(n, self.level_element(n, x)))
 
-    min_shift = ConeOracle._frame_shift
+    def _psd_test(self, x: np.ndarray) -> bool:
+        slack = self.tol_psd * (1.0 + la.opnorm(x))
+        return la.is_hermitian(x, slack) and la.min_eig(x) >= -slack
+
+    def min_shift(self, n: int, c) -> float:
+        """From one eigensolve: the boundary of `_psd_test` on
+        r I + straighten(c), slack tol (1 + lambda_max) included."""
+        y = self.straighten(n, self.level_element(n, c))
+        ev = np.linalg.eigvalsh(0.5 * (y + la.dagger(y)))
+        return float((-ev[0] - self.tol_psd * (1.0 + ev[-1])) / (1.0 + self.tol_psd))
 
     def sharp(self, n: int, x) -> np.ndarray:
-        return self.unstraighten(n, la.dagger(self.straighten(n, x)))
+        return self.sharp_block(n, n, x)
 
     def sharp_block(self, n: int, m: int, a: np.ndarray) -> np.ndarray:
-        # (a_ij)^sharp transposed at block level, written as one conjugation.
+        # (a_ij)^sharp transposed at block level: the ambient adjoint in the
+        # identity frame, else written as one conjugation.
+        if self.s is None:
+            return la.dagger(as_matrix(a))
         return self.unstraighten(m, la.dagger(self.straighten(n, a)))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -338,18 +332,29 @@ class SimilarityCone(ConeOracle):
         return self.unstraighten(n, 0.5 * (g + la.dagger(g)))
 
     def span_basis(self, n: int) -> np.ndarray:
-        herm = hermitian_part_basis(amplify(self.straight_algebra, n))
-        if herm.shape[0] == 0:
-            return herm
-        conj = np.stack([self.unstraighten(n, h) for h in herm])
-        rows = la.orthonormalize_rows(np.stack([la.real_vec(c) for c in conj]))
-        dim = self.level_dim(n)
-        return np.stack([la.real_unvec(r, (dim, dim)) for r in rows])
+        if n not in self._spans:
+            if self.s is None:
+                span = hermitian_part_basis(self.level_algebra(n))
+            else:
+                span = hermitian_part_basis(amplify(self.straight_algebra, n))
+                if span.shape[0]:
+                    span = la.orthonormal_stack(np.stack([self.unstraighten(n, h)
+                                                          for h in span]))
+            self._spans[n] = _freeze(span)
+        return self._spans[n]
 
     def describe(self) -> dict:
         out = super().describe()
-        out["similarity_cond"] = float(np.linalg.cond(self.s))
+        if self.s is not None:
+            out["similarity_cond"] = float(np.linalg.cond(self.s))
         return out
+
+
+class StandardCone(SimilarityCone):
+    """C_n = Hermitian PSD elements of the amplified algebra: the identity frame."""
+
+    def __init__(self, algebra: OperatorAlgebra, tol_psd: float = DEFAULT_TOL_PSD):
+        super().__init__(algebra, None, tol_psd)
 
 
 def _blockwise(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -485,8 +490,8 @@ def audit_algebraically_admissible(cone: ConeOracle, n: int = 1,
     x c x^sharp, existence of order-unit shifts, and an Archimedean
     surrogate (boundary elements remain members in the r -> 0 limit).
     """
-    base = getattr(cone, "straight_algebra", cone.algebra)
-    if not base.star_closed:
+    dim = cone.level_dim(n)  # LevelUnsupported for a cone without matrix levels
+    if not cone.straight_algebra.star_closed:
         raise SourceNotStarClosed(
             "classical cone audit needs a star-closed (straightened) algebra"
         )
@@ -520,7 +525,7 @@ def audit_algebraically_admissible(cone: ConeOracle, n: int = 1,
     checks.append(_verdict("conjugation-stability", "x c x^sharp stays in C", bad))
 
     bad = None
-    shift_tol = 1e-9 * float(np.sqrt(cone.level_dim(n)))
+    shift_tol = 1e-9 * float(np.sqrt(dim))
     for _ in range(max(4, samples // 4)):
         a = cone.sample_span(n, rng)
         r = _inf_shift(cone, n, a, 1.0, shift_tol)
@@ -560,6 +565,7 @@ def audit_matrix_ordered(cone: ConeOracle, levels=(1, 2), samples: int = 30,
     algebra-valued rectangular A (plus a deterministic permutation and a
     row-selection embedding).
     """
+    big_n = cone.level_dim(1)  # LevelUnsupported for a cone without matrix levels
     rng = np.random.default_rng(seed)
     levels = tuple(levels)
     checks = []
@@ -569,7 +575,6 @@ def audit_matrix_ordered(cone: ConeOracle, levels=(1, 2), samples: int = 30,
     for n in levels:
         checks.append(_lineality_check(cone, n))
 
-    big_n = cone.algebra.ambient_dim
     bad = None
     for n in levels:
         for m in levels:
@@ -614,11 +619,8 @@ def audit_matrix_ordered(cone: ConeOracle, levels=(1, 2), samples: int = 30,
     return ConeAuditReport("matrix-ordered", levels, samples, seed, checks)
 
 
-def _rank_of(rows: list) -> int:
-    if not rows:
-        return 0
-    m = np.stack(rows)
-    s = np.linalg.svd(m, compute_uv=False)
+def _rank_of(rows: np.ndarray) -> int:
+    s = np.linalg.svd(rows, compute_uv=False)
     return int(np.sum(s > 1e-10 * s[0])) if s.size else 0
 
 
@@ -649,13 +651,13 @@ def audit_star_admissible(cone: ConeOracle, levels=(1, 2), samples: int = 50,
                                      "no exact span available"))
         else:
             v = span.shape[0]
-            rows = [la.real_vec(h) for h in span] + [la.real_vec(1j * h) for h in span]
+            rows = la.real_rows(np.concatenate([span, 1j * span]))
             rank = _rank_of(rows)
             ok_2i = rank == 2 * lvl_dim_c
             wit_2i = None
             if not ok_2i:
                 # Witness: the algebra basis element farthest from V + iV.
-                both = la.orthonormalize_rows(np.stack(rows))
+                both = la.orthonormalize_rows(rows)
                 lvl = cone.level_algebra(n)
                 wit_2i = Witness(
                     "span-deficiency", n, (),
@@ -667,8 +669,7 @@ def audit_star_admissible(cone: ConeOracle, levels=(1, 2), samples: int = 50,
             if not ok_2iii:
                 # Witness: a nonzero element of the overlap V cap i V; a null
                 # combo (a, b) of [V, iV] gives h = sum a_k v_k = -i sum b_k v_k.
-                cols = np.stack(rows, axis=1)
-                null = la.nullspace(cols, atol=1e-10)
+                null = la.nullspace(rows.T, atol=1e-10)
                 best = max(range(null.shape[1]),
                            key=lambda k: np.linalg.norm(null[:v, k]))
                 h = np.tensordot(null[:v, best], span, axes=(0, 0))
@@ -696,7 +697,7 @@ def audit_star_admissible(cone: ConeOracle, levels=(1, 2), samples: int = 50,
                 break
     checks.append(_verdict("difference-conjugation-3i", "(c1 - c2) c (c1 - c2) in C_n", bad))
 
-    big_n = cone.algebra.ambient_dim
+    big_n = cone.level_dim(1)
     bad = None
     for n in levels:
         for m in levels:

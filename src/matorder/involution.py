@@ -34,17 +34,16 @@ def real_cone_span(cone: ConeOracle, n: int = 1, samples: int | None = None,
     one is available.  Raises SpanUnstable when growth does not settle.
     """
     rng = np.random.default_rng(seed)
-    dim = cone.level_dim(n)
+    cone.level_dim(n)  # LevelUnsupported for a cone without matrix levels
     if samples is None:
         samples = 2 * cone.level_algebra(n).dim + 8
 
-    rows: list[np.ndarray] = []
+    drawn: list[np.ndarray] = []
     stable = 0
     last = -1
     for _ in range(max_rounds):
-        for _ in range(samples):
-            rows.append(la.real_vec(cone.sample(n, rng)))
-        basis = la.orthonormalize_rows(np.stack(rows))
+        drawn += [cone.sample(n, rng) for _ in range(samples)]
+        basis = la.orthonormal_stack(np.stack(drawn))
         if basis.shape[0] == last:
             stable += 1
             if stable >= 2:  # three rounds at the same dimension
@@ -58,7 +57,7 @@ def real_cone_span(cone: ConeOracle, n: int = 1, samples: int | None = None,
         )
 
     if basis.shape[0] == 0:
-        return np.zeros((0, dim, dim), dtype=complex)
+        return basis
 
     exact = cone.span_basis(n)
     if exact is not None:
@@ -67,18 +66,22 @@ def real_cone_span(cone: ConeOracle, n: int = 1, samples: int | None = None,
             raise SpanUnstable(
                 f"sampled span dimension {got} != exact span dimension {want}"
             )
+        rows = la.real_rows(basis)
         for h in exact:
-            if la.project_residual(basis, la.real_vec(h)) > 1e-7 * (1.0 + la.frob(h)):
+            if la.project_residual(rows, la.real_vec(h)) > 1e-7 * (1.0 + la.frob(h)):
                 raise SpanUnstable("sampled span disagrees with the exact span")
-    return np.stack([la.real_unvec(r, (dim, dim)) for r in basis])
+    return basis
 
 
-def _check_span_conditions(cone: ConeOracle, n: int, span: np.ndarray) -> None:
+def _split(cone: ConeOracle, n: int, xs: np.ndarray, span: np.ndarray) -> tuple:
+    """Unique splits x = x1 + i x2 of every matrix of the stack xs over the
+    span: one span check, one least-squares solve for all right-hand sides."""
     v = span.shape[0]
     lvl_dim = cone.level_algebra(n).dim
     if v == 0:
         raise DecompositionInfeasible("cone span is trivial")
-    rank = _rank_of([la.real_vec(h) for h in span] + [la.real_vec(1j * h) for h in span])
+    rows = la.real_rows(np.concatenate([span, 1j * span]))
+    rank = _rank_of(rows)
     if rank != 2 * v:
         raise DecompositionNotUnique(
             f"span meets i*span in dimension {2 * v - rank}"
@@ -87,28 +90,24 @@ def _check_span_conditions(cone: ConeOracle, n: int, span: np.ndarray) -> None:
         raise DecompositionInfeasible(
             f"span + i*span has real dimension {rank}, the algebra needs {2 * lvl_dim}"
         )
+    coeffs, *_ = np.linalg.lstsq(rows.T, la.real_rows(xs).T, rcond=None)
+    x1 = np.tensordot(coeffs[:v].T, span, axes=(1, 0))
+    x2 = np.tensordot(coeffs[v:].T, span, axes=(1, 0))
+    for x, y1, y2 in zip(xs, x1, x2):
+        residual = la.frob(x - (y1 + 1j * y2))
+        if residual > _DEF_RESIDUAL_TOL * (1.0 + la.frob(x)):
+            raise DecompositionInfeasible(
+                f"decomposition residual {residual:.3g} outside tolerance"
+            )
+    return x1, x2
 
 
 def decompose(cone: ConeOracle, n: int, x, span: np.ndarray | None = None) -> tuple:
     """Unique split x = x1 + i x2 with x1, x2 in span_R(C_n - C_n)."""
-    x = as_matrix(x)
     if span is None:
         span = real_cone_span(cone, n)
-    _check_span_conditions(cone, n, span)
-    cols = np.stack(
-        [la.real_vec(h) for h in span] + [la.real_vec(1j * h) for h in span], axis=1
-    )
-    target = la.real_vec(x)
-    coeffs, *_ = np.linalg.lstsq(cols, target, rcond=None)
-    v = span.shape[0]
-    x1 = np.tensordot(coeffs[:v], span, axes=(0, 0))
-    x2 = np.tensordot(coeffs[v:], span, axes=(0, 0))
-    residual = la.frob(x - (x1 + 1j * x2))
-    if residual > _DEF_RESIDUAL_TOL * (1.0 + la.frob(x)):
-        raise DecompositionInfeasible(
-            f"decomposition residual {residual:.3g} outside tolerance"
-        )
-    return x1, x2
+    x1, x2 = _split(cone, n, as_matrix(x)[None], span)
+    return x1[0], x2[0]
 
 
 @dataclass(frozen=True)
@@ -131,12 +130,11 @@ class InvolutionMap:
             coords = self.algebra.coords_of(x)
             return np.tensordot(coords.conj(), self.images, axes=(0, 0))
         nn = self.algebra.ambient_dim
-        out = np.zeros_like(x)
-        for i in range(level):
-            for j in range(level):
-                blk = x[i * nn:(i + 1) * nn, j * nn:(j + 1) * nn]
-                out[j * nn:(j + 1) * nn, i * nn:(i + 1) * nn] = self.apply(blk)
-        return out
+        blocks = x.reshape(level, nn, level, nn).swapaxes(1, 2)
+        images = np.tensordot(self.algebra.coords_of(blocks).conj(), self.images,
+                              axes=(-1, 0))
+        # Block (i, j) of x lands transposed, at block (j, i).
+        return images.transpose(1, 2, 0, 3).reshape(level * nn, -1)
 
 
 def sharp(involution: InvolutionMap, x) -> np.ndarray:
@@ -149,13 +147,9 @@ def recover_involution(cone: ConeOracle, n: int = 1, seed: int = 0,
     """Recover x -> x1 - i x2 on the level-n algebra from the cone."""
     if span is None:
         span = real_cone_span(cone, n, seed=seed)
-    _check_span_conditions(cone, n, span)
     lvl = cone.level_algebra(n)
-    images = []
-    for b in lvl.basis:
-        x1, x2 = decompose(cone, n, b, span=span)
-        images.append(x1 - 1j * x2)
-    images = np.stack(images)
+    x1, x2 = _split(cone, n, lvl.basis, span)
+    images = x1 - 1j * x2
 
     out = InvolutionMap(lvl, images, bound_2K=0.0)
     rng = np.random.default_rng(seed + 1)

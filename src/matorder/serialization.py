@@ -143,11 +143,10 @@ def algebra_from_obj(obj, pointer: str = "") -> OperatorAlgebra:
 
 def cone_to_obj(cone: ConeOracle) -> dict:
     out = {"variant": cone.variant, "tol_psd": cone.tol_psd}
-    if isinstance(cone, SimilarityCone):
+    if isinstance(cone, SimilarityCone):  # variant "standard" when S = None
         out["algebra"] = algebra_to_obj(cone.algebra)
-        out["S"] = matrix_to_obj(cone.s)
-    elif isinstance(cone, StandardCone):
-        out["algebra"] = algebra_to_obj(cone.algebra)
+        if cone.s is not None:
+            out["S"] = matrix_to_obj(cone.s)
     else:  # pullback
         out["grid"] = [float(q) for q in cone.grid]
     return out

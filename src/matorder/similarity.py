@@ -94,14 +94,10 @@ def solve_Q(algebra: OperatorAlgebra, involution) -> np.ndarray:
     # Constraint entries are O(1) for unit-norm bases; the absolute floor
     # keeps an all-noise system from reporting a trivial solution space.
     null = la.nullspace(mat, atol=1e-10)
-    out = []
-    for k in range(null.shape[1]):
-        q = np.tensordot(null[:, k], herm, axes=(0, 0))
-        out.append(0.5 * (q + la.dagger(q)))
-    if not out:
+    if null.shape[1] == 0:
         return np.zeros((0, n, n), dtype=complex)
-    rows = la.orthonormalize_rows(np.stack([la.real_vec(q) for q in out]))
-    return np.stack([la.real_unvec(r, (n, n)) for r in rows])
+    qs = [np.tensordot(null[:, k], herm, axes=(0, 0)) for k in range(null.shape[1])]
+    return la.orthonormal_stack(np.stack([0.5 * (q + la.dagger(q)) for q in qs]))
 
 
 def _synth(space: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -204,8 +200,13 @@ def _phase_one(space: np.ndarray, pd_tol: float) -> tuple:
 
 
 def _hermitian_space(space) -> np.ndarray:
+    """Hermitian parts of the basis; a dependent basis (some direction d
+    with Q(d) = 0 leaves the barrier flat) is replaced by a real-orthonormal
+    basis of its span."""
     space = np.asarray(space, dtype=complex)
-    return 0.5 * (space + space.conj().swapaxes(1, 2))
+    space = 0.5 * (space + space.conj().swapaxes(1, 2))
+    reduced = la.orthonormal_stack(space)
+    return space if len(reduced) == len(space) else reduced
 
 
 def find_pd(space: np.ndarray, pd_tol: float = DEFAULT_PD_TOL) -> np.ndarray:
@@ -213,12 +214,13 @@ def find_pd(space: np.ndarray, pd_tol: float = DEFAULT_PD_TOL) -> np.ndarray:
     lambda_min = 1.
 
     Phase one of the barrier solve: maximizes s subject to
-    s I <= Q(c) <= I (a compact set for an orthonormal basis).  When the
+    s I <= Q(c) <= I (a compact set for an independent basis; a dependent
+    one is first reduced to an orthonormal basis of its span).  When the
     maximum is at most pd_tol no similarity realizes the cone family, and
     NoPositiveSolution carries the dual W >= 0 with tr W = 1 and
-    |tr(W Q_j)| <= s + gap for every basis element (the theorem of the
-    alternatives: an exact W with tr(W Q_j) = 0 excludes every positive
-    definite Q).
+    |tr(W Q_j)| <= s + gap for every (reduced) basis element (the theorem
+    of the alternatives: an exact W with tr(W Q_j) = 0 excludes every
+    positive definite Q).
     """
     space = _hermitian_space(space)
     q = _synth(space, _phase_one(space, pd_tol)[0])
@@ -317,13 +319,8 @@ def cb_upper_bound_from_similarity(cert: SimilarityCertificate) -> float:
 
 def _block_synth(coords: np.ndarray, mats: np.ndarray, k: int) -> np.ndarray:
     """Assemble sum_{uv} kron(E_uv, sum_j coords[u,v,j] mats[j])."""
-    n = mats.shape[1]
-    out = np.zeros((k * n, k * n), dtype=complex)
     blocks = np.tensordot(coords, mats, axes=(2, 0))
-    for u in range(k):
-        for v in range(k):
-            out[u * n:(u + 1) * n, v * n:(v + 1) * n] = blocks[u, v]
-    return out
+    return blocks.swapaxes(1, 2).reshape(k * mats.shape[1], -1)
 
 
 def cb_lower_bound(images: np.ndarray, from_algebra: OperatorAlgebra,

@@ -161,3 +161,16 @@ def test_verify_matrix_involution_standard_tight(std_m2):
     # Both routes reduce to the matrix adjoint for standard cones.
     cmp_rep = verify_matrix_involution(std_m2, 2, samples=10, seed=5)
     assert cmp_rep.max_residual <= 1e-10
+
+
+@pytest.mark.parametrize("fixture", ["std_m2", "worked_sim_cone"])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_batched_recovery_matches_per_element_decompose(fixture, level, request):
+    cone = request.getfixturevalue(fixture)
+    span = real_cone_span(cone, level)
+    batched = recover_involution(cone, level, span=span).images
+    one_by_one = []
+    for b in cone.level_algebra(level).basis:
+        x1, x2 = decompose(cone, level, b, span=span)
+        one_by_one.append(x1 - 1j * x2)
+    np.testing.assert_allclose(batched, np.stack(one_by_one), rtol=0, atol=1e-12)

@@ -344,3 +344,19 @@ def test_minimize_condition_two_parameter_scalar_search():
     cert = minimize_condition(space)
     assert cert.cond == pytest.approx(res.fun, rel=1e-8)
     assert cert.gap <= 1e-7 * cert.cond
+
+
+DIAG_A = np.diag([1.0, 2.0, 3.0]).astype(complex)
+DIAG_B = np.diag([3.0, 1.0, 2.0]).astype(complex)
+
+
+@pytest.mark.parametrize("dependent, independent", [
+    ([DIAG_A, DIAG_B, DIAG_A + DIAG_B], [DIAG_A, DIAG_B]),
+    ([DIAG_A, DIAG_A], [DIAG_A]),
+    ([DIAG_A, 0 * DIAG_A], [DIAG_A]),
+])
+def test_minimize_condition_reduces_a_dependent_basis(dependent, independent):
+    want = minimize_condition(np.stack(independent))
+    got = minimize_condition(np.stack(dependent))
+    assert got.cond == pytest.approx(want.cond, rel=1e-9)
+    assert got.gap is not None and 0.0 <= got.gap <= 1e-9 * (1.0 + got.cond)
