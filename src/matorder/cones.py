@@ -6,7 +6,12 @@ cone (a cone that is Hermitian PSD after a fixed similarity S, with
 `StandardCone` its identity frame S = I, the standard positive cone of a
 star-closed algebra), and (in `case_studies`) a function-positivity
 pullback.  Audits report verdicts with replayable witnesses instead of
-raising.
+raising.  Each sampled check is a generator of candidate witnesses whose
+`outside` must lie in C; one runner, `_first_escape`, tests them as
+`replay_witness` does and fails on the first escape.  Matrix-ordered (c)
+and star-admissible 3ii share one scalar-conjugation generator, conjugation
+stability is the algebra-conjugation generator at one level, and each
+check draws from its own child stream of the seed.
 """
 
 from __future__ import annotations
@@ -75,9 +80,21 @@ def _verdict(axiom: str, detail: str, bad: Witness | None) -> AxiomCheck:
     return AxiomCheck(axiom, "fail" if bad else "pass", detail, bad)
 
 
+def _first_escape(cone: "ConeOracle", candidates) -> Witness | None:
+    """The sampled-inclusion runner: the first candidate witness whose
+    `outside` is not in C at its level (the test `replay_witness` repeats),
+    else None.  Candidates are drawn lazily, so sampling stops there."""
+    return next((w for w in candidates if not cone.member(w.level, w.outside)), None)
+
+
+def _streams(seed: int, k: int) -> list:
+    """One child generator of `seed` per sampled check, so that a check's
+    early exit leaves every other check's draws unchanged."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(k)]
+
+
 def _unit_check(cone: "ConeOracle", n: int, axiom: str, detail: str) -> AxiomCheck:
-    e = cone.unit(n)
-    return _verdict(axiom, detail, None if cone.member(n, e) else Witness("unit", n, (), e))
+    return _verdict(axiom, detail, _first_escape(cone, [Witness("unit", n, (), cone.unit(n))]))
 
 
 @dataclass(frozen=True)
@@ -130,12 +147,9 @@ def replay_witness(cone: "ConeOracle", witness: Witness) -> bool:
         in_v = la.project_residual(la.orthonormalize_rows(rows), vec) <= 1e-8
         in_iv = la.project_residual(la.orthonormalize_rows(irows), vec) <= 1e-8
         return in_v and in_iv
-    for m in witness.members:
-        if not cone.member(witness.level, m):
-            return False
-    if witness.outside is None:
-        return True
-    return not cone.member(witness.level, witness.outside)
+    if not all(cone.member(witness.level, m) for m in witness.members):
+        return False
+    return witness.outside is None or not cone.member(witness.level, witness.outside)
 
 
 # ---------------------------------------------------------------------------
@@ -467,19 +481,49 @@ def _lineality_check(cone: ConeOracle, n: int) -> AxiomCheck:
                           "C cap (-C) trivial (exact span kernel + PSD test)")
     # Prefer the unit as the reported direction when it lies in the lineality.
     e = cone.unit(n)
-    h = None
     try:
-        if cone.member(n, e) and cone.member(n, -e):
-            h = e
+        h = e if cone.member(n, e) and cone.member(n, -e) else lin[0]
     except MembershipError:
-        pass
-    if h is None:
         h = lin[0]
-    return AxiomCheck(
-        f"pointedness-level-{n}", "fail",
-        f"lineality space has dimension {len(lin)}",
-        Witness("lineality", n, (h, -h), None, "both signs are cone members"),
-    )
+    return AxiomCheck(f"pointedness-level-{n}", "fail",
+                      f"lineality space has dimension {len(lin)}",
+                      Witness("lineality", n, (h, -h), None, "both signs are cone members"))
+
+
+def _scalar_conjugations(cone: ConeOracle, levels: tuple, trials: int,
+                         rng: np.random.Generator):
+    """Candidates B* c B in C_m for c in C_n and scalar n x m B, over every
+    level pair: `trials` Gaussian B, plus the cyclic permutation (n = m)
+    and the row selection (m > n)."""
+    big_n = cone.level_dim(1)
+    for n in levels:
+        for m in levels:
+            scalars = [la.random_complex(rng, (n, m)) for _ in range(trials)]
+            if n == m:
+                scalars.append(np.roll(np.eye(n, dtype=complex), 1, axis=1))
+            if m > n:
+                scalars.append(np.eye(n, m, dtype=complex))
+            for b in scalars:
+                c = cone.sample(n, rng)
+                blk = np.kron(b, np.eye(big_n, dtype=complex))
+                yield Witness("scalar-conjugation", m, (c,) if n == m else (),
+                              la.dagger(blk) @ c @ blk, f"B* C_{n} B escaped C_{m}")
+
+
+def _algebra_conjugations(cone: ConeOracle, levels: tuple, trials: int,
+                          rng: np.random.Generator):
+    """Candidates a^sharp c a in C_m for c in C_n and a in M_{n,m}(A), over
+    every level pair.  At levels (n,) this is conjugation stability
+    x c x^sharp, with x = a^sharp."""
+    for n in levels:
+        for m in levels:
+            for _ in range(trials):
+                c = cone.sample(n, rng)
+                a = np.block([[random_element(cone.algebra, rng) for _ in range(m)]
+                              for _ in range(n)])
+                yield Witness("algebra-conjugation", m, (c,) if n == m else (),
+                              cone.sharp_block(n, m, a) @ c @ a,
+                              f"A^sharp C_{n} A escaped C_{m}")
 
 
 def audit_algebraically_admissible(cone: ConeOracle, n: int = 1,
@@ -493,67 +537,52 @@ def audit_algebraically_admissible(cone: ConeOracle, n: int = 1,
     dim = cone.level_dim(n)  # LevelUnsupported for a cone without matrix levels
     if not cone.straight_algebra.star_closed:
         raise SourceNotStarClosed(
-            "classical cone audit needs a star-closed (straightened) algebra"
-        )
-    rng = np.random.default_rng(seed)
-    checks = []
+            "classical cone audit needs a star-closed (straightened) algebra")
+    combo_rng, conj_rng, unit_rng, arch_rng = _streams(seed, 4)
     e = cone.unit(n)
+    trials = max(4, samples // 4)
 
-    checks.append(_unit_check(cone, n, "unit-membership", "e_n in C_n"))
-
-    bad = None
-    for _ in range(samples):
-        c1, c2 = cone.sample(n, rng), cone.sample(n, rng)
-        lam, beta = rng.uniform(0.0, 2.0, size=2)
-        cand = lam * c1 + beta * c2
-        if not cone.member(n, cand):
-            bad = Witness("conic-combination", n, (c1, c2), cand,
+    def combinations():
+        for _ in range(samples):
+            c1, c2 = cone.sample(n, combo_rng), cone.sample(n, combo_rng)
+            lam, beta = combo_rng.uniform(0.0, 2.0, size=2)
+            yield Witness("conic-combination", n, (c1, c2), lam * c1 + beta * c2,
                           f"coefficients ({lam:.3f}, {beta:.3f})")
-            break
-    checks.append(_verdict("cone-combinations", f"{samples} random conic combinations", bad))
 
-    checks.append(_lineality_check(cone, n))
+    def unshiftable():
+        shift_tol = 1e-9 * float(np.sqrt(dim))
+        for _ in range(trials):
+            a = cone.sample_span(n, unit_rng)
+            # A failed search has tested r = 0: a itself lies outside C.
+            if _inf_shift(cone, n, a, 1.0, shift_tol) is None:
+                yield Witness("order-unit", n, (), a, "no shift r e + a entered the cone")
 
-    bad = None
-    for _ in range(samples):
-        x = random_element(cone.algebra, rng, level=n)
-        c = cone.sample(n, rng)
-        cand = x @ c @ cone.sharp(n, x)
-        if not cone.member(n, cand):
-            bad = Witness("conjugation", n, (c,), cand, "x c x^sharp escaped the cone")
-            break
-    checks.append(_verdict("conjugation-stability", "x c x^sharp stays in C", bad))
+    def boundaries():
+        width = _BOUNDARY_WIDTH_FACTOR * cone.tol_psd
+        for _ in range(trials):
+            c = cone.sample(n, arch_rng)
+            scale = 1.0 + cone.norm(n, c)
+            lo, hi = _sup_shift_down(cone, n, c, width * scale)
+            boundary = c - 0.5 * (lo + hi) * e
+            # The conclusion is membership "within tol_psd": one extra slack of
+            # tol_psd absorbs the bisection landing on the oracle's fuzzy edge.
+            if all(cone.member(n, r * scale * e + boundary) for r in (1e-2, 1e-4, 1e-6, 1e-8)):
+                yield Witness("archimedean", n, (),
+                              boundary + cone.tol_psd * (1.0 + cone.norm(n, boundary)) * e,
+                              "member at every r > 0 but not at r = 0")
 
-    bad = None
-    shift_tol = 1e-9 * float(np.sqrt(dim))
-    for _ in range(max(4, samples // 4)):
-        a = cone.sample_span(n, rng)
-        r = _inf_shift(cone, n, a, 1.0, shift_tol)
-        if r is None:
-            bad = Witness("order-unit", n, (), a, "no shift r e + a entered the cone")
-            break
-    checks.append(_verdict("order-unit", "exact or bisected shift r with r e + a in C", bad))
-
-    bad = None
-    width = _BOUNDARY_WIDTH_FACTOR * cone.tol_psd
-    for _ in range(max(4, samples // 4)):
-        c = cone.sample(n, rng)
-        scale = 1.0 + cone.norm(n, c)
-        lo, hi = _sup_shift_down(cone, n, c, width * scale)
-        boundary = c - 0.5 * (lo + hi) * e
-        shifts_ok = all(cone.member(n, r * scale * e + boundary)
-                        for r in (1e-2, 1e-4, 1e-6, 1e-8))
-        # The conclusion is membership "within tol_psd": one extra slack of
-        # tol_psd absorbs the bisection landing on the oracle's fuzzy edge.
-        near = boundary + cone.tol_psd * (1.0 + cone.norm(n, boundary)) * e
-        if shifts_ok and not cone.member(n, near):
-            bad = Witness("archimedean", n, (), near,
-                          "member at every r > 0 but not at r = 0")
-            break
-    checks.append(_verdict("archimedean",
-                           "membership survives the r -> 0 limit at the boundary", bad))
-
-    return ConeAuditReport("algebraically-admissible", (n,), samples, seed, checks)
+    return ConeAuditReport("algebraically-admissible", (n,), samples, seed, [
+        _unit_check(cone, n, "unit-membership", "e_n in C_n"),
+        _verdict("cone-combinations", f"{samples} random conic combinations",
+                 _first_escape(cone, combinations())),
+        _lineality_check(cone, n),
+        _verdict("conjugation-stability", "x c x^sharp stays in C",
+                 _first_escape(cone, _algebra_conjugations(cone, (n,), samples, conj_rng))),
+        _verdict("order-unit", "exact or bisected shift r with r e + a in C",
+                 _first_escape(cone, unshiftable())),
+        _verdict("archimedean", "membership survives the r -> 0 limit at the boundary",
+                 _first_escape(cone, boundaries())),
+    ])
 
 
 def audit_matrix_ordered(cone: ConeOracle, levels=(1, 2), samples: int = 30,
@@ -565,63 +594,103 @@ def audit_matrix_ordered(cone: ConeOracle, levels=(1, 2), samples: int = 30,
     algebra-valued rectangular A (plus a deterministic permutation and a
     row-selection embedding).
     """
-    big_n = cone.level_dim(1)  # LevelUnsupported for a cone without matrix levels
-    rng = np.random.default_rng(seed)
+    cone.level_dim(1)  # LevelUnsupported for a cone without matrix levels
+    scalar_rng, algebra_rng = _streams(seed, 2)
     levels = tuple(levels)
-    checks = []
-
-    checks.append(_unit_check(cone, 1, "unit-in-C1", "e in C_1"))
-
-    for n in levels:
-        checks.append(_lineality_check(cone, n))
-
-    bad = None
-    for n in levels:
-        for m in levels:
-            if bad:
-                break
-            scalars = [la.random_complex(rng, (n, m)) for _ in range(samples)]
-            if n == m:
-                scalars.append(np.roll(np.eye(n, dtype=complex), 1, axis=1))
-            if m > n:
-                sel = np.zeros((n, m), dtype=complex)
-                sel[:n, :n] = np.eye(n)
-                scalars.append(sel)
-            for a in scalars:
-                c = cone.sample(n, rng)
-                blk = np.kron(a, np.eye(big_n, dtype=complex))
-                cand = la.dagger(blk) @ c @ blk
-                if not cone.member(m, cand):
-                    bad = Witness("scalar-conjugation", m, (), cand,
-                                  f"B* C_{n} B escaped C_{m}")
-                    break
-    checks.append(_verdict("scalar-rectangular-conjugation",
-                           "B* C_n B subset C_m for scalar B", bad))
-
-    bad = None
-    for n in levels:
-        for m in levels:
-            if bad:
-                break
-            for _ in range(max(4, samples // 4)):
-                c = cone.sample(n, rng)
-                blocks = [[random_element(cone.algebra, rng) for _ in range(m)]
-                          for _ in range(n)]
-                a = np.block(blocks)
-                cand = cone.sharp_block(n, m, a) @ c @ a
-                if not cone.member(m, cand):
-                    bad = Witness("algebra-conjugation", m, (), cand,
-                                  f"A^sharp C_{n} A escaped C_{m}")
-                    break
-    checks.append(_verdict("algebra-rectangular-conjugation",
-                           "A^sharp C_n A subset C_m for algebra-valued A", bad))
-
-    return ConeAuditReport("matrix-ordered", levels, samples, seed, checks)
+    return ConeAuditReport("matrix-ordered", levels, samples, seed, [
+        _unit_check(cone, 1, "unit-in-C1", "e in C_1"),
+        *[_lineality_check(cone, n) for n in levels],
+        _verdict("scalar-rectangular-conjugation", "B* C_n B subset C_m for scalar B",
+                 _first_escape(cone, _scalar_conjugations(cone, levels, samples, scalar_rng))),
+        _verdict("algebra-rectangular-conjugation",
+                 "A^sharp C_n A subset C_m for algebra-valued A",
+                 _first_escape(cone, _algebra_conjugations(cone, levels, max(4, samples // 4),
+                                                           algebra_rng))),
+    ])
 
 
 def _rank_of(rows: np.ndarray) -> int:
     s = np.linalg.svd(rows, compute_uv=False)
     return int(np.sum(s > 1e-10 * s[0])) if s.size else 0
+
+
+def _span_checks(cone: ConeOracle, n: int) -> list:
+    """2i and 2iii at level n by exact ranks of the span V of C_n:
+    dim_R(V + iV) = 2 dim_C M_n(A) and V cap iV = 0; "unknown" when the
+    cone has no exact span."""
+    names = (f"span-decomposition-2i-level-{n}", f"real-imag-independence-2iii-level-{n}")
+    span = cone.span_basis(n)
+    if span is None:
+        return [AxiomCheck(name, "unknown", "no exact span available") for name in names]
+    need, v = 2 * n * n * cone.algebra.dim, span.shape[0]
+    rows = la.real_rows(np.concatenate([span, 1j * span]))
+    rank = _rank_of(rows)
+    wit_2i = wit_2iii = None
+    if rank != need:
+        # Witness: the algebra basis element farthest from V + iV.
+        both = la.orthonormalize_rows(rows)
+        wit_2i = Witness("span-deficiency", n, (),
+                         max(cone.level_algebra(n).basis,
+                             key=lambda b: la.project_residual(both, la.real_vec(b))),
+                         "outside span + i*span")
+    if rank != 2 * v:
+        # Witness: a nonzero element of the overlap V cap i V; a null
+        # combo (a, b) of [V, iV] gives h = sum a_k v_k = -i sum b_k v_k.
+        null = la.nullspace(rows.T, atol=1e-10)
+        best = max(range(null.shape[1]), key=lambda k: np.linalg.norm(null[:v, k]))
+        wit_2iii = Witness("span-overlap", n, (np.tensordot(null[:v, best], span, axes=(0, 0)),),
+                           None, "nonzero element of span cap i*span")
+    return [_verdict(names[0], f"dim_R(V + iV) = {rank}, need {need}", wit_2i),
+            _verdict(names[1], f"dim_R(V cap iV) = {2 * v - rank}", wit_2iii)]
+
+
+def _r4_estimate(cone: ConeOracle, levels: tuple, samples: int,
+                 rng: np.random.Generator) -> tuple:
+    """Condition 4: r4 = sup over candidates of inf{r : r ||c|| e + c in C};
+    a candidate no bounded shift brings into C fails with 8 ||c|| e + c.
+    Negated cone elements (and -e) attain the supremum for PSD-type cones."""
+    best = ConstantEstimate("r4", 0.0, levels[0])
+
+    def unbounded():
+        nonlocal best
+        for n in levels:
+            cands = [cone.sample_span(n, rng) for _ in range(samples)]
+            cands += [cone.sample(n, rng) - cone.sample(n, rng) for _ in range(samples // 2)]
+            cands += [-cone.unit(n)] + [-cone.sample(n, rng) for _ in range(4)]
+            shift_tol = 1e-9 * (1.0 + float(np.sqrt(cone.level_dim(n))))
+            for c in cands:
+                nc = cone.norm(n, c)
+                if nc < 1e-12:
+                    continue
+                r = _inf_shift(cone, n, c, nc, shift_tol)
+                if r is None:
+                    yield Witness("order-bound", n, (), nc * cone.unit(n) * 8.0 + c,
+                                  "no finite r with r ||c|| e + c in C")
+                elif r > best.value:
+                    best = ConstantEstimate("r4", r, n, (c,))
+
+    bad = _first_escape(cone, unbounded())
+    return best, bad
+
+
+def _k_estimate(cone: ConeOracle, levels: tuple, samples: int,
+                rng: np.random.Generator) -> tuple:
+    """K = sup ||a|| / ||a + ib|| over sampled span pairs (a, b); the pair
+    (a, 0) pins the estimate at >= 1 exactly.  ||a + ib|| = 0 < ||a|| is the
+    failure, a norm fact rather than an inclusion."""
+    best = ConstantEstimate("K", 0.0, levels[0])
+    for n in levels:
+        pairs = [(cone.sample_span(n, rng), cone.sample_span(n, rng)) for _ in range(samples)]
+        z = cone.sample_span(n, rng)
+        for a, b in pairs + [(z, 0.0 * z)]:
+            na, nz = cone.norm(n, a), cone.norm(n, a + 1j * b)
+            if nz <= 1e-14 * max(na, 1.0):
+                if na > 1e-10:
+                    return best, Witness("norm-comparison", n, (), None,
+                                         "||a + ib|| vanished with ||a|| > 0")
+            elif na / nz > best.value:
+                best = ConstantEstimate("K", na / nz, n, (a, b))
+    return best, None
 
 
 def audit_star_admissible(cone: ConeOracle, levels=(1, 2), samples: int = 50,
@@ -630,142 +699,38 @@ def audit_star_admissible(cone: ConeOracle, levels=(1, 2), samples: int = 50,
     isomorphism, with empirical constants r4 and K.
 
     Span conditions are decided by exact linear algebra (ranks of stacked
-    real coordinates); conjugation conditions by sampling.  r4 and K are
+    real coordinates); conjugation conditions by sampling, 3ii with the
+    scalar-conjugation candidates of matrix-ordered (c).  r4 and K are
     reported as empirical bounds over samples plus curated candidates, never
     claimed beyond them.
     """
-    rng = np.random.default_rng(seed)
+    cone.level_dim(1)  # LevelUnsupported for a cone without matrix levels
+    diff_rng, scalar_rng, r4_rng, k_rng = _streams(seed, 4)
     levels = tuple(levels)
-    checks = []
-    constants: dict[str, ConstantEstimate] = {}
-
-    checks.append(_unit_check(cone, 1, "unit-in-C1", "e in C_1"))
-
+    checks = [_unit_check(cone, 1, "unit-in-C1", "e in C_1")]
     for n in levels:
-        span = cone.span_basis(n)
-        lvl_dim_c = cone.level_algebra(n).dim
-        if span is None:
-            checks.append(AxiomCheck(f"span-decomposition-2i-level-{n}", "unknown",
-                                     "no exact span available"))
-            checks.append(AxiomCheck(f"real-imag-independence-2iii-level-{n}", "unknown",
-                                     "no exact span available"))
-        else:
-            v = span.shape[0]
-            rows = la.real_rows(np.concatenate([span, 1j * span]))
-            rank = _rank_of(rows)
-            ok_2i = rank == 2 * lvl_dim_c
-            wit_2i = None
-            if not ok_2i:
-                # Witness: the algebra basis element farthest from V + iV.
-                both = la.orthonormalize_rows(rows)
-                lvl = cone.level_algebra(n)
-                wit_2i = Witness(
-                    "span-deficiency", n, (),
-                    max(lvl.basis,
-                        key=lambda b: la.project_residual(both, la.real_vec(b))),
-                    "outside span + i*span")
-            ok_2iii = rank == 2 * v
-            wit_2iii = None
-            if not ok_2iii:
-                # Witness: a nonzero element of the overlap V cap i V; a null
-                # combo (a, b) of [V, iV] gives h = sum a_k v_k = -i sum b_k v_k.
-                null = la.nullspace(rows.T, atol=1e-10)
-                best = max(range(null.shape[1]),
-                           key=lambda k: np.linalg.norm(null[:v, k]))
-                h = np.tensordot(null[:v, best], span, axes=(0, 0))
-                wit_2iii = Witness("span-overlap", n, (h,), None,
-                                   "nonzero element of span cap i*span")
-            checks.append(AxiomCheck(
-                f"span-decomposition-2i-level-{n}", "pass" if ok_2i else "fail",
-                f"dim_R(V + iV) = {rank}, need {2 * lvl_dim_c}", wit_2i))
-            checks.append(AxiomCheck(
-                f"real-imag-independence-2iii-level-{n}", "pass" if ok_2iii else "fail",
-                f"dim_R(V cap iV) = {2 * v - rank}", wit_2iii))
-        checks.append(_lineality_check(cone, n))
+        checks += [*_span_checks(cone, n), _lineality_check(cone, n)]
 
-    bad = None
-    for n in levels:
-        if bad:
-            break
-        for _ in range(samples):
-            c1, c2, c = (cone.sample(n, rng) for _ in range(3))
-            x = c1 - c2
-            cand = x @ c @ x
-            if not cone.member(n, cand):
-                bad = Witness("difference-conjugation", n, (c1, c2, c), cand,
+    def differences():
+        for n in levels:
+            for _ in range(samples):
+                c1, c2, c = (cone.sample(n, diff_rng) for _ in range(3))
+                x = c1 - c2
+                yield Witness("difference-conjugation", n, (c1, c2, c), x @ c @ x,
                               "(c1 - c2) c (c1 - c2) escaped the cone")
-                break
-    checks.append(_verdict("difference-conjugation-3i", "(c1 - c2) c (c1 - c2) in C_n", bad))
 
-    big_n = cone.level_dim(1)
-    bad = None
-    for n in levels:
-        for m in levels:
-            if bad:
-                break
-            for _ in range(max(4, samples // 4)):
-                c = cone.sample(n, rng)
-                b = la.random_complex(rng, (n, m))
-                blk = np.kron(b, np.eye(big_n, dtype=complex))
-                cand = la.dagger(blk) @ c @ blk
-                if not cone.member(m, cand):
-                    bad = Witness("scalar-conjugation", m, (), cand,
-                                  f"B* C_{n} B escaped C_{m}")
-                    break
-    checks.append(_verdict("scalar-compression-3ii", "B* C_n B subset C_m for scalar B", bad))
-
-    # Condition 4: r4 = sup over candidates of inf{r : r ||c|| e + c in C}.
-    # Negated cone elements (and -e) attain the supremum for PSD-type cones.
-    r4_best, r4_wit, r4_level = 0.0, (), levels[0]
-    bad = None
-    for n in levels:
-        if bad:
-            break
-        cands = [cone.sample_span(n, rng) for _ in range(samples)]
-        cands += [cone.sample(n, rng) - cone.sample(n, rng) for _ in range(samples // 2)]
-        cands += [-cone.unit(n)] + [-cone.sample(n, rng) for _ in range(4)]
-        for c in cands:
-            nc = cone.norm(n, c)
-            if nc < 1e-12:
-                continue
-            shift_tol = 1e-9 * (1.0 + float(np.sqrt(cone.level_dim(n))))
-            r = _inf_shift(cone, n, c, nc, shift_tol)
-            if r is None:
-                bad = Witness("order-bound", n, (), nc * cone.unit(n) * 8.0 + c,
-                              "no finite r with r ||c|| e + c in C")
-                break
-            if r > r4_best:
-                r4_best, r4_wit, r4_level = r, (c,), n
-    constants["r4"] = ConstantEstimate("r4", r4_best, r4_level, r4_wit)
-    checks.append(_verdict("order-bound-r4", f"empirical r4 = {r4_best:.12g}", bad))
-
-    k_best, k_wit, k_level = 0.0, (), levels[0]
-    bad = None
-    for n in levels:
-        if bad:
-            break
-        pairs = [(cone.sample_span(n, rng), cone.sample_span(n, rng))
-                 for _ in range(samples)]
-        # b = 0 is an admissible pair and pins the estimate at >= 1 exactly.
-        pairs.append((cone.sample_span(n, rng), None))
-        for a, b in pairs:
-            if b is None:
-                b = 0.0 * a
-            na = cone.norm(n, a)
-            nz = cone.norm(n, a + 1j * b)
-            if nz <= 1e-14 * max(na, 1.0):
-                if na > 1e-10:
-                    bad = Witness("norm-comparison", n, (), None,
-                                  "||a + ib|| vanished with ||a|| > 0")
-                    break
-                continue
-            ratio = na / nz
-            if ratio > k_best:
-                k_best, k_wit, k_level = ratio, (a, b), n
-    constants["K"] = ConstantEstimate("K", k_best, k_level, k_wit)
-    checks.append(_verdict("norm-comparison-K", f"empirical K = {k_best:.12g}", bad))
-
-    return ConeAuditReport("star-admissible", levels, samples, seed, checks, constants)
+    checks.append(_verdict("difference-conjugation-3i", "(c1 - c2) c (c1 - c2) in C_n",
+                           _first_escape(cone, differences())))
+    checks.append(_verdict(
+        "scalar-compression-3ii", "B* C_n B subset C_m for scalar B",
+        _first_escape(cone, _scalar_conjugations(cone, levels, max(4, samples // 4),
+                                                 scalar_rng))))
+    r4, bad = _r4_estimate(cone, levels, samples, r4_rng)
+    checks.append(_verdict("order-bound-r4", f"empirical r4 = {r4.value:.12g}", bad))
+    k, bad = _k_estimate(cone, levels, samples, k_rng)
+    checks.append(_verdict("norm-comparison-K", f"empirical K = {k.value:.12g}", bad))
+    return ConeAuditReport("star-admissible", levels, samples, seed, checks,
+                           {"r4": r4, "K": k})
 
 
 def estimate_main_constants(cone: ConeOracle, levels=(1, 2), samples: int = 60,

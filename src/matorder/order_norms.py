@@ -15,7 +15,8 @@ import numpy as np
 
 from . import _linalg as la
 from .algebra import as_matrix
-from .cones import ConeAuditReport, ConeOracle, Witness, _Bisection, _verdict
+from .cones import (ConeAuditReport, ConeOracle, Witness, _Bisection, _first_escape,
+                    _streams, _verdict)
 from .errors import CertificationFailed, NotSelfAdjoint, UnboundedAbove
 
 DEFAULT_BISECT_TOL = 1e-10
@@ -161,42 +162,39 @@ def check_order_unit_archimedean(cone: ConeOracle, n: int = 1, samples: int = 20
     """Order-unit and Archimedean verdicts for random sharp-self-adjoint
     elements: r e + a enters the cone at r = seminorm(a) + tol, and
     membership at shifts r down to 1e-8 implies membership at the
-    boundary within tol_psd."""
-    rng = np.random.default_rng(seed)
+    boundary within tol_psd.  Both checks run through `cones._first_escape`,
+    each on its own child stream of `seed`."""
+    unit_rng, arch_rng = _streams(seed, 2)
     e = cone.unit(n)
-    checks = []
 
-    bad = None
-    for _ in range(samples):
-        a = cone.sample_span(n, rng)
-        try:
-            rep = order_unit_seminorm(cone, n, a)
-        except UnboundedAbove:
-            bad = Witness("order-unit", n, (), a, "seminorm unbounded: no bracket found")
-            break
-        shifted = (rep.value + 1e-8 * (1.0 + rep.value)) * e + a
-        if not cone.member(n, shifted):
-            bad = Witness("order-unit", n, (), shifted,
+    def shifted():
+        for _ in range(samples):
+            a = cone.sample_span(n, unit_rng)
+            try:
+                rep = order_unit_seminorm(cone, n, a)
+            except UnboundedAbove:
+                # The failed search tested r = 0: a or -a lies outside C.
+                yield Witness("order-unit", n, (), a, "seminorm unbounded: no bracket found")
+                yield Witness("order-unit", n, (), -a, "seminorm unbounded: no bracket found")
+                continue
+            yield Witness("order-unit", n, (), (rep.value + 1e-8 * (1.0 + rep.value)) * e + a,
                           "r e + a outside C at r = seminorm + tol")
-            break
-    checks.append(_verdict("order-unit", "r e + a in C at r = seminorm(a) + tol", bad))
 
-    bad = None
-    for _ in range(samples):
-        a = cone.sample_span(n, rng)
-        try:
-            rep = order_unit_seminorm(cone, n, a)
-        except UnboundedAbove:
-            continue
-        boundary = rep.value * e + a
-        scale = 1.0 + cone.norm(n, boundary)
-        shifts_ok = all(cone.member(n, r * scale * e + boundary)
-                        for r in (1e-2, 1e-4, 1e-6, 1e-8))
-        near = boundary + cone.tol_psd * scale * e
-        if shifts_ok and not cone.member(n, near):
-            bad = Witness("archimedean", n, (), near,
-                          "shift memberships do not survive the r -> 0 limit")
-            break
-    checks.append(_verdict("archimedean", "membership closed along r -> 0 at the boundary", bad))
+    def boundaries():
+        for _ in range(samples):
+            a = cone.sample_span(n, arch_rng)
+            try:
+                boundary = order_unit_seminorm(cone, n, a).value * e + a
+            except UnboundedAbove:
+                continue
+            scale = 1.0 + cone.norm(n, boundary)
+            if all(cone.member(n, r * scale * e + boundary) for r in (1e-2, 1e-4, 1e-6, 1e-8)):
+                yield Witness("archimedean", n, (), boundary + cone.tol_psd * scale * e,
+                              "shift memberships do not survive the r -> 0 limit")
 
-    return ConeAuditReport("order-unit-archimedean", (n,), samples, seed, checks)
+    return ConeAuditReport("order-unit-archimedean", (n,), samples, seed, [
+        _verdict("order-unit", "r e + a in C at r = seminorm(a) + tol",
+                 _first_escape(cone, shifted())),
+        _verdict("archimedean", "membership closed along r -> 0 at the boundary",
+                 _first_escape(cone, boundaries())),
+    ])

@@ -1,0 +1,138 @@
+"""The sampled-inclusion runner behind every audit check: per-check seeded
+streams, the shared conjugation generators, the "unknown" span verdict,
+replayable order-unit witnesses, and the source algebra never amplified
+for the 2i rank target."""
+
+import numpy as np
+
+from conftest import WORKED_S
+from doubles import ZeroedCornerCone
+from matorder import algebra, cones
+from matorder.algebra import conjugate_algebra
+from matorder.cones import (
+    SimilarityCone,
+    StandardCone,
+    _scalar_conjugations,
+    audit_star_admissible,
+    replay_witness,
+)
+from matorder.order_norms import check_order_unit_archimedean
+
+
+class _RejectsFirstCandidate(StandardCone):
+    """Rejects the first non-unit element it is asked about, then answers
+    honestly: in the star-admissible audit that fails 3i on its first trial."""
+
+    def __init__(self, alg):
+        super().__init__(alg)
+        self.rejected = False
+
+    def member(self, n, x):
+        if not self.rejected and not np.array_equal(x, self.unit(n)):
+            self.rejected = True
+            return False
+        return super().member(n, x)
+
+
+class _NoSpanCone(StandardCone):
+    """An honest cone that claims no exact span basis."""
+
+    def span_basis(self, n):
+        return None
+
+
+class _SpanSampledFromCone(ZeroedCornerCone):
+    """Span samples are cone samples: PSD with a zero (0, 0) entry, so
+    r e + a and r e - a never both lie in C and the seminorm is unbounded."""
+
+    def sample_span(self, n, rng):
+        return self.sample(n, rng)
+
+
+def _constants_equal(a, b):
+    assert (a.name, a.value, a.level) == (b.name, b.value, b.level)
+    assert len(a.witness) == len(b.witness)
+    for x, y in zip(a.witness, b.witness):
+        assert np.array_equal(x, y)
+
+
+def test_early_exit_of_one_check_leaves_later_draws_unchanged(m2_full):
+    honest = audit_star_admissible(StandardCone(m2_full), levels=(1, 2), samples=10, seed=3)
+    cone = _RejectsFirstCandidate(m2_full)
+    report = audit_star_admissible(cone, levels=(1, 2), samples=10, seed=3)
+    failed = report.failures()
+    assert [c.axiom for c in failed] == ["difference-conjugation-3i"]
+    assert failed[0].witness.kind == "difference-conjugation"
+    assert honest.passed
+    for name in ("r4", "K"):
+        _constants_equal(report.constants[name], honest.constants[name])
+
+
+def test_missing_span_basis_gives_unknown_span_verdicts(m2_full):
+    report = audit_star_admissible(_NoSpanCone(m2_full), levels=(1, 2), samples=4, seed=0)
+    verdicts = {c.axiom: c.verdict for c in report.checks}
+    for n in (1, 2):
+        assert verdicts[f"span-decomposition-2i-level-{n}"] == "unknown"
+        assert verdicts[f"real-imag-independence-2iii-level-{n}"] == "unknown"
+        assert verdicts[f"pointedness-level-{n}"] == "pass"
+    assert not report.passed
+    assert not report.failures()
+    assert "K" in report.constants and "r4" in report.constants
+
+
+def test_unbounded_seminorm_witness_replays(m2_full):
+    cone = _SpanSampledFromCone(m2_full)
+    report = check_order_unit_archimedean(cone, 1, samples=4, seed=0)
+    check = {c.axiom: c for c in report.checks}["order-unit"]
+    assert check.verdict == "fail"
+    # The sample itself is a cone member; its negative is the escape.
+    assert cone.member(1, -check.witness.outside)
+    assert replay_witness(cone, check.witness)
+
+
+def test_scalar_conjugations_add_permutation_and_row_selection(m2_full):
+    cone = StandardCone(m2_full)
+    rng = np.random.default_rng(0)
+    got = list(_scalar_conjugations(cone, (1, 2), 0, rng))
+    # No Gaussian trials: (1, 1) cyclic permutation, (1, 2) row selection,
+    # (2, 2) cyclic permutation; nothing embeds level 2 into level 1.
+    assert [w.level for w in got] == [1, 2, 2]
+    assert [len(w.members) for w in got] == [1, 0, 1]
+    np.testing.assert_array_equal(got[0].outside, got[0].members[0])
+    perm = np.kron(np.roll(np.eye(2), 1, axis=1), np.eye(2))
+    c = got[2].members[0]
+    np.testing.assert_allclose(got[2].outside, perm.T @ c @ perm, atol=0)
+    assert not got[1].outside[2:].any() and not got[1].outside[:, 2:].any()
+    for w in got:
+        assert cone.member(w.level, w.outside)
+        assert not replay_witness(cone, w)  # nothing escaped an honest cone
+
+
+def test_star_audit_amplifies_no_source_algebra(monkeypatch, m2_full):
+    cone = SimilarityCone(conjugate_algebra(m2_full, np.linalg.inv(WORKED_S)), WORKED_S)
+    seen = []
+    inner = algebra.amplify
+
+    def counting(alg, n, *args, **kwargs):
+        seen.append(alg)
+        return inner(alg, n, *args, **kwargs)
+
+    monkeypatch.setattr(cones, "amplify", counting)
+    monkeypatch.setattr(algebra, "amplify", counting)
+    report = audit_star_admissible(cone, levels=(1, 2, 4), samples=4, seed=0)
+    assert report.passed
+    assert seen  # the straightened span bases are still built
+    assert not any(alg is cone.algebra for alg in seen)
+    assert all(alg is cone.straight_algebra for alg in seen)
+
+
+def test_rectangular_conjugation_witnesses_replay(m2_full):
+    # Rectangular witnesses carry no member (a Witness has one level);
+    # square ones carry c, which must replay as a member at that level.
+    cone = ZeroedCornerCone(m2_full)
+    rng = np.random.default_rng(1)
+    escapes = [w for w in _scalar_conjugations(cone, (1, 2), 3, rng)
+               if not cone.member(w.level, w.outside)]
+    assert escapes
+    for w in escapes:
+        assert replay_witness(cone, w)
