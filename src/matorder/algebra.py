@@ -76,8 +76,10 @@ class OperatorAlgebra:
         return int(self.basis.shape[0])
 
     def synthesize(self, coords: np.ndarray) -> np.ndarray:
-        """Matrix sum coords[..., k] * basis[k] (a stack for stacked coords)."""
-        return np.tensordot(np.asarray(coords, dtype=complex), self.basis, axes=(-1, 0))
+        """Matrix sum coords[..., k] * basis[k] (a stack for stacked coords): one GEMM."""
+        coords = np.asarray(coords, dtype=complex)
+        flat = coords.reshape(-1, self.dim) @ self.basis.reshape(self.dim, -1)
+        return flat.reshape(coords.shape[:-1] + self.basis.shape[1:])
 
     def coords_of(self, x: np.ndarray) -> np.ndarray:
         """Trace-pairing coordinates of x, or of each matrix of a stack
@@ -247,12 +249,6 @@ def generate_algebra(
     return OperatorAlgebra.from_basis(np.stack(basis), tol)
 
 
-def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
-    e = np.zeros((n, n), dtype=complex)
-    e[i, j] = 1.0
-    return e
-
-
 def amplify(algebra: OperatorAlgebra, n: int, max_dim: int = 4096) -> OperatorAlgebra:
     """Concrete M_n over the algebra: span of kron(E_ij, basis[k]).
 
@@ -271,21 +267,14 @@ def amplify(algebra: OperatorAlgebra, n: int, max_dim: int = 4096) -> OperatorAl
         )
     if n == 1:
         return algebra
-    big = []
-    unit = np.zeros(d * n * n, dtype=complex)
-    idx = 0
-    for i in range(n):
-        for j in range(n):
-            eij = matrix_unit(n, i, j)
-            for k in range(d):
-                big.append(np.kron(eij, algebra.basis[k]))
-                if i == j:
-                    unit[idx] = algebra.unit_coords[k]
-                idx += 1
+    # Basis order: block (i, j) row-major, then k; E_ij is row i n + j of I_{n^2}.
+    units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+    unit = np.zeros((n, n, d), dtype=complex)
+    unit[range(n), range(n)] = algebra.unit_coords
     return OperatorAlgebra(
         ambient_dim=n * algebra.ambient_dim,
-        basis=np.stack(big),
-        unit_coords=unit,
+        basis=np.stack([np.kron(eij, b) for eij in units for b in algebra.basis]),
+        unit_coords=unit.ravel(),
         star_closed=algebra.star_closed,
         structure_tol=algebra.structure_tol,
     )

@@ -11,7 +11,9 @@ raising.  Each sampled check is a generator of candidate witnesses whose
 `replay_witness` does and fails on the first escape.  Matrix-ordered (c)
 and star-admissible 3ii share one scalar-conjugation generator, conjugation
 stability is the algebra-conjugation generator at one level, and each
-check draws from its own child stream of the seed.
+check draws from its own child stream of the seed.  PSD-frame membership
+and `min_shift` are one Hermitian eigensolve each, with no SVD: the slack
+tol_psd (1 + ||h||_2) comes from the spectrum of h = (x + x*)/2.
 """
 
 from __future__ import annotations
@@ -317,12 +319,19 @@ class SimilarityCone(ConeOracle):
         return self._psd_test(self.straighten(n, self.level_element(n, x)))
 
     def _psd_test(self, x: np.ndarray) -> bool:
-        slack = self.tol_psd * (1.0 + la.opnorm(x))
-        return la.is_hermitian(x, slack) and la.min_eig(x) >= -slack
+        """herm_defect(x) and -lambda_min(h) within slack = tol_psd (1 + ||h||_2),
+        h = (x + x*)/2: one Hermitian eigensolve ev of h, ||h||_2 = max(-ev[0],
+        ev[-1]), no SVD.  The slack tol_psd (1 + ||x||_2) gives the same verdicts:
+        ||h|| <= ||x|| <= ||h|| + ||x - h||_F <= ||h|| + (nN/2) herm_defect(x), so
+        once the defect test passes the slacks differ by <= nN tol_psd^2 (1 + ||x||),
+        below the rounding of ev[0] (5e-17 relative at nN = 48)."""
+        ev = np.linalg.eigvalsh(0.5 * (x + la.dagger(x)))
+        slack = self.tol_psd * (1.0 + max(-ev[0], ev[-1]))
+        return la.is_hermitian(x, slack) and ev[0] >= -slack
 
     def min_shift(self, n: int, c) -> float:
-        """From one eigensolve: the boundary of `_psd_test` on
-        r I + straighten(c), slack tol (1 + lambda_max) included."""
+        """From one Hermitian eigensolve, no SVD: the r at which r I + straighten(c)
+        meets the `_psd_test` slack, lambda_min = -tol_psd (1 + lambda_max)."""
         y = self.straighten(n, self.level_element(n, c))
         ev = np.linalg.eigvalsh(0.5 * (y + la.dagger(y)))
         return float((-ev[0] - self.tol_psd * (1.0 + ev[-1])) / (1.0 + self.tol_psd))

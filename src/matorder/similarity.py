@@ -318,9 +318,10 @@ def cb_upper_bound_from_similarity(cert: SimilarityCertificate) -> float:
 
 
 def _block_synth(coords: np.ndarray, mats: np.ndarray, k: int) -> np.ndarray:
-    """Assemble sum_{uv} kron(E_uv, sum_j coords[u,v,j] mats[j])."""
-    blocks = np.tensordot(coords, mats, axes=(2, 0))
-    return blocks.swapaxes(1, 2).reshape(k * mats.shape[1], -1)
+    """Assemble sum_{uv} kron(E_uv, sum_j coords[u,v,j] mats[j]); the sums are one GEMM."""
+    d, rows, cols = mats.shape
+    blocks = (coords.reshape(k * k, d) @ mats.reshape(d, rows * cols)).reshape(k, k, rows, cols)
+    return blocks.swapaxes(1, 2).reshape(k * rows, k * cols)
 
 
 def cb_lower_bound(images: np.ndarray, from_algebra: OperatorAlgebra,
