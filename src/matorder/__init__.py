@@ -8,7 +8,6 @@ completely-bounded-norm certificates.
 """
 
 from .algebra import (
-    AlgebraElement,
     OperatorAlgebra,
     amplify,
     conjugate_algebra,
@@ -72,7 +71,6 @@ from .similarity import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraElement",
     "C1Sample",
     "ConeAuditReport",
     "ConeOracle",

@@ -1,8 +1,19 @@
-"""Small dense linear-algebra helpers shared across modules."""
+"""Small dense linear-algebra helpers shared across modules.
+
+Every numerical rank in matorder is decided by one rule, `_rank`: count the
+singular values above RANK_RTOL * s[0], or above RANK_RTOL * max(s[0], scale)
+when the caller knows the scale of the matrix entries (an all-noise matrix
+then has rank 0, where a purely relative cutoff would call it full rank).
+`rank`, `orthonormalize_rows`, `nullspace` and `real_kernel` apply it; no
+other module calls an SVD to decide a rank (Golub & Van Loan, Matrix
+Computations, 5.4).
+"""
 
 from __future__ import annotations
 
 import numpy as np
+
+RANK_RTOL = 1e-10
 
 
 def dagger(x: np.ndarray) -> np.ndarray:
@@ -68,30 +79,45 @@ def random_complex(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def orthonormalize_rows(rows: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis (as rows) of the row span, rank decided at rtol."""
+def _rank(s: np.ndarray, scale: float | None = None) -> int:
+    """The one rank rule: the number of singular values (descending) above
+    RANK_RTOL * s[0], or RANK_RTOL * max(s[0], scale) given the entry scale."""
+    if s.size == 0:
+        return 0
+    return int(np.sum(s > RANK_RTOL * (s[0] if scale is None else max(s[0], scale))))
+
+
+def rank(mat: np.ndarray) -> int:
+    """Numerical rank of a matrix under the one rule."""
+    return _rank(np.linalg.svd(mat, compute_uv=False)) if mat.size else 0
+
+
+def orthonormalize_rows(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (as rows) of the row span, rank by the one rule."""
     if rows.size == 0:
         return rows.reshape(0, rows.shape[-1] if rows.ndim == 2 else 0)
     _, s, vt = np.linalg.svd(rows, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((0, rows.shape[1]))
-    rank = int(np.sum(s > rtol * s[0]))
-    return vt[:rank]
+    return vt[:_rank(s)]
 
 
-def nullspace(mat: np.ndarray, rtol: float = 1e-10, atol: float = 0.0) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel of a real or complex matrix.
-
-    atol guards against all-noise matrices, where a purely relative cutoff
-    would report full rank.
-    """
+def nullspace(mat: np.ndarray, scale: float | None = None) -> np.ndarray:
+    """Orthonormal basis (columns) of the kernel of a real or complex matrix,
+    rank by the one rule (scale: the known size of the entries)."""
     if mat.size == 0:
         return np.eye(mat.shape[1])
     # Right singular vectors are complete whenever rows >= cols.
     _, s, vt = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
-    cutoff = max(rtol * (s[0] if s.size else 1.0), atol)
-    rank = int(np.sum(s > cutoff))
-    return vt[rank:].conj().T
+    return vt[_rank(s, scale):].conj().T
+
+
+def real_kernel(basis: np.ndarray, cols: np.ndarray, scale: float | None = None) -> np.ndarray:
+    """Real-orthonormal stack spanning {sum_k c_k basis[k] : cols @ c = 0, c real},
+    the kernel decided by `nullspace`."""
+    null = nullspace(cols, scale)
+    if null.shape[1] == 0:
+        return np.zeros((0,) + basis.shape[1:], dtype=complex)
+    return orthonormal_stack(np.stack([np.tensordot(null[:, k], basis, axes=(0, 0))
+                                       for k in range(null.shape[1])]))
 
 
 def project_residual(basis_rows: np.ndarray, v: np.ndarray) -> float:

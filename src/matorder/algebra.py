@@ -91,9 +91,6 @@ class OperatorAlgebra:
     def unit_matrix(self) -> np.ndarray:
         return self.synthesize(self.unit_coords)
 
-    def element(self, coords: np.ndarray) -> "AlgebraElement":
-        return AlgebraElement(self, np.asarray(coords, dtype=complex))
-
     def validate(self) -> None:
         """Re-check the structural invariants; raises MembershipError on failure."""
         d = self.dim
@@ -112,25 +109,8 @@ class OperatorAlgebra:
                 project(self, la.dagger(b))
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
-    """An algebra member: coordinate vector plus its cached matrix."""
-
-    algebra: OperatorAlgebra
-    coords: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _freeze(np.asarray(self.coords, dtype=complex)))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.algebra.synthesize(self.coords)
-
-
 def as_matrix(x) -> np.ndarray:
-    """Accept either an AlgebraElement or a plain complex matrix."""
-    if isinstance(x, AlgebraElement):
-        return x.matrix
+    """x as a complex matrix."""
     return np.asarray(x, dtype=complex)
 
 
@@ -304,18 +284,12 @@ def hermitian_part_basis(algebra: OperatorAlgebra) -> np.ndarray:
     a real vector space; for a star-closed algebra the real dimension
     equals the complex dimension of the algebra.
     """
-    n = algebra.ambient_dim
     real_basis = []
     for b in algebra.basis:
         real_basis.append(b)
         real_basis.append(1j * b)
     cols = np.stack([la.real_vec(v - la.dagger(v)) for v in real_basis], axis=1)
-    null = la.nullspace(cols, atol=1e-12)
-    if null.shape[1] == 0:
-        return np.zeros((0, n, n), dtype=complex)
-    stacked = np.stack(real_basis)
-    return la.orthonormal_stack(np.stack([np.tensordot(null[:, k], stacked, axes=(0, 0))
-                                          for k in range(null.shape[1])]))
+    return la.real_kernel(np.stack(real_basis), cols)
 
 
 def conjugate_algebra(algebra: OperatorAlgebra, s: np.ndarray) -> OperatorAlgebra:
@@ -327,13 +301,11 @@ def conjugate_algebra(algebra: OperatorAlgebra, s: np.ndarray) -> OperatorAlgebr
         )
     s_inv = np.linalg.inv(s)
     conj = [s @ b @ s_inv for b in algebra.basis]
-    rows = np.stack([c.ravel() for c in conj])
-    _, sv, vt = np.linalg.svd(rows, full_matrices=False)
-    rank = int(np.sum(sv > 1e-12 * sv[0]))
-    if rank != algebra.dim:
+    rows = la.orthonormalize_rows(np.stack([c.ravel() for c in conj]))
+    if rows.shape[0] != algebra.dim:
         raise DimensionMismatch("conjugation lost rank; similarity is singular")
     n = algebra.ambient_dim
-    return OperatorAlgebra.from_basis(vt[:rank].reshape(rank, n, n), algebra.structure_tol)
+    return OperatorAlgebra.from_basis(rows.reshape(-1, n, n), algebra.structure_tol)
 
 
 def spans_equal(a: OperatorAlgebra, b: OperatorAlgebra, tol: float) -> bool:

@@ -259,13 +259,8 @@ class ConeOracle:
         if span is None or span.shape[0] == 0:
             return []
         cols = np.stack([la.real_vec(self.straighten(n, h)) for h in span], axis=1)
-        null = la.nullspace(cols, atol=1e-10)
-        out = []
-        for k in range(null.shape[1]):
-            h = np.tensordot(null[:, k], span, axes=(0, 0))
-            if self.member(n, h) and self.member(n, -h):
-                out.append(h)
-        return out
+        return [h for h in la.real_kernel(span, cols)
+                if self.member(n, h) and self.member(n, -h)]
 
     def describe(self) -> dict:
         out = {"variant": self.variant, "tol_psd": self.tol_psd}
@@ -502,13 +497,13 @@ def _lineality_check(cone: ConeOracle, n: int) -> AxiomCheck:
 def _scalar_conjugations(cone: ConeOracle, levels: tuple, trials: int,
                          rng: np.random.Generator):
     """Candidates B* c B in C_m for c in C_n and scalar n x m B, over every
-    level pair: `trials` Gaussian B, plus the cyclic permutation (n = m)
+    level pair: `trials` Gaussian B, plus the cyclic permutation (n = m > 1)
     and the row selection (m > n)."""
     big_n = cone.level_dim(1)
     for n in levels:
         for m in levels:
             scalars = [la.random_complex(rng, (n, m)) for _ in range(trials)]
-            if n == m:
+            if n == m > 1:
                 scalars.append(np.roll(np.eye(n, dtype=complex), 1, axis=1))
             if m > n:
                 scalars.append(np.eye(n, m, dtype=complex))
@@ -618,11 +613,6 @@ def audit_matrix_ordered(cone: ConeOracle, levels=(1, 2), samples: int = 30,
     ])
 
 
-def _rank_of(rows: np.ndarray) -> int:
-    s = np.linalg.svd(rows, compute_uv=False)
-    return int(np.sum(s > 1e-10 * s[0])) if s.size else 0
-
-
 def _span_checks(cone: ConeOracle, n: int) -> list:
     """2i and 2iii at level n by exact ranks of the span V of C_n:
     dim_R(V + iV) = 2 dim_C M_n(A) and V cap iV = 0; "unknown" when the
@@ -633,7 +623,7 @@ def _span_checks(cone: ConeOracle, n: int) -> list:
         return [AxiomCheck(name, "unknown", "no exact span available") for name in names]
     need, v = 2 * n * n * cone.algebra.dim, span.shape[0]
     rows = la.real_rows(np.concatenate([span, 1j * span]))
-    rank = _rank_of(rows)
+    rank = la.rank(rows)
     wit_2i = wit_2iii = None
     if rank != need:
         # Witness: the algebra basis element farthest from V + iV.
@@ -645,7 +635,7 @@ def _span_checks(cone: ConeOracle, n: int) -> list:
     if rank != 2 * v:
         # Witness: a nonzero element of the overlap V cap i V; a null
         # combo (a, b) of [V, iV] gives h = sum a_k v_k = -i sum b_k v_k.
-        null = la.nullspace(rows.T, atol=1e-10)
+        null = la.nullspace(rows.T)
         best = max(range(null.shape[1]), key=lambda k: np.linalg.norm(null[:v, k]))
         wit_2iii = Witness("span-overlap", n, (np.tensordot(null[:v, best], span, axes=(0, 0)),),
                            None, "nonzero element of span cap i*span")

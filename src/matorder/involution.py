@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _linalg as la
 from .algebra import OperatorAlgebra, as_matrix, random_element
-from .cones import ConeOracle, _rank_of
+from .cones import ConeOracle
 from .errors import (
     DecompositionInfeasible,
     DecompositionNotUnique,
@@ -81,7 +81,7 @@ def _split(cone: ConeOracle, n: int, xs: np.ndarray, span: np.ndarray) -> tuple:
     if v == 0:
         raise DecompositionInfeasible("cone span is trivial")
     rows = la.real_rows(np.concatenate([span, 1j * span]))
-    rank = _rank_of(rows)
+    rank = la.rank(rows)
     if rank != 2 * v:
         raise DecompositionNotUnique(
             f"span meets i*span in dimension {2 * v - rank}"

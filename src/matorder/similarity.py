@@ -5,8 +5,9 @@ Requiring (S b S^-1)* = S b^sharp S^-1 for Q = S* S reduces to the linear
 system b* Q = Q b^sharp, so the candidate Q's form a real vector space of
 Hermitian matrices.  One log-barrier Newton solver for linear matrix
 inequalities serves two phases: phase one maximizes lambda_min over
-Q(c) <= I and either finds a positive definite solution or returns a dual
-certificate that none exists; phase two minimizes t subject to
+Q(c) <= I and either finds a positive definite solution (a strictly feasible
+iterate with lambda_min > 0) or returns the dual certificate of the bound it
+proves on lambda_min; phase two minimizes t subject to
 I <= Q(c) <= t I (Boyd, El Ghaoui, Feron & Balakrishnan, LMIs in System
 and Control Theory, 3.1), and its duality gap certifies the optimum.  The
 principal square root of the optimum gives the similarity together with
@@ -25,7 +26,6 @@ from .cones import ConeOracle
 from .errors import CertificationFailed, NoPositiveSolution, NumericalStall
 from .involution import InvolutionMap, recover_involution
 
-DEFAULT_PD_TOL = 1e-7
 DEFAULT_CERT_TOL = 1e-7
 
 # Barrier solve: stop at duality gap <= GAP_RTOL (1 + |objective|); a
@@ -90,14 +90,9 @@ def solve_Q(algebra: OperatorAlgebra, involution) -> np.ndarray:
             [diff.real.reshape(len(herm), n * n),
              diff.imag.reshape(len(herm), n * n)], axis=1).T
         rows.append(cols)
-    mat = np.vstack(rows)
-    # Constraint entries are O(1) for unit-norm bases; the absolute floor
-    # keeps an all-noise system from reporting a trivial solution space.
-    null = la.nullspace(mat, atol=1e-10)
-    if null.shape[1] == 0:
-        return np.zeros((0, n, n), dtype=complex)
-    qs = [np.tensordot(null[:, k], herm, axes=(0, 0)) for k in range(null.shape[1])]
-    return la.orthonormal_stack(np.stack([0.5 * (q + la.dagger(q)) for q in qs]))
+    # Constraint entries are O(1) for unit-norm bases: at scale 1 an all-noise
+    # system (every Hermitian Q a solution) keeps its full kernel.
+    return la.real_kernel(herm, np.vstack(rows), scale=1.0)
 
 
 def _synth(space: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -185,16 +180,18 @@ def _box_blocks(space: np.ndarray, low: tuple, high: tuple) -> list:
             (high[0] * eye, np.concatenate([-space, [high[1] * eye]]))]
 
 
-def _phase_one(space: np.ndarray, pd_tol: float) -> tuple:
+def _phase_one(space: np.ndarray) -> tuple:
     """(c, s) maximizing s subject to s I <= Q(c) <= I, started at c = 0,
-    s = -1; NoPositiveSolution with the dual certificate when s <= pd_tol."""
+    s = -1.  The barrier's iterates are strictly feasible, so s > 0 exhibits
+    Q(c) >= s I, positive definite; otherwise NoPositiveSolution carries the
+    dual certificate of lambda_min <= s + gap over Q(c) <= I."""
     k = space.shape[0]
     x, gap, (w, _) = _barrier(_box_blocks(space, (0.0, 1.0), (1.0, 0.0)),
                               -np.eye(k + 1)[k], -np.eye(k + 1)[k])
     c, s = x[:k], float(x[k])
-    if s <= pd_tol:
+    if s <= 0.0:
         raise NoPositiveSolution(
-            f"no positive definite solution: lambda_min <= {s + gap:.3g} over "
+            f"no positive definite solution found: lambda_min <= {s + gap:.3g} over "
             "Q(c) <= I", s, dual=w)
     return c, s
 
@@ -209,21 +206,24 @@ def _hermitian_space(space) -> np.ndarray:
     return space if len(reduced) == len(space) else reduced
 
 
-def find_pd(space: np.ndarray, pd_tol: float = DEFAULT_PD_TOL) -> np.ndarray:
+def find_pd(space: np.ndarray) -> np.ndarray:
     """Positive definite element of the solution space, rescaled to
     lambda_min = 1.
 
     Phase one of the barrier solve: maximizes s subject to
     s I <= Q(c) <= I (a compact set for an independent basis; a dependent
-    one is first reduced to an orthonormal basis of its span).  When the
-    maximum is at most pd_tol no similarity realizes the cone family, and
+    one is first reduced to an orthonormal basis of its span).  Any
+    iterate with s > 0 is a positive definite solution, however small s
+    (its condition number is at most 1/s).  When the solve ends at s <= 0,
     NoPositiveSolution carries the dual W >= 0 with tr W = 1 and
-    |tr(W Q_j)| <= s + gap for every (reduced) basis element (the theorem
-    of the alternatives: an exact W with tr(W Q_j) = 0 excludes every
-    positive definite Q).
+    |tr(W Q_j)| <= s + gap for every (reduced) basis element: it proves
+    lambda_min <= s + gap for every Q(c) <= I, so no element of the space
+    has a condition number below 1 / (s + gap) (the theorem of the
+    alternatives: an exact W with tr(W Q_j) = 0 excludes every positive
+    definite Q).
     """
     space = _hermitian_space(space)
-    q = _synth(space, _phase_one(space, pd_tol)[0])
+    q = _synth(space, _phase_one(space)[0])
     return q / np.linalg.eigvalsh(q)[0]
 
 
@@ -240,8 +240,9 @@ def minimize_condition(space: np.ndarray, seed: int = 0) -> SimilarityCertificat
     """Certificate with the condition number minimized over the positive
     definite elements of the solution space.
 
-    Phase two of the barrier solve: minimizes t subject to
-    I <= Q(c) <= t I, warm-started from phase one's (c, s) at
+    Phase two of the barrier solve: once phase one (as in `find_pd`) has
+    found s > 0 (it raises NoPositiveSolution otherwise), minimizes t
+    subject to I <= Q(c) <= t I, warm-started from phase one's (c, s) at
     (2 c / s, 4 / s), until the duality gap is at most 1e-10 (1 + t); beyond
     t ~ 1e5 the target rises to the rounding floor 20 N eps t (1 + t).  The
     gap is recorded on the certificate and certifies the optimum: the
@@ -249,7 +250,7 @@ def minimize_condition(space: np.ndarray, seed: int = 0) -> SimilarityCertificat
     deterministic; seed is accepted for call compatibility and ignored.
     """
     space = _hermitian_space(space)
-    c, s = _phase_one(space, DEFAULT_PD_TOL)
+    c, s = _phase_one(space)
     k = space.shape[0]
     x, gap, _ = _barrier(_box_blocks(space, (1.0, 0.0), (0.0, 1.0)),
                          np.eye(k + 1)[k], np.append(2.0 * c / s, 4.0 / s))

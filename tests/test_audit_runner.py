@@ -94,15 +94,15 @@ def test_scalar_conjugations_add_permutation_and_row_selection(m2_full):
     cone = StandardCone(m2_full)
     rng = np.random.default_rng(0)
     got = list(_scalar_conjugations(cone, (1, 2), 0, rng))
-    # No Gaussian trials: (1, 1) cyclic permutation, (1, 2) row selection,
-    # (2, 2) cyclic permutation; nothing embeds level 2 into level 1.
-    assert [w.level for w in got] == [1, 2, 2]
-    assert [len(w.members) for w in got] == [1, 0, 1]
-    np.testing.assert_array_equal(got[0].outside, got[0].members[0])
+    # No Gaussian trials: (1, 2) row selection, (2, 2) cyclic permutation;
+    # nothing embeds level 2 into level 1, and at (1, 1) the permutation
+    # would be the identity (its candidate the sample itself), so none.
+    assert [w.level for w in got] == [2, 2]
+    assert [len(w.members) for w in got] == [0, 1]
     perm = np.kron(np.roll(np.eye(2), 1, axis=1), np.eye(2))
-    c = got[2].members[0]
-    np.testing.assert_allclose(got[2].outside, perm.T @ c @ perm, atol=0)
-    assert not got[1].outside[2:].any() and not got[1].outside[:, 2:].any()
+    c = got[1].members[0]
+    np.testing.assert_allclose(got[1].outside, perm.T @ c @ perm, atol=0)
+    assert not got[0].outside[2:].any() and not got[0].outside[:, 2:].any()
     for w in got:
         assert cone.member(w.level, w.outside)
         assert not replay_witness(cone, w)  # nothing escaped an honest cone

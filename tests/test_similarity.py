@@ -73,6 +73,19 @@ def test_find_pd_indefinite_ray():
         find_pd(space)
 
 
+def test_positive_definite_ray_is_not_called_infeasible():
+    # span{U diag(1, 1e-8, 0.5) U*}: every positive multiple is positive
+    # definite with cond 1e8, so phase one ends at s ~ 1e-8 > 0 and the
+    # solve goes on to phase two instead of raising NoPositiveSolution.
+    u = random_unitary(np.random.default_rng(0), 3)
+    q = u @ np.diag([1.0, 1e-8, 0.5]) @ u.conj().T
+    space = (q / np.linalg.norm(q))[None]
+    assert np.linalg.eigvalsh(find_pd(space))[0] == pytest.approx(1.0, abs=1e-6)
+    cert = minimize_condition(space)
+    assert cert.cond == pytest.approx(1e8, rel=1e-6)
+    assert cert.cond - cert.gap <= 1e8 * (1.0 + 1e-6)
+
+
 def test_find_pd_scalar_space():
     space = np.stack([np.eye(2, dtype=complex) / np.sqrt(2)])
     q = find_pd(space)

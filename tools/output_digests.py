@@ -1,0 +1,65 @@
+"""Print a digest of every benchmark task's output, to compare two commits.
+
+    python tools/output_digests.py [--root DIR] [--seconds T]
+        [--order-norms 51,52,...] [--cli-session 5,71,...]
+
+Builds the `order-norms` and `cli-session` tasks for each seed through
+`perfbench/workloads.build` (the same inputs the benchmark runs), runs them
+in this interpreter with one BLAS thread, and prints one line per task:
+
+    <workload> <seed> <task_id> <sha256 of repr(output)>
+
+A typed matorder error is the task's output.  `--root` selects the checkout
+whose `src/` and `perfbench/` are imported (default: this one), so one copy
+of this script can digest any commit exported with `git archive`.  Two
+commits give the same numerical results exactly when their outputs diff
+empty.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+import tempfile
+
+# Pin one BLAS thread before numpy loads: threaded reductions may sum in
+# another order and change the last bits.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+
+def _seeds(text: str) -> list[int]:
+    return [int(s) for s in text.split(",") if s]
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   help="checkout to import src/ and perfbench/ from")
+    p.add_argument("--seconds", type=float, default=40.0,
+                   help="run length the task lists are sized for (as perfbench/run.py)")
+    p.add_argument("--order-norms", type=_seeds, default=[51, 52, 53, 54, 55])
+    p.add_argument("--cli-session", type=_seeds, default=[5, 71, 72, 73])
+    args = p.parse_args(argv)
+
+    root = os.path.abspath(args.root)
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    import workloads  # noqa: E402 - resolved from --root
+
+    for workload, seeds in (("order-norms", args.order_norms),
+                            ("cli-session", args.cli_session)):
+        for seed in seeds:
+            with tempfile.TemporaryDirectory() as workdir:
+                rounds = workloads.build(workload, seed, args.seconds, workdir)
+                for task in (t for tasks in rounds for t in tasks):
+                    outcome = workloads.run_task(task, lambda f: (f(), 0.0, 1.0))
+                    output = outcome.output if outcome.error is None else outcome.error
+                    digest = hashlib.sha256(repr(output).encode()).hexdigest()
+                    print(workload, seed, task.task_id, digest, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
