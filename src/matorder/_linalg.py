@@ -25,10 +25,10 @@ def frob(x: np.ndarray) -> float:
 
 
 def opnorm(x: np.ndarray) -> float:
-    """Operator norm (largest singular value)."""
+    """Operator norm: the top singular value, as `norm(x, 2)` without its wrapper."""
     if x.size == 0:
         return 0.0
-    return float(np.linalg.norm(x, 2))
+    return float(np.linalg.svd(x, compute_uv=False)[0])
 
 
 def herm_defect(x: np.ndarray) -> float:
@@ -128,19 +128,13 @@ def project_residual(basis_rows: np.ndarray, v: np.ndarray) -> float:
 
 
 def hermitian_matrix_basis(n: int) -> np.ndarray:
-    """Real-orthonormal basis of Hermitian n x n matrices (n^2 elements)."""
-    out = []
-    for k in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[k, k] = 1.0
-        out.append(e)
-    for k in range(n):
-        for l in range(k + 1, n):
-            e = np.zeros((n, n), dtype=complex)
-            e[k, l] = e[l, k] = 1.0 / np.sqrt(2.0)
-            out.append(e)
-            f = np.zeros((n, n), dtype=complex)
-            f[k, l] = 1j / np.sqrt(2.0)
-            f[l, k] = -1j / np.sqrt(2.0)
-            out.append(f)
-    return np.stack(out)
+    """Real-orthonormal basis of Hermitian n x n matrices (n^2 elements): the
+    diagonal units, then (E_kl + E_lk)/sqrt2 and i (E_kl - E_lk)/sqrt2 for
+    each k < l in row-major order."""
+    out = np.zeros((n * n, n, n), dtype=complex)
+    out[range(n), range(n), range(n)] = 1.0
+    k, l = np.triu_indices(n, 1)
+    pair = n + 2 * np.arange(len(k))
+    out[pair, k, l] = out[pair, l, k] = 1.0 / np.sqrt(2.0)
+    out[pair + 1, k, l], out[pair + 1, l, k] = 1j / np.sqrt(2.0), -1j / np.sqrt(2.0)
+    return out

@@ -72,19 +72,10 @@ def j_symmetrize(algebra: OperatorAlgebra, pi_images: np.ndarray | None = None) 
     def pi_of(x: np.ndarray) -> np.ndarray:
         return np.tensordot(algebra.coords_of(x), pi_images, axes=(0, 0))
 
-    rho_images = []
-    for b in algebra.basis:
-        top = pi_of(b)
-        bottom = la.dagger(pi_of(la.dagger(b)))
-        blk = np.zeros((2 * nn, 2 * nn), dtype=complex)
-        blk[:nn, :nn] = top
-        blk[nn:, nn:] = bottom
-        rho_images.append(blk)
-    rho_images = np.stack(rho_images)
-
-    j = np.zeros((2 * nn, 2 * nn), dtype=complex)
-    j[:nn, nn:] = np.eye(nn)
-    j[nn:, :nn] = np.eye(nn)
+    zero = np.zeros((nn, nn), dtype=complex)
+    rho_images = np.stack([np.block([[pi_of(b), zero], [zero, la.dagger(pi_of(la.dagger(b)))]])
+                           for b in algebra.basis])
+    j = np.block([[zero, np.eye(nn)], [np.eye(nn), zero]])
 
     rep = JSymmetricRep(algebra, pi_images, rho_images, j, 0.0)
     residual = 0.0
@@ -184,10 +175,8 @@ def kadison_pipeline(algebra: OperatorAlgebra, s: np.ndarray, levels=(1, 2),
     pi_images = np.stack([s_inv @ b @ s for b in algebra.basis])
     rep = j_symmetrize(algebra, pi_images)
 
-    nn = algebra.ambient_dim
-    doubled_s = np.zeros((2 * nn, 2 * nn), dtype=complex)
-    doubled_s[:nn, :nn] = s
-    doubled_s[nn:, nn:] = np.linalg.inv(la.dagger(s))
+    zero = np.zeros_like(s)
+    doubled_s = np.block([[s, zero], [zero, np.linalg.inv(la.dagger(s))]])
 
     b_alg = generate_algebra(list(rep.rho_images), tol=algebra.structure_tol)
     cone = SimilarityCone(b_alg, doubled_s)

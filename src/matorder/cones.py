@@ -13,7 +13,10 @@ and star-admissible 3ii share one scalar-conjugation generator, conjugation
 stability is the algebra-conjugation generator at one level, and each
 check draws from its own child stream of the seed.  PSD-frame membership
 and `min_shift` are one Hermitian eigensolve each, with no SVD: the slack
-tol_psd (1 + ||h||_2) comes from the spectrum of h = (x + x*)/2.
+tol_psd (1 + ||h||_2) comes from the spectrum of h = (x + x*)/2.  Level-n
+spans, 2i/2iii ranks and lineality kernels come from level 1 by Kronecker
+identities (Van Loan, J. Comput. Appl. Math. 123, 2000): V_n = (M_n)_h (x) V_1,
+with no amplified algebra and no level-n SVD.
 """
 
 from __future__ import annotations
@@ -142,13 +145,9 @@ def replay_witness(cone: "ConeOracle", witness: Witness) -> bool:
             both = la.orthonormalize_rows(np.concatenate([rows, irows]))
             vec = la.real_vec(witness.outside)
             return la.project_residual(both, vec) > 1e-8 * (1.0 + float(np.linalg.norm(vec)))
-        h = witness.members[0]
-        vec = la.real_vec(h)
-        if float(np.linalg.norm(vec)) <= 1e-10:
-            return False
-        in_v = la.project_residual(la.orthonormalize_rows(rows), vec) <= 1e-8
-        in_iv = la.project_residual(la.orthonormalize_rows(irows), vec) <= 1e-8
-        return in_v and in_iv
+        vec = la.real_vec(witness.members[0])
+        return float(np.linalg.norm(vec)) > 1e-10 and all(
+            la.project_residual(la.orthonormalize_rows(r), vec) <= 1e-8 for r in (rows, irows))
     if not all(cone.member(witness.level, m) for m in witness.members):
         return False
     return witness.outside is None or not cone.member(witness.level, witness.outside)
@@ -211,7 +210,8 @@ class ConeOracle:
         return None
 
     def straighten(self, n: int, x) -> np.ndarray:
-        """Conjugate a level-n element into the frame where the cone is PSD."""
+        """Map a level-n element into the frame where the cone is PSD.
+        Contract: it acts block by block as I_n (x) T, T its level-1 map."""
         raise NotImplementedError
 
     def sharp(self, n: int, x) -> np.ndarray:
@@ -246,20 +246,23 @@ class ConeOracle:
         raise NotImplementedError
 
     def span_basis(self, n: int) -> np.ndarray | None:
-        """Exact real-orthonormal basis of span_R(C_n - C_n), if known."""
+        """Exact real-orthonormal basis of span_R(C_n - C_n), if known; by
+        contract (M_n)_h (x) span_basis(1), which the 2i/2iii checks use."""
         return None
 
     def lineality_basis(self, n: int) -> list:
         """Exact basis of C_n cap (-C_n), via the kernel of the PSD frame map.
 
-        Membership has the form X in V with straighten(X) PSD, so the
-        lineality space is the kernel of `straighten` restricted to V.
+        Membership has the form X in V_n with straighten(X) PSD, so the
+        lineality space lies in the kernel of straighten = I_n (x) T on V_n:
+        (M_n)_h (x) K_1, K_1 the kernel of T on V_1 (one level-1 SVD), each
+        direction confirmed by `member` at both signs.
         """
-        span = self.span_basis(n)
+        span = self.span_basis(1)
         if span is None or span.shape[0] == 0:
             return []
-        cols = np.stack([la.real_vec(self.straighten(n, h)) for h in span], axis=1)
-        return [h for h in la.real_kernel(span, cols)
+        cols = np.stack([la.real_vec(self.straighten(1, h)) for h in span], axis=1)
+        return [h for h in _hermitian_kron(n, la.real_kernel(span, cols))
                 if self.member(n, h) and self.member(n, -h)]
 
     def describe(self) -> dict:
@@ -350,14 +353,15 @@ class SimilarityCone(ConeOracle):
         return self.unstraighten(n, 0.5 * (g + la.dagger(g)))
 
     def span_basis(self, n: int) -> np.ndarray:
+        """Level 1: the straightened algebra's Hermitian part carried back by S;
+        level n: its Kronecker lift, real-orthonormal as tr(E_a E_b) = delta_ab."""
         if n not in self._spans:
-            if self.s is None:
-                span = hermitian_part_basis(self.level_algebra(n))
+            if n != 1:
+                span = _hermitian_kron(n, self.span_basis(1))
             else:
-                span = hermitian_part_basis(amplify(self.straight_algebra, n))
-                if span.shape[0]:
-                    span = la.orthonormal_stack(np.stack([self.unstraighten(n, h)
-                                                          for h in span]))
+                span = hermitian_part_basis(self.straight_algebra)
+                if self.s is not None:
+                    span = la.orthonormal_stack(self.s_inv @ span @ self.s)
             self._spans[n] = _freeze(span)
         return self._spans[n]
 
@@ -373,6 +377,16 @@ class StandardCone(SimilarityCone):
 
     def __init__(self, algebra: OperatorAlgebra, tol_psd: float = DEFAULT_TOL_PSD):
         super().__init__(algebra, None, tol_psd)
+
+
+def _hermitian_kron(n: int, stack: np.ndarray) -> np.ndarray:
+    """The stack kron(E_a, m_k), a-major, over the real-orthonormal Hermitian
+    basis E_a of M_n: real-orthonormal when the stack m_k is."""
+    if n < 1:
+        raise DimensionMismatch(f"matrix level must be >= 1, got {n}")
+    big_n = stack.shape[-1]
+    lifted = np.einsum("aij,kpq->akipjq", la.hermitian_matrix_basis(n), stack)
+    return lifted.reshape(-1, n * big_n, n * big_n)
 
 
 def _blockwise(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -616,15 +630,18 @@ def audit_matrix_ordered(cone: ConeOracle, levels=(1, 2), samples: int = 30,
 def _span_checks(cone: ConeOracle, n: int) -> list:
     """2i and 2iii at level n by exact ranks of the span V of C_n:
     dim_R(V + iV) = 2 dim_C M_n(A) and V cap iV = 0; "unknown" when the
-    cone has no exact span."""
+    cone has no exact span.  Both ranks are n^2 times those of V_1; only a
+    failure builds the level-n span its witness replays against."""
     names = (f"span-decomposition-2i-level-{n}", f"real-imag-independence-2iii-level-{n}")
-    span = cone.span_basis(n)
+    span = cone.span_basis(1)
     if span is None:
         return [AxiomCheck(name, "unknown", "no exact span available") for name in names]
-    need, v = 2 * n * n * cone.algebra.dim, span.shape[0]
-    rows = la.real_rows(np.concatenate([span, 1j * span]))
-    rank = la.rank(rows)
+    need, v = 2 * n * n * cone.algebra.dim, n * n * span.shape[0]
+    rank = n * n * la.rank(la.real_rows(np.concatenate([span, 1j * span])))
     wit_2i = wit_2iii = None
+    if rank != need or rank != 2 * v:
+        span = cone.span_basis(n)
+        rows = la.real_rows(np.concatenate([span, 1j * span]))
     if rank != need:
         # Witness: the algebra basis element farthest from V + iV.
         both = la.orthonormalize_rows(rows)
@@ -635,9 +652,9 @@ def _span_checks(cone: ConeOracle, n: int) -> list:
     if rank != 2 * v:
         # Witness: a nonzero element of the overlap V cap i V; a null
         # combo (a, b) of [V, iV] gives h = sum a_k v_k = -i sum b_k v_k.
-        null = la.nullspace(rows.T)
-        best = max(range(null.shape[1]), key=lambda k: np.linalg.norm(null[:v, k]))
-        wit_2iii = Witness("span-overlap", n, (np.tensordot(null[:v, best], span, axes=(0, 0)),),
+        null = la.nullspace(rows.T)[:len(span)]
+        best = max(range(null.shape[1]), key=lambda k: np.linalg.norm(null[:, k]))
+        wit_2iii = Witness("span-overlap", n, (np.tensordot(null[:, best], span, axes=(0, 0)),),
                            None, "nonzero element of span cap i*span")
     return [_verdict(names[0], f"dim_R(V + iV) = {rank}, need {need}", wit_2i),
             _verdict(names[1], f"dim_R(V cap iV) = {2 * v - rank}", wit_2iii)]

@@ -1,7 +1,7 @@
 """The sampled-inclusion runner behind every audit check: per-check seeded
 streams, the shared conjugation generators, the "unknown" span verdict,
-replayable order-unit witnesses, and the source algebra never amplified
-for the 2i rank target."""
+replayable order-unit witnesses, and no algebra amplified by a passing
+star-admissible audit."""
 
 import numpy as np
 
@@ -121,9 +121,8 @@ def test_star_audit_amplifies_no_source_algebra(monkeypatch, m2_full):
     monkeypatch.setattr(algebra, "amplify", counting)
     report = audit_star_admissible(cone, levels=(1, 2, 4), samples=4, seed=0)
     assert report.passed
-    assert seen  # the straightened span bases are still built
-    assert not any(alg is cone.algebra for alg in seen)
-    assert all(alg is cone.straight_algebra for alg in seen)
+    # Span bases, 2i/2iii ranks and lineality all come from level 1.
+    assert not seen
 
 
 def test_rectangular_conjugation_witnesses_replay(m2_full):
