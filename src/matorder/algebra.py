@@ -4,6 +4,11 @@ An algebra is stored as an orthonormal basis (Frobenius/trace pairing) of
 complex N x N matrices together with the coordinates of the identity.  All
 values are immutable after construction and every operation is a pure
 function, so everything here is safe to use from concurrent code.
+
+An element of M_n(A) is an (nN) x (nN) matrix of N x N blocks in A, its
+coordinates ordered block (i, j) row-major, then basis index k.  Only
+`amplify` (the materialised basis of M_n(A)), `block_coords` and
+`block_synth` know that layout; every level-n consumer goes through them.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from .errors import DimensionCapExceeded, DimensionMismatch, MembershipError
 
 DEFAULT_STRUCTURE_TOL = 1e-9
 DEFAULT_MAX_DIM = 256
+# Largest dim M_n(A) = n^2 dim A that `amplify` materialises.
+AMPLIFY_MAX_DIM = 4096
 
 # Acceptance threshold for a new basis direction, relative to the largest
 # candidate norm in the current closure pass.  Keeps rank decisions stable
@@ -138,15 +145,35 @@ def membership_residual(algebra: OperatorAlgebra, x: np.ndarray) -> float:
     return la.frob(x - algebra.synthesize(algebra.coords_of(x)))
 
 
-def level_residual(algebra: OperatorAlgebra, n: int, x: np.ndarray) -> float:
-    """Distance of an (nN) x (nN) matrix from M_n(A), block by block.
-
-    The amplified basis kron(E_ij, b_k) is orthonormal, so this equals
-    membership_residual(amplify(algebra, n), x): the Frobenius norm of the
-    n^2 block residuals against the algebra's own basis.
-    """
+def _block_view(algebra: OperatorAlgebra, x: np.ndarray) -> np.ndarray:
+    """The (n, m, N, N) view of the N x N blocks of an (nN) x (mN) matrix."""
+    x = as_matrix(x)
     big_n = algebra.ambient_dim
-    blocks = as_matrix(x).reshape(n, big_n, n, big_n).swapaxes(1, 2)
+    if x.ndim != 2 or x.shape[0] % big_n or x.shape[1] % big_n:
+        raise DimensionMismatch(f"expected a matrix of {big_n}x{big_n} blocks, got {x.shape}")
+    return x.reshape(x.shape[0] // big_n, big_n, x.shape[1] // big_n, big_n).swapaxes(1, 2)
+
+
+def block_coords(algebra: OperatorAlgebra, x: np.ndarray) -> np.ndarray:
+    """Coordinates (n, m, d) of the N x N blocks of an (nN) x (mN) matrix
+    (no membership check); ravelled, the coordinates in amplify's basis."""
+    return algebra.coords_of(_block_view(algebra, x))
+
+
+def block_synth(coords: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """sum_ij E_ij kron sum_k coords[i, j, k] mats[k] for coords (n, m, d) and
+    mats (d, R, C): an (nR) x (mC) matrix, the sums one GEMM."""
+    n, m, d = coords.shape
+    _, rows, cols = mats.shape
+    blocks = (coords.reshape(n * m, d) @ mats.reshape(d, rows * cols)).reshape(n, m, rows, cols)
+    return blocks.swapaxes(1, 2).reshape(n * rows, m * cols)
+
+
+def level_residual(algebra: OperatorAlgebra, x: np.ndarray) -> float:
+    """Distance of a matrix of N x N blocks from M_n(A) on one view of its
+    blocks: membership_residual(amplify(algebra, n), x), as the amplified
+    basis kron(E_ij, b_k) is orthonormal."""
+    blocks = _block_view(algebra, x)
     return la.frob(blocks - algebra.synthesize(algebra.coords_of(blocks)))
 
 
@@ -229,21 +256,21 @@ def generate_algebra(
     return OperatorAlgebra.from_basis(np.stack(basis), tol)
 
 
-def amplify(algebra: OperatorAlgebra, n: int, max_dim: int = 4096) -> OperatorAlgebra:
+def amplify(algebra: OperatorAlgebra, n: int) -> OperatorAlgebra:
     """Concrete M_n over the algebra: span of kron(E_ij, basis[k]).
 
     Entries live in the block (i, j) of an (n*N) x (n*N) matrix, so block
     matrices over the algebra are represented directly.  The unit is the
-    identity of the amplified space.  The materialised basis is the source
-    of exact span bases and the reference for the blockwise membership
-    test (`level_residual`); cone membership never builds it.
+    identity of the amplified space.  Only consumers that iterate over a
+    basis of M_n(A) build it (involution recovery, `null_space`, the 2i
+    failure witness); DimensionCapExceeded past AMPLIFY_MAX_DIM.
     """
     if n < 1:
         raise DimensionMismatch(f"amplification level must be >= 1, got {n}")
     d = algebra.dim
-    if d * n * n > max_dim:
+    if d * n * n > AMPLIFY_MAX_DIM:
         raise DimensionCapExceeded(
-            f"amplified dimension {d * n * n} exceeds max_dim={max_dim}"
+            f"amplified dimension {d * n * n} exceeds max_dim={AMPLIFY_MAX_DIM}"
         )
     if n == 1:
         return algebra
@@ -268,13 +295,10 @@ def doubling_embed(x: np.ndarray) -> np.ndarray:
 
 def random_element(algebra: OperatorAlgebra, rng: np.random.Generator, scale: float = 1.0,
                    level: int = 1) -> np.ndarray:
-    """Random member of M_level(A) with complex Gaussian coordinates.
-
-    Draws the coordinates in the order of amplify(algebra, level)'s basis
-    (block (i, j) row-major, then k), block by block without amplifying.
-    """
-    blocks = algebra.synthesize(scale * la.random_complex(rng, (level, level, algebra.dim)))
-    return blocks.swapaxes(1, 2).reshape(level * algebra.ambient_dim, -1)
+    """Random member of M_level(A) with complex Gaussian coordinates, drawn
+    in the order of amplify(algebra, level)'s basis without amplifying."""
+    return block_synth(scale * la.random_complex(rng, (level, level, algebra.dim)),
+                       algebra.basis)
 
 
 def hermitian_part_basis(algebra: OperatorAlgebra) -> np.ndarray:

@@ -18,8 +18,9 @@ import numpy as np
 from . import _linalg as la
 from .algebra import (
     OperatorAlgebra,
-    amplify,
     as_matrix,
+    block_coords,
+    block_synth,
     generate_algebra,
     random_element,
 )
@@ -31,11 +32,7 @@ from .errors import (
     MatOrderError,
     SourceNotStarClosed,
 )
-from .similarity import (
-    ReconstructionResult,
-    apply_blockwise,
-    reconstruct_similarity,
-)
+from .similarity import ReconstructionResult, reconstruct_similarity
 
 
 # ---------------------------------------------------------------------------
@@ -110,11 +107,10 @@ def jsym_norm_identity(images: np.ndarray, algebra: OperatorAlgebra,
     rng = np.random.default_rng(seed)
     worst, witness = 0.0, None
     for n in levels:
-        lvl = amplify(algebra, n)
         for _ in range(samples):
-            a = random_element(lvl, rng)
-            ya = apply_blockwise(images, algebra, a, n)
-            yb = apply_blockwise(images, algebra, la.dagger(a), n)
+            a = random_element(algebra, rng, level=n)
+            ya = block_synth(block_coords(algebra, a), images)
+            yb = block_synth(block_coords(algebra, la.dagger(a)), images)
             dev = abs(la.opnorm(ya) - la.opnorm(yb)) / (1.0 + la.opnorm(ya))
             if dev > worst:
                 worst, witness = dev, a

@@ -190,10 +190,9 @@ def _cmd_cb_norm(args, config: RunConfig):
     if not isinstance(obj, list) or len(obj) != algebra.dim:
         raise SchemaError("", f"images file must list {algebra.dim} matrices")
     images = np.stack([matrix_from_obj(m, f"/{k}") for k, m in enumerate(obj)])
-    value = similarity.cb_lower_bound(images, algebra, k=args.level,
-                                      seed=config.seed)
-    return EXIT_OK, {"cb_lower_bound": value,
-                     "level": args.level or int(images.shape[1])}
+    level = int(images.shape[1]) if args.level is None else args.level
+    value = similarity.cb_lower_bound(images, algebra, k=level, seed=config.seed)
+    return EXIT_OK, {"cb_lower_bound": value, "level": level}
 
 
 def _cmd_kadison_demo(args, config: RunConfig):
@@ -329,20 +328,21 @@ def run(argv: list[str] | None = None) -> int:
         # failures, so usage errors map to the schema-error code.
         return EXIT_SCHEMA_ERROR if exc.code not in (0, None) else 0
 
-    try:
-        levels = tuple(int(v) for v in str(args.levels).split(","))
-    except ValueError:
-        sys.stderr.write("invalid --levels\n")
-        return EXIT_SCHEMA_ERROR
-
     config = RunConfig(
-        seed=args.seed, samples=args.samples, levels=levels,
-        tol_psd=args.tol_psd, bisect_tol=args.bisect_tol,
-        cert_tol=args.cert_tol, structure_tol=args.structure_tol, out=args.out,
+        seed=args.seed, samples=args.samples, tol_psd=args.tol_psd,
+        bisect_tol=args.bisect_tol, cert_tol=args.cert_tol,
+        structure_tol=args.structure_tol, out=args.out,
     )
-    report = {"command": args.command, "config": config.to_obj()}
+    report = {"command": args.command}
     try:
+        try:
+            config.levels = tuple(int(v) for v in args.levels.split(","))
+        except ValueError:
+            raise SchemaError("/config/levels", "must be a comma-separated list of integers")
+        report["config"] = config.to_obj()
         config.validate()
+        if getattr(args, "level", None) is not None and args.level < 1:
+            raise SchemaError("/level", "must be >= 1")
         code, result = _HANDLERS[args.command](args, config)
         report["result"] = result
     except SchemaError as exc:

@@ -47,6 +47,8 @@ from .errors import (
 
 DEFAULT_TOL_PSD = 1e-9
 MAX_BISECT_ITER = 200
+# Doublings of the initial upper bound before a shift search gives up.
+MAX_DOUBLINGS = 3
 
 # Archimedean surrogate: boundary elements are bracketed (exact shift, else
 # bisection) to this fraction of tol_psd, so the limit lands inside the slack.
@@ -173,20 +175,16 @@ class ConeOracle:
             raise ValueError("tol_psd must be positive")
         self.algebra = algebra
         self.tol_psd = float(tol_psd)
-        self._levels: dict[int, OperatorAlgebra] = {}
 
     # -- structure ---------------------------------------------------------
 
-    def level_algebra(self, n: int) -> OperatorAlgebra:
-        if self.algebra is None:
-            raise LevelUnsupported(f"{self.variant} cone has no matrix levels")
-        if n not in self._levels:
-            self._levels[n] = amplify(self.algebra, n)
-        return self._levels[n]
-
     def level_dim(self, n: int) -> int:
+        """Size nN of a level-n element: LevelUnsupported for a cone without
+        matrix levels, DimensionMismatch for n < 1."""
         if self.algebra is None:
             raise LevelUnsupported(f"{self.variant} cone has no matrix levels")
+        if n < 1:
+            raise DimensionMismatch(f"matrix level must be >= 1, got {n}")
         return n * self.algebra.ambient_dim
 
     def unit(self, n: int) -> np.ndarray:
@@ -228,9 +226,9 @@ class ConeOracle:
         M_n(A) exceeds structure_tol * (1 + ||x||_F)."""
         x = as_matrix(x)
         dim = self.level_dim(n)
-        if n < 1 or x.shape != (dim, dim):
+        if x.shape != (dim, dim):
             raise DimensionMismatch(f"level-{n} element must be {dim}x{dim}, got {x.shape}")
-        residual = level_residual(self.algebra, n, x)
+        residual = level_residual(self.algebra, x)
         if residual > self.algebra.structure_tol * (1.0 + la.frob(x)):
             raise MembershipError("element outside the amplified algebra", residual)
         return x
@@ -425,10 +423,9 @@ class _Bisection:
         hi = 2.0 * mid - lo
         return (lo, hi) if self(hi) and self(mid) and not self(lo) else None
 
-    def search(self, exact: float | None, width: float, upper0, stop,
-               doublings: int = 3) -> tuple:
+    def search(self, exact: float | None, width: float, upper0, stop) -> tuple:
         """Bracket of inf{r >= 0 : pred(r)}: the certified exact value, else
-        [0, upper0()] doubled at most `doublings` times and bisected to `stop`."""
+        [0, upper0()] doubled at most MAX_DOUBLINGS times and bisected to `stop`."""
         found = self.certify(exact, width)
         if found is not None:
             return found
@@ -438,9 +435,9 @@ class _Bisection:
         attempts = 0
         while not self(hi):
             attempts += 1
-            if attempts > doublings:
+            if attempts > MAX_DOUBLINGS:
                 raise UnboundedAbove(
-                    f"predicate still false at r = {hi:.6g} after {doublings} doublings")
+                    f"predicate still false at r = {hi:.6g} after {MAX_DOUBLINGS} doublings")
             hi *= 2.0
         return self.refine(0.0, hi, stop)
 
@@ -459,7 +456,7 @@ class _Bisection:
 
 
 def _inf_shift(cone: ConeOracle, n: int, c: np.ndarray, scale: float,
-               abs_tol: float, doublings: int = 3) -> float | None:
+               abs_tol: float) -> float | None:
     """inf{r >= 0 : r * scale * e_n + c in C_n} to abs_tol: the certified exact
     shift, else bisection; None when bisection finds no bracket."""
     e = cone.unit(n)
@@ -468,7 +465,7 @@ def _inf_shift(cone: ConeOracle, n: int, c: np.ndarray, scale: float,
     try:
         lo, hi = bis.search(None if exact is None else exact / scale, abs_tol,
                             lambda: la.opnorm(cone.straighten(n, c)) / scale + 1.0,
-                            lambda l, h: abs_tol, doublings)
+                            lambda l, h: abs_tol)
     except UnboundedAbove:
         return None
     return 0.5 * (lo + hi)
@@ -646,7 +643,7 @@ def _span_checks(cone: ConeOracle, n: int) -> list:
         # Witness: the algebra basis element farthest from V + iV.
         both = la.orthonormalize_rows(rows)
         wit_2i = Witness("span-deficiency", n, (),
-                         max(cone.level_algebra(n).basis,
+                         max(amplify(cone.algebra, n).basis,
                              key=lambda b: la.project_residual(both, la.real_vec(b))),
                          "outside span + i*span")
     if rank != 2 * v:

@@ -4,7 +4,8 @@ Every element of the algebra splits uniquely as x = x1 + i x2 with x1, x2
 in the real span of the cone; the assignment x -> x1 - i x2 is then a
 conjugate-linear anti-multiplicative involution.  Recovery works at any
 matrix level, and the level-n map can be compared against the entrywise
-extension of the level-1 map.
+extension of the level-1 map: an `InvolutionMap` acts on block matrices
+over its algebra of any size as (x_ij)^sharp = (x_ji^sharp).
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg as la
-from .algebra import OperatorAlgebra, as_matrix, random_element
+from .algebra import (OperatorAlgebra, amplify, as_matrix, block_coords, block_synth,
+                      random_element)
 from .cones import ConeOracle
 from .errors import (
     DecompositionInfeasible,
@@ -23,25 +25,26 @@ from .errors import (
 )
 
 _DEF_RESIDUAL_TOL = 1e-9
+# Sampling rounds before a still-growing span raises SpanUnstable.
+SPAN_ROUNDS = 12
 
 
-def real_cone_span(cone: ConeOracle, n: int = 1, samples: int | None = None,
-                   seed: int = 0, max_rounds: int = 12) -> np.ndarray:
+def real_cone_span(cone: ConeOracle, n: int = 1, seed: int = 0) -> np.ndarray:
     """Real-orthonormal basis (as matrices) of span_R(C_n - C_n).
 
-    Grown from cone samples until the dimension is stable across three
-    consecutive rounds; cross-checked against the variant's exact span when
-    one is available.  Raises SpanUnstable when growth does not settle.
+    Grown from cone samples, 2 dim M_n(A) + 8 a round, until the dimension
+    is stable across three consecutive rounds; cross-checked against the
+    variant's exact span when one is available.  Raises SpanUnstable when
+    growth does not settle in SPAN_ROUNDS rounds.
     """
     rng = np.random.default_rng(seed)
     cone.level_dim(n)  # LevelUnsupported for a cone without matrix levels
-    if samples is None:
-        samples = 2 * cone.level_algebra(n).dim + 8
+    samples = 2 * n * n * cone.algebra.dim + 8
 
     drawn: list[np.ndarray] = []
     stable = 0
     last = -1
-    for _ in range(max_rounds):
+    for _ in range(SPAN_ROUNDS):
         drawn += [cone.sample(n, rng) for _ in range(samples)]
         basis = la.orthonormal_stack(np.stack(drawn))
         if basis.shape[0] == last:
@@ -53,7 +56,7 @@ def real_cone_span(cone: ConeOracle, n: int = 1, samples: int | None = None,
         last = basis.shape[0]
     else:
         raise SpanUnstable(
-            f"cone span still growing after {max_rounds} rounds (dim {last})"
+            f"cone span still growing after {SPAN_ROUNDS} rounds (dim {last})"
         )
 
     if basis.shape[0] == 0:
@@ -77,7 +80,8 @@ def _split(cone: ConeOracle, n: int, xs: np.ndarray, span: np.ndarray) -> tuple:
     """Unique splits x = x1 + i x2 of every matrix of the stack xs over the
     span: one span check, one least-squares solve for all right-hand sides."""
     v = span.shape[0]
-    lvl_dim = cone.level_algebra(n).dim
+    cone.level_dim(n)  # LevelUnsupported for a cone without matrix levels
+    lvl_dim = n * n * cone.algebra.dim
     if v == 0:
         raise DecompositionInfeasible("cone span is trivial")
     rows = la.real_rows(np.concatenate([span, 1j * span]))
@@ -123,23 +127,18 @@ class InvolutionMap:
     images: np.ndarray
     bound_2K: float
 
-    def apply(self, x, level: int = 1) -> np.ndarray:
-        """x^sharp; at level > 1 the entrywise map with block transpose."""
-        x = as_matrix(x)
-        if level == 1:
-            coords = self.algebra.coords_of(x)
-            return np.tensordot(coords.conj(), self.images, axes=(0, 0))
-        nn = self.algebra.ambient_dim
-        blocks = x.reshape(level, nn, level, nn).swapaxes(1, 2)
-        images = np.tensordot(self.algebra.coords_of(blocks).conj(), self.images,
-                              axes=(-1, 0))
-        # Block (i, j) of x lands transposed, at block (j, i).
-        return images.transpose(1, 2, 0, 3).reshape(level * nn, -1)
+    def apply(self, x) -> np.ndarray:
+        """x^sharp of a block matrix over the algebra (its size read from
+        x's shape): block (i, j) maps to block (j, i)."""
+        coords = block_coords(self.algebra, x)
+        return block_synth(coords.conj().swapaxes(0, 1), self.images)
+
+    __call__ = apply
 
 
 def sharp(involution: InvolutionMap, x) -> np.ndarray:
     """Apply the recovered involution to a level-1 element."""
-    return involution.apply(as_matrix(x))
+    return involution(x)
 
 
 def recover_involution(cone: ConeOracle, n: int = 1, seed: int = 0,
@@ -147,7 +146,8 @@ def recover_involution(cone: ConeOracle, n: int = 1, seed: int = 0,
     """Recover x -> x1 - i x2 on the level-n algebra from the cone."""
     if span is None:
         span = real_cone_span(cone, n, seed=seed)
-    lvl = cone.level_algebra(n)
+    cone.level_dim(n)  # LevelUnsupported for a cone without matrix levels
+    lvl = amplify(cone.algebra, n)
     x1, x2 = _split(cone, n, lvl.basis, span)
     images = x1 - 1j * x2
 
@@ -158,7 +158,7 @@ def recover_involution(cone: ConeOracle, n: int = 1, seed: int = 0,
         x = random_element(lvl, rng)
         nx = la.opnorm(x)
         if nx > 1e-12:
-            bound = max(bound, la.opnorm(out.apply(x)) / nx)
+            bound = max(bound, la.opnorm(out(x)) / nx)
     return InvolutionMap(lvl, images, bound_2K=float(bound))
 
 
@@ -181,12 +181,11 @@ def verify_matrix_involution(cone: ConeOracle, n: int, samples: int = 20,
     if involution1 is None:
         involution1 = recover_involution(cone, 1, seed=seed)
     inv_n = recover_involution(cone, n, seed=seed + 17)
-    lvl = cone.level_algebra(n)
     rng = np.random.default_rng(seed + 5)
     worst = 0.0
     for _ in range(samples):
-        x = random_element(lvl, rng)
-        direct = inv_n.apply(x)
-        entrywise = involution1.apply(x, level=n)
+        x = random_element(inv_n.algebra, rng)
+        direct = inv_n(x)
+        entrywise = involution1(x)
         worst = max(worst, la.frob(direct - entrywise) / (1.0 + la.frob(x)))
     return InvolutionComparison(level=n, max_residual=float(worst), samples=samples)

@@ -14,13 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg as la
-from .algebra import as_matrix
+from .algebra import amplify, as_matrix
 from .cones import (ConeAuditReport, ConeOracle, Witness, _Bisection, _first_escape,
                     _streams, _verdict)
 from .errors import CertificationFailed, NotSelfAdjoint, UnboundedAbove
 
 DEFAULT_BISECT_TOL = 1e-10
-DEFAULT_NULL_TOL = 1e-6
+# null_space keeps the algebra basis directions whose pre-C*-norm is at most this.
+NULL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -36,13 +37,10 @@ class NormReport:
 
 
 def _sharp_fn(cone: ConeOracle, involution, n: int):
-    """An involution callable at level n: the cone's reference map, an
-    InvolutionMap (extended entrywise to the right level), or a callable."""
+    """An involution callable at level n: the cone's reference map, else the
+    given callable (an InvolutionMap extends entrywise to any level)."""
     if involution is None:
         return lambda x: cone.sharp(n, x)
-    if hasattr(involution, "apply"):
-        blocks = cone.level_dim(n) // involution.algebra.ambient_dim
-        return lambda x: involution.apply(x, level=blocks)
     return involution
 
 
@@ -130,9 +128,8 @@ def pre_cstar_norm(cone: ConeOracle, involution, n: int, x,
 
 
 def null_space(cone: ConeOracle, involution, n: int,
-               null_tol: float = DEFAULT_NULL_TOL,
                bisect_tol: float = DEFAULT_BISECT_TOL) -> np.ndarray:
-    """Basis of {x : |x| <= null_tol} for the pre-C*-norm.
+    """Basis of {x : |x| <= NULL_TOL} for the pre-C*-norm.
 
     Thresholds the norm on the orthonormal algebra basis, then verifies the
     span of small-norm directions on random combinations and drops it if a
@@ -141,18 +138,18 @@ def null_space(cone: ConeOracle, involution, n: int,
     def norm(x):
         return pre_cstar_norm(cone, involution, n, x, bisect_tol=bisect_tol).value
 
-    small = [b for b in cone.level_algebra(n).basis if norm(b) <= null_tol]
+    dim = cone.level_dim(n)  # LevelUnsupported for a cone without matrix levels
+    small = [b for b in amplify(cone.algebra, n).basis if norm(b) <= NULL_TOL]
     rng = np.random.default_rng(0)
     for _ in range(3 if small else 0):
         coeffs = la.random_complex(rng, len(small))
         coeffs /= np.linalg.norm(coeffs)
-        if norm(np.tensordot(coeffs, np.stack(small), axes=(0, 0))) > null_tol:
+        if norm(np.tensordot(coeffs, np.stack(small), axes=(0, 0))) > NULL_TOL:
             # Span is not closed under combination: keep only directions
             # re-verified individually at a tightened threshold.
-            small = [b for b in small if norm(b) <= null_tol / 10]
+            small = [b for b in small if norm(b) <= NULL_TOL / 10]
             break
     if not small:
-        dim = cone.level_dim(n)
         return np.zeros((0, dim, dim), dtype=complex)
     return np.stack(small)
 

@@ -83,12 +83,20 @@ def _expect(cond: bool, pointer: str, msg: str) -> None:
         raise SchemaError(pointer, msg)
 
 
+def _number(value, pointer: str):
+    """value as a finite JSON number (booleans are not numbers), else
+    SchemaError at pointer."""
+    _expect(isinstance(value, (int, float)) and not isinstance(value, bool)
+            and (isinstance(value, int) or math.isfinite(value)), pointer,
+            "must be a finite number")
+    return value
+
+
 def matrix_from_obj(obj, pointer: str = "") -> np.ndarray:
     _expect(isinstance(obj, dict), pointer, "expected a matrix object")
     _expect("dim" in obj, pointer + "/dim", "missing")
-    _expect(isinstance(obj["dim"], int) and obj["dim"] >= 1, pointer + "/dim",
-            "must be a positive integer")
-    n = obj["dim"]
+    n = _number(obj["dim"], pointer + "/dim")
+    _expect(isinstance(n, int) and n >= 1, pointer + "/dim", "must be a positive integer")
     entries = obj.get("entries")
     _expect(isinstance(entries, list) and len(entries) == n,
             pointer + "/entries", f"expected {n} rows")
@@ -99,12 +107,8 @@ def matrix_from_obj(obj, pointer: str = "") -> np.ndarray:
         for j, pair in enumerate(row):
             _expect(isinstance(pair, list) and len(pair) == 2,
                     f"{pointer}/entries/{i}/{j}", "expected an [re, im] pair")
-            re, im = pair
-            _expect(isinstance(re, (int, float)) and isinstance(im, (int, float)),
-                    f"{pointer}/entries/{i}/{j}", "entries must be numbers")
-            _expect(math.isfinite(re) and math.isfinite(im),
-                    f"{pointer}/entries/{i}/{j}", "entries must be finite")
-            out[i, j] = complex(re, im)
+            out[i, j] = complex(*(_number(v, f"{pointer}/entries/{i}/{j}/{k}")
+                                  for k, v in enumerate(pair)))
     return out
 
 
@@ -118,9 +122,8 @@ def algebra_to_obj(algebra: OperatorAlgebra) -> dict:
 
 def algebra_from_obj(obj, pointer: str = "") -> OperatorAlgebra:
     _expect(isinstance(obj, dict), pointer, "expected an algebra object")
-    _expect(isinstance(obj.get("ambient_dim"), int), pointer + "/ambient_dim",
-            "must be an integer")
-    n = obj["ambient_dim"]
+    n = _number(obj.get("ambient_dim"), pointer + "/ambient_dim")
+    _expect(isinstance(n, int), pointer + "/ambient_dim", "must be an integer")
     basis_obj = obj.get("basis")
     _expect(isinstance(basis_obj, list) and basis_obj, pointer + "/basis",
             "must be a nonempty list")
@@ -159,14 +162,14 @@ def cone_from_obj(obj, base_dir: str = ".", pointer: str = "") -> ConeOracle:
     variant = obj.get("variant")
     _expect(variant in ("standard", "similarity", "pullback"),
             pointer + "/variant", "must be standard, similarity or pullback")
-    tol_psd = obj.get("tol_psd", 1e-9)
-    _expect(isinstance(tol_psd, (int, float)) and tol_psd > 0,
-            pointer + "/tol_psd", "must be a positive number")
+    tol_psd = _number(obj.get("tol_psd", 1e-9), pointer + "/tol_psd")
+    _expect(tol_psd > 0, pointer + "/tol_psd", "must be a positive number")
 
     if variant == "pullback":
         grid = obj.get("grid")
         _expect(isinstance(grid, list) and len(grid) >= 2, pointer + "/grid",
                 "must be a list of at least two points")
+        grid = [_number(q, f"{pointer}/grid/{k}") for k, q in enumerate(grid)]
         return FunctionPullbackCone(np.asarray(grid, dtype=float), float(tol_psd))
 
     alg_obj = obj.get("algebra")

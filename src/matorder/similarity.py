@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _linalg as la
-from .algebra import OperatorAlgebra, as_matrix, generate_algebra
+from .algebra import OperatorAlgebra, block_synth, generate_algebra
 from .cones import ConeOracle
 from .errors import CertificationFailed, NoPositiveSolution, NumericalStall
 from .involution import InvolutionMap, recover_involution
@@ -37,6 +37,10 @@ NEWTON_BUDGET = 400
 # no gap below ~ m eps t^2 can be certified: the relative target never
 # drops below GAP_FLOOR_FACTOR m t.
 GAP_FLOOR_FACTOR = 10.0 * np.finfo(float).eps
+# cb_lower_bound: ascent starts (the swap and unit starts, then random ones)
+# and ascent steps per start.
+CB_RESTARTS = 12
+CB_ITERS = 60
 
 
 @dataclass(frozen=True)
@@ -66,23 +70,17 @@ class StarRepresentation:
     certificate: SimilarityCertificate
 
 
-def _sharp_of(involution, b: np.ndarray) -> np.ndarray:
-    if isinstance(involution, InvolutionMap):
-        return involution.apply(b)
-    return involution(b)
-
-
 def solve_Q(algebra: OperatorAlgebra, involution) -> np.ndarray:
     """Basis of the real space {Q Hermitian : b* Q = Q b^sharp for all b}.
 
     Returns a (k, N, N) stack of real-orthonormal Hermitian matrices; k may
-    be zero.
+    be zero.  involution is a callable, such as an InvolutionMap.
     """
     n = algebra.ambient_dim
     herm = la.hermitian_matrix_basis(n)
     rows = []
     for b in algebra.basis:
-        bs = _sharp_of(involution, b)
+        bs = involution(b)
         diff = np.einsum("ab,hbc->hac", la.dagger(b), herm) - np.einsum(
             "hab,bc->hac", herm, bs)
         # Column h is real_vec(diff[h]).
@@ -257,16 +255,6 @@ def minimize_condition(space: np.ndarray, seed: int = 0) -> SimilarityCertificat
     return _certificate_from(_synth(space, x[:k]), gap)
 
 
-def apply_blockwise(images: np.ndarray, from_algebra: OperatorAlgebra, x,
-                    k: int) -> np.ndarray:
-    """Amplified map: apply the basis-image map to each block of a level-k
-    element."""
-    n_from = from_algebra.ambient_dim
-    blocks = as_matrix(x).reshape(k, n_from, k, n_from).swapaxes(1, 2)
-    out = np.tensordot(from_algebra.coords_of(blocks), images, axes=(-1, 0))
-    return out.swapaxes(1, 2).reshape(k * images.shape[1], -1)
-
-
 def build_star_rep(algebra: OperatorAlgebra, cone: ConeOracle, q: np.ndarray,
                    involution=None, cert_tol: float = DEFAULT_CERT_TOL,
                    levels=(1, 2, 4), samples: int = 12, seed: int = 0) -> StarRepresentation:
@@ -285,7 +273,7 @@ def build_star_rep(algebra: OperatorAlgebra, cone: ConeOracle, q: np.ndarray,
 
     residual_star = 0.0
     for b, tb in zip(algebra.basis, images):
-        lhs = s @ _sharp_of(involution, b) @ s_inv
+        lhs = s @ involution(b) @ s_inv
         residual_star = max(
             residual_star, la.frob(lhs - la.dagger(tb)) / (1.0 + la.frob(tb))
         )
@@ -318,16 +306,8 @@ def cb_upper_bound_from_similarity(cert: SimilarityCertificate) -> float:
     return float(np.sqrt(cert.cond))
 
 
-def _block_synth(coords: np.ndarray, mats: np.ndarray, k: int) -> np.ndarray:
-    """Assemble sum_{uv} kron(E_uv, sum_j coords[u,v,j] mats[j]); the sums are one GEMM."""
-    d, rows, cols = mats.shape
-    blocks = (coords.reshape(k * k, d) @ mats.reshape(d, rows * cols)).reshape(k, k, rows, cols)
-    return blocks.swapaxes(1, 2).reshape(k * rows, k * cols)
-
-
 def cb_lower_bound(images: np.ndarray, from_algebra: OperatorAlgebra,
-                   k: int | None = None, restarts: int = 12, iters: int = 60,
-                   seed: int = 0) -> float:
+                   k: int | None = None, seed: int = 0) -> float:
     """Lower bound for the cb norm of the basis-image map.
 
     Alternating ascent of ||phi^(k)(X)|| over level-k elements with
@@ -344,11 +324,11 @@ def cb_lower_bound(images: np.ndarray, from_algebra: OperatorAlgebra,
     n_to = images.shape[1]
 
     def value_and_coords(z: np.ndarray) -> tuple:
-        x = _block_synth(z, from_algebra.basis, k)
+        x = block_synth(z, from_algebra.basis)
         nx = la.opnorm(x)
         if nx < 1e-14:
             return 0.0, None, None
-        y = _block_synth(z, images, k) / nx
+        y = block_synth(z, images) / nx
         uu, sv, vh = np.linalg.svd(y)
         return float(sv[0]), uu[:, 0], vh[0].conj()
 
@@ -365,7 +345,7 @@ def cb_lower_bound(images: np.ndarray, from_algebra: OperatorAlgebra,
     for u in range(k):
         unitz[u, u] = from_algebra.unit_coords
     starts.append(unitz / np.linalg.norm(unitz))
-    while len(starts) < restarts:
+    while len(starts) < CB_RESTARTS:
         z = la.random_complex(rng, (k, k, d))
         starts.append(z / np.linalg.norm(z))
 
@@ -374,7 +354,7 @@ def cb_lower_bound(images: np.ndarray, from_algebra: OperatorAlgebra,
     for z0 in starts:
         z = z0.copy()
         stale = 0
-        for _ in range(iters):
+        for _ in range(CB_ITERS):
             val, u_vec, w_vec = value_and_coords(z)
             if u_vec is None:
                 break

@@ -36,7 +36,7 @@ class ZeroedCornerCone(StandardCone):
     def sample(self, n, rng):
         from matorder.algebra import random_element
 
-        g = random_element(self.level_algebra(n), rng)
+        g = random_element(self.algebra, rng, level=n)
         g[:, 0] = 0.0
         return la.dagger(g) @ g
 

@@ -6,7 +6,10 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import E11, E12, E21, E22, WORKED_B, mat
 from matorder.algebra import (
+    AMPLIFY_MAX_DIM,
     amplify,
+    block_coords,
+    block_synth,
     doubling_embed,
     generate_algebra,
     hermitian_part_basis,
@@ -96,9 +99,12 @@ def test_amplify_level_one_is_identity():
 
 
 def test_amplify_dimension_cap():
+    # The cap is checked before anything is allocated: a level whose basis
+    # would hold 2 * 10^6 matrices of size 2000 x 2000 fails at once.
     algebra = generate_algebra([E11])
-    with pytest.raises(DimensionCapExceeded):
-        amplify(algebra, 4, max_dim=16)
+    assert algebra.dim * 1000 ** 2 > AMPLIFY_MAX_DIM
+    with pytest.raises(DimensionCapExceeded, match=f"max_dim={AMPLIFY_MAX_DIM}"):
+        amplify(algebra, 1000)
 
 
 def test_amplify_preserves_hermitian_blocks(m2_full):
@@ -121,7 +127,56 @@ def test_random_element_level_matches_amplified(m3_full):
         ref = random_element(amplify(m3_full, n), np.random.default_rng(n))
         got = random_element(m3_full, np.random.default_rng(n), level=n)
         np.testing.assert_allclose(got, ref, atol=1e-12)
-        assert level_residual(m3_full, n, got) < 1e-12
+        assert level_residual(m3_full, got) < 1e-12
+
+
+def _block_algebra(kind):
+    rng = np.random.default_rng(17)
+    if kind == "full":
+        return generate_algebra([mat([[0, 1, 0], [0, 0, 1], [0, 0, 0]])], include_adjoints=True)
+    if kind == "blocks":  # M_2 (+) C, dim 5
+        g = np.zeros((3, 3), dtype=complex)
+        g[:2, :2] = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        g[2, 2] = 0.5
+        return generate_algebra([g], include_adjoints=True)
+    return generate_algebra([np.diag([0.0, 1.0, 2.0]).astype(complex)])  # commutative
+
+
+def _close(got, want):
+    return np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("kind", ["full", "blocks", "commutative"])
+def test_block_helpers_match_amplify(kind):
+    alg = _block_algebra(kind)
+    big_n, d = alg.ambient_dim, alg.dim
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 4):
+        amp = amplify(alg, n)
+        # Any matrix, in M_n(A) or not: both sides are its projection coordinates.
+        x = rng.standard_normal((n * big_n,) * 2) + 1j * rng.standard_normal((n * big_n,) * 2)
+        coords = block_coords(alg, x)
+        assert coords.shape == (n, n, d)
+        assert _close(coords.ravel(), amp.coords_of(x))
+        assert _close(block_synth(coords, alg.basis), amp.synthesize(coords.ravel()))
+    # Rectangular: 2 x 3 blocks, against a block-by-block loop.
+    x = rng.standard_normal((2 * big_n, 3 * big_n)) + 0j
+    coords = block_coords(alg, x)
+    assert coords.shape == (2, 3, d)
+    synth = block_synth(coords, alg.basis)
+    for i in range(2):
+        for j in range(3):
+            block = x[i * big_n:(i + 1) * big_n, j * big_n:(j + 1) * big_n]
+            assert _close(coords[i, j], alg.coords_of(block))
+            assert _close(synth[i * big_n:(i + 1) * big_n, j * big_n:(j + 1) * big_n],
+                          alg.synthesize(coords[i, j]))
+
+
+def test_block_coords_rejects_partial_blocks(m2_full):
+    with pytest.raises(DimensionMismatch):
+        block_coords(m2_full, np.eye(3))
+    with pytest.raises(DimensionMismatch):
+        level_residual(m2_full, np.ones(4))
 
 
 def test_coords_of_stack_matches_single(m3_full):

@@ -245,3 +245,71 @@ def test_audit_failure_maps_to_exit_2(workdir, tmp_path, monkeypatch):
     assert code == 2
     rep = json.loads((tmp_path / "out.json").read_text())
     assert rep["result"]["passed"] is False
+
+
+# -- typed errors for levels and numeric schema fields --------------------------
+
+@pytest.mark.parametrize("args", [
+    ["order-norm", "--cone", "std_cone.json", "--element", "elem.json", "--level", "-1"],
+    ["order-norm", "--cone", "std_cone.json", "--element", "elem.json", "--level", "0",
+     "--kind", "precstar"],
+    ["cb-norm", "--algebra", "m2.json", "--images", "images.json", "--level", "-1"],
+    ["cb-norm", "--algebra", "m2.json", "--images", "images.json", "--level", "0"],
+    ["involution", "--cone", "std_cone.json", "--level", "0"],
+])
+def test_level_below_one_is_a_schema_error(workdir, capsys, args):
+    m2 = algebra_from_obj(json.loads((workdir / "m2.json").read_text()))
+    (workdir / "images.json").write_text(canonical_json([matrix_to_obj(b) for b in m2.basis]))
+    args = [str(workdir / a) if a.endswith(".json") else a for a in args]
+    code, rep = _run(workdir, args, capsys)
+    assert code == 4
+    assert rep["error"]["pointer"] == "/level"
+
+
+@pytest.mark.parametrize("levels", ["1,,2", "one", ""])
+def test_malformed_levels_write_a_schema_report(workdir, capsys, levels):
+    code, rep = _run(workdir, ["check-cones", "--cone", str(workdir / "std_cone.json"),
+                               "--levels", levels], capsys)
+    assert code == 4
+    assert rep["error"] == {"type": "SchemaError", "pointer": "/config/levels",
+                            "message": "must be a comma-separated list of integers"}
+
+
+@pytest.mark.parametrize("obj, pointer", [
+    ({"dim": True, "entries": [[[1, 0]]]}, "/dim"),
+    ({"dim": 1.0, "entries": [[[1, 0]]]}, "/dim"),
+    ({"dim": 1, "entries": [[[True, False]]]}, "/entries/0/0/0"),
+    ({"dim": 1, "entries": [[[1, "0"]]]}, "/entries/0/0/1"),
+    ({"dim": 1, "entries": [[[float("inf"), 0]]]}, "/entries/0/0/0"),
+    ({"dim": 1, "entries": [[[1, None]]]}, "/entries/0/0/1"),
+])
+def test_matrix_numbers_must_be_finite_non_boolean(obj, pointer):
+    with pytest.raises(SchemaError) as err:
+        matrix_from_obj(obj)
+    assert err.value.pointer == pointer
+
+
+@pytest.mark.parametrize("patch, pointer", [
+    ({"tol_psd": True}, "/tol_psd"),
+    ({"tol_psd": float("nan")}, "/tol_psd"),
+    ({"tol_psd": "1e-9"}, "/tol_psd"),
+    ({"algebra": {"ambient_dim": True}}, "/algebra/ambient_dim"),
+    ({"variant": "pullback", "grid": ["a", "b"]}, "/grid/0"),
+    ({"variant": "pullback", "grid": [0, None, 1]}, "/grid/1"),
+    ({"variant": "pullback", "grid": [0, float("inf")]}, "/grid/1"),
+])
+def test_cone_numbers_must_be_finite_non_boolean(m2_full, patch, pointer):
+    obj = dict(cone_to_obj(StandardCone(m2_full)), **patch)
+    with pytest.raises(SchemaError) as err:
+        cone_from_obj(obj)
+    assert err.value.pointer == pointer
+
+
+def test_boolean_tol_psd_is_a_schema_error_not_a_norm(workdir, capsys, tmp_path):
+    cone = tmp_path / "bool_tol.json"
+    cone.write_text(json.dumps({"variant": "standard", "algebra": str(workdir / "m2.json"),
+                                "tol_psd": True}))
+    code, rep = _run(workdir, ["order-norm", "--cone", str(cone),
+                               "--element", str(workdir / "elem.json")], capsys)
+    assert code == 4
+    assert rep["error"]["pointer"] == "/tol_psd"

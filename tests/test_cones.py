@@ -84,7 +84,7 @@ def test_blockwise_oracle_matches_amplified_reference(variant, n):
     verdicts = []
     for x in cands:
         ref = membership_residual(ref_level, x)
-        assert level_residual(cone.algebra, n, x) == pytest.approx(ref, rel=1e-9, abs=1e-12)
+        assert level_residual(cone.algebra, x) == pytest.approx(ref, rel=1e-9, abs=1e-12)
         if ref > cone.algebra.structure_tol * (1.0 + np.linalg.norm(x)):
             with pytest.raises(MembershipError):
                 cone.member(n, x)
@@ -326,3 +326,11 @@ def test_span_failures_carry_replayable_witnesses(m2_full):
     assert ind.witness is not None and ind.witness.kind == "span-overlap"
     assert replay_witness(cone, dec.witness)
     assert replay_witness(cone, ind.witness)
+
+
+def test_level_dim_rejects_levels_below_one(std_m2):
+    for n in (0, -1):
+        with pytest.raises(DimensionMismatch):
+            std_m2.level_dim(n)
+        with pytest.raises(DimensionMismatch):
+            std_m2.unit(n)

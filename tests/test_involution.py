@@ -3,7 +3,9 @@ import pytest
 
 from conftest import E12, E21, WORKED_B
 from doubles import ZeroCone
-from matorder.algebra import random_element
+from matorder.algebra import amplify, random_element
+from matorder.case_studies import FunctionPullbackCone
+from matorder.errors import LevelUnsupported
 from matorder.involution import (
     decompose,
     real_cone_span,
@@ -11,6 +13,7 @@ from matorder.involution import (
     sharp,
     verify_matrix_involution,
 )
+from matorder.order_norms import null_space
 
 
 def test_real_cone_span_standard(std_m2):
@@ -49,6 +52,28 @@ def test_decompose_similarity_imaginary(worked_sim_cone):
     x1, x2 = decompose(worked_sim_cone, 1, 1j * WORKED_B)
     np.testing.assert_allclose(x1, 0 * WORKED_B, atol=1e-10)
     np.testing.assert_allclose(x2, WORKED_B, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_involution_map_apply_and_call_agree_at_every_level(worked_sim_cone, n):
+    inv = recover_involution(worked_sim_cone, 1)
+    rng = np.random.default_rng(n)
+    x = random_element(worked_sim_cone.algebra, rng, level=n)
+    np.testing.assert_array_equal(inv.apply(x), inv(x))
+    np.testing.assert_allclose(inv(x), worked_sim_cone.sharp(n, x), atol=1e-9)
+    # A rectangular n x (n + 1) block matrix maps to (n + 1) x n blocks.
+    a = np.hstack([x, random_element(worked_sim_cone.algebra, rng, level=n + 1)[:2 * n, :2]])
+    np.testing.assert_allclose(inv(a), worked_sim_cone.sharp_block(n, n + 1, a), atol=1e-9)
+
+
+@pytest.mark.parametrize("consumer", [
+    lambda cone: recover_involution(cone, 1),
+    lambda cone: null_space(cone, None, 1),
+    lambda cone: real_cone_span(cone, 1),
+], ids=["recover_involution", "null_space", "real_cone_span"])
+def test_level_consumers_reject_cones_without_matrix_levels(consumer):
+    with pytest.raises(LevelUnsupported):
+        consumer(FunctionPullbackCone(np.linspace(0.0, 1.0, 8)))
 
 
 def test_sharp_examples(std_m2, worked_sim_cone):
@@ -170,7 +195,7 @@ def test_batched_recovery_matches_per_element_decompose(fixture, level, request)
     span = real_cone_span(cone, level)
     batched = recover_involution(cone, level, span=span).images
     one_by_one = []
-    for b in cone.level_algebra(level).basis:
+    for b in amplify(cone.algebra, level).basis:
         x1, x2 = decompose(cone, level, b, span=span)
         one_by_one.append(x1 - 1j * x2)
     np.testing.assert_allclose(batched, np.stack(one_by_one), rtol=0, atol=1e-12)

@@ -16,10 +16,9 @@ from hypothesis import strategies as st
 
 from conftest import random_similarity, random_star_closed_algebra
 from matorder import _linalg as la
-from matorder.algebra import conjugate_algebra, random_element
+from matorder.algebra import block_synth, conjugate_algebra, random_element
 from matorder.cones import SimilarityCone, StandardCone
 from matorder.order_norms import order_unit_seminorm, pre_cstar_norm
-from matorder.similarity import _block_synth
 
 
 def _draw_cone(seed, similarity):
@@ -141,6 +140,6 @@ def test_gemm_synthesis_matches_tensordot(fixture, request):
         coords = la.random_complex(rng, (k, k, d))
         for mats in (alg.basis, images):
             ref = np.tensordot(coords, mats, axes=(2, 0)).swapaxes(1, 2)
-            np.testing.assert_allclose(_block_synth(coords, mats, k),
+            np.testing.assert_allclose(block_synth(coords, mats),
                                        ref.reshape(k * mats.shape[1], k * mats.shape[2]),
                                        rtol=1e-15, atol=0)

@@ -142,7 +142,7 @@ def test_zero_cone_reaches_fallback_and_stays_unbounded(m2_full):
 
 def test_all_hermitian_null_space_stays_full(m2_full):
     cone = AllHermitianCone(m2_full)
-    assert null_space(cone, None, 2).shape[0] == cone.level_algebra(2).dim
+    assert null_space(cone, None, 2).shape[0] == 4 * cone.algebra.dim
     report = audit_algebraically_admissible(cone, 1, samples=8, seed=22)
     opaque = audit_algebraically_admissible(_opaque(cone), 1, samples=8, seed=22)
     assert [c.verdict for c in report.checks] == [c.verdict for c in opaque.checks]
@@ -170,7 +170,7 @@ def test_pullback_cone_is_opaque_and_constants_unchanged():
 
 
 def test_null_space_passes_bisect_tol_to_every_norm(monkeypatch, std_m2):
-    basis = std_m2.level_algebra(1).basis
+    basis = std_m2.algebra.basis
     seen = []
 
     def fake(cone, involution, n, x, bisect_tol=None):

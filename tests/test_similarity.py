@@ -10,12 +10,12 @@ from conftest import (
     random_star_closed_algebra,
     random_unitary,
 )
-from matorder.algebra import conjugate_algebra, generate_algebra, random_element
+from matorder.algebra import (block_coords, block_synth, conjugate_algebra, generate_algebra,
+                              random_element)
 from matorder.cones import SimilarityCone, StandardCone
 from matorder.errors import NoPositiveSolution
 from matorder.involution import recover_involution
 from matorder.similarity import (
-    apply_blockwise,
     build_star_rep,
     cb_lower_bound,
     cb_upper_bound_from_similarity,
@@ -170,19 +170,17 @@ def test_amplified_conjugation_identity(worked_algebra, worked_sim_cone):
     star = build_star_rep(worked_algebra, worked_sim_cone, cert.q)
     s, s_inv = cert.s, np.linalg.inv(cert.s)
     rng = np.random.default_rng(0)
-    from matorder.algebra import amplify
     for n in (2, 3):
-        lvl = amplify(worked_algebra, n)
         big_s = np.kron(np.eye(n), s)
         big_s_inv = np.kron(np.eye(n), s_inv)
         for _ in range(5):
-            x = random_element(lvl, rng)
-            direct = apply_blockwise(star.images, worked_algebra, x, n)
+            x = random_element(worked_algebra, rng, level=n)
+            direct = block_synth(block_coords(worked_algebra, x), star.images)
             conj = big_s @ x @ big_s_inv
             assert np.linalg.norm(direct - conj) <= 1e-9 * (1 + np.linalg.norm(x))
 
 
-def test_apply_blockwise_matches_block_loop(m3_full):
+def test_blockwise_map_matches_block_loop(m3_full):
     # Images of another size (the doubling b -> diag(b, b*)), against the
     # block-by-block loop.
     images = np.stack([np.block([[b, np.zeros((3, 3))], [np.zeros((3, 3)), b.conj().T]])
@@ -195,7 +193,8 @@ def test_apply_blockwise_matches_block_loop(m3_full):
             for j in range(n):
                 coords = m3_full.coords_of(x[3 * i:3 * i + 3, 3 * j:3 * j + 3])
                 ref[6 * i:6 * i + 6, 6 * j:6 * j + 6] = np.tensordot(coords, images, axes=(0, 0))
-        np.testing.assert_allclose(apply_blockwise(images, m3_full, x, n), ref, atol=1e-12)
+        np.testing.assert_allclose(block_synth(block_coords(m3_full, x), images), ref,
+                                   atol=1e-12)
 
 
 def test_order_isomorphism_both_ways(worked_algebra, worked_sim_cone):
