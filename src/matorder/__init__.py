@@ -46,7 +46,6 @@ from .involution import (
     decompose,
     real_cone_span,
     recover_involution,
-    sharp,
     verify_matrix_involution,
 )
 from .order_norms import (
@@ -116,7 +115,6 @@ __all__ = [
     "reconstruct_similarity",
     "recover_involution",
     "replay_witness",
-    "sharp",
     "solve_Q",
     "verify_matrix_involution",
 ]

@@ -256,6 +256,17 @@ def generate_algebra(
     return OperatorAlgebra.from_basis(np.stack(basis), tol)
 
 
+def amplified_dim(algebra: OperatorAlgebra, n: int) -> int:
+    """dim M_n(A) = n^2 dim A, checked against AMPLIFY_MAX_DIM before any
+    level-n work is sized from it; DimensionMismatch for n < 1."""
+    if n < 1:
+        raise DimensionMismatch(f"amplification level must be >= 1, got {n}")
+    dim = algebra.dim * n * n
+    if dim > AMPLIFY_MAX_DIM:
+        raise DimensionCapExceeded(f"amplified dimension {dim} exceeds max_dim={AMPLIFY_MAX_DIM}")
+    return dim
+
+
 def amplify(algebra: OperatorAlgebra, n: int) -> OperatorAlgebra:
     """Concrete M_n over the algebra: span of kron(E_ij, basis[k]).
 
@@ -265,13 +276,8 @@ def amplify(algebra: OperatorAlgebra, n: int) -> OperatorAlgebra:
     basis of M_n(A) build it (involution recovery, `null_space`, the 2i
     failure witness); DimensionCapExceeded past AMPLIFY_MAX_DIM.
     """
-    if n < 1:
-        raise DimensionMismatch(f"amplification level must be >= 1, got {n}")
+    amplified_dim(algebra, n)
     d = algebra.dim
-    if d * n * n > AMPLIFY_MAX_DIM:
-        raise DimensionCapExceeded(
-            f"amplified dimension {d * n * n} exceeds max_dim={AMPLIFY_MAX_DIM}"
-        )
     if n == 1:
         return algebra
     # Basis order: block (i, j) row-major, then k; E_ij is row i n + j of I_{n^2}.

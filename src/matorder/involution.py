@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg as la
-from .algebra import (OperatorAlgebra, amplify, as_matrix, block_coords, block_synth,
-                      random_element)
+from .algebra import (OperatorAlgebra, amplified_dim, amplify, as_matrix, block_coords,
+                      block_synth, random_element)
 from .cones import ConeOracle
 from .errors import (
     DecompositionInfeasible,
@@ -39,7 +39,7 @@ def real_cone_span(cone: ConeOracle, n: int = 1, seed: int = 0) -> np.ndarray:
     """
     rng = np.random.default_rng(seed)
     cone.level_dim(n)  # LevelUnsupported for a cone without matrix levels
-    samples = 2 * n * n * cone.algebra.dim + 8
+    samples = 2 * amplified_dim(cone.algebra, n) + 8  # capped before any draw
 
     drawn: list[np.ndarray] = []
     stable = 0
@@ -81,7 +81,7 @@ def _split(cone: ConeOracle, n: int, xs: np.ndarray, span: np.ndarray) -> tuple:
     span: one span check, one least-squares solve for all right-hand sides."""
     v = span.shape[0]
     cone.level_dim(n)  # LevelUnsupported for a cone without matrix levels
-    lvl_dim = n * n * cone.algebra.dim
+    lvl_dim = amplified_dim(cone.algebra, n)
     if v == 0:
         raise DecompositionInfeasible("cone span is trivial")
     rows = la.real_rows(np.concatenate([span, 1j * span]))
@@ -134,11 +134,6 @@ class InvolutionMap:
         return block_synth(coords.conj().swapaxes(0, 1), self.images)
 
     __call__ = apply
-
-
-def sharp(involution: InvolutionMap, x) -> np.ndarray:
-    """Apply the recovered involution to a level-1 element."""
-    return involution(x)
 
 
 def recover_involution(cone: ConeOracle, n: int = 1, seed: int = 0,

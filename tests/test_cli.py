@@ -266,6 +266,18 @@ def test_level_below_one_is_a_schema_error(workdir, capsys, args):
     assert rep["error"]["pointer"] == "/level"
 
 
+def test_involution_level_past_the_cap_fails_before_sampling(workdir, capsys, monkeypatch):
+    # dim M_33(M_2) = 4 * 33^2 > AMPLIFY_MAX_DIM: the cap fires before any
+    # of the 2 dim + 8 cone samples of size 66 x 66 is drawn.
+    def no_draw(self, n, rng):
+        raise AssertionError("sampled past the amplification cap")
+    monkeypatch.setattr(StandardCone, "sample", no_draw)
+    code, rep = _run(workdir, ["involution", "--cone", str(workdir / "std_cone.json"),
+                               "--level", "33"], capsys)
+    assert code == 3
+    assert rep["error"]["type"] == "DimensionCapExceeded"
+
+
 @pytest.mark.parametrize("levels", ["1,,2", "one", ""])
 def test_malformed_levels_write_a_schema_report(workdir, capsys, levels):
     code, rep = _run(workdir, ["check-cones", "--cone", str(workdir / "std_cone.json"),

@@ -10,7 +10,6 @@ from matorder.involution import (
     decompose,
     real_cone_span,
     recover_involution,
-    sharp,
     verify_matrix_involution,
 )
 from matorder.order_norms import null_space
@@ -78,10 +77,10 @@ def test_level_consumers_reject_cones_without_matrix_levels(consumer):
 
 def test_sharp_examples(std_m2, worked_sim_cone):
     inv = recover_involution(std_m2, 1)
-    np.testing.assert_allclose(sharp(inv, E12), E21, atol=1e-10)
-    np.testing.assert_allclose(sharp(inv, 1j * np.eye(2)), -1j * np.eye(2), atol=1e-10)
+    np.testing.assert_allclose(inv(E12), E21, atol=1e-10)
+    np.testing.assert_allclose(inv(1j * np.eye(2)), -1j * np.eye(2), atol=1e-10)
     inv_sim = recover_involution(worked_sim_cone, 1)
-    np.testing.assert_allclose(sharp(inv_sim, WORKED_B), WORKED_B, atol=1e-9)
+    np.testing.assert_allclose(inv_sim(WORKED_B), WORKED_B, atol=1e-9)
 
 
 def test_involution_algebraic_laws(worked_sim_cone, worked_algebra):
