@@ -9,7 +9,6 @@ completely-bounded-norm certificates.
 
 from .algebra import (
     OperatorAlgebra,
-    amplify,
     conjugate_algebra,
     doubling_embed,
     generate_algebra,
@@ -83,7 +82,6 @@ __all__ = [
     "StandardCone",
     "StarRepresentation",
     "Witness",
-    "amplify",
     "audit_algebraically_admissible",
     "audit_matrix_ordered",
     "audit_star_admissible",

@@ -7,8 +7,8 @@ function, so everything here is safe to use from concurrent code.
 
 An element of M_n(A) is an (nN) x (nN) matrix of N x N blocks in A, its
 coordinates ordered block (i, j) row-major, then basis index k.  Only
-`amplify` (the materialised basis of M_n(A)), `block_coords` and
-`block_synth` know that layout; every level-n consumer goes through them.
+`block_coords` and `block_synth` know that layout; every level-n consumer
+goes through them, and no basis of M_n(A) is ever materialised.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from .errors import DimensionCapExceeded, DimensionMismatch, MembershipError
 
 DEFAULT_STRUCTURE_TOL = 1e-9
 DEFAULT_MAX_DIM = 256
-# Largest dim M_n(A) = n^2 dim A that `amplify` materialises.
-AMPLIFY_MAX_DIM = 4096
 
 # Acceptance threshold for a new basis direction, relative to the largest
 # candidate norm in the current closure pass.  Keeps rank decisions stable
@@ -156,7 +154,7 @@ def _block_view(algebra: OperatorAlgebra, x: np.ndarray) -> np.ndarray:
 
 def block_coords(algebra: OperatorAlgebra, x: np.ndarray) -> np.ndarray:
     """Coordinates (n, m, d) of the N x N blocks of an (nN) x (mN) matrix
-    (no membership check); ravelled, the coordinates in amplify's basis."""
+    (no membership check); ravelled, those on the basis kron(E_ij, b_k)."""
     return algebra.coords_of(_block_view(algebra, x))
 
 
@@ -171,8 +169,8 @@ def block_synth(coords: np.ndarray, mats: np.ndarray) -> np.ndarray:
 
 def level_residual(algebra: OperatorAlgebra, x: np.ndarray) -> float:
     """Distance of a matrix of N x N blocks from M_n(A) on one view of its
-    blocks: membership_residual(amplify(algebra, n), x), as the amplified
-    basis kron(E_ij, b_k) is orthonormal."""
+    blocks: the basis kron(E_ij, b_k) of M_n(A) is orthonormal, so the
+    distance is that of the blocks from A, summed in quadrature."""
     blocks = _block_view(algebra, x)
     return la.frob(blocks - algebra.synthesize(algebra.coords_of(blocks)))
 
@@ -256,43 +254,6 @@ def generate_algebra(
     return OperatorAlgebra.from_basis(np.stack(basis), tol)
 
 
-def amplified_dim(algebra: OperatorAlgebra, n: int) -> int:
-    """dim M_n(A) = n^2 dim A, checked against AMPLIFY_MAX_DIM before any
-    level-n work is sized from it; DimensionMismatch for n < 1."""
-    if n < 1:
-        raise DimensionMismatch(f"amplification level must be >= 1, got {n}")
-    dim = algebra.dim * n * n
-    if dim > AMPLIFY_MAX_DIM:
-        raise DimensionCapExceeded(f"amplified dimension {dim} exceeds max_dim={AMPLIFY_MAX_DIM}")
-    return dim
-
-
-def amplify(algebra: OperatorAlgebra, n: int) -> OperatorAlgebra:
-    """Concrete M_n over the algebra: span of kron(E_ij, basis[k]).
-
-    Entries live in the block (i, j) of an (n*N) x (n*N) matrix, so block
-    matrices over the algebra are represented directly.  The unit is the
-    identity of the amplified space.  Only consumers that iterate over a
-    basis of M_n(A) build it (involution recovery, `null_space`, the 2i
-    failure witness); DimensionCapExceeded past AMPLIFY_MAX_DIM.
-    """
-    amplified_dim(algebra, n)
-    d = algebra.dim
-    if n == 1:
-        return algebra
-    # Basis order: block (i, j) row-major, then k; E_ij is row i n + j of I_{n^2}.
-    units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
-    unit = np.zeros((n, n, d), dtype=complex)
-    unit[range(n), range(n)] = algebra.unit_coords
-    return OperatorAlgebra(
-        ambient_dim=n * algebra.ambient_dim,
-        basis=np.stack([np.kron(eij, b) for eij in units for b in algebra.basis]),
-        unit_coords=unit.ravel(),
-        star_closed=algebra.star_closed,
-        structure_tol=algebra.structure_tol,
-    )
-
-
 def doubling_embed(x: np.ndarray) -> np.ndarray:
     """Block-diagonal diag(X, X); norm- and Hermiticity-preserving."""
     x = as_matrix(x)
@@ -302,7 +263,7 @@ def doubling_embed(x: np.ndarray) -> np.ndarray:
 def random_element(algebra: OperatorAlgebra, rng: np.random.Generator, scale: float = 1.0,
                    level: int = 1) -> np.ndarray:
     """Random member of M_level(A) with complex Gaussian coordinates, drawn
-    in the order of amplify(algebra, level)'s basis without amplifying."""
+    in the order of `block_coords` (block (i, j) row-major, then k)."""
     return block_synth(scale * la.random_complex(rng, (level, level, algebra.dim)),
                        algebra.basis)
 
@@ -336,12 +297,3 @@ def conjugate_algebra(algebra: OperatorAlgebra, s: np.ndarray) -> OperatorAlgebr
         raise DimensionMismatch("conjugation lost rank; similarity is singular")
     n = algebra.ambient_dim
     return OperatorAlgebra.from_basis(rows.reshape(-1, n, n), algebra.structure_tol)
-
-
-def spans_equal(a: OperatorAlgebra, b: OperatorAlgebra, tol: float) -> bool:
-    """Mutual projection test for equality of two algebra spans."""
-    if a.ambient_dim != b.ambient_dim:
-        return False
-    return all(membership_residual(b, x) <= tol for x in a.basis) and all(
-        membership_residual(a, x) <= tol for x in b.basis
-    )

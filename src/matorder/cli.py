@@ -18,6 +18,7 @@ from . import case_studies, cones, involution, order_norms, similarity
 from .algebra import generate_algebra
 from .errors import MatOrderError, SchemaError
 from .serialization import (
+    _number,
     algebra_from_obj,
     algebra_to_obj,
     audit_to_obj,
@@ -51,9 +52,9 @@ class RunConfig:
         if not self.levels or any(l < 1 or l > 8 for l in self.levels):
             raise SchemaError("/config/levels", "levels must lie in 1..8")
         for name in ("tol_psd", "bisect_tol", "cert_tol", "structure_tol"):
-            if getattr(self, name) <= 0:
-                raise SchemaError(f"/config/{name.replace('_', '-')}",
-                                  "must be positive")
+            pointer = f"/config/{name.replace('_', '-')}"
+            if _number(getattr(self, name), pointer) <= 0:
+                raise SchemaError(pointer, "must be positive")
         if self.seed < 0 or self.seed >= 2 ** 64:
             raise SchemaError("/config/seed", "must fit in 64 bits")
 
@@ -147,6 +148,8 @@ def _cmd_order_norm(args, config: RunConfig):
 
 
 def _cmd_involution(args, config: RunConfig):
+    if args.level > 8:
+        raise SchemaError("/level", "must lie in 1..8")
     cone = _load_cone(args.cone, config)
     inv = involution.recover_involution(cone, args.level, seed=config.seed)
     comparisons = []
@@ -155,8 +158,9 @@ def _cmd_involution(args, config: RunConfig):
             continue
         cmp_rep = involution.verify_matrix_involution(
             cone, n, samples=max(4, config.samples // 4), seed=config.seed,
-            involution1=inv if args.level == 1 else None)
+            involution1=inv)
         comparisons.append({"level": n, "max_residual": cmp_rep.max_residual,
+                            "rank": cmp_rep.rank, "need": cmp_rep.need,
                             "passed": cmp_rep.passed})
     return EXIT_OK, {
         "level": args.level,
@@ -339,8 +343,9 @@ def run(argv: list[str] | None = None) -> int:
             config.levels = tuple(int(v) for v in args.levels.split(","))
         except ValueError:
             raise SchemaError("/config/levels", "must be a comma-separated list of integers")
-        report["config"] = config.to_obj()
+        # An invalid config (a NaN flag, say) is not embedded: the report stays JSON.
         config.validate()
+        report["config"] = config.to_obj()
         if getattr(args, "level", None) is not None and args.level < 1:
             raise SchemaError("/level", "must be >= 1")
         code, result = _HANDLERS[args.command](args, config)

@@ -16,7 +16,7 @@ and `min_shift` are one Hermitian eigensolve each, with no SVD: the slack
 tol_psd (1 + ||h||_2) comes from the spectrum of h = (x + x*)/2.  Level-n
 spans, 2i/2iii ranks and lineality kernels come from level 1 by Kronecker
 identities (Van Loan, J. Comput. Appl. Math. 123, 2000): V_n = (M_n)_h (x) V_1,
-with no amplified algebra and no level-n SVD.
+with no basis of M_n(A) and no level-n SVD.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from . import _linalg as la
 from .algebra import (
     OperatorAlgebra,
     _freeze,
-    amplify,
     as_matrix,
     conjugate_algebra,
     hermitian_part_basis,
@@ -230,7 +229,7 @@ class ConeOracle:
             raise DimensionMismatch(f"level-{n} element must be {dim}x{dim}, got {x.shape}")
         residual = level_residual(self.algebra, x)
         if residual > self.algebra.structure_tol * (1.0 + la.frob(x)):
-            raise MembershipError("element outside the amplified algebra", residual)
+            raise MembershipError("element outside M_n(A)", residual)
         return x
 
     # -- sampling ----------------------------------------------------------
@@ -371,7 +370,7 @@ class SimilarityCone(ConeOracle):
 
 
 class StandardCone(SimilarityCone):
-    """C_n = Hermitian PSD elements of the amplified algebra: the identity frame."""
+    """C_n = Hermitian PSD elements of M_n(A): the identity frame."""
 
     def __init__(self, algebra: OperatorAlgebra, tol_psd: float = DEFAULT_TOL_PSD):
         super().__init__(algebra, None, tol_psd)
@@ -627,31 +626,29 @@ def audit_matrix_ordered(cone: ConeOracle, levels=(1, 2), samples: int = 30,
 def _span_checks(cone: ConeOracle, n: int) -> list:
     """2i and 2iii at level n by exact ranks of the span V of C_n:
     dim_R(V + iV) = 2 dim_C M_n(A) and V cap iV = 0; "unknown" when the
-    cone has no exact span.  Both ranks are n^2 times those of V_1; only a
-    failure builds the level-n span its witness replays against."""
+    cone has no exact span.  Both ranks are n^2 times those of V_1; a failure's
+    level-1 witness w lifts to E_11 (x) w, outside V_n + iV_n (or in V_n cap iV_n)."""
     names = (f"span-decomposition-2i-level-{n}", f"real-imag-independence-2iii-level-{n}")
     span = cone.span_basis(1)
     if span is None:
         return [AxiomCheck(name, "unknown", "no exact span available") for name in names]
     need, v = 2 * n * n * cone.algebra.dim, n * n * span.shape[0]
-    rank = n * n * la.rank(la.real_rows(np.concatenate([span, 1j * span])))
+    rows = la.real_rows(np.concatenate([span, 1j * span]))
+    rank = n * n * la.rank(rows)
+    lift = lambda w: np.pad(w, (0, (n - 1) * len(w)))  # E_11 (x) w
     wit_2i = wit_2iii = None
-    if rank != need or rank != 2 * v:
-        span = cone.span_basis(n)
-        rows = la.real_rows(np.concatenate([span, 1j * span]))
     if rank != need:
         # Witness: the algebra basis element farthest from V + iV.
         both = la.orthonormalize_rows(rows)
-        wit_2i = Witness("span-deficiency", n, (),
-                         max(amplify(cone.algebra, n).basis,
-                             key=lambda b: la.project_residual(both, la.real_vec(b))),
-                         "outside span + i*span")
+        far = max(cone.algebra.basis, key=lambda b: la.project_residual(both, la.real_vec(b)))
+        wit_2i = Witness("span-deficiency", n, (), lift(far), "outside span + i*span")
     if rank != 2 * v:
         # Witness: a nonzero element of the overlap V cap i V; a null
         # combo (a, b) of [V, iV] gives h = sum a_k v_k = -i sum b_k v_k.
         null = la.nullspace(rows.T)[:len(span)]
         best = max(range(null.shape[1]), key=lambda k: np.linalg.norm(null[:, k]))
-        wit_2iii = Witness("span-overlap", n, (np.tensordot(null[:, best], span, axes=(0, 0)),),
+        h = np.tensordot(null[:, best], span, axes=(0, 0))
+        wit_2iii = Witness("span-overlap", n, (lift(h),),
                            None, "nonzero element of span cap i*span")
     return [_verdict(names[0], f"dim_R(V + iV) = {rank}, need {need}", wit_2i),
             _verdict(names[1], f"dim_R(V cap iV) = {2 * v - rank}", wit_2iii)]
@@ -815,29 +812,3 @@ def compress(x: np.ndarray, n: int, m: int, ambient_dim: int | None = None) -> n
             f"size {size} != 2^{m - n} blocks of size {block}")
     b11 = x[:block, :block]
     return np.kron(np.eye(chunk, dtype=complex), b11)
-
-
-def compress_via_conjugations(x: np.ndarray, n: int, m: int,
-                              ambient_dim: int | None = None) -> np.ndarray:
-    """Same map written as the sum of V^k P conjugations; used as an
-    independent cross-check of `compress`."""
-    x = as_matrix(x)
-    size = x.shape[0]
-    chunk = 2 ** (m - n)
-    if ambient_dim is None:
-        ambient_dim = size // (2 ** m)
-    block = (2 ** n) * ambient_dim
-    if block * chunk != size:
-        raise DimensionMismatch(f"size {size} incompatible with (n={n}, m={m})")
-    p = np.zeros((size, size), dtype=complex)
-    p[:block, :block] = np.eye(block)
-    v = np.zeros((size, size), dtype=complex)
-    for k in range(1, chunk):
-        v[k * block:(k + 1) * block, (k - 1) * block:k * block] = np.eye(block)
-    out = np.zeros_like(x)
-    vk = np.eye(size, dtype=complex)
-    for _ in range(chunk):
-        w = vk @ p
-        out += w @ x @ la.dagger(w)
-        vk = v @ vk
-    return out

@@ -2,10 +2,10 @@
 
 Every element of the algebra splits uniquely as x = x1 + i x2 with x1, x2
 in the real span of the cone; the assignment x -> x1 - i x2 is then a
-conjugate-linear anti-multiplicative involution.  Recovery works at any
-matrix level, and the level-n map can be compared against the entrywise
-extension of the level-1 map: an `InvolutionMap` acts on block matrices
-over its algebra of any size as (x_ij)^sharp = (x_ji^sharp).
+conjugate-linear anti-multiplicative involution.  Recovery runs at level 1;
+an `InvolutionMap` acts on block matrices over its algebra of any size as
+(x_ij)^sharp = (x_ji^sharp), which `verify_matrix_involution` certifies as
+the level-n involution.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg as la
-from .algebra import (OperatorAlgebra, amplified_dim, amplify, as_matrix, block_coords,
-                      block_synth, random_element)
+from .algebra import OperatorAlgebra, as_matrix, block_coords, block_synth, random_element
 from .cones import ConeOracle
 from .errors import (
+    CertificationFailed,
     DecompositionInfeasible,
     DecompositionNotUnique,
     SpanUnstable,
@@ -39,7 +39,7 @@ def real_cone_span(cone: ConeOracle, n: int = 1, seed: int = 0) -> np.ndarray:
     """
     rng = np.random.default_rng(seed)
     cone.level_dim(n)  # LevelUnsupported for a cone without matrix levels
-    samples = 2 * amplified_dim(cone.algebra, n) + 8  # capped before any draw
+    samples = 2 * n * n * cone.algebra.dim + 8
 
     drawn: list[np.ndarray] = []
     stable = 0
@@ -81,7 +81,7 @@ def _split(cone: ConeOracle, n: int, xs: np.ndarray, span: np.ndarray) -> tuple:
     span: one span check, one least-squares solve for all right-hand sides."""
     v = span.shape[0]
     cone.level_dim(n)  # LevelUnsupported for a cone without matrix levels
-    lvl_dim = amplified_dim(cone.algebra, n)
+    lvl_dim = n * n * cone.algebra.dim
     if v == 0:
         raise DecompositionInfeasible("cone span is trivial")
     rows = la.real_rows(np.concatenate([span, 1j * span]))
@@ -116,71 +116,79 @@ def decompose(cone: ConeOracle, n: int, x, span: np.ndarray | None = None) -> tu
 
 @dataclass(frozen=True)
 class InvolutionMap:
-    """Conjugate-linear involution stored as images of the basis elements.
-
-    `algebra` is the algebra the map was recovered over (a level-n
-    amplification when recovered at level n); `bound_2K` records the
-    empirical operator bound ||x^sharp|| <= bound_2K * ||x||.
-    """
+    """Conjugate-linear involution of A stored as the images of its basis
+    elements, applied entrywise to block matrices over A of any size;
+    `bound_2K` records the empirical level-1 bound ||x^sharp|| <= bound_2K * ||x||."""
 
     algebra: OperatorAlgebra
     images: np.ndarray
     bound_2K: float
 
-    def apply(self, x) -> np.ndarray:
+    def __call__(self, x) -> np.ndarray:
         """x^sharp of a block matrix over the algebra (its size read from
         x's shape): block (i, j) maps to block (j, i)."""
         coords = block_coords(self.algebra, x)
         return block_synth(coords.conj().swapaxes(0, 1), self.images)
 
-    __call__ = apply
-
 
 def recover_involution(cone: ConeOracle, n: int = 1, seed: int = 0,
                        span: np.ndarray | None = None) -> InvolutionMap:
-    """Recover x -> x1 - i x2 on the level-n algebra from the cone."""
-    if span is None:
-        span = real_cone_span(cone, n, seed=seed)
+    """x -> x1 - i x2 on A from the level-1 span (sampled if not given); for n > 1
+    only once `verify_matrix_involution` certifies it at level n."""
     cone.level_dim(n)  # LevelUnsupported for a cone without matrix levels
-    lvl = amplify(cone.algebra, n)
-    x1, x2 = _split(cone, n, lvl.basis, span)
+    if span is None:
+        span = real_cone_span(cone, 1, seed=seed)
+    x1, x2 = _split(cone, 1, cone.algebra.basis, span)
     images = x1 - 1j * x2
 
-    out = InvolutionMap(lvl, images, bound_2K=0.0)
+    out = InvolutionMap(cone.algebra, images, bound_2K=0.0)
     rng = np.random.default_rng(seed + 1)
     bound = 1.0
     for _ in range(32):
-        x = random_element(lvl, rng)
+        x = random_element(cone.algebra, rng)
         nx = la.opnorm(x)
         if nx > 1e-12:
             bound = max(bound, la.opnorm(out(x)) / nx)
-    return InvolutionMap(lvl, images, bound_2K=float(bound))
+    out = InvolutionMap(cone.algebra, images, bound_2K=float(bound))
+    if n > 1:
+        cert = verify_matrix_involution(cone, n, seed=seed, involution1=out)
+        if not cert.passed:
+            raise CertificationFailed(f"entrywise level-1 map not certified: {cert}")
+    return out
 
 
 @dataclass(frozen=True)
 class InvolutionComparison:
+    """Worst ||x - x^sharp||_F / (1 + ||x||_F) and real rank of the cone samples."""
+
     level: int
     max_residual: float
     samples: int
+    rank: int
+    need: int
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= 1e-8
+        return self.max_residual <= 1e-8 and self.rank == self.need
 
 
 def verify_matrix_involution(cone: ConeOracle, n: int, samples: int = 20,
                              seed: int = 0,
                              involution1: InvolutionMap | None = None) -> InvolutionComparison:
-    """Compare the independently recovered level-n involution with the
-    entrywise transpose built from the level-1 map, on random elements."""
+    """Certify that the entrywise extension of the level-1 map (recovered unless
+    given) is the level-n involution: need + samples elements of C_n, each fixed
+    by the map, whose blocks i <= j have real rank need = n^2 dim A, span all of
+    H_n = {x in M_n(A) : x^sharp = x}, so span_R(C_n - C_n) = H_n."""
+    cone.level_dim(n)  # LevelUnsupported for a cone without matrix levels
     if involution1 is None:
         involution1 = recover_involution(cone, 1, seed=seed)
-    inv_n = recover_involution(cone, n, seed=seed + 17)
+    need = n * n * cone.algebra.dim
+    upper = np.triu_indices(n)
     rng = np.random.default_rng(seed + 5)
     worst = 0.0
-    for _ in range(samples):
-        x = random_element(inv_n.algebra, rng)
-        direct = inv_n(x)
-        entrywise = involution1(x)
-        worst = max(worst, la.frob(direct - entrywise) / (1.0 + la.frob(x)))
-    return InvolutionComparison(level=n, max_residual=float(worst), samples=samples)
+    rows = np.empty((need + samples, len(upper[0]) * 2 * cone.algebra.dim))
+    for row in rows:
+        x = cone.sample(n, rng)
+        worst = max(worst, la.frob(x - involution1(x)) / (1.0 + la.frob(x)))
+        row[:] = la.real_vec(block_coords(cone.algebra, x)[upper])
+    return InvolutionComparison(n, float(worst), samples, la.rank(rows), need)

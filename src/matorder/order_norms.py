@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg as la
-from .algebra import amplify, as_matrix
+from .algebra import as_matrix, block_synth
 from .cones import (ConeAuditReport, ConeOracle, Witness, _Bisection, _first_escape,
                     _streams, _verdict)
 from .errors import CertificationFailed, NotSelfAdjoint, UnboundedAbove
@@ -131,15 +131,18 @@ def null_space(cone: ConeOracle, involution, n: int,
                bisect_tol: float = DEFAULT_BISECT_TOL) -> np.ndarray:
     """Basis of {x : |x| <= NULL_TOL} for the pre-C*-norm.
 
-    Thresholds the norm on the orthonormal algebra basis, then verifies the
-    span of small-norm directions on random combinations and drops it if a
-    combination escapes.  Returns a (k, D, D) stack, possibly empty.
+    Thresholds the norm on the basis kron(E_ij, b_k) of M_n(A), built from unit
+    block coordinates, then verifies the span of small-norm directions on random
+    combinations and drops it if one escapes.  Returns a possibly empty (k, D, D) stack.
     """
     def norm(x):
         return pre_cstar_norm(cone, involution, n, x, bisect_tol=bisect_tol).value
 
     dim = cone.level_dim(n)  # LevelUnsupported for a cone without matrix levels
-    small = [b for b in amplify(cone.algebra, n).basis if norm(b) <= NULL_TOL]
+    d = cone.algebra.dim
+    basis = (block_synth(np.eye(1, n * n * d, k).reshape(n, n, d), cone.algebra.basis)
+             for k in range(n * n * d))
+    small = [b for b in basis if norm(b) <= NULL_TOL]
     rng = np.random.default_rng(0)
     for _ in range(3 if small else 0):
         coeffs = la.random_complex(rng, len(small))

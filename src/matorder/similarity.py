@@ -261,7 +261,7 @@ def build_star_rep(algebra: OperatorAlgebra, cone: ConeOracle, q: np.ndarray,
     """The map tau(b) = Q^(1/2) b Q^(-1/2) with its image algebra.
 
     Verifies tau(b^sharp) = tau(b)* on the basis (residual_star) and that
-    amplifications of tau send sampled cone elements to PSD matrices
+    tau applied blockwise sends sampled level-n cone elements to PSD matrices
     (residual_cone).  Raises CertificationFailed when residual_star exceeds
     cert_tol.
     """

@@ -55,3 +55,22 @@ class ZeroCone(StandardCone):
 
     def sample_span(self, n, rng):
         return self.sample(n, rng)
+
+
+class SkewedLevelCone(StandardCone):
+    """Level-n members are D P D^-1 with P PSD in M_n(A) and D = diag(1, ..., n)
+    kron I_N, a non-unitary scalar block similarity (the identity at level 1):
+    level-n samples are not fixed by the entrywise involution of level 1."""
+
+    variant = "skewed-level"
+
+    def _skew(self, n):
+        return np.kron(np.diag(np.arange(1.0, n + 1.0)), np.eye(self.algebra.ambient_dim))
+
+    def straighten(self, n, x):
+        d = self._skew(n)
+        return np.linalg.solve(d, np.asarray(x, dtype=complex)) @ d
+
+    def sample(self, n, rng):
+        d = self._skew(n)
+        return d @ super().sample(n, rng) @ np.linalg.inv(d)

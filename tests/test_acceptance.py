@@ -16,7 +16,6 @@ from conftest import (
 )
 from doubles import AllHermitianCone, ZeroedCornerCone
 from matorder.algebra import (
-    amplify,
     conjugate_algebra,
     doubling_embed,
     generate_algebra,

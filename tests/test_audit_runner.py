@@ -1,13 +1,13 @@
 """The sampled-inclusion runner behind every audit check: per-check seeded
 streams, the shared conjugation generators, the "unknown" span verdict,
-replayable order-unit witnesses, and no algebra amplified by a passing
+replayable order-unit witnesses, and no algebra built by a passing
 star-admissible audit."""
 
 import numpy as np
 
 from conftest import WORKED_S
 from doubles import ZeroedCornerCone
-from matorder import algebra, cones
+from matorder import algebra
 from matorder.algebra import conjugate_algebra
 from matorder.cones import (
     SimilarityCone,
@@ -111,14 +111,13 @@ def test_scalar_conjugations_add_permutation_and_row_selection(m2_full):
 def test_star_audit_amplifies_no_source_algebra(monkeypatch, m2_full):
     cone = SimilarityCone(conjugate_algebra(m2_full, np.linalg.inv(WORKED_S)), WORKED_S)
     seen = []
-    inner = algebra.amplify
+    inner = algebra.OperatorAlgebra.__post_init__
 
-    def counting(alg, n, *args, **kwargs):
-        seen.append(alg)
-        return inner(alg, n, *args, **kwargs)
+    def counting(self):
+        seen.append(self.ambient_dim)
+        inner(self)
 
-    monkeypatch.setattr(cones, "amplify", counting)
-    monkeypatch.setattr(algebra, "amplify", counting)
+    monkeypatch.setattr(algebra.OperatorAlgebra, "__post_init__", counting)
     report = audit_star_admissible(cone, levels=(1, 2, 4), samples=4, seed=0)
     assert report.passed
     # Span bases, 2i/2iii ranks and lineality all come from level 1.

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import E11, E12, WORKED_B, WORKED_S
+from doubles import SkewedLevelCone
+from matorder import cli as cli_mod
 from matorder.algebra import generate_algebra
 from matorder.cli import run
 from matorder.cones import StandardCone
@@ -150,6 +152,8 @@ def test_involution_cmd(workdir, capsys):
     assert code == 0
     assert len(rep["result"]["images"]) == 2
     assert all(c["passed"] for c in rep["result"]["entrywise_comparisons"])
+    assert [(c["level"], c["rank"], c["need"]) for c in rep["result"]["entrywise_comparisons"]] \
+        == [(2, 8, 8)]
 
 
 def test_cb_norm_cmd(workdir, capsys, tmp_path):
@@ -266,16 +270,34 @@ def test_level_below_one_is_a_schema_error(workdir, capsys, args):
     assert rep["error"]["pointer"] == "/level"
 
 
-def test_involution_level_past_the_cap_fails_before_sampling(workdir, capsys, monkeypatch):
-    # dim M_33(M_2) = 4 * 33^2 > AMPLIFY_MAX_DIM: the cap fires before any
-    # of the 2 dim + 8 cone samples of size 66 x 66 is drawn.
+def test_involution_level_past_eight_fails_before_sampling(workdir, capsys, monkeypatch):
+    # --level has the 1..8 range of --levels: nothing is drawn at level 9.
     def no_draw(self, n, rng):
-        raise AssertionError("sampled past the amplification cap")
+        raise AssertionError("sampled past level 8")
     monkeypatch.setattr(StandardCone, "sample", no_draw)
     code, rep = _run(workdir, ["involution", "--cone", str(workdir / "std_cone.json"),
-                               "--level", "33"], capsys)
+                               "--level", "9"], capsys)
+    assert code == 4
+    assert rep["error"]["pointer"] == "/level"
+
+
+def test_involution_on_a_skewed_level_cone_fails_certification(workdir, capsys, monkeypatch):
+    m2 = algebra_from_obj(json.loads((workdir / "m2.json").read_text()))
+    monkeypatch.setattr(cli_mod, "_load_cone", lambda path, config: SkewedLevelCone(m2))
+    code, rep = _run(workdir, ["involution", "--cone", str(workdir / "std_cone.json"),
+                               "--level", "2"], capsys)
     assert code == 3
-    assert rep["error"]["type"] == "DimensionCapExceeded"
+    assert rep["error"]["type"] == "CertificationFailed"
+
+
+@pytest.mark.parametrize("flag", ["--tol-psd", "--bisect-tol", "--cert-tol", "--structure-tol"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_float_flags_must_be_finite_and_positive(workdir, capsys, flag, value):
+    code, rep = _run(workdir, ["order-norm", "--cone", str(workdir / "std_cone.json"),
+                               "--element", str(workdir / "elem.json"), flag, value], capsys)
+    assert code == 4
+    assert rep["error"]["type"] == "SchemaError"
+    assert rep["error"]["pointer"] == "/config/" + flag[2:]
 
 
 @pytest.mark.parametrize("levels", ["1,,2", "one", ""])

@@ -5,7 +5,6 @@ from scipy.linalg import block_diag
 from conftest import E11, E12, WORKED_B, WORKED_S, mat, random_similarity, random_unitary
 from doubles import AllHermitianCone, ZeroedCornerCone
 from matorder.algebra import (
-    amplify,
     conjugate_algebra,
     doubling_embed,
     generate_algebra,
@@ -19,11 +18,11 @@ from matorder.cones import (
     audit_matrix_ordered,
     audit_star_admissible,
     compress,
-    compress_via_conjugations,
     estimate_main_constants,
     replay_witness,
 )
 from matorder.errors import DimensionMismatch, MembershipError, SourceNotStarClosed
+from references import amplify, compress_via_conjugations
 
 
 def test_member_unit_and_indefinite(std_m2):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import E12, E21, WORKED_B
-from doubles import ZeroCone
-from matorder.algebra import amplify, random_element
+from doubles import SkewedLevelCone, ZeroCone, ZeroedCornerCone
+from matorder.algebra import generate_algebra, random_element
 from matorder.case_studies import FunctionPullbackCone
-from matorder.errors import LevelUnsupported
+from matorder.cones import StandardCone
+from matorder.errors import CertificationFailed, LevelUnsupported
 from matorder.involution import (
     decompose,
     real_cone_span,
@@ -13,6 +14,7 @@ from matorder.involution import (
     verify_matrix_involution,
 )
 from matorder.order_norms import null_space
+from references import amplify
 
 
 def test_real_cone_span_standard(std_m2):
@@ -58,7 +60,6 @@ def test_involution_map_apply_and_call_agree_at_every_level(worked_sim_cone, n):
     inv = recover_involution(worked_sim_cone, 1)
     rng = np.random.default_rng(n)
     x = random_element(worked_sim_cone.algebra, rng, level=n)
-    np.testing.assert_array_equal(inv.apply(x), inv(x))
     np.testing.assert_allclose(inv(x), worked_sim_cone.sharp(n, x), atol=1e-9)
     # A rectangular n x (n + 1) block matrix maps to (n + 1) x n blocks.
     a = np.hstack([x, random_element(worked_sim_cone.algebra, rng, level=n + 1)[:2 * n, :2]])
@@ -87,19 +88,19 @@ def test_involution_algebraic_laws(worked_sim_cone, worked_algebra):
     inv = recover_involution(worked_sim_cone, 1)
     rng = np.random.default_rng(0)
     e = np.eye(2, dtype=complex)
-    np.testing.assert_allclose(inv.apply(e), e, atol=1e-9)
+    np.testing.assert_allclose(inv(e), e, atol=1e-9)
     for _ in range(20):
         x = random_element(worked_algebra, rng)
         y = random_element(worked_algebra, rng)
         lam = rng.standard_normal() + 1j * rng.standard_normal()
         # conjugate-linearity
-        np.testing.assert_allclose(inv.apply(lam * x),
-                                   np.conj(lam) * inv.apply(x), atol=1e-9)
+        np.testing.assert_allclose(inv(lam * x),
+                                   np.conj(lam) * inv(x), atol=1e-9)
         # idempotence
-        np.testing.assert_allclose(inv.apply(inv.apply(x)), x, atol=1e-9)
+        np.testing.assert_allclose(inv(inv(x)), x, atol=1e-9)
         # anti-multiplicativity
-        np.testing.assert_allclose(inv.apply(x @ y),
-                                   inv.apply(y) @ inv.apply(x), atol=1e-8)
+        np.testing.assert_allclose(inv(x @ y),
+                                   inv(y) @ inv(x), atol=1e-8)
 
 
 def test_involution_operator_bound(worked_sim_cone, worked_algebra):
@@ -107,7 +108,7 @@ def test_involution_operator_bound(worked_sim_cone, worked_algebra):
     rng = np.random.default_rng(1)
     for _ in range(30):
         x = random_element(worked_algebra, rng)
-        assert np.linalg.norm(inv.apply(x), 2) <= \
+        assert np.linalg.norm(inv(x), 2) <= \
             inv.bound_2K * np.linalg.norm(x, 2) * (1.0 + 1e-9)
 
 
@@ -123,7 +124,7 @@ def test_involution_bounded_by_audited_constant(worked_sim_cone, worked_algebra)
     rng = np.random.default_rng(8)
     for _ in range(100):
         x = random_element(worked_algebra, rng)
-        assert np.linalg.norm(inv.apply(x), 2) <= \
+        assert np.linalg.norm(inv(x), 2) <= \
             2.0 * k_const * np.linalg.norm(x, 2) + 1e-9
 
 
@@ -131,8 +132,8 @@ def test_sharp_fixes_span_and_negates_imaginary(worked_sim_cone):
     inv = recover_involution(worked_sim_cone, 1)
     span = real_cone_span(worked_sim_cone, 1)
     for h in span:
-        np.testing.assert_allclose(inv.apply(h), h, atol=1e-9)
-        np.testing.assert_allclose(inv.apply(1j * h), -1j * h, atol=1e-9)
+        np.testing.assert_allclose(inv(h), h, atol=1e-9)
+        np.testing.assert_allclose(inv(1j * h), -1j * h, atol=1e-9)
 
 
 def test_standard_sharp_is_adjoint(std_m3, m3_full):
@@ -141,7 +142,7 @@ def test_standard_sharp_is_adjoint(std_m3, m3_full):
     worst = 0.0
     for _ in range(200):
         x = random_element(m3_full, rng)
-        worst = max(worst, np.linalg.norm(inv.apply(x) - x.conj().T))
+        worst = max(worst, np.linalg.norm(inv(x) - x.conj().T))
     assert worst <= 1e-9
 
 
@@ -154,7 +155,7 @@ def test_sharp_conjugation_preserves_cone(worked_sim_cone, worked_algebra):
     for _ in range(10):
         x = random_element(worked_algebra, rng)
         c = worked_sim_cone.sample(1, rng)
-        prod = inv.apply(x) @ c @ x
+        prod = inv(x) @ c @ x
         assert worked_sim_cone.member(1, prod)
 
         x1, x2 = decompose(worked_sim_cone, 1, x, span=span)
@@ -173,11 +174,12 @@ def test_degenerate_span_raises(m2_full):
 
 
 @pytest.mark.parametrize("fixture", ["std_m2", "worked_sim_cone", "planted_sim_cone"])
-@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("level", [1, 2, 4])
 def test_verify_matrix_involution(fixture, level, request):
     cone = request.getfixturevalue(fixture)
     cmp_rep = verify_matrix_involution(cone, level, samples=8, seed=4)
     assert cmp_rep.max_residual <= 1e-8
+    assert cmp_rep.rank == cmp_rep.need == level * level * cone.algebra.dim
     assert cmp_rep.passed
 
 
@@ -190,11 +192,51 @@ def test_verify_matrix_involution_standard_tight(std_m2):
 @pytest.mark.parametrize("fixture", ["std_m2", "worked_sim_cone"])
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_batched_recovery_matches_per_element_decompose(fixture, level, request):
+    # Level 1: the batched split against one split per basis element.  Level
+    # n: the certified entrywise map against the split over the level-n span.
     cone = request.getfixturevalue(fixture)
+    inv = recover_involution(cone, level, span=real_cone_span(cone, 1))
+    basis = amplify(cone.algebra, level).basis
+    batched = inv.images if level == 1 else np.stack([inv(b) for b in basis])
     span = real_cone_span(cone, level)
-    batched = recover_involution(cone, level, span=span).images
     one_by_one = []
-    for b in amplify(cone.algebra, level).basis:
+    for b in basis:
         x1, x2 = decompose(cone, level, b, span=span)
         one_by_one.append(x1 - 1j * x2)
     np.testing.assert_allclose(batched, np.stack(one_by_one), rtol=0, atol=1e-12)
+
+
+def test_recovery_returns_the_level_one_map_at_every_level(worked_sim_cone):
+    one = recover_involution(worked_sim_cone, 1, seed=3)
+    three = recover_involution(worked_sim_cone, 3, seed=3)
+    assert three.algebra is worked_sim_cone.algebra
+    np.testing.assert_array_equal(three.images, one.images)
+    assert three.bound_2K == one.bound_2K
+
+
+def test_skewed_level_cone_fails_the_residual_check(m2_full):
+    cone = SkewedLevelCone(m2_full)
+    assert verify_matrix_involution(cone, 1, seed=2).passed
+    cmp_rep = verify_matrix_involution(cone, 2, seed=2)
+    assert cmp_rep.max_residual > 1e-8
+    assert not cmp_rep.passed
+    with pytest.raises(CertificationFailed, match="max_residual=.*rank=16, need=16"):
+        recover_involution(cone, 2, seed=2)
+
+
+def test_zeroed_corner_cone_fails_the_rank_check(m2_full):
+    # Its samples are Hermitian, but none has mass in the corner row and column.
+    adjoint = recover_involution(StandardCone(m2_full), 1)
+    cmp_rep = verify_matrix_involution(ZeroedCornerCone(m2_full), 2, involution1=adjoint)
+    assert cmp_rep.max_residual <= 1e-8
+    assert cmp_rep.rank < cmp_rep.need == 16
+    assert not cmp_rep.passed
+
+
+def test_level_four_certificate_on_full_m6():
+    rng = np.random.default_rng(8)
+    alg = generate_algebra([rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))],
+                           include_adjoints=True)
+    cmp_rep = verify_matrix_involution(StandardCone(alg), 4, seed=1)
+    assert cmp_rep.rank == cmp_rep.need == 16 * 36
+    assert cmp_rep.passed

@@ -1,6 +1,6 @@
 """Level-n span structure from level 1: the Kronecker span basis against the
 amplified reference, the factored 2i/2iii ranks and lineality kernel, and
-audits at level 8 on full M_6 that never amplify the algebra."""
+audits at level 8 on full M_6 that never build an algebra above level 1."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from conftest import random_similarity, random_unitary
 from doubles import AllHermitianCone
 from matorder import _linalg as la
 from matorder import algebra, cones
-from matorder.algebra import amplify, conjugate_algebra, generate_algebra, hermitian_part_basis
+from matorder.algebra import conjugate_algebra, generate_algebra, hermitian_part_basis
 from matorder.cones import (
     SimilarityCone,
     StandardCone,
@@ -20,6 +20,7 @@ from matorder.cones import (
     replay_witness,
 )
 from matorder.errors import DimensionMismatch
+from references import amplify
 
 LEVELS = (1, 2, 4)
 
@@ -158,15 +159,14 @@ def test_audits_at_level_eight_on_full_m6_never_amplify(monkeypatch, frame):
     else:
         s = random_similarity(rng, 6, max_log10_cond=1.0)
         cone = SimilarityCone(conjugate_algebra(alg, np.linalg.inv(s)), s)
-    inner = algebra.amplify
+    inner = algebra.OperatorAlgebra.__post_init__
 
-    def raising(alg, n, *args, **kwargs):
-        if n > 1:
-            raise AssertionError(f"amplified to level {n}")
-        return inner(alg, n, *args, **kwargs)
+    def raising(self):
+        if self.ambient_dim > 6:
+            raise AssertionError(f"built an algebra of {self.ambient_dim} x {self.ambient_dim}")
+        inner(self)
 
-    monkeypatch.setattr(algebra, "amplify", raising)
-    monkeypatch.setattr(cones, "amplify", raising)
+    monkeypatch.setattr(algebra.OperatorAlgebra, "__post_init__", raising)
     report = audit_star_admissible(cone, levels=(1, 2, 8), samples=4, seed=0)
     assert report.passed
     assert audit_matrix_ordered(cone, levels=(1, 8), samples=4, seed=0).passed
