@@ -160,11 +160,13 @@ def block_coords(algebra: OperatorAlgebra, x: np.ndarray) -> np.ndarray:
 
 def block_synth(coords: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """sum_ij E_ij kron sum_k coords[i, j, k] mats[k] for coords (n, m, d) and
-    mats (d, R, C): an (nR) x (mC) matrix, the sums one GEMM."""
-    n, m, d = coords.shape
+    mats (d, R, C): an (nR) x (mC) matrix, the sums one GEMM.  A stack of
+    coordinates (..., n, m, d) gives the stack (..., nR, mC), still one GEMM."""
+    *lead, n, m, d = coords.shape
     _, rows, cols = mats.shape
-    blocks = (coords.reshape(n * m, d) @ mats.reshape(d, rows * cols)).reshape(n, m, rows, cols)
-    return blocks.swapaxes(1, 2).reshape(n * rows, m * cols)
+    blocks = (coords.reshape(-1, d) @ mats.reshape(d, rows * cols)).reshape(
+        *lead, n, m, rows, cols)
+    return blocks.swapaxes(-3, -2).reshape(*lead, n * rows, m * cols)
 
 
 def level_residual(algebra: OperatorAlgebra, x: np.ndarray) -> float:

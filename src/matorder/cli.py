@@ -9,6 +9,8 @@ errors, 4 I/O or schema errors.
 from __future__ import annotations
 
 import argparse
+import functools
+import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -79,8 +81,6 @@ def _certificate_obj(cert: similarity.SimilarityCertificate) -> dict:
 
 
 def _load_cone(path: str, config: RunConfig):
-    import os
-
     obj = load_json(path)
     if isinstance(obj, dict) and "tol_psd" not in obj:
         obj = dict(obj)
@@ -151,14 +151,18 @@ def _cmd_involution(args, config: RunConfig):
     if args.level > 8:
         raise SchemaError("/level", "must lie in 1..8")
     cone = _load_cone(args.cone, config)
-    inv = involution.recover_involution(cone, args.level, seed=config.seed)
+    inv = involution.recover_involution(cone, 1, seed=config.seed)
+    samples = max(4, config.samples // 4)
+    # The --level certificate draws a superset of the comparison samples at
+    # its level (one stream), so it also stands as that comparison.
+    cert = (involution.certify_level(cone, args.level, inv, config.seed, samples)
+            if args.level > 1 else None)
     comparisons = []
     for n in config.levels:
         if n == 1:
             continue
-        cmp_rep = involution.verify_matrix_involution(
-            cone, n, samples=max(4, config.samples // 4), seed=config.seed,
-            involution1=inv)
+        cmp_rep = cert if n == args.level else involution.verify_matrix_involution(
+            cone, n, samples=samples, seed=config.seed, involution1=inv)
         comparisons.append({"level": n, "max_residual": cmp_rep.max_residual,
                             "rank": cmp_rep.rank, "need": cmp_rep.need,
                             "passed": cmp_rep.passed})
@@ -258,6 +262,7 @@ _HANDLERS = {
 }
 
 
+@functools.cache  # built on a process's first `run`; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matorder",

@@ -27,6 +27,8 @@ from .errors import (
 _DEF_RESIDUAL_TOL = 1e-9
 # Sampling rounds before a still-growing span raises SpanUnstable.
 SPAN_ROUNDS = 12
+# Cone samples a level-n certificate draws beyond its rank target.
+CERT_SAMPLES = 20
 
 
 def real_cone_span(cone: ConeOracle, n: int = 1, seed: int = 0) -> np.ndarray:
@@ -151,10 +153,18 @@ def recover_involution(cone: ConeOracle, n: int = 1, seed: int = 0,
             bound = max(bound, la.opnorm(out(x)) / nx)
     out = InvolutionMap(cone.algebra, images, bound_2K=float(bound))
     if n > 1:
-        cert = verify_matrix_involution(cone, n, seed=seed, involution1=out)
-        if not cert.passed:
-            raise CertificationFailed(f"entrywise level-1 map not certified: {cert}")
+        certify_level(cone, n, out, seed=seed)
     return out
+
+
+def certify_level(cone: ConeOracle, n: int, involution1: InvolutionMap, seed: int = 0,
+                  samples: int = CERT_SAMPLES) -> "InvolutionComparison":
+    """`verify_matrix_involution` at level n with at least CERT_SAMPLES samples;
+    CertificationFailed unless it passes."""
+    cert = verify_matrix_involution(cone, n, max(samples, CERT_SAMPLES), seed, involution1)
+    if not cert.passed:
+        raise CertificationFailed(f"entrywise level-1 map not certified: {cert}")
+    return cert
 
 
 @dataclass(frozen=True)
@@ -172,7 +182,7 @@ class InvolutionComparison:
         return self.max_residual <= 1e-8 and self.rank == self.need
 
 
-def verify_matrix_involution(cone: ConeOracle, n: int, samples: int = 20,
+def verify_matrix_involution(cone: ConeOracle, n: int, samples: int = CERT_SAMPLES,
                              seed: int = 0,
                              involution1: InvolutionMap | None = None) -> InvolutionComparison:
     """Certify that the entrywise extension of the level-1 map (recovered unless

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _linalg as la
-from .algebra import OperatorAlgebra, block_synth, generate_algebra
+from .algebra import OperatorAlgebra, block_coords, block_synth, generate_algebra
 from .cones import ConeOracle
 from .errors import CertificationFailed, NoPositiveSolution, NumericalStall
 from .involution import InvolutionMap, recover_involution
@@ -37,8 +37,8 @@ NEWTON_BUDGET = 400
 # no gap below ~ m eps t^2 can be certified: the relative target never
 # drops below GAP_FLOOR_FACTOR m t.
 GAP_FLOOR_FACTOR = 10.0 * np.finfo(float).eps
-# cb_lower_bound: ascent starts (the swap and unit starts, then random ones)
-# and ascent steps per start.
+# cb_lower_bound: ascent starts (the swap and unit starts, then random ones),
+# and the step cap of each ascent and of the closing polar polish.
 CB_RESTARTS = 12
 CB_ITERS = 60
 
@@ -91,10 +91,6 @@ def solve_Q(algebra: OperatorAlgebra, involution) -> np.ndarray:
     # Constraint entries are O(1) for unit-norm bases: at scale 1 an all-noise
     # system (every Hermitian Q a solution) keeps its full kernel.
     return la.real_kernel(herm, np.vstack(rows), scale=1.0)
-
-
-def _synth(space: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    return np.tensordot(coeffs, space, axes=(0, 0))
 
 
 def _barrier(blocks: list, cost: np.ndarray, x: np.ndarray) -> tuple:
@@ -221,7 +217,7 @@ def find_pd(space: np.ndarray) -> np.ndarray:
     definite Q).
     """
     space = _hermitian_space(space)
-    q = _synth(space, _phase_one(space)[0])
+    q = np.tensordot(_phase_one(space)[0], space, axes=(0, 0))
     return q / np.linalg.eigvalsh(q)[0]
 
 
@@ -252,7 +248,7 @@ def minimize_condition(space: np.ndarray, seed: int = 0) -> SimilarityCertificat
     k = space.shape[0]
     x, gap, _ = _barrier(_box_blocks(space, (1.0, 0.0), (0.0, 1.0)),
                          np.eye(k + 1)[k], np.append(2.0 * c / s, 4.0 / s))
-    return _certificate_from(_synth(space, x[:k]), gap)
+    return _certificate_from(np.tensordot(x[:k], space, axes=(0, 0)), gap)
 
 
 def build_star_rep(algebra: OperatorAlgebra, cone: ConeOracle, q: np.ndarray,
@@ -271,16 +267,11 @@ def build_star_rep(algebra: OperatorAlgebra, cone: ConeOracle, q: np.ndarray,
     s, s_inv = cert.s, np.linalg.inv(cert.s)
     images = np.stack([s @ b @ s_inv for b in algebra.basis])
 
-    residual_star = 0.0
-    for b, tb in zip(algebra.basis, images):
-        lhs = s @ involution(b) @ s_inv
-        residual_star = max(
-            residual_star, la.frob(lhs - la.dagger(tb)) / (1.0 + la.frob(tb))
-        )
+    residual_star = max(la.frob(s @ involution(b) @ s_inv - la.dagger(tb)) / (1.0 + la.frob(tb))
+                        for b, tb in zip(algebra.basis, images))
     if residual_star > cert_tol:
-        raise CertificationFailed(
-            f"tau(b^sharp) != tau(b)* on the basis (residual {residual_star:.3g})"
-        )
+        raise CertificationFailed(f"tau(b^sharp) != tau(b)* on the basis "
+                                  f"(residual {residual_star:.3g})")
 
     rng = np.random.default_rng(seed)
     residual_cone = 0.0
@@ -306,99 +297,101 @@ def cb_upper_bound_from_similarity(cert: SimilarityCertificate) -> float:
     return float(np.sqrt(cert.cond))
 
 
+def _top_pair(z: np.ndarray, images: np.ndarray, from_algebra: OperatorAlgebra) -> tuple:
+    """||phi^(k)(X)|| / ||X|| at level-k coordinates z, and the coordinates
+    grad[i, j, l] = u_i* images[l] w_j of X -> <u, phi^(k)(X) w> for its top
+    singular pair (u, w); (0.0, None) at X = 0."""
+    nx = la.opnorm(block_synth(z, from_algebra.basis))
+    if nx < 1e-14:
+        return 0.0, None
+    uu, sv, vh = np.linalg.svd(block_synth(z, images) / nx)
+    u2, w2 = uu[:, 0].reshape(len(z), -1), vh[0].conj().reshape(len(z), -1)
+    return float(sv[0]), np.einsum("ua,jab,vb->uvj", u2.conj(), images, w2)
+
+
+def _polar_point(grad: np.ndarray, from_algebra: OperatorAlgebra) -> np.ndarray:
+    """The polar part U_r V_r* (r by the one rank rule) of G =
+    block_synth(grad.conj(), basis) in M_k(A): it maximizes
+    Re tr(G* X) = Re <u, phi^(k)(X) w> over the unit ball of M_k(M_N)."""
+    uu, s, vh = np.linalg.svd(block_synth(grad.conj(), from_algebra.basis))
+    r = la._rank(s)
+    return uu[:, :r] @ vh[:r]
+
+
 def cb_lower_bound(images: np.ndarray, from_algebra: OperatorAlgebra,
                    k: int | None = None, seed: int = 0) -> float:
-    """Lower bound for the cb norm of the basis-image map.
+    """Lower bound for the cb norm of the basis-image map phi: the largest
+    ||phi^(k)(X)|| / ||X|| found over nonzero X in M_k(A), each a feasible
+    point, so the result is always a valid bound.
 
-    Alternating ascent of ||phi^(k)(X)|| over level-k elements with
-    ||X|| <= 1: the top singular pair of the image linearizes the objective,
-    and the maximizing direction is renormalized into the unit ball.  Every
-    iterate is feasible, so the running maximum is always a valid bound.
+    Ascent from CB_RESTARTS starts (the block swap, the unit, then random):
+    the top singular pair of phi^(k)(X) linearizes the objective; the step
+    to its maximizer over the Frobenius ball of the coordinates and four
+    damped steps are scored by one stacked values-only SVD for the X's and
+    one for their images.  The best point is then polished by
+    conditional-gradient steps on the operator-norm ball (`_polar_point`,
+    mapped back by `block_coords`) until one does not raise the value.  On
+    a star-closed A the polar part lies in M_k(A), so the value cannot
+    fall; otherwise its projection is a heuristic step that may end below
+    what another search finds.
     """
     images = np.asarray(images, dtype=complex)
-    if k is None:
-        k = int(images.shape[1])
+    k = int(images.shape[1]) if k is None else k
     rng = np.random.default_rng(seed)
     d = from_algebra.dim
-    n_from = from_algebra.ambient_dim
-    n_to = images.shape[1]
-
-    def value_and_coords(z: np.ndarray) -> tuple:
-        x = block_synth(z, from_algebra.basis)
-        nx = la.opnorm(x)
-        if nx < 1e-14:
-            return 0.0, None, None
-        y = block_synth(z, images) / nx
-        uu, sv, vh = np.linalg.svd(y)
-        return float(sv[0]), uu[:, 0], vh[0].conj()
 
     starts = []
+    eye = np.eye(from_algebra.ambient_dim)[:k]
     swap = np.zeros((k, k, d), dtype=complex)
-    for u in range(min(k, n_from)):
-        for v in range(min(k, n_from)):
-            eunit = np.zeros((n_from, n_from), dtype=complex)
-            eunit[v, u] = 1.0
-            swap[u, v] = from_algebra.coords_of(eunit)
+    swap[:len(eye), :len(eye)] = from_algebra.coords_of(np.einsum("va,ub->uvab", eye, eye))
     if np.linalg.norm(swap) > 1e-9:
         starts.append(swap / np.linalg.norm(swap))
-    unitz = np.zeros((k, k, d), dtype=complex)
-    for u in range(k):
-        unitz[u, u] = from_algebra.unit_coords
+    unitz = np.einsum("uv,j->uvj", np.eye(k), from_algebra.unit_coords)
     starts.append(unitz / np.linalg.norm(unitz))
     while len(starts) < CB_RESTARTS:
         z = la.random_complex(rng, (k, k, d))
         starts.append(z / np.linalg.norm(z))
 
-    best = 0.0
-    best_z = starts[0]
-    for z0 in starts:
-        z = z0.copy()
+    etas = np.array([1.0, 0.5, 0.2, 0.08])[:, None, None, None]
+    best, best_z = 0.0, starts[0]
+    for z in starts:
         stale = 0
         for _ in range(CB_ITERS):
-            val, u_vec, w_vec = value_and_coords(z)
-            if u_vec is None:
+            val, grad = _top_pair(z, images, from_algebra)
+            if grad is None:
                 break
             if val > best + 1e-13:
-                best, best_z, stale = val, z.copy(), 0
+                best, best_z, stale = val, z, 0
             else:
                 stale += 1
                 if stale > 4:
                     break
-            u2 = u_vec.reshape(k, n_to)
-            w2 = w_vec.reshape(k, n_to)
-            grad = np.einsum("ua,jab,vb->uvj", u2.conj(), images, w2)
-            z_new = grad.conj()
-            nz = np.linalg.norm(z_new)
+            nz = np.linalg.norm(grad)
             if nz < 1e-15:
                 break
-            z_new = z_new / nz
-            cand_vals = []
-            for eta in (None, 1.0, 0.5, 0.2, 0.08):
-                zc = z_new if eta is None else z + eta * z_new
-                zc = zc / np.linalg.norm(zc)
-                cand_vals.append((value_and_coords(zc)[0], zc))
-            cand_vals.sort(key=lambda p: -p[0])
-            if cand_vals[0][0] <= val + 1e-14:
+            step = grad.conj() / nz
+            cands = np.concatenate([step[None], z + etas * step])
+            cands /= np.linalg.norm(cands.reshape(len(cands), -1), axis=1)[:, None, None, None]
+            nx = np.linalg.svd(block_synth(cands, from_algebra.basis), compute_uv=False)[:, 0]
+            ny = np.linalg.svd(block_synth(cands, images), compute_uv=False)[:, 0]
+            vals = np.divide(ny, nx, out=np.zeros_like(ny), where=nx >= 1e-14)
+            i = int(np.argmax(vals))
+            if vals[i] <= val + 1e-14:
                 break
-            z = cand_vals[0][1]
-            if cand_vals[0][0] > best:
-                best, best_z = cand_vals[0][0], z.copy()
+            z = cands[i]
+            if vals[i] > best:
+                best, best_z = float(vals[i]), z
 
-    # Stochastic polish: the alternating step plateaus slightly below the
-    # supremum because it maximizes over the Frobenius ball; small accepted
-    # perturbations recover the last fraction of a percent.
-    z = best_z.copy()
-    sigma = 0.05
-    for _ in range(300):
-        zc = z + sigma * la.random_complex(rng, z.shape)
-        zc = zc / np.linalg.norm(zc)
-        val = value_and_coords(zc)[0]
-        if val > best:
-            best, z = val, zc
-            sigma = min(sigma * 1.5, 0.2)
-        else:
-            sigma = max(sigma * 0.9, 1e-4)
-    return best
+    val, grad = _top_pair(best_z, images, from_algebra)
+    for _ in range(CB_ITERS):
+        if grad is None:
+            break
+        z = block_coords(from_algebra, _polar_point(grad, from_algebra))
+        new, new_grad = _top_pair(z, images, from_algebra)
+        if not new > val:
+            break
+        val, grad = new, new_grad
+    return max(best, val)
 
 
 @dataclass(frozen=True)
@@ -428,9 +421,9 @@ def reconstruct_similarity(algebra: OperatorAlgebra, cone: ConeOracle,
     build the star representation, and report the cb-norm sandwich.
 
     sqrt(cond(Q)) bounds the cb norm of the certified conjugation in both
-    directions; the reported lower bound is the larger of the two ascent
-    values (the inverse direction, from the adjoint-closed image back to
-    the algebra, is the one that attains it).
+    directions; the reported lower bound is the larger of the two
+    `cb_lower_bound` values (the inverse direction, from the adjoint-closed
+    image back to the algebra, is the one that attains it).
     """
     involution = recover_involution(cone, 1, seed=seed)
     space = solve_Q(algebra, involution)
@@ -439,18 +432,8 @@ def reconstruct_similarity(algebra: OperatorAlgebra, cone: ConeOracle,
                           cert_tol=cert_tol, levels=levels, seed=seed)
     star = replace(star, certificate=replace(star.certificate, gap=cert.gap))
     s_inv = np.linalg.inv(star.certificate.s)
-    inverse_images = np.stack(
-        [s_inv @ b @ star.certificate.s for b in star.image_algebra.basis]
-    )
-    lower = max(
-        cb_lower_bound(star.images, algebra, k=cb_level, seed=seed),
-        cb_lower_bound(inverse_images, star.image_algebra, k=cb_level, seed=seed),
-    )
+    inverse_images = np.stack([s_inv @ b @ star.certificate.s for b in star.image_algebra.basis])
+    lower = max(cb_lower_bound(star.images, algebra, k=cb_level, seed=seed),
+                cb_lower_bound(inverse_images, star.image_algebra, k=cb_level, seed=seed))
     upper = cb_upper_bound_from_similarity(star.certificate)
-    return ReconstructionResult(
-        involution=involution,
-        q_space_dim=int(space.shape[0]),
-        star_rep=star,
-        cb_lower=float(lower),
-        cb_upper=float(upper),
-    )
+    return ReconstructionResult(involution, int(space.shape[0]), star, float(lower), float(upper))

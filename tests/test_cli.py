@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -154,6 +157,50 @@ def test_involution_cmd(workdir, capsys):
     assert all(c["passed"] for c in rep["result"]["entrywise_comparisons"])
     assert [(c["level"], c["rank"], c["need"]) for c in rep["result"]["entrywise_comparisons"]] \
         == [(2, 8, 8)]
+
+
+def test_involution_certifies_each_level_once(workdir, capsys, monkeypatch):
+    verify = cli_mod.involution.verify_matrix_involution
+    levels = []
+
+    def counted(cone, n, *args, **kwargs):
+        levels.append(n)
+        return verify(cone, n, *args, **kwargs)
+
+    monkeypatch.setattr(cli_mod.involution, "verify_matrix_involution", counted)
+    code, rep = _run(workdir, ["involution", "--cone", str(workdir / "sim_cone.json"),
+                               "--level", "2", "--levels", "1,2,3", "--samples", "8"], capsys)
+    assert code == 0
+    assert sorted(levels) == [2, 3]
+    comparisons = rep["result"]["entrywise_comparisons"]
+    assert [c["level"] for c in comparisons] == [2, 3]
+    assert all(c["passed"] for c in comparisons)
+
+
+def test_cached_parser_reports_match_fresh_interpreters(workdir, tmp_path):
+    # Two subcommands back to back in one process share one parser; each
+    # report must be byte-identical to a fresh interpreter's and to one
+    # written after the cache is cleared.
+    commands = {
+        "check-cones": ["check-cones", "--cone", str(workdir / "std_cone.json"),
+                        "--samples", "5", "--seed", "3"],
+        "order-norm": ["order-norm", "--cone", str(workdir / "std_cone.json"),
+                       "--element", str(workdir / "elem.json"), "--kind", "precstar"],
+    }
+    cli_mod._build_parser.cache_clear()
+    for name, argv in commands.items():
+        assert run(argv + ["--out", str(tmp_path / f"{name}.warm.json")]) == 0
+    assert cli_mod._build_parser.cache_info().misses == 1
+    src = os.path.dirname(os.path.dirname(cli_mod.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for name, argv in commands.items():
+        cli_mod._build_parser.cache_clear()
+        assert run(argv + ["--out", str(tmp_path / f"{name}.cleared.json")]) == 0
+        subprocess.run([sys.executable, "-m", "matorder.cli", *argv,
+                        "--out", str(tmp_path / f"{name}.fresh.json")], env=env, check=True)
+        warm = (tmp_path / f"{name}.warm.json").read_bytes()
+        assert warm == (tmp_path / f"{name}.cleared.json").read_bytes()
+        assert warm == (tmp_path / f"{name}.fresh.json").read_bytes()
 
 
 def test_cb_norm_cmd(workdir, capsys, tmp_path):

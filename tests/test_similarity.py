@@ -11,11 +11,13 @@ from conftest import (
     random_unitary,
 )
 from matorder.algebra import (block_coords, block_synth, conjugate_algebra, generate_algebra,
-                              random_element)
+                              level_residual, random_element)
 from matorder.cones import SimilarityCone, StandardCone
 from matorder.errors import NoPositiveSolution
 from matorder.involution import recover_involution
 from matorder.similarity import (
+    _polar_point,
+    _top_pair,
     build_star_rep,
     cb_lower_bound,
     cb_upper_bound_from_similarity,
@@ -251,6 +253,45 @@ def test_reconstruct_sandwich(worked_algebra, worked_sim_cone):
     assert res.cb_lower <= res.cb_upper + 1e-6
     assert res.cb_upper == pytest.approx(ONE_PLUS_SQRT2, abs=1e-3)
     assert res.cb_lower >= 2.41
+    # The polar polish reaches the supremum 1 + sqrt(2) that cb_upper certifies.
+    assert res.cb_upper - res.cb_lower <= 1e-9
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_polar_steps_stay_in_the_algebra_and_never_lower_the_value(seed):
+    rng = np.random.default_rng(seed)
+    algebra = random_star_closed_algebra(rng, nmax=4)
+    s = random_similarity(rng, algebra.ambient_dim, max_log10_cond=1.0)
+    images = np.stack([np.linalg.inv(s) @ b @ s for b in algebra.basis])
+    z = block_coords(algebra, random_element(algebra, rng, level=2))
+    val, grad = _top_pair(z, images, algebra)
+    for _ in range(20):
+        x = _polar_point(grad, algebra)
+        assert level_residual(algebra, x) <= algebra.structure_tol
+        z = block_coords(algebra, x)
+        new, grad = _top_pair(z, images, algebra)
+        assert new >= val * (1.0 - 1e-13)
+        val = new
+
+
+def _perturbed(images, rng):
+    return images * (1.0 + 4e-16 * rng.standard_normal(images.shape))
+
+
+def test_cb_lower_bound_is_stable_under_last_bit_changes(m2_full, worked_algebra,
+                                                         worked_sim_cone):
+    res = reconstruct_similarity(worked_algebra, worked_sim_cone, cb_level=2,
+                                 levels=(1, 2))
+    s_inv = np.linalg.inv(res.certificate.s)
+    inverse = np.stack([s_inv @ b @ res.certificate.s for b in res.star_rep.image_algebra.basis])
+    cases = [(m2_full.basis, m2_full), (np.stack([b.T for b in m2_full.basis]), m2_full),
+             (res.star_rep.images, worked_algebra), (inverse, res.star_rep.image_algebra)]
+    rng = np.random.default_rng(5)
+    for images, algebra in cases:
+        value = cb_lower_bound(images, algebra, k=2)
+        for _ in range(3):
+            moved = cb_lower_bound(_perturbed(images, rng), algebra, k=2)
+            assert abs(moved - value) <= 1e-10 * value
 
 
 def test_pipeline_identity_for_star_closed(m2_full, std_m2):
