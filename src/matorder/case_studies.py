@@ -265,11 +265,21 @@ def c1_embed(sample: C1Sample) -> np.ndarray:
     """Block-diagonal matrix with blocks [[f(q), f'(q)], [0, f(q)]]."""
     m = sample.grid.size
     out = np.zeros((2 * m, 2 * m), dtype=complex)
-    for i in range(m):
-        out[2 * i, 2 * i] = sample.f_values[i]
-        out[2 * i, 2 * i + 1] = sample.f_derivs[i]
-        out[2 * i + 1, 2 * i + 1] = sample.f_values[i]
+    even = 2 * np.arange(m)
+    out[even, even] = out[even + 1, even + 1] = sample.f_values
+    out[even, even + 1] = sample.f_derivs
     return out
+
+
+def _embedded_norm(sample: C1Sample) -> float:
+    """||c1_embed(sample)||_2, exactly: the top singular value of its diagonal 2x2 blocks
+    (one stacked values-only SVD); CertificationFailed unless all else is exactly 0."""
+    m = sample.grid.size
+    embedded = c1_embed(sample)
+    blocks = embedded.reshape(m, 2, m, 2)[np.arange(m), :, np.arange(m), :]
+    if np.count_nonzero(embedded) != np.count_nonzero(blocks):
+        raise CertificationFailed("embedded matrix has an entry off its diagonal 2x2 blocks")
+    return float(np.linalg.svd(blocks, compute_uv=False)[:, 0].max()) if m else 0.0
 
 
 def c1_norm(sample: C1Sample) -> float:
@@ -279,7 +289,7 @@ def c1_norm(sample: C1Sample) -> float:
     d = np.abs(sample.f_derivs)
     per_point = 0.5 * (2.0 * f2 + d ** 2 + d * np.sqrt(4.0 * f2 + d ** 2))
     value = float(np.sqrt(np.max(per_point))) if sample.grid.size else 0.0
-    direct = la.opnorm(c1_embed(sample))
+    direct = _embedded_norm(sample)
     if abs(value - direct) > 1e-10 * (1.0 + direct):
         raise CertificationFailed(
             f"closed-form norm {value:.17g} disagrees with the embedded "

@@ -8,20 +8,24 @@ star-closed algebra), and (in `case_studies`) a function-positivity
 pullback.  Audits report verdicts with replayable witnesses instead of
 raising.  Each sampled check is a generator of candidate witnesses whose
 `outside` must lie in C; one runner, `_first_escape`, tests them as
-`replay_witness` does and fails on the first escape.  Matrix-ordered (c)
-and star-admissible 3ii share one scalar-conjugation generator, conjugation
-stability is the algebra-conjugation generator at one level, and each
-check draws from its own child stream of the seed.  PSD-frame membership
-and `min_shift` are one Hermitian eigensolve each, with no SVD: the slack
-tol_psd (1 + ||h||_2) comes from the spectrum of h = (x + x*)/2.  Level-n
-spans, 2i/2iii ranks and lineality kernels come from level 1 by Kronecker
-identities (Van Loan, J. Comput. Appl. Math. 123, 2000): V_n = (M_n)_h (x) V_1,
-with no basis of M_n(A) and no level-n SVD.
+`replay_witness` does and fails on the first escape, with one batched
+`member_many` per run of same-level candidates (one stacked eigensolve for
+a `SimilarityCone`); shift certificates and Archimedean probes are one
+batch each.  Matrix-ordered (c) and star-admissible 3ii share one
+scalar-conjugation generator, conjugation stability is the
+algebra-conjugation generator at one level, and each check draws from its
+own child stream of the seed.  PSD-frame membership and `min_shift` are
+one Hermitian eigensolve each, with no SVD: the slack tol_psd (1 + ||h||_2)
+comes from the spectrum of h = (x + x*)/2.  Level-n spans, 2i/2iii ranks
+and lineality kernels come from level 1 by Kronecker identities (Van Loan,
+J. Comput. Appl. Math. 123, 2000): V_n = (M_n)_h (x) V_1, with no basis of
+M_n(A) and no level-n SVD.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -87,10 +91,20 @@ def _verdict(axiom: str, detail: str, bad: Witness | None) -> AxiomCheck:
 
 
 def _first_escape(cone: "ConeOracle", candidates) -> Witness | None:
-    """The sampled-inclusion runner: the first candidate witness whose
-    `outside` is not in C at its level (the test `replay_witness` repeats),
-    else None.  Candidates are drawn lazily, so sampling stops there."""
-    return next((w for w in candidates if not cone.member(w.level, w.outside)), None)
+    """The sampled-inclusion runner: the first candidate witness in draw order
+    whose `outside` is not in C at its level (the test `replay_witness`
+    repeats), else None.  One oracle call per same-level run: each maximal
+    run of consecutive same-level candidates is drawn, then decided by one
+    `member_many`; sampling stops after the run holding the first escape
+    (and the candidate that ends it).  A failing check thus draws the rest
+    of that run from its own child stream (a failing r4 check's empirical r4
+    may cover a few more candidates); other checks' draws are unchanged."""
+    for level, run in groupby(candidates, key=lambda w: w.level):
+        run = list(run)
+        for w, inside in zip(run, cone.member_many(level, [w.outside for w in run])):
+            if not inside:
+                return w
+    return None
 
 
 def _streams(seed: int, k: int) -> list:
@@ -201,6 +215,10 @@ class ConeOracle:
     def member(self, n: int, x) -> bool:
         raise NotImplementedError
 
+    def member_many(self, n: int, xs) -> list:
+        """`member` of each level-n element of the sequence xs, in order."""
+        return [self.member(n, x) for x in xs]
+
     def min_shift(self, n: int, c) -> float | None:
         """inf{r real : r e_n + c in C_n} in closed form; None when the cone
         is opaque and shifts must be found by bisection on `member`."""
@@ -222,13 +240,19 @@ class ConeOracle:
     def level_element(self, n: int, x) -> np.ndarray:
         """x as a matrix checked against M_n(A) block by block: DimensionMismatch
         unless it is (nN) x (nN), MembershipError when its distance from
-        M_n(A) exceeds structure_tol * (1 + ||x||_F)."""
+        M_n(A) exceeds structure_tol * (1 + ||x||_F).  A stack (k, nN, nN) is
+        checked in one pass; each element over the bound is then checked alone,
+        so the first one outside raises the error `member` would."""
         x = as_matrix(x)
         dim = self.level_dim(n)
-        if x.shape != (dim, dim):
+        if x.shape[-2:] != (dim, dim) or x.ndim > 3:
             raise DimensionMismatch(f"level-{n} element must be {dim}x{dim}, got {x.shape}")
         residual = level_residual(self.algebra, x)
-        if residual > self.algebra.structure_tol * (1.0 + la.frob(x)):
+        if x.ndim == 3:
+            size = np.linalg.norm(x.reshape(len(x), -1), axis=1)
+            for k in np.flatnonzero(residual > self.algebra.structure_tol * (1.0 + size)):
+                self.level_element(n, x[k])
+        elif residual > self.algebra.structure_tol * (1.0 + la.frob(x)):
             raise MembershipError("element outside M_n(A)", residual)
         return x
 
@@ -312,6 +336,23 @@ class SimilarityCone(ConeOracle):
 
     def member(self, n: int, x) -> bool:
         return self._psd_test(self.straighten(n, self.level_element(n, x)))
+
+    def member_many(self, n: int, xs) -> list:
+        """`member` of each element in one stacked pass (M_n(A) check, straighten,
+        `eigvalsh`) with `_psd_test`'s rule per element: the same LAPACK call on
+        each matrix, so `member`'s verdicts.  Mixed shapes, or an overridden
+        `member` or `straighten` (subclass or instance), go element by element."""
+        if (len({np.shape(x) for x in xs}) != 1
+                or getattr(self.member, "__func__", None) is not SimilarityCone.member
+                or getattr(self.straighten, "__func__", None) is not SimilarityCone.straighten):
+            return super().member_many(n, xs)
+        stack = self.level_element(n, np.stack(xs))
+        # One tall matrix of N x N blocks: straighten acts block by block.
+        y = self.straighten(n, stack.reshape(-1, stack.shape[-1])).reshape(stack.shape)
+        y_star = y.conj().swapaxes(-1, -2)
+        ev = np.linalg.eigvalsh(0.5 * (y + y_star))
+        slack = self.tol_psd * (1.0 + np.maximum(-ev[:, 0], ev[:, -1]))
+        return ((np.abs(y - y_star).max(axis=(-2, -1)) <= slack) & (ev[:, 0] >= -slack)).tolist()
 
     def _psd_test(self, x: np.ndarray) -> bool:
         """herm_defect(x) and -lambda_min(h) within slack = tol_psd (1 + ||h||_2),
@@ -400,10 +441,11 @@ def _blockwise(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray
 
 class _Bisection:
     """Shift search on a predicate monotone in r (false below the boundary,
-    true above), counting predicate calls and bisection steps."""
+    true above), counting predicate calls and bisection steps; `many`, if
+    given, decides a sequence of r in one call."""
 
-    def __init__(self, pred):
-        self.pred, self.calls, self.iterations = pred, 0, 0
+    def __init__(self, pred, many=None):
+        self.pred, self.many, self.calls, self.iterations = pred, many, 0, 0
 
     def __call__(self, r: float) -> bool:
         self.calls += 1
@@ -413,14 +455,21 @@ class _Bisection:
         """Bracket of an exact boundary r >= floor, checked by the oracle:
         (floor, floor) if r <= floor and pred(floor); else [lo, hi] of width
         <= width/2, pred true at hi and at the midpoint r + width/8, false at
-        lo = max(r - width/8, floor).  None if r is None or pred disagrees."""
+        lo = max(r - width/8, floor).  None if r is None or pred disagrees.
+        `many` asks hi, mid and lo in one call; pred stops at a disagreement."""
         if r is None:
             return None
         if r <= floor:
             return (floor, floor) if self(floor) else None
         lo, mid = max(r - 0.125 * width, floor), r + 0.125 * width
         hi = 2.0 * mid - lo
-        return (lo, hi) if self(hi) and self(mid) and not self(lo) else None
+        if self.many is None:
+            agrees = self(hi) and self(mid) and not self(lo)
+        else:
+            self.calls += 3
+            at_hi, at_mid, at_lo = self.many((hi, mid, lo))
+            agrees = at_hi and at_mid and not at_lo
+        return (lo, hi) if agrees else None
 
     def search(self, exact: float | None, width: float, upper0, stop) -> tuple:
         """Bracket of inf{r >= 0 : pred(r)}: the certified exact value, else
@@ -454,12 +503,19 @@ class _Bisection:
         return lo, hi
 
 
+def _shift_bisection(cone: ConeOracle, n: int, c: np.ndarray, scale: float = 1.0) -> _Bisection:
+    """Search on r * scale * e_n + c in C_n whose certificates are one `member_many`."""
+    e = cone.unit(n)
+    point = lambda r: r * scale * e + c
+    return _Bisection(lambda r: cone.member(n, point(r)),
+                      lambda rs: cone.member_many(n, [point(r) for r in rs]))
+
+
 def _inf_shift(cone: ConeOracle, n: int, c: np.ndarray, scale: float,
                abs_tol: float) -> float | None:
     """inf{r >= 0 : r * scale * e_n + c in C_n} to abs_tol: the certified exact
     shift, else bisection; None when bisection finds no bracket."""
-    e = cone.unit(n)
-    bis = _Bisection(lambda r: cone.member(n, r * scale * e + c))
+    bis = _shift_bisection(cone, n, c, scale)
     exact = cone.min_shift(n, c)
     try:
         lo, hi = bis.search(None if exact is None else exact / scale, abs_tol,
@@ -473,8 +529,7 @@ def _inf_shift(cone: ConeOracle, n: int, c: np.ndarray, scale: float,
 def _sup_shift_down(cone: ConeOracle, n: int, c: np.ndarray, abs_tol: float) -> tuple:
     """Bracket of sup{mu >= 0 : c - mu * e_n in C_n} for a cone member c:
     -min_shift(c) certified by the oracle, else bisection in r = -mu."""
-    e = cone.unit(n)
-    bis = _Bisection(lambda r: cone.member(n, r * e + c))
+    bis = _shift_bisection(cone, n, c)
     found = bis.certify(cone.min_shift(n, c), abs_tol, floor=-np.inf)
     if found is None or found[1] > 0.0:  # uncertified, or c is not a member
         top = la.opnorm(cone.straighten(n, c)) + 1.0
@@ -580,7 +635,8 @@ def audit_algebraically_admissible(cone: ConeOracle, n: int = 1,
             boundary = c - 0.5 * (lo + hi) * e
             # The conclusion is membership "within tol_psd": one extra slack of
             # tol_psd absorbs the bisection landing on the oracle's fuzzy edge.
-            if all(cone.member(n, r * scale * e + boundary) for r in (1e-2, 1e-4, 1e-6, 1e-8)):
+            if all(cone.member_many(n, [r * scale * e + boundary
+                                        for r in (1e-2, 1e-4, 1e-6, 1e-8)])):
                 yield Witness("archimedean", n, (),
                               boundary + cone.tol_psd * (1.0 + cone.norm(n, boundary)) * e,
                               "member at every r > 0 but not at r = 0")

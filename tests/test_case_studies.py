@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import WORKED_S, mat
+from matorder import _linalg as la
+from matorder import case_studies
 from matorder.algebra import generate_algebra, random_element
 from matorder.case_studies import (
     C1Sample,
     FunctionPullbackCone,
+    _embedded_norm,
     c1_condition1_decay,
     c1_embed,
     c1_inequality_check,
@@ -15,7 +18,7 @@ from matorder.case_studies import (
     kadison_pipeline,
 )
 from matorder.cones import estimate_main_constants
-from matorder.errors import GridTooCoarse, MatOrderError, SourceNotStarClosed
+from matorder.errors import CertificationFailed, GridTooCoarse, MatOrderError, SourceNotStarClosed
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 ONE_PLUS_SQRT2 = 1.0 + np.sqrt(2.0)
@@ -145,6 +148,30 @@ def test_c1_norm_matches_operator_norm():
                      rng.standard_normal(16) + 1j * rng.standard_normal(16))
         assert c1_norm(s) == pytest.approx(np.linalg.norm(c1_embed(s), 2),
                                            abs=1e-10)
+
+
+@pytest.mark.parametrize("m", [64, 128])
+def test_c1_embedded_norm_matches_full_svd(m):
+    rng = np.random.default_rng(m)
+    grid = np.linspace(0.0, 1.0, m)
+    for _ in range(5):
+        s = C1Sample(grid, la.random_complex(rng, m), la.random_complex(rng, m))
+        assert _embedded_norm(s) == pytest.approx(la.opnorm(c1_embed(s)), rel=1e-13)
+
+
+def test_c1_norm_rejects_an_entry_off_the_diagonal_blocks(monkeypatch):
+    grid = np.linspace(0.0, 1.0, 8)
+    s = C1Sample(grid, np.ones(8), np.zeros(8))
+    honest = c1_embed
+
+    def leaky(sample):
+        out = honest(sample)
+        out[0, 3] = 1e-300  # far below any tolerance; only exact zeros pass
+        return out
+
+    monkeypatch.setattr(case_studies, "c1_embed", leaky)
+    with pytest.raises(CertificationFailed):
+        c1_norm(s)
 
 
 def test_c1_sample_validation():

@@ -1,0 +1,127 @@
+"""The batched membership oracle: `member_many` against `member` element by
+element, its errors, the per-element fallback for overriding doubles, and the
+sampled-inclusion runner that asks it one same-level run at a time."""
+
+import copy
+
+import numpy as np
+import pytest
+
+from conftest import E11, E12
+from doubles import SkewedLevelCone, ZeroedCornerCone
+from matorder.algebra import membership_residual
+from matorder.cones import (
+    StandardCone,
+    Witness,
+    _Bisection,
+    _first_escape,
+    _scalar_conjugations,
+)
+from matorder.errors import DimensionMismatch, MembershipError
+
+
+class _CountingCone(StandardCone):
+    """An honest cone that records every element its `member` is asked about."""
+
+    def __init__(self, alg):
+        super().__init__(alg)
+        self.asked = []
+
+    def member(self, n, x):
+        self.asked.append(x)
+        return super().member(n, x)
+
+
+def _candidates(cone, n, rng):
+    return ([cone.sample(n, rng) for _ in range(3)] + [-cone.sample(n, rng)]
+            + [cone.sample_span(n, rng) for _ in range(3)] + [cone.unit(n), -cone.unit(n)])
+
+
+@pytest.mark.parametrize("fixture", ["std_m3", "worked_sim_cone", "planted_sim_cone"])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_member_many_matches_member(fixture, n, request):
+    cone = request.getfixturevalue(fixture)
+    xs = _candidates(cone, n, np.random.default_rng(n))
+    got = cone.member_many(n, xs)
+    assert got == [cone.member(n, x) for x in xs]
+    assert True in got and False in got
+    assert cone.member_many(n, []) == []
+
+
+@pytest.mark.parametrize("fixture", ["std_m3", "planted_sim_cone"])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_member_many_matches_member_at_certified_bracket_ends(fixture, n, request):
+    # min_shift puts lambda_min of r e + c on the PSD slack itself; the
+    # bracket ends sit a tenth of tol_psd either side of it.
+    cone = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(10 + n)
+    e = cone.unit(n)
+    xs = [e]
+    for c in (cone.sample_span(n, rng), -cone.sample(n, rng), cone.sample(n, rng)):
+        r = cone.min_shift(n, c)
+        bis = _Bisection(lambda t: cone.member(n, t * e + c))
+        found = bis.certify(r, 0.2 * cone.tol_psd * (1.0 + cone.norm(n, c)), floor=-np.inf)
+        assert found is not None
+        xs += [t * e + c for t in (found[0], r, found[1])]
+    got = cone.member_many(n, xs)
+    assert got == [cone.member(n, x) for x in xs]
+    assert got[0] and all(got[3::3]) and not any(got[1::3])
+
+
+def test_member_many_raises_as_member(std_m2, span_i_e11):
+    e = np.eye(2, dtype=complex)
+    for n, xs in [(1, [np.eye(3)]), (1, [e, np.eye(3)]), (2, [np.eye(2)]), (0, [e])]:
+        with pytest.raises(DimensionMismatch):
+            std_m2.member_many(n, xs)
+    cone = StandardCone(span_i_e11)
+    with pytest.raises(MembershipError) as err:
+        cone.member_many(1, [E11, E11 + E12, E11])
+    assert err.value.residual == pytest.approx(membership_residual(span_i_e11, E12), rel=1e-12)
+
+
+def test_member_many_asks_an_overriding_double_once_per_element(m2_full):
+    cone = _CountingCone(m2_full)
+    xs = _candidates(cone, 2, np.random.default_rng(0))
+    assert cone.member_many(2, xs) == [StandardCone(m2_full).member(2, x) for x in xs]
+    assert len(cone.asked) == len(xs)
+    assert all(a is x for a, x in zip(cone.asked, xs))
+
+
+def test_member_many_falls_back_for_overridden_straighten_and_instance_member(m2_full):
+    rng = np.random.default_rng(1)
+    skewed = SkewedLevelCone(m2_full)
+    xs = [skewed.sample(2, rng) for _ in range(3)] + [StandardCone(m2_full).sample(2, rng)]
+    got = skewed.member_many(2, xs)
+    assert got == [skewed.member(2, x) for x in xs] and False in got
+    counted = copy.copy(StandardCone(m2_full))
+    asked = []
+    counted.member = lambda n, x: asked.append(x) or True
+    assert counted.member_many(1, [-np.eye(2)]) == [True] and len(asked) == 1
+
+
+def test_first_escape_reports_the_first_escape_of_a_run_in_draw_order(std_m2):
+    e1, e2 = std_m2.unit(1), std_m2.unit(2)
+    plan = [(1, e1), (2, e2), (2, -e2), (2, e2), (2, -2.0 * e2), (1, -e1), (1, e1)]
+    drawn = []
+
+    def candidates():
+        for k, (level, x) in enumerate(plan):
+            drawn.append(k)
+            yield Witness("test", level, (), x, str(k))
+
+    bad = _first_escape(std_m2, candidates())
+    assert bad.note == "2" and bad.level == 2
+    # The level-2 run is drawn whole; the next candidate shows where it ends,
+    # and nothing after it is drawn.
+    assert drawn == [0, 1, 2, 3, 4, 5]
+    assert _first_escape(std_m2, iter([Witness("test", 2, (), e2)])) is None
+
+
+def test_first_escape_on_a_double_matches_the_sequential_runner(m2_full):
+    cone = ZeroedCornerCone(m2_full)
+    runs = [list(_scalar_conjugations(cone, (1, 2), 3, np.random.default_rng(7)))
+            for _ in range(2)]
+    want = next(w for w in runs[0] if not cone.member(w.level, w.outside))
+    got = _first_escape(cone, iter(runs[1]))
+    assert (got.level, got.note) == (want.level, want.note)
+    np.testing.assert_array_equal(got.outside, want.outside)
