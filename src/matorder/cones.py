@@ -1,23 +1,23 @@
 """Cone families over matrix algebras: membership oracles, axiom audits,
 constant estimators, and the block-compression map.
 
-Two oracle classes are provided: `SimilarityCone`, the one PSD-frame
-cone (a cone that is Hermitian PSD after a fixed similarity S, with
-`StandardCone` its identity frame S = I, the standard positive cone of a
-star-closed algebra), and (in `case_studies`) a function-positivity
-pullback.  Audits report verdicts with replayable witnesses instead of
-raising.  Each sampled check is a generator of candidate witnesses whose
-`outside` must lie in C; one runner, `_first_escape`, tests them as
-`replay_witness` does and fails on the first escape, with one batched
-`member_many` per run of same-level candidates (one stacked eigensolve for
-a `SimilarityCone`); shift certificates and Archimedean probes are one
-batch each.  Matrix-ordered (c) and star-admissible 3ii share one
-scalar-conjugation generator, conjugation stability is the
-algebra-conjugation generator at one level, and each check draws from its
-own child stream of the seed.  PSD-frame membership and `min_shift` are
-one Hermitian eigensolve each, with no SVD: the slack tol_psd (1 + ||h||_2)
-comes from the spectrum of h = (x + x*)/2.  Level-n spans, 2i/2iii ranks
-and lineality kernels come from level 1 by Kronecker identities (Van Loan,
+Two oracle classes are provided: `SimilarityCone`, the one PSD-frame cone
+(Hermitian PSD after a fixed similarity S, with `StandardCone` its identity
+frame S = I, the standard positive cone of a star-closed algebra), and (in
+`case_studies`) a function-positivity pullback.  Every oracle consumer asks
+the batched `member_many` (one stacked pass for a `SimilarityCone`, `member`
+per element for a cone overriding it); only `replay_witness`, the reference,
+asks `member`.  Audits report verdicts with replayable witnesses instead of
+raising: `_first_escape` decides each run of same-level candidates in one
+call and fails on the first escape; `_shift_bisection` makes one call per
+sign for the shifts, the Archimedean probes and `order_norms`.
+Matrix-ordered (c) and star-admissible 3ii share one scalar-conjugation
+generator, conjugation stability is the algebra-conjugation generator at one
+level, and each check draws from its own child stream of the seed.  One PSD
+rule, `_psd_test`, decides a matrix or a stack, and `min_shift` is one
+Hermitian eigensolve too, with no SVD: the slack tol_psd (1 + ||h||_2) comes
+from the spectrum of h = (x + x*)/2.  Level-n spans, 2i/2iii ranks and
+lineality kernels come from level 1 by Kronecker identities (Van Loan,
 J. Comput. Appl. Math. 123, 2000): V_n = (M_n)_h (x) V_1, with no basis of
 M_n(A) and no level-n SVD.
 """
@@ -277,14 +277,15 @@ class ConeOracle:
         Membership has the form X in V_n with straighten(X) PSD, so the
         lineality space lies in the kernel of straighten = I_n (x) T on V_n:
         (M_n)_h (x) K_1, K_1 the kernel of T on V_1 (one level-1 SVD), each
-        direction confirmed by `member` at both signs.
+        direction confirmed by `member_many` at +h, then at -h where +h is in.
         """
         span = self.span_basis(1)
         if span is None or span.shape[0] == 0:
             return []
         cols = np.stack([la.real_vec(self.straighten(1, h)) for h in span], axis=1)
-        return [h for h in _hermitian_kron(n, la.real_kernel(span, cols))
-                if self.member(n, h) and self.member(n, -h)]
+        hs = list(_hermitian_kron(n, la.real_kernel(span, cols)))
+        hs = [h for h, ok in zip(hs, self.member_many(n, hs)) if ok]
+        return [h for h, ok in zip(hs, self.member_many(n, [-h for h in hs])) if ok]
 
     def describe(self) -> dict:
         out = {"variant": self.variant, "tol_psd": self.tol_psd}
@@ -335,13 +336,13 @@ class SimilarityCone(ConeOracle):
         return y if self.s is None else _blockwise(self.s_inv, y, self.s)
 
     def member(self, n: int, x) -> bool:
-        return self._psd_test(self.straighten(n, self.level_element(n, x)))
+        return bool(self._psd_test(self.straighten(n, self.level_element(n, x))))
 
     def member_many(self, n: int, xs) -> list:
-        """`member` of each element in one stacked pass (M_n(A) check, straighten,
-        `eigvalsh`) with `_psd_test`'s rule per element: the same LAPACK call on
-        each matrix, so `member`'s verdicts.  Mixed shapes, or an overridden
-        `member` or `straighten` (subclass or instance), go element by element."""
+        """`member` of each element in one stacked pass: one M_n(A) check, one
+        straighten and one `_psd_test`, the same LAPACK call on each matrix as
+        `member` makes, so its verdicts.  Mixed shapes, or an overridden `member`
+        or `straighten` (subclass or instance), go element by element."""
         if (len({np.shape(x) for x in xs}) != 1
                 or getattr(self.member, "__func__", None) is not SimilarityCone.member
                 or getattr(self.straighten, "__func__", None) is not SimilarityCone.straighten):
@@ -349,21 +350,19 @@ class SimilarityCone(ConeOracle):
         stack = self.level_element(n, np.stack(xs))
         # One tall matrix of N x N blocks: straighten acts block by block.
         y = self.straighten(n, stack.reshape(-1, stack.shape[-1])).reshape(stack.shape)
+        return self._psd_test(y).tolist()
+
+    def _psd_test(self, y: np.ndarray):
+        """The one PSD rule, on a matrix (a bool) or a (k, d, d) stack (k bools):
+        herm_defect(y) and -lambda_min(h) within slack = tol_psd (1 + ||h||_2),
+        h = (y + y*)/2, from one Hermitian eigensolve ev of h (||h||_2 = max(-ev[0],
+        ev[-1]), no SVD).  It agrees with the slack tol_psd (1 + ||y||_2): once the
+        defect test passes, ||h|| <= ||y|| <= ||h|| + (nN/2) herm_defect(y), a slack
+        change below the rounding of ev[0] (5e-17 relative at nN = 48)."""
         y_star = y.conj().swapaxes(-1, -2)
         ev = np.linalg.eigvalsh(0.5 * (y + y_star))
-        slack = self.tol_psd * (1.0 + np.maximum(-ev[:, 0], ev[:, -1]))
-        return ((np.abs(y - y_star).max(axis=(-2, -1)) <= slack) & (ev[:, 0] >= -slack)).tolist()
-
-    def _psd_test(self, x: np.ndarray) -> bool:
-        """herm_defect(x) and -lambda_min(h) within slack = tol_psd (1 + ||h||_2),
-        h = (x + x*)/2: one Hermitian eigensolve ev of h, ||h||_2 = max(-ev[0],
-        ev[-1]), no SVD.  The slack tol_psd (1 + ||x||_2) gives the same verdicts:
-        ||h|| <= ||x|| <= ||h|| + ||x - h||_F <= ||h|| + (nN/2) herm_defect(x), so
-        once the defect test passes the slacks differ by <= nN tol_psd^2 (1 + ||x||),
-        below the rounding of ev[0] (5e-17 relative at nN = 48)."""
-        ev = np.linalg.eigvalsh(0.5 * (x + la.dagger(x)))
-        slack = self.tol_psd * (1.0 + max(-ev[0], ev[-1]))
-        return la.is_hermitian(x, slack) and ev[0] >= -slack
+        slack = self.tol_psd * (1.0 + np.maximum(-ev[..., 0], ev[..., -1]))
+        return (np.abs(y - y_star).max(axis=(-2, -1)) <= slack) & (ev[..., 0] >= -slack)
 
     def min_shift(self, n: int, c) -> float:
         """From one Hermitian eigensolve, no SVD: the r at which r I + straighten(c)
@@ -441,35 +440,31 @@ def _blockwise(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray
 
 class _Bisection:
     """Shift search on a predicate monotone in r (false below the boundary,
-    true above), counting predicate calls and bisection steps; `many`, if
-    given, decides a sequence of r in one call."""
+    true above), counting the r asked and the bisection steps.  `many` decides
+    a sequence of r in one call; a single r is a sequence of one."""
 
-    def __init__(self, pred, many=None):
-        self.pred, self.many, self.calls, self.iterations = pred, many, 0, 0
+    def __init__(self, many):
+        self.many, self.calls, self.iterations = many, 0, 0
 
     def __call__(self, r: float) -> bool:
         self.calls += 1
-        return self.pred(r)
+        return self.many((r,))[0]
 
     def certify(self, r: float | None, width: float, floor: float = 0.0) -> tuple | None:
         """Bracket of an exact boundary r >= floor, checked by the oracle:
         (floor, floor) if r <= floor and pred(floor); else [lo, hi] of width
         <= width/2, pred true at hi and at the midpoint r + width/8, false at
         lo = max(r - width/8, floor).  None if r is None or pred disagrees.
-        `many` asks hi, mid and lo in one call; pred stops at a disagreement."""
+        One `many` call asks hi, mid and lo."""
         if r is None:
             return None
         if r <= floor:
             return (floor, floor) if self(floor) else None
         lo, mid = max(r - 0.125 * width, floor), r + 0.125 * width
         hi = 2.0 * mid - lo
-        if self.many is None:
-            agrees = self(hi) and self(mid) and not self(lo)
-        else:
-            self.calls += 3
-            at_hi, at_mid, at_lo = self.many((hi, mid, lo))
-            agrees = at_hi and at_mid and not at_lo
-        return (lo, hi) if agrees else None
+        self.calls += 3
+        at_hi, at_mid, at_lo = self.many((hi, mid, lo))
+        return (lo, hi) if at_hi and at_mid and not at_lo else None
 
     def search(self, exact: float | None, width: float, upper0, stop) -> tuple:
         """Bracket of inf{r >= 0 : pred(r)}: the certified exact value, else
@@ -503,19 +498,27 @@ class _Bisection:
         return lo, hi
 
 
-def _shift_bisection(cone: ConeOracle, n: int, c: np.ndarray, scale: float = 1.0) -> _Bisection:
-    """Search on r * scale * e_n + c in C_n whose certificates are one `member_many`."""
+def _shift_bisection(cone: ConeOracle, n: int, cs: tuple, scale: float = 1.0) -> _Bisection:
+    """Search on r * scale * e_n + c in C_n for all c of cs (binding c first): one
+    `member_many` per c, asking only the r (by position) inside for the c before."""
     e = cone.unit(n)
-    point = lambda r: r * scale * e + c
-    return _Bisection(lambda r: cone.member(n, point(r)),
-                      lambda rs: cone.member_many(n, [point(r) for r in rs]))
+
+    def many(rs):
+        inside = range(len(rs))
+        for c in cs:
+            if inside:
+                ok = cone.member_many(n, [rs[k] * scale * e + c for k in inside])
+                inside = [k for k, yes in zip(inside, ok) if yes]
+        return [k in inside for k in range(len(rs))]
+
+    return _Bisection(many)
 
 
 def _inf_shift(cone: ConeOracle, n: int, c: np.ndarray, scale: float,
                abs_tol: float) -> float | None:
     """inf{r >= 0 : r * scale * e_n + c in C_n} to abs_tol: the certified exact
     shift, else bisection; None when bisection finds no bracket."""
-    bis = _shift_bisection(cone, n, c, scale)
+    bis = _shift_bisection(cone, n, (c,), scale)
     exact = cone.min_shift(n, c)
     try:
         lo, hi = bis.search(None if exact is None else exact / scale, abs_tol,
@@ -529,7 +532,7 @@ def _inf_shift(cone: ConeOracle, n: int, c: np.ndarray, scale: float,
 def _sup_shift_down(cone: ConeOracle, n: int, c: np.ndarray, abs_tol: float) -> tuple:
     """Bracket of sup{mu >= 0 : c - mu * e_n in C_n} for a cone member c:
     -min_shift(c) certified by the oracle, else bisection in r = -mu."""
-    bis = _shift_bisection(cone, n, c)
+    bis = _shift_bisection(cone, n, (c,))
     found = bis.certify(cone.min_shift(n, c), abs_tol, floor=-np.inf)
     if found is None or found[1] > 0.0:  # uncertified, or c is not a member
         top = la.opnorm(cone.straighten(n, c)) + 1.0
@@ -551,7 +554,7 @@ def _lineality_check(cone: ConeOracle, n: int) -> AxiomCheck:
     # Prefer the unit as the reported direction when it lies in the lineality.
     e = cone.unit(n)
     try:
-        h = e if cone.member(n, e) and cone.member(n, -e) else lin[0]
+        h = e if all(cone.member_many(n, [e, -e])) else lin[0]
     except MembershipError:
         h = lin[0]
     return AxiomCheck(f"pointedness-level-{n}", "fail",
@@ -635,8 +638,7 @@ def audit_algebraically_admissible(cone: ConeOracle, n: int = 1,
             boundary = c - 0.5 * (lo + hi) * e
             # The conclusion is membership "within tol_psd": one extra slack of
             # tol_psd absorbs the bisection landing on the oracle's fuzzy edge.
-            if all(cone.member_many(n, [r * scale * e + boundary
-                                        for r in (1e-2, 1e-4, 1e-6, 1e-8)])):
+            if all(_shift_bisection(cone, n, (boundary,), scale).many((1e-2, 1e-4, 1e-6, 1e-8))):
                 yield Witness("archimedean", n, (),
                               boundary + cone.tol_psd * (1.0 + cone.norm(n, boundary)) * e,
                               "member at every r > 0 but not at r = 0")

@@ -2,9 +2,9 @@
 
 The seminorm of a self-adjoint element is inf{r : r e +- a in C}, computed
 exactly as max(min_shift(a), min_shift(-a), 0) with a bracket certified by
-the membership oracle; opaque cones and uncertified values fall back to
-bisection.  The pre-C*-norm is the square root of the seminorm of x^sharp x,
-cross-checked against the direct search for inf{r : r^2 e +- x^sharp x in C}.
+`member_many`, one call per sign; opaque cones and uncertified values fall
+back to bisection.  The pre-C*-norm is the square root of the seminorm of
+x^sharp x, cross-checked against the search for inf{r : r^2 e +- x^sharp x in C}.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _linalg as la
 from .algebra import as_matrix, block_synth
-from .cones import (ConeAuditReport, ConeOracle, Witness, _Bisection, _first_escape,
+from .cones import (ConeAuditReport, ConeOracle, Witness, _first_escape, _shift_bisection,
                     _streams, _verdict)
 from .errors import CertificationFailed, NotSelfAdjoint, UnboundedAbove
 
@@ -28,7 +28,7 @@ NULL_TOL = 1e-6
 class NormReport:
     """Value with its oracle-certified bracket and work counters: iterations
     is 0 on the exact path, else the number of fallback bisection steps;
-    oracle_calls counts evaluations of the (two-sided) shift predicate."""
+    oracle_calls counts the shifts r at which the two-sided test is asked."""
 
     value: float
     bracket: tuple
@@ -49,19 +49,19 @@ def _norm_search(cone: ConeOracle, n: int, z: np.ndarray, bisect_tol: float,
                  shifts: tuple | None = None) -> NormReport:
     """inf{r >= 0 : t e_n + z and t e_n - z in C_n}, t = r (r^2 if squared).
 
-    The exact shift is tried first (the binding sign is tested first, so
-    the certificate's failing test at lo costs one membership test); the
-    fallback bisection starts from [0, 2 ||straighten(z)|| + 1]
-    (square-rooted if squared).  shifts, when given, is the precomputed
-    pair (min_shift(n, z), min_shift(n, -z)).
+    One `cones._shift_bisection` over (z, -z), binding sign first: an exact
+    shift's certificate asks five matrices in two `member_many` calls, and a
+    bisection step asks the other sign only where the binding one is inside.
+    The fallback starts from [0, 2 ||straighten(z)|| + 1] (square-rooted if
+    squared); shifts, when given, is (min_shift(n, z), min_shift(n, -z)).
     """
-    e = cone.unit(n)
     up, down = shifts or (cone.min_shift(n, z), cone.min_shift(n, -z))
     exact = None if up is None or down is None else max(up, down, 0.0)
-    first, second = (z, -z) if exact is None or up >= down else (-z, z)
-    t = (lambda r: r * r) if squared else (lambda r: r)
-    bis = _Bisection(lambda r: cone.member(n, t(r) * e + first)
-                     and cone.member(n, t(r) * e + second))
+    bis = _shift_bisection(cone, n, (z, -z) if exact is None or up >= down else (-z, z))
+    if squared:
+        ask = bis.many
+        bis.many = lambda rs: ask([r * r for r in rs])
+        exact = None if exact is None else float(np.sqrt(exact))
 
     def width(r):
         # sqrt_refine: sqrt(bracket) has width ~ bisect_tol, as accurate as a
@@ -70,8 +70,6 @@ def _norm_search(cone: ConeOracle, n: int, z: np.ndarray, bisect_tol: float,
             return max(2.0 * np.sqrt(r) * bisect_tol, bisect_tol ** 2)
         return bisect_tol * (1.0 + r)
 
-    if exact is not None and squared:
-        exact = float(np.sqrt(exact))
     lo, hi = bis.search(
         exact, width(exact or 0.0),
         lambda: (np.sqrt if squared else float)(2.0 * la.opnorm(cone.straighten(n, z)) + 1.0),
@@ -188,7 +186,7 @@ def check_order_unit_archimedean(cone: ConeOracle, n: int = 1, samples: int = 20
             except UnboundedAbove:
                 continue
             scale = 1.0 + cone.norm(n, boundary)
-            if all(cone.member(n, r * scale * e + boundary) for r in (1e-2, 1e-4, 1e-6, 1e-8)):
+            if all(_shift_bisection(cone, n, (boundary,), scale).many((1e-2, 1e-4, 1e-6, 1e-8))):
                 yield Witness("archimedean", n, (), boundary + cone.tol_psd * scale * e,
                               "shift memberships do not survive the r -> 0 limit")
 

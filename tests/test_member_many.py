@@ -1,6 +1,7 @@
 """The batched membership oracle: `member_many` against `member` element by
-element, its errors, the per-element fallback for overriding doubles, and the
-sampled-inclusion runner that asks it one same-level run at a time."""
+element, its errors, the per-element fallback for overriding doubles, the
+sampled-inclusion runner that asks it one same-level run at a time, and the
+shift searches and norms that ask it one sign at a time."""
 
 import copy
 
@@ -9,15 +10,19 @@ import pytest
 
 from conftest import E11, E12
 from doubles import SkewedLevelCone, ZeroedCornerCone
-from matorder.algebra import membership_residual
+from matorder.algebra import membership_residual, random_element
 from matorder.cones import (
+    SimilarityCone,
     StandardCone,
     Witness,
     _Bisection,
     _first_escape,
+    _inf_shift,
     _scalar_conjugations,
+    _sup_shift_down,
 )
 from matorder.errors import DimensionMismatch, MembershipError
+from matorder.order_norms import check_order_unit_archimedean, order_unit_seminorm, pre_cstar_norm
 
 
 class _CountingCone(StandardCone):
@@ -59,7 +64,7 @@ def test_member_many_matches_member_at_certified_bracket_ends(fixture, n, reques
     xs = [e]
     for c in (cone.sample_span(n, rng), -cone.sample(n, rng), cone.sample(n, rng)):
         r = cone.min_shift(n, c)
-        bis = _Bisection(lambda t: cone.member(n, t * e + c))
+        bis = _Bisection(lambda ts: [cone.member(n, t * e + c) for t in ts])
         found = bis.certify(r, 0.2 * cone.tol_psd * (1.0 + cone.norm(n, c)), floor=-np.inf)
         assert found is not None
         xs += [t * e + c for t in (found[0], r, found[1])]
@@ -125,3 +130,105 @@ def test_first_escape_on_a_double_matches_the_sequential_runner(m2_full):
     got = _first_escape(cone, iter(runs[1]))
     assert (got.level, got.note) == (want.level, want.note)
     np.testing.assert_array_equal(got.outside, want.outside)
+
+
+class _PerElement(SimilarityCone):
+    """The same cone with a `member` that only calls the inherited one, so
+    `member_many` takes its per-element fallback."""
+
+    def member(self, n, x):
+        return super().member(n, x)
+
+
+class _Recording(SimilarityCone):
+    """An honest cone that records every batch handed to `member_many`, with
+    its verdicts (the stacked path still decides it)."""
+
+    def __init__(self, alg, s):
+        super().__init__(alg, s)
+        self.batches = []
+
+    def member_many(self, n, xs):
+        got = super().member_many(n, xs)
+        self.batches.append((list(xs), got))
+        return got
+
+
+def _opaque(cone):
+    """The same cone with its closed-form shift hidden: shifts are bisected."""
+    out = copy.copy(cone)
+    out.min_shift = lambda n, c: None
+    return out
+
+
+def _audit_digest(report):
+    return [(c.axiom, c.verdict, c.detail) + (() if c.witness is None else (
+        c.witness.kind, c.witness.level, c.witness.note, c.witness.outside.tobytes()))
+        for c in report.checks]
+
+
+@pytest.mark.parametrize("opaque", [False, True])
+@pytest.mark.parametrize("fixture", ["std_m3", "planted_sim_cone"])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_batched_and_per_element_paths_give_identical_results(fixture, n, opaque, request):
+    cone = request.getfixturevalue(fixture)
+    pair = [cone, _PerElement(cone.algebra, cone.s, cone.tol_psd)]
+    if opaque:
+        pair = [_opaque(k) for k in pair]
+    rng = np.random.default_rng(30 + n)
+    a, x = cone.sample_span(n, rng), random_element(cone.algebra, rng, level=n)
+    c, below = cone.sample(n, rng), -cone.sample(n, rng)
+    width = 0.2 * cone.tol_psd * (1.0 + cone.norm(n, c))
+    fast, slow = ([order_unit_seminorm(k, n, a), pre_cstar_norm(k, None, n, x),
+                   _inf_shift(k, n, below, cone.norm(n, below), 1e-9),
+                   _sup_shift_down(k, n, c, width),
+                   _audit_digest(check_order_unit_archimedean(k, n, samples=3, seed=n))]
+                  for k in pair)
+    assert fast == slow
+    assert (fast[0].iterations > 0) == opaque
+
+
+@pytest.mark.parametrize("fixture", ["std_m3", "planted_sim_cone"])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_exact_two_sided_certificate_decides_five_matrices_in_two_calls(fixture, n, request):
+    base = request.getfixturevalue(fixture)
+    cone = _Recording(base.algebra, base.s)
+    a = cone.sample_span(n, np.random.default_rng(40 + n))
+    rep = order_unit_seminorm(cone, n, a)
+    assert (rep.iterations, rep.oracle_calls) == (0, 3)
+    (binding, at_binding), (other, at_other) = cone.batches
+    # hi, mid and lo for the binding sign, which fails at lo; then hi and mid
+    # of the other sign, and nothing more.
+    assert (at_binding, at_other) == ([True, True, False], [True, True])
+    sign = 1.0 if np.allclose(binding[0] - other[0], 2.0 * a) else -1.0
+    for k in range(2):
+        np.testing.assert_allclose(binding[k] - other[k], sign * 2.0 * a, atol=1e-12)
+    cone.batches.clear()
+    assert _inf_shift(cone, n, a, 1.0, 1e-9) is not None
+    assert [len(xs) for xs, _ in cone.batches] == [3]
+
+
+@pytest.mark.parametrize("fixture", ["std_m3", "planted_sim_cone"])
+def test_a_refine_step_asks_the_second_sign_only_inside_the_first(fixture, request):
+    base = request.getfixturevalue(fixture)
+    cone = _opaque(_Recording(base.algebra, base.s))
+    n, e = 2, cone.unit(2)
+    a = cone.sample_span(n, np.random.default_rng(50))
+    rep = order_unit_seminorm(cone, n, a)
+    assert rep.iterations > 10
+    # x = t e + s a: the traceless part a0 of a is orthogonal to e, so the
+    # sign s is that of <x, a0> and t comes back from x - s a.
+    a0 = a - (np.trace(a) / np.trace(e)) * e
+    asked = []
+    for xs, got in cone.batches:
+        assert len(xs) == 1
+        s = np.sign(np.vdot(a0, xs[0]).real)
+        asked.append((s, np.trace(xs[0] - s * a).real / np.trace(e).real, got[0]))
+    assert rep.oracle_calls == sum(s > 0 for s, _, _ in asked)
+    for k, (s, t, inside) in enumerate(asked):
+        follows = k + 1 < len(asked) and asked[k + 1][0] < 0
+        if s > 0:
+            assert follows == inside
+        else:
+            assert k > 0 and asked[k - 1][0] > 0 and asked[k - 1][2]
+            assert t == pytest.approx(asked[k - 1][1], abs=1e-12)
