@@ -27,6 +27,7 @@ from .algebra import (
 from .cones import ConeAuditReport, ConeOracle, SimilarityCone, audit_star_admissible
 from .errors import (
     CertificationFailed,
+    DimensionMismatch,
     GridTooCoarse,
     LevelUnsupported,
     MatOrderError,
@@ -409,6 +410,8 @@ def c1_condition1_decay(k: int, epsilon: float = 1.0,
     """Ratio ||c + d|| / ||c|| for c = eps (1 - cos(2 pi k x)) and
     d = 2 eps - c, both nonnegative; decays like 1/k because the derivative
     of c is large while c + d is constant."""
+    if k < 1:
+        raise DimensionMismatch(f"frequency must be >= 1, got {k}")
     if grid is None:
         grid = np.linspace(0.0, 1.0, max(64, 4 * k))
     grid = np.asarray(grid, dtype=float)

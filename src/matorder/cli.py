@@ -223,15 +223,16 @@ def _cmd_kadison_demo(args, config: RunConfig):
 
 
 def _cmd_c1_example(args, config: RunConfig):
-    freqs = args.frequencies
+    if args.grid_size < 1:
+        raise SchemaError("/grid-size", "must be >= 1")
+    if min(args.frequencies) < 1:
+        raise SchemaError("/frequencies", "every frequency must be >= 1")
     grid = np.linspace(0.0, 1.0, args.grid_size)
     ineq = case_studies.c1_inequality_check(samples=config.samples,
                                             seed=config.seed,
                                             grid_size=args.grid_size)
-    decay = {}
-    for k in freqs:
-        decay[str(k)] = case_studies.c1_condition1_decay(
-            k, 1.0, np.linspace(0.0, 1.0, max(args.grid_size, 4 * k)))
+    decay = {str(k): case_studies.c1_condition1_decay(
+        k, 1.0, np.linspace(0.0, 1.0, max(args.grid_size, 4 * k))) for k in args.frequencies}
     golden = case_studies.c1_norm(case_studies.C1Sample(
         np.array([1.0]), np.array([1.0 + 0j]), np.array([1.0 + 0j])))
     cone = case_studies.FunctionPullbackCone(grid, config.tol_psd)

@@ -80,14 +80,15 @@ def real_cone_span(cone: ConeOracle, n: int = 1, seed: int = 0) -> np.ndarray:
 
 def _split(cone: ConeOracle, n: int, xs: np.ndarray, span: np.ndarray) -> tuple:
     """Unique splits x = x1 + i x2 of every matrix of the stack xs over the
-    span: one span check, one least-squares solve for all right-hand sides."""
+    span: one SVD decides the rank and solves for all right-hand sides."""
     v = span.shape[0]
     cone.level_dim(n)  # LevelUnsupported for a cone without matrix levels
     lvl_dim = n * n * cone.algebra.dim
     if v == 0:
         raise DecompositionInfeasible("cone span is trivial")
     rows = la.real_rows(np.concatenate([span, 1j * span]))
-    rank = la.rank(rows)
+    u, s, vt = np.linalg.svd(rows, full_matrices=False)
+    rank = la._rank(s)
     if rank != 2 * v:
         raise DecompositionNotUnique(
             f"span meets i*span in dimension {2 * v - rank}"
@@ -96,7 +97,8 @@ def _split(cone: ConeOracle, n: int, xs: np.ndarray, span: np.ndarray) -> tuple:
         raise DecompositionInfeasible(
             f"span + i*span has real dimension {rank}, the algebra needs {2 * lvl_dim}"
         )
-    coeffs, *_ = np.linalg.lstsq(rows.T, la.real_rows(xs).T, rcond=None)
+    # rows.T has full column rank 2v: its least-squares solution is U S^-1 V^T b.
+    coeffs = u @ ((vt @ la.real_rows(xs).T) / s[:, None])
     x1 = np.tensordot(coeffs[:v].T, span, axes=(1, 0))
     x2 = np.tensordot(coeffs[v:].T, span, axes=(1, 0))
     for x, y1, y2 in zip(xs, x1, x2):

@@ -76,18 +76,11 @@ def solve_Q(algebra: OperatorAlgebra, involution) -> np.ndarray:
     Returns a (k, N, N) stack of real-orthonormal Hermitian matrices; k may
     be zero.  involution is a callable, such as an InvolutionMap.
     """
-    n = algebra.ambient_dim
-    herm = la.hermitian_matrix_basis(n)
-    rows = []
-    for b in algebra.basis:
-        bs = involution(b)
-        diff = np.einsum("ab,hbc->hac", la.dagger(b), herm) - np.einsum(
-            "hab,bc->hac", herm, bs)
-        # Column h is real_vec(diff[h]).
-        cols = np.concatenate(
-            [diff.real.reshape(len(herm), n * n),
-             diff.imag.reshape(len(herm), n * n)], axis=1).T
-        rows.append(cols)
+    herm = la.hermitian_matrix_basis(algebra.ambient_dim)
+    # Column h of each block is real_vec(b* herm[h] - herm[h] b^sharp).
+    rows = [la.real_rows(np.einsum("ab,hbc->hac", la.dagger(b), herm)
+                         - np.einsum("hab,bc->hac", herm, involution(b))).T
+            for b in algebra.basis]
     # Constraint entries are O(1) for unit-norm bases: at scale 1 an all-noise
     # system (every Hermitian Q a solution) keeps its full kernel.
     return la.real_kernel(herm, np.vstack(rows), scale=1.0)

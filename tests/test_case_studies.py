@@ -18,7 +18,13 @@ from matorder.case_studies import (
     kadison_pipeline,
 )
 from matorder.cones import estimate_main_constants
-from matorder.errors import CertificationFailed, GridTooCoarse, MatOrderError, SourceNotStarClosed
+from matorder.errors import (
+    CertificationFailed,
+    DimensionMismatch,
+    GridTooCoarse,
+    MatOrderError,
+    SourceNotStarClosed,
+)
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 ONE_PLUS_SQRT2 = 1.0 + np.sqrt(2.0)
@@ -219,6 +225,12 @@ def test_c1_decay_epsilon_invariance():
 def test_c1_decay_grid_too_coarse():
     with pytest.raises(GridTooCoarse):
         c1_condition1_decay(16, 1.0, np.linspace(0, 1, 17))
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_c1_decay_rejects_frequencies_below_one(k):
+    with pytest.raises(DimensionMismatch):
+        c1_condition1_decay(k)
 
 
 def test_pullback_cone_membership_and_constants():

@@ -222,6 +222,24 @@ def test_c1_example_cmd(workdir, capsys):
         (1 + np.sqrt(5)) / 2, abs=1e-10)
 
 
+@pytest.mark.parametrize("flag,value,pointer", [
+    ("--frequencies", "0", "/frequencies"),
+    ("--frequencies", "4,-3", "/frequencies"),
+    ("--grid-size", "0", "/grid-size"),
+    ("--grid-size", "-5", "/grid-size"),
+])
+def test_c1_example_rejects_bad_sizes_with_a_schema_report(workdir, capsys, flag, value, pointer):
+    code, rep = _run(workdir, ["c1-example", "--samples", "5", flag, value], capsys)
+    assert code == 4 and "result" not in rep
+    assert rep["error"]["type"] == "SchemaError" and rep["error"]["pointer"] == pointer
+
+
+def test_c1_example_runs_on_a_one_point_grid(workdir, capsys):
+    code, rep = _run(workdir, ["c1-example", "--samples", "5", "--grid-size", "1",
+                               "--frequencies", "1"], capsys)
+    assert code == 0 and rep["result"]["grid_size"] == 1
+
+
 def test_exit_code_typed_error(workdir, capsys):
     code, rep = _run(workdir, ["order-norm", "--cone",
                                str(workdir / "std_cone.json"),

@@ -1,6 +1,6 @@
 """Print a digest of every benchmark task's output, to compare two commits.
 
-    python tools/output_digests.py [--root DIR] [--seconds T]
+    python tools/output_digests.py [--root DIR] [--against DIR] [--seconds T]
         [--order-norms 51,52,...] [--cli-session 5,71,...]
 
 Builds the `order-norms` and `cli-session` tasks for each seed through
@@ -13,14 +13,18 @@ A typed matorder error is the task's output.  `--root` selects the checkout
 whose `src/` and `perfbench/` are imported (default: this one), so one copy
 of this script can digest any commit exported with `git archive`.  Two
 commits give the same numerical results exactly when their outputs diff
-empty.
+empty.  `--against DIR` makes that comparison: it digests both checkouts
+(each in its own interpreter), prints the lines that differ as a unified
+diff from DIR to --root, and exits 1 if any differ, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import hashlib
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -38,6 +42,8 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    help="checkout to import src/ and perfbench/ from")
+    p.add_argument("--against", default=None,
+                   help="second checkout: print the digest lines that differ, exit 1 if any")
     p.add_argument("--seconds", type=float, default=40.0,
                    help="run length the task lists are sized for (as perfbench/run.py)")
     p.add_argument("--order-norms", type=_seeds, default=[51, 52, 53, 54, 55])
@@ -45,6 +51,8 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
 
     root = os.path.abspath(args.root)
+    if args.against is not None:
+        return _compare(os.path.abspath(args.against), root, args)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import workloads  # noqa: E402 - resolved from --root
 
@@ -59,6 +67,24 @@ def main(argv=None) -> int:
                     digest = hashlib.sha256(repr(output).encode()).hexdigest()
                     print(workload, seed, task.task_id, digest, flush=True)
     return 0
+
+
+def _compare(before: str, after: str, args) -> int:
+    """Digest two checkouts in child interpreters; print their differing lines."""
+    same = ["--seconds", repr(args.seconds),
+            "--order-norms", ",".join(map(str, args.order_norms)),
+            "--cli-session", ",".join(map(str, args.cli_session))]
+    before_lines, after_lines = (
+        subprocess.run([sys.executable, os.path.abspath(__file__), "--root", root, *same],
+                       check=True, capture_output=True, text=True).stdout.splitlines()
+        for root in (before, after))
+    diff = list(difflib.unified_diff(before_lines, after_lines, before, after,
+                                     lineterm="", n=0))
+    for line in diff:
+        print(line)
+    changed = sum(line.startswith("+") and not line.startswith("+++") for line in diff)
+    print(f"{len(after_lines)} tasks, {changed} digest lines differ", file=sys.stderr)
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
