@@ -23,6 +23,7 @@ from matorder.cones import (
 )
 from matorder.errors import DimensionMismatch, MembershipError
 from matorder.order_norms import check_order_unit_archimedean, order_unit_seminorm, pre_cstar_norm
+from test_shifts import _opaque
 
 
 class _CountingCone(StandardCone):
@@ -152,13 +153,6 @@ class _Recording(SimilarityCone):
         got = super().member_many(n, xs)
         self.batches.append((list(xs), got))
         return got
-
-
-def _opaque(cone):
-    """The same cone with its closed-form shift hidden: shifts are bisected."""
-    out = copy.copy(cone)
-    out.min_shift = lambda n, c: None
-    return out
 
 
 def _audit_digest(report):

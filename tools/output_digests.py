@@ -15,7 +15,8 @@ of this script can digest any commit exported with `git archive`.  Two
 commits give the same numerical results exactly when their outputs diff
 empty.  `--against DIR` makes that comparison: it digests both checkouts
 (each in its own interpreter), prints the lines that differ as a unified
-diff from DIR to --root, and exits 1 if any differ, else 0.
+diff from DIR to --root, and exits 1 if any differ, 0 if none do, and 2 if
+either checkout fails to digest.
 """
 
 from __future__ import annotations
@@ -74,10 +75,13 @@ def _compare(before: str, after: str, args) -> int:
     same = ["--seconds", repr(args.seconds),
             "--order-norms", ",".join(map(str, args.order_norms)),
             "--cli-session", ",".join(map(str, args.cli_session))]
-    before_lines, after_lines = (
-        subprocess.run([sys.executable, os.path.abspath(__file__), "--root", root, *same],
-                       check=True, capture_output=True, text=True).stdout.splitlines()
-        for root in (before, after))
+    runs = [subprocess.run([sys.executable, os.path.abspath(__file__), "--root", root, *same],
+                           stdout=subprocess.PIPE, text=True) for root in (before, after)]
+    for root, run in zip((before, after), runs):
+        if run.returncode:
+            print(f"digesting {root} failed (exit {run.returncode})", file=sys.stderr)
+            return 2
+    before_lines, after_lines = (run.stdout.splitlines() for run in runs)
     diff = list(difflib.unified_diff(before_lines, after_lines, before, after,
                                      lineterm="", n=0))
     for line in diff:
