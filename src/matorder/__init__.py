@@ -36,6 +36,7 @@ from .cones import (
     audit_algebraically_admissible,
     audit_matrix_ordered,
     audit_star_admissible,
+    check_order_unit_archimedean,
     compress,
     estimate_main_constants,
     replay_witness,
@@ -49,7 +50,6 @@ from .involution import (
 )
 from .order_norms import (
     NormReport,
-    check_order_unit_archimedean,
     null_space,
     order_unit_seminorm,
     pre_cstar_norm,

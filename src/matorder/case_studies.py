@@ -110,9 +110,9 @@ def jsym_norm_identity(images: np.ndarray, algebra: OperatorAlgebra,
     for n in levels:
         for _ in range(samples):
             a = random_element(algebra, rng, level=n)
-            ya = block_synth(block_coords(algebra, a), images)
-            yb = block_synth(block_coords(algebra, la.dagger(a)), images)
-            dev = abs(la.opnorm(ya) - la.opnorm(yb)) / (1.0 + la.opnorm(ya))
+            na, nb = (la.opnorm(block_synth(block_coords(algebra, y), images))
+                      for y in (a, la.dagger(a)))
+            dev = abs(na - nb) / (1.0 + na)
             if dev > worst:
                 worst, witness = dev, a
     return NormIdentityReport(float(worst), witness, tuple(levels), samples)
@@ -405,11 +405,11 @@ def c1_inequality_check(samples: int = 500, seed: int = 0,
     return InequalityReport(samples, violations, float(worst))
 
 
-def c1_condition1_decay(k: int, epsilon: float = 1.0,
-                        grid: np.ndarray | None = None) -> float:
-    """Ratio ||c + d|| / ||c|| for c = eps (1 - cos(2 pi k x)) and
-    d = 2 eps - c, both nonnegative; decays like 1/k because the derivative
-    of c is large while c + d is constant."""
+def c1_condition1_decay(k: int, grid: np.ndarray | None = None) -> float:
+    """Ratio ||c + d|| / ||c|| for c = 1 - cos(2 pi k x) and d = 2 - c, both
+    nonnegative; decays like 1/k because the derivative of c is large while
+    c + d is constant.  Scaling c and d by any eps != 0 leaves the ratio
+    unchanged (c1_norm is homogeneous)."""
     if k < 1:
         raise DimensionMismatch(f"frequency must be >= 1, got {k}")
     if grid is None:
@@ -420,7 +420,6 @@ def c1_condition1_decay(k: int, epsilon: float = 1.0,
             f"grid with {grid.size} points cannot resolve frequency {k}"
         )
     phase = 2.0 * np.pi * k * grid
-    c = C1Sample(grid, epsilon * (1.0 - np.cos(phase)),
-                 epsilon * 2.0 * np.pi * k * np.sin(phase))
-    d = C1Sample(grid, 2.0 * epsilon - c.f_values, -c.f_derivs)
+    c = C1Sample(grid, 1.0 - np.cos(phase), 2.0 * np.pi * k * np.sin(phase))
+    d = C1Sample(grid, 2.0 - c.f_values, -c.f_derivs)
     return c1_norm(c + d) / c1_norm(c)

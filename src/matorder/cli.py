@@ -85,7 +85,7 @@ def _load_cone(path: str, config: RunConfig):
     if isinstance(obj, dict) and "tol_psd" not in obj:
         obj = dict(obj)
         obj["tol_psd"] = config.tol_psd
-    return cone_from_obj(obj, base_dir=os.path.dirname(path) or ".")
+    return cone_from_obj(obj, base_dir=os.path.dirname(path) or ".", tol=config.structure_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +177,7 @@ def _cmd_involution(args, config: RunConfig):
 def _cmd_similarity(args, config: RunConfig):
     cone = _load_cone(args.cone, config)
     if args.algebra:
-        algebra = algebra_from_obj(load_json(args.algebra))
+        algebra = algebra_from_obj(load_json(args.algebra), tol=config.structure_tol)
     else:
         algebra = cone.algebra
     res = similarity.reconstruct_similarity(
@@ -193,7 +193,7 @@ def _cmd_similarity(args, config: RunConfig):
 
 
 def _cmd_cb_norm(args, config: RunConfig):
-    algebra = algebra_from_obj(load_json(args.algebra))
+    algebra = algebra_from_obj(load_json(args.algebra), tol=config.structure_tol)
     obj = load_json(args.images)
     if not isinstance(obj, list) or len(obj) != algebra.dim:
         raise SchemaError("", f"images file must list {algebra.dim} matrices")
@@ -204,7 +204,7 @@ def _cmd_cb_norm(args, config: RunConfig):
 
 
 def _cmd_kadison_demo(args, config: RunConfig):
-    algebra = algebra_from_obj(load_json(args.algebra))
+    algebra = algebra_from_obj(load_json(args.algebra), tol=config.structure_tol)
     s = matrix_from_obj(load_json(args.similarity))
     report = case_studies.kadison_pipeline(
         algebra, s, levels=config.levels, samples=config.samples,
@@ -232,7 +232,7 @@ def _cmd_c1_example(args, config: RunConfig):
                                             seed=config.seed,
                                             grid_size=args.grid_size)
     decay = {str(k): case_studies.c1_condition1_decay(
-        k, 1.0, np.linspace(0.0, 1.0, max(args.grid_size, 4 * k))) for k in args.frequencies}
+        k, np.linspace(0.0, 1.0, max(args.grid_size, 4 * k))) for k in args.frequencies}
     golden = case_studies.c1_norm(case_studies.C1Sample(
         np.array([1.0]), np.array([1.0 + 0j]), np.array([1.0 + 0j])))
     cone = case_studies.FunctionPullbackCone(grid, config.tol_psd)
@@ -280,7 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cert-tol", type=float, default=1e-7)
         p.add_argument("--structure-tol", type=float, default=1e-9)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", choices=["json"], default="json")
 
     p = sub.add_parser("close-algebra", help="unital closure of generators")
     p.add_argument("--generators", required=True)

@@ -11,7 +11,9 @@ asks `member`.  Audits report verdicts with replayable witnesses instead of
 raising: `_first_escape` decides each run of same-level candidates in one
 call and fails on the first escape; `_shift_bisection` makes one call per
 sign for the shifts, the Archimedean probes and `order_norms`.
-Matrix-ordered (c) and star-admissible 3ii share one scalar-conjugation
+The order-unit and Archimedean axioms have one check each, which the
+algebraically-admissible audit runs and `check_order_unit_archimedean` runs
+alone.  Matrix-ordered (c) and star-admissible 3ii share one scalar-conjugation
 generator, conjugation stability is the algebra-conjugation generator at one
 level, and each check draws from its own child stream of the seed.  One PSD
 rule, `_psd_test`, decides a matrix or a stack, and `min_shift` is one
@@ -598,36 +600,24 @@ def _algebra_conjugations(cone: ConeOracle, levels: tuple, trials: int,
                               f"A^sharp C_{n} A escaped C_{m}")
 
 
-def audit_algebraically_admissible(cone: ConeOracle, n: int = 1,
-                                   samples: int = 40, seed: int = 0) -> ConeAuditReport:
-    """Audit of the single-level cone axioms with order-unit checks.
-
-    Checks conic combinations, exact pointedness, conjugation stability
-    x c x^sharp, existence of order-unit shifts, and an Archimedean
-    surrogate (boundary elements remain members in the r -> 0 limit).
-    """
-    dim = cone.level_dim(n)  # LevelUnsupported for a cone without matrix levels
-    if not cone.straight_algebra.star_closed:
-        raise SourceNotStarClosed(
-            "classical cone audit needs a star-closed (straightened) algebra")
-    combo_rng, conj_rng, unit_rng, arch_rng = _streams(seed, 4)
+def _order_unit_checks(cone: ConeOracle, n: int, trials: int,
+                       unit_rng: np.random.Generator, arch_rng: np.random.Generator) -> list:
+    """The "order-unit" and "archimedean" checks at level n, `trials` candidates
+    each.  A span sample a fails the first when no shift r e + a, or then
+    r e - a, enters C (the failed search tested r = 0: a, or -a, is outside C).
+    The boundary c - mu e of a cone sample c fails the second when r e + c - mu e
+    is in C for every r down to 1e-8 but c - mu e is not, within tol_psd."""
     e = cone.unit(n)
-    trials = max(4, samples // 4)
-
-    def combinations():
-        for _ in range(samples):
-            c1, c2 = cone.sample(n, combo_rng), cone.sample(n, combo_rng)
-            lam, beta = combo_rng.uniform(0.0, 2.0, size=2)
-            yield Witness("conic-combination", n, (c1, c2), lam * c1 + beta * c2,
-                          f"coefficients ({lam:.3f}, {beta:.3f})")
+    shift_tol = 1e-9 * float(np.sqrt(cone.level_dim(n)))
 
     def unshiftable():
-        shift_tol = 1e-9 * float(np.sqrt(dim))
         for _ in range(trials):
             a = cone.sample_span(n, unit_rng)
-            # A failed search has tested r = 0: a itself lies outside C.
-            if _inf_shift(cone, n, a, 1.0, shift_tol) is None:
-                yield Witness("order-unit", n, (), a, "no shift r e + a entered the cone")
+            for c, sign in ((a, "+"), (-a, "-")):
+                if _inf_shift(cone, n, c, 1.0, shift_tol) is None:
+                    yield Witness("order-unit", n, (), c,
+                                  f"no shift r e {sign} a entered the cone")
+                    break
 
     def boundaries():
         width = _BOUNDARY_WIDTH_FACTOR * cone.tol_psd
@@ -643,6 +633,42 @@ def audit_algebraically_admissible(cone: ConeOracle, n: int = 1,
                               boundary + cone.tol_psd * (1.0 + cone.norm(n, boundary)) * e,
                               "member at every r > 0 but not at r = 0")
 
+    return [
+        _verdict("order-unit", "exact or bisected shift r with r e + a in C",
+                 _first_escape(cone, unshiftable())),
+        _verdict("archimedean", "membership survives the r -> 0 limit at the boundary",
+                 _first_escape(cone, boundaries())),
+    ]
+
+
+def check_order_unit_archimedean(cone: ConeOracle, n: int = 1, samples: int = 20,
+                                 seed: int = 0) -> ConeAuditReport:
+    """The audit's order-unit and Archimedean checks alone, on two child streams of seed."""
+    return ConeAuditReport("order-unit-archimedean", (n,), samples, seed,
+                           _order_unit_checks(cone, n, samples, *_streams(seed, 2)))
+
+
+def audit_algebraically_admissible(cone: ConeOracle, n: int = 1,
+                                   samples: int = 40, seed: int = 0) -> ConeAuditReport:
+    """Audit of the single-level cone axioms with order-unit checks.
+
+    Checks conic combinations, exact pointedness, conjugation stability
+    x c x^sharp, existence of order-unit shifts, and an Archimedean
+    surrogate (boundary elements remain members in the r -> 0 limit).
+    """
+    cone.level_dim(n)  # LevelUnsupported for a cone without matrix levels
+    if not cone.straight_algebra.star_closed:
+        raise SourceNotStarClosed(
+            "classical cone audit needs a star-closed (straightened) algebra")
+    combo_rng, conj_rng, unit_rng, arch_rng = _streams(seed, 4)
+
+    def combinations():
+        for _ in range(samples):
+            c1, c2 = cone.sample(n, combo_rng), cone.sample(n, combo_rng)
+            lam, beta = combo_rng.uniform(0.0, 2.0, size=2)
+            yield Witness("conic-combination", n, (c1, c2), lam * c1 + beta * c2,
+                          f"coefficients ({lam:.3f}, {beta:.3f})")
+
     return ConeAuditReport("algebraically-admissible", (n,), samples, seed, [
         _unit_check(cone, n, "unit-membership", "e_n in C_n"),
         _verdict("cone-combinations", f"{samples} random conic combinations",
@@ -650,10 +676,7 @@ def audit_algebraically_admissible(cone: ConeOracle, n: int = 1,
         _lineality_check(cone, n),
         _verdict("conjugation-stability", "x c x^sharp stays in C",
                  _first_escape(cone, _algebra_conjugations(cone, (n,), samples, conj_rng))),
-        _verdict("order-unit", "exact or bisected shift r with r e + a in C",
-                 _first_escape(cone, unshiftable())),
-        _verdict("archimedean", "membership survives the r -> 0 limit at the boundary",
-                 _first_escape(cone, boundaries())),
+        *_order_unit_checks(cone, n, max(4, samples // 4), unit_rng, arch_rng),
     ])
 
 

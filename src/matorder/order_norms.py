@@ -5,6 +5,7 @@ exactly as max(min_shift(a), min_shift(-a), 0) with a bracket certified by
 `member_many`, one call per sign; opaque cones and uncertified values fall
 back to bisection.  The pre-C*-norm is the square root of the seminorm of
 x^sharp x, cross-checked against the search for inf{r : r^2 e +- x^sharp x in C}.
+The order-unit and Archimedean checks are `cones.check_order_unit_archimedean`.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ import numpy as np
 
 from . import _linalg as la
 from .algebra import as_matrix, block_synth
-from .cones import (ConeAuditReport, ConeOracle, Witness, _first_escape, _shift_bisection,
-                    _streams, _verdict)
-from .errors import CertificationFailed, NotSelfAdjoint, UnboundedAbove
+from .cones import ConeOracle, _shift_bisection
+from .errors import CertificationFailed, NotSelfAdjoint
 
 DEFAULT_BISECT_TOL = 1e-10
 # null_space keeps the algebra basis directions whose pre-C*-norm is at most this.
@@ -42,6 +42,11 @@ def _sharp_fn(cone: ConeOracle, involution, n: int):
     if involution is None:
         return lambda x: cone.sharp(n, x)
     return involution
+
+
+def _check_self_adjoint(sharp, a: np.ndarray) -> None:
+    if la.frob(sharp(a) - a) > 1e-8 * (1.0 + la.frob(a)):
+        raise NotSelfAdjoint("order-unit seminorm needs a sharp-self-adjoint element")
 
 
 def _norm_search(cone: ConeOracle, n: int, z: np.ndarray, bisect_tol: float,
@@ -81,8 +86,7 @@ def _norm_search(cone: ConeOracle, n: int, z: np.ndarray, bisect_tol: float,
 
 
 def order_unit_seminorm(cone: ConeOracle, n: int, a, involution=None,
-                        bisect_tol: float = DEFAULT_BISECT_TOL,
-                        _sqrt_refine: bool = False, _shifts: tuple | None = None) -> NormReport:
+                        bisect_tol: float = DEFAULT_BISECT_TOL) -> NormReport:
     """inf{r > 0 : r e_n + a in C_n and r e_n - a in C_n}.
 
     Requires a to be sharp-self-adjoint at level n.  The value is the exact
@@ -90,10 +94,8 @@ def order_unit_seminorm(cone: ConeOracle, n: int, a, involution=None,
     bisection fallback's midpoint (see `_norm_search`).
     """
     a = as_matrix(a)
-    sharp = _sharp_fn(cone, involution, n)
-    if la.frob(sharp(a) - a) > 1e-8 * (1.0 + la.frob(a)):
-        raise NotSelfAdjoint("order-unit seminorm needs a sharp-self-adjoint element")
-    return _norm_search(cone, n, a, bisect_tol, sqrt_refine=_sqrt_refine, shifts=_shifts)
+    _check_self_adjoint(_sharp_fn(cone, involution, n), a)
+    return _norm_search(cone, n, a, bisect_tol)
 
 
 def pre_cstar_norm(cone: ConeOracle, involution, n: int, x,
@@ -104,12 +106,11 @@ def pre_cstar_norm(cone: ConeOracle, involution, n: int, x,
     x = as_matrix(x)
     sharp = _sharp_fn(cone, involution, n)
     z = sharp(x) @ x
+    _check_self_adjoint(sharp, z)
     # Both paths start from the same pair of exact shifts.
     shifts = (cone.min_shift(n, z), cone.min_shift(n, -z))
 
-    via_sqrt = order_unit_seminorm(cone, n, z, involution=involution,
-                                   bisect_tol=bisect_tol, _sqrt_refine=True,
-                                   _shifts=shifts)
+    via_sqrt = _norm_search(cone, n, z, bisect_tol, sqrt_refine=True, shifts=shifts)
     value_sqrt = float(np.sqrt(via_sqrt.value))
     direct = _norm_search(cone, n, z, bisect_tol, squared=True, shifts=shifts)
     value_direct = direct.value
@@ -153,46 +154,3 @@ def null_space(cone: ConeOracle, involution, n: int,
     if not small:
         return np.zeros((0, dim, dim), dtype=complex)
     return np.stack(small)
-
-
-def check_order_unit_archimedean(cone: ConeOracle, n: int = 1, samples: int = 20,
-                                 seed: int = 0) -> ConeAuditReport:
-    """Order-unit and Archimedean verdicts for random sharp-self-adjoint
-    elements: r e + a enters the cone at r = seminorm(a) + tol, and
-    membership at shifts r down to 1e-8 implies membership at the
-    boundary within tol_psd.  Both checks run through `cones._first_escape`,
-    each on its own child stream of `seed`."""
-    unit_rng, arch_rng = _streams(seed, 2)
-    e = cone.unit(n)
-
-    def shifted():
-        for _ in range(samples):
-            a = cone.sample_span(n, unit_rng)
-            try:
-                rep = order_unit_seminorm(cone, n, a)
-            except UnboundedAbove:
-                # The failed search tested r = 0: a or -a lies outside C.
-                yield Witness("order-unit", n, (), a, "seminorm unbounded: no bracket found")
-                yield Witness("order-unit", n, (), -a, "seminorm unbounded: no bracket found")
-                continue
-            yield Witness("order-unit", n, (), (rep.value + 1e-8 * (1.0 + rep.value)) * e + a,
-                          "r e + a outside C at r = seminorm + tol")
-
-    def boundaries():
-        for _ in range(samples):
-            a = cone.sample_span(n, arch_rng)
-            try:
-                boundary = order_unit_seminorm(cone, n, a).value * e + a
-            except UnboundedAbove:
-                continue
-            scale = 1.0 + cone.norm(n, boundary)
-            if all(_shift_bisection(cone, n, (boundary,), scale).many((1e-2, 1e-4, 1e-6, 1e-8))):
-                yield Witness("archimedean", n, (), boundary + cone.tol_psd * scale * e,
-                              "shift memberships do not survive the r -> 0 limit")
-
-    return ConeAuditReport("order-unit-archimedean", (n,), samples, seed, [
-        _verdict("order-unit", "r e + a in C at r = seminorm(a) + tol",
-                 _first_escape(cone, shifted())),
-        _verdict("archimedean", "membership closed along r -> 0 at the boundary",
-                 _first_escape(cone, boundaries())),
-    ])

@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from .algebra import OperatorAlgebra
+from .algebra import DEFAULT_STRUCTURE_TOL, OperatorAlgebra
 from .cones import (
     AxiomCheck,
     ConeAuditReport,
@@ -120,7 +120,8 @@ def algebra_to_obj(algebra: OperatorAlgebra) -> dict:
     }
 
 
-def algebra_from_obj(obj, pointer: str = "") -> OperatorAlgebra:
+def algebra_from_obj(obj, pointer: str = "",
+                     tol: float = DEFAULT_STRUCTURE_TOL) -> OperatorAlgebra:
     _expect(isinstance(obj, dict), pointer, "expected an algebra object")
     n = _number(obj.get("ambient_dim"), pointer + "/ambient_dim")
     _expect(isinstance(n, int), pointer + "/ambient_dim", "must be an integer")
@@ -135,7 +136,7 @@ def algebra_from_obj(obj, pointer: str = "") -> OperatorAlgebra:
         basis.append(mat)
     _expect(isinstance(obj.get("star_closed"), bool), pointer + "/star_closed",
             "must be a boolean")
-    algebra = OperatorAlgebra.from_basis(np.stack(basis), star_closed=obj["star_closed"])
+    algebra = OperatorAlgebra.from_basis(np.stack(basis), tol, star_closed=obj["star_closed"])
     algebra.validate()
     return algebra
 
@@ -155,7 +156,8 @@ def cone_to_obj(cone: ConeOracle) -> dict:
     return out
 
 
-def cone_from_obj(obj, base_dir: str = ".", pointer: str = "") -> ConeOracle:
+def cone_from_obj(obj, base_dir: str = ".", pointer: str = "",
+                  tol: float = DEFAULT_STRUCTURE_TOL) -> ConeOracle:
     from .case_studies import FunctionPullbackCone
 
     _expect(isinstance(obj, dict), pointer, "expected a cone object")
@@ -175,7 +177,7 @@ def cone_from_obj(obj, base_dir: str = ".", pointer: str = "") -> ConeOracle:
     alg_obj = obj.get("algebra")
     if isinstance(alg_obj, str):
         alg_obj = load_json(os.path.join(base_dir, alg_obj))
-    algebra = algebra_from_obj(alg_obj, pointer + "/algebra")
+    algebra = algebra_from_obj(alg_obj, pointer + "/algebra", tol)
     if variant == "standard":
         return StandardCone(algebra, float(tol_psd))
     s = matrix_from_obj(obj.get("S"), pointer + "/S")

@@ -223,7 +223,7 @@ def _certificate_from(q: np.ndarray, gap: float | None = None) -> SimilarityCert
     )
 
 
-def minimize_condition(space: np.ndarray, seed: int = 0) -> SimilarityCertificate:
+def minimize_condition(space: np.ndarray) -> SimilarityCertificate:
     """Certificate with the condition number minimized over the positive
     definite elements of the solution space.
 
@@ -233,8 +233,7 @@ def minimize_condition(space: np.ndarray, seed: int = 0) -> SimilarityCertificat
     (2 c / s, 4 / s), until the duality gap is at most 1e-10 (1 + t); beyond
     t ~ 1e5 the target rises to the rounding floor 20 N eps t (1 + t).  The
     gap is recorded on the certificate and certifies the optimum: the
-    minimal condition number lies in [cond - gap, cond].  The solve is
-    deterministic; seed is accepted for call compatibility and ignored.
+    minimal condition number lies in [cond - gap, cond].
     """
     space = _hermitian_space(space)
     c, s = _phase_one(space)
@@ -420,7 +419,7 @@ def reconstruct_similarity(algebra: OperatorAlgebra, cone: ConeOracle,
     """
     involution = recover_involution(cone, 1, seed=seed)
     space = solve_Q(algebra, involution)
-    cert = minimize_condition(space, seed=seed)
+    cert = minimize_condition(space)
     star = build_star_rep(algebra, cone, cert.q, involution=involution,
                           cert_tol=cert_tol, levels=levels, seed=seed)
     star = replace(star, certificate=replace(star.certificate, gap=cert.gap))

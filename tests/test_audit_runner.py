@@ -13,10 +13,11 @@ from matorder.cones import (
     SimilarityCone,
     StandardCone,
     _scalar_conjugations,
+    audit_algebraically_admissible,
     audit_star_admissible,
+    check_order_unit_archimedean,
     replay_witness,
 )
-from matorder.order_norms import check_order_unit_archimedean
 
 
 class _RejectsFirstCandidate(StandardCone):
@@ -86,6 +87,17 @@ def test_unbounded_seminorm_witness_replays(m2_full):
     check = {c.axiom: c for c in report.checks}["order-unit"]
     assert check.verdict == "fail"
     # The sample itself is a cone member; its negative is the escape.
+    assert cone.member(1, -check.witness.outside)
+    assert replay_witness(cone, check.witness)
+
+
+def test_audit_fails_order_unit_with_the_negated_span_sample(m2_full):
+    cone = _SpanSampledFromCone(m2_full)
+    report = audit_algebraically_admissible(cone, 1, samples=16, seed=0)
+    check = {c.axiom: c for c in report.checks}["order-unit"]
+    assert check.verdict == "fail"
+    # a is a cone sample, so r e + a enters C at r = 0; r e - a never does.
+    assert check.witness.note == "no shift r e - a entered the cone"
     assert cone.member(1, -check.witness.outside)
     assert replay_witness(cone, check.witness)
 

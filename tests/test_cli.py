@@ -109,6 +109,22 @@ def test_check_cones_cmd(workdir, capsys):
         "algebraically-admissible", "matrix-ordered", "star-admissible"}
 
 
+def test_check_cones_validates_the_algebra_at_structure_tol(workdir, capsys):
+    obj = algebra_to_obj(generate_algebra([E12], include_adjoints=True))
+    for b in obj["basis"]:
+        b["entries"] = [[[round(v, 6) for v in z] for z in row] for row in b["entries"]]
+    (workdir / "m2_rounded.json").write_text(canonical_json(
+        {"variant": "standard", "algebra": obj, "tol_psd": 1e-9}))
+    args = ["check-cones", "--cone", str(workdir / "m2_rounded.json"), "--samples", "10"]
+    code, rep = _run(workdir, args, capsys)
+    assert code == 3
+    assert rep["error"]["type"] == "MembershipError"
+    code, rep = _run(workdir, args + ["--structure-tol", "1e-4"], capsys)
+    assert code == 0
+    assert rep["config"]["structure_tol"] == 1e-4
+    assert rep["result"]["passed"] is True
+
+
 def test_similarity_cmd(workdir, capsys):
     code, rep = _run(workdir, ["similarity", "--cone",
                                str(workdir / "sim_cone.json")], capsys)

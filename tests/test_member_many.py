@@ -20,9 +20,10 @@ from matorder.cones import (
     _inf_shift,
     _scalar_conjugations,
     _sup_shift_down,
+    check_order_unit_archimedean,
 )
 from matorder.errors import DimensionMismatch, MembershipError
-from matorder.order_norms import check_order_unit_archimedean, order_unit_seminorm, pre_cstar_norm
+from matorder.order_norms import order_unit_seminorm, pre_cstar_norm
 from test_shifts import _opaque
 
 

@@ -4,9 +4,9 @@ import pytest
 from conftest import E12, WORKED_B
 from doubles import AllHermitianCone, ZeroCone
 from matorder.algebra import random_element
+from matorder.cones import check_order_unit_archimedean
 from matorder.errors import NotSelfAdjoint, UnboundedAbove
 from matorder.order_norms import (
-    check_order_unit_archimedean,
     null_space,
     order_unit_seminorm,
     pre_cstar_norm,

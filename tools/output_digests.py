@@ -1,11 +1,12 @@
 """Print a digest of every benchmark task's output, to compare two commits.
 
     python tools/output_digests.py [--root DIR] [--against DIR] [--seconds T]
-        [--order-norms 51,52,...] [--cli-session 5,71,...]
+        [--order-norms 51,52,...] [--cli-session 5,71,...] [--similarity-recovery 11,...]
 
-Builds the `order-norms` and `cli-session` tasks for each seed through
-`perfbench/workloads.build` (the same inputs the benchmark runs), runs them
-in this interpreter with one BLAS thread, and prints one line per task:
+Builds the `order-norms`, `cli-session` and `similarity-recovery` tasks for
+each seed through `perfbench/workloads.build` (the same inputs the benchmark
+runs), runs them in this interpreter with one BLAS thread, and prints one
+line per task:
 
     <workload> <seed> <task_id> <sha256 of repr(output)>
 
@@ -49,6 +50,7 @@ def main(argv=None) -> int:
                    help="run length the task lists are sized for (as perfbench/run.py)")
     p.add_argument("--order-norms", type=_seeds, default=[51, 52, 53, 54, 55])
     p.add_argument("--cli-session", type=_seeds, default=[5, 71, 72, 73])
+    p.add_argument("--similarity-recovery", type=_seeds, default=[11])
     args = p.parse_args(argv)
 
     root = os.path.abspath(args.root)
@@ -58,7 +60,8 @@ def main(argv=None) -> int:
     import workloads  # noqa: E402 - resolved from --root
 
     for workload, seeds in (("order-norms", args.order_norms),
-                            ("cli-session", args.cli_session)):
+                            ("cli-session", args.cli_session),
+                            ("similarity-recovery", args.similarity_recovery)):
         for seed in seeds:
             with tempfile.TemporaryDirectory() as workdir:
                 rounds = workloads.build(workload, seed, args.seconds, workdir)
@@ -74,7 +77,8 @@ def _compare(before: str, after: str, args) -> int:
     """Digest two checkouts in child interpreters; print their differing lines."""
     same = ["--seconds", repr(args.seconds),
             "--order-norms", ",".join(map(str, args.order_norms)),
-            "--cli-session", ",".join(map(str, args.cli_session))]
+            "--cli-session", ",".join(map(str, args.cli_session)),
+            "--similarity-recovery", ",".join(map(str, args.similarity_recovery))]
     runs = [subprocess.run([sys.executable, os.path.abspath(__file__), "--root", root, *same],
                            stdout=subprocess.PIPE, text=True) for root in (before, after)]
     for root, run in zip((before, after), runs):
