@@ -17,7 +17,8 @@ RANK_RTOL = 1e-10
 
 
 def dagger(x: np.ndarray) -> np.ndarray:
-    return x.conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return x.conj().swapaxes(-1, -2)
 
 
 def frob(x: np.ndarray) -> float:

@@ -33,7 +33,7 @@ from .errors import (
     MatOrderError,
     SourceNotStarClosed,
 )
-from .similarity import ReconstructionResult, reconstruct_similarity
+from .similarity import DEFAULT_CERT_TOL, ReconstructionResult, reconstruct_similarity
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +157,8 @@ class KadisonReport:
 
 def kadison_pipeline(algebra: OperatorAlgebra, s: np.ndarray, levels=(1, 2),
                      samples: int = 30, seed: int = 0,
-                     cb_level: int | None = 2) -> KadisonReport:
+                     cb_level: int | None = 2,
+                     cert_tol: float = DEFAULT_CERT_TOL) -> KadisonReport:
     """Run the similarity case study for pi = S^-1 (.) S on a star-closed
     algebra.
 
@@ -165,7 +166,7 @@ def kadison_pipeline(algebra: OperatorAlgebra, s: np.ndarray, levels=(1, 2),
     five cone conditions (the spectral-radius bound makes the order-shift
     constant 1, asserted numerically), recovers the involution, reconstructs
     the star representation, and verifies that the composition of the
-    reconstruction with rho is adjoint-preserving.
+    reconstruction with rho is adjoint-preserving (residual_star <= cert_tol).
     """
     s = np.asarray(s, dtype=complex)
     s_inv = np.linalg.inv(s)
@@ -184,7 +185,7 @@ def kadison_pipeline(algebra: OperatorAlgebra, s: np.ndarray, levels=(1, 2),
                                        samples=max(10, samples // 2), seed=seed)
 
     recon = reconstruct_similarity(b_alg, cone, seed=seed, cb_level=cb_level,
-                                   levels=levels)
+                                   cert_tol=cert_tol, levels=levels)
 
     # rho followed by the reconstruction must be adjoint-preserving.
     cert = recon.certificate

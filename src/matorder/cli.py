@@ -182,7 +182,7 @@ def _cmd_similarity(args, config: RunConfig):
         algebra = cone.algebra
     res = similarity.reconstruct_similarity(
         algebra, cone, seed=config.seed, cert_tol=config.cert_tol,
-        levels=config.levels)
+        levels=config.levels, samples=config.samples)
     return EXIT_OK, {
         "q_space_dim": res.q_space_dim,
         "certificate": _certificate_obj(res.certificate),
@@ -208,7 +208,7 @@ def _cmd_kadison_demo(args, config: RunConfig):
     s = matrix_from_obj(load_json(args.similarity))
     report = case_studies.kadison_pipeline(
         algebra, s, levels=config.levels, samples=config.samples,
-        seed=config.seed)
+        seed=config.seed, cert_tol=config.cert_tol)
     result = {
         "j_symmetry_residual": report.rep.symmetry_residual,
         "norm_identity_deviation": report.norm_identity.max_deviation,

@@ -18,10 +18,14 @@ generator, conjugation stability is the algebra-conjugation generator at one
 level, and each check draws from its own child stream of the seed.  One PSD
 rule, `_psd_test`, decides a matrix or a stack, and `min_shift` is one
 Hermitian eigensolve too, with no SVD: the slack tol_psd (1 + ||h||_2) comes
-from the spectrum of h = (x + x*)/2.  Level-n spans, 2i/2iii ranks and
-lineality kernels come from level 1 by Kronecker identities (Van Loan,
-J. Comput. Appl. Math. 123, 2000): V_n = (M_n)_h (x) V_1, with no basis of
-M_n(A) and no level-n SVD.
+from the spectrum of h = (x + x*)/2.  The audits work in stacks: `sample_many`
+(one Gaussian draw, GEMM and unstraighten, the stream of k single draws),
+`norm_many` (one values-only SVD), `min_shift` on a stack, and `_inf_shifts`
+(one `member_many` certifies a stack's exact shifts; the rest are bisected).
+Every check but the algebra conjugations keeps its draw order.  Level-n spans,
+2i/2iii ranks and lineality kernels come from level 1 by Kronecker identities
+(Van Loan, J. Comput. Appl. Math. 123, 2000): V_n = (M_n)_h (x) V_1, with no
+basis of M_n(A) and no level-n SVD.
 """
 
 from __future__ import annotations
@@ -36,10 +40,10 @@ from .algebra import (
     OperatorAlgebra,
     _freeze,
     as_matrix,
+    block_synth,
     conjugate_algebra,
     hermitian_part_basis,
     level_residual,
-    random_element,
 )
 from .errors import (
     DimensionMismatch,
@@ -209,6 +213,14 @@ class ConeOracle:
         """Ambient norm of a level-n element (operator norm)."""
         return la.opnorm(as_matrix(x))
 
+    def norm_many(self, n: int, xs) -> list:
+        """`norm` of each level-n element of xs; same-shape matrices under this
+        `norm` take one stacked values-only SVD, with `la.opnorm`'s bits."""
+        if (len({np.shape(x) for x in xs}) != 1
+                or getattr(self.norm, "__func__", None) is not ConeOracle.norm):
+            return [self.norm(n, x) for x in xs]
+        return np.linalg.svd(as_matrix(xs), compute_uv=False)[:, 0].tolist()
+
     def mul(self, n: int, x, y):
         return as_matrix(x) @ as_matrix(y)
 
@@ -221,13 +233,13 @@ class ConeOracle:
         """`member` of each level-n element of the sequence xs, in order."""
         return [self.member(n, x) for x in xs]
 
-    def min_shift(self, n: int, c) -> float | None:
-        """inf{r real : r e_n + c in C_n} in closed form; None when the cone
-        is opaque and shifts must be found by bisection on `member`."""
+    def min_shift(self, n: int, c):
+        """inf{r real : r e_n + c in C_n} in closed form (per matrix of a stack);
+        None when the cone is opaque and shifts must be found by bisection."""
         return None
 
     def straighten(self, n: int, x) -> np.ndarray:
-        """Map a level-n element into the frame where the cone is PSD.
+        """Map a level-n element (or stack) into the frame where the cone is PSD.
         Contract: it acts block by block as I_n (x) T, T its level-1 map."""
         raise NotImplementedError
 
@@ -267,6 +279,14 @@ class ConeOracle:
     def sample_span(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Random element of span_R(C_n - C_n)."""
         raise NotImplementedError
+
+    def sample_many(self, n: int, k: int, rng: np.random.Generator):
+        """k `sample` draws in draw order (a (k, nN, nN) stack when stacked)."""
+        return [self.sample(n, rng) for _ in range(k)]
+
+    def sample_span_many(self, n: int, k: int, rng: np.random.Generator):
+        """k `sample_span` draws in draw order (a stack when stacked)."""
+        return [self.sample_span(n, rng) for _ in range(k)]
 
     def span_basis(self, n: int) -> np.ndarray | None:
         """Exact real-orthonormal basis of span_R(C_n - C_n), if known; by
@@ -329,6 +349,11 @@ class SimilarityCone(ConeOracle):
         # Straightened algebra A = S B S^-1; star-closed for honest inputs.
         self.straight_algebra = conjugate_algebra(algebra, s)
 
+    def _own(self, *names) -> bool:
+        """No method of `names` is overridden (subclass or instance): stack them."""
+        return all(getattr(getattr(self, name), "__func__", None) is getattr(SimilarityCone, name)
+                   for name in names)
+
     def straighten(self, n: int, x) -> np.ndarray:
         x = as_matrix(x)
         return x if self.s is None else _blockwise(self.s, x, self.s_inv)
@@ -345,14 +370,9 @@ class SimilarityCone(ConeOracle):
         straighten and one `_psd_test`, the same LAPACK call on each matrix as
         `member` makes, so its verdicts.  Mixed shapes, or an overridden `member`
         or `straighten` (subclass or instance), go element by element."""
-        if (len({np.shape(x) for x in xs}) != 1
-                or getattr(self.member, "__func__", None) is not SimilarityCone.member
-                or getattr(self.straighten, "__func__", None) is not SimilarityCone.straighten):
+        if len({np.shape(x) for x in xs}) != 1 or not self._own("member", "straighten"):
             return super().member_many(n, xs)
-        stack = self.level_element(n, np.stack(xs))
-        # One tall matrix of N x N blocks: straighten acts block by block.
-        y = self.straighten(n, stack.reshape(-1, stack.shape[-1])).reshape(stack.shape)
-        return self._psd_test(y).tolist()
+        return self._psd_test(self.straighten(n, self.level_element(n, np.stack(xs)))).tolist()
 
     def _psd_test(self, y: np.ndarray):
         """The one PSD rule, on a matrix (a bool) or a (k, d, d) stack (k bools):
@@ -366,30 +386,48 @@ class SimilarityCone(ConeOracle):
         slack = self.tol_psd * (1.0 + np.maximum(-ev[..., 0], ev[..., -1]))
         return (np.abs(y - y_star).max(axis=(-2, -1)) <= slack) & (ev[..., 0] >= -slack)
 
-    def min_shift(self, n: int, c) -> float:
+    def min_shift(self, n: int, c):
         """From one Hermitian eigensolve, no SVD: the r at which r I + straighten(c)
-        meets the `_psd_test` slack, lambda_min = -tol_psd (1 + lambda_max)."""
+        meets the `_psd_test` slack, lambda_min = -tol_psd (1 + lambda_max).  A
+        stack takes one M_n(A) check, one straighten and one stacked eigensolve."""
         y = self.straighten(n, self.level_element(n, c))
         ev = np.linalg.eigvalsh(0.5 * (y + la.dagger(y)))
-        return float((-ev[0] - self.tol_psd * (1.0 + ev[-1])) / (1.0 + self.tol_psd))
+        r = (-ev[..., 0] - self.tol_psd * (1.0 + ev[..., -1])) / (1.0 + self.tol_psd)
+        return r if r.ndim else float(r)
 
     def sharp(self, n: int, x) -> np.ndarray:
         return self.sharp_block(n, n, x)
 
     def sharp_block(self, n: int, m: int, a: np.ndarray) -> np.ndarray:
         # (a_ij)^sharp transposed at block level: the ambient adjoint in the
-        # identity frame, else written as one conjugation.
+        # identity frame, else written as one conjugation; per matrix of a stack.
         if self.s is None:
             return la.dagger(as_matrix(a))
         return self.unstraighten(m, la.dagger(self.straighten(n, a)))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        g = random_element(self.straight_algebra, rng, level=n)
-        return self.unstraighten(n, la.dagger(g) @ g)
+        return self._draw(n, 1, rng, span=False)[0]
 
     def sample_span(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        g = random_element(self.straight_algebra, rng, level=n)
-        return self.unstraighten(n, 0.5 * (g + la.dagger(g)))
+        return self._draw(n, 1, rng, span=True)[0]
+
+    def sample_many(self, n: int, k: int, rng: np.random.Generator):
+        """One stacked draw; an overridden `sample` or `unstraighten` draws one by one."""
+        if not self._own("sample", "unstraighten"):
+            return super().sample_many(n, k, rng)
+        return self._draw(n, k, rng, span=False)
+
+    def sample_span_many(self, n: int, k: int, rng: np.random.Generator):
+        if not self._own("sample_span", "unstraighten"):
+            return super().sample_span_many(n, k, rng)
+        return self._draw(n, k, rng, span=True)
+
+    def _draw(self, n: int, k: int, rng: np.random.Generator, span: bool) -> np.ndarray:
+        """k `random_element` draws g (their stream, one GEMM), then g* g or, for
+        span, (g + g*)/2, carried back by one blockwise unstraighten."""
+        alg = self.straight_algebra
+        g = block_synth(_random_complex_many(rng, k, (n, n, alg.dim)), alg.basis)
+        return self.unstraighten(n, 0.5 * (g + la.dagger(g)) if span else la.dagger(g) @ g)
 
     def span_basis(self, n: int) -> np.ndarray:
         """Level 1: the straightened algebra's Hermitian part carried back by S;
@@ -429,11 +467,24 @@ def _hermitian_kron(n: int, stack: np.ndarray) -> np.ndarray:
 
 
 def _blockwise(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """(I kron left) x (I kron right), applied to the N x N blocks of x."""
-    big_n = left.shape[0]
-    rows, cols = x.shape
-    y = (left @ x.reshape(rows // big_n, big_n, cols)).reshape(rows, cols)
-    return (y.reshape(-1, big_n) @ right).reshape(rows, cols)
+    """(I kron left) x (I kron right), applied to the N x N blocks of x, or of
+    each matrix of a stack (read as one tall matrix of blocks)."""
+    big_n, cols = left.shape[0], x.shape[-1]
+    y = (left @ x.reshape(-1, big_n, cols)).reshape(-1, cols)
+    return (y.reshape(-1, big_n) @ right).reshape(x.shape)
+
+
+def _random_complex_many(rng: np.random.Generator, k: int, shape) -> np.ndarray:
+    """k consecutive `la.random_complex(rng, shape)` draws as one (k, *shape)
+    array: the same stream, split into real and imaginary parts the same way."""
+    z = rng.standard_normal((k, 2, *shape))
+    return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
+
+
+def _stack(cone: "ConeOracle", n: int, xs) -> np.ndarray:
+    """A sequence of level-n elements as one (k, nN, nN) array, k = 0 too."""
+    dim = cone.level_dim(n)
+    return as_matrix(xs).reshape(-1, dim, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -453,20 +504,13 @@ class _Bisection:
         return self.many((r,))[0]
 
     def certify(self, r: float | None, width: float, floor: float = 0.0) -> tuple | None:
-        """Bracket of an exact boundary r >= floor, checked by the oracle:
-        (floor, floor) if r <= floor and pred(floor); else [lo, hi] of width
-        <= width/2, pred true at hi and at the midpoint r + width/8, false at
-        lo = max(r - width/8, floor).  None if r is None or pred disagrees.
-        One `many` call asks hi, mid and lo."""
+        """`_certified` bracket of an exact boundary r >= floor, its points
+        asked in one `many` call; None if r is None or pred disagrees."""
         if r is None:
             return None
-        if r <= floor:
-            return (floor, floor) if self(floor) else None
-        lo, mid = max(r - 0.125 * width, floor), r + 0.125 * width
-        hi = 2.0 * mid - lo
-        self.calls += 3
-        at_hi, at_mid, at_lo = self.many((hi, mid, lo))
-        return (lo, hi) if at_hi and at_mid and not at_lo else None
+        points = _certificate(r, width, floor)
+        self.calls += len(points)
+        return _certified(points, self.many(points))
 
     def search(self, exact: float | None, width: float, upper0, stop) -> tuple:
         """Bracket of inf{r >= 0 : pred(r)}: the certified exact value, else
@@ -500,6 +544,39 @@ class _Bisection:
         return lo, hi
 
 
+def _certificate(r: float, width: float, floor: float) -> tuple:
+    """The r the oracle decides to certify an exact boundary r >= floor: (floor,)
+    if r <= floor, else (hi, mid, lo), mid = r + width/8, lo = max(r - width/8, floor)."""
+    if r <= floor:
+        return (floor,)
+    lo, mid = max(r - 0.125 * width, floor), r + 0.125 * width
+    return (2.0 * mid - lo, mid, lo)
+
+
+def _certified(points: tuple, inside) -> tuple | None:
+    """The bracket certified by the answers at `points`: (floor, floor), or [lo, hi]
+    with pred true at hi and mid and false at lo; else None."""
+    if len(points) == 1:
+        return (points[0], points[0]) if inside[0] else None
+    (hi, _, lo), (at_hi, at_mid, at_lo) = points, inside
+    return (lo, hi) if at_hi and at_mid and not at_lo else None
+
+
+def _exact_brackets(cone: ConeOracle, n: int, cs, scales, widths, floor: float) -> list:
+    """Per c of cs, the `_Bisection.certify` bracket of min_shift(c) / scale for
+    r * scale * e_n + c (None: opaque or uncertified), from one stacked
+    `min_shift` and one `member_many` for every certificate point."""
+    exact = cone.min_shift(n, cs) if len(cs) else None
+    if exact is None:
+        return [None] * len(cs)
+    points = [_certificate(float(r) / scale, width, floor)
+              for r, scale, width in zip(exact, scales, widths)]
+    e = cone.unit(n)
+    inside = iter(cone.member_many(n, [r * scale * e + c for c, scale, rs in zip(cs, scales, points)
+                                       for r in rs]))
+    return [_certified(rs, [next(inside) for _ in rs]) for rs in points]
+
+
 def _shift_bisection(cone: ConeOracle, n: int, cs: tuple, scale: float = 1.0) -> _Bisection:
     """Search on r * scale * e_n + c in C_n for all c of cs (binding c first): one
     `member_many` per c, asking only the r (by position) inside for the c before."""
@@ -516,19 +593,27 @@ def _shift_bisection(cone: ConeOracle, n: int, cs: tuple, scale: float = 1.0) ->
     return _Bisection(many)
 
 
+def _inf_shifts(cone: ConeOracle, n: int, cs, scales, abs_tol: float) -> list:
+    """inf{r >= 0 : r * scale * e_n + c in C_n} to abs_tol per c of cs: the
+    `_exact_brackets`, else bisection one element at a time; None where it
+    finds no bracket."""
+    def shift(c, scale, found):
+        try:
+            lo, hi = found or _shift_bisection(cone, n, (c,), scale).search(
+                None, abs_tol, lambda: la.opnorm(cone.straighten(n, c)) / scale + 1.0,
+                lambda l, h: abs_tol)
+        except UnboundedAbove:
+            return None
+        return 0.5 * (lo + hi)
+
+    return [shift(*args) for args in zip(cs, scales, _exact_brackets(
+        cone, n, cs, scales, [abs_tol] * len(cs), 0.0))]
+
+
 def _inf_shift(cone: ConeOracle, n: int, c: np.ndarray, scale: float,
                abs_tol: float) -> float | None:
-    """inf{r >= 0 : r * scale * e_n + c in C_n} to abs_tol: the certified exact
-    shift, else bisection; None when bisection finds no bracket."""
-    bis = _shift_bisection(cone, n, (c,), scale)
-    exact = cone.min_shift(n, c)
-    try:
-        lo, hi = bis.search(None if exact is None else exact / scale, abs_tol,
-                            lambda: la.opnorm(cone.straighten(n, c)) / scale + 1.0,
-                            lambda l, h: abs_tol)
-    except UnboundedAbove:
-        return None
-    return 0.5 * (lo + hi)
+    """`_inf_shifts` of the one element c."""
+    return _inf_shifts(cone, n, [c], [scale], abs_tol)[0]
 
 
 def _sup_shift_down(cone: ConeOracle, n: int, c: np.ndarray, abs_tol: float) -> tuple:
@@ -568,35 +653,36 @@ def _scalar_conjugations(cone: ConeOracle, levels: tuple, trials: int,
                          rng: np.random.Generator):
     """Candidates B* c B in C_m for c in C_n and scalar n x m B, over every
     level pair: `trials` Gaussian B, plus the cyclic permutation (n = m > 1)
-    and the row selection (m > n)."""
+    and the row selection (m > n).  Per pair: all B, then one c per B."""
     big_n = cone.level_dim(1)
+    eye = np.eye(big_n, dtype=complex)
     for n in levels:
         for m in levels:
-            scalars = [la.random_complex(rng, (n, m)) for _ in range(trials)]
+            scalars = [_random_complex_many(rng, trials, (n, m))]
             if n == m > 1:
-                scalars.append(np.roll(np.eye(n, dtype=complex), 1, axis=1))
+                scalars.append(np.roll(np.eye(n, dtype=complex), 1, axis=1)[None])
             if m > n:
-                scalars.append(np.eye(n, m, dtype=complex))
-            for b in scalars:
-                c = cone.sample(n, rng)
-                blk = np.kron(b, np.eye(big_n, dtype=complex))
-                yield Witness("scalar-conjugation", m, (c,) if n == m else (),
-                              la.dagger(blk) @ c @ blk, f"B* C_{n} B escaped C_{m}")
+                scalars.append(np.eye(n, m, dtype=complex)[None])
+            b = np.concatenate(scalars)
+            cs = _stack(cone, n, cone.sample_many(n, len(b), rng))
+            blk = (b[:, :, None, :, None] * eye[:, None, :]).reshape(-1, n * big_n, m * big_n)
+            for c, out in zip(cs, la.dagger(blk) @ cs @ blk):
+                yield Witness("scalar-conjugation", m, (c,) if n == m else (), out,
+                              f"B* C_{n} B escaped C_{m}")
 
 
 def _algebra_conjugations(cone: ConeOracle, levels: tuple, trials: int,
                           rng: np.random.Generator):
     """Candidates a^sharp c a in C_m for c in C_n and a in M_{n,m}(A), over
     every level pair.  At levels (n,) this is conjugation stability
-    x c x^sharp, with x = a^sharp."""
+    x c x^sharp, with x = a^sharp.  Per pair: all c, then all a."""
+    alg = cone.algebra
     for n in levels:
         for m in levels:
-            for _ in range(trials):
-                c = cone.sample(n, rng)
-                a = np.block([[random_element(cone.algebra, rng) for _ in range(m)]
-                              for _ in range(n)])
-                yield Witness("algebra-conjugation", m, (c,) if n == m else (),
-                              cone.sharp_block(n, m, a) @ c @ a,
+            cs = _stack(cone, n, cone.sample_many(n, trials, rng))
+            a = block_synth(_random_complex_many(rng, trials, (n, m, alg.dim)), alg.basis)
+            for c, out in zip(cs, cone.sharp_block(n, m, a) @ cs @ a):
+                yield Witness("algebra-conjugation", m, (c,) if n == m else (), out,
                               f"A^sharp C_{n} A escaped C_{m}")
 
 
@@ -611,24 +697,31 @@ def _order_unit_checks(cone: ConeOracle, n: int, trials: int,
     shift_tol = 1e-9 * float(np.sqrt(cone.level_dim(n)))
 
     def unshiftable():
-        for _ in range(trials):
-            a = cone.sample_span(n, unit_rng)
-            for c, sign in ((a, "+"), (-a, "-")):
-                if _inf_shift(cone, n, c, 1.0, shift_tol) is None:
-                    yield Witness("order-unit", n, (), c,
+        cands = [c for a in cone.sample_span_many(n, trials, unit_rng) for c in (a, -a)]
+        shifts = _inf_shifts(cone, n, cands, [1.0] * len(cands), shift_tol)
+        for k in range(0, len(cands), 2):
+            for j, sign in ((k, "+"), (k + 1, "-")):
+                if shifts[j] is None:
+                    yield Witness("order-unit", n, (), cands[j],
                                   f"no shift r e {sign} a entered the cone")
                     break
 
     def boundaries():
         width = _BOUNDARY_WIDTH_FACTOR * cone.tol_psd
-        for _ in range(trials):
-            c = cone.sample(n, arch_rng)
-            scale = 1.0 + cone.norm(n, c)
-            lo, hi = _sup_shift_down(cone, n, c, width * scale)
-            boundary = c - 0.5 * (lo + hi) * e
+        cs = cone.sample_many(n, trials, arch_rng)
+        scales = [1.0 + nc for nc in cone.norm_many(n, cs)]
+        widths = [width * scale for scale in scales]
+        found = _exact_brackets(cone, n, cs, [1.0] * len(cs), widths, -np.inf)
+        # The brackets certified as one stack, else `_sup_shift_down` alone.
+        brackets = [(-f[1], -f[0]) if f and f[1] <= 0.0 else _sup_shift_down(cone, n, c, w)
+                    for c, w, f in zip(cs, widths, found)]
+        bounds = [c - 0.5 * (lo + hi) * e for c, (lo, hi) in zip(cs, brackets)]
+        inside = cone.member_many(n, [r * scale * e + boundary for boundary, scale in
+                                      zip(bounds, scales) for r in (1e-2, 1e-4, 1e-6, 1e-8)])
+        for k, boundary in enumerate(bounds):
             # The conclusion is membership "within tol_psd": one extra slack of
             # tol_psd absorbs the bisection landing on the oracle's fuzzy edge.
-            if all(_shift_bisection(cone, n, (boundary,), scale).many((1e-2, 1e-4, 1e-6, 1e-8))):
+            if all(inside[4 * k:4 * k + 4]):
                 yield Witness("archimedean", n, (),
                               boundary + cone.tol_psd * (1.0 + cone.norm(n, boundary)) * e,
                               "member at every r > 0 but not at r = 0")
@@ -745,15 +838,14 @@ def _r4_estimate(cone: ConeOracle, levels: tuple, samples: int,
     def unbounded():
         nonlocal best
         for n in levels:
-            cands = [cone.sample_span(n, rng) for _ in range(samples)]
-            cands += [cone.sample(n, rng) - cone.sample(n, rng) for _ in range(samples // 2)]
-            cands += [-cone.unit(n)] + [-cone.sample(n, rng) for _ in range(4)]
+            cands = list(cone.sample_span_many(n, samples, rng))
+            pairs = cone.sample_many(n, 2 * (samples // 2), rng)
+            cands += [c - d for c, d in zip(pairs[0::2], pairs[1::2])]
+            cands += [-cone.unit(n)] + [-c for c in cone.sample_many(n, 4, rng)]
             shift_tol = 1e-9 * (1.0 + float(np.sqrt(cone.level_dim(n))))
-            for c in cands:
-                nc = cone.norm(n, c)
-                if nc < 1e-12:
-                    continue
-                r = _inf_shift(cone, n, c, nc, shift_tol)
+            kept = [(c, nc) for c, nc in zip(cands, cone.norm_many(n, cands)) if nc >= 1e-12]
+            cs, ncs = [c for c, _ in kept], [nc for _, nc in kept]
+            for c, nc, r in zip(cs, ncs, _inf_shifts(cone, n, cs, ncs, shift_tol)):
                 if r is None:
                     yield Witness("order-bound", n, (), nc * cone.unit(n) * 8.0 + c,
                                   "no finite r with r ||c|| e + c in C")
@@ -771,10 +863,10 @@ def _k_estimate(cone: ConeOracle, levels: tuple, samples: int,
     failure, a norm fact rather than an inclusion."""
     best = ConstantEstimate("K", 0.0, levels[0])
     for n in levels:
-        pairs = [(cone.sample_span(n, rng), cone.sample_span(n, rng)) for _ in range(samples)]
-        z = cone.sample_span(n, rng)
-        for a, b in pairs + [(z, 0.0 * z)]:
-            na, nz = cone.norm(n, a), cone.norm(n, a + 1j * b)
+        drawn = cone.sample_span_many(n, 2 * samples + 1, rng)
+        pairs = list(zip(drawn[0:-1:2], drawn[1::2])) + [(drawn[-1], 0.0 * drawn[-1])]
+        for (a, b), na, nz in zip(pairs, cone.norm_many(n, [a for a, _ in pairs]),
+                                  cone.norm_many(n, [a + 1j * b for a, b in pairs])):
             if nz <= 1e-14 * max(na, 1.0):
                 if na > 1e-10:
                     return best, Witness("norm-comparison", n, (), None,
@@ -804,10 +896,11 @@ def audit_star_admissible(cone: ConeOracle, levels=(1, 2), samples: int = 50,
 
     def differences():
         for n in levels:
-            for _ in range(samples):
-                c1, c2, c = (cone.sample(n, diff_rng) for _ in range(3))
-                x = c1 - c2
-                yield Witness("difference-conjugation", n, (c1, c2, c), x @ c @ x,
+            drawn = _stack(cone, n, cone.sample_many(n, 3 * samples, diff_rng))
+            c1, c2, c = drawn[0::3], drawn[1::3], drawn[2::3]
+            x = c1 - c2
+            for k, out in enumerate(x @ c @ x):
+                yield Witness("difference-conjugation", n, (c1[k], c2[k], c[k]), out,
                               "(c1 - c2) c (c1 - c2) escaped the cone")
 
     checks.append(_verdict("difference-conjugation-3i", "(c1 - c2) c (c1 - c2) in C_n",
@@ -836,31 +929,36 @@ def estimate_main_constants(cone: ConeOracle, levels=(1, 2), samples: int = 60,
     r1_best, r1_wit, r1_level = np.inf, (), levels[0]
     al_best, al_wit, al_level = np.inf, (), levels[0]
     for n in levels:
-        pairs = [(cone.sample(n, rng), cone.sample(n, rng))
-                 for _ in range(samples)]
+        drawn = cone.sample_many(n, 2 * samples, rng)
+        pairs = list(zip(drawn[0::2], drawn[1::2]))
         # Complement pairs (c, r e - c) probe the extremal cancellations
         # that independent draws never hit (c + d collapses to a multiple
         # of the unit while c itself can be large in the ambient norm).
         e = cone.unit(n)
         shift_tol = 1e-9
-        for _ in range(max(4, samples // 4)):
-            c = cone.sample(n, rng)
-            r = _inf_shift(cone, n, (-1.0) * c, 1.0, shift_tol)
+        drawn = cone.sample_many(n, max(4, samples // 4), rng)
+        negated = [(-1.0) * c for c in drawn]
+        for c, r in zip(drawn, _inf_shifts(cone, n, negated, [1.0] * len(negated), shift_tol)):
             if r is not None and r > 1e-9:
                 pairs.append((c, (r + shift_tol) * e + (-1.0) * c))
-        for c, d in pairs:
-            denom = max(cone.norm(n, c), cone.norm(n, d))
+        norms = [cone.norm_many(n, xs) for xs in
+                 ([c for c, _ in pairs], [d for _, d in pairs], [c + d for c, d in pairs])]
+        for (c, d), nc, nd, ncd in zip(pairs, *norms):
+            denom = max(nc, nd)
             if denom > 1e-12:
-                ratio = cone.norm(n, c + d) / denom
+                ratio = ncd / denom
                 if ratio < r1_best:
                     r1_best, r1_wit, r1_level = ratio, (c, d), n
-        for _ in range(samples):
-            x, y = cone.sample_span(n, rng), cone.sample_span(n, rng)
-            zm = x + (-1j) * y
-            zp = x + 1j * y
-            denom = cone.norm(n, zm) * cone.norm(n, zp)
+        drawn = cone.sample_span_many(n, 2 * samples, rng)
+        spans = list(zip(drawn[0::2], drawn[1::2]))
+        zm = [x + (-1j) * y for x, y in spans]
+        zp = [x + 1j * y for x, y in spans]
+        norms = [cone.norm_many(n, zs) for zs in
+                 (zm, zp, [cone.mul(n, a, b) for a, b in zip(zm, zp)])]
+        for (x, y), nm, npl, nprod in zip(spans, *norms):
+            denom = nm * npl
             if denom > 1e-12:
-                ratio = cone.norm(n, cone.mul(n, zm, zp)) / denom
+                ratio = nprod / denom
                 if ratio < al_best:
                     al_best, al_wit, al_level = ratio, (x, y), n
     return (

@@ -408,20 +408,21 @@ class ReconstructionResult:
 def reconstruct_similarity(algebra: OperatorAlgebra, cone: ConeOracle,
                            seed: int = 0, cb_level: int | None = None,
                            cert_tol: float = DEFAULT_CERT_TOL,
-                           levels=(1, 2, 4)) -> ReconstructionResult:
+                           levels=(1, 2, 4), samples: int = 12) -> ReconstructionResult:
     """Recover the involution, solve for Q, optimize its condition number,
     build the star representation, and report the cb-norm sandwich.
 
     sqrt(cond(Q)) bounds the cb norm of the certified conjugation in both
     directions; the reported lower bound is the larger of the two
     `cb_lower_bound` values (the inverse direction, from the adjoint-closed
-    image back to the algebra, is the one that attains it).
+    image back to the algebra, is the one that attains it).  `samples`: per
+    level, for `build_star_rep`.
     """
     involution = recover_involution(cone, 1, seed=seed)
     space = solve_Q(algebra, involution)
     cert = minimize_condition(space)
     star = build_star_rep(algebra, cone, cert.q, involution=involution,
-                          cert_tol=cert_tol, levels=levels, seed=seed)
+                          cert_tol=cert_tol, levels=levels, samples=samples, seed=seed)
     star = replace(star, certificate=replace(star.certificate, gap=cert.gap))
     s_inv = np.linalg.inv(star.certificate.s)
     inverse_images = np.stack([s_inv @ b @ star.certificate.s for b in star.image_algebra.basis])

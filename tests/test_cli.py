@@ -9,6 +9,7 @@ import pytest
 from conftest import E11, E12, WORKED_B, WORKED_S
 from doubles import SkewedLevelCone
 from matorder import cli as cli_mod
+from matorder import similarity as sim_mod
 from matorder.algebra import generate_algebra
 from matorder.cli import run
 from matorder.cones import StandardCone
@@ -428,3 +429,28 @@ def test_boolean_tol_psd_is_a_schema_error_not_a_norm(workdir, capsys, tmp_path)
                                "--element", str(workdir / "elem.json")], capsys)
     assert code == 4
     assert rep["error"]["pointer"] == "/tol_psd"
+
+
+def test_kadison_demo_passes_cert_tol_to_the_reconstruction(workdir, capsys):
+    args = ["kadison-demo", "--algebra", str(workdir / "m2.json"),
+            "--similarity", str(workdir / "S.json"), "--samples", "12"]
+    code, rep = _run(workdir, args, capsys)
+    assert code == 0 and rep["result"]["certificate"]["residual_star"] > 1e-30
+    code, rep = _run(workdir, args + ["--cert-tol", "1e-30"], capsys)
+    assert code == 3
+    assert rep["error"]["type"] == "CertificationFailed"
+
+
+def test_similarity_passes_samples_to_the_star_rep(workdir, capsys, monkeypatch):
+    seen = []
+    build = sim_mod.build_star_rep
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["samples"])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(sim_mod, "build_star_rep", spy)
+    code, _ = _run(workdir, ["similarity", "--cone", str(workdir / "sim_cone.json"),
+                             "--samples", "5"], capsys)
+    assert code == 0
+    assert seen == [5]

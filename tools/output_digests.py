@@ -8,16 +8,21 @@ each seed through `perfbench/workloads.build` (the same inputs the benchmark
 runs), runs them in this interpreter with one BLAS thread, and prints one
 line per task:
 
-    <workload> <seed> <task_id> <sha256 of repr(output)>
+    <workload> <seed> <task_id> <sha256 of repr(output)> <float-free sha256>
 
-A typed matorder error is the task's output.  `--root` selects the checkout
+The float-free digest is taken over the output with every float replaced by
+its type name, CLI report bytes decoded as JSON first: exit codes, `passed`
+flags, verdicts, detail strings and witness kinds stay in it, so two commits
+whose numbers differ only in their last bits share it.  A typed matorder
+error is the task's output.  `--root` selects the checkout
 whose `src/` and `perfbench/` are imported (default: this one), so one copy
 of this script can digest any commit exported with `git archive`.  Two
 commits give the same numerical results exactly when their outputs diff
 empty.  `--against DIR` makes that comparison: it digests both checkouts
 (each in its own interpreter), prints the lines that differ as a unified
-diff from DIR to --root, and exits 1 if any differ, 0 if none do, and 2 if
-either checkout fails to digest.
+diff from DIR to --root with how many tasks differ in each digest, and
+exits 1 if any line differs, 0 if none does, and 2 if either checkout fails
+to digest.
 """
 
 from __future__ import annotations
@@ -25,19 +30,39 @@ from __future__ import annotations
 import argparse
 import difflib
 import hashlib
+import json
 import os
 import subprocess
 import sys
 import tempfile
 
-# Pin one BLAS thread before numpy loads: threaded reductions may sum in
-# another order and change the last bits.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
 
 def _seeds(text: str) -> list[int]:
     return [int(s) for s in text.split(",") if s]
+
+
+def _float_free(obj):
+    """obj with every float replaced by its type name; bytes that decode as
+    JSON (a CLI report) are decoded first."""
+    if isinstance(obj, float):
+        return type(obj).__name__
+    if isinstance(obj, bytes):
+        try:
+            obj = json.loads(obj)
+        except ValueError:
+            return obj
+        return _float_free(obj)
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_float_free(x) for x in obj)
+    if isinstance(obj, dict):
+        return {key: _float_free(value) for key, value in obj.items()}
+    return obj
+
+
+def digests(output) -> tuple[str, str]:
+    """(sha256 of repr(output), sha256 of repr of its float-free form)."""
+    return tuple(hashlib.sha256(repr(x).encode()).hexdigest()
+                 for x in (output, _float_free(output)))
 
 
 def main(argv=None) -> int:
@@ -56,6 +81,10 @@ def main(argv=None) -> int:
     root = os.path.abspath(args.root)
     if args.against is not None:
         return _compare(os.path.abspath(args.against), root, args)
+    # Pin one BLAS thread before numpy loads: threaded reductions may sum in
+    # another order and change the last bits.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import workloads  # noqa: E402 - resolved from --root
 
@@ -68,8 +97,7 @@ def main(argv=None) -> int:
                 for task in (t for tasks in rounds for t in tasks):
                     outcome = workloads.run_task(task, lambda f: (f(), 0.0, 1.0))
                     output = outcome.output if outcome.error is None else outcome.error
-                    digest = hashlib.sha256(repr(output).encode()).hexdigest()
-                    print(workload, seed, task.task_id, digest, flush=True)
+                    print(workload, seed, task.task_id, *digests(output), flush=True)
     return 0
 
 
@@ -91,7 +119,11 @@ def _compare(before: str, after: str, args) -> int:
     for line in diff:
         print(line)
     changed = sum(line.startswith("+") and not line.startswith("+++") for line in diff)
-    print(f"{len(after_lines)} tasks, {changed} digest lines differ", file=sys.stderr)
+    free = [{tuple(fields[:3]): fields[4] for fields in map(str.split, lines)}
+            for lines in (before_lines, after_lines)]
+    free_changed = sum(free[0].get(task) != digest for task, digest in free[1].items())
+    print(f"{len(after_lines)} tasks, {changed} digest lines differ, "
+          f"{free_changed} float-free digests differ", file=sys.stderr)
     return 1 if diff else 0
 
 
