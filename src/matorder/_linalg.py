@@ -4,9 +4,10 @@ Every numerical rank in matorder is decided by one rule, `_rank`: count the
 singular values above RANK_RTOL * s[0], or above RANK_RTOL * max(s[0], scale)
 when the caller knows the scale of the matrix entries (an all-noise matrix
 then has rank 0, where a purely relative cutoff would call it full rank).
-`rank`, `orthonormalize_rows`, `nullspace` and `real_kernel` apply it; no
-other module calls an SVD to decide a rank (Golub & Van Loan, Matrix
-Computations, 5.4).
+`rank`, `orthonormalize_rows`, `nullspace` and `real_kernel` apply it, the
+last three taking that scale; no other module calls an SVD to decide a rank,
+and the algebra closure finds its new directions through
+`orthonormalize_rows` (Golub & Van Loan, Matrix Computations, 5.4).
 """
 
 from __future__ import annotations
@@ -93,12 +94,13 @@ def rank(mat: np.ndarray) -> int:
     return _rank(np.linalg.svd(mat, compute_uv=False)) if mat.size else 0
 
 
-def orthonormalize_rows(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (as rows) of the row span, rank by the one rule."""
+def orthonormalize_rows(rows: np.ndarray, scale: float | None = None) -> np.ndarray:
+    """Orthonormal basis (as rows) of the row span, rank by the one rule
+    (scale: the known size of the entries)."""
     if rows.size == 0:
         return rows.reshape(0, rows.shape[-1] if rows.ndim == 2 else 0)
     _, s, vt = np.linalg.svd(rows, full_matrices=False)
-    return vt[:_rank(s)]
+    return vt[:_rank(s, scale)]
 
 
 def nullspace(mat: np.ndarray, scale: float | None = None) -> np.ndarray:

@@ -21,12 +21,7 @@ from . import _linalg as la
 from .errors import DimensionCapExceeded, DimensionMismatch, MembershipError
 
 DEFAULT_STRUCTURE_TOL = 1e-9
-DEFAULT_MAX_DIM = 256
-
-# Acceptance threshold for a new basis direction, relative to the largest
-# candidate norm in the current closure pass.  Keeps rank decisions stable
-# at ambient dimensions up to ~32.
-NEW_DIRECTION_FACTOR = 1e-8
+DEFAULT_MAX_DIM = 1024
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -181,17 +176,6 @@ def level_residual(algebra: OperatorAlgebra, x: np.ndarray):
     return np.linalg.norm(diff.reshape(len(x), -1), axis=1) if x.ndim == 3 else la.frob(diff)
 
 
-def _mgs_residual(stack: np.ndarray | None, cand: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt residual against an orthonormal stack, re-orthogonalized."""
-    r = cand
-    if stack is None or stack.shape[0] == 0:
-        return r
-    for _ in range(2):
-        coeffs = np.tensordot(stack.conj(), r, axes=([1, 2], [0, 1]))
-        r = r - np.tensordot(coeffs, stack, axes=(0, 0))
-    return r
-
-
 def generate_algebra(
     generators: list[np.ndarray],
     include_adjoints: bool = False,
@@ -200,10 +184,17 @@ def generate_algebra(
 ) -> OperatorAlgebra:
     """Smallest unital algebra containing the generators.
 
-    Builds an orthonormal basis by iterated products with modified
-    Gram-Schmidt re-orthonormalization; closure passes repeat until the
-    dimension stabilizes.  star_closed is decided by testing adjoint
-    membership of every basis element at tolerance `tol`.
+    The algebra is spanned by the words in the stack G of generators (and
+    their adjoints when include_adjoints), and each word of length k + 1 is
+    one of length k times a generator.  So once the basis spans the words of
+    length <= k, only the block F_k of directions found last can add new
+    ones, through the products F_k G.  The basis starts at I/sqrt(N); each
+    batch of candidates (G first, then F_k G in one einsum) loses its
+    projection on the basis in two GEMM passes (re-orthogonalising once is
+    enough: Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005), and
+    `la.orthonormalize_rows` decides its new directions by the one rank rule
+    at the scale of the largest candidate.  star_closed is decided by
+    testing adjoint membership of every basis element at tolerance `tol`.
     """
     if not generators:
         raise DimensionMismatch("need at least one generator")
@@ -217,47 +208,23 @@ def generate_algebra(
     if max_dim < 1:
         raise DimensionCapExceeded("max_dim must be at least 1")
 
-    seeds = [np.eye(n, dtype=complex)] + mats
-    if include_adjoints:
-        seeds += [la.dagger(g) for g in mats]
-
-    basis: list[np.ndarray] = []
-    stack: np.ndarray | None = None
-
-    def absorb(batch: list[np.ndarray]) -> int:
-        nonlocal stack
-        if not batch:
-            return 0
-        rank_tol = NEW_DIRECTION_FACTOR * max(la.frob(c) for c in batch)
-        added = 0
-        for cand in batch:
-            r = _mgs_residual(stack, cand)
-            nrm = la.frob(r)
-            if nrm > rank_tol:
-                if len(basis) + 1 > max_dim:
-                    raise DimensionCapExceeded(
-                        f"span dimension exceeds max_dim={max_dim} "
-                        f"(rank-decision tolerance {rank_tol:.3g})"
-                    )
-                basis.append(r / nrm)
-                stack = np.stack(basis)
-                added += 1
-        return added
-
-    absorb(seeds)
-    fresh_from = 0
+    gens = np.stack(mats + ([la.dagger(g) for g in mats] if include_adjoints else []))
+    basis = np.eye(n, dtype=complex).reshape(1, n * n) / np.sqrt(n)
+    cands = gens
     while True:
-        d = len(basis)
-        old = stack[:fresh_from] if fresh_from else None
-        fresh = stack[fresh_from:]
-        products = list(np.einsum("iab,jbc->ijac", fresh, stack).reshape(-1, n, n))
-        if old is not None and old.shape[0]:
-            products += list(np.einsum("iab,jbc->ijac", old, fresh).reshape(-1, n, n))
-        fresh_from = d
-        if absorb(products) == 0:
+        rows = cands.reshape(-1, n * n)
+        scale = float(np.max(np.linalg.norm(rows, axis=1)))
+        for _ in range(2):
+            rows = rows - (rows @ basis.conj().T) @ basis
+        fresh = la.orthonormalize_rows(rows, scale=scale)
+        if not len(fresh):
             break
+        if len(basis) + len(fresh) > max_dim:
+            raise DimensionCapExceeded(f"span dimension exceeds max_dim={max_dim}")
+        basis = np.concatenate([basis, fresh])
+        cands = np.einsum("iab,jbc->ijac", fresh.reshape(-1, n, n), gens)
 
-    return OperatorAlgebra.from_basis(np.stack(basis), tol)
+    return OperatorAlgebra.from_basis(basis.reshape(-1, n, n), tol)
 
 
 def doubling_embed(x: np.ndarray) -> np.ndarray:

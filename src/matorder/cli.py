@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import case_studies, cones, involution, order_norms, similarity
-from .algebra import generate_algebra
+from .algebra import DEFAULT_MAX_DIM, generate_algebra
 from .errors import MatOrderError, SchemaError
 from .serialization import (
     _number,
@@ -284,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("close-algebra", help="unital closure of generators")
     p.add_argument("--generators", required=True)
     p.add_argument("--include-adjoints", action="store_true")
-    p.add_argument("--max-dim", type=int, default=256)
+    p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
     common(p)
 
     p = sub.add_parser("check-cones", help="run the cone axiom audits")

@@ -299,13 +299,16 @@ class ConeOracle:
         Membership has the form X in V_n with straighten(X) PSD, so the
         lineality space lies in the kernel of straighten = I_n (x) T on V_n:
         (M_n)_h (x) K_1, K_1 the kernel of T on V_1 (one level-1 SVD), each
-        direction confirmed by `member_many` at +h, then at -h where +h is in.
+        direction confirmed by `member_many` at +h, then at -h where +h is in
+        (an empty kernel asks nothing).
         """
         span = self.span_basis(1)
         if span is None or span.shape[0] == 0:
             return []
         cols = np.stack([la.real_vec(self.straighten(1, h)) for h in span], axis=1)
         hs = list(_hermitian_kron(n, la.real_kernel(span, cols)))
+        if not hs:
+            return []
         hs = [h for h, ok in zip(hs, self.member_many(n, hs)) if ok]
         return [h for h, ok in zip(hs, self.member_many(n, [-h for h in hs])) if ok]
 

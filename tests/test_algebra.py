@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import E11, E12, E21, E22, WORKED_B, mat
+from conftest import E11, E12, E21, E22, WORKED_B, mat, random_unitary
 from matorder.algebra import (
+    DEFAULT_MAX_DIM,
     block_coords,
     block_synth,
     doubling_embed,
@@ -17,7 +18,7 @@ from matorder.algebra import (
     random_element,
 )
 from matorder.errors import DimensionCapExceeded, DimensionMismatch, MembershipError
-from references import amplify, spans_equal
+from references import amplify, generate_algebra_mgs, spans_equal
 
 
 def test_generate_e11_span():
@@ -55,6 +56,73 @@ def test_generate_dimension_cap():
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     with pytest.raises(DimensionCapExceeded):
         generate_algebra([g], include_adjoints=True, max_dim=5)
+
+
+def _gaussian(rng, n):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def _closure_input(case):
+    """(generators, include_adjoints) for one closure case: the star-algebra
+    families at N <= 8 ("full-5"), then the non-star-closed and plain cases."""
+    kind, _, n = case.partition("-")
+    if n:
+        n = int(n)
+        rng = np.random.default_rng(100 + n)
+        u = random_unitary(rng, n)
+    if kind == "full":
+        return [_gaussian(rng, n)], True
+    if kind == "commutative":  # repeated eigenvalues: C^k, k = max(2, N - 2)
+        return [u @ np.diag(np.arange(n) % max(2, n - 2)).astype(complex) @ u.conj().T], True
+    if kind == "blocks":  # two generic block-diagonal generators, blocks of 1-3
+        parts = [3, 2, 1, 2][:1 + (n > 3) + (n > 5) + (n > 6)]
+        parts[-1] += n - sum(parts)
+        blocks = np.zeros((2, n, n), dtype=complex)
+        at = 0
+        for p in parts:
+            blocks[:, at:at + p, at:at + p] = [_gaussian(rng, p), _gaussian(rng, p)]
+            at += p
+        return list(u @ blocks @ u.conj().T), True
+    if kind == "plain":  # polynomials in one generic matrix: dim N
+        return [_gaussian(np.random.default_rng(3), 4)], False
+    if kind == "t2":
+        return [E11, E12], False
+    if kind == "nilpotent":  # span{I, N, N^2}
+        return [mat([[0, 1, 0], [0, 0, 1], [0, 0, 0]])], False
+    if kind == "t3":  # a generic upper-triangular pair: all of T_3
+        rng = np.random.default_rng(9)
+        return [np.triu(_gaussian(rng, 3)), np.triu(_gaussian(rng, 3))], False
+    return [E12], True  # "e12*": E12 with its adjoint, all of M_2
+
+
+CLOSURE_CASES = ([f"{kind}-{n}" for kind in ("full", "commutative", "blocks")
+                  for n in range(2, 9)] + ["plain", "t2", "nilpotent", "t3", "e12*"])
+
+
+@pytest.mark.parametrize("case", CLOSURE_CASES)
+def test_closure_matches_the_mgs_reference(case):
+    gens, adjoints = _closure_input(case)
+    got = generate_algebra(gens, include_adjoints=adjoints)
+    want = generate_algebra_mgs(gens, include_adjoints=adjoints)
+    assert got.dim == want.dim
+    assert got.star_closed == want.star_closed
+    assert spans_equal(got, want, 10 * got.structure_tol)
+    got.validate()
+    n = got.ambient_dim
+    assert np.array_equal(got.basis[0], np.eye(n) / np.sqrt(n))
+
+
+def test_closure_dimensions_of_the_non_star_closed_cases():
+    algs = {case: generate_algebra(*_closure_input(case)) for case in ("t2", "nilpotent", "t3")}
+    assert {case: alg.dim for case, alg in algs.items()} == {"t2": 3, "nilpotent": 3, "t3": 6}
+    assert not any(alg.star_closed for alg in algs.values())
+
+
+def test_full_m17_closes_under_the_default_cap():
+    g = _gaussian(np.random.default_rng(17), 17)
+    algebra = generate_algebra([g], include_adjoints=True)
+    assert algebra.dim == 17 * 17 <= DEFAULT_MAX_DIM
+    assert algebra.star_closed
 
 
 def test_generate_dimension_mismatch():

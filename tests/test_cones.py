@@ -302,6 +302,29 @@ def test_pointedness_exact_for_similarity(planted_sim_cone):
     assert planted_sim_cone.lineality_basis(2) == []
 
 
+def _counting(cls):
+    """cls with every `member_many` batch size recorded in `batches`."""
+    class Counting(cls):
+        def member_many(self, n, xs):
+            self.batches.append(len(xs))
+            return super().member_many(n, xs)
+    return Counting
+
+
+def test_pointed_cone_lineality_asks_no_member_many(m2_full, planted_sim_cone):
+    for cone in (_counting(StandardCone)(m2_full),
+                 _counting(SimilarityCone)(planted_sim_cone.algebra, WORKED_S)):
+        cone.batches = []
+        for n in (1, 2, 3):
+            assert cone.lineality_basis(n) == []
+        assert cone.batches == []
+    # A kernel to confirm is still asked about, +h then -h.
+    flat = _counting(AllHermitianCone)(m2_full)
+    flat.batches = []
+    assert len(flat.lineality_basis(1)) == 4
+    assert flat.batches == [4, 4]
+
+
 class _ComplexLineCone(StandardCone):
     """Fake oracle whose claimed span is a complex line: both span axioms
     fail, exercising the span-deficiency and span-overlap witnesses."""

@@ -1,5 +1,6 @@
-"""The float-free digest of `tools/output_digests.py`: last-bit float changes
-share it, a changed verdict, flag, count or exit code does not."""
+"""The float-free and number-free digests of `tools/output_digests.py`:
+last-bit float changes share the first, moved numerals inside detail strings
+the second; a changed verdict, flag, count or exit code shares neither."""
 
 import importlib.util
 import json
@@ -11,16 +12,17 @@ output_digests = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(output_digests)
 
 
-def _cli_output(passed=True, value=0.1 + 0.2, code=0, verdict="pass"):
+def _cli_output(passed=True, value=0.1 + 0.2, code=0, verdict="pass", detail="e in C_1"):
     report = {"result": {"passed": passed, "r4": value,
-                         "checks": [{"verdict": verdict, "detail": "e in C_1"}]}}
+                         "checks": [{"name": "pointedness-level-2", "verdict": verdict,
+                                     "detail": detail}]}}
     return ("exit", code, json.dumps(report).encode())
 
 
 def test_float_changes_share_the_float_free_digest():
     a, b = _cli_output(value=0.30000000000000004), _cli_output(value=0.3)
-    full_a, free_a = output_digests.digests(a)
-    full_b, free_b = output_digests.digests(b)
+    full_a, free_a, _ = output_digests.digests(a)
+    full_b, free_b, _ = output_digests.digests(b)
     assert full_a != full_b
     assert free_a == free_b
     # Task tuples carry floats outside any report too.
@@ -38,3 +40,31 @@ def test_flags_verdicts_counts_and_exit_codes_stay_in_the_float_free_digest():
     # Bytes that are not JSON are digested as they are.
     assert (output_digests.digests(("exit", 0, b"\xff"))[1]
             != output_digests.digests(("exit", 0, b"\xfe"))[1])
+
+
+def test_moved_numerals_in_details_share_the_number_free_digest():
+    a = _cli_output(value=1.02, detail="empirical r4 = 1.0213 at level 2 (n=8, 1e-08)")
+    b = _cli_output(value=1.3, detail="empirical r4 = 1.37 at level 2 (n=12, 3.5e-09)")
+    assert output_digests.digests(a)[1] != output_digests.digests(b)[1]
+    assert output_digests.digests(a)[2] == output_digests.digests(b)[2]
+    assert output_digests._masked("empirical r4 = -1.5e+02 at pointedness-level-3", True) \
+        == "empirical r4 = # at pointedness-level-3"
+    # A report writes integral floats as integers: inside it every number
+    # counts, and a witness matrix of any size is one numeral.
+    one = b'{"K": {"level": 1, "value": 1, "witness": {"dim": 1, "entries": [[[0, 0]]]}}}'
+    two = (b'{"K": {"level": 2, "value": 1.1, "witness": {"dim": 2, '
+           b'"entries": [[[0.5, 0], [1, 0]], [[0, 0], [2.5, -1]]]}}}')
+    none = b'{"K": {"level": 1, "value": 1, "witness": null}}'
+    one, two, none = (output_digests.digests(("exit", 0, r)) for r in (one, two, none))
+    assert one[1] != two[1]
+    assert one[2] == two[2]
+    assert none[2] != one[2]
+
+
+def test_verdicts_flags_counts_and_exit_codes_stay_in_the_number_free_digest():
+    number_free = output_digests.digests(_cli_output())[2]
+    for other in (_cli_output(passed=False), _cli_output(verdict="fail"),
+                  _cli_output(code=2), _cli_output(detail="e not in C_1")):
+        assert output_digests.digests(other)[2] != number_free
+    assert (output_digests.digests(("seminorm", 1.0, 0, 3))[2]
+            != output_digests.digests(("seminorm", 1.0, 1, 3))[2])

@@ -9,7 +9,7 @@ import pytest
 from conftest import WORKED_S, random_unitary
 from matorder import _linalg as la
 from matorder import cones, involution
-from matorder.algebra import conjugate_algebra, hermitian_part_basis
+from matorder.algebra import conjugate_algebra, generate_algebra, hermitian_part_basis
 from matorder.cones import StandardCone
 from matorder.similarity import solve_Q
 
@@ -18,6 +18,7 @@ def _sites(m2_full):
     cone = StandardCone(m2_full)
     span = cone.span_basis(1)
     return {
+        "generate_algebra": lambda: generate_algebra([WORKED_S], include_adjoints=True),
         "conjugate_algebra": lambda: conjugate_algebra(m2_full, WORKED_S),
         "hermitian_part_basis": lambda: hermitian_part_basis(m2_full),
         "solve_Q": lambda: solve_Q(m2_full, lambda b: b.conj().T),
@@ -27,8 +28,8 @@ def _sites(m2_full):
     }
 
 
-@pytest.mark.parametrize("site", ["conjugate_algebra", "hermitian_part_basis", "solve_Q",
-                                  "lineality_basis", "_span_checks", "_split"])
+@pytest.mark.parametrize("site", ["generate_algebra", "conjugate_algebra", "hermitian_part_basis",
+                                  "solve_Q", "lineality_basis", "_span_checks", "_split"])
 def test_every_rank_site_calls_the_one_rule(monkeypatch, m2_full, site):
     run = _sites(m2_full)[site]
     callers = []
@@ -90,6 +91,8 @@ def test_noise_floor_needs_the_entry_scale():
     noise = 1e-16 * rng.standard_normal((10, 6))
     assert la.nullspace(noise, scale=1.0).shape == (6, 6)
     assert la.nullspace(noise).shape[1] < 6
+    assert la.orthonormalize_rows(noise, scale=1.0).shape == (0, 6)
+    assert la.orthonormalize_rows(noise).shape[0] > 0
     assert la.rank(noise) == 6
 
 

@@ -9,20 +9,28 @@ runs), runs them in this interpreter with one BLAS thread, and prints one
 line per task:
 
     <workload> <seed> <task_id> <sha256 of repr(output)> <float-free sha256>
+        <number-free sha256>
 
 The float-free digest is taken over the output with every float replaced by
 its type name, CLI report bytes decoded as JSON first: exit codes, `passed`
 flags, verdicts, detail strings and witness kinds stay in it, so two commits
-whose numbers differ only in their last bits share it.  A typed matorder
-error is the task's output.  `--root` selects the checkout
-whose `src/` and `perfbench/` are imported (default: this one), so one copy
-of this script can digest any commit exported with `git archive`.  Two
+whose numbers differ only in their last bits share it.  The number-free
+digest also replaces every numeral inside a string by "#" ("empirical r4 =
+1.02" reads "empirical r4 = #"), every number inside a CLI report (which
+writes an integral float such as 0.0 as "0") and every array of numbers, so
+a witness matrix reads "#" whatever its size.  Two commits whose sampled
+values move (a sampled maximum found at another level, say) but whose
+verdicts, flags, witness kinds, exit codes and task-level integer counts
+stay share it.  A typed matorder error is the task's output.  `--root`
+selects the checkout whose `src/` and `perfbench/` are imported (default:
+this one), so one copy of this script can digest any commit exported with
+`git archive`.  Two
 commits give the same numerical results exactly when their outputs diff
 empty.  `--against DIR` makes that comparison: it digests both checkouts
 (each in its own interpreter), prints the lines that differ as a unified
-diff from DIR to --root with how many tasks differ in each digest, and
-exits 1 if any line differs, 0 if none does, and 2 if either checkout fails
-to digest.
+diff from DIR to --root with how many tasks differ in each of the three
+digests, and exits 1 if any line differs, 0 if none does, and 2 if either
+checkout fails to digest.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ import difflib
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -41,28 +50,41 @@ def _seeds(text: str) -> list[int]:
     return [int(s) for s in text.split(",") if s]
 
 
-def _float_free(obj):
-    """obj with every float replaced by its type name; bytes that decode as
-    JSON (a CLI report) are decoded first."""
+# A number written in a string, not part of a name ("r4", "level-1").
+_NUMERAL = re.compile(r"(?<![\w.-])[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _masked(obj, numerals: bool):
+    """obj with every float replaced by its type name or, with numerals, by
+    "#", as is every numeral inside a string and every array of numbers (a
+    witness matrix reads "#" whatever its size); bytes that decode as JSON (a
+    CLI report) are decoded first."""
     if isinstance(obj, float):
-        return type(obj).__name__
+        return "#" if numerals else type(obj).__name__
+    if isinstance(obj, str):
+        return _NUMERAL.sub("#", obj) if numerals else obj
     if isinstance(obj, bytes):
         try:
-            obj = json.loads(obj)
+            # A report writes integral floats as integers ("0", "1"), so with
+            # numerals every number in it counts as one.
+            obj = json.loads(obj, parse_int=float if numerals else None)
         except ValueError:
             return obj
-        return _float_free(obj)
+        return _masked(obj, numerals)
     if isinstance(obj, (list, tuple)):
-        return type(obj)(_float_free(x) for x in obj)
+        out = type(obj)(_masked(x, numerals) for x in obj)
+        if numerals and out and all(isinstance(x, str) and x == "#" for x in out):
+            return "#"
+        return out
     if isinstance(obj, dict):
-        return {key: _float_free(value) for key, value in obj.items()}
+        return {key: _masked(value, numerals) for key, value in obj.items()}
     return obj
 
 
-def digests(output) -> tuple[str, str]:
-    """(sha256 of repr(output), sha256 of repr of its float-free form)."""
+def digests(output) -> tuple[str, str, str]:
+    """sha256 of repr(output), of its float-free form and of its number-free form."""
     return tuple(hashlib.sha256(repr(x).encode()).hexdigest()
-                 for x in (output, _float_free(output)))
+                 for x in (output, _masked(output, False), _masked(output, True)))
 
 
 def main(argv=None) -> int:
@@ -119,11 +141,13 @@ def _compare(before: str, after: str, args) -> int:
     for line in diff:
         print(line)
     changed = sum(line.startswith("+") and not line.startswith("+++") for line in diff)
-    free = [{tuple(fields[:3]): fields[4] for fields in map(str.split, lines)}
-            for lines in (before_lines, after_lines)]
-    free_changed = sum(free[0].get(task) != digest for task, digest in free[1].items())
+    tasks = [{tuple(fields[:3]): fields[4:] for fields in map(str.split, lines)}
+             for lines in (before_lines, after_lines)]
+    free, number_free = (sum(tasks[0].get(task, [None, None])[k] != digest[k]
+                             for task, digest in tasks[1].items()) for k in (0, 1))
     print(f"{len(after_lines)} tasks, {changed} digest lines differ, "
-          f"{free_changed} float-free digests differ", file=sys.stderr)
+          f"{free} float-free and {number_free} number-free digests differ",
+          file=sys.stderr)
     return 1 if diff else 0
 
 
