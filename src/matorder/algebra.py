@@ -101,12 +101,14 @@ class OperatorAlgebra:
         unit_defect = la.frob(self.unit_matrix() - np.eye(self.ambient_dim))
         if unit_defect > self.structure_tol * (1.0 + np.sqrt(self.ambient_dim)):
             raise MembershipError("unit does not reconstruct the identity", unit_defect)
-        for i in range(d):
-            for j in range(d):
-                project(self, self.basis[i] @ self.basis[j])
+        # One stacked check per basis row (d N^2 entries); a product over the
+        # bound is projected alone, so the first one outside raises `project`'s error.
+        for b in self.basis:
+            for j in _outside(self, b @ self.basis):
+                project(self, b @ self.basis[j])
         if self.star_closed:
-            for b in self.basis:
-                project(self, la.dagger(b))
+            for j in _outside(self, la.dagger(self.basis)):
+                project(self, la.dagger(self.basis[j]))
 
 
 def as_matrix(x) -> np.ndarray:
@@ -174,6 +176,12 @@ def level_residual(algebra: OperatorAlgebra, x: np.ndarray):
     blocks = _block_view(algebra, x.reshape(-1, x.shape[-1]) if x.ndim == 3 else x)
     diff = blocks - algebra.synthesize(algebra.coords_of(blocks))
     return np.linalg.norm(diff.reshape(len(x), -1), axis=1) if x.ndim == 3 else la.frob(diff)
+
+
+def _outside(algebra: OperatorAlgebra, xs: np.ndarray) -> np.ndarray:
+    """Indices of the matrices of the stack xs over `project`'s bound, in one pass."""
+    size = np.linalg.norm(xs.reshape(len(xs), -1), axis=1)
+    return np.flatnonzero(level_residual(algebra, xs) > algebra.structure_tol * (1.0 + size))
 
 
 def generate_algebra(

@@ -10,15 +10,17 @@ per element for a cone overriding it); only `replay_witness`, the reference,
 asks `member`.  Audits report verdicts with replayable witnesses instead of
 raising: `_first_escape` decides each run of same-level candidates in one
 call and fails on the first escape; `_shift_bisection` makes one call per
-sign for the shifts, the Archimedean probes and `order_norms`.
+sign for the shift bisections, the Archimedean probes and `order_norms`, whose
+two-sided certificates `_two_sided_verdicts` decides in one call.
 The order-unit and Archimedean axioms have one check each, which the
 algebraically-admissible audit runs and `check_order_unit_archimedean` runs
 alone.  Matrix-ordered (c) and star-admissible 3ii share one scalar-conjugation
 generator, conjugation stability is the algebra-conjugation generator at one
 level, and each check draws from its own child stream of the seed.  One PSD
 rule, `_psd_test`, decides a matrix or a stack, and `min_shift` is one
-Hermitian eigensolve too, with no SVD: the slack tol_psd (1 + ||h||_2) comes
-from the spectrum of h = (x + x*)/2.  The audits work in stacks: `sample_many`
+Hermitian eigensolve too, with no SVD (`min_shift_pair` takes both signs from
+it): the slack tol_psd (1 + ||h||_2) comes from the spectrum of
+h = (x + x*)/2.  The audits work in stacks: `sample_many`
 (one Gaussian draw, GEMM and unstraighten, the stream of k single draws),
 `norm_many` (one values-only SVD), `min_shift` on a stack, and `_inf_shifts`
 (one `member_many` certifies a stack's exact shifts; the rest are bisected).
@@ -238,6 +240,10 @@ class ConeOracle:
         None when the cone is opaque and shifts must be found by bisection."""
         return None
 
+    def min_shift_pair(self, n: int, c) -> tuple:
+        """(min_shift(n, c), min_shift(n, -c))."""
+        return self.min_shift(n, c), self.min_shift(n, -c)
+
     def straighten(self, n: int, x) -> np.ndarray:
         """Map a level-n element (or stack) into the frame where the cone is PSD.
         Contract: it acts block by block as I_n (x) T, T its level-1 map."""
@@ -393,10 +399,25 @@ class SimilarityCone(ConeOracle):
         """From one Hermitian eigensolve, no SVD: the r at which r I + straighten(c)
         meets the `_psd_test` slack, lambda_min = -tol_psd (1 + lambda_max).  A
         stack takes one M_n(A) check, one straighten and one stacked eigensolve."""
+        return self._shifts(n, c)[0]
+
+    def min_shift_pair(self, n: int, c) -> tuple:
+        """Both signs from one eigensolve; an overridden `min_shift` or
+        `straighten` (subclass or instance) is asked once per sign."""
+        if not self._own("min_shift", "straighten"):
+            return super().min_shift_pair(n, c)
+        return self._shifts(n, c)
+
+    def _shifts(self, n: int, c) -> tuple:
+        """(min_shift(c), min_shift(-c)) from the spectrum lambda_1 <= ... <= lambda_N
+        of h, the Hermitian part of straighten(c): spec(-h) = -spec(h), so with
+        t = tol_psd, r(c) = (-lambda_1 - t (1 + lambda_N)) / (1 + t) and
+        r(-c) = (lambda_N - t (1 - lambda_1)) / (1 + t)."""
         y = self.straighten(n, self.level_element(n, c))
         ev = np.linalg.eigvalsh(0.5 * (y + la.dagger(y)))
-        r = (-ev[..., 0] - self.tol_psd * (1.0 + ev[..., -1])) / (1.0 + self.tol_psd)
-        return r if r.ndim else float(r)
+        low, high, t = ev[..., 0], ev[..., -1], self.tol_psd
+        pair = ((-low - t * (1.0 + high)) / (1.0 + t), (high - t * (1.0 - low)) / (1.0 + t))
+        return tuple(r if r.ndim else float(r) for r in pair)
 
     def sharp(self, n: int, x) -> np.ndarray:
         return self.sharp_block(n, n, x)
@@ -515,10 +536,9 @@ class _Bisection:
         self.calls += len(points)
         return _certified(points, self.many(points))
 
-    def search(self, exact: float | None, width: float, upper0, stop) -> tuple:
-        """Bracket of inf{r >= 0 : pred(r)}: the certified exact value, else
+    def search(self, found: tuple | None, upper0, stop) -> tuple:
+        """Bracket of inf{r >= 0 : pred(r)}: found, a certified bracket, else
         [0, upper0()] doubled at most MAX_DOUBLINGS times and bisected to `stop`."""
-        found = self.certify(exact, width)
         if found is not None:
             return found
         if self(0.0):
@@ -580,6 +600,29 @@ def _exact_brackets(cone: ConeOracle, n: int, cs, scales, widths, floor: float) 
     return [_certified(rs, [next(inside) for _ in rs]) for rs in points]
 
 
+def _two_sided_verdicts(cone: ConeOracle, n: int, cs: tuple, asks: list) -> list:
+    """Per tuple ts of asks (a `_certificate`, hi first, or empty), whether
+    t e_n + c is in C_n for both c of cs (binding c first), t in ts.  One
+    `member_many` asks the binding c at every t and the other c at all but lo;
+    a second asks the other c only at each lo where the binding c is inside."""
+    e = cone.unit(n)
+    binding, other = cs
+    xs = []
+    for ts in asks:
+        xs += [t * e + binding for t in ts] + [t * e + other for t in ts[:2]]
+    inside = iter(cone.member_many(n, xs) if xs else ())
+    first, second = [], []
+    for ts in asks:
+        first.append([next(inside) for _ in ts])
+        second.append([next(inside) for _ in ts[:2]])
+    late = [ts[2] * e + other for ts, ok in zip(asks, first) if len(ts) == 3 and ok[2]]
+    at_lo = iter(cone.member_many(n, late) if late else ())
+    for ts, ok, also in zip(asks, first, second):
+        if len(ts) == 3:
+            also.append(ok[2] and next(at_lo))
+    return [[a and b for a, b in zip(ok, also)] for ok, also in zip(first, second)]
+
+
 def _shift_bisection(cone: ConeOracle, n: int, cs: tuple, scale: float = 1.0) -> _Bisection:
     """Search on r * scale * e_n + c in C_n for all c of cs (binding c first): one
     `member_many` per c, asking only the r (by position) inside for the c before."""
@@ -602,8 +645,8 @@ def _inf_shifts(cone: ConeOracle, n: int, cs, scales, abs_tol: float) -> list:
     finds no bracket."""
     def shift(c, scale, found):
         try:
-            lo, hi = found or _shift_bisection(cone, n, (c,), scale).search(
-                None, abs_tol, lambda: la.opnorm(cone.straighten(n, c)) / scale + 1.0,
+            lo, hi = _shift_bisection(cone, n, (c,), scale).search(
+                found, lambda: la.opnorm(cone.straighten(n, c)) / scale + 1.0,
                 lambda l, h: abs_tol)
         except UnboundedAbove:
             return None

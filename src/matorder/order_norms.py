@@ -1,10 +1,12 @@
 """Cone-induced order-unit seminorms and the induced pre-C*-norm.
 
 The seminorm of a self-adjoint element is inf{r : r e +- a in C}, computed
-exactly as max(min_shift(a), min_shift(-a), 0) with a bracket certified by
-`member_many`, one call per sign; opaque cones and uncertified values fall
-back to bisection.  The pre-C*-norm is the square root of the seminorm of
-x^sharp x, cross-checked against the search for inf{r : r^2 e +- x^sharp x in C}.
+exactly as max(min_shift(a), min_shift(-a), 0), both shifts from one
+`min_shift_pair` (one eigensolve on a PSD-frame cone), with a bracket that one
+`member_many` call certifies; opaque cones and uncertified values fall back to
+bisection.  The pre-C*-norm is the square root of the seminorm of x^sharp x,
+cross-checked against the search for inf{r : r^2 e +- x^sharp x in C}; both
+formulas share the shifts and the certificate call.
 The order-unit and Archimedean checks are `cones.check_order_unit_archimedean`.
 """
 
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import _linalg as la
 from .algebra import as_matrix, block_synth
-from .cones import ConeOracle, _shift_bisection
+from .cones import ConeOracle, _certificate, _certified, _shift_bisection, _two_sided_verdicts
 from .errors import CertificationFailed, NotSelfAdjoint
 
 DEFAULT_BISECT_TOL = 1e-10
@@ -49,40 +51,57 @@ def _check_self_adjoint(sharp, a: np.ndarray) -> None:
         raise NotSelfAdjoint("order-unit seminorm needs a sharp-self-adjoint element")
 
 
-def _norm_search(cone: ConeOracle, n: int, z: np.ndarray, bisect_tol: float,
-                 squared: bool = False, sqrt_refine: bool = False,
-                 shifts: tuple | None = None) -> NormReport:
-    """inf{r >= 0 : t e_n + z and t e_n - z in C_n}, t = r (r^2 if squared).
+def _norm_searches(cone: ConeOracle, n: int, z: np.ndarray, bisect_tol: float,
+                   paths: tuple) -> list:
+    """Per (squared, sqrt_refine) of paths, the bracket of
+    inf{r >= 0 : t e_n + z and t e_n - z in C_n}, t = r (r^2 if squared).
 
-    One `cones._shift_bisection` over (z, -z), binding sign first: an exact
-    shift's certificate asks five matrices in two `member_many` calls, and a
-    bisection step asks the other sign only where the binding one is inside.
-    The fallback starts from [0, 2 ||straighten(z)|| + 1] (square-rooted if
-    squared); shifts, when given, is (min_shift(n, z), min_shift(n, -z)).
+    Both signs' exact shifts come from one `min_shift_pair` (one eigensolve on a
+    PSD-frame cone), and every path's certificate from one
+    `cones._two_sided_verdicts` call: five matrices per path, binding sign first.
+    An uncertified path falls back to bisection from [0, 2 ||straighten(z)|| + 1]
+    (square-rooted if squared), asking the other sign only where the binding one
+    is inside.
     """
-    up, down = shifts or (cone.min_shift(n, z), cone.min_shift(n, -z))
+    up, down = cone.min_shift_pair(n, z)
     exact = None if up is None or down is None else max(up, down, 0.0)
-    bis = _shift_bisection(cone, n, (z, -z) if exact is None or up >= down else (-z, z))
-    if squared:
-        ask = bis.many
-        bis.many = lambda rs: ask([r * r for r in rs])
-        exact = None if exact is None else float(np.sqrt(exact))
+    cs = (z, -z) if exact is None or up >= down else (-z, z)
 
-    def width(r):
+    def width(r, sqrt_refine):
         # sqrt_refine: sqrt(bracket) has width ~ bisect_tol, as accurate as a
         # direct search in r (and never looser, since 2 sqrt(r) <= 1 + r).
         if sqrt_refine:
             return max(2.0 * np.sqrt(r) * bisect_tol, bisect_tol ** 2)
         return bisect_tol * (1.0 + r)
 
-    lo, hi = bis.search(
-        exact, width(exact or 0.0),
-        lambda: (np.sqrt if squared else float)(2.0 * la.opnorm(cone.straighten(n, z)) + 1.0),
-        lambda l, h: bisect_tol * (1.0 + 0.5 * (l + h)))
-    if sqrt_refine and hi > 0.0:  # a no-op on a certified bracket
-        target = width(max(lo, 0.0))
-        lo, hi = bis.refine(lo, hi, lambda l, h: target)
-    return NormReport(0.5 * (lo + hi), (lo, hi), bis.iterations, bis.calls)
+    certs = []  # per path, the r its certificate asks (none when opaque)
+    for squared, sqrt_refine in paths:
+        r = None if exact is None else float(np.sqrt(exact)) if squared else exact
+        certs.append(() if r is None else _certificate(r, width(r, sqrt_refine), 0.0))
+    verdicts = _two_sided_verdicts(cone, n, cs, [
+        tuple(r * r if squared else r for r in rs) for rs, (squared, _) in zip(certs, paths)])
+    reports = []
+    for (squared, sqrt_refine), rs, ok in zip(paths, certs, verdicts):
+        bis = _shift_bisection(cone, n, cs)
+        if squared:
+            ask = bis.many
+            bis.many = lambda ts, ask=ask: ask([t * t for t in ts])
+        lo, hi = bis.search(
+            _certified(rs, ok) if rs else None,
+            lambda: (np.sqrt if squared else float)(2.0 * la.opnorm(cone.straighten(n, z)) + 1.0),
+            lambda l, h: bisect_tol * (1.0 + 0.5 * (l + h)))
+        if sqrt_refine and hi > 0.0:  # a no-op on a certified bracket
+            target = width(max(lo, 0.0), True)
+            lo, hi = bis.refine(lo, hi, lambda l, h: target)
+        reports.append(NormReport(0.5 * (lo + hi), (lo, hi), bis.iterations,
+                                  len(rs) + bis.calls))
+    return reports
+
+
+def _norm_search(cone: ConeOracle, n: int, z: np.ndarray, bisect_tol: float,
+                 squared: bool = False, sqrt_refine: bool = False) -> NormReport:
+    """`_norm_searches` on the one path (squared, sqrt_refine)."""
+    return _norm_searches(cone, n, z, bisect_tol, ((squared, sqrt_refine),))[0]
 
 
 def order_unit_seminorm(cone: ConeOracle, n: int, a, involution=None,
@@ -91,7 +110,7 @@ def order_unit_seminorm(cone: ConeOracle, n: int, a, involution=None,
 
     Requires a to be sharp-self-adjoint at level n.  The value is the exact
     shift with a certified bracket of width bisect_tol (1 + value), or the
-    bisection fallback's midpoint (see `_norm_search`).
+    bisection fallback's midpoint (see `_norm_searches`).
     """
     a = as_matrix(a)
     _check_self_adjoint(_sharp_fn(cone, involution, n), a)
@@ -102,17 +121,14 @@ def pre_cstar_norm(cone: ConeOracle, involution, n: int, x,
                    bisect_tol: float = DEFAULT_BISECT_TOL) -> NormReport:
     """sqrt of the seminorm of x^sharp x, cross-checked against the direct
     search for inf{r : r^2 e +- x^sharp x in C}; the two must agree to
-    2 * bisect_tol (relative)."""
+    2 * bisect_tol (relative).  Both come from one `_norm_searches`, so from
+    one pair of exact shifts and one certificate call."""
     x = as_matrix(x)
     sharp = _sharp_fn(cone, involution, n)
     z = sharp(x) @ x
     _check_self_adjoint(sharp, z)
-    # Both paths start from the same pair of exact shifts.
-    shifts = (cone.min_shift(n, z), cone.min_shift(n, -z))
-
-    via_sqrt = _norm_search(cone, n, z, bisect_tol, sqrt_refine=True, shifts=shifts)
+    via_sqrt, direct = _norm_searches(cone, n, z, bisect_tol, ((False, True), (True, False)))
     value_sqrt = float(np.sqrt(via_sqrt.value))
-    direct = _norm_search(cone, n, z, bisect_tol, squared=True, shifts=shifts)
     value_direct = direct.value
 
     if abs(value_sqrt - value_direct) > 2.0 * bisect_tol * (1.0 + value_direct):

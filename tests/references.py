@@ -6,7 +6,10 @@ re-derivations of an algebra span test and of `cones.compress`;
 `generate_algebra_mgs` is the earlier algebra closure (products of the fresh
 basis with the whole basis, one candidate at a time by modified
 Gram-Schmidt), which `generate_algebra` must match in dimension, span and
-star-closedness.
+star-closedness.  `norm_search_two_calls` and `pre_cstar_norm_two_calls` are
+the earlier order norms: two `min_shift` eigensolves per element and a
+two-sided certificate asked one sign per `member_many` call, which the
+library must match in value, bracket and work counters.
 """
 
 import numpy as np
@@ -14,7 +17,9 @@ import numpy as np
 from matorder import _linalg as la
 from matorder.algebra import (DEFAULT_MAX_DIM, DEFAULT_STRUCTURE_TOL, OperatorAlgebra,
                               as_matrix, membership_residual)
-from matorder.errors import DimensionCapExceeded, DimensionMismatch
+from matorder.cones import ConeOracle, _shift_bisection
+from matorder.errors import CertificationFailed, DimensionCapExceeded, DimensionMismatch
+from matorder.order_norms import DEFAULT_BISECT_TOL, NormReport, _check_self_adjoint, _sharp_fn
 
 # Acceptance threshold for a new basis direction, relative to the largest
 # candidate norm in the current closure pass.  Keeps rank decisions stable
@@ -156,3 +161,63 @@ def generate_algebra_mgs(
             break
 
     return OperatorAlgebra.from_basis(np.stack(basis), tol)
+
+
+def norm_search_two_calls(cone: ConeOracle, n: int, z: np.ndarray, bisect_tol: float,
+                          squared: bool = False, sqrt_refine: bool = False,
+                          shifts: tuple | None = None) -> NormReport:
+    """inf{r >= 0 : t e_n + z and t e_n - z in C_n}, t = r (r^2 if squared).
+
+    One `cones._shift_bisection` over (z, -z), binding sign first: an exact
+    shift's certificate asks five matrices in two `member_many` calls, and a
+    bisection step asks the other sign only where the binding one is inside.
+    The fallback starts from [0, 2 ||straighten(z)|| + 1] (square-rooted if
+    squared); shifts, when given, is (min_shift(n, z), min_shift(n, -z)).
+    """
+    up, down = shifts or (cone.min_shift(n, z), cone.min_shift(n, -z))
+    exact = None if up is None or down is None else max(up, down, 0.0)
+    bis = _shift_bisection(cone, n, (z, -z) if exact is None or up >= down else (-z, z))
+    if squared:
+        ask = bis.many
+        bis.many = lambda rs: ask([r * r for r in rs])
+        exact = None if exact is None else float(np.sqrt(exact))
+
+    def width(r):
+        if sqrt_refine:
+            return max(2.0 * np.sqrt(r) * bisect_tol, bisect_tol ** 2)
+        return bisect_tol * (1.0 + r)
+
+    lo, hi = bis.search(
+        bis.certify(exact, width(exact or 0.0)),
+        lambda: (np.sqrt if squared else float)(2.0 * la.opnorm(cone.straighten(n, z)) + 1.0),
+        lambda l, h: bisect_tol * (1.0 + 0.5 * (l + h)))
+    if sqrt_refine and hi > 0.0:
+        target = width(max(lo, 0.0))
+        lo, hi = bis.refine(lo, hi, lambda l, h: target)
+    return NormReport(0.5 * (lo + hi), (lo, hi), bis.iterations, bis.calls)
+
+
+def pre_cstar_norm_two_calls(cone: ConeOracle, involution, n: int, x,
+                             bisect_tol: float = DEFAULT_BISECT_TOL) -> NormReport:
+    """sqrt of the seminorm of x^sharp x, cross-checked against the direct
+    search for inf{r : r^2 e +- x^sharp x in C}, each path certified on its own."""
+    x = as_matrix(x)
+    sharp = _sharp_fn(cone, involution, n)
+    z = sharp(x) @ x
+    _check_self_adjoint(sharp, z)
+    shifts = (cone.min_shift(n, z), cone.min_shift(n, -z))
+
+    via_sqrt = norm_search_two_calls(cone, n, z, bisect_tol, sqrt_refine=True, shifts=shifts)
+    value_sqrt = float(np.sqrt(via_sqrt.value))
+    direct = norm_search_two_calls(cone, n, z, bisect_tol, squared=True, shifts=shifts)
+    value_direct = direct.value
+
+    if abs(value_sqrt - value_direct) > 2.0 * bisect_tol * (1.0 + value_direct):
+        raise CertificationFailed(
+            f"pre-C*-norm formulas disagree: sqrt path {value_sqrt:.17g}, "
+            f"direct path {value_direct:.17g}"
+        )
+    bracket = tuple(float(np.sqrt(max(b, 0.0))) for b in via_sqrt.bracket)
+    return NormReport(value_sqrt, bracket,
+                      via_sqrt.iterations + direct.iterations,
+                      via_sqrt.oracle_calls + direct.oracle_calls)

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import E11, E12, E21, E22, WORKED_B, mat, random_unitary
 from matorder.algebra import (
     DEFAULT_MAX_DIM,
+    OperatorAlgebra,
     block_coords,
     block_synth,
     doubling_embed,
@@ -123,6 +124,51 @@ def test_full_m17_closes_under_the_default_cap():
     algebra = generate_algebra([g], include_adjoints=True)
     assert algebra.dim == 17 * 17 <= DEFAULT_MAX_DIM
     assert algebra.star_closed
+
+
+def _first_escape_per_product(algebra):
+    """The `MembershipError` of the first product b_i b_j outside the span, in
+    (i, j) order, then of the first adjoint of a star-closed algebra, asked one
+    `project` at a time; None if every one projects."""
+    mats = [bi @ bj for bi in algebra.basis for bj in algebra.basis]
+    if algebra.star_closed:
+        mats += [b.conj().T for b in algebra.basis]
+    for x in mats:
+        try:
+            project(algebra, x)
+        except MembershipError as err:
+            return err
+    return None
+
+
+@pytest.mark.parametrize("star_closed", [True, False])
+def test_validate_fails_as_the_per_product_reference(star_closed):
+    # M_2 + M_1 (d = 5) in M_3; one basis direction is tilted out of the
+    # algebra, orthogonally to the whole basis, so the Gram and unit checks
+    # pass and the products leave the span.
+    alg = generate_algebra([mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]])], include_adjoints=True)
+    assert alg.dim == 5
+    alg.validate()
+    rng = np.random.default_rng(7)
+    flat = alg.basis.reshape(alg.dim, -1)
+    w = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    w -= flat.T @ (flat.conj() @ w)
+    for tilt in (1e-3, 1e-6):
+        basis = alg.basis.copy()
+        basis[2] = (basis[2] + tilt * w.reshape(3, 3) / np.linalg.norm(w)) / np.sqrt(1 + tilt ** 2)
+        bad = OperatorAlgebra(3, basis, alg.unit_coords, star_closed, alg.structure_tol)
+        want = _first_escape_per_product(bad)
+        assert want is not None
+        with pytest.raises(MembershipError) as got:
+            bad.validate()
+        assert (str(got.value), got.value.residual) == (str(want), want.residual)
+    # Closed under products but not under the adjoint: only the star check fails.
+    upper = generate_algebra([E12])
+    bad = OperatorAlgebra(2, upper.basis, upper.unit_coords, True, upper.structure_tol)
+    with pytest.raises(MembershipError) as got:
+        bad.validate()
+    want = _first_escape_per_product(bad)
+    assert (str(got.value), got.value.residual) == (str(want), want.residual)
 
 
 def test_generate_dimension_mismatch():

@@ -191,13 +191,15 @@ def test_exact_two_sided_certificate_decides_five_matrices_in_two_calls(fixture,
     a = cone.sample_span(n, np.random.default_rng(40 + n))
     rep = order_unit_seminorm(cone, n, a)
     assert (rep.iterations, rep.oracle_calls) == (0, 3)
-    (binding, at_binding), (other, at_other) = cone.batches
-    # hi, mid and lo for the binding sign, which fails at lo; then hi and mid
-    # of the other sign, and nothing more.
-    assert (at_binding, at_other) == ([True, True, False], [True, True])
+    # One call: hi, mid and lo for the binding sign, which fails at lo, then
+    # hi and mid of the other sign, and nothing more.
+    [(xs, got)] = cone.batches
+    binding, other = xs[:3], xs[3:]
+    assert got == [True, True, False, True, True]
     sign = 1.0 if np.allclose(binding[0] - other[0], 2.0 * a) else -1.0
     for k in range(2):
         np.testing.assert_allclose(binding[k] - other[k], sign * 2.0 * a, atol=1e-12)
+    np.testing.assert_allclose(binding[0] - binding[1], binding[1] - binding[2], atol=1e-12)
     cone.batches.clear()
     assert _inf_shift(cone, n, a, 1.0, 1e-9) is not None
     assert [len(xs) for xs, _ in cone.batches] == [3]

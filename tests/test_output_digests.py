@@ -68,3 +68,41 @@ def test_verdicts_flags_counts_and_exit_codes_stay_in_the_number_free_digest():
         assert output_digests.digests(other)[2] != number_free
     assert (output_digests.digests(("seminorm", 1.0, 0, 3))[2]
             != output_digests.digests(("seminorm", 1.0, 1, 3))[2])
+
+
+def _line(workload, task, full, free, number_free, seed=5):
+    return f"{workload} {seed} {task} {full} {free} {number_free}"
+
+
+BEFORE = [_line("order-norms", "r0.t0", "a", "f", "n"), _line("order-norms", "r0.t1", "b", "f", "n"),
+          _line("cli-session", "r0.t0", "c", "g", "m"), _line("cli-session", "r0.t1", "d", "h", "m")]
+AFTER = [_line("order-norms", "r0.t0", "a2", "f", "n"), _line("order-norms", "r0.t1", "b", "f", "n"),
+         _line("cli-session", "r0.t0", "c2", "g2", "m"), _line("cli-session", "r0.t1", "d2", "h2", "m2"),
+         _line("cli-session", "r0.t2", "e", "i", "o")]
+
+
+def test_difference_counts_are_per_workload():
+    counts = output_digests.difference_counts(BEFORE, AFTER)
+    assert list(counts) == ["order-norms", "cli-session"]
+    # [tasks, full, float-free, number-free]; a task before lacks differs in all three.
+    assert counts == {"order-norms": [2, 1, 0, 0], "cli-session": [3, 3, 3, 2]}
+    assert output_digests.difference_counts(BEFORE, BEFORE) == {
+        "order-norms": [2, 0, 0, 0], "cli-session": [2, 0, 0, 0]}
+
+
+def test_against_prints_each_workloads_counts_and_the_total(monkeypatch, capsys):
+    class _Run:
+        def __init__(self, lines):
+            self.returncode, self.stdout = 0, "\n".join(lines) + "\n"
+
+    runs = iter([_Run(BEFORE), _Run(AFTER)])
+    monkeypatch.setattr(output_digests.subprocess, "run", lambda *a, **k: next(runs))
+    assert output_digests.main(["--against", "parent", "--root", "change"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "order-norms: 2 tasks, 1 full, 0 float-free and 0 number-free digests differ",
+        "cli-session: 3 tasks, 3 full, 3 float-free and 2 number-free digests differ",
+        "5 tasks, 4 full, 3 float-free and 2 number-free digests differ",
+    ]
+    runs = iter([_Run(BEFORE), _Run(BEFORE)])
+    assert output_digests.main(["--against", "parent", "--root", "change"]) == 0

@@ -108,7 +108,8 @@ def test_oracle_work_is_one_eigensolve_and_no_svd(fixture, n, request, monkeypat
         call()
         assert counts == {"svd": 0, "eigvalsh": 1, "eigensolves": 1}
 
-    # Exact path: two shifts plus one eigensolve per membership test.
+    # Exact path: one eigensolve for both shifts plus one per membership test,
+    # five tests per certificate (binding sign at hi, mid, lo; the other at hi, mid).
     member = cone.member
 
     def counted_member(level, y):
@@ -116,12 +117,12 @@ def test_oracle_work_is_one_eigensolve_and_no_svd(fixture, n, request, monkeypat
         return member(level, y)
 
     cone.member = counted_member
-    for rep_of in (lambda: order_unit_seminorm(cone, n, a),
-                   lambda: pre_cstar_norm(cone, None, n, x)):
+    for rep_of, members in ((lambda: order_unit_seminorm(cone, n, a), 5),
+                            (lambda: pre_cstar_norm(cone, None, n, x), 10)):
         counts.update(svd=0, eigvalsh=0, eigensolves=0, member=0)
         assert rep_of().iterations == 0
-        assert counts["svd"] == 0 and counts["member"] > 0
-        assert counts["eigvalsh"] == counts["eigensolves"] == 2 + counts["member"]
+        assert counts["svd"] == 0 and counts["member"] == members
+        assert counts["eigvalsh"] == counts["eigensolves"] == 1 + members
 
 
 @pytest.mark.parametrize("fixture", ["m2_full", "m3_full", "worked_algebra", "span_i_e11"])

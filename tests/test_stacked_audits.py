@@ -29,7 +29,7 @@ def _reference_inf_shift(cone, n, c, scale, abs_tol):
     bis = _shift_bisection(cone, n, (c,), scale)
     exact = cone.min_shift(n, c)
     try:
-        lo, hi = bis.search(None if exact is None else exact / scale, abs_tol,
+        lo, hi = bis.search(bis.certify(None if exact is None else exact / scale, abs_tol),
                             lambda: la.opnorm(cone.straighten(n, c)) / scale + 1.0,
                             lambda l, h: abs_tol)
     except UnboundedAbove:

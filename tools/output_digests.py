@@ -28,9 +28,9 @@ this one), so one copy of this script can digest any commit exported with
 commits give the same numerical results exactly when their outputs diff
 empty.  `--against DIR` makes that comparison: it digests both checkouts
 (each in its own interpreter), prints the lines that differ as a unified
-diff from DIR to --root with how many tasks differ in each of the three
-digests, and exits 1 if any line differs, 0 if none does, and 2 if either
-checkout fails to digest.
+diff from DIR to --root, then how many tasks differ in each of the three
+digests per workload and in total, and exits 1 if any line differs, 0 if
+none does, and 2 if either checkout fails to digest.
 """
 
 from __future__ import annotations
@@ -123,6 +123,21 @@ def main(argv=None) -> int:
     return 0
 
 
+def difference_counts(before_lines: list, after_lines: list) -> dict:
+    """Per workload, in order of first appearance: [tasks, full, float-free,
+    number-free], the number of after's tasks and of those whose digest differs
+    from before's (all three, for a task before lacks)."""
+    before = {tuple(fields[:3]): fields[3:] for fields in map(str.split, before_lines)}
+    counts = {}
+    for fields in map(str.split, after_lines):
+        old = before.get(tuple(fields[:3]), [None] * 3)
+        row = counts.setdefault(fields[0], [0, 0, 0, 0])
+        row[0] += 1
+        for k in range(3):
+            row[1 + k] += old[k] != fields[3 + k]
+    return counts
+
+
 def _compare(before: str, after: str, args) -> int:
     """Digest two checkouts in child interpreters; print their differing lines."""
     same = ["--seconds", repr(args.seconds),
@@ -140,14 +155,13 @@ def _compare(before: str, after: str, args) -> int:
                                      lineterm="", n=0))
     for line in diff:
         print(line)
-    changed = sum(line.startswith("+") and not line.startswith("+++") for line in diff)
-    tasks = [{tuple(fields[:3]): fields[4:] for fields in map(str.split, lines)}
-             for lines in (before_lines, after_lines)]
-    free, number_free = (sum(tasks[0].get(task, [None, None])[k] != digest[k]
-                             for task, digest in tasks[1].items()) for k in (0, 1))
-    print(f"{len(after_lines)} tasks, {changed} digest lines differ, "
-          f"{free} float-free and {number_free} number-free digests differ",
-          file=sys.stderr)
+    counts = difference_counts(before_lines, after_lines)
+    for workload, (tasks, full, free, number_free) in counts.items():
+        print(f"{workload}: {tasks} tasks, {full} full, {free} float-free and "
+              f"{number_free} number-free digests differ", file=sys.stderr)
+    tasks, full, free, number_free = (sum(row[k] for row in counts.values()) for k in range(4))
+    print(f"{tasks} tasks, {full} full, {free} float-free and {number_free} number-free "
+          f"digests differ", file=sys.stderr)
     return 1 if diff else 0
 
 
