@@ -12,23 +12,11 @@ from matorder.algebra import random_element
 from matorder.cones import SimilarityCone
 from matorder.order_norms import DEFAULT_BISECT_TOL, order_unit_seminorm, pre_cstar_norm
 from references import norm_search_two_calls, pre_cstar_norm_two_calls
+from test_member_many import _Recording
 from test_shifts import _opaque
 
 EPS = np.finfo(float).eps
 CONES = ["std_m3", "worked_sim_cone", "planted_sim_cone"]
-
-
-class _Recording(SimilarityCone):
-    """An honest cone that records every batch handed to `member_many`."""
-
-    def __init__(self, alg, s):
-        super().__init__(alg, s)
-        self.batches = []
-
-    def member_many(self, n, xs):
-        got = super().member_many(n, xs)
-        self.batches.append((list(xs), got))
-        return got
 
 
 class _Shifted(_Recording):

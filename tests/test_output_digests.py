@@ -74,10 +74,14 @@ def _line(workload, task, full, free, number_free, seed=5):
     return f"{workload} {seed} {task} {full} {free} {number_free}"
 
 
-BEFORE = [_line("order-norms", "r0.t0", "a", "f", "n"), _line("order-norms", "r0.t1", "b", "f", "n"),
-          _line("cli-session", "r0.t0", "c", "g", "m"), _line("cli-session", "r0.t1", "d", "h", "m")]
-AFTER = [_line("order-norms", "r0.t0", "a2", "f", "n"), _line("order-norms", "r0.t1", "b", "f", "n"),
-         _line("cli-session", "r0.t0", "c2", "g2", "m"), _line("cli-session", "r0.t1", "d2", "h2", "m2"),
+BEFORE = [_line("order-norms", "r0.t0", "a", "f", "n"),
+          _line("order-norms", "r0.t1", "b", "f", "n"),
+          _line("cli-session", "r0.t0", "c", "g", "m"),
+          _line("cli-session", "r0.t1", "d", "h", "m")]
+AFTER = [_line("order-norms", "r0.t0", "a2", "f", "n"),
+         _line("order-norms", "r0.t1", "b", "f", "n"),
+         _line("cli-session", "r0.t0", "c2", "g2", "m"),
+         _line("cli-session", "r0.t1", "d2", "h2", "m2"),
          _line("cli-session", "r0.t2", "e", "i", "o")]
 
 
