@@ -33,20 +33,6 @@ def opnorm(x: np.ndarray) -> float:
     return float(np.linalg.svd(x, compute_uv=False)[0])
 
 
-def herm_defect(x: np.ndarray) -> float:
-    return float(np.max(np.abs(x - x.conj().T))) if x.size else 0.0
-
-
-def is_hermitian(x: np.ndarray, tol: float) -> bool:
-    return herm_defect(x) <= tol
-
-
-def min_eig(x: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian part of x."""
-    h = 0.5 * (x + x.conj().T)
-    return float(np.linalg.eigvalsh(h)[0])
-
-
 def principal_sqrt(q: np.ndarray) -> np.ndarray:
     """Principal square root of a Hermitian positive definite matrix."""
     evals, vecs = np.linalg.eigh(0.5 * (q + q.conj().T))

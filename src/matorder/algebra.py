@@ -86,7 +86,7 @@ class OperatorAlgebra:
         (no membership check)."""
         x = np.asarray(x, dtype=complex)
         flat = self.basis.reshape(self.dim, -1)
-        return np.conj(np.conj(x).reshape(x.shape[:-2] + (-1,)) @ flat.T)
+        return np.conj(np.conj(x).reshape(*x.shape[:-2], flat.shape[1]) @ flat.T)
 
     def unit_matrix(self) -> np.ndarray:
         return self.synthesize(self.unit_coords)
@@ -141,17 +141,20 @@ def membership_residual(algebra: OperatorAlgebra, x: np.ndarray) -> float:
 
 
 def _block_view(algebra: OperatorAlgebra, x: np.ndarray) -> np.ndarray:
-    """The (n, m, N, N) view of the N x N blocks of an (nN) x (mN) matrix."""
+    """The (n, m, N, N) view of the N x N blocks of an (nN) x (mN) matrix,
+    or the (k, n, m, N, N) view of a stack of k of them."""
     x = as_matrix(x)
     big_n = algebra.ambient_dim
-    if x.ndim != 2 or x.shape[0] % big_n or x.shape[1] % big_n:
+    if x.ndim not in (2, 3) or x.shape[-2] % big_n or x.shape[-1] % big_n:
         raise DimensionMismatch(f"expected a matrix of {big_n}x{big_n} blocks, got {x.shape}")
-    return x.reshape(x.shape[0] // big_n, big_n, x.shape[1] // big_n, big_n).swapaxes(1, 2)
+    return x.reshape(*x.shape[:-2], x.shape[-2] // big_n, big_n,
+                     x.shape[-1] // big_n, big_n).swapaxes(-3, -2)
 
 
 def block_coords(algebra: OperatorAlgebra, x: np.ndarray) -> np.ndarray:
-    """Coordinates (n, m, d) of the N x N blocks of an (nN) x (mN) matrix
-    (no membership check); ravelled, those on the basis kron(E_ij, b_k)."""
+    """Coordinates (n, m, d) of the N x N blocks of an (nN) x (mN) matrix, or
+    (k, n, m, d) of a stack (no membership check); ravelled, those on the
+    basis kron(E_ij, b_k)."""
     return algebra.coords_of(_block_view(algebra, x))
 
 

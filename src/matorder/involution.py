@@ -3,9 +3,11 @@
 Every element of the algebra splits uniquely as x = x1 + i x2 with x1, x2
 in the real span of the cone; the assignment x -> x1 - i x2 is then a
 conjugate-linear anti-multiplicative involution.  Recovery runs at level 1;
-an `InvolutionMap` acts on block matrices over its algebra of any size as
-(x_ij)^sharp = (x_ji^sharp), which `verify_matrix_involution` certifies as
-the level-n involution.
+an `InvolutionMap` acts on block matrices over its algebra of any size, or
+on a stack of them, as (x_ij)^sharp = (x_ji^sharp), which
+`verify_matrix_involution` certifies as the level-n involution.  Cone
+samples are drawn in stacks (one `sample_many` call per span round, per
+certificate chunk) and measured on the stack.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg as la
-from .algebra import OperatorAlgebra, as_matrix, block_coords, block_synth, random_element
-from .cones import ConeOracle
+from .algebra import OperatorAlgebra, as_matrix, block_coords, block_synth
+from .cones import ConeOracle, _random_complex_many, _stack
 from .errors import (
     CertificationFailed,
     DecompositionInfeasible,
@@ -29,6 +31,9 @@ _DEF_RESIDUAL_TOL = 1e-9
 SPAN_ROUNDS = 12
 # Cone samples a level-n certificate draws beyond its rank target.
 CERT_SAMPLES = 20
+# Bytes of cone samples a level-n certificate draws, maps and measures at a
+# time: the working set of a chunk then stays in a core's cache.
+CERT_CHUNK_BYTES = 2 ** 18
 
 
 def real_cone_span(cone: ConeOracle, n: int = 1, seed: int = 0) -> np.ndarray:
@@ -47,8 +52,8 @@ def real_cone_span(cone: ConeOracle, n: int = 1, seed: int = 0) -> np.ndarray:
     stable = 0
     last = -1
     for _ in range(SPAN_ROUNDS):
-        drawn += [cone.sample(n, rng) for _ in range(samples)]
-        basis = la.orthonormal_stack(np.stack(drawn))
+        drawn.append(_stack(cone, n, cone.sample_many(n, samples, rng)))
+        basis = la.orthonormal_stack(np.concatenate(drawn))
         if basis.shape[0] == last:
             stable += 1
             if stable >= 2:  # three rounds at the same dimension
@@ -121,18 +126,22 @@ def decompose(cone: ConeOracle, n: int, x, span: np.ndarray | None = None) -> tu
 @dataclass(frozen=True)
 class InvolutionMap:
     """Conjugate-linear involution of A stored as the images of its basis
-    elements, applied entrywise to block matrices over A of any size;
-    `bound_2K` records the empirical level-1 bound ||x^sharp|| <= bound_2K * ||x||."""
+    elements, applied entrywise to block matrices over A of any size (or to
+    a stack of them); `bound_2K` records the empirical level-1 bound
+    ||x^sharp|| <= bound_2K * ||x|| over 32 random elements."""
 
     algebra: OperatorAlgebra
     images: np.ndarray
     bound_2K: float
 
     def __call__(self, x) -> np.ndarray:
-        """x^sharp of a block matrix over the algebra (its size read from
-        x's shape): block (i, j) maps to block (j, i)."""
-        coords = block_coords(self.algebra, x)
-        return block_synth(coords.conj().swapaxes(0, 1), self.images)
+        """x^sharp of a block matrix over the algebra, or of each matrix of a
+        stack (its size read from x's shape): block (i, j) maps to block (j, i)."""
+        return self.of_coords(block_coords(self.algebra, x))
+
+    def of_coords(self, coords: np.ndarray) -> np.ndarray:
+        """x^sharp from the `block_coords` of x (a matrix's or a stack's)."""
+        return block_synth(coords.conj().swapaxes(-3, -2), self.images)
 
 
 def recover_involution(cone: ConeOracle, n: int = 1, seed: int = 0,
@@ -146,14 +155,13 @@ def recover_involution(cone: ConeOracle, n: int = 1, seed: int = 0,
     images = x1 - 1j * x2
 
     out = InvolutionMap(cone.algebra, images, bound_2K=0.0)
-    rng = np.random.default_rng(seed + 1)
-    bound = 1.0
-    for _ in range(32):
-        x = random_element(cone.algebra, rng)
-        nx = la.opnorm(x)
-        if nx > 1e-12:
-            bound = max(bound, la.opnorm(out(x)) / nx)
-    out = InvolutionMap(cone.algebra, images, bound_2K=float(bound))
+    # 32 `random_element` draws (their stream) as one stack, measured by one
+    # values-only SVD per side.
+    xs = block_synth(_random_complex_many(np.random.default_rng(seed + 1), 32,
+                                          (1, 1, cone.algebra.dim)), cone.algebra.basis)
+    nx = np.linalg.svd(xs, compute_uv=False)[:, 0]
+    ratios = np.linalg.svd(out(xs), compute_uv=False)[:, 0][nx > 1e-12] / nx[nx > 1e-12]
+    out = InvolutionMap(cone.algebra, images, bound_2K=float(np.max(ratios, initial=1.0)))
     if n > 1:
         certify_level(cone, n, out, seed=seed)
     return out
@@ -190,8 +198,10 @@ def verify_matrix_involution(cone: ConeOracle, n: int, samples: int = CERT_SAMPL
     """Certify that the entrywise extension of the level-1 map (recovered unless
     given) is the level-n involution: need + samples elements of C_n, each fixed
     by the map, whose blocks i <= j have real rank need = n^2 dim A, span all of
-    H_n = {x in M_n(A) : x^sharp = x}, so span_R(C_n - C_n) = H_n."""
-    cone.level_dim(n)  # LevelUnsupported for a cone without matrix levels
+    H_n = {x in M_n(A) : x^sharp = x}, so span_R(C_n - C_n) = H_n.  Drawn,
+    mapped and measured CERT_CHUNK_BYTES of samples at a time, which bounds the memory."""
+    # LevelUnsupported for a cone without matrix levels
+    chunk = max(1, CERT_CHUNK_BYTES // (16 * cone.level_dim(n) ** 2))
     if involution1 is None:
         involution1 = recover_involution(cone, 1, seed=seed)
     need = n * n * cone.algebra.dim
@@ -199,8 +209,12 @@ def verify_matrix_involution(cone: ConeOracle, n: int, samples: int = CERT_SAMPL
     rng = np.random.default_rng(seed + 5)
     worst = 0.0
     rows = np.empty((need + samples, len(upper[0]) * 2 * cone.algebra.dim))
-    for row in rows:
-        x = cone.sample(n, rng)
-        worst = max(worst, la.frob(x - involution1(x)) / (1.0 + la.frob(x)))
-        row[:] = la.real_vec(block_coords(cone.algebra, x)[upper])
+    for start in range(0, len(rows), chunk):
+        xs = _stack(cone, n, cone.sample_many(n, min(chunk, len(rows) - start), rng))
+        coords = block_coords(cone.algebra, xs)
+        size = np.linalg.norm(xs.reshape(len(xs), -1), axis=1)
+        residual = np.linalg.norm((xs - involution1.of_coords(coords)).reshape(len(xs), -1),
+                                  axis=1)
+        worst = max(worst, float(np.max(residual / (1.0 + size))))
+        rows[start:start + len(xs)] = la.real_rows(coords[:, upper[0], upper[1]])
     return InvolutionComparison(n, float(worst), samples, la.rank(rows), need)

@@ -4,14 +4,16 @@ adjoint-closed one.
 Requiring (S b S^-1)* = S b^sharp S^-1 for Q = S* S reduces to the linear
 system b* Q = Q b^sharp, so the candidate Q's form a real vector space of
 Hermitian matrices.  One log-barrier Newton solver for linear matrix
-inequalities serves two phases: phase one maximizes lambda_min over
-Q(c) <= I and either finds a positive definite solution (a strictly feasible
-iterate with lambda_min > 0) or returns the dual certificate of the bound it
-proves on lambda_min; phase two minimizes t subject to
-I <= Q(c) <= t I (Boyd, El Ghaoui, Feron & Balakrishnan, LMIs in System
-and Control Theory, 3.1), and its duality gap certifies the optimum.  The
-principal square root of the optimum gives the similarity together with
-completely-bounded-norm bounds.
+inequalities, each Newton step one Cholesky, inverse and whitening on the
+stack of LMI blocks, serves two phases: phase one maximizes lambda_min over
+Q(c) <= I and either stops at a positive definite solution (the first
+centred iterate whose lambda_min is positive and at least its duality gap,
+so at least half the maximum) or returns the dual certificate of the bound it proves on lambda_min; phase
+two minimizes t subject to I <= Q(c) <= t I (Boyd, El Ghaoui, Feron &
+Balakrishnan, LMIs in System and Control Theory, 3.1), and its duality gap
+certifies the optimum.  The principal square root of the optimum gives the
+similarity together with completely-bounded-norm bounds; `build_star_rep`
+checks it on stacks of cone samples.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import _linalg as la
 from .algebra import OperatorAlgebra, block_coords, block_synth, generate_algebra
-from .cones import ConeOracle
+from .cones import ConeOracle, _blockwise, _stack
 from .errors import CertificationFailed, NoPositiveSolution, NumericalStall
 from .involution import InvolutionMap, recover_involution
 
@@ -86,63 +88,64 @@ def solve_Q(algebra: OperatorAlgebra, involution) -> np.ndarray:
     return la.real_kernel(herm, np.vstack(rows), scale=1.0)
 
 
-def _barrier(blocks: list, cost: np.ndarray, x: np.ndarray) -> tuple:
-    """Minimize cost @ x subject to F_b(x) = f0 + sum_i x_i fs[i] > 0 for
-    every block (f0, fs), from a strictly feasible x.
+def _barrier(f0: np.ndarray, fs: np.ndarray, cost: np.ndarray, x: np.ndarray,
+             stop=None) -> tuple:
+    """Minimize cost @ x subject to F_b(x) = f0[b] + sum_i x_i fs[b, i] > 0
+    for every block b of the stacks f0 (B, n, n) and fs (B, k, n, n), from a
+    strictly feasible x.
 
     Barrier method (Boyd & Vandenberghe, ch. 11): damped Newton steps on
     tau cost @ x - sum_b log det F_b(x), trial points tested for
-    feasibility by Cholesky, tau raised tenfold once the Newton decrement
-    lambda is below 1/2.  At any iterate with lambda < 1 the Newton step dF
-    gives duals Z_b = F_b^-1 (I - dF_b F_b^-1) / tau, positive definite and
-    meeting sum_b tr(Z_b fs_b[i]) = cost[i] exactly, so
+    feasibility by one stacked Cholesky, tau raised tenfold once the Newton
+    decrement lambda is below 1/2.  At any iterate with lambda < 1 the Newton
+    step dF gives duals Z_b = F_b^-1 (I - dF_b F_b^-1) / tau, positive
+    definite and meeting sum_b tr(Z_b fs[b, i]) = cost[i] exactly, so
     gap = sum_b tr(Z_b F_b(x)) bounds cost @ x minus the optimum.  Returns
-    (x, gap, [Z_b]) once gap <= max(GAP_RTOL, GAP_FLOOR_FACTOR m |cost @ x|)
-    (1 + |cost @ x|), m the total block size; raises NumericalStall when the
-    Newton budget runs out or no step makes progress.
+    (x, gap, Z) once gap <= max(GAP_RTOL, GAP_FLOOR_FACTOR B n |cost @ x|)
+    (1 + |cost @ x|), or at the first such iterate where stop(x, gap) holds;
+    raises NumericalStall when the Newton budget runs out or no step makes
+    progress.
     """
-    m = sum(f0.shape[0] for f0, _ in blocks)
+    m = f0.shape[0] * f0.shape[1]
     tau = m / (1.0 + abs(cost @ x))
 
     def inverse_factors(x):
-        # L_b^-1 with F_b(x) = L_b L_b*, or None when some F_b(x) is not PD.
+        # L^-1 with F(x) = L L* on every block, or None when some block is not PD.
         try:
-            return [np.linalg.inv(np.linalg.cholesky(f0 + np.tensordot(x, fs, axes=(0, 0))))
-                    for f0, fs in blocks]
+            return np.linalg.inv(np.linalg.cholesky(f0 + np.tensordot(x, fs, axes=(0, 1))))
         except np.linalg.LinAlgError:
             return None
 
-    def neg_logdet(linvs):
-        return sum(2.0 * np.sum(np.log(np.abs(np.diagonal(li)))) for li in linvs)
+    def neg_logdet(linv):
+        return 2.0 * np.sum(np.log(np.abs(np.diagonal(linv, axis1=1, axis2=2))))
 
-    linvs = inverse_factors(x)
+    linv = inverse_factors(x)
     for _ in range(NEWTON_BUDGET):
-        # Whitened data G_bi = L_b^-1 fs_b[i] L_b^-*: the barrier's gradient
+        # Whitened data G_bi = L_b^-1 fs[b, i] L_b^-*: the barrier's gradient
         # is -tr G_bi and its Hessian J^T J with J = [vec G_bi] (real
         # parts over imaginary parts); solving through J's QR factor keeps
         # the accuracy that forming J^T J would square away near the optimum.
-        gs = [(li @ fs @ li.conj().T).reshape(len(x), -1) for li, (_, fs) in zip(linvs, blocks)]
-        grad = tau * cost - sum(g[:, ::li.shape[0] + 1].sum(axis=1).real
-                                for g, li in zip(gs, linvs))
-        r = np.linalg.qr(np.concatenate([np.hstack([g.real, g.imag]) for g in gs], axis=1).T,
-                         mode="r")
+        g = linv[:, None] @ fs @ la.dagger(linv)[:, None]
+        grad = tau * cost - np.trace(g, axis1=2, axis2=3).real.sum(axis=0)
+        flat = g.reshape(g.shape[0], len(x), -1)
+        jac = np.concatenate([flat.real, flat.imag], axis=2).swapaxes(0, 1).reshape(len(x), -1)
+        r = np.linalg.qr(jac.T, mode="r")
         try:
             dx = -np.linalg.solve(r, np.linalg.solve(r.T, grad))
         except np.linalg.LinAlgError:  # dependent basis: no unique Newton step
             break
         lam2 = float(-grad @ dx)
         if lam2 < 1.0:
-            dgs = [(dx @ g).reshape(li.shape) for g, li in zip(gs, linvs)]
-            gap = sum(li.shape[0] - np.trace(dg).real for dg, li in zip(dgs, linvs)) / tau
+            dg = np.tensordot(dx, g, axes=(0, 1))
+            gap = float(m - np.trace(dg, axis1=1, axis2=2).real.sum()) / tau
             obj = abs(cost @ x)
-            if gap <= max(GAP_RTOL, GAP_FLOOR_FACTOR * m * obj) * (1.0 + obj):
-                duals = [li.conj().T @ (np.eye(li.shape[0]) - dg) @ li / tau
-                         for dg, li in zip(dgs, linvs)]
-                return x, float(gap), duals
+            if (gap <= max(GAP_RTOL, GAP_FLOOR_FACTOR * m * obj) * (1.0 + obj)
+                    or (stop is not None and stop(x, gap))):
+                return x, gap, la.dagger(linv) @ (np.eye(f0.shape[1]) - dg) @ linv / tau
             if lam2 < 0.25:
                 tau *= 10.0
                 continue
-        step, base = 1.0, neg_logdet(linvs)
+        step, base = 1.0, neg_logdet(linv)
         while step > 1e-12:
             # Armijo test on the step actually taken: one lost to rounding
             # (x + step dx == x) is no progress.
@@ -154,32 +157,38 @@ def _barrier(blocks: list, cost: np.ndarray, x: np.ndarray) -> tuple:
             step *= 0.5
         else:
             break
-        x, linvs = xt, trial
+        x, linv = xt, trial
     raise NumericalStall(f"barrier solve stalled short of its gap tolerance "
                          f"(budget {NEWTON_BUDGET} Newton steps, tau {tau:.3g})")
 
 
-def _box_blocks(space: np.ndarray, low: tuple, high: tuple) -> list:
-    """LMI blocks for low I <= Q(c) <= high I in the variables x = (c, v);
-    each bound is a pair (constant, coefficient of v)."""
+def _box_blocks(space: np.ndarray, low: tuple, high: tuple) -> tuple:
+    """The LMI low I <= Q(c) <= high I in the variables x = (c, v) as one
+    stacked pair (f0, fs) of two blocks; each bound is a pair (constant,
+    coefficient of v)."""
     eye = np.eye(space.shape[1], dtype=complex)
-    return [(-low[0] * eye, np.concatenate([space, [-low[1] * eye]])),
-            (high[0] * eye, np.concatenate([-space, [high[1] * eye]]))]
+    return (np.stack([-low[0] * eye, high[0] * eye]),
+            np.stack([np.concatenate([space, [-low[1] * eye]]),
+                      np.concatenate([-space, [high[1] * eye]])]))
 
 
 def _phase_one(space: np.ndarray) -> tuple:
-    """(c, s) maximizing s subject to s I <= Q(c) <= I, started at c = 0,
-    s = -1.  The barrier's iterates are strictly feasible, so s > 0 exhibits
-    Q(c) >= s I, positive definite; otherwise NoPositiveSolution carries the
-    dual certificate of lambda_min <= s + gap over Q(c) <= I."""
+    """(c, s) with s I <= Q(c) <= I, s > 0, from the barrier solve maximizing
+    s, started at c = 0, s = -1.  The barrier's iterates are strictly
+    feasible, so s > 0 exhibits Q(c) >= s I, positive definite; the solve
+    stops at the first centred iterate (lambda < 1) with s >= its gap, so
+    s >= s*/2 for the maximum s*.  Otherwise it runs to its gap and
+    NoPositiveSolution carries the dual certificate of lambda_min <= s + gap
+    over Q(c) <= I."""
     k = space.shape[0]
-    x, gap, (w, _) = _barrier(_box_blocks(space, (0.0, 1.0), (1.0, 0.0)),
-                              -np.eye(k + 1)[k], -np.eye(k + 1)[k])
+    x, gap, w = _barrier(*_box_blocks(space, (0.0, 1.0), (1.0, 0.0)),
+                         -np.eye(k + 1)[k], -np.eye(k + 1)[k],
+                         stop=lambda x, gap: x[k] > 0.0 and x[k] >= gap)
     c, s = x[:k], float(x[k])
     if s <= 0.0:
         raise NoPositiveSolution(
             f"no positive definite solution found: lambda_min <= {s + gap:.3g} over "
-            "Q(c) <= I", s, dual=w)
+            "Q(c) <= I", s, dual=w[0])
     return c, s
 
 
@@ -201,7 +210,10 @@ def find_pd(space: np.ndarray) -> np.ndarray:
     s I <= Q(c) <= I (a compact set for an independent basis; a dependent
     one is first reduced to an orthonormal basis of its span).  Any
     iterate with s > 0 is a positive definite solution, however small s
-    (its condition number is at most 1/s).  When the solve ends at s <= 0,
+    (its condition number is at most 1/s); the solve returns the first
+    centred iterate (Newton decrement below 1) whose s is at least its
+    duality gap, so s >= s*/2 for the maximum s*.  When s stays <= 0 the
+    solve runs to its gap tolerance; when it ends at s <= 0,
     NoPositiveSolution carries the dual W >= 0 with tr W = 1 and
     |tr(W Q_j)| <= s + gap for every (reduced) basis element: it proves
     lambda_min <= s + gap for every Q(c) <= I, so no element of the space
@@ -227,8 +239,9 @@ def minimize_condition(space: np.ndarray) -> SimilarityCertificate:
     """Certificate with the condition number minimized over the positive
     definite elements of the solution space.
 
-    Phase two of the barrier solve: once phase one (as in `find_pd`) has
-    found s > 0 (it raises NoPositiveSolution otherwise), minimizes t
+    Phase two of the barrier solve: once phase one (as in `find_pd`, which
+    stops at s >= s*/2) has found s > 0 (it raises NoPositiveSolution
+    otherwise), minimizes t
     subject to I <= Q(c) <= t I, warm-started from phase one's (c, s) at
     (2 c / s, 4 / s), until the duality gap is at most 1e-10 (1 + t); beyond
     t ~ 1e5 the target rises to the rounding floor 20 N eps t (1 + t).  The
@@ -238,7 +251,7 @@ def minimize_condition(space: np.ndarray) -> SimilarityCertificate:
     space = _hermitian_space(space)
     c, s = _phase_one(space)
     k = space.shape[0]
-    x, gap, _ = _barrier(_box_blocks(space, (1.0, 0.0), (0.0, 1.0)),
+    x, gap, _ = _barrier(*_box_blocks(space, (1.0, 0.0), (0.0, 1.0)),
                          np.eye(k + 1)[k], np.append(2.0 * c / s, 4.0 / s))
     return _certificate_from(np.tensordot(x[:k], space, axes=(0, 0)), gap)
 
@@ -250,8 +263,8 @@ def build_star_rep(algebra: OperatorAlgebra, cone: ConeOracle, q: np.ndarray,
 
     Verifies tau(b^sharp) = tau(b)* on the basis (residual_star) and that
     tau applied blockwise sends sampled level-n cone elements to PSD matrices
-    (residual_cone).  Raises CertificationFailed when residual_star exceeds
-    cert_tol.
+    (residual_cone; each level's samples are one `sample_many` stack).
+    Raises CertificationFailed when residual_star exceeds cert_tol.
     """
     if involution is None:
         involution = recover_involution(cone, 1, seed=seed)
@@ -268,13 +281,12 @@ def build_star_rep(algebra: OperatorAlgebra, cone: ConeOracle, q: np.ndarray,
     rng = np.random.default_rng(seed)
     residual_cone = 0.0
     for n in levels:
-        eye = np.eye(n, dtype=complex)
-        s_n, s_inv_n = np.kron(eye, s), np.kron(eye, s_inv)
-        for _ in range(samples):
-            c = cone.sample(n, rng)
-            y = s_n @ c @ s_inv_n
-            defect = max(la.herm_defect(y), -la.min_eig(y))
-            residual_cone = max(residual_cone, defect / (1.0 + la.opnorm(y)))
+        y = _blockwise(s, _stack(cone, n, cone.sample_many(n, samples, rng)), s_inv)
+        y_star = la.dagger(y)
+        defect = np.maximum(np.abs(y - y_star).max(axis=(1, 2)),
+                            -np.linalg.eigvalsh(0.5 * (y + y_star))[:, 0])
+        residual_cone = np.max(defect / (1.0 + np.linalg.svd(y, compute_uv=False)[:, 0]),
+                               initial=residual_cone)
 
     image_algebra = generate_algebra(list(images), tol=algebra.structure_tol)
     cert = replace(cert, residual_star=float(residual_star),

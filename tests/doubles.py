@@ -4,6 +4,7 @@ import numpy as np
 
 from matorder import _linalg as la
 from matorder.cones import StandardCone
+from references import herm_defect
 
 
 class AllHermitianCone(StandardCone):
@@ -14,7 +15,7 @@ class AllHermitianCone(StandardCone):
 
     def member(self, n, x):
         x = self.level_element(n, x)
-        return la.is_hermitian(x, self.tol_psd * (1.0 + la.opnorm(x)))
+        return herm_defect(x) <= self.tol_psd * (1.0 + la.opnorm(x))
 
     def straighten(self, n, x):
         # No PSD constraint at all: the frame map is zero.

@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the library against.
 
 `amplify` materialises a basis of M_n(A), which the library never builds;
-`spans_equal` and `compress_via_conjugations` are independent
+`herm_defect` and `min_eig` measure one matrix the way the PSD rule's
+references do; `spans_equal` and `compress_via_conjugations` are independent
 re-derivations of an algebra span test and of `cones.compress`;
 `generate_algebra_mgs` is the earlier algebra closure (products of the fresh
 basis with the whole basis, one candidate at a time by modified
@@ -9,17 +10,36 @@ Gram-Schmidt), which `generate_algebra` must match in dimension, span and
 star-closedness.  `norm_search_two_calls` and `pre_cstar_norm_two_calls` are
 the earlier order norms: two `min_shift` eigensolves per element and a
 two-sided certificate asked one sign per `member_many` call, which the
-library must match in value, bracket and work counters.
+library must match in value, bracket and work counters.  The rest are the
+involution and similarity layers before their stacked passes: a barrier
+solve over a list of LMI blocks whose phase one runs to its gap, and the
+cone span, `bound_2K`, level-n certificate, `build_star_rep` cone residual
+and norm identity drawn and measured one element at a time.
 """
 
 import numpy as np
 
 from matorder import _linalg as la
+from matorder import similarity
 from matorder.algebra import (DEFAULT_MAX_DIM, DEFAULT_STRUCTURE_TOL, OperatorAlgebra,
-                              as_matrix, membership_residual)
+                              as_matrix, block_coords, block_synth, membership_residual,
+                              random_element)
+from matorder.case_studies import NormIdentityReport
 from matorder.cones import ConeOracle, _shift_bisection
-from matorder.errors import CertificationFailed, DimensionCapExceeded, DimensionMismatch
+from matorder.errors import (CertificationFailed, DimensionCapExceeded, DimensionMismatch,
+                             NoPositiveSolution, NumericalStall, SpanUnstable)
+from matorder.involution import SPAN_ROUNDS, InvolutionComparison
 from matorder.order_norms import DEFAULT_BISECT_TOL, NormReport, _check_self_adjoint, _sharp_fn
+
+def herm_defect(x: np.ndarray) -> float:
+    """Largest entry of |x - x*|."""
+    return float(np.max(np.abs(x - x.conj().T))) if x.size else 0.0
+
+
+def min_eig(x: np.ndarray) -> float:
+    """Smallest eigenvalue of the Hermitian part of x."""
+    return float(np.linalg.eigvalsh(0.5 * (x + x.conj().T))[0])
+
 
 # Acceptance threshold for a new basis direction, relative to the largest
 # candidate norm in the current closure pass.  Keeps rank decisions stable
@@ -221,3 +241,162 @@ def pre_cstar_norm_two_calls(cone: ConeOracle, involution, n: int, x,
     return NormReport(value_sqrt, bracket,
                       via_sqrt.iterations + direct.iterations,
                       via_sqrt.oracle_calls + direct.oracle_calls)
+
+
+def barrier_blocks(blocks: list, cost: np.ndarray, x: np.ndarray) -> tuple:
+    """The barrier solve over a list of LMI blocks (f0, fs), one Cholesky,
+    inverse and whitening per block, run to its gap tolerance."""
+    m = sum(f0.shape[0] for f0, _ in blocks)
+    tau = m / (1.0 + abs(cost @ x))
+
+    def inverse_factors(x):
+        try:
+            return [np.linalg.inv(np.linalg.cholesky(f0 + np.tensordot(x, fs, axes=(0, 0))))
+                    for f0, fs in blocks]
+        except np.linalg.LinAlgError:
+            return None
+
+    def neg_logdet(linvs):
+        return sum(2.0 * np.sum(np.log(np.abs(np.diagonal(li)))) for li in linvs)
+
+    linvs = inverse_factors(x)
+    for _ in range(similarity.NEWTON_BUDGET):
+        gs = [(li @ fs @ li.conj().T).reshape(len(x), -1) for li, (_, fs) in zip(linvs, blocks)]
+        grad = tau * cost - sum(g[:, ::li.shape[0] + 1].sum(axis=1).real
+                                for g, li in zip(gs, linvs))
+        r = np.linalg.qr(np.concatenate([np.hstack([g.real, g.imag]) for g in gs], axis=1).T,
+                         mode="r")
+        try:
+            dx = -np.linalg.solve(r, np.linalg.solve(r.T, grad))
+        except np.linalg.LinAlgError:
+            break
+        lam2 = float(-grad @ dx)
+        if lam2 < 1.0:
+            dgs = [(dx @ g).reshape(li.shape) for g, li in zip(gs, linvs)]
+            gap = sum(li.shape[0] - np.trace(dg).real for dg, li in zip(dgs, linvs)) / tau
+            obj = abs(cost @ x)
+            if gap <= max(similarity.GAP_RTOL, similarity.GAP_FLOOR_FACTOR * m * obj) * (1.0 + obj):
+                duals = [li.conj().T @ (np.eye(li.shape[0]) - dg) @ li / tau
+                         for dg, li in zip(dgs, linvs)]
+                return x, float(gap), duals
+            if lam2 < 0.25:
+                tau *= 10.0
+                continue
+        step, base = 1.0, neg_logdet(linvs)
+        while step > 1e-12:
+            xt = x + step * dx
+            trial = inverse_factors(xt)
+            if trial is not None and (tau * (cost @ (xt - x)) + neg_logdet(trial) - base
+                                      <= -0.25 * step * lam2):
+                break
+            step *= 0.5
+        else:
+            break
+        x, linvs = xt, trial
+    raise NumericalStall("barrier solve stalled short of its gap tolerance")
+
+
+def _box_block_list(space: np.ndarray, low: tuple, high: tuple) -> list:
+    eye = np.eye(space.shape[1], dtype=complex)
+    return [(-low[0] * eye, np.concatenate([space, [-low[1] * eye]])),
+            (high[0] * eye, np.concatenate([-space, [high[1] * eye]]))]
+
+
+def phase_one_to_gap(space: np.ndarray) -> tuple:
+    """(c, s, gap) maximizing s subject to s I <= Q(c) <= I, solved to its gap."""
+    k = space.shape[0]
+    x, gap, (w, _) = barrier_blocks(_box_block_list(space, (0.0, 1.0), (1.0, 0.0)),
+                                    -np.eye(k + 1)[k], -np.eye(k + 1)[k])
+    if x[k] <= 0.0:
+        raise NoPositiveSolution("no positive definite solution found", float(x[k]), dual=w)
+    return x[:k], float(x[k]), gap
+
+
+def minimize_condition_to_gap(space: np.ndarray) -> similarity.SimilarityCertificate:
+    """`minimize_condition` over block lists, its phase one run to its gap."""
+    space = similarity._hermitian_space(space)
+    c, s, _ = phase_one_to_gap(space)
+    k = space.shape[0]
+    x, gap, _ = barrier_blocks(_box_block_list(space, (1.0, 0.0), (0.0, 1.0)),
+                               np.eye(k + 1)[k], np.append(2.0 * c / s, 4.0 / s))
+    return similarity._certificate_from(np.tensordot(x[:k], space, axes=(0, 0)), gap)
+
+
+def real_cone_span_per_sample(cone: ConeOracle, n: int = 1, seed: int = 0) -> np.ndarray:
+    """`real_cone_span`'s sampled basis, its rounds drawn one `sample` at a time
+    (without the exact-span cross-check)."""
+    rng = np.random.default_rng(seed)
+    samples = 2 * n * n * cone.algebra.dim + 8
+    drawn, stable, last = [], 0, -1
+    for _ in range(SPAN_ROUNDS):
+        drawn += [cone.sample(n, rng) for _ in range(samples)]
+        basis = la.orthonormal_stack(np.stack(drawn))
+        if basis.shape[0] == last:
+            stable += 1
+            if stable >= 2:
+                return basis
+        else:
+            stable = 0
+        last = basis.shape[0]
+    raise SpanUnstable(f"cone span still growing after {SPAN_ROUNDS} rounds (dim {last})")
+
+
+def bound_2k_per_element(algebra: OperatorAlgebra, involution, seed: int = 0) -> float:
+    """`recover_involution`'s bound_2K: 32 `random_element` draws, one
+    `la.opnorm` each for x and x^sharp."""
+    rng = np.random.default_rng(seed + 1)
+    bound = 1.0
+    for _ in range(32):
+        x = random_element(algebra, rng)
+        nx = la.opnorm(x)
+        if nx > 1e-12:
+            bound = max(bound, la.opnorm(involution(x)) / nx)
+    return float(bound)
+
+
+def verify_matrix_involution_per_sample(cone: ConeOracle, n: int, samples: int, seed: int,
+                                        involution1) -> InvolutionComparison:
+    """`verify_matrix_involution`, one `sample` and one residual per row."""
+    need = n * n * cone.algebra.dim
+    upper = np.triu_indices(n)
+    rng = np.random.default_rng(seed + 5)
+    worst = 0.0
+    rows = np.empty((need + samples, len(upper[0]) * 2 * cone.algebra.dim))
+    for row in rows:
+        x = cone.sample(n, rng)
+        worst = max(worst, la.frob(x - involution1(x)) / (1.0 + la.frob(x)))
+        row[:] = la.real_vec(block_coords(cone.algebra, x)[upper])
+    return InvolutionComparison(n, float(worst), samples, la.rank(rows), need)
+
+
+def residual_cone_kron(cone: ConeOracle, s: np.ndarray, levels, samples: int,
+                       seed: int = 0) -> float:
+    """`build_star_rep`'s residual_cone: each sample conjugated by kron(I_n, S)
+    and measured alone."""
+    s_inv = np.linalg.inv(s)
+    rng = np.random.default_rng(seed)
+    residual = 0.0
+    for n in levels:
+        eye = np.eye(n, dtype=complex)
+        s_n, s_inv_n = np.kron(eye, s), np.kron(eye, s_inv)
+        for _ in range(samples):
+            y = s_n @ cone.sample(n, rng) @ s_inv_n
+            defect = max(herm_defect(y), -min_eig(y))
+            residual = max(residual, defect / (1.0 + la.opnorm(y)))
+    return residual
+
+
+def jsym_norm_identity_per_sample(images: np.ndarray, algebra: OperatorAlgebra, levels,
+                                  samples: int, seed: int = 0) -> NormIdentityReport:
+    """`jsym_norm_identity`, one `random_element` and two `la.opnorm` per sample."""
+    rng = np.random.default_rng(seed)
+    worst, witness = 0.0, None
+    for n in levels:
+        for _ in range(samples):
+            a = random_element(algebra, rng, level=n)
+            na, nb = (la.opnorm(block_synth(block_coords(algebra, y), images))
+                      for y in (a, la.dagger(a)))
+            dev = abs(na - nb) / (1.0 + na)
+            if dev > worst:
+                worst, witness = dev, a
+    return NormIdentityReport(float(worst), witness, tuple(levels), samples)

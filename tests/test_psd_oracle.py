@@ -19,6 +19,7 @@ from matorder import _linalg as la
 from matorder.algebra import block_synth, conjugate_algebra, random_element
 from matorder.cones import SimilarityCone, StandardCone
 from matorder.order_norms import order_unit_seminorm, pre_cstar_norm
+from references import herm_defect, min_eig
 
 
 def _draw_cone(seed, similarity):
@@ -33,7 +34,7 @@ def _draw_cone(seed, similarity):
 def _reference(cone, x):
     """The oracle with its slack sized by an SVD: tol_psd (1 + ||x||_2)."""
     s = cone.tol_psd * (1.0 + la.opnorm(x))
-    return la.is_hermitian(x, s) and la.min_eig(x) >= -s
+    return herm_defect(x) <= s and min_eig(x) >= -s
 
 
 def _planted(h, tol, factor, plant):

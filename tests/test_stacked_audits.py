@@ -60,7 +60,7 @@ def test_stacked_draws_match_single_draws(fixture, n, span, request):
     assert many.shape == one.shape == (5, cone.level_dim(n), cone.level_dim(n))
     np.testing.assert_allclose(many, one, rtol=0, atol=1e-13 * np.abs(one).max())
     assert stacked.bit_generator.state == single.bit_generator.state
-    # A single draw keeps its bits (involution and build_star_rep draw one at a time).
+    # A single draw keeps its bits.
     assert np.array_equal(one, np.stack([_reference_draw(cone, n, ref, span) for _ in range(5)]))
 
 
