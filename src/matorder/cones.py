@@ -527,15 +527,6 @@ class _Bisection:
         self.calls += 1
         return self.many((r,))[0]
 
-    def certify(self, r: float | None, width: float, floor: float = 0.0) -> tuple | None:
-        """`_certified` bracket of an exact boundary r >= floor, its points
-        asked in one `many` call; None if r is None or pred disagrees."""
-        if r is None:
-            return None
-        points = _certificate(r, width, floor)
-        self.calls += len(points)
-        return _certified(points, self.many(points))
-
     def search(self, found: tuple | None, upper0, stop) -> tuple:
         """Bracket of inf{r >= 0 : pred(r)}: found, a certified bracket, else
         [0, upper0()] doubled at most MAX_DOUBLINGS times and bisected to `stop`."""
@@ -585,54 +576,57 @@ def _certified(points: tuple, inside) -> tuple | None:
     return (lo, hi) if at_hi and at_mid and not at_lo else None
 
 
+def _certify(cone: ConeOracle, n: int, asks) -> list:
+    """The one shift certificate.  Per ask (cs, ts), cs the elements (binding c
+    first) and ts the t of a `_certificate` (or none): per t, whether t e_n + c
+    is in C_n for every c of cs.  One `member_many` asks the binding c at every
+    t and the other cs at every t but lo; a second asks the other cs at lo only
+    where the binding c is inside there.  Nothing to ask makes no call."""
+    e = cone.unit(n)
+
+    def member_many(xs):
+        return iter(cone.member_many(n, xs) if xs else ())
+
+    first = member_many([t * e + c for cs, ts in asks for k, c in enumerate(cs)
+                         for t in (ts[:2] if k else ts)])
+    got = [[[next(first) for _ in (ts[:2] if k else ts)] for k in range(len(cs))]
+           for cs, ts in asks]
+    at_lo = member_many([ts[2] * e + c for (cs, ts), ok in zip(asks, got)
+                         if len(ts) == 3 and ok[0][2] for c in cs[1:]])
+    for (cs, ts), ok in zip(asks, got):
+        if len(ts) == 3:
+            for other in ok[1:]:
+                other.append(ok[0][2] and next(at_lo))
+    return [[all(col) for col in zip(*ok)] for ok in got]
+
+
 def _exact_brackets(cone: ConeOracle, n: int, cs, scales, widths, floor: float) -> list:
-    """Per c of cs, the `_Bisection.certify` bracket of min_shift(c) / scale for
+    """Per c of cs, the `_certified` bracket of min_shift(c) / scale for
     r * scale * e_n + c (None: opaque or uncertified), from one stacked
-    `min_shift` and one `member_many` for every certificate point."""
+    `min_shift` and one `_certify`."""
     exact = cone.min_shift(n, cs) if len(cs) else None
     if exact is None:
         return [None] * len(cs)
     points = [_certificate(float(r) / scale, width, floor)
               for r, scale, width in zip(exact, scales, widths)]
-    e = cone.unit(n)
-    inside = iter(cone.member_many(n, [r * scale * e + c for c, scale, rs in zip(cs, scales, points)
-                                       for r in rs]))
-    return [_certified(rs, [next(inside) for _ in rs]) for rs in points]
+    verdicts = _certify(cone, n, [((c,), tuple(r * scale for r in rs))
+                                  for c, scale, rs in zip(cs, scales, points)])
+    return [_certified(rs, ok) for rs, ok in zip(points, verdicts)]
 
 
-def _two_sided_verdicts(cone: ConeOracle, n: int, cs: tuple, asks: list) -> list:
-    """Per tuple ts of asks (a `_certificate`, hi first, or empty), whether
-    t e_n + c is in C_n for both c of cs (binding c first), t in ts.  One
-    `member_many` asks the binding c at every t and the other c at all but lo;
-    a second asks the other c only at each lo where the binding c is inside."""
-    e = cone.unit(n)
-    binding, other = cs
-    xs = []
-    for ts in asks:
-        xs += [t * e + binding for t in ts] + [t * e + other for t in ts[:2]]
-    inside = iter(cone.member_many(n, xs) if xs else ())
-    first, second = [], []
-    for ts in asks:
-        first.append([next(inside) for _ in ts])
-        second.append([next(inside) for _ in ts[:2]])
-    late = [ts[2] * e + other for ts, ok in zip(asks, first) if len(ts) == 3 and ok[2]]
-    at_lo = iter(cone.member_many(n, late) if late else ())
-    for ts, ok, also in zip(asks, first, second):
-        if len(ts) == 3:
-            also.append(ok[2] and next(at_lo))
-    return [[a and b for a, b in zip(ok, also)] for ok, also in zip(first, second)]
-
-
-def _shift_bisection(cone: ConeOracle, n: int, cs: tuple, scale: float = 1.0) -> _Bisection:
-    """Search on r * scale * e_n + c in C_n for all c of cs (binding c first): one
-    `member_many` per c, asking only the r (by position) inside for the c before."""
+def _shift_bisection(cone: ConeOracle, n: int, cs, scale: float = 1.0,
+                     squared: bool = False) -> _Bisection:
+    """Search on t e_n + c in C_n for all c of cs (binding c first), t = r * scale
+    (r^2 if squared): one `member_many` per c, asking only the r (by position)
+    inside for the c before."""
     e = cone.unit(n)
 
     def many(rs):
+        ts = [r * r if squared else r * scale for r in rs]
         inside = range(len(rs))
         for c in cs:
             if inside:
-                ok = cone.member_many(n, [rs[k] * scale * e + c for k in inside])
+                ok = cone.member_many(n, [ts[k] * e + c for k in inside])
                 inside = [k for k, yes in zip(inside, ok) if yes]
         return [k in inside for k in range(len(rs))]
 
@@ -656,23 +650,22 @@ def _inf_shifts(cone: ConeOracle, n: int, cs, scales, abs_tol: float) -> list:
         cone, n, cs, scales, [abs_tol] * len(cs), 0.0))]
 
 
-def _inf_shift(cone: ConeOracle, n: int, c: np.ndarray, scale: float,
-               abs_tol: float) -> float | None:
-    """`_inf_shifts` of the one element c."""
-    return _inf_shifts(cone, n, [c], [scale], abs_tol)[0]
-
-
-def _sup_shift_down(cone: ConeOracle, n: int, c: np.ndarray, abs_tol: float) -> tuple:
-    """Bracket of sup{mu >= 0 : c - mu * e_n in C_n} for a cone member c:
-    -min_shift(c) certified by the oracle, else bisection in r = -mu."""
-    bis = _shift_bisection(cone, n, (c,))
-    found = bis.certify(cone.min_shift(n, c), abs_tol, floor=-np.inf)
-    if found is None or found[1] > 0.0:  # uncertified, or c is not a member
+def _sup_shifts_down(cone: ConeOracle, n: int, cs, widths) -> list:
+    """Per cone member c of cs, a bracket of sup{mu >= 0 : c - mu * e_n in C_n}
+    of width w: -min_shift(c) as `_exact_brackets` certifies it, else
+    bisection in r = -mu from [-top, 0], top = ||straighten(c)|| + 1."""
+    def bracket(c, width, found):
+        if found is not None and found[1] <= 0.0:
+            return -found[1], -found[0]
+        bis = _shift_bisection(cone, n, (c,))
         top = la.opnorm(cone.straighten(n, c)) + 1.0
         if bis(-top):  # defensive; should not happen for pointed cones
             return top, top
-        found = bis.refine(-top, 0.0, lambda l, h: abs_tol)
-    return -found[1], -found[0]
+        lo, hi = bis.refine(-top, 0.0, lambda l, h: width)
+        return -hi, -lo
+
+    return [bracket(*args) for args in zip(cs, widths, _exact_brackets(
+        cone, n, cs, [1.0] * len(cs), widths, -np.inf))]
 
 
 # ---------------------------------------------------------------------------
@@ -756,11 +749,7 @@ def _order_unit_checks(cone: ConeOracle, n: int, trials: int,
         width = _BOUNDARY_WIDTH_FACTOR * cone.tol_psd
         cs = cone.sample_many(n, trials, arch_rng)
         scales = [1.0 + nc for nc in cone.norm_many(n, cs)]
-        widths = [width * scale for scale in scales]
-        found = _exact_brackets(cone, n, cs, [1.0] * len(cs), widths, -np.inf)
-        # The brackets certified as one stack, else `_sup_shift_down` alone.
-        brackets = [(-f[1], -f[0]) if f and f[1] <= 0.0 else _sup_shift_down(cone, n, c, w)
-                    for c, w, f in zip(cs, widths, found)]
+        brackets = _sup_shifts_down(cone, n, cs, [width * scale for scale in scales])
         bounds = [c - 0.5 * (lo + hi) * e for c, (lo, hi) in zip(cs, brackets)]
         inside = cone.member_many(n, [r * scale * e + boundary for boundary, scale in
                                       zip(bounds, scales) for r in (1e-2, 1e-4, 1e-6, 1e-8)])

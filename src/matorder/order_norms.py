@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _linalg as la
 from .algebra import as_matrix, block_synth
-from .cones import ConeOracle, _certificate, _certified, _shift_bisection, _two_sided_verdicts
+from .cones import ConeOracle, _certificate, _certified, _certify, _shift_bisection
 from .errors import CertificationFailed, NotSelfAdjoint
 
 DEFAULT_BISECT_TOL = 1e-10
@@ -57,11 +57,10 @@ def _norm_searches(cone: ConeOracle, n: int, z: np.ndarray, bisect_tol: float,
     inf{r >= 0 : t e_n + z and t e_n - z in C_n}, t = r (r^2 if squared).
 
     Both signs' exact shifts come from one `min_shift_pair` (one eigensolve on a
-    PSD-frame cone), and every path's certificate from one
-    `cones._two_sided_verdicts` call: five matrices per path, binding sign first.
-    An uncertified path falls back to bisection from [0, 2 ||straighten(z)|| + 1]
-    (square-rooted if squared), asking the other sign only where the binding one
-    is inside.
+    PSD-frame cone), and every path's certificate from one `cones._certify`
+    call: five matrices per path, binding sign first.  An uncertified path falls
+    back to bisection from [0, 2 ||straighten(z)|| + 1] (square-rooted if
+    squared), asking the other sign only where the binding one is inside.
     """
     up, down = cone.min_shift_pair(n, z)
     exact = None if up is None or down is None else max(up, down, 0.0)
@@ -78,14 +77,11 @@ def _norm_searches(cone: ConeOracle, n: int, z: np.ndarray, bisect_tol: float,
     for squared, sqrt_refine in paths:
         r = None if exact is None else float(np.sqrt(exact)) if squared else exact
         certs.append(() if r is None else _certificate(r, width(r, sqrt_refine), 0.0))
-    verdicts = _two_sided_verdicts(cone, n, cs, [
-        tuple(r * r if squared else r for r in rs) for rs, (squared, _) in zip(certs, paths)])
+    verdicts = _certify(cone, n, [(cs, tuple(r * r if squared else r for r in rs))
+                                  for rs, (squared, _) in zip(certs, paths)])
     reports = []
     for (squared, sqrt_refine), rs, ok in zip(paths, certs, verdicts):
-        bis = _shift_bisection(cone, n, cs)
-        if squared:
-            ask = bis.many
-            bis.many = lambda ts, ask=ask: ask([t * t for t in ts])
+        bis = _shift_bisection(cone, n, cs, squared=squared)
         lo, hi = bis.search(
             _certified(rs, ok) if rs else None,
             lambda: (np.sqrt if squared else float)(2.0 * la.opnorm(cone.straighten(n, z)) + 1.0),
@@ -98,12 +94,6 @@ def _norm_searches(cone: ConeOracle, n: int, z: np.ndarray, bisect_tol: float,
     return reports
 
 
-def _norm_search(cone: ConeOracle, n: int, z: np.ndarray, bisect_tol: float,
-                 squared: bool = False, sqrt_refine: bool = False) -> NormReport:
-    """`_norm_searches` on the one path (squared, sqrt_refine)."""
-    return _norm_searches(cone, n, z, bisect_tol, ((squared, sqrt_refine),))[0]
-
-
 def order_unit_seminorm(cone: ConeOracle, n: int, a, involution=None,
                         bisect_tol: float = DEFAULT_BISECT_TOL) -> NormReport:
     """inf{r > 0 : r e_n + a in C_n and r e_n - a in C_n}.
@@ -114,7 +104,7 @@ def order_unit_seminorm(cone: ConeOracle, n: int, a, involution=None,
     """
     a = as_matrix(a)
     _check_self_adjoint(_sharp_fn(cone, involution, n), a)
-    return _norm_search(cone, n, a, bisect_tol)
+    return _norm_searches(cone, n, a, bisect_tol, ((False, False),))[0]
 
 
 def pre_cstar_norm(cone: ConeOracle, involution, n: int, x,

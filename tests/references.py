@@ -10,7 +10,13 @@ Gram-Schmidt), which `generate_algebra` must match in dimension, span and
 star-closedness.  `norm_search_two_calls` and `pre_cstar_norm_two_calls` are
 the earlier order norms: two `min_shift` eigensolves per element and a
 two-sided certificate asked one sign per `member_many` call, which the
-library must match in value, bracket and work counters.  The rest are the
+library must match in value, bracket and work counters.  `certify`,
+`two_sided_verdicts`, `exact_brackets` and `sup_shift_down` are the shift
+certificates before `cones._certify` was the only one: a one-element
+certificate on a `_Bisection`, the two-sided one of the order norms, the
+one-sided one of the audits, and the Archimedean boundary's search, which
+asks `min_shift` and its certificate again for each element the stacked
+certificate left open.  The rest are the
 involution and similarity layers before their stacked passes: a barrier
 solve over a list of LMI blocks whose phase one runs to its gap, and the
 cone span, `bound_2K`, level-n certificate, `build_star_rep` cone residual
@@ -25,7 +31,7 @@ from matorder.algebra import (DEFAULT_MAX_DIM, DEFAULT_STRUCTURE_TOL, OperatorAl
                               as_matrix, block_coords, block_synth, membership_residual,
                               random_element)
 from matorder.case_studies import NormIdentityReport
-from matorder.cones import ConeOracle, _shift_bisection
+from matorder.cones import ConeOracle, _certificate, _certified, _shift_bisection
 from matorder.errors import (CertificationFailed, DimensionCapExceeded, DimensionMismatch,
                              NoPositiveSolution, NumericalStall, SpanUnstable)
 from matorder.involution import SPAN_ROUNDS, InvolutionComparison
@@ -183,6 +189,69 @@ def generate_algebra_mgs(
     return OperatorAlgebra.from_basis(np.stack(basis), tol)
 
 
+def certify(bis, r: float | None, width: float, floor: float = 0.0) -> tuple | None:
+    """The `_certified` bracket of an exact boundary r >= floor, its points asked
+    in one `bis.many` call and counted in `bis.calls`; None if r is None or the
+    predicate disagrees (the earlier `_Bisection.certify`)."""
+    if r is None:
+        return None
+    points = _certificate(r, width, floor)
+    bis.calls += len(points)
+    return _certified(points, bis.many(points))
+
+
+def two_sided_verdicts(cone: ConeOracle, n: int, cs: tuple, asks: list) -> list:
+    """Per tuple ts of asks (a `_certificate`, hi first, or empty), whether
+    t e_n + c is in C_n for both c of cs (binding c first), t in ts.  One
+    `member_many` asks the binding c at every t and the other c at all but lo;
+    a second asks the other c only at each lo where the binding c is inside."""
+    e = cone.unit(n)
+    binding, other = cs
+    xs = []
+    for ts in asks:
+        xs += [t * e + binding for t in ts] + [t * e + other for t in ts[:2]]
+    inside = iter(cone.member_many(n, xs) if xs else ())
+    first, second = [], []
+    for ts in asks:
+        first.append([next(inside) for _ in ts])
+        second.append([next(inside) for _ in ts[:2]])
+    late = [ts[2] * e + other for ts, ok in zip(asks, first) if len(ts) == 3 and ok[2]]
+    at_lo = iter(cone.member_many(n, late) if late else ())
+    for ts, ok, also in zip(asks, first, second):
+        if len(ts) == 3:
+            also.append(ok[2] and next(at_lo))
+    return [[a and b for a, b in zip(ok, also)] for ok, also in zip(first, second)]
+
+
+def exact_brackets(cone: ConeOracle, n: int, cs, scales, widths, floor: float) -> list:
+    """Per c of cs, the `certify` bracket of min_shift(c) / scale for
+    r * scale * e_n + c (None: opaque or uncertified), from one stacked
+    `min_shift` and one `member_many` for every certificate point."""
+    exact = cone.min_shift(n, cs) if len(cs) else None
+    if exact is None:
+        return [None] * len(cs)
+    points = [_certificate(float(r) / scale, width, floor)
+              for r, scale, width in zip(exact, scales, widths)]
+    e = cone.unit(n)
+    inside = iter(cone.member_many(n, [r * scale * e + c for c, scale, rs in zip(cs, scales, points)
+                                       for r in rs]))
+    return [_certified(rs, [next(inside) for _ in rs]) for rs in points]
+
+
+def sup_shift_down(cone: ConeOracle, n: int, c: np.ndarray, abs_tol: float) -> tuple:
+    """Bracket of sup{mu >= 0 : c - mu * e_n in C_n} for a cone member c:
+    -min_shift(c) certified by the oracle, else bisection in r = -mu (the
+    earlier one-element form, which asks min_shift and its certificate again)."""
+    bis = _shift_bisection(cone, n, (c,))
+    found = certify(bis, cone.min_shift(n, c), abs_tol, floor=-np.inf)
+    if found is None or found[1] > 0.0:  # uncertified, or c is not a member
+        top = la.opnorm(cone.straighten(n, c)) + 1.0
+        if bis(-top):
+            return top, top
+        found = bis.refine(-top, 0.0, lambda l, h: abs_tol)
+    return -found[1], -found[0]
+
+
 def norm_search_two_calls(cone: ConeOracle, n: int, z: np.ndarray, bisect_tol: float,
                           squared: bool = False, sqrt_refine: bool = False,
                           shifts: tuple | None = None) -> NormReport:
@@ -208,7 +277,7 @@ def norm_search_two_calls(cone: ConeOracle, n: int, z: np.ndarray, bisect_tol: f
         return bisect_tol * (1.0 + r)
 
     lo, hi = bis.search(
-        bis.certify(exact, width(exact or 0.0)),
+        certify(bis, exact, width(exact or 0.0)),
         lambda: (np.sqrt if squared else float)(2.0 * la.opnorm(cone.straighten(n, z)) + 1.0),
         lambda l, h: bisect_tol * (1.0 + 0.5 * (l + h)))
     if sqrt_refine and hi > 0.0:

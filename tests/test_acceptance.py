@@ -39,9 +39,9 @@ from matorder.cones import (
     estimate_main_constants,
     replay_witness,
 )
-from matorder.cones import _inf_shift
+from matorder.cones import _inf_shifts
 from matorder.involution import recover_involution, verify_matrix_involution
-from matorder.order_norms import (DEFAULT_BISECT_TOL, _norm_search, order_unit_seminorm,
+from matorder.order_norms import (DEFAULT_BISECT_TOL, _norm_searches, order_unit_seminorm,
                                   pre_cstar_norm)
 from matorder.similarity import (
     build_star_rep,
@@ -88,8 +88,8 @@ def test_criterion_2_norm_formula_agreement():
         x = x / np.linalg.norm(x)
         z = x.conj().T @ x
 
-        via_sqrt = np.sqrt(_norm_search(cone, 1, z, DEFAULT_BISECT_TOL,
-                                        sqrt_refine=True).value)
+        via_sqrt = np.sqrt(_norm_searches(cone, 1, z, DEFAULT_BISECT_TOL,
+                                          ((False, True),))[0].value)
 
         # Independent route: bisect r directly on r^2 e +- z membership.
         e = np.eye(algebra.ambient_dim, dtype=complex)
@@ -181,8 +181,8 @@ def test_criterion_6_standard_cone_constants(std_m2, std_m3):
     report = audit_star_admissible(std_m2, levels=(1,), samples=60, seed=106)
     r4 = report.constants["r4"].value
     witness = np.diag([1.0, -1.0]).astype(complex)
-    r_at_witness = _inf_shift(std_m2, 1, witness, np.linalg.norm(witness, 2),
-                              1e-9)
+    [r_at_witness] = _inf_shifts(std_m2, 1, [witness], [np.linalg.norm(witness, 2)],
+                                 1e-9)
     ok = (k_est <= 1.0 + 1e-6
           and abs(alpha.value - 1.0) <= 1e-6
           and abs(r4 - 1.0) <= 1e-6

@@ -17,13 +17,14 @@ from matorder.cones import (
     Witness,
     _Bisection,
     _first_escape,
-    _inf_shift,
+    _inf_shifts,
     _scalar_conjugations,
-    _sup_shift_down,
+    _sup_shifts_down,
     check_order_unit_archimedean,
 )
 from matorder.errors import DimensionMismatch, MembershipError
 from matorder.order_norms import order_unit_seminorm, pre_cstar_norm
+from references import certify
 from test_shifts import _opaque
 
 
@@ -67,7 +68,7 @@ def test_member_many_matches_member_at_certified_bracket_ends(fixture, n, reques
     for c in (cone.sample_span(n, rng), -cone.sample(n, rng), cone.sample(n, rng)):
         r = cone.min_shift(n, c)
         bis = _Bisection(lambda ts: [cone.member(n, t * e + c) for t in ts])
-        found = bis.certify(r, 0.2 * cone.tol_psd * (1.0 + cone.norm(n, c)), floor=-np.inf)
+        found = certify(bis, r, 0.2 * cone.tol_psd * (1.0 + cone.norm(n, c)), floor=-np.inf)
         assert found is not None
         xs += [t * e + c for t in (found[0], r, found[1])]
     got = cone.member_many(n, xs)
@@ -175,8 +176,8 @@ def test_batched_and_per_element_paths_give_identical_results(fixture, n, opaque
     c, below = cone.sample(n, rng), -cone.sample(n, rng)
     width = 0.2 * cone.tol_psd * (1.0 + cone.norm(n, c))
     fast, slow = ([order_unit_seminorm(k, n, a), pre_cstar_norm(k, None, n, x),
-                   _inf_shift(k, n, below, cone.norm(n, below), 1e-9),
-                   _sup_shift_down(k, n, c, width),
+                   _inf_shifts(k, n, [below], [cone.norm(n, below)], 1e-9)[0],
+                   _sup_shifts_down(k, n, [c], [width])[0],
                    _audit_digest(check_order_unit_archimedean(k, n, samples=3, seed=n))]
                   for k in pair)
     assert fast == slow
@@ -201,7 +202,7 @@ def test_exact_two_sided_certificate_decides_five_matrices_in_two_calls(fixture,
         np.testing.assert_allclose(binding[k] - other[k], sign * 2.0 * a, atol=1e-12)
     np.testing.assert_allclose(binding[0] - binding[1], binding[1] - binding[2], atol=1e-12)
     cone.batches.clear()
-    assert _inf_shift(cone, n, a, 1.0, 1e-9) is not None
+    assert _inf_shifts(cone, n, [a], [1.0], 1e-9)[0] is not None
     assert [len(xs) for xs, _ in cone.batches] == [3]
 
 

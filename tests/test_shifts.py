@@ -20,8 +20,8 @@ from matorder.case_studies import FunctionPullbackCone
 from matorder.cones import (
     SimilarityCone,
     StandardCone,
-    _inf_shift,
-    _sup_shift_down,
+    _inf_shifts,
+    _sup_shifts_down,
     audit_algebraically_admissible,
     audit_star_admissible,
     estimate_main_constants,
@@ -103,14 +103,14 @@ def test_exact_shifts_match_bisection_fallback(seed, n, similarity):
     c = -cone.sample(n, rng)
     scale = cone.norm(n, c)
     width = 1e-9
-    r_exact = _inf_shift(cone, n, c, scale, width)
-    assert abs(r_exact - _inf_shift(slow, n, c, scale, width)) <= width
+    r_exact = _inf_shifts(cone, n, [c], [scale], width)[0]
+    assert abs(r_exact - _inf_shifts(slow, n, [c], [scale], width)[0]) <= width
     _assert_certified(lambda r: cone.member(n, r * scale * e + c),
                       r_exact - width, r_exact, r_exact + width)
 
     c = cone.sample(n, rng)
     width = 0.2 * cone.tol_psd * (1.0 + cone.norm(n, c))
-    (lo, hi), (flo, fhi) = _sup_shift_down(cone, n, c, width), _sup_shift_down(slow, n, c, width)
+    [(lo, hi)], [(flo, fhi)] = (_sup_shifts_down(k, n, [c], [width]) for k in (cone, slow))
     assert hi - lo <= width
     assert abs(0.5 * (lo + hi) - 0.5 * (flo + fhi)) <= width
     # In r = -mu the member side is r = -lo.
@@ -127,7 +127,7 @@ def test_exact_path_work_is_pinned(fixture, n, request):
     rep = pre_cstar_norm(cone, None, n, random_element(cone.algebra, rng, level=n))
     assert rep.iterations == 0 and rep.oracle_calls <= 6
     cone.calls = 0
-    assert _inf_shift(cone, n, a, 1.0, 1e-9) is not None
+    assert _inf_shifts(cone, n, [a], [1.0], 1e-9)[0] is not None
     assert cone.calls <= 3
 
 
@@ -137,7 +137,7 @@ def test_zero_cone_reaches_fallback_and_stays_unbounded(m2_full):
     assert cone.min_shift(1, a) is not None  # inherited, but never certified
     with pytest.raises(UnboundedAbove):
         order_unit_seminorm(cone, 1, a)
-    assert _inf_shift(cone, 1, a, 1.0, 1e-9) is None
+    assert _inf_shifts(cone, 1, [a], [1.0], 1e-9)[0] is None
 
 
 def test_all_hermitian_null_space_stays_full(m2_full):

@@ -18,6 +18,7 @@ from matorder.cones import (
     _shift_bisection,
 )
 from matorder.errors import UnboundedAbove
+from references import certify
 from test_shifts import _opaque
 
 CONES = ["std_m3", "worked_sim_cone", "planted_sim_cone"]
@@ -29,7 +30,7 @@ def _reference_inf_shift(cone, n, c, scale, abs_tol):
     bis = _shift_bisection(cone, n, (c,), scale)
     exact = cone.min_shift(n, c)
     try:
-        lo, hi = bis.search(bis.certify(None if exact is None else exact / scale, abs_tol),
+        lo, hi = bis.search(certify(bis, None if exact is None else exact / scale, abs_tol),
                             lambda: la.opnorm(cone.straighten(n, c)) / scale + 1.0,
                             lambda l, h: abs_tol)
     except UnboundedAbove:
@@ -120,8 +121,8 @@ def test_exact_brackets_match_the_per_element_certificate(fixture, opaque, floor
     want = []
     for c, s, w in zip(cs, scales, widths):
         exact = cone.min_shift(2, c)
-        want.append(_shift_bisection(cone, 2, (c,), s).certify(
-            None if exact is None else exact / s, w, floor))
+        want.append(certify(_shift_bisection(cone, 2, (c,), s),
+                            None if exact is None else exact / s, w, floor))
     assert _exact_brackets(cone, 2, cs, scales, widths, floor) == want
     assert (None in want) == opaque
 
