@@ -217,11 +217,11 @@ class ConeOracle:
 
     def norm_many(self, n: int, xs) -> list:
         """`norm` of each level-n element of xs; same-shape matrices under this
-        `norm` take one stacked values-only SVD, with `la.opnorm`'s bits."""
+        `norm` take one stacked `la.opnorm` (one values-only SVD), with its bits."""
         if (len({np.shape(x) for x in xs}) != 1
                 or getattr(self.norm, "__func__", None) is not ConeOracle.norm):
             return [self.norm(n, x) for x in xs]
-        return np.linalg.svd(as_matrix(xs), compute_uv=False)[:, 0].tolist()
+        return la.opnorm(as_matrix(xs)).tolist()
 
     def mul(self, n: int, x, y):
         return as_matrix(x) @ as_matrix(y)

@@ -159,8 +159,8 @@ def recover_involution(cone: ConeOracle, n: int = 1, seed: int = 0,
     # values-only SVD per side.
     xs = block_synth(_random_complex_many(np.random.default_rng(seed + 1), 32,
                                           (1, 1, cone.algebra.dim)), cone.algebra.basis)
-    nx = np.linalg.svd(xs, compute_uv=False)[:, 0]
-    ratios = np.linalg.svd(out(xs), compute_uv=False)[:, 0][nx > 1e-12] / nx[nx > 1e-12]
+    nx = la.opnorm(xs)
+    ratios = la.opnorm(out(xs))[nx > 1e-12] / nx[nx > 1e-12]
     out = InvolutionMap(cone.algebra, images, bound_2K=float(np.max(ratios, initial=1.0)))
     if n > 1:
         certify_level(cone, n, out, seed=seed)

@@ -285,7 +285,7 @@ def build_star_rep(algebra: OperatorAlgebra, cone: ConeOracle, q: np.ndarray,
         y_star = la.dagger(y)
         defect = np.maximum(np.abs(y - y_star).max(axis=(1, 2)),
                             -np.linalg.eigvalsh(0.5 * (y + y_star))[:, 0])
-        residual_cone = np.max(defect / (1.0 + np.linalg.svd(y, compute_uv=False)[:, 0]),
+        residual_cone = np.max(defect / (1.0 + la.opnorm(y)),
                                initial=residual_cone)
 
     image_algebra = generate_algebra(list(images), tol=algebra.structure_tol)
@@ -376,8 +376,8 @@ def cb_lower_bound(images: np.ndarray, from_algebra: OperatorAlgebra,
             step = grad.conj() / nz
             cands = np.concatenate([step[None], z + etas * step])
             cands /= np.linalg.norm(cands.reshape(len(cands), -1), axis=1)[:, None, None, None]
-            nx = np.linalg.svd(block_synth(cands, from_algebra.basis), compute_uv=False)[:, 0]
-            ny = np.linalg.svd(block_synth(cands, images), compute_uv=False)[:, 0]
+            nx = la.opnorm(block_synth(cands, from_algebra.basis))
+            ny = la.opnorm(block_synth(cands, images))
             vals = np.divide(ny, nx, out=np.zeros_like(ny), where=nx >= 1e-14)
             i = int(np.argmax(vals))
             if vals[i] <= val + 1e-14:

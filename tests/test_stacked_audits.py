@@ -175,3 +175,11 @@ def test_empty_batches(fixture, request):
     assert list(_algebra_conjugations(cone, (1, 2), 0, rng)) == []
     assert ZeroCone(cone.algebra).sample_many(2, 0, rng) == []
 
+
+
+@pytest.mark.parametrize("shape", [(5, 4, 4), (3, 6, 2), (0, 3, 3)])
+def test_opnorm_of_a_stack_keeps_each_matrix_bits(shape):
+    x = la.random_complex(np.random.default_rng(80), shape)
+    got = la.opnorm(x)
+    assert got.shape == shape[:1]
+    assert got.tolist() == [la.opnorm(m) for m in x]
