@@ -37,13 +37,15 @@ def opnorm(x: np.ndarray):
 
 
 def principal_sqrt(q: np.ndarray) -> np.ndarray:
-    """Principal square root of a Hermitian positive definite matrix."""
+    """Principal square root of a Hermitian positive definite matrix, exactly
+    Hermitian: V sqrt(L) V* symmetrized once, so its diagonal is real."""
     evals, vecs = np.linalg.eigh(0.5 * (q + q.conj().T))
     if evals[0] <= 0.0:
         raise np.linalg.LinAlgError(
             f"matrix not positive definite (lambda_min {evals[0]:.3g})"
         )
-    return (vecs * np.sqrt(evals)) @ vecs.conj().T
+    s = (vecs * np.sqrt(evals)) @ vecs.conj().T
+    return 0.5 * (s + s.conj().T)
 
 
 def real_vec(x: np.ndarray) -> np.ndarray:

@@ -413,3 +413,17 @@ def test_minimize_condition_reduces_a_dependent_basis(dependent, independent):
     got = minimize_condition(np.stack(dependent))
     assert got.cond == pytest.approx(want.cond, rel=1e-9)
     assert got.gap is not None and 0.0 <= got.gap <= 1e-9 * (1.0 + got.cond)
+
+
+@pytest.mark.parametrize("size", [2, 5, 8])
+def test_similarity_certificate_root_is_exactly_hermitian(size):
+    # The report writes S entry by entry: its diagonal must be real, not
+    # +-1e-17 imaginary parts that move with the eigensolver's rounding.
+    from matorder import _linalg as la
+    from matorder.similarity import _certificate_from
+    g = la.random_complex(np.random.default_rng(size), (size, size))
+    q = g.conj().T @ g + np.eye(size)
+    cert = _certificate_from(q)
+    assert np.array_equal(cert.s, cert.s.conj().T)
+    assert not np.diagonal(cert.s).imag.any()
+    np.testing.assert_allclose(cert.s @ cert.s, cert.q, rtol=0, atol=1e-12 * np.abs(cert.q).max())
