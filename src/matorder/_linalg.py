@@ -29,11 +29,10 @@ def frob(x: np.ndarray) -> float:
 def opnorm(x: np.ndarray):
     """Operator norm: the top singular value, as `norm(x, 2)` without its wrapper;
     of a (k, m, n) stack, the array of each matrix's, from one values-only SVD."""
-    if x.ndim == 3:
-        return np.linalg.svd(x, compute_uv=False)[:, 0]
-    if x.size == 0:
+    if x.ndim < 3 and x.size == 0:
         return 0.0
-    return float(np.linalg.svd(x, compute_uv=False)[0])
+    top = np.linalg.svd(x, compute_uv=False)[..., 0]
+    return top if x.ndim == 3 else float(top)
 
 
 def principal_sqrt(q: np.ndarray) -> np.ndarray:

@@ -9,9 +9,9 @@ the batched `member_many` (one stacked pass for a `SimilarityCone`, `member`
 per element for a cone overriding it); only `replay_witness`, the reference,
 asks `member`.  Audits report verdicts with replayable witnesses instead of
 raising: `_first_escape` decides each run of same-level candidates in one
-call and fails on the first escape; `_shift_bisection` makes one call per
-sign for the shift bisections, the Archimedean probes and `order_norms`, whose
-two-sided certificates `_two_sided_verdicts` decides in one call.
+call and fails on the first escape.  `_certify` is the one certificate of an
+exact shift, one-sided for the audits and two-sided for `order_norms`, in one
+`member_many` call; `_shift_bisection`, the one fallback, makes one per sign.
 The order-unit and Archimedean axioms have one check each, which the
 algebraically-admissible audit runs and `check_order_unit_archimedean` runs
 alone.  Matrix-ordered (c) and star-admissible 3ii share one scalar-conjugation
@@ -22,8 +22,8 @@ Hermitian eigensolve too, with no SVD (`min_shift_pair` takes both signs from
 it): the slack tol_psd (1 + ||h||_2) comes from the spectrum of
 h = (x + x*)/2.  The audits work in stacks: `sample_many`
 (one Gaussian draw, GEMM and unstraighten, the stream of k single draws),
-`norm_many` (one values-only SVD), `min_shift` on a stack, and `_inf_shifts`
-(one `member_many` certifies a stack's exact shifts; the rest are bisected).
+`norm_many` (one stacked `la.opnorm`), `min_shift` on a stack, and the shifts
+`_inf_shifts`/`_sup_shifts_down` (one `_certify`; the rest bisected once each).
 Every check but the algebra conjugations keeps its draw order.  Level-n spans,
 2i/2iii ranks and lineality kernels come from level 1 by Kronecker identities
 (Van Loan, J. Comput. Appl. Math. 123, 2000): V_n = (M_n)_h (x) V_1, with no
@@ -583,20 +583,15 @@ def _certify(cone: ConeOracle, n: int, asks) -> list:
     t and the other cs at every t but lo; a second asks the other cs at lo only
     where the binding c is inside there.  Nothing to ask makes no call."""
     e = cone.unit(n)
-
-    def member_many(xs):
-        return iter(cone.member_many(n, xs) if xs else ())
-
-    first = member_many([t * e + c for cs, ts in asks for k, c in enumerate(cs)
-                         for t in (ts[:2] if k else ts)])
-    got = [[[next(first) for _ in (ts[:2] if k else ts)] for k in range(len(cs))]
-           for cs, ts in asks]
-    at_lo = member_many([ts[2] * e + c for (cs, ts), ok in zip(asks, got)
-                         if len(ts) == 3 and ok[0][2] for c in cs[1:]])
+    ask = lambda xs: iter(cone.member_many(n, xs) if xs else ())
+    first = ask([t * e + c for cs, ts in asks for k, c in enumerate(cs)
+                 for t in ts[:2 if k else 3]])
+    got = [[[next(first) for _ in ts[:2 if k else 3]] for k in range(len(cs))] for cs, ts in asks]
+    at_lo = ask([ts[2] * e + c for (cs, ts), ok in zip(asks, got) if len(ts) == 3 and ok[0][2]
+                 for c in cs[1:]])
     for (cs, ts), ok in zip(asks, got):
-        if len(ts) == 3:
-            for other in ok[1:]:
-                other.append(ok[0][2] and next(at_lo))
+        for other in ok[1:] if len(ts) == 3 else ():
+            other.append(ok[0][2] and next(at_lo))
     return [[all(col) for col in zip(*ok)] for ok in got]
 
 

@@ -1,12 +1,12 @@
 """Cone-induced order-unit seminorms and the induced pre-C*-norm.
 
 The seminorm of a self-adjoint element is inf{r : r e +- a in C}, computed
-exactly as max(min_shift(a), min_shift(-a), 0), both shifts from one
-`min_shift_pair` (one eigensolve on a PSD-frame cone), with a bracket that one
-`member_many` call certifies; opaque cones and uncertified values fall back to
-bisection.  The pre-C*-norm is the square root of the seminorm of x^sharp x,
-cross-checked against the search for inf{r : r^2 e +- x^sharp x in C}; both
-formulas share the shifts and the certificate call.
+exactly as max(min_shift(a), min_shift(-a), 0) from one `min_shift_pair` (one
+eigensolve on a PSD-frame cone), its bracket certified by one `cones._certify`;
+opaque cones and uncertified values fall back to `cones._shift_bisection`.
+The pre-C*-norm is the square root of the seminorm of x^sharp x, cross-checked
+against the search for inf{r : r^2 e +- x^sharp x in C}; both formulas share
+the shifts and the certificate call.
 The order-unit and Archimedean checks are `cones.check_order_unit_archimedean`.
 """
 

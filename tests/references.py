@@ -16,11 +16,11 @@ certificates before `cones._certify` was the only one: a one-element
 certificate on a `_Bisection`, the two-sided one of the order norms, the
 one-sided one of the audits, and the Archimedean boundary's search, which
 asks `min_shift` and its certificate again for each element the stacked
-certificate left open.  The rest are the
-involution and similarity layers before their stacked passes: a barrier
-solve over a list of LMI blocks whose phase one runs to its gap, and the
-cone span, `bound_2K`, level-n certificate, `build_star_rep` cone residual
-and norm identity drawn and measured one element at a time.
+certificate left open.  The rest are the involution and similarity layers
+before their stacked passes: a barrier solve over a list of LMI blocks whose
+phase one runs to its gap, and the cone span, `bound_2K`, level-n
+certificate, `build_star_rep` cone residual and norm identity drawn and
+measured one element at a time.
 """
 
 import numpy as np
