@@ -135,11 +135,6 @@ def project(algebra: OperatorAlgebra, x: np.ndarray, tol: float | None = None) -
     return coords
 
 
-def membership_residual(algebra: OperatorAlgebra, x: np.ndarray) -> float:
-    x = as_matrix(x)
-    return la.frob(x - algebra.synthesize(algebra.coords_of(x)))
-
-
 def _block_view(algebra: OperatorAlgebra, x: np.ndarray) -> np.ndarray:
     """The (n, m, N, N) view of the N x N blocks of an (nN) x (mN) matrix,
     or the (k, n, m, N, N) view of a stack of k of them."""

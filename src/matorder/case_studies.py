@@ -213,7 +213,8 @@ def kadison_pipeline(algebra: OperatorAlgebra, s: np.ndarray, levels=(1, 2),
 
 @dataclass(frozen=True)
 class C1Sample:
-    """Function and derivative samples on a grid in [0, 1]."""
+    """Function and derivative samples on a grid in [0, 1].  Arithmetic combines
+    samples on one grid only and builds its result on that validated grid."""
 
     grid: np.ndarray
     f_values: np.ndarray
@@ -233,21 +234,32 @@ class C1Sample:
         object.__setattr__(self, "f_values", vals)
         object.__setattr__(self, "f_derivs", ders)
 
+    def _on_grid(self, vals: np.ndarray, ders: np.ndarray) -> "C1Sample":
+        """A sample on this grid from complex arrays of its shape, unvalidated."""
+        out = object.__new__(C1Sample)
+        vars(out).update(grid=self.grid, f_values=vals, f_derivs=ders)
+        return out
+
+    def _check_grid(self, grid: np.ndarray) -> None:
+        if grid is not self.grid and not np.array_equal(grid, self.grid):
+            raise MatOrderError("samples on different grids do not combine")
+
     def __add__(self, other: "C1Sample") -> "C1Sample":
-        return C1Sample(self.grid, self.f_values + other.f_values,
-                        self.f_derivs + other.f_derivs)
+        self._check_grid(other.grid)
+        return self._on_grid(self.f_values + other.f_values, self.f_derivs + other.f_derivs)
 
     def __sub__(self, other: "C1Sample") -> "C1Sample":
-        return C1Sample(self.grid, self.f_values - other.f_values,
-                        self.f_derivs - other.f_derivs)
+        self._check_grid(other.grid)
+        return self._on_grid(self.f_values - other.f_values, self.f_derivs - other.f_derivs)
 
     def __mul__(self, other):
         if isinstance(other, C1Sample):
-            # Product rule on the derivative channel.
-            return C1Sample(self.grid, self.f_values * other.f_values,
-                            self.f_derivs * other.f_values
-                            + self.f_values * other.f_derivs)
-        return C1Sample(self.grid, other * self.f_values, other * self.f_derivs)
+            self._check_grid(other.grid)  # product rule on the derivative channel
+            return self._on_grid(self.f_values * other.f_values,
+                                 self.f_derivs * other.f_values + self.f_values * other.f_derivs)
+        if np.ndim(other):  # pointwise by an array: a new sample, validated
+            return C1Sample(self.grid, other * self.f_values, other * self.f_derivs)
+        return self._on_grid(other * self.f_values, other * self.f_derivs)
 
     __rmul__ = __mul__
 
@@ -255,13 +267,7 @@ class C1Sample:
         return (-1.0) * self
 
     def conj(self) -> "C1Sample":
-        return C1Sample(self.grid, self.f_values.conj(), self.f_derivs.conj())
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.f_values))) if self.grid.size else 0.0
-
-    def deriv_sup_norm(self) -> float:
-        return float(np.max(np.abs(self.f_derivs))) if self.grid.size else 0.0
+        return self._on_grid(self.f_values.conj(), self.f_derivs.conj())
 
 
 def c1_embed(sample: C1Sample) -> np.ndarray:
@@ -274,70 +280,96 @@ def c1_embed(sample: C1Sample) -> np.ndarray:
     return out
 
 
-def _embedded_norm(sample: C1Sample) -> float:
-    """||c1_embed(sample)||_2, exactly: the top singular value of its diagonal 2x2 blocks
-    (one stacked values-only SVD); CertificationFailed unless all else is exactly 0."""
-    m = sample.grid.size
-    embedded = c1_embed(sample)
-    blocks = embedded.reshape(m, 2, m, 2)[np.arange(m), :, np.arange(m), :]
-    if np.count_nonzero(embedded) != np.count_nonzero(blocks):
-        raise CertificationFailed("embedded matrix has an entry off its diagonal 2x2 blocks")
-    return float(la.opnorm(blocks).max()) if m else 0.0
+def _embedded_norms(on: C1Sample, vals: np.ndarray, ders: np.ndarray) -> np.ndarray:
+    """||c1_embed||_2 of the samples (vals[i], ders[i]) on the grid of `on`, exactly:
+    the top singular values of the diagonal 2x2 blocks, from one stacked
+    values-only SVD; CertificationFailed unless all else is exactly 0."""
+    m = on.grid.size
+    if not (m and len(vals)):
+        return np.zeros(len(vals))
+    blocks, diag = [], np.arange(m)
+    for v, dv in zip(vals, ders):
+        embedded = c1_embed(on._on_grid(v, dv)).reshape(m, 2, m, 2)
+        blocks.append(embedded[diag, :, diag, :])
+        embedded[diag, :, diag, :] = 0.0
+        if embedded.any():
+            raise CertificationFailed("embedded matrix has an entry off its diagonal 2x2 blocks")
+    return la.opnorm(np.concatenate(blocks)).reshape(-1, m).max(axis=1)
+
+
+def _c1_norms(on: C1Sample, vals: np.ndarray, ders: np.ndarray) -> np.ndarray:
+    """`c1_norm` of the samples (vals[i], ders[i]) on the grid of `on`: the closed
+    form over the (k, m) stacks, cross-checked by one `_embedded_norms`."""
+    f2, d = np.abs(vals) ** 2, np.abs(ders)
+    per_point = 0.5 * (2.0 * f2 + d ** 2 + d * np.sqrt(4.0 * f2 + d ** 2))
+    values = np.sqrt(np.max(per_point, axis=1, initial=0.0))
+    direct = _embedded_norms(on, vals, ders)
+    bad = np.flatnonzero(np.abs(values - direct) > 1e-10 * (1.0 + direct))
+    if bad.size:
+        raise CertificationFailed(f"closed-form norm {values[bad[0]]:.17g} disagrees with the "
+                                  f"embedded operator norm {direct[bad[0]]:.17g}")
+    return values
 
 
 def c1_norm(sample: C1Sample) -> float:
     """Induced norm: sup over grid points of the top singular value of the
     2x2 block, in closed form; cross-checked against the embedded matrix."""
-    f2 = np.abs(sample.f_values) ** 2
-    d = np.abs(sample.f_derivs)
-    per_point = 0.5 * (2.0 * f2 + d ** 2 + d * np.sqrt(4.0 * f2 + d ** 2))
-    value = float(np.sqrt(np.max(per_point))) if sample.grid.size else 0.0
-    direct = _embedded_norm(sample)
-    if abs(value - direct) > 1e-10 * (1.0 + direct):
-        raise CertificationFailed(
-            f"closed-form norm {value:.17g} disagrees with the embedded "
-            f"operator norm {direct:.17g}"
-        )
-    return value
+    return float(_c1_norms(sample, sample.f_values[None], sample.f_derivs[None])[0])
 
 
 class FunctionPullbackCone(ConeOracle):
-    """Positivity cone {f >= 0 on the grid} of the function embedding.
-
-    Only level 1 exists; the ambient norm is the induced embedding norm, so
-    the cone exposes the quantitative degeneration of the closed-image
-    conditions under grid refinement.
-    """
+    """Positivity cone {f >= 0 on the grid} of the function embedding, at level 1
+    only.  The ambient norm is the induced embedding norm, so the cone exposes
+    the degeneration of the closed-image conditions under grid refinement.  Each
+    oracle method is one pass over (k, m) stacks of samples on the cone's grid."""
 
     variant = "pullback"
 
     def __init__(self, grid, tol_psd: float = 1e-9, max_frequency: int = 4):
         super().__init__(None, tol_psd)
-        self.grid = np.asarray(grid, dtype=float)
-        if np.any(np.diff(self.grid) <= 0):
-            raise MatOrderError("grid must be strictly increasing")
-        self.max_frequency = int(max_frequency)
+        # The unit validates the grid once; the samples the cone builds share it.
+        self._unit = C1Sample(grid, np.ones(np.shape(grid)), np.zeros(np.shape(grid)))
+        self.grid, self.max_frequency = self._unit.grid, int(max_frequency)
+        self._waves = [(np.cos(2 * np.pi * j * self.grid), np.sin(2 * np.pi * j * self.grid))
+                       for j in range(self.max_frequency + 1)]
 
     def _guard(self, n: int) -> None:
         if n != 1:
             raise LevelUnsupported("pullback cones are defined at level 1 only")
 
-    def member(self, n: int, x) -> bool:
+    def _stack(self, n: int, xs) -> tuple:
+        """(values, derivatives) of the samples xs as (k, m) stacks."""
         self._guard(n)
-        scale = 1.0 + x.sup_norm() + x.deriv_sup_norm()
-        if max(np.max(np.abs(x.f_values.imag)), np.max(np.abs(x.f_derivs.imag))) \
-                > self.tol_psd * scale:
-            return False
-        return bool(np.min(x.f_values.real) >= -self.tol_psd * scale)
+        for x in xs:
+            self._unit._check_grid(x.grid)
+        return tuple(np.array([getattr(x, f) for x in xs]).reshape(len(xs), self.grid.size)
+                     for f in ("f_values", "f_derivs"))
+
+    def member_many(self, n: int, xs) -> list:
+        """Per sample f: real within tol_psd * scale, and min Re f >= -tol_psd *
+        scale, scale = 1 + sup|f| + sup|f'|."""
+        vals, ders = self._stack(n, xs)
+        slack = self.tol_psd * (1.0 + np.max(np.abs(vals), axis=1) + np.max(np.abs(ders), axis=1))
+        real = np.maximum(np.abs(vals.imag).max(axis=1), np.abs(ders.imag).max(axis=1)) <= slack
+        return (real & (np.min(vals.real, axis=1) >= -slack)).tolist()
+
+    def min_shift(self, n: int, c):
+        """Per sample (of a sequence), where min Re f + r meets -t (1 + sup|f + r| +
+        sup|f'|), t = tol_psd, taking sup|f + r| = max Re f + r.  `_certify` decides
+        every use: a non-real or degenerate f fails it and is bisected."""
+        one = isinstance(c, C1Sample)
+        vals, ders = self._stack(n, [c] if one else c)
+        t = self.tol_psd
+        r = (-vals.real.min(axis=1) - t * (1.0 + vals.real.max(axis=1) + np.abs(ders).max(axis=1)))
+        r /= 1.0 + t
+        return float(r[0]) if one else r
 
     def unit(self, n: int) -> C1Sample:
         self._guard(n)
-        return C1Sample(self.grid, np.ones_like(self.grid, dtype=complex),
-                        np.zeros_like(self.grid, dtype=complex))
+        return self._unit
 
-    def norm(self, n: int, x) -> float:
-        self._guard(n)
-        return c1_norm(x)
+    def norm_many(self, n: int, xs) -> list:
+        return _c1_norms(self._unit, *self._stack(n, xs)).tolist()
 
     def straighten(self, n: int, x) -> np.ndarray:
         # The faithful matrix picture: block upper-triangular embedding.
@@ -352,27 +384,29 @@ class FunctionPullbackCone(ConeOracle):
         self._guard(n)
         return x.conj()
 
-    def _trig(self, rng: np.random.Generator) -> C1Sample:
-        vals = np.zeros_like(self.grid, dtype=complex)
-        ders = np.zeros_like(self.grid, dtype=complex)
-        for j in range(self.max_frequency + 1):
-            a = rng.standard_normal() / (1 + j)
-            vals += a * np.cos(2 * np.pi * j * self.grid)
-            ders += -a * 2 * np.pi * j * np.sin(2 * np.pi * j * self.grid)
+    def _trig_many(self, n: int, k: int, rng: np.random.Generator) -> tuple:
+        """k random trig polynomials as (values, derivatives) stacks, with the stream
+        and bits of k draws (a_0, a_1, b_1, ... normal / (1 + j)) made one at a time."""
+        self._guard(n)
+        coeffs = rng.standard_normal((k, 2 * self.max_frequency + 1))
+        vals, ders = np.zeros((2, k, self.grid.size), dtype=complex)
+        for j, (cos, sin) in enumerate(self._waves):
+            a = coeffs[:, max(2 * j - 1, 0), None] / (1 + j)
+            vals += a * cos
+            ders += -a * 2 * np.pi * j * sin
             if j > 0:
-                b = rng.standard_normal() / (1 + j)
-                vals += b * np.sin(2 * np.pi * j * self.grid)
-                ders += b * 2 * np.pi * j * np.cos(2 * np.pi * j * self.grid)
-        return C1Sample(self.grid, vals, ders)
+                b = coeffs[:, 2 * j, None] / (1 + j)
+                vals += b * sin
+                ders += b * 2 * np.pi * j * cos
+        return vals, ders
 
-    def sample(self, n: int, rng: np.random.Generator) -> C1Sample:
-        self._guard(n)
-        g = self._trig(rng)
-        return g * g
+    def sample_many(self, n: int, k: int, rng: np.random.Generator) -> list:
+        """Squares g * g of k `sample_span_many` draws g."""
+        vals, ders = self._trig_many(n, k, rng)
+        return [self._unit._on_grid(v * v, d * v + v * d) for v, d in zip(vals, ders)]
 
-    def sample_span(self, n: int, rng: np.random.Generator) -> C1Sample:
-        self._guard(n)
-        return self._trig(rng)
+    def sample_span_many(self, n: int, k: int, rng: np.random.Generator) -> list:
+        return [self._unit._on_grid(v, d) for v, d in zip(*self._trig_many(n, k, rng))]
 
 
 @dataclass(frozen=True)
@@ -390,20 +424,16 @@ def c1_inequality_check(samples: int = 500, seed: int = 0,
                         grid_size: int = 64) -> InequalityReport:
     """Verify ||f|| >= max(||f||_inf, ||f'||_inf) / sqrt(2) >= ||f||_1 / (2 sqrt(2))
     on random complex samples, with ||f||_1 = ||f||_inf + ||f'||_inf."""
-    rng = np.random.default_rng(seed)
-    grid = np.linspace(0.0, 1.0, grid_size)
-    violations = 0
-    worst = np.inf
-    for _ in range(samples):
-        f = C1Sample(grid, la.random_complex(rng, grid_size),
-                     la.random_complex(rng, grid_size))
-        norm = c1_norm(f)
-        mid = max(f.sup_norm(), f.deriv_sup_norm()) / np.sqrt(2.0)
-        low = (f.sup_norm() + f.deriv_sup_norm()) / (2.0 * np.sqrt(2.0))
-        margin = min(norm - mid, mid - low)
-        worst = min(worst, margin)
-        if norm < mid - 1e-12 or mid < low - 1e-12:
-            violations += 1
+    # The stream of `samples` (values, derivatives) pairs of random_complex draws.
+    drawn = _random_complex_many(np.random.default_rng(seed), 2 * samples, (grid_size,))
+    vals, ders = drawn[0::2], drawn[1::2]
+    unit = C1Sample(np.linspace(0.0, 1.0, grid_size), np.ones(grid_size), np.zeros(grid_size))
+    norm = _c1_norms(unit, vals, ders)
+    sup, dsup = (np.max(np.abs(z), axis=1, initial=0.0) for z in (vals, ders))
+    mid = np.maximum(sup, dsup) / np.sqrt(2.0)
+    low = (sup + dsup) / (2.0 * np.sqrt(2.0))
+    violations = int(np.count_nonzero((norm < mid - 1e-12) | (mid < low - 1e-12)))
+    worst = np.min(np.minimum(norm - mid, mid - low), initial=np.inf)
     return InequalityReport(samples, violations, float(worst))
 
 
@@ -424,4 +454,7 @@ def c1_condition1_decay(k: int, grid: np.ndarray | None = None) -> float:
     phase = 2.0 * np.pi * k * grid
     c = C1Sample(grid, 1.0 - np.cos(phase), 2.0 * np.pi * k * np.sin(phase))
     d = C1Sample(grid, 2.0 - c.f_values, -c.f_derivs)
-    return c1_norm(c + d) / c1_norm(c)
+    total = c + d
+    top, bottom = _c1_norms(c, np.stack([total.f_values, c.f_values]),
+                            np.stack([total.f_derivs, c.f_derivs]))
+    return float(top / bottom)

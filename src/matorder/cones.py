@@ -1,33 +1,27 @@
 """Cone families over matrix algebras: membership oracles, axiom audits,
 constant estimators, and the block-compression map.
 
-Two oracle classes are provided: `SimilarityCone`, the one PSD-frame cone
-(Hermitian PSD after a fixed similarity S, with `StandardCone` its identity
-frame S = I, the standard positive cone of a star-closed algebra), and (in
-`case_studies`) a function-positivity pullback.  Every oracle consumer asks
-the batched `member_many` (one stacked pass for a `SimilarityCone`, `member`
-per element for a cone overriding it); only `replay_witness`, the reference,
-asks `member`.  Audits report verdicts with replayable witnesses instead of
-raising: `_first_escape` decides each run of same-level candidates in one
-call and fails on the first escape.  `_certify` is the one certificate of an
-exact shift, one-sided for the audits and two-sided for `order_norms`, in one
-`member_many` call; `_shift_bisection`, the one fallback, makes one per sign.
-The order-unit and Archimedean axioms have one check each, which the
-algebraically-admissible audit runs and `check_order_unit_archimedean` runs
-alone.  Matrix-ordered (c) and star-admissible 3ii share one scalar-conjugation
-generator, conjugation stability is the algebra-conjugation generator at one
-level, and each check draws from its own child stream of the seed.  One PSD
-rule, `_psd_test`, decides a matrix or a stack, and `min_shift` is one
-Hermitian eigensolve too, with no SVD (`min_shift_pair` takes both signs from
-it): the slack tol_psd (1 + ||h||_2) comes from the spectrum of
-h = (x + x*)/2.  The audits work in stacks: `sample_many`
-(one Gaussian draw, GEMM and unstraighten, the stream of k single draws),
-`norm_many` (one stacked `la.opnorm`), `min_shift` on a stack, and the shifts
-`_inf_shifts`/`_sup_shifts_down` (one `_certify`; the rest bisected once each).
-Every check but the algebra conjugations keeps its draw order.  Level-n spans,
-2i/2iii ranks and lineality kernels come from level 1 by Kronecker identities
-(Van Loan, J. Comput. Appl. Math. 123, 2000): V_n = (M_n)_h (x) V_1, with no
-basis of M_n(A) and no level-n SVD.
+The oracle protocol is stacked: `member_many`, `sample_many`,
+`sample_span_many`, `norm_many` (the operator norm by default), `min_shift` (of
+an element or a stack) and `min_shift_pair` are the contract, and `member`,
+`sample`, `sample_span` and `norm` are their one-element calls.  Two oracles
+implement it, each method one stacked pass: `SimilarityCone`, the one PSD-frame
+cone (Hermitian PSD after a fixed similarity S; `StandardCone` is its identity
+frame), and (in `case_studies`) the function-positivity pullback.
+Audits report verdicts with replayable witnesses instead of raising:
+`_first_escape` decides each run of same-level candidates in one call and fails
+on the first escape.  `_certify` is the one certificate of an exact shift,
+one-sided for the audits and two-sided for `order_norms`, in one `member_many`
+call; `_shift_bisection`, the one fallback, makes one per sign.  The order-unit
+and Archimedean axioms have one check each.  Matrix-ordered (c) and
+star-admissible 3ii share one scalar-conjugation generator, conjugation
+stability is the algebra-conjugation generator at one level, and each check
+draws from its own child stream of the seed.  One PSD rule, `_psd_test`,
+decides a matrix or a stack, and `min_shift` is one Hermitian eigensolve with
+no SVD: the slack tol_psd (1 + ||h||_2) comes from the spectrum of
+h = (x + x*)/2.  Level-n spans, 2i/2iii ranks and lineality kernels come from
+level 1 by Kronecker identities (Van Loan, J. Comput. Appl. Math. 123, 2000):
+V_n = (M_n)_h (x) V_1, with no basis of M_n(A) and no level-n SVD.
 """
 
 from __future__ import annotations
@@ -181,11 +175,11 @@ def replay_witness(cone: "ConeOracle", witness: Witness) -> bool:
 # ---------------------------------------------------------------------------
 
 class ConeOracle:
-    """Membership oracle for a cone family {C_n}.
+    """Membership oracle for a cone family {C_n} on the stacked protocol.
 
-    Subclasses provide `member`, `straighten`, the reference involution
-    and sampling; `min_shift` and the exact span basis default to unknown
-    (None), which sends shifts to bisection and span checks to "unknown".
+    Subclasses provide the stacked forms, `straighten` and the reference
+    involution; `min_shift` and the exact span basis default to unknown (None),
+    which sends shifts to bisection and span checks to "unknown".
     """
 
     variant = "abstract"
@@ -212,16 +206,13 @@ class ConeOracle:
         return np.eye(self.level_dim(n), dtype=complex)
 
     def norm(self, n: int, x) -> float:
-        """Ambient norm of a level-n element (operator norm)."""
-        return la.opnorm(as_matrix(x))
+        """Ambient norm of one level-n element: `norm_many` of one."""
+        return self.norm_many(n, [x])[0]
 
     def norm_many(self, n: int, xs) -> list:
-        """`norm` of each level-n element of xs; same-shape matrices under this
-        `norm` take one stacked `la.opnorm` (one values-only SVD), with its bits."""
-        if (len({np.shape(x) for x in xs}) != 1
-                or getattr(self.norm, "__func__", None) is not ConeOracle.norm):
-            return [self.norm(n, x) for x in xs]
-        return la.opnorm(as_matrix(xs)).tolist()
+        """Operator norm of each level-n element of xs, from one stacked
+        `la.opnorm` (one values-only SVD), with each matrix's bits."""
+        return la.opnorm(_batch(xs)).tolist() if len(xs) else []
 
     def mul(self, n: int, x, y):
         return as_matrix(x) @ as_matrix(y)
@@ -229,11 +220,12 @@ class ConeOracle:
     # -- oracle ------------------------------------------------------------
 
     def member(self, n: int, x) -> bool:
-        raise NotImplementedError
+        """Whether x is in C_n: `member_many` of one."""
+        return self.member_many(n, [x])[0]
 
     def member_many(self, n: int, xs) -> list:
-        """`member` of each level-n element of the sequence xs, in order."""
-        return [self.member(n, x) for x in xs]
+        """Per level-n element of the sequence xs, in order, whether it is in C_n."""
+        raise NotImplementedError
 
     def min_shift(self, n: int, c):
         """inf{r real : r e_n + c in C_n} in closed form (per matrix of a stack);
@@ -278,21 +270,21 @@ class ConeOracle:
 
     # -- sampling ----------------------------------------------------------
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Random cone element (G* G with complex Gaussian G)."""
-        raise NotImplementedError
+    def sample(self, n: int, rng: np.random.Generator):
+        """One random cone element: `sample_many` of one."""
+        return self.sample_many(n, 1, rng)[0]
 
-    def sample_span(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Random element of span_R(C_n - C_n)."""
-        raise NotImplementedError
+    def sample_span(self, n: int, rng: np.random.Generator):
+        """One random element of span_R(C_n - C_n): `sample_span_many` of one."""
+        return self.sample_span_many(n, 1, rng)[0]
 
     def sample_many(self, n: int, k: int, rng: np.random.Generator):
-        """k `sample` draws in draw order (a (k, nN, nN) stack when stacked)."""
-        return [self.sample(n, rng) for _ in range(k)]
+        """k random cone elements in draw order (a sequence, or a (k, nN, nN) stack)."""
+        raise NotImplementedError
 
     def sample_span_many(self, n: int, k: int, rng: np.random.Generator):
-        """k `sample_span` draws in draw order (a stack when stacked)."""
-        return [self.sample_span(n, rng) for _ in range(k)]
+        """k random elements of span_R(C_n - C_n) in draw order."""
+        raise NotImplementedError
 
     def span_basis(self, n: int) -> np.ndarray | None:
         """Exact real-orthonormal basis of span_R(C_n - C_n), if known; by
@@ -358,11 +350,6 @@ class SimilarityCone(ConeOracle):
         # Straightened algebra A = S B S^-1; star-closed for honest inputs.
         self.straight_algebra = conjugate_algebra(algebra, s)
 
-    def _own(self, *names) -> bool:
-        """No method of `names` is overridden (subclass or instance): stack them."""
-        return all(getattr(getattr(self, name), "__func__", None) is getattr(SimilarityCone, name)
-                   for name in names)
-
     def straighten(self, n: int, x) -> np.ndarray:
         x = as_matrix(x)
         return x if self.s is None else _blockwise(self.s, x, self.s_inv)
@@ -371,17 +358,12 @@ class SimilarityCone(ConeOracle):
         y = as_matrix(y)
         return y if self.s is None else _blockwise(self.s_inv, y, self.s)
 
-    def member(self, n: int, x) -> bool:
-        return bool(self._psd_test(self.straighten(n, self.level_element(n, x))))
-
     def member_many(self, n: int, xs) -> list:
-        """`member` of each element in one stacked pass: one M_n(A) check, one
-        straighten and one `_psd_test`, the same LAPACK call on each matrix as
-        `member` makes, so its verdicts.  Mixed shapes, or an overridden `member`
-        or `straighten` (subclass or instance), go element by element."""
-        if len({np.shape(x) for x in xs}) != 1 or not self._own("member", "straighten"):
-            return super().member_many(n, xs)
-        return self._psd_test(self.straighten(n, self.level_element(n, np.stack(xs)))).tolist()
+        """One M_n(A) check, one straighten and one `_psd_test` (one LAPACK call
+        per matrix, so each verdict is that of the element asked alone)."""
+        if not len(xs):
+            return []
+        return self._psd_test(self.straighten(n, self.level_element(n, _batch(xs)))).tolist()
 
     def _psd_test(self, y: np.ndarray):
         """The one PSD rule, on a matrix (a bool) or a (k, d, d) stack (k bools):
@@ -396,22 +378,15 @@ class SimilarityCone(ConeOracle):
         return (np.abs(y - y_star).max(axis=(-2, -1)) <= slack) & (ev[..., 0] >= -slack)
 
     def min_shift(self, n: int, c):
-        """From one Hermitian eigensolve, no SVD: the r at which r I + straighten(c)
-        meets the `_psd_test` slack, lambda_min = -tol_psd (1 + lambda_max).  A
-        stack takes one M_n(A) check, one straighten and one stacked eigensolve."""
-        return self._shifts(n, c)[0]
+        """The r at which r I + straighten(c) meets the `_psd_test` slack,
+        lambda_min = -tol_psd (1 + lambda_max): `min_shift_pair`'s first sign."""
+        return SimilarityCone.min_shift_pair(self, n, c)[0]
 
     def min_shift_pair(self, n: int, c) -> tuple:
-        """Both signs from one eigensolve; an overridden `min_shift` or
-        `straighten` (subclass or instance) is asked once per sign."""
-        if not self._own("min_shift", "straighten"):
-            return super().min_shift_pair(n, c)
-        return self._shifts(n, c)
-
-    def _shifts(self, n: int, c) -> tuple:
-        """(min_shift(c), min_shift(-c)) from the spectrum lambda_1 <= ... <= lambda_N
-        of h, the Hermitian part of straighten(c): spec(-h) = -spec(h), so with
-        t = tol_psd, r(c) = (-lambda_1 - t (1 + lambda_N)) / (1 + t) and
+        """(min_shift(c), min_shift(-c)) from one Hermitian eigensolve (stacked for
+        a stack), no SVD: with lambda_1 <= ... <= lambda_N the spectrum of h, the
+        Hermitian part of straighten(c), spec(-h) = -spec(h), so with t = tol_psd,
+        r(c) = (-lambda_1 - t (1 + lambda_N)) / (1 + t) and
         r(-c) = (lambda_N - t (1 - lambda_1)) / (1 + t)."""
         y = self.straighten(n, self.level_element(n, c))
         ev = np.linalg.eigvalsh(0.5 * (y + la.dagger(y)))
@@ -429,21 +404,10 @@ class SimilarityCone(ConeOracle):
             return la.dagger(as_matrix(a))
         return self.unstraighten(m, la.dagger(self.straighten(n, a)))
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self._draw(n, 1, rng, span=False)[0]
-
-    def sample_span(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self._draw(n, 1, rng, span=True)[0]
-
-    def sample_many(self, n: int, k: int, rng: np.random.Generator):
-        """One stacked draw; an overridden `sample` or `unstraighten` draws one by one."""
-        if not self._own("sample", "unstraighten"):
-            return super().sample_many(n, k, rng)
+    def sample_many(self, n: int, k: int, rng: np.random.Generator) -> np.ndarray:
         return self._draw(n, k, rng, span=False)
 
-    def sample_span_many(self, n: int, k: int, rng: np.random.Generator):
-        if not self._own("sample_span", "unstraighten"):
-            return super().sample_span_many(n, k, rng)
+    def sample_span_many(self, n: int, k: int, rng: np.random.Generator) -> np.ndarray:
         return self._draw(n, k, rng, span=True)
 
     def _draw(self, n: int, k: int, rng: np.random.Generator, span: bool) -> np.ndarray:
@@ -503,6 +467,14 @@ def _random_complex_many(rng: np.random.Generator, k: int, shape) -> np.ndarray:
     array: the same stream, split into real and imaginary parts the same way."""
     z = rng.standard_normal((k, 2, *shape))
     return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
+
+
+def _batch(xs) -> np.ndarray:
+    """A nonempty sequence of same-shape elements (or a stack) as one stack;
+    DimensionMismatch when their shapes differ."""
+    if not isinstance(xs, np.ndarray) and len(shapes := {np.shape(x) for x in xs}) > 1:
+        raise DimensionMismatch(f"a batch needs one element shape, got {sorted(shapes)}")
+    return as_matrix(xs)
 
 
 def _stack(cone: "ConeOracle", n: int, xs) -> np.ndarray:

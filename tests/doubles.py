@@ -1,4 +1,8 @@
-"""Corrupted cone oracles used by the audit soundness (mutation) tests."""
+"""Corrupted cone oracles used by the audit soundness (mutation) tests.
+
+Each overrides the stacked forms of the oracle protocol (`member_many`,
+`sample_many`, `sample_span_many`) or a stack-capable `straighten`, and
+decides or draws one element at a time inside them."""
 
 import numpy as np
 
@@ -13,9 +17,9 @@ class AllHermitianCone(StandardCone):
 
     variant = "all-hermitian"
 
-    def member(self, n, x):
-        x = self.level_element(n, x)
-        return herm_defect(x) <= self.tol_psd * (1.0 + la.opnorm(x))
+    def member_many(self, n, xs):
+        xs = [self.level_element(n, x) for x in xs]
+        return [herm_defect(x) <= self.tol_psd * (1.0 + la.opnorm(x)) for x in xs]
 
     def straighten(self, n, x):
         # No PSD constraint at all: the frame map is zero.
@@ -28,18 +32,20 @@ class ZeroedCornerCone(StandardCone):
 
     variant = "zeroed-corner"
 
-    def member(self, n, x):
-        if not super().member(n, x):
-            return False
-        x = np.asarray(x, dtype=complex)
-        return abs(x[0, 0]) <= self.tol_psd * (1.0 + la.opnorm(x))
+    def member_many(self, n, xs):
+        xs = [np.asarray(x, dtype=complex) for x in xs]
+        return [ok and abs(x[0, 0]) <= self.tol_psd * (1.0 + la.opnorm(x))
+                for x, ok in zip(xs, super().member_many(n, xs))]
 
-    def sample(self, n, rng):
+    def sample_many(self, n, k, rng):
         from matorder.algebra import random_element
 
-        g = random_element(self.algebra, rng, level=n)
-        g[:, 0] = 0.0
-        return la.dagger(g) @ g
+        out = []
+        for _ in range(k):
+            g = random_element(self.algebra, rng, level=n)
+            g[:, 0] = 0.0
+            out.append(la.dagger(g) @ g)
+        return out
 
 
 class ZeroCone(StandardCone):
@@ -47,15 +53,15 @@ class ZeroCone(StandardCone):
 
     variant = "zero"
 
-    def member(self, n, x):
-        return la.frob(np.asarray(x, dtype=complex)) <= self.tol_psd
+    def member_many(self, n, xs):
+        return [la.frob(np.asarray(x, dtype=complex)) <= self.tol_psd for x in xs]
 
-    def sample(self, n, rng):
+    def sample_many(self, n, k, rng):
         d = self.level_dim(n)
-        return np.zeros((d, d), dtype=complex)
+        return [np.zeros((d, d), dtype=complex) for _ in range(k)]
 
-    def sample_span(self, n, rng):
-        return self.sample(n, rng)
+    def sample_span_many(self, n, k, rng):
+        return self.sample_many(n, k, rng)
 
 
 class SkewedLevelCone(StandardCone):
@@ -69,9 +75,13 @@ class SkewedLevelCone(StandardCone):
         return np.kron(np.diag(np.arange(1.0, n + 1.0)), np.eye(self.algebra.ambient_dim))
 
     def straighten(self, n, x):
+        # Per matrix of a stack: solve broadcasts d over it.
         d = self._skew(n)
         return np.linalg.solve(d, np.asarray(x, dtype=complex)) @ d
 
-    def sample(self, n, rng):
+    def sample_many(self, n, k, rng):
         d = self._skew(n)
-        return d @ super().sample(n, rng) @ np.linalg.inv(d)
+        out = []
+        for _ in range(k):
+            out.append(d @ super().sample_many(n, 1, rng)[0] @ np.linalg.inv(d))
+        return out

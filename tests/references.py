@@ -20,7 +20,10 @@ certificate left open.  The rest are the involution and similarity layers
 before their stacked passes: a barrier solve over a list of LMI blocks whose
 phase one runs to its gap, and the cone span, `bound_2K`, level-n
 certificate, `build_star_rep` cone residual and norm identity drawn and
-measured one element at a time.
+measured one element at a time.  `pullback_trig`, `pullback_member`,
+`c1_norm_per_sample` and `c1_inequality_check_per_sample` are the function
+embedding's pullback cone and norm one sample at a time, before their
+stacked passes; `membership_residual` is the distance from an algebra span.
 """
 
 import numpy as np
@@ -28,14 +31,19 @@ import numpy as np
 from matorder import _linalg as la
 from matorder import similarity
 from matorder.algebra import (DEFAULT_MAX_DIM, DEFAULT_STRUCTURE_TOL, OperatorAlgebra,
-                              as_matrix, block_coords, block_synth, membership_residual,
-                              random_element)
-from matorder.case_studies import NormIdentityReport
+                              as_matrix, block_coords, block_synth, random_element)
+from matorder.case_studies import C1Sample, NormIdentityReport, c1_embed
 from matorder.cones import ConeOracle, _certificate, _certified, _shift_bisection
 from matorder.errors import (CertificationFailed, DimensionCapExceeded, DimensionMismatch,
                              NoPositiveSolution, NumericalStall, SpanUnstable)
 from matorder.involution import SPAN_ROUNDS, InvolutionComparison
 from matorder.order_norms import DEFAULT_BISECT_TOL, NormReport, _check_self_adjoint, _sharp_fn
+
+def membership_residual(algebra: OperatorAlgebra, x: np.ndarray) -> float:
+    """Frobenius distance of x from the algebra span."""
+    x = as_matrix(x)
+    return la.frob(x - algebra.synthesize(algebra.coords_of(x)))
+
 
 def herm_defect(x: np.ndarray) -> float:
     """Largest entry of |x - x*|."""
@@ -469,3 +477,65 @@ def jsym_norm_identity_per_sample(images: np.ndarray, algebra: OperatorAlgebra, 
             if dev > worst:
                 worst, witness = dev, a
     return NormIdentityReport(float(worst), witness, tuple(levels), samples)
+
+
+def pullback_trig(cone, rng: np.random.Generator) -> C1Sample:
+    """One random trigonometric polynomial on the pullback cone's grid, drawn
+    and accumulated one coefficient at a time (the earlier `_trig`)."""
+    vals = np.zeros_like(cone.grid, dtype=complex)
+    ders = np.zeros_like(cone.grid, dtype=complex)
+    for j in range(cone.max_frequency + 1):
+        a = rng.standard_normal() / (1 + j)
+        vals += a * np.cos(2 * np.pi * j * cone.grid)
+        ders += -a * 2 * np.pi * j * np.sin(2 * np.pi * j * cone.grid)
+        if j > 0:
+            b = rng.standard_normal() / (1 + j)
+            vals += b * np.sin(2 * np.pi * j * cone.grid)
+            ders += b * 2 * np.pi * j * np.cos(2 * np.pi * j * cone.grid)
+    return C1Sample(cone.grid, vals, ders)
+
+
+def pullback_member(cone, x: C1Sample) -> bool:
+    """The pullback cone's test for one sample (the earlier `member`)."""
+    scale = 1.0 + np.max(np.abs(x.f_values)) + np.max(np.abs(x.f_derivs))
+    if max(np.max(np.abs(x.f_values.imag)), np.max(np.abs(x.f_derivs.imag))) \
+            > cone.tol_psd * scale:
+        return False
+    return bool(np.min(x.f_values.real) >= -cone.tol_psd * scale)
+
+
+def c1_norm_per_sample(sample: C1Sample) -> float:
+    """`c1_norm` of one sample: the closed form, cross-checked against the top
+    singular value of its embedding's diagonal 2x2 blocks (one SVD per sample)."""
+    f2 = np.abs(sample.f_values) ** 2
+    d = np.abs(sample.f_derivs)
+    per_point = 0.5 * (2.0 * f2 + d ** 2 + d * np.sqrt(4.0 * f2 + d ** 2))
+    value = float(np.sqrt(np.max(per_point))) if sample.grid.size else 0.0
+    m = sample.grid.size
+    embedded = c1_embed(sample)
+    blocks = embedded.reshape(m, 2, m, 2)[np.arange(m), :, np.arange(m), :]
+    if np.count_nonzero(embedded) != np.count_nonzero(blocks):
+        raise CertificationFailed("embedded matrix has an entry off its diagonal 2x2 blocks")
+    direct = float(la.opnorm(blocks).max()) if m else 0.0
+    if abs(value - direct) > 1e-10 * (1.0 + direct):
+        raise CertificationFailed("closed-form norm disagrees with the embedded norm")
+    return value
+
+
+def c1_inequality_check_per_sample(samples: int, seed: int, grid_size: int) -> tuple:
+    """(violations, worst margin) of `c1_inequality_check`, one sample and one
+    `c1_norm_per_sample` at a time."""
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(0.0, 1.0, grid_size)
+    violations, worst = 0, np.inf
+    for _ in range(samples):
+        f = C1Sample(grid, la.random_complex(rng, grid_size), la.random_complex(rng, grid_size))
+        norm = c1_norm_per_sample(f)
+        sup, dsup = (float(np.max(np.abs(v))) if grid_size else 0.0
+                     for v in (f.f_values, f.f_derivs))
+        mid = max(sup, dsup) / np.sqrt(2.0)
+        low = (sup + dsup) / (2.0 * np.sqrt(2.0))
+        worst = min(worst, min(norm - mid, mid - low))
+        if norm < mid - 1e-12 or mid < low - 1e-12:
+            violations += 1
+    return violations, float(worst)

@@ -14,12 +14,11 @@ from matorder.algebra import (
     generate_algebra,
     hermitian_part_basis,
     level_residual,
-    membership_residual,
     project,
     random_element,
 )
 from matorder.errors import DimensionCapExceeded, DimensionMismatch, MembershipError
-from references import amplify, generate_algebra_mgs, spans_equal
+from references import amplify, generate_algebra_mgs, membership_residual, spans_equal
 
 
 def test_generate_e11_span():

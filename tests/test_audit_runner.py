@@ -28,11 +28,13 @@ class _RejectsFirstCandidate(StandardCone):
         super().__init__(alg)
         self.rejected = False
 
-    def member(self, n, x):
-        if not self.rejected and not np.array_equal(x, self.unit(n)):
-            self.rejected = True
-            return False
-        return super().member(n, x)
+    def member_many(self, n, xs):
+        got = super().member_many(n, xs)
+        for k, x in enumerate(xs):
+            if not self.rejected and not np.array_equal(x, self.unit(n)):
+                self.rejected = True
+                got[k] = False
+        return got
 
 
 class _NoSpanCone(StandardCone):
@@ -46,8 +48,8 @@ class _SpanSampledFromCone(ZeroedCornerCone):
     """Span samples are cone samples: PSD with a zero (0, 0) entry, so
     r e + a and r e - a never both lie in C and the seminorm is unbounded."""
 
-    def sample_span(self, n, rng):
-        return self.sample(n, rng)
+    def sample_span_many(self, n, k, rng):
+        return self.sample_many(n, k, rng)
 
 
 def _constants_equal(a, b):

@@ -7,8 +7,8 @@ from matorder import case_studies
 from matorder.algebra import generate_algebra, random_element
 from matorder.case_studies import (
     C1Sample,
+    _embedded_norms,
     FunctionPullbackCone,
-    _embedded_norm,
     c1_condition1_decay,
     c1_embed,
     c1_inequality_check,
@@ -162,7 +162,8 @@ def test_c1_embedded_norm_matches_full_svd(m):
     grid = np.linspace(0.0, 1.0, m)
     for _ in range(5):
         s = C1Sample(grid, la.random_complex(rng, m), la.random_complex(rng, m))
-        assert _embedded_norm(s) == pytest.approx(la.opnorm(c1_embed(s)), rel=1e-13)
+        got = _embedded_norms(s, s.f_values[None], s.f_derivs[None])
+        assert got.tolist() == [pytest.approx(la.opnorm(c1_embed(s)), rel=1e-13)]
 
 
 def test_c1_norm_rejects_an_entry_off_the_diagonal_blocks(monkeypatch):

@@ -354,9 +354,9 @@ def test_level_below_one_is_a_schema_error(workdir, capsys, args):
 
 def test_involution_level_past_eight_fails_before_sampling(workdir, capsys, monkeypatch):
     # --level has the 1..8 range of --levels: nothing is drawn at level 9.
-    def no_draw(self, n, rng):
+    def no_draw(self, n, k, rng):
         raise AssertionError("sampled past level 8")
-    monkeypatch.setattr(StandardCone, "sample", no_draw)
+    monkeypatch.setattr(StandardCone, "sample_many", no_draw)
     code, rep = _run(workdir, ["involution", "--cone", str(workdir / "std_cone.json"),
                                "--level", "9"], capsys)
     assert code == 4

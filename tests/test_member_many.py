@@ -1,5 +1,5 @@
 """The batched membership oracle: `member_many` against `member` element by
-element, its errors, the per-element fallback for overriding doubles, the
+element, its errors, overriding doubles asked through the stacked form, the
 sampled-inclusion runner that asks it one same-level run at a time, and the
 shift searches and norms that ask it one sign at a time."""
 
@@ -10,7 +10,7 @@ import pytest
 
 from conftest import E11, E12
 from doubles import SkewedLevelCone, ZeroedCornerCone
-from matorder.algebra import membership_residual, random_element
+from matorder.algebra import random_element
 from matorder.cones import (
     SimilarityCone,
     StandardCone,
@@ -24,20 +24,20 @@ from matorder.cones import (
 )
 from matorder.errors import DimensionMismatch, MembershipError
 from matorder.order_norms import order_unit_seminorm, pre_cstar_norm
-from references import certify
+from references import certify, membership_residual
 from test_shifts import _opaque
 
 
 class _CountingCone(StandardCone):
-    """An honest cone that records every element its `member` is asked about."""
+    """An honest cone that records every element its `member_many` is asked about."""
 
     def __init__(self, alg):
         super().__init__(alg)
         self.asked = []
 
-    def member(self, n, x):
-        self.asked.append(x)
-        return super().member(n, x)
+    def member_many(self, n, xs):
+        self.asked.extend(xs)
+        return super().member_many(n, xs)
 
 
 def _candidates(cone, n, rng):
@@ -99,12 +99,18 @@ def test_member_many_falls_back_for_overridden_straighten_and_instance_member(m2
     rng = np.random.default_rng(1)
     skewed = SkewedLevelCone(m2_full)
     xs = [skewed.sample(2, rng) for _ in range(3)] + [StandardCone(m2_full).sample(2, rng)]
+    # The overridden straighten is asked once, with the whole stack.
+    shapes, straighten = [], skewed.straighten
+    skewed.straighten = lambda n, x: shapes.append(np.shape(x)) or straighten(n, x)
     got = skewed.member_many(2, xs)
+    assert shapes == [(len(xs), 4, 4)]
     assert got == [skewed.member(2, x) for x in xs] and False in got
     counted = copy.copy(StandardCone(m2_full))
     asked = []
-    counted.member = lambda n, x: asked.append(x) or True
+    counted.member_many = lambda n, xs: asked.extend(xs) or [True] * len(xs)
     assert counted.member_many(1, [-np.eye(2)]) == [True] and len(asked) == 1
+    # `member` is the instance's stacked form asked about one element.
+    assert counted.member(1, -np.eye(2)) is True and len(asked) == 2
 
 
 def test_first_escape_reports_the_first_escape_of_a_run_in_draw_order(std_m2):
@@ -136,11 +142,11 @@ def test_first_escape_on_a_double_matches_the_sequential_runner(m2_full):
 
 
 class _PerElement(SimilarityCone):
-    """The same cone with a `member` that only calls the inherited one, so
-    `member_many` takes its per-element fallback."""
+    """The same cone with a `member_many` that asks the inherited stacked form
+    one element at a time."""
 
-    def member(self, n, x):
-        return super().member(n, x)
+    def member_many(self, n, xs):
+        return [SimilarityCone.member_many(self, n, [x])[0] for x in xs]
 
 
 class _Recording(SimilarityCone):

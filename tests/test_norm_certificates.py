@@ -9,7 +9,7 @@ import pytest
 
 from doubles import SkewedLevelCone
 from matorder.algebra import random_element
-from matorder.cones import SimilarityCone
+from matorder.cones import ConeOracle, SimilarityCone
 from matorder.order_norms import DEFAULT_BISECT_TOL, order_unit_seminorm, pre_cstar_norm
 from references import norm_search_two_calls, pre_cstar_norm_two_calls
 from test_member_many import _Recording
@@ -21,7 +21,10 @@ CONES = ["std_m3", "worked_sim_cone", "planted_sim_cone"]
 
 class _Shifted(_Recording):
     """`min_shift` high by eight certificate widths: the binding sign is inside
-    at lo, and so is the other, so no exact value certifies and both norms bisect."""
+    at lo, and so is the other, so no exact value certifies and both norms bisect.
+    Its pair is the protocol's default, one `min_shift` per sign."""
+
+    min_shift_pair = ConeOracle.min_shift_pair
 
     def min_shift(self, n, c):
         r = super().min_shift(n, c)
@@ -32,6 +35,8 @@ class _Swapped(_Recording):
     """`min_shift` reports the shift of -c: the larger value names the sign that
     is not binding, which is then inside at lo, so the other sign's lo needs
     a second call, after which the exact value certifies."""
+
+    min_shift_pair = ConeOracle.min_shift_pair
 
     def min_shift(self, n, c):
         return super().min_shift(n, -c)
@@ -128,24 +133,36 @@ def test_an_overridden_min_shift_or_straighten_is_asked_once_per_sign(std_m3, mo
     rng = np.random.default_rng(80)
     c = std_m3.sample_span(2, rng)
     asked = []
-    shifts = SimilarityCone._shifts
+    shifts = SimilarityCone.min_shift_pair
 
     def counted(self, n, x):
         asked.append(x)
         return shifts(self, n, x)
 
-    monkeypatch.setattr(SimilarityCone, "_shifts", counted)
+    monkeypatch.setattr(SimilarityCone, "min_shift_pair", counted)
     std_m3.min_shift_pair(2, c)
     assert len(asked) == 1
+    # An overridden straighten is the frame of the one eigensolve: both signs
+    # agree with two one-sign calls through it, to the eigensolver's rounding.
     asked.clear()
     skewed = SkewedLevelCone(std_m3.algebra)
-    assert skewed.min_shift_pair(2, c) == (skewed.min_shift(2, c), skewed.min_shift(2, -c))
-    assert len(asked) == 4
-    assert np.array_equal(asked[0], c) and np.array_equal(asked[1], -c)
+    up, down = skewed.min_shift_pair(2, c)
+    assert len(asked) == 1 and np.array_equal(asked[0], c)
+    assert (up, down) != std_m3.min_shift_pair(2, c)
+    assert up == skewed.min_shift(2, c)
+    assert abs(down - skewed.min_shift(2, -c)) <= 4.0 * EPS * (1.0 + abs(up) + abs(down))
+    # A cone whose pair is the protocol's default asks `min_shift` once per sign,
+    # and an overridden pair is what the norms ask, once per norm.
     cone = _Shifted(std_m3.algebra, None)
     asked.clear()
     order_unit_seminorm(cone, 2, c)
     assert len(asked) == 2
+    assert np.array_equal(asked[0], c) and np.array_equal(asked[1], -c)
+    pairs = []
+    pair = cone.min_shift_pair
+    cone.min_shift_pair = lambda n, z: pairs.append(z) or pair(n, z)
+    rep = order_unit_seminorm(cone, 2, c)
+    assert len(pairs) == 1 and rep.iterations > 0
 
 
 @pytest.mark.parametrize("fixture", CONES)

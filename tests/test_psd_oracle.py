@@ -109,21 +109,22 @@ def test_oracle_work_is_one_eigensolve_and_no_svd(fixture, n, request, monkeypat
         call()
         assert counts == {"svd": 0, "eigvalsh": 1, "eigensolves": 1}
 
-    # Exact path: one eigensolve for both shifts plus one per membership test,
-    # five tests per certificate (binding sign at hi, mid, lo; the other at hi, mid).
-    member = cone.member
+    # Exact path: one eigensolve for both shifts plus one stacked eigensolve for
+    # the certificate's membership tests, five per norm (binding sign at hi, mid,
+    # lo; the other at hi, mid).
+    member_many = cone.member_many
 
-    def counted_member(level, y):
-        counts["member"] += 1
-        return member(level, y)
+    def counted_member_many(level, ys):
+        counts["member"] += len(ys)
+        return member_many(level, ys)
 
-    cone.member = counted_member
+    cone.member_many = counted_member_many
     for rep_of, members in ((lambda: order_unit_seminorm(cone, n, a), 5),
                             (lambda: pre_cstar_norm(cone, None, n, x), 10)):
         counts.update(svd=0, eigvalsh=0, eigensolves=0, member=0)
         assert rep_of().iterations == 0
         assert counts["svd"] == 0 and counts["member"] == members
-        assert counts["eigvalsh"] == counts["eigensolves"] == 1 + members
+        assert counts["eigvalsh"] == counts["eigensolves"] == 2
 
 
 @pytest.mark.parametrize("fixture", ["m2_full", "m3_full", "worked_algebra", "span_i_e11"])

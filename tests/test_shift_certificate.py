@@ -157,8 +157,8 @@ class _Stricter(StandardCone):
         super().__init__(alg)
         self.shifts = []
 
-    def member(self, n, x):
-        return super().member(n, as_matrix(x) - 1e-3 * self.unit(n))
+    def member_many(self, n, xs):
+        return super().member_many(n, [as_matrix(x) - 1e-3 * self.unit(n) for x in xs])
 
     def min_shift(self, n, c):
         self.shifts.append(np.shape(c))

@@ -38,23 +38,24 @@ from matorder.order_norms import (
 
 
 def _opaque(cone):
-    """The same cone with its closed-form shift hidden."""
+    """The same cone with its closed-form shifts (one sign or both) hidden."""
     out = copy.copy(cone)
     out.min_shift = lambda n, c: None
+    out.min_shift_pair = lambda n, c: (None, None)
     return out
 
 
 def _counting(cone):
-    """The same cone with a counter on membership tests."""
+    """The same cone with a counter on the elements its membership is asked about."""
     out = copy.copy(cone)
     out.calls = 0
-    member = cone.member
+    member_many = cone.member_many
 
-    def counted(n, x):
-        out.calls += 1
-        return member(n, x)
+    def counted(n, xs):
+        out.calls += len(xs)
+        return member_many(n, xs)
 
-    out.member = counted
+    out.member_many = counted
     return out
 
 
@@ -162,11 +163,19 @@ def test_zeroed_corner_audits_fail_with_replayable_witnesses(m2_full, audit):
 
 def test_pullback_cone_is_opaque_and_constants_unchanged():
     cone = FunctionPullbackCone(np.linspace(0, 1, 32), max_frequency=4)
-    assert cone.min_shift(1, cone.unit(1)) is None
-    r1, alpha = estimate_main_constants(cone, levels=(1,), samples=12, seed=5)
-    # Values of the bisection-only implementation these shifts replaced.
+    slow = _opaque(cone)
+    assert slow.min_shift(1, cone.unit(1)) is None
+    r1, alpha = estimate_main_constants(slow, levels=(1,), samples=12, seed=5)
+    # Values of the bisection-only implementation, which the opaque cone keeps.
     assert r1.value == 0.061485847182760796
     assert alpha.value == 0.05162988935373106
+    # The certified exact shifts keep alpha's bits and move r1 by less than the
+    # bisection's shift_tol.
+    t = cone.tol_psd
+    assert cone.min_shift(1, cone.unit(1)) == (-1.0 - t * 2.0) / (1.0 + t)
+    exact_r1, exact_alpha = estimate_main_constants(cone, levels=(1,), samples=12, seed=5)
+    assert exact_alpha.value == alpha.value
+    assert abs(exact_r1.value - r1.value) <= 1e-9
 
 
 def test_null_space_passes_bisect_tol_to_every_norm(monkeypatch, std_m2):

@@ -2,7 +2,7 @@
 draws keep the stream, `norm_many` and a stacked `min_shift` keep the bits,
 `_exact_brackets` and `_inf_shifts` agree with the per-element certificates
 and searches they replace (certified, opaque and corrupted cones), every
-double is asked one element at a time, and empty batches work."""
+double is asked through its stacked overrides, and empty batches work."""
 
 import numpy as np
 import pytest
@@ -129,17 +129,19 @@ def test_exact_brackets_match_the_per_element_certificate(fixture, opaque, floor
 
 @pytest.mark.parametrize("double", DOUBLES)
 def test_doubles_are_asked_one_element_at_a_time(double, m2_full, monkeypatch):
-    """Each method a double overrides is called once per element by the batched
-    form, whose answers are then the double's own."""
+    """Each stacked method a double overrides answers a batched call once, and
+    each one-element call (`sample`, `sample_span`, `member`) once, as a batch
+    of one, whose answers are then the double's own."""
+    names = ("sample_many", "sample_span_many", "member_many")
     asked = []
-    for name in ("sample", "sample_span", "member"):
+    for name in names:
         if name in vars(double):
             def counted(self, *args, _inner=vars(double)[name], _name=name):
                 asked.append(_name)
                 return _inner(self, *args)
             monkeypatch.setattr(double, name, counted)
     cone = double(m2_full)
-    overridden = [name for name in ("sample", "sample_span", "member") if name in vars(double)]
+    overridden = [name for name in names if name in vars(double)]
     assert overridden
     n, k = 2, 3
     stacked, single = np.random.default_rng(60), np.random.default_rng(60)
@@ -152,12 +154,13 @@ def test_doubles_are_asked_one_element_at_a_time(double, m2_full, monkeypatch):
     xs = [cone.unit(n), -cone.unit(n), many[0]]
     asked.clear()
     assert cone.member_many(n, xs) == [cone.member(n, x) for x in xs]
-    if "member" in overridden:
-        assert asked.count("member") == 2 * len(xs)
-    for name, draw in (("sample", cone.sample_many), ("sample_span", cone.sample_span_many)):
+    if "member_many" in overridden:
+        assert asked.count("member_many") == 1 + len(xs)
+    for name, draw in (("sample_many", cone.sample_many),
+                       ("sample_span_many", cone.sample_span_many)):
         asked.clear()
         draw(n, k, stacked)
-        assert asked.count(name) == (k if name in overridden else 0)
+        assert asked.count(name) == (1 if name in overridden else 0)
 
 
 @pytest.mark.parametrize("fixture", ["std_m3", "planted_sim_cone"])
