@@ -294,6 +294,7 @@ def _embedded_norms(on: C1Sample, vals: np.ndarray, ders: np.ndarray) -> np.ndar
         embedded[diag, :, diag, :] = 0.0
         if embedded.any():
             raise CertificationFailed("embedded matrix has an entry off its diagonal 2x2 blocks")
+        del embedded  # one (2m x 2m) embedding alive at a time
     return la.opnorm(np.concatenate(blocks)).reshape(-1, m).max(axis=1)
 
 

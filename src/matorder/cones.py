@@ -361,9 +361,8 @@ class SimilarityCone(ConeOracle):
     def member_many(self, n: int, xs) -> list:
         """One M_n(A) check, one straighten and one `_psd_test` (one LAPACK call
         per matrix, so each verdict is that of the element asked alone)."""
-        if not len(xs):
-            return []
-        return self._psd_test(self.straighten(n, self.level_element(n, _batch(xs)))).tolist()
+        return (self._psd_test(self.straighten(n, self.level_element(n, _batch(xs)))).tolist()
+                if len(xs) else [])
 
     def _psd_test(self, y: np.ndarray):
         """The one PSD rule, on a matrix (a bool) or a (k, d, d) stack (k bools):
