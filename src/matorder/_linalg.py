@@ -66,9 +66,18 @@ def orthonormal_stack(mats: np.ndarray) -> np.ndarray:
     return (rows[:, :half] + 1j * rows[:, half:]).reshape((-1,) + mats.shape[1:])
 
 
+def random_complex_many(rng: np.random.Generator, k: int, shape) -> np.ndarray:
+    """k standard complex Gaussian arrays (unit total variance per entry) as one
+    (k, *shape) array; each draw takes its real parts, then its imaginary parts,
+    from the stream."""
+    shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
+    z = rng.standard_normal((k, 2, *shape))
+    return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
+
+
 def random_complex(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard complex Gaussian array (unit total variance per entry)."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """One `random_complex_many` draw."""
+    return random_complex_many(rng, 1, shape)[0]
 
 
 def _rank(s: np.ndarray, scale: float | None = None) -> int:

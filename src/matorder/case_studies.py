@@ -23,7 +23,7 @@ from .algebra import (
     block_synth,
     generate_algebra,
 )
-from .cones import (ConeAuditReport, ConeOracle, SimilarityCone, _random_complex_many,
+from .cones import (DEFAULT_TOL_PSD, ConeAuditReport, ConeOracle, SimilarityCone,
                     audit_star_admissible)
 from .errors import (
     CertificationFailed,
@@ -109,7 +109,7 @@ def jsym_norm_identity(images: np.ndarray, algebra: OperatorAlgebra,
     worst, witness = 0.0, None
     for n in levels:
         # `random_element`'s stream as one stack; one values-only SVD per side.
-        a = block_synth(_random_complex_many(rng, samples, (n, n, algebra.dim)), algebra.basis)
+        a = block_synth(la.random_complex_many(rng, samples, (n, n, algebra.dim)), algebra.basis)
         na, nb = (la.opnorm(block_synth(block_coords(algebra, y), images))
                   for y in (a, la.dagger(a)))
         dev = np.abs(na - nb) / (1.0 + na)
@@ -326,23 +326,29 @@ class FunctionPullbackCone(ConeOracle):
 
     variant = "pullback"
 
-    def __init__(self, grid, tol_psd: float = 1e-9, max_frequency: int = 4):
+    def __init__(self, grid, tol_psd: float = DEFAULT_TOL_PSD, max_frequency: int = 4):
         super().__init__(None, tol_psd)
         # The unit validates the grid once; the samples the cone builds share it.
         self._unit = C1Sample(grid, np.ones(np.shape(grid)), np.zeros(np.shape(grid)))
+        if not self._unit.grid.size:
+            raise MatOrderError("a pullback cone needs a nonempty grid")
         self.grid, self.max_frequency = self._unit.grid, int(max_frequency)
         self._waves = [(np.cos(2 * np.pi * j * self.grid), np.sin(2 * np.pi * j * self.grid))
                        for j in range(self.max_frequency + 1)]
 
-    def _guard(self, n: int) -> None:
+    def _guard(self, n: int, xs=()) -> None:
+        """LevelUnsupported unless n = 1; MatOrderError unless each x of xs is a
+        `C1Sample` on the cone's grid."""
         if n != 1:
             raise LevelUnsupported("pullback cones are defined at level 1 only")
+        for x in xs:
+            if not isinstance(x, C1Sample):
+                raise MatOrderError(f"pullback cone elements are C1Sample, not {type(x).__name__}")
+            self._unit._check_grid(x.grid)
 
     def _stack(self, n: int, xs) -> tuple:
         """(values, derivatives) of the samples xs as (k, m) stacks."""
-        self._guard(n)
-        for x in xs:
-            self._unit._check_grid(x.grid)
+        self._guard(n, xs)
         return tuple(np.array([getattr(x, f) for x in xs]).reshape(len(xs), self.grid.size)
                      for f in ("f_values", "f_derivs"))
 
@@ -374,15 +380,15 @@ class FunctionPullbackCone(ConeOracle):
 
     def straighten(self, n: int, x) -> np.ndarray:
         # The faithful matrix picture: block upper-triangular embedding.
-        self._guard(n)
+        self._guard(n, (x,))
         return c1_embed(x)
 
     def mul(self, n: int, x, y) -> C1Sample:
-        self._guard(n)
+        self._guard(n, (x, y))
         return x * y
 
     def sharp(self, n: int, x) -> C1Sample:
-        self._guard(n)
+        self._guard(n, (x,))
         return x.conj()
 
     def _trig_many(self, n: int, k: int, rng: np.random.Generator) -> tuple:
@@ -426,7 +432,7 @@ def c1_inequality_check(samples: int = 500, seed: int = 0,
     """Verify ||f|| >= max(||f||_inf, ||f'||_inf) / sqrt(2) >= ||f||_1 / (2 sqrt(2))
     on random complex samples, with ||f||_1 = ||f||_inf + ||f'||_inf."""
     # The stream of `samples` (values, derivatives) pairs of random_complex draws.
-    drawn = _random_complex_many(np.random.default_rng(seed), 2 * samples, (grid_size,))
+    drawn = la.random_complex_many(np.random.default_rng(seed), 2 * samples, (grid_size,))
     vals, ders = drawn[0::2], drawn[1::2]
     unit = C1Sample(np.linspace(0.0, 1.0, grid_size), np.ones(grid_size), np.zeros(grid_size))
     norm = _c1_norms(unit, vals, ders)

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import case_studies, cones, involution, order_norms, similarity
-from .algebra import DEFAULT_MAX_DIM, generate_algebra
+from .algebra import DEFAULT_MAX_DIM, DEFAULT_STRUCTURE_TOL, generate_algebra
 from .errors import MatOrderError, SchemaError
 from .serialization import (
     _number,
@@ -42,10 +42,10 @@ class RunConfig:
     seed: int = 0
     samples: int = 50
     levels: tuple = (1, 2)
-    tol_psd: float = 1e-9
-    bisect_tol: float = 1e-10
-    cert_tol: float = 1e-7
-    structure_tol: float = 1e-9
+    tol_psd: float = cones.DEFAULT_TOL_PSD
+    bisect_tol: float = order_norms.DEFAULT_BISECT_TOL
+    cert_tol: float = similarity.DEFAULT_CERT_TOL
+    structure_tol: float = DEFAULT_STRUCTURE_TOL
     out: str | None = None
 
     def validate(self) -> None:
@@ -272,14 +272,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=50)
-        p.add_argument("--levels", type=str, default="1,2")
-        p.add_argument("--tol-psd", type=float, default=1e-9)
-        p.add_argument("--bisect-tol", type=float, default=1e-10)
-        p.add_argument("--cert-tol", type=float, default=1e-7)
-        p.add_argument("--structure-tol", type=float, default=1e-9)
-        p.add_argument("--out", type=str, default=None)
+        p.add_argument("--seed", type=int, default=RunConfig.seed)
+        p.add_argument("--samples", type=int, default=RunConfig.samples)
+        p.add_argument("--levels", type=str, default=",".join(map(str, RunConfig.levels)))
+        for name in ("tol_psd", "bisect_tol", "cert_tol", "structure_tol"):
+            p.add_argument("--" + name.replace("_", "-"), type=float,
+                           default=getattr(RunConfig, name))
+        p.add_argument("--out", type=str, default=RunConfig.out)
 
     p = sub.add_parser("close-algebra", help="unital closure of generators")
     p.add_argument("--generators", required=True)

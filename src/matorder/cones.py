@@ -10,18 +10,20 @@ cone (Hermitian PSD after a fixed similarity S; `StandardCone` is its identity
 frame), and (in `case_studies`) the function-positivity pullback.
 Audits report verdicts with replayable witnesses instead of raising:
 `_first_escape` decides each run of same-level candidates in one call and fails
-on the first escape.  `_certify` is the one certificate of an exact shift,
-one-sided for the audits and two-sided for `order_norms`, in one `member_many`
-call; `_shift_bisection`, the one fallback, makes one per sign.  The order-unit
-and Archimedean axioms have one check each.  Matrix-ordered (c) and
-star-admissible 3ii share one scalar-conjugation generator, conjugation
-stability is the algebra-conjugation generator at one level, and each check
-draws from its own child stream of the seed.  One PSD rule, `_psd_test`,
-decides a matrix or a stack, and `min_shift` is one Hermitian eigensolve with
-no SVD: the slack tol_psd (1 + ||h||_2) comes from the spectrum of
-h = (x + x*)/2.  Level-n spans, 2i/2iii ranks and lineality kernels come from
-level 1 by Kronecker identities (Van Loan, J. Comput. Appl. Math. 123, 2000):
-V_n = (M_n)_h (x) V_1, with no basis of M_n(A) and no level-n SVD.
+on the first escape.  `_certify` is the one certificate of an exact shift and
+owns the points it asks: one-sided for the audits and two-sided for
+`order_norms`, in one `member_many` call.  `_Bisection`, the one fallback
+search, asks one r at a time (one `member_many` per sign) and is built only for
+a bracket the certificate leaves open.  The order-unit and Archimedean
+axioms have one check each.  Matrix-ordered (c) and star-admissible 3ii share
+one scalar-conjugation generator, conjugation stability is the
+algebra-conjugation generator at one level, and each check draws from its own
+child stream of the seed.  One PSD rule, `_psd_test`, decides a matrix or a
+stack, and `min_shift` is one Hermitian eigensolve with no SVD: the slack
+tol_psd (1 + ||h||_2) comes from the spectrum of h = (x + x*)/2.  Level-n
+spans, 2i/2iii ranks and lineality kernels come from level 1 by Kronecker
+identities (Van Loan, J. Comput. Appl. Math. 123, 2000): V_n = (M_n)_h (x) V_1,
+with no basis of M_n(A) and no level-n SVD.
 """
 
 from __future__ import annotations
@@ -413,7 +415,7 @@ class SimilarityCone(ConeOracle):
         """k `random_element` draws g (their stream, one GEMM), then g* g or, for
         span, (g + g*)/2, carried back by one blockwise unstraighten."""
         alg = self.straight_algebra
-        g = block_synth(_random_complex_many(rng, k, (n, n, alg.dim)), alg.basis)
+        g = block_synth(la.random_complex_many(rng, k, (n, n, alg.dim)), alg.basis)
         return self.unstraighten(n, 0.5 * (g + la.dagger(g)) if span else la.dagger(g) @ g)
 
     def span_basis(self, n: int) -> np.ndarray:
@@ -461,13 +463,6 @@ def _blockwise(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray
     return (y.reshape(-1, big_n) @ right).reshape(x.shape)
 
 
-def _random_complex_many(rng: np.random.Generator, k: int, shape) -> np.ndarray:
-    """k consecutive `la.random_complex(rng, shape)` draws as one (k, *shape)
-    array: the same stream, split into real and imaginary parts the same way."""
-    z = rng.standard_normal((k, 2, *shape))
-    return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
-
-
 def _batch(xs) -> np.ndarray:
     """A nonempty sequence of same-shape elements (or a stack) as one stack;
     DimensionMismatch when their shapes differ."""
@@ -487,22 +482,23 @@ def _stack(cone: "ConeOracle", n: int, xs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _Bisection:
-    """Shift search on a predicate monotone in r (false below the boundary,
-    true above), counting the r asked and the bisection steps.  `many` decides
-    a sequence of r in one call; a single r is a sequence of one."""
+    """The one fallback shift search, on t(r) e_n + c in C_n for every c of cs
+    (binding c first), a predicate monotone in r (false below the boundary,
+    true above).  Each r asks one `member_many` per c, up to the first c
+    outside; `calls` counts the r asked and `iterations` the bisection steps."""
 
-    def __init__(self, many):
-        self.many, self.calls, self.iterations = many, 0, 0
+    def __init__(self, cone: ConeOracle, n: int, cs, t):
+        self.cone, self.n, self.cs, self.t = cone, n, cs, t
+        self.e, self.calls, self.iterations = cone.unit(n), 0, 0
 
     def __call__(self, r: float) -> bool:
         self.calls += 1
-        return self.many((r,))[0]
+        x = self.t(r) * self.e
+        return all(self.cone.member_many(self.n, [x + c])[0] for c in self.cs)
 
-    def search(self, found: tuple | None, upper0, stop) -> tuple:
-        """Bracket of inf{r >= 0 : pred(r)}: found, a certified bracket, else
-        [0, upper0()] doubled at most MAX_DOUBLINGS times and bisected to `stop`."""
-        if found is not None:
-            return found
+    def search(self, upper0, stop) -> tuple:
+        """Bracket of inf{r >= 0 : pred(r)}: [0, upper0()] doubled at most
+        MAX_DOUBLINGS times and bisected to `stop`."""
         if self(0.0):
             return 0.0, 0.0
         hi = max(upper0(), 1e-12)
@@ -529,88 +525,67 @@ class _Bisection:
         return lo, hi
 
 
-def _certificate(r: float, width: float, floor: float) -> tuple:
-    """The r the oracle decides to certify an exact boundary r >= floor: (floor,)
-    if r <= floor, else (hi, mid, lo), mid = r + width/8, lo = max(r - width/8, floor)."""
-    if r <= floor:
-        return (floor,)
-    lo, mid = max(r - 0.125 * width, floor), r + 0.125 * width
-    return (2.0 * mid - lo, mid, lo)
-
-
-def _certified(points: tuple, inside) -> tuple | None:
-    """The bracket certified by the answers at `points`: (floor, floor), or [lo, hi]
-    with pred true at hi and mid and false at lo; else None."""
-    if len(points) == 1:
-        return (points[0], points[0]) if inside[0] else None
-    (hi, _, lo), (at_hi, at_mid, at_lo) = points, inside
-    return (lo, hi) if at_hi and at_mid and not at_lo else None
-
-
 def _certify(cone: ConeOracle, n: int, asks) -> list:
-    """The one shift certificate.  Per ask (cs, ts), cs the elements (binding c
-    first) and ts the t of a `_certificate` (or none): per t, whether t e_n + c
-    is in C_n for every c of cs.  One `member_many` asks the binding c at every
-    t and the other cs at every t but lo; a second asks the other cs at lo only
-    where the binding c is inside there.  Nothing to ask makes no call."""
+    """The one shift certificate.  Per ask (cs, r, width, floor, t): cs the
+    elements (binding c first), r an exact shift (None: opaque) and t the map
+    from r to the multiple of e_n asked.  It asks t(x) e_n + c in C_n for every
+    c of cs at x = floor if r <= floor, certifying (floor, floor), else at
+    hi, mid and lo (mid = r + width/8, lo = max(r - width/8, floor),
+    hi = 2 mid - lo), certifying [lo, hi] when hi and mid are inside and lo is
+    not.  Returns per ask (the certified bracket or None, the number of r
+    asked).  One `member_many` asks the binding c at every x and the other cs
+    at every x but lo; a second asks the other cs at lo only where the binding
+    c is inside there.  Nothing to ask makes no call."""
+    points = []
+    for _, r, width, floor, _ in asks:
+        if r is None or r <= floor:
+            points.append(() if r is None else (floor,))
+        else:
+            lo, mid = max(r - 0.125 * width, floor), r + 0.125 * width
+            points.append((2.0 * mid - lo, mid, lo))
     e = cone.unit(n)
+    tss = [tuple(t(x) for x in xs) for (*_, t), xs in zip(asks, points)]
     ask = lambda xs: iter(cone.member_many(n, xs) if xs else ())
-    first = ask([t * e + c for cs, ts in asks for k, c in enumerate(cs)
+    first = ask([t * e + c for (cs, *_), ts in zip(asks, tss) for k, c in enumerate(cs)
                  for t in ts[:2 if k else 3]])
-    got = [[[next(first) for _ in ts[:2 if k else 3]] for k in range(len(cs))] for cs, ts in asks]
-    at_lo = ask([ts[2] * e + c for (cs, ts), ok in zip(asks, got) if len(ts) == 3 and ok[0][2]
-                 for c in cs[1:]])
-    for (cs, ts), ok in zip(asks, got):
-        for other in ok[1:] if len(ts) == 3 else ():
+    got = [[[next(first) for _ in ts[:2 if k else 3]] for k in range(len(cs))]
+           for (cs, *_), ts in zip(asks, tss)]
+    at_lo = ask([ts[2] * e + c for (cs, *_), ts, ok in zip(asks, tss, got)
+                 if len(ts) == 3 and ok[0][2] for c in cs[1:]])
+    out = []
+    for xs, ok in zip(points, got):
+        for other in ok[1:] if len(xs) == 3 else ():
             other.append(ok[0][2] and next(at_lo))
-    return [[all(col) for col in zip(*ok)] for ok in got]
+        inside = [all(col) for col in zip(*ok)]
+        certified = inside in ([True], [True, True, False])
+        out.append(((xs[-1], xs[0]) if certified else None, len(xs)))
+    return out
 
 
 def _exact_brackets(cone: ConeOracle, n: int, cs, scales, widths, floor: float) -> list:
-    """Per c of cs, the `_certified` bracket of min_shift(c) / scale for
+    """Per c of cs, the `_certify` bracket of min_shift(c) / scale for
     r * scale * e_n + c (None: opaque or uncertified), from one stacked
     `min_shift` and one `_certify`."""
     exact = cone.min_shift(n, cs) if len(cs) else None
-    if exact is None:
-        return [None] * len(cs)
-    points = [_certificate(float(r) / scale, width, floor)
-              for r, scale, width in zip(exact, scales, widths)]
-    verdicts = _certify(cone, n, [((c,), tuple(r * scale for r in rs))
-                                  for c, scale, rs in zip(cs, scales, points)])
-    return [_certified(rs, ok) for rs, ok in zip(points, verdicts)]
-
-
-def _shift_bisection(cone: ConeOracle, n: int, cs, scale: float = 1.0,
-                     squared: bool = False) -> _Bisection:
-    """Search on t e_n + c in C_n for all c of cs (binding c first), t = r * scale
-    (r^2 if squared): one `member_many` per c, asking only the r (by position)
-    inside for the c before."""
-    e = cone.unit(n)
-
-    def many(rs):
-        ts = [r * r if squared else r * scale for r in rs]
-        inside = range(len(rs))
-        for c in cs:
-            if inside:
-                ok = cone.member_many(n, [ts[k] * e + c for k in inside])
-                inside = [k for k, yes in zip(inside, ok) if yes]
-        return [k in inside for k in range(len(rs))]
-
-    return _Bisection(many)
+    rs = [None] * len(cs) if exact is None else [float(r) / s for r, s in zip(exact, scales)]
+    return [bracket for bracket, _ in _certify(cone, n, [
+        ((c,), r, width, floor, lambda x, s=scale: x * s)
+        for c, r, scale, width in zip(cs, rs, scales, widths)])]
 
 
 def _inf_shifts(cone: ConeOracle, n: int, cs, scales, abs_tol: float) -> list:
     """inf{r >= 0 : r * scale * e_n + c in C_n} to abs_tol per c of cs: the
-    `_exact_brackets`, else bisection one element at a time; None where it
-    finds no bracket."""
+    midpoint of its `_exact_brackets`, else of a `_Bisection` built for that c
+    alone; None where the search finds no bracket."""
     def shift(c, scale, found):
-        try:
-            lo, hi = _shift_bisection(cone, n, (c,), scale).search(
-                found, lambda: la.opnorm(cone.straighten(n, c)) / scale + 1.0,
-                lambda l, h: abs_tol)
-        except UnboundedAbove:
-            return None
-        return 0.5 * (lo + hi)
+        if found is None:
+            try:
+                found = _Bisection(cone, n, (c,), lambda r: r * scale).search(
+                    lambda: la.opnorm(cone.straighten(n, c)) / scale + 1.0,
+                    lambda l, h: abs_tol)
+            except UnboundedAbove:
+                return None
+        return 0.5 * (found[0] + found[1])
 
     return [shift(*args) for args in zip(cs, scales, _exact_brackets(
         cone, n, cs, scales, [abs_tol] * len(cs), 0.0))]
@@ -618,17 +593,16 @@ def _inf_shifts(cone: ConeOracle, n: int, cs, scales, abs_tol: float) -> list:
 
 def _sup_shifts_down(cone: ConeOracle, n: int, cs, widths) -> list:
     """Per cone member c of cs, a bracket of sup{mu >= 0 : c - mu * e_n in C_n}
-    of width w: -min_shift(c) as `_exact_brackets` certifies it, else
-    bisection in r = -mu from [-top, 0], top = ||straighten(c)|| + 1."""
+    of width w: -min_shift(c) as `_exact_brackets` certifies it, else a
+    `_Bisection` in r = -mu from [-top, 0], top = ||straighten(c)|| + 1."""
     def bracket(c, width, found):
-        if found is not None and found[1] <= 0.0:
-            return -found[1], -found[0]
-        bis = _shift_bisection(cone, n, (c,))
-        top = la.opnorm(cone.straighten(n, c)) + 1.0
-        if bis(-top):  # defensive; should not happen for pointed cones
-            return top, top
-        lo, hi = bis.refine(-top, 0.0, lambda l, h: width)
-        return -hi, -lo
+        if found is None or found[1] > 0.0:
+            bis = _Bisection(cone, n, (c,), lambda r: r)
+            top = la.opnorm(cone.straighten(n, c)) + 1.0
+            if bis(-top):  # defensive; should not happen for pointed cones
+                return top, top
+            found = bis.refine(-top, 0.0, lambda l, h: width)
+        return -found[1], -found[0]
 
     return [bracket(*args) for args in zip(cs, widths, _exact_brackets(
         cone, n, cs, [1.0] * len(cs), widths, -np.inf))]
@@ -663,7 +637,7 @@ def _scalar_conjugations(cone: ConeOracle, levels: tuple, trials: int,
     eye = np.eye(big_n, dtype=complex)
     for n in levels:
         for m in levels:
-            scalars = [_random_complex_many(rng, trials, (n, m))]
+            scalars = [la.random_complex_many(rng, trials, (n, m))]
             if n == m > 1:
                 scalars.append(np.roll(np.eye(n, dtype=complex), 1, axis=1)[None])
             if m > n:
@@ -685,7 +659,7 @@ def _algebra_conjugations(cone: ConeOracle, levels: tuple, trials: int,
     for n in levels:
         for m in levels:
             cs = _stack(cone, n, cone.sample_many(n, trials, rng))
-            a = block_synth(_random_complex_many(rng, trials, (n, m, alg.dim)), alg.basis)
+            a = block_synth(la.random_complex_many(rng, trials, (n, m, alg.dim)), alg.basis)
             for c, out in zip(cs, cone.sharp_block(n, m, a) @ cs @ a):
                 yield Witness("algebra-conjugation", m, (c,) if n == m else (), out,
                               f"A^sharp C_{n} A escaped C_{m}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _linalg as la
 from .algebra import OperatorAlgebra, as_matrix, block_coords, block_synth
-from .cones import ConeOracle, _random_complex_many, _stack
+from .cones import ConeOracle, _stack
 from .errors import (
     CertificationFailed,
     DecompositionInfeasible,
@@ -157,7 +157,7 @@ def recover_involution(cone: ConeOracle, n: int = 1, seed: int = 0,
     out = InvolutionMap(cone.algebra, images, bound_2K=0.0)
     # 32 `random_element` draws (their stream) as one stack, measured by one
     # values-only SVD per side.
-    xs = block_synth(_random_complex_many(np.random.default_rng(seed + 1), 32,
+    xs = block_synth(la.random_complex_many(np.random.default_rng(seed + 1), 32,
                                           (1, 1, cone.algebra.dim)), cone.algebra.basis)
     nx = la.opnorm(xs)
     ratios = la.opnorm(out(xs))[nx > 1e-12] / nx[nx > 1e-12]

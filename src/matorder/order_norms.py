@@ -3,7 +3,8 @@
 The seminorm of a self-adjoint element is inf{r : r e +- a in C}, computed
 exactly as max(min_shift(a), min_shift(-a), 0) from one `min_shift_pair` (one
 eigensolve on a PSD-frame cone), its bracket certified by one `cones._certify`;
-opaque cones and uncertified values fall back to `cones._shift_bisection`.
+only a bracket the certificate leaves open (an opaque cone, an uncertified
+value) builds a `cones._Bisection`.
 The pre-C*-norm is the square root of the seminorm of x^sharp x, cross-checked
 against the search for inf{r : r^2 e +- x^sharp x in C}; both formulas share
 the shifts and the certificate call.
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import _linalg as la
 from .algebra import as_matrix, block_synth
-from .cones import ConeOracle, _certificate, _certified, _certify, _shift_bisection
+from .cones import ConeOracle, _Bisection, _certify
 from .errors import CertificationFailed, NotSelfAdjoint
 
 DEFAULT_BISECT_TOL = 1e-10
@@ -58,9 +59,9 @@ def _norm_searches(cone: ConeOracle, n: int, z: np.ndarray, bisect_tol: float,
 
     Both signs' exact shifts come from one `min_shift_pair` (one eigensolve on a
     PSD-frame cone), and every path's certificate from one `cones._certify`
-    call: five matrices per path, binding sign first.  An uncertified path falls
-    back to bisection from [0, 2 ||straighten(z)|| + 1] (square-rooted if
-    squared), asking the other sign only where the binding one is inside.
+    call, binding sign first.  Only a path it leaves open builds a `_Bisection`,
+    from [0, 2 ||straighten(z)|| + 1] (square-rooted if squared), asking the
+    other sign only where the binding one is inside.
     """
     up, down = cone.min_shift_pair(n, z)
     exact = None if up is None or down is None else max(up, down, 0.0)
@@ -69,28 +70,31 @@ def _norm_searches(cone: ConeOracle, n: int, z: np.ndarray, bisect_tol: float,
     def width(r, sqrt_refine):
         # sqrt_refine: sqrt(bracket) has width ~ bisect_tol, as accurate as a
         # direct search in r (and never looser, since 2 sqrt(r) <= 1 + r).
+        # A certified bracket is already this narrow.
         if sqrt_refine:
             return max(2.0 * np.sqrt(r) * bisect_tol, bisect_tol ** 2)
         return bisect_tol * (1.0 + r)
 
-    certs = []  # per path, the r its certificate asks (none when opaque)
-    for squared, sqrt_refine in paths:
+    ts = [(lambda r: r * r) if squared else (lambda r: r) for squared, _ in paths]
+    asks = []
+    for (squared, sqrt_refine), t in zip(paths, ts):
         r = None if exact is None else float(np.sqrt(exact)) if squared else exact
-        certs.append(() if r is None else _certificate(r, width(r, sqrt_refine), 0.0))
-    verdicts = _certify(cone, n, [(cs, tuple(r * r if squared else r for r in rs))
-                                  for rs, (squared, _) in zip(certs, paths)])
+        asks.append((cs, r, None if r is None else width(r, sqrt_refine), 0.0, t))
     reports = []
-    for (squared, sqrt_refine), rs, ok in zip(paths, certs, verdicts):
-        bis = _shift_bisection(cone, n, cs, squared=squared)
-        lo, hi = bis.search(
-            _certified(rs, ok) if rs else None,
-            lambda: (np.sqrt if squared else float)(2.0 * la.opnorm(cone.straighten(n, z)) + 1.0),
-            lambda l, h: bisect_tol * (1.0 + 0.5 * (l + h)))
-        if sqrt_refine and hi > 0.0:  # a no-op on a certified bracket
-            target = width(max(lo, 0.0), True)
-            lo, hi = bis.refine(lo, hi, lambda l, h: target)
-        reports.append(NormReport(0.5 * (lo + hi), (lo, hi), bis.iterations,
-                                  len(rs) + bis.calls))
+    for (squared, sqrt_refine), t, (found, asked) in zip(paths, ts, _certify(cone, n, asks)):
+        iterations = calls = 0
+        if found is None:
+            bis = _Bisection(cone, n, cs, t)
+            found = bis.search(
+                lambda: (np.sqrt if squared else float)(
+                    2.0 * la.opnorm(cone.straighten(n, z)) + 1.0),
+                lambda l, h: bisect_tol * (1.0 + 0.5 * (l + h)))
+            if sqrt_refine and found[1] > 0.0:
+                target = width(max(found[0], 0.0), True)
+                found = bis.refine(*found, lambda l, h: target)
+            iterations, calls = bis.iterations, bis.calls
+        lo, hi = found
+        reports.append(NormReport(0.5 * (lo + hi), (lo, hi), iterations, asked + calls))
     return reports
 
 

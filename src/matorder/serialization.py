@@ -16,6 +16,7 @@ import numpy as np
 
 from .algebra import DEFAULT_STRUCTURE_TOL, OperatorAlgebra
 from .cones import (
+    DEFAULT_TOL_PSD,
     AxiomCheck,
     ConeAuditReport,
     ConeOracle,
@@ -164,7 +165,7 @@ def cone_from_obj(obj, base_dir: str = ".", pointer: str = "",
     variant = obj.get("variant")
     _expect(variant in ("standard", "similarity", "pullback"),
             pointer + "/variant", "must be standard, similarity or pullback")
-    tol_psd = _number(obj.get("tol_psd", 1e-9), pointer + "/tol_psd")
+    tol_psd = _number(obj.get("tol_psd", DEFAULT_TOL_PSD), pointer + "/tol_psd")
     _expect(tol_psd > 0, pointer + "/tol_psd", "must be a positive number")
 
     if variant == "pullback":

@@ -10,7 +10,10 @@ Gram-Schmidt), which `generate_algebra` must match in dimension, span and
 star-closedness.  `norm_search_two_calls` and `pre_cstar_norm_two_calls` are
 the earlier order norms: two `min_shift` eigensolves per element and a
 two-sided certificate asked one sign per `member_many` call, which the
-library must match in value, bracket and work counters.  `certify`,
+library must match in value, bracket and work counters.  `certificate`,
+`certified` and `shift_bisection` are the certificate points, their bracket
+and the several-r search as `cones` kept them before `_certify` owned its
+points and `_Bisection` asked one r at a time.  `certify`,
 `two_sided_verdicts`, `exact_brackets` and `sup_shift_down` are the shift
 certificates before `cones._certify` was the only one: a one-element
 certificate on a `_Bisection`, the two-sided one of the order norms, the
@@ -33,7 +36,7 @@ from matorder import similarity
 from matorder.algebra import (DEFAULT_MAX_DIM, DEFAULT_STRUCTURE_TOL, OperatorAlgebra,
                               as_matrix, block_coords, block_synth, random_element)
 from matorder.case_studies import C1Sample, NormIdentityReport, c1_embed
-from matorder.cones import ConeOracle, _certificate, _certified, _shift_bisection
+from matorder.cones import ConeOracle, _Bisection
 from matorder.errors import (CertificationFailed, DimensionCapExceeded, DimensionMismatch,
                              NoPositiveSolution, NumericalStall, SpanUnstable)
 from matorder.involution import SPAN_ROUNDS, InvolutionComparison
@@ -197,19 +200,63 @@ def generate_algebra_mgs(
     return OperatorAlgebra.from_basis(np.stack(basis), tol)
 
 
+def certificate(r: float, width: float, floor: float) -> tuple:
+    """The r the oracle decides to certify an exact boundary r >= floor: (floor,)
+    if r <= floor, else (hi, mid, lo), mid = r + width/8, lo = max(r - width/8, floor)."""
+    if r <= floor:
+        return (floor,)
+    lo, mid = max(r - 0.125 * width, floor), r + 0.125 * width
+    return (2.0 * mid - lo, mid, lo)
+
+
+def certified(points: tuple, inside) -> tuple | None:
+    """The bracket certified by the answers at `points`: (floor, floor), or [lo, hi]
+    with pred true at hi and mid and false at lo; else None."""
+    if len(points) == 1:
+        return (points[0], points[0]) if inside[0] else None
+    (hi, _, lo), (at_hi, at_mid, at_lo) = points, inside
+    return (lo, hi) if at_hi and at_mid and not at_lo else None
+
+
+class ShiftBisection(_Bisection):
+    """The library's search with the earlier several-r predicate: `many` decides
+    a sequence of r in one call, one `member_many` per c of cs, asking only the r
+    (by position) inside for the c before; `search` returns `found`, a
+    certified bracket, when there is one."""
+
+    def many(self, rs) -> list:
+        ts = [self.t(r) for r in rs]
+        inside = range(len(rs))
+        for c in self.cs:
+            if inside:
+                ok = self.cone.member_many(self.n, [ts[k] * self.e + c for k in inside])
+                inside = [k for k, yes in zip(inside, ok) if yes]
+        return [k in inside for k in range(len(rs))]
+
+    def search(self, found: tuple | None, upper0, stop) -> tuple:
+        return found if found is not None else super().search(upper0, stop)
+
+
+def shift_bisection(cone: ConeOracle, n: int, cs, scale: float = 1.0,
+                    squared: bool = False) -> ShiftBisection:
+    """A `ShiftBisection` on t e_n + c in C_n for all c of cs (binding c first),
+    t = r * scale (r^2 if squared)."""
+    return ShiftBisection(cone, n, cs, (lambda r: r * r) if squared else (lambda r: r * scale))
+
+
 def certify(bis, r: float | None, width: float, floor: float = 0.0) -> tuple | None:
-    """The `_certified` bracket of an exact boundary r >= floor, its points asked
+    """The `certified` bracket of an exact boundary r >= floor, its points asked
     in one `bis.many` call and counted in `bis.calls`; None if r is None or the
     predicate disagrees (the earlier `_Bisection.certify`)."""
     if r is None:
         return None
-    points = _certificate(r, width, floor)
+    points = certificate(r, width, floor)
     bis.calls += len(points)
-    return _certified(points, bis.many(points))
+    return certified(points, bis.many(points))
 
 
 def two_sided_verdicts(cone: ConeOracle, n: int, cs: tuple, asks: list) -> list:
-    """Per tuple ts of asks (a `_certificate`, hi first, or empty), whether
+    """Per tuple ts of asks (a `certificate`, hi first, or empty), whether
     t e_n + c is in C_n for both c of cs (binding c first), t in ts.  One
     `member_many` asks the binding c at every t and the other c at all but lo;
     a second asks the other c only at each lo where the binding c is inside."""
@@ -238,19 +285,19 @@ def exact_brackets(cone: ConeOracle, n: int, cs, scales, widths, floor: float) -
     exact = cone.min_shift(n, cs) if len(cs) else None
     if exact is None:
         return [None] * len(cs)
-    points = [_certificate(float(r) / scale, width, floor)
+    points = [certificate(float(r) / scale, width, floor)
               for r, scale, width in zip(exact, scales, widths)]
     e = cone.unit(n)
     inside = iter(cone.member_many(n, [r * scale * e + c for c, scale, rs in zip(cs, scales, points)
                                        for r in rs]))
-    return [_certified(rs, [next(inside) for _ in rs]) for rs in points]
+    return [certified(rs, [next(inside) for _ in rs]) for rs in points]
 
 
 def sup_shift_down(cone: ConeOracle, n: int, c: np.ndarray, abs_tol: float) -> tuple:
     """Bracket of sup{mu >= 0 : c - mu * e_n in C_n} for a cone member c:
     -min_shift(c) certified by the oracle, else bisection in r = -mu (the
     earlier one-element form, which asks min_shift and its certificate again)."""
-    bis = _shift_bisection(cone, n, (c,))
+    bis = shift_bisection(cone, n, (c,))
     found = certify(bis, cone.min_shift(n, c), abs_tol, floor=-np.inf)
     if found is None or found[1] > 0.0:  # uncertified, or c is not a member
         top = la.opnorm(cone.straighten(n, c)) + 1.0
@@ -265,7 +312,7 @@ def norm_search_two_calls(cone: ConeOracle, n: int, z: np.ndarray, bisect_tol: f
                           shifts: tuple | None = None) -> NormReport:
     """inf{r >= 0 : t e_n + z and t e_n - z in C_n}, t = r (r^2 if squared).
 
-    One `cones._shift_bisection` over (z, -z), binding sign first: an exact
+    One `shift_bisection` over (z, -z), binding sign first: an exact
     shift's certificate asks five matrices in two `member_many` calls, and a
     bisection step asks the other sign only where the binding one is inside.
     The fallback starts from [0, 2 ||straighten(z)|| + 1] (square-rooted if
@@ -273,10 +320,9 @@ def norm_search_two_calls(cone: ConeOracle, n: int, z: np.ndarray, bisect_tol: f
     """
     up, down = shifts or (cone.min_shift(n, z), cone.min_shift(n, -z))
     exact = None if up is None or down is None else max(up, down, 0.0)
-    bis = _shift_bisection(cone, n, (z, -z) if exact is None or up >= down else (-z, z))
+    bis = shift_bisection(cone, n, (z, -z) if exact is None or up >= down else (-z, z),
+                          squared=squared)
     if squared:
-        ask = bis.many
-        bis.many = lambda rs: ask([r * r for r in rs])
         exact = None if exact is None else float(np.sqrt(exact))
 
     def width(r):

@@ -10,10 +10,12 @@ from conftest import E11, E12, WORKED_B, WORKED_S
 from doubles import SkewedLevelCone
 from matorder import cli as cli_mod
 from matorder import similarity as sim_mod
-from matorder.algebra import generate_algebra
+from matorder.algebra import DEFAULT_STRUCTURE_TOL, generate_algebra
+from matorder.case_studies import FunctionPullbackCone
 from matorder.cli import run
-from matorder.cones import StandardCone
+from matorder.cones import DEFAULT_TOL_PSD, StandardCone, estimate_main_constants
 from matorder.errors import SchemaError
+from matorder.order_norms import DEFAULT_BISECT_TOL
 from matorder.serialization import (
     algebra_from_obj,
     algebra_to_obj,
@@ -263,6 +265,49 @@ def test_exit_code_typed_error(workdir, capsys):
                                "--element", str(workdir / "nonsa.json")], capsys)
     assert code == 3
     assert rep["error"]["type"] == "NotSelfAdjoint"
+
+
+@pytest.fixture
+def pullback_cone(tmp_path):
+    path = tmp_path / "pullback.json"
+    path.write_text(canonical_json({"variant": "pullback", "grid": [0, 0.5, 1]}))
+    return path
+
+
+@pytest.mark.parametrize("kind", ["seminorm", "precstar"])
+def test_order_norm_on_a_pullback_cone_is_a_typed_error(workdir, capsys, tmp_path,
+                                                        pullback_cone, kind):
+    # The cone's elements are C1Samples, not the matrix the command reads.
+    element = tmp_path / "one.json"
+    element.write_text(canonical_json(matrix_to_obj(np.eye(1, dtype=complex))))
+    code, rep = _run(workdir, ["order-norm", "--cone", str(pullback_cone),
+                               "--element", str(element), "--kind", kind], capsys)
+    assert code == 3
+    assert rep["error"]["type"] == "MatOrderError"
+    assert "C1Sample" in rep["error"]["message"]
+
+
+def test_check_cones_on_a_pullback_cone_reports_its_level_one_constants(workdir, capsys,
+                                                                        pullback_cone):
+    code, rep = _run(workdir, ["check-cones", "--cone", str(pullback_cone),
+                               "--samples", "8", "--seed", "3"], capsys)
+    assert code == 0
+    r1, alpha = estimate_main_constants(FunctionPullbackCone(np.array([0.0, 0.5, 1.0])),
+                                        (1,), samples=8, seed=3)
+    assert rep["result"] == {"cone": {"variant": "pullback", "tol_psd": 1e-9},
+                             "constants": {"r1": r1.value, "alpha": alpha.value}}
+
+
+def test_parser_defaults_are_the_run_config_and_library_defaults():
+    args = cli_mod._build_parser().parse_args(["check-cones", "--cone", "c.json"])
+    config = cli_mod.RunConfig()
+    for name in ("seed", "samples", "tol_psd", "bisect_tol", "cert_tol", "structure_tol",
+                 "out"):
+        assert getattr(args, name) == getattr(config, name)
+    assert args.levels == "1,2" and config.levels == (1, 2)
+    assert (config.tol_psd, config.bisect_tol, config.cert_tol, config.structure_tol) == (
+        DEFAULT_TOL_PSD, DEFAULT_BISECT_TOL, sim_mod.DEFAULT_CERT_TOL, DEFAULT_STRUCTURE_TOL)
+    assert cone_from_obj({"variant": "pullback", "grid": [0, 1]}).tol_psd == DEFAULT_TOL_PSD
 
 
 def test_exit_code_schema_error(workdir, capsys):

@@ -15,7 +15,6 @@ from matorder.cones import (
     SimilarityCone,
     StandardCone,
     Witness,
-    _Bisection,
     _first_escape,
     _inf_shifts,
     _scalar_conjugations,
@@ -24,7 +23,7 @@ from matorder.cones import (
 )
 from matorder.errors import DimensionMismatch, MembershipError
 from matorder.order_norms import order_unit_seminorm, pre_cstar_norm
-from references import certify, membership_residual
+from references import certify, membership_residual, shift_bisection
 from test_shifts import _opaque
 
 
@@ -67,7 +66,7 @@ def test_member_many_matches_member_at_certified_bracket_ends(fixture, n, reques
     xs = [e]
     for c in (cone.sample_span(n, rng), -cone.sample(n, rng), cone.sample(n, rng)):
         r = cone.min_shift(n, c)
-        bis = _Bisection(lambda ts: [cone.member(n, t * e + c) for t in ts])
+        bis = shift_bisection(cone, n, (c,))
         found = certify(bis, r, 0.2 * cone.tol_psd * (1.0 + cone.norm(n, c)), floor=-np.inf)
         assert found is not None
         xs += [t * e + c for t in (found[0], r, found[1])]

@@ -3,7 +3,8 @@ against its one-sample references in `references.py`: `member_many`
 verdicts, `norm_many` bits (and the stacked `c1_norm` behind the inequality
 check and the condition-1 decay), the stream and bits of `sample_many` and
 `sample_span_many`, certified exact shifts that take no bisection step, the
-bisection fallback of a non-real element, and samples on another grid."""
+bisection fallback of a non-real element, samples on another grid, and the
+typed errors of an empty grid and of an element that is not a sample."""
 
 import numpy as np
 import pytest
@@ -15,11 +16,12 @@ from matorder.case_studies import (
     c1_inequality_check,
     c1_norm,
 )
-from matorder.cones import _certificate, _exact_brackets, _inf_shifts, _sup_shifts_down
+from matorder.cones import _exact_brackets, _inf_shifts, _sup_shifts_down
 from matorder.errors import MatOrderError
 from references import (
     c1_inequality_check_per_sample,
     c1_norm_per_sample,
+    certificate,
     pullback_member,
     pullback_trig,
 )
@@ -65,7 +67,7 @@ def test_member_many_matches_the_per_sample_member(m):
     # The certificate points of each exact shift, a tenth of tol_psd either side.
     e = cone.unit(1)
     xs = cs + [t * e + c for c, r in zip(cs, cone.min_shift(1, cs))
-               for t in _certificate(float(r), 0.2 * cone.tol_psd, -np.inf)]
+               for t in certificate(float(r), 0.2 * cone.tol_psd, -np.inf)]
     got = cone.member_many(1, xs)
     assert got == [pullback_member(cone, x) for x in xs]
     assert got == [cone.member(1, x) for x in xs]
@@ -159,6 +161,22 @@ def test_a_non_real_element_takes_the_bisection_bracket(m):
     assert exact_calls == len(cone.batches) + 1
     assert got[0] > 1.0 and got[1] is None
     assert cone.member(1, (got[0] + tol) * cone.unit(1) + near)
+
+
+def test_an_empty_grid_is_a_typed_error_at_construction():
+    with pytest.raises(MatOrderError, match="nonempty grid"):
+        FunctionPullbackCone(np.array([]))
+
+
+def test_a_matrix_is_not_a_pullback_cone_element():
+    cone = FunctionPullbackCone(np.linspace(0.0, 1.0, 4))
+    x = np.eye(1, dtype=complex)
+    for ask in (lambda: cone.member(1, x), lambda: cone.min_shift(1, x),
+                lambda: cone.min_shift_pair(1, x), lambda: cone.norm(1, x),
+                lambda: cone.straighten(1, x), lambda: cone.mul(1, x, x),
+                lambda: cone.sharp(1, x)):
+        with pytest.raises(MatOrderError, match="C1Sample"):
+            ask()
 
 
 def test_samples_on_different_grids_do_not_combine():

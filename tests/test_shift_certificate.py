@@ -1,8 +1,10 @@
 """The one shift certificate, `cones._certify`, and the stacked shifts built on
 it, against the per-element certificates they replace (`references`): the same
 verdicts, brackets and `member_many` batches on honest, opaque and corrupted
-cones; and an Archimedean check that asks `min_shift` and the certificate once
-per stack, not again for each boundary the stack left uncertified."""
+cones; a certified bracket that builds no `_Bisection` (an opaque cone builds
+one per element or per norm path); and an Archimedean check that asks
+`min_shift` and the certificate once per stack, not again for each boundary
+the stack left uncertified."""
 
 import copy
 
@@ -10,17 +12,17 @@ import numpy as np
 import pytest
 
 from doubles import ZeroedCornerCone
-from matorder import cones
-from matorder.algebra import as_matrix
+from matorder import cones, order_norms
+from matorder.algebra import as_matrix, random_element
 from matorder.cones import (
     StandardCone,
-    _certificate,
     _certify,
     _exact_brackets,
+    _inf_shifts,
     _sup_shifts_down,
     check_order_unit_archimedean,
 )
-from references import exact_brackets, sup_shift_down, two_sided_verdicts
+from references import certificate, certified, exact_brackets, sup_shift_down, two_sided_verdicts
 from test_member_many import _audit_digest
 from test_shifts import _opaque
 
@@ -67,6 +69,14 @@ def _run(cone, fn):
     return out, list(cone.batches)
 
 
+def _one(r):
+    return r
+
+
+def _square(r):
+    return r * r
+
+
 def _elements(cone, n, rng):
     """Span samples, cone samples, a negated sample, -e and zero."""
     d = cone.level_dim(n)
@@ -87,18 +97,22 @@ def test_certify_matches_the_two_sided_reference(name, n, request):
         r = max(up, down, 0.0)
         cs = (a, -a) if up >= down else (-a, a)
         width = 1e-10 * (1.0 + r)
-        asks = [_certificate(r, width, 0.0),                          # hi, mid, lo
-                tuple(t * t for t in _certificate(np.sqrt(r), width, 0.0)),  # squared
-                _certificate(-1.0, width, 0.0),                       # (floor,)
-                _certificate(r + 8.0 * width, width, 0.0),            # inside at lo
-                ()]
-        got, got_b = _run(cone, lambda: _certify(cone, n, [(cs, ts) for ts in asks]))
-        want, want_b = _run(cone, lambda: two_sided_verdicts(cone, n, cs, asks))
-        assert got == want
+        asks = [(cs, r, width, 0.0, _one),                    # hi, mid, lo
+                (cs, np.sqrt(r), width, 0.0, _square),        # squared
+                (cs, -1.0, width, 0.0, _one),                 # (floor,)
+                (cs, r + 8.0 * width, width, 0.0, _one),      # inside at lo
+                (cs, None, width, 0.0, _one)]
+        got, got_b = _run(cone, lambda: _certify(cone, n, asks))
+        points = [() if x is None else certificate(x, w, floor) for _, x, w, floor, _ in asks]
+        want, want_b = _run(cone, lambda: two_sided_verdicts(
+            cone, n, cs, [tuple(t(x) for x in xs) for (*_, t), xs in zip(asks, points)]))
+        assert got == [(certified(xs, ok) if xs else None, len(xs))
+                       for xs, ok in zip(points, want)]
         _same_batches(got_b, want_b)
         assert len(got_b) <= 2
     assert _run(cone, lambda: _certify(cone, n, []))[0] == []
-    assert _run(cone, lambda: _certify(cone, n, [((cone.unit(n),), ())])) == ([[]], [])
+    assert _run(cone, lambda: _certify(cone, n, [((cone.unit(n),), None, 0.0, 0.0, _one)])) == (
+        [(None, 0)], [])
 
 
 @pytest.mark.parametrize("name", CONES)
@@ -146,6 +160,35 @@ def test_sup_shifts_down_match_the_reference_without_its_second_certificate(name
             want_b += batches[0 if name.startswith("opaque-") else 1:]
     _same_batches(got_b, want_b)
     assert _run(cone, lambda: _sup_shifts_down(cone, n, [], [])) == ([], [])
+
+
+@pytest.mark.parametrize("name", ["std_m3", "planted_sim_cone"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_certified_bracket_builds_no_search(name, n, request, monkeypatch):
+    built = []
+
+    class Counted(cones._Bisection):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(cones, "_Bisection", Counted)
+    monkeypatch.setattr(order_norms, "_Bisection", Counted, raising=False)
+    base = request.getfixturevalue(name)
+    rng = np.random.default_rng(130 + n)
+    cs = list(base.sample_span_many(n, 3, rng)) + [-c for c in base.sample_many(n, 2, rng)]
+    members = list(base.sample_many(n, 3, rng))
+    widths = [0.2 * base.tol_psd * (1.0 + v) for v in base.norm_many(n, members)]
+    x = random_element(base.algebra, rng, level=n)
+    # The same work on the opaque cone builds one search per element or per path.
+    for cone, per in ((base, 0), (_opaque(base), 1)):
+        for run, searches in ((lambda: _inf_shifts(cone, n, cs, [1.0] * len(cs), 1e-9), len(cs)),
+                              (lambda: _sup_shifts_down(cone, n, members, widths), len(members)),
+                              (lambda: order_norms.order_unit_seminorm(cone, n, cs[0]), 1),
+                              (lambda: order_norms.pre_cstar_norm(cone, None, n, x), 2)):
+            built.clear()
+            run()
+            assert len(built) == per * searches
 
 
 class _Stricter(StandardCone):

@@ -2,7 +2,8 @@
 draws keep the stream, `norm_many` and a stacked `min_shift` keep the bits,
 `_exact_brackets` and `_inf_shifts` agree with the per-element certificates
 and searches they replace (certified, opaque and corrupted cones), every
-double is asked through its stacked overrides, and empty batches work."""
+double is asked through its stacked overrides, empty batches work, and one
+`random_complex_many` draw is the stream of single draws."""
 
 import numpy as np
 import pytest
@@ -15,10 +16,9 @@ from matorder.cones import (
     _algebra_conjugations,
     _exact_brackets,
     _inf_shifts,
-    _shift_bisection,
 )
 from matorder.errors import UnboundedAbove
-from references import certify
+from references import certify, shift_bisection
 from test_shifts import _opaque
 
 CONES = ["std_m3", "worked_sim_cone", "planted_sim_cone"]
@@ -27,7 +27,7 @@ DOUBLES = [AllHermitianCone, ZeroedCornerCone, ZeroCone, SkewedLevelCone]
 
 def _reference_inf_shift(cone, n, c, scale, abs_tol):
     """The one-element shift search the stacked form replaced."""
-    bis = _shift_bisection(cone, n, (c,), scale)
+    bis = shift_bisection(cone, n, (c,), scale)
     exact = cone.min_shift(n, c)
     try:
         lo, hi = bis.search(certify(bis, None if exact is None else exact / scale, abs_tol),
@@ -121,7 +121,7 @@ def test_exact_brackets_match_the_per_element_certificate(fixture, opaque, floor
     want = []
     for c, s, w in zip(cs, scales, widths):
         exact = cone.min_shift(2, c)
-        want.append(certify(_shift_bisection(cone, 2, (c,), s),
+        want.append(certify(shift_bisection(cone, 2, (c,), s),
                             None if exact is None else exact / s, w, floor))
     assert _exact_brackets(cone, 2, cs, scales, widths, floor) == want
     assert (None in want) == opaque
@@ -186,3 +186,17 @@ def test_opnorm_of_a_stack_keeps_each_matrix_bits(shape):
     got = la.opnorm(x)
     assert got.shape == shape[:1]
     assert got.tolist() == [la.opnorm(m) for m in x]
+
+
+@pytest.mark.parametrize("shape", [3, (4,), (2, 3), (2, 2, 5), (0, 3)])
+def test_random_complex_many_is_the_stream_of_single_draws(shape):
+    # Each draw: its real parts, then its imaginary parts, as the earlier
+    # one-draw `random_complex` took them.
+    stacked, single = np.random.default_rng(90), np.random.default_rng(90)
+    got = la.random_complex_many(stacked, 4, shape)
+    want = np.stack([(single.standard_normal(shape) + 1j * single.standard_normal(shape))
+                     / np.sqrt(2.0) for _ in range(4)])
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert stacked.bit_generator.state == single.bit_generator.state
+    again = np.random.default_rng(90)
+    assert np.array_equal(np.stack([la.random_complex(again, shape) for _ in range(4)]), got)
