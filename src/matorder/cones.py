@@ -23,12 +23,15 @@ stack, and `min_shift` is one Hermitian eigensolve with no SVD: the slack
 tol_psd (1 + ||h||_2) comes from the spectrum of h = (x + x*)/2.  Level-n
 spans, 2i/2iii ranks and lineality kernels come from level 1 by Kronecker
 identities (Van Loan, J. Comput. Appl. Math. 123, 2000): V_n = (M_n)_h (x) V_1,
-with no basis of M_n(A) and no level-n SVD.
+with no basis of M_n(A) and no level-n SVD.  A = S B S^-1, the span bases and
+the level-1 lineality kernel are built on first use and kept (an order norm
+needs only S and the PSD test).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
 
 import numpy as np
@@ -46,6 +49,7 @@ from .algebra import (
 from .errors import (
     DimensionMismatch,
     LevelUnsupported,
+    MatOrderError,
     MembershipError,
     NumericalStall,
     SourceNotStarClosed,
@@ -188,8 +192,8 @@ class ConeOracle:
 
     def __init__(self, algebra: OperatorAlgebra | None,
                  tol_psd: float = DEFAULT_TOL_PSD):
-        if tol_psd <= 0:
-            raise ValueError("tol_psd must be positive")
+        if not 0.0 < tol_psd < np.inf:  # NaN fails too
+            raise MatOrderError(f"tol_psd must be finite and positive, got {tol_psd!r}")
         self.algebra = algebra
         self.tol_psd = float(tol_psd)
 
@@ -298,19 +302,35 @@ class ConeOracle:
 
         Membership has the form X in V_n with straighten(X) PSD, so the
         lineality space lies in the kernel of straighten = I_n (x) T on V_n:
-        (M_n)_h (x) K_1, K_1 the kernel of T on V_1 (one level-1 SVD), each
+        (M_n)_h (x) K_1, K_1 the kernel of T on V_1 (`_kernel_1`), each
         direction confirmed by `member_many` at +h, then at -h where +h is in
         (an empty kernel asks nothing).
         """
-        span = self.span_basis(1)
-        if span is None or span.shape[0] == 0:
+        kernel = self._kernel_1
+        if kernel is None:
             return []
-        cols = np.stack([la.real_vec(self.straighten(1, h)) for h in span], axis=1)
-        hs = list(_hermitian_kron(n, la.real_kernel(span, cols)))
-        if not hs:
+        self.level_dim(n)  # DimensionMismatch for n < 1, even with K_1 empty
+        if not len(kernel):
             return []
+        hs = list(_hermitian_kron(n, kernel))
         hs = [h for h, ok in zip(hs, self.member_many(n, hs)) if ok]
         return [h for h, ok in zip(hs, self.member_many(n, [-h for h in hs])) if ok]
+
+    @cached_property
+    def _kernel_1(self) -> np.ndarray | None:
+        """K_1, the kernel of straighten on V_1 (one level-1 SVD), built on
+        first use and kept read-only; None without an exact span."""
+        span = self.span_basis(1)
+        if span is None or span.shape[0] == 0:
+            return span
+        cols = np.stack([la.real_vec(self.straighten(1, h)) for h in span], axis=1)
+        return _freeze(la.real_kernel(span, cols))
+
+    @cached_property
+    def _span_rank_1(self) -> int:
+        """dim_R(V_1 + iV_1), the 2i/2iii rank at every level, built on first use."""
+        span = self.span_basis(1)
+        return la.rank(la.real_rows(np.concatenate([span, 1j * span])))
 
     def describe(self) -> dict:
         out = {"variant": self.variant, "tol_psd": self.tol_psd}
@@ -326,8 +346,9 @@ class SimilarityCone(ConeOracle):
     star-closed A = S B S^-1 (`straight_algebra`) of the algebra B.
 
     s=None is the identity frame: the standard cone of B itself, with no
-    S products and variant "standard" (`StandardCone`).  Each level's exact
-    span basis is built once and kept, read-only, for the life of the cone.
+    S products and variant "standard" (`StandardCone`).  A = S B S^-1, the
+    span bases and the level-1 lineality kernel are built on first use and
+    kept, read-only, for the life of the cone.
     """
 
     @property
@@ -338,7 +359,6 @@ class SimilarityCone(ConeOracle):
                  tol_psd: float = DEFAULT_TOL_PSD):
         super().__init__(algebra, tol_psd)
         self.s = self.s_inv = None
-        self.straight_algebra = algebra
         self._spans: dict[int, np.ndarray] = {}
         if s is None:
             return
@@ -348,9 +368,16 @@ class SimilarityCone(ConeOracle):
                 f"similarity must be {algebra.ambient_dim}x{algebra.ambient_dim}"
             )
         self.s = s
-        self.s_inv = np.linalg.inv(s)
-        # Straightened algebra A = S B S^-1; star-closed for honest inputs.
-        self.straight_algebra = conjugate_algebra(algebra, s)
+        try:
+            self.s_inv = np.linalg.inv(s)
+        except np.linalg.LinAlgError:
+            raise DimensionMismatch("similarity is singular") from None
+
+    @cached_property
+    def straight_algebra(self) -> OperatorAlgebra:
+        """A = S B S^-1 (B when s is None), star-closed for honest inputs; a
+        similarity that loses rank raises DimensionMismatch here."""
+        return self.algebra if self.s is None else conjugate_algebra(self.algebra, self.s)
 
     def straighten(self, n: int, x) -> np.ndarray:
         x = as_matrix(x)
@@ -783,7 +810,7 @@ def _span_checks(cone: ConeOracle, n: int) -> list:
         return [AxiomCheck(name, "unknown", "no exact span available") for name in names]
     need, v = 2 * n * n * cone.algebra.dim, n * n * span.shape[0]
     rows = la.real_rows(np.concatenate([span, 1j * span]))
-    rank = n * n * la.rank(rows)
+    rank = n * n * cone._span_rank_1
     lift = lambda w: np.pad(w, (0, (n - 1) * len(w)))  # E_11 (x) w
     wit_2i = wit_2iii = None
     if rank != need:

@@ -124,6 +124,7 @@ def test_scalar_conjugations_add_permutation_and_row_selection(m2_full):
 
 def test_star_audit_amplifies_no_source_algebra(monkeypatch, m2_full):
     cone = SimilarityCone(conjugate_algebra(m2_full, np.linalg.inv(WORKED_S)), WORKED_S)
+    cone.straight_algebra  # the level-1 A = S B S^-1, built on first read
     seen = []
     inner = algebra.OperatorAlgebra.__post_init__
 

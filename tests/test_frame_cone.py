@@ -1,5 +1,8 @@
 """The one PSD-frame cone class: the identity frame, the per-level span
-store, and typed errors for cones without matrix levels."""
+store, level-1 structure built on first use, and typed errors for cones
+without matrix levels and for invalid tolerances or similarities."""
+
+import sys
 
 import numpy as np
 import pytest
@@ -7,8 +10,8 @@ import pytest
 from conftest import WORKED_S
 from doubles import AllHermitianCone
 from matorder import _linalg as la
-from matorder import cones
-from matorder.algebra import conjugate_algebra
+from matorder import algebra, cones
+from matorder.algebra import conjugate_algebra, random_element
 from matorder.case_studies import FunctionPullbackCone
 from matorder.cones import (
     SimilarityCone,
@@ -16,9 +19,11 @@ from matorder.cones import (
     audit_algebraically_admissible,
     audit_matrix_ordered,
     audit_star_admissible,
+    estimate_main_constants,
 )
-from matorder.errors import LevelUnsupported
+from matorder.errors import DimensionMismatch, LevelUnsupported, MatOrderError
 from matorder.involution import real_cone_span
+from matorder.order_norms import order_unit_seminorm, pre_cstar_norm
 from matorder.serialization import cone_from_obj, cone_to_obj
 
 LEVELS = (1, 2, 4)
@@ -94,3 +99,70 @@ def test_identity_frame_involution_is_the_ambient_adjoint(m2_full):
 def test_audits_on_a_pullback_cone_raise_level_unsupported(audit):
     with pytest.raises(LevelUnsupported):
         audit(FunctionPullbackCone(np.linspace(0.0, 1.0, 8)))
+
+
+def _count_calls(monkeypatch, owner, name, record):
+    inner = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        record(*args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+def test_order_norms_build_no_straightened_algebra(monkeypatch, m2_full):
+    b = conjugate_algebra(m2_full, np.linalg.inv(WORKED_S))
+    rng = np.random.default_rng(5)
+    big_s = np.kron(np.eye(2), WORKED_S)
+    a, x = (random_element(m2_full, rng, level=2) for _ in range(2))
+    # Self-adjoint a and any x in the cone's frame: (I_2 (x) S)^-1 y (I_2 (x) S).
+    a, x = (np.linalg.solve(big_s, y @ big_s) for y in (a + a.conj().T, x))
+    conjugated, built = [], []
+    _count_calls(monkeypatch, cones, "conjugate_algebra", lambda *args: conjugated.append(1))
+    _count_calls(monkeypatch, algebra.OperatorAlgebra, "__post_init__",
+                 lambda alg: built.append(alg.ambient_dim))
+    cone = SimilarityCone(b, WORKED_S)
+    order_unit_seminorm(cone, 2, a)
+    pre_cstar_norm(cone, None, 2, x)
+    # Order norms need only S and the PSD test, never A = S B S^-1.
+    assert not conjugated and not built
+
+
+def test_check_cones_builds_level_one_structure_once(monkeypatch, m2_full):
+    cone = _fresh_cone("similarity", m2_full)
+    conjugated, kernels = [], []
+    _count_calls(monkeypatch, cones, "conjugate_algebra", lambda *args: conjugated.append(1))
+
+    def record_kernel(*args):
+        frame, names = sys._getframe(2), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        # The span basis V_1 is a kernel too; count the kernel of straighten on it.
+        kernels.append("lineality_basis" in names and "hermitian_part_basis" not in names)
+
+    _count_calls(monkeypatch, la, "real_kernel", record_kernel)
+    reports = [audit_algebraically_admissible(cone, 1, samples=4),
+               audit_matrix_ordered(cone, LEVELS, samples=4),
+               audit_star_admissible(cone, LEVELS, samples=4)]
+    estimate_main_constants(cone, LEVELS, samples=4)
+    assert all(r.passed for r in reports)
+    assert len(conjugated) == 1
+    assert kernels.count(True) == 1  # one level-1 lineality kernel for 7 checks
+
+
+@pytest.mark.parametrize("tol_psd", [float("nan"), float("inf"), 0.0, -1e-9])
+@pytest.mark.parametrize("make", [
+    lambda alg, tol: StandardCone(alg, tol),
+    lambda alg, tol: SimilarityCone(alg, WORKED_S, tol),
+    lambda alg, tol: FunctionPullbackCone(np.linspace(0.0, 1.0, 3), tol_psd=tol),
+], ids=["standard", "similarity", "pullback"])
+def test_invalid_tol_psd_is_a_typed_error(m2_full, make, tol_psd):
+    with pytest.raises(MatOrderError, match="tol_psd"):
+        make(m2_full, tol_psd)
+
+
+def test_singular_similarity_is_a_dimension_mismatch(m2_full):
+    with pytest.raises(DimensionMismatch, match="similarity is singular"):
+        SimilarityCone(m2_full, np.array([[1.0, 2.0], [2.0, 4.0]]))
