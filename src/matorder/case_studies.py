@@ -280,10 +280,25 @@ def c1_embed(sample: C1Sample) -> np.ndarray:
     return out
 
 
+def _top_singular_2x2(blocks: np.ndarray) -> np.ndarray:
+    """Top singular value of each general complex 2x2 block of a (k, 2, 2) stack:
+    with columns b1, b2, p = |b1|^2, q = |b2|^2 and r = |b1* b2|,
+    s^2 = (p + q + sqrt((p - q)^2 + 4 r^2)) / 2.  Every term is nonnegative, so
+    the relative error is a few eps for entries between about 1e-150 and 1e150,
+    where no square leaves the normal range.  Below that it underflows, which
+    `_c1_norms` cannot see: its 1e-10 absolute floor already accepts any such
+    norm; above it the closed form overflows first and is rejected."""
+    (a, b), (c, d) = blocks.transpose(1, 2, 0)  # each block [[a, b], [c, d]]
+    p, q = np.abs(a) ** 2 + np.abs(c) ** 2, np.abs(b) ** 2 + np.abs(d) ** 2
+    r = np.abs(a.conj() * b + c.conj() * d)
+    return np.sqrt(0.5 * (p + q + np.hypot(p - q, 2.0 * r)))
+
+
 def _embedded_norms(on: C1Sample, vals: np.ndarray, ders: np.ndarray) -> np.ndarray:
     """||c1_embed||_2 of the samples (vals[i], ders[i]) on the grid of `on`, exactly:
-    the top singular values of the diagonal 2x2 blocks, from one stacked
-    values-only SVD; CertificationFailed unless all else is exactly 0."""
+    the top singular values of the diagonal 2x2 blocks, read off each embedding's
+    own entries and measured by `_top_singular_2x2`, which assumes nothing of the
+    blocks' shape; CertificationFailed unless all else is exactly 0."""
     m = on.grid.size
     if not (m and len(vals)):
         return np.zeros(len(vals))
@@ -295,15 +310,19 @@ def _embedded_norms(on: C1Sample, vals: np.ndarray, ders: np.ndarray) -> np.ndar
         if embedded.any():
             raise CertificationFailed("embedded matrix has an entry off its diagonal 2x2 blocks")
         del embedded  # one (2m x 2m) embedding alive at a time
-    return la.opnorm(np.concatenate(blocks)).reshape(-1, m).max(axis=1)
+    return _top_singular_2x2(np.concatenate(blocks)).reshape(-1, m).max(axis=1)
 
 
 def _c1_norms(on: C1Sample, vals: np.ndarray, ders: np.ndarray) -> np.ndarray:
     """`c1_norm` of the samples (vals[i], ders[i]) on the grid of `on`: the closed
-    form over the (k, m) stacks, cross-checked by one `_embedded_norms`."""
+    form over the (k, m) stacks, cross-checked by one `_embedded_norms`;
+    MatOrderError for a value, derivative or norm that is not finite (a NaN or
+    inf in a value or derivative makes its norm NaN or inf)."""
     f2, d = np.abs(vals) ** 2, np.abs(ders)
     per_point = 0.5 * (2.0 * f2 + d ** 2 + d * np.sqrt(4.0 * f2 + d ** 2))
     values = np.sqrt(np.max(per_point, axis=1, initial=0.0))
+    if not np.isfinite(values).all():
+        raise MatOrderError("C1 sample or its norm is not finite")
     direct = _embedded_norms(on, vals, ders)
     bad = np.flatnonzero(np.abs(values - direct) > 1e-10 * (1.0 + direct))
     if bad.size:

@@ -181,6 +181,79 @@ def test_c1_norm_rejects_an_entry_off_the_diagonal_blocks(monkeypatch):
         c1_norm(s)
 
 
+def _c1_blocks(f, d) -> np.ndarray:
+    out = np.zeros((len(f), 2, 2), dtype=complex)
+    out[:, 0, 0] = out[:, 1, 1] = f
+    out[:, 0, 1] = d
+    return out
+
+
+def _kernel_cases() -> dict:
+    rng = np.random.default_rng(24)
+    cases = {f"random-{s:g}": s * la.random_complex_many(rng, 500, (2, 2))
+             for s in (1e-150, 1e-100, 1e-6, 1.0, 1e6, 1e100, 1e150)}
+    cases["random-mixed"] = (np.geomspace(1e-150, 1e150, 500)[:, None, None]
+                             * la.random_complex_many(rng, 500, (2, 2)))
+    unitaries = np.linalg.qr(la.random_complex_many(rng, 200, (2, 2)))[0]
+    cases["scalar-unitary"] = la.random_complex(rng, 200)[:, None, None] * unitaries
+    cases["rank-one"] = np.einsum("ki,kj->kij", la.random_complex_many(rng, 200, 2),
+                                  la.random_complex_many(rng, 200, 2))
+    cases["zero"] = np.zeros((3, 2, 2), dtype=complex)
+    f = la.random_complex(rng, 200)
+    cases["c1-flat"] = _c1_blocks(f, np.zeros(200))
+    cases["c1-steep"] = _c1_blocks(f, 1e8 * la.random_complex(rng, 200))
+    cases["c1-mixed"] = _c1_blocks(f, np.geomspace(1e-9, 1e9, 200) * la.random_complex(rng, 200))
+    return cases
+
+
+@pytest.mark.parametrize("name,blocks", _kernel_cases().items())
+def test_top_singular_2x2_matches_lapack(name, blocks):
+    got = case_studies._top_singular_2x2(blocks)
+    want = np.linalg.svd(blocks, compute_uv=False)[:, 0]
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got - want) <= 4 * eps * want), name
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 1)])
+def test_c1_norm_rejects_a_perturbed_diagonal_block(monkeypatch, entry):
+    # The cross-check measures the embedding's own entries: one 2x2 block entry
+    # moved by a relative 1e-6 must break the agreement with the closed form.
+    grid = np.linspace(0.0, 1.0, 8)
+    s = C1Sample(grid, np.ones(8), np.full(8, 0.5))
+    honest = c1_embed
+
+    def skewed(sample):
+        out = honest(sample)
+        out[entry] *= 1.0 + 1e-6
+        return out
+
+    assert c1_norm(s) == pytest.approx(np.linalg.norm(c1_embed(s), 2), rel=1e-14)
+    monkeypatch.setattr(case_studies, "c1_embed", skewed)
+    with pytest.raises(CertificationFailed):
+        c1_norm(s)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+@pytest.mark.parametrize("channel", ["f_values", "f_derivs"])
+def test_c1_norm_of_a_non_finite_sample_is_a_typed_error(bad, channel):
+    grid = np.linspace(0.0, 1.0, 8)
+    parts = {"f_values": np.ones(8, dtype=complex), "f_derivs": np.zeros(8, dtype=complex)}
+    parts[channel][3] = bad
+    s = C1Sample(grid, **parts)
+    cone = FunctionPullbackCone(grid)
+    for norm in (lambda: c1_norm(s), lambda: cone.norm_many(1, [cone.unit(1), s])):
+        with pytest.raises(MatOrderError, match="finite"):
+            norm()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_c1_norm_that_overflows_is_a_typed_error():
+    s = C1Sample(np.array([0.5]), np.array([1e200 + 0j]), np.array([1e200 + 0j]))
+    with pytest.raises(MatOrderError, match="finite"):
+        c1_norm(s)
+
+
 def test_c1_sample_validation():
     with pytest.raises(MatOrderError):
         C1Sample(np.array([0.5, 0.2]), np.zeros(2, dtype=complex),

@@ -259,6 +259,22 @@ def test_c1_example_runs_on_a_one_point_grid(workdir, capsys):
     assert code == 0 and rep["result"]["grid_size"] == 1
 
 
+def test_c1_example_takes_no_svd(workdir, capsys, monkeypatch):
+    # The 2x2 block norms of the embedding cross-check are closed form: a
+    # LAPACK call per block (or per stack of blocks) fails here.
+    svd, calls = np.linalg.svd, []
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    code, rep = _run(workdir, ["c1-example", "--grid-size", "64",
+                               "--frequencies", "4,8,16,32", "--samples", "10"], capsys)
+    assert code == 0 and rep["result"]["passed"]
+    assert calls == []
+
+
 def test_exit_code_typed_error(workdir, capsys):
     code, rep = _run(workdir, ["order-norm", "--cone",
                                str(workdir / "std_cone.json"),
