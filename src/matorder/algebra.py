@@ -7,12 +7,14 @@ function, so everything here is safe to use from concurrent code.
 
 An element of M_n(A) is an (nN) x (nN) matrix of N x N blocks in A, its
 coordinates ordered block (i, j) row-major, then basis index k.  Only
-`block_coords` and `block_synth` know that layout; every level-n consumer
-goes through them, and no basis of M_n(A) is ever materialised.
+`block_coords`, `block_synth` and `_blockwise_act` (a similarity's action) know
+that layout; every level-n consumer goes through them, and no basis of M_n(A)
+is ever materialised.  `_similarity_pair` is the one inversion of a similarity.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +116,30 @@ class OperatorAlgebra:
 def as_matrix(x) -> np.ndarray:
     """x as a complex matrix."""
     return np.asarray(x, dtype=complex)
+
+
+def _similarity_pair(s, dim: int) -> tuple:
+    """(S, S^-1) from one `np.linalg.inv`: DimensionMismatch unless S is dim x dim,
+    "similarity is singular" when LAPACK rejects S or S^-1 is not finite."""
+    s = as_matrix(s)
+    if s.shape != (dim, dim):
+        raise DimensionMismatch(f"similarity must be {dim}x{dim}, got {s.shape}")
+    with contextlib.suppress(np.linalg.LinAlgError):
+        s_inv = np.linalg.inv(s)
+        if np.isfinite(s_inv).all():
+            return s, s_inv
+    raise DimensionMismatch("similarity is singular")
+
+
+def _blockwise_act(left: np.ndarray | None, x, right: np.ndarray | None) -> np.ndarray:
+    """(I kron left) x (I kron right) on the N x N blocks of x, or of each matrix of
+    a stack; x itself, as a complex array, when left is None (the identity frame)."""
+    x = as_matrix(x)
+    if left is None:
+        return x
+    big_n, cols = left.shape[0], x.shape[-1]
+    y = (left @ x.reshape(-1, big_n, cols)).reshape(-1, cols)
+    return (y.reshape(-1, big_n) @ right).reshape(x.shape)
 
 
 def project(algebra: OperatorAlgebra, x: np.ndarray, tol: float | None = None) -> np.ndarray:
@@ -254,24 +280,16 @@ def hermitian_part_basis(algebra: OperatorAlgebra) -> np.ndarray:
     a real vector space; for a star-closed algebra the real dimension
     equals the complex dimension of the algebra.
     """
-    real_basis = []
-    for b in algebra.basis:
-        real_basis.append(b)
-        real_basis.append(1j * b)
-    cols = np.stack([la.real_vec(v - la.dagger(v)) for v in real_basis], axis=1)
-    return la.real_kernel(np.stack(real_basis), cols)
+    basis = algebra.basis
+    real_basis = np.stack([basis, 1j * basis], axis=1).reshape(-1, *basis.shape[1:])
+    return la.real_kernel(real_basis, la.real_rows(real_basis - la.dagger(real_basis)).T)
 
 
 def conjugate_algebra(algebra: OperatorAlgebra, s: np.ndarray) -> OperatorAlgebra:
     """The algebra S A S^-1 with a freshly orthonormalized basis."""
-    s = np.asarray(s, dtype=complex)
-    if s.shape != (algebra.ambient_dim, algebra.ambient_dim):
-        raise DimensionMismatch(
-            f"similarity must be {algebra.ambient_dim}x{algebra.ambient_dim}, got {s.shape}"
-        )
-    s_inv = np.linalg.inv(s)
-    conj = [s @ b @ s_inv for b in algebra.basis]
-    rows = la.orthonormalize_rows(np.stack([c.ravel() for c in conj]))
+    s, s_inv = _similarity_pair(s, algebra.ambient_dim)
+    rows = la.orthonormalize_rows(
+        _blockwise_act(s, algebra.basis, s_inv).reshape(algebra.dim, -1))
     if rows.shape[0] != algebra.dim:
         raise DimensionMismatch("conjugation lost rank; similarity is singular")
     n = algebra.ambient_dim

@@ -18,6 +18,8 @@ import numpy as np
 from . import _linalg as la
 from .algebra import (
     OperatorAlgebra,
+    _blockwise_act,
+    _similarity_pair,
     as_matrix,
     block_coords,
     block_synth,
@@ -169,13 +171,12 @@ def kadison_pipeline(algebra: OperatorAlgebra, s: np.ndarray, levels=(1, 2),
     the star representation, and verifies that the composition of the
     reconstruction with rho is adjoint-preserving (residual_star <= cert_tol).
     """
-    s = np.asarray(s, dtype=complex)
-    s_inv = np.linalg.inv(s)
-    pi_images = np.stack([s_inv @ b @ s for b in algebra.basis])
-    rep = j_symmetrize(algebra, pi_images)
+    s, s_inv = _similarity_pair(s, algebra.ambient_dim)
+    rep = j_symmetrize(algebra, _blockwise_act(s_inv, algebra.basis, s))
 
+    # S^-* is inverted itself: (S^-1)* is the same matrix in other last bits.
     zero = np.zeros_like(s)
-    doubled_s = np.block([[s, zero], [zero, np.linalg.inv(la.dagger(s))]])
+    doubled_s = np.block([[s, zero], [zero, _similarity_pair(la.dagger(s), len(s))[1]]])
 
     b_alg = generate_algebra(list(rep.rho_images), tol=algebra.structure_tol)
     cone = SimilarityCone(b_alg, doubled_s)
@@ -189,13 +190,11 @@ def kadison_pipeline(algebra: OperatorAlgebra, s: np.ndarray, levels=(1, 2),
                                    cert_tol=cert_tol, levels=levels)
 
     # rho followed by the reconstruction must be adjoint-preserving.
-    cert = recon.certificate
-    s_half, s_half_inv = cert.s, np.linalg.inv(cert.s)
-    residual = 0.0
-    for b in algebra.basis:
-        lhs = s_half @ rep.rho(la.dagger(b)) @ s_half_inv
-        rhs = la.dagger(s_half @ rep.rho(b) @ s_half_inv)
-        residual = max(residual, la.frob(lhs - rhs) / (1.0 + la.frob(rhs)))
+    s_half, s_half_inv = _similarity_pair(recon.certificate.s, b_alg.ambient_dim)
+    lhs, rhs = (_blockwise_act(s_half, np.stack([rep.rho(x) for x in xs]), s_half_inv)
+                for xs in (la.dagger(algebra.basis), algebra.basis))
+    residual = max([0.0] + [la.frob(x - y) / (1.0 + la.frob(y))
+                            for x, y in zip(lhs, la.dagger(rhs))])
 
     return KadisonReport(
         rep=rep,

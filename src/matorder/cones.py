@@ -39,7 +39,10 @@ import numpy as np
 from . import _linalg as la
 from .algebra import (
     OperatorAlgebra,
+    _blockwise_act,
     _freeze,
+    _outside,
+    _similarity_pair,
     as_matrix,
     block_synth,
     conjugate_algebra,
@@ -265,13 +268,13 @@ class ConeOracle:
         dim = self.level_dim(n)
         if x.shape[-2:] != (dim, dim) or x.ndim > 3:
             raise DimensionMismatch(f"level-{n} element must be {dim}x{dim}, got {x.shape}")
-        residual = level_residual(self.algebra, x)
         if x.ndim == 3:
-            size = np.linalg.norm(x.reshape(len(x), -1), axis=1)
-            for k in np.flatnonzero(residual > self.algebra.structure_tol * (1.0 + size)):
+            for k in _outside(self.algebra, x):
                 self.level_element(n, x[k])
-        elif residual > self.algebra.structure_tol * (1.0 + la.frob(x)):
-            raise MembershipError("element outside M_n(A)", residual)
+        else:
+            residual = level_residual(self.algebra, x)
+            if residual > self.algebra.structure_tol * (1.0 + la.frob(x)):
+                raise MembershipError("element outside M_n(A)", residual)
         return x
 
     # -- sampling ----------------------------------------------------------
@@ -358,20 +361,8 @@ class SimilarityCone(ConeOracle):
     def __init__(self, algebra: OperatorAlgebra, s: np.ndarray | None,
                  tol_psd: float = DEFAULT_TOL_PSD):
         super().__init__(algebra, tol_psd)
-        self.s = self.s_inv = None
+        self.s, self.s_inv = (None, None) if s is None else _similarity_pair(s, algebra.ambient_dim)
         self._spans: dict[int, np.ndarray] = {}
-        if s is None:
-            return
-        s = np.asarray(s, dtype=complex)
-        if s.shape != (algebra.ambient_dim, algebra.ambient_dim):
-            raise DimensionMismatch(
-                f"similarity must be {algebra.ambient_dim}x{algebra.ambient_dim}"
-            )
-        self.s = s
-        try:
-            self.s_inv = np.linalg.inv(s)
-        except np.linalg.LinAlgError:
-            raise DimensionMismatch("similarity is singular") from None
 
     @cached_property
     def straight_algebra(self) -> OperatorAlgebra:
@@ -380,12 +371,10 @@ class SimilarityCone(ConeOracle):
         return self.algebra if self.s is None else conjugate_algebra(self.algebra, self.s)
 
     def straighten(self, n: int, x) -> np.ndarray:
-        x = as_matrix(x)
-        return x if self.s is None else _blockwise(self.s, x, self.s_inv)
+        return _blockwise_act(self.s, x, self.s_inv)
 
     def unstraighten(self, n: int, y) -> np.ndarray:
-        y = as_matrix(y)
-        return y if self.s is None else _blockwise(self.s_inv, y, self.s)
+        return _blockwise_act(self.s_inv, y, self.s)
 
     def member_many(self, n: int, xs) -> list:
         """One M_n(A) check, one straighten and one `_psd_test` (one LAPACK call
@@ -454,7 +443,7 @@ class SimilarityCone(ConeOracle):
             else:
                 span = hermitian_part_basis(self.straight_algebra)
                 if self.s is not None:
-                    span = la.orthonormal_stack(self.s_inv @ span @ self.s)
+                    span = la.orthonormal_stack(self.unstraighten(1, span))
             self._spans[n] = _freeze(span)
         return self._spans[n]
 
@@ -480,14 +469,6 @@ def _hermitian_kron(n: int, stack: np.ndarray) -> np.ndarray:
     big_n = stack.shape[-1]
     lifted = np.einsum("aij,kpq->akipjq", la.hermitian_matrix_basis(n), stack)
     return lifted.reshape(-1, n * big_n, n * big_n)
-
-
-def _blockwise(left: np.ndarray, x: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """(I kron left) x (I kron right), applied to the N x N blocks of x, or of
-    each matrix of a stack (read as one tall matrix of blocks)."""
-    big_n, cols = left.shape[0], x.shape[-1]
-    y = (left @ x.reshape(-1, big_n, cols)).reshape(-1, cols)
-    return (y.reshape(-1, big_n) @ right).reshape(x.shape)
 
 
 def _batch(xs) -> np.ndarray:
@@ -977,11 +958,11 @@ def compress(x: np.ndarray, n: int, m: int, ambient_dim: int | None = None) -> n
     """psi_{n,m}: replace every diagonal 2^n-block of a level-2^m element
     with its (1,1) block and zero the rest; a linear contraction."""
     x = as_matrix(x)
-    if m < n:
-        raise DimensionMismatch(f"need m >= n, got n={n}, m={m}")
-    size = x.shape[0]
-    if x.shape[0] != x.shape[1]:
+    if not 0 <= n <= m:
+        raise DimensionMismatch(f"need 0 <= n <= m, got n={n}, m={m}")
+    if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise DimensionMismatch(f"square matrix required, got {x.shape}")
+    size = x.shape[0]
     chunk = 2 ** (m - n)
     if ambient_dim is None:
         if size % (2 ** m):

@@ -23,8 +23,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _linalg as la
-from .algebra import OperatorAlgebra, block_coords, block_synth, generate_algebra
-from .cones import ConeOracle, _blockwise, _stack
+from .algebra import (OperatorAlgebra, _blockwise_act, _similarity_pair, block_coords,
+                      block_synth, generate_algebra)
+from .cones import ConeOracle, _stack
 from .errors import CertificationFailed, NoPositiveSolution, NumericalStall
 from .involution import InvolutionMap, recover_involution
 
@@ -269,11 +270,12 @@ def build_star_rep(algebra: OperatorAlgebra, cone: ConeOracle, q: np.ndarray,
     if involution is None:
         involution = recover_involution(cone, 1, seed=seed)
     cert = _certificate_from(q)
-    s, s_inv = cert.s, np.linalg.inv(cert.s)
-    images = np.stack([s @ b @ s_inv for b in algebra.basis])
+    s, s_inv = _similarity_pair(cert.s, algebra.ambient_dim)
+    images = _blockwise_act(s, algebra.basis, s_inv)
 
-    residual_star = max(la.frob(s @ involution(b) @ s_inv - la.dagger(tb)) / (1.0 + la.frob(tb))
-                        for b, tb in zip(algebra.basis, images))
+    sharps = _blockwise_act(s, np.stack([involution(b) for b in algebra.basis]), s_inv)
+    residual_star = max(la.frob(x - la.dagger(tb)) / (1.0 + la.frob(tb))
+                        for x, tb in zip(sharps, images))
     if residual_star > cert_tol:
         raise CertificationFailed(f"tau(b^sharp) != tau(b)* on the basis "
                                   f"(residual {residual_star:.3g})")
@@ -281,7 +283,7 @@ def build_star_rep(algebra: OperatorAlgebra, cone: ConeOracle, q: np.ndarray,
     rng = np.random.default_rng(seed)
     residual_cone = 0.0
     for n in levels:
-        y = _blockwise(s, _stack(cone, n, cone.sample_many(n, samples, rng)), s_inv)
+        y = _blockwise_act(s, _stack(cone, n, cone.sample_many(n, samples, rng)), s_inv)
         y_star = la.dagger(y)
         defect = np.maximum(np.abs(y - y_star).max(axis=(1, 2)),
                             -np.linalg.eigvalsh(0.5 * (y + y_star))[:, 0])
@@ -436,8 +438,8 @@ def reconstruct_similarity(algebra: OperatorAlgebra, cone: ConeOracle,
     star = build_star_rep(algebra, cone, cert.q, involution=involution,
                           cert_tol=cert_tol, levels=levels, samples=samples, seed=seed)
     star = replace(star, certificate=replace(star.certificate, gap=cert.gap))
-    s_inv = np.linalg.inv(star.certificate.s)
-    inverse_images = np.stack([s_inv @ b @ star.certificate.s for b in star.image_algebra.basis])
+    s, s_inv = _similarity_pair(star.certificate.s, algebra.ambient_dim)
+    inverse_images = _blockwise_act(s_inv, star.image_algebra.basis, s)
     lower = max(cb_lower_bound(star.images, algebra, k=cb_level, seed=seed),
                 cb_lower_bound(inverse_images, star.image_algebra, k=cb_level, seed=seed))
     upper = cb_upper_bound_from_similarity(star.certificate)

@@ -85,3 +85,16 @@ class SkewedLevelCone(StandardCone):
         for _ in range(k):
             out.append(d @ super().sample_many(n, 1, rng)[0] @ np.linalg.inv(d))
         return out
+
+
+class PairedSpanCone(StandardCone):
+    """Span draws come in pairs (a, i a), so ||a + i b|| vanishes with ||a|| > 0:
+    the norm-comparison failure of the K estimate."""
+
+    variant = "paired-span"
+
+    def sample_span_many(self, n, k, rng):
+        out = []
+        for a in super().sample_span_many(n, (k + 1) // 2, rng):
+            out += [a, 1j * a]
+        return out[:k]

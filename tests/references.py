@@ -27,6 +27,9 @@ measured one element at a time.  `pullback_trig`, `pullback_member`,
 `c1_norm_per_sample` and `c1_inequality_check_per_sample` are the function
 embedding's pullback cone and norm one sample at a time, before their
 stacked passes; `membership_residual` is the distance from an algebra span.
+`hermitian_part_basis_loop` and `conjugate_per_basis` build the Hermitian-part
+basis and a similarity's basis images one basis element at a time, as the
+library did before its stacked forms.
 """
 
 import numpy as np
@@ -46,6 +49,19 @@ def membership_residual(algebra: OperatorAlgebra, x: np.ndarray) -> float:
     """Frobenius distance of x from the algebra span."""
     x = as_matrix(x)
     return la.frob(x - algebra.synthesize(algebra.coords_of(x)))
+
+
+def hermitian_part_basis_loop(algebra: OperatorAlgebra) -> np.ndarray:
+    real_basis = []
+    for b in algebra.basis:
+        real_basis.append(b)
+        real_basis.append(1j * b)
+    cols = np.stack([la.real_vec(v - la.dagger(v)) for v in real_basis], axis=1)
+    return la.real_kernel(np.stack(real_basis), cols)
+
+
+def conjugate_per_basis(left: np.ndarray, basis: np.ndarray, right: np.ndarray) -> np.ndarray:
+    return np.stack([left @ b @ right for b in basis])
 
 
 def herm_defect(x: np.ndarray) -> float:

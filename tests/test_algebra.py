@@ -4,12 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import E11, E12, E21, E22, WORKED_B, mat, random_unitary
+from conftest import (E11, E12, E21, E22, WORKED_B, mat, random_similarity,
+                      random_star_closed_algebra, random_unitary)
 from matorder.algebra import (
     DEFAULT_MAX_DIM,
     OperatorAlgebra,
+    _blockwise_act,
     block_coords,
     block_synth,
+    conjugate_algebra,
     doubling_embed,
     generate_algebra,
     hermitian_part_basis,
@@ -18,7 +21,8 @@ from matorder.algebra import (
     random_element,
 )
 from matorder.errors import DimensionCapExceeded, DimensionMismatch, MembershipError
-from references import amplify, generate_algebra_mgs, membership_residual, spans_equal
+from references import (amplify, conjugate_per_basis, generate_algebra_mgs,
+                        hermitian_part_basis_loop, membership_residual, spans_equal)
 
 
 def test_generate_e11_span():
@@ -326,6 +330,20 @@ def test_doubling_embed_preserves_psd():
     p = g.conj().T @ g
     out = doubling_embed(p)
     assert np.linalg.eigvalsh(out)[0] >= -1e-12
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_stacked_passes_keep_the_per_basis_bits(seed):
+    # The Hermitian-part basis and a similarity's images, star-closed or not.
+    rng = np.random.default_rng(seed)
+    alg = random_star_closed_algebra(rng, nmax=5)
+    s = random_similarity(rng, alg.ambient_dim, max_log10_cond=3.0)
+    s_inv = np.linalg.inv(s)
+    for a in (alg, conjugate_algebra(alg, s)):
+        np.testing.assert_array_equal(hermitian_part_basis(a), hermitian_part_basis_loop(a))
+        np.testing.assert_array_equal(_blockwise_act(s, a.basis, s_inv),
+                                      conjugate_per_basis(s, a.basis, s_inv))
+        np.testing.assert_array_equal(_blockwise_act(None, a.basis, None), a.basis)
 
 
 def test_hermitian_part_dimension(m2_full, worked_algebra):

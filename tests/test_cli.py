@@ -515,3 +515,72 @@ def test_similarity_passes_samples_to_the_star_rep(workdir, capsys, monkeypatch)
                              "--samples", "5"], capsys)
     assert code == 0
     assert seen == [5]
+
+
+@pytest.fixture(scope="module")
+def tiny_s_inputs(workdir):
+    """S = diag(1e-320, 1): finite, but LAPACK's S^-1 holds inf."""
+    tiny = np.diag([1e-320, 1.0]).astype(complex)
+    (workdir / "tiny_S.json").write_text(canonical_json(matrix_to_obj(tiny)))
+    (workdir / "tiny_cone.json").write_text(canonical_json(
+        {"variant": "similarity", "algebra": "m2.json", "S": matrix_to_obj(tiny),
+         "tol_psd": 1e-9}))
+    return workdir
+
+
+@pytest.mark.parametrize("args", [
+    ["check-cones", "--cone", "tiny_cone.json", "--samples", "4"],
+    ["order-norm", "--cone", "tiny_cone.json", "--element", "elem.json"],
+    ["kadison-demo", "--algebra", "m2.json", "--similarity", "tiny_S.json", "--samples", "4"],
+], ids=lambda args: args[0])
+def test_similarity_with_a_non_finite_inverse_exits_3(tiny_s_inputs, capsys, args):
+    args = [str(tiny_s_inputs / a) if a.endswith(".json") else a for a in args]
+    code, rep = _run(tiny_s_inputs, args, capsys)
+    assert code == 3
+    assert rep["error"] == {"type": "DimensionMismatch", "message": "similarity is singular"}
+
+
+def test_cb_norm_with_the_wrong_number_of_images_exits_4(workdir, capsys, tmp_path):
+    images = tmp_path / "one_image.json"
+    images.write_text(canonical_json([matrix_to_obj(np.eye(2))]))
+    code, rep = _run(workdir, ["cb-norm", "--algebra", str(workdir / "m2.json"),
+                               "--images", str(images)], capsys)
+    assert code == 4
+    assert rep["error"]["type"] == "SchemaError"
+    assert "4 matrices" in rep["error"]["message"]
+
+
+def test_similarity_reads_the_source_algebra_from_its_own_file(workdir, capsys, tmp_path):
+    cone = json.loads((workdir / "sim_cone.json").read_text())
+    source = tmp_path / "worked.json"
+    source.write_text(canonical_json(cone["algebra"]))
+    args = ["similarity", "--cone", str(workdir / "sim_cone.json"), "--samples", "5"]
+    code, plain = _run(workdir, args, capsys)
+    assert code == 0
+    code, given = _run(workdir, args + ["--algebra", str(source)], capsys)
+    assert code == 0
+    assert given["result"] == plain["result"]
+
+
+def test_similarities_are_inverted_only_by_the_checked_pair(workdir, capsys, monkeypatch):
+    # Every S^-1 comes from algebra._similarity_pair; the barrier's inverse
+    # Cholesky factors are the one other inversion in the package.
+    callers = []
+    inv = np.linalg.inv
+
+    def recording(*args, **kwargs):
+        frame = sys._getframe(1)
+        callers.append((frame.f_globals.get("__name__"), frame.f_code.co_name))
+        return inv(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "inv", recording)
+    for args in (["check-cones", "--cone", str(workdir / "sim_cone.json"), "--samples", "4"],
+                 ["similarity", "--cone", str(workdir / "sim_cone.json"), "--samples", "4"],
+                 ["kadison-demo", "--algebra", str(workdir / "m2.json"),
+                  "--similarity", str(workdir / "S.json"), "--samples", "4"]):
+        callers.clear()
+        code, _ = _run(workdir, args, capsys)
+        assert code in (0, 2)
+        assert ("matorder.algebra", "_similarity_pair") in callers
+        assert set(callers) <= {("matorder.algebra", "_similarity_pair"),
+                                ("matorder.similarity", "inverse_factors")}

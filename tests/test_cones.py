@@ -3,7 +3,8 @@ import pytest
 from scipy.linalg import block_diag
 
 from conftest import E11, E12, WORKED_B, WORKED_S, mat, random_similarity, random_unitary
-from doubles import AllHermitianCone, ZeroedCornerCone
+from doubles import AllHermitianCone, PairedSpanCone, ZeroedCornerCone
+from matorder import cones as cones_mod
 from matorder.algebra import (
     conjugate_algebra,
     doubling_embed,
@@ -13,6 +14,7 @@ from matorder.algebra import (
 from matorder.cones import (
     SimilarityCone,
     StandardCone,
+    _k_estimate,
     audit_algebraically_admissible,
     audit_matrix_ordered,
     audit_star_admissible,
@@ -20,8 +22,11 @@ from matorder.cones import (
     estimate_main_constants,
     replay_witness,
 )
-from matorder.errors import DimensionMismatch, MembershipError, SourceNotStarClosed
+from matorder.errors import (DimensionMismatch, MembershipError, NumericalStall,
+                             SourceNotStarClosed)
+from matorder.order_norms import order_unit_seminorm
 from references import amplify, compress_via_conjugations, membership_residual
+from test_shifts import _opaque
 
 
 def test_member_unit_and_indefinite(std_m2):
@@ -263,6 +268,10 @@ def test_compress_requires_compatible_dims():
         compress(np.eye(4, dtype=complex), 1, 0)
     with pytest.raises(DimensionMismatch):
         compress(np.eye(8, dtype=complex), 0, 1, ambient_dim=3)
+    with pytest.raises(DimensionMismatch):
+        compress(np.ones(4), 0, 1)  # not a matrix
+    with pytest.raises(DimensionMismatch):
+        compress(np.ones((4, 4)), -1, 0)  # negative level
 
 
 def test_compress_matches_conjugation_sum():
@@ -355,3 +364,17 @@ def test_level_dim_rejects_levels_below_one(std_m2):
             std_m2.level_dim(n)
         with pytest.raises(DimensionMismatch):
             std_m2.unit(n)
+
+
+def test_k_estimate_fails_when_a_plus_ib_vanishes(m2_full):
+    _, bad = _k_estimate(PairedSpanCone(m2_full), (1,), 3, np.random.default_rng(0))
+    assert bad is not None and bad.kind == "norm-comparison" and bad.level == 1
+    report = audit_star_admissible(PairedSpanCone(m2_full), levels=(1,), samples=4)
+    assert [c.verdict for c in report.checks if c.axiom == "norm-comparison-K"] == ["fail"]
+
+
+def test_bisection_over_its_step_budget_stalls(monkeypatch, std_m2):
+    # An opaque cone bisects; three steps cannot reach the default tolerance.
+    monkeypatch.setattr(cones_mod, "MAX_BISECT_ITER", 3)
+    with pytest.raises(NumericalStall, match="bisection exceeded 3 iterations"):
+        order_unit_seminorm(_opaque(std_m2), 1, np.diag([3.0, -1.0]).astype(complex))

@@ -164,5 +164,16 @@ def test_invalid_tol_psd_is_a_typed_error(m2_full, make, tol_psd):
 
 
 def test_singular_similarity_is_a_dimension_mismatch(m2_full):
-    with pytest.raises(DimensionMismatch, match="similarity is singular"):
-        SimilarityCone(m2_full, np.array([[1.0, 2.0], [2.0, 4.0]]))
+    # LAPACK inverts diag(1e-320, 1) without complaint, to an S^-1 holding inf.
+    for s in (np.array([[1.0, 2.0], [2.0, 4.0]]), np.diag([1e-320, 1.0])):
+        with pytest.raises(DimensionMismatch, match="similarity is singular"):
+            SimilarityCone(m2_full, s)
+    for s in (np.diag([1e-320, 1.0]), [[1, 1], [1, 1]]):
+        with pytest.raises(DimensionMismatch, match="similarity is singular"):
+            conjugate_algebra(m2_full, s)
+
+
+def test_conjugation_that_loses_rank_is_a_typed_error(m2_full):
+    # S^-1 is finite, but S E_21 S^-1 = 1e-8 E_21 falls below the rank rule.
+    with pytest.raises(MatOrderError):
+        conjugate_algebra(m2_full, np.diag([1.0, 1e-8]))
