@@ -141,6 +141,10 @@ class KadisonReport:
         return self.reconstruction.cb_upper
 
     @property
+    def cb_level(self) -> int:
+        return self.reconstruction.cb_level
+
+    @property
     def order_shift_constant_ok(self) -> bool:
         # Spectra transfer through the algebra isomorphism, so the shift
         # r ||c|| e + c enters the cone already at r = 1.
@@ -170,6 +174,7 @@ def kadison_pipeline(algebra: OperatorAlgebra, s: np.ndarray, levels=(1, 2),
     constant 1, asserted numerically), recovers the involution, reconstructs
     the star representation, and verifies that the composition of the
     reconstruction with rho is adjoint-preserving (residual_star <= cert_tol).
+    cb_level is the ceiling of the cb lower bound's level (`reconstruct_similarity`).
     """
     s, s_inv = _similarity_pair(s, algebra.ambient_dim)
     rep = j_symmetrize(algebra, _blockwise_act(s_inv, algebra.basis, s))

@@ -188,6 +188,7 @@ def _cmd_similarity(args, config: RunConfig):
         "certificate": _certificate_obj(res.certificate),
         "cb_lower": res.cb_lower,
         "cb_upper": res.cb_upper,
+        "cb_level": res.cb_level,
         "sandwich_ok": res.sandwich_ok,
     }
 
@@ -216,6 +217,7 @@ def _cmd_kadison_demo(args, config: RunConfig):
         "certificate": _certificate_obj(report.reconstruction.certificate),
         "cb_lower": report.cb_lower,
         "cb_upper": report.cb_upper,
+        "cb_level": report.cb_level,
         "star_rep_residual": report.star_rep_residual,
         "passed": report.passed,
     }

@@ -303,14 +303,15 @@ def cb_upper_bound_from_similarity(cert: SimilarityCertificate) -> float:
     return float(np.sqrt(cert.cond))
 
 
-def _top_pair(z: np.ndarray, images: np.ndarray, from_algebra: OperatorAlgebra) -> tuple:
+def _top_pair(z: np.ndarray, images: np.ndarray, from_algebra: OperatorAlgebra,
+              scored: tuple | None = None) -> tuple:
     """||phi^(k)(X)|| / ||X|| at level-k coordinates z, and the coordinates
     grad[i, j, l] = u_i* images[l] w_j of X -> <u, phi^(k)(X) w> for its top
-    singular pair (u, w); (0.0, None) at X = 0."""
-    nx = la.opnorm(block_synth(z, from_algebra.basis))
+    singular pair (u, w); (0.0, None) at X = 0.  scored: (||X||, phi^(k)(X)), if known."""
+    nx, y = scored or (la.opnorm(block_synth(z, from_algebra.basis)), block_synth(z, images))
     if nx < 1e-14:
         return 0.0, None
-    uu, sv, vh = np.linalg.svd(block_synth(z, images) / nx)
+    uu, sv, vh = np.linalg.svd(y / nx)
     u2, w2 = uu[:, 0].reshape(len(z), -1), vh[0].conj().reshape(len(z), -1)
     return float(sv[0]), np.einsum("ua,jab,vb->uvj", u2.conj(), images, w2)
 
@@ -334,12 +335,12 @@ def cb_lower_bound(images: np.ndarray, from_algebra: OperatorAlgebra,
     the top singular pair of phi^(k)(X) linearizes the objective; the step
     to its maximizer over the Frobenius ball of the coordinates and four
     damped steps are scored by one stacked values-only SVD for the X's and
-    one for their images.  The best point is then polished by
-    conditional-gradient steps on the operator-norm ball (`_polar_point`,
-    mapped back by `block_coords`) until one does not raise the value.  On
-    a star-closed A the polar part lies in M_k(A), so the value cannot
-    fall; otherwise its projection is a heuristic step that may end below
-    what another search finds.
+    one for their images; the next step reuses the accepted one's.  The
+    best point is then polished by conditional-gradient steps on the
+    operator-norm ball (`_polar_point`, mapped back by `block_coords`)
+    until one does not raise the value.  On a star-closed A the polar part
+    lies in M_k(A), so the value cannot fall; otherwise its projection is a
+    heuristic step that may end below what another search finds.
     """
     images = np.asarray(images, dtype=complex)
     k = int(images.shape[1]) if k is None else k
@@ -359,15 +360,15 @@ def cb_lower_bound(images: np.ndarray, from_algebra: OperatorAlgebra,
         starts.append(z / np.linalg.norm(z))
 
     etas = np.array([1.0, 0.5, 0.2, 0.08])[:, None, None, None]
-    best, best_z = 0.0, starts[0]
+    best, best_z, best_scored = 0.0, starts[0], None
     for z in starts:
-        stale = 0
+        stale, scored = 0, None
         for _ in range(CB_ITERS):
-            val, grad = _top_pair(z, images, from_algebra)
+            val, grad = _top_pair(z, images, from_algebra, scored)
             if grad is None:
                 break
             if val > best + 1e-13:
-                best, best_z, stale = val, z, 0
+                best, best_z, best_scored, stale = val, z, scored, 0
             else:
                 stale += 1
                 if stale > 4:
@@ -378,17 +379,17 @@ def cb_lower_bound(images: np.ndarray, from_algebra: OperatorAlgebra,
             step = grad.conj() / nz
             cands = np.concatenate([step[None], z + etas * step])
             cands /= np.linalg.norm(cands.reshape(len(cands), -1), axis=1)[:, None, None, None]
-            nx = la.opnorm(block_synth(cands, from_algebra.basis))
-            ny = la.opnorm(block_synth(cands, images))
+            ys = block_synth(cands, images)
+            nx, ny = la.opnorm(block_synth(cands, from_algebra.basis)), la.opnorm(ys)
             vals = np.divide(ny, nx, out=np.zeros_like(ny), where=nx >= 1e-14)
             i = int(np.argmax(vals))
             if vals[i] <= val + 1e-14:
                 break
-            z = cands[i]
+            z, scored = cands[i], (nx[i], ys[i])
             if vals[i] > best:
-                best, best_z = float(vals[i]), z
+                best, best_z, best_scored = float(vals[i]), z, scored
 
-    val, grad = _top_pair(best_z, images, from_algebra)
+    val, grad = _top_pair(best_z, images, from_algebra, best_scored)
     for _ in range(CB_ITERS):
         if grad is None:
             break
@@ -402,13 +403,15 @@ def cb_lower_bound(images: np.ndarray, from_algebra: OperatorAlgebra,
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """Full pipeline output: certificate, star representation, cb sandwich."""
+    """Full pipeline output: certificate, star representation, cb sandwich
+    (the best lower bound over the levels run; cb_level the highest)."""
 
     involution: InvolutionMap
     q_space_dim: int
     star_rep: StarRepresentation
     cb_lower: float
     cb_upper: float
+    cb_level: int
 
     @property
     def certificate(self) -> SimilarityCertificate:
@@ -427,10 +430,10 @@ def reconstruct_similarity(algebra: OperatorAlgebra, cone: ConeOracle,
     build the star representation, and report the cb-norm sandwich.
 
     sqrt(cond(Q)) bounds the cb norm of the certified conjugation in both
-    directions; the reported lower bound is the larger of the two
-    `cb_lower_bound` values (the inverse direction, from the adjoint-closed
-    image back to the algebra, is the one that attains it).  `samples`: per
-    level, for `build_star_rep`.
+    directions.  The lower bound, the larger of the two `cb_lower_bound`
+    values (the inverse direction attains it), is taken at level 1 and, only
+    while upper - lower > cert_tol * upper, at the ceiling `cb_level` (N when
+    None).  `samples`: per level, for `build_star_rep`.
     """
     involution = recover_involution(cone, 1, seed=seed)
     space = solve_Q(algebra, involution)
@@ -440,7 +443,10 @@ def reconstruct_similarity(algebra: OperatorAlgebra, cone: ConeOracle,
     star = replace(star, certificate=replace(star.certificate, gap=cert.gap))
     s, s_inv = _similarity_pair(star.certificate.s, algebra.ambient_dim)
     inverse_images = _blockwise_act(s_inv, star.image_algebra.basis, s)
-    lower = max(cb_lower_bound(star.images, algebra, k=cb_level, seed=seed),
-                cb_lower_bound(inverse_images, star.image_algebra, k=cb_level, seed=seed))
-    upper = cb_upper_bound_from_similarity(star.certificate)
-    return ReconstructionResult(involution, int(space.shape[0]), star, float(lower), float(upper))
+    upper, lower = cb_upper_bound_from_similarity(star.certificate), 0.0
+    for k in sorted({1, algebra.ambient_dim if cb_level is None else cb_level}):
+        lower = max(lower, cb_lower_bound(star.images, algebra, k=k, seed=seed),
+                    cb_lower_bound(inverse_images, star.image_algebra, k=k, seed=seed))
+        if upper - lower <= cert_tol * upper:
+            break
+    return ReconstructionResult(involution, int(space.shape[0]), star, lower, upper, k)

@@ -4,6 +4,7 @@ from scipy.linalg import block_diag
 
 from matorder.algebra import conjugate_algebra, generate_algebra
 from matorder.cones import SimilarityCone, StandardCone
+from matorder.similarity import cb_lower_bound
 
 
 def mat(rows):
@@ -52,6 +53,22 @@ def random_star_closed_algebra(rng, n=None, nmax=6):
                   for p in parts]
         gens.append(u @ block_diag(*blocks) @ u.conj().T)
     return generate_algebra(gens, include_adjoints=True)
+
+
+def level_one_inverse_bound(res, seed=0):
+    """The level-1 `cb_lower_bound` of rho = tau^-1, the map from the
+    adjoint-closed image back to the algebra, for a `ReconstructionResult`.
+
+    For a nuclear C*-algebra, so for every finite-dimensional one, a bounded
+    homomorphism has ||rho||_cb <= ||rho||^2 (Pisier, Similarity Problems and
+    Completely Bounded Maps, LNM 1618), and cb_upper is ||rho||_cb at the
+    optimal Q.  So cb_upper above this bound squared means either a weak
+    ascent or a wrong barrier solve."""
+    s = res.certificate.s
+    s_inv = np.linalg.inv(s)
+    image = res.star_rep.image_algebra
+    inverse = np.stack([s_inv @ b @ s for b in image.basis])
+    return cb_lower_bound(inverse, image, k=1, seed=seed)
 
 
 def random_similarity(rng, n, max_log10_cond=2.0):

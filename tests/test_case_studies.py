@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import WORKED_S, mat
+from conftest import WORKED_S, level_one_inverse_bound, mat
 from matorder import _linalg as la
 from matorder import case_studies
 from matorder.algebra import generate_algebra, random_element
@@ -97,6 +97,7 @@ def test_kadison_pipeline_worked(span_i_e11):
     assert report.cb_lower <= report.cb_upper + 1e-6
     assert report.cb_upper == pytest.approx(ONE_PLUS_SQRT2, abs=1e-3)
     assert report.cb_lower >= 2.41
+    assert report.cb_upper <= level_one_inverse_bound(report.reconstruction) ** 2 * (1.0 + 1e-9)
     # Spectral-radius bound: the order-shift constant stays at 1.
     assert report.audit.constants["r4"].value <= 1.0 + 1e-6
 

@@ -136,6 +136,8 @@ def test_similarity_cmd(workdir, capsys):
     assert np.sqrt(cert["cond"]) == pytest.approx(1 + np.sqrt(2), abs=1e-3)
     assert cert["cond"] <= np.linalg.cond(WORKED_S.conj().T @ WORKED_S) + 1e-6
     assert rep["result"]["sandwich_ok"] is True
+    # Level 1 closes the worked sandwich, so the default ceiling N is not reached.
+    assert rep["result"]["cb_level"] == 1
 
 
 def test_kadison_demo_cmd(workdir, capsys):
@@ -145,6 +147,7 @@ def test_kadison_demo_cmd(workdir, capsys):
                                "--samples", "12"], capsys)
     assert code == 0
     assert rep["result"]["passed"] is True
+    assert rep["result"]["cb_level"] == 1
 
 
 def test_check_cones_similarity_cmd(workdir, capsys):

@@ -5,11 +5,13 @@ from scipy import optimize
 from conftest import (
     WORKED_B,
     WORKED_S,
+    level_one_inverse_bound,
     mat,
     random_similarity,
     random_star_closed_algebra,
     random_unitary,
 )
+from matorder import similarity
 from matorder.algebra import (block_coords, block_synth, conjugate_algebra, generate_algebra,
                               level_residual, random_element)
 from matorder.cones import SimilarityCone, StandardCone
@@ -255,6 +257,56 @@ def test_reconstruct_sandwich(worked_algebra, worked_sim_cone):
     assert res.cb_lower >= 2.41
     # The polar polish reaches the supremum 1 + sqrt(2) that cb_upper certifies.
     assert res.cb_upper - res.cb_lower <= 1e-9
+    assert res.cb_upper <= level_one_inverse_bound(res) ** 2 * (1.0 + 1e-9)
+
+
+def _recorded_cb_lower_bound(monkeypatch, weaken_level_one=False):
+    """Wrap `similarity.cb_lower_bound` to record each call's (k, value);
+    weaken_level_one scales the level-1 values by 1 - 1e-3, which keeps
+    them valid lower bounds but leaves the sandwich open."""
+    calls, bound = [], similarity.cb_lower_bound
+
+    def recorded(images, from_algebra, k=None, seed=0):
+        value = bound(images, from_algebra, k=k, seed=seed)
+        if weaken_level_one and k == 1:
+            value *= 1.0 - 1e-3
+        calls.append((k, value))
+        return value
+
+    monkeypatch.setattr(similarity, "cb_lower_bound", recorded)
+    return calls
+
+
+def test_reconstruct_closes_the_worked_sandwich_at_level_one(monkeypatch, worked_algebra,
+                                                             worked_sim_cone):
+    calls = _recorded_cb_lower_bound(monkeypatch)
+    res = reconstruct_similarity(worked_algebra, worked_sim_cone, cb_level=2,
+                                 levels=(1, 2))
+    assert [k for k, _ in calls] == [1, 1]
+    assert res.cb_level == 1
+    assert res.cb_upper - res.cb_lower <= 1e-9
+
+
+@pytest.mark.parametrize("algebra, cone, cb_level, escalated", [
+    ("worked_algebra", "worked_sim_cone", 2, 2),
+    ("m3_full", "std_m3", None, 3),
+    ("worked_algebra", "worked_sim_cone", 1, None),
+])
+def test_reconstruct_escalates_only_while_the_sandwich_is_open(
+        request, monkeypatch, algebra, cone, cb_level, escalated):
+    calls = _recorded_cb_lower_bound(monkeypatch, weaken_level_one=True)
+    res = reconstruct_similarity(request.getfixturevalue(algebra),
+                                 request.getfixturevalue(cone), cb_level=cb_level,
+                                 levels=(1, 2))
+    level_one = max(v for k, v in calls if k == 1)
+    assert res.cb_upper - level_one > 1e-7 * res.cb_upper
+    if escalated is None:
+        assert [k for k, _ in calls] == [1, 1]
+        assert res.cb_level == 1 and res.cb_lower == level_one
+    else:
+        assert [k for k, _ in calls] == [1, 1, escalated, escalated]
+        assert res.cb_level == escalated
+        assert res.cb_lower == max(v for k, v in calls if k == escalated) > level_one
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -312,6 +364,7 @@ def test_planted_recovery_small_batch():
         res = reconstruct_similarity(b, cone, cb_level=2, levels=(1, 2))
         assert res.certificate.residual_star <= 1e-7
         assert res.certificate.cond <= planted_cond + 1e-6
+        assert res.cb_upper <= level_one_inverse_bound(res) ** 2 * (1.0 + 1e-9)
 
 
 def _replay_dual(space, exc):
