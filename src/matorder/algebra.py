@@ -7,15 +7,16 @@ function, so everything here is safe to use from concurrent code.
 
 An element of M_n(A) is an (nN) x (nN) matrix of N x N blocks in A, its
 coordinates ordered block (i, j) row-major, then basis index k.  Only
-`block_coords`, `block_synth` and `_blockwise_act` (a similarity's action) know
-that layout; every level-n consumer goes through them, and no basis of M_n(A)
-is ever materialised.  `_similarity_pair` is the one inversion of a similarity.
+`block_coords`, `block_synth` and `_Frame` (a similarity's action) know that
+layout; every level-n consumer goes through them, and no basis of M_n(A) is
+ever materialised.  `_frame` checks and inverts a similarity once, into a `_Frame`.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,10 +53,8 @@ class OperatorAlgebra:
     structure_tol: float = DEFAULT_STRUCTURE_TOL
 
     def __post_init__(self):
-        object.__setattr__(self, "basis", _freeze(np.asarray(self.basis, dtype=complex)))
-        object.__setattr__(
-            self, "unit_coords", _freeze(np.asarray(self.unit_coords, dtype=complex))
-        )
+        object.__setattr__(self, "basis", _freeze(as_matrix(self.basis)))
+        object.__setattr__(self, "unit_coords", _freeze(as_matrix(self.unit_coords)))
 
     @classmethod
     def from_basis(cls, basis, tol: float = DEFAULT_STRUCTURE_TOL,
@@ -118,28 +117,43 @@ def as_matrix(x) -> np.ndarray:
     return np.asarray(x, dtype=complex)
 
 
-def _similarity_pair(s, dim: int) -> tuple:
-    """(S, S^-1) from one `np.linalg.inv`: DimensionMismatch unless S is dim x dim,
-    "similarity is singular" when LAPACK rejects S or S^-1 is not finite."""
+@dataclass(frozen=True, eq=False)
+class _Frame:
+    """A checked S and its one S^-1 (both None: the identity frame); straighten is (I kron S)
+    X (I kron S^-1) on the N x N blocks of X or of a stack's matrices; cond(S) on first read."""
+
+    s: np.ndarray | None = None
+    s_inv: np.ndarray | None = None
+
+    def straighten(self, x) -> np.ndarray:
+        x = as_matrix(x)
+        if self.s is None:
+            return x
+        big_n, cols = self.s.shape[0], x.shape[-1]
+        y = (self.s @ x.reshape(-1, big_n, cols)).reshape(-1, cols)
+        return (y.reshape(-1, big_n) @ self.s_inv).reshape(x.shape)
+
+    def unstraighten(self, y) -> np.ndarray:
+        return _Frame(self.s_inv, self.s).straighten(y)
+
+    @cached_property
+    def cond(self) -> float:
+        return float(np.linalg.cond(self.s))
+
+
+def _frame(s, dim: int) -> _Frame:
+    """The frame of S (of a frame: itself) from one `np.linalg.inv`: DimensionMismatch unless
+    S is dim x dim, "similarity is singular" when LAPACK rejects S or S^-1 is not finite."""
+    if isinstance(s, _Frame):
+        return s
     s = as_matrix(s)
     if s.shape != (dim, dim):
         raise DimensionMismatch(f"similarity must be {dim}x{dim}, got {s.shape}")
     with contextlib.suppress(np.linalg.LinAlgError):
         s_inv = np.linalg.inv(s)
         if np.isfinite(s_inv).all():
-            return s, s_inv
+            return _Frame(s, s_inv)
     raise DimensionMismatch("similarity is singular")
-
-
-def _blockwise_act(left: np.ndarray | None, x, right: np.ndarray | None) -> np.ndarray:
-    """(I kron left) x (I kron right) on the N x N blocks of x, or of each matrix of
-    a stack; x itself, as a complex array, when left is None (the identity frame)."""
-    x = as_matrix(x)
-    if left is None:
-        return x
-    big_n, cols = left.shape[0], x.shape[-1]
-    y = (left @ x.reshape(-1, big_n, cols)).reshape(-1, cols)
-    return (y.reshape(-1, big_n) @ right).reshape(x.shape)
 
 
 def project(algebra: OperatorAlgebra, x: np.ndarray, tol: float | None = None) -> np.ndarray:
@@ -286,10 +300,9 @@ def hermitian_part_basis(algebra: OperatorAlgebra) -> np.ndarray:
 
 
 def conjugate_algebra(algebra: OperatorAlgebra, s: np.ndarray) -> OperatorAlgebra:
-    """The algebra S A S^-1 with a freshly orthonormalized basis."""
-    s, s_inv = _similarity_pair(s, algebra.ambient_dim)
+    """The algebra S A S^-1 with a freshly orthonormalized basis (s may be a `_Frame`)."""
     rows = la.orthonormalize_rows(
-        _blockwise_act(s, algebra.basis, s_inv).reshape(algebra.dim, -1))
+        _frame(s, algebra.ambient_dim).straighten(algebra.basis).reshape(algebra.dim, -1))
     if rows.shape[0] != algebra.dim:
         raise DimensionMismatch("conjugation lost rank; similarity is singular")
     n = algebra.ambient_dim

@@ -18,8 +18,7 @@ import numpy as np
 from . import _linalg as la
 from .algebra import (
     OperatorAlgebra,
-    _blockwise_act,
-    _similarity_pair,
+    _frame,
     as_matrix,
     block_coords,
     block_synth,
@@ -176,12 +175,12 @@ def kadison_pipeline(algebra: OperatorAlgebra, s: np.ndarray, levels=(1, 2),
     reconstruction with rho is adjoint-preserving (residual_star <= cert_tol).
     cb_level is the ceiling of the cb lower bound's level (`reconstruct_similarity`).
     """
-    s, s_inv = _similarity_pair(s, algebra.ambient_dim)
-    rep = j_symmetrize(algebra, _blockwise_act(s_inv, algebra.basis, s))
+    frame = _frame(s, algebra.ambient_dim)
+    rep = j_symmetrize(algebra, frame.unstraighten(algebra.basis))
 
     # S^-* is inverted itself: (S^-1)* is the same matrix in other last bits.
-    zero = np.zeros_like(s)
-    doubled_s = np.block([[s, zero], [zero, _similarity_pair(la.dagger(s), len(s))[1]]])
+    s, zero = frame.s, np.zeros_like(frame.s)
+    doubled_s = np.block([[s, zero], [zero, _frame(la.dagger(s), len(s)).s_inv]])
 
     b_alg = generate_algebra(list(rep.rho_images), tol=algebra.structure_tol)
     cone = SimilarityCone(b_alg, doubled_s)
@@ -195,8 +194,7 @@ def kadison_pipeline(algebra: OperatorAlgebra, s: np.ndarray, levels=(1, 2),
                                    cert_tol=cert_tol, levels=levels)
 
     # rho followed by the reconstruction must be adjoint-preserving.
-    s_half, s_half_inv = _similarity_pair(recon.certificate.s, b_alg.ambient_dim)
-    lhs, rhs = (_blockwise_act(s_half, np.stack([rep.rho(x) for x in xs]), s_half_inv)
+    lhs, rhs = (recon.certificate.frame.straighten(np.stack([rep.rho(x) for x in xs]))
                 for xs in (la.dagger(algebra.basis), algebra.basis))
     residual = max([0.0] + [la.frob(x - y) / (1.0 + la.frob(y))
                             for x, y in zip(lhs, la.dagger(rhs))])
@@ -478,9 +476,7 @@ def c1_condition1_decay(k: int, grid: np.ndarray | None = None) -> float:
         grid = np.linspace(0.0, 1.0, max(64, 4 * k))
     grid = np.asarray(grid, dtype=float)
     if grid.size < 4 * k:
-        raise GridTooCoarse(
-            f"grid with {grid.size} points cannot resolve frequency {k}"
-        )
+        raise GridTooCoarse(f"grid with {grid.size} points cannot resolve frequency {k}")
     phase = 2.0 * np.pi * k * grid
     c = C1Sample(grid, 1.0 - np.cos(phase), 2.0 * np.pi * k * np.sin(phase))
     d = C1Sample(grid, 2.0 - c.f_values, -c.f_derivs)

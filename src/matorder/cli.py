@@ -108,28 +108,19 @@ def _cmd_close_algebra(args, config: RunConfig):
 
 def _cmd_check_cones(args, config: RunConfig):
     cone = _load_cone(args.cone, config)
-    result: dict = {"cone": cone.describe()}
-    if cone.variant == "pullback":
-        r1, alpha = cones.estimate_main_constants(
-            cone, levels=(1,), samples=config.samples, seed=config.seed)
-        result["constants"] = {"r1": r1.value, "alpha": alpha.value}
+    sampling = {"samples": config.samples, "seed": config.seed}
+    # A pullback cone (level 1 only) reports its constants and runs no audit.
+    pullback = cone.variant == "pullback"
+    levels = (1,) if pullback else config.levels
+    reports = [] if pullback else [cones.audit_algebraically_admissible(cone, n=1, **sampling),
+                                   cones.audit_matrix_ordered(cone, levels=levels, **sampling),
+                                   cones.audit_star_admissible(cone, levels=levels, **sampling)]
+    r1, alpha = cones.estimate_main_constants(cone, levels=levels, **sampling)
+    result = {"cone": cone.describe(), "constants": {"r1": r1.value, "alpha": alpha.value}}
+    if pullback:
         return EXIT_OK, result
-
-    reports = [
-        cones.audit_algebraically_admissible(cone, n=1, samples=config.samples,
-                                             seed=config.seed),
-        cones.audit_matrix_ordered(cone, levels=config.levels,
-                                   samples=config.samples, seed=config.seed),
-        cones.audit_star_admissible(cone, levels=config.levels,
-                                    samples=config.samples, seed=config.seed),
-    ]
-    r1, alpha = cones.estimate_main_constants(cone, levels=config.levels,
-                                              samples=config.samples,
-                                              seed=config.seed)
-    result["audits"] = [audit_to_obj(r) for r in reports]
-    result["constants"] = {"r1": r1.value, "alpha": alpha.value}
     ok = all(r.passed for r in reports)
-    result["passed"] = ok
+    result.update(audits=[audit_to_obj(r) for r in reports], passed=ok)
     return (EXIT_OK if ok else EXIT_AUDIT_FAIL), result
 
 

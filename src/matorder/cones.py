@@ -39,10 +39,10 @@ import numpy as np
 from . import _linalg as la
 from .algebra import (
     OperatorAlgebra,
-    _blockwise_act,
+    _Frame,
+    _frame,
     _freeze,
     _outside,
-    _similarity_pair,
     as_matrix,
     block_synth,
     conjugate_algebra,
@@ -348,10 +348,9 @@ class SimilarityCone(ConeOracle):
     PSD, i.e. the cone pi^(n)(M_n(A)^+) for pi = S^-1 (.) S over the
     star-closed A = S B S^-1 (`straight_algebra`) of the algebra B.
 
-    s=None is the identity frame: the standard cone of B itself, with no
-    S products and variant "standard" (`StandardCone`).  A = S B S^-1, the
-    span bases and the level-1 lineality kernel are built on first use and
-    kept, read-only, for the life of the cone.
+    S is checked once into `frame` (S, S^-1), which every S product reuses; s=None
+    is the identity frame, variant "standard" (`StandardCone`).  A = S B S^-1, the
+    span bases and the level-1 lineality kernel are built on first use and kept read-only.
     """
 
     @property
@@ -361,20 +360,24 @@ class SimilarityCone(ConeOracle):
     def __init__(self, algebra: OperatorAlgebra, s: np.ndarray | None,
                  tol_psd: float = DEFAULT_TOL_PSD):
         super().__init__(algebra, tol_psd)
-        self.s, self.s_inv = (None, None) if s is None else _similarity_pair(s, algebra.ambient_dim)
+        self.frame = _Frame() if s is None else _frame(s, algebra.ambient_dim)
         self._spans: dict[int, np.ndarray] = {}
+
+    @property
+    def s(self) -> np.ndarray | None:
+        return self.frame.s
 
     @cached_property
     def straight_algebra(self) -> OperatorAlgebra:
         """A = S B S^-1 (B when s is None), star-closed for honest inputs; a
         similarity that loses rank raises DimensionMismatch here."""
-        return self.algebra if self.s is None else conjugate_algebra(self.algebra, self.s)
+        return self.algebra if self.s is None else conjugate_algebra(self.algebra, self.frame)
 
     def straighten(self, n: int, x) -> np.ndarray:
-        return _blockwise_act(self.s, x, self.s_inv)
+        return self.frame.straighten(x)
 
     def unstraighten(self, n: int, y) -> np.ndarray:
-        return _blockwise_act(self.s_inv, y, self.s)
+        return self.frame.unstraighten(y)
 
     def member_many(self, n: int, xs) -> list:
         """One M_n(A) check, one straighten and one `_psd_test` (one LAPACK call
@@ -415,11 +418,9 @@ class SimilarityCone(ConeOracle):
         return self.sharp_block(n, n, x)
 
     def sharp_block(self, n: int, m: int, a: np.ndarray) -> np.ndarray:
-        # (a_ij)^sharp transposed at block level: the ambient adjoint in the
-        # identity frame, else written as one conjugation; per matrix of a stack.
-        if self.s is None:
-            return la.dagger(as_matrix(a))
-        return self.unstraighten(m, la.dagger(self.straighten(n, a)))
+        # (a_ij)^sharp transposed at block level, one conjugation by the frame (the
+        # ambient adjoint in the identity frame, whatever `straighten` a subclass sets).
+        return self.frame.unstraighten(la.dagger(self.frame.straighten(a)))
 
     def sample_many(self, n: int, k: int, rng: np.random.Generator) -> np.ndarray:
         return self._draw(n, k, rng, span=False)
@@ -448,10 +449,8 @@ class SimilarityCone(ConeOracle):
         return self._spans[n]
 
     def describe(self) -> dict:
-        out = super().describe()
-        if self.s is not None:
-            out["similarity_cond"] = float(np.linalg.cond(self.s))
-        return out
+        cond = {} if self.s is None else {"similarity_cond": self.frame.cond}
+        return super().describe() | cond
 
 
 class StandardCone(SimilarityCone):

@@ -23,10 +23,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _linalg as la
-from .algebra import (OperatorAlgebra, _blockwise_act, _similarity_pair, block_coords,
-                      block_synth, generate_algebra)
+from .algebra import OperatorAlgebra, _Frame, _frame, block_coords, block_synth, generate_algebra
 from .cones import ConeOracle, _stack
-from .errors import CertificationFailed, NoPositiveSolution, NumericalStall
+from .errors import CertificationFailed, DimensionMismatch, NoPositiveSolution, NumericalStall
 from .involution import InvolutionMap, recover_involution
 
 DEFAULT_CERT_TOL = 1e-7
@@ -53,7 +52,7 @@ class SimilarityCertificate:
     cond is lambda_max(Q) / lambda_min(Q), so ||S|| ||S^-1|| = sqrt(cond).
     gap is the duality gap of minimize_condition's solve: no element of the
     solution space has a condition number below cond - gap.
-    residual_star / residual_cone are filled in by build_star_rep.
+    build_star_rep fills in residual_star, residual_cone and frame, the checked (S, S^-1).
     """
 
     q: np.ndarray
@@ -62,6 +61,7 @@ class SimilarityCertificate:
     residual_star: float | None = None
     residual_cone: float | None = None
     gap: float | None = None
+    frame: _Frame | None = None
 
 
 @dataclass(frozen=True)
@@ -270,10 +270,10 @@ def build_star_rep(algebra: OperatorAlgebra, cone: ConeOracle, q: np.ndarray,
     if involution is None:
         involution = recover_involution(cone, 1, seed=seed)
     cert = _certificate_from(q)
-    s, s_inv = _similarity_pair(cert.s, algebra.ambient_dim)
-    images = _blockwise_act(s, algebra.basis, s_inv)
+    frame = _frame(cert.s, algebra.ambient_dim)
+    images = frame.straighten(algebra.basis)
 
-    sharps = _blockwise_act(s, np.stack([involution(b) for b in algebra.basis]), s_inv)
+    sharps = frame.straighten(np.stack([involution(b) for b in algebra.basis]))
     residual_star = max(la.frob(x - la.dagger(tb)) / (1.0 + la.frob(tb))
                         for x, tb in zip(sharps, images))
     if residual_star > cert_tol:
@@ -283,7 +283,7 @@ def build_star_rep(algebra: OperatorAlgebra, cone: ConeOracle, q: np.ndarray,
     rng = np.random.default_rng(seed)
     residual_cone = 0.0
     for n in levels:
-        y = _blockwise_act(s, _stack(cone, n, cone.sample_many(n, samples, rng)), s_inv)
+        y = frame.straighten(_stack(cone, n, cone.sample_many(n, samples, rng)))
         y_star = la.dagger(y)
         defect = np.maximum(np.abs(y - y_star).max(axis=(1, 2)),
                             -np.linalg.eigvalsh(0.5 * (y + y_star))[:, 0])
@@ -292,7 +292,7 @@ def build_star_rep(algebra: OperatorAlgebra, cone: ConeOracle, q: np.ndarray,
 
     image_algebra = generate_algebra(list(images), tol=algebra.structure_tol)
     cert = replace(cert, residual_star=float(residual_star),
-                   residual_cone=float(residual_cone))
+                   residual_cone=float(residual_cone), frame=frame)
     return StarRepresentation(images=images, image_algebra=image_algebra,
                               certificate=cert)
 
@@ -344,6 +344,8 @@ def cb_lower_bound(images: np.ndarray, from_algebra: OperatorAlgebra,
     """
     images = np.asarray(images, dtype=complex)
     k = int(images.shape[1]) if k is None else k
+    if k < 1:
+        raise DimensionMismatch(f"matrix level must be >= 1, got {k}")
     rng = np.random.default_rng(seed)
     d = from_algebra.dim
 
@@ -441,8 +443,7 @@ def reconstruct_similarity(algebra: OperatorAlgebra, cone: ConeOracle,
     star = build_star_rep(algebra, cone, cert.q, involution=involution,
                           cert_tol=cert_tol, levels=levels, samples=samples, seed=seed)
     star = replace(star, certificate=replace(star.certificate, gap=cert.gap))
-    s, s_inv = _similarity_pair(star.certificate.s, algebra.ambient_dim)
-    inverse_images = _blockwise_act(s_inv, star.image_algebra.basis, s)
+    inverse_images = star.certificate.frame.unstraighten(star.image_algebra.basis)
     upper, lower = cb_upper_bound_from_similarity(star.certificate), 0.0
     for k in sorted({1, algebra.ambient_dim if cb_level is None else cb_level}):
         lower = max(lower, cb_lower_bound(star.images, algebra, k=k, seed=seed),

@@ -9,7 +9,7 @@ from conftest import (E11, E12, E21, E22, WORKED_B, mat, random_similarity,
 from matorder.algebra import (
     DEFAULT_MAX_DIM,
     OperatorAlgebra,
-    _blockwise_act,
+    _Frame,
     block_coords,
     block_synth,
     conjugate_algebra,
@@ -341,9 +341,11 @@ def test_stacked_passes_keep_the_per_basis_bits(seed):
     s_inv = np.linalg.inv(s)
     for a in (alg, conjugate_algebra(alg, s)):
         np.testing.assert_array_equal(hermitian_part_basis(a), hermitian_part_basis_loop(a))
-        np.testing.assert_array_equal(_blockwise_act(s, a.basis, s_inv),
+        np.testing.assert_array_equal(_Frame(s, s_inv).straighten(a.basis),
                                       conjugate_per_basis(s, a.basis, s_inv))
-        np.testing.assert_array_equal(_blockwise_act(None, a.basis, None), a.basis)
+        np.testing.assert_array_equal(_Frame(s, s_inv).unstraighten(a.basis),
+                                      conjugate_per_basis(s_inv, a.basis, s))
+        np.testing.assert_array_equal(_Frame().straighten(a.basis), a.basis)
 
 
 def test_hermitian_part_dimension(m2_full, worked_algebra):

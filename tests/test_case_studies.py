@@ -102,6 +102,12 @@ def test_kadison_pipeline_worked(span_i_e11):
     assert report.audit.constants["r4"].value <= 1.0 + 1e-6
 
 
+@pytest.mark.parametrize("cb_level", [0, -1])
+def test_kadison_pipeline_rejects_a_cb_level_below_one(span_i_e11, cb_level):
+    with pytest.raises(DimensionMismatch, match="level must be >= 1"):
+        kadison_pipeline(span_i_e11, WORKED_S, samples=4, cb_level=cb_level)
+
+
 def test_kadison_pipeline_unitary(m2_full):
     theta = 0.3
     u = mat([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])

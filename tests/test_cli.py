@@ -566,24 +566,30 @@ def test_similarity_reads_the_source_algebra_from_its_own_file(workdir, capsys, 
 
 
 def test_similarities_are_inverted_only_by_the_checked_pair(workdir, capsys, monkeypatch):
-    # Every S^-1 comes from algebra._similarity_pair; the barrier's inverse
+    # Every S^-1 comes from algebra._frame, once per distinct S in a task (the
+    # frame is carried from the cone to the certificate); the barrier's inverse
     # Cholesky factors are the one other inversion in the package.
-    callers = []
+    callers, frames = [], []
     inv = np.linalg.inv
 
     def recording(*args, **kwargs):
         frame = sys._getframe(1)
         callers.append((frame.f_globals.get("__name__"), frame.f_code.co_name))
+        if callers[-1] == ("matorder.algebra", "_frame"):
+            frames.append(np.asarray(args[0]).tobytes())
         return inv(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "inv", recording)
-    for args in (["check-cones", "--cone", str(workdir / "sim_cone.json"), "--samples", "4"],
-                 ["similarity", "--cone", str(workdir / "sim_cone.json"), "--samples", "4"],
-                 ["kadison-demo", "--algebra", str(workdir / "m2.json"),
-                  "--similarity", str(workdir / "S.json"), "--samples", "4"]):
+    for args, distinct in (
+            (["check-cones", "--cone", str(workdir / "sim_cone.json"), "--samples", "4"], 1),
+            (["similarity", "--cone", str(workdir / "sim_cone.json"), "--samples", "4"], 2),
+            (["kadison-demo", "--algebra", str(workdir / "m2.json"),
+              "--similarity", str(workdir / "S.json"), "--samples", "4"], 4)):
         callers.clear()
+        frames.clear()
         code, _ = _run(workdir, args, capsys)
         assert code in (0, 2)
-        assert ("matorder.algebra", "_similarity_pair") in callers
-        assert set(callers) <= {("matorder.algebra", "_similarity_pair"),
+        assert set(callers) <= {("matorder.algebra", "_frame"),
                                 ("matorder.similarity", "inverse_factors")}
+        assert len(set(frames)) == distinct
+        assert len(frames) == distinct, f"{args[0]}: {len(frames)} inversions of {distinct} S"

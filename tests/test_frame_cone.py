@@ -75,6 +75,17 @@ def test_standard_cone_is_the_identity_frame(m2_full):
     assert "similarity_cond" not in cone.describe()
 
 
+def test_similarity_cond_is_computed_once_from_the_frame(monkeypatch, m2_full):
+    cone = _fresh_cone("similarity", m2_full)
+    want = float(np.linalg.cond(WORKED_S))
+    calls = []
+    for name in ("cond", "svd"):
+        _count_calls(monkeypatch, np.linalg, name, lambda *args, name=name: calls.append(name))
+    assert cone.describe()["similarity_cond"] == want and calls == ["cond"]
+    # The frame keeps the value: a second describe() takes no cond and no SVD.
+    assert cone.describe()["similarity_cond"] == want and calls == ["cond"]
+
+
 def test_identity_frame_round_trips_as_the_standard_variant(m2_full):
     cone = SimilarityCone(m2_full, None)
     assert cone.variant == "standard" and cone.describe()["variant"] == "standard"

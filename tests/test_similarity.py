@@ -15,7 +15,7 @@ from matorder import similarity
 from matorder.algebra import (block_coords, block_synth, conjugate_algebra, generate_algebra,
                               level_residual, random_element)
 from matorder.cones import SimilarityCone, StandardCone
-from matorder.errors import NoPositiveSolution
+from matorder.errors import DimensionMismatch, NoPositiveSolution
 from matorder.involution import recover_involution
 from matorder.similarity import (
     _polar_point,
@@ -247,6 +247,21 @@ def test_cb_lower_bound_planted(span_i_e11):
     images = np.stack([s_inv @ b @ WORKED_S for b in span_i_e11.basis])
     bound = cb_lower_bound(images, span_i_e11, k=2)
     assert bound >= 2.41
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_cb_lower_bound_below_level_one_is_a_typed_error(m2_full, k):
+    # Level 0 would be an empty ascent returning 0.0, a negative level numpy's
+    # untyped "negative dimensions" ValueError.
+    with pytest.raises(DimensionMismatch, match="level must be >= 1"):
+        cb_lower_bound(m2_full.basis, m2_full, k=k)
+
+
+@pytest.mark.parametrize("cb_level", [0, -1])
+def test_reconstruct_rejects_a_cb_level_below_one(worked_algebra, worked_sim_cone, cb_level):
+    with pytest.raises(DimensionMismatch, match="level must be >= 1"):
+        reconstruct_similarity(worked_algebra, worked_sim_cone, cb_level=cb_level,
+                               levels=(1,), samples=4)
 
 
 def test_reconstruct_sandwich(worked_algebra, worked_sim_cone):
