@@ -738,9 +738,9 @@ def audit_algebraically_admissible(cone: ConeOracle, n: int = 1,
     combo_rng, conj_rng, unit_rng, arch_rng = _streams(seed, 4)
 
     def combinations():
-        for _ in range(samples):
-            c1, c2 = cone.sample(n, combo_rng), cone.sample(n, combo_rng)
-            lam, beta = combo_rng.uniform(0.0, 2.0, size=2)
+        cs = _stack(cone, n, cone.sample_many(n, 2 * samples, combo_rng))
+        coefficients = combo_rng.uniform(0.0, 2.0, size=(samples, 2))
+        for c1, c2, (lam, beta) in zip(cs[::2], cs[1::2], coefficients):
             yield Witness("conic-combination", n, (c1, c2), lam * c1 + beta * c2,
                           f"coefficients ({lam:.3f}, {beta:.3f})")
 

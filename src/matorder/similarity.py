@@ -325,8 +325,27 @@ def _polar_point(grad: np.ndarray, from_algebra: OperatorAlgebra) -> np.ndarray:
     return uu[:, :r] @ vh[:r]
 
 
+def _polish(z: np.ndarray, scored: tuple | None, images: np.ndarray,
+            from_algebra: OperatorAlgebra, target: float = -np.inf) -> float:
+    """The value after conditional-gradient steps from z on the operator-norm ball
+    (`_polar_point`, mapped back by `block_coords`) until one does not raise it, or
+    until a target it has not reached is out of reach at the last step's gain."""
+    val, grad = _top_pair(z, images, from_algebra, scored)
+    for left in range(CB_ITERS - 1, -1, -1):
+        if grad is None:
+            break
+        new, new_grad = _top_pair(block_coords(from_algebra, _polar_point(grad, from_algebra)),
+                                  images, from_algebra)
+        if not new > val:
+            break
+        gain, val, grad = new - val, new, new_grad
+        if target - val > gain * left:
+            break
+    return val
+
+
 def cb_lower_bound(images: np.ndarray, from_algebra: OperatorAlgebra,
-                   k: int | None = None, seed: int = 0) -> float:
+                   k: int | None = None, seed: int = 0, target: float = np.inf) -> float:
     """Lower bound for the cb norm of the basis-image map phi: the largest
     ||phi^(k)(X)|| / ||X|| found over nonzero X in M_k(A), each a feasible
     point, so the result is always a valid bound.
@@ -336,11 +355,11 @@ def cb_lower_bound(images: np.ndarray, from_algebra: OperatorAlgebra,
     to its maximizer over the Frobenius ball of the coordinates and four
     damped steps are scored by one stacked values-only SVD for the X's and
     one for their images; the next step reuses the accepted one's.  The
-    best point is then polished by conditional-gradient steps on the
-    operator-norm ball (`_polar_point`, mapped back by `block_coords`)
-    until one does not raise the value.  On a star-closed A the polar part
-    lies in M_k(A), so the value cannot fall; otherwise its projection is a
-    heuristic step that may end below what another search finds.
+    best point is then polished (`_polish`); on a star-closed A the polar
+    part lies in M_k(A), so the value cannot fall (elsewhere the projected
+    step is a heuristic).  A finite target polishes the first start's best
+    point at once and returns it if it reaches the target, else the larger
+    of it and the full search's value.
     """
     images = np.asarray(images, dtype=complex)
     k = int(images.shape[1]) if k is None else k
@@ -362,8 +381,11 @@ def cb_lower_bound(images: np.ndarray, from_algebra: OperatorAlgebra,
         starts.append(z / np.linalg.norm(z))
 
     etas = np.array([1.0, 0.5, 0.2, 0.08])[:, None, None, None]
-    best, best_z, best_scored = 0.0, starts[0], None
-    for z in starts:
+    best, best_z, best_scored, probe = 0.0, starts[0], None, 0.0
+    for start, z in enumerate(starts):
+        if start == 1 and target < np.inf:
+            if (probe := _polish(best_z, best_scored, images, from_algebra, target)) >= target:
+                return probe
         stale, scored = 0, None
         for _ in range(CB_ITERS):
             val, grad = _top_pair(z, images, from_algebra, scored)
@@ -391,16 +413,7 @@ def cb_lower_bound(images: np.ndarray, from_algebra: OperatorAlgebra,
             if vals[i] > best:
                 best, best_z, best_scored = float(vals[i]), z, scored
 
-    val, grad = _top_pair(best_z, images, from_algebra, best_scored)
-    for _ in range(CB_ITERS):
-        if grad is None:
-            break
-        z = block_coords(from_algebra, _polar_point(grad, from_algebra))
-        new, new_grad = _top_pair(z, images, from_algebra)
-        if not new > val:
-            break
-        val, grad = new, new_grad
-    return max(best, val)
+    return max(best, _polish(best_z, best_scored, images, from_algebra), probe)
 
 
 @dataclass(frozen=True)
@@ -432,10 +445,10 @@ def reconstruct_similarity(algebra: OperatorAlgebra, cone: ConeOracle,
     build the star representation, and report the cb-norm sandwich.
 
     sqrt(cond(Q)) bounds the cb norm of the certified conjugation in both
-    directions.  The lower bound, the larger of the two `cb_lower_bound`
-    values (the inverse direction attains it), is taken at level 1 and, only
-    while upper - lower > cert_tol * upper, at the ceiling `cb_level` (N when
-    None).  `samples`: per level, for `build_star_rep`.
+    directions.  The lower bound, the inverse direction's (which attains it)
+    and the forward one's only while upper - lower > cert_tol * upper, each
+    with target upper (1 - cert_tol), is taken at level 1 and, only while still
+    open, at the ceiling `cb_level` (N when None).  `samples`: per level, for `build_star_rep`.
     """
     involution = recover_involution(cone, 1, seed=seed)
     space = solve_Q(algebra, involution)
@@ -446,8 +459,9 @@ def reconstruct_similarity(algebra: OperatorAlgebra, cone: ConeOracle,
     inverse_images = star.certificate.frame.unstraighten(star.image_algebra.basis)
     upper, lower = cb_upper_bound_from_similarity(star.certificate), 0.0
     for k in sorted({1, algebra.ambient_dim if cb_level is None else cb_level}):
-        lower = max(lower, cb_lower_bound(star.images, algebra, k=k, seed=seed),
-                    cb_lower_bound(inverse_images, star.image_algebra, k=k, seed=seed))
+        for images, domain in ((inverse_images, star.image_algebra), (star.images, algebra)):
+            if upper - lower > cert_tol * upper:
+                lower = max(lower, cb_lower_bound(images, domain, k, seed, upper * (1.0 - cert_tol)))
         if upper - lower <= cert_tol * upper:
             break
     return ReconstructionResult(involution, int(space.shape[0]), star, lower, upper, k)

@@ -149,3 +149,38 @@ def test_rectangular_conjugation_witnesses_replay(m2_full):
     assert escapes
     for w in escapes:
         assert replay_witness(cone, w)
+
+
+class _NormCappedCone(StandardCone):
+    """PSD elements of operator norm at most 1.5, sampled at norm 1: a sum of
+    two samples with coefficients up to 2 can leave it, so the conic
+    combination check fails."""
+
+    def member_many(self, n, xs):
+        return [ok and np.linalg.norm(x, 2) <= 1.5
+                for x, ok in zip(xs, super().member_many(n, xs))]
+
+    def sample_many(self, n, k, rng):
+        return [x / np.linalg.norm(x, 2) for x in super().sample_many(n, k, rng)]
+
+
+def test_conic_combination_witness_replays_from_one_stacked_draw(monkeypatch, m2_full):
+    cone = _NormCappedCone(m2_full)
+    draws, sample_many = [], cone.sample_many
+
+    def recorded(n, k, rng):
+        draws.append((n, k))
+        return sample_many(n, k, rng)
+
+    monkeypatch.setattr(cone, "sample_many", recorded)
+    for seed in (0, 1, 2):
+        draws.clear()
+        report = audit_algebraically_admissible(cone, 2, samples=8, seed=seed)
+        # The check's first draw is one stack holding both members of every trial.
+        assert draws[0] == (2, 16)
+        check = {c.axiom: c for c in report.checks}["cone-combinations"]
+        assert check.verdict == "fail" and check.witness.kind == "conic-combination"
+        (c1, c2), outside = check.witness.members, check.witness.outside
+        lam, beta = (float(t) for t in check.witness.note[14:-1].split(", "))
+        np.testing.assert_allclose(outside, lam * c1 + beta * c2, atol=2e-3)
+        assert replay_witness(cone, check.witness)

@@ -4,7 +4,10 @@ the second; a changed verdict, flag, count or exit code shares neither."""
 
 import importlib.util
 import json
+import math
 from pathlib import Path
+
+import numpy as np
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
 _spec = importlib.util.spec_from_file_location("output_digests", TOOL)
@@ -84,6 +87,12 @@ AFTER = [_line("order-norms", "r0.t0", "a2", "f", "n"),
          _line("cli-session", "r0.t1", "d2", "h2", "m2"),
          _line("cli-session", "r0.t2", "e", "i", "o")]
 
+# The same lines as digested with --floats: each ends in its output's floats.
+BEFORE_FLOATS = [f"{line} {floats}" for line, floats in
+                 zip(BEFORE, ["[1.0,2.0]", "[3.0]", "[0.5]", "[]"])]
+AFTER_FLOATS = [f"{line} {floats}" for line, floats in
+                zip(AFTER, ["[1.0,2.000000000003]", "[3.0]", "[9.5]", "[]", "[1.0]"])]
+
 
 def test_difference_counts_are_per_workload():
     counts = output_digests.difference_counts(BEFORE, AFTER)
@@ -99,14 +108,70 @@ def test_against_prints_each_workloads_counts_and_the_total(monkeypatch, capsys)
         def __init__(self, lines):
             self.returncode, self.stdout = 0, "\n".join(lines) + "\n"
 
-    runs = iter([_Run(BEFORE), _Run(AFTER)])
+    runs = iter([_Run(BEFORE_FLOATS), _Run(AFTER_FLOATS)])
     monkeypatch.setattr(output_digests.subprocess, "run", lambda *a, **k: next(runs))
     assert output_digests.main(["--against", "parent", "--root", "change"]) == 1
-    err = capsys.readouterr().err.splitlines()
+    out, err = (text.splitlines() for text in capsys.readouterr())
     assert err == [
         "order-norms: 2 tasks, 1 full, 0 float-free and 0 number-free digests differ",
         "cli-session: 3 tasks, 3 full, 3 float-free and 2 number-free digests differ",
         "5 tasks, 4 full, 3 float-free and 2 number-free digests differ",
+        "order-norms: floats moved by at most 1.5e-12 relative over the 2 tasks whose "
+        "float-free digests match",
+        "cli-session: floats moved by at most 0 relative over the 0 tasks whose "
+        "float-free digests match",
     ]
+    # The diff shows the digests alone, not the floats lists.
+    body = [line for line in out if line[:1] in "+-" and line[:3] not in ("---", "+++")]
+    assert body == ["-" + BEFORE[0], "+" + AFTER[0], "-" + BEFORE[2], "-" + BEFORE[3],
+                    "+" + AFTER[2], "+" + AFTER[3], "+" + AFTER[4]]
     runs = iter([_Run(BEFORE), _Run(BEFORE)])
     assert output_digests.main(["--against", "parent", "--root", "change"]) == 0
+
+
+def test_floats_are_listed_in_digest_order_from_reports_and_tuples():
+    assert output_digests.floats(_cli_output(value=0.30000000000000004)) == [0.30000000000000004]
+    assert output_digests.floats(("seminorm", 1.5, 0, 3)) == [1.5]
+    # Nested reports in key order; integers, strings and non-JSON bytes hold none.
+    report = b'{"a": {"x": 1.25, "n": 2, "y": [0.5, 7]}, "b": -1e-300, "s": "1.0"}'
+    assert output_digests.floats(("exit", 0, report)) == [1.25, 0.5, -1e-300]
+    assert output_digests.floats(("exit", 0, b"\xff")) == []
+    assert output_digests.floats(np.float64(2.5)) == [2.5]
+
+
+def test_relative_change_is_scaled_by_the_larger_value():
+    rel = output_digests.relative_change
+    assert rel(2.0, 2.0) == 0.0 and rel(0.0, -0.0) == 0.0
+    assert rel(1.0, 1.0 + 2.0 ** -52) == 2.0 ** -52 / (1.0 + 2.0 ** -52)
+    assert rel(-4.0, 4.0) == 2.0
+    assert rel(0.0, 1e-300) == 1.0
+    assert rel(math.nan, math.nan) == 0.0
+    assert rel(math.inf, 1.0) == math.inf and rel(1.0, math.nan) == math.inf
+
+
+def test_float_changes_skip_tasks_whose_float_free_digest_differs():
+    changes = output_digests.float_changes(BEFORE_FLOATS, AFTER_FLOATS)
+    assert list(changes) == ["order-norms", "cli-session"]
+    assert changes["order-norms"][0] == 2
+    assert changes["order-norms"][1] == output_digests.relative_change(2.0, 2.000000000003)
+    # cli-session's r0.t0 moved 0.5 -> 9.5, but its float-free digest differs too.
+    assert changes["cli-session"] == [0, 0.0]
+    assert output_digests.float_changes(BEFORE_FLOATS, BEFORE_FLOATS) == {
+        "order-norms": [2, 0.0], "cli-session": [2, 0.0]}
+    # Lines without floats lists compare as holding none.
+    assert output_digests.float_changes(BEFORE, AFTER)["order-norms"] == [2, 0.0]
+
+
+def test_floats_option_appends_each_outputs_floats(monkeypatch, capsys):
+    # main puts the checkout's src/ and perfbench/ on sys.path and pins BLAS threads.
+    monkeypatch.setattr(output_digests.sys, "path", list(output_digests.sys.path))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    assert output_digests.main(["--floats", "--seconds", "1", "--order-norms", "5",
+                                "--cli-session", "", "--similarity-recovery", ""]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines
+    for fields in map(str.split, lines):
+        assert len(fields) == 7 and fields[:2] == ["order-norms", "5"]
+        values = json.loads(fields[6])
+        assert values and all(isinstance(x, float) for x in values)

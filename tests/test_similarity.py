@@ -257,6 +257,117 @@ def test_cb_lower_bound_below_level_one_is_a_typed_error(m2_full, k):
         cb_lower_bound(m2_full.basis, m2_full, k=k)
 
 
+@pytest.fixture(scope="module")
+def cb_cases(m2_full, span_i_e11, worked_algebra, worked_sim_cone):
+    """Named (images, domain, level, upper bound on the cb norm) cases of
+    `cb_lower_bound`: the identity and the transpose on M_2 (cb norms 1 and
+    2), the planted conjugation by WORKED_S^-1 (1 + sqrt(2)) and both
+    directions of the worked reconstruction (bounded by its cb_upper)."""
+    res = reconstruct_similarity(worked_algebra, worked_sim_cone, cb_level=2, levels=(1, 2))
+    image, s_inv = res.star_rep.image_algebra, np.linalg.inv(WORKED_S)
+    return {
+        "identity": (m2_full.basis, m2_full, 2, 1.0),
+        "transpose": (np.stack([b.T for b in m2_full.basis]), m2_full, 2, 2.0),
+        "planted": (np.stack([s_inv @ b @ WORKED_S for b in span_i_e11.basis]), span_i_e11, 2,
+                    ONE_PLUS_SQRT2),
+        "worked-inverse": (res.certificate.frame.unstraighten(image.basis), image, 1,
+                           res.cb_upper),
+        "worked-forward": (res.star_rep.images, worked_algebra, 1, res.cb_upper),
+    }
+
+
+# The values of the full search, bit for bit as before `target` existed: without
+# a target (or with the default, infinity) no probe runs.
+@pytest.mark.parametrize("case, expected", [
+    ("identity", "1.0"), ("transpose", "2.0"), ("planted", "2.4142135623730954"),
+    ("worked-inverse", "2.414213562373093"), ("worked-forward", "1.0"),
+])
+def test_cb_lower_bound_without_a_target_keeps_its_values(cb_cases, case, expected):
+    images, domain, k, _ = cb_cases[case]
+    assert repr(cb_lower_bound(images, domain, k=k)) == expected
+    assert repr(cb_lower_bound(images, domain, k, 0, np.inf)) == expected
+
+
+@pytest.mark.parametrize("case", ["identity", "transpose", "planted", "worked-inverse",
+                                  "worked-forward"])
+def test_cb_lower_bound_with_an_unreachable_target_never_ends_lower(cb_cases, case):
+    images, domain, k, upper = cb_cases[case]
+    full = cb_lower_bound(images, domain, k=k)
+    for target in (upper * (1.0 + 1e-3), 2.0 * upper + 1.0):
+        assert full <= cb_lower_bound(images, domain, k=k, target=target) <= upper + 1e-6
+
+
+def _counted(monkeypatch, owner, name):
+    """Count the calls of owner.name from now on."""
+    count, fn = [0], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return count
+
+
+@pytest.mark.parametrize("case", ["identity", "transpose", "planted", "worked-inverse"])
+def test_cb_lower_bound_returns_once_it_reaches_its_target(monkeypatch, cb_cases, case):
+    images, domain, k, upper = cb_cases[case]
+    count = _counted(monkeypatch, np.linalg, "svd")
+    cb_lower_bound(images, domain, k=k)
+    full_svds, count[0] = count[0], 0
+    target = upper * (1.0 - 1e-7)
+    assert target <= cb_lower_bound(images, domain, k=k, target=target) <= upper + 1e-6
+    # The probe closes after the first start: the other starts never run.
+    assert count[0] < full_svds / 2
+
+
+def test_polish_gives_up_only_on_a_target_out_of_reach(monkeypatch):
+    rng = np.random.default_rng(1)
+    algebra = random_star_closed_algebra(rng, nmax=4)
+    s = random_similarity(rng, algebra.ambient_dim, max_log10_cond=1.0)
+    images = np.stack([np.linalg.inv(s) @ b @ s for b in algebra.basis])
+    z = block_coords(algebra, random_element(algebra, rng, level=2))
+    start = _top_pair(z, images, algebra)[0]
+    count = _counted(monkeypatch, similarity, "_top_pair")
+
+    def polished(*target):
+        count[0] = 0
+        value = similarity._polish(z, None, images, algebra, *target)
+        return value, count[0] - 1  # steps: the first call scores z
+
+    full, full_steps = polished()
+    assert full > start and full_steps > 10
+    # At its first step's gain no target this far could be reached in CB_ITERS steps.
+    far, far_steps = polished(start + 2.0 * similarity.CB_ITERS * (full - start))
+    assert start < far < full and far_steps == 1
+    # A target it reaches never stops it: it polishes on as without one.
+    assert polished(start + 0.5 * (full - start)) == (full, full_steps)
+
+
+@pytest.mark.parametrize("weaken", [False, True])
+def test_reconstruct_asks_the_forward_direction_only_while_open(monkeypatch, worked_algebra,
+                                                                 worked_sim_cone, weaken):
+    calls, bound = [], similarity.cb_lower_bound
+
+    def recorded(images, from_algebra, k, seed, target):
+        calls.append((from_algebra, k, target))
+        return bound(images, from_algebra, k, seed, target) * (1.0 - 1e-3 * weaken)
+
+    monkeypatch.setattr(similarity, "cb_lower_bound", recorded)
+    res = reconstruct_similarity(worked_algebra, worked_sim_cone, cb_level=2, levels=(1, 2))
+    image = res.star_rep.image_algebra
+    asked = [("inverse" if domain is image else "forward", k) for domain, k, _ in calls]
+    assert {target for *_, target in calls} == {res.cb_upper * (1.0 - 1e-7)}
+    if weaken:
+        # Every value 1e-3 short leaves the sandwich open at both levels.
+        assert asked == [("inverse", 1), ("forward", 1), ("inverse", 2), ("forward", 2)]
+        assert res.cb_level == 2
+    else:
+        assert asked == [("inverse", 1)]
+        assert res.cb_upper - res.cb_lower <= 1e-9
+        assert res.cb_upper <= level_one_inverse_bound(res) ** 2 * (1.0 + 1e-9)
+
+
 @pytest.mark.parametrize("cb_level", [0, -1])
 def test_reconstruct_rejects_a_cb_level_below_one(worked_algebra, worked_sim_cone, cb_level):
     with pytest.raises(DimensionMismatch, match="level must be >= 1"):
@@ -281,8 +392,8 @@ def _recorded_cb_lower_bound(monkeypatch, weaken_level_one=False):
     them valid lower bounds but leaves the sandwich open."""
     calls, bound = [], similarity.cb_lower_bound
 
-    def recorded(images, from_algebra, k=None, seed=0):
-        value = bound(images, from_algebra, k=k, seed=seed)
+    def recorded(images, from_algebra, k=None, seed=0, target=np.inf):
+        value = bound(images, from_algebra, k=k, seed=seed, target=target)
         if weaken_level_one and k == 1:
             value *= 1.0 - 1e-3
         calls.append((k, value))
@@ -297,7 +408,8 @@ def test_reconstruct_closes_the_worked_sandwich_at_level_one(monkeypatch, worked
     calls = _recorded_cb_lower_bound(monkeypatch)
     res = reconstruct_similarity(worked_algebra, worked_sim_cone, cb_level=2,
                                  levels=(1, 2))
-    assert [k for k, _ in calls] == [1, 1]
+    # The inverse direction closes the sandwich, so the forward one is not asked.
+    assert [k for k, _ in calls] == [1]
     assert res.cb_level == 1
     assert res.cb_upper - res.cb_lower <= 1e-9
 
@@ -319,7 +431,10 @@ def test_reconstruct_escalates_only_while_the_sandwich_is_open(
         assert [k for k, _ in calls] == [1, 1]
         assert res.cb_level == 1 and res.cb_lower == level_one
     else:
-        assert [k for k, _ in calls] == [1, 1, escalated, escalated]
+        # Inverse and forward at level 1, then the escalated inverse direction,
+        # and the escalated forward one only while the sandwich stays open.
+        still_open = res.cb_upper - calls[2][1] > 1e-7 * res.cb_upper
+        assert [k for k, _ in calls] == [1, 1, escalated] + [escalated] * still_open
         assert res.cb_level == escalated
         assert res.cb_lower == max(v for k, v in calls if k == escalated) > level_one
 

@@ -1,6 +1,6 @@
 """Print a digest of every benchmark task's output, to compare two commits.
 
-    python tools/output_digests.py [--root DIR] [--against DIR] [--seconds T]
+    python tools/output_digests.py [--root DIR] [--against DIR] [--seconds T] [--floats]
         [--order-norms 51,52,...] [--cli-session 5,71,...] [--similarity-recovery 11,...]
 
 Builds the `order-norms`, `cli-session` and `similarity-recovery` tasks for
@@ -9,7 +9,7 @@ runs), runs them in this interpreter with one BLAS thread, and prints one
 line per task:
 
     <workload> <seed> <task_id> <sha256 of repr(output)> <float-free sha256>
-        <number-free sha256>
+        <number-free sha256> [<floats>]
 
 The float-free digest is taken over the output with every float replaced by
 its type name, CLI report bytes decoded as JSON first: exit codes, `passed`
@@ -29,8 +29,14 @@ commits give the same numerical results exactly when their outputs diff
 empty.  `--against DIR` makes that comparison: it digests both checkouts
 (each in its own interpreter), prints the lines that differ as a unified
 diff from DIR to --root, then how many tasks differ in each of the three
-digests per workload and in total, and exits 1 if any line differs, 0 if
-none does, and 2 if either checkout fails to digest.
+digests per workload and in total, then per workload the largest relative
+change of any float over the tasks whose float-free digests match (so
+"moved only in its last bits" is one number), and exits 1 if any line
+differs, 0 if none does, and 2 if either checkout fails to digest.  For
+that figure it digests with `--floats`, which appends to each line the
+output's floats as one JSON list, in the order the digests visit them:
+two outputs that share a float-free digest hold their floats in the same
+places.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ import argparse
 import difflib
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -81,6 +88,33 @@ def _masked(obj, numerals: bool):
     return obj
 
 
+def floats(obj) -> list:
+    """Every float of obj in the order `_masked` visits it, CLI report bytes
+    decoded as JSON first."""
+    if isinstance(obj, float):
+        return [float(obj)]
+    if isinstance(obj, bytes):
+        try:
+            return floats(json.loads(obj))
+        except ValueError:
+            return []
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [x for item in obj for x in floats(item)]
+    return []
+
+
+def relative_change(a: float, b: float) -> float:
+    """|a - b| / max(|a|, |b|); 0 for equal values, NaN and NaN included, and
+    inf for a change to or from an infinity or a NaN."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
 def digests(output) -> tuple[str, str, str]:
     """sha256 of repr(output), of its float-free form and of its number-free form."""
     return tuple(hashlib.sha256(repr(x).encode()).hexdigest()
@@ -95,6 +129,8 @@ def main(argv=None) -> int:
                    help="second checkout: print the digest lines that differ, exit 1 if any")
     p.add_argument("--seconds", type=float, default=40.0,
                    help="run length the task lists are sized for (as perfbench/run.py)")
+    p.add_argument("--floats", action="store_true",
+                   help="append each output's floats to its line as one JSON list")
     p.add_argument("--order-norms", type=_seeds, default=[51, 52, 53, 54, 55])
     p.add_argument("--cli-session", type=_seeds, default=[5, 71, 72, 73])
     p.add_argument("--similarity-recovery", type=_seeds, default=[11])
@@ -119,7 +155,8 @@ def main(argv=None) -> int:
                 for task in (t for tasks in rounds for t in tasks):
                     outcome = workloads.run_task(task, lambda f: (f(), 0.0, 1.0))
                     output = outcome.output if outcome.error is None else outcome.error
-                    print(workload, seed, task.task_id, *digests(output), flush=True)
+                    extra = [json.dumps(floats(output), separators=(",", ":"))] * args.floats
+                    print(workload, seed, task.task_id, *digests(output), *extra, flush=True)
     return 0
 
 
@@ -138,19 +175,39 @@ def difference_counts(before_lines: list, after_lines: list) -> dict:
     return counts
 
 
+def float_changes(before_lines: list, after_lines: list) -> dict:
+    """Per workload, in order of first appearance: [tasks, largest relative
+    change of a float], over after's tasks whose float-free digest equals
+    before's; the floats are the `--floats` lists (a line without one has none)."""
+    before = {tuple(fields[:3]): fields[3:] for fields in map(str.split, before_lines)}
+    changes = {}
+    for fields in map(str.split, after_lines):
+        row = changes.setdefault(fields[0], [0, 0.0])
+        old, new = before.get(tuple(fields[:3])), fields[3:]
+        if old is not None and old[1] == new[1]:
+            row[0] += 1
+            a, b = (json.loads(f[3]) if len(f) > 3 else [] for f in (old, new))
+            row[1] = max([row[1], *map(relative_change, a, b)])
+    return changes
+
+
 def _compare(before: str, after: str, args) -> int:
     """Digest two checkouts in child interpreters; print their differing lines."""
     same = ["--seconds", repr(args.seconds),
             "--order-norms", ",".join(map(str, args.order_norms)),
             "--cli-session", ",".join(map(str, args.cli_session)),
             "--similarity-recovery", ",".join(map(str, args.similarity_recovery))]
-    runs = [subprocess.run([sys.executable, os.path.abspath(__file__), "--root", root, *same],
+    runs = [subprocess.run([sys.executable, os.path.abspath(__file__), "--root", root,
+                            "--floats", *same],
                            stdout=subprocess.PIPE, text=True) for root in (before, after)]
     for root, run in zip((before, after), runs):
         if run.returncode:
             print(f"digesting {root} failed (exit {run.returncode})", file=sys.stderr)
             return 2
-    before_lines, after_lines = (run.stdout.splitlines() for run in runs)
+    with_floats = [run.stdout.splitlines() for run in runs]
+    # The diff and the counts read the digests alone.
+    before_lines, after_lines = ([" ".join(line.split()[:6]) for line in lines]
+                                 for lines in with_floats)
     diff = list(difflib.unified_diff(before_lines, after_lines, before, after,
                                      lineterm="", n=0))
     for line in diff:
@@ -162,6 +219,9 @@ def _compare(before: str, after: str, args) -> int:
     tasks, full, free, number_free = (sum(row[k] for row in counts.values()) for k in range(4))
     print(f"{tasks} tasks, {full} full, {free} float-free and {number_free} number-free "
           f"digests differ", file=sys.stderr)
+    for workload, (tasks, largest) in float_changes(*with_floats).items():
+        print(f"{workload}: floats moved by at most {largest:.2g} relative over the "
+              f"{tasks} tasks whose float-free digests match", file=sys.stderr)
     return 1 if diff else 0
 
 
