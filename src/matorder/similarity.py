@@ -325,23 +325,20 @@ def _polar_point(grad: np.ndarray, from_algebra: OperatorAlgebra) -> np.ndarray:
     return uu[:, :r] @ vh[:r]
 
 
-def _polish(z: np.ndarray, scored: tuple | None, images: np.ndarray,
-            from_algebra: OperatorAlgebra, target: float = -np.inf) -> float:
-    """The value after conditional-gradient steps from z on the operator-norm ball
-    (`_polar_point`, mapped back by `block_coords`) until one does not raise it, or
-    until a target it has not reached is out of reach at the last step's gain."""
-    val, grad = _top_pair(z, images, from_algebra, scored)
-    for left in range(CB_ITERS - 1, -1, -1):
-        if grad is None:
-            break
+def _polish(images: np.ndarray, from_algebra: OperatorAlgebra, val: float, grad,
+            steps: int = CB_ITERS, target: float = -np.inf) -> tuple:
+    """Conditional-gradient steps on the operator-norm ball (`_polar_point`, mapped back by
+    `block_coords`) from value val, gradient grad, until one does not raise it or a target is
+    out of reach at the last step's gain: (value, gradient or None once done, steps left)."""
+    gain = np.inf
+    while steps and grad is not None and target - val <= gain * steps:
+        steps -= 1
         new, new_grad = _top_pair(block_coords(from_algebra, _polar_point(grad, from_algebra)),
                                   images, from_algebra)
         if not new > val:
-            break
+            return val, None, steps
         gain, val, grad = new - val, new, new_grad
-        if target - val > gain * left:
-            break
-    return val
+    return val, grad, steps
 
 
 def cb_lower_bound(images: np.ndarray, from_algebra: OperatorAlgebra,
@@ -357,9 +354,9 @@ def cb_lower_bound(images: np.ndarray, from_algebra: OperatorAlgebra,
     one for their images; the next step reuses the accepted one's.  The
     best point is then polished (`_polish`); on a star-closed A the polar
     part lies in M_k(A), so the value cannot fall (elsewhere the projected
-    step is a heuristic).  A finite target polishes the first start's best
-    point at once and returns it if it reaches the target, else the larger
-    of it and the full search's value.
+    step is a heuristic).  A finite target polishes the first start's best point
+    at once and returns it if it reaches the target, else the larger of it and
+    the full search's value, whose polish resumes it if no later start beat it.
     """
     images = np.asarray(images, dtype=complex)
     k = int(images.shape[1]) if k is None else k
@@ -381,11 +378,13 @@ def cb_lower_bound(images: np.ndarray, from_algebra: OperatorAlgebra,
         starts.append(z / np.linalg.norm(z))
 
     etas = np.array([1.0, 0.5, 0.2, 0.08])[:, None, None, None]
-    best, best_z, best_scored, probe = 0.0, starts[0], None, 0.0
+    best, best_z, best_scored, probe = 0.0, starts[0], None, (None, 0.0)
     for start, z in enumerate(starts):
         if start == 1 and target < np.inf:
-            if (probe := _polish(best_z, best_scored, images, from_algebra, target)) >= target:
-                return probe
+            probe = (best_z, *_polish(images, from_algebra, *_top_pair(
+                best_z, images, from_algebra, best_scored), target=target))
+            if probe[1] >= target:
+                return probe[1]
         stale, scored = 0, None
         for _ in range(CB_ITERS):
             val, grad = _top_pair(z, images, from_algebra, scored)
@@ -413,7 +412,8 @@ def cb_lower_bound(images: np.ndarray, from_algebra: OperatorAlgebra,
             if vals[i] > best:
                 best, best_z, best_scored = float(vals[i]), z, scored
 
-    return max(best, _polish(best_z, best_scored, images, from_algebra), probe)
+    top = probe[1:] if probe[0] is best_z else _top_pair(best_z, images, from_algebra, best_scored)
+    return max(best, _polish(images, from_algebra, *top)[0], probe[1])
 
 
 @dataclass(frozen=True)
@@ -458,10 +458,11 @@ def reconstruct_similarity(algebra: OperatorAlgebra, cone: ConeOracle,
     star = replace(star, certificate=replace(star.certificate, gap=cert.gap))
     inverse_images = star.certificate.frame.unstraighten(star.image_algebra.basis)
     upper, lower = cb_upper_bound_from_similarity(star.certificate), 0.0
+    target = upper * (1.0 - cert_tol)
     for k in sorted({1, algebra.ambient_dim if cb_level is None else cb_level}):
-        for images, domain in ((inverse_images, star.image_algebra), (star.images, algebra)):
-            if upper - lower > cert_tol * upper:
-                lower = max(lower, cb_lower_bound(images, domain, k, seed, upper * (1.0 - cert_tol)))
+        lower = max(lower, cb_lower_bound(inverse_images, star.image_algebra, k, seed, target))
+        if upper - lower > cert_tol * upper:
+            lower = max(lower, cb_lower_bound(star.images, algebra, k, seed, target))
         if upper - lower <= cert_tol * upper:
             break
     return ReconstructionResult(involution, int(space.shape[0]), star, lower, upper, k)

@@ -73,25 +73,23 @@ def test_verdicts_flags_counts_and_exit_codes_stay_in_the_number_free_digest():
             != output_digests.digests(("seminorm", 1.0, 1, 3))[2])
 
 
-def _line(workload, task, full, free, number_free, seed=5):
-    return f"{workload} {seed} {task} {full} {free} {number_free}"
+def _line(workload, task, full, free, number_free, floats="[]", seed=5):
+    return f"{workload} {seed} {task} {full} {free} {number_free} {floats}"
 
 
-BEFORE = [_line("order-norms", "r0.t0", "a", "f", "n"),
-          _line("order-norms", "r0.t1", "b", "f", "n"),
-          _line("cli-session", "r0.t0", "c", "g", "m"),
+def _digests_only(line):
+    return " ".join(line.split()[:6])
+
+
+BEFORE = [_line("order-norms", "r0.t0", "a", "f", "n", "[1.0,2.0]"),
+          _line("order-norms", "r0.t1", "b", "f", "n", "[3.0]"),
+          _line("cli-session", "r0.t0", "c", "g", "m", "[0.5]"),
           _line("cli-session", "r0.t1", "d", "h", "m")]
-AFTER = [_line("order-norms", "r0.t0", "a2", "f", "n"),
-         _line("order-norms", "r0.t1", "b", "f", "n"),
-         _line("cli-session", "r0.t0", "c2", "g2", "m"),
+AFTER = [_line("order-norms", "r0.t0", "a2", "f", "n", "[1.0,2.000000000003]"),
+         _line("order-norms", "r0.t1", "b", "f", "n", "[3.0]"),
+         _line("cli-session", "r0.t0", "c2", "g2", "m", "[9.5]"),
          _line("cli-session", "r0.t1", "d2", "h2", "m2"),
-         _line("cli-session", "r0.t2", "e", "i", "o")]
-
-# The same lines as digested with --floats: each ends in its output's floats.
-BEFORE_FLOATS = [f"{line} {floats}" for line, floats in
-                 zip(BEFORE, ["[1.0,2.0]", "[3.0]", "[0.5]", "[]"])]
-AFTER_FLOATS = [f"{line} {floats}" for line, floats in
-                zip(AFTER, ["[1.0,2.000000000003]", "[3.0]", "[9.5]", "[]", "[1.0]"])]
+         _line("cli-session", "r0.t2", "e", "i", "o", "[1.0]")]
 
 
 def test_difference_counts_are_per_workload():
@@ -108,7 +106,7 @@ def test_against_prints_each_workloads_counts_and_the_total(monkeypatch, capsys)
         def __init__(self, lines):
             self.returncode, self.stdout = 0, "\n".join(lines) + "\n"
 
-    runs = iter([_Run(BEFORE_FLOATS), _Run(AFTER_FLOATS)])
+    runs = iter([_Run(BEFORE), _Run(AFTER)])
     monkeypatch.setattr(output_digests.subprocess, "run", lambda *a, **k: next(runs))
     assert output_digests.main(["--against", "parent", "--root", "change"]) == 1
     out, err = (text.splitlines() for text in capsys.readouterr())
@@ -121,10 +119,11 @@ def test_against_prints_each_workloads_counts_and_the_total(monkeypatch, capsys)
         "cli-session: floats moved by at most 0 relative over the 0 tasks whose "
         "float-free digests match",
     ]
-    # The diff shows the digests alone, not the floats lists.
+    # The diff shows the digests alone, not the float lists.
     body = [line for line in out if line[:1] in "+-" and line[:3] not in ("---", "+++")]
-    assert body == ["-" + BEFORE[0], "+" + AFTER[0], "-" + BEFORE[2], "-" + BEFORE[3],
-                    "+" + AFTER[2], "+" + AFTER[3], "+" + AFTER[4]]
+    before, after = ([_digests_only(line) for line in lines] for lines in (BEFORE, AFTER))
+    assert body == ["-" + before[0], "+" + after[0], "-" + before[2], "-" + before[3],
+                    "+" + after[2], "+" + after[3], "+" + after[4]]
     runs = iter([_Run(BEFORE), _Run(BEFORE)])
     assert output_digests.main(["--against", "parent", "--root", "change"]) == 0
 
@@ -150,24 +149,22 @@ def test_relative_change_is_scaled_by_the_larger_value():
 
 
 def test_float_changes_skip_tasks_whose_float_free_digest_differs():
-    changes = output_digests.float_changes(BEFORE_FLOATS, AFTER_FLOATS)
+    changes = output_digests.float_changes(BEFORE, AFTER)
     assert list(changes) == ["order-norms", "cli-session"]
     assert changes["order-norms"][0] == 2
     assert changes["order-norms"][1] == output_digests.relative_change(2.0, 2.000000000003)
     # cli-session's r0.t0 moved 0.5 -> 9.5, but its float-free digest differs too.
     assert changes["cli-session"] == [0, 0.0]
-    assert output_digests.float_changes(BEFORE_FLOATS, BEFORE_FLOATS) == {
+    assert output_digests.float_changes(BEFORE, BEFORE) == {
         "order-norms": [2, 0.0], "cli-session": [2, 0.0]}
-    # Lines without floats lists compare as holding none.
-    assert output_digests.float_changes(BEFORE, AFTER)["order-norms"] == [2, 0.0]
 
 
-def test_floats_option_appends_each_outputs_floats(monkeypatch, capsys):
+def test_each_line_ends_in_its_outputs_floats(monkeypatch, capsys):
     # main puts the checkout's src/ and perfbench/ on sys.path and pins BLAS threads.
     monkeypatch.setattr(output_digests.sys, "path", list(output_digests.sys.path))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
-    assert output_digests.main(["--floats", "--seconds", "1", "--order-norms", "5",
+    assert output_digests.main(["--seconds", "1", "--order-norms", "5",
                                 "--cli-session", "", "--similarity-recovery", ""]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines

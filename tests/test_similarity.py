@@ -321,51 +321,44 @@ def test_cb_lower_bound_returns_once_it_reaches_its_target(monkeypatch, cb_cases
     assert count[0] < full_svds / 2
 
 
+@pytest.mark.parametrize("case", ["identity", "transpose"])
+def test_cb_lower_bound_resumes_the_probes_polish(monkeypatch, cb_cases, case):
+    # No later start beats the first start's point here, so the final polish
+    # goes on from where the probe gave up: the full search's value and SVDs.
+    images, domain, k, upper = cb_cases[case]
+    count = _counted(monkeypatch, np.linalg, "svd")
+    full = cb_lower_bound(images, domain, k=k)
+    full_svds, count[0] = count[0], 0
+    assert cb_lower_bound(images, domain, k=k, target=2.0 * upper + 1.0) == full
+    assert count[0] == full_svds
+
+
 def test_polish_gives_up_only_on_a_target_out_of_reach(monkeypatch):
     rng = np.random.default_rng(1)
     algebra = random_star_closed_algebra(rng, nmax=4)
     s = random_similarity(rng, algebra.ambient_dim, max_log10_cond=1.0)
     images = np.stack([np.linalg.inv(s) @ b @ s for b in algebra.basis])
     z = block_coords(algebra, random_element(algebra, rng, level=2))
-    start = _top_pair(z, images, algebra)[0]
+    start, grad = _top_pair(z, images, algebra)
     count = _counted(monkeypatch, similarity, "_top_pair")
 
-    def polished(*target):
+    def polished(target=-np.inf):
         count[0] = 0
-        value = similarity._polish(z, None, images, algebra, *target)
-        return value, count[0] - 1  # steps: the first call scores z
+        value, _, left = similarity._polish(images, algebra, start, grad, target=target)
+        assert count[0] == similarity.CB_ITERS - left
+        return value, count[0]
 
     full, full_steps = polished()
     assert full > start and full_steps > 10
     # At its first step's gain no target this far could be reached in CB_ITERS steps.
-    far, far_steps = polished(start + 2.0 * similarity.CB_ITERS * (full - start))
+    far_target = start + 2.0 * similarity.CB_ITERS * (full - start)
+    far, far_steps = polished(far_target)
     assert start < far < full and far_steps == 1
+    # Resumed, it takes the steps it gave up and ends where it would have.
+    value, new_grad, left = similarity._polish(images, algebra, start, grad, target=far_target)
+    assert similarity._polish(images, algebra, value, new_grad, left)[0] == full
     # A target it reaches never stops it: it polishes on as without one.
     assert polished(start + 0.5 * (full - start)) == (full, full_steps)
-
-
-@pytest.mark.parametrize("weaken", [False, True])
-def test_reconstruct_asks_the_forward_direction_only_while_open(monkeypatch, worked_algebra,
-                                                                 worked_sim_cone, weaken):
-    calls, bound = [], similarity.cb_lower_bound
-
-    def recorded(images, from_algebra, k, seed, target):
-        calls.append((from_algebra, k, target))
-        return bound(images, from_algebra, k, seed, target) * (1.0 - 1e-3 * weaken)
-
-    monkeypatch.setattr(similarity, "cb_lower_bound", recorded)
-    res = reconstruct_similarity(worked_algebra, worked_sim_cone, cb_level=2, levels=(1, 2))
-    image = res.star_rep.image_algebra
-    asked = [("inverse" if domain is image else "forward", k) for domain, k, _ in calls]
-    assert {target for *_, target in calls} == {res.cb_upper * (1.0 - 1e-7)}
-    if weaken:
-        # Every value 1e-3 short leaves the sandwich open at both levels.
-        assert asked == [("inverse", 1), ("forward", 1), ("inverse", 2), ("forward", 2)]
-        assert res.cb_level == 2
-    else:
-        assert asked == [("inverse", 1)]
-        assert res.cb_upper - res.cb_lower <= 1e-9
-        assert res.cb_upper <= level_one_inverse_bound(res) ** 2 * (1.0 + 1e-9)
 
 
 @pytest.mark.parametrize("cb_level", [0, -1])
@@ -387,20 +380,28 @@ def test_reconstruct_sandwich(worked_algebra, worked_sim_cone):
 
 
 def _recorded_cb_lower_bound(monkeypatch, weaken_level_one=False):
-    """Wrap `similarity.cb_lower_bound` to record each call's (k, value);
-    weaken_level_one scales the level-1 values by 1 - 1e-3, which keeps
-    them valid lower bounds but leaves the sandwich open."""
+    """Wrap `similarity.cb_lower_bound` to record each call's (domain, k,
+    target, value); weaken_level_one scales the level-1 values by 1 - 1e-3,
+    which keeps them valid lower bounds but leaves the sandwich open."""
     calls, bound = [], similarity.cb_lower_bound
 
     def recorded(images, from_algebra, k=None, seed=0, target=np.inf):
         value = bound(images, from_algebra, k=k, seed=seed, target=target)
         if weaken_level_one and k == 1:
             value *= 1.0 - 1e-3
-        calls.append((k, value))
+        calls.append((from_algebra, k, target, value))
         return value
 
     monkeypatch.setattr(similarity, "cb_lower_bound", recorded)
     return calls
+
+
+def _asked(calls, res, cert_tol=similarity.DEFAULT_CERT_TOL):
+    """The (direction, level) of each recorded call, after checking that every
+    call aimed at the closure target cb_upper (1 - cert_tol)."""
+    assert {target for _, _, target, _ in calls} == {res.cb_upper * (1.0 - cert_tol)}
+    image = res.star_rep.image_algebra
+    return [("inverse" if domain is image else "forward", k) for domain, k, _, _ in calls]
 
 
 def test_reconstruct_closes_the_worked_sandwich_at_level_one(monkeypatch, worked_algebra,
@@ -409,9 +410,22 @@ def test_reconstruct_closes_the_worked_sandwich_at_level_one(monkeypatch, worked
     res = reconstruct_similarity(worked_algebra, worked_sim_cone, cb_level=2,
                                  levels=(1, 2))
     # The inverse direction closes the sandwich, so the forward one is not asked.
-    assert [k for k, _ in calls] == [1]
+    assert _asked(calls, res) == [("inverse", 1)]
     assert res.cb_level == 1
     assert res.cb_upper - res.cb_lower <= 1e-9
+
+
+@pytest.mark.parametrize("cert_tol", [1.0, 2.0])
+def test_reconstruct_asks_the_inverse_direction_even_with_nothing_to_close(
+        monkeypatch, worked_algebra, worked_sim_cone, cert_tol):
+    # With cert_tol >= 1 the sandwich counts as closed before any search, but
+    # the report still carries the inverse direction's level-1 bound.
+    calls = _recorded_cb_lower_bound(monkeypatch)
+    res = reconstruct_similarity(worked_algebra, worked_sim_cone, cb_level=2, levels=(1, 2),
+                                 cert_tol=cert_tol)
+    assert _asked(calls, res, cert_tol) == [("inverse", 1)]
+    assert res.cb_level == 1 and res.cb_lower == calls[0][3] > 1.0
+    assert res.sandwich_ok
 
 
 @pytest.mark.parametrize("algebra, cone, cb_level, escalated", [
@@ -425,18 +439,20 @@ def test_reconstruct_escalates_only_while_the_sandwich_is_open(
     res = reconstruct_similarity(request.getfixturevalue(algebra),
                                  request.getfixturevalue(cone), cb_level=cb_level,
                                  levels=(1, 2))
-    level_one = max(v for k, v in calls if k == 1)
+    level_one = max(v for _, k, _, v in calls if k == 1)
     assert res.cb_upper - level_one > 1e-7 * res.cb_upper
+    asked = _asked(calls, res)
     if escalated is None:
-        assert [k for k, _ in calls] == [1, 1]
+        assert asked == [("inverse", 1), ("forward", 1)]
         assert res.cb_level == 1 and res.cb_lower == level_one
     else:
         # Inverse and forward at level 1, then the escalated inverse direction,
         # and the escalated forward one only while the sandwich stays open.
-        still_open = res.cb_upper - calls[2][1] > 1e-7 * res.cb_upper
-        assert [k for k, _ in calls] == [1, 1, escalated] + [escalated] * still_open
+        still_open = res.cb_upper - calls[2][3] > 1e-7 * res.cb_upper
+        assert asked == ([("inverse", 1), ("forward", 1), ("inverse", escalated)]
+                         + [("forward", escalated)] * still_open)
         assert res.cb_level == escalated
-        assert res.cb_lower == max(v for k, v in calls if k == escalated) > level_one
+        assert res.cb_lower == max(v for _, k, _, v in calls if k == escalated) > level_one
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -1,6 +1,6 @@
 """Print a digest of every benchmark task's output, to compare two commits.
 
-    python tools/output_digests.py [--root DIR] [--against DIR] [--seconds T] [--floats]
+    python tools/output_digests.py [--root DIR] [--against DIR] [--seconds T]
         [--order-norms 51,52,...] [--cli-session 5,71,...] [--similarity-recovery 11,...]
 
 Builds the `order-norms`, `cli-session` and `similarity-recovery` tasks for
@@ -9,7 +9,7 @@ runs), runs them in this interpreter with one BLAS thread, and prints one
 line per task:
 
     <workload> <seed> <task_id> <sha256 of repr(output)> <float-free sha256>
-        <number-free sha256> [<floats>]
+        <number-free sha256> <floats>
 
 The float-free digest is taken over the output with every float replaced by
 its type name, CLI report bytes decoded as JSON first: exit codes, `passed`
@@ -21,22 +21,22 @@ writes an integral float such as 0.0 as "0") and every array of numbers, so
 a witness matrix reads "#" whatever its size.  Two commits whose sampled
 values move (a sampled maximum found at another level, say) but whose
 verdicts, flags, witness kinds, exit codes and task-level integer counts
-stay share it.  A typed matorder error is the task's output.  `--root`
+stay share it.  <floats> lists the output's floats as one JSON list, in
+the order the digests visit them: two outputs that share a float-free
+digest hold their floats in the same places.  A typed matorder error is
+the task's output.  `--root`
 selects the checkout whose `src/` and `perfbench/` are imported (default:
 this one), so one copy of this script can digest any commit exported with
 `git archive`.  Two
 commits give the same numerical results exactly when their outputs diff
 empty.  `--against DIR` makes that comparison: it digests both checkouts
-(each in its own interpreter), prints the lines that differ as a unified
-diff from DIR to --root, then how many tasks differ in each of the three
-digests per workload and in total, then per workload the largest relative
-change of any float over the tasks whose float-free digests match (so
-"moved only in its last bits" is one number), and exits 1 if any line
-differs, 0 if none does, and 2 if either checkout fails to digest.  For
-that figure it digests with `--floats`, which appends to each line the
-output's floats as one JSON list, in the order the digests visit them:
-two outputs that share a float-free digest hold their floats in the same
-places.
+(each in its own interpreter), prints the lines that differ, cut to their
+digests, as a unified diff from DIR to --root, then how many tasks differ in
+each of the three digests per workload and in total, then per workload the
+largest relative change of any float over the tasks whose float-free
+digests match (so "moved only in its last bits" is one number), and exits 1
+if any line differs, 0 if none does, and 2 if either checkout fails to
+digest.
 """
 
 from __future__ import annotations
@@ -129,8 +129,6 @@ def main(argv=None) -> int:
                    help="second checkout: print the digest lines that differ, exit 1 if any")
     p.add_argument("--seconds", type=float, default=40.0,
                    help="run length the task lists are sized for (as perfbench/run.py)")
-    p.add_argument("--floats", action="store_true",
-                   help="append each output's floats to its line as one JSON list")
     p.add_argument("--order-norms", type=_seeds, default=[51, 52, 53, 54, 55])
     p.add_argument("--cli-session", type=_seeds, default=[5, 71, 72, 73])
     p.add_argument("--similarity-recovery", type=_seeds, default=[11])
@@ -155,8 +153,8 @@ def main(argv=None) -> int:
                 for task in (t for tasks in rounds for t in tasks):
                     outcome = workloads.run_task(task, lambda f: (f(), 0.0, 1.0))
                     output = outcome.output if outcome.error is None else outcome.error
-                    extra = [json.dumps(floats(output), separators=(",", ":"))] * args.floats
-                    print(workload, seed, task.task_id, *digests(output), *extra, flush=True)
+                    print(workload, seed, task.task_id, *digests(output),
+                          json.dumps(floats(output), separators=(",", ":")), flush=True)
     return 0
 
 
@@ -178,7 +176,7 @@ def difference_counts(before_lines: list, after_lines: list) -> dict:
 def float_changes(before_lines: list, after_lines: list) -> dict:
     """Per workload, in order of first appearance: [tasks, largest relative
     change of a float], over after's tasks whose float-free digest equals
-    before's; the floats are the `--floats` lists (a line without one has none)."""
+    before's, read from the lines' float lists."""
     before = {tuple(fields[:3]): fields[3:] for fields in map(str.split, before_lines)}
     changes = {}
     for fields in map(str.split, after_lines):
@@ -186,8 +184,7 @@ def float_changes(before_lines: list, after_lines: list) -> dict:
         old, new = before.get(tuple(fields[:3])), fields[3:]
         if old is not None and old[1] == new[1]:
             row[0] += 1
-            a, b = (json.loads(f[3]) if len(f) > 3 else [] for f in (old, new))
-            row[1] = max([row[1], *map(relative_change, a, b)])
+            row[1] = max([row[1], *map(relative_change, json.loads(old[3]), json.loads(new[3]))])
     return changes
 
 
@@ -197,8 +194,7 @@ def _compare(before: str, after: str, args) -> int:
             "--order-norms", ",".join(map(str, args.order_norms)),
             "--cli-session", ",".join(map(str, args.cli_session)),
             "--similarity-recovery", ",".join(map(str, args.similarity_recovery))]
-    runs = [subprocess.run([sys.executable, os.path.abspath(__file__), "--root", root,
-                            "--floats", *same],
+    runs = [subprocess.run([sys.executable, os.path.abspath(__file__), "--root", root, *same],
                            stdout=subprocess.PIPE, text=True) for root in (before, after)]
     for root, run in zip((before, after), runs):
         if run.returncode:
