@@ -108,14 +108,21 @@ def _first_escape(cone: "ConeOracle", candidates) -> Witness | None:
     run of consecutive same-level candidates is drawn, then decided by one
     `member_many`; sampling stops after the run holding the first escape
     (and the candidate that ends it).  A failing check thus draws the rest
-    of that run from its own child stream (a failing r4 check's empirical r4
-    may cover a few more candidates); other checks' draws are unchanged."""
+    of that run from its own child stream (a failing sampled r4 may cover a
+    few more candidates; a frame cone's r4 draws none); others are unchanged."""
     for level, run in groupby(candidates, key=lambda w: w.level):
         run = list(run)
         for w, inside in zip(run, cone.member_many(level, [w.outside for w in run])):
             if not inside:
                 return w
     return None
+
+
+def _levels(levels) -> tuple:
+    """levels as a tuple: DimensionMismatch when empty, as for a level < 1."""
+    if not (levels := tuple(levels)):
+        raise DimensionMismatch("need at least one matrix level")
+    return levels
 
 
 def _streams(seed: int, k: int) -> list:
@@ -766,7 +773,7 @@ def audit_matrix_ordered(cone: ConeOracle, levels=(1, 2), samples: int = 30,
     """
     cone.level_dim(1)  # LevelUnsupported for a cone without matrix levels
     scalar_rng, algebra_rng = _streams(seed, 2)
-    levels = tuple(levels)
+    levels = _levels(levels)
     return ConeAuditReport("matrix-ordered", levels, samples, seed, [
         _unit_check(cone, 1, "unit-in-C1", "e in C_1"),
         *[_lineality_check(cone, n) for n in levels],
@@ -810,20 +817,28 @@ def _span_checks(cone: ConeOracle, n: int) -> list:
             _verdict(names[1], f"dim_R(V cap iV) = {2 * v - rank}", wit_2iii)]
 
 
+def _frame_oracle(cone: ConeOracle) -> bool:
+    """Whether C_n is `SimilarityCone`'s own PSD rule: nothing overrides its oracle."""
+    own = lambda m: getattr(getattr(cone, m, None), "__func__", None) is getattr(SimilarityCone, m)
+    return all(map(own, ("member_many", "straighten", "_psd_test")))
+
+
 def _r4_estimate(cone: ConeOracle, levels: tuple, samples: int,
                  rng: np.random.Generator) -> tuple:
     """Condition 4: r4 = sup over candidates of inf{r : r ||c|| e + c in C};
-    a candidate no bounded shift brings into C fails with 8 ||c|| e + c.
-    Negated cone elements (and -e) attain the supremum for PSD-type cones."""
-    best = ConstantEstimate("r4", 0.0, levels[0])
+    a candidate no bounded shift brings into C fails with 8 ||c|| e + c.  A
+    `_frame_oracle` cone asks -e_n alone: straighten(c) is Hermitian for span c with
+    c's spectrum, so min_shift(c) / ||c|| < 1, within t = tol_psd of -e_n's 1 / (1 + t)."""
+    best, frame = ConstantEstimate("r4", 0.0, levels[0]), _frame_oracle(cone)
 
     def unbounded():
         nonlocal best
         for n in levels:
-            cands = list(cone.sample_span_many(n, samples, rng))
-            pairs = cone.sample_many(n, 2 * (samples // 2), rng)
-            cands += [c - d for c, d in zip(pairs[0::2], pairs[1::2])]
-            cands += [-cone.unit(n)] + [-c for c in cone.sample_many(n, 4, rng)]
+            cands = [-cone.unit(n)] if frame else list(cone.sample_span_many(n, samples, rng))
+            if not frame:
+                pairs = cone.sample_many(n, 2 * (samples // 2), rng)
+                cands += [c - d for c, d in zip(pairs[0::2], pairs[1::2])]
+                cands += [-cone.unit(n)] + [-c for c in cone.sample_many(n, 4, rng)]
             shift_tol = 1e-9 * (1.0 + float(np.sqrt(cone.level_dim(n))))
             kept = [(c, nc) for c, nc in zip(cands, cone.norm_many(n, cands)) if nc >= 1e-12]
             cs, ncs = [c for c, _ in kept], [nc for _, nc in kept]
@@ -865,13 +880,13 @@ def audit_star_admissible(cone: ConeOracle, levels=(1, 2), samples: int = 50,
 
     Span conditions are decided by exact linear algebra (ranks of stacked
     real coordinates); conjugation conditions by sampling, 3ii with the
-    scalar-conjugation candidates of matrix-ordered (c).  r4 and K are
-    reported as empirical bounds over samples plus curated candidates, never
-    claimed beyond them.
+    scalar-conjugation candidates of matrix-ordered (c).  K, and r4 off a PSD frame,
+    are empirical bounds over samples plus curated candidates, never claimed beyond
+    them; a `_frame_oracle` cone's r4 is -e_n's certified shift (`_r4_estimate`).
     """
     cone.level_dim(1)  # LevelUnsupported for a cone without matrix levels
     diff_rng, scalar_rng, r4_rng, k_rng = _streams(seed, 4)
-    levels = tuple(levels)
+    levels = _levels(levels)
     checks = [_unit_check(cone, 1, "unit-in-C1", "e in C_1")]
     for n in levels:
         checks += [*_span_checks(cone, n), _lineality_check(cone, n)]
@@ -907,7 +922,7 @@ def estimate_main_constants(cone: ConeOracle, levels=(1, 2), samples: int = 60,
     alpha = inf ||(x - iy)(x + iy)|| / (||x - iy|| ||x + iy||) over sampled
     span pairs.  Both come with their minimizing witnesses.
     """
-    rng = np.random.default_rng(seed)
+    rng, levels = np.random.default_rng(seed), _levels(levels)
     r1_best, r1_wit, r1_level = np.inf, (), levels[0]
     al_best, al_wit, al_level = np.inf, (), levels[0]
     for n in levels:

@@ -29,7 +29,9 @@ embedding's pullback cone and norm one sample at a time, before their
 stacked passes; `membership_residual` is the distance from an algebra span.
 `hermitian_part_basis_loop` and `conjugate_per_basis` build the Hermitian-part
 basis and a similarity's basis images one basis element at a time, as the
-library did before its stacked forms.
+library did before its stacked forms.  `r4_sampled` is the order-bound estimate
+over the sampled candidate set, which the library keeps for every cone but a
+PSD frame (there it asks -e_n alone).
 """
 
 import numpy as np
@@ -39,7 +41,8 @@ from matorder import similarity
 from matorder.algebra import (DEFAULT_MAX_DIM, DEFAULT_STRUCTURE_TOL, OperatorAlgebra,
                               as_matrix, block_coords, block_synth, random_element)
 from matorder.case_studies import C1Sample, NormIdentityReport, c1_embed
-from matorder.cones import ConeOracle, _Bisection
+from matorder.cones import (ConeOracle, ConstantEstimate, Witness, _Bisection, _first_escape,
+                            _inf_shifts)
 from matorder.errors import (CertificationFailed, DimensionCapExceeded, DimensionMismatch,
                              NoPositiveSolution, NumericalStall, SpanUnstable)
 from matorder.involution import SPAN_ROUNDS, InvolutionComparison
@@ -307,6 +310,36 @@ def exact_brackets(cone: ConeOracle, n: int, cs, scales, widths, floor: float) -
     inside = iter(cone.member_many(n, [r * scale * e + c for c, scale, rs in zip(cs, scales, points)
                                        for r in rs]))
     return [certified(rs, [next(inside) for _ in rs]) for rs in points]
+
+
+def r4_sampled(cone: ConeOracle, levels, samples: int, rng: np.random.Generator) -> tuple:
+    """`cones._r4_estimate` over the sampled candidates at every level: `samples`
+    span draws, the differences of 2 (samples // 2) cone draws, -e_n and four
+    negated cone draws, in that order and from rng in that order.  Returns
+    (best, first escape or None, [(level, c, certified r or None)] per candidate
+    asked)."""
+    best, asked = ConstantEstimate("r4", 0.0, levels[0]), []
+
+    def unbounded():
+        nonlocal best
+        for n in levels:
+            cands = list(cone.sample_span_many(n, samples, rng))
+            pairs = cone.sample_many(n, 2 * (samples // 2), rng)
+            cands += [c - d for c, d in zip(pairs[0::2], pairs[1::2])]
+            cands += [-cone.unit(n)] + [-c for c in cone.sample_many(n, 4, rng)]
+            shift_tol = 1e-9 * (1.0 + float(np.sqrt(cone.level_dim(n))))
+            kept = [(c, nc) for c, nc in zip(cands, cone.norm_many(n, cands)) if nc >= 1e-12]
+            cs, ncs = [c for c, _ in kept], [nc for _, nc in kept]
+            for c, nc, r in zip(cs, ncs, _inf_shifts(cone, n, cs, ncs, shift_tol)):
+                asked.append((n, c, r))
+                if r is None:
+                    yield Witness("order-bound", n, (), nc * cone.unit(n) * 8.0 + c,
+                                  "no finite r with r ||c|| e + c in C")
+                elif r > best.value:
+                    best = ConstantEstimate("r4", r, n, (c,))
+
+    bad = _first_escape(cone, unbounded())
+    return best, bad, asked
 
 
 def sup_shift_down(cone: ConeOracle, n: int, c: np.ndarray, abs_tol: float) -> tuple:

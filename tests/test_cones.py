@@ -366,6 +366,15 @@ def test_level_dim_rejects_levels_below_one(std_m2):
             std_m2.unit(n)
 
 
+@pytest.mark.parametrize("run", [audit_star_admissible, estimate_main_constants,
+                                 audit_matrix_ordered])
+def test_empty_levels_raise_dimension_mismatch(run, std_m2):
+    # As a level below one does; no check runs vacuously on no level.
+    for levels in ((), [], iter(())):
+        with pytest.raises(DimensionMismatch, match="at least one matrix level"):
+            run(std_m2, levels=levels, samples=4, seed=0)
+
+
 def test_k_estimate_fails_when_a_plus_ib_vanishes(m2_full):
     _, bad = _k_estimate(PairedSpanCone(m2_full), (1,), 3, np.random.default_rng(0))
     assert bad is not None and bad.kind == "norm-comparison" and bad.level == 1
