@@ -834,8 +834,10 @@ def _r4_estimate(cone: ConeOracle, levels: tuple, samples: int,
     def unbounded():
         nonlocal best
         for n in levels:
-            cands = [-cone.unit(n)] if frame else list(cone.sample_span_many(n, samples, rng))
-            if not frame:
+            if frame:
+                cands = [-cone.unit(n)]
+            else:
+                cands = list(cone.sample_span_many(n, samples, rng))
                 pairs = cone.sample_many(n, 2 * (samples // 2), rng)
                 cands += [c - d for c, d in zip(pairs[0::2], pairs[1::2])]
                 cands += [-cone.unit(n)] + [-c for c in cone.sample_many(n, 4, rng)]

@@ -37,7 +37,7 @@ def _run(tmp_path, calls, seeds, fail_at=None):
     code = bench_pairs.main(["--parent", str(tmp_path / "parent"),
                              "--change", str(tmp_path / "change"),
                              "--workload", "cli-session", "--seeds", seeds,
-                             "--out", str(out), "--seconds", "40"],
+                             "--out", str(out)],
                             run=_stub(calls, fail_at))
     return code, json.loads(out.read_text())
 
@@ -52,7 +52,7 @@ def test_pairs_alternate_and_keep_the_bench_layout(tmp_path):
     assert {(w, s) for _, w, _, s in calls} == {("cli-session", 40)}
     assert set(doc) == {"description", "parent_commit", "change_commit", "host", "runs",
                         "summary"}
-    # Directories outside a git work tree carry no commit: the side names them.
+    # The commit fields name the sides; the writer replaces them by commits.
     assert (doc["parent_commit"], doc["change_commit"]) == ("parent", "change")
     assert {"python", "numpy", "blas_threads", "nproc"} <= set(doc["host"])
     assert [(r["side"], r["seed"]) for r in doc["runs"]] == [c[::2] for c in calls]

@@ -1,25 +1,28 @@
 """Run the benchmark in alternating parent/change pairs and write a BENCH file.
 
     python tools/bench_pairs.py --parent DIR --change DIR --workload W
-        --seeds A-B --out BENCH_x.json [--seconds T]
+        --seeds A-B --out BENCH_x.json
 
 For each seed from A to B, runs `python3 perfbench/run.py --workload W
 --seed S --seconds T --trace 0` once in each checkout (the current
 directory of the run is the checkout), the parent first on odd seeds and the
 change first on even seeds, so run order moves neither side on average.  T
-defaults to `run_seconds` of this checkout's BENCHMARK.json.  Both sides run
-with identical benchmark settings; each checkout runs its own `perfbench/`.
+is `run_seconds` of this checkout's BENCHMARK.json.  Both sides run with
+identical benchmark settings; each checkout runs its own `perfbench/`.
 
 The output has the layout of the earlier BENCH files: `description`,
 `parent_commit`, `change_commit`, `host` and `runs`, one entry per run in the
 order they ran, with `set`, `side`, `commit`, `workload`, `seed`, `trace` and
-`last_line`, the JSON object the run printed last.  It adds `summary`: per
-end-to-end metric, its unit and better direction (from BENCHMARK.json), each
-side's median and quartiles (inclusive method) and `change_better`, the
-number of pairs in which the change read strictly better, of `pairs`.  The
-file is rewritten after every pair, so an interrupted session keeps the
-pairs it finished.  A run that fails or prints no JSON last line stops the
-session with exit status 2, after the pairs before it are written.
+`last_line`, the JSON object the run printed last.  The commit fields hold the
+side names, "parent" and "change": a checkout passed as a directory need not
+be a commit, so whoever keeps the file writes the commits in.  It adds
+`summary`: per end-to-end metric, its unit and better direction (from
+BENCHMARK.json), each side's median and quartiles (inclusive method) and
+`change_better`, the number of pairs in which the change read strictly
+better, of `pairs`.  The file is rewritten after every pair, so an
+interrupted session keeps the pairs it finished.  A run that fails or prints
+no JSON last line stops the session with exit status 2, after the pairs
+before it are written.
 """
 
 from __future__ import annotations
@@ -61,17 +64,6 @@ def run_bench(checkout: str, workload: str, seed: int, seconds: int) -> dict:
         return json.loads(lines[-1])
     except ValueError as exc:
         raise RunFailed(f"{checkout}: last line is not JSON for seed {seed}") from exc
-
-
-def commit_of(checkout: str, side: str) -> str:
-    """The short commit of a checkout at the top of its own git work tree, else
-    the side's name (a `git archive` export carries no commit)."""
-    git = lambda *a: subprocess.run(["git", "-C", checkout, *a], stdout=subprocess.PIPE,
-                                    stderr=subprocess.DEVNULL, text=True)
-    top = git("rev-parse", "--show-toplevel")
-    if top.returncode or os.path.realpath(top.stdout.strip()) != os.path.realpath(checkout):
-        return side
-    return git("rev-parse", "--short", "HEAD").stdout.strip()
 
 
 def host_info() -> dict:
@@ -151,26 +143,25 @@ def main(argv=None, run=run_bench) -> int:
     p.add_argument("--workload", required=True, help="a perfbench/run.py workload")
     p.add_argument("--seeds", required=True, type=seed_range, help="A-B, inclusive")
     p.add_argument("--out", required=True, help="BENCH file to write")
-    p.add_argument("--seconds", type=int, default=bench["run_seconds"])
     args = p.parse_args(argv)
 
     dirs = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    commits = {side: commit_of(d, side) for side, d in dirs.items()}
-    doc = {"description": "", "parent_commit": commits["parent"],
-           "change_commit": commits["change"], "host": host_info(), "runs": [], "summary": {}}
+    seconds = bench["run_seconds"]
+    doc = {"description": "", "parent_commit": "parent", "change_commit": "change",
+           "host": host_info(), "runs": [], "summary": {}}
     for seed in args.seeds:
         order = SIDES if seed % 2 else SIDES[::-1]
         try:
-            pair = [{"set": 1, "side": side, "commit": commits[side], "workload": args.workload,
+            pair = [{"set": 1, "side": side, "commit": side, "workload": args.workload,
                      "seed": seed, "trace": 0,
-                     "last_line": run(dirs[side], args.workload, seed, args.seconds)}
+                     "last_line": run(dirs[side], args.workload, seed, seconds)}
                     for side in order]
         except RunFailed as exc:
             sys.stderr.write(f"benchmark run failed: {exc}\n")
             return 2
         doc["runs"] += pair
         doc["summary"] = summary(doc["runs"], bench["end_to_end"])
-        doc["description"] = describe(args.workload, args.seeds, args.seconds, doc["summary"])
+        doc["description"] = describe(args.workload, args.seeds, seconds, doc["summary"])
         with open(args.out, "w") as f:
             json.dump(doc, f, indent=1)
             f.write("\n")
