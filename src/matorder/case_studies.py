@@ -162,8 +162,9 @@ def kadison_pipeline(algebra: OperatorAlgebra, s: np.ndarray, levels=(1, 2),
     algebra.
 
     Doubles pi into a J-symmetric rho, forms the image cones, audits the
-    five cone conditions (the spectral-radius bound makes the order-shift
-    constant 1, certified at -e_n), recovers the involution, reconstructs
+    five cone conditions (the image cone is a PSD frame, so the audit checks
+    its premise, A star-closed, and the spans exactly, certifies r4 = 1 at
+    -e_n and samples only for K), recovers the involution, reconstructs
     the star representation, and verifies that the composition of the
     reconstruction with rho is adjoint-preserving (residual_star <= cert_tol).
     cb_level is the ceiling of the cb lower bound's level (`reconstruct_similarity`).

@@ -1,31 +1,21 @@
 """Cone families over matrix algebras: membership oracles, axiom audits,
 constant estimators, and the block-compression map.
 
-The oracle protocol is stacked: `member_many`, `sample_many`,
-`sample_span_many`, `norm_many` (the operator norm by default), `min_shift` (of
-an element or a stack) and `min_shift_pair` are the contract, and `member`,
-`sample`, `sample_span` and `norm` are their one-element calls.  Two oracles
-implement it, each method one stacked pass: `SimilarityCone`, the one PSD-frame
-cone (Hermitian PSD after a fixed similarity S; `StandardCone` is its identity
-frame), and (in `case_studies`) the function-positivity pullback.
-Audits report verdicts with replayable witnesses instead of raising:
-`_first_escape` decides each run of same-level candidates in one call and fails
-on the first escape.  `_certify` is the one certificate of an exact shift and
-owns the points it asks: one-sided for the audits and two-sided for
-`order_norms`, in one `member_many` call.  `_Bisection`, the one fallback
-search, asks one r at a time (one `member_many` per sign) and is built only for
-a bracket the certificate leaves open.  The order-unit and Archimedean
-axioms have one check each.  Matrix-ordered (c) and star-admissible 3ii share
-one scalar-conjugation generator, conjugation stability is the
-algebra-conjugation generator at one level, and each check draws from its own
-child stream of the seed.  One PSD rule, `_psd_test`, decides a matrix or a
-stack, and `min_shift` is one Hermitian eigensolve with no SVD: the slack
-tol_psd (1 + ||h||_2) comes from the spectrum of h = (x + x*)/2.  Level-n
-spans, 2i/2iii ranks and lineality kernels come from level 1 by Kronecker
-identities (Van Loan, J. Comput. Appl. Math. 123, 2000): V_n = (M_n)_h (x) V_1,
-with no basis of M_n(A) and no level-n SVD.  A = S B S^-1, the span bases and
-the level-1 lineality kernel are built on first use and kept (an order norm
-needs only S and the PSD test).
+The oracle protocol is stacked: `member_many`, `sample_many`, `sample_span_many`,
+`norm_many`, `min_shift` (of an element or a stack) and `min_shift_pair` are the
+contract, and `member`, `sample`, `sample_span` and `norm` their one-element calls.
+`SimilarityCone` (Hermitian PSD after a fixed similarity S; `StandardCone` is
+S = I) and the pullback cone of `case_studies` implement it, each method one
+stacked pass.  Audit verdicts carry replayable witnesses.  `_sampled` decides
+each sampled check: `SimilarityCone`'s own PSD rule over a star-closed A =
+S B S^-1 passes by the realisation theorem, C_n = pi^(n)^-1(M_n(A)^+), and
+draws nothing; any other cone's candidates go to `_first_escape`.  `_certify` is
+the one certificate of an exact shift and `_Bisection` the one fallback search.
+One PSD rule, `_psd_test`, decides a matrix or a stack; `min_shift` is one
+Hermitian eigensolve.  Level-n spans, 2i/2iii ranks and lineality kernels come
+from level 1 by Kronecker identities (Van Loan, J. Comput. Appl. Math. 123,
+2000), V_n = (M_n)_h (x) V_1; A = S B S^-1, the span bases and the level-1
+lineality kernel are built on first use and kept.
 """
 
 from __future__ import annotations
@@ -97,19 +87,24 @@ class AxiomCheck:
 
 
 def _verdict(axiom: str, detail: str, bad: Witness | None) -> AxiomCheck:
-    """A sampled check: "fail" with its witness when one was found."""
     return AxiomCheck(axiom, "fail" if bad else "pass", detail, bad)
 
 
+def _sampled(cone: "ConeOracle", axiom: str, detail: str, candidates) -> AxiomCheck:
+    """A `_frame_oracle` cone over a star-closed A passes: pi = S (.) S^-1 is a
+    unital *-isomorphism onto A, so every sampled axiom holds at every level
+    (Choi & Effros 1977).  Other cones run `_first_escape` on candidates()."""
+    if _frame_oracle(cone) and cone.straight_algebra.star_closed:
+        return AxiomCheck(axiom, "pass",
+                          "theorem: C_n = pi^(n)^-1(M_n(A)^+), A = S B S^-1 star-closed")
+    return _verdict(axiom, detail, _first_escape(cone, candidates()))
+
+
 def _first_escape(cone: "ConeOracle", candidates) -> Witness | None:
-    """The sampled-inclusion runner: the first candidate witness in draw order
-    whose `outside` is not in C at its level (the test `replay_witness`
-    repeats), else None.  One oracle call per same-level run: each maximal
-    run of consecutive same-level candidates is drawn, then decided by one
-    `member_many`; sampling stops after the run holding the first escape
-    (and the candidate that ends it).  A failing check thus draws the rest
-    of that run from its own child stream (a failing sampled r4 may cover a
-    few more candidates; a frame cone's r4 draws none); others are unchanged."""
+    """The sampled-inclusion runner: the first candidate in draw order whose
+    `outside` is not in C at its level (as `replay_witness` tests), else None.
+    Each maximal same-level run is drawn, then decided by one `member_many`;
+    drawing stops after the run holding the first escape."""
     for level, run in groupby(candidates, key=lambda w: w.level):
         run = list(run)
         for w, inside in zip(run, cone.member_many(level, [w.outside for w in run])):
@@ -123,6 +118,11 @@ def _levels(levels) -> tuple:
     if not (levels := tuple(levels)):
         raise DimensionMismatch("need at least one matrix level")
     return levels
+
+
+def _samples(samples: int) -> None:
+    if samples < 1:  # a sampled check of no samples is vacuous
+        raise MatOrderError(f"samples must be >= 1, got {samples!r}")
 
 
 def _streams(seed: int, k: int) -> list:
@@ -715,17 +715,16 @@ def _order_unit_checks(cone: ConeOracle, n: int, trials: int,
                               boundary + cone.tol_psd * (1.0 + cone.norm(n, boundary)) * e,
                               "member at every r > 0 but not at r = 0")
 
-    return [
-        _verdict("order-unit", "exact or bisected shift r with r e + a in C",
-                 _first_escape(cone, unshiftable())),
-        _verdict("archimedean", "membership survives the r -> 0 limit at the boundary",
-                 _first_escape(cone, boundaries())),
-    ]
+    return [_sampled(cone, "order-unit", "exact or bisected shift r with r e + a in C",
+                     unshiftable),
+            _sampled(cone, "archimedean", "membership survives the r -> 0 limit at the boundary",
+                     boundaries)]
 
 
 def check_order_unit_archimedean(cone: ConeOracle, n: int = 1, samples: int = 20,
                                  seed: int = 0) -> ConeAuditReport:
-    """The audit's order-unit and Archimedean checks alone, on two child streams of seed."""
+    """The audit's order-unit and Archimedean checks alone, `_sampled` from seed."""
+    _samples(samples)
     return ConeAuditReport("order-unit-archimedean", (n,), samples, seed,
                            _order_unit_checks(cone, n, samples, *_streams(seed, 2)))
 
@@ -734,14 +733,14 @@ def audit_algebraically_admissible(cone: ConeOracle, n: int = 1,
                                    samples: int = 40, seed: int = 0) -> ConeAuditReport:
     """Audit of the single-level cone axioms with order-unit checks.
 
-    Checks conic combinations, exact pointedness, conjugation stability
-    x c x^sharp, existence of order-unit shifts, and an Archimedean
-    surrogate (boundary elements remain members in the r -> 0 limit).
+    Unit membership and pointedness are exact; conic combinations, conjugation
+    stability x c x^sharp, order-unit shifts and an Archimedean surrogate
+    (boundary elements remain members as r -> 0) are `_sampled`.
     """
+    _samples(samples)
     cone.level_dim(n)  # LevelUnsupported for a cone without matrix levels
     if not cone.straight_algebra.star_closed:
-        raise SourceNotStarClosed(
-            "classical cone audit needs a star-closed (straightened) algebra")
+        raise SourceNotStarClosed("classical cone audit needs a star-closed (straightened) algebra")
     combo_rng, conj_rng, unit_rng, arch_rng = _streams(seed, 4)
 
     def combinations():
@@ -753,11 +752,10 @@ def audit_algebraically_admissible(cone: ConeOracle, n: int = 1,
 
     return ConeAuditReport("algebraically-admissible", (n,), samples, seed, [
         _unit_check(cone, n, "unit-membership", "e_n in C_n"),
-        _verdict("cone-combinations", f"{samples} random conic combinations",
-                 _first_escape(cone, combinations())),
+        _sampled(cone, "cone-combinations", f"{samples} random conic combinations", combinations),
         _lineality_check(cone, n),
-        _verdict("conjugation-stability", "x c x^sharp stays in C",
-                 _first_escape(cone, _algebra_conjugations(cone, (n,), samples, conj_rng))),
+        _sampled(cone, "conjugation-stability", "x c x^sharp stays in C",
+                 lambda: _algebra_conjugations(cone, (n,), samples, conj_rng)),
         *_order_unit_checks(cone, n, max(4, samples // 4), unit_rng, arch_rng),
     ])
 
@@ -767,22 +765,22 @@ def audit_matrix_ordered(cone: ConeOracle, levels=(1, 2), samples: int = 30,
     """Audit of the matrix-order axioms across levels.
 
     (a) unit membership at level 1, (b) exact pointedness per level,
-    (c) conjugation A^sharp C_n A subset C_m for random scalar and
-    algebra-valued rectangular A (plus a deterministic permutation and a
-    row-selection embedding).
+    (c) conjugation A^sharp C_n A subset C_m for scalar and algebra-valued
+    rectangular A, `_sampled` (random A plus a deterministic permutation and
+    a row-selection embedding off the theorem).
     """
+    _samples(samples)
     cone.level_dim(1)  # LevelUnsupported for a cone without matrix levels
     scalar_rng, algebra_rng = _streams(seed, 2)
     levels = _levels(levels)
     return ConeAuditReport("matrix-ordered", levels, samples, seed, [
         _unit_check(cone, 1, "unit-in-C1", "e in C_1"),
         *[_lineality_check(cone, n) for n in levels],
-        _verdict("scalar-rectangular-conjugation", "B* C_n B subset C_m for scalar B",
-                 _first_escape(cone, _scalar_conjugations(cone, levels, samples, scalar_rng))),
-        _verdict("algebra-rectangular-conjugation",
+        _sampled(cone, "scalar-rectangular-conjugation", "B* C_n B subset C_m for scalar B",
+                 lambda: _scalar_conjugations(cone, levels, samples, scalar_rng)),
+        _sampled(cone, "algebra-rectangular-conjugation",
                  "A^sharp C_n A subset C_m for algebra-valued A",
-                 _first_escape(cone, _algebra_conjugations(cone, levels, max(4, samples // 4),
-                                                           algebra_rng))),
+                 lambda: _algebra_conjugations(cone, levels, max(4, samples // 4), algebra_rng)),
     ])
 
 
@@ -818,9 +816,9 @@ def _span_checks(cone: ConeOracle, n: int) -> list:
 
 
 def _frame_oracle(cone: ConeOracle) -> bool:
-    """Whether C_n is `SimilarityCone`'s own PSD rule: nothing overrides its oracle."""
+    """Whether C_n is `SimilarityCone`'s own PSD rule: no step of its oracle is overridden."""
     own = lambda m: getattr(getattr(cone, m, None), "__func__", None) is getattr(SimilarityCone, m)
-    return all(map(own, ("member_many", "straighten", "_psd_test")))
+    return all(map(own, ("member_many", "level_element", "straighten", "_psd_test")))
 
 
 def _r4_estimate(cone: ConeOracle, levels: tuple, samples: int,
@@ -881,11 +879,12 @@ def audit_star_admissible(cone: ConeOracle, levels=(1, 2), samples: int = 50,
     isomorphism, with empirical constants r4 and K.
 
     Span conditions are decided by exact linear algebra (ranks of stacked
-    real coordinates); conjugation conditions by sampling, 3ii with the
-    scalar-conjugation candidates of matrix-ordered (c).  K, and r4 off a PSD frame,
-    are empirical bounds over samples plus curated candidates, never claimed beyond
-    them; a `_frame_oracle` cone's r4 is -e_n's certified shift (`_r4_estimate`).
+    real coordinates); conjugation conditions are `_sampled`, 3ii with the
+    scalar-conjugation candidates of matrix-ordered (c).  K, and r4 off a PSD
+    frame, are empirical bounds over samples and curated candidates; a
+    `_frame_oracle` cone's r4 is -e_n's certified shift (`_r4_estimate`).
     """
+    _samples(samples)
     cone.level_dim(1)  # LevelUnsupported for a cone without matrix levels
     diff_rng, scalar_rng, r4_rng, k_rng = _streams(seed, 4)
     levels = _levels(levels)
@@ -902,12 +901,11 @@ def audit_star_admissible(cone: ConeOracle, levels=(1, 2), samples: int = 50,
                 yield Witness("difference-conjugation", n, (c1[k], c2[k], c[k]), out,
                               "(c1 - c2) c (c1 - c2) escaped the cone")
 
-    checks.append(_verdict("difference-conjugation-3i", "(c1 - c2) c (c1 - c2) in C_n",
-                           _first_escape(cone, differences())))
-    checks.append(_verdict(
-        "scalar-compression-3ii", "B* C_n B subset C_m for scalar B",
-        _first_escape(cone, _scalar_conjugations(cone, levels, max(4, samples // 4),
-                                                 scalar_rng))))
+    checks += [_sampled(cone, "difference-conjugation-3i", "(c1 - c2) c (c1 - c2) in C_n",
+                        differences),
+               _sampled(cone, "scalar-compression-3ii", "B* C_n B subset C_m for scalar B",
+                        lambda: _scalar_conjugations(cone, levels, max(4, samples // 4),
+                                                     scalar_rng))]
     r4, bad = _r4_estimate(cone, levels, samples, r4_rng)
     checks.append(_verdict("order-bound-r4", f"empirical r4 = {r4.value:.12g}", bad))
     k, bad = _k_estimate(cone, levels, samples, k_rng)
@@ -924,9 +922,16 @@ def estimate_main_constants(cone: ConeOracle, levels=(1, 2), samples: int = 60,
     alpha = inf ||(x - iy)(x + iy)|| / (||x - iy|| ||x + iy||) over sampled
     span pairs.  Both come with their minimizing witnesses.
     """
+    _samples(samples)
     rng, levels = np.random.default_rng(seed), _levels(levels)
-    r1_best, r1_wit, r1_level = np.inf, (), levels[0]
-    al_best, al_wit, al_level = np.inf, (), levels[0]
+    r1, alpha = (ConstantEstimate(name, np.inf, levels[0]) for name in ("r1", "alpha"))
+
+    def least(best, n, pairs, nums, denoms):
+        for pair, num, denom in zip(pairs, nums, denoms):
+            if denom > 1e-12 and num / denom < best.value:
+                best = ConstantEstimate(best.name, num / denom, n, pair)
+        return best
+
     for n in levels:
         drawn = cone.sample_many(n, 2 * samples, rng)
         pairs = list(zip(drawn[0::2], drawn[1::2]))
@@ -940,30 +945,17 @@ def estimate_main_constants(cone: ConeOracle, levels=(1, 2), samples: int = 60,
         for c, r in zip(drawn, _inf_shifts(cone, n, negated, [1.0] * len(negated), shift_tol)):
             if r is not None and r > 1e-9:
                 pairs.append((c, (r + shift_tol) * e + (-1.0) * c))
-        norms = [cone.norm_many(n, xs) for xs in
-                 ([c for c, _ in pairs], [d for _, d in pairs], [c + d for c, d in pairs])]
-        for (c, d), nc, nd, ncd in zip(pairs, *norms):
-            denom = max(nc, nd)
-            if denom > 1e-12:
-                ratio = ncd / denom
-                if ratio < r1_best:
-                    r1_best, r1_wit, r1_level = ratio, (c, d), n
+        nc, nd, ncd = (cone.norm_many(n, xs) for xs in
+                       ([c for c, _ in pairs], [d for _, d in pairs], [c + d for c, d in pairs]))
+        r1 = least(r1, n, pairs, ncd, map(max, nc, nd))
         drawn = cone.sample_span_many(n, 2 * samples, rng)
         spans = list(zip(drawn[0::2], drawn[1::2]))
         zm = [x + (-1j) * y for x, y in spans]
         zp = [x + 1j * y for x, y in spans]
-        norms = [cone.norm_many(n, zs) for zs in
-                 (zm, zp, [cone.mul(n, a, b) for a, b in zip(zm, zp)])]
-        for (x, y), nm, npl, nprod in zip(spans, *norms):
-            denom = nm * npl
-            if denom > 1e-12:
-                ratio = nprod / denom
-                if ratio < al_best:
-                    al_best, al_wit, al_level = ratio, (x, y), n
-    return (
-        ConstantEstimate("r1", float(r1_best), r1_level, r1_wit),
-        ConstantEstimate("alpha", float(al_best), al_level, al_wit),
-    )
+        nm, npl, nprod = (cone.norm_many(n, zs) for zs in
+                          (zm, zp, [cone.mul(n, a, b) for a, b in zip(zm, zp)]))
+        alpha = least(alpha, n, spans, nprod, [a * b for a, b in zip(nm, npl)])
+    return r1, alpha
 
 
 # ---------------------------------------------------------------------------

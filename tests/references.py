@@ -31,7 +31,10 @@ stacked passes; `membership_residual` is the distance from an algebra span.
 basis and a similarity's basis images one basis element at a time, as the
 library did before its stacked forms.  `r4_sampled` is the order-bound estimate
 over the sampled candidate set, which the library keeps for every cone but a
-PSD frame (there it asks -e_n alone).
+PSD frame (there it asks -e_n alone).  `sampled_checks` runs the audits' eight
+sampled checks on their candidates, as the library still does for every cone but
+a PSD frame over a star-closed algebra (there they pass by the realisation
+theorem).
 """
 
 import numpy as np
@@ -41,8 +44,9 @@ from matorder import similarity
 from matorder.algebra import (DEFAULT_MAX_DIM, DEFAULT_STRUCTURE_TOL, OperatorAlgebra,
                               as_matrix, block_coords, block_synth, random_element)
 from matorder.case_studies import C1Sample, NormIdentityReport, c1_embed
-from matorder.cones import (ConeOracle, ConstantEstimate, Witness, _Bisection, _first_escape,
-                            _inf_shifts)
+from matorder.cones import (_BOUNDARY_WIDTH_FACTOR, ConeOracle, ConstantEstimate, Witness,
+                            _algebra_conjugations, _Bisection, _first_escape, _inf_shifts,
+                            _scalar_conjugations, _stack, _streams, _sup_shifts_down)
 from matorder.errors import (CertificationFailed, DimensionCapExceeded, DimensionMismatch,
                              NoPositiveSolution, NumericalStall, SpanUnstable)
 from matorder.involution import SPAN_ROUNDS, InvolutionComparison
@@ -340,6 +344,72 @@ def r4_sampled(cone: ConeOracle, levels, samples: int, rng: np.random.Generator)
 
     bad = _first_escape(cone, unbounded())
     return best, bad, asked
+
+
+def sampled_checks(cone: ConeOracle, n: int, levels, samples: int, seed: int) -> dict:
+    """Per axiom of the eight sampled audit checks, the first escape of its
+    candidates (None: none escaped), drawn from the child stream of seed its
+    audit gives it: conic combinations, conjugation stability, order unit and
+    Archimedean at level n (the last two with max(4, samples // 4) trials) as
+    `audit_algebraically_admissible`, the rectangular conjugations over levels
+    as `audit_matrix_ordered`, 3i and 3ii over levels as `audit_star_admissible`."""
+    combo_rng, conj_rng, unit_rng, arch_rng = _streams(seed, 4)
+    scalar_rng, algebra_rng = _streams(seed, 2)
+    diff_rng, compress_rng, _, _ = _streams(seed, 4)
+    few, e = max(4, samples // 4), cone.unit(n)
+
+    def combinations():
+        cs = _stack(cone, n, cone.sample_many(n, 2 * samples, combo_rng))
+        coefficients = combo_rng.uniform(0.0, 2.0, size=(samples, 2))
+        for c1, c2, (lam, beta) in zip(cs[::2], cs[1::2], coefficients):
+            yield Witness("conic-combination", n, (c1, c2), lam * c1 + beta * c2,
+                          f"coefficients ({lam:.3f}, {beta:.3f})")
+
+    def unshiftable():
+        cands = [c for a in cone.sample_span_many(n, few, unit_rng) for c in (a, -a)]
+        shift_tol = 1e-9 * float(np.sqrt(cone.level_dim(n)))
+        shifts = _inf_shifts(cone, n, cands, [1.0] * len(cands), shift_tol)
+        for k in range(0, len(cands), 2):
+            for j, sign in ((k, "+"), (k + 1, "-")):
+                if shifts[j] is None:
+                    yield Witness("order-unit", n, (), cands[j],
+                                  f"no shift r e {sign} a entered the cone")
+                    break
+
+    def boundaries():
+        width = _BOUNDARY_WIDTH_FACTOR * cone.tol_psd
+        cs = cone.sample_many(n, few, arch_rng)
+        scales = [1.0 + nc for nc in cone.norm_many(n, cs)]
+        brackets = _sup_shifts_down(cone, n, cs, [width * scale for scale in scales])
+        bounds = [c - 0.5 * (lo + hi) * e for c, (lo, hi) in zip(cs, brackets)]
+        inside = cone.member_many(n, [r * scale * e + boundary for boundary, scale in
+                                      zip(bounds, scales) for r in (1e-2, 1e-4, 1e-6, 1e-8)])
+        for k, boundary in enumerate(bounds):
+            if all(inside[4 * k:4 * k + 4]):
+                yield Witness("archimedean", n, (),
+                              boundary + cone.tol_psd * (1.0 + cone.norm(n, boundary)) * e,
+                              "member at every r > 0 but not at r = 0")
+
+    def differences():
+        for m in levels:
+            drawn = _stack(cone, m, cone.sample_many(m, 3 * samples, diff_rng))
+            c1, c2, c = drawn[0::3], drawn[1::3], drawn[2::3]
+            x = c1 - c2
+            for k, out in enumerate(x @ c @ x):
+                yield Witness("difference-conjugation", m, (c1[k], c2[k], c[k]), out,
+                              "(c1 - c2) c (c1 - c2) escaped the cone")
+
+    runs = {
+        "cone-combinations": combinations(),
+        "conjugation-stability": _algebra_conjugations(cone, (n,), samples, conj_rng),
+        "order-unit": unshiftable(),
+        "archimedean": boundaries(),
+        "scalar-rectangular-conjugation": _scalar_conjugations(cone, levels, samples, scalar_rng),
+        "algebra-rectangular-conjugation": _algebra_conjugations(cone, levels, few, algebra_rng),
+        "difference-conjugation-3i": differences(),
+        "scalar-compression-3ii": _scalar_conjugations(cone, levels, few, compress_rng),
+    }
+    return {axiom: _first_escape(cone, run) for axiom, run in runs.items()}
 
 
 def sup_shift_down(cone: ConeOracle, n: int, c: np.ndarray, abs_tol: float) -> tuple:

@@ -168,12 +168,20 @@ def _audit_digest(report):
         for c in report.checks]
 
 
+def _sampled_path(cone):
+    """The same cone asked through an instance `member_many` (its own stacked
+    pass), so that its audits sample instead of passing by the theorem."""
+    out = copy.copy(cone)
+    out.member_many = lambda n, xs: cone.member_many(n, xs)
+    return out
+
+
 @pytest.mark.parametrize("opaque", [False, True])
 @pytest.mark.parametrize("fixture", ["std_m3", "planted_sim_cone"])
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_batched_and_per_element_paths_give_identical_results(fixture, n, opaque, request):
     cone = request.getfixturevalue(fixture)
-    pair = [cone, _PerElement(cone.algebra, cone.s, cone.tol_psd)]
+    pair = [_sampled_path(cone), _PerElement(cone.algebra, cone.s, cone.tol_psd)]
     if opaque:
         pair = [_opaque(k) for k in pair]
     rng = np.random.default_rng(30 + n)

@@ -172,3 +172,33 @@ def test_each_line_ends_in_its_outputs_floats(monkeypatch, capsys):
         assert len(fields) == 7 and fields[:2] == ["order-norms", "5"]
         values = json.loads(fields[6])
         assert values and all(isinstance(x, float) for x in values)
+
+
+def test_against_prints_one_line_per_task_kind_that_moved(monkeypatch, capsys):
+    # Two rounds of three cli-session kinds: kadison-demo moves in both rounds
+    # (its detail strings only), check-cones in one, close-algebra in neither.
+    kinds = ("close-algebra", "check-cones-standard", "kadison-demo")
+    before = [_line("cli-session", f"r{r}.{kind}", "a", "f", "n")
+              for r in range(2) for kind in kinds]
+    after = list(before)
+    after[2] = _line("cli-session", "r0.kadison-demo", "a2", "f2", "n")
+    after[5] = _line("cli-session", "r1.kadison-demo", "a3", "f3", "n")
+    after[4] = _line("cli-session", "r1.check-cones-standard", "a4", "f4", "n4")
+
+    class _Run:
+        def __init__(self, lines):
+            self.returncode, self.stdout = 0, "\n".join(lines) + "\n"
+
+    runs = iter([_Run(before), _Run(after)])
+    monkeypatch.setattr(output_digests.subprocess, "run", lambda *a, **k: next(runs))
+    assert output_digests.main(["--against", "parent", "--root", "change"]) == 1
+    out, err = (text.splitlines() for text in capsys.readouterr())
+    assert [line for line in out if line.startswith("cli-session ")] == [
+        "cli-session check-cones-standard: 1 of 2 full, 1 float-free and 1 number-free "
+        "digests differ",
+        "cli-session kadison-demo: 2 of 2 full, 2 float-free and 0 number-free digests differ",
+    ]
+    assert err[0] == "cli-session: 6 tasks, 3 full, 3 float-free and 1 number-free digests differ"
+    assert output_digests.difference_counts(before, after, by_kind=True) == {
+        ("cli-session", kind): row for kind, row in zip(kinds, ([2, 0, 0, 0], [2, 1, 1, 1],
+                                                                [2, 2, 2, 0]))}

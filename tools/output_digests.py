@@ -32,9 +32,12 @@ commits give the same numerical results exactly when their outputs diff
 empty.  `--against DIR` makes that comparison: it digests both checkouts
 (each in its own interpreter), prints the lines that differ, cut to their
 digests, as a unified diff from DIR to --root, then how many tasks differ in
-each of the three digests per workload and in total, then per workload the
-largest relative change of any float over the tasks whose float-free
-digests match (so "moved only in its last bits" is one number), and exits 1
+each of the three digests per workload and in total, then on stdout one
+line per task kind with a differing digest (the kind is the task id after
+its round, "kadison-demo" in "r3.kadison-demo"), so "only these kinds moved"
+reads off those lines, then per workload the largest relative change of any
+float over the tasks whose float-free digests match (so "moved only in its
+last bits" is one number), and exits 1
 if any line differs, 0 if none does, and 2 if either checkout fails to
 digest.
 """
@@ -158,15 +161,17 @@ def main(argv=None) -> int:
     return 0
 
 
-def difference_counts(before_lines: list, after_lines: list) -> dict:
-    """Per workload, in order of first appearance: [tasks, full, float-free,
-    number-free], the number of after's tasks and of those whose digest differs
-    from before's (all three, for a task before lacks)."""
+def difference_counts(before_lines: list, after_lines: list, by_kind: bool = False) -> dict:
+    """Per workload (by_kind: per (workload, task kind)), in order of first
+    appearance: [tasks, full, float-free, number-free], the number of after's
+    tasks and of those whose digest differs from before's (all three, for a
+    task before lacks)."""
     before = {tuple(fields[:3]): fields[3:] for fields in map(str.split, before_lines)}
     counts = {}
     for fields in map(str.split, after_lines):
         old = before.get(tuple(fields[:3]), [None] * 3)
-        row = counts.setdefault(fields[0], [0, 0, 0, 0])
+        key = (fields[0], fields[2].split(".", 1)[-1]) if by_kind else fields[0]
+        row = counts.setdefault(key, [0, 0, 0, 0])
         row[0] += 1
         for k in range(3):
             row[1 + k] += old[k] != fields[3 + k]
@@ -208,6 +213,7 @@ def _compare(before: str, after: str, args) -> int:
                                      lineterm="", n=0))
     for line in diff:
         print(line)
+    sys.stdout.flush()
     counts = difference_counts(before_lines, after_lines)
     for workload, (tasks, full, free, number_free) in counts.items():
         print(f"{workload}: {tasks} tasks, {full} full, {free} float-free and "
@@ -215,6 +221,11 @@ def _compare(before: str, after: str, args) -> int:
     tasks, full, free, number_free = (sum(row[k] for row in counts.values()) for k in range(4))
     print(f"{tasks} tasks, {full} full, {free} float-free and {number_free} number-free "
           f"digests differ", file=sys.stderr)
+    for (workload, kind), (tasks, *differ) in difference_counts(
+            before_lines, after_lines, by_kind=True).items():
+        if any(differ):
+            print(f"{workload} {kind}: {differ[0]} of {tasks} full, {differ[1]} float-free and "
+                  f"{differ[2]} number-free digests differ", flush=True)
     for workload, (tasks, largest) in float_changes(*with_floats).items():
         print(f"{workload}: floats moved by at most {largest:.2g} relative over the "
               f"{tasks} tasks whose float-free digests match", file=sys.stderr)
