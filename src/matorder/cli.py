@@ -57,6 +57,9 @@ class RunConfig:
             pointer = f"/config/{name.replace('_', '-')}"
             if _number(getattr(self, name), pointer) <= 0:
                 raise SchemaError(pointer, "must be positive")
+        # A relative width; the order-norm searches square it (1e200 ** 2 overflows).
+        if self.bisect_tol >= 1:
+            raise SchemaError("/config/bisect-tol", "must be < 1")
         if self.seed < 0 or self.seed >= 2 ** 64:
             raise SchemaError("/config/seed", "must fit in 64 bits")
 
@@ -134,8 +137,7 @@ def _cmd_order_norm(args, config: RunConfig):
     else:
         rep = order_norms.pre_cstar_norm(cone, None, level, x,
                                          bisect_tol=config.bisect_tol)
-    return EXIT_OK, {"kind": args.kind, "level": level,
-                     "report": asdict(rep)}
+    return EXIT_OK, {"kind": args.kind, "level": level, "report": rep}
 
 
 def _cmd_involution(args, config: RunConfig):

@@ -67,8 +67,9 @@ _BOUNDARY_WIDTH_FACTOR = 0.2
 class Witness:
     """Replayable evidence for a failed axiom check.
 
-    `members` must evaluate as cone members and `outside` (when present)
-    must fail membership for the violation to reproduce.
+    For a membership kind, `members` must evaluate as cone members and
+    `outside` (when present) must fail membership for the violation to
+    reproduce; `replay_witness` says how the other kinds replay.
     """
 
     kind: str
@@ -167,8 +168,14 @@ def replay_witness(cone: "ConeOracle", witness: Witness) -> bool:
 
     Membership kinds re-test the oracle; the span kinds re-run the exact
     linear algebra (an element outside span + i*span, or a nonzero element
-    of span cap i*span).
+    of span cap i*span); a norm comparison re-measures ||a|| and ||a + ib||
+    of its pair (a, b).
     """
+    if witness.kind == "norm-comparison":
+        if len(witness.members) != 2:
+            return False
+        a, b = witness.members
+        return _k_fails(*cone.norm_many(witness.level, [a, a + 1j * b]))
     if witness.kind in ("span-deficiency", "span-overlap"):
         span = cone.span_basis(witness.level)
         if span is None:
@@ -853,6 +860,11 @@ def _r4_estimate(cone: ConeOracle, levels: tuple, samples: int,
     return best, bad
 
 
+def _k_fails(na: float, nz: float) -> bool:
+    """Whether ||a + ib|| = nz vanished while ||a|| = na did not."""
+    return nz <= 1e-14 * max(na, 1.0) and na > 1e-10
+
+
 def _k_estimate(cone: ConeOracle, levels: tuple, samples: int,
                 rng: np.random.Generator) -> tuple:
     """K = sup ||a|| / ||a + ib|| over sampled span pairs (a, b); the pair
@@ -864,11 +876,10 @@ def _k_estimate(cone: ConeOracle, levels: tuple, samples: int,
         pairs = list(zip(drawn[0:-1:2], drawn[1::2])) + [(drawn[-1], 0.0 * drawn[-1])]
         for (a, b), na, nz in zip(pairs, cone.norm_many(n, [a for a, _ in pairs]),
                                   cone.norm_many(n, [a + 1j * b for a, b in pairs])):
-            if nz <= 1e-14 * max(na, 1.0):
-                if na > 1e-10:
-                    return best, Witness("norm-comparison", n, (), None,
-                                         "||a + ib|| vanished with ||a|| > 0")
-            elif na / nz > best.value:
+            if _k_fails(na, nz):
+                return best, Witness("norm-comparison", n, (a, b), None,
+                                     "||a + ib|| vanished with ||a|| > 0")
+            if nz > 1e-14 * max(na, 1.0) and na / nz > best.value:
                 best = ConstantEstimate("K", na / nz, n, (a, b))
     return best, None
 

@@ -1,9 +1,11 @@
 """Canonical JSON wire formats.
 
-Complex scalars are [re, im] pairs; every numeric field is rendered with 17
-significant digits so identical inputs and seeds produce byte-identical
-reports.  Loaders raise SchemaError with a JSON-pointer path on malformed
-input.
+Complex entries are [re, im] pairs.  Every report goes out through one
+`json.dumps` call with sorted keys, and every float is written as Python's
+`repr` writes it: the shortest text that reads back as the same double, with
+a decimal point or an exponent, so an integral float stays a float and -0.0
+keeps its sign.  Identical inputs and seeds produce byte-identical reports.
+Loaders raise SchemaError with a JSON-pointer path on malformed input.
 """
 
 from __future__ import annotations
@@ -15,56 +17,41 @@ import os
 import numpy as np
 
 from .algebra import DEFAULT_STRUCTURE_TOL, OperatorAlgebra
-from .cones import (
-    DEFAULT_TOL_PSD,
-    AxiomCheck,
-    ConeAuditReport,
-    ConeOracle,
-    ConstantEstimate,
-    SimilarityCone,
-    StandardCone,
-    Witness,
-)
+from .case_studies import C1Sample, FunctionPullbackCone
+from .cones import (DEFAULT_TOL_PSD, AxiomCheck, ConeAuditReport, ConeOracle, ConstantEstimate,
+                    SimilarityCone, StandardCone, Witness)
 from .errors import SchemaError
+from .order_norms import NormReport
 
 
 # ---------------------------------------------------------------------------
 # Canonical writer
 # ---------------------------------------------------------------------------
 
-def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError(f"non-finite value {x!r} cannot be serialized")
-    out = format(float(x), ".17g")
-    return out
+# Report dataclasses, written by their fields.
+_REPORT_TYPES = (Witness, AxiomCheck, ConstantEstimate, C1Sample, NormReport)
 
 
-def _canonical(obj) -> str:
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, (complex, np.complexfloating)):
-        return f"[{_fmt_float(obj.real)},{_fmt_float(obj.imag)}]"
-    if isinstance(obj, str):
-        return json.dumps(obj)
+def _encode(obj):
+    """What `json.dumps` cannot write itself, as objects it can: a report
+    dataclass by its fields, a 2-D array as a matrix object, any other array
+    as nested lists (complex entries as [re, im]), a numpy scalar as its
+    Python value."""
+    if isinstance(obj, _REPORT_TYPES):
+        return vars(obj)
     if isinstance(obj, np.ndarray):
-        return _canonical(obj.tolist())
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_canonical(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        items = sorted(obj.items())
-        return "{" + ",".join(json.dumps(str(k)) + ":" + _canonical(v)
-                              for k, v in items) + "}"
+        if obj.ndim == 2:
+            return matrix_to_obj(obj)
+        return (np.stack([obj.real, obj.imag], -1) if np.iscomplexobj(obj) else obj).tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def canonical_json(obj) -> str:
-    return _canonical(obj) + "\n"
+    """obj as one line of JSON; a NaN or an infinity raises ValueError."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False,
+                      default=_encode) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -73,10 +60,7 @@ def canonical_json(obj) -> str:
 
 def matrix_to_obj(x: np.ndarray) -> dict:
     x = np.asarray(x, dtype=complex)
-    return {
-        "dim": int(x.shape[0]),
-        "entries": [[[float(v.real), float(v.imag)] for v in row] for row in x],
-    }
+    return {"dim": int(x.shape[0]), "entries": np.stack([x.real, x.imag], -1).tolist()}
 
 
 def _expect(cond: bool, pointer: str, msg: str) -> None:
@@ -159,8 +143,6 @@ def cone_to_obj(cone: ConeOracle) -> dict:
 
 def cone_from_obj(obj, base_dir: str = ".", pointer: str = "",
                   tol: float = DEFAULT_STRUCTURE_TOL) -> ConeOracle:
-    from .case_studies import FunctionPullbackCone
-
     _expect(isinstance(obj, dict), pointer, "expected a cone object")
     variant = obj.get("variant")
     _expect(variant in ("standard", "similarity", "pullback"),
@@ -201,53 +183,5 @@ def load_json(path: str):
 # Reports
 # ---------------------------------------------------------------------------
 
-def witness_to_obj(w: Witness) -> dict:
-    def enc(x):
-        if isinstance(x, np.ndarray):
-            return matrix_to_obj(x)
-        if hasattr(x, "f_values"):  # function samples
-            return {
-                "grid": [float(q) for q in x.grid],
-                "f_values": [[float(v.real), float(v.imag)] for v in x.f_values],
-                "f_derivs": [[float(v.real), float(v.imag)] for v in x.f_derivs],
-            }
-        return x
-
-    return {
-        "kind": w.kind,
-        "level": w.level,
-        "members": [enc(m) for m in w.members],
-        "outside": None if w.outside is None else enc(w.outside),
-        "note": w.note,
-    }
-
-
-def check_to_obj(c: AxiomCheck) -> dict:
-    return {
-        "axiom": c.axiom,
-        "verdict": c.verdict,
-        "detail": c.detail,
-        "witness": None if c.witness is None else witness_to_obj(c.witness),
-    }
-
-
-def constant_to_obj(c: ConstantEstimate) -> dict:
-    wrapped = Witness("constant", c.level, tuple(c.witness), None)
-    return {
-        "name": c.name,
-        "value": float(c.value),
-        "level": c.level,
-        "witness": witness_to_obj(wrapped)["members"],
-    }
-
-
 def audit_to_obj(report: ConeAuditReport) -> dict:
-    return {
-        "audit": report.audit,
-        "levels": list(report.levels),
-        "samples": report.samples,
-        "seed": report.seed,
-        "passed": report.passed,
-        "checks": [check_to_obj(c) for c in report.checks],
-        "constants": {k: constant_to_obj(v) for k, v in report.constants.items()},
-    }
+    return dict(vars(report), passed=report.passed)

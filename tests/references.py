@@ -34,8 +34,15 @@ over the sampled candidate set, which the library keeps for every cone but a
 PSD frame (there it asks -e_n alone).  `sampled_checks` runs the audits' eight
 sampled checks on their candidates, as the library still does for every cone but
 a PSD frame over a star-closed algebra (there they pass by the realisation
-theorem).
+theorem).  `canonical_json_17g` and `audit_to_obj_17g` are the report
+writer before it was one `json.dumps` call: a recursive encoder that writes
+each float with 17 significant digits (an integral float as an integer) and
+per-type converters for audits, checks, witnesses and constants.
 """
+
+import json
+import math
+from dataclasses import asdict, is_dataclass
 
 import numpy as np
 
@@ -704,3 +711,89 @@ def c1_inequality_check_per_sample(samples: int, seed: int, grid_size: int) -> t
         if norm < mid - 1e-12 or mid < low - 1e-12:
             violations += 1
     return violations, float(worst)
+
+
+def _fmt_float_17g(x: float) -> str:
+    if math.isnan(x) or math.isinf(x):
+        raise ValueError(f"non-finite value {x!r} cannot be serialized")
+    return format(float(x), ".17g")
+
+
+def _canonical_17g(obj) -> str:
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _fmt_float_17g(float(obj))
+    if isinstance(obj, (complex, np.complexfloating)):
+        return f"[{_fmt_float_17g(obj.real)},{_fmt_float_17g(obj.imag)}]"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        return _canonical_17g(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_canonical_17g(v) for v in obj) + "]"
+    if isinstance(obj, dict):
+        items = sorted(obj.items())
+        return "{" + ",".join(json.dumps(str(k)) + ":" + _canonical_17g(v)
+                              for k, v in items) + "}"
+    if is_dataclass(obj):  # the order-norm command wrote asdict(NormReport)
+        return _canonical_17g(asdict(obj))
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def canonical_json_17g(obj) -> str:
+    return _canonical_17g(obj) + "\n"
+
+
+def _matrix_to_obj_17g(x: np.ndarray) -> dict:
+    x = np.asarray(x, dtype=complex)
+    return {
+        "dim": int(x.shape[0]),
+        "entries": [[[float(v.real), float(v.imag)] for v in row] for row in x],
+    }
+
+
+def _witness_to_obj_17g(w: Witness) -> dict:
+    def enc(x):
+        if isinstance(x, np.ndarray):
+            return _matrix_to_obj_17g(x)
+        if hasattr(x, "f_values"):  # function samples
+            return {
+                "grid": [float(q) for q in x.grid],
+                "f_values": [[float(v.real), float(v.imag)] for v in x.f_values],
+                "f_derivs": [[float(v.real), float(v.imag)] for v in x.f_derivs],
+            }
+        return x
+
+    return {
+        "kind": w.kind,
+        "level": w.level,
+        "members": [enc(m) for m in w.members],
+        "outside": None if w.outside is None else enc(w.outside),
+        "note": w.note,
+    }
+
+
+def audit_to_obj_17g(report) -> dict:
+    def check(c):
+        return {"axiom": c.axiom, "verdict": c.verdict, "detail": c.detail,
+                "witness": None if c.witness is None else _witness_to_obj_17g(c.witness)}
+
+    def constant(c: ConstantEstimate):
+        wrapped = Witness("constant", c.level, tuple(c.witness), None)
+        return {"name": c.name, "value": float(c.value), "level": c.level,
+                "witness": _witness_to_obj_17g(wrapped)["members"]}
+
+    return {
+        "audit": report.audit,
+        "levels": list(report.levels),
+        "samples": report.samples,
+        "seed": report.seed,
+        "passed": report.passed,
+        "checks": [check(c) for c in report.checks],
+        "constants": {k: constant(v) for k, v in report.constants.items()},
+    }

@@ -25,6 +25,7 @@ from matorder.serialization import (
     matrix_from_obj,
     matrix_to_obj,
 )
+from references import audit_to_obj_17g, canonical_json_17g
 
 
 @pytest.fixture(scope="module")
@@ -78,8 +79,8 @@ def test_schema_error_pointer():
     assert err.value.pointer.startswith("/m/entries/1")
 
 
-def test_canonical_json_17_digits():
-    assert canonical_json({"x": 1.0 / 3.0}) == '{"x":0.33333333333333331}\n'
+def test_canonical_json_shortest_round_trip():
+    assert canonical_json({"x": 1.0 / 3.0}) == '{"x":0.3333333333333333}\n'
     with pytest.raises(ValueError):
         canonical_json({"x": float("nan")})
 
@@ -446,6 +447,17 @@ def test_float_flags_must_be_finite_and_positive(workdir, capsys, flag, value):
     assert rep["error"]["pointer"] == "/config/" + flag[2:]
 
 
+def test_a_bisect_tol_of_one_or_more_is_a_schema_error(workdir, capsys):
+    # 1e200 ** 2 overflowed inside the order-norm search: a traceback, no report.
+    for value in ("1e200", "1"):
+        code, rep = _run(workdir, ["order-norm", "--cone", str(workdir / "std_cone.json"),
+                                   "--element", str(workdir / "elem.json"),
+                                   "--kind", "precstar", "--bisect-tol", value], capsys)
+        assert code == 4
+        assert rep["error"] == {"type": "SchemaError", "pointer": "/config/bisect-tol",
+                                "message": "must be < 1"}
+
+
 @pytest.mark.parametrize("levels", ["1,,2", "one", ""])
 def test_malformed_levels_write_a_schema_report(workdir, capsys, levels):
     code, rep = _run(workdir, ["check-cones", "--cone", str(workdir / "std_cone.json"),
@@ -593,3 +605,40 @@ def test_similarities_are_inverted_only_by_the_checked_pair(workdir, capsys, mon
                                 ("matorder.similarity", "inverse_factors")}
         assert len(set(frames)) == distinct
         assert len(frames) == distinct, f"{args[0]}: {len(frames)} inversions of {distinct} S"
+
+
+# -- the report writer against the 17-digit writer it replaced ------------------
+
+REPORTS = {
+    "close-algebra": ["close-algebra", "--generators", "gens.json", "--include-adjoints"],
+    "check-cones": ["check-cones", "--cone", "std_cone.json", "--samples", "8", "--seed", "5"],
+    "check-cones-similarity": ["check-cones", "--cone", "sim_cone.json", "--samples", "8"],
+    "check-cones-pullback": ["check-cones", "--cone", "pullback.json", "--samples", "8"],
+    "order-norm": ["order-norm", "--cone", "std_cone.json", "--element", "elem.json"],
+    "order-norm-precstar": ["order-norm", "--cone", "sim_cone.json", "--element", "elem.json",
+                            "--kind", "precstar", "--level", "2"],
+    "involution": ["involution", "--cone", "sim_cone.json", "--levels", "1,2,3",
+                   "--samples", "8", "--level", "2"],
+    "similarity": ["similarity", "--cone", "sim_cone.json", "--samples", "5"],
+    "cb-norm": ["cb-norm", "--algebra", "m2.json", "--images", "transpose.json", "--level", "2"],
+    "kadison-demo": ["kadison-demo", "--algebra", "span_e11.json", "--similarity", "S.json",
+                     "--samples", "12"],
+    "kadison-demo-m2": ["kadison-demo", "--algebra", "m2.json", "--similarity", "S.json",
+                        "--samples", "6"],
+    "c1-example": ["c1-example", "--samples", "20", "--frequencies", "4,8", "--grid-size", "16"],
+    "typed-error": ["order-norm", "--cone", "std_cone.json", "--element", "nonsa.json"],
+    "schema-error": ["check-cones", "--cone", "std_cone.json", "--levels", "0"],
+}
+
+
+@pytest.mark.parametrize("argv", list(REPORTS.values()), ids=list(REPORTS))
+def test_reports_decode_as_the_17_digit_writers(workdir, capsys, monkeypatch, argv):
+    m2 = generate_algebra([E12], include_adjoints=True)
+    (workdir / "transpose.json").write_text(canonical_json([b.T for b in m2.basis]))
+    (workdir / "pullback.json").write_text(canonical_json(
+        {"variant": "pullback", "grid": [0, 0.25, 1]}))
+    argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
+    code, report = _run(workdir, argv, capsys)
+    monkeypatch.setattr(cli_mod, "canonical_json", canonical_json_17g)
+    monkeypatch.setattr(cli_mod, "audit_to_obj", audit_to_obj_17g)
+    assert _run(workdir, argv, capsys) == (code, report)

@@ -382,6 +382,22 @@ def test_k_estimate_fails_when_a_plus_ib_vanishes(m2_full):
     assert [c.verdict for c in report.checks if c.axiom == "norm-comparison-K"] == ["fail"]
 
 
+def test_k_witness_replays_from_its_pair(m2_full):
+    _, bad = _k_estimate(PairedSpanCone(m2_full), (1,), 3, np.random.default_rng(0))
+    a, b = bad.members
+    np.testing.assert_allclose(a + 1j * b, 0.0, atol=1e-12)
+    assert np.linalg.norm(a) > 0.1
+    assert replay_witness(PairedSpanCone(m2_full), bad)
+
+
+def test_k_witness_without_a_vanishing_pair_does_not_replay(std_m2):
+    # An empty witness carries no evidence; a pair of honest span draws has
+    # ||a + ib|| > 0.
+    assert not replay_witness(std_m2, cones_mod.Witness("norm-comparison", 1, (), None, ""))
+    a, b = std_m2.sample_span_many(1, 2, np.random.default_rng(1))
+    assert not replay_witness(std_m2, cones_mod.Witness("norm-comparison", 1, (a, b), None))
+
+
 def test_bisection_over_its_step_budget_stalls(monkeypatch, std_m2):
     # An opaque cone bisects; three steps cannot reach the default tolerance.
     monkeypatch.setattr(cones_mod, "MAX_BISECT_ITER", 3)

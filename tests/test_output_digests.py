@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
+from matorder.serialization import canonical_json
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
 _spec = importlib.util.spec_from_file_location("output_digests", TOOL)
 output_digests = importlib.util.module_from_spec(_spec)
@@ -31,6 +33,13 @@ def test_float_changes_share_the_float_free_digest():
     # Task tuples carry floats outside any report too.
     assert (output_digests.digests(("seminorm", 1.0, 0, 3))[1]
             == output_digests.digests(("seminorm", 1.0000000000000002, 0, 3))[1])
+
+
+def test_a_report_float_moving_off_zero_keeps_the_float_free_digest():
+    # The report writer writes 0.0 as "0.0", not as the integer "0".
+    a, b = (("exit", 0, canonical_json({"r": {"x": x}}).encode()) for x in (0.0, -1e-17))
+    assert output_digests.digests(a)[0] != output_digests.digests(b)[0]
+    assert output_digests.digests(a)[1] == output_digests.digests(b)[1]
 
 
 def test_flags_verdicts_counts_and_exit_codes_stay_in_the_float_free_digest():

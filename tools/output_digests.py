@@ -16,8 +16,9 @@ its type name, CLI report bytes decoded as JSON first: exit codes, `passed`
 flags, verdicts, detail strings and witness kinds stay in it, so two commits
 whose numbers differ only in their last bits share it.  The number-free
 digest also replaces every numeral inside a string by "#" ("empirical r4 =
-1.02" reads "empirical r4 = #"), every number inside a CLI report (which
-writes an integral float such as 0.0 as "0") and every array of numbers, so
+1.02" reads "empirical r4 = #"), every number inside a CLI report (integers
+too, so that reports written before every float kept its decimal point,
+which wrote 0.0 as "0", still compare) and every array of numbers, so
 a witness matrix reads "#" whatever its size.  Two commits whose sampled
 values move (a sampled maximum found at another level, say) but whose
 verdicts, flags, witness kinds, exit codes and task-level integer counts
@@ -75,8 +76,9 @@ def _masked(obj, numerals: bool):
         return _NUMERAL.sub("#", obj) if numerals else obj
     if isinstance(obj, bytes):
         try:
-            # A report writes integral floats as integers ("0", "1"), so with
-            # numerals every number in it counts as one.
+            # Reports written before every float kept its decimal point hold
+            # integral floats as integers ("0", "1"): with numerals every
+            # number counts, so digests still compare against those commits.
             obj = json.loads(obj, parse_int=float if numerals else None)
         except ValueError:
             return obj
