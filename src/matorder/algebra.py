@@ -102,14 +102,12 @@ class OperatorAlgebra:
         unit_defect = la.frob(self.unit_matrix() - np.eye(self.ambient_dim))
         if unit_defect > self.structure_tol * (1.0 + np.sqrt(self.ambient_dim)):
             raise MembershipError("unit does not reconstruct the identity", unit_defect)
-        # One stacked check per basis row (d N^2 entries); a product over the
-        # bound is projected alone, so the first one outside raises `project`'s error.
+        # One stacked `_outside` per basis row (d N^2 entries), then one for the
+        # adjoints: the first product (or adjoint) outside the span raises.
         for b in self.basis:
-            for j in _outside(self, b @ self.basis):
-                project(self, b @ self.basis[j])
+            _outside(self, b @ self.basis)
         if self.star_closed:
-            for j in _outside(self, la.dagger(self.basis)):
-                project(self, la.dagger(self.basis[j]))
+            _outside(self, la.dagger(self.basis))
 
 
 def as_matrix(x) -> np.ndarray:
@@ -156,23 +154,16 @@ def _frame(s, dim: int) -> _Frame:
     raise DimensionMismatch("similarity is singular")
 
 
-def project(algebra: OperatorAlgebra, x: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Coordinates of x in the algebra, or MembershipError with the residual.
-
-    The residual test is relative: accepted when
-    ||x - synth(coords)||_F <= tol * (1 + ||x||_F).
-    """
+def project(algebra: OperatorAlgebra, x: np.ndarray) -> np.ndarray:
+    """Coordinates of x in the algebra, or `_outside`'s MembershipError with the
+    residual when ||x - synth(coords)||_F > structure_tol (1 + ||x||_F)."""
     x = as_matrix(x)
     if x.shape != (algebra.ambient_dim, algebra.ambient_dim):
         raise DimensionMismatch(
             f"expected {algebra.ambient_dim}x{algebra.ambient_dim}, got {x.shape}"
         )
-    tol = algebra.structure_tol if tol is None else tol
-    coords = algebra.coords_of(x)
-    residual = la.frob(x - algebra.synthesize(coords))
-    if residual > tol * (1.0 + la.frob(x)):
-        raise MembershipError("element outside the algebra span", residual)
-    return coords
+    _outside(algebra, x)
+    return algebra.coords_of(x)
 
 
 def _block_view(algebra: OperatorAlgebra, x: np.ndarray) -> np.ndarray:
@@ -216,10 +207,19 @@ def level_residual(algebra: OperatorAlgebra, x: np.ndarray):
     return np.linalg.norm(diff.reshape(len(x), -1), axis=1) if x.ndim == 3 else la.frob(diff)
 
 
-def _outside(algebra: OperatorAlgebra, xs: np.ndarray) -> np.ndarray:
-    """Indices of the matrices of the stack xs over `project`'s bound, in one pass."""
-    size = np.linalg.norm(xs.reshape(len(xs), -1), axis=1)
-    return np.flatnonzero(level_residual(algebra, xs) > algebra.structure_tol * (1.0 + size))
+def _outside(algebra: OperatorAlgebra, x: np.ndarray) -> None:
+    """The one structure bound: MembershipError, with its residual, for x (a matrix
+    of N x N blocks) or the first matrix of a stack x whose `level_residual`
+    exceeds structure_tol (1 + ||x||_F), the stack decided in one pass."""
+    residual = level_residual(algebra, x)
+    if x.ndim == 2:
+        over = [0] if residual > algebra.structure_tol * (1.0 + la.frob(x)) else []
+        residual = [residual]
+    else:
+        size = np.linalg.norm(x.reshape(len(x), -1), axis=1)
+        over = np.flatnonzero(residual > algebra.structure_tol * (1.0 + size))
+    if len(over):
+        raise MembershipError("element outside M_n(A)", residual[over[0]])
 
 
 def generate_algebra(
@@ -279,12 +279,11 @@ def doubling_embed(x: np.ndarray) -> np.ndarray:
     return np.kron(np.eye(2, dtype=complex), x)
 
 
-def random_element(algebra: OperatorAlgebra, rng: np.random.Generator, scale: float = 1.0,
+def random_element(algebra: OperatorAlgebra, rng: np.random.Generator,
                    level: int = 1) -> np.ndarray:
     """Random member of M_level(A) with complex Gaussian coordinates, drawn
     in the order of `block_coords` (block (i, j) row-major, then k)."""
-    return block_synth(scale * la.random_complex(rng, (level, level, algebra.dim)),
-                       algebra.basis)
+    return block_synth(la.random_complex(rng, (level, level, algebra.dim)), algebra.basis)
 
 
 def hermitian_part_basis(algebra: OperatorAlgebra) -> np.ndarray:

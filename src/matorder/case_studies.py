@@ -122,7 +122,8 @@ def jsym_norm_identity(images: np.ndarray, algebra: OperatorAlgebra,
 
 @dataclass(frozen=True)
 class KadisonReport:
-    """Pipeline record: doubled rep, cone audit, reconstruction, sandwich."""
+    """Pipeline record: doubled rep, cone audit, reconstruction, sandwich; the
+    composition residual passes at the run's cert_tol."""
 
     rep: JSymmetricRep
     doubled_similarity: np.ndarray
@@ -130,6 +131,7 @@ class KadisonReport:
     norm_identity: NormIdentityReport
     reconstruction: ReconstructionResult
     star_rep_residual: float
+    cert_tol: float
 
     @property
     def cb_lower(self) -> float:
@@ -149,7 +151,7 @@ class KadisonReport:
             self.audit.passed
             and self.rep.symmetry_residual <= 1e-10
             and self.norm_identity.holds()
-            and self.star_rep_residual <= 1e-7
+            and self.star_rep_residual <= self.cert_tol
             and self.reconstruction.sandwich_ok
         )
 
@@ -200,6 +202,7 @@ def kadison_pipeline(algebra: OperatorAlgebra, s: np.ndarray, levels=(1, 2),
         norm_identity=norm_identity,
         reconstruction=recon,
         star_rep_residual=float(residual),
+        cert_tol=cert_tol,
     )
 
 

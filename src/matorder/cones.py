@@ -6,13 +6,16 @@ The oracle protocol is stacked: `member_many`, `sample_many`, `sample_span_many`
 contract, and `member`, `sample`, `sample_span` and `norm` their one-element calls.
 `SimilarityCone` (Hermitian PSD after a fixed similarity S; `StandardCone` is
 S = I) and the pullback cone of `case_studies` implement it, each method one
-stacked pass.  Audit verdicts carry replayable witnesses.  `_sampled` decides
-each sampled check: `SimilarityCone`'s own PSD rule over a star-closed A =
-S B S^-1 passes by the realisation theorem, C_n = pi^(n)^-1(M_n(A)^+), and
-draws nothing; any other cone's candidates go to `_first_escape`.  `_certify` is
-the one certificate of an exact shift and `_Bisection` the one fallback search.
-One PSD rule, `_psd_test`, decides a matrix or a stack; `min_shift` is one
-Hermitian eigensolve.  Level-n spans, 2i/2iii ranks and lineality kernels come
+stacked pass, and each stacked question is decided once: `_stack` takes the
+elements as one (k, nN, nN) array (DimensionMismatch for any other shape),
+`level_element` checks the stack against M_n(A) in one `algebra._outside`
+pass, and `_certify`, the one certificate of an exact shift, asks every
+point in one `member_many` call; `_Bisection` is the one fallback search.
+Audit verdicts carry replayable witnesses.  `_sampled` decides each sampled
+check: `SimilarityCone`'s own PSD rule over a star-closed A = S B S^-1 passes
+by the realisation theorem, C_n = pi^(n)^-1(M_n(A)^+), and draws nothing; any
+other cone's candidates go to `_first_escape`.  One PSD rule, `_psd_test`,
+decides a matrix or a stack; `min_shift` is one Hermitian eigensolve.  Level-n spans, 2i/2iii ranks and lineality kernels come
 from level 1 by Kronecker identities (Van Loan, J. Comput. Appl. Math. 123,
 2000), V_n = (M_n)_h (x) V_1; A = S B S^-1, the span bases and the level-1
 lineality kernel are built on first use and kept.
@@ -37,7 +40,6 @@ from .algebra import (
     block_synth,
     conjugate_algebra,
     hermitian_part_basis,
-    level_residual,
 )
 from .errors import (
     DimensionMismatch,
@@ -235,7 +237,7 @@ class ConeOracle:
     def norm_many(self, n: int, xs) -> list:
         """Operator norm of each level-n element of xs, from one stacked
         `la.opnorm` (one values-only SVD), with each matrix's bits."""
-        return la.opnorm(_batch(xs)).tolist() if len(xs) else []
+        return la.opnorm(_stack(self, n, xs)).tolist() if len(xs) else []
 
     def mul(self, n: int, x, y):
         return as_matrix(x) @ as_matrix(y)
@@ -273,22 +275,15 @@ class ConeOracle:
         raise NotImplementedError
 
     def level_element(self, n: int, x) -> np.ndarray:
-        """x as a matrix checked against M_n(A) block by block: DimensionMismatch
-        unless it is (nN) x (nN), MembershipError when its distance from
-        M_n(A) exceeds structure_tol * (1 + ||x||_F).  A stack (k, nN, nN) is
-        checked in one pass; each element over the bound is then checked alone,
-        so the first one outside raises the error `member` would."""
+        """x as a matrix (or a (k, nN, nN) stack) checked against M_n(A) block by
+        block: DimensionMismatch unless it is (nN) x (nN), else `_outside`'s
+        MembershipError for it, or for the first matrix of the stack, when its
+        distance from M_n(A) exceeds structure_tol * (1 + ||x||_F)."""
         x = as_matrix(x)
         dim = self.level_dim(n)
         if x.shape[-2:] != (dim, dim) or x.ndim > 3:
             raise DimensionMismatch(f"level-{n} element must be {dim}x{dim}, got {x.shape}")
-        if x.ndim == 3:
-            for k in _outside(self.algebra, x):
-                self.level_element(n, x[k])
-        else:
-            residual = level_residual(self.algebra, x)
-            if residual > self.algebra.structure_tol * (1.0 + la.frob(x)):
-                raise MembershipError("element outside M_n(A)", residual)
+        _outside(self.algebra, x)
         return x
 
     # -- sampling ----------------------------------------------------------
@@ -396,8 +391,8 @@ class SimilarityCone(ConeOracle):
     def member_many(self, n: int, xs) -> list:
         """One M_n(A) check, one straighten and one `_psd_test` (one LAPACK call
         per matrix, so each verdict is that of the element asked alone)."""
-        return (self._psd_test(self.straighten(n, self.level_element(n, _batch(xs)))).tolist()
-                if len(xs) else [])
+        return (self._psd_test(self.straighten(n, self.level_element(n, _stack(self, n, xs))))
+                .tolist() if len(xs) else [])
 
     def _psd_test(self, y: np.ndarray):
         """The one PSD rule, on a matrix (a bool) or a (k, d, d) stack (k bools):
@@ -484,17 +479,13 @@ def _hermitian_kron(n: int, stack: np.ndarray) -> np.ndarray:
     return lifted.reshape(-1, n * big_n, n * big_n)
 
 
-def _batch(xs) -> np.ndarray:
-    """A nonempty sequence of same-shape elements (or a stack) as one stack;
-    DimensionMismatch when their shapes differ."""
-    if not isinstance(xs, np.ndarray) and len(shapes := {np.shape(x) for x in xs}) > 1:
-        raise DimensionMismatch(f"a batch needs one element shape, got {sorted(shapes)}")
-    return as_matrix(xs)
-
-
 def _stack(cone: "ConeOracle", n: int, xs) -> np.ndarray:
-    """A sequence of level-n elements as one (k, nN, nN) array, k = 0 too."""
+    """Level-n elements (a sequence, or a stack) as one (k, nN, nN) array, k = 0
+    too; DimensionMismatch for mixed shapes or any shape but (nN) x (nN)."""
     dim = cone.level_dim(n)
+    shapes = {xs.shape[1:]} if isinstance(xs, np.ndarray) and xs.size else set(map(np.shape, xs))
+    if shapes - {(dim, dim)}:
+        raise DimensionMismatch(f"level-{n} elements must be {dim}x{dim}, got {sorted(shapes)}")
     return as_matrix(xs).reshape(-1, dim, dim)
 
 
@@ -547,16 +538,17 @@ class _Bisection:
 
 
 def _certify(cone: ConeOracle, n: int, asks) -> list:
-    """The one shift certificate.  Per ask (cs, r, width, floor, t): cs the
-    elements (binding c first), r an exact shift (None: opaque) and t the map
-    from r to the multiple of e_n asked.  It asks t(x) e_n + c in C_n for every
-    c of cs at x = floor if r <= floor, certifying (floor, floor), else at
-    hi, mid and lo (mid = r + width/8, lo = max(r - width/8, floor),
-    hi = 2 mid - lo), certifying [lo, hi] when hi and mid are inside and lo is
-    not.  Returns per ask (the certified bracket or None, the number of r
-    asked).  One `member_many` asks the binding c at every x and the other cs
-    at every x but lo; a second asks the other cs at lo only where the binding
-    c is inside there.  Nothing to ask makes no call."""
+    """The one shift certificate, from one `member_many` call.  Per ask
+    (cs, r, width, floor, t): cs the elements (binding c first), r an exact
+    shift (None: opaque) and t the map from r to the multiple of e_n asked.
+    If r <= floor it asks t(floor) e_n + c in C_n for every c of cs, certifying
+    (floor, floor) when all are inside; else it asks the binding c at hi, mid
+    and lo and the other cs at hi and mid (mid = r + width/8, lo = max(r -
+    width/8, floor), hi = 2 mid - lo), certifying [lo, hi] when every c is
+    inside at hi and mid and the binding c is outside at lo.  An r whose
+    binding c is inside at lo (a shift placed high, or the wrong sign named
+    binding) is left uncertified.  Returns per ask (the certified bracket or
+    None, the number of r asked); nothing to ask makes no call."""
     points = []
     for _, r, width, floor, _ in asks:
         if r is None or r <= floor:
@@ -565,20 +557,16 @@ def _certify(cone: ConeOracle, n: int, asks) -> list:
             lo, mid = max(r - 0.125 * width, floor), r + 0.125 * width
             points.append((2.0 * mid - lo, mid, lo))
     e = cone.unit(n)
-    tss = [tuple(t(x) for x in xs) for (*_, t), xs in zip(asks, points)]
-    ask = lambda xs: iter(cone.member_many(n, xs) if xs else ())
-    first = ask([t * e + c for (cs, *_), ts in zip(asks, tss) for k, c in enumerate(cs)
-                 for t in ts[:2 if k else 3]])
-    got = [[[next(first) for _ in ts[:2 if k else 3]] for k in range(len(cs))]
-           for (cs, *_), ts in zip(asks, tss)]
-    at_lo = ask([ts[2] * e + c for (cs, *_), ts, ok in zip(asks, tss, got)
-                 if len(ts) == 3 and ok[0][2] for c in cs[1:]])
+    # Per ask and c, the multiples of e_n asked: all for the binding c, all but lo for the others.
+    tss = [[tuple(t(x) for x in xs[:2 if k else 3]) for k in range(len(cs))]
+           for (cs, *_, t), xs in zip(asks, points)]
+    inside = iter(cone.member_many(n, [t * e + c for (cs, *_), ts in zip(asks, tss)
+                                       for c, tc in zip(cs, ts) for t in tc])
+                  if any(points) else ())
     out = []
-    for xs, ok in zip(points, got):
-        for other in ok[1:] if len(xs) == 3 else ():
-            other.append(ok[0][2] and next(at_lo))
-        inside = [all(col) for col in zip(*ok)]
-        certified = inside in ([True], [True, True, False])
+    for xs, ts in zip(points, tss):
+        got = [[next(inside) for _ in tc] for tc in ts]
+        certified = bool(xs) and all(all(ok[:2]) for ok in got) and not any(got[0][2:])
         out.append(((xs[-1], xs[0]) if certified else None, len(xs)))
     return out
 

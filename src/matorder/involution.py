@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg as la
-from .algebra import OperatorAlgebra, as_matrix, block_coords, block_synth
+from .algebra import OperatorAlgebra, _outside, as_matrix, block_coords, block_synth
 from .cones import ConeOracle, _stack
 from .errors import (
     CertificationFailed,
@@ -26,7 +26,6 @@ from .errors import (
     SpanUnstable,
 )
 
-_DEF_RESIDUAL_TOL = 1e-9
 # Sampling rounds before a still-growing span raises SpanUnstable.
 SPAN_ROUNDS = 12
 # Cone samples a level-n certificate draws beyond its rank target.
@@ -41,8 +40,9 @@ def real_cone_span(cone: ConeOracle, n: int = 1, seed: int = 0) -> np.ndarray:
 
     Grown from cone samples, 2 dim M_n(A) + 8 a round, until the dimension
     is stable across three consecutive rounds; cross-checked against the
-    variant's exact span when one is available.  Raises SpanUnstable when
-    growth does not settle in SPAN_ROUNDS rounds.
+    variant's exact span when one is available (its dimension, then every
+    exact element's distance from the sampled span, from one projection).
+    Raises SpanUnstable when growth does not settle in SPAN_ROUNDS rounds.
     """
     rng = np.random.default_rng(seed)
     cone.level_dim(n)  # LevelUnsupported for a cone without matrix levels
@@ -76,16 +76,20 @@ def real_cone_span(cone: ConeOracle, n: int = 1, seed: int = 0) -> np.ndarray:
             raise SpanUnstable(
                 f"sampled span dimension {got} != exact span dimension {want}"
             )
-        rows = la.real_rows(basis)
-        for h in exact:
-            if la.project_residual(rows, la.real_vec(h)) > 1e-7 * (1.0 + la.frob(h)):
-                raise SpanUnstable("sampled span disagrees with the exact span")
+        rows, vecs = la.real_rows(basis), la.real_rows(exact)
+        size = np.linalg.norm(vecs, axis=1)
+        if np.any(np.linalg.norm(vecs - (vecs @ rows.T) @ rows, axis=1) > 1e-7 * (1.0 + size)):
+            raise SpanUnstable("sampled span disagrees with the exact span")
     return basis
 
 
 def _split(cone: ConeOracle, n: int, xs: np.ndarray, span: np.ndarray) -> tuple:
-    """Unique splits x = x1 + i x2 of every matrix of the stack xs over the
-    span: one SVD decides the rank and solves for all right-hand sides."""
+    """Unique splits x = x1 + i x2 of every matrix of the stack xs over the real
+    span V: one SVD decides the rank and solves for all right-hand sides.  One
+    `_outside` pass raises MembershipError for the first x outside M_n(A), and
+    one pass over the splits DecompositionInfeasible for the first that misses
+    its x by more than structure_tol (1 + ||x||_F): a V tilted out of M_n(A)
+    (a sampled span at large cond(S)) splits no x exactly."""
     v = span.shape[0]
     cone.level_dim(n)  # LevelUnsupported for a cone without matrix levels
     lvl_dim = n * n * cone.algebra.dim
@@ -102,16 +106,16 @@ def _split(cone: ConeOracle, n: int, xs: np.ndarray, span: np.ndarray) -> tuple:
         raise DecompositionInfeasible(
             f"span + i*span has real dimension {rank}, the algebra needs {2 * lvl_dim}"
         )
+    _outside(cone.algebra, xs)
     # rows.T has full column rank 2v: its least-squares solution is U S^-1 V^T b.
     coeffs = u @ ((vt @ la.real_rows(xs).T) / s[:, None])
     x1 = np.tensordot(coeffs[:v].T, span, axes=(1, 0))
     x2 = np.tensordot(coeffs[v:].T, span, axes=(1, 0))
-    for x, y1, y2 in zip(xs, x1, x2):
-        residual = la.frob(x - (y1 + 1j * y2))
-        if residual > _DEF_RESIDUAL_TOL * (1.0 + la.frob(x)):
-            raise DecompositionInfeasible(
-                f"decomposition residual {residual:.3g} outside tolerance"
-            )
+    size, miss = (np.linalg.norm(y.reshape(len(xs), -1), axis=1) for y in (xs, xs - x1 - 1j * x2))
+    over = np.flatnonzero(miss > cone.algebra.structure_tol * (1.0 + size))
+    if len(over):
+        raise DecompositionInfeasible(
+            f"decomposition residual {miss[over[0]]:.3g} outside tolerance")
     return x1, x2
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from matorder.errors import (
     MatOrderError,
     SourceNotStarClosed,
 )
+from matorder.similarity import DEFAULT_CERT_TOL
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 ONE_PLUS_SQRT2 = 1.0 + np.sqrt(2.0)
@@ -100,6 +103,16 @@ def test_kadison_pipeline_worked(span_i_e11):
     assert report.cb_upper <= level_one_inverse_bound(report.reconstruction) ** 2 * (1.0 + 1e-9)
     # Spectral-radius bound: the order-shift constant stays at 1.
     assert report.audit.constants["r4"].value <= 1.0 + 1e-6
+
+
+def test_kadison_report_gates_the_composition_residual_at_its_cert_tol(span_i_e11):
+    report = kadison_pipeline(span_i_e11, WORKED_S, samples=20, seed=0)
+    assert report.passed and report.cert_tol == DEFAULT_CERT_TOL == 1e-7
+    # Residuals between the run's cert_tol and 1e-7, on both sides of 1e-7.
+    for residual, cert_tol in ((1.64e-15, 1.5e-15), (1.64e-15, 1.7e-15), (1e-6, 1e-5),
+                               (1e-6, 9e-7)):
+        assert replace(report, star_rep_residual=residual, cert_tol=cert_tol).passed == (
+            residual <= cert_tol)
 
 
 @pytest.mark.parametrize("cb_level", [0, -1])

@@ -6,6 +6,7 @@ from conftest import E11, E12, WORKED_B, WORKED_S, mat, random_similarity, rando
 from doubles import AllHermitianCone, PairedSpanCone, ZeroedCornerCone
 from matorder import cones as cones_mod
 from matorder.algebra import (
+    OperatorAlgebra,
     conjugate_algebra,
     doubling_embed,
     generate_algebra,
@@ -24,6 +25,7 @@ from matorder.cones import (
 )
 from matorder.errors import (DimensionMismatch, MembershipError, NumericalStall,
                              SourceNotStarClosed)
+from matorder.involution import _split
 from matorder.order_norms import order_unit_seminorm
 from references import amplify, compress_via_conjugations, membership_residual
 from test_shifts import _opaque
@@ -97,6 +99,35 @@ def test_blockwise_oracle_matches_amplified_reference(variant, n):
             assert cone.member(n, x) == expected
             verdicts.append(expected)
     assert verdicts.count(True) >= 4 and False in verdicts and "outside" in verdicts
+
+
+@pytest.mark.parametrize("variant", ["standard", "similarity"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_stack_raises_for_its_first_element_outside(variant, n):
+    # Two elements of M_n(A), then two outside it, the third nearer than the fourth.
+    cone, _ = _m2_plus_c_cone(variant)
+    rng = np.random.default_rng(30 + n)
+    dim = cone.level_dim(n)
+    noise = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+             for _ in range(2)]
+    xs = np.stack([cone.unit(n), cone.sample(n, rng), cone.sample_span(n, rng) + 1e-3 * noise[0],
+                   noise[1]])
+    want = membership_residual(amplify(cone.algebra, n), xs[2])
+    assert cone.algebra.structure_tol * (1.0 + np.linalg.norm(xs[2])) < want < membership_residual(
+        amplify(cone.algebra, n), xs[3])
+    for ask in (lambda: cone.member_many(n, xs), lambda: cone.member_many(n, list(xs)),
+                lambda: _split(cone, n, xs, cone.span_basis(n))):
+        with pytest.raises(MembershipError) as err:
+            ask()
+        assert err.value.residual == pytest.approx(want, rel=1e-12)
+    # validate's adjoint stack (b_0*, b_1*, b_2*) on the upper triangular 2 x 2
+    # matrices, called star-closed: b_2* = E21 is the first outside, at distance 1.
+    basis = np.stack([np.eye(2), E11 - mat([[0, 0], [0, 1]]), np.sqrt(2.0) * E12]) / np.sqrt(2.0)
+    upper = OperatorAlgebra(2, basis, np.array([np.sqrt(2.0), 0.0, 0.0]), True)
+    with pytest.raises(MembershipError) as err:
+        upper.validate()
+    assert err.value.residual == pytest.approx(membership_residual(upper, E12.T), rel=1e-12)
+    assert membership_residual(upper, E12.T) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("variant", ["standard", "similarity"])

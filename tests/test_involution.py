@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from conftest import E12, E21, WORKED_B
 from doubles import SkewedLevelCone, ZeroCone, ZeroedCornerCone
 from matorder.algebra import generate_algebra, random_element
 from matorder.case_studies import FunctionPullbackCone
-from matorder.cones import StandardCone
-from matorder.errors import CertificationFailed, LevelUnsupported
+from matorder.cones import StandardCone, audit_matrix_ordered
+from matorder.errors import CertificationFailed, DimensionMismatch, LevelUnsupported
 from matorder.involution import (
     decompose,
     real_cone_span,
@@ -240,3 +242,23 @@ def test_level_four_certificate_on_full_m6():
     cmp_rep = verify_matrix_involution(StandardCone(alg), 4, seed=1)
     assert cmp_rep.rank == cmp_rep.need == 16 * 36
     assert cmp_rep.passed
+
+
+class _WrongLevelCone(StandardCone):
+    """Draws its level-n samples at level 2n."""
+
+    def sample_many(self, n, k, rng):
+        return super().sample_many(2 * n, k, rng)
+
+
+def test_wrong_level_samples_raise_dimension_mismatch(m2_full):
+    # Three 4 x 4 samples at level 1 used to be read as twelve 2 x 2 ones.
+    cone = _WrongLevelCone(m2_full)
+    sampled = copy.copy(cone)  # an instance `member_many`: the audit samples
+    sampled.member_many = lambda n, xs: cone.member_many(n, xs)
+    involution1 = recover_involution(StandardCone(m2_full), 1)
+    for run in (lambda: audit_matrix_ordered(sampled, (1,), samples=3),
+                lambda: real_cone_span(cone, 1),
+                lambda: verify_matrix_involution(cone, 1, involution1=involution1)):
+        with pytest.raises(DimensionMismatch, match="level-1 elements must be 2x2"):
+            run()

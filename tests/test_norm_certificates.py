@@ -1,13 +1,15 @@
 """The order norms at one eigensolve and one certificate call per norm, against
 the earlier two-call form (`references.norm_search_two_calls`): the same
-values, brackets and work counters on honest, opaque, mis-shifted and
-sign-swapped cones; `min_shift_pair` against two `min_shift` calls; and the
-matrices each norm hands to `member_many`."""
+values, brackets and work counters on honest, opaque and mis-shifted cones,
+and on sign-swapped cones a bisected value within the search tolerance of the
+reference's certified one; `min_shift_pair` against two `min_shift` calls;
+and the matrices each norm hands to `member_many`."""
 
 import numpy as np
 import pytest
 
 from doubles import SkewedLevelCone
+from matorder import cones, order_norms
 from matorder.algebra import random_element
 from matorder.cones import ConeOracle, SimilarityCone
 from matorder.order_norms import DEFAULT_BISECT_TOL, order_unit_seminorm, pre_cstar_norm
@@ -33,13 +35,13 @@ class _Shifted(_Recording):
 
 class _Swapped(_Recording):
     """`min_shift` reports the shift of -c: the larger value names the sign that
-    is not binding, which is then inside at lo, so the other sign's lo needs
-    a second call, after which the exact value certifies."""
+    is not binding, which is then inside at lo, so no exact value certifies
+    and both norms bisect (the reference certifies it with a second call)."""
 
     min_shift_pair = ConeOracle.min_shift_pair
 
     def min_shift(self, n, c):
-        return super().min_shift(n, -c)
+        return super().min_shift(n, -np.asarray(c))
 
 
 def _cone(kind, fixture, request):
@@ -47,6 +49,29 @@ def _cone(kind, fixture, request):
     cone = {"honest": _Recording, "opaque": _Recording, "shifted": _Shifted,
             "swapped": _Swapped}[kind](base.algebra, base.s)
     return _opaque(cone) if kind == "opaque" else cone
+
+
+def _one(r):
+    return r
+
+
+def _square(r):
+    return r * r
+
+
+def _sharp_x(cone, n, x):
+    """x^sharp x under the cone's reference involution."""
+    return cone.sharp(n, x) @ x
+
+
+def _confirms(cone, n, z, t, bracket):
+    """The oracle confirms the bracket [lo, hi] of inf{r : t(r) e +- z in C}:
+    both signs are inside at hi, and not both at lo unless lo = hi = 0."""
+    lo, hi = bracket
+    e = cone.unit(n)
+    assert all(cone.member_many(n, [t(hi) * e + z, t(hi) * e - z]))
+    assert (lo, hi) == (0.0, 0.0) or not all(cone.member_many(n, [t(lo) * e + z,
+                                                                   t(lo) * e - z]))
 
 
 def _agree(got, want):
@@ -80,6 +105,13 @@ def test_norms_match_the_two_call_reference(kind, fixture, n, request):
     a, x = cone.sample_span(n, rng), random_element(cone.algebra, rng, level=n)
     (semi, pre, semi_batches, pre_batches), (ref_semi, ref_pre, ref_semi_b, ref_pre_b) = \
         _norms(cone, n, a, x)
+    if kind == "swapped":
+        for got, want, z, t in ((semi, ref_semi, a, _one), (pre, ref_pre, _sharp_x(cone, n, x),
+                                                            _square)):
+            assert got.iterations > 0
+            assert abs(got.value - want.value) <= 2.0 * DEFAULT_BISECT_TOL * (1.0 + want.value)
+            _confirms(cone, n, z, t, got.bracket)
+        return
     _agree(semi, ref_semi)
     _agree(pre, ref_pre)
     if kind in ("opaque", "shifted"):
@@ -92,8 +124,8 @@ def test_norms_match_the_two_call_reference(kind, fixture, n, request):
                            for u, v in zip(xs, ys))
         return
     assert semi.iterations == pre.iterations == 0
-    lengths = ([5], [10]) if kind == "honest" else ([5, 1], [10, 2])
-    assert ([len(xs) for xs, _ in semi_batches], [len(xs) for xs, _ in pre_batches]) == lengths
+    assert ([len(xs) for xs, _ in semi_batches], [len(xs) for xs, _ in pre_batches]) == (
+        [5], [10])
     # The same matrices the reference asked, in fewer calls.
     for got, want in ((semi_batches, ref_semi_b), (pre_batches, ref_pre_b)):
         xs = [x for batch, _ in got for x in batch]
@@ -190,3 +222,32 @@ def test_a_certified_norm_is_one_eigensolve_and_one_member_many(fixture, n, requ
         # The shift pair's eigensolve, then the certificate's stacked one.
         assert solves == [(dim, dim), (size, dim, dim)]
         assert [len(xs) for xs, _ in cone.batches] == [size]
+
+
+@pytest.mark.parametrize("kind", ["honest", "opaque", "shifted", "swapped"])
+@pytest.mark.parametrize("fixture", ["std_m3", "planted_sim_cone"])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_every_certificate_is_one_member_many(kind, fixture, n, request, monkeypatch):
+    cone = _cone(kind, fixture, request)
+    made = []
+    certify = cones._certify
+
+    def recorded(c, level, asks):
+        before = len(cone.batches)
+        out = certify(c, level, asks)
+        made.append((len(cone.batches) - before, any(r is not None for _, r, *_ in asks)))
+        return out
+
+    monkeypatch.setattr(cones, "_certify", recorded)
+    monkeypatch.setattr(order_norms, "_certify", recorded)
+    rng = np.random.default_rng(100 + n)
+    a, x = cone.sample_span(n, rng), random_element(cone.algebra, rng, level=n)
+    members = list(cone.sample_many(n, 2, rng))
+    order_unit_seminorm(cone, n, a)
+    pre_cstar_norm(cone, None, n, x)
+    cones._inf_shifts(cone, n, [a, -a, -members[0]], [1.0] * 3, 1e-9)
+    cones._sup_shifts_down(cone, n, members, [0.2 * cone.tol_psd] * 2)
+    assert len(made) == 4
+    # One call wherever an exact shift is asked (every certificate but an
+    # opaque cone's), none where nothing is.
+    assert made == [(int(kind != "opaque"), kind != "opaque")] * 4

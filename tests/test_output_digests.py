@@ -61,8 +61,9 @@ def test_moved_numerals_in_details_share_the_number_free_digest():
     assert output_digests.digests(a)[2] == output_digests.digests(b)[2]
     assert output_digests._masked("empirical r4 = -1.5e+02 at pointedness-level-3", True) \
         == "empirical r4 = # at pointedness-level-3"
-    # A report writes integral floats as integers: inside it every number
-    # counts, and a witness matrix of any size is one numeral.
+    # Reports of older commits wrote integral floats as integers: inside a
+    # report every number counts, whether written 1 or 1.0, and a witness
+    # matrix of any size is one numeral.
     one = b'{"K": {"level": 1, "value": 1, "witness": {"dim": 1, "entries": [[[0, 0]]]}}}'
     two = (b'{"K": {"level": 2, "value": 1.1, "witness": {"dim": 2, '
            b'"entries": [[[0.5, 0], [1, 0]], [[0, 0], [2.5, -1]]]}}}')
@@ -108,6 +109,12 @@ def test_difference_counts_are_per_workload():
     assert counts == {"order-norms": [2, 1, 0, 0], "cli-session": [3, 3, 3, 2]}
     assert output_digests.difference_counts(BEFORE, BEFORE) == {
         "order-norms": [2, 0, 0, 0], "cli-session": [2, 0, 0, 0]}
+    # A task the change lost differs in all three too, in its own workload.
+    lost = ["w 1 r0.a A B C", "w 1 r0.b D E F", "v 1 r0.c G H I"]
+    assert output_digests.difference_counts(lost, lost[:1]) == {"w": [2, 1, 1, 1],
+                                                                 "v": [1, 1, 1, 1]}
+    assert output_digests.difference_counts(lost, lost[:1], by_kind=True) == {
+        ("w", "a"): [1, 0, 0, 0], ("w", "b"): [1, 1, 1, 1], ("v", "c"): [1, 1, 1, 1]}
 
 
 def test_against_prints_each_workloads_counts_and_the_total(monkeypatch, capsys):

@@ -165,18 +165,19 @@ def main(argv=None) -> int:
 
 def difference_counts(before_lines: list, after_lines: list, by_kind: bool = False) -> dict:
     """Per workload (by_kind: per (workload, task kind)), in order of first
-    appearance: [tasks, full, float-free, number-free], the number of after's
-    tasks and of those whose digest differs from before's (all three, for a
-    task before lacks)."""
-    before = {tuple(fields[:3]): fields[3:] for fields in map(str.split, before_lines)}
+    appearance in after, then in before: [tasks, full, float-free,
+    number-free], the number of tasks either side holds and of those whose
+    digest differs between them (all three, for a task one side lacks)."""
+    before, after = ({tuple(fields[:3]): fields[3:6] for fields in map(str.split, lines)}
+                     for lines in (before_lines, after_lines))
     counts = {}
-    for fields in map(str.split, after_lines):
-        old = before.get(tuple(fields[:3]), [None] * 3)
-        key = (fields[0], fields[2].split(".", 1)[-1]) if by_kind else fields[0]
+    for task in after | before:
+        old, new = (side.get(task, [None] * 3) for side in (before, after))
+        key = (task[0], task[2].split(".", 1)[-1]) if by_kind else task[0]
         row = counts.setdefault(key, [0, 0, 0, 0])
         row[0] += 1
         for k in range(3):
-            row[1 + k] += old[k] != fields[3 + k]
+            row[1 + k] += old[k] != new[k]
     return counts
 
 
