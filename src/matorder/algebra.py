@@ -1,7 +1,7 @@
 """Finite-dimensional unital matrix algebras under the trace inner product.
 
-An algebra is stored as an orthonormal basis (Frobenius/trace pairing) of
-complex N x N matrices together with the coordinates of the identity.  All
+An algebra is an orthonormal basis (Frobenius/trace pairing) of complex N x N
+matrices, which decides N, the identity's coordinates and star-closure.  All
 values are immutable after construction and every operation is a pure
 function, so everything here is safe to use from concurrent code.
 
@@ -15,7 +15,7 @@ ever materialised.  `_frame` checks and inverts a similarity once, into a `_Fram
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -35,42 +35,35 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OperatorAlgebra:
-    """Unital subalgebra of M_N(C) given by a trace-orthonormal basis.
+    """Unital subalgebra of M_N(C) given by a trace-orthonormal basis; the last
+    three attributes are derived from the basis on construction, never given.
 
     Attributes
     ----------
-    ambient_dim : size N of the ambient matrix space
     basis : array of shape (d, N, N), orthonormal under the trace pairing
-    unit_coords : coordinates of the identity matrix in this basis
-    star_closed : whether every basis adjoint lies back in the span
     structure_tol : tolerance backing the structural invariants
+    ambient_dim : size N of the ambient matrix space
+    unit_coords : coordinates of the identity matrix in this basis
+    star_closed : whether every adjoint b* lies within structure_tol (1 + ||b*||_F) of the span
     """
 
-    ambient_dim: int
     basis: np.ndarray
-    unit_coords: np.ndarray
-    star_closed: bool
     structure_tol: float = DEFAULT_STRUCTURE_TOL
+    ambient_dim: int = field(init=False)
+    unit_coords: np.ndarray = field(init=False)
+    star_closed: bool = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "basis", _freeze(as_matrix(self.basis)))
-        object.__setattr__(self, "unit_coords", _freeze(as_matrix(self.unit_coords)))
-
-    @classmethod
-    def from_basis(cls, basis, tol: float = DEFAULT_STRUCTURE_TOL,
-                   star_closed: bool | None = None) -> "OperatorAlgebra":
-        """Algebra on a trace-orthonormal basis (d, N, N) with the unit's
-        coordinates; star_closed, unless given, is decided by projecting
-        every adjoint b* back onto the span at tol (1 + ||b*||_F)."""
-        basis = np.asarray(basis, dtype=complex)
+        basis = _freeze(as_matrix(self.basis))
         n = basis.shape[1]
         flat = basis.reshape(len(basis), -1)
-        if star_closed is None:
-            adj = basis.conj().swapaxes(1, 2).reshape(len(basis), -1)
-            residual = np.linalg.norm(adj - (adj @ flat.conj().T) @ flat, axis=1)
-            star_closed = bool(np.all(residual <= tol * (1.0 + np.linalg.norm(adj, axis=1))))
-        return cls(ambient_dim=n, basis=basis, unit_coords=flat.conj() @ np.eye(n).ravel(),
-                   star_closed=star_closed, structure_tol=tol)
+        adj = la.dagger(basis).reshape(len(basis), -1)
+        residual = np.linalg.norm(adj - (adj @ flat.conj().T) @ flat, axis=1)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "ambient_dim", n)
+        object.__setattr__(self, "unit_coords", _freeze(flat.conj() @ np.eye(n).ravel()))
+        object.__setattr__(self, "star_closed", bool(np.all(
+            residual <= self.structure_tol * (1.0 + np.linalg.norm(adj, axis=1)))))
 
     @property
     def dim(self) -> int:
@@ -93,7 +86,8 @@ class OperatorAlgebra:
         return self.synthesize(self.unit_coords)
 
     def validate(self) -> None:
-        """Re-check the structural invariants; raises MembershipError on failure."""
+        """MembershipError unless the basis is orthonormal, the unit reconstructs the
+        identity and products stay in the span (construction decides star-closure)."""
         d = self.dim
         gram = np.tensordot(self.basis, self.basis.conj(), axes=([1, 2], [1, 2]))
         gram_defect = float(np.max(np.abs(gram - np.eye(d)))) if d else 0.0
@@ -102,12 +96,9 @@ class OperatorAlgebra:
         unit_defect = la.frob(self.unit_matrix() - np.eye(self.ambient_dim))
         if unit_defect > self.structure_tol * (1.0 + np.sqrt(self.ambient_dim)):
             raise MembershipError("unit does not reconstruct the identity", unit_defect)
-        # One stacked `_outside` per basis row (d N^2 entries), then one for the
-        # adjoints: the first product (or adjoint) outside the span raises.
+        # One stacked `_outside` per basis row (d N^2 entries): the first product outside raises.
         for b in self.basis:
             _outside(self, b @ self.basis)
-        if self.star_closed:
-            _outside(self, la.dagger(self.basis))
 
 
 def as_matrix(x) -> np.ndarray:
@@ -239,8 +230,9 @@ def generate_algebra(
     projection on the basis in two GEMM passes (re-orthogonalising once is
     enough: Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005), and
     `la.orthonormalize_rows` decides its new directions by the one rank rule
-    at the scale of the largest candidate.  star_closed is decided by
-    testing adjoint membership of every basis element at tolerance `tol`.
+    at the scale of the largest candidate; `OperatorAlgebra` decides the
+    star-closure of the basis at `tol`.  DimensionMismatch for no, non-square
+    or mixed-size generators; DimensionCapExceeded for max_dim < 1 or a larger span.
     """
     if not generators:
         raise DimensionMismatch("need at least one generator")
@@ -270,7 +262,7 @@ def generate_algebra(
         basis = np.concatenate([basis, fresh])
         cands = np.einsum("iab,jbc->ijac", fresh.reshape(-1, n, n), gens)
 
-    return OperatorAlgebra.from_basis(basis.reshape(-1, n, n), tol)
+    return OperatorAlgebra(basis.reshape(-1, n, n), tol)
 
 
 def doubling_embed(x: np.ndarray) -> np.ndarray:
@@ -305,4 +297,4 @@ def conjugate_algebra(algebra: OperatorAlgebra, s: np.ndarray) -> OperatorAlgebr
     if rows.shape[0] != algebra.dim:
         raise DimensionMismatch("conjugation lost rank; similarity is singular")
     n = algebra.ambient_dim
-    return OperatorAlgebra.from_basis(rows.reshape(-1, n, n), algebra.structure_tol)
+    return OperatorAlgebra(rows.reshape(-1, n, n), algebra.structure_tol)

@@ -11,7 +11,7 @@ realizes an operator algebra whose induced norm mixes f and f'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,13 +43,22 @@ from .similarity import DEFAULT_CERT_TOL, ReconstructionResult, reconstruct_simi
 
 @dataclass(frozen=True)
 class JSymmetricRep:
-    """Doubled representation rho(a) = pi(a) (+) pi(a*)* with the swap J."""
+    """Doubled representation rho(a) = pi(a) (+) pi(a*)* with the swap J; construction
+    measures symmetry_residual, the worst relative rho(b*) - J rho(b)* J over the basis."""
 
     algebra: OperatorAlgebra
     pi_images: np.ndarray
     rho_images: np.ndarray
     j: np.ndarray
-    symmetry_residual: float
+    symmetry_residual: float = field(init=False)
+
+    def __post_init__(self):
+        residual = 0.0
+        for b in self.algebra.basis:
+            lhs = self.rho(la.dagger(b))
+            rhs = self.j @ la.dagger(self.rho(b)) @ self.j
+            residual = max(residual, la.frob(lhs - rhs) / (1.0 + la.frob(rhs)))
+        object.__setattr__(self, "symmetry_residual", float(residual))
 
     def rho(self, x) -> np.ndarray:
         coords = self.algebra.coords_of(as_matrix(x))
@@ -57,10 +66,7 @@ class JSymmetricRep:
 
 
 def j_symmetrize(algebra: OperatorAlgebra, pi_images: np.ndarray | None = None) -> JSymmetricRep:
-    """Double a representation of a star-closed algebra into a J-symmetric one.
-
-    Verifies rho(a*) = J rho(a)* J on the basis and records the residual.
-    """
+    """Double a representation of a star-closed algebra into a J-symmetric one."""
     if not algebra.star_closed:
         raise SourceNotStarClosed("doubling needs a star-closed source algebra")
     if pi_images is None:
@@ -75,14 +81,7 @@ def j_symmetrize(algebra: OperatorAlgebra, pi_images: np.ndarray | None = None) 
     rho_images = np.stack([np.block([[pi_of(b), zero], [zero, la.dagger(pi_of(la.dagger(b)))]])
                            for b in algebra.basis])
     j = np.block([[zero, np.eye(nn)], [np.eye(nn), zero]])
-
-    rep = JSymmetricRep(algebra, pi_images, rho_images, j, 0.0)
-    residual = 0.0
-    for b in algebra.basis:
-        lhs = rep.rho(la.dagger(b))
-        rhs = j @ la.dagger(rep.rho(b)) @ j
-        residual = max(residual, la.frob(lhs - rhs) / (1.0 + la.frob(rhs)))
-    return JSymmetricRep(algebra, pi_images, rho_images, j, float(residual))
+    return JSymmetricRep(algebra, pi_images, rho_images, j)
 
 
 @dataclass(frozen=True)

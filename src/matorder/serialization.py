@@ -5,7 +5,8 @@ Complex entries are [re, im] pairs.  Every report goes out through one
 `repr` writes it: the shortest text that reads back as the same double, with
 a decimal point or an exponent, so an integral float stays a float and -0.0
 keeps its sign.  Identical inputs and seeds produce byte-identical reports.
-Loaders raise SchemaError with a JSON-pointer path on malformed input.
+Loaders raise SchemaError with a JSON-pointer path on malformed input, and on
+an algebra whose `star_closed` contradicts what its basis decides.
 """
 
 from __future__ import annotations
@@ -121,8 +122,10 @@ def algebra_from_obj(obj, pointer: str = "",
         basis.append(mat)
     _expect(isinstance(obj.get("star_closed"), bool), pointer + "/star_closed",
             "must be a boolean")
-    algebra = OperatorAlgebra.from_basis(np.stack(basis), tol, star_closed=obj["star_closed"])
+    algebra = OperatorAlgebra(np.stack(basis), tol)
     algebra.validate()
+    _expect(obj["star_closed"] == algebra.star_closed, pointer + "/star_closed",
+            f"contradicts the basis, which decides star_closed = {algebra.star_closed}")
     return algebra
 
 

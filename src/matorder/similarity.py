@@ -449,7 +449,10 @@ def reconstruct_similarity(algebra: OperatorAlgebra, cone: ConeOracle,
     and the forward one's only while upper - lower > cert_tol * upper, each
     with target upper (1 - cert_tol), is taken at level 1 and, only while still
     open, at the ceiling `cb_level` (N when None).  `samples`: per level, for `build_star_rep`.
+    The cone's involution is defined on its own algebra only: a basis not in it raises first,
+    DimensionMismatch for the wrong size, MembershipError for a basis element outside.
     """
+    cone.level_element(1, algebra.basis)
     involution = recover_involution(cone, 1, seed=seed)
     space = solve_Q(algebra, involution)
     cert = minimize_condition(space)

@@ -1,8 +1,9 @@
-"""Corrupted cone oracles used by the audit soundness (mutation) tests.
+"""Corrupted cone oracles used by the audit soundness (mutation) tests and by
+the tests that pin the involution and order-norm layers' typed errors.
 
 Each overrides the stacked forms of the oracle protocol (`member_many`,
-`sample_many`, `sample_span_many`) or a stack-capable `straighten`, and
-decides or draws one element at a time inside them."""
+`sample_many`, `sample_span_many`), a stack-capable `straighten` or the exact
+shifts, and decides or draws one element at a time inside them."""
 
 import numpy as np
 
@@ -98,3 +99,55 @@ class PairedSpanCone(StandardCone):
         for a in super().sample_span_many(n, (k + 1) // 2, rng):
             out += [a, 1j * a]
         return out[:k]
+
+
+class GrowingSpanCone(StandardCone):
+    """The r-th `sample_many` call draws real combinations of the first r real
+    directions of the level's matrix units (E_ab, then i E_ab), so the sampled
+    span grows by one every round and never settles."""
+
+    variant = "growing-span"
+
+    def __init__(self, algebra):
+        super().__init__(algebra)
+        self.rounds = 0
+
+    def sample_many(self, n, k, rng):
+        size = self.level_dim(n)
+        units = np.eye(size * size, dtype=complex).reshape(-1, size, size)
+        self.rounds += 1
+        dirs = np.concatenate([units, 1j * units])[:self.rounds]
+        return [np.tensordot(rng.standard_normal(len(dirs)), dirs, axes=(0, 0))
+                for _ in range(k)]
+
+
+class RotatedSampleCone(StandardCone):
+    """Level-1 samples u c u* for a fixed unitary u: their span has the
+    dimension of the algebra's Hermitian part but is another subspace."""
+
+    variant = "rotated-sample"
+
+    def __init__(self, algebra, u):
+        super().__init__(algebra)
+        self.u = u
+
+    def sample_many(self, n, k, rng):
+        return [self.u @ c @ la.dagger(self.u) for c in super().sample_many(n, k, rng)]
+
+
+class GappedCone(StandardCone):
+    """Opaque (no exact shifts), and not convex: the PSD elements whose least
+    eigenvalue lies in [0.6, 0.8] or is at least 1.5.  So t e - I is inside
+    for t in [1.6, 1.8] and for t >= 2.5, and the searches in r and in r^2
+    bisect onto different bands."""
+
+    variant = "gapped"
+
+    def min_shift_pair(self, n, c):
+        return None, None
+
+    def member_many(self, n, xs):
+        xs = [np.asarray(x, dtype=complex) for x in xs]
+        low = [np.linalg.eigvalsh(0.5 * (x + la.dagger(x)))[0] for x in xs]
+        return [ok and (0.6 <= lam <= 0.8 or lam >= 1.5)
+                for ok, lam in zip(super().member_many(n, xs), low)]

@@ -38,6 +38,8 @@ theorem).  `canonical_json_17g` and `audit_to_obj_17g` are the report
 writer before it was one `json.dumps` call: a recursive encoder that writes
 each float with 17 significant digits (an integral float as an integer) and
 per-type converters for audits, checks, witnesses and constants.
+`from_basis` is the earlier algebra constructor's derivation of N, the unit's
+coordinates and star-closure, which `OperatorAlgebra` must match bit for bit.
 """
 
 import json
@@ -94,27 +96,33 @@ def min_eig(x: np.ndarray) -> float:
 NEW_DIRECTION_FACTOR = 1e-8
 
 
+def from_basis(basis, tol: float = DEFAULT_STRUCTURE_TOL) -> tuple:
+    """(ambient_dim, unit_coords, star_closed) of a trace-orthonormal basis
+    (d, N, N); star_closed is decided by projecting every adjoint b* back onto
+    the span at tol (1 + ||b*||_F)."""
+    basis = np.asarray(basis, dtype=complex)
+    n = basis.shape[1]
+    flat = basis.reshape(len(basis), -1)
+    adj = basis.conj().swapaxes(1, 2).reshape(len(basis), -1)
+    residual = np.linalg.norm(adj - (adj @ flat.conj().T) @ flat, axis=1)
+    star_closed = bool(np.all(residual <= tol * (1.0 + np.linalg.norm(adj, axis=1))))
+    return n, flat.conj() @ np.eye(n).ravel(), star_closed
+
+
 def amplify(algebra: OperatorAlgebra, n: int) -> OperatorAlgebra:
     """Concrete M_n over the algebra: span of kron(E_ij, basis[k]).
 
     Entries live in the block (i, j) of an (n*N) x (n*N) matrix, so block
-    matrices over the algebra are represented directly.  The unit is the
-    identity of the amplified space.
+    matrices over the algebra are represented directly; the constructor
+    derives the unit's coordinates (those of the identity of the amplified
+    space) and star-closure.
     """
-    d = algebra.dim
     if n == 1:
         return algebra
     # Basis order: block (i, j) row-major, then k; E_ij is row i n + j of I_{n^2}.
     units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
-    unit = np.zeros((n, n, d), dtype=complex)
-    unit[range(n), range(n)] = algebra.unit_coords
-    return OperatorAlgebra(
-        ambient_dim=n * algebra.ambient_dim,
-        basis=np.stack([np.kron(eij, b) for eij in units for b in algebra.basis]),
-        unit_coords=unit.ravel(),
-        star_closed=algebra.star_closed,
-        structure_tol=algebra.structure_tol,
-    )
+    return OperatorAlgebra(np.stack([np.kron(eij, b) for eij in units for b in algebra.basis]),
+                           algebra.structure_tol)
 
 
 def spans_equal(a: OperatorAlgebra, b: OperatorAlgebra, tol: float) -> bool:
@@ -227,7 +235,7 @@ def generate_algebra_mgs(
         if absorb(products) == 0:
             break
 
-    return OperatorAlgebra.from_basis(np.stack(basis), tol)
+    return OperatorAlgebra(np.stack(basis), tol)
 
 
 def certificate(r: float, width: float, floor: float) -> tuple:

@@ -9,6 +9,7 @@ from conftest import (E11, E12, E21, E22, WORKED_B, mat, random_similarity,
 from matorder.algebra import (
     DEFAULT_MAX_DIM,
     OperatorAlgebra,
+    _frame,
     _Frame,
     block_coords,
     block_synth,
@@ -21,7 +22,7 @@ from matorder.algebra import (
     random_element,
 )
 from matorder.errors import DimensionCapExceeded, DimensionMismatch, MembershipError
-from references import (amplify, conjugate_per_basis, generate_algebra_mgs,
+from references import (amplify, conjugate_per_basis, from_basis, generate_algebra_mgs,
                         hermitian_part_basis_loop, membership_residual, spans_equal)
 
 
@@ -131,12 +132,8 @@ def test_full_m17_closes_under_the_default_cap():
 
 def _first_escape_per_product(algebra):
     """The `MembershipError` of the first product b_i b_j outside the span, in
-    (i, j) order, then of the first adjoint of a star-closed algebra, asked one
-    `project` at a time; None if every one projects."""
-    mats = [bi @ bj for bi in algebra.basis for bj in algebra.basis]
-    if algebra.star_closed:
-        mats += [b.conj().T for b in algebra.basis]
-    for x in mats:
+    (i, j) order, asked one `project` at a time; None if every one projects."""
+    for x in (bi @ bj for bi in algebra.basis for bj in algebra.basis):
         try:
             project(algebra, x)
         except MembershipError as err:
@@ -146,11 +143,12 @@ def _first_escape_per_product(algebra):
 
 @pytest.mark.parametrize("star_closed", [True, False])
 def test_validate_fails_as_the_per_product_reference(star_closed):
-    # M_2 + M_1 (d = 5) in M_3; one basis direction is tilted out of the
-    # algebra, orthogonally to the whole basis, so the Gram and unit checks
-    # pass and the products leave the span.
-    alg = generate_algebra([mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]])], include_adjoints=True)
-    assert alg.dim == 5
+    # M_2 + M_1 (d = 5) in M_3, or the upper triangular T_3 (d = 6); one basis
+    # direction is tilted out of the algebra, orthogonally to the whole basis,
+    # so the Gram and unit checks pass and the products leave the span.
+    alg = (generate_algebra([mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]])], include_adjoints=True)
+           if star_closed else generate_algebra(*_closure_input("t3")))
+    assert (alg.dim, alg.star_closed) == ((5, True) if star_closed else (6, False))
     alg.validate()
     rng = np.random.default_rng(7)
     flat = alg.basis.reshape(alg.dim, -1)
@@ -159,18 +157,19 @@ def test_validate_fails_as_the_per_product_reference(star_closed):
     for tilt in (1e-3, 1e-6):
         basis = alg.basis.copy()
         basis[2] = (basis[2] + tilt * w.reshape(3, 3) / np.linalg.norm(w)) / np.sqrt(1 + tilt ** 2)
-        bad = OperatorAlgebra(3, basis, alg.unit_coords, star_closed, alg.structure_tol)
+        bad = OperatorAlgebra(basis, alg.structure_tol)
+        assert not bad.star_closed
         want = _first_escape_per_product(bad)
         assert want is not None
         with pytest.raises(MembershipError) as got:
             bad.validate()
         _same_escape(got.value, want)
-    # Closed under products but not under the adjoint: only the star check fails.
-    upper = generate_algebra([E12])
-    bad = OperatorAlgebra(2, upper.basis, upper.unit_coords, True, upper.structure_tol)
-    with pytest.raises(MembershipError) as got:
-        bad.validate()
-    _same_escape(got.value, _first_escape_per_product(bad))
+    # Closed under products but not under the adjoint: validate passes, and
+    # the constructor decides that the span is not star-closed.
+    upper = OperatorAlgebra(generate_algebra([E12]).basis)
+    assert not upper.star_closed
+    assert _first_escape_per_product(upper) is None
+    upper.validate()
 
 
 def _same_escape(got, want):
@@ -358,3 +357,61 @@ def test_hermitian_part_dimension(m2_full, worked_algebra):
     assert hermitian_part_basis(m2_full).shape[0] == 4
     # Non-star-closed span {I, b}: Hermitian part is only the multiples of I.
     assert hermitian_part_basis(worked_algebra).shape[0] == 1
+
+
+# -- the basis decides the structure ------------------------------------------
+
+@pytest.mark.parametrize("name", ["m2_full", "m3_full", "span_i_e11", "worked_algebra",
+                                  "planted", "random"])
+def test_derived_fields_match_the_from_basis_reference(name, request):
+    if name == "planted":
+        algs = [request.getfixturevalue("planted_sim_cone").algebra]
+    elif name == "random":
+        rng = np.random.default_rng(34)
+        algs = [random_star_closed_algebra(rng) for _ in range(6)]
+    else:
+        algs = [request.getfixturevalue(name)]
+    for alg in algs:
+        n, unit_coords, star_closed = from_basis(alg.basis, alg.structure_tol)
+        assert alg.ambient_dim == n and alg.star_closed is star_closed
+        assert alg.unit_coords.dtype == unit_coords.dtype
+        assert np.array_equal(alg.unit_coords, unit_coords)
+
+
+def test_the_constructor_takes_only_a_basis_and_a_tolerance():
+    upper = generate_algebra([E12])
+    with pytest.raises(TypeError):
+        OperatorAlgebra(upper.basis, upper.structure_tol, True)
+    with pytest.raises(TypeError):
+        OperatorAlgebra(upper.basis, star_closed=True)
+    assert not hasattr(OperatorAlgebra, "from_basis")
+
+
+# -- typed errors no other test reaches ---------------------------------------
+
+def test_validate_rejects_a_basis_without_the_unit():
+    # span{E11} is an algebra, but its unit E11 is not the identity.
+    with pytest.raises(MembershipError, match="unit does not reconstruct the identity") as err:
+        OperatorAlgebra(E11[None]).validate()
+    assert err.value.residual == pytest.approx(1.0)
+
+
+def test_a_similarity_of_the_wrong_shape_is_rejected(m2_full):
+    with pytest.raises(DimensionMismatch, match=r"similarity must be 2x2, got \(3, 3\)"):
+        _frame(np.eye(3), 2)
+    with pytest.raises(DimensionMismatch, match=r"similarity must be 2x2, got \(3, 3\)"):
+        conjugate_algebra(m2_full, np.eye(3))
+
+
+def test_project_rejects_a_matrix_of_the_wrong_shape(m2_full):
+    with pytest.raises(DimensionMismatch, match=r"expected 2x2, got \(3, 3\)"):
+        project(m2_full, np.eye(3))
+
+
+def test_generate_algebra_rejects_bad_generators_and_caps():
+    with pytest.raises(DimensionMismatch, match="need at least one generator"):
+        generate_algebra([])
+    with pytest.raises(DimensionMismatch, match=r"generators must be square, got shape \(2, 3\)"):
+        generate_algebra([np.ones((2, 3))])
+    with pytest.raises(DimensionCapExceeded, match="max_dim must be at least 1"):
+        generate_algebra([E11], max_dim=0)

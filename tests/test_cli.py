@@ -26,6 +26,7 @@ from matorder.serialization import (
     matrix_to_obj,
 )
 from references import audit_to_obj_17g, canonical_json_17g
+from test_similarity import _diagonal_cone, _rotated_commutative_algebra
 
 
 @pytest.fixture(scope="module")
@@ -642,3 +643,91 @@ def test_reports_decode_as_the_17_digit_writers(workdir, capsys, monkeypatch, ar
     monkeypatch.setattr(cli_mod, "canonical_json", canonical_json_17g)
     monkeypatch.setattr(cli_mod, "audit_to_obj", audit_to_obj_17g)
     assert _run(workdir, argv, capsys) == (code, report)
+
+
+# -- a claimed star-closure is checked against the basis ------------------------
+
+def _claiming(algebra, star_closed):
+    obj = algebra_to_obj(algebra)
+    obj["star_closed"] = star_closed
+    return obj
+
+
+def test_an_m3_file_that_says_not_star_closed_is_a_schema_error(workdir, capsys, tmp_path):
+    # M_3 is star-closed: the file's false is refused on load, before the
+    # audits or the doubling could raise SourceNotStarClosed (exit 3) on it.
+    m3 = generate_algebra([np.diag([1.0, 2.0, 3.0]), np.roll(np.eye(3), 1, axis=0)],
+                          include_adjoints=True)
+    assert m3.dim == 9 and m3.star_closed
+    (tmp_path / "m3.json").write_text(canonical_json(_claiming(m3, False)))
+    (tmp_path / "cone.json").write_text(canonical_json(
+        {"variant": "standard", "algebra": "m3.json", "tol_psd": 1e-9}))
+    (tmp_path / "S.json").write_text(canonical_json(matrix_to_obj(np.eye(3))))
+    for args, pointer in (
+            (["check-cones", "--cone", str(tmp_path / "cone.json")], "/algebra/star_closed"),
+            (["kadison-demo", "--algebra", str(tmp_path / "m3.json"),
+              "--similarity", str(tmp_path / "S.json")], "/star_closed")):
+        code, rep = _run(workdir, args + ["--samples", "5"], capsys)
+        assert code == 4
+        assert rep["error"]["type"] == "SchemaError"
+        assert rep["error"]["pointer"] == pointer
+        assert "star_closed = True" in rep["error"]["message"]
+
+
+def test_a_t2_file_that_says_star_closed_is_a_schema_error(workdir, capsys, tmp_path):
+    # span{I, E12} is an algebra whose adjoint E21 leaves it: the file's true is
+    # refused on load, before the audits could meet E21 (MembershipError, exit 3).
+    t2 = generate_algebra([E12])
+    assert t2.dim == 2 and not t2.star_closed
+    (tmp_path / "cone.json").write_text(canonical_json(
+        {"variant": "standard", "algebra": _claiming(t2, True), "tol_psd": 1e-9}))
+    code, rep = _run(workdir, ["check-cones", "--cone", str(tmp_path / "cone.json"),
+                               "--samples", "5"], capsys)
+    assert code == 4
+    assert rep["error"]["type"] == "SchemaError"
+    assert rep["error"]["pointer"] == "/algebra/star_closed"
+    assert "star_closed = False" in rep["error"]["message"]
+    with pytest.raises(SchemaError) as err:
+        algebra_from_obj(_claiming(t2, True), "/a")
+    assert err.value.pointer == "/a/star_closed"
+
+
+def test_similarity_with_an_algebra_outside_the_cones_names_it(workdir, capsys, tmp_path):
+    (tmp_path / "cone.json").write_text(canonical_json(cone_to_obj(_diagonal_cone())))
+    (tmp_path / "rotated.json").write_text(canonical_json(
+        algebra_to_obj(_rotated_commutative_algebra())))
+    code, rep = _run(workdir, ["similarity", "--cone", str(tmp_path / "cone.json"),
+                               "--algebra", str(tmp_path / "rotated.json"), "--samples", "5"],
+                     capsys)
+    assert code == 3
+    assert rep["error"]["type"] == "MembershipError"
+
+
+# -- CLI paths of the schema-error exit ----------------------------------------
+
+def test_out_into_a_missing_directory_writes_one_line_to_stderr(workdir, capsys):
+    out = workdir / "no-such-dir" / "out.json"
+    code = run(["close-algebra", "--generators", str(workdir / "gens.json"), "--out", str(out)])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot write {out}: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert not out.parent.exists()
+
+
+def test_close_algebra_on_an_empty_list_is_a_schema_error(workdir, capsys, tmp_path):
+    (tmp_path / "empty.json").write_text("[]")
+    code, rep = _run(workdir, ["close-algebra", "--generators", str(tmp_path / "empty.json")],
+                     capsys)
+    assert code == 4
+    assert rep["error"]["type"] == "SchemaError"
+    assert rep["error"]["pointer"] == ""
+
+
+def test_a_seed_past_64_bits_is_a_schema_error(workdir, capsys):
+    code, rep = _run(workdir, ["close-algebra", "--generators", str(workdir / "gens.json"),
+                               "--seed", str(2 ** 64)], capsys)
+    assert code == 4
+    assert rep["error"]["pointer"] == "/config/seed"
+    assert "config" not in rep

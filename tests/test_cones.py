@@ -4,9 +4,11 @@ from scipy.linalg import block_diag
 
 from conftest import E11, E12, WORKED_B, WORKED_S, mat, random_similarity, random_unitary
 from doubles import AllHermitianCone, PairedSpanCone, ZeroedCornerCone
+from matorder import _linalg as la
 from matorder import cones as cones_mod
 from matorder.algebra import (
     OperatorAlgebra,
+    _outside,
     conjugate_algebra,
     doubling_embed,
     generate_algebra,
@@ -120,12 +122,15 @@ def test_a_stack_raises_for_its_first_element_outside(variant, n):
         with pytest.raises(MembershipError) as err:
             ask()
         assert err.value.residual == pytest.approx(want, rel=1e-12)
-    # validate's adjoint stack (b_0*, b_1*, b_2*) on the upper triangular 2 x 2
-    # matrices, called star-closed: b_2* = E21 is the first outside, at distance 1.
+    # The adjoint stack (b_0*, b_1*, b_2*) of the upper triangular 2 x 2 matrices,
+    # which the constructor decides are not star-closed: b_2* = E21 is the first
+    # outside, at distance 1.
     basis = np.stack([np.eye(2), E11 - mat([[0, 0], [0, 1]]), np.sqrt(2.0) * E12]) / np.sqrt(2.0)
-    upper = OperatorAlgebra(2, basis, np.array([np.sqrt(2.0), 0.0, 0.0]), True)
+    upper = OperatorAlgebra(basis)
+    assert not upper.star_closed
+    np.testing.assert_allclose(upper.unit_coords, [np.sqrt(2.0), 0.0, 0.0], atol=1e-15)
     with pytest.raises(MembershipError) as err:
-        upper.validate()
+        _outside(upper, la.dagger(upper.basis))
     assert err.value.residual == pytest.approx(membership_residual(upper, E12.T), rel=1e-12)
     assert membership_residual(upper, E12.T) == pytest.approx(1.0)
 
@@ -178,6 +183,24 @@ def test_algebraically_admissible_needs_star_closed(worked_algebra):
     cone = StandardCone(worked_algebra)
     with pytest.raises(SourceNotStarClosed):
         audit_algebraically_admissible(cone, 1, samples=4, seed=0)
+
+
+@pytest.mark.parametrize("variant", ["standard", "similarity"])
+def test_t2_from_its_basis_is_not_star_closed_and_passes_nothing_by_theorem(variant):
+    # span{I, E12}: nothing asserts its star-closure, so the realisation theorem
+    # is not applied; the sampled conjugations leave M_n(T_2) and say so.
+    t2 = OperatorAlgebra(np.stack([np.eye(2) / np.sqrt(2.0), E12]))
+    assert not t2.star_closed
+    cone = (StandardCone(t2) if variant == "standard"
+            else SimilarityCone(conjugate_algebra(t2, np.linalg.inv(WORKED_S)), WORKED_S))
+    assert not cone.straight_algebra.star_closed
+    with pytest.raises(SourceNotStarClosed):
+        audit_algebraically_admissible(cone, 1, samples=4, seed=0)
+    check = cones_mod._sampled(cone, "axiom", "sampled detail", lambda: iter(()))
+    assert check.detail == "sampled detail"
+    for audit in (audit_matrix_ordered, audit_star_admissible):
+        with pytest.raises(MembershipError, match="element outside M_n"):
+            audit(cone, samples=4, seed=0)
 
 
 @pytest.mark.parametrize("fixture", ["std_m2", "std_m3", "worked_sim_cone"])

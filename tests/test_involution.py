@@ -3,12 +3,14 @@ import copy
 import numpy as np
 import pytest
 
-from conftest import E12, E21, WORKED_B
-from doubles import SkewedLevelCone, ZeroCone, ZeroedCornerCone
+from conftest import E11, E12, E21, WORKED_B, random_unitary
+from doubles import (GrowingSpanCone, RotatedSampleCone, SkewedLevelCone, ZeroCone,
+                     ZeroedCornerCone)
 from matorder.algebra import generate_algebra, random_element
 from matorder.case_studies import FunctionPullbackCone
 from matorder.cones import StandardCone, audit_matrix_ordered
-from matorder.errors import CertificationFailed, DimensionMismatch, LevelUnsupported
+from matorder.errors import (CertificationFailed, DecompositionInfeasible, DecompositionNotUnique,
+                             DimensionMismatch, LevelUnsupported, SpanUnstable)
 from matorder.involution import (
     decompose,
     real_cone_span,
@@ -170,9 +172,8 @@ def test_sharp_conjugation_preserves_cone(worked_sim_cone, worked_algebra):
 
 def test_degenerate_span_raises(m2_full):
     cone = ZeroCone(m2_full)
-    with pytest.raises(Exception) as err:
+    with pytest.raises(DecompositionInfeasible, match="cone span is trivial"):
         decompose(cone, 1, np.eye(2, dtype=complex))
-    assert err.type.__name__ in ("DecompositionInfeasible", "DecompositionNotUnique")
 
 
 @pytest.mark.parametrize("fixture", ["std_m2", "worked_sim_cone", "planted_sim_cone"])
@@ -262,3 +263,48 @@ def test_wrong_level_samples_raise_dimension_mismatch(m2_full):
                 lambda: verify_matrix_involution(cone, 1, involution1=involution1)):
         with pytest.raises(DimensionMismatch, match="level-1 elements must be 2x2"):
             run()
+
+
+# -- typed errors of the span and the split ----------------------------------
+
+def test_a_span_still_growing_after_every_round_raises(m3_full):
+    with pytest.raises(SpanUnstable, match=r"still growing after 12 rounds \(dim 12\)"):
+        real_cone_span(GrowingSpanCone(m3_full), 1)
+
+
+def test_a_sampled_span_of_the_wrong_dimension_raises(m2_full):
+    # Samples with a zero first row and column span only the E22 direction.
+    with pytest.raises(SpanUnstable, match="sampled span dimension 1 != exact span dimension 4"):
+        real_cone_span(ZeroedCornerCone(m2_full), 1)
+
+
+def test_a_sampled_span_off_the_exact_one_raises(span_i_e11):
+    # u span{E11, E22} u* has the dimension of the diagonal Hermitian part, not its span.
+    cone = RotatedSampleCone(span_i_e11, random_unitary(np.random.default_rng(3), 2))
+    with pytest.raises(SpanUnstable, match="sampled span disagrees with the exact span"):
+        real_cone_span(cone, 1)
+
+
+def test_a_span_meeting_i_span_is_not_unique(std_m2):
+    span = np.stack([np.eye(2), 1j * np.eye(2)]) / np.sqrt(2.0)
+    with pytest.raises(DecompositionNotUnique, match="span meets i\\*span in dimension 2"):
+        decompose(std_m2, 1, np.eye(2, dtype=complex), span=span)
+
+
+def test_a_span_too_small_for_the_algebra_is_infeasible(std_m2):
+    span = (np.eye(2) / np.sqrt(2.0))[None].astype(complex)
+    with pytest.raises(DecompositionInfeasible,
+                       match="span \\+ i\\*span has real dimension 2, the algebra needs 8"):
+        decompose(std_m2, 1, np.eye(2, dtype=complex), span=span)
+
+
+def test_a_span_tilted_out_of_the_algebra_misses_its_split(span_i_e11):
+    # span{E11, E22 + eps (E12 + E21)}: full rank, so only the split of E22 misses.
+    eps = 1e-3
+    tilted = (np.diag([0.0, 1.0]) + eps * (E12 + E21) / np.sqrt(2.0)) / np.sqrt(1.0 + eps ** 2)
+    span = np.stack([E11, tilted]).astype(complex)
+    cone = StandardCone(span_i_e11)
+    x1, x2 = decompose(cone, 1, E11, span=span)
+    np.testing.assert_allclose(x1 + 1j * x2, E11, atol=1e-12)
+    with pytest.raises(DecompositionInfeasible, match="decomposition residual 0.001 outside"):
+        decompose(cone, 1, np.diag([0.0, 1.0]).astype(complex), span=span)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import E12, WORKED_B
-from doubles import AllHermitianCone, ZeroCone
+from doubles import AllHermitianCone, GappedCone, ZeroCone
 from matorder.algebra import random_element
 from matorder.cones import check_order_unit_archimedean
-from matorder.errors import NotSelfAdjoint, UnboundedAbove
+from matorder.errors import CertificationFailed, NotSelfAdjoint, UnboundedAbove
 from matorder.order_norms import (
     null_space,
     order_unit_seminorm,
@@ -136,3 +136,11 @@ def test_boundary_witness_accepted(std_m2):
     r = order_unit_seminorm(std_m2, 1, a).value
     assert r == pytest.approx(1.0, abs=1e-7)
     assert std_m2.member(1, r * np.eye(2) + a)
+
+
+def test_pre_cstar_norm_formulas_that_disagree_raise(m2_full):
+    # x = I, so x^sharp x = I: the search in r bisects onto t e - I inside for
+    # t >= 2.5 (sqrt 1.58...), the search in r^2 onto t in [1.6, 1.8] (r 1.26...).
+    with pytest.raises(CertificationFailed,
+                       match=r"formulas disagree: sqrt path 1\.58\d*, direct path 1\.26"):
+        pre_cstar_norm(GappedCone(m2_full), None, 1, np.eye(2, dtype=complex))

@@ -11,11 +11,12 @@ from conftest import (
     random_star_closed_algebra,
     random_unitary,
 )
+from matorder import _linalg as la
 from matorder import similarity
 from matorder.algebra import (block_coords, block_synth, conjugate_algebra, generate_algebra,
                               level_residual, random_element)
 from matorder.cones import SimilarityCone, StandardCone
-from matorder.errors import DimensionMismatch, NoPositiveSolution
+from matorder.errors import DimensionMismatch, MembershipError, NoPositiveSolution
 from matorder.involution import recover_involution
 from matorder.similarity import (
     _polar_point,
@@ -28,6 +29,7 @@ from matorder.similarity import (
     reconstruct_similarity,
     solve_Q,
 )
+from references import membership_residual
 
 ONE_PLUS_SQRT2 = 1.0 + np.sqrt(2.0)
 
@@ -626,3 +628,58 @@ def test_similarity_certificate_root_is_exactly_hermitian(size):
     assert np.array_equal(cert.s, cert.s.conj().T)
     assert not np.diagonal(cert.s).imag.any()
     np.testing.assert_allclose(cert.s @ cert.s, cert.q, rtol=0, atol=1e-12 * np.abs(cert.q).max())
+
+
+DIAGONAL_S = mat([[1, 0.5, 0], [0, 1, 0.3], [0, 0, 2]])
+
+
+def _diagonal_cone():
+    """The cone over S^-1 D_3 S, D_3 the diagonal algebra of M_3."""
+    diagonal = generate_algebra([np.diag([1.0, 2.0, 3.0])])
+    return SimilarityCone(conjugate_algebra(diagonal, np.linalg.inv(DIAGONAL_S)), DIAGONAL_S)
+
+
+def _rotated_commutative_algebra():
+    u = random_unitary(np.random.default_rng(34), 3)
+    return generate_algebra([u @ np.diag([1.0, 2.0, 3.0]) @ u.conj().T], include_adjoints=True)
+
+
+def test_reconstruct_rejects_an_algebra_outside_the_cones():
+    # The cone's involution is defined on S^-1 D_3 S only: a rotated commutative
+    # algebra is rejected by its first basis element outside, before a solve
+    # on it could end in NoPositiveSolution.
+    cone, algebra = _diagonal_cone(), _rotated_commutative_algebra()
+    residuals = [membership_residual(cone.algebra, b) for b in algebra.basis]
+    first = next(r for r in residuals if r > cone.algebra.structure_tol * 2.0)
+    with pytest.raises(MembershipError) as err:
+        reconstruct_similarity(algebra, cone)
+    assert err.value.residual == pytest.approx(first, rel=1e-12)
+    assert first > 0.1
+
+
+def test_reconstruct_rejects_an_algebra_of_another_size(m2_full, std_m2):
+    # diag(b, b) over M_2 is 4 x 4: it lies in M_2(M_2), not in M_2.
+    doubled = generate_algebra([np.kron(np.eye(2), b) for b in m2_full.basis])
+    with pytest.raises(DimensionMismatch, match="level-1 element must be 2x2, got"):
+        reconstruct_similarity(doubled, std_m2)
+
+
+def test_reconstruct_certifies_a_sharp_closed_subalgebra():
+    # span{I, S^-1 E11 S} is a proper subalgebra of the cone's S^-1 M_3 S, closed
+    # under its involution, and carried onto a *-algebra by S itself.
+    s = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    full = generate_algebra([np.diag([1.0, 2.0, 3.0]), np.roll(np.eye(3), 1, axis=0)],
+                            include_adjoints=True)
+    cone = SimilarityCone(conjugate_algebra(full, np.linalg.inv(s)), s)
+    e11 = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    sub = generate_algebra([np.linalg.inv(s) @ e11 @ s])
+    assert sub.dim == 2 < cone.algebra.dim == 9
+    res = reconstruct_similarity(sub, cone)
+    assert res.cb_upper == pytest.approx(1.0, abs=1e-9)
+    assert res.sandwich_ok
+
+
+def test_principal_sqrt_rejects_a_matrix_that_is_not_positive_definite():
+    with pytest.raises(np.linalg.LinAlgError, match=r"not positive definite \(lambda_min -1\)"):
+        la.principal_sqrt(np.diag([4.0, -1.0]).astype(complex))
+    np.testing.assert_allclose(la.principal_sqrt(np.diag([4.0, 1.0])), np.diag([2.0, 1.0]))
