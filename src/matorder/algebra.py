@@ -190,10 +190,9 @@ def level_residual(algebra: OperatorAlgebra, x: np.ndarray):
     """Distance of a matrix of N x N blocks from M_n(A) on one view of its
     blocks: the basis kron(E_ij, b_k) of M_n(A) is orthonormal, so the
     distance is that of the blocks from A, summed in quadrature.  A stack
-    (k, nN, mN) gives its k distances from one view, its matrices stacked
-    one below the other."""
+    (k, nN, mN) gives its k distances from its one (k, n, m, N, N) view."""
     x = as_matrix(x)
-    blocks = _block_view(algebra, x.reshape(-1, x.shape[-1]) if x.ndim == 3 else x)
+    blocks = _block_view(algebra, x)
     diff = blocks - algebra.synthesize(algebra.coords_of(blocks))
     return np.linalg.norm(diff.reshape(len(x), -1), axis=1) if x.ndim == 3 else la.frob(diff)
 

@@ -268,60 +268,49 @@ class C1Sample:
         return self._on_grid(self.f_values.conj(), self.f_derivs.conj())
 
 
-def c1_embed(sample: C1Sample) -> np.ndarray:
-    """Block-diagonal matrix with blocks [[f(q), f'(q)], [0, f(q)]]."""
-    m = sample.grid.size
-    out = np.zeros((2 * m, 2 * m), dtype=complex)
-    even = 2 * np.arange(m)
-    out[even, even] = out[even + 1, even + 1] = sample.f_values
-    out[even, even + 1] = sample.f_derivs
+def _c1_blocks(vals: np.ndarray, ders: np.ndarray) -> np.ndarray:
+    """The (..., 2, 2) stack of blocks [[f, f'], [0, f]] of values and derivatives
+    of one shape (...): the one definition of the embedding's entries."""
+    out = np.zeros(np.shape(vals) + (2, 2), dtype=complex)
+    out[..., 0, 0] = out[..., 1, 1] = vals
+    out[..., 0, 1] = ders
     return out
 
 
+def c1_embed(sample: C1Sample) -> np.ndarray:
+    """Block-diagonal matrix with blocks [[f(q), f'(q)], [0, f(q)]]."""
+    m = sample.grid.size
+    out = np.zeros((m, 2, m, 2), dtype=complex)
+    out[np.arange(m), :, np.arange(m), :] = _c1_blocks(sample.f_values, sample.f_derivs)
+    return out.reshape(2 * m, 2 * m)
+
+
 def _top_singular_2x2(blocks: np.ndarray) -> np.ndarray:
-    """Top singular value of each general complex 2x2 block of a (k, 2, 2) stack:
-    with columns b1, b2, p = |b1|^2, q = |b2|^2 and r = |b1* b2|,
-    s^2 = (p + q + sqrt((p - q)^2 + 4 r^2)) / 2.  Every term is nonnegative, so
-    the relative error is a few eps for entries between about 1e-150 and 1e150,
-    where no square leaves the normal range.  Below that it underflows, which
-    `_c1_norms` cannot see: its 1e-10 absolute floor already accepts any such
-    norm; above it the closed form overflows first and is rejected."""
-    (a, b), (c, d) = blocks.transpose(1, 2, 0)  # each block [[a, b], [c, d]]
+    """Top singular value s of each complex 2x2 block of a (..., 2, 2) stack: with columns
+    b1, b2, p = |b1|^2, q = |b2|^2 and r = |b1* b2|, s^2 = (p + q + sqrt((p - q)^2 + 4 r^2)) / 2,
+    all terms nonnegative, so a few eps relative for entries within about 1e-150..1e150; below,
+    it underflows within `_c1_norms`'s 1e-10 absolute floor; above, it overflows (rejected)."""
+    (a, b), (c, d) = np.moveaxis(blocks, (-2, -1), (0, 1))  # each block [[a, b], [c, d]]
     p, q = np.abs(a) ** 2 + np.abs(c) ** 2, np.abs(b) ** 2 + np.abs(d) ** 2
     r = np.abs(a.conj() * b + c.conj() * d)
     return np.sqrt(0.5 * (p + q + np.hypot(p - q, 2.0 * r)))
 
 
-def _embedded_norms(on: C1Sample, vals: np.ndarray, ders: np.ndarray) -> np.ndarray:
-    """||c1_embed||_2 of the samples (vals[i], ders[i]) on the grid of `on`, exactly:
-    the top singular values of the diagonal 2x2 blocks, read off each embedding's
-    own entries and measured by `_top_singular_2x2`, which assumes nothing of the
-    blocks' shape; CertificationFailed unless all else is exactly 0."""
-    m = on.grid.size
-    if not (m and len(vals)):
-        return np.zeros(len(vals))
-    blocks, diag = [], np.arange(m)
-    for v, dv in zip(vals, ders):
-        embedded = c1_embed(on._on_grid(v, dv)).reshape(m, 2, m, 2)
-        blocks.append(embedded[diag, :, diag, :])
-        embedded[diag, :, diag, :] = 0.0
-        if embedded.any():
-            raise CertificationFailed("embedded matrix has an entry off its diagonal 2x2 blocks")
-        del embedded  # one (2m x 2m) embedding alive at a time
-    return _top_singular_2x2(np.concatenate(blocks)).reshape(-1, m).max(axis=1)
+def _embedded_norms(vals: np.ndarray, ders: np.ndarray) -> np.ndarray:
+    """||c1_embed|| of (k, m) sample stacks, exactly: the blocks' largest `_top_singular_2x2`."""
+    return _top_singular_2x2(_c1_blocks(vals, ders)).max(axis=1, initial=0.0)
 
 
-def _c1_norms(on: C1Sample, vals: np.ndarray, ders: np.ndarray) -> np.ndarray:
-    """`c1_norm` of the samples (vals[i], ders[i]) on the grid of `on`: the closed
-    form over the (k, m) stacks, cross-checked by one `_embedded_norms`;
-    MatOrderError for a value, derivative or norm that is not finite (a NaN or
-    inf in a value or derivative makes its norm NaN or inf)."""
+def _c1_norms(vals: np.ndarray, ders: np.ndarray) -> np.ndarray:
+    """`c1_norm` of the samples (vals[i], ders[i]) of (k, m) stacks: the closed form,
+    cross-checked by one `_embedded_norms`; MatOrderError for a norm that is not
+    finite, as a NaN or inf in a value or derivative makes it."""
     f2, d = np.abs(vals) ** 2, np.abs(ders)
     per_point = 0.5 * (2.0 * f2 + d ** 2 + d * np.sqrt(4.0 * f2 + d ** 2))
     values = np.sqrt(np.max(per_point, axis=1, initial=0.0))
     if not np.isfinite(values).all():
         raise MatOrderError("C1 sample or its norm is not finite")
-    direct = _embedded_norms(on, vals, ders)
+    direct = _embedded_norms(vals, ders)
     bad = np.flatnonzero(np.abs(values - direct) > 1e-10 * (1.0 + direct))
     if bad.size:
         raise CertificationFailed(f"closed-form norm {values[bad[0]]:.17g} disagrees with the "
@@ -331,8 +320,8 @@ def _c1_norms(on: C1Sample, vals: np.ndarray, ders: np.ndarray) -> np.ndarray:
 
 def c1_norm(sample: C1Sample) -> float:
     """Induced norm: sup over grid points of the top singular value of the
-    2x2 block, in closed form; cross-checked against the embedded matrix."""
-    return float(_c1_norms(sample, sample.f_values[None], sample.f_derivs[None])[0])
+    2x2 block, in closed form; cross-checked against the embedding's blocks."""
+    return float(_c1_norms(sample.f_values[None], sample.f_derivs[None])[0])
 
 
 class FunctionPullbackCone(ConeOracle):
@@ -393,7 +382,7 @@ class FunctionPullbackCone(ConeOracle):
         return self._unit
 
     def norm_many(self, n: int, xs) -> list:
-        return _c1_norms(self._unit, *self._stack(n, xs)).tolist()
+        return _c1_norms(*self._stack(n, xs)).tolist()
 
     def straighten(self, n: int, x) -> np.ndarray:
         # The faithful matrix picture: block upper-triangular embedding.
@@ -451,8 +440,7 @@ def c1_inequality_check(samples: int = 500, seed: int = 0,
     # The stream of `samples` (values, derivatives) pairs of random_complex draws.
     drawn = la.random_complex_many(np.random.default_rng(seed), 2 * samples, (grid_size,))
     vals, ders = drawn[0::2], drawn[1::2]
-    unit = C1Sample(np.linspace(0.0, 1.0, grid_size), np.ones(grid_size), np.zeros(grid_size))
-    norm = _c1_norms(unit, vals, ders)
+    norm = _c1_norms(vals, ders)
     sup, dsup = (np.max(np.abs(z), axis=1, initial=0.0) for z in (vals, ders))
     mid = np.maximum(sup, dsup) / np.sqrt(2.0)
     low = (sup + dsup) / (2.0 * np.sqrt(2.0))
@@ -462,10 +450,9 @@ def c1_inequality_check(samples: int = 500, seed: int = 0,
 
 
 def c1_condition1_decay(k: int, grid: np.ndarray | None = None) -> float:
-    """Ratio ||c + d|| / ||c|| for c = 1 - cos(2 pi k x) and d = 2 - c, both
-    nonnegative; decays like 1/k because the derivative of c is large while
-    c + d is constant.  Scaling c and d by any eps != 0 leaves the ratio
-    unchanged (c1_norm is homogeneous)."""
+    """Ratio ||c + d|| / ||c|| for c = 1 - cos(2 pi k x) and d = 2 - c, both nonnegative: it
+    decays like 1/k, as c has a large derivative and c + d is constant.  Scaling c and d
+    by any eps != 0 leaves it unchanged (c1_norm is homogeneous)."""
     if k < 1:
         raise DimensionMismatch(f"frequency must be >= 1, got {k}")
     if grid is None:
@@ -477,6 +464,6 @@ def c1_condition1_decay(k: int, grid: np.ndarray | None = None) -> float:
     c = C1Sample(grid, 1.0 - np.cos(phase), 2.0 * np.pi * k * np.sin(phase))
     d = C1Sample(grid, 2.0 - c.f_values, -c.f_derivs)
     total = c + d
-    top, bottom = _c1_norms(c, np.stack([total.f_values, c.f_values]),
+    top, bottom = _c1_norms(np.stack([total.f_values, c.f_values]),
                             np.stack([total.f_derivs, c.f_derivs]))
     return float(top / bottom)

@@ -20,6 +20,7 @@ from . import case_studies, cones, involution, order_norms, similarity
 from .algebra import DEFAULT_MAX_DIM, DEFAULT_STRUCTURE_TOL, generate_algebra
 from .errors import MatOrderError, SchemaError
 from .serialization import (
+    _expect,
     _number,
     algebra_from_obj,
     algebra_to_obj,
@@ -191,8 +192,12 @@ def _cmd_cb_norm(args, config: RunConfig):
     obj = load_json(args.images)
     if not isinstance(obj, list) or len(obj) != algebra.dim:
         raise SchemaError("", f"images file must list {algebra.dim} matrices")
-    images = np.stack([matrix_from_obj(m, f"/{k}") for k, m in enumerate(obj)])
-    level = int(images.shape[1]) if args.level is None else args.level
+    images = [matrix_from_obj(m, f"/{k}") for k, m in enumerate(obj)]
+    for k, image in enumerate(images):
+        _expect(len(image) == len(images[0]), f"/{k}/dim", "must equal the first image's size")
+    level = len(images[0]) if args.level is None else args.level
+    _expect(level <= len(images[0]), "/level",  # Smith's lemma: ||phi^(R)|| is ||phi||_cb
+            f"must be <= the images' size {len(images[0])}, where the cb norm is attained")
     value = similarity.cb_lower_bound(images, algebra, k=level, seed=config.seed)
     return EXIT_OK, {"cb_lower_bound": value, "level": level}
 

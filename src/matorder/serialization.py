@@ -5,8 +5,8 @@ Complex entries are [re, im] pairs.  Every report goes out through one
 `repr` writes it: the shortest text that reads back as the same double, with
 a decimal point or an exponent, so an integral float stays a float and -0.0
 keeps its sign.  Identical inputs and seeds produce byte-identical reports.
-Loaders raise SchemaError with a JSON-pointer path on malformed input, and on
-an algebra whose `star_closed` contradicts what its basis decides.
+Loaders raise SchemaError with a JSON-pointer path on malformed input, on an
+algebra whose `star_closed` its basis contradicts, and on a stray cone field.
 """
 
 from __future__ import annotations
@@ -153,11 +153,17 @@ def cone_from_obj(obj, base_dir: str = ".", pointer: str = "",
     tol_psd = _number(obj.get("tol_psd", DEFAULT_TOL_PSD), pointer + "/tol_psd")
     _expect(tol_psd > 0, pointer + "/tol_psd", "must be a positive number")
 
+    def own(*fields):  # after the variant's own fields parse: no field of another
+        for key in ("S", "algebra", "grid"):
+            _expect(key in fields or key not in obj, f"{pointer}/{key}",
+                    f"is not a field of a {variant} cone")
+
     if variant == "pullback":
         grid = obj.get("grid")
         _expect(isinstance(grid, list) and len(grid) >= 2, pointer + "/grid",
                 "must be a list of at least two points")
         grid = [_number(q, f"{pointer}/grid/{k}") for k, q in enumerate(grid)]
+        own("grid")
         return FunctionPullbackCone(np.asarray(grid, dtype=float), float(tol_psd))
 
     alg_obj = obj.get("algebra")
@@ -165,10 +171,12 @@ def cone_from_obj(obj, base_dir: str = ".", pointer: str = "",
         alg_obj = load_json(os.path.join(base_dir, alg_obj))
     algebra = algebra_from_obj(alg_obj, pointer + "/algebra", tol)
     if variant == "standard":
+        own("algebra")
         return StandardCone(algebra, float(tol_psd))
     s = matrix_from_obj(obj.get("S"), pointer + "/S")
     _expect(s.shape == (algebra.ambient_dim,) * 2, pointer + "/S/dim",
             "must match the algebra ambient dimension")
+    own("algebra", "S")
     return SimilarityCone(algebra, s, float(tol_psd))
 
 

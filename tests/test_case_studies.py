@@ -182,30 +182,23 @@ def test_c1_embedded_norm_matches_full_svd(m):
     grid = np.linspace(0.0, 1.0, m)
     for _ in range(5):
         s = C1Sample(grid, la.random_complex(rng, m), la.random_complex(rng, m))
-        got = _embedded_norms(s, s.f_values[None], s.f_derivs[None])
+        got = _embedded_norms(s.f_values[None], s.f_derivs[None])
         assert got.tolist() == [pytest.approx(la.opnorm(c1_embed(s)), rel=1e-13)]
 
 
-def test_c1_norm_rejects_an_entry_off_the_diagonal_blocks(monkeypatch):
-    grid = np.linspace(0.0, 1.0, 8)
-    s = C1Sample(grid, np.ones(8), np.zeros(8))
-    honest = c1_embed
-
-    def leaky(sample):
-        out = honest(sample)
-        out[0, 3] = 1e-300  # far below any tolerance; only exact zeros pass
-        return out
-
-    monkeypatch.setattr(case_studies, "c1_embed", leaky)
-    with pytest.raises(CertificationFailed):
-        c1_norm(s)
-
-
-def _c1_blocks(f, d) -> np.ndarray:
-    out = np.zeros((len(f), 2, 2), dtype=complex)
-    out[:, 0, 0] = out[:, 1, 1] = f
-    out[:, 0, 1] = d
-    return out
+def test_c1_norm_rejects_an_entry_off_the_diagonal_blocks():
+    # The embedding is assembled from its block stack, so nothing can lie off the
+    # diagonal blocks and no lower-left entry is ever written: both hold exactly.
+    for m in (1, 8, 64):
+        rng = np.random.default_rng(m)
+        s = C1Sample(np.linspace(0.0, 1.0, m), la.random_complex(rng, m),
+                     la.random_complex(rng, m))
+        blocks = case_studies._c1_blocks(s.f_values, s.f_derivs)
+        embedded = c1_embed(s)
+        diag = np.arange(m)
+        assert np.array_equal(embedded.reshape(m, 2, m, 2)[diag, :, diag, :], blocks)
+        assert np.count_nonzero(embedded) == np.count_nonzero(blocks) == 3 * m
+        assert np.all(blocks[:, 1, 0] == 0.0)
 
 
 def _kernel_cases() -> dict:
@@ -220,9 +213,10 @@ def _kernel_cases() -> dict:
                                   la.random_complex_many(rng, 200, 2))
     cases["zero"] = np.zeros((3, 2, 2), dtype=complex)
     f = la.random_complex(rng, 200)
-    cases["c1-flat"] = _c1_blocks(f, np.zeros(200))
-    cases["c1-steep"] = _c1_blocks(f, 1e8 * la.random_complex(rng, 200))
-    cases["c1-mixed"] = _c1_blocks(f, np.geomspace(1e-9, 1e9, 200) * la.random_complex(rng, 200))
+    cases["c1-flat"] = case_studies._c1_blocks(f, np.zeros(200))
+    cases["c1-steep"] = case_studies._c1_blocks(f, 1e8 * la.random_complex(rng, 200))
+    cases["c1-mixed"] = case_studies._c1_blocks(
+        f, np.geomspace(1e-9, 1e9, 200) * la.random_complex(rng, 200))
     return cases
 
 
@@ -236,21 +230,34 @@ def test_top_singular_2x2_matches_lapack(name, blocks):
 
 @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 1)])
 def test_c1_norm_rejects_a_perturbed_diagonal_block(monkeypatch, entry):
-    # The cross-check measures the embedding's own entries: one 2x2 block entry
+    # The cross-check measures the embedding's own blocks: one 2x2 block entry
     # moved by a relative 1e-6 must break the agreement with the closed form.
     grid = np.linspace(0.0, 1.0, 8)
     s = C1Sample(grid, np.ones(8), np.full(8, 0.5))
-    honest = c1_embed
+    honest = case_studies._c1_blocks
 
-    def skewed(sample):
-        out = honest(sample)
-        out[entry] *= 1.0 + 1e-6
+    def skewed(vals, ders):
+        out = honest(vals, ders)
+        out[(..., *entry)] *= 1.0 + 1e-6
         return out
 
     assert c1_norm(s) == pytest.approx(np.linalg.norm(c1_embed(s), 2), rel=1e-14)
-    monkeypatch.setattr(case_studies, "c1_embed", skewed)
+    monkeypatch.setattr(case_studies, "_c1_blocks", skewed)
     with pytest.raises(CertificationFailed):
         c1_norm(s)
+
+
+def test_no_c1_norm_path_builds_the_dense_embedding(monkeypatch):
+    calls = []
+    monkeypatch.setattr(case_studies, "c1_embed", calls.append)
+    grid = np.linspace(0.0, 1.0, 16)
+    s = C1Sample(grid, np.ones(16), np.full(16, 0.5))
+    cone = FunctionPullbackCone(grid)
+    c1_norm(s)
+    cone.norm_many(1, [cone.unit(1), s])
+    c1_inequality_check(samples=5, seed=0, grid_size=16)
+    c1_condition1_decay(4, grid)
+    assert calls == []
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")

@@ -319,6 +319,24 @@ def test_check_cones_on_a_pullback_cone_reports_its_level_one_constants(workdir,
                              "constants": {"r1": r1.value, "alpha": alpha.value}}
 
 
+@pytest.mark.parametrize("base, extra, pointer", [
+    ("std_cone.json", {"S": matrix_to_obj(np.eye(2))}, "/S"),
+    ("std_cone.json", {"grid": [0, 1]}, "/grid"),
+    ("sim_cone.json", {"grid": [0, 1]}, "/grid"),
+    ({"variant": "pullback", "grid": [0, 0.5, 1]}, {"algebra": "m2.json"}, "/algebra"),
+    ({"variant": "pullback", "grid": [0, 0.5, 1]}, {"S": matrix_to_obj(np.eye(2))}, "/S"),
+])
+def test_a_cone_file_with_a_field_of_another_variant_exits_4(workdir, capsys, base, extra,
+                                                            pointer):
+    if isinstance(base, str):
+        base = json.loads((workdir / base).read_text())
+    path = workdir / "stray_cone.json"
+    path.write_text(canonical_json(dict(base, **extra)))
+    code, rep = _run(workdir, ["check-cones", "--cone", str(path), "--samples", "5"], capsys)
+    assert code == 4 and "result" not in rep
+    assert rep["error"]["type"] == "SchemaError" and rep["error"]["pointer"] == pointer
+
+
 def test_parser_defaults_are_the_run_config_and_library_defaults():
     args = cli_mod._build_parser().parse_args(["check-cones", "--cone", "c.json"])
     config = cli_mod.RunConfig()
@@ -564,6 +582,35 @@ def test_cb_norm_with_the_wrong_number_of_images_exits_4(workdir, capsys, tmp_pa
     assert code == 4
     assert rep["error"]["type"] == "SchemaError"
     assert "4 matrices" in rep["error"]["message"]
+
+
+def _no_ascent(*args, **kwargs):
+    raise AssertionError("cb_lower_bound ran on inputs that fail their checks")
+
+
+def test_cb_norm_with_images_of_mixed_sizes_exits_4_before_any_ascent(
+        workdir, capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(sim_mod, "cb_lower_bound", _no_ascent)
+    images = tmp_path / "mixed.json"
+    images.write_text(canonical_json([matrix_to_obj(np.eye(n)) for n in (2, 2, 3, 2)]))
+    code, rep = _run(workdir, ["cb-norm", "--algebra", str(workdir / "m2.json"),
+                               "--images", str(images)], capsys)
+    assert code == 4 and "result" not in rep
+    assert rep["error"]["type"] == "SchemaError" and rep["error"]["pointer"] == "/2/dim"
+
+
+@pytest.mark.parametrize("level", ["3", "9"])
+def test_cb_norm_level_above_the_image_size_exits_4_before_any_ascent(
+        workdir, capsys, tmp_path, monkeypatch, level):
+    # Smith's lemma: a map into M_2 has its cb norm at level 2.
+    monkeypatch.setattr(sim_mod, "cb_lower_bound", _no_ascent)
+    m2 = algebra_from_obj(json.loads((workdir / "m2.json").read_text()))
+    images = tmp_path / "identity.json"
+    images.write_text(canonical_json([matrix_to_obj(b) for b in m2.basis]))
+    code, rep = _run(workdir, ["cb-norm", "--algebra", str(workdir / "m2.json"),
+                               "--images", str(images), "--level", level], capsys)
+    assert code == 4 and "result" not in rep
+    assert rep["error"]["type"] == "SchemaError" and rep["error"]["pointer"] == "/level"
 
 
 def test_similarity_reads_the_source_algebra_from_its_own_file(workdir, capsys, tmp_path):

@@ -135,6 +135,15 @@ def test_a_stack_raises_for_its_first_element_outside(variant, n):
     assert membership_residual(upper, E12.T) == pytest.approx(1.0)
 
 
+def test_a_stack_of_the_wrong_shape_is_named_by_its_own_shape(m2_full):
+    # Three 3 x 3 identities on M_2: the stack, not its flattened (9, 3) view.
+    with pytest.raises(DimensionMismatch, match=r"got \(3, 3, 3\)$"):
+        _outside(m2_full, np.stack([np.eye(3)] * 3))
+    # Rows of 3 are no 2 x 2 blocks, though two of them stacked are.
+    with pytest.raises(DimensionMismatch, match=r"got \(2, 3, 2\)$"):
+        _outside(m2_full, np.zeros((2, 3, 2)))
+
+
 @pytest.mark.parametrize("variant", ["standard", "similarity"])
 def test_member_raises_outside_algebra_at_level_2(variant, span_i_e11, worked_sim_cone):
     cone = StandardCone(span_i_e11) if variant == "standard" else worked_sim_cone

@@ -97,6 +97,22 @@ def test_norm_many_keeps_the_per_sample_bits(m):
         assert c1_condition1_decay(k, grid) == c1_norm_per_sample(c + d) / c1_norm_per_sample(c)
 
 
+def test_empty_stacks_and_a_one_point_grid_keep_the_per_sample_bits():
+    cone = _cone(1)
+    xs = _real(cone, np.random.default_rng(1)) + _complex(cone, np.random.default_rng(2))
+    assert cone.norm_many(1, xs) == [c1_norm_per_sample(x) for x in xs]
+    assert cone.norm_many(1, []) == []
+    empty = C1Sample(np.array([]), np.array([]), np.array([]))
+    assert c1_norm(empty) == c1_norm_per_sample(empty) == 0.0
+    for m in (0, 1):
+        for k in (0, 3):
+            report = c1_inequality_check(samples=k, seed=k, grid_size=m)
+            assert (report.violations, report.worst_margin) == \
+                c1_inequality_check_per_sample(k, k, m)
+    point = C1Sample(np.array([0.25]), np.array([0.0]), np.array([3.0]))
+    assert c1_norm(point) == c1_norm_per_sample(point) == 3.0
+
+
 @pytest.mark.parametrize("m", GRID_SIZES)
 @pytest.mark.parametrize("span", [False, True])
 def test_stacked_draws_keep_the_stream_and_bits(m, span):
