@@ -173,9 +173,8 @@ def kadison_pipeline(algebra: OperatorAlgebra, s: np.ndarray, levels=(1, 2),
     frame = _frame(s, algebra.ambient_dim)
     rep = j_symmetrize(algebra, frame.unstraighten(algebra.basis))
 
-    # S^-* is inverted itself: (S^-1)* is the same matrix in other last bits.
-    s, zero = frame.s, np.zeros_like(frame.s)
-    doubled_s = np.block([[s, zero], [zero, _frame(la.dagger(s), len(s)).s_inv]])
+    zero = np.zeros_like(frame.s)
+    doubled_s = np.block([[frame.s, zero], [zero, la.dagger(frame.s_inv)]])
 
     b_alg = generate_algebra(list(rep.rho_images), tol=algebra.structure_tol)
     cone = SimilarityCone(b_alg, doubled_s)

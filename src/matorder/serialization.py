@@ -6,7 +6,7 @@ Complex entries are [re, im] pairs.  Every report goes out through one
 a decimal point or an exponent, so an integral float stays a float and -0.0
 keeps its sign.  Identical inputs and seeds produce byte-identical reports.
 Loaders raise SchemaError with a JSON-pointer path on malformed input, on an
-algebra whose `star_closed` its basis contradicts, and on a stray cone field.
+algebra whose `star_closed` its basis contradicts, and at any unknown key.
 """
 
 from __future__ import annotations
@@ -69,6 +69,13 @@ def _expect(cond: bool, pointer: str, msg: str) -> None:
         raise SchemaError(pointer, msg)
 
 
+def _fields(obj: dict, pointer: str, fields: tuple, what: str) -> None:
+    """SchemaError at the first key of obj that is not one of fields."""
+    for key in obj:
+        _expect(key in fields, f"{pointer}/{key.replace('~', '~0').replace('/', '~1')}",
+                f"is not a field of {what}")
+
+
 def _number(value, pointer: str):
     """value as a finite JSON number (booleans are not numbers), else
     SchemaError at pointer."""
@@ -122,6 +129,7 @@ def algebra_from_obj(obj, pointer: str = "",
         basis.append(mat)
     _expect(isinstance(obj.get("star_closed"), bool), pointer + "/star_closed",
             "must be a boolean")
+    _fields(obj, pointer, ("ambient_dim", "basis", "star_closed"), "an algebra")
     algebra = OperatorAlgebra(np.stack(basis), tol)
     algebra.validate()
     _expect(obj["star_closed"] == algebra.star_closed, pointer + "/star_closed",
@@ -153,10 +161,8 @@ def cone_from_obj(obj, base_dir: str = ".", pointer: str = "",
     tol_psd = _number(obj.get("tol_psd", DEFAULT_TOL_PSD), pointer + "/tol_psd")
     _expect(tol_psd > 0, pointer + "/tol_psd", "must be a positive number")
 
-    def own(*fields):  # after the variant's own fields parse: no field of another
-        for key in ("S", "algebra", "grid"):
-            _expect(key in fields or key not in obj, f"{pointer}/{key}",
-                    f"is not a field of a {variant} cone")
+    def own(*fields):  # after the variant's own fields parse
+        _fields(obj, pointer, ("variant", "tol_psd") + fields, f"a {variant} cone")
 
     if variant == "pullback":
         grid = obj.get("grid")

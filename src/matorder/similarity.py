@@ -416,6 +416,18 @@ def cb_lower_bound(images: np.ndarray, from_algebra: OperatorAlgebra,
     return max(best, _polish(images, from_algebra, *top)[0], probe[1])
 
 
+def _frame_witness(s: np.ndarray, images: np.ndarray, from_algebra: OperatorAlgebra,
+                   target: float) -> float:
+    """Level-1 lower bound for phi = S^-1 (.) S on C (images: phi of C's basis): phi(u_i u_j*) =
+    (lambda_j / lambda_i) u_i u_j* for S's eigenpairs, so the best of the N^2 u_i u_j* projected
+    onto C (one `coords_of`) attains ||S|| ||S^-1|| if that pair lies in C; polished to target."""
+    u = np.linalg.eigh(s)[1]
+    z = block_coords(from_algebra, np.einsum("ai,bj->ijab", u, u.conj()).reshape(-1, *s.shape))
+    nx, ny = (la.opnorm(block_synth(z, mats)) for mats in (from_algebra.basis, images))
+    i = int(np.argmax(np.divide(ny, nx, out=np.zeros_like(ny), where=nx >= 1e-14)))
+    return _polish(images, from_algebra, *_top_pair(z[i], images, from_algebra), target=target)[0]
+
+
 @dataclass(frozen=True)
 class ReconstructionResult:
     """Full pipeline output: certificate, star representation, cb sandwich
@@ -444,14 +456,17 @@ def reconstruct_similarity(algebra: OperatorAlgebra, cone: ConeOracle,
     """Recover the involution, solve for Q, optimize its condition number,
     build the star representation, and report the cb-norm sandwich.
 
-    sqrt(cond(Q)) bounds the cb norm of the certified conjugation in both
-    directions.  The lower bound, the inverse direction's (which attains it)
-    and the forward one's only while upper - lower > cert_tol * upper, each
-    with target upper (1 - cert_tol), is taken at level 1 and, only while still
-    open, at the ceiling `cb_level` (N when None).  `samples`: per level, for `build_star_rep`.
+    sqrt(cond(Q)) bounds the cb norm of the certified conjugation in both directions; the lower
+    bound starts at `_frame_witness` and, only while upper - lower > cert_tol * upper, ascents
+    with target upper (1 - cert_tol) follow: the inverse direction's, then the forward one's,
+    at level 1 and then the ceiling `cb_level` (N when None; below 1 DimensionMismatch before
+    any solve), each only while still open.  `samples`: per level, for `build_star_rep`.
     The cone's involution is defined on its own algebra only: a basis not in it raises first,
     DimensionMismatch for the wrong size, MembershipError for a basis element outside.
     """
+    ceiling = algebra.ambient_dim if cb_level is None else cb_level
+    if ceiling < 1:
+        raise DimensionMismatch(f"matrix level must be >= 1, got {ceiling}")
     cone.level_element(1, algebra.basis)
     involution = recover_involution(cone, 1, seed=seed)
     space = solve_Q(algebra, involution)
@@ -460,9 +475,10 @@ def reconstruct_similarity(algebra: OperatorAlgebra, cone: ConeOracle,
                           cert_tol=cert_tol, levels=levels, samples=samples, seed=seed)
     star = replace(star, certificate=replace(star.certificate, gap=cert.gap))
     inverse_images = star.certificate.frame.unstraighten(star.image_algebra.basis)
-    upper, lower = cb_upper_bound_from_similarity(star.certificate), 0.0
+    upper = cb_upper_bound_from_similarity(star.certificate)
     target = upper * (1.0 - cert_tol)
-    for k in sorted({1, algebra.ambient_dim if cb_level is None else cb_level}):
+    k, lower = 1, _frame_witness(star.certificate.s, inverse_images, star.image_algebra, target)
+    for k in sorted({1, ceiling}) if upper - lower > cert_tol * upper else ():
         lower = max(lower, cb_lower_bound(inverse_images, star.image_algebra, k, seed, target))
         if upper - lower > cert_tol * upper:
             lower = max(lower, cb_lower_bound(star.images, algebra, k, seed, target))

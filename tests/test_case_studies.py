@@ -5,7 +5,7 @@ import pytest
 
 from conftest import WORKED_S, level_one_inverse_bound, mat
 from matorder import _linalg as la
-from matorder import case_studies
+from matorder import case_studies, similarity
 from matorder.algebra import generate_algebra, random_element
 from matorder.case_studies import (
     C1Sample,
@@ -127,6 +127,28 @@ def test_kadison_pipeline_unitary(m2_full):
     report = kadison_pipeline(m2_full, u, samples=15, seed=1)
     assert report.passed
     assert report.reconstruction.certificate.cond == pytest.approx(1.0, abs=1e-6)
+
+
+# A near-isometric S on M_3 (cond(S) 1.0099): the level-1 and level-2 ascents
+# left its doubled sandwich open by 1.3e-3.
+NEAR_ISOMETRY = np.array([
+    [-0.23134536683176588 - 0.7058291237237394j, 0.5007285032570252 - 0.0521695444324052j,
+     0.22586018963613735 - 0.36302478720282294j],
+    [-0.39953578984966465 + 0.19399343202869976j, -0.00810411893182427 - 0.1000967918192184j,
+     0.8057872412181906 + 0.36544966579650423j],
+    [-0.4087333816310731 - 0.27574299866005453j, -0.6175822704498322 + 0.5876665296985258j,
+     -0.00733097210400113 - 0.14990990347730193j]])
+
+
+def test_kadison_pipeline_closes_a_near_isometric_sandwich_without_ascent(monkeypatch, m3_full):
+    def no_ascent(*args, **kwargs):
+        raise AssertionError("cb_lower_bound asked")
+
+    monkeypatch.setattr(similarity, "cb_lower_bound", no_ascent)
+    report = kadison_pipeline(m3_full, NEAR_ISOMETRY, samples=4, seed=0)
+    assert np.linalg.cond(NEAR_ISOMETRY) == pytest.approx(1.01, abs=1e-3)
+    assert report.passed and report.cb_level == 1
+    assert report.cb_upper - report.cb_lower <= DEFAULT_CERT_TOL * report.cb_upper
 
 
 def test_kadison_pipeline_diagonal(m2_full):

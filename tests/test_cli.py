@@ -1,7 +1,9 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -337,6 +339,52 @@ def test_a_cone_file_with_a_field_of_another_variant_exits_4(workdir, capsys, ba
     assert rep["error"]["type"] == "SchemaError" and rep["error"]["pointer"] == pointer
 
 
+@pytest.mark.parametrize("path, extra, pointer", [
+    ("std_cone.json", {"tol-psd": 1e-3}, "/tol-psd"),
+    ("sim_cone.json", {"tolpsd": 1e-3}, "/tolpsd"),
+    ("std_cone.json", {"a/b~c": 1}, "/a~1b~0c"),
+    ("m2.json", {"starclosed": True}, "/algebra/starclosed"),
+])
+def test_a_file_with_an_unknown_key_exits_4_at_that_key(workdir, capsys, path, extra,
+                                                        pointer):
+    # Read as a default, a misspelled "tol-psd": 1e-3 would give tol_psd 1e-9.
+    cone = json.loads((workdir / "std_cone.json").read_text())
+    if path == "m2.json":
+        cone["algebra"] = dict(json.loads((workdir / path).read_text()), **extra)
+    else:
+        cone = dict(json.loads((workdir / path).read_text()), **extra)
+    (workdir / "unknown_key_cone.json").write_text(canonical_json(cone))
+    code, rep = _run(workdir, ["check-cones", "--cone", str(workdir / "unknown_key_cone.json"),
+                               "--samples", "5"], capsys)
+    assert code == 4 and "result" not in rep
+    assert rep["error"]["type"] == "SchemaError" and rep["error"]["pointer"] == pointer
+
+
+def test_an_algebra_file_with_an_unknown_key_exits_4(workdir, tmp_path, capsys):
+    obj = dict(json.loads((workdir / "m2.json").read_text()), unit=[1, 0])
+    (tmp_path / "m2.json").write_text(canonical_json(obj))
+    code, rep = _run(workdir, ["kadison-demo", "--algebra", str(tmp_path / "m2.json"),
+                               "--similarity", str(workdir / "S.json")], capsys)
+    assert code == 4 and rep["error"]["pointer"] == "/unit"
+
+
+def test_every_benchmark_input_file_loads(tmp_path, monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    workloads.build_cli_session(np.random.default_rng(0), 2, str(tmp_path))
+    files = sorted(tmp_path.glob("*.json"))
+    assert len(files) == 10
+    for path in files:
+        obj = json.loads(path.read_text())
+        if path.name.endswith(".algebra.json"):
+            algebra_from_obj(obj)
+        elif path.name.endswith((".std.json", ".sim.json")):
+            cone_from_obj(obj, base_dir=str(tmp_path))
+
+
 def test_parser_defaults_are_the_run_config_and_library_defaults():
     args = cli_mod._build_parser().parse_args(["check-cones", "--cone", "c.json"])
     config = cli_mod.RunConfig()
@@ -644,7 +692,7 @@ def test_similarities_are_inverted_only_by_the_checked_pair(workdir, capsys, mon
             (["check-cones", "--cone", str(workdir / "sim_cone.json"), "--samples", "4"], 1),
             (["similarity", "--cone", str(workdir / "sim_cone.json"), "--samples", "4"], 2),
             (["kadison-demo", "--algebra", str(workdir / "m2.json"),
-              "--similarity", str(workdir / "S.json"), "--samples", "4"], 4)):
+              "--similarity", str(workdir / "S.json"), "--samples", "4"], 3)):
         callers.clear()
         frames.clear()
         code, _ = _run(workdir, args, capsys)

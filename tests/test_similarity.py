@@ -382,28 +382,40 @@ def test_reconstruct_sandwich(worked_algebra, worked_sim_cone):
 
 
 def _recorded_cb_lower_bound(monkeypatch, weaken_level_one=False):
-    """Wrap `similarity.cb_lower_bound` to record each call's (domain, k,
-    target, value); weaken_level_one scales the level-1 values by 1 - 1e-3,
-    which keeps them valid lower bounds but leaves the sandwich open."""
-    calls, bound = [], similarity.cb_lower_bound
+    """Wrap `similarity._frame_witness` and `similarity.cb_lower_bound` to record
+    each call's (source, domain, k, target, value), source "witness" or "ascent";
+    weaken_level_one scales the level-1 values (the witness's among them) by
+    1 - 1e-3, which keeps them valid lower bounds but leaves the sandwich open."""
+    calls, bound, witness = [], similarity.cb_lower_bound, similarity._frame_witness
 
-    def recorded(images, from_algebra, k=None, seed=0, target=np.inf):
-        value = bound(images, from_algebra, k=k, seed=seed, target=target)
-        if weaken_level_one and k == 1:
-            value *= 1.0 - 1e-3
-        calls.append((from_algebra, k, target, value))
+    def weakened(value, k):
+        return value * (1.0 - 1e-3) if weaken_level_one and k == 1 else value
+
+    def recorded_witness(s, images, from_algebra, target):
+        value = weakened(witness(s, images, from_algebra, target), 1)
+        calls.append(("witness", from_algebra, 1, target, value))
         return value
 
+    def recorded(images, from_algebra, k=None, seed=0, target=np.inf):
+        value = weakened(bound(images, from_algebra, k=k, seed=seed, target=target), k)
+        calls.append(("ascent", from_algebra, k, target, value))
+        return value
+
+    monkeypatch.setattr(similarity, "_frame_witness", recorded_witness)
     monkeypatch.setattr(similarity, "cb_lower_bound", recorded)
     return calls
 
 
 def _asked(calls, res, cert_tol=similarity.DEFAULT_CERT_TOL):
-    """The (direction, level) of each recorded call, after checking that every
-    call aimed at the closure target cb_upper (1 - cert_tol)."""
-    assert {target for _, _, target, _ in calls} == {res.cb_upper * (1.0 - cert_tol)}
+    """The (source, level) of each recorded call, the source "witness" or an
+    ascent's direction, after checking that every call aimed at the closure
+    target cb_upper (1 - cert_tol) and that the witness measured the inverse
+    direction."""
+    assert {target for _, _, _, target, _ in calls} == {res.cb_upper * (1.0 - cert_tol)}
     image = res.star_rep.image_algebra
-    return [("inverse" if domain is image else "forward", k) for domain, k, _, _ in calls]
+    assert all(domain is image for source, domain, *_ in calls if source == "witness")
+    return [(source if source == "witness" else "inverse" if domain is image else "forward", k)
+            for source, domain, k, _, _ in calls]
 
 
 def test_reconstruct_closes_the_worked_sandwich_at_level_one(monkeypatch, worked_algebra,
@@ -411,8 +423,8 @@ def test_reconstruct_closes_the_worked_sandwich_at_level_one(monkeypatch, worked
     calls = _recorded_cb_lower_bound(monkeypatch)
     res = reconstruct_similarity(worked_algebra, worked_sim_cone, cb_level=2,
                                  levels=(1, 2))
-    # The inverse direction closes the sandwich, so the forward one is not asked.
-    assert _asked(calls, res) == [("inverse", 1)]
+    # The certificate's own witness closes the sandwich, so no ascent is asked.
+    assert _asked(calls, res) == [("witness", 1)]
     assert res.cb_level == 1
     assert res.cb_upper - res.cb_lower <= 1e-9
 
@@ -421,12 +433,12 @@ def test_reconstruct_closes_the_worked_sandwich_at_level_one(monkeypatch, worked
 def test_reconstruct_asks_the_inverse_direction_even_with_nothing_to_close(
         monkeypatch, worked_algebra, worked_sim_cone, cert_tol):
     # With cert_tol >= 1 the sandwich counts as closed before any search, but
-    # the report still carries the inverse direction's level-1 bound.
+    # the report still carries the inverse direction's level-1 bound, the witness's.
     calls = _recorded_cb_lower_bound(monkeypatch)
     res = reconstruct_similarity(worked_algebra, worked_sim_cone, cb_level=2, levels=(1, 2),
                                  cert_tol=cert_tol)
-    assert _asked(calls, res, cert_tol) == [("inverse", 1)]
-    assert res.cb_level == 1 and res.cb_lower == calls[0][3] > 1.0
+    assert _asked(calls, res, cert_tol) == [("witness", 1)]
+    assert res.cb_level == 1 and res.cb_lower == calls[0][4] > 1.0
     assert res.sandwich_ok
 
 
@@ -441,20 +453,37 @@ def test_reconstruct_escalates_only_while_the_sandwich_is_open(
     res = reconstruct_similarity(request.getfixturevalue(algebra),
                                  request.getfixturevalue(cone), cb_level=cb_level,
                                  levels=(1, 2))
-    level_one = max(v for _, k, _, v in calls if k == 1)
+    level_one = max(v for _, _, k, _, v in calls if k == 1)
     assert res.cb_upper - level_one > 1e-7 * res.cb_upper
     asked = _asked(calls, res)
     if escalated is None:
-        assert asked == [("inverse", 1), ("forward", 1)]
+        assert asked == [("witness", 1), ("inverse", 1), ("forward", 1)]
         assert res.cb_level == 1 and res.cb_lower == level_one
     else:
-        # Inverse and forward at level 1, then the escalated inverse direction,
-        # and the escalated forward one only while the sandwich stays open.
-        still_open = res.cb_upper - calls[2][3] > 1e-7 * res.cb_upper
-        assert asked == ([("inverse", 1), ("forward", 1), ("inverse", escalated)]
+        # The witness, inverse and forward at level 1, then the escalated inverse
+        # direction, and the escalated forward one only while the sandwich stays open.
+        still_open = res.cb_upper - calls[3][4] > 1e-7 * res.cb_upper
+        assert asked == ([("witness", 1), ("inverse", 1), ("forward", 1), ("inverse", escalated)]
                          + [("forward", escalated)] * still_open)
         assert res.cb_level == escalated
-        assert res.cb_lower == max(v for _, k, _, v in calls if k == escalated) > level_one
+        assert res.cb_lower == max(v for _, _, k, _, v in calls if k == escalated) > level_one
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_frame_witness_never_exceeds_the_certified_upper_bound(monkeypatch, seed):
+    # The witness scores feasible points only, so on a complete Q-space it can
+    # reach cb_upper = ||S|| ||S^-1|| but not pass it beyond rounding.
+    calls = _recorded_cb_lower_bound(monkeypatch)
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        algebra = random_star_closed_algebra(rng, nmax=4)
+        s = random_similarity(rng, algebra.ambient_dim, max_log10_cond=2.0)
+        b = conjugate_algebra(algebra, np.linalg.inv(s))
+        calls.clear()
+        res = reconstruct_similarity(b, SimilarityCone(b, s), cb_level=2, levels=(1,),
+                                     samples=4)
+        assert calls[0][0] == "witness"
+        assert calls[0][4] <= res.cb_upper * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
