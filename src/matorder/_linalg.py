@@ -4,10 +4,10 @@ Every numerical rank in matorder is decided by one rule, `_rank`: count the
 singular values above RANK_RTOL * s[0], or above RANK_RTOL * max(s[0], scale)
 when the caller knows the scale of the matrix entries (an all-noise matrix
 then has rank 0, where a purely relative cutoff would call it full rank).
-`rank`, `orthonormalize_rows`, `nullspace` and `real_kernel` apply it, the
-last three taking that scale; no other module calls an SVD to decide a rank,
-and the algebra closure finds its new directions through
-`orthonormalize_rows` (Golub & Van Loan, Matrix Computations, 5.4).
+`rank`, `orthonormalize_rows`, `nullspace` and `real_kernel` apply it (the middle two
+at that scale; the last two keep a known kernel dimension instead); no other module
+calls an SVD to decide a rank, and the algebra closure finds its new directions
+through `orthonormalize_rows` (Golub & Van Loan, Matrix Computations, 5.4).
 """
 
 from __future__ import annotations
@@ -102,20 +102,20 @@ def orthonormalize_rows(rows: np.ndarray, scale: float | None = None) -> np.ndar
     return vt[:_rank(s, scale)]
 
 
-def nullspace(mat: np.ndarray, scale: float | None = None) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel of a real or complex matrix,
-    rank by the one rule (scale: the known size of the entries)."""
+def nullspace(mat: np.ndarray, scale: float | None = None, dim: int | None = None) -> np.ndarray:
+    """Orthonormal basis (columns) of the kernel of a real or complex matrix: the dim smallest
+    right singular vectors, or rank by the one rule (scale: the known size of the entries)."""
     if mat.size == 0:
         return np.eye(mat.shape[1])
     # Right singular vectors are complete whenever rows >= cols.
     _, s, vt = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
-    return vt[_rank(s, scale):].conj().T
+    return vt[_rank(s, scale) if dim is None else len(vt) - dim:].conj().T
 
 
-def real_kernel(basis: np.ndarray, cols: np.ndarray, scale: float | None = None) -> np.ndarray:
+def real_kernel(basis: np.ndarray, cols: np.ndarray, dim: int | None = None) -> np.ndarray:
     """Real-orthonormal stack spanning {sum_k c_k basis[k] : cols @ c = 0, c real},
-    the kernel decided by `nullspace`."""
-    null = nullspace(cols, scale)
+    the kernel decided by `nullspace` (of dimension dim when known)."""
+    null = nullspace(cols, dim=dim)
     if null.shape[1] == 0:
         return np.zeros((0,) + basis.shape[1:], dtype=complex)
     return orthonormal_stack(np.stack([np.tensordot(null[:, k], basis, axes=(0, 0))

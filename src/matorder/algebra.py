@@ -289,6 +289,26 @@ def hermitian_part_basis(algebra: OperatorAlgebra) -> np.ndarray:
     return la.real_kernel(real_basis, la.real_rows(real_basis - la.dagger(real_basis)).T)
 
 
+def generic_pair(algebra: OperatorAlgebra) -> np.ndarray:
+    """Two random elements of the algebra from a fixed stream, a (2, N, N) stack."""
+    return algebra.synthesize(la.random_complex_many(np.random.default_rng(0), 2, algebra.dim))
+
+
+def commutant(algebra: OperatorAlgebra) -> tuple:
+    """(gens, comm): generators of B and an orthonormal stack spanning B' = {X : Xb = bX for b
+    in B}, the kernel of X -> [X, g] over the gens, rank by the one rule at their scale (C I
+    keeps all of M_N).  gens is the `generic_pair`, or the whole basis when the pair generates
+    less than B: its kernel fails the check on every basis element (one stacked product)."""
+    n, b = algebra.ambient_dim, algebra.basis[:, None]
+    for gens in (generic_pair(algebra), algebra.basis):
+        # Row-major vec(X g - g X) = (I kron g^T - g kron I) vec(X).
+        ops = np.concatenate([np.kron(np.eye(n), g.T) - np.kron(g, np.eye(n)) for g in gens])
+        comm = la.nullspace(ops, la.frob(gens)).T.reshape(-1, n, n)
+        if np.abs(comm @ b - b @ comm).max(initial=0.0) <= algebra.structure_tol:
+            break
+    return gens, comm
+
+
 def conjugate_algebra(algebra: OperatorAlgebra, s: np.ndarray) -> OperatorAlgebra:
     """The algebra S A S^-1 with a freshly orthonormalized basis (s may be a `_Frame`)."""
     rows = la.orthonormalize_rows(

@@ -94,10 +94,9 @@ def _verdict(axiom: str, detail: str, bad: Witness | None) -> AxiomCheck:
 
 
 def _sampled(cone: "ConeOracle", axiom: str, detail: str, candidates) -> AxiomCheck:
-    """A `_frame_oracle` cone over a star-closed A passes: pi = S (.) S^-1 is a
-    unital *-isomorphism onto A, so every sampled axiom holds at every level
-    (Choi & Effros 1977).  Other cones run `_first_escape` on candidates()."""
-    if _frame_oracle(cone) and cone.straight_algebra.star_closed:
+    """A `_realised` cone passes every sampled axiom (Choi & Effros 1977); others run
+    `_first_escape` on candidates()."""
+    if _realised(cone):
         return AxiomCheck(axiom, "pass",
                           "theorem: C_n = pi^(n)^-1(M_n(A)^+), A = S B S^-1 star-closed")
     return _verdict(axiom, detail, _first_escape(cone, candidates()))
@@ -814,6 +813,11 @@ def _frame_oracle(cone: ConeOracle) -> bool:
     """Whether C_n is `SimilarityCone`'s own PSD rule: no step of its oracle is overridden."""
     own = lambda m: getattr(getattr(cone, m, None), "__func__", None) is getattr(SimilarityCone, m)
     return all(map(own, ("member_many", "level_element", "straighten", "_psd_test")))
+
+
+def _realised(cone: ConeOracle) -> bool:
+    """A `_frame_oracle` cone over a star-closed A = S B S^-1, so C_n = pi^(n)^-1(M_n(A)^+)."""
+    return _frame_oracle(cone) and cone.straight_algebra.star_closed
 
 
 def _r4_estimate(cone: ConeOracle, levels: tuple, samples: int,

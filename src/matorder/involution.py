@@ -1,13 +1,13 @@
 """Recovery of the involution induced by a cone family.
 
-Every element of the algebra splits uniquely as x = x1 + i x2 with x1, x2
-in the real span of the cone; the assignment x -> x1 - i x2 is then a
-conjugate-linear anti-multiplicative involution.  Recovery runs at level 1;
-an `InvolutionMap` acts on block matrices over its algebra of any size, or
-on a stack of them, as (x_ij)^sharp = (x_ji^sharp), which
-`verify_matrix_involution` certifies as the level-n involution.  Cone
-samples are drawn in stacks (one `sample_many` call per span round, per
-certificate chunk) and measured on the stack.
+Every element of the algebra splits uniquely as x = x1 + i x2 with x1, x2 in the real span
+of the cone; the assignment x -> x1 - i x2 is then a conjugate-linear anti-multiplicative
+involution.  Recovery runs at level 1, over a span sampled in stacks (one `sample_many` call
+per round) or, on a `_realised` cone (a frame cone over a star-closed A = S B S^-1), from no
+samples: C_n = pi^(n)^-1(M_n(A)^+) makes x^sharp = S^-1 (S x S^-1)* S, `sharp_block` (Choi &
+Effros 1977).  An `InvolutionMap` acts on block matrices over its algebra of any size, or on a
+stack of them, as (x_ij)^sharp = (x_ji^sharp), which `verify_matrix_involution` certifies as
+the level-n involution from cone samples drawn one `sample_many` call per chunk.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _linalg as la
 from .algebra import OperatorAlgebra, _outside, as_matrix, block_coords, block_synth
-from .cones import ConeOracle, _stack
+from .cones import ConeOracle, _realised, _stack
 from .errors import (
     CertificationFailed,
     DecompositionInfeasible,
@@ -150,13 +150,15 @@ class InvolutionMap:
 
 def recover_involution(cone: ConeOracle, n: int = 1, seed: int = 0,
                        span: np.ndarray | None = None) -> InvolutionMap:
-    """x -> x1 - i x2 on A from the level-1 span (sampled if not given); for n > 1
-    only once `verify_matrix_involution` certifies it at level n."""
+    """x -> x1 - i x2 on A from the level-1 span (sampled if not given; with none given, on a
+    `_realised` cone, `sharp_block`); for n > 1 once `verify_matrix_involution` certifies it."""
     cone.level_dim(n)  # LevelUnsupported for a cone without matrix levels
-    if span is None:
-        span = real_cone_span(cone, 1, seed=seed)
-    x1, x2 = _split(cone, 1, cone.algebra.basis, span)
-    images = x1 - 1j * x2
+    if span is None and _realised(cone):
+        images = cone.sharp_block(1, 1, cone.algebra.basis)
+    else:
+        x1, x2 = _split(cone, 1, cone.algebra.basis,
+                        real_cone_span(cone, 1, seed=seed) if span is None else span)
+        images = x1 - 1j * x2
 
     out = InvolutionMap(cone.algebra, images, bound_2K=0.0)
     # 32 `random_element` draws (their stream) as one stack, measured by one

@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _linalg as la
-from .algebra import OperatorAlgebra, _Frame, _frame, block_coords, block_synth, generate_algebra
+from .algebra import (OperatorAlgebra, _Frame, _frame, block_coords, block_synth, commutant,
+                      generate_algebra)
 from .cones import ConeOracle, _stack
 from .errors import CertificationFailed, DimensionMismatch, NoPositiveSolution, NumericalStall
 from .involution import InvolutionMap, recover_involution
@@ -76,17 +77,18 @@ class StarRepresentation:
 def solve_Q(algebra: OperatorAlgebra, involution) -> np.ndarray:
     """Basis of the real space {Q Hermitian : b* Q = Q b^sharp for all b}.
 
-    Returns a (k, N, N) stack of real-orthonormal Hermitian matrices; k may
-    be zero.  involution is a callable, such as an InvolutionMap.
+    A (k, N, N) stack of real-orthonormal Hermitian matrices, k = dim_C B' for a sharp-closed B
+    (Paulsen 2002, Thm 9.1; `_sharp_closure` closes a subalgebra).  Only the generators
+    `commutant` accepts are intertwined, as (ab)* Q = b* Q a^sharp = Q (ab)^sharp;
+    `build_star_rep` checks the whole basis.  involution: a callable, such as an InvolutionMap.
     """
+    gens, comm = commutant(algebra)
     herm = la.hermitian_matrix_basis(algebra.ambient_dim)
     # Column h of each block is real_vec(b* herm[h] - herm[h] b^sharp).
     rows = [la.real_rows(np.einsum("ab,hbc->hac", la.dagger(b), herm)
                          - np.einsum("hab,bc->hac", herm, involution(b))).T
-            for b in algebra.basis]
-    # Constraint entries are O(1) for unit-norm bases: at scale 1 an all-noise
-    # system (every Hermitian Q a solution) keeps its full kernel.
-    return la.real_kernel(herm, np.vstack(rows), scale=1.0)
+            for b in gens]
+    return la.real_kernel(herm, np.vstack(rows), len(comm))
 
 
 def _barrier(f0: np.ndarray, fs: np.ndarray, cost: np.ndarray, x: np.ndarray,
@@ -120,17 +122,17 @@ def _barrier(f0: np.ndarray, fs: np.ndarray, cost: np.ndarray, x: np.ndarray,
     def neg_logdet(linv):
         return 2.0 * np.sum(np.log(np.abs(np.diagonal(linv, axis1=1, axis2=2))))
 
-    linv = inverse_factors(x)
+    linv, r = inverse_factors(x), None
     for _ in range(NEWTON_BUDGET):
-        # Whitened data G_bi = L_b^-1 fs[b, i] L_b^-*: the barrier's gradient
-        # is -tr G_bi and its Hessian J^T J with J = [vec G_bi] (real
-        # parts over imaginary parts); solving through J's QR factor keeps
-        # the accuracy that forming J^T J would square away near the optimum.
-        g = linv[:, None] @ fs @ la.dagger(linv)[:, None]
+        # Whitened data G_bi = L_b^-1 fs[b, i] L_b^-*, kept while only tau rises: the gradient is
+        # tau cost - tr G_bi, the Hessian J^T J for J = [vec G_bi] (real over imaginary parts);
+        # solving through J's QR factor R keeps the accuracy that J^T J would square away.
+        if r is None:
+            g = linv[:, None] @ fs @ la.dagger(linv)[:, None]
+            flat = g.reshape(g.shape[0], len(x), -1)
+            jac = np.concatenate([flat.real, flat.imag], 2).swapaxes(0, 1).reshape(len(x), -1)
+            r = np.linalg.qr(jac.T, mode="r")
         grad = tau * cost - np.trace(g, axis1=2, axis2=3).real.sum(axis=0)
-        flat = g.reshape(g.shape[0], len(x), -1)
-        jac = np.concatenate([flat.real, flat.imag], axis=2).swapaxes(0, 1).reshape(len(x), -1)
-        r = np.linalg.qr(jac.T, mode="r")
         try:
             dx = -np.linalg.solve(r, np.linalg.solve(r.T, grad))
         except np.linalg.LinAlgError:  # dependent basis: no unique Newton step
@@ -158,7 +160,7 @@ def _barrier(f0: np.ndarray, fs: np.ndarray, cost: np.ndarray, x: np.ndarray,
             step *= 0.5
         else:
             break
-        x, linv = xt, trial
+        x, linv, r = xt, trial, None
     raise NumericalStall(f"barrier solve stalled short of its gap tolerance "
                          f"(budget {NEWTON_BUDGET} Newton steps, tau {tau:.3g})")
 
@@ -257,19 +259,19 @@ def minimize_condition(space: np.ndarray) -> SimilarityCertificate:
     return _certificate_from(np.tensordot(x[:k], space, axes=(0, 0)), gap)
 
 
-def build_star_rep(algebra: OperatorAlgebra, cone: ConeOracle, q: np.ndarray,
+def build_star_rep(algebra: OperatorAlgebra, cone: ConeOracle, q,
                    involution=None, cert_tol: float = DEFAULT_CERT_TOL,
                    levels=(1, 2, 4), samples: int = 12, seed: int = 0) -> StarRepresentation:
-    """The map tau(b) = Q^(1/2) b Q^(-1/2) with its image algebra.
+    """The map tau(b) = Q^(1/2) b Q^(-1/2) with its image algebra (q: a matrix, normalised to
+    lambda_min = 1, or a `SimilarityCertificate`, taken as it is).
 
-    Verifies tau(b^sharp) = tau(b)* on the basis (residual_star) and that
-    tau applied blockwise sends sampled level-n cone elements to PSD matrices
-    (residual_cone; each level's samples are one `sample_many` stack).
-    Raises CertificationFailed when residual_star exceeds cert_tol.
+    Verifies tau(b^sharp) = tau(b)* on the basis (residual_star) and that tau applied blockwise
+    sends sampled level-n cone elements to PSD matrices (residual_cone; each level's samples are
+    one `sample_many` stack).  Raises CertificationFailed when residual_star exceeds cert_tol.
     """
     if involution is None:
         involution = recover_involution(cone, 1, seed=seed)
-    cert = _certificate_from(q)
+    cert = q if isinstance(q, SimilarityCertificate) else _certificate_from(q)
     frame = _frame(cert.s, algebra.ambient_dim)
     images = frame.straighten(algebra.basis)
 
@@ -449,6 +451,15 @@ class ReconstructionResult:
         return self.cb_lower <= self.cb_upper + 1e-6
 
 
+def _sharp_closure(algebra: OperatorAlgebra, domain: OperatorAlgebra, involution):
+    """The algebra C and C^sharp generate in the involution's domain B (C when C = B), whose
+    Q-space is C's: b* Q = Q b^sharp gives (b^sharp)* Q = Q b."""
+    if algebra.dim == domain.dim:
+        return algebra
+    sharp = domain.synthesize(domain.coords_of(involution(algebra.basis)))
+    return generate_algebra([*algebra.basis, *sharp], tol=algebra.structure_tol)
+
+
 def reconstruct_similarity(algebra: OperatorAlgebra, cone: ConeOracle,
                            seed: int = 0, cb_level: int | None = None,
                            cert_tol: float = DEFAULT_CERT_TOL,
@@ -462,18 +473,17 @@ def reconstruct_similarity(algebra: OperatorAlgebra, cone: ConeOracle,
     at level 1 and then the ceiling `cb_level` (N when None; below 1 DimensionMismatch before
     any solve), each only while still open.  `samples`: per level, for `build_star_rep`.
     The cone's involution is defined on its own algebra only: a basis not in it raises first,
-    DimensionMismatch for the wrong size, MembershipError for a basis element outside.
+    DimensionMismatch for the wrong size, MembershipError for a basis element outside.  Q is
+    solved on the algebra's `_sharp_closure`.
     """
     ceiling = algebra.ambient_dim if cb_level is None else cb_level
     if ceiling < 1:
         raise DimensionMismatch(f"matrix level must be >= 1, got {ceiling}")
     cone.level_element(1, algebra.basis)
     involution = recover_involution(cone, 1, seed=seed)
-    space = solve_Q(algebra, involution)
-    cert = minimize_condition(space)
-    star = build_star_rep(algebra, cone, cert.q, involution=involution,
+    space = solve_Q(_sharp_closure(algebra, cone.algebra, involution), involution)
+    star = build_star_rep(algebra, cone, minimize_condition(space), involution=involution,
                           cert_tol=cert_tol, levels=levels, samples=samples, seed=seed)
-    star = replace(star, certificate=replace(star.certificate, gap=cert.gap))
     inverse_images = star.certificate.frame.unstraighten(star.image_algebra.basis)
     upper = cb_upper_bound_from_similarity(star.certificate)
     target = upper * (1.0 - cert_tol)

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
@@ -17,6 +21,16 @@ E21 = mat([[0, 0], [1, 0]])
 E22 = mat([[0, 0], [0, 1]])
 WORKED_B = mat([[1, 1], [0, 0]])
 WORKED_S = mat([[1, 1], [0, 1]])
+
+
+def load_workloads(monkeypatch):
+    """The benchmark's `perfbench/workloads.py`, imported from this checkout."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def random_unitary(rng, n):

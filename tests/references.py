@@ -40,6 +40,9 @@ each float with 17 significant digits (an integral float as an integer) and
 per-type converters for audits, checks, witnesses and constants.
 `from_basis` is the earlier algebra constructor's derivation of N, the unit's
 coordinates and star-closure, which `OperatorAlgebra` must match bit for bit.
+`barrier_refactoring` is the stacked barrier solve before a raised tau reused
+the whitened data and its QR factor: it whitens and factors on every Newton
+pass, and `similarity._barrier` must match it bit for bit.
 """
 
 import json
@@ -550,6 +553,57 @@ def barrier_blocks(blocks: list, cost: np.ndarray, x: np.ndarray) -> tuple:
         else:
             break
         x, linvs = xt, trial
+    raise NumericalStall("barrier solve stalled short of its gap tolerance")
+
+
+def barrier_refactoring(f0: np.ndarray, fs: np.ndarray, cost: np.ndarray, x: np.ndarray,
+                        stop=None) -> tuple:
+    """`similarity._barrier`, whitening and factoring again after every rise of tau."""
+    m = f0.shape[0] * f0.shape[1]
+    tau = m / (1.0 + abs(cost @ x))
+
+    def inverse_factors(x):
+        try:
+            return np.linalg.inv(np.linalg.cholesky(f0 + np.tensordot(x, fs, axes=(0, 1))))
+        except np.linalg.LinAlgError:
+            return None
+
+    def neg_logdet(linv):
+        return 2.0 * np.sum(np.log(np.abs(np.diagonal(linv, axis1=1, axis2=2))))
+
+    linv = inverse_factors(x)
+    for _ in range(similarity.NEWTON_BUDGET):
+        g = linv[:, None] @ fs @ la.dagger(linv)[:, None]
+        grad = tau * cost - np.trace(g, axis1=2, axis2=3).real.sum(axis=0)
+        flat = g.reshape(g.shape[0], len(x), -1)
+        jac = np.concatenate([flat.real, flat.imag], axis=2).swapaxes(0, 1).reshape(len(x), -1)
+        r = np.linalg.qr(jac.T, mode="r")
+        try:
+            dx = -np.linalg.solve(r, np.linalg.solve(r.T, grad))
+        except np.linalg.LinAlgError:
+            break
+        lam2 = float(-grad @ dx)
+        if lam2 < 1.0:
+            dg = np.tensordot(dx, g, axes=(0, 1))
+            gap = float(m - np.trace(dg, axis1=1, axis2=2).real.sum()) / tau
+            obj = abs(cost @ x)
+            target = max(similarity.GAP_RTOL, similarity.GAP_FLOOR_FACTOR * m * obj)
+            if gap <= target * (1.0 + obj) or (stop is not None and stop(x, gap)):
+                return x, gap, la.dagger(linv) @ (np.eye(f0.shape[1]) - dg) @ linv / tau
+            if lam2 < 0.25:
+                tau *= 10.0
+                continue
+        step, base = 1.0, neg_logdet(linv)
+        while step > 1e-12:
+            xt = x + step * dx
+            trial = inverse_factors(xt)
+            if trial is not None and (tau * (cost @ (xt - x)) + neg_logdet(trial) - base
+                                      <= -0.25 * step * lam2):
+                break
+            step *= 0.5
+        else:
+            break
+        x, linv = xt, trial
     raise NumericalStall("barrier solve stalled short of its gap tolerance")
 
 

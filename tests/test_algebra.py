@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import (E11, E12, E21, E22, WORKED_B, mat, random_similarity,
                       random_star_closed_algebra, random_unitary)
+from matorder import algebra as algebra_mod
 from matorder.algebra import (
     DEFAULT_MAX_DIM,
     OperatorAlgebra,
@@ -13,6 +14,7 @@ from matorder.algebra import (
     _Frame,
     block_coords,
     block_synth,
+    commutant,
     conjugate_algebra,
     doubling_embed,
     generate_algebra,
@@ -22,6 +24,7 @@ from matorder.algebra import (
     random_element,
 )
 from matorder.errors import DimensionCapExceeded, DimensionMismatch, MembershipError
+from matorder.similarity import solve_Q
 from references import (amplify, conjugate_per_basis, from_basis, generate_algebra_mgs,
                         hermitian_part_basis_loop, membership_residual, spans_equal)
 
@@ -415,3 +418,83 @@ def test_generate_algebra_rejects_bad_generators_and_caps():
         generate_algebra([np.ones((2, 3))])
     with pytest.raises(DimensionCapExceeded, match="max_dim must be at least 1"):
         generate_algebra([E11], max_dim=0)
+
+
+# -- the commutant ------------------------------------------------------------
+
+def _commutant_per_basis(algebra):
+    """dim_C B' from the whole basis, one commutator system per element, rank at scale 1."""
+    n = algebra.ambient_dim
+    ops = np.concatenate([np.kron(np.eye(n), b.T) - np.kron(b, np.eye(n)) for b in algebra.basis])
+    s = np.linalg.svd(ops, compute_uv=False)
+    return n * n - int(np.sum(s > 1e-10 * max(s[0], 1.0)))
+
+
+def _assert_commutant(algebra, comm):
+    n = algebra.ambient_dim
+    np.testing.assert_allclose(comm.reshape(len(comm), -1).conj() @ comm.reshape(len(comm), -1).T,
+                               np.eye(len(comm)), atol=1e-12)
+    for x in comm:
+        for b in algebra.basis:
+            assert np.linalg.norm(x @ b - b @ x) <= 1e-12
+    assert comm.shape[1:] == (n, n)
+
+
+@pytest.mark.parametrize("make, dim", [
+    (lambda: OperatorAlgebra(np.stack([np.eye(2) / np.sqrt(2.0), E12])), 2),
+    (lambda: generate_algebra([np.eye(3)]), 9),
+    (lambda: generate_algebra([np.eye(4)]), 16),
+    (lambda: generate_algebra([E12], include_adjoints=True), 1),
+    (lambda: generate_algebra([E11]), 2),
+    (lambda: generate_algebra([WORKED_B]), 2),
+], ids=["T_2", "CI-in-M3", "CI-in-M4", "M2", "span-I-E11", "worked"])
+def test_commutant_dimension_on_known_algebras(make, dim):
+    algebra = make()
+    gens, comm = commutant(algebra)
+    assert len(gens) == 2 and len(comm) == dim == _commutant_per_basis(algebra)
+    _assert_commutant(algebra, comm)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_commutant_matches_the_whole_basis_on_planted_algebras(seed):
+    # B = S^-1 A S for a star-closed A: dim_C B' = dim_C A', at cond(S) up to 1e2.
+    rng = np.random.default_rng(70 + seed)
+    alg = random_star_closed_algebra(rng, nmax=6)
+    b = conjugate_algebra(alg, np.linalg.inv(random_similarity(rng, alg.ambient_dim, 2.0)))
+    _, got = commutant(b)
+    assert len(got) == len(commutant(alg)[1]) == _commutant_per_basis(alg)
+    _assert_commutant(b, got)
+
+
+def test_a_pair_that_generates_less_is_caught_by_the_whole_basis_check(m3_full, monkeypatch):
+    # The unit twice generates C I, whose commutant is all of M_3: the check
+    # against the basis rejects it and the kernel is taken over the whole basis.
+    pairs = []
+
+    def units(algebra):
+        pairs.append(1)
+        return np.stack([np.eye(algebra.ambient_dim, dtype=complex)] * 2)
+
+    monkeypatch.setattr(algebra_mod, "generic_pair", units)
+    gens, comm = commutant(m3_full)
+    assert pairs == [1] and gens is m3_full.basis and len(comm) == 1
+    _assert_commutant(m3_full, comm)
+    # solve_Q constrains the generators the check accepted: on span{I, E11} the whole
+    # basis, whose Q-space (under the adjoint) is the diagonal matrices, not any 2 of M_2's 4.
+    diagonal = generate_algebra([E11])
+    space = solve_Q(diagonal, lambda b: b.conj().T)
+    assert len(space) == 2 == len(commutant(diagonal)[1])
+    for q in space:
+        assert abs(q[0, 1]) <= 1e-12
+
+
+def test_a_square_zero_pair_falls_back_to_the_basis():
+    # span{E13, E14, E23, E24}: every product vanishes, so the pair generates only its own
+    # span, whose commutant (dim 6) exceeds B' (dim 5).
+    basis = np.zeros((4, 4, 4), dtype=complex)
+    for k, (i, j) in enumerate([(0, 2), (0, 3), (1, 2), (1, 3)]):
+        basis[k, i, j] = 1.0
+    square_zero = OperatorAlgebra(basis)
+    gens, comm = commutant(square_zero)
+    assert gens is square_zero.basis and len(comm) == 5 == _commutant_per_basis(square_zero)
+    _assert_commutant(square_zero, comm)

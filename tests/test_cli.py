@@ -1,14 +1,12 @@
-import importlib.util
 import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import E11, E12, WORKED_B, WORKED_S
+from conftest import E11, E12, WORKED_B, WORKED_S, load_workloads
 from doubles import SkewedLevelCone
 from matorder import cli as cli_mod
 from matorder import similarity as sim_mod
@@ -369,12 +367,7 @@ def test_an_algebra_file_with_an_unknown_key_exits_4(workdir, tmp_path, capsys):
 
 
 def test_every_benchmark_input_file_loads(tmp_path, monkeypatch):
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
-    workloads.build_cli_session(np.random.default_rng(0), 2, str(tmp_path))
+    load_workloads(monkeypatch).build_cli_session(np.random.default_rng(0), 2, str(tmp_path))
     files = sorted(tmp_path.glob("*.json"))
     assert len(files) == 10
     for path in files:

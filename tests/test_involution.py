@@ -3,15 +3,17 @@ import copy
 import numpy as np
 import pytest
 
-from conftest import E11, E12, E21, WORKED_B, random_unitary
-from doubles import (GrowingSpanCone, RotatedSampleCone, SkewedLevelCone, ZeroCone,
-                     ZeroedCornerCone)
-from matorder.algebra import generate_algebra, random_element
+from conftest import (E11, E12, E21, WORKED_B, random_similarity, random_star_closed_algebra,
+                      random_unitary)
+from doubles import (AllHermitianCone, GappedCone, GrowingSpanCone, RotatedSampleCone,
+                     SkewedLevelCone, ZeroCone, ZeroedCornerCone)
+from matorder.algebra import conjugate_algebra, generate_algebra, random_element
 from matorder.case_studies import FunctionPullbackCone
-from matorder.cones import StandardCone, audit_matrix_ordered
+from matorder.cones import SimilarityCone, StandardCone, audit_matrix_ordered
 from matorder.errors import (CertificationFailed, DecompositionInfeasible, DecompositionNotUnique,
                              DimensionMismatch, LevelUnsupported, SpanUnstable)
 from matorder.involution import (
+    _split,
     decompose,
     real_cone_span,
     recover_involution,
@@ -308,3 +310,76 @@ def test_a_span_tilted_out_of_the_algebra_misses_its_split(span_i_e11):
     np.testing.assert_allclose(x1 + 1j * x2, E11, atol=1e-12)
     with pytest.raises(DecompositionInfeasible, match="decomposition residual 0.001 outside"):
         decompose(cone, 1, np.diag([0.0, 1.0]).astype(complex), span=span)
+
+
+# -- frame cones: the involution from the realisation theorem -----------------
+
+def _counted_draws(monkeypatch, cone):
+    """The calls of cone.sample_many from now on (an instance attribute, removed
+    again on undo, which leaves the oracle, and so `_frame_oracle`, as it is)."""
+    calls, draw = [], cone.sample_many
+    monkeypatch.setitem(vars(cone), "sample_many", lambda *args: calls.append(args) or draw(*args))
+    return calls
+
+
+@pytest.mark.parametrize("fixture", ["std_m2", "std_m3", "worked_sim_cone", "planted_sim_cone"])
+def test_a_frame_cone_takes_its_involution_from_the_frame_and_draws_nothing(
+        fixture, request, monkeypatch):
+    cone = request.getfixturevalue(fixture)
+    calls = _counted_draws(monkeypatch, cone)
+    inv = recover_involution(cone, 1, seed=2)
+    assert calls == []
+    np.testing.assert_array_equal(inv.images, cone.sharp_block(1, 1, cone.algebra.basis))
+    assert verify_matrix_involution(cone, 2, seed=2, involution1=inv).passed
+
+
+def _instance_oracle(cone):
+    """The cone asked through an instance `member_many`: an opaque oracle."""
+    out = copy.copy(cone)
+    out.member_many = lambda n, xs: cone.member_many(n, xs)
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    lambda m2, m3, planted: AllHermitianCone(m2),
+    lambda m2, m3, planted: SkewedLevelCone(m2),
+    lambda m2, m3, planted: GappedCone(m2),
+    lambda m2, m3, planted: _instance_oracle(StandardCone(m3)),
+    lambda m2, m3, planted: _instance_oracle(planted),
+], ids=["all-hermitian", "skewed-level", "gapped", "instance-std-m3", "instance-planted"])
+def test_opaque_cones_keep_the_sampled_recovery_bit_for_bit(make, m2_full, m3_full,
+                                                             planted_sim_cone, monkeypatch):
+    cone = make(m2_full, m3_full, planted_sim_cone)
+    calls = _counted_draws(monkeypatch, cone)
+    got = recover_involution(cone, 1, seed=4)
+    assert calls
+    want = recover_involution(cone, 1, seed=4, span=real_cone_span(cone, 1, seed=4))
+    assert got.images.tobytes() == want.images.tobytes() and got.bound_2K == want.bound_2K
+
+
+def test_an_explicit_span_keeps_the_sampled_split_on_a_frame_cone(worked_sim_cone, monkeypatch):
+    span = real_cone_span(worked_sim_cone, 1, seed=1)
+    calls = _counted_draws(monkeypatch, worked_sim_cone)
+    inv = recover_involution(worked_sim_cone, 1, span=span)
+    x1, x2 = _split(worked_sim_cone, 1, worked_sim_cone.algebra.basis, span)
+    assert calls == []
+    np.testing.assert_array_equal(inv.images, x1 - 1j * x2)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_frame_involution_is_the_sampled_one_within_its_residual(seed):
+    # Planted frame cones at cond(S) 1 to 1e2: each image differs from the sampled
+    # split's by at most ten times the sampled map's level-1 residual, at its size.
+    rng = np.random.default_rng(60 + seed)
+    alg = random_star_closed_algebra(rng, nmax=5)
+    s = random_similarity(rng, alg.ambient_dim, 2.0)
+    cone = SimilarityCone(conjugate_algebra(alg, np.linalg.inv(s)), s)
+    frame = recover_involution(cone, 1, seed=seed)
+    sampled = recover_involution(cone, 1, seed=seed, span=real_cone_span(cone, 1, seed=seed))
+    residual = verify_matrix_involution(cone, 1, seed=seed, involution1=sampled)
+    assert residual.passed
+    assert verify_matrix_involution(cone, 1, seed=seed, involution1=frame).passed
+    size = np.linalg.norm(sampled.images, axis=(1, 2))
+    diff = np.linalg.norm(frame.images - sampled.images, axis=(1, 2))
+    eps = np.finfo(float).eps
+    assert np.all(diff <= 10.0 * max(residual.max_residual, eps) * (1.0 + size))

@@ -3,9 +3,11 @@ import pytest
 from scipy import optimize
 
 from conftest import (
+    E12,
     WORKED_B,
     WORKED_S,
     level_one_inverse_bound,
+    load_workloads,
     mat,
     random_similarity,
     random_star_closed_algebra,
@@ -13,8 +15,8 @@ from conftest import (
 )
 from matorder import _linalg as la
 from matorder import similarity
-from matorder.algebra import (block_coords, block_synth, conjugate_algebra, generate_algebra,
-                              level_residual, random_element)
+from matorder.algebra import (OperatorAlgebra, block_coords, block_synth, commutant,
+                              conjugate_algebra, generate_algebra, level_residual, random_element)
 from matorder.cones import SimilarityCone, StandardCone
 from matorder.errors import DimensionMismatch, MembershipError, NoPositiveSolution
 from matorder.involution import recover_involution
@@ -282,7 +284,7 @@ def cb_cases(m2_full, span_i_e11, worked_algebra, worked_sim_cone):
 # a target (or with the default, infinity) no probe runs.
 @pytest.mark.parametrize("case, expected", [
     ("identity", "1.0"), ("transpose", "2.0"), ("planted", "2.4142135623730954"),
-    ("worked-inverse", "2.414213562373093"), ("worked-forward", "1.0"),
+    ("worked-inverse", "2.414213562373094"), ("worked-forward", "1.0"),
 ])
 def test_cb_lower_bound_without_a_target_keeps_its_values(cb_cases, case, expected):
     images, domain, k, _ = cb_cases[case]
@@ -708,7 +710,85 @@ def test_reconstruct_certifies_a_sharp_closed_subalgebra():
     assert res.sandwich_ok
 
 
+def test_reconstruct_certifies_a_subalgebra_that_is_not_sharp_closed():
+    # span{I, E12} in the cone over S^-1 M_2 S, S = diag(1, 2): E12^sharp = E21 / 4 leaves
+    # it, so its Q-space is that of M_2, {t S*S}, of dimension 1 where dim_C C' = 2.
+    s = np.diag([1.0, 2.0]).astype(complex)
+    full = generate_algebra([E12], include_adjoints=True)
+    cone = SimilarityCone(conjugate_algebra(full, np.linalg.inv(s)), s)
+    sub = OperatorAlgebra(np.stack([np.eye(2) / np.sqrt(2.0), E12]).astype(complex))
+    inv = recover_involution(cone, 1)
+    closure = similarity._sharp_closure(sub, cone.algebra, inv)
+    assert len(commutant(sub)[1]) == 2 and closure.dim == 4 and len(commutant(closure)[1]) == 1
+    [q] = solve_Q(closure, inv)
+    np.testing.assert_allclose(q / q[0, 0], s.conj().T @ s, atol=1e-12)
+    res = reconstruct_similarity(sub, cone)
+    assert res.q_space_dim == 1
+    np.testing.assert_allclose(res.certificate.q, s.conj().T @ s, atol=1e-12)
+    assert res.cb_upper == pytest.approx(2.0, rel=1e-12) and res.sandwich_ok
+
+
 def test_principal_sqrt_rejects_a_matrix_that_is_not_positive_definite():
     with pytest.raises(np.linalg.LinAlgError, match=r"not positive definite \(lambda_min -1\)"):
         la.principal_sqrt(np.diag([4.0, -1.0]).astype(complex))
     np.testing.assert_allclose(la.principal_sqrt(np.diag([4.0, 1.0])), np.diag([2.0, 1.0]))
+
+
+# -- a complete Q-space: two generators, its dimension dim_C B' ----------------
+
+def test_solve_Q_intertwines_two_generators(worked_algebra, worked_sim_cone, m3_full, std_m3):
+    for algebra, cone in ((worked_algebra, worked_sim_cone), (m3_full, std_m3)):
+        inv, asked = recover_involution(cone, 1), []
+        space = solve_Q(algebra, lambda b: asked.append(b) or inv(b))
+        assert len(asked) == 2 and len(space) == len(commutant(algebra)[1])
+        # Every basis element is intertwined, not only the pair.
+        for q in space:
+            for b in algebra.basis:
+                assert la.frob(b.conj().T @ q - q @ inv(b)) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_q_space_dim_is_the_commutant_dimension_on_the_planted_corpus(seed):
+    rng = np.random.default_rng(80 + seed)
+    algebra = random_star_closed_algebra(rng, nmax=5)
+    s = random_similarity(rng, algebra.ambient_dim, max_log10_cond=2.0)
+    b = conjugate_algebra(algebra, np.linalg.inv(s))
+    res = reconstruct_similarity(b, SimilarityCone(b, s), cb_level=1, levels=(1,))
+    assert res.q_space_dim == len(commutant(b)[1]) == len(commutant(algebra)[1])
+    assert res.certificate.cond <= np.linalg.cond(s.conj().T @ s) * (1.0 + 1e-6)
+
+
+def test_reconstruct_hands_over_the_minimized_certificate_as_it_is(worked_algebra,
+                                                                  worked_sim_cone, monkeypatch):
+    # q is normalised once, by `minimize_condition`; the array form still normalises.
+    made = []
+    certificate_from = similarity._certificate_from
+    monkeypatch.setattr(similarity, "_certificate_from",
+                        lambda *args: made.append(certificate_from(*args)) or made[-1])
+    res = reconstruct_similarity(worked_algebra, worked_sim_cone, cb_level=1, levels=(1,))
+    [cert] = made
+    assert res.certificate.q is cert.q and res.certificate.gap == cert.gap
+    star = build_star_rep(worked_algebra, worked_sim_cone, 3.0 * cert.q, levels=(1,))
+    assert np.linalg.eigvalsh(star.certificate.q)[0] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_similarity_recovery_seed_11_r1_t2_reaches_the_exact_cb_norm(tmp_path, monkeypatch):
+    # l-infinity_2 = span{I, P} in M_2 at cond(S) = 10^2.6: a complete Q-space gives
+    # sqrt(min cond(Q)) = ||2P - I||, 322.55397102, where a short one gave 337.18.
+    got, reconstruct = [], similarity.reconstruct_similarity
+    monkeypatch.setattr(similarity, "reconstruct_similarity",
+                        lambda b, cone, **kw: got.append((b, reconstruct(b, cone, **kw)))
+                        or got[-1][1])
+    task = load_workloads(monkeypatch).build("similarity-recovery", 11, 40, str(tmp_path))[1][2]
+    assert task.task_id == "r1.t2" and task.params["dim"] == 2
+    task.run()
+    [(b, res)] = got
+    x = b.basis[np.argmin(np.abs(b.unit_coords))]
+    low, high = np.linalg.eigvals(x)
+    exact = la.opnorm(2.0 * (x - high * np.eye(2)) / (low - high) - np.eye(2))
+    cert = res.certificate
+    assert res.q_space_dim == 2
+    # cond - gap <= min cond(Q) = ||2P - I||^2 <= cond.
+    assert cert.cond - cert.gap <= exact ** 2 <= cert.cond * (1.0 + 1e-12)
+    within = res.cb_upper - np.sqrt(cert.cond - cert.gap)
+    assert abs(res.cb_upper - 322.55397102) <= within

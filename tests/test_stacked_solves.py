@@ -28,6 +28,7 @@ from matorder.involution import (
 )
 from matorder.similarity import build_star_rep, minimize_condition, solve_Q
 from references import (
+    barrier_refactoring,
     bound_2k_per_element,
     jsym_norm_identity_per_sample,
     minimize_condition_to_gap,
@@ -85,20 +86,41 @@ def _involution(cone, fixture):
     return InvolutionMap(cone.algebra, np.stack([b.conj().T for b in cone.algebra.basis]), 1.0)
 
 
+def _named_space(name, request):
+    if name.startswith("planted-"):
+        return _planted_space(int(name[-1]) + 30, int(name[-1]))
+    if name.startswith("kadison-"):
+        return _kadison_space(int(name[-1]))
+    return _space(request.getfixturevalue(name))
+
+
 @pytest.mark.parametrize("space", ["std_m2", "worked_sim_cone", "planted_sim_cone",
                                    "planted-3", "planted-4", "kadison-1", "kadison-2"])
 def test_minimize_condition_within_the_references_certified_gap(space, request):
-    if space.startswith("planted-"):
-        space = _planted_space(int(space[-1]) + 30, int(space[-1]))
-    elif space.startswith("kadison-"):
-        space = _kadison_space(int(space[-1]))
-    else:
-        space = _space(request.getfixturevalue(space))
+    space = _named_space(space, request)
     got, want = minimize_condition(space), minimize_condition_to_gap(space)
     # cond >= the optimum >= the other side's cond - gap, for both sides.
     slack = 1e-12 * want.cond
     assert got.cond >= want.cond - want.gap - slack
     assert want.cond >= got.cond - got.gap - slack
+
+
+@pytest.mark.parametrize("space", ["worked_sim_cone", "planted-3", "planted-4", "kadison-1"])
+def test_a_raised_tau_reuses_the_whitening_and_the_qr_factor(space, request, monkeypatch):
+    # Phase two from phase one's point: the same iterates and gap to the bit,
+    # with one QR factorization per new iterate instead of one per tau too.
+    space = similarity._hermitian_space(_named_space(space, request))
+    c, s = similarity._phase_one(space)
+    k = space.shape[0]
+    args = (*similarity._box_blocks(space, (1.0, 0.0), (0.0, 1.0)), np.eye(k + 1)[k],
+            np.append(2.0 * c / s, 4.0 / s))
+    steps = _counting_qr(monkeypatch)
+    want = barrier_refactoring(*args)
+    refactored = len(steps)
+    steps.clear()
+    got = similarity._barrier(*args)
+    assert repr((got[0].tolist(), got[1])) == repr((want[0].tolist(), want[1]))
+    assert len(steps) < refactored
 
 
 @pytest.mark.parametrize("space", [
