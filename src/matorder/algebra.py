@@ -309,11 +309,15 @@ def commutant(algebra: OperatorAlgebra) -> tuple:
     return gens, comm
 
 
-def conjugate_algebra(algebra: OperatorAlgebra, s: np.ndarray) -> OperatorAlgebra:
-    """The algebra S A S^-1 with a freshly orthonormalized basis (s may be a `_Frame`)."""
-    rows = la.orthonormalize_rows(
-        _frame(s, algebra.ambient_dim).straighten(algebra.basis).reshape(algebra.dim, -1))
+def image_algebra(algebra: OperatorAlgebra, images) -> OperatorAlgebra:
+    """The span of the basis images under an injective unital homomorphism, an algebra with no
+    closure (one `la.orthonormalize_rows`); DimensionMismatch unless it has the algebra's dim."""
+    rows = la.orthonormalize_rows(as_matrix(images).reshape(algebra.dim, -1))
     if rows.shape[0] != algebra.dim:
-        raise DimensionMismatch("conjugation lost rank; similarity is singular")
-    n = algebra.ambient_dim
-    return OperatorAlgebra(rows.reshape(-1, n, n), algebra.structure_tol)
+        raise DimensionMismatch(f"the images span {rows.shape[0]} of {algebra.dim} directions")
+    return OperatorAlgebra(rows.reshape(-1, *np.shape(images)[1:]), algebra.structure_tol)
+
+
+def conjugate_algebra(algebra: OperatorAlgebra, s: np.ndarray) -> OperatorAlgebra:
+    """The algebra S A S^-1 (s may be a `_Frame`): the `image_algebra` of the straightened basis."""
+    return image_algebra(algebra, _frame(s, algebra.ambient_dim).straighten(algebra.basis))

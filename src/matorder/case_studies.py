@@ -22,7 +22,7 @@ from .algebra import (
     as_matrix,
     block_coords,
     block_synth,
-    generate_algebra,
+    image_algebra,
 )
 from .cones import (DEFAULT_TOL_PSD, ConeAuditReport, ConeOracle, SimilarityCone,
                     audit_star_admissible)
@@ -159,13 +159,12 @@ def kadison_pipeline(algebra: OperatorAlgebra, s: np.ndarray, levels=(1, 2),
                      samples: int = 30, seed: int = 0,
                      cb_level: int | None = 2,
                      cert_tol: float = DEFAULT_CERT_TOL) -> KadisonReport:
-    """Run the similarity case study for pi = S^-1 (.) S on a star-closed
-    algebra.
+    """Run the similarity case study for pi = S^-1 (.) S on a star-closed algebra.
 
-    Doubles pi into a J-symmetric rho, forms the image cones, audits the
-    five cone conditions (the image cone is a PSD frame, so the audit checks
-    its premise, A star-closed, and the spans exactly, certifies r4 = 1 at
-    -e_n and samples only for K), recovers the involution, reconstructs
+    Doubles pi into a J-symmetric rho, forms the image cones on the span of rho's basis images
+    (`image_algebra`: rho is a unital homomorphism), audits the five cone conditions (the image
+    cone is a PSD frame, so the audit checks its premise, A star-closed, and the spans exactly,
+    certifies r4 = 1 at -e_n and samples only for K), recovers the involution, reconstructs
     the star representation, and verifies that the composition of the
     reconstruction with rho is adjoint-preserving (residual_star <= cert_tol).
     cb_level is the ceiling of the cb lower bound's level (`reconstruct_similarity`).
@@ -176,7 +175,7 @@ def kadison_pipeline(algebra: OperatorAlgebra, s: np.ndarray, levels=(1, 2),
     zero = np.zeros_like(frame.s)
     doubled_s = np.block([[frame.s, zero], [zero, la.dagger(frame.s_inv)]])
 
-    b_alg = generate_algebra(list(rep.rho_images), tol=algebra.structure_tol)
+    b_alg = image_algebra(algebra, rep.rho_images)
     cone = SimilarityCone(b_alg, doubled_s)
 
     audit = audit_star_admissible(cone, levels=levels, samples=samples, seed=seed)

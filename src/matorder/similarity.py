@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _linalg as la
 from .algebra import (OperatorAlgebra, _Frame, _frame, block_coords, block_synth, commutant,
-                      generate_algebra)
+                      generate_algebra, image_algebra)
 from .cones import ConeOracle, _stack
 from .errors import CertificationFailed, DimensionMismatch, NoPositiveSolution, NumericalStall
 from .involution import InvolutionMap, recover_involution
@@ -262,8 +262,9 @@ def minimize_condition(space: np.ndarray) -> SimilarityCertificate:
 def build_star_rep(algebra: OperatorAlgebra, cone: ConeOracle, q,
                    involution=None, cert_tol: float = DEFAULT_CERT_TOL,
                    levels=(1, 2, 4), samples: int = 12, seed: int = 0) -> StarRepresentation:
-    """The map tau(b) = Q^(1/2) b Q^(-1/2) with its image algebra (q: a matrix, normalised to
-    lambda_min = 1, or a `SimilarityCertificate`, taken as it is).
+    """The map tau(b) = Q^(1/2) b Q^(-1/2) with its image algebra, the span of the images
+    (`image_algebra`: tau is a unital homomorphism, so nothing is closed again); q: a matrix,
+    normalised to lambda_min = 1, or a `SimilarityCertificate`, taken as it is.
 
     Verifies tau(b^sharp) = tau(b)* on the basis (residual_star) and that tau applied blockwise
     sends sampled level-n cone elements to PSD matrices (residual_cone; each level's samples are
@@ -292,10 +293,9 @@ def build_star_rep(algebra: OperatorAlgebra, cone: ConeOracle, q,
         residual_cone = np.max(defect / (1.0 + la.opnorm(y)),
                                initial=residual_cone)
 
-    image_algebra = generate_algebra(list(images), tol=algebra.structure_tol)
     cert = replace(cert, residual_star=float(residual_star),
                    residual_cone=float(residual_cone), frame=frame)
-    return StarRepresentation(images=images, image_algebra=image_algebra,
+    return StarRepresentation(images=images, image_algebra=image_algebra(algebra, images),
                               certificate=cert)
 
 

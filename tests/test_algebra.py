@@ -19,6 +19,7 @@ from matorder.algebra import (
     doubling_embed,
     generate_algebra,
     hermitian_part_basis,
+    image_algebra,
     level_residual,
     project,
     random_element,
@@ -498,3 +499,25 @@ def test_a_square_zero_pair_falls_back_to_the_basis():
     gens, comm = commutant(square_zero)
     assert gens is square_zero.basis and len(comm) == 5 == _commutant_per_basis(square_zero)
     _assert_commutant(square_zero, comm)
+
+
+def test_image_algebra_is_the_span_of_the_images():
+    # S T_3 S^-1 spans an algebra of T_3's dimension, closed under products with no closure
+    # step and equal to the closure of the images; conjugate_algebra is that span, bit for bit.
+    t3 = generate_algebra(*_closure_input("t3"))
+    s = random_similarity(np.random.default_rng(5), 3, 1.0)
+    images = _frame(s, 3).straighten(t3.basis)
+    image = image_algebra(t3, images)
+    assert image.dim == t3.dim == 6 and not image.star_closed
+    image.validate()
+    assert spans_equal(image, generate_algebra(list(images)), 1e-10)
+    np.testing.assert_array_equal(image.basis, conjugate_algebra(t3, s).basis)
+
+
+def test_an_image_that_loses_rank_is_a_dimension_mismatch(m2_full):
+    # A repeated image: four images of M_2's basis span three directions.
+    images = np.concatenate([m2_full.basis[:3], m2_full.basis[2:3]])
+    with pytest.raises(DimensionMismatch, match="the images span 3 of 4 directions"):
+        image_algebra(m2_full, images)
+    with pytest.raises(DimensionMismatch, match="the images span 1 of 4 directions"):
+        image_algebra(m2_full, np.stack([np.eye(2, dtype=complex)] * 4))

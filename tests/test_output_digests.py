@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import load_workloads
 from matorder.serialization import canonical_json
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
@@ -185,7 +186,8 @@ def test_each_line_ends_in_its_outputs_floats(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines
     for fields in map(str.split, lines):
-        assert len(fields) == 7 and fields[:2] == ["order-norms", "5"]
+        # The floats, then the task's status: every order-norms task meets its reference.
+        assert len(fields) == 8 and fields[:2] == ["order-norms", "5"] and fields[7] == "ok"
         values = json.loads(fields[6])
         assert values and all(isinstance(x, float) for x in values)
 
@@ -218,3 +220,59 @@ def test_against_prints_one_line_per_task_kind_that_moved(monkeypatch, capsys):
     assert output_digests.difference_counts(before, after, by_kind=True) == {
         ("cli-session", kind): row for kind, row in zip(kinds, ([2, 0, 0, 0], [2, 1, 1, 1],
                                                                 [2, 2, 2, 0]))}
+
+
+def test_each_lines_status_is_the_benchmarks_classification(monkeypatch, capsys):
+    workloads = load_workloads(monkeypatch)
+    seen = []
+    monkeypatch.setattr(workloads, "classify",
+                        lambda task, outcome: seen.append(task.task_id) or ("miss", "detail"))
+    monkeypatch.setattr(output_digests.sys, "path", list(output_digests.sys.path))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    assert output_digests.main(["--seconds", "1", "--order-norms", "5",
+                                "--cli-session", "", "--similarity-recovery", ""]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [fields[2] for fields in lines] == seen
+    assert {fields[7] for fields in lines} == {"miss"}
+
+
+def test_ok_counts_read_the_status_after_the_floats():
+    lines = [_line("similarity-recovery", "r0.t0", "a", "f", "n", "[1.0]") + " ok",
+             _line("similarity-recovery", "r0.t1", "b", "f", "n") + " miss",
+             _line("order-norms", "r0.t0", "c", "g", "m") + " ok",
+             _line("similarity-recovery", "r0.t2", "d", "h", "o") + " ok",
+             # A line written before statuses were recorded counts as a task only.
+             _line("order-norms", "r0.t1", "e", "i", "p")]
+    assert output_digests.ok_counts(lines) == {"similarity-recovery": [2, 3],
+                                               "order-norms": [1, 2]}
+    lines[3] = lines[3].replace(" 5 ", " 6 ", 1)
+    assert output_digests.ok_counts(lines, by_seed=True) == {
+        "similarity-recovery/5": [1, 2], "order-norms/5": [1, 2], "similarity-recovery/6": [1, 1]}
+    # The digest and float readers still see the fields they read.
+    assert output_digests.difference_counts(lines, lines)["similarity-recovery"] == [3, 0, 0, 0]
+    assert output_digests.float_changes(lines, lines)["similarity-recovery"] == [3, 0.0]
+
+
+def test_against_prints_each_sides_ok_count(monkeypatch, capsys):
+    before = [_line("similarity-recovery", "r0.t0", "a", "f", "n") + " ok",
+              _line("similarity-recovery", "r0.t1", "b", "f", "n") + " miss",
+              _line("cli-session", "r0.t0", "c", "g", "m") + " ok"]
+    after = [_line("similarity-recovery", "r0.t0", "a", "f", "n") + " ok",
+             _line("similarity-recovery", "r0.t1", "b2", "f2", "n2") + " ok",
+             _line("cli-session", "r0.t0", "c", "g", "m") + " ok",
+             _line("cli-session", "r0.t1", "d", "h", "m") + " wrong"]
+
+    class _Run:
+        def __init__(self, lines):
+            self.returncode, self.stdout = 0, "\n".join(lines) + "\n"
+
+    runs = iter([_Run(before), _Run(after)])
+    monkeypatch.setattr(output_digests.subprocess, "run", lambda *a, **k: next(runs))
+    assert output_digests.main(["--against", "parent", "--root", "change"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if ": ok " in line] == [
+        "similarity-recovery: ok 1 -> 2 of 2", "cli-session: ok 1 of 1 -> 1 of 2",
+        "similarity-recovery/5: ok 1 -> 2 of 2", "cli-session/5: ok 1 of 1 -> 1 of 2"]
+    # The diff shows the digests alone, not the statuses.
+    assert "+" + _digests_only(after[1]) in out and "+" + _digests_only(after[3]) in out

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -14,7 +16,7 @@ from conftest import (
     random_unitary,
 )
 from matorder import _linalg as la
-from matorder import similarity
+from matorder import case_studies, similarity
 from matorder.algebra import (OperatorAlgebra, block_coords, block_synth, commutant,
                               conjugate_algebra, generate_algebra, level_residual, random_element)
 from matorder.cones import SimilarityCone, StandardCone
@@ -755,6 +757,7 @@ def test_q_space_dim_is_the_commutant_dimension_on_the_planted_corpus(seed):
     b = conjugate_algebra(algebra, np.linalg.inv(s))
     res = reconstruct_similarity(b, SimilarityCone(b, s), cb_level=1, levels=(1,))
     assert res.q_space_dim == len(commutant(b)[1]) == len(commutant(algebra)[1])
+    assert res.star_rep.image_algebra.dim == b.dim
     assert res.certificate.cond <= np.linalg.cond(s.conj().T @ s) * (1.0 + 1e-6)
 
 
@@ -792,3 +795,60 @@ def test_similarity_recovery_seed_11_r1_t2_reaches_the_exact_cb_norm(tmp_path, m
     assert cert.cond - cert.gap <= exact ** 2 <= cert.cond * (1.0 + 1e-12)
     within = res.cb_upper - np.sqrt(cert.cond - cert.gap)
     assert abs(res.cb_upper - 322.55397102) <= within
+
+
+# -- an image of a closed algebra is its span: no second closure ----------------
+
+def _recorded_closures(monkeypatch):
+    """The arguments of every `generate_algebra` call, through any matorder module's name."""
+    calls, generate = [], generate_algebra
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "matorder" and hasattr(module, "generate_algebra"):
+            monkeypatch.setattr(module, "generate_algebra",
+                                lambda *args, **kw: calls.append(args) or generate(*args, **kw))
+    return calls
+
+
+def test_no_algebra_closed_by_construction_is_closed_again(
+        monkeypatch, worked_algebra, worked_sim_cone, planted_sim_cone, m2_full, m3_full,
+        span_i_e11):
+    rng = np.random.default_rng(8)
+    m8 = generate_algebra([la.random_complex(rng, (8, 8))], include_adjoints=True)
+    s = random_similarity(rng, 8, max_log10_cond=1.0)
+    b8 = conjugate_algebra(m8, np.linalg.inv(s))
+    cases = [(worked_algebra, worked_sim_cone), (planted_sim_cone.algebra, planted_sim_cone),
+             (m2_full, StandardCone(m2_full)), (m3_full, StandardCone(m3_full)),
+             (b8, SimilarityCone(b8, s))]
+    calls = _recorded_closures(monkeypatch)
+    for b, cone in cases:
+        res = reconstruct_similarity(b, cone, cb_level=1, levels=(1,))
+        assert res.star_rep.image_algebra.dim == b.dim and res.sandwich_ok
+    report = case_studies.kadison_pipeline(span_i_e11, WORKED_S, samples=4)
+    assert report.passed and report.reconstruction.star_rep.image_algebra.dim == 2
+    assert calls == []
+    # span{I, E12} is not sharp-closed in the cone over S^-1 M_2 S, S = diag(1, 2): it and
+    # its sharp-images generate M_2, which `_sharp_closure` closes, once.
+    s = np.diag([1.0, 2.0]).astype(complex)
+    cone = SimilarityCone(conjugate_algebra(m2_full, np.linalg.inv(s)), s)
+    sub = OperatorAlgebra(np.stack([np.eye(2) / np.sqrt(2.0), E12]).astype(complex))
+    reconstruct_similarity(sub, cone, cb_level=1, levels=(1,))
+    assert len(calls) == 1 and len(calls[0][0]) == 2 * sub.dim
+
+
+@pytest.mark.parametrize("seed, task_id, dim", [(12, "r3.t14", 14), (11, "r0.t11", 13)])
+def test_similarity_recovery_image_algebra_keeps_the_algebras_dimension(
+        tmp_path, monkeypatch, seed, task_id, dim):
+    # Block algebras at cond(S) = 10^3.98: closing the images again took in directions made
+    # of rounding (dim 14 -> 36 and 13 -> 25), and on 12.r3.t14 cb_lower then passed cb_upper.
+    got, reconstruct = [], similarity.reconstruct_similarity
+    monkeypatch.setattr(similarity, "reconstruct_similarity",
+                        lambda b, cone, **kw: got.append((b, reconstruct(b, cone, **kw)))
+                        or got[-1][1])
+    rounds = load_workloads(monkeypatch).build("similarity-recovery", seed, 40, str(tmp_path))
+    r, t = (int(part[1:]) for part in task_id.split("."))
+    task = rounds[r][t]
+    assert task.task_id == task_id and task.params["dim"] == dim
+    out = task.run()
+    [(b, res)] = got
+    assert b.dim == res.star_rep.image_algebra.dim == dim
+    assert res.sandwich_ok and task.check(out) == "ok"

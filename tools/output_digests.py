@@ -9,7 +9,7 @@ runs), runs them in this interpreter with one BLAS thread, and prints one
 line per task:
 
     <workload> <seed> <task_id> <sha256 of repr(output)> <float-free sha256>
-        <number-free sha256> <floats>
+        <number-free sha256> <floats> <status>
 
 The float-free digest is taken over the output with every float replaced by
 its type name, CLI report bytes decoded as JSON first: exit codes, `passed`
@@ -24,8 +24,9 @@ values move (a sampled maximum found at another level, say) but whose
 verdicts, flags, witness kinds, exit codes and task-level integer counts
 stay share it.  <floats> lists the output's floats as one JSON list, in
 the order the digests visit them: two outputs that share a float-free
-digest hold their floats in the same places.  A typed matorder error is
-the task's output.  `--root`
+digest hold their floats in the same places.  <status> is the task's
+verdict from `workloads.classify`: ok, miss, wrong or crashed.  A typed
+matorder error is the task's output.  `--root`
 selects the checkout whose `src/` and `perfbench/` are imported (default:
 this one), so one copy of this script can digest any commit exported with
 `git archive`.  Two
@@ -38,7 +39,9 @@ line per task kind with a differing digest (the kind is the task id after
 its round, "kadison-demo" in "r3.kadison-demo"), so "only these kinds moved"
 reads off those lines, then per workload the largest relative change of any
 float over the tasks whose float-free digests match (so "moved only in its
-last bits" is one number), and exits 1
+last bits" is one number), then on stdout each side's count of ok tasks per
+workload and per workload and seed ("similarity-recovery/12: ok 74 -> 75 of
+75"), and exits 1
 if any line differs, 0 if none does, and 2 if either checkout fails to
 digest.
 """
@@ -159,7 +162,8 @@ def main(argv=None) -> int:
                     outcome = workloads.run_task(task, lambda f: (f(), 0.0, 1.0))
                     output = outcome.output if outcome.error is None else outcome.error
                     print(workload, seed, task.task_id, *digests(output),
-                          json.dumps(floats(output), separators=(",", ":")), flush=True)
+                          json.dumps(floats(output), separators=(",", ":")),
+                          workloads.classify(task, outcome)[0], flush=True)
     return 0
 
 
@@ -194,6 +198,17 @@ def float_changes(before_lines: list, after_lines: list) -> dict:
             row[0] += 1
             row[1] = max([row[1], *map(relative_change, json.loads(old[3]), json.loads(new[3]))])
     return changes
+
+
+def ok_counts(lines: list, by_seed: bool = False) -> dict:
+    """Per workload (by_seed: per "<workload>/<seed>"), in order of first appearance: [ok tasks,
+    tasks], the status read from the field after the floats (a line without one is not ok)."""
+    counts = {}
+    for fields in map(str.split, lines):
+        row = counts.setdefault("/".join(fields[:2 if by_seed else 1]), [0, 0])
+        row[0] += fields[7:8] == ["ok"]
+        row[1] += 1
+    return counts
 
 
 def _compare(before: str, after: str, args) -> int:
@@ -232,6 +247,12 @@ def _compare(before: str, after: str, args) -> int:
     for workload, (tasks, largest) in float_changes(*with_floats).items():
         print(f"{workload}: floats moved by at most {largest:.2g} relative over the "
               f"{tasks} tasks whose float-free digests match", file=sys.stderr)
+    for by_seed in (False, True):
+        old, new = (ok_counts(lines, by_seed) for lines in with_floats)
+        for key in new | old:
+            (was, had), (ok, tasks) = (side.get(key, (0, 0)) for side in (old, new))
+            print(f"{key}: ok {was} -> {ok} of {tasks}" if had == tasks else
+                  f"{key}: ok {was} of {had} -> {ok} of {tasks}", flush=True)
     return 1 if diff else 0
 
 
