@@ -9,7 +9,9 @@ An element of M_n(A) is an (nN) x (nN) matrix of N x N blocks in A, its
 coordinates ordered block (i, j) row-major, then basis index k.  Only
 `block_coords`, `block_synth` and `_Frame` (a similarity's action) know that
 layout; every level-n consumer goes through them, and no basis of M_n(A) is
-ever materialised.  `_frame` checks and inverts a similarity once, into a `_Frame`.
+ever materialised: a map given by its basis images acts on a (stack of) block
+matrices as `block_synth(block_coords(algebra, x), images)`.  `_frame` checks
+and inverts a similarity once, into a `_Frame`.
 """
 
 from __future__ import annotations

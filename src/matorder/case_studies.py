@@ -19,7 +19,6 @@ from . import _linalg as la
 from .algebra import (
     OperatorAlgebra,
     _frame,
-    as_matrix,
     block_coords,
     block_synth,
     image_algebra,
@@ -53,16 +52,14 @@ class JSymmetricRep:
     symmetry_residual: float = field(init=False)
 
     def __post_init__(self):
-        residual = 0.0
-        for b in self.algebra.basis:
-            lhs = self.rho(la.dagger(b))
-            rhs = self.j @ la.dagger(self.rho(b)) @ self.j
-            residual = max(residual, la.frob(lhs - rhs) / (1.0 + la.frob(rhs)))
+        lhs = self.rho(la.dagger(self.algebra.basis))
+        rhs = self.j @ la.dagger(self.rho(self.algebra.basis)) @ self.j
+        residual = max([0.0] + [la.frob(x - y) / (1.0 + la.frob(y)) for x, y in zip(lhs, rhs)])
         object.__setattr__(self, "symmetry_residual", float(residual))
 
     def rho(self, x) -> np.ndarray:
-        coords = self.algebra.coords_of(as_matrix(x))
-        return np.tensordot(coords, self.rho_images, axes=(0, 0))
+        """rho of a matrix, of a level-n block matrix (blockwise) or of each matrix of a stack."""
+        return block_synth(block_coords(self.algebra, x), self.rho_images)
 
 
 def j_symmetrize(algebra: OperatorAlgebra, pi_images: np.ndarray | None = None) -> JSymmetricRep:
@@ -73,14 +70,11 @@ def j_symmetrize(algebra: OperatorAlgebra, pi_images: np.ndarray | None = None) 
         pi_images = algebra.basis
     pi_images = np.asarray(pi_images, dtype=complex)
     nn = pi_images.shape[1]
-
-    def pi_of(x: np.ndarray) -> np.ndarray:
-        return np.tensordot(algebra.coords_of(x), pi_images, axes=(0, 0))
-
-    zero = np.zeros((nn, nn), dtype=complex)
-    rho_images = np.stack([np.block([[pi_of(b), zero], [zero, la.dagger(pi_of(la.dagger(b)))]])
-                           for b in algebra.basis])
-    j = np.block([[zero, np.eye(nn)], [np.eye(nn), zero]])
+    pi_b, pi_adj = (block_synth(block_coords(algebra, x), pi_images)
+                    for x in (algebra.basis, la.dagger(algebra.basis)))
+    rho_images = np.zeros((algebra.dim, 2 * nn, 2 * nn), dtype=complex)
+    rho_images[:, :nn, :nn], rho_images[:, nn:, nn:] = pi_b, la.dagger(pi_adj)
+    j = np.kron([[0, 1], [1, 0]], np.eye(nn, dtype=complex))
     return JSymmetricRep(algebra, pi_images, rho_images, j)
 
 
@@ -187,7 +181,7 @@ def kadison_pipeline(algebra: OperatorAlgebra, s: np.ndarray, levels=(1, 2),
                                    cert_tol=cert_tol, levels=levels)
 
     # rho followed by the reconstruction must be adjoint-preserving.
-    lhs, rhs = (recon.certificate.frame.straighten(np.stack([rep.rho(x) for x in xs]))
+    lhs, rhs = (recon.certificate.frame.straighten(rep.rho(xs))
                 for xs in (la.dagger(algebra.basis), algebra.basis))
     residual = max([0.0] + [la.frob(x - y) / (1.0 + la.frob(y))
                             for x, y in zip(lhs, la.dagger(rhs))])

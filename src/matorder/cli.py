@@ -36,6 +36,7 @@ EXIT_OK = 0
 EXIT_AUDIT_FAIL = 2
 EXIT_TYPED_ERROR = 3
 EXIT_SCHEMA_ERROR = 4
+MAX_LEVEL = 8  # the highest level that --levels and involution --level accept
 
 
 @dataclass
@@ -52,8 +53,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.samples < 1:
             raise SchemaError("/config/samples", "must be >= 1")
-        if not self.levels or any(l < 1 or l > 8 for l in self.levels):
-            raise SchemaError("/config/levels", "levels must lie in 1..8")
+        if not self.levels or any(l < 1 or l > MAX_LEVEL for l in self.levels):
+            raise SchemaError("/config/levels", f"levels must lie in 1..{MAX_LEVEL}")
         for name in ("tol_psd", "bisect_tol", "cert_tol", "structure_tol"):
             pointer = f"/config/{name.replace('_', '-')}"
             if _number(getattr(self, name), pointer) <= 0:
@@ -142,8 +143,8 @@ def _cmd_order_norm(args, config: RunConfig):
 
 
 def _cmd_involution(args, config: RunConfig):
-    if args.level > 8:
-        raise SchemaError("/level", "must lie in 1..8")
+    if args.level > MAX_LEVEL:
+        raise SchemaError("/level", f"must lie in 1..{MAX_LEVEL}")
     cone = _load_cone(args.cone, config)
     inv = involution.recover_involution(cone, 1, seed=config.seed)
     samples = max(4, config.samples // 4)

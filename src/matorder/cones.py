@@ -334,8 +334,7 @@ class ConeOracle:
         span = self.span_basis(1)
         if span is None or span.shape[0] == 0:
             return span
-        cols = np.stack([la.real_vec(self.straighten(1, h)) for h in span], axis=1)
-        return _freeze(la.real_kernel(span, cols))
+        return _freeze(la.real_kernel(span, la.real_rows(self.straighten(1, span)).T))
 
     @cached_property
     def _span_rank_1(self) -> int:
@@ -641,8 +640,7 @@ def _scalar_conjugations(cone: ConeOracle, levels: tuple, trials: int,
     """Candidates B* c B in C_m for c in C_n and scalar n x m B, over every
     level pair: `trials` Gaussian B, plus the cyclic permutation (n = m > 1)
     and the row selection (m > n).  Per pair: all B, then one c per B."""
-    big_n = cone.level_dim(1)
-    eye = np.eye(big_n, dtype=complex)
+    eye = np.eye(cone.level_dim(1), dtype=complex)
     for n in levels:
         for m in levels:
             scalars = [la.random_complex_many(rng, trials, (n, m))]
@@ -652,7 +650,7 @@ def _scalar_conjugations(cone: ConeOracle, levels: tuple, trials: int,
                 scalars.append(np.eye(n, m, dtype=complex)[None])
             b = np.concatenate(scalars)
             cs = _stack(cone, n, cone.sample_many(n, len(b), rng))
-            blk = (b[:, :, None, :, None] * eye[:, None, :]).reshape(-1, n * big_n, m * big_n)
+            blk = block_synth(b[..., None], eye[None])  # B kron I_N
             for c, out in zip(cs, la.dagger(blk) @ cs @ blk):
                 yield Witness("scalar-conjugation", m, (c,) if n == m else (), out,
                               f"B* C_{n} B escaped C_{m}")

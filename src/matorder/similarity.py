@@ -40,8 +40,8 @@ NEWTON_BUDGET = 400
 # no gap below ~ m eps t^2 can be certified: the relative target never
 # drops below GAP_FLOOR_FACTOR m t.
 GAP_FLOOR_FACTOR = 10.0 * np.finfo(float).eps
-# cb_lower_bound: ascent starts (the swap and unit starts, then random ones),
-# and the step cap of each ascent and of the closing polar polish.
+# cb_lower_bound: ascent starts (the swap and unit starts, then random ones), and the
+# step cap of the polar polish (an ascent stops at its stale count, well before it).
 CB_RESTARTS = 12
 CB_ITERS = 60
 
@@ -264,7 +264,8 @@ def build_star_rep(algebra: OperatorAlgebra, cone: ConeOracle, q,
                    levels=(1, 2, 4), samples: int = 12, seed: int = 0) -> StarRepresentation:
     """The map tau(b) = Q^(1/2) b Q^(-1/2) with its image algebra, the span of the images
     (`image_algebra`: tau is a unital homomorphism, so nothing is closed again); q: a matrix,
-    normalised to lambda_min = 1, or a `SimilarityCertificate`, taken as it is.
+    normalised to lambda_min = 1, or a `SimilarityCertificate`, taken as it is; involution
+    (recovered when None) is applied to the basis stack at once, as an `InvolutionMap` is.
 
     Verifies tau(b^sharp) = tau(b)* on the basis (residual_star) and that tau applied blockwise
     sends sampled level-n cone elements to PSD matrices (residual_cone; each level's samples are
@@ -276,7 +277,7 @@ def build_star_rep(algebra: OperatorAlgebra, cone: ConeOracle, q,
     frame = _frame(cert.s, algebra.ambient_dim)
     images = frame.straighten(algebra.basis)
 
-    sharps = frame.straighten(np.stack([involution(b) for b in algebra.basis]))
+    sharps = frame.straighten(involution(algebra.basis))
     residual_star = max(la.frob(x - la.dagger(tb)) / (1.0 + la.frob(tb))
                         for x, tb in zip(sharps, images))
     if residual_star > cert_tol:
@@ -353,8 +354,11 @@ def cb_lower_bound(images: np.ndarray, from_algebra: OperatorAlgebra,
     the top singular pair of phi^(k)(X) linearizes the objective; the step
     to its maximizer over the Frobenius ball of the coordinates and four
     damped steps are scored by one stacked values-only SVD for the X's and
-    one for their images; the next step reuses the accepted one's.  The
-    best point is then polished (`_polish`); on a star-closed A the polar
+    one for their images; the next step reuses the accepted one's.  A start ends at
+    five evaluations without a new best (by 1e-13 absolute); an accepted step has set
+    the best already, so after five steps (four if the start does not beat the best),
+    one more per re-evaluation that reads 1e-13 above its batched score.  The best
+    point is then polished (`_polish`); on a star-closed A the polar
     part lies in M_k(A), so the value cannot fall (elsewhere the projected
     step is a heuristic).  A finite target polishes the first start's best point
     at once and returns it if it reaches the target, else the larger of it and

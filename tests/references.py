@@ -29,7 +29,9 @@ embedding's pullback cone and norm one sample at a time, before their
 stacked passes; `membership_residual` is the distance from an algebra span.
 `hermitian_part_basis_loop` and `conjugate_per_basis` build the Hermitian-part
 basis and a similarity's basis images one basis element at a time, as the
-library did before its stacked forms.  `r4_sampled` is the order-bound estimate
+library did before its stacked forms; `j_symmetrize_per_element` builds the
+doubled images pi(b) (+) pi(b*)* the same way, each pi by its own
+`coords_of` and `tensordot`.  `r4_sampled` is the order-bound estimate
 over the sampled candidate set, which the library keeps for every cone but a
 PSD frame (there it asks -e_n alone).  `sampled_checks` runs the audits' eight
 sampled checks on their candidates, as the library still does for every cone but
@@ -81,6 +83,16 @@ def hermitian_part_basis_loop(algebra: OperatorAlgebra) -> np.ndarray:
 
 def conjugate_per_basis(left: np.ndarray, basis: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.stack([left @ b @ right for b in basis])
+
+
+def j_symmetrize_per_element(algebra: OperatorAlgebra, pi_images: np.ndarray) -> np.ndarray:
+    """The rho images pi(b) (+) pi(b*)* of `j_symmetrize`, one basis element at a time."""
+    def pi_of(x):
+        return np.tensordot(algebra.coords_of(x), pi_images, axes=(0, 0))
+
+    zero = np.zeros(pi_images.shape[1:], dtype=complex)
+    return np.stack([np.block([[pi_of(b), zero], [zero, la.dagger(pi_of(la.dagger(b)))]])
+                     for b in algebra.basis])
 
 
 def herm_defect(x: np.ndarray) -> float:

@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import WORKED_S, level_one_inverse_bound, mat
+import references
+from conftest import WORKED_S, level_one_inverse_bound, mat, random_similarity
 from matorder import _linalg as la
 from matorder import case_studies, similarity
 from matorder.algebra import generate_algebra, random_element
@@ -57,6 +58,45 @@ def test_j_symmetrize_planted(span_i_e11):
         np.tensordot(span_i_e11.coords_of(x), images, axes=(0, 0)),
         atol=1e-12,
     )
+
+
+def _planted_rep(algebra, seed=0):
+    """j_symmetrize of pi = S^-1 (.) S for a random S of cond(S) <= 10."""
+    s = random_similarity(np.random.default_rng(seed), algebra.ambient_dim, 1.0)
+    return j_symmetrize(algebra, np.linalg.inv(s) @ algebra.basis @ s)
+
+
+@pytest.mark.parametrize("k", [1, 3, 4, 5])
+def test_rho_of_a_stack_is_rho_of_each_matrix(m2_full, k):
+    # k = 4 = dim M_2: a stack as long as the basis once contracted against it.
+    rep = _planted_rep(m2_full)
+    xs = m2_full.synthesize(la.random_complex_many(np.random.default_rng(k), k, m2_full.dim))
+    got = rep.rho(xs)
+    assert got.shape == (k, 4, 4)
+    for x, y in zip(xs, got):
+        np.testing.assert_allclose(y, rep.rho(x), rtol=0, atol=1e-12 * (1.0 + la.frob(y)))
+
+
+def test_rho_of_a_level_2_block_matrix_is_rho_block_by_block(m2_full):
+    rep = _planted_rep(m2_full)
+    x = random_element(m2_full, np.random.default_rng(1), level=2)
+    got = rep.rho(x)
+    assert got.shape == (8, 8)
+    for i in range(2):
+        for j in range(2):
+            np.testing.assert_allclose(got[4 * i:4 * i + 4, 4 * j:4 * j + 4],
+                                       rep.rho(x[2 * i:2 * i + 2, 2 * j:2 * j + 2]),
+                                       rtol=0, atol=1e-12 * (1.0 + la.frob(got)))
+
+
+@pytest.mark.parametrize("name", ["m2_full", "m3_full", "span_i_e11"])
+def test_stacked_rho_images_match_the_per_element_reference(name, request):
+    algebra = request.getfixturevalue(name)
+    rep = _planted_rep(algebra, seed=2)
+    want = references.j_symmetrize_per_element(algebra, rep.pi_images)
+    np.testing.assert_allclose(rep.rho_images, want, rtol=0,
+                               atol=1e-13 * (1.0 + la.frob(want)))
+    assert rep.symmetry_residual <= 1e-12
 
 
 def test_j_symmetrize_requires_star_closed(worked_algebra):

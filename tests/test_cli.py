@@ -488,6 +488,25 @@ def test_involution_level_past_eight_fails_before_sampling(workdir, capsys, monk
     assert rep["error"]["pointer"] == "/level"
 
 
+def test_one_max_level_caps_levels_and_the_involution_level(workdir, capsys, monkeypatch):
+    # Both caps keep their messages at 8 and move together with MAX_LEVEL.
+    assert cli_mod.MAX_LEVEL == 8
+    cone = ["involution", "--cone", str(workdir / "std_cone.json")]
+    for args, pointer, message in ((["--levels", "1,9"], "/config/levels",
+                                    "levels must lie in 1..8"),
+                                   (["--level", "9"], "/level", "must lie in 1..8")):
+        code, rep = _run(workdir, cone + args, capsys)
+        assert code == 4
+        assert rep["error"] == {"type": "SchemaError", "pointer": pointer, "message": message}
+    monkeypatch.setattr(cli_mod, "MAX_LEVEL", 2)
+    with pytest.raises(SchemaError, match=r"levels must lie in 1\.\.2"):
+        cli_mod.RunConfig(levels=(1, 3)).validate()
+    cli_mod.RunConfig(levels=(1, 2)).validate()
+    code, rep = _run(workdir, cone + ["--level", "3"], capsys)
+    assert code == 4
+    assert rep["error"]["message"] == "must lie in 1..2"
+
+
 def test_involution_on_a_skewed_level_cone_fails_certification(workdir, capsys, monkeypatch):
     m2 = algebra_from_obj(json.loads((workdir / "m2.json").read_text()))
     monkeypatch.setattr(cli_mod, "_load_cone", lambda path, config: SkewedLevelCone(m2))

@@ -145,6 +145,37 @@ def test_against_prints_each_workloads_counts_and_the_total(monkeypatch, capsys)
     assert output_digests.main(["--against", "parent", "--root", "change"]) == 0
 
 
+def test_float_moves_name_the_task_index_and_values_of_each_largest_change():
+    moves = output_digests.float_moves(BEFORE, AFTER)
+    assert moves["order-norms"] == [2, output_digests.relative_change(2.0, 2.000000000003),
+                                    ("5", "r0.t0", 1, 2.0, 2.000000000003)]
+    assert moves["cli-session"] == [0, 0.0, None]
+    # A tripled 1e-16 residual outranks a moved bound; the first of equal changes is kept.
+    before = [_line("cli-session", "r0.k", "a", "f", "n", "[1e-16,7.5,2.0]", seed=71),
+              _line("cli-session", "r1.k", "b", "g", "n", "[1e-16]", seed=71)]
+    after = [_line("cli-session", "r0.k", "a2", "f", "n", "[3e-16,7.500001,2.0]", seed=71),
+             _line("cli-session", "r1.k", "b2", "g", "n", "[3e-16]", seed=71)]
+    (tasks, largest, where), = output_digests.float_moves(before, after).values()
+    assert (tasks, where) == (2, ("71", "r0.k", 0, 1e-16, 3e-16))
+    assert largest == output_digests.relative_change(1e-16, 3e-16)
+    assert output_digests.float_changes(before, after) == {"cli-session": [2, largest]}
+
+
+def test_against_prints_where_each_workloads_largest_float_change_is(monkeypatch, capsys):
+    class _Run:
+        def __init__(self, lines):
+            self.returncode, self.stdout = 0, "\n".join(lines) + "\n"
+
+    runs = iter([_Run(BEFORE), _Run(AFTER)])
+    monkeypatch.setattr(output_digests.subprocess, "run", lambda *a, **k: next(runs))
+    assert output_digests.main(["--against", "parent", "--root", "change"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    # cli-session has no task whose float-free digest matches: no line for it.
+    assert [line for line in out if "largest float change" in line] == [
+        "order-norms: largest float change 1.5e-12 relative in seed 5 r0.t0, float 1: "
+        "2.0 -> 2.000000000003"]
+
+
 def test_floats_are_listed_in_digest_order_from_reports_and_tuples():
     assert output_digests.floats(_cli_output(value=0.30000000000000004)) == [0.30000000000000004]
     assert output_digests.floats(("seminorm", 1.5, 0, 3)) == [1.5]

@@ -39,7 +39,9 @@ line per task kind with a differing digest (the kind is the task id after
 its round, "kadison-demo" in "r3.kadison-demo"), so "only these kinds moved"
 reads off those lines, then per workload the largest relative change of any
 float over the tasks whose float-free digests match (so "moved only in its
-last bits" is one number), then on stdout each side's count of ok tasks per
+last bits" is one number) and on stdout where that change is (seed, task id,
+float index) with both values, so a tripled 1e-16 residual does not hide
+whether a bound moved, then on stdout each side's count of ok tasks per
 workload and per workload and seed ("similarity-recovery/12: ok 74 -> 75 of
 75"), and exits 1
 if any line differs, 0 if none does, and 2 if either checkout fails to
@@ -185,19 +187,31 @@ def difference_counts(before_lines: list, after_lines: list, by_kind: bool = Fal
     return counts
 
 
-def float_changes(before_lines: list, after_lines: list) -> dict:
+def float_moves(before_lines: list, after_lines: list) -> dict:
     """Per workload, in order of first appearance: [tasks, largest relative
-    change of a float], over after's tasks whose float-free digest equals
-    before's, read from the lines' float lists."""
+    change of a float, where], over after's tasks whose float-free digest
+    equals before's, read from the lines' float lists; where is (seed, task
+    id, float index, before's value, after's value) of the first float to
+    reach that change, None while no float has moved."""
     before = {tuple(fields[:3]): fields[3:] for fields in map(str.split, before_lines)}
     changes = {}
     for fields in map(str.split, after_lines):
-        row = changes.setdefault(fields[0], [0, 0.0])
+        row = changes.setdefault(fields[0], [0, 0.0, None])
         old, new = before.get(tuple(fields[:3])), fields[3:]
         if old is not None and old[1] == new[1]:
             row[0] += 1
-            row[1] = max([row[1], *map(relative_change, json.loads(old[3]), json.loads(new[3]))])
+            for index, (a, b) in enumerate(zip(json.loads(old[3]), json.loads(new[3]))):
+                change = relative_change(a, b)
+                if change > row[1]:
+                    row[1:] = change, (fields[1], fields[2], index, a, b)
     return changes
+
+
+def float_changes(before_lines: list, after_lines: list) -> dict:
+    """Per workload, in order of first appearance: [tasks, largest relative
+    change of a float], as `float_moves` reads them."""
+    return {workload: row[:2] for workload, row in float_moves(before_lines,
+                                                              after_lines).items()}
 
 
 def ok_counts(lines: list, by_seed: bool = False) -> dict:
@@ -244,9 +258,13 @@ def _compare(before: str, after: str, args) -> int:
         if any(differ):
             print(f"{workload} {kind}: {differ[0]} of {tasks} full, {differ[1]} float-free and "
                   f"{differ[2]} number-free digests differ", flush=True)
-    for workload, (tasks, largest) in float_changes(*with_floats).items():
+    for workload, (tasks, largest, where) in float_moves(*with_floats).items():
         print(f"{workload}: floats moved by at most {largest:.2g} relative over the "
               f"{tasks} tasks whose float-free digests match", file=sys.stderr)
+        if where is not None:
+            seed, task, index, a, b = where
+            print(f"{workload}: largest float change {largest:.2g} relative in seed {seed} "
+                  f"{task}, float {index}: {a!r} -> {b!r}", flush=True)
     for by_seed in (False, True):
         old, new = (ok_counts(lines, by_seed) for lines in with_floats)
         for key in new | old:
