@@ -41,7 +41,7 @@ NEWTON_BUDGET = 400
 # drops below GAP_FLOOR_FACTOR m t.
 GAP_FLOOR_FACTOR = 10.0 * np.finfo(float).eps
 # cb_lower_bound: ascent starts (the swap and unit starts, then random ones), and the
-# step cap of the polar polish (an ascent stops at its stale count, well before it).
+# step cap of an ascent start and of the polar polish (each stops at a step that does not rise).
 CB_RESTARTS = 12
 CB_ITERS = 60
 
@@ -328,24 +328,23 @@ def _polar_point(grad: np.ndarray, from_algebra: OperatorAlgebra) -> np.ndarray:
     return uu[:, :r] @ vh[:r]
 
 
-def _polish(images: np.ndarray, from_algebra: OperatorAlgebra, val: float, grad,
-            steps: int = CB_ITERS, target: float = -np.inf) -> tuple:
+def _polish(images: np.ndarray, from_algebra: OperatorAlgebra, val: float, grad) -> float:
     """Conditional-gradient steps on the operator-norm ball (`_polar_point`, mapped back by
-    `block_coords`) from value val, gradient grad, until one does not raise it or a target is
-    out of reach at the last step's gain: (value, gradient or None once done, steps left)."""
-    gain = np.inf
-    while steps and grad is not None and target - val <= gain * steps:
-        steps -= 1
-        new, new_grad = _top_pair(block_coords(from_algebra, _polar_point(grad, from_algebra)),
-                                  images, from_algebra)
+    `block_coords`) from value val, gradient grad: at most CB_ITERS, stopping at the first
+    one that does not raise the value, which is returned."""
+    for _ in range(CB_ITERS):
+        if grad is None:
+            break
+        new, grad = _top_pair(block_coords(from_algebra, _polar_point(grad, from_algebra)),
+                              images, from_algebra)
         if not new > val:
-            return val, None, steps
-        gain, val, grad = new - val, new, new_grad
-    return val, grad, steps
+            break
+        val = new
+    return val
 
 
 def cb_lower_bound(images: np.ndarray, from_algebra: OperatorAlgebra,
-                   k: int | None = None, seed: int = 0, target: float = np.inf) -> float:
+                   k: int | None = None, seed: int = 0) -> float:
     """Lower bound for the cb norm of the basis-image map phi: the largest
     ||phi^(k)(X)|| / ||X|| found over nonzero X in M_k(A), each a feasible
     point, so the result is always a valid bound.
@@ -355,14 +354,13 @@ def cb_lower_bound(images: np.ndarray, from_algebra: OperatorAlgebra,
     to its maximizer over the Frobenius ball of the coordinates and four
     damped steps are scored by one stacked values-only SVD for the X's and
     one for their images; the next step reuses the accepted one's.  A start ends at
-    five evaluations without a new best (by 1e-13 absolute); an accepted step has set
+    five evaluations without a new best (by a relative 1e-13); an accepted step has set
     the best already, so after five steps (four if the start does not beat the best),
-    one more per re-evaluation that reads 1e-13 above its batched score.  The best
-    point is then polished (`_polish`); on a star-closed A the polar
-    part lies in M_k(A), so the value cannot fall (elsewhere the projected
-    step is a heuristic).  A finite target polishes the first start's best point
-    at once and returns it if it reaches the target, else the larger of it and
-    the full search's value, whose polish resumes it if no later start beat it.
+    one more per re-evaluation that reads a relative 1e-13 above its batched score.  Both
+    margins are relative, so scaling the images by a power of two changes no decision.
+    The best point is then polished (`_polish`) until a step stops rising; on a
+    star-closed A the polar part lies in M_k(A), so the value cannot fall (elsewhere
+    the projected step is a heuristic).
     """
     images = np.asarray(images, dtype=complex)
     k = int(images.shape[1]) if k is None else k
@@ -384,19 +382,14 @@ def cb_lower_bound(images: np.ndarray, from_algebra: OperatorAlgebra,
         starts.append(z / np.linalg.norm(z))
 
     etas = np.array([1.0, 0.5, 0.2, 0.08])[:, None, None, None]
-    best, best_z, best_scored, probe = 0.0, starts[0], None, (None, 0.0)
-    for start, z in enumerate(starts):
-        if start == 1 and target < np.inf:
-            probe = (best_z, *_polish(images, from_algebra, *_top_pair(
-                best_z, images, from_algebra, best_scored), target=target))
-            if probe[1] >= target:
-                return probe[1]
+    best, best_z, best_scored = 0.0, starts[0], None
+    for z in starts:
         stale, scored = 0, None
         for _ in range(CB_ITERS):
             val, grad = _top_pair(z, images, from_algebra, scored)
             if grad is None:
                 break
-            if val > best + 1e-13:
+            if val > best * (1.0 + 1e-13):
                 best, best_z, best_scored, stale = val, z, scored, 0
             else:
                 stale += 1
@@ -412,26 +405,25 @@ def cb_lower_bound(images: np.ndarray, from_algebra: OperatorAlgebra,
             nx, ny = la.opnorm(block_synth(cands, from_algebra.basis)), la.opnorm(ys)
             vals = np.divide(ny, nx, out=np.zeros_like(ny), where=nx >= 1e-14)
             i = int(np.argmax(vals))
-            if vals[i] <= val + 1e-14:
+            if vals[i] <= val * (1.0 + 1e-14):
                 break
             z, scored = cands[i], (nx[i], ys[i])
             if vals[i] > best:
                 best, best_z, best_scored = float(vals[i]), z, scored
 
-    top = probe[1:] if probe[0] is best_z else _top_pair(best_z, images, from_algebra, best_scored)
-    return max(best, _polish(images, from_algebra, *top)[0], probe[1])
+    return max(best, _polish(images, from_algebra,
+                             *_top_pair(best_z, images, from_algebra, best_scored)))
 
 
-def _frame_witness(s: np.ndarray, images: np.ndarray, from_algebra: OperatorAlgebra,
-                   target: float) -> float:
+def _frame_witness(s: np.ndarray, images: np.ndarray, from_algebra: OperatorAlgebra) -> float:
     """Level-1 lower bound for phi = S^-1 (.) S on C (images: phi of C's basis): phi(u_i u_j*) =
     (lambda_j / lambda_i) u_i u_j* for S's eigenpairs, so the best of the N^2 u_i u_j* projected
-    onto C (one `coords_of`) attains ||S|| ||S^-1|| if that pair lies in C; polished to target."""
+    onto C (one `coords_of`) attains ||S|| ||S^-1|| if that pair lies in C; then `_polish`ed."""
     u = np.linalg.eigh(s)[1]
     z = block_coords(from_algebra, np.einsum("ai,bj->ijab", u, u.conj()).reshape(-1, *s.shape))
     nx, ny = (la.opnorm(block_synth(z, mats)) for mats in (from_algebra.basis, images))
     i = int(np.argmax(np.divide(ny, nx, out=np.zeros_like(ny), where=nx >= 1e-14)))
-    return _polish(images, from_algebra, *_top_pair(z[i], images, from_algebra), target=target)[0]
+    return _polish(images, from_algebra, *_top_pair(z[i], images, from_algebra))
 
 
 @dataclass(frozen=True)
@@ -472,8 +464,8 @@ def reconstruct_similarity(algebra: OperatorAlgebra, cone: ConeOracle,
     build the star representation, and report the cb-norm sandwich.
 
     sqrt(cond(Q)) bounds the cb norm of the certified conjugation in both directions; the lower
-    bound starts at `_frame_witness` and, only while upper - lower > cert_tol * upper, ascents
-    with target upper (1 - cert_tol) follow: the inverse direction's, then the forward one's,
+    bound starts at `_frame_witness` and, only while upper - lower > cert_tol * upper,
+    `cb_lower_bound` ascents follow: the inverse direction's, then the forward one's,
     at level 1 and then the ceiling `cb_level` (N when None; below 1 DimensionMismatch before
     any solve), each only while still open.  `samples`: per level, for `build_star_rep`.
     The cone's involution is defined on its own algebra only: a basis not in it raises first,
@@ -490,12 +482,11 @@ def reconstruct_similarity(algebra: OperatorAlgebra, cone: ConeOracle,
                           cert_tol=cert_tol, levels=levels, samples=samples, seed=seed)
     inverse_images = star.certificate.frame.unstraighten(star.image_algebra.basis)
     upper = cb_upper_bound_from_similarity(star.certificate)
-    target = upper * (1.0 - cert_tol)
-    k, lower = 1, _frame_witness(star.certificate.s, inverse_images, star.image_algebra, target)
+    k, lower = 1, _frame_witness(star.certificate.s, inverse_images, star.image_algebra)
     for k in sorted({1, ceiling}) if upper - lower > cert_tol * upper else ():
-        lower = max(lower, cb_lower_bound(inverse_images, star.image_algebra, k, seed, target))
+        lower = max(lower, cb_lower_bound(inverse_images, star.image_algebra, k, seed))
         if upper - lower > cert_tol * upper:
-            lower = max(lower, cb_lower_bound(star.images, algebra, k, seed, target))
+            lower = max(lower, cb_lower_bound(star.images, algebra, k, seed))
         if upper - lower <= cert_tol * upper:
             break
     return ReconstructionResult(involution, int(space.shape[0]), star, lower, upper, k)

@@ -282,25 +282,16 @@ def cb_cases(m2_full, span_i_e11, worked_algebra, worked_sim_cone):
     }
 
 
-# The values of the full search, bit for bit as before `target` existed: without
-# a target (or with the default, infinity) no probe runs.
+# The full search's values, pinned bit for bit, each within the case's upper bound.
 @pytest.mark.parametrize("case, expected", [
     ("identity", "1.0"), ("transpose", "2.0"), ("planted", "2.4142135623730954"),
     ("worked-inverse", "2.414213562373094"), ("worked-forward", "1.0"),
 ])
 def test_cb_lower_bound_without_a_target_keeps_its_values(cb_cases, case, expected):
-    images, domain, k, _ = cb_cases[case]
-    assert repr(cb_lower_bound(images, domain, k=k)) == expected
-    assert repr(cb_lower_bound(images, domain, k, 0, np.inf)) == expected
-
-
-@pytest.mark.parametrize("case", ["identity", "transpose", "planted", "worked-inverse",
-                                  "worked-forward"])
-def test_cb_lower_bound_with_an_unreachable_target_never_ends_lower(cb_cases, case):
     images, domain, k, upper = cb_cases[case]
-    full = cb_lower_bound(images, domain, k=k)
-    for target in (upper * (1.0 + 1e-3), 2.0 * upper + 1.0):
-        assert full <= cb_lower_bound(images, domain, k=k, target=target) <= upper + 1e-6
+    value = cb_lower_bound(images, domain, k=k)
+    assert repr(value) == expected
+    assert value <= upper + 1e-6
 
 
 def _counted(monkeypatch, owner, name):
@@ -315,56 +306,25 @@ def _counted(monkeypatch, owner, name):
     return count
 
 
-@pytest.mark.parametrize("case", ["identity", "transpose", "planted", "worked-inverse"])
-def test_cb_lower_bound_returns_once_it_reaches_its_target(monkeypatch, cb_cases, case):
-    images, domain, k, upper = cb_cases[case]
-    count = _counted(monkeypatch, np.linalg, "svd")
-    cb_lower_bound(images, domain, k=k)
-    full_svds, count[0] = count[0], 0
-    target = upper * (1.0 - 1e-7)
-    assert target <= cb_lower_bound(images, domain, k=k, target=target) <= upper + 1e-6
-    # The probe closes after the first start: the other starts never run.
-    assert count[0] < full_svds / 2
-
-
-@pytest.mark.parametrize("case", ["identity", "transpose"])
-def test_cb_lower_bound_resumes_the_probes_polish(monkeypatch, cb_cases, case):
-    # No later start beats the first start's point here, so the final polish
-    # goes on from where the probe gave up: the full search's value and SVDs.
-    images, domain, k, upper = cb_cases[case]
-    count = _counted(monkeypatch, np.linalg, "svd")
-    full = cb_lower_bound(images, domain, k=k)
-    full_svds, count[0] = count[0], 0
-    assert cb_lower_bound(images, domain, k=k, target=2.0 * upper + 1.0) == full
-    assert count[0] == full_svds
-
-
-def test_polish_gives_up_only_on_a_target_out_of_reach(monkeypatch):
+def test_polish_rises_until_a_step_does_not(monkeypatch):
     rng = np.random.default_rng(1)
     algebra = random_star_closed_algebra(rng, nmax=4)
     s = random_similarity(rng, algebra.ambient_dim, max_log10_cond=1.0)
     images = np.stack([np.linalg.inv(s) @ b @ s for b in algebra.basis])
     z = block_coords(algebra, random_element(algebra, rng, level=2))
     start, grad = _top_pair(z, images, algebra)
-    count = _counted(monkeypatch, similarity, "_top_pair")
-
-    def polished(target=-np.inf):
-        count[0] = 0
-        value, _, left = similarity._polish(images, algebra, start, grad, target=target)
-        assert count[0] == similarity.CB_ITERS - left
-        return value, count[0]
-
-    full, full_steps = polished()
-    assert full > start and full_steps > 10
-    # At its first step's gain no target this far could be reached in CB_ITERS steps.
-    far_target = start + 2.0 * similarity.CB_ITERS * (full - start)
-    far, far_steps = polished(far_target)
-    assert start < far < full and far_steps == 1
-    # Resumed, it takes the steps it gave up and ends where it would have.
-    value, new_grad, left = similarity._polish(images, algebra, start, grad, target=far_target)
-    assert similarity._polish(images, algebra, value, new_grad, left)[0] == full
-    # A target it reaches never stops it: it polishes on as without one.
-    assert polished(start + 0.5 * (full - start)) == (full, full_steps)
+    scored, top_pair = [(start, grad)], similarity._top_pair
+    monkeypatch.setattr(similarity, "_top_pair",
+                        lambda *args: scored.append(top_pair(*args)) or scored[-1])
+    full = similarity._polish(images, algebra, start, grad)
+    # One `_top_pair` per step, each step but the last a rise.
+    values = [value for value, _ in scored]
+    assert full > start and 10 < len(scored) - 1 <= similarity.CB_ITERS
+    assert all(b > a for a, b in zip(values[:-2], values[1:-1])) and full == max(values)
+    # Polished again from where it ended, it adds at most one step and stays there.
+    end = scored[values.index(full)]
+    del scored[:]
+    assert similarity._polish(images, algebra, *end) == full and len(scored) <= 1
 
 
 @pytest.mark.parametrize("cb_level", [0, -1])
@@ -387,7 +347,7 @@ def test_reconstruct_sandwich(worked_algebra, worked_sim_cone):
 
 def _recorded_cb_lower_bound(monkeypatch, weaken_level_one=False):
     """Wrap `similarity._frame_witness` and `similarity.cb_lower_bound` to record
-    each call's (source, domain, k, target, value), source "witness" or "ascent";
+    each call's (source, domain, k, value), source "witness" or "ascent";
     weaken_level_one scales the level-1 values (the witness's among them) by
     1 - 1e-3, which keeps them valid lower bounds but leaves the sandwich open."""
     calls, bound, witness = [], similarity.cb_lower_bound, similarity._frame_witness
@@ -395,14 +355,14 @@ def _recorded_cb_lower_bound(monkeypatch, weaken_level_one=False):
     def weakened(value, k):
         return value * (1.0 - 1e-3) if weaken_level_one and k == 1 else value
 
-    def recorded_witness(s, images, from_algebra, target):
-        value = weakened(witness(s, images, from_algebra, target), 1)
-        calls.append(("witness", from_algebra, 1, target, value))
+    def recorded_witness(s, images, from_algebra):
+        value = weakened(witness(s, images, from_algebra), 1)
+        calls.append(("witness", from_algebra, 1, value))
         return value
 
-    def recorded(images, from_algebra, k=None, seed=0, target=np.inf):
-        value = weakened(bound(images, from_algebra, k=k, seed=seed, target=target), k)
-        calls.append(("ascent", from_algebra, k, target, value))
+    def recorded(images, from_algebra, k=None, seed=0):
+        value = weakened(bound(images, from_algebra, k=k, seed=seed), k)
+        calls.append(("ascent", from_algebra, k, value))
         return value
 
     monkeypatch.setattr(similarity, "_frame_witness", recorded_witness)
@@ -410,16 +370,14 @@ def _recorded_cb_lower_bound(monkeypatch, weaken_level_one=False):
     return calls
 
 
-def _asked(calls, res, cert_tol=similarity.DEFAULT_CERT_TOL):
+def _asked(calls, res):
     """The (source, level) of each recorded call, the source "witness" or an
-    ascent's direction, after checking that every call aimed at the closure
-    target cb_upper (1 - cert_tol) and that the witness measured the inverse
+    ascent's direction, after checking that the witness measured the inverse
     direction."""
-    assert {target for _, _, _, target, _ in calls} == {res.cb_upper * (1.0 - cert_tol)}
     image = res.star_rep.image_algebra
     assert all(domain is image for source, domain, *_ in calls if source == "witness")
     return [(source if source == "witness" else "inverse" if domain is image else "forward", k)
-            for source, domain, k, _, _ in calls]
+            for source, domain, k, _ in calls]
 
 
 def test_reconstruct_closes_the_worked_sandwich_at_level_one(monkeypatch, worked_algebra,
@@ -441,8 +399,8 @@ def test_reconstruct_asks_the_inverse_direction_even_with_nothing_to_close(
     calls = _recorded_cb_lower_bound(monkeypatch)
     res = reconstruct_similarity(worked_algebra, worked_sim_cone, cb_level=2, levels=(1, 2),
                                  cert_tol=cert_tol)
-    assert _asked(calls, res, cert_tol) == [("witness", 1)]
-    assert res.cb_level == 1 and res.cb_lower == calls[0][4] > 1.0
+    assert _asked(calls, res) == [("witness", 1)]
+    assert res.cb_level == 1 and res.cb_lower == calls[0][3] > 1.0
     assert res.sandwich_ok
 
 
@@ -457,7 +415,7 @@ def test_reconstruct_escalates_only_while_the_sandwich_is_open(
     res = reconstruct_similarity(request.getfixturevalue(algebra),
                                  request.getfixturevalue(cone), cb_level=cb_level,
                                  levels=(1, 2))
-    level_one = max(v for _, _, k, _, v in calls if k == 1)
+    level_one = max(v for _, _, k, v in calls if k == 1)
     assert res.cb_upper - level_one > 1e-7 * res.cb_upper
     asked = _asked(calls, res)
     if escalated is None:
@@ -466,11 +424,11 @@ def test_reconstruct_escalates_only_while_the_sandwich_is_open(
     else:
         # The witness, inverse and forward at level 1, then the escalated inverse
         # direction, and the escalated forward one only while the sandwich stays open.
-        still_open = res.cb_upper - calls[3][4] > 1e-7 * res.cb_upper
+        still_open = res.cb_upper - calls[3][3] > 1e-7 * res.cb_upper
         assert asked == ([("witness", 1), ("inverse", 1), ("forward", 1), ("inverse", escalated)]
                          + [("forward", escalated)] * still_open)
         assert res.cb_level == escalated
-        assert res.cb_lower == max(v for _, _, k, _, v in calls if k == escalated) > level_one
+        assert res.cb_lower == max(v for _, _, k, v in calls if k == escalated) > level_one
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -487,7 +445,7 @@ def test_frame_witness_never_exceeds_the_certified_upper_bound(monkeypatch, seed
         res = reconstruct_similarity(b, SimilarityCone(b, s), cb_level=2, levels=(1,),
                                      samples=4)
         assert calls[0][0] == "witness"
-        assert calls[0][4] <= res.cb_upper * (1.0 + 1e-12)
+        assert calls[0][3] <= res.cb_upper * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -852,3 +810,43 @@ def test_similarity_recovery_image_algebra_keeps_the_algebras_dimension(
     [(b, res)] = got
     assert b.dim == res.star_rep.image_algebra.dim == dim
     assert res.sandwich_ok and task.check(out) == "ok"
+
+
+# -- the cb lower bound takes no target --------------------------------------------
+
+@pytest.mark.parametrize("seed, task_id, floor", [(13, "r2.t7", 1.00347503),
+                                                  (11, "r2.t7", 1.15923005)])
+def test_similarity_recovery_witness_polishes_until_it_stops_rising(
+        tmp_path, monkeypatch, seed, task_id, floor):
+    # The witness polishes until a step stops rising: a polish that stopped once
+    # cb_upper (1 - cert_tol) looked out of reach ended at 1.0034745732 and 1.1592298368.
+    rounds = load_workloads(monkeypatch).build("similarity-recovery", seed, 40, str(tmp_path))
+    r, t = (int(part[1:]) for part in task_id.split("."))
+    task = rounds[r][t]
+    assert task.task_id == task_id
+    out = task.run()
+    assert floor <= out[4] <= out[5] and task.check(out) == "ok"
+
+
+def _planted_conjugations(count=12):
+    """`count` planted conjugations S⁻¹ B S, N ≤ 5 and cond(S) ≤ 10^3.5, drawn in turn
+    from one seeded generator: (algebra, images)."""
+    rng, cases = np.random.default_rng(40), []
+    for _ in range(count):
+        algebra = random_star_closed_algebra(rng, nmax=5)
+        s = random_similarity(rng, algebra.ambient_dim, max_log10_cond=3.5)
+        cases.append((algebra, np.stack([np.linalg.inv(s) @ b @ s for b in algebra.basis])))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_cb_lower_bound_takes_the_same_steps_at_every_power_of_two_scale(monkeypatch, case):
+    # Scaling the images by 2^±12 is exact in floating point and scales every value the
+    # ascent compares by the same power; its margins are relative, so no decision moves.
+    algebra, images = _planted_conjugations()[case]
+    count = _counted(monkeypatch, similarity, "_top_pair")
+    runs = set()
+    for e in (-12, 0, 12):
+        count[0] = 0
+        runs.add((cb_lower_bound(images * 2.0 ** e, algebra, k=1) / 2.0 ** e, count[0]))
+    assert len(runs) == 1, runs
