@@ -29,8 +29,6 @@ def frob(x: np.ndarray) -> float:
 def opnorm(x: np.ndarray):
     """Operator norm: the top singular value, as `norm(x, 2)` without its wrapper;
     of a (k, m, n) stack, the array of each matrix's, from one values-only SVD."""
-    if x.ndim < 3 and x.size == 0:
-        return 0.0
     top = np.linalg.svd(x, compute_uv=False)[..., 0]
     return top if x.ndim == 3 else float(top)
 
@@ -83,8 +81,6 @@ def random_complex(rng: np.random.Generator, shape) -> np.ndarray:
 def _rank(s: np.ndarray, scale: float | None = None) -> int:
     """The one rank rule: the number of singular values (descending) above
     RANK_RTOL * s[0], or RANK_RTOL * max(s[0], scale) given the entry scale."""
-    if s.size == 0:
-        return 0
     return int(np.sum(s > RANK_RTOL * (s[0] if scale is None else max(s[0], scale))))
 
 
@@ -105,8 +101,6 @@ def orthonormalize_rows(rows: np.ndarray, scale: float | None = None) -> np.ndar
 def nullspace(mat: np.ndarray, scale: float | None = None, dim: int | None = None) -> np.ndarray:
     """Orthonormal basis (columns) of the kernel of a real or complex matrix: the dim smallest
     right singular vectors, or rank by the one rule (scale: the known size of the entries)."""
-    if mat.size == 0:
-        return np.eye(mat.shape[1])
     # Right singular vectors are complete whenever rows >= cols.
     _, s, vt = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
     return vt[_rank(s, scale) if dim is None else len(vt) - dim:].conj().T

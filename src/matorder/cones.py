@@ -23,6 +23,7 @@ lineality kernel are built on first use and kept.
 
 from __future__ import annotations
 
+import abc
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
@@ -198,12 +199,14 @@ def replay_witness(cone: "ConeOracle", witness: Witness) -> bool:
 # Oracles
 # ---------------------------------------------------------------------------
 
-class ConeOracle:
+class ConeOracle(abc.ABC):
     """Membership oracle for a cone family {C_n} on the stacked protocol.
 
-    Subclasses provide the stacked forms, `straighten` and the reference
-    involution; `min_shift` and the exact span basis default to unknown (None),
-    which sends shifts to bisection and span checks to "unknown".
+    Subclasses provide the stacked forms, `straighten`, the reference
+    involution and `min_shift` (None for an opaque cone, which sends shifts to
+    bisection); a cone with matrix levels also provides `sharp_block`, which
+    the rectangular conjugation audits apply.  The exact span basis defaults
+    to unknown (None), which sends span checks to "unknown".
     """
 
     variant = "abstract"
@@ -247,31 +250,27 @@ class ConeOracle:
         """Whether x is in C_n: `member_many` of one."""
         return self.member_many(n, [x])[0]
 
+    @abc.abstractmethod
     def member_many(self, n: int, xs) -> list:
         """Per level-n element of the sequence xs, in order, whether it is in C_n."""
-        raise NotImplementedError
 
+    @abc.abstractmethod
     def min_shift(self, n: int, c):
         """inf{r real : r e_n + c in C_n} in closed form (per matrix of a stack);
         None when the cone is opaque and shifts must be found by bisection."""
-        return None
 
     def min_shift_pair(self, n: int, c) -> tuple:
         """(min_shift(n, c), min_shift(n, -c))."""
         return self.min_shift(n, c), self.min_shift(n, -c)
 
+    @abc.abstractmethod
     def straighten(self, n: int, x) -> np.ndarray:
         """Map a level-n element (or stack) into the frame where the cone is PSD.
         Contract: it acts block by block as I_n (x) T, T its level-1 map."""
-        raise NotImplementedError
 
+    @abc.abstractmethod
     def sharp(self, n: int, x) -> np.ndarray:
         """Reference involution at level n (ambient adjoint, transported)."""
-        raise NotImplementedError
-
-    def sharp_block(self, n: int, m: int, a: np.ndarray) -> np.ndarray:
-        """Involution of a rectangular block matrix over the algebra."""
-        raise NotImplementedError
 
     def level_element(self, n: int, x) -> np.ndarray:
         """x as a matrix (or a (k, nN, nN) stack) checked against M_n(A) block by
@@ -295,13 +294,13 @@ class ConeOracle:
         """One random element of span_R(C_n - C_n): `sample_span_many` of one."""
         return self.sample_span_many(n, 1, rng)[0]
 
+    @abc.abstractmethod
     def sample_many(self, n: int, k: int, rng: np.random.Generator):
         """k random cone elements in draw order (a sequence, or a (k, nN, nN) stack)."""
-        raise NotImplementedError
 
+    @abc.abstractmethod
     def sample_span_many(self, n: int, k: int, rng: np.random.Generator):
         """k random elements of span_R(C_n - C_n) in draw order."""
-        raise NotImplementedError
 
     def span_basis(self, n: int) -> np.ndarray | None:
         """Exact real-orthonormal basis of span_R(C_n - C_n), if known; by
@@ -425,8 +424,9 @@ class SimilarityCone(ConeOracle):
         return self.sharp_block(n, n, x)
 
     def sharp_block(self, n: int, m: int, a: np.ndarray) -> np.ndarray:
-        # (a_ij)^sharp transposed at block level, one conjugation by the frame (the
-        # ambient adjoint in the identity frame, whatever `straighten` a subclass sets).
+        """Involution of a rectangular block matrix over the algebra: (a_ij)^sharp transposed
+        at block level, one conjugation by the frame (the ambient adjoint in the identity
+        frame, whatever `straighten` a subclass sets)."""
         return self.frame.unstraighten(la.dagger(self.frame.straighten(a)))
 
     def sample_many(self, n: int, k: int, rng: np.random.Generator) -> np.ndarray:

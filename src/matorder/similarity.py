@@ -106,8 +106,8 @@ def _barrier(f0: np.ndarray, fs: np.ndarray, cost: np.ndarray, x: np.ndarray,
     gap = sum_b tr(Z_b F_b(x)) bounds cost @ x minus the optimum.  Returns
     (x, gap, Z) once gap <= max(GAP_RTOL, GAP_FLOOR_FACTOR B n |cost @ x|)
     (1 + |cost @ x|), or at the first such iterate where stop(x, gap) holds;
-    raises NumericalStall when the Newton budget runs out or no step makes
-    progress.
+    raises NumericalStall, naming the cause, when the Newton budget runs out,
+    the Newton system is singular or the line search accepts no step.
     """
     m = f0.shape[0] * f0.shape[1]
     tau = m / (1.0 + abs(cost @ x))
@@ -135,8 +135,9 @@ def _barrier(f0: np.ndarray, fs: np.ndarray, cost: np.ndarray, x: np.ndarray,
         grad = tau * cost - np.trace(g, axis1=2, axis2=3).real.sum(axis=0)
         try:
             dx = -np.linalg.solve(r, np.linalg.solve(r.T, grad))
-        except np.linalg.LinAlgError:  # dependent basis: no unique Newton step
-            break
+        except np.linalg.LinAlgError as exc:  # dependent basis: no unique Newton step
+            raise NumericalStall(f"barrier solve stalled short of its gap tolerance: singular "
+                                 f"Newton system (tau {tau:.3g})") from exc
         lam2 = float(-grad @ dx)
         if lam2 < 1.0:
             dg = np.tensordot(dx, g, axes=(0, 1))
@@ -159,10 +160,11 @@ def _barrier(f0: np.ndarray, fs: np.ndarray, cost: np.ndarray, x: np.ndarray,
                 break
             step *= 0.5
         else:
-            break
+            raise NumericalStall(f"barrier solve stalled short of its gap tolerance: no step "
+                                 f"accepted by the line search (tau {tau:.3g})")
         x, linv, r = xt, trial, None
-    raise NumericalStall(f"barrier solve stalled short of its gap tolerance "
-                         f"(budget {NEWTON_BUDGET} Newton steps, tau {tau:.3g})")
+    raise NumericalStall(f"barrier solve stalled short of its gap tolerance: budget of "
+                         f"{NEWTON_BUDGET} Newton steps spent (tau {tau:.3g})")
 
 
 def _box_blocks(space: np.ndarray, low: tuple, high: tuple) -> tuple:
@@ -330,11 +332,9 @@ def _polar_point(grad: np.ndarray, from_algebra: OperatorAlgebra) -> np.ndarray:
 
 def _polish(images: np.ndarray, from_algebra: OperatorAlgebra, val: float, grad) -> float:
     """Conditional-gradient steps on the operator-norm ball (`_polar_point`, mapped back by
-    `block_coords`) from value val, gradient grad: at most CB_ITERS, stopping at the first
-    one that does not raise the value, which is returned."""
+    `block_coords`) from `_top_pair`'s value val and gradient grad at a nonzero X: at most
+    CB_ITERS, stopping at the first one that does not raise the value, which is returned."""
     for _ in range(CB_ITERS):
-        if grad is None:
-            break
         new, grad = _top_pair(block_coords(from_algebra, _polar_point(grad, from_algebra)),
                               images, from_algebra)
         if not new > val:
@@ -387,8 +387,6 @@ def cb_lower_bound(images: np.ndarray, from_algebra: OperatorAlgebra,
         stale, scored = 0, None
         for _ in range(CB_ITERS):
             val, grad = _top_pair(z, images, from_algebra, scored)
-            if grad is None:
-                break
             if val > best * (1.0 + 1e-13):
                 best, best_z, best_scored, stale = val, z, scored, 0
             else:

@@ -350,6 +350,9 @@ def test_c1_sample_validation():
     with pytest.raises(MatOrderError):
         C1Sample(np.array([0.0, 2.0]), np.zeros(2, dtype=complex),
                  np.zeros(2, dtype=complex))
+    with pytest.raises(MatOrderError, match="share a shape"):
+        C1Sample(np.array([0.0, 1.0]), np.zeros(3, dtype=complex),
+                 np.zeros(2, dtype=complex))
 
 
 def test_c1_product_rule():
@@ -382,6 +385,8 @@ def test_c1_decay_bounds_and_monotonicity():
 def test_c1_decay_pinned_value():
     # c1_norm is homogeneous: the ratio for c and d scaled by any eps != 0.
     assert c1_condition1_decay(4, np.linspace(0, 1, 64)) == 0.07947018639009361
+    # The default grid has max(64, 4k) points.
+    assert c1_condition1_decay(4) == 0.07947018639009361
 
 
 def test_c1_decay_grid_too_coarse():

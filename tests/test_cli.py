@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
 
@@ -72,6 +73,15 @@ def test_cone_roundtrip(std_m2):
     again = cone_from_obj(cone_to_obj(std_m2))
     assert isinstance(again, StandardCone)
     assert again.member(1, np.eye(2, dtype=complex))
+
+
+def test_pullback_cone_roundtrip():
+    cone = FunctionPullbackCone(np.linspace(0.0, 1.0, 5), tol_psd=1e-7)
+    obj = cone_to_obj(cone)
+    assert obj == {"variant": "pullback", "tol_psd": 1e-7, "grid": [0.0, 0.25, 0.5, 0.75, 1.0]}
+    again = cone_from_obj(obj)
+    assert isinstance(again, FunctionPullbackCone)
+    assert np.array_equal(again.grid, cone.grid) and again.tol_psd == 1e-7
 
 
 def test_schema_error_pointer():
@@ -238,6 +248,16 @@ def test_cb_norm_cmd(workdir, capsys, tmp_path):
     assert rep["result"]["cb_lower_bound"] >= 2.0 - 1e-3
 
 
+def test_cb_norm_of_the_zero_map_is_written_to_stdout_without_out(workdir, capsys, tmp_path):
+    images = tmp_path / "zero.json"
+    images.write_text(canonical_json([matrix_to_obj(np.zeros((2, 2)))] * 4))
+    capsys.readouterr()
+    code = run(["cb-norm", "--algebra", str(workdir / "m2.json"), "--images", str(images)])
+    out = capsys.readouterr().out
+    assert code == 0 and out.count("\n") == 1
+    assert json.loads(out)["result"] == {"cb_lower_bound": 0.0, "level": 2}
+
+
 def test_c1_example_cmd(workdir, capsys):
     code, rep = _run(workdir, ["c1-example", "--samples", "50",
                                "--frequencies", "4,8"], capsys)
@@ -396,6 +416,35 @@ def test_exit_code_schema_error(workdir, capsys):
                                "--element", str(workdir / "gens.json")], capsys)
     assert code == 4
     assert rep["error"]["type"] == "SchemaError"
+
+
+@pytest.mark.parametrize("content,message",
+                         [(None, "cannot read"), ("{not json", "invalid JSON in")])
+def test_an_unreadable_or_malformed_input_file_exits_4(workdir, capsys, tmp_path, content,
+                                                       message):
+    path = tmp_path / "cone.json"
+    if content is not None:
+        path.write_text(content)
+    code, rep = _run(workdir, ["check-cones", "--cone", str(path)], capsys)
+    assert code == 4
+    assert (rep["error"]["type"], rep["error"]["pointer"]) == ("SchemaError", "")
+    assert rep["error"]["message"].startswith(f"{message} {path}: ")
+
+
+def test_main_and_the_module_entry_point_exit_with_the_run_code(monkeypatch, tmp_path):
+    out, missing = tmp_path / "out.json", str(tmp_path / "missing.json")
+    monkeypatch.setattr(sys, "argv", ["matorder", "cb-norm", "--algebra", missing,
+                                      "--images", missing, "--out", str(out)])
+    with pytest.raises(SystemExit) as main_exit:
+        cli_mod.main()
+    report = out.read_bytes()
+    # `python -m matorder.cli` executes the module afresh under the name __main__.
+    monkeypatch.delitem(sys.modules, "matorder.cli")
+    with pytest.raises(SystemExit) as module_exit:
+        runpy.run_module("matorder.cli", run_name="__main__")
+    assert main_exit.value.code == module_exit.value.code == 4
+    assert out.read_bytes() == report
+    assert json.loads(report)["error"]["type"] == "SchemaError"
 
 
 def test_exit_code_bad_flags(capsys):

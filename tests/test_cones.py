@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import block_diag
 
 from conftest import E11, E12, WORKED_B, WORKED_S, mat, random_similarity, random_unitary
-from doubles import AllHermitianCone, PairedSpanCone, ZeroedCornerCone
+from doubles import AllHermitianCone, PairedSpanCone, ZeroCone, ZeroedCornerCone
 from matorder import _linalg as la
 from matorder import cones as cones_mod
 from matorder.algebra import (
@@ -14,7 +14,9 @@ from matorder.algebra import (
     generate_algebra,
     level_residual,
 )
+from matorder.case_studies import FunctionPullbackCone
 from matorder.cones import (
+    ConeOracle,
     SimilarityCone,
     StandardCone,
     _k_estimate,
@@ -324,6 +326,13 @@ def test_compress_picks_first_block():
     np.testing.assert_allclose(out, np.kron(np.eye(2), E11), atol=1e-12)
 
 
+def test_compress_reads_the_ambient_dimension_off_the_size():
+    # A level-2^m element of size 2^m N has N = size / 2^m.
+    x = np.arange(64, dtype=complex).reshape(8, 8)
+    np.testing.assert_array_equal(compress(x, 0, 1), compress(x, 0, 1, ambient_dim=4))
+    np.testing.assert_array_equal(compress(x, 1, 2), compress(x, 1, 2, ambient_dim=2))
+
+
 def test_compress_requires_compatible_dims():
     with pytest.raises(DimensionMismatch):
         compress(np.eye(6, dtype=complex), 0, 2)
@@ -459,6 +468,63 @@ def test_k_witness_without_a_vanishing_pair_does_not_replay(std_m2):
     assert not replay_witness(std_m2, cones_mod.Witness("norm-comparison", 1, (), None, ""))
     a, b = std_m2.sample_span_many(1, 2, np.random.default_rng(1))
     assert not replay_witness(std_m2, cones_mod.Witness("norm-comparison", 1, (a, b), None))
+
+
+def test_a_member_witness_replays_only_while_its_members_are_in(std_m2):
+    e = std_m2.unit(1)
+    assert replay_witness(std_m2, cones_mod.Witness("unit", 1, (e,), -e))
+    # -e is no member, so a witness that claims it is one does not replay.
+    assert not replay_witness(std_m2, cones_mod.Witness("unit", 1, (-e,), None))
+
+
+@pytest.mark.parametrize("kind", ["span-deficiency", "span-overlap"])
+def test_a_span_witness_does_not_replay_on_a_cone_without_an_exact_span(kind):
+    cone = FunctionPullbackCone(np.linspace(0.0, 1.0, 8))
+    assert cone.span_basis(1) is None
+    x = np.eye(8, dtype=complex)
+    assert not replay_witness(cone, cones_mod.Witness(kind, 1, (x,), x))
+
+
+class _TrivialCone(ZeroCone):
+    """The cone {0} with its exact span, which has no direction."""
+
+    def span_basis(self, n):
+        dim = self.level_dim(n)
+        return np.zeros((0, dim, dim), dtype=complex)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_an_empty_span_fails_2i_with_a_replayable_witness(m2_full, n):
+    cone = _TrivialCone(m2_full)
+    dec, ind = cones_mod._span_checks(cone, n)
+    # The span has no direction, so every basis element of M_n(A) lies outside it,
+    # and span cap i*span = 0.
+    assert (dec.verdict, dec.witness.kind, ind.verdict) == ("fail", "span-deficiency", "pass")
+    assert any(np.array_equal(dec.witness.outside[:2, :2], b) for b in m2_full.basis)
+    assert replay_witness(cone, dec.witness)
+
+
+def test_pointedness_falls_back_to_a_lineality_direction_when_e_is_outside_the_algebra():
+    # span{E11} is not unital: asking whether +-e are members raises MembershipError,
+    # so the witness is the kernel direction E11, which both signs contain.
+    cone = AllHermitianCone(OperatorAlgebra(E11[None]))
+    check = cones_mod._lineality_check(cone, 1)
+    assert check.verdict == "fail"
+    with pytest.raises(MembershipError):
+        cone.member(1, cone.unit(1))
+    h, minus_h = check.witness.members
+    np.testing.assert_allclose(np.abs(h), E11.real, atol=1e-12)
+    np.testing.assert_array_equal(minus_h, -h)
+    assert cone.member_many(1, [h, -h]) == [True, True]
+
+
+def test_the_oracle_protocol_is_declared_abstract():
+    # Both concrete cones implement these; sharp_block is the similarity cone's.
+    assert ConeOracle.__abstractmethods__ == {"member_many", "min_shift", "straighten", "sharp",
+                                              "sample_many", "sample_span_many"}
+    with pytest.raises(TypeError, match="abstract"):
+        ConeOracle(None)
+    assert not hasattr(ConeOracle, "sharp_block")
 
 
 def test_bisection_over_its_step_budget_stalls(monkeypatch, std_m2):

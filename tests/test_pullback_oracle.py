@@ -17,7 +17,7 @@ from matorder.case_studies import (
     c1_norm,
 )
 from matorder.cones import _exact_brackets, _inf_shifts, _sup_shifts_down
-from matorder.errors import MatOrderError
+from matorder.errors import LevelUnsupported, MatOrderError
 from references import (
     c1_inequality_check_per_sample,
     c1_norm_per_sample,
@@ -192,6 +192,19 @@ def test_a_matrix_is_not_a_pullback_cone_element():
                 lambda: cone.straighten(1, x), lambda: cone.mul(1, x, x),
                 lambda: cone.sharp(1, x)):
         with pytest.raises(MatOrderError, match="C1Sample"):
+            ask()
+
+
+def test_the_cone_has_level_one_only_and_its_involution_conjugates():
+    grid = np.linspace(0.0, 1.0, 4)
+    cone = FunctionPullbackCone(grid)
+    x = C1Sample(grid, grid + 1j * grid ** 2, 1.0 + 2j * grid)
+    y = cone.sharp(1, x)
+    assert np.array_equal(y.f_values, x.f_values.conj())
+    assert np.array_equal(y.f_derivs, x.f_derivs.conj())
+    for ask in (lambda: cone.member(2, x), lambda: cone.sharp(2, x),
+                lambda: cone.sample_many(2, 1, np.random.default_rng(0))):
+        with pytest.raises(LevelUnsupported, match="level 1 only"):
             ask()
 
 

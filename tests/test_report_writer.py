@@ -47,6 +47,11 @@ def test_non_finite_floats_raise(x):
             canonical_json({"x": obj})
 
 
+def test_an_object_the_writer_does_not_know_is_a_type_error():
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        canonical_json({"x": object()})
+
+
 def test_integral_floats_stay_floats_and_integers_stay_integers():
     assert canonical_json([0.0, -0.0, 1.0, 3, np.int64(4), True, np.bool_(False), None]) \
         == "[0.0,-0.0,1.0,3,4,true,false,null]\n"

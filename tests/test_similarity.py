@@ -20,7 +20,8 @@ from matorder import case_studies, similarity
 from matorder.algebra import (OperatorAlgebra, block_coords, block_synth, commutant,
                               conjugate_algebra, generate_algebra, level_residual, random_element)
 from matorder.cones import SimilarityCone, StandardCone
-from matorder.errors import DimensionMismatch, MembershipError, NoPositiveSolution
+from matorder.errors import (DimensionMismatch, MembershipError, NoPositiveSolution,
+                             NumericalStall)
 from matorder.involution import recover_involution
 from matorder.similarity import (
     _polar_point,
@@ -253,6 +254,14 @@ def test_cb_lower_bound_planted(span_i_e11):
     images = np.stack([s_inv @ b @ WORKED_S for b in span_i_e11.basis])
     bound = cb_lower_bound(images, span_i_e11, k=2)
     assert bound >= 2.41
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_cb_lower_bound_of_the_zero_map_is_zero(m2_full, k):
+    # Every start scores 0 with a zero gradient, and the polish's polar point is X = 0,
+    # which `_top_pair` scores (0.0, None).
+    assert cb_lower_bound(np.zeros_like(m2_full.basis), m2_full, k=k) == 0.0
+    assert _top_pair(np.zeros((k, k, m2_full.dim)), m2_full.basis, m2_full) == (0.0, None)
 
 
 @pytest.mark.parametrize("k", [0, -1])
@@ -542,6 +551,29 @@ def test_budget_exhaustion_is_a_stall_not_a_verdict(monkeypatch, worked_algebra,
         find_pd(np.stack([np.diag([1.0, -1.0]).astype(complex) / np.sqrt(2)]))
     with pytest.raises(NumericalStall):
         minimize_condition(_worked_space(worked_algebra, worked_sim_cone))
+
+
+_EYE2 = np.eye(2, dtype=complex)
+
+
+@pytest.mark.parametrize("space,cost_scale,budget,cause", [
+    (np.stack([_EYE2, _EYE2]), 1.0, None, "no step accepted by the line search"),
+    (np.stack([_EYE2, np.diag([1.0, -1.0]).astype(complex)]), np.nan, None,
+     "no step accepted by the line search"),
+    (np.stack([_EYE2, 0 * _EYE2]), 1.0, None, "singular Newton system"),
+    (np.stack([_EYE2, np.diag([1.0, -1.0]).astype(complex)]), 1.0, 3,
+     "budget of 3 Newton steps spent"),
+], ids=["dependent", "nan-cost", "zero-direction", "budget"])
+def test_a_barrier_stall_names_its_cause(monkeypatch, space, cost_scale, budget, cause):
+    # Phase one's barrier on I <= Q(c) + v I, Q(c) <= I: a dependent space or a NaN cost
+    # leaves the line search no step, a zero direction leaves the Newton system
+    # singular, and three Newton steps are too few for a sound space.
+    if budget is not None:
+        monkeypatch.setattr(similarity, "NEWTON_BUDGET", budget)
+    k = len(space)
+    with pytest.raises(NumericalStall, match=f"short of its gap tolerance: {cause} "):
+        similarity._barrier(*similarity._box_blocks(space, (0.0, 1.0), (1.0, 0.0)),
+                            -np.eye(k + 1)[k] * cost_scale, -np.eye(k + 1)[k])
 
 
 @pytest.mark.parametrize("n,seed", [(4, 401), (4, 402), (5, 501), (5, 502)])
