@@ -57,6 +57,9 @@ class OperatorAlgebra:
 
     def __post_init__(self):
         basis = _freeze(as_matrix(self.basis))
+        if basis.ndim != 3 or min(basis.shape) < 1 or basis.shape[1] != basis.shape[2]:
+            raise DimensionMismatch(f"basis must be a (d, N, N) stack with d, N >= 1, "
+                                    f"got {basis.shape}")
         n = basis.shape[1]
         flat = basis.reshape(len(basis), -1)
         adj = la.dagger(basis).reshape(len(basis), -1)

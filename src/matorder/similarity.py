@@ -40,8 +40,8 @@ NEWTON_BUDGET = 400
 # no gap below ~ m eps t^2 can be certified: the relative target never
 # drops below GAP_FLOOR_FACTOR m t.
 GAP_FLOOR_FACTOR = 10.0 * np.finfo(float).eps
-# cb_lower_bound: ascent starts (the swap and unit starts, then random ones), and the
-# step cap of an ascent start and of the polar polish (each stops at a step that does not rise).
+# cb_lower_bound: its starts (the swap and unit starts, then random ones), and the step
+# cap of the polar polish (which stops at a step that does not rise).
 CB_RESTARTS = 12
 CB_ITERS = 60
 
@@ -308,12 +308,11 @@ def cb_upper_bound_from_similarity(cert: SimilarityCertificate) -> float:
     return float(np.sqrt(cert.cond))
 
 
-def _top_pair(z: np.ndarray, images: np.ndarray, from_algebra: OperatorAlgebra,
-              scored: tuple | None = None) -> tuple:
+def _top_pair(z: np.ndarray, images: np.ndarray, from_algebra: OperatorAlgebra) -> tuple:
     """||phi^(k)(X)|| / ||X|| at level-k coordinates z, and the coordinates
     grad[i, j, l] = u_i* images[l] w_j of X -> <u, phi^(k)(X) w> for its top
-    singular pair (u, w); (0.0, None) at X = 0.  scored: (||X||, phi^(k)(X)), if known."""
-    nx, y = scored or (la.opnorm(block_synth(z, from_algebra.basis)), block_synth(z, images))
+    singular pair (u, w); (0.0, None) at X = 0."""
+    nx, y = la.opnorm(block_synth(z, from_algebra.basis)), block_synth(z, images)
     if nx < 1e-14:
         return 0.0, None
     uu, sv, vh = np.linalg.svd(y / nx)
@@ -349,18 +348,11 @@ def cb_lower_bound(images: np.ndarray, from_algebra: OperatorAlgebra,
     ||phi^(k)(X)|| / ||X|| found over nonzero X in M_k(A), each a feasible
     point, so the result is always a valid bound.
 
-    Ascent from CB_RESTARTS starts (the block swap, the unit, then random):
-    the top singular pair of phi^(k)(X) linearizes the objective; the step
-    to its maximizer over the Frobenius ball of the coordinates and four
-    damped steps are scored by one stacked values-only SVD for the X's and
-    one for their images; the next step reuses the accepted one's.  A start ends at
-    five evaluations without a new best (by a relative 1e-13); an accepted step has set
-    the best already, so after five steps (four if the start does not beat the best),
-    one more per re-evaluation that reads a relative 1e-13 above its batched score.  Both
-    margins are relative, so scaling the images by a power of two changes no decision.
-    The best point is then polished (`_polish`) until a step stops rising; on a
-    star-closed A the polar part lies in M_k(A), so the value cannot fall (elsewhere
-    the projected step is a heuristic).
+    Each of CB_RESTARTS starts (the block swap, the unit, then random) is
+    polished (`_polish`) until a step stops rising; on a star-closed A the polar
+    part lies in M_k(A), so the value cannot fall (elsewhere the projected step is
+    a heuristic).  No margin enters a decision, so scaling the images by a power of
+    two changes none of them.
     """
     images = np.asarray(images, dtype=complex)
     k = int(images.shape[1]) if k is None else k
@@ -380,37 +372,8 @@ def cb_lower_bound(images: np.ndarray, from_algebra: OperatorAlgebra,
     while len(starts) < CB_RESTARTS:
         z = la.random_complex(rng, (k, k, d))
         starts.append(z / np.linalg.norm(z))
-
-    etas = np.array([1.0, 0.5, 0.2, 0.08])[:, None, None, None]
-    best, best_z, best_scored = 0.0, starts[0], None
-    for z in starts:
-        stale, scored = 0, None
-        for _ in range(CB_ITERS):
-            val, grad = _top_pair(z, images, from_algebra, scored)
-            if val > best * (1.0 + 1e-13):
-                best, best_z, best_scored, stale = val, z, scored, 0
-            else:
-                stale += 1
-                if stale > 4:
-                    break
-            nz = np.linalg.norm(grad)
-            if nz < 1e-15:
-                break
-            step = grad.conj() / nz
-            cands = np.concatenate([step[None], z + etas * step])
-            cands /= np.linalg.norm(cands.reshape(len(cands), -1), axis=1)[:, None, None, None]
-            ys = block_synth(cands, images)
-            nx, ny = la.opnorm(block_synth(cands, from_algebra.basis)), la.opnorm(ys)
-            vals = np.divide(ny, nx, out=np.zeros_like(ny), where=nx >= 1e-14)
-            i = int(np.argmax(vals))
-            if vals[i] <= val * (1.0 + 1e-14):
-                break
-            z, scored = cands[i], (nx[i], ys[i])
-            if vals[i] > best:
-                best, best_z, best_scored = float(vals[i]), z, scored
-
-    return max(best, _polish(images, from_algebra,
-                             *_top_pair(best_z, images, from_algebra, best_scored)))
+    return max(_polish(images, from_algebra, *_top_pair(z, images, from_algebra))
+               for z in starts)
 
 
 def _frame_witness(s: np.ndarray, images: np.ndarray, from_algebra: OperatorAlgebra) -> float:
@@ -463,7 +426,7 @@ def reconstruct_similarity(algebra: OperatorAlgebra, cone: ConeOracle,
 
     sqrt(cond(Q)) bounds the cb norm of the certified conjugation in both directions; the lower
     bound starts at `_frame_witness` and, only while upper - lower > cert_tol * upper,
-    `cb_lower_bound` ascents follow: the inverse direction's, then the forward one's,
+    `cb_lower_bound` calls follow: the inverse direction's, then the forward one's,
     at level 1 and then the ceiling `cb_level` (N when None; below 1 DimensionMismatch before
     any solve), each only while still open.  `samples`: per level, for `build_star_rep`.
     The cone's involution is defined on its own algebra only: a basis not in it raises first,

@@ -45,6 +45,9 @@ coordinates and star-closure, which `OperatorAlgebra` must match bit for bit.
 `barrier_refactoring` is the stacked barrier solve before a raised tau reused
 the whitened data and its QR factor: it whitens and factors on every Newton
 pass, and `similarity._barrier` must match it bit for bit.
+`cb_lower_bound_two_stage` is the cb lower bound when a Frobenius-ball ascent
+ran before the polar polish, which `similarity.cb_lower_bound` must not fall
+below.
 """
 
 import json
@@ -643,6 +646,73 @@ def minimize_condition_to_gap(space: np.ndarray) -> similarity.SimilarityCertifi
     x, gap, _ = barrier_blocks(_box_block_list(space, (1.0, 0.0), (0.0, 1.0)),
                                np.eye(k + 1)[k], np.append(2.0 * c / s, 4.0 / s))
     return similarity._certificate_from(np.tensordot(x[:k], space, axes=(0, 0)), gap)
+
+
+def _top_pair_scored(z: np.ndarray, images: np.ndarray, from_algebra: OperatorAlgebra,
+                     scored: tuple | None = None) -> tuple:
+    """`similarity._top_pair`, reusing (||X||, phi^(k)(X)) when scored is given."""
+    nx, y = scored or (la.opnorm(block_synth(z, from_algebra.basis)), block_synth(z, images))
+    if nx < 1e-14:
+        return 0.0, None
+    uu, sv, vh = np.linalg.svd(y / nx)
+    u2, w2 = uu[:, 0].reshape(len(z), -1), vh[0].conj().reshape(len(z), -1)
+    return float(sv[0]), np.einsum("ua,jab,vb->uvj", u2.conj(), images, w2)
+
+
+def cb_lower_bound_two_stage(images: np.ndarray, from_algebra: OperatorAlgebra,
+                             k: int | None = None, seed: int = 0) -> float:
+    """`similarity.cb_lower_bound` before the polish was its only ascent: from the
+    same starts, a projected-gradient ascent on the Frobenius ball of the
+    coordinates (the step and four damped steps scored by one stacked values-only
+    SVD each for the X's and their images, a start ending at five evaluations
+    without a new best by a relative 1e-13), then `_polish` of the best point."""
+    images = np.asarray(images, dtype=complex)
+    k = int(images.shape[1]) if k is None else k
+    rng = np.random.default_rng(seed)
+    d = from_algebra.dim
+
+    starts = []
+    eye = np.eye(from_algebra.ambient_dim)[:k]
+    swap = np.zeros((k, k, d), dtype=complex)
+    swap[:len(eye), :len(eye)] = from_algebra.coords_of(np.einsum("va,ub->uvab", eye, eye))
+    if np.linalg.norm(swap) > 1e-9:
+        starts.append(swap / np.linalg.norm(swap))
+    unitz = np.einsum("uv,j->uvj", np.eye(k), from_algebra.unit_coords)
+    starts.append(unitz / np.linalg.norm(unitz))
+    while len(starts) < similarity.CB_RESTARTS:
+        z = la.random_complex(rng, (k, k, d))
+        starts.append(z / np.linalg.norm(z))
+
+    etas = np.array([1.0, 0.5, 0.2, 0.08])[:, None, None, None]
+    best, best_z, best_scored = 0.0, starts[0], None
+    for z in starts:
+        stale, scored = 0, None
+        for _ in range(similarity.CB_ITERS):
+            val, grad = _top_pair_scored(z, images, from_algebra, scored)
+            if val > best * (1.0 + 1e-13):
+                best, best_z, best_scored, stale = val, z, scored, 0
+            else:
+                stale += 1
+                if stale > 4:
+                    break
+            nz = np.linalg.norm(grad)
+            if nz < 1e-15:
+                break
+            step = grad.conj() / nz
+            cands = np.concatenate([step[None], z + etas * step])
+            cands /= np.linalg.norm(cands.reshape(len(cands), -1), axis=1)[:, None, None, None]
+            ys = block_synth(cands, images)
+            nx, ny = la.opnorm(block_synth(cands, from_algebra.basis)), la.opnorm(ys)
+            vals = np.divide(ny, nx, out=np.zeros_like(ny), where=nx >= 1e-14)
+            i = int(np.argmax(vals))
+            if vals[i] <= val * (1.0 + 1e-14):
+                break
+            z, scored = cands[i], (nx[i], ys[i])
+            if vals[i] > best:
+                best, best_z, best_scored = float(vals[i]), z, scored
+
+    return max(best, similarity._polish(
+        images, from_algebra, *_top_pair_scored(best_z, images, from_algebra, best_scored)))
 
 
 def real_cone_span_per_sample(cone: ConeOracle, n: int = 1, seed: int = 0) -> np.ndarray:

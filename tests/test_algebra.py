@@ -393,6 +393,14 @@ def test_the_constructor_takes_only_a_basis_and_a_tolerance():
 
 # -- typed errors no other test reaches ---------------------------------------
 
+@pytest.mark.parametrize("shape", [(0, 2, 2), (1, 2, 3), (2, 2), (1, 0, 0)])
+def test_the_constructor_rejects_a_basis_that_is_not_a_stack_of_square_matrices(shape):
+    # An empty basis, non-square matrices and a single matrix raised numpy's untyped
+    # ValueError; 0 x 0 matrices built an algebra.
+    with pytest.raises(DimensionMismatch, match=r"basis must be a \(d, N, N\) stack"):
+        OperatorAlgebra(np.zeros(shape, dtype=complex))
+
+
 def test_validate_rejects_a_basis_without_the_unit():
     # span{E11} is an algebra, but its unit E11 is not the identity.
     with pytest.raises(MembershipError, match="unit does not reconstruct the identity") as err:
