@@ -358,16 +358,18 @@ class FunctionPullbackCone(ConeOracle):
         real = np.maximum(np.abs(vals.imag).max(axis=1), np.abs(ders.imag).max(axis=1)) <= slack
         return (real & (np.min(vals.real, axis=1) >= -slack)).tolist()
 
-    def min_shift(self, n: int, c):
-        """Per sample (of a sequence), where min Re f + r meets -t (1 + sup|f + r| +
-        sup|f'|), t = tol_psd, taking sup|f + r| = max Re f + r.  `_certify` decides
-        every use: a non-real or degenerate f fails it and is bisected."""
+    def min_shift_pair(self, n: int, c) -> tuple:
+        """(r(f), r(-f)) per sample (of a sequence), r(f) where min Re f + r meets -t (1 +
+        sup|f + r| + sup|f'|), t = tol_psd, taking sup|f + r| = max Re f + r; r(-f) has the
+        bits of the first sign of -f.  `_certify` decides every use: a non-real or
+        degenerate f fails it and is bisected."""
         one = isinstance(c, C1Sample)
         vals, ders = self._stack(n, [c] if one else c)
-        t = self.tol_psd
-        r = (-vals.real.min(axis=1) - t * (1.0 + vals.real.max(axis=1) + np.abs(ders).max(axis=1)))
-        r /= 1.0 + t
-        return float(r[0]) if one else r
+        low, high, t = vals.real.min(axis=1), vals.real.max(axis=1), self.tol_psd
+        dsup = np.abs(ders).max(axis=1)
+        pair = ((-low - t * (1.0 + high + dsup)) / (1.0 + t),
+                (high - t * (1.0 - low + dsup)) / (1.0 + t))
+        return tuple(float(r[0]) if one else r for r in pair)
 
     def unit(self, n: int) -> C1Sample:
         self._guard(n)
@@ -384,10 +386,6 @@ class FunctionPullbackCone(ConeOracle):
     def mul(self, n: int, x, y) -> C1Sample:
         self._guard(n, (x, y))
         return x * y
-
-    def sharp(self, n: int, x) -> C1Sample:
-        self._guard(n, (x,))
-        return x.conj()
 
     def _trig_many(self, n: int, k: int, rng: np.random.Generator) -> tuple:
         """k random trig polynomials as (values, derivatives) stacks, with the stream

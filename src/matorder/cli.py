@@ -164,7 +164,7 @@ def _cmd_involution(args, config: RunConfig):
     return EXIT_OK, {
         "level": args.level,
         "images": [matrix_to_obj(m) for m in inv.images],
-        "bound_2K": inv.bound_2K,
+        "bound_2K": inv.norm_bound(config.seed),
         "entrywise_comparisons": comparisons,
     }
 

@@ -2,8 +2,8 @@
 constant estimators, and the block-compression map.
 
 The oracle protocol is stacked: `member_many`, `sample_many`, `sample_span_many`,
-`norm_many`, `min_shift` (of an element or a stack) and `min_shift_pair` are the
-contract, and `member`, `sample`, `sample_span` and `norm` their one-element calls.
+`norm_many` and `min_shift_pair` (both signs' exact shifts, of an element or a stack)
+are the contract, and `member`, `sample`, `sample_span` and `norm` their one-element calls.
 `SimilarityCone` (Hermitian PSD after a fixed similarity S; `StandardCone` is
 S = I) and the pullback cone of `case_studies` implement it, each method one
 stacked pass, and each stacked question is decided once: `_stack` takes the
@@ -15,10 +15,11 @@ Audit verdicts carry replayable witnesses.  `_sampled` decides each sampled
 check: `SimilarityCone`'s own PSD rule over a star-closed A = S B S^-1 passes
 by the realisation theorem, C_n = pi^(n)^-1(M_n(A)^+), and draws nothing; any
 other cone's candidates go to `_first_escape`.  One PSD rule, `_psd_test`,
-decides a matrix or a stack; `min_shift` is one Hermitian eigensolve.  Level-n spans, 2i/2iii ranks and lineality kernels come
-from level 1 by Kronecker identities (Van Loan, J. Comput. Appl. Math. 123,
-2000), V_n = (M_n)_h (x) V_1; A = S B S^-1, the span bases and the level-1
-lineality kernel are built on first use and kept.
+decides a matrix or a stack; `min_shift_pair` is one Hermitian eigensolve and
+`sharp_block` the one involution.  Level-n spans, 2i/2iii ranks and lineality kernels
+come from level 1 by Kronecker identities (Van Loan, J. Comput. Appl. Math. 123, 2000),
+V_n = (M_n)_h (x) V_1; A = S B S^-1, the span bases and the level-1 lineality kernel
+are built on first use and kept.
 """
 
 from __future__ import annotations
@@ -202,11 +203,11 @@ def replay_witness(cone: "ConeOracle", witness: Witness) -> bool:
 class ConeOracle(abc.ABC):
     """Membership oracle for a cone family {C_n} on the stacked protocol.
 
-    Subclasses provide the stacked forms, `straighten`, the reference
-    involution and `min_shift` (None for an opaque cone, which sends shifts to
-    bisection); a cone with matrix levels also provides `sharp_block`, which
-    the rectangular conjugation audits apply.  The exact span basis defaults
-    to unknown (None), which sends span checks to "unknown".
+    Subclasses provide the five abstract methods, one per question: the stacked
+    `member_many`, `sample_many` and `sample_span_many`, `straighten` and
+    `min_shift_pair`.  A cone with matrix levels also provides `sharp_block`,
+    its involution, which the order norms and the conjugation audits apply.
+    The exact span basis defaults to unknown (None): span checks say "unknown".
     """
 
     variant = "abstract"
@@ -255,22 +256,15 @@ class ConeOracle(abc.ABC):
         """Per level-n element of the sequence xs, in order, whether it is in C_n."""
 
     @abc.abstractmethod
-    def min_shift(self, n: int, c):
-        """inf{r real : r e_n + c in C_n} in closed form (per matrix of a stack);
-        None when the cone is opaque and shifts must be found by bisection."""
-
     def min_shift_pair(self, n: int, c) -> tuple:
-        """(min_shift(n, c), min_shift(n, -c))."""
-        return self.min_shift(n, c), self.min_shift(n, -c)
+        """(r(c), r(-c)), r(c) = inf{r real : r e_n + c in C_n} in closed form (per
+        matrix of a stack); (None, None) when the cone is opaque and shifts must
+        be found by bisection."""
 
     @abc.abstractmethod
     def straighten(self, n: int, x) -> np.ndarray:
         """Map a level-n element (or stack) into the frame where the cone is PSD.
         Contract: it acts block by block as I_n (x) T, T its level-1 map."""
-
-    @abc.abstractmethod
-    def sharp(self, n: int, x) -> np.ndarray:
-        """Reference involution at level n (ambient adjoint, transported)."""
 
     def level_element(self, n: int, x) -> np.ndarray:
         """x as a matrix (or a (k, nN, nN) stack) checked against M_n(A) block by
@@ -403,25 +397,17 @@ class SimilarityCone(ConeOracle):
         slack = self.tol_psd * (1.0 + np.maximum(-ev[..., 0], ev[..., -1]))
         return (np.abs(y - y_star).max(axis=(-2, -1)) <= slack) & (ev[..., 0] >= -slack)
 
-    def min_shift(self, n: int, c):
-        """The r at which r I + straighten(c) meets the `_psd_test` slack,
-        lambda_min = -tol_psd (1 + lambda_max): `min_shift_pair`'s first sign."""
-        return SimilarityCone.min_shift_pair(self, n, c)[0]
-
     def min_shift_pair(self, n: int, c) -> tuple:
-        """(min_shift(c), min_shift(-c)) from one Hermitian eigensolve (stacked for
-        a stack), no SVD: with lambda_1 <= ... <= lambda_N the spectrum of h, the
-        Hermitian part of straighten(c), spec(-h) = -spec(h), so with t = tol_psd,
+        """(r(c), r(-c)), where r I +- straighten(c) meets the `_psd_test` slack, from
+        one Hermitian eigensolve (stacked for a stack), no SVD: with lambda_1 <= ... <=
+        lambda_N the spectrum of h, the Hermitian part of straighten(c), and t = tol_psd,
         r(c) = (-lambda_1 - t (1 + lambda_N)) / (1 + t) and
-        r(-c) = (lambda_N - t (1 - lambda_1)) / (1 + t)."""
+        r(-c) = (lambda_N - t (1 - lambda_1)) / (1 + t), as spec(-h) = -spec(h)."""
         y = self.straighten(n, self.level_element(n, c))
         ev = np.linalg.eigvalsh(0.5 * (y + la.dagger(y)))
         low, high, t = ev[..., 0], ev[..., -1], self.tol_psd
         pair = ((-low - t * (1.0 + high)) / (1.0 + t), (high - t * (1.0 - low)) / (1.0 + t))
         return tuple(r if r.ndim else float(r) for r in pair)
-
-    def sharp(self, n: int, x) -> np.ndarray:
-        return self.sharp_block(n, n, x)
 
     def sharp_block(self, n: int, m: int, a: np.ndarray) -> np.ndarray:
         """Involution of a rectangular block matrix over the algebra: (a_ij)^sharp transposed
@@ -570,10 +556,10 @@ def _certify(cone: ConeOracle, n: int, asks) -> list:
 
 
 def _exact_brackets(cone: ConeOracle, n: int, cs, scales, widths, floor: float) -> list:
-    """Per c of cs, the `_certify` bracket of min_shift(c) / scale for
-    r * scale * e_n + c (None: opaque or uncertified), from one stacked
-    `min_shift` and one `_certify`."""
-    exact = cone.min_shift(n, cs) if len(cs) else None
+    """Per c of cs, the `_certify` bracket of r(c) / scale for r * scale * e_n + c
+    (None: opaque or uncertified), r(c) the first sign of one stacked
+    `min_shift_pair`, and one `_certify`."""
+    exact = cone.min_shift_pair(n, cs)[0] if len(cs) else None
     rs = [None] * len(cs) if exact is None else [float(r) / s for r, s in zip(exact, scales)]
     return [bracket for bracket, _ in _certify(cone, n, [
         ((c,), r, width, floor, lambda x, s=scale: x * s)
@@ -600,7 +586,7 @@ def _inf_shifts(cone: ConeOracle, n: int, cs, scales, abs_tol: float) -> list:
 
 def _sup_shifts_down(cone: ConeOracle, n: int, cs, widths) -> list:
     """Per cone member c of cs, a bracket of sup{mu >= 0 : c - mu * e_n in C_n}
-    of width w: -min_shift(c) as `_exact_brackets` certifies it, else a
+    of width w: -r(c) as `_exact_brackets` certifies it, else a
     `_Bisection` in r = -mu from [-top, 0], top = ||straighten(c)|| + 1."""
     def bracket(c, width, found):
         if found is None or found[1] > 0.0:
@@ -823,7 +809,7 @@ def _r4_estimate(cone: ConeOracle, levels: tuple, samples: int,
     """Condition 4: r4 = sup over candidates of inf{r : r ||c|| e + c in C};
     a candidate no bounded shift brings into C fails with 8 ||c|| e + c.  A
     `_frame_oracle` cone asks -e_n alone: straighten(c) is Hermitian for span c with
-    c's spectrum, so min_shift(c) / ||c|| < 1, within t = tol_psd of -e_n's 1 / (1 + t)."""
+    c's spectrum, so r(c) / ||c|| < 1, within t = tol_psd of -e_n's 1 / (1 + t)."""
     best, frame = ConstantEstimate("r4", 0.0, levels[0]), _frame_oracle(cone)
 
     def unbounded():

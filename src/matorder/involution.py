@@ -131,12 +131,10 @@ def decompose(cone: ConeOracle, n: int, x, span: np.ndarray | None = None) -> tu
 class InvolutionMap:
     """Conjugate-linear involution of A stored as the images of its basis
     elements, applied entrywise to block matrices over A of any size (or to
-    a stack of them); `bound_2K` records the empirical level-1 bound
-    ||x^sharp|| <= bound_2K * ||x|| over 32 random elements."""
+    a stack of them)."""
 
     algebra: OperatorAlgebra
     images: np.ndarray
-    bound_2K: float
 
     def __call__(self, x) -> np.ndarray:
         """x^sharp of a block matrix over the algebra, or of each matrix of a
@@ -146,6 +144,16 @@ class InvolutionMap:
     def of_coords(self, coords: np.ndarray) -> np.ndarray:
         """x^sharp from the `block_coords` of x (a matrix's or a stack's)."""
         return block_synth(coords.conj().swapaxes(-3, -2), self.images)
+
+    def norm_bound(self, seed: int) -> float:
+        """The empirical level-1 bound 2K in ||x^sharp|| <= 2K ||x||: the largest ratio
+        over 32 `random_element` draws from default_rng(seed + 1) (their stream) as one
+        stack, measured by one values-only SVD per side, and 1 when none is larger."""
+        xs = block_synth(la.random_complex_many(np.random.default_rng(seed + 1), 32,
+                                              (1, 1, self.algebra.dim)), self.algebra.basis)
+        nx = la.opnorm(xs)
+        ratios = la.opnorm(self(xs))[nx > 1e-12] / nx[nx > 1e-12]
+        return float(np.max(ratios, initial=1.0))
 
 
 def recover_involution(cone: ConeOracle, n: int = 1, seed: int = 0,
@@ -159,15 +167,7 @@ def recover_involution(cone: ConeOracle, n: int = 1, seed: int = 0,
         x1, x2 = _split(cone, 1, cone.algebra.basis,
                         real_cone_span(cone, 1, seed=seed) if span is None else span)
         images = x1 - 1j * x2
-
-    out = InvolutionMap(cone.algebra, images, bound_2K=0.0)
-    # 32 `random_element` draws (their stream) as one stack, measured by one
-    # values-only SVD per side.
-    xs = block_synth(la.random_complex_many(np.random.default_rng(seed + 1), 32,
-                                          (1, 1, cone.algebra.dim)), cone.algebra.basis)
-    nx = la.opnorm(xs)
-    ratios = la.opnorm(out(xs))[nx > 1e-12] / nx[nx > 1e-12]
-    out = InvolutionMap(cone.algebra, images, bound_2K=float(np.max(ratios, initial=1.0)))
+    out = InvolutionMap(cone.algebra, images)
     if n > 1:
         certify_level(cone, n, out, seed=seed)
     return out

@@ -1,7 +1,7 @@
 """Cone-induced order-unit seminorms and the induced pre-C*-norm.
 
 The seminorm of a self-adjoint element is inf{r : r e +- a in C}, computed
-exactly as max(min_shift(a), min_shift(-a), 0) from one `min_shift_pair` (one
+exactly as max(r(a), r(-a), 0) from one `min_shift_pair` (one
 eigensolve on a PSD-frame cone), its bracket certified by one `cones._certify`;
 only a bracket the certificate leaves open (an opaque cone, an uncertified
 value) builds a `cones._Bisection`.
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg as la
-from .algebra import as_matrix, block_synth
-from .cones import ConeOracle, _Bisection, _certify
+from .algebra import block_synth
+from .cones import ConeOracle, _Bisection, _certify, _stack
 from .errors import CertificationFailed, NotSelfAdjoint
 
 DEFAULT_BISECT_TOL = 1e-10
@@ -39,16 +39,14 @@ class NormReport:
     oracle_calls: int
 
 
-def _sharp_fn(cone: ConeOracle, involution, n: int):
-    """An involution callable at level n: the cone's reference map, else the
-    given callable (an InvolutionMap extends entrywise to any level)."""
-    if involution is None:
-        return lambda x: cone.sharp(n, x)
-    return involution
+def _sharp(cone: ConeOracle, n: int, involution, x: np.ndarray) -> np.ndarray:
+    """x^sharp at level n: the given callable (an InvolutionMap extends entrywise
+    to any level), else the cone's own `sharp_block`."""
+    return cone.sharp_block(n, n, x) if involution is None else involution(x)
 
 
-def _check_self_adjoint(sharp, a: np.ndarray) -> None:
-    if la.frob(sharp(a) - a) > 1e-8 * (1.0 + la.frob(a)):
+def _check_self_adjoint(a: np.ndarray, a_sharp: np.ndarray) -> None:
+    if la.frob(a_sharp - a) > 1e-8 * (1.0 + la.frob(a)):
         raise NotSelfAdjoint("order-unit seminorm needs a sharp-self-adjoint element")
 
 
@@ -102,12 +100,13 @@ def order_unit_seminorm(cone: ConeOracle, n: int, a, involution=None,
                         bisect_tol: float = DEFAULT_BISECT_TOL) -> NormReport:
     """inf{r > 0 : r e_n + a in C_n and r e_n - a in C_n}.
 
-    Requires a to be sharp-self-adjoint at level n.  The value is the exact
+    Requires a to be a sharp-self-adjoint level-n matrix, checked by `cones._stack`
+    before any involution is applied.  The value is the exact
     shift with a certified bracket of width bisect_tol (1 + value), or the
     bisection fallback's midpoint (see `_norm_searches`).
     """
-    a = as_matrix(a)
-    _check_self_adjoint(_sharp_fn(cone, involution, n), a)
+    a = _stack(cone, n, [a])[0]
+    _check_self_adjoint(a, _sharp(cone, n, involution, a))
     return _norm_searches(cone, n, a, bisect_tol, ((False, False),))[0]
 
 
@@ -117,10 +116,9 @@ def pre_cstar_norm(cone: ConeOracle, involution, n: int, x,
     search for inf{r : r^2 e +- x^sharp x in C}; the two must agree to
     2 * bisect_tol (relative).  Both come from one `_norm_searches`, so from
     one pair of exact shifts and one certificate call."""
-    x = as_matrix(x)
-    sharp = _sharp_fn(cone, involution, n)
-    z = sharp(x) @ x
-    _check_self_adjoint(sharp, z)
+    x = _stack(cone, n, [x])[0]
+    z = _sharp(cone, n, involution, x) @ x
+    _check_self_adjoint(z, _sharp(cone, n, involution, z))
     via_sqrt, direct = _norm_searches(cone, n, z, bisect_tol, ((False, True), (True, False)))
     value_sqrt = float(np.sqrt(via_sqrt.value))
     value_direct = direct.value

@@ -429,10 +429,12 @@ def reconstruct_similarity(algebra: OperatorAlgebra, cone: ConeOracle,
     `cb_lower_bound` calls follow: the inverse direction's, then the forward one's,
     at level 1 and then the ceiling `cb_level` (N when None; below 1 DimensionMismatch before
     any solve), each only while still open.  `samples`: per level, for `build_star_rep`.
-    The cone's involution is defined on its own algebra only: a basis not in it raises first,
-    DimensionMismatch for the wrong size, MembershipError for a basis element outside.  Q is
-    solved on the algebra's `_sharp_closure`.
+    The cone's involution is defined on its own algebra only: a cone without matrix levels
+    raises LevelUnsupported first, then a basis not in it DimensionMismatch for the wrong
+    size, MembershipError for a basis element outside.  Q is solved on the algebra's
+    `_sharp_closure`.
     """
+    cone.level_dim(1)
     ceiling = algebra.ambient_dim if cb_level is None else cb_level
     if ceiling < 1:
         raise DimensionMismatch(f"matrix level must be >= 1, got {ceiling}")

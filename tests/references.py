@@ -8,9 +8,10 @@ re-derivations of an algebra span test and of `cones.compress`;
 basis with the whole basis, one candidate at a time by modified
 Gram-Schmidt), which `generate_algebra` must match in dimension, span and
 star-closedness.  `norm_search_two_calls` and `pre_cstar_norm_two_calls` are
-the earlier order norms: two `min_shift` eigensolves per element and a
-two-sided certificate asked one sign per `member_many` call, which the
-library must match in value, bracket and work counters.  `certificate`,
+the earlier order norms: two eigensolves per element (the first sign of
+`min_shift_pair` at z and at -z) and a two-sided certificate asked one sign
+per `member_many` call, which the library must match in value, bracket and
+work counters.  `certificate`,
 `certified` and `shift_bisection` are the certificate points, their bracket
 and the several-r search as `cones` kept them before `_certify` owned its
 points and `_Bisection` asked one r at a time.  `certify`,
@@ -18,10 +19,10 @@ points and `_Bisection` asked one r at a time.  `certify`,
 certificates before `cones._certify` was the only one: a one-element
 certificate on a `_Bisection`, the two-sided one of the order norms, the
 one-sided one of the audits, and the Archimedean boundary's search, which
-asks `min_shift` and its certificate again for each element the stacked
+asks the exact shift and its certificate again for each element the stacked
 certificate left open.  The rest are the involution and similarity layers
 before their stacked passes: a barrier solve over a list of LMI blocks whose
-phase one runs to its gap, and the cone span, `bound_2K`, level-n
+phase one runs to its gap, and the cone span, `norm_bound`, level-n
 certificate, `build_star_rep` cone residual and norm identity drawn and
 measured one element at a time.  `pullback_trig`, `pullback_member`,
 `c1_norm_per_sample` and `c1_inequality_check_per_sample` are the function
@@ -67,7 +68,7 @@ from matorder.cones import (_BOUNDARY_WIDTH_FACTOR, ConeOracle, ConstantEstimate
 from matorder.errors import (CertificationFailed, DimensionCapExceeded, DimensionMismatch,
                              NoPositiveSolution, NumericalStall, SpanUnstable)
 from matorder.involution import SPAN_ROUNDS, InvolutionComparison
-from matorder.order_norms import DEFAULT_BISECT_TOL, NormReport, _check_self_adjoint, _sharp_fn
+from matorder.order_norms import DEFAULT_BISECT_TOL, NormReport, _check_self_adjoint, _sharp
 
 def membership_residual(algebra: OperatorAlgebra, x: np.ndarray) -> float:
     """Frobenius distance of x from the algebra span."""
@@ -335,10 +336,10 @@ def two_sided_verdicts(cone: ConeOracle, n: int, cs: tuple, asks: list) -> list:
 
 
 def exact_brackets(cone: ConeOracle, n: int, cs, scales, widths, floor: float) -> list:
-    """Per c of cs, the `certify` bracket of min_shift(c) / scale for
-    r * scale * e_n + c (None: opaque or uncertified), from one stacked
-    `min_shift` and one `member_many` for every certificate point."""
-    exact = cone.min_shift(n, cs) if len(cs) else None
+    """Per c of cs, the `certify` bracket of r(c) / scale for
+    r * scale * e_n + c (None: opaque or uncertified), from the first sign of one
+    stacked `min_shift_pair` and one `member_many` for every certificate point."""
+    exact = cone.min_shift_pair(n, cs)[0] if len(cs) else None
     if exact is None:
         return [None] * len(cs)
     points = [certificate(float(r) / scale, width, floor)
@@ -447,16 +448,22 @@ def sampled_checks(cone: ConeOracle, n: int, levels, samples: int, seed: int) ->
 
 def sup_shift_down(cone: ConeOracle, n: int, c: np.ndarray, abs_tol: float) -> tuple:
     """Bracket of sup{mu >= 0 : c - mu * e_n in C_n} for a cone member c:
-    -min_shift(c) certified by the oracle, else bisection in r = -mu (the
-    earlier one-element form, which asks min_shift and its certificate again)."""
+    -r(c) certified by the oracle, else bisection in r = -mu (the earlier
+    one-element form, which asks the exact shift and its certificate again)."""
     bis = shift_bisection(cone, n, (c,))
-    found = certify(bis, cone.min_shift(n, c), abs_tol, floor=-np.inf)
+    found = certify(bis, cone.min_shift_pair(n, c)[0], abs_tol, floor=-np.inf)
     if found is None or found[1] > 0.0:  # uncertified, or c is not a member
         top = la.opnorm(cone.straighten(n, c)) + 1.0
         if bis(-top):
             return top, top
         found = bis.refine(-top, 0.0, lambda l, h: abs_tol)
     return -found[1], -found[0]
+
+
+def _two_shifts(cone: ConeOracle, n: int, z: np.ndarray) -> tuple:
+    """(r(z), r(-z)) from two eigensolves: the first sign of `min_shift_pair` at
+    z and at -z."""
+    return cone.min_shift_pair(n, z)[0], cone.min_shift_pair(n, -z)[0]
 
 
 def norm_search_two_calls(cone: ConeOracle, n: int, z: np.ndarray, bisect_tol: float,
@@ -468,9 +475,10 @@ def norm_search_two_calls(cone: ConeOracle, n: int, z: np.ndarray, bisect_tol: f
     shift's certificate asks five matrices in two `member_many` calls, and a
     bisection step asks the other sign only where the binding one is inside.
     The fallback starts from [0, 2 ||straighten(z)|| + 1] (square-rooted if
-    squared); shifts, when given, is (min_shift(n, z), min_shift(n, -z)).
+    squared); shifts, when given, is (r(z), r(-z)), each the first sign of its
+    own `min_shift_pair`.
     """
-    up, down = shifts or (cone.min_shift(n, z), cone.min_shift(n, -z))
+    up, down = shifts or _two_shifts(cone, n, z)
     exact = None if up is None or down is None else max(up, down, 0.0)
     bis = shift_bisection(cone, n, (z, -z) if exact is None or up >= down else (-z, z),
                           squared=squared)
@@ -497,10 +505,9 @@ def pre_cstar_norm_two_calls(cone: ConeOracle, involution, n: int, x,
     """sqrt of the seminorm of x^sharp x, cross-checked against the direct
     search for inf{r : r^2 e +- x^sharp x in C}, each path certified on its own."""
     x = as_matrix(x)
-    sharp = _sharp_fn(cone, involution, n)
-    z = sharp(x) @ x
-    _check_self_adjoint(sharp, z)
-    shifts = (cone.min_shift(n, z), cone.min_shift(n, -z))
+    z = _sharp(cone, n, involution, x) @ x
+    _check_self_adjoint(z, _sharp(cone, n, involution, z))
+    shifts = _two_shifts(cone, n, z)
 
     via_sqrt = norm_search_two_calls(cone, n, z, bisect_tol, sqrt_refine=True, shifts=shifts)
     value_sqrt = float(np.sqrt(via_sqrt.value))
@@ -735,7 +742,7 @@ def real_cone_span_per_sample(cone: ConeOracle, n: int = 1, seed: int = 0) -> np
 
 
 def bound_2k_per_element(algebra: OperatorAlgebra, involution, seed: int = 0) -> float:
-    """`recover_involution`'s bound_2K: 32 `random_element` draws, one
+    """`InvolutionMap.norm_bound`: 32 `random_element` draws, one
     `la.opnorm` each for x and x^sharp."""
     rng = np.random.default_rng(seed + 1)
     bound = 1.0

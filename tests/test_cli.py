@@ -15,7 +15,7 @@ from matorder.algebra import DEFAULT_STRUCTURE_TOL, generate_algebra
 from matorder.case_studies import FunctionPullbackCone
 from matorder.cli import run
 from matorder.cones import DEFAULT_TOL_PSD, StandardCone, estimate_main_constants
-from matorder.errors import SchemaError
+from matorder.errors import LevelUnsupported, MatOrderError, SchemaError
 from matorder.order_norms import DEFAULT_BISECT_TOL
 from matorder.serialization import (
     algebra_from_obj,
@@ -318,14 +318,50 @@ def pullback_cone(tmp_path):
 @pytest.mark.parametrize("kind", ["seminorm", "precstar"])
 def test_order_norm_on_a_pullback_cone_is_a_typed_error(workdir, capsys, tmp_path,
                                                         pullback_cone, kind):
-    # The cone's elements are C1Samples, not the matrix the command reads.
+    # The norms read a level-n matrix, and the cone has no matrix levels.
     element = tmp_path / "one.json"
     element.write_text(canonical_json(matrix_to_obj(np.eye(1, dtype=complex))))
     code, rep = _run(workdir, ["order-norm", "--cone", str(pullback_cone),
                                "--element", str(element), "--kind", kind], capsys)
-    assert code == 3
-    assert rep["error"]["type"] == "MatOrderError"
-    assert "C1Sample" in rep["error"]["message"]
+    assert code == 3 and issubclass(LevelUnsupported, MatOrderError)
+    assert rep["error"]["type"] == "LevelUnsupported"
+    assert "no matrix levels" in rep["error"]["message"]
+
+
+@pytest.fixture(scope="module")
+def sweep_cones(workdir):
+    """The standard cone over M_2, a similarity cone over M_2 with S = [[1, 1], [0, 1]]
+    and a pullback cone, as cone files."""
+    paths = {"standard": workdir / "std_cone.json", "similarity": workdir / "sweep_sim.json",
+             "pullback": workdir / "sweep_pullback.json"}
+    paths["similarity"].write_text(canonical_json(
+        {"variant": "similarity", "algebra": "m2.json",
+         "S": matrix_to_obj(np.array([[1.0, 1.0], [0.0, 1.0]])), "tol_psd": 1e-9}))
+    paths["pullback"].write_text(canonical_json({"variant": "pullback", "grid": [0, 0.5, 1]}))
+    for size in (2, 3):
+        (workdir / f"sweep_{size}.json").write_text(canonical_json(
+            matrix_to_obj(np.diag(np.arange(size) - 1.0).astype(complex))))
+    return paths
+
+
+@pytest.mark.parametrize("command", [
+    ["check-cones", "--samples", "4"],
+    *(["order-norm", "--kind", kind, "--element", f"sweep_{size}.json"]
+      for kind in ("seminorm", "precstar") for size in (2, 3)),
+    ["involution", "--level", "2", "--samples", "8"],
+    ["similarity", "--samples", "4"],
+], ids=lambda args: "-".join(a.removesuffix(".json") for a in args if not a.startswith("--")))
+@pytest.mark.parametrize("cone", ["standard", "similarity", "pullback"])
+def test_every_command_on_every_cone_exits_with_a_report(workdir, sweep_cones, cone, command):
+    # The exit-code contract: a verdict (0 or 2) or a typed error (3), never a traceback.
+    args = [workdir / a if a.endswith(".json") else a for a in command]
+    out = workdir / "sweep_out.json"
+    code = run([*map(str, args), "--cone", str(sweep_cones[cone]), "--out", str(out)])
+    assert code in (0, 2, 3)
+    text = out.read_text()
+    rep = json.loads(text)
+    assert text.count("\n") == 1 and rep["command"] == command[0]
+    assert ("error" in rep) == (code == 3) and ("result" in rep) == (code != 3)
 
 
 def test_check_cones_on_a_pullback_cone_reports_its_level_one_constants(workdir, capsys,

@@ -519,8 +519,9 @@ def test_pointedness_falls_back_to_a_lineality_direction_when_e_is_outside_the_a
 
 
 def test_the_oracle_protocol_is_declared_abstract():
-    # Both concrete cones implement these; sharp_block is the similarity cone's.
-    assert ConeOracle.__abstractmethods__ == {"member_many", "min_shift", "straighten", "sharp",
+    # Both concrete cones implement these, one method per question; sharp_block,
+    # the involution, is the similarity cone's.
+    assert ConeOracle.__abstractmethods__ == {"member_many", "min_shift_pair", "straighten",
                                               "sample_many", "sample_span_many"}
     with pytest.raises(TypeError, match="abstract"):
         ConeOracle(None)

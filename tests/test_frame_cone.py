@@ -101,7 +101,7 @@ def test_identity_frame_involution_is_the_ambient_adjoint(m2_full):
     rng = np.random.default_rng(3)
     cone = AllHermitianCone(m2_full)
     x = la.random_complex(rng, (4, 4))
-    np.testing.assert_array_equal(cone.sharp(2, x), la.dagger(x))
+    np.testing.assert_array_equal(cone.sharp_block(2, 2, x), la.dagger(x))
     np.testing.assert_array_equal(cone.sharp_block(2, 1, x[:, :2]), la.dagger(x[:, :2]))
 
 

@@ -66,7 +66,7 @@ def test_involution_map_apply_and_call_agree_at_every_level(worked_sim_cone, n):
     inv = recover_involution(worked_sim_cone, 1)
     rng = np.random.default_rng(n)
     x = random_element(worked_sim_cone.algebra, rng, level=n)
-    np.testing.assert_allclose(inv(x), worked_sim_cone.sharp(n, x), atol=1e-9)
+    np.testing.assert_allclose(inv(x), worked_sim_cone.sharp_block(n, n, x), atol=1e-9)
     # A rectangular n x (n + 1) block matrix maps to (n + 1) x n blocks.
     a = np.hstack([x, random_element(worked_sim_cone.algebra, rng, level=n + 1)[:2 * n, :2]])
     np.testing.assert_allclose(inv(a), worked_sim_cone.sharp_block(n, n + 1, a), atol=1e-9)
@@ -111,11 +111,10 @@ def test_involution_algebraic_laws(worked_sim_cone, worked_algebra):
 
 def test_involution_operator_bound(worked_sim_cone, worked_algebra):
     inv = recover_involution(worked_sim_cone, 1)
-    rng = np.random.default_rng(1)
+    bound, rng = inv.norm_bound(0), np.random.default_rng(1)
     for _ in range(30):
         x = random_element(worked_algebra, rng)
-        assert np.linalg.norm(inv(x), 2) <= \
-            inv.bound_2K * np.linalg.norm(x, 2) * (1.0 + 1e-9)
+        assert np.linalg.norm(inv(x), 2) <= bound * np.linalg.norm(x, 2) * (1.0 + 1e-9)
 
 
 def test_involution_bounded_by_audited_constant(worked_sim_cone, worked_algebra):
@@ -216,7 +215,7 @@ def test_recovery_returns_the_level_one_map_at_every_level(worked_sim_cone):
     three = recover_involution(worked_sim_cone, 3, seed=3)
     assert three.algebra is worked_sim_cone.algebra
     np.testing.assert_array_equal(three.images, one.images)
-    assert three.bound_2K == one.bound_2K
+    assert three.norm_bound(3) == one.norm_bound(3)
 
 
 def test_skewed_level_cone_fails_the_residual_check(m2_full):
@@ -354,7 +353,7 @@ def test_opaque_cones_keep_the_sampled_recovery_bit_for_bit(make, m2_full, m3_fu
     got = recover_involution(cone, 1, seed=4)
     assert calls
     want = recover_involution(cone, 1, seed=4, span=real_cone_span(cone, 1, seed=4))
-    assert got.images.tobytes() == want.images.tobytes() and got.bound_2K == want.bound_2K
+    assert got.images.tobytes() == want.images.tobytes() and got.norm_bound(4) == want.norm_bound(4)
 
 
 def test_an_explicit_span_keeps_the_sampled_split_on_a_frame_cone(worked_sim_cone, monkeypatch):

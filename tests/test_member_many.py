@@ -58,14 +58,14 @@ def test_member_many_matches_member(fixture, n, request):
 @pytest.mark.parametrize("fixture", ["std_m3", "planted_sim_cone"])
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_member_many_matches_member_at_certified_bracket_ends(fixture, n, request):
-    # min_shift puts lambda_min of r e + c on the PSD slack itself; the
+    # The exact shift r(c) puts lambda_min of r e + c on the PSD slack itself; the
     # bracket ends sit a tenth of tol_psd either side of it.
     cone = request.getfixturevalue(fixture)
     rng = np.random.default_rng(10 + n)
     e = cone.unit(n)
     xs = [e]
     for c in (cone.sample_span(n, rng), -cone.sample(n, rng), cone.sample(n, rng)):
-        r = cone.min_shift(n, c)
+        r = cone.min_shift_pair(n, c)[0]
         bis = shift_bisection(cone, n, (c,))
         found = certify(bis, r, 0.2 * cone.tol_psd * (1.0 + cone.norm(n, c)), floor=-np.inf)
         assert found is not None

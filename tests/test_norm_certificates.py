@@ -2,7 +2,7 @@
 the earlier two-call form (`references.norm_search_two_calls`): the same
 values, brackets and work counters on honest, opaque and mis-shifted cones,
 and on sign-swapped cones a bisected value within the search tolerance of the
-reference's certified one; `min_shift_pair` against two `min_shift` calls;
+reference's certified one; `min_shift_pair` of c against that of -c;
 and the matrices each norm hands to `member_many`."""
 
 import numpy as np
@@ -11,7 +11,7 @@ import pytest
 from doubles import SkewedLevelCone
 from matorder import cones, order_norms
 from matorder.algebra import random_element
-from matorder.cones import ConeOracle, SimilarityCone
+from matorder.cones import SimilarityCone
 from matorder.order_norms import DEFAULT_BISECT_TOL, order_unit_seminorm, pre_cstar_norm
 from references import norm_search_two_calls, pre_cstar_norm_two_calls
 from test_member_many import _Recording
@@ -22,26 +22,22 @@ CONES = ["std_m3", "worked_sim_cone", "planted_sim_cone"]
 
 
 class _Shifted(_Recording):
-    """`min_shift` high by eight certificate widths: the binding sign is inside
-    at lo, and so is the other, so no exact value certifies and both norms bisect.
-    Its pair is the protocol's default, one `min_shift` per sign."""
+    """Both exact shifts high by eight certificate widths: the binding sign is
+    inside at lo, and so is the other, so no exact value certifies and both
+    norms bisect."""
 
-    min_shift_pair = ConeOracle.min_shift_pair
-
-    def min_shift(self, n, c):
-        r = super().min_shift(n, c)
-        return r + 8.0 * DEFAULT_BISECT_TOL * (1.0 + abs(r))
+    def min_shift_pair(self, n, c):
+        return tuple(r + 8.0 * DEFAULT_BISECT_TOL * (1.0 + abs(r))
+                     for r in super().min_shift_pair(n, c))
 
 
 class _Swapped(_Recording):
-    """`min_shift` reports the shift of -c: the larger value names the sign that
-    is not binding, which is then inside at lo, so no exact value certifies
-    and both norms bisect (the reference certifies it with a second call)."""
+    """The pair in the wrong order, the shift of -c first: the larger value names
+    the sign that is not binding, which is then inside at lo, so no exact value
+    certifies and both norms bisect (the reference certifies it with a second call)."""
 
-    min_shift_pair = ConeOracle.min_shift_pair
-
-    def min_shift(self, n, c):
-        return super().min_shift(n, -np.asarray(c))
+    def min_shift_pair(self, n, c):
+        return super().min_shift_pair(n, c)[::-1]
 
 
 def _cone(kind, fixture, request):
@@ -60,8 +56,8 @@ def _square(r):
 
 
 def _sharp_x(cone, n, x):
-    """x^sharp x under the cone's reference involution."""
-    return cone.sharp(n, x) @ x
+    """x^sharp x under the cone's own involution."""
+    return cone.sharp_block(n, n, x) @ x
 
 
 def _confirms(cone, n, z, t, bracket):
@@ -155,10 +151,11 @@ def test_shift_pair_matches_two_min_shifts(fixture, n, request):
     rng = np.random.default_rng(70 + n)
     for c in (cone.sample_span(n, rng), -cone.sample(n, rng), cone.sample(n, rng)):
         up, down = cone.min_shift_pair(n, c)
-        assert up == cone.min_shift(n, c)
+        neg_up, neg_down = cone.min_shift_pair(n, -c)
         # spec(-h) = -spec(h) up to the eigensolver's rounding.
         scale = 1.0 + abs(up) + abs(down)
-        assert abs(down - cone.min_shift(n, -c)) <= 4.0 * EPS * scale
+        assert abs(down - neg_up) <= 4.0 * EPS * scale
+        assert abs(up - neg_down) <= 4.0 * EPS * scale
 
 
 def test_an_overridden_min_shift_or_straighten_is_asked_once_per_sign(std_m3, monkeypatch):
@@ -181,15 +178,14 @@ def test_an_overridden_min_shift_or_straighten_is_asked_once_per_sign(std_m3, mo
     up, down = skewed.min_shift_pair(2, c)
     assert len(asked) == 1 and np.array_equal(asked[0], c)
     assert (up, down) != std_m3.min_shift_pair(2, c)
-    assert up == skewed.min_shift(2, c)
-    assert abs(down - skewed.min_shift(2, -c)) <= 4.0 * EPS * (1.0 + abs(up) + abs(down))
-    # A cone whose pair is the protocol's default asks `min_shift` once per sign,
-    # and an overridden pair is what the norms ask, once per norm.
+    neg_up, neg_down = skewed.min_shift_pair(2, -c)
+    assert abs(down - neg_up) <= 4.0 * EPS * (1.0 + abs(up) + abs(down))
+    assert abs(up - neg_down) <= 4.0 * EPS * (1.0 + abs(up) + abs(down))
+    # An overridden pair is what the norms ask, once per norm, for both signs.
     cone = _Shifted(std_m3.algebra, None)
     asked.clear()
     order_unit_seminorm(cone, 2, c)
-    assert len(asked) == 2
-    assert np.array_equal(asked[0], c) and np.array_equal(asked[1], -c)
+    assert len(asked) == 1 and np.array_equal(asked[0], c)
     pairs = []
     pair = cone.min_shift_pair
     cone.min_shift_pair = lambda n, z: pairs.append(z) or pair(n, z)

@@ -94,7 +94,7 @@ def test_frame_r4_asks_minus_e_once_per_level_and_draws_nothing(monkeypatch, con
 
 def test_frame_r4_falls_back_to_bisection_without_a_certificate():
     cone = copy.copy(_frame_cone(2, 10.0, 5))
-    cone.min_shift = lambda n, c: None
+    cone.min_shift_pair = lambda n, c: (None, None)
     r4, bad = cones._r4_estimate(cone, LEVELS, 50, np.random.default_rng(0))
     assert bad is None
     # Each level's bisection midpoint lies within its shift_tol of 1 / (1 + t).

@@ -103,8 +103,8 @@ def test_oracle_work_is_one_eigensolve_and_no_svd(fixture, n, request, monkeypat
     counts = _count_linalg(monkeypatch)
 
     for call in (lambda: cone.member(n, c), lambda: cone.member(n, -c),
-                 lambda: cone.member(n, a), lambda: cone.min_shift(n, a),
-                 lambda: cone.min_shift(n, -c)):
+                 lambda: cone.member(n, a), lambda: cone.min_shift_pair(n, a),
+                 lambda: cone.min_shift_pair(n, -c)):
         counts.update(svd=0, eigvalsh=0, eigensolves=0)
         call()
         assert counts == {"svd": 0, "eigvalsh": 1, "eigensolves": 1}

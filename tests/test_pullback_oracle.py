@@ -2,7 +2,8 @@
 against its one-sample references in `references.py`: `member_many`
 verdicts, `norm_many` bits (and the stacked `c1_norm` behind the inequality
 check and the condition-1 decay), the stream and bits of `sample_many` and
-`sample_span_many`, certified exact shifts that take no bisection step, the
+`sample_span_many`, certified exact shifts of both signs (the second the
+first of -f, bit for bit) that take no bisection step, the
 bisection fallback of a non-real element, samples on another grid, and the
 typed errors of an empty grid and of an element that is not a sample."""
 
@@ -18,10 +19,12 @@ from matorder.case_studies import (
 )
 from matorder.cones import _exact_brackets, _inf_shifts, _sup_shifts_down
 from matorder.errors import LevelUnsupported, MatOrderError
+from matorder.order_norms import order_unit_seminorm, pre_cstar_norm
 from references import (
     c1_inequality_check_per_sample,
     c1_norm_per_sample,
     certificate,
+    certified,
     pullback_member,
     pullback_trig,
 )
@@ -66,13 +69,29 @@ def test_member_many_matches_the_per_sample_member(m):
     cs = _real(cone, rng) + _complex(cone, rng)
     # The certificate points of each exact shift, a tenth of tol_psd either side.
     e = cone.unit(1)
-    xs = cs + [t * e + c for c, r in zip(cs, cone.min_shift(1, cs))
+    xs = cs + [t * e + c for c, r in zip(cs, cone.min_shift_pair(1, cs)[0])
                for t in certificate(float(r), 0.2 * cone.tol_psd, -np.inf)]
     got = cone.member_many(1, xs)
     assert got == [pullback_member(cone, x) for x in xs]
     assert got == [cone.member(1, x) for x in xs]
     assert True in got and False in got
     assert cone.member_many(1, []) == []
+
+
+@pytest.mark.parametrize("m", GRID_SIZES)
+def test_the_second_shift_is_the_first_of_the_negated_sample(m):
+    # r(-f) = (max Re f - t (1 - min Re f + sup|f'|)) / (1 + t) has the bits of
+    # the first sign of -f, and both signs certify under the cone's own oracle.
+    cone = _cone(m)
+    cs = _real(cone, np.random.default_rng(m + 1))
+    up, down = cone.min_shift_pair(1, cs)
+    assert down.tolist() == [cone.min_shift_pair(1, -c)[0] for c in cs]
+    assert up.tolist() == [cone.min_shift_pair(1, c)[0] for c in cs]
+    e, width = cone.unit(1), 0.2 * cone.tol_psd
+    for elements, rs in ((cs, up), ([-c for c in cs], down)):
+        for c, r in zip(elements, rs):
+            points = certificate(float(r), width, -np.inf)
+            assert certified(points, cone.member_many(1, [t * e + c for t in points]))
 
 
 @pytest.mark.parametrize("m", GRID_SIZES)
@@ -187,10 +206,9 @@ def test_an_empty_grid_is_a_typed_error_at_construction():
 def test_a_matrix_is_not_a_pullback_cone_element():
     cone = FunctionPullbackCone(np.linspace(0.0, 1.0, 4))
     x = np.eye(1, dtype=complex)
-    for ask in (lambda: cone.member(1, x), lambda: cone.min_shift(1, x),
-                lambda: cone.min_shift_pair(1, x), lambda: cone.norm(1, x),
-                lambda: cone.straighten(1, x), lambda: cone.mul(1, x, x),
-                lambda: cone.sharp(1, x)):
+    for ask in (lambda: cone.member(1, x), lambda: cone.min_shift_pair(1, x),
+                lambda: cone.min_shift_pair(1, [x]), lambda: cone.norm(1, x),
+                lambda: cone.straighten(1, x), lambda: cone.mul(1, x, x)):
         with pytest.raises(MatOrderError, match="C1Sample"):
             ask()
 
@@ -199,12 +217,16 @@ def test_the_cone_has_level_one_only_and_its_involution_conjugates():
     grid = np.linspace(0.0, 1.0, 4)
     cone = FunctionPullbackCone(grid)
     x = C1Sample(grid, grid + 1j * grid ** 2, 1.0 + 2j * grid)
-    y = cone.sharp(1, x)
+    y = x.conj()
     assert np.array_equal(y.f_values, x.f_values.conj())
     assert np.array_equal(y.f_derivs, x.f_derivs.conj())
-    for ask in (lambda: cone.member(2, x), lambda: cone.sharp(2, x),
+    for ask in (lambda: cone.member(2, x), lambda: cone.min_shift_pair(2, [x]),
                 lambda: cone.sample_many(2, 1, np.random.default_rng(0))):
         with pytest.raises(LevelUnsupported, match="level 1 only"):
+            ask()
+    # The order norms, which apply an involution to matrices, ask for matrix levels.
+    for ask in (lambda: order_unit_seminorm(cone, 1, x), lambda: pre_cstar_norm(cone, None, 1, x)):
+        with pytest.raises(LevelUnsupported, match="no matrix levels"):
             ask()
 
 
@@ -220,8 +242,8 @@ def test_samples_on_different_grids_do_not_combine():
     assert np.array_equal((a + same).f_values, zeros + 3.0)
     cone = FunctionPullbackCone(np.linspace(0.0, 1.0, 4))
     for ask in (lambda: cone.member_many(1, [a, b]), lambda: cone.member(1, b),
-                lambda: cone.norm_many(1, [b]), lambda: cone.min_shift(1, b),
-                lambda: cone.min_shift(1, [a, b]), lambda: cone.mul(1, a, b)):
+                lambda: cone.norm_many(1, [b]), lambda: cone.min_shift_pair(1, b),
+                lambda: cone.min_shift_pair(1, [a, b]), lambda: cone.mul(1, a, b)):
         with pytest.raises(MatOrderError):
             ask()
     assert cone.member_many(1, [a, same]) == [True, True]

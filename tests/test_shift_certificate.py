@@ -4,7 +4,7 @@ verdicts and brackets on honest, opaque and corrupted cones, from the same
 `member_many` batches (for `_certify`, the first of the two-sided reference's
 two: it makes no second call at lo); a certified bracket that builds no
 `_Bisection` (an opaque cone builds one per element or per norm path); and an
-Archimedean check that asks `min_shift` and the certificate once per stack,
+Archimedean check that asks `min_shift_pair` and the certificate once per stack,
 not again for each boundary the stack left uncertified."""
 
 import copy
@@ -194,8 +194,8 @@ def test_a_certified_bracket_builds_no_search(name, n, request, monkeypatch):
 
 class _Stricter(StandardCone):
     """Members are the x with x - 1e-3 e_n in the standard cone: stricter than
-    the inherited exact `min_shift`, so that no certificate holds.  Records the
-    shape of each `min_shift` argument."""
+    the inherited exact `min_shift_pair`, so that no certificate holds.  Records
+    the shape of each `min_shift_pair` argument."""
 
     def __init__(self, alg):
         super().__init__(alg)
@@ -204,9 +204,9 @@ class _Stricter(StandardCone):
     def member_many(self, n, xs):
         return super().member_many(n, [as_matrix(x) - 1e-3 * self.unit(n) for x in xs])
 
-    def min_shift(self, n, c):
+    def min_shift_pair(self, n, c):
         self.shifts.append(np.shape(c))
-        return super().min_shift(n, c)
+        return super().min_shift_pair(n, c)
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -1,7 +1,7 @@
 """Exact order-unit shifts against the bisection fallback.
 
 The PSD-frame cones compute inf{r : r e + c in C} from one eigensolve and
-certify it with their own membership oracle; `_opaque` hides `min_shift` so
+certify it with their own membership oracle; `_opaque` hides `min_shift_pair` so
 the same cone takes the bisection fallback.
 """
 
@@ -20,6 +20,7 @@ from matorder.case_studies import FunctionPullbackCone
 from matorder.cones import (
     SimilarityCone,
     StandardCone,
+    _exact_brackets,
     _inf_shifts,
     _sup_shifts_down,
     audit_algebraically_admissible,
@@ -38,9 +39,8 @@ from matorder.order_norms import (
 
 
 def _opaque(cone):
-    """The same cone with its closed-form shifts (one sign or both) hidden."""
+    """The same cone with its closed-form shifts hidden."""
     out = copy.copy(cone)
-    out.min_shift = lambda n, c: None
     out.min_shift_pair = lambda n, c: (None, None)
     return out
 
@@ -94,7 +94,7 @@ def test_exact_shifts_match_bisection_fallback(seed, n, similarity):
                       exact.bracket[0], exact.value, exact.bracket[1])
 
     x = random_element(cone.algebra, rng, level=n)
-    z = cone.sharp(n, x) @ x
+    z = cone.sharp_block(n, n, x) @ x
     exact, fallback = pre_cstar_norm(cone, None, n, x), pre_cstar_norm(slow, None, n, x)
     assert exact.iterations == 0 and fallback.iterations > 0
     assert abs(exact.value - fallback.value) <= tol * (1.0 + fallback.value)
@@ -132,10 +132,33 @@ def test_exact_path_work_is_pinned(fixture, n, request):
     assert cone.calls <= 3
 
 
+class _HiddenPair(StandardCone):
+    """A standard cone that overrides only `min_shift_pair`, the one exact shift."""
+
+    def min_shift_pair(self, n, c):
+        return None, None
+
+
+def test_a_cone_that_hides_its_shift_pair_is_opaque_to_norms_and_audits(std_m3):
+    cone, want = _counting(_HiddenPair(std_m3.algebra)), _opaque(std_m3)
+    rng = np.random.default_rng(7)
+    cs = [cone.sample_span(2, rng), -cone.sample(2, rng), cone.sample(2, rng)]
+    ones = [1.0] * len(cs)
+    # No exact shift to certify, so no bracket and no membership question.
+    assert _exact_brackets(cone, 2, cs, ones, [1e-9] * len(cs), 0.0) == [None] * len(cs)
+    assert _exact_brackets(cone, 2, cs, ones, [1e-9] * len(cs), -np.inf) == [None] * len(cs)
+    assert cone.calls == 0
+    assert _inf_shifts(cone, 2, cs, ones, 1e-9) == _inf_shifts(want, 2, cs, ones, 1e-9)
+    x = random_element(cone.algebra, rng, level=2)
+    for norm in (lambda k: order_unit_seminorm(k, 2, cs[0]), lambda k: pre_cstar_norm(k, None, 2, x)):
+        got = norm(cone)
+        assert got.iterations > 0 and got == norm(want)
+
+
 def test_zero_cone_reaches_fallback_and_stays_unbounded(m2_full):
     cone = ZeroCone(m2_full)
     a = np.diag([1.0, 2.0]).astype(complex)
-    assert cone.min_shift(1, a) is not None  # inherited, but never certified
+    assert cone.min_shift_pair(1, a)[0] is not None  # inherited, but never certified
     with pytest.raises(UnboundedAbove):
         order_unit_seminorm(cone, 1, a)
     assert _inf_shifts(cone, 1, [a], [1.0], 1e-9)[0] is None
@@ -164,7 +187,7 @@ def test_zeroed_corner_audits_fail_with_replayable_witnesses(m2_full, audit):
 def test_pullback_cone_is_opaque_and_constants_unchanged():
     cone = FunctionPullbackCone(np.linspace(0, 1, 32), max_frequency=4)
     slow = _opaque(cone)
-    assert slow.min_shift(1, cone.unit(1)) is None
+    assert slow.min_shift_pair(1, cone.unit(1)) == (None, None)
     r1, alpha = estimate_main_constants(slow, levels=(1,), samples=12, seed=5)
     # Values of the bisection-only implementation, which the opaque cone keeps.
     assert r1.value == 0.061485847182760796
@@ -172,7 +195,7 @@ def test_pullback_cone_is_opaque_and_constants_unchanged():
     # The certified exact shifts keep alpha's bits and move r1 by less than the
     # bisection's shift_tol.
     t = cone.tol_psd
-    assert cone.min_shift(1, cone.unit(1)) == (-1.0 - t * 2.0) / (1.0 + t)
+    assert cone.min_shift_pair(1, cone.unit(1)) == ((-1.0 - t * 2.0) / (1.0 + t), 1.0 / (1.0 + t))
     exact_r1, exact_alpha = estimate_main_constants(cone, levels=(1,), samples=12, seed=5)
     assert exact_alpha.value == alpha.value
     assert abs(exact_r1.value - r1.value) <= 1e-9

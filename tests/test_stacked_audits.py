@@ -1,5 +1,5 @@
 """The audits' stacked passes against their one-element references: stacked
-draws keep the stream, `norm_many` and a stacked `min_shift` keep the bits,
+draws keep the stream, `norm_many` and a stacked `min_shift_pair` keep the bits,
 `_exact_brackets` and `_inf_shifts` agree with the per-element certificates
 and searches they replace (certified, opaque and corrupted cones), every
 double is asked through its stacked overrides, empty batches work, and one
@@ -28,7 +28,7 @@ DOUBLES = [AllHermitianCone, ZeroedCornerCone, ZeroCone, SkewedLevelCone]
 def _reference_inf_shift(cone, n, c, scale, abs_tol):
     """The one-element shift search the stacked form replaced."""
     bis = shift_bisection(cone, n, (c,), scale)
-    exact = cone.min_shift(n, c)
+    exact = cone.min_shift_pair(n, c)[0]
     try:
         lo, hi = bis.search(certify(bis, None if exact is None else exact / scale, abs_tol),
                             lambda: la.opnorm(cone.straighten(n, c)) / scale + 1.0,
@@ -73,9 +73,10 @@ def test_norm_many_and_stacked_min_shift_keep_the_bits(fixture, n, request):
     norms = cone.norm_many(n, cands)
     assert norms == [cone.norm(n, c) for c in cands]
     assert all(type(v) is float for v in norms)
-    shifts = cone.min_shift(n, np.stack(cands))
-    assert shifts.shape == (len(cands),)
-    assert shifts.tolist() == [cone.min_shift(n, c) for c in cands]
+    pair = cone.min_shift_pair(n, np.stack(cands))
+    assert [shifts.shape for shifts in pair] == [(len(cands),)] * 2
+    assert [shifts.tolist() for shifts in pair] == [
+        [cone.min_shift_pair(n, c)[sign] for c in cands] for sign in (0, 1)]
 
 
 @pytest.mark.parametrize("fixture", CONES)
@@ -120,7 +121,7 @@ def test_exact_brackets_match_the_per_element_certificate(fixture, opaque, floor
     widths = [0.2 * cone.tol_psd * s for s in scales]
     want = []
     for c, s, w in zip(cs, scales, widths):
-        exact = cone.min_shift(2, c)
+        exact = cone.min_shift_pair(2, c)[0]
         want.append(certify(shift_bisection(cone, 2, (c,), s),
                             None if exact is None else exact / s, w, floor))
     assert _exact_brackets(cone, 2, cs, scales, widths, floor) == want

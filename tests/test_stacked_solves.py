@@ -1,7 +1,7 @@
 """The involution and similarity layers' stacked passes against their
 one-element references: the barrier solve on stacked LMI blocks (each cond
 within the other side's certified gap, the same dual certificates), a phase
-one that stops once feasible, and the cone span, `bound_2K`, level-n
+one that stops once feasible, and the cone span, `norm_bound`, level-n
 certificate, `build_star_rep` cone residual and norm identity drawn and
 measured in stacks.  Every double of `tests/doubles.py` is drawn one
 element at a time and gives the reference's answers."""
@@ -83,7 +83,7 @@ def _involution(cone, fixture):
     the adjoint of the standard cone it corrupts."""
     if not isinstance(fixture, type):
         return recover_involution(cone, 1, seed=1)
-    return InvolutionMap(cone.algebra, np.stack([b.conj().T for b in cone.algebra.basis]), 1.0)
+    return InvolutionMap(cone.algebra, np.stack([b.conj().T for b in cone.algebra.basis]))
 
 
 def _named_space(name, request):
@@ -170,8 +170,8 @@ def test_real_cone_span_matches_the_per_sample_rounds(fixture, n, request, m2_fu
 def test_bound_2k_and_stacked_involution_match_per_element(fixture, request):
     cone = request.getfixturevalue(fixture)
     inv = recover_involution(cone, 1, seed=4)
-    assert inv.bound_2K == pytest.approx(bound_2k_per_element(cone.algebra, inv, seed=4),
-                                         rel=1e-12)
+    assert inv.norm_bound(4) == pytest.approx(bound_2k_per_element(cone.algebra, inv, seed=4),
+                                              rel=1e-12)
     xs = cone.sample_many(2, 5, np.random.default_rng(0))
     one = np.stack([inv(x) for x in xs])
     np.testing.assert_allclose(inv(xs), one, rtol=0, atol=1e-13 * np.abs(one).max())
