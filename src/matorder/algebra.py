@@ -74,6 +74,11 @@ class OperatorAlgebra:
     def dim(self) -> int:
         return int(self.basis.shape[0])
 
+    @cached_property
+    def _full(self) -> bool:
+        """Whether A is all of M_N (dim A = N^2), so M_n(A) holds every matrix of N x N blocks."""
+        return self.dim == self.ambient_dim ** 2
+
     def synthesize(self, coords: np.ndarray) -> np.ndarray:
         """Matrix sum coords[..., k] * basis[k] (a stack for stacked coords): one GEMM."""
         coords = np.asarray(coords, dtype=complex)
@@ -102,7 +107,7 @@ class OperatorAlgebra:
         if unit_defect > self.structure_tol * (1.0 + np.sqrt(self.ambient_dim)):
             raise MembershipError("unit does not reconstruct the identity", unit_defect)
         # One stacked `_outside` per basis row (d N^2 entries): the first product outside raises.
-        for b in self.basis:
+        for b in () if self._full else self.basis:  # M_N is closed under products
             _outside(self, b @ self.basis)
 
 
@@ -203,9 +208,12 @@ def level_residual(algebra: OperatorAlgebra, x: np.ndarray):
 
 
 def _outside(algebra: OperatorAlgebra, x: np.ndarray) -> None:
-    """The one structure bound: MembershipError, with its residual, for x (a matrix
-    of N x N blocks) or the first matrix of a stack x whose `level_residual`
-    exceeds structure_tol (1 + ||x||_F), the stack decided in one pass."""
+    """The one structure bound: MembershipError, with its residual, for x (a matrix of N x N
+    blocks) or the first matrix of a stack x whose `level_residual` exceeds structure_tol
+    (1 + ||x||_F), the stack decided in one pass; vacuous, so skipped, on a full algebra."""
+    if algebra._full:  # M_n(M_N) holds every matrix of N x N blocks: only the shape can fail
+        _block_view(algebra, x)
+        return
     residual = level_residual(algebra, x)
     if x.ndim == 2:
         over = [0] if residual > algebra.structure_tol * (1.0 + la.frob(x)) else []

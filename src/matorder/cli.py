@@ -114,7 +114,7 @@ def _cmd_close_algebra(args, config: RunConfig):
 def _cmd_check_cones(args, config: RunConfig):
     cone = _load_cone(args.cone, config)
     sampling = {"samples": config.samples, "seed": config.seed}
-    # A pullback cone (level 1 only) reports its constants and runs no audit.
+    # A pullback cone (level 1 only) reports its constants and their level, and runs no audit.
     pullback = cone.variant == "pullback"
     levels = (1,) if pullback else config.levels
     reports = [] if pullback else [cones.audit_algebraically_admissible(cone, n=1, **sampling),
@@ -123,7 +123,7 @@ def _cmd_check_cones(args, config: RunConfig):
     r1, alpha = cones.estimate_main_constants(cone, levels=levels, **sampling)
     result = {"cone": cone.describe(), "constants": {"r1": r1.value, "alpha": alpha.value}}
     if pullback:
-        return EXIT_OK, result
+        return EXIT_OK, dict(result, levels=list(levels))
     ok = all(r.passed for r in reports)
     result.update(audits=[audit_to_obj(r) for r in reports], passed=ok)
     return (EXIT_OK if ok else EXIT_AUDIT_FAIL), result

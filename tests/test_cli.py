@@ -372,7 +372,19 @@ def test_check_cones_on_a_pullback_cone_reports_its_level_one_constants(workdir,
     r1, alpha = estimate_main_constants(FunctionPullbackCone(np.array([0.0, 0.5, 1.0])),
                                         (1,), samples=8, seed=3)
     assert rep["result"] == {"cone": {"variant": "pullback", "tol_psd": 1e-9},
-                             "constants": {"r1": r1.value, "alpha": alpha.value}}
+                             "constants": {"r1": r1.value, "alpha": alpha.value},
+                             "levels": [1]}
+
+
+def test_check_cones_on_a_pullback_cone_names_level_one_whatever_levels_asks(
+        workdir, capsys, pullback_cone):
+    # The cone has level 1 only: the config keeps what was asked, the result what was measured.
+    args = ["check-cones", "--cone", str(pullback_cone), "--samples", "8", "--seed", "3"]
+    code, rep = _run(workdir, args + ["--levels", "2"], capsys)
+    assert code == 0 and rep["config"]["levels"] == [2]
+    assert rep["result"]["levels"] == [1]
+    _, level_one = _run(workdir, args, capsys)
+    assert rep["result"] == level_one["result"]
 
 
 @pytest.mark.parametrize("base, extra, pointer", [
