@@ -104,7 +104,8 @@ class OperatorAlgebra:
         if gram_defect > 10 * self.structure_tol:
             raise MembershipError("basis not orthonormal", gram_defect)
         unit_defect = la.frob(self.unit_matrix() - np.eye(self.ambient_dim))
-        if unit_defect > self.structure_tol * (1.0 + np.sqrt(self.ambient_dim)):
+        # The level-n unit's residual sqrt(n) d meets `_outside`'s bound at every n.
+        if unit_defect > self.structure_tol * np.sqrt(self.ambient_dim):
             raise MembershipError("unit does not reconstruct the identity", unit_defect)
         # One stacked `_outside` per basis row (d N^2 entries): the first product outside raises.
         for b in () if self._full else self.basis:  # M_N is closed under products

@@ -160,7 +160,7 @@ def _cmd_involution(args, config: RunConfig):
             cone, n, samples=samples, seed=config.seed, involution1=inv)
         comparisons.append({"level": n, "max_residual": cmp_rep.max_residual,
                             "rank": cmp_rep.rank, "need": cmp_rep.need,
-                            "passed": cmp_rep.passed})
+                            "passed": cmp_rep.passed, "provenance": cmp_rep.provenance})
     return EXIT_OK, {
         "level": args.level,
         "images": [matrix_to_obj(m) for m in inv.images],

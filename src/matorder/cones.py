@@ -99,8 +99,7 @@ def _sampled(cone: "ConeOracle", axiom: str, detail: str, candidates) -> AxiomCh
     """A `_realised` cone passes every sampled axiom (Choi & Effros 1977); others run
     `_first_escape` on candidates()."""
     if _realised(cone):
-        return AxiomCheck(axiom, "pass",
-                          "theorem: C_n = pi^(n)^-1(M_n(A)^+), A = S B S^-1 star-closed")
+        return AxiomCheck(axiom, "pass", _THEOREM)
     return _verdict(axiom, detail, _first_escape(cone, candidates()))
 
 
@@ -794,9 +793,15 @@ def _span_checks(cone: ConeOracle, n: int) -> list:
 
 
 def _frame_oracle(cone: ConeOracle) -> bool:
-    """Whether C_n is `SimilarityCone`'s own PSD rule: no step of its oracle is overridden."""
+    """Whether C_n and its involution are `SimilarityCone`'s own PSD rule and frame adjoint:
+    no step of its oracle is overridden."""
     own = lambda m: getattr(getattr(cone, m, None), "__func__", None) is getattr(SimilarityCone, m)
-    return all(map(own, ("member_many", "level_element", "straighten", "_psd_test")))
+    return all(map(own, ("member_many", "level_element", "straighten", "_psd_test",
+                         "sharp_block")))
+
+
+# The provenance of every check that the realisation theorem decides on a `_realised` cone.
+_THEOREM = "theorem: C_n = pi^(n)^-1(M_n(A)^+), A = S B S^-1 star-closed"
 
 
 def _realised(cone: ConeOracle) -> bool:

@@ -6,8 +6,10 @@ involution.  Recovery runs at level 1, over a span sampled in stacks (one `sampl
 per round) or, on a `_realised` cone (a frame cone over a star-closed A = S B S^-1), from no
 samples: C_n = pi^(n)^-1(M_n(A)^+) makes x^sharp = S^-1 (S x S^-1)* S, `sharp_block` (Choi &
 Effros 1977).  An `InvolutionMap` acts on block matrices over its algebra of any size, or on a
-stack of them, as (x_ij)^sharp = (x_ji^sharp), which `verify_matrix_involution` certifies as
-the level-n involution from cone samples drawn one `sample_many` call per chunk.
+stack of them, as (x_ij)^sharp = (x_ji^sharp).  `verify_matrix_involution` certifies it as
+the level-n involution: by the same theorem, drawing nothing, when the cone is `_realised`
+and the map is its own `sharp_block`; otherwise from cone samples drawn one `sample_many`
+call per chunk.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import _linalg as la
 from .algebra import OperatorAlgebra, _outside, as_matrix, block_coords, block_synth
-from .cones import ConeOracle, _realised, _stack
+from .cones import _THEOREM, ConeOracle, _realised, _stack
 from .errors import (
     CertificationFailed,
     DecompositionInfeasible,
@@ -185,17 +187,20 @@ def certify_level(cone: ConeOracle, n: int, involution1: InvolutionMap, seed: in
 
 @dataclass(frozen=True)
 class InvolutionComparison:
-    """Worst ||x - x^sharp||_F / (1 + ||x||_F) and real rank of the cone samples."""
+    """Worst ||x - x^sharp||_F / (1 + ||x||_F) and real rank of the cone samples, or, with
+    the realisation theorem as `provenance`, neither: no sample is drawn or measured."""
 
     level: int
-    max_residual: float
+    max_residual: float | None
     samples: int
-    rank: int
+    rank: int | None
     need: int
+    provenance: str = "sampled"
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= 1e-8 and self.rank == self.need
+        return self.provenance == _THEOREM or (self.max_residual <= 1e-8
+                                                and self.rank == self.need)
 
 
 def verify_matrix_involution(cone: ConeOracle, n: int, samples: int = CERT_SAMPLES,
@@ -205,12 +210,17 @@ def verify_matrix_involution(cone: ConeOracle, n: int, samples: int = CERT_SAMPL
     given) is the level-n involution: need + samples elements of C_n, each fixed
     by the map, whose blocks i <= j have real rank need = n^2 dim A, span all of
     H_n = {x in M_n(A) : x^sharp = x}, so span_R(C_n - C_n) = H_n.  Drawn,
-    mapped and measured CERT_CHUNK_BYTES of samples at a time, which bounds the memory."""
+    mapped and measured CERT_CHUNK_BYTES of samples at a time, which bounds the memory.
+    On a `_realised` cone whose level-1 map is its own `sharp_block` the realisation
+    theorem certifies every level, and nothing is drawn."""
     # LevelUnsupported for a cone without matrix levels
     chunk = max(1, CERT_CHUNK_BYTES // (16 * cone.level_dim(n) ** 2))
     if involution1 is None:
         involution1 = recover_involution(cone, 1, seed=seed)
     need = n * n * cone.algebra.dim
+    if _realised(cone) and involution1.algebra is cone.algebra and np.array_equal(
+            involution1.images, cone.sharp_block(1, 1, cone.algebra.basis)):
+        return InvolutionComparison(n, None, 0, None, need, _THEOREM)
     upper = np.triu_indices(n)
     rng = np.random.default_rng(seed + 5)
     worst = 0.0

@@ -1,15 +1,26 @@
 """Corrupted cone oracles used by the audit soundness (mutation) tests and by
-the tests that pin the involution and order-norm layers' typed errors.
+the tests that pin the involution and order-norm layers' typed errors, and
+`instance_oracle`, an opaque copy of a sound cone.
 
 Each overrides the stacked forms of the oracle protocol (`member_many`,
 `sample_many`, `sample_span_many`), a stack-capable `straighten` or the exact
 shifts, and decides or draws one element at a time inside them."""
+
+import copy
 
 import numpy as np
 
 from matorder import _linalg as la
 from matorder.cones import StandardCone
 from references import herm_defect
+
+
+def instance_oracle(cone):
+    """The cone asked through an instance `member_many`: an opaque oracle, on which
+    no check takes a frame cone's theorem path, so each one samples."""
+    out = copy.copy(cone)
+    out.member_many = lambda n, xs: cone.member_many(n, xs)
+    return out
 
 
 class AllHermitianCone(StandardCone):

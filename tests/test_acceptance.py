@@ -14,7 +14,7 @@ from conftest import (
     random_similarity,
     random_star_closed_algebra,
 )
-from doubles import AllHermitianCone, ZeroedCornerCone
+from doubles import AllHermitianCone, ZeroedCornerCone, instance_oracle
 from matorder.algebra import (
     conjugate_algebra,
     doubling_embed,
@@ -115,9 +115,10 @@ def test_criterion_2_norm_formula_agreement():
 
 def test_criterion_3_entrywise_involution(std_m2, planted_sim_cone):
     worst = 0.0
-    for cone in (std_m2, planted_sim_cone):
+    for cone in (std_m2, planted_sim_cone):  # asked opaquely, so the certificate samples
         for n in (2, 4):
-            cmp_rep = verify_matrix_involution(cone, n, samples=10, seed=103)
+            cmp_rep = verify_matrix_involution(instance_oracle(cone), n, samples=10, seed=103,
+                                               involution1=recover_involution(cone, 1, seed=103))
             worst = max(worst, cmp_rep.max_residual)
     ok = worst <= 1e-8
     _report(3, f"level-n involution equals entrywise transpose at n=2,4 "

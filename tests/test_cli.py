@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from conftest import E11, E12, WORKED_B, WORKED_S, load_workloads
-from doubles import SkewedLevelCone
+from doubles import SkewedLevelCone, instance_oracle
 from matorder import cli as cli_mod
 from matorder import similarity as sim_mod
-from matorder.algebra import DEFAULT_STRUCTURE_TOL, generate_algebra
+from matorder.algebra import DEFAULT_STRUCTURE_TOL, OperatorAlgebra, generate_algebra
 from matorder.case_studies import FunctionPullbackCone
 from matorder.cli import run
 from matorder.cones import DEFAULT_TOL_PSD, StandardCone, estimate_main_constants
@@ -140,6 +140,20 @@ def test_check_cones_validates_the_algebra_at_structure_tol(workdir, capsys):
     assert rep["result"]["passed"] is True
 
 
+def test_a_non_unital_algebra_is_named_so_at_a_loose_structure_tol(workdir, capsys):
+    # span{E11} misses the unit by 1: within 0.45 (1 + sqrt 2), but not within 0.45 sqrt 2,
+    # the bound that the level-n units' residual sqrt(n) meets at every level.
+    e11 = OperatorAlgebra(E11[None].astype(complex))
+    (workdir / "e11_only.json").write_text(canonical_json(
+        {"variant": "standard", "algebra": algebra_to_obj(e11), "tol_psd": 1e-9}))
+    code, rep = _run(workdir, ["check-cones", "--cone", str(workdir / "e11_only.json"),
+                               "--levels", "1,2", "--samples", "4",
+                               "--structure-tol", "0.45"], capsys)
+    assert code == 3
+    assert rep["error"]["type"] == "MembershipError"
+    assert rep["error"]["message"].startswith("unit does not reconstruct the identity")
+
+
 def test_similarity_cmd(workdir, capsys):
     code, rep = _run(workdir, ["similarity", "--cone",
                                str(workdir / "sim_cone.json")], capsys)
@@ -182,7 +196,10 @@ def test_order_norm_amplified_level(workdir, capsys, tmp_path):
     assert rep["result"]["report"]["value"] == pytest.approx(3.0, abs=1e-7)
 
 
-def test_involution_cmd(workdir, capsys):
+def test_involution_cmd(workdir, capsys, monkeypatch):
+    # The cone is loaded as an opaque oracle, so its involution is sampled and measured.
+    load = cli_mod._load_cone
+    monkeypatch.setattr(cli_mod, "_load_cone", lambda *args: instance_oracle(load(*args)))
     code, rep = _run(workdir, ["involution", "--cone",
                                str(workdir / "sim_cone.json"),
                                "--levels", "1,2", "--samples", "8"], capsys)
@@ -209,6 +226,20 @@ def test_involution_certifies_each_level_once(workdir, capsys, monkeypatch):
     comparisons = rep["result"]["entrywise_comparisons"]
     assert [c["level"] for c in comparisons] == [2, 3]
     assert all(c["passed"] for c in comparisons)
+
+
+def test_involution_on_a_frame_cone_cites_the_theorem_at_every_level(workdir, capsys):
+    args = ["involution", "--cone", str(workdir / "sim_cone.json"), "--level", "2",
+            "--levels", "1,2,3", "--samples", "8"]
+    assert run(args + ["--out", str(workdir / "a.json")]) == 0
+    assert run(args + ["--out", str(workdir / "b.json")]) == 0
+    report = (workdir / "a.json").read_bytes()
+    assert report == (workdir / "b.json").read_bytes()
+    comparisons = json.loads(report)["result"]["entrywise_comparisons"]
+    assert [(c["level"], c["max_residual"], c["rank"], c["need"], c["passed"])
+            for c in comparisons] == [(2, None, None, 8, True), (3, None, None, 18, True)]
+    assert all(c["provenance"].startswith("theorem: C_n = pi^(n)^-1(M_n(A)^+)")
+               for c in comparisons)
 
 
 def test_cached_parser_reports_match_fresh_interpreters(workdir, tmp_path):

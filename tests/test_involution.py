@@ -1,19 +1,20 @@
-import copy
-
 import numpy as np
 import pytest
 
-from conftest import (E11, E12, E21, WORKED_B, random_similarity, random_star_closed_algebra,
-                      random_unitary)
+from conftest import (E11, E12, E21, WORKED_B, WORKED_S, random_similarity,
+                      random_star_closed_algebra, random_unitary)
 from doubles import (AllHermitianCone, GappedCone, GrowingSpanCone, RotatedSampleCone,
-                     SkewedLevelCone, ZeroCone, ZeroedCornerCone)
+                     SkewedLevelCone, ZeroCone, ZeroedCornerCone, instance_oracle)
+from matorder import involution as involution_mod
 from matorder.algebra import conjugate_algebra, generate_algebra, random_element
 from matorder.case_studies import FunctionPullbackCone
 from matorder.cones import SimilarityCone, StandardCone, audit_matrix_ordered
 from matorder.errors import (CertificationFailed, DecompositionInfeasible, DecompositionNotUnique,
                              DimensionMismatch, LevelUnsupported, SpanUnstable)
 from matorder.involution import (
+    InvolutionMap,
     _split,
+    certify_level,
     decompose,
     real_cone_span,
     recover_involution,
@@ -180,8 +181,11 @@ def test_degenerate_span_raises(m2_full):
 @pytest.mark.parametrize("fixture", ["std_m2", "worked_sim_cone", "planted_sim_cone"])
 @pytest.mark.parametrize("level", [1, 2, 4])
 def test_verify_matrix_involution(fixture, level, request):
-    cone = request.getfixturevalue(fixture)
-    cmp_rep = verify_matrix_involution(cone, level, samples=8, seed=4)
+    # Asked through an instance oracle, the frame involution's certificate samples.
+    frame = request.getfixturevalue(fixture)
+    cone = instance_oracle(frame)
+    cmp_rep = verify_matrix_involution(cone, level, samples=8, seed=4,
+                                       involution1=recover_involution(frame, 1, seed=4))
     assert cmp_rep.max_residual <= 1e-8
     assert cmp_rep.rank == cmp_rep.need == level * level * cone.algebra.dim
     assert cmp_rep.passed
@@ -189,7 +193,8 @@ def test_verify_matrix_involution(fixture, level, request):
 
 def test_verify_matrix_involution_standard_tight(std_m2):
     # Both routes reduce to the matrix adjoint for standard cones.
-    cmp_rep = verify_matrix_involution(std_m2, 2, samples=10, seed=5)
+    cmp_rep = verify_matrix_involution(instance_oracle(std_m2), 2, samples=10, seed=5,
+                                       involution1=recover_involution(std_m2, 1, seed=5))
     assert cmp_rep.max_residual <= 1e-10
 
 
@@ -241,7 +246,9 @@ def test_level_four_certificate_on_full_m6():
     rng = np.random.default_rng(8)
     alg = generate_algebra([rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))],
                            include_adjoints=True)
-    cmp_rep = verify_matrix_involution(StandardCone(alg), 4, seed=1)
+    cone = StandardCone(alg)
+    cmp_rep = verify_matrix_involution(instance_oracle(cone), 4, seed=1,
+                                       involution1=recover_involution(cone, 1, seed=1))
     assert cmp_rep.rank == cmp_rep.need == 16 * 36
     assert cmp_rep.passed
 
@@ -256,12 +263,11 @@ class _WrongLevelCone(StandardCone):
 def test_wrong_level_samples_raise_dimension_mismatch(m2_full):
     # Three 4 x 4 samples at level 1 used to be read as twelve 2 x 2 ones.
     cone = _WrongLevelCone(m2_full)
-    sampled = copy.copy(cone)  # an instance `member_many`: the audit samples
-    sampled.member_many = lambda n, xs: cone.member_many(n, xs)
+    sampled = instance_oracle(cone)  # the audit and the certificate sample
     involution1 = recover_involution(StandardCone(m2_full), 1)
     for run in (lambda: audit_matrix_ordered(sampled, (1,), samples=3),
                 lambda: real_cone_span(cone, 1),
-                lambda: verify_matrix_involution(cone, 1, involution1=involution1)):
+                lambda: verify_matrix_involution(sampled, 1, involution1=involution1)):
         with pytest.raises(DimensionMismatch, match="level-1 elements must be 2x2"):
             run()
 
@@ -329,22 +335,78 @@ def test_a_frame_cone_takes_its_involution_from_the_frame_and_draws_nothing(
     inv = recover_involution(cone, 1, seed=2)
     assert calls == []
     np.testing.assert_array_equal(inv.images, cone.sharp_block(1, 1, cone.algebra.basis))
-    assert verify_matrix_involution(cone, 2, seed=2, involution1=inv).passed
+    assert verify_matrix_involution(instance_oracle(cone), 2, seed=2, involution1=inv).passed
 
 
-def _instance_oracle(cone):
-    """The cone asked through an instance `member_many`: an opaque oracle."""
-    out = copy.copy(cone)
-    out.member_many = lambda n, xs: cone.member_many(n, xs)
-    return out
+@pytest.mark.parametrize("fixture", ["std_m2", "worked_sim_cone", "planted_sim_cone"])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_a_frame_cone_certifies_every_level_by_the_theorem(fixture, level, request,
+                                                           monkeypatch):
+    cone = request.getfixturevalue(fixture)
+    recover_involution(cone, 1)  # the cone's set-up: A's star-closure is decided once
+    calls = _counted_draws(monkeypatch, cone)
+    svds, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(a) or svd(*a, **k))
+    cert = verify_matrix_involution(cone, level, seed=2)
+    assert calls == [] and svds == []
+    assert (cert.level, cert.samples, cert.max_residual, cert.rank, cert.need) == (
+        level, 0, None, None, level * level * cone.algebra.dim)
+    assert cert.provenance == "theorem: C_n = pi^(n)^-1(M_n(A)^+), A = S B S^-1 star-closed"
+    assert cert.passed
+
+
+def test_full_m6_recovers_its_level_eight_involution_by_the_theorem(monkeypatch):
+    rng = np.random.default_rng(8)
+    cone = StandardCone(generate_algebra(
+        [rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))], include_adjoints=True))
+    calls = _counted_draws(monkeypatch, cone)
+    certs, verify = [], involution_mod.verify_matrix_involution
+    monkeypatch.setattr(involution_mod, "verify_matrix_involution",
+                        lambda *a, **k: certs.append(verify(*a, **k)) or certs[-1])
+    inv = recover_involution(cone, 8, seed=1)
+    assert calls == []
+    np.testing.assert_array_equal(inv.images, cone.sharp_block(1, 1, cone.algebra.basis))
+    assert [(c.level, c.samples, c.rank, c.need, c.provenance[:8]) for c in certs] == [
+        (8, 0, None, 64 * 36, "theorem:")]
+
+
+def test_a_foreign_level_one_map_on_a_frame_cone_is_sampled_and_fails(planted_sim_cone,
+                                                                      monkeypatch):
+    # The ambient adjoint is not the involution of a cone behind a non-unitary S.
+    cone = planted_sim_cone
+    adjoint = InvolutionMap(cone.algebra, np.stack([b.conj().T for b in cone.algebra.basis]))
+    calls = _counted_draws(monkeypatch, cone)
+    cert = verify_matrix_involution(cone, 2, seed=2, involution1=adjoint)
+    assert calls and (cert.samples, cert.provenance) == (20, "sampled")
+    assert cert.max_residual > 1e-8 and not cert.passed
+    with pytest.raises(CertificationFailed, match="provenance='sampled'"):
+        certify_level(cone, 2, adjoint, seed=2)
+
+
+class _AdjointSharp(SimilarityCone):
+    """A frame cone whose `sharp_block` is the ambient adjoint, not its frame's involution."""
+
+    def sharp_block(self, n, m, a):
+        return a.conj().swapaxes(-1, -2)
+
+
+def test_an_overridden_sharp_block_is_sampled_and_fails(planted_sim_cone, monkeypatch):
+    # The realisation theorem speaks of the frame's involution, not of an overriding map.
+    cone = _AdjointSharp(planted_sim_cone.algebra, WORKED_S)
+    adjoint = InvolutionMap(cone.algebra, cone.sharp_block(1, 1, cone.algebra.basis))
+    calls = _counted_draws(monkeypatch, cone)
+    cert = verify_matrix_involution(cone, 2, seed=2, involution1=adjoint)
+    assert calls and (cert.samples, cert.provenance) == (20, "sampled") and not cert.passed
+    calls.clear()
+    assert recover_involution(cone, 2, seed=2) and calls
 
 
 @pytest.mark.parametrize("make", [
     lambda m2, m3, planted: AllHermitianCone(m2),
     lambda m2, m3, planted: SkewedLevelCone(m2),
     lambda m2, m3, planted: GappedCone(m2),
-    lambda m2, m3, planted: _instance_oracle(StandardCone(m3)),
-    lambda m2, m3, planted: _instance_oracle(planted),
+    lambda m2, m3, planted: instance_oracle(StandardCone(m3)),
+    lambda m2, m3, planted: instance_oracle(planted),
 ], ids=["all-hermitian", "skewed-level", "gapped", "instance-std-m3", "instance-planted"])
 def test_opaque_cones_keep_the_sampled_recovery_bit_for_bit(make, m2_full, m3_full,
                                                              planted_sim_cone, monkeypatch):
@@ -377,7 +439,8 @@ def test_the_frame_involution_is_the_sampled_one_within_its_residual(seed):
     sampled = recover_involution(cone, 1, seed=seed, span=real_cone_span(cone, 1, seed=seed))
     residual = verify_matrix_involution(cone, 1, seed=seed, involution1=sampled)
     assert residual.passed
-    assert verify_matrix_involution(cone, 1, seed=seed, involution1=frame).passed
+    assert verify_matrix_involution(instance_oracle(cone), 1, seed=seed,
+                                    involution1=frame).passed
     size = np.linalg.norm(sampled.images, axis=(1, 2))
     diff = np.linalg.norm(frame.images - sampled.images, axis=(1, 2))
     eps = np.finfo(float).eps

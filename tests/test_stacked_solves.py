@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from conftest import WORKED_S, random_similarity, random_star_closed_algebra
-from doubles import AllHermitianCone, SkewedLevelCone, ZeroCone, ZeroedCornerCone
+from doubles import (AllHermitianCone, SkewedLevelCone, ZeroCone, ZeroedCornerCone,
+                     instance_oracle)
 from matorder import _linalg as la
 from matorder import involution as involution_mod
 from matorder import similarity
@@ -197,10 +198,12 @@ def test_verify_matrix_involution_matches_the_per_sample_rows(fixture, n, chunk,
                                                              m2_full, monkeypatch):
     # need + samples is 4 + 20, 16 + 20 or 64 + 20 on M_2 and 2 + 20, 8 + 20
     # or 32 + 20 on the worked algebra: none is a multiple of 5, and 84 is
-    # not one of 64, so the last chunk is a short one.
+    # not one of 64, so the last chunk is a short one.  A frame cone is asked
+    # through an instance oracle, so that its frame involution is sampled.
     cone = fixture(m2_full) if isinstance(fixture, type) else request.getfixturevalue(fixture)
     monkeypatch.setattr(involution_mod, "CERT_CHUNK_BYTES", chunk * 16 * cone.level_dim(n) ** 2)
     inv = _involution(cone, fixture)
+    cone = cone if isinstance(fixture, type) else instance_oracle(cone)
     got = verify_matrix_involution(cone, n, 20, seed=2, involution1=inv)
     want = verify_matrix_involution_per_sample(cone, n, 20, 2, inv)
     assert (got.level, got.samples, got.rank, got.need, got.passed) == (
@@ -210,12 +213,14 @@ def test_verify_matrix_involution_matches_the_per_sample_rows(fixture, n, chunk,
 
 @pytest.mark.parametrize("fixture", CONES)
 def test_similarity_cones_draw_once_per_chunk_and_round(fixture, request, monkeypatch):
-    cone, draws = _draw_counter(request.getfixturevalue(fixture))
+    # Asked through an instance oracle, the frame involution's certificate samples.
+    frame = request.getfixturevalue(fixture)
+    cone, draws = _draw_counter(instance_oracle(frame))
     monkeypatch.setattr(involution_mod, "CERT_CHUNK_BYTES", 16 * 16 * cone.level_dim(2) ** 2)
     rounds = 2 * 4 * cone.algebra.dim + 8
     real_cone_span(cone, 2, seed=0)
     assert len(draws) >= 3 and set(draws) == {rounds}
-    inv = recover_involution(cone, 1)
+    inv = recover_involution(frame, 1)
     draws.clear()
     total = 4 * cone.algebra.dim + 20
     verify_matrix_involution(cone, 2, 20, seed=0, involution1=inv)
