@@ -146,7 +146,7 @@ def _cmd_involution(args, config: RunConfig):
     if args.level > MAX_LEVEL:
         raise SchemaError("/level", f"must lie in 1..{MAX_LEVEL}")
     cone = _load_cone(args.cone, config)
-    inv = involution.recover_involution(cone, 1, seed=config.seed)
+    inv = involution.recover_involution(cone, seed=config.seed)
     samples = max(4, config.samples // 4)
     # The --level certificate draws a superset of the comparison samples at
     # its level (one stream), so it also stands as that comparison.

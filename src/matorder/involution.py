@@ -2,11 +2,12 @@
 
 Every element of the algebra splits uniquely as x = x1 + i x2 with x1, x2 in the real span
 of the cone; the assignment x -> x1 - i x2 is then a conjugate-linear anti-multiplicative
-involution.  Recovery runs at level 1, over a span sampled in stacks (one `sample_many` call
-per round) or, on a `_realised` cone (a frame cone over a star-closed A = S B S^-1), from no
-samples: C_n = pi^(n)^-1(M_n(A)^+) makes x^sharp = S^-1 (S x S^-1)* S, `sharp_block` (Choi &
-Effros 1977).  An `InvolutionMap` acts on block matrices over its algebra of any size, or on a
-stack of them, as (x_ij)^sharp = (x_ji^sharp).  `verify_matrix_involution` certifies it as
+involution.  `recover_involution` alone recovers it, at level 1, for every consumer: on a
+`_realised` cone (a frame cone over a star-closed A = S B S^-1) from no samples, as C_n =
+pi^(n)^-1(M_n(A)^+) makes x^sharp = S^-1 (S x S^-1)* S, `sharp_block` (Choi & Effros 1977);
+else over a span sampled in stacks (one `sample_many` call per round).  An `InvolutionMap`
+acts on block matrices over its algebra of any size, or on a stack of them, as (x_ij)^sharp =
+(x_ji^sharp).  `verify_matrix_involution` certifies the map it is given as
 the level-n involution: by the same theorem, drawing nothing, when the cone is `_realised`
 and the map is its own `sharp_block`; otherwise from cone samples drawn one `sample_many`
 call per chunk.
@@ -21,12 +22,8 @@ import numpy as np
 from . import _linalg as la
 from .algebra import OperatorAlgebra, _outside, as_matrix, block_coords, block_synth
 from .cones import _THEOREM, ConeOracle, _realised, _stack
-from .errors import (
-    CertificationFailed,
-    DecompositionInfeasible,
-    DecompositionNotUnique,
-    SpanUnstable,
-)
+from .errors import (CertificationFailed, DecompositionInfeasible, DecompositionNotUnique,
+                     DimensionMismatch, SpanUnstable)
 
 # Sampling rounds before a still-growing span raises SpanUnstable.
 SPAN_ROUNDS = 12
@@ -121,10 +118,8 @@ def _split(cone: ConeOracle, n: int, xs: np.ndarray, span: np.ndarray) -> tuple:
     return x1, x2
 
 
-def decompose(cone: ConeOracle, n: int, x, span: np.ndarray | None = None) -> tuple:
-    """Unique split x = x1 + i x2 with x1, x2 in span_R(C_n - C_n)."""
-    if span is None:
-        span = real_cone_span(cone, n)
+def decompose(cone: ConeOracle, n: int, x, span: np.ndarray) -> tuple:
+    """Unique split x = x1 + i x2 with x1, x2 in span, a real basis of span_R(C_n - C_n)."""
     x1, x2 = _split(cone, n, as_matrix(x)[None], span)
     return x1[0], x2[0]
 
@@ -158,28 +153,22 @@ class InvolutionMap:
         return float(np.max(ratios, initial=1.0))
 
 
-def recover_involution(cone: ConeOracle, n: int = 1, seed: int = 0,
-                       span: np.ndarray | None = None) -> InvolutionMap:
-    """x -> x1 - i x2 on A from the level-1 span (sampled if not given; with none given, on a
-    `_realised` cone, `sharp_block`); for n > 1 once `verify_matrix_involution` certifies it."""
-    cone.level_dim(n)  # LevelUnsupported for a cone without matrix levels
-    if span is None and _realised(cone):
-        images = cone.sharp_block(1, 1, cone.algebra.basis)
-    else:
-        x1, x2 = _split(cone, 1, cone.algebra.basis,
-                        real_cone_span(cone, 1, seed=seed) if span is None else span)
-        images = x1 - 1j * x2
-    out = InvolutionMap(cone.algebra, images)
-    if n > 1:
-        certify_level(cone, n, out, seed=seed)
-    return out
+def recover_involution(cone: ConeOracle, *, seed: int = 0) -> InvolutionMap:
+    """x -> x1 - i x2 on A: a `_realised` cone's `sharp_block`, drawing nothing, else the split
+    over `real_cone_span(cone, 1, seed)`; `certify_level` certifies it at a level n > 1."""
+    cone.level_dim(1)  # LevelUnsupported for a cone without matrix levels
+    if _realised(cone):
+        return InvolutionMap(cone.algebra, cone.sharp_block(1, 1, cone.algebra.basis))
+    x1, x2 = _split(cone, 1, cone.algebra.basis, real_cone_span(cone, 1, seed=seed))
+    return InvolutionMap(cone.algebra, x1 - 1j * x2)
 
 
 def certify_level(cone: ConeOracle, n: int, involution1: InvolutionMap, seed: int = 0,
                   samples: int = CERT_SAMPLES) -> "InvolutionComparison":
     """`verify_matrix_involution` at level n with at least CERT_SAMPLES samples;
     CertificationFailed unless it passes."""
-    cert = verify_matrix_involution(cone, n, max(samples, CERT_SAMPLES), seed, involution1)
+    cert = verify_matrix_involution(cone, n, max(samples, CERT_SAMPLES), seed,
+                                    involution1=involution1)
     if not cert.passed:
         raise CertificationFailed(f"entrywise level-1 map not certified: {cert}")
     return cert
@@ -204,19 +193,21 @@ class InvolutionComparison:
 
 
 def verify_matrix_involution(cone: ConeOracle, n: int, samples: int = CERT_SAMPLES,
-                             seed: int = 0,
-                             involution1: InvolutionMap | None = None) -> InvolutionComparison:
-    """Certify that the entrywise extension of the level-1 map (recovered unless
-    given) is the level-n involution: need + samples elements of C_n, each fixed
+                             seed: int = 0, *,
+                             involution1: InvolutionMap) -> InvolutionComparison:
+    """Certify that the entrywise extension of the level-1 map involution1 is the
+    level-n involution: need + samples elements of C_n, each fixed
     by the map, whose blocks i <= j have real rank need = n^2 dim A, span all of
     H_n = {x in M_n(A) : x^sharp = x}, so span_R(C_n - C_n) = H_n.  Drawn,
     mapped and measured CERT_CHUNK_BYTES of samples at a time, which bounds the memory.
     On a `_realised` cone whose level-1 map is its own `sharp_block` the realisation
-    theorem certifies every level, and nothing is drawn."""
+    theorem certifies every level, and nothing is drawn.  DimensionMismatch, before any
+    draw, for a map whose images are not shaped as the cone's algebra basis."""
     # LevelUnsupported for a cone without matrix levels
     chunk = max(1, CERT_CHUNK_BYTES // (16 * cone.level_dim(n) ** 2))
-    if involution1 is None:
-        involution1 = recover_involution(cone, 1, seed=seed)
+    if involution1.images.shape != cone.algebra.basis.shape:
+        raise DimensionMismatch(f"involution images of shape {involution1.images.shape}, "
+                                f"the cone's algebra has {cone.algebra.basis.shape}")
     need = n * n * cone.algebra.dim
     if _realised(cone) and involution1.algebra is cone.algebra and np.array_equal(
             involution1.images, cone.sharp_block(1, 1, cone.algebra.basis)):

@@ -96,17 +96,17 @@ def _norm_searches(cone: ConeOracle, n: int, z: np.ndarray, bisect_tol: float,
     return reports
 
 
-def order_unit_seminorm(cone: ConeOracle, n: int, a, involution=None,
+def order_unit_seminorm(cone: ConeOracle, n: int, a,
                         bisect_tol: float = DEFAULT_BISECT_TOL) -> NormReport:
     """inf{r > 0 : r e_n + a in C_n and r e_n - a in C_n}.
 
     Requires a to be a sharp-self-adjoint level-n matrix, checked by `cones._stack`
-    before any involution is applied.  The value is the exact
+    before the cone's own `sharp_block` is applied.  The value is the exact
     shift with a certified bracket of width bisect_tol (1 + value), or the
     bisection fallback's midpoint (see `_norm_searches`).
     """
     a = _stack(cone, n, [a])[0]
-    _check_self_adjoint(a, _sharp(cone, n, involution, a))
+    _check_self_adjoint(a, cone.sharp_block(n, n, a))
     return _norm_searches(cone, n, a, bisect_tol, ((False, False),))[0]
 
 
@@ -134,16 +134,15 @@ def pre_cstar_norm(cone: ConeOracle, involution, n: int, x,
                       via_sqrt.oracle_calls + direct.oracle_calls)
 
 
-def null_space(cone: ConeOracle, involution, n: int,
-               bisect_tol: float = DEFAULT_BISECT_TOL) -> np.ndarray:
-    """Basis of {x : |x| <= NULL_TOL} for the pre-C*-norm.
+def null_space(cone: ConeOracle, n: int, bisect_tol: float = DEFAULT_BISECT_TOL) -> np.ndarray:
+    """Basis of {x : |x| <= NULL_TOL} for the pre-C*-norm under the cone's own `sharp_block`.
 
     Thresholds the norm on the basis kron(E_ij, b_k) of M_n(A), built from unit
     block coordinates, then verifies the span of small-norm directions on random
     combinations and drops it if one escapes.  Returns a possibly empty (k, D, D) stack.
     """
     def norm(x):
-        return pre_cstar_norm(cone, involution, n, x, bisect_tol=bisect_tol).value
+        return pre_cstar_norm(cone, None, n, x, bisect_tol=bisect_tol).value
 
     dim = cone.level_dim(n)  # LevelUnsupported for a cone without matrix levels
     d = cone.algebra.dim

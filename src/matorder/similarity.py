@@ -26,7 +26,8 @@ from . import _linalg as la
 from .algebra import (OperatorAlgebra, _Frame, _frame, block_coords, block_synth, commutant,
                       generate_algebra, image_algebra)
 from .cones import ConeOracle, _stack
-from .errors import CertificationFailed, DimensionMismatch, NoPositiveSolution, NumericalStall
+from .errors import (CertificationFailed, DimensionMismatch, MatOrderError, NoPositiveSolution,
+                     NumericalStall)
 from .involution import InvolutionMap, recover_involution
 
 DEFAULT_CERT_TOL = 1e-7
@@ -262,19 +263,19 @@ def minimize_condition(space: np.ndarray) -> SimilarityCertificate:
 
 
 def build_star_rep(algebra: OperatorAlgebra, cone: ConeOracle, q,
-                   involution=None, cert_tol: float = DEFAULT_CERT_TOL,
+                   involution: InvolutionMap, cert_tol: float = DEFAULT_CERT_TOL,
                    levels=(1, 2, 4), samples: int = 12, seed: int = 0) -> StarRepresentation:
     """The map tau(b) = Q^(1/2) b Q^(-1/2) with its image algebra, the span of the images
     (`image_algebra`: tau is a unital homomorphism, so nothing is closed again); q: a matrix,
-    normalised to lambda_min = 1, or a `SimilarityCertificate`, taken as it is; involution
-    (recovered when None) is applied to the basis stack at once, as an `InvolutionMap` is.
+    normalised to lambda_min = 1, or a `SimilarityCertificate`, taken as it is; involution:
+    an `InvolutionMap` (MatOrderError otherwise), applied to the basis stack at once.
 
     Verifies tau(b^sharp) = tau(b)* on the basis (residual_star) and that tau applied blockwise
     sends sampled level-n cone elements to PSD matrices (residual_cone; each level's samples are
     one `sample_many` stack).  Raises CertificationFailed when residual_star exceeds cert_tol.
     """
-    if involution is None:
-        involution = recover_involution(cone, 1, seed=seed)
+    if not isinstance(involution, InvolutionMap):
+        raise MatOrderError(f"involution must be an InvolutionMap, not {type(involution)}")
     cert = q if isinstance(q, SimilarityCertificate) else _certificate_from(q)
     frame = _frame(cert.s, algebra.ambient_dim)
     images = frame.straighten(algebra.basis)
@@ -343,7 +344,7 @@ def _polish(images: np.ndarray, from_algebra: OperatorAlgebra, val: float, grad)
 
 
 def cb_lower_bound(images: np.ndarray, from_algebra: OperatorAlgebra,
-                   k: int | None = None, seed: int = 0) -> float:
+                   k: int, seed: int = 0) -> float:
     """Lower bound for the cb norm of the basis-image map phi: the largest
     ||phi^(k)(X)|| / ||X|| found over nonzero X in M_k(A), each a feasible
     point, so the result is always a valid bound.
@@ -355,7 +356,6 @@ def cb_lower_bound(images: np.ndarray, from_algebra: OperatorAlgebra,
     two changes none of them.
     """
     images = np.asarray(images, dtype=complex)
-    k = int(images.shape[1]) if k is None else k
     if k < 1:
         raise DimensionMismatch(f"matrix level must be >= 1, got {k}")
     rng = np.random.default_rng(seed)
@@ -439,7 +439,7 @@ def reconstruct_similarity(algebra: OperatorAlgebra, cone: ConeOracle,
     if ceiling < 1:
         raise DimensionMismatch(f"matrix level must be >= 1, got {ceiling}")
     cone.level_element(1, algebra.basis)
-    involution = recover_involution(cone, 1, seed=seed)
+    involution = recover_involution(cone, seed=seed)
     space = solve_Q(_sharp_closure(algebra, cone.algebra, involution), involution)
     star = build_star_rep(algebra, cone, minimize_condition(space), involution=involution,
                           cert_tol=cert_tol, levels=levels, samples=samples, seed=seed)

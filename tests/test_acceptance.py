@@ -118,7 +118,7 @@ def test_criterion_3_entrywise_involution(std_m2, planted_sim_cone):
     for cone in (std_m2, planted_sim_cone):  # asked opaquely, so the certificate samples
         for n in (2, 4):
             cmp_rep = verify_matrix_involution(instance_oracle(cone), n, samples=10, seed=103,
-                                               involution1=recover_involution(cone, 1, seed=103))
+                                               involution1=recover_involution(cone, seed=103))
             worst = max(worst, cmp_rep.max_residual)
     ok = worst <= 1e-8
     _report(3, f"level-n involution equals entrywise transpose at n=2,4 "
@@ -136,7 +136,7 @@ def test_criterion_4_planted_similarity_recovery():
         b = conjugate_algebra(algebra, np.linalg.inv(s))
         cone = SimilarityCone(b, s)
 
-        involution = recover_involution(cone, 1, seed=104)
+        involution = recover_involution(cone, seed=104)
         space = solve_Q(b, involution)
         cert = minimize_condition(space)
         star = build_star_rep(b, cone, cert.q, involution=involution,
@@ -152,7 +152,7 @@ def test_criterion_4_planted_similarity_recovery():
 def test_criterion_5_haagerup_sandwich(worked_algebra, worked_sim_cone,
                                        span_i_e11):
     target = 1.0 + np.sqrt(2.0)
-    involution = recover_involution(worked_sim_cone, 1, seed=105)
+    involution = recover_involution(worked_sim_cone, seed=105)
     space = solve_Q(worked_algebra, involution)
     cert = minimize_condition(space)
     got = float(np.sqrt(cert.cond))

@@ -44,27 +44,27 @@ def test_real_cone_span_zero_cone(m2_full):
 
 
 def test_decompose_standard_split(std_m2):
-    x1, x2 = decompose(std_m2, 1, E12)
+    x1, x2 = decompose(std_m2, 1, E12, span=real_cone_span(std_m2, 1))
     np.testing.assert_allclose(x1, 0.5 * (E12 + E21), atol=1e-10)
     np.testing.assert_allclose(x2, (E12 - E21) / 2j, atol=1e-10)
 
 
 def test_decompose_hermitian_fixed(std_m2):
     h = np.diag([2.0, -5.0]).astype(complex)
-    x1, x2 = decompose(std_m2, 1, h)
+    x1, x2 = decompose(std_m2, 1, h, span=real_cone_span(std_m2, 1))
     np.testing.assert_allclose(x1, h, atol=1e-10)
     np.testing.assert_allclose(x2, 0 * h, atol=1e-10)
 
 
 def test_decompose_similarity_imaginary(worked_sim_cone):
-    x1, x2 = decompose(worked_sim_cone, 1, 1j * WORKED_B)
+    x1, x2 = decompose(worked_sim_cone, 1, 1j * WORKED_B, span=real_cone_span(worked_sim_cone, 1))
     np.testing.assert_allclose(x1, 0 * WORKED_B, atol=1e-10)
     np.testing.assert_allclose(x2, WORKED_B, atol=1e-10)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_involution_map_apply_and_call_agree_at_every_level(worked_sim_cone, n):
-    inv = recover_involution(worked_sim_cone, 1)
+    inv = recover_involution(worked_sim_cone)
     rng = np.random.default_rng(n)
     x = random_element(worked_sim_cone.algebra, rng, level=n)
     np.testing.assert_allclose(inv(x), worked_sim_cone.sharp_block(n, n, x), atol=1e-9)
@@ -74,8 +74,8 @@ def test_involution_map_apply_and_call_agree_at_every_level(worked_sim_cone, n):
 
 
 @pytest.mark.parametrize("consumer", [
-    lambda cone: recover_involution(cone, 1),
-    lambda cone: null_space(cone, None, 1),
+    lambda cone: recover_involution(cone),
+    lambda cone: null_space(cone, 1),
     lambda cone: real_cone_span(cone, 1),
 ], ids=["recover_involution", "null_space", "real_cone_span"])
 def test_level_consumers_reject_cones_without_matrix_levels(consumer):
@@ -84,15 +84,15 @@ def test_level_consumers_reject_cones_without_matrix_levels(consumer):
 
 
 def test_sharp_examples(std_m2, worked_sim_cone):
-    inv = recover_involution(std_m2, 1)
+    inv = recover_involution(std_m2)
     np.testing.assert_allclose(inv(E12), E21, atol=1e-10)
     np.testing.assert_allclose(inv(1j * np.eye(2)), -1j * np.eye(2), atol=1e-10)
-    inv_sim = recover_involution(worked_sim_cone, 1)
+    inv_sim = recover_involution(worked_sim_cone)
     np.testing.assert_allclose(inv_sim(WORKED_B), WORKED_B, atol=1e-9)
 
 
 def test_involution_algebraic_laws(worked_sim_cone, worked_algebra):
-    inv = recover_involution(worked_sim_cone, 1)
+    inv = recover_involution(worked_sim_cone)
     rng = np.random.default_rng(0)
     e = np.eye(2, dtype=complex)
     np.testing.assert_allclose(inv(e), e, atol=1e-9)
@@ -111,7 +111,7 @@ def test_involution_algebraic_laws(worked_sim_cone, worked_algebra):
 
 
 def test_involution_operator_bound(worked_sim_cone, worked_algebra):
-    inv = recover_involution(worked_sim_cone, 1)
+    inv = recover_involution(worked_sim_cone)
     bound, rng = inv.norm_bound(0), np.random.default_rng(1)
     for _ in range(30):
         x = random_element(worked_algebra, rng)
@@ -126,7 +126,7 @@ def test_involution_bounded_by_audited_constant(worked_sim_cone, worked_algebra)
     report = audit_star_admissible(worked_sim_cone, levels=(1, 2), samples=150,
                                    seed=7)
     k_const = report.constants["K"].value
-    inv = recover_involution(worked_sim_cone, 1)
+    inv = recover_involution(worked_sim_cone)
     rng = np.random.default_rng(8)
     for _ in range(100):
         x = random_element(worked_algebra, rng)
@@ -135,7 +135,7 @@ def test_involution_bounded_by_audited_constant(worked_sim_cone, worked_algebra)
 
 
 def test_sharp_fixes_span_and_negates_imaginary(worked_sim_cone):
-    inv = recover_involution(worked_sim_cone, 1)
+    inv = recover_involution(worked_sim_cone)
     span = real_cone_span(worked_sim_cone, 1)
     for h in span:
         np.testing.assert_allclose(inv(h), h, atol=1e-9)
@@ -143,7 +143,7 @@ def test_sharp_fixes_span_and_negates_imaginary(worked_sim_cone):
 
 
 def test_standard_sharp_is_adjoint(std_m3, m3_full):
-    inv = recover_involution(std_m3, 1)
+    inv = recover_involution(std_m3)
     rng = np.random.default_rng(2)
     worst = 0.0
     for _ in range(200):
@@ -155,7 +155,7 @@ def test_standard_sharp_is_adjoint(std_m3, m3_full):
 def test_sharp_conjugation_preserves_cone(worked_sim_cone, worked_algebra):
     # x^sharp c x stays in the cone, and the 2x2 block identity from the
     # continuity argument reproduces it at the doubled level.
-    inv = recover_involution(worked_sim_cone, 1)
+    inv = recover_involution(worked_sim_cone)
     span = real_cone_span(worked_sim_cone, 1)
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -175,7 +175,7 @@ def test_sharp_conjugation_preserves_cone(worked_sim_cone, worked_algebra):
 def test_degenerate_span_raises(m2_full):
     cone = ZeroCone(m2_full)
     with pytest.raises(DecompositionInfeasible, match="cone span is trivial"):
-        decompose(cone, 1, np.eye(2, dtype=complex))
+        decompose(cone, 1, np.eye(2, dtype=complex), span=real_cone_span(cone, 1))
 
 
 @pytest.mark.parametrize("fixture", ["std_m2", "worked_sim_cone", "planted_sim_cone"])
@@ -185,7 +185,7 @@ def test_verify_matrix_involution(fixture, level, request):
     frame = request.getfixturevalue(fixture)
     cone = instance_oracle(frame)
     cmp_rep = verify_matrix_involution(cone, level, samples=8, seed=4,
-                                       involution1=recover_involution(frame, 1, seed=4))
+                                       involution1=recover_involution(frame, seed=4))
     assert cmp_rep.max_residual <= 1e-8
     assert cmp_rep.rank == cmp_rep.need == level * level * cone.algebra.dim
     assert cmp_rep.passed
@@ -194,17 +194,21 @@ def test_verify_matrix_involution(fixture, level, request):
 def test_verify_matrix_involution_standard_tight(std_m2):
     # Both routes reduce to the matrix adjoint for standard cones.
     cmp_rep = verify_matrix_involution(instance_oracle(std_m2), 2, samples=10, seed=5,
-                                       involution1=recover_involution(std_m2, 1, seed=5))
+                                       involution1=recover_involution(std_m2, seed=5))
     assert cmp_rep.max_residual <= 1e-10
 
 
 @pytest.mark.parametrize("fixture", ["std_m2", "worked_sim_cone"])
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_batched_recovery_matches_per_element_decompose(fixture, level, request):
-    # Level 1: the batched split against one split per basis element.  Level
-    # n: the certified entrywise map against the split over the level-n span.
+    # Level 1: the batched split (the sampled one, through an instance oracle) against
+    # one split per basis element.  Level n: the certified entrywise map against the
+    # split over the level-n span.
     cone = request.getfixturevalue(fixture)
-    inv = recover_involution(cone, level, span=real_cone_span(cone, 1))
+    opaque = instance_oracle(cone)
+    inv = recover_involution(opaque)
+    if level > 1:
+        certify_level(opaque, level, inv)
     basis = amplify(cone.algebra, level).basis
     batched = inv.images if level == 1 else np.stack([inv(b) for b in basis])
     span = real_cone_span(cone, level)
@@ -216,26 +220,57 @@ def test_batched_recovery_matches_per_element_decompose(fixture, level, request)
 
 
 def test_recovery_returns_the_level_one_map_at_every_level(worked_sim_cone):
-    one = recover_involution(worked_sim_cone, 1, seed=3)
-    three = recover_involution(worked_sim_cone, 3, seed=3)
-    assert three.algebra is worked_sim_cone.algebra
-    np.testing.assert_array_equal(three.images, one.images)
-    assert three.norm_bound(3) == one.norm_bound(3)
+    # Recovery is level 1 only; certifying the map at level 3 leaves it as it was.
+    one = recover_involution(worked_sim_cone, seed=3)
+    images, bound = one.images.copy(), one.norm_bound(3)
+    cert = certify_level(instance_oracle(worked_sim_cone), 3, one, seed=3)
+    assert (cert.level, cert.provenance) == (3, "sampled") and cert.passed
+    assert one.algebra is worked_sim_cone.algebra
+    np.testing.assert_array_equal(one.images, images)
+    assert one.norm_bound(3) == bound
+
+
+def test_a_positional_level_to_recover_involution_raises(std_m2):
+    # The seed is keyword-only: a leftover level is refused, not read as a seed.
+    with pytest.raises(TypeError, match="positional"):
+        recover_involution(std_m2, 1)
+
+
+def test_a_level_n_certificate_needs_its_map(std_m2):
+    with pytest.raises(TypeError, match="involution1"):
+        verify_matrix_involution(std_m2, 2)
+
+
+@pytest.mark.parametrize("other", ["span_i_e11", "m3_full"])
+@pytest.mark.parametrize("check", [
+    lambda cone, inv: verify_matrix_involution(cone, 2, involution1=inv),
+    lambda cone, inv: certify_level(cone, 2, inv),
+], ids=["verify", "certify"])
+def test_a_map_over_another_algebra_raises_before_any_draw(other, check, m2_full, request,
+                                                            monkeypatch):
+    # A map over the diagonal algebra (dim 2) or M_3 fits M_2's level-2 samples in no shape.
+    foreign = recover_involution(StandardCone(request.getfixturevalue(other)))
+    cone = instance_oracle(StandardCone(m2_full))
+    calls = _counted_draws(monkeypatch, cone)
+    with pytest.raises(DimensionMismatch, match="involution images of shape"):
+        check(cone, foreign)
+    assert calls == []
 
 
 def test_skewed_level_cone_fails_the_residual_check(m2_full):
     cone = SkewedLevelCone(m2_full)
-    assert verify_matrix_involution(cone, 1, seed=2).passed
-    cmp_rep = verify_matrix_involution(cone, 2, seed=2)
+    inv = recover_involution(cone, seed=2)
+    assert verify_matrix_involution(cone, 1, seed=2, involution1=inv).passed
+    cmp_rep = verify_matrix_involution(cone, 2, seed=2, involution1=inv)
     assert cmp_rep.max_residual > 1e-8
     assert not cmp_rep.passed
     with pytest.raises(CertificationFailed, match="max_residual=.*rank=16, need=16"):
-        recover_involution(cone, 2, seed=2)
+        certify_level(cone, 2, inv, seed=2)
 
 
 def test_zeroed_corner_cone_fails_the_rank_check(m2_full):
     # Its samples are Hermitian, but none has mass in the corner row and column.
-    adjoint = recover_involution(StandardCone(m2_full), 1)
+    adjoint = recover_involution(StandardCone(m2_full))
     cmp_rep = verify_matrix_involution(ZeroedCornerCone(m2_full), 2, involution1=adjoint)
     assert cmp_rep.max_residual <= 1e-8
     assert cmp_rep.rank < cmp_rep.need == 16
@@ -248,7 +283,7 @@ def test_level_four_certificate_on_full_m6():
                            include_adjoints=True)
     cone = StandardCone(alg)
     cmp_rep = verify_matrix_involution(instance_oracle(cone), 4, seed=1,
-                                       involution1=recover_involution(cone, 1, seed=1))
+                                       involution1=recover_involution(cone, seed=1))
     assert cmp_rep.rank == cmp_rep.need == 16 * 36
     assert cmp_rep.passed
 
@@ -264,7 +299,7 @@ def test_wrong_level_samples_raise_dimension_mismatch(m2_full):
     # Three 4 x 4 samples at level 1 used to be read as twelve 2 x 2 ones.
     cone = _WrongLevelCone(m2_full)
     sampled = instance_oracle(cone)  # the audit and the certificate sample
-    involution1 = recover_involution(StandardCone(m2_full), 1)
+    involution1 = recover_involution(StandardCone(m2_full))
     for run in (lambda: audit_matrix_ordered(sampled, (1,), samples=3),
                 lambda: real_cone_span(cone, 1),
                 lambda: verify_matrix_involution(sampled, 1, involution1=involution1)):
@@ -332,7 +367,7 @@ def test_a_frame_cone_takes_its_involution_from_the_frame_and_draws_nothing(
         fixture, request, monkeypatch):
     cone = request.getfixturevalue(fixture)
     calls = _counted_draws(monkeypatch, cone)
-    inv = recover_involution(cone, 1, seed=2)
+    inv = recover_involution(cone, seed=2)
     assert calls == []
     np.testing.assert_array_equal(inv.images, cone.sharp_block(1, 1, cone.algebra.basis))
     assert verify_matrix_involution(instance_oracle(cone), 2, seed=2, involution1=inv).passed
@@ -343,11 +378,12 @@ def test_a_frame_cone_takes_its_involution_from_the_frame_and_draws_nothing(
 def test_a_frame_cone_certifies_every_level_by_the_theorem(fixture, level, request,
                                                            monkeypatch):
     cone = request.getfixturevalue(fixture)
-    recover_involution(cone, 1)  # the cone's set-up: A's star-closure is decided once
+    recover_involution(cone)  # the cone's set-up: A's star-closure is decided once
     calls = _counted_draws(monkeypatch, cone)
     svds, svd = [], np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(a) or svd(*a, **k))
-    cert = verify_matrix_involution(cone, level, seed=2)
+    cert = verify_matrix_involution(cone, level, seed=2,
+                                    involution1=recover_involution(cone, seed=2))
     assert calls == [] and svds == []
     assert (cert.level, cert.samples, cert.max_residual, cert.rank, cert.need) == (
         level, 0, None, None, level * level * cone.algebra.dim)
@@ -363,7 +399,8 @@ def test_full_m6_recovers_its_level_eight_involution_by_the_theorem(monkeypatch)
     certs, verify = [], involution_mod.verify_matrix_involution
     monkeypatch.setattr(involution_mod, "verify_matrix_involution",
                         lambda *a, **k: certs.append(verify(*a, **k)) or certs[-1])
-    inv = recover_involution(cone, 8, seed=1)
+    inv = recover_involution(cone, seed=1)
+    certify_level(cone, 8, inv, seed=1)
     assert calls == []
     np.testing.assert_array_equal(inv.images, cone.sharp_block(1, 1, cone.algebra.basis))
     assert [(c.level, c.samples, c.rank, c.need, c.provenance[:8]) for c in certs] == [
@@ -398,7 +435,8 @@ def test_an_overridden_sharp_block_is_sampled_and_fails(planted_sim_cone, monkey
     cert = verify_matrix_involution(cone, 2, seed=2, involution1=adjoint)
     assert calls and (cert.samples, cert.provenance) == (20, "sampled") and not cert.passed
     calls.clear()
-    assert recover_involution(cone, 2, seed=2) and calls
+    inv = recover_involution(cone, seed=2)
+    assert calls and certify_level(cone, 2, inv, seed=2).passed
 
 
 @pytest.mark.parametrize("make", [
@@ -412,18 +450,22 @@ def test_opaque_cones_keep_the_sampled_recovery_bit_for_bit(make, m2_full, m3_fu
                                                              planted_sim_cone, monkeypatch):
     cone = make(m2_full, m3_full, planted_sim_cone)
     calls = _counted_draws(monkeypatch, cone)
-    got = recover_involution(cone, 1, seed=4)
+    got = recover_involution(cone, seed=4)
     assert calls
-    want = recover_involution(cone, 1, seed=4, span=real_cone_span(cone, 1, seed=4))
+    x1, x2 = _split(cone, 1, cone.algebra.basis, real_cone_span(cone, 1, seed=4))
+    want = InvolutionMap(cone.algebra, x1 - 1j * x2)
     assert got.images.tobytes() == want.images.tobytes() and got.norm_bound(4) == want.norm_bound(4)
 
 
 def test_an_explicit_span_keeps_the_sampled_split_on_a_frame_cone(worked_sim_cone, monkeypatch):
+    # The split over an explicit span draws nothing; the frame cone's instance oracle
+    # recovers the same images by sampling that span.
     span = real_cone_span(worked_sim_cone, 1, seed=1)
     calls = _counted_draws(monkeypatch, worked_sim_cone)
-    inv = recover_involution(worked_sim_cone, 1, span=span)
     x1, x2 = _split(worked_sim_cone, 1, worked_sim_cone.algebra.basis, span)
     assert calls == []
+    inv = recover_involution(instance_oracle(worked_sim_cone), seed=1)
+    assert calls
     np.testing.assert_array_equal(inv.images, x1 - 1j * x2)
 
 
@@ -435,8 +477,8 @@ def test_the_frame_involution_is_the_sampled_one_within_its_residual(seed):
     alg = random_star_closed_algebra(rng, nmax=5)
     s = random_similarity(rng, alg.ambient_dim, 2.0)
     cone = SimilarityCone(conjugate_algebra(alg, np.linalg.inv(s)), s)
-    frame = recover_involution(cone, 1, seed=seed)
-    sampled = recover_involution(cone, 1, seed=seed, span=real_cone_span(cone, 1, seed=seed))
+    frame = recover_involution(cone, seed=seed)
+    sampled = recover_involution(instance_oracle(cone), seed=seed)
     residual = verify_matrix_involution(cone, 1, seed=seed, involution1=sampled)
     assert residual.passed
     assert verify_matrix_involution(instance_oracle(cone), 1, seed=seed,

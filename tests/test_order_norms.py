@@ -103,7 +103,7 @@ def test_cstar_identity_and_monotonicity(std_m2, m2_full):
 def test_pre_cstar_accepts_recovered_involution(worked_sim_cone):
     from matorder.involution import recover_involution
 
-    inv = recover_involution(worked_sim_cone, 1)
+    inv = recover_involution(worked_sim_cone)
     for n in (1, 2):
         e = np.eye(2 * n, dtype=complex)
         rep = pre_cstar_norm(worked_sim_cone, inv, n, e)
@@ -113,13 +113,13 @@ def test_pre_cstar_accepts_recovered_involution(worked_sim_cone):
 @pytest.mark.parametrize("fixture", ["std_m2", "worked_sim_cone"])
 def test_null_space_trivial(fixture, request):
     cone = request.getfixturevalue(fixture)
-    basis = null_space(cone, None, 1)
+    basis = null_space(cone, 1)
     assert basis.shape[0] == 0
 
 
 def test_null_space_degenerate_cone(m2_full):
     cone = AllHermitianCone(m2_full)
-    basis = null_space(cone, None, 1)
+    basis = null_space(cone, 1)
     assert basis.shape[0] == m2_full.dim
 
 

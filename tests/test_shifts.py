@@ -166,7 +166,7 @@ def test_zero_cone_reaches_fallback_and_stays_unbounded(m2_full):
 
 def test_all_hermitian_null_space_stays_full(m2_full):
     cone = AllHermitianCone(m2_full)
-    assert null_space(cone, None, 2).shape[0] == 4 * cone.algebra.dim
+    assert null_space(cone, 2).shape[0] == 4 * cone.algebra.dim
     report = audit_algebraically_admissible(cone, 1, samples=8, seed=22)
     opaque = audit_algebraically_admissible(_opaque(cone), 1, samples=8, seed=22)
     assert [c.verdict for c in report.checks] == [c.verdict for c in opaque.checks]
@@ -213,7 +213,7 @@ def test_null_space_passes_bisect_tol_to_every_norm(monkeypatch, std_m2):
         return NormReport(0.0 if small else 1.0, (0.0, 0.0), 0, 0)
 
     monkeypatch.setattr(order_norms, "pre_cstar_norm", fake)
-    out = null_space(std_m2, None, 1, bisect_tol=1e-6)
+    out = null_space(std_m2, 1, bisect_tol=1e-6)
     assert len(seen) == 2 * len(basis) + 1
     assert seen == [1e-6] * len(seen)
     assert out.shape[0] == len(basis)

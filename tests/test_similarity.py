@@ -20,8 +20,8 @@ from matorder import case_studies, similarity
 from matorder.algebra import (OperatorAlgebra, block_coords, block_synth, commutant,
                               conjugate_algebra, generate_algebra, level_residual, random_element)
 from matorder.cones import SimilarityCone, StandardCone
-from matorder.errors import (DimensionMismatch, MembershipError, NoPositiveSolution,
-                             NumericalStall)
+from matorder.errors import (DimensionMismatch, MatOrderError, MembershipError,
+                             NoPositiveSolution, NumericalStall)
 from matorder.involution import recover_involution
 from matorder.similarity import (
     _polar_point,
@@ -40,7 +40,7 @@ ONE_PLUS_SQRT2 = 1.0 + np.sqrt(2.0)
 
 
 def _worked_space(worked_algebra, worked_sim_cone):
-    inv = recover_involution(worked_sim_cone, 1)
+    inv = recover_involution(worked_sim_cone)
     return solve_Q(worked_algebra, inv)
 
 
@@ -55,7 +55,7 @@ def test_solve_Q_worked_space_shape(worked_algebra, worked_sim_cone):
 
 
 def test_solve_Q_full_matrix_algebra_is_scalars(m2_full, std_m2):
-    inv = recover_involution(std_m2, 1)
+    inv = recover_involution(std_m2)
     space = solve_Q(m2_full, inv)
     assert space.shape[0] == 1
     q = space[0]
@@ -64,7 +64,7 @@ def test_solve_Q_full_matrix_algebra_is_scalars(m2_full, std_m2):
 
 
 def test_solve_Q_star_closed_contains_identity(m3_full, std_m3):
-    inv = recover_involution(std_m3, 1)
+    inv = recover_involution(std_m3)
     space = solve_Q(m3_full, inv)
     coeffs = np.real(np.einsum("kab,ab->k", space.conj(), np.eye(3, dtype=complex)))
     recon = np.tensordot(coeffs, space, axes=(0, 0))
@@ -137,7 +137,7 @@ def test_minimize_condition_scalar_space():
 
 def test_build_star_rep_worked(worked_algebra, worked_sim_cone):
     q = mat([[1, 1], [1, 2]])
-    star = build_star_rep(worked_algebra, worked_sim_cone, q)
+    star = build_star_rep(worked_algebra, worked_sim_cone, q, recover_involution(worked_sim_cone))
     assert star.certificate.residual_star <= 1e-7
     assert star.certificate.residual_cone <= 1e-7
     assert star.image_algebra.star_closed
@@ -152,8 +152,16 @@ def test_build_star_rep_rejects_wrong_q(worked_algebra, worked_sim_cone):
     from matorder.errors import CertificationFailed
 
     with pytest.raises(CertificationFailed):
-        build_star_rep(worked_algebra, worked_sim_cone,
-                       np.diag([1.0, 5.0]).astype(complex))
+        build_star_rep(worked_algebra, worked_sim_cone, np.diag([1.0, 5.0]).astype(complex),
+                       recover_involution(worked_sim_cone))
+
+
+def test_build_star_rep_takes_only_an_involution_map(m2_full, std_m2):
+    # A per-matrix callable, which solve_Q takes, would meet the whole basis stack at once.
+    with pytest.raises(MatOrderError, match="involution must be an InvolutionMap"):
+        build_star_rep(m2_full, std_m2, np.eye(2), lambda b: b.conj().T, samples=2)
+    np.testing.assert_allclose(solve_Q(m2_full, lambda b: b.conj().T),
+                               solve_Q(m2_full, recover_involution(std_m2)), atol=1e-12)
 
 
 def test_find_pd_empty_space():
@@ -162,14 +170,14 @@ def test_find_pd_empty_space():
 
 
 def test_build_star_rep_identity_for_star_closed(m2_full, std_m2):
-    star = build_star_rep(m2_full, std_m2, np.eye(2, dtype=complex))
+    star = build_star_rep(m2_full, std_m2, np.eye(2, dtype=complex), recover_involution(std_m2))
     np.testing.assert_allclose(star.images, m2_full.basis, atol=1e-10)
     assert star.certificate.cond == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tau_injective(worked_algebra, worked_sim_cone):
     q = mat([[1, 1], [1, 2]])
-    star = build_star_rep(worked_algebra, worked_sim_cone, q)
+    star = build_star_rep(worked_algebra, worked_sim_cone, q, recover_involution(worked_sim_cone))
     flat = star.images.reshape(len(star.images), -1)
     s = np.linalg.svd(flat, compute_uv=False)
     assert s[-1] > 1e-8
@@ -178,7 +186,8 @@ def test_tau_injective(worked_algebra, worked_sim_cone):
 def test_amplified_conjugation_identity(worked_algebra, worked_sim_cone):
     # Blockwise application of tau equals the big conjugation by S kron I.
     cert = minimize_condition(_worked_space(worked_algebra, worked_sim_cone))
-    star = build_star_rep(worked_algebra, worked_sim_cone, cert.q)
+    star = build_star_rep(worked_algebra, worked_sim_cone, cert.q,
+                          recover_involution(worked_sim_cone))
     s, s_inv = cert.s, np.linalg.inv(cert.s)
     rng = np.random.default_rng(0)
     for n in (2, 3):
@@ -210,7 +219,8 @@ def test_blockwise_map_matches_block_loop(m3_full):
 
 def test_order_isomorphism_both_ways(worked_algebra, worked_sim_cone):
     cert = minimize_condition(_worked_space(worked_algebra, worked_sim_cone))
-    star = build_star_rep(worked_algebra, worked_sim_cone, cert.q)
+    star = build_star_rep(worked_algebra, worked_sim_cone, cert.q,
+                          recover_involution(worked_sim_cone))
     image_cone = StandardCone(star.image_algebra)
     s, s_inv = cert.s, np.linalg.inv(cert.s)
     rng = np.random.default_rng(1)
@@ -590,7 +600,7 @@ def test_minimize_condition_optimal_on_planted_commutative(n, seed):
     s = random_unitary(rng, n) @ np.diag(np.geomspace(1.0, 1e-2, n)) @ random_unitary(rng, n)
     planted = np.linalg.cond(s.conj().T @ s)
     b = conjugate_algebra(algebra, np.linalg.inv(s))
-    space = solve_Q(b, recover_involution(SimilarityCone(b, s), 1, seed=seed))
+    space = solve_Q(b, recover_involution(SimilarityCone(b, s), seed=seed))
     assert space.shape[0] >= 3
     cert = minimize_condition(space)
     assert cert.gap <= 1e-7 * cert.cond
@@ -709,7 +719,7 @@ def test_reconstruct_certifies_a_subalgebra_that_is_not_sharp_closed():
     full = generate_algebra([E12], include_adjoints=True)
     cone = SimilarityCone(conjugate_algebra(full, np.linalg.inv(s)), s)
     sub = OperatorAlgebra(np.stack([np.eye(2) / np.sqrt(2.0), E12]).astype(complex))
-    inv = recover_involution(cone, 1)
+    inv = recover_involution(cone)
     closure = similarity._sharp_closure(sub, cone.algebra, inv)
     assert len(commutant(sub)[1]) == 2 and closure.dim == 4 and len(commutant(closure)[1]) == 1
     [q] = solve_Q(closure, inv)
@@ -730,7 +740,7 @@ def test_principal_sqrt_rejects_a_matrix_that_is_not_positive_definite():
 
 def test_solve_Q_intertwines_two_generators(worked_algebra, worked_sim_cone, m3_full, std_m3):
     for algebra, cone in ((worked_algebra, worked_sim_cone), (m3_full, std_m3)):
-        inv, asked = recover_involution(cone, 1), []
+        inv, asked = recover_involution(cone), []
         space = solve_Q(algebra, lambda b: asked.append(b) or inv(b))
         assert len(asked) == 2 and len(space) == len(commutant(algebra)[1])
         # Every basis element is intertwined, not only the pair.
@@ -761,7 +771,8 @@ def test_reconstruct_hands_over_the_minimized_certificate_as_it_is(worked_algebr
     res = reconstruct_similarity(worked_algebra, worked_sim_cone, cb_level=1, levels=(1,))
     [cert] = made
     assert res.certificate.q is cert.q and res.certificate.gap == cert.gap
-    star = build_star_rep(worked_algebra, worked_sim_cone, 3.0 * cert.q, levels=(1,))
+    star = build_star_rep(worked_algebra, worked_sim_cone, 3.0 * cert.q,
+                          recover_involution(worked_sim_cone), levels=(1,))
     assert np.linalg.eigvalsh(star.certificate.q)[0] == pytest.approx(1.0, rel=1e-12)
 
 

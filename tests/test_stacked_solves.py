@@ -44,7 +44,7 @@ DOUBLES = [AllHermitianCone, ZeroedCornerCone, ZeroCone, SkewedLevelCone]
 
 
 def _space(cone, seed=0):
-    return solve_Q(cone.algebra, recover_involution(cone, 1, seed=seed))
+    return solve_Q(cone.algebra, recover_involution(cone, seed=seed))
 
 
 def _planted_space(seed, n):
@@ -83,7 +83,7 @@ def _involution(cone, fixture):
     """The recovered involution, or for a double (whose span may not split M_2)
     the adjoint of the standard cone it corrupts."""
     if not isinstance(fixture, type):
-        return recover_involution(cone, 1, seed=1)
+        return recover_involution(cone, seed=1)
     return InvolutionMap(cone.algebra, np.stack([b.conj().T for b in cone.algebra.basis]))
 
 
@@ -170,7 +170,7 @@ def test_real_cone_span_matches_the_per_sample_rounds(fixture, n, request, m2_fu
 @pytest.mark.parametrize("fixture", CONES)
 def test_bound_2k_and_stacked_involution_match_per_element(fixture, request):
     cone = request.getfixturevalue(fixture)
-    inv = recover_involution(cone, 1, seed=4)
+    inv = recover_involution(cone, seed=4)
     assert inv.norm_bound(4) == pytest.approx(bound_2k_per_element(cone.algebra, inv, seed=4),
                                               rel=1e-12)
     xs = cone.sample_many(2, 5, np.random.default_rng(0))
@@ -220,7 +220,7 @@ def test_similarity_cones_draw_once_per_chunk_and_round(fixture, request, monkey
     rounds = 2 * 4 * cone.algebra.dim + 8
     real_cone_span(cone, 2, seed=0)
     assert len(draws) >= 3 and set(draws) == {rounds}
-    inv = recover_involution(frame, 1)
+    inv = recover_involution(frame)
     draws.clear()
     total = 4 * cone.algebra.dim + 20
     verify_matrix_involution(cone, 2, 20, seed=0, involution1=inv)
@@ -260,5 +260,6 @@ def test_norm_identity_matches_the_per_sample_witness(doubled, m2_full):
 def test_empty_sample_stacks(std_m2, m2_full):
     report = jsym_norm_identity(m2_full.basis, m2_full, levels=(1, 2), samples=0)
     assert (report.max_deviation, report.witness) == (0.0, None)
-    star = build_star_rep(m2_full, std_m2, np.eye(2, dtype=complex), samples=0)
+    star = build_star_rep(m2_full, std_m2, np.eye(2, dtype=complex), recover_involution(std_m2),
+                          samples=0)
     assert star.certificate.residual_cone == 0.0
