@@ -9,8 +9,9 @@ S = I) and the pullback cone of `case_studies` implement it, each method one
 stacked pass, and each stacked question is decided once: `_stack` takes the
 elements as one (k, nN, nN) array (DimensionMismatch for any other shape),
 `level_element` checks the stack against M_n(A) in one `algebra._outside`
-pass, and `_certify`, the one certificate of an exact shift, asks every
-point in one `member_many` call; `_Bisection` is the one fallback search.
+pass, and `_certify`, the one certificate of an exact shift, asks every point in
+one `member_many` call, or none where `SimilarityCone`'s own PSD rule encloses
+the shift; `_Bisection` is the one fallback search.
 Audit verdicts carry replayable witnesses.  `_sampled` decides each sampled
 check: `SimilarityCone`'s own PSD rule over a star-closed A = S B S^-1 passes
 by the realisation theorem, C_n = pi^(n)^-1(M_n(A)^+), and draws nothing; any
@@ -521,16 +522,16 @@ class _Bisection:
 
 
 def _certify(cone: ConeOracle, n: int, asks) -> list:
-    """The one shift certificate, from one `member_many` call.  Per ask
-    (cs, r, width, floor, t): cs the elements (binding c first), r an exact
-    shift (None: opaque) and t the map from r to the multiple of e_n asked.
-    If r <= floor it asks t(floor) e_n + c in C_n for every c of cs, certifying
-    (floor, floor) when all are inside; else it asks the binding c at hi, mid
-    and lo and the other cs at hi and mid (mid = r + width/8, lo = max(r -
-    width/8, floor), hi = 2 mid - lo), certifying [lo, hi] when every c is
-    inside at hi and mid and the binding c is outside at lo.  An r whose
-    binding c is inside at lo (a shift placed high, or the wrong sign named
-    binding) is left uncertified.  Returns per ask (the certified bracket or
+    """The one shift certificate, from at most one `member_many` call.  Per ask (cs, r, width,
+    floor, t): cs the elements (binding c first), r an exact shift (None: opaque) and t the map
+    from r to the multiple of e_n asked.  If r <= floor it asks t(floor) e_n + c for every c,
+    certifying (floor, floor) when all are inside; else the binding c at hi, mid and lo and the
+    others at hi and mid (mid = r + width/8, lo = max(r - width/8, floor), hi = 2 mid - lo),
+    certifying [lo, hi] when every c is inside at hi and mid and the binding c outside at lo (a
+    shift placed high, or the wrong sign named binding, is left open).  A `_frame_oracle` cone
+    with its own `min_shift_pair` and unit asks nothing when every ask is `_enclosed`, nor runs
+    `level_element` on t e_n + c: `min_shift_pair` checked c, and e_n is in M_n(A) up to the
+    unit defect `OperatorAlgebra.validate` bounds.  Returns per ask (the certified bracket or
     None, the number of r asked); nothing to ask makes no call."""
     points = []
     for _, r, width, floor, _ in asks:
@@ -539,6 +540,9 @@ def _certify(cone: ConeOracle, n: int, asks) -> list:
         else:
             lo, mid = max(r - 0.125 * width, floor), r + 0.125 * width
             points.append((2.0 * mid - lo, mid, lo))
+    if _frame_oracle(cone, "min_shift_pair", "unit") and all(len(xs) == 3 and _enclosed(
+            cone, n, cs, r, t, xs) for (cs, r, *_, t), xs in zip(asks, points)):
+        return [((xs[-1], xs[0]), 0) for xs in points]
     e = cone.unit(n)
     # Per ask and c, the multiples of e_n asked: all for the binding c, all but lo for the others.
     tss = [[tuple(t(x) for x in xs[:2 if k else 3]) for k in range(len(cs))]
@@ -552,6 +556,21 @@ def _certify(cone: ConeOracle, n: int, asks) -> list:
         certified = bool(xs) and all(all(ok[:2]) for ok in got) and not any(got[0][2:])
         out.append(((xs[-1], xs[0]) if certified else None, len(xs)))
     return out
+
+
+def _enclosed(cone: SimilarityCone, n: int, cs, r: float, t, xs) -> bool:
+    """Whether `_psd_test`, deciding t e_n + c by t I + straighten(c), must find every c of cs
+    inside at t(hi) and t(mid) and the binding c outside at t(lo), xs = (hi, mid, lo).  Unrounded,
+    the slack is met from t(r) up, or from at most 2 tol^2 / (1 - tol^2) below when spec(h) spans
+    under 2 tol / (1 - tol), tol = tol_psd.  Rounding moves r and each verdict by at most delta =
+    8 nN eps cond(S) (max|t| + ||c||_F), cond(S) = 1 in the identity frame: Weyl's inequality for
+    eigvalsh's backward error nN eps ||H||, in `min_shift_pair` and in the replay, plus the
+    rounding of straighten(t e_n + c) against t I + straighten(c)."""
+    ts, ys, tol = [t(x) for x in (r, *xs)], cone.straighten(n, _stack(cone, n, cs)), cone.tol_psd
+    delta = (8.0 * len(ys[0]) * np.finfo(float).eps * (1.0 if cone.s is None else cone.frame.cond)
+             * (max(map(abs, ts)) + max(map(la.frob, cs))))
+    return (tol < 1.0 and np.abs(ys - la.dagger(ys)).max() + 2.0 * delta <= tol  # Hermitian
+            and ts[2] - ts[0] > delta and ts[0] - ts[3] > delta + 2 * tol * tol / (1 - tol * tol))
 
 
 def _exact_brackets(cone: ConeOracle, n: int, cs, scales, widths, floor: float) -> list:
@@ -792,12 +811,12 @@ def _span_checks(cone: ConeOracle, n: int) -> list:
             _verdict(names[1], f"dim_R(V cap iV) = {2 * v - rank}", wit_2iii)]
 
 
-def _frame_oracle(cone: ConeOracle) -> bool:
+def _frame_oracle(cone: ConeOracle, *also) -> bool:
     """Whether C_n and its involution are `SimilarityCone`'s own PSD rule and frame adjoint:
-    no step of its oracle is overridden."""
+    no step of its oracle, nor a method named in `also`, is overridden."""
     own = lambda m: getattr(getattr(cone, m, None), "__func__", None) is getattr(SimilarityCone, m)
     return all(map(own, ("member_many", "level_element", "straighten", "_psd_test",
-                         "sharp_block")))
+                         "sharp_block", *also)))
 
 
 # The provenance of every check that the realisation theorem decides on a `_realised` cone.

@@ -2,9 +2,11 @@
 
 The seminorm of a self-adjoint element is inf{r : r e +- a in C}, computed
 exactly as max(r(a), r(-a), 0) from one `min_shift_pair` (one
-eigensolve on a PSD-frame cone), its bracket certified by one `cones._certify`;
-only a bracket the certificate leaves open (an opaque cone, an uncertified
-value) builds a `cones._Bisection`.
+eigensolve on a PSD-frame cone), its bracket certified by one `cones._certify`,
+which on a PSD-frame cone's own oracle asks nothing, the PSD rule enclosing the
+shift; only a bracket the certificate leaves open (an opaque cone, an
+uncertified value) builds a `cones._Bisection`.  A NaN or inf entry raises
+MatOrderError before any sharp or eigensolve.
 The pre-C*-norm is the square root of the seminorm of x^sharp x, cross-checked
 against the search for inf{r : r^2 e +- x^sharp x in C}; both formulas share
 the shifts and the certificate call.
@@ -20,7 +22,7 @@ import numpy as np
 from . import _linalg as la
 from .algebra import block_synth
 from .cones import ConeOracle, _Bisection, _certify, _stack
-from .errors import CertificationFailed, NotSelfAdjoint
+from .errors import CertificationFailed, MatOrderError, NotSelfAdjoint
 
 DEFAULT_BISECT_TOL = 1e-10
 # null_space keeps the algebra basis directions whose pre-C*-norm is at most this.
@@ -31,7 +33,8 @@ NULL_TOL = 1e-6
 class NormReport:
     """Value with its oracle-certified bracket and work counters: iterations
     is 0 on the exact path, else the number of fallback bisection steps;
-    oracle_calls counts the shifts r at which the two-sided test is asked."""
+    oracle_calls counts the shifts r at which the two-sided test is asked.
+    oracle_calls 0 with iterations 0: the frame's PSD rule decided the bracket."""
 
     value: float
     bracket: tuple
@@ -43,6 +46,12 @@ def _sharp(cone: ConeOracle, n: int, involution, x: np.ndarray) -> np.ndarray:
     """x^sharp at level n: the given callable (an InvolutionMap extends entrywise
     to any level), else the cone's own `sharp_block`."""
     return cone.sharp_block(n, n, x) if involution is None else involution(x)
+
+
+def _finite(x: np.ndarray) -> np.ndarray:
+    if not np.isfinite(x).all():  # before any sharp or eigensolve sees a NaN or inf
+        raise MatOrderError("element is not finite")
+    return x
 
 
 def _check_self_adjoint(a: np.ndarray, a_sharp: np.ndarray) -> None:
@@ -105,7 +114,7 @@ def order_unit_seminorm(cone: ConeOracle, n: int, a,
     shift with a certified bracket of width bisect_tol (1 + value), or the
     bisection fallback's midpoint (see `_norm_searches`).
     """
-    a = _stack(cone, n, [a])[0]
+    a = _finite(_stack(cone, n, [a])[0])
     _check_self_adjoint(a, cone.sharp_block(n, n, a))
     return _norm_searches(cone, n, a, bisect_tol, ((False, False),))[0]
 
@@ -116,7 +125,7 @@ def pre_cstar_norm(cone: ConeOracle, involution, n: int, x,
     search for inf{r : r^2 e +- x^sharp x in C}; the two must agree to
     2 * bisect_tol (relative).  Both come from one `_norm_searches`, so from
     one pair of exact shifts and one certificate call."""
-    x = _stack(cone, n, [x])[0]
+    x = _finite(_stack(cone, n, [x])[0])
     z = _sharp(cone, n, involution, x) @ x
     _check_self_adjoint(z, _sharp(cone, n, involution, z))
     via_sqrt, direct = _norm_searches(cone, n, z, bisect_tol, ((False, True), (True, False)))

@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 from conftest import E12, random_star_closed_algebra, random_unitary
-from doubles import AllHermitianCone, PairedSpanCone, SkewedLevelCone, ZeroCone, ZeroedCornerCone
+from doubles import (
+    AllHermitianCone,
+    PairedSpanCone,
+    SkewedLevelCone,
+    ZeroCone,
+    ZeroedCornerCone,
+    instance_oracle,
+)
 from matorder import cones
 from matorder.algebra import conjugate_algebra, generate_algebra
 from matorder.cones import SimilarityCone, StandardCone, audit_star_admissible
@@ -87,9 +94,15 @@ def test_frame_r4_asks_minus_e_once_per_level_and_draws_nothing(monkeypatch, con
     calls = _recorded(monkeypatch)
     r4, bad = cones._r4_estimate(cone, LEVELS, 50, np.random.default_rng(0))
     assert bad is None
-    assert [(name, n) for name, n, _ in calls] == [("member_many", n) for n in LEVELS]
-    assert all(k <= 3 for _, _, k in calls)
+    # -e_n's shift is enclosed by the PSD rule: no level asks the oracle.
+    assert calls == []
     assert r4.level == LEVELS[-1] and np.array_equal(r4.witness[0], -cone.unit(LEVELS[-1]))
+    # The r4 bits of the certificate's replay, on an opaque copy, at the top level.
+    n, minus_e = LEVELS[-1], r4.witness[0]
+    shift_tol = 1e-9 * (1.0 + np.sqrt(cone.level_dim(n)))
+    assert cones._inf_shifts(instance_oracle(cone), n, [minus_e], cone.norm_many(n, [minus_e]),
+                             shift_tol) == [r4.value]
+    assert [(name, k) for name, k, _ in calls] == [("member_many", n)]
 
 
 def test_frame_r4_falls_back_to_bisection_without_a_certificate():
