@@ -62,12 +62,10 @@ class JSymmetricRep:
         return block_synth(block_coords(self.algebra, x), self.rho_images)
 
 
-def j_symmetrize(algebra: OperatorAlgebra, pi_images: np.ndarray | None = None) -> JSymmetricRep:
+def j_symmetrize(algebra: OperatorAlgebra, pi_images: np.ndarray) -> JSymmetricRep:
     """Double a representation of a star-closed algebra into a J-symmetric one."""
     if not algebra.star_closed:
         raise SourceNotStarClosed("doubling needs a star-closed source algebra")
-    if pi_images is None:
-        pi_images = algebra.basis
     pi_images = np.asarray(pi_images, dtype=complex)
     nn = pi_images.shape[1]
     pi_b, pi_adj = (block_synth(block_coords(algebra, x), pi_images)
@@ -86,9 +84,6 @@ class NormIdentityReport:
     witness: np.ndarray | None
     levels: tuple
     samples: int
-
-    def holds(self, tol: float = 1e-9) -> bool:
-        return self.max_deviation <= tol
 
 
 def jsym_norm_identity(images: np.ndarray, algebra: OperatorAlgebra,
@@ -127,23 +122,11 @@ class KadisonReport:
     cert_tol: float
 
     @property
-    def cb_lower(self) -> float:
-        return self.reconstruction.cb_lower
-
-    @property
-    def cb_upper(self) -> float:
-        return self.reconstruction.cb_upper
-
-    @property
-    def cb_level(self) -> int:
-        return self.reconstruction.cb_level
-
-    @property
     def passed(self) -> bool:
         return (
             self.audit.passed
             and self.rep.symmetry_residual <= 1e-10
-            and self.norm_identity.holds()
+            and self.norm_identity.max_deviation <= 1e-9
             and self.star_rep_residual <= self.cert_tol
             and self.reconstruction.sandwich_ok
         )
@@ -151,7 +134,6 @@ class KadisonReport:
 
 def kadison_pipeline(algebra: OperatorAlgebra, s: np.ndarray, levels=(1, 2),
                      samples: int = 30, seed: int = 0,
-                     cb_level: int | None = 2,
                      cert_tol: float = DEFAULT_CERT_TOL) -> KadisonReport:
     """Run the similarity case study for pi = S^-1 (.) S on a star-closed algebra.
 
@@ -161,7 +143,7 @@ def kadison_pipeline(algebra: OperatorAlgebra, s: np.ndarray, levels=(1, 2),
     certifies r4 = 1 at -e_n and samples only for K), recovers the involution, reconstructs
     the star representation, and verifies that the composition of the
     reconstruction with rho is adjoint-preserving (residual_star <= cert_tol).
-    cb_level is the ceiling of the cb lower bound's level (`reconstruct_similarity`).
+    The cb lower bound climbs to level 2 at most (`reconstruct_similarity`'s cb_level).
     """
     frame = _frame(s, algebra.ambient_dim)
     rep = j_symmetrize(algebra, frame.unstraighten(algebra.basis))
@@ -177,7 +159,7 @@ def kadison_pipeline(algebra: OperatorAlgebra, s: np.ndarray, levels=(1, 2),
                                        levels=(1,) + tuple(levels),
                                        samples=max(10, samples // 2), seed=seed)
 
-    recon = reconstruct_similarity(b_alg, cone, seed=seed, cb_level=cb_level,
+    recon = reconstruct_similarity(b_alg, cone, seed=seed, cb_level=2,
                                    cert_tol=cert_tol, levels=levels)
 
     # rho followed by the reconstruction must be adjoint-preserving.
@@ -439,14 +421,12 @@ def c1_inequality_check(samples: int = 500, seed: int = 0,
     return InequalityReport(samples, violations, float(worst))
 
 
-def c1_condition1_decay(k: int, grid: np.ndarray | None = None) -> float:
+def c1_condition1_decay(k: int, grid: np.ndarray) -> float:
     """Ratio ||c + d|| / ||c|| for c = 1 - cos(2 pi k x) and d = 2 - c, both nonnegative: it
     decays like 1/k, as c has a large derivative and c + d is constant.  Scaling c and d
     by any eps != 0 leaves it unchanged (c1_norm is homogeneous)."""
     if k < 1:
         raise DimensionMismatch(f"frequency must be >= 1, got {k}")
-    if grid is None:
-        grid = np.linspace(0.0, 1.0, max(64, 4 * k))
     grid = np.asarray(grid, dtype=float)
     if grid.size < 4 * k:
         raise GridTooCoarse(f"grid with {grid.size} points cannot resolve frequency {k}")

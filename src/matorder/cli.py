@@ -214,9 +214,9 @@ def _cmd_kadison_demo(args, config: RunConfig):
         "norm_identity_deviation": report.norm_identity.max_deviation,
         "audit": audit_to_obj(report.audit),
         "certificate": _certificate_obj(report.reconstruction.certificate),
-        "cb_lower": report.cb_lower,
-        "cb_upper": report.cb_upper,
-        "cb_level": report.cb_level,
+        "cb_lower": report.reconstruction.cb_lower,
+        "cb_upper": report.reconstruction.cb_upper,
+        "cb_level": report.reconstruction.cb_level,
         "star_rep_residual": report.star_rep_residual,
         "passed": report.passed,
     }

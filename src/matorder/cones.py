@@ -301,8 +301,9 @@ class ConeOracle(abc.ABC):
         contract (M_n)_h (x) span_basis(1), which the 2i/2iii checks use."""
         return None
 
-    def lineality_basis(self, n: int) -> list:
-        """Exact basis of C_n cap (-C_n), via the kernel of the PSD frame map.
+    def lineality_basis(self, n: int) -> list | None:
+        """Exact basis of C_n cap (-C_n), via the kernel of the PSD frame map;
+        None without an exact span.
 
         Membership has the form X in V_n with straighten(X) PSD, so the
         lineality space lies in the kernel of straighten = I_n (x) T on V_n:
@@ -312,7 +313,7 @@ class ConeOracle(abc.ABC):
         """
         kernel = self._kernel_1
         if kernel is None:
-            return []
+            return None
         self.level_dim(n)  # DimensionMismatch for n < 1, even with K_1 empty
         if not len(kernel):
             return []
@@ -624,18 +625,23 @@ def _sup_shifts_down(cone: ConeOracle, n: int, cs, widths) -> list:
 # ---------------------------------------------------------------------------
 
 def _lineality_check(cone: ConeOracle, n: int) -> AxiomCheck:
-    lin = cone.lineality_basis(n)
-    if not lin:
-        return AxiomCheck(f"pointedness-level-{n}", "pass",
-                          "C cap (-C) trivial (exact span kernel + PSD test)")
+    """C_n cap (-C_n) = {0} by the exact lineality basis; without an exact span,
+    "fail" when e_n and -e_n are both members and "unknown" otherwise."""
+    name, lin = f"pointedness-level-{n}", cone.lineality_basis(n)
+    if lin is not None and not lin:
+        return AxiomCheck(name, "pass", "C cap (-C) trivial (exact span kernel + PSD test)")
     # Prefer the unit as the reported direction when it lies in the lineality.
     e = cone.unit(n)
     try:
-        h = e if all(cone.member_many(n, [e, -e])) else lin[0]
+        unit = all(cone.member_many(n, [e, -e]))
     except MembershipError:
-        h = lin[0]
-    return AxiomCheck(f"pointedness-level-{n}", "fail",
-                      f"lineality space has dimension {len(lin)}",
+        unit = False
+    if lin is None and not unit:
+        return AxiomCheck(name, "unknown", "no exact span available")
+    h = e if unit else lin[0]
+    detail = (f"lineality space has dimension {len(lin)}" if lin is not None
+              else "e_n and -e_n are both members")
+    return AxiomCheck(name, "fail", detail,
                       Witness("lineality", n, (h, -h), None, "both signs are cone members"))
 
 
@@ -973,7 +979,7 @@ def estimate_main_constants(cone: ConeOracle, levels=(1, 2), samples: int = 60,
 # Block compression (the psi maps at finite levels)
 # ---------------------------------------------------------------------------
 
-def compress(x: np.ndarray, n: int, m: int, ambient_dim: int | None = None) -> np.ndarray:
+def compress(x: np.ndarray, n: int, m: int) -> np.ndarray:
     """psi_{n,m}: replace every diagonal 2^n-block of a level-2^m element
     with its (1,1) block and zero the rest; a linear contraction."""
     x = as_matrix(x)
@@ -982,14 +988,7 @@ def compress(x: np.ndarray, n: int, m: int, ambient_dim: int | None = None) -> n
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise DimensionMismatch(f"square matrix required, got {x.shape}")
     size = x.shape[0]
-    chunk = 2 ** (m - n)
-    if ambient_dim is None:
-        if size % (2 ** m):
-            raise DimensionMismatch(f"size {size} not divisible by 2^{m}")
-        ambient_dim = size // (2 ** m)
-    block = (2 ** n) * ambient_dim
-    if block * chunk != size:
-        raise DimensionMismatch(
-            f"size {size} != 2^{m - n} blocks of size {block}")
-    b11 = x[:block, :block]
-    return np.kron(np.eye(chunk, dtype=complex), b11)
+    if size % (2 ** m):
+        raise DimensionMismatch(f"size {size} not divisible by 2^{m}")
+    block = (2 ** n) * (size // 2 ** m)
+    return np.kron(np.eye(2 ** (m - n), dtype=complex), x[:block, :block])

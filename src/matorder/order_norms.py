@@ -143,7 +143,7 @@ def pre_cstar_norm(cone: ConeOracle, involution, n: int, x,
                       via_sqrt.oracle_calls + direct.oracle_calls)
 
 
-def null_space(cone: ConeOracle, n: int, bisect_tol: float = DEFAULT_BISECT_TOL) -> np.ndarray:
+def null_space(cone: ConeOracle, n: int) -> np.ndarray:
     """Basis of {x : |x| <= NULL_TOL} for the pre-C*-norm under the cone's own `sharp_block`.
 
     Thresholds the norm on the basis kron(E_ij, b_k) of M_n(A), built from unit
@@ -151,7 +151,7 @@ def null_space(cone: ConeOracle, n: int, bisect_tol: float = DEFAULT_BISECT_TOL)
     combinations and drops it if one escapes.  Returns a possibly empty (k, D, D) stack.
     """
     def norm(x):
-        return pre_cstar_norm(cone, None, n, x, bisect_tol=bisect_tol).value
+        return pre_cstar_norm(cone, None, n, x).value
 
     dim = cone.level_dim(n)  # LevelUnsupported for a cone without matrix levels
     d = cone.algebra.dim

@@ -152,35 +152,35 @@ def cone_to_obj(cone: ConeOracle) -> dict:
     return out
 
 
-def cone_from_obj(obj, base_dir: str = ".", pointer: str = "",
+def cone_from_obj(obj, base_dir: str = ".",
                   tol: float = DEFAULT_STRUCTURE_TOL) -> ConeOracle:
-    _expect(isinstance(obj, dict), pointer, "expected a cone object")
+    _expect(isinstance(obj, dict), "", "expected a cone object")
     variant = obj.get("variant")
     _expect(variant in ("standard", "similarity", "pullback"),
-            pointer + "/variant", "must be standard, similarity or pullback")
-    tol_psd = _number(obj.get("tol_psd", DEFAULT_TOL_PSD), pointer + "/tol_psd")
-    _expect(tol_psd > 0, pointer + "/tol_psd", "must be a positive number")
+            "/variant", "must be standard, similarity or pullback")
+    tol_psd = _number(obj.get("tol_psd", DEFAULT_TOL_PSD), "/tol_psd")
+    _expect(tol_psd > 0, "/tol_psd", "must be a positive number")
 
     def own(*fields):  # after the variant's own fields parse
-        _fields(obj, pointer, ("variant", "tol_psd") + fields, f"a {variant} cone")
+        _fields(obj, "", ("variant", "tol_psd") + fields, f"a {variant} cone")
 
     if variant == "pullback":
         grid = obj.get("grid")
-        _expect(isinstance(grid, list) and len(grid) >= 2, pointer + "/grid",
+        _expect(isinstance(grid, list) and len(grid) >= 2, "/grid",
                 "must be a list of at least two points")
-        grid = [_number(q, f"{pointer}/grid/{k}") for k, q in enumerate(grid)]
+        grid = [_number(q, f"/grid/{k}") for k, q in enumerate(grid)]
         own("grid")
         return FunctionPullbackCone(np.asarray(grid, dtype=float), float(tol_psd))
 
     alg_obj = obj.get("algebra")
     if isinstance(alg_obj, str):
         alg_obj = load_json(os.path.join(base_dir, alg_obj))
-    algebra = algebra_from_obj(alg_obj, pointer + "/algebra", tol)
+    algebra = algebra_from_obj(alg_obj, "/algebra", tol)
     if variant == "standard":
         own("algebra")
         return StandardCone(algebra, float(tol_psd))
-    s = matrix_from_obj(obj.get("S"), pointer + "/S")
-    _expect(s.shape == (algebra.ambient_dim,) * 2, pointer + "/S/dim",
+    s = matrix_from_obj(obj.get("S"), "/S")
+    _expect(s.shape == (algebra.ambient_dim,) * 2, "/S/dim",
             "must match the algebra ambient dimension")
     own("algebra", "S")
     return SimilarityCone(algebra, s, float(tol_psd))

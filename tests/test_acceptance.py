@@ -201,13 +201,13 @@ def test_criterion_7_compression_suite(std_m2):
         level = 2 ** m
         for _ in range(100):
             c = std_m2.sample(level, rng)
-            out = compress(c, n, m, ambient_dim=2)
+            out = compress(c, n, m)
             if np.linalg.norm(out, 2) > np.linalg.norm(c, 2) + 1e-10:
                 violations += 1
             if not std_m2.member(level, out):
                 violations += 1
-            lhs = compress(doubling_embed(c), n, m + 1, ambient_dim=2)
-            rhs = doubling_embed(compress(c, n, m, ambient_dim=2))
+            lhs = compress(doubling_embed(c), n, m + 1)
+            rhs = doubling_embed(compress(c, n, m))
             worst_comm = max(worst_comm, float(np.max(np.abs(lhs - rhs))))
     ok = violations == 0 and worst_comm <= 1e-10
     _report(7, f"compression: contraction + cone stability, 0 violations "

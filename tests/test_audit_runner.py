@@ -6,7 +6,9 @@ star-admissible audit."""
 import numpy as np
 
 from conftest import WORKED_S
-from doubles import ZeroedCornerCone
+import pytest
+
+from doubles import AllHermitianCone, ZeroedCornerCone
 from matorder import algebra
 from matorder.algebra import conjugate_algebra
 from matorder.cones import (
@@ -14,6 +16,7 @@ from matorder.cones import (
     StandardCone,
     _scalar_conjugations,
     audit_algebraically_admissible,
+    audit_matrix_ordered,
     audit_star_admissible,
     check_order_unit_archimedean,
     replay_witness,
@@ -42,6 +45,21 @@ class _NoSpanCone(StandardCone):
 
     def span_basis(self, n):
         return None
+
+
+class _NoSpanAllHermitianCone(AllHermitianCone):
+    """Every Hermitian element is a member, so +-e both are, and no exact span is claimed."""
+
+    def span_basis(self, n):
+        return None
+
+
+# The three audits that check pointedness, each at level 1.
+_POINTED_AUDITS = {
+    "algebraically-admissible": lambda cone: audit_algebraically_admissible(cone, 1, samples=4),
+    "matrix-ordered": lambda cone: audit_matrix_ordered(cone, (1,), samples=4),
+    "star-admissible": lambda cone: audit_star_admissible(cone, (1,), samples=4),
+}
 
 
 class _SpanSampledFromCone(ZeroedCornerCone):
@@ -77,10 +95,33 @@ def test_missing_span_basis_gives_unknown_span_verdicts(m2_full):
     for n in (1, 2):
         assert verdicts[f"span-decomposition-2i-level-{n}"] == "unknown"
         assert verdicts[f"real-imag-independence-2iii-level-{n}"] == "unknown"
-        assert verdicts[f"pointedness-level-{n}"] == "pass"
+        assert verdicts[f"pointedness-level-{n}"] == "unknown"
     assert not report.passed
     assert not report.failures()
     assert "K" in report.constants and "r4" in report.constants
+
+
+@pytest.mark.parametrize("audit", sorted(_POINTED_AUDITS))
+def test_pointedness_fails_on_plus_minus_e_without_a_span(m2_full, audit):
+    cone = _NoSpanAllHermitianCone(m2_full)
+    report = _POINTED_AUDITS[audit](cone)
+    check = {c.axiom: c for c in report.checks}["pointedness-level-1"]
+    assert check.verdict == "fail" and not report.passed
+    assert check.witness.kind == "lineality"
+    plus, minus = check.witness.members
+    np.testing.assert_array_equal(plus, cone.unit(1))
+    np.testing.assert_array_equal(minus, -cone.unit(1))
+    assert replay_witness(cone, check.witness)
+
+
+@pytest.mark.parametrize("audit", sorted(_POINTED_AUDITS))
+def test_pointedness_reads_unknown_on_an_honest_cone_without_a_span(m2_full, audit):
+    report = _POINTED_AUDITS[audit](_NoSpanCone(m2_full))
+    check = {c.axiom: c for c in report.checks}["pointedness-level-1"]
+    assert (check.verdict, check.detail, check.witness) == (
+        "unknown", "no exact span available", None)
+    assert not report.passed
+    assert not report.failures()
 
 
 def test_unbounded_seminorm_witness_replays(m2_full):

@@ -20,7 +20,7 @@ from matorder.case_studies import (
     jsym_norm_identity,
     kadison_pipeline,
 )
-from matorder.cones import estimate_main_constants
+from matorder.cones import StandardCone, compress, estimate_main_constants
 from matorder.errors import (
     CertificationFailed,
     DimensionMismatch,
@@ -28,6 +28,8 @@ from matorder.errors import (
     MatOrderError,
     SourceNotStarClosed,
 )
+from matorder.order_norms import null_space
+from matorder.serialization import cone_from_obj
 from matorder.similarity import DEFAULT_CERT_TOL
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -37,7 +39,7 @@ ONE_PLUS_SQRT2 = 1.0 + np.sqrt(2.0)
 # -- doubling ---------------------------------------------------------------
 
 def test_j_symmetrize_identity_rep(m2_full):
-    rep = j_symmetrize(m2_full)
+    rep = j_symmetrize(m2_full, m2_full.basis)
     assert rep.symmetry_residual <= 1e-12
     assert np.allclose(rep.j, rep.j.conj().T)
     np.testing.assert_allclose(rep.j @ rep.j, np.eye(4), atol=1e-12)
@@ -101,11 +103,11 @@ def test_stacked_rho_images_match_the_per_element_reference(name, request):
 
 def test_j_symmetrize_requires_star_closed(worked_algebra):
     with pytest.raises(SourceNotStarClosed):
-        j_symmetrize(worked_algebra)
+        j_symmetrize(worked_algebra, worked_algebra.basis)
 
 
 def test_norm_identity_exact_for_identity_rep(m2_full):
-    rep = j_symmetrize(m2_full)
+    rep = j_symmetrize(m2_full, m2_full.basis)
     report = jsym_norm_identity(rep.rho_images, m2_full, levels=(1, 2),
                                 samples=15, seed=3)
     assert report.max_deviation <= 1e-12
@@ -117,7 +119,7 @@ def test_norm_identity_holds_for_doubled(m2_full):
     rep = j_symmetrize(m2_full, images)
     report = jsym_norm_identity(rep.rho_images, m2_full, levels=(1, 2, 4),
                                 samples=20, seed=0)
-    assert report.holds(1e-9)
+    assert report.max_deviation <= 1e-9
 
 
 def test_norm_identity_fails_undoubled(m2_full):
@@ -137,10 +139,11 @@ def test_kadison_pipeline_worked(span_i_e11):
     report = kadison_pipeline(span_i_e11, WORKED_S, samples=20, seed=0)
     assert report.passed
     assert report.audit.passed
-    assert report.cb_lower <= report.cb_upper + 1e-6
-    assert report.cb_upper == pytest.approx(ONE_PLUS_SQRT2, abs=1e-3)
-    assert report.cb_lower >= 2.41
-    assert report.cb_upper <= level_one_inverse_bound(report.reconstruction) ** 2 * (1.0 + 1e-9)
+    recon = report.reconstruction
+    assert recon.cb_lower <= recon.cb_upper + 1e-6
+    assert recon.cb_upper == pytest.approx(ONE_PLUS_SQRT2, abs=1e-3)
+    assert recon.cb_lower >= 2.41
+    assert recon.cb_upper <= level_one_inverse_bound(recon) ** 2 * (1.0 + 1e-9)
     # Spectral-radius bound: the order-shift constant stays at 1.
     assert report.audit.constants["r4"].value <= 1.0 + 1e-6
 
@@ -153,12 +156,6 @@ def test_kadison_report_gates_the_composition_residual_at_its_cert_tol(span_i_e1
                                (1e-6, 9e-7)):
         assert replace(report, star_rep_residual=residual, cert_tol=cert_tol).passed == (
             residual <= cert_tol)
-
-
-@pytest.mark.parametrize("cb_level", [0, -1])
-def test_kadison_pipeline_rejects_a_cb_level_below_one(span_i_e11, cb_level):
-    with pytest.raises(DimensionMismatch, match="level must be >= 1"):
-        kadison_pipeline(span_i_e11, WORKED_S, samples=4, cb_level=cb_level)
 
 
 def test_kadison_pipeline_unitary(m2_full):
@@ -187,8 +184,9 @@ def test_kadison_pipeline_closes_a_near_isometric_sandwich_without_ascent(monkey
     monkeypatch.setattr(similarity, "cb_lower_bound", no_ascent)
     report = kadison_pipeline(m3_full, NEAR_ISOMETRY, samples=4, seed=0)
     assert np.linalg.cond(NEAR_ISOMETRY) == pytest.approx(1.01, abs=1e-3)
-    assert report.passed and report.cb_level == 1
-    assert report.cb_upper - report.cb_lower <= DEFAULT_CERT_TOL * report.cb_upper
+    recon = report.reconstruction
+    assert report.passed and recon.cb_level == 1
+    assert recon.cb_upper - recon.cb_lower <= DEFAULT_CERT_TOL * recon.cb_upper
 
 
 def test_kadison_pipeline_diagonal(m2_full):
@@ -385,8 +383,6 @@ def test_c1_decay_bounds_and_monotonicity():
 def test_c1_decay_pinned_value():
     # c1_norm is homogeneous: the ratio for c and d scaled by any eps != 0.
     assert c1_condition1_decay(4, np.linspace(0, 1, 64)) == 0.07947018639009361
-    # The default grid has max(64, 4k) points.
-    assert c1_condition1_decay(4) == 0.07947018639009361
 
 
 def test_c1_decay_grid_too_coarse():
@@ -397,7 +393,7 @@ def test_c1_decay_grid_too_coarse():
 @pytest.mark.parametrize("k", [0, -3])
 def test_c1_decay_rejects_frequencies_below_one(k):
     with pytest.raises(DimensionMismatch):
-        c1_condition1_decay(k)
+        c1_condition1_decay(k, np.linspace(0, 1, 64))
 
 
 def test_pullback_cone_membership_and_constants():
@@ -410,3 +406,19 @@ def test_pullback_cone_membership_and_constants():
     r1, alpha = estimate_main_constants(cone, levels=(1,), samples=30, seed=3)
     assert 0.0 < r1.value <= 2.0
     assert 0.0 < alpha.value <= 1.0 + 1e-9
+
+
+# -- options with one value in use ------------------------------------------
+
+@pytest.mark.parametrize("call", [
+    lambda alg: cone_from_obj({"variant": "standard"}, pointer="/cone"),
+    lambda alg: compress(np.eye(4, dtype=complex), 0, 1, ambient_dim=2),
+    lambda alg: kadison_pipeline(alg, WORKED_S, cb_level=2),
+    lambda alg: null_space(StandardCone(alg), 1, bisect_tol=1e-6),
+    lambda alg: j_symmetrize(alg),
+    lambda alg: c1_condition1_decay(4),
+], ids=["cone_from_obj-pointer", "compress-ambient_dim", "kadison_pipeline-cb_level",
+        "null_space-bisect_tol", "j_symmetrize-pi_images", "c1_condition1_decay-grid"])
+def test_a_removed_option_raises_type_error(m2_full, call):
+    with pytest.raises(TypeError):
+        call(m2_full)

@@ -314,7 +314,7 @@ def test_compress_fixed_point_of_embedded():
     rng = np.random.default_rng(9)
     b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     x = doubling_embed(b)
-    np.testing.assert_allclose(compress(x, 0, 1, ambient_dim=2), x, atol=1e-12)
+    np.testing.assert_allclose(compress(x, 0, 1), x, atol=1e-12)
 
 
 def test_compress_picks_first_block():
@@ -322,15 +322,15 @@ def test_compress_picks_first_block():
     x[:2, :2] = E11
     x[2:, 2:] = mat([[5, 6], [7, 8]])
     x[:2, 2:] = mat([[1, 2], [3, 4]])
-    out = compress(x, 0, 1, ambient_dim=2)
+    out = compress(x, 0, 1)
     np.testing.assert_allclose(out, np.kron(np.eye(2), E11), atol=1e-12)
 
 
 def test_compress_reads_the_ambient_dimension_off_the_size():
     # A level-2^m element of size 2^m N has N = size / 2^m.
     x = np.arange(64, dtype=complex).reshape(8, 8)
-    np.testing.assert_array_equal(compress(x, 0, 1), compress(x, 0, 1, ambient_dim=4))
-    np.testing.assert_array_equal(compress(x, 1, 2), compress(x, 1, 2, ambient_dim=2))
+    np.testing.assert_array_equal(compress(x, 0, 1), np.kron(np.eye(2), x[:4, :4]))  # N = 4
+    np.testing.assert_array_equal(compress(x, 1, 2), np.kron(np.eye(2), x[:4, :4]))  # N = 2
 
 
 def test_compress_requires_compatible_dims():
@@ -338,8 +338,6 @@ def test_compress_requires_compatible_dims():
         compress(np.eye(6, dtype=complex), 0, 2)
     with pytest.raises(DimensionMismatch):
         compress(np.eye(4, dtype=complex), 1, 0)
-    with pytest.raises(DimensionMismatch):
-        compress(np.eye(8, dtype=complex), 0, 1, ambient_dim=3)
     with pytest.raises(DimensionMismatch):
         compress(np.ones(4), 0, 1)  # not a matrix
     with pytest.raises(DimensionMismatch):
@@ -352,7 +350,7 @@ def test_compress_matches_conjugation_sum():
         size = 2 ** m * amb
         x = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
         np.testing.assert_allclose(
-            compress(x, n, m, ambient_dim=amb),
+            compress(x, n, m),
             compress_via_conjugations(x, n, m, ambient_dim=amb),
             atol=1e-12,
         )
@@ -362,7 +360,7 @@ def test_compress_contraction_and_cone_stability(std_m2):
     rng = np.random.default_rng(11)
     for _ in range(25):
         c = std_m2.sample(2, rng)
-        out = compress(c, 0, 1, ambient_dim=2)
+        out = compress(c, 0, 1)
         assert np.linalg.norm(out, 2) <= np.linalg.norm(c, 2) + 1e-10
         assert std_m2.member(2, out)
 
@@ -372,8 +370,8 @@ def test_compress_commutes_with_doubling():
     for (n, m, amb) in [(0, 1, 2), (1, 2, 2)]:
         size = 2 ** m * amb
         x = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-        lhs = compress(doubling_embed(x), n, m + 1, ambient_dim=amb)
-        rhs = doubling_embed(compress(x, n, m, ambient_dim=amb))
+        lhs = compress(doubling_embed(x), n, m + 1)
+        rhs = doubling_embed(compress(x, n, m))
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 

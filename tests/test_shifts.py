@@ -6,6 +6,7 @@ the same cone takes the bisection fallback.
 """
 
 import copy
+import inspect
 
 import numpy as np
 import pytest
@@ -205,7 +206,10 @@ def test_null_space_passes_bisect_tol_to_every_norm(monkeypatch, std_m2):
     basis = std_m2.algebra.basis
     seen = []
 
-    def fake(cone, involution, n, x, bisect_tol=None):
+    # The real norm's own default, which null_space leaves in place.
+    default = inspect.signature(pre_cstar_norm).parameters["bisect_tol"].default
+
+    def fake(cone, involution, n, x, bisect_tol=default):
         seen.append(bisect_tol)
         # Basis directions look null, their combination does not: this
         # forces the one-by-one re-verification.
@@ -213,7 +217,7 @@ def test_null_space_passes_bisect_tol_to_every_norm(monkeypatch, std_m2):
         return NormReport(0.0 if small else 1.0, (0.0, 0.0), 0, 0)
 
     monkeypatch.setattr(order_norms, "pre_cstar_norm", fake)
-    out = null_space(std_m2, 1, bisect_tol=1e-6)
+    out = null_space(std_m2, 1)
     assert len(seen) == 2 * len(basis) + 1
-    assert seen == [1e-6] * len(seen)
+    assert seen == [DEFAULT_BISECT_TOL] * len(seen)
     assert out.shape[0] == len(basis)
