@@ -102,6 +102,8 @@ def _cmd_close_algebra(args, config: RunConfig):
     if not isinstance(obj, list) or not obj:
         raise SchemaError("", "generators file must hold a nonempty list of matrices")
     gens = [matrix_from_obj(g, f"/{k}") for k, g in enumerate(obj)]
+    for k, gen in enumerate(gens):
+        _expect(len(gen) == len(gens[0]), f"/{k}/dim", "must equal the first generator's size")
     algebra = generate_algebra(gens, include_adjoints=args.include_adjoints,
                                tol=config.structure_tol, max_dim=args.max_dim)
     return EXIT_OK, {

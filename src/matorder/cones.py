@@ -3,7 +3,7 @@ constant estimators, and the block-compression map.
 
 The oracle protocol is stacked: `member_many`, `sample_many`, `sample_span_many`,
 `norm_many` and `min_shift_pair` (both signs' exact shifts, of an element or a stack)
-are the contract, and `member`, `sample`, `sample_span` and `norm` their one-element calls.
+are the contract, and a one-element question is a stack of one.
 `SimilarityCone` (Hermitian PSD after a fixed similarity S; `StandardCone` is
 S = I) and the pullback cone of `case_studies` implement it, each method one
 stacked pass, and each stacked question is decided once: `_stack` takes the
@@ -169,10 +169,10 @@ class ConeAuditReport:
 def replay_witness(cone: "ConeOracle", witness: Witness) -> bool:
     """True when the recorded violation reproduces under fresh evaluation.
 
-    Membership kinds re-test the oracle; the span kinds re-run the exact
-    linear algebra (an element outside span + i*span, or a nonzero element
-    of span cap i*span); a norm comparison re-measures ||a|| and ||a + ib||
-    of its pair (a, b).
+    Membership kinds re-test the members and the outside in one `member_many`
+    call; the span kinds re-run the exact linear algebra (an element outside
+    span + i*span, or a nonzero element of span cap i*span); a norm comparison
+    re-measures ||a|| and ||a + ib|| of its pair (a, b).
     """
     if witness.kind == "norm-comparison":
         if len(witness.members) != 2:
@@ -191,9 +191,9 @@ def replay_witness(cone: "ConeOracle", witness: Witness) -> bool:
         vec = la.real_vec(witness.members[0])
         return float(np.linalg.norm(vec)) > 1e-10 and all(
             la.project_residual(la.orthonormalize_rows(r), vec) <= 1e-8 for r in (rows, irows))
-    if not all(cone.member(witness.level, m) for m in witness.members):
-        return False
-    return witness.outside is None or not cone.member(witness.level, witness.outside)
+    outside, k = [] if witness.outside is None else [witness.outside], len(witness.members)
+    verdicts = cone.member_many(witness.level, [*witness.members, *outside])
+    return all(verdicts[:k]) and not any(verdicts[k:])
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +233,6 @@ class ConeOracle(abc.ABC):
     def unit(self, n: int) -> np.ndarray:
         return np.eye(self.level_dim(n), dtype=complex)
 
-    def norm(self, n: int, x) -> float:
-        """Ambient norm of one level-n element: `norm_many` of one."""
-        return self.norm_many(n, [x])[0]
-
     def norm_many(self, n: int, xs) -> list:
         """Operator norm of each level-n element of xs, from one stacked
         `la.opnorm` (one values-only SVD), with each matrix's bits."""
@@ -246,10 +242,6 @@ class ConeOracle(abc.ABC):
         return as_matrix(x) @ as_matrix(y)
 
     # -- oracle ------------------------------------------------------------
-
-    def member(self, n: int, x) -> bool:
-        """Whether x is in C_n: `member_many` of one."""
-        return self.member_many(n, [x])[0]
 
     @abc.abstractmethod
     def member_many(self, n: int, xs) -> list:
@@ -279,14 +271,6 @@ class ConeOracle(abc.ABC):
         return x
 
     # -- sampling ----------------------------------------------------------
-
-    def sample(self, n: int, rng: np.random.Generator):
-        """One random cone element: `sample_many` of one."""
-        return self.sample_many(n, 1, rng)[0]
-
-    def sample_span(self, n: int, rng: np.random.Generator):
-        """One random element of span_R(C_n - C_n): `sample_span_many` of one."""
-        return self.sample_span_many(n, 1, rng)[0]
 
     @abc.abstractmethod
     def sample_many(self, n: int, k: int, rng: np.random.Generator):
@@ -377,9 +361,6 @@ class SimilarityCone(ConeOracle):
     def straighten(self, n: int, x) -> np.ndarray:
         return self.frame.straighten(x)
 
-    def unstraighten(self, n: int, y) -> np.ndarray:
-        return self.frame.unstraighten(y)
-
     def member_many(self, n: int, xs) -> list:
         """One M_n(A) check, one straighten and one `_psd_test` (one LAPACK call
         per matrix, so each verdict is that of the element asked alone)."""
@@ -427,7 +408,7 @@ class SimilarityCone(ConeOracle):
         span, (g + g*)/2, carried back by one blockwise unstraighten."""
         alg = self.straight_algebra
         g = block_synth(la.random_complex_many(rng, k, (n, n, alg.dim)), alg.basis)
-        return self.unstraighten(n, 0.5 * (g + la.dagger(g)) if span else la.dagger(g) @ g)
+        return self.frame.unstraighten(0.5 * (g + la.dagger(g)) if span else la.dagger(g) @ g)
 
     def span_basis(self, n: int) -> np.ndarray:
         """Level 1: the straightened algebra's Hermitian part carried back by S;
@@ -438,7 +419,7 @@ class SimilarityCone(ConeOracle):
             else:
                 span = hermitian_part_basis(self.straight_algebra)
                 if self.s is not None:
-                    span = la.orthonormal_stack(self.unstraighten(1, span))
+                    span = la.orthonormal_stack(self.frame.unstraighten(span))
             self._spans[n] = _freeze(span)
         return self._spans[n]
 
@@ -713,8 +694,8 @@ def _order_unit_checks(cone: ConeOracle, n: int, trials: int,
             # The conclusion is membership "within tol_psd": one extra slack of
             # tol_psd absorbs the bisection landing on the oracle's fuzzy edge.
             if all(inside[4 * k:4 * k + 4]):
-                yield Witness("archimedean", n, (),
-                              boundary + cone.tol_psd * (1.0 + cone.norm(n, boundary)) * e,
+                slack = cone.tol_psd * (1.0 + cone.norm_many(n, [boundary])[0])
+                yield Witness("archimedean", n, (), boundary + slack * e,
                               "member at every r > 0 but not at r = 0")
 
     return [_sampled(cone, "order-unit", "exact or bisected shift r with r e + a in C",

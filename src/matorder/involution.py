@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg as la
-from .algebra import OperatorAlgebra, _outside, as_matrix, block_coords, block_synth
+from .algebra import OperatorAlgebra, _outside, block_coords, block_synth
 from .cones import _THEOREM, ConeOracle, _realised, _stack
 from .errors import (CertificationFailed, DecompositionInfeasible, DecompositionNotUnique,
                      DimensionMismatch, SpanUnstable)
@@ -82,13 +82,14 @@ def real_cone_span(cone: ConeOracle, n: int = 1, seed: int = 0) -> np.ndarray:
     return basis
 
 
-def _split(cone: ConeOracle, n: int, xs: np.ndarray, span: np.ndarray) -> tuple:
-    """Unique splits x = x1 + i x2 of every matrix of the stack xs over the real
-    span V: one SVD decides the rank and solves for all right-hand sides.  One
-    `_outside` pass raises MembershipError for the first x outside M_n(A), and
-    one pass over the splits DecompositionInfeasible for the first that misses
-    its x by more than structure_tol (1 + ||x||_F): a V tilted out of M_n(A)
-    (a sampled span at large cond(S)) splits no x exactly."""
+def decompose(cone: ConeOracle, n: int, xs: np.ndarray, span: np.ndarray) -> tuple:
+    """Unique splits x = x1 + i x2 of every matrix of the (k, nN, nN) stack xs over
+    the real span V, a real basis of span_R(C_n - C_n), as the stacks (x1, x2): one
+    SVD decides the rank and solves for all right-hand sides.  One `_outside` pass
+    raises MembershipError for the first x outside M_n(A), and one pass over the
+    splits DecompositionInfeasible for the first that misses its x by more than
+    structure_tol (1 + ||x||_F): a V tilted out of M_n(A) (a sampled span at large
+    cond(S)) splits no x exactly."""
     v = span.shape[0]
     cone.level_dim(n)  # LevelUnsupported for a cone without matrix levels
     lvl_dim = n * n * cone.algebra.dim
@@ -116,12 +117,6 @@ def _split(cone: ConeOracle, n: int, xs: np.ndarray, span: np.ndarray) -> tuple:
         raise DecompositionInfeasible(
             f"decomposition residual {miss[over[0]]:.3g} outside tolerance")
     return x1, x2
-
-
-def decompose(cone: ConeOracle, n: int, x, span: np.ndarray) -> tuple:
-    """Unique split x = x1 + i x2 with x1, x2 in span, a real basis of span_R(C_n - C_n)."""
-    x1, x2 = _split(cone, n, as_matrix(x)[None], span)
-    return x1[0], x2[0]
 
 
 @dataclass(frozen=True)
@@ -159,7 +154,7 @@ def recover_involution(cone: ConeOracle, *, seed: int = 0) -> InvolutionMap:
     cone.level_dim(1)  # LevelUnsupported for a cone without matrix levels
     if _realised(cone):
         return InvolutionMap(cone.algebra, cone.sharp_block(1, 1, cone.algebra.basis))
-    x1, x2 = _split(cone, 1, cone.algebra.basis, real_cone_span(cone, 1, seed=seed))
+    x1, x2 = decompose(cone, 1, cone.algebra.basis, real_cone_span(cone, 1, seed=seed))
     return InvolutionMap(cone.algebra, x1 - 1j * x2)
 
 

@@ -6,7 +6,9 @@ Complex entries are [re, im] pairs.  Every report goes out through one
 a decimal point or an exponent, so an integral float stays a float and -0.0
 keeps its sign.  Identical inputs and seeds produce byte-identical reports.
 Loaders raise SchemaError with a JSON-pointer path on malformed input, on an
-algebra whose `star_closed` its basis contradicts, and at any unknown key.
+algebra whose `star_closed` its basis contradicts, on a pullback grid that
+leaves [0, 1] or does not increase strictly, and at any unknown key, a matrix
+object's included.
 """
 
 from __future__ import annotations
@@ -102,6 +104,7 @@ def matrix_from_obj(obj, pointer: str = "") -> np.ndarray:
                     f"{pointer}/entries/{i}/{j}", "expected an [re, im] pair")
             out[i, j] = complex(*(_number(v, f"{pointer}/entries/{i}/{j}/{k}")
                                   for k, v in enumerate(pair)))
+    _fields(obj, pointer, ("dim", "entries"), "a matrix")
     return out
 
 
@@ -168,7 +171,10 @@ def cone_from_obj(obj, base_dir: str = ".",
         grid = obj.get("grid")
         _expect(isinstance(grid, list) and len(grid) >= 2, "/grid",
                 "must be a list of at least two points")
-        grid = [_number(q, f"/grid/{k}") for k, q in enumerate(grid)]
+        for k, q in enumerate(grid):  # the conditions C1Sample checks, point by point
+            _expect(-1e-12 <= _number(q, f"/grid/{k}") <= 1.0 + 1e-12, f"/grid/{k}",
+                    "must lie in [0, 1]")
+            _expect(k == 0 or q > grid[k - 1], f"/grid/{k}", "must exceed the point before it")
         own("grid")
         return FunctionPullbackCone(np.asarray(grid, dtype=float), float(tol_psd))
 

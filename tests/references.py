@@ -420,8 +420,8 @@ def sampled_checks(cone: ConeOracle, n: int, levels, samples: int, seed: int) ->
                                       zip(bounds, scales) for r in (1e-2, 1e-4, 1e-6, 1e-8)])
         for k, boundary in enumerate(bounds):
             if all(inside[4 * k:4 * k + 4]):
-                yield Witness("archimedean", n, (),
-                              boundary + cone.tol_psd * (1.0 + cone.norm(n, boundary)) * e,
+                slack = cone.tol_psd * (1.0 + cone.norm_many(n, [boundary])[0])
+                yield Witness("archimedean", n, (), boundary + slack * e,
                               "member at every r > 0 but not at r = 0")
 
     def differences():
@@ -723,13 +723,13 @@ def cb_lower_bound_two_stage(images: np.ndarray, from_algebra: OperatorAlgebra,
 
 
 def real_cone_span_per_sample(cone: ConeOracle, n: int = 1, seed: int = 0) -> np.ndarray:
-    """`real_cone_span`'s sampled basis, its rounds drawn one `sample` at a time
+    """`real_cone_span`'s sampled basis, its rounds drawn one element at a time
     (without the exact-span cross-check)."""
     rng = np.random.default_rng(seed)
     samples = 2 * n * n * cone.algebra.dim + 8
     drawn, stable, last = [], 0, -1
     for _ in range(SPAN_ROUNDS):
-        drawn += [cone.sample(n, rng) for _ in range(samples)]
+        drawn += [cone.sample_many(n, 1, rng)[0] for _ in range(samples)]
         basis = la.orthonormal_stack(np.stack(drawn))
         if basis.shape[0] == last:
             stable += 1
@@ -756,14 +756,14 @@ def bound_2k_per_element(algebra: OperatorAlgebra, involution, seed: int = 0) ->
 
 def verify_matrix_involution_per_sample(cone: ConeOracle, n: int, samples: int, seed: int,
                                         involution1) -> InvolutionComparison:
-    """`verify_matrix_involution`, one `sample` and one residual per row."""
+    """`verify_matrix_involution`, one draw and one residual per row."""
     need = n * n * cone.algebra.dim
     upper = np.triu_indices(n)
     rng = np.random.default_rng(seed + 5)
     worst = 0.0
     rows = np.empty((need + samples, len(upper[0]) * 2 * cone.algebra.dim))
     for row in rows:
-        x = cone.sample(n, rng)
+        x = cone.sample_many(n, 1, rng)[0]
         worst = max(worst, la.frob(x - involution1(x)) / (1.0 + la.frob(x)))
         row[:] = la.real_vec(block_coords(cone.algebra, x)[upper])
     return InvolutionComparison(n, float(worst), samples, la.rank(rows), need)
@@ -780,7 +780,7 @@ def residual_cone_kron(cone: ConeOracle, s: np.ndarray, levels, samples: int,
         eye = np.eye(n, dtype=complex)
         s_n, s_inv_n = np.kron(eye, s), np.kron(eye, s_inv)
         for _ in range(samples):
-            y = s_n @ cone.sample(n, rng) @ s_inv_n
+            y = s_n @ cone.sample_many(n, 1, rng)[0] @ s_inv_n
             defect = max(herm_defect(y), -min_eig(y))
             residual = max(residual, defect / (1.0 + la.opnorm(y)))
     return residual
@@ -819,7 +819,7 @@ def pullback_trig(cone, rng: np.random.Generator) -> C1Sample:
 
 
 def pullback_member(cone, x: C1Sample) -> bool:
-    """The pullback cone's test for one sample (the earlier `member`)."""
+    """The pullback cone's test for one sample, element by element."""
     scale = 1.0 + np.max(np.abs(x.f_values)) + np.max(np.abs(x.f_derivs))
     if max(np.max(np.abs(x.f_values.imag)), np.max(np.abs(x.f_derivs.imag))) \
             > cone.tol_psd * scale:

@@ -63,7 +63,7 @@ def test_criterion_1_order_norm_oracle_equivalence():
         algebra = random_star_closed_algebra(rng, n=6)
         cone = StandardCone(algebra)
         for _ in range(10):
-            a = cone.sample_span(1, rng)
+            a = cone.sample_span_many(1, 1, rng)[0]
             semi = order_unit_seminorm(cone, 1, a).value
             spectral = float(np.max(np.abs(np.linalg.eigvalsh(a))))
             worst_semi = max(worst_semi, abs(semi - spectral))
@@ -95,7 +95,7 @@ def test_criterion_2_norm_formula_agreement():
         e = np.eye(algebra.ambient_dim, dtype=complex)
 
         def pred(r):
-            return cone.member(1, r * r * e + z) and cone.member(1, r * r * e - z)
+            return all(cone.member_many(1, [r * r * e + z, r * r * e - z]))
 
         lo, hi = 0.0, np.sqrt(2.0 * np.linalg.norm(z, 2) + 1.0)
         if pred(0.0):
@@ -171,8 +171,8 @@ def test_criterion_6_standard_cone_constants(std_m2, std_m3):
     rng = np.random.default_rng(106)
     k_est = 0.0
     for _ in range(500):
-        a = std_m3.sample_span(1, rng)
-        b = std_m3.sample_span(1, rng)
+        a = std_m3.sample_span_many(1, 1, rng)[0]
+        b = std_m3.sample_span_many(1, 1, rng)[0]
         denom = np.linalg.norm(a + 1j * b, 2)
         if denom > 1e-12:
             k_est = max(k_est, np.linalg.norm(a, 2) / denom)
@@ -200,11 +200,11 @@ def test_criterion_7_compression_suite(std_m2):
     for (n, m) in ((0, 1), (1, 2)):
         level = 2 ** m
         for _ in range(100):
-            c = std_m2.sample(level, rng)
+            c = std_m2.sample_many(level, 1, rng)[0]
             out = compress(c, n, m)
             if np.linalg.norm(out, 2) > np.linalg.norm(c, 2) + 1e-10:
                 violations += 1
-            if not std_m2.member(level, out):
+            if not std_m2.member_many(level, [out])[0]:
                 violations += 1
             lhs = compress(doubling_embed(c), n, m + 1)
             rhs = doubling_embed(compress(c, n, m))

@@ -8,7 +8,7 @@ import numpy as np
 from conftest import WORKED_S
 import pytest
 
-from doubles import AllHermitianCone, ZeroedCornerCone
+from doubles import AllHermitianCone, GappedCone, SkewedLevelCone, ZeroCone, ZeroedCornerCone
 from matorder import algebra
 from matorder.algebra import conjugate_algebra
 from matorder.cones import (
@@ -130,7 +130,7 @@ def test_unbounded_seminorm_witness_replays(m2_full):
     check = {c.axiom: c for c in report.checks}["order-unit"]
     assert check.verdict == "fail"
     # The sample itself is a cone member; its negative is the escape.
-    assert cone.member(1, -check.witness.outside)
+    assert cone.member_many(1, [-check.witness.outside])[0]
     assert replay_witness(cone, check.witness)
 
 
@@ -141,7 +141,7 @@ def test_audit_fails_order_unit_with_the_negated_span_sample(m2_full):
     assert check.verdict == "fail"
     # a is a cone sample, so r e + a enters C at r = 0; r e - a never does.
     assert check.witness.note == "no shift r e - a entered the cone"
-    assert cone.member(1, -check.witness.outside)
+    assert cone.member_many(1, [-check.witness.outside])[0]
     assert replay_witness(cone, check.witness)
 
 
@@ -159,7 +159,7 @@ def test_scalar_conjugations_add_permutation_and_row_selection(m2_full):
     np.testing.assert_allclose(got[1].outside, perm.T @ c @ perm, atol=0)
     assert not got[0].outside[2:].any() and not got[0].outside[:, 2:].any()
     for w in got:
-        assert cone.member(w.level, w.outside)
+        assert cone.member_many(w.level, [w.outside])[0]
         assert not replay_witness(cone, w)  # nothing escaped an honest cone
 
 
@@ -186,7 +186,7 @@ def test_rectangular_conjugation_witnesses_replay(m2_full):
     cone = ZeroedCornerCone(m2_full)
     rng = np.random.default_rng(1)
     escapes = [w for w in _scalar_conjugations(cone, (1, 2), 3, rng)
-               if not cone.member(w.level, w.outside)]
+               if not cone.member_many(w.level, [w.outside])[0]]
     assert escapes
     for w in escapes:
         assert replay_witness(cone, w)
@@ -225,3 +225,24 @@ def test_conic_combination_witness_replays_from_one_stacked_draw(monkeypatch, m2
         lam, beta = (float(t) for t in check.witness.note[14:-1].split(", "))
         np.testing.assert_allclose(outside, lam * c1 + beta * c2, atol=2e-3)
         assert replay_witness(cone, check.witness)
+
+
+_SPAN_KINDS = ("norm-comparison", "span-deficiency", "span-overlap")
+
+
+@pytest.mark.parametrize("double", [AllHermitianCone, ZeroedCornerCone, ZeroCone,
+                                    SkewedLevelCone, GappedCone])
+def test_replay_keeps_the_element_by_element_verdict_on_every_double_witness(double, m2_full):
+    # One stacked call decides each membership witness as asking its members,
+    # then its outside, one element at a time did.
+    cone = double(m2_full)
+    witnesses = [c.witness for report in (
+        audit_algebraically_admissible(cone, n=1, samples=6, seed=3),
+        audit_matrix_ordered(cone, levels=(1, 2), samples=6, seed=3),
+        audit_star_admissible(cone, levels=(1, 2), samples=6, seed=3),
+    ) for c in report.checks if c.witness is not None and c.witness.kind not in _SPAN_KINDS]
+    assert witnesses
+    for w in witnesses:
+        one_at_a_time = (all(cone.member_many(w.level, [m])[0] for m in w.members)
+                         and (w.outside is None or not cone.member_many(w.level, [w.outside])[0]))
+        assert replay_witness(cone, w) == one_at_a_time

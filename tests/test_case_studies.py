@@ -400,9 +400,9 @@ def test_pullback_cone_membership_and_constants():
     grid = np.linspace(0, 1, 64)
     cone = FunctionPullbackCone(grid)
     rng = np.random.default_rng(2)
-    c = cone.sample(1, rng)
-    assert cone.member(1, c)
-    assert not cone.member(1, (-1.0) * c + (-0.1) * cone.unit(1))
+    c = cone.sample_many(1, 1, rng)[0]
+    assert cone.member_many(1, [c])[0]
+    assert not cone.member_many(1, [(-1.0) * c + (-0.1) * cone.unit(1)])[0]
     r1, alpha = estimate_main_constants(cone, levels=(1,), samples=30, seed=3)
     assert 0.0 < r1.value <= 2.0
     assert 0.0 < alpha.value <= 1.0 + 1e-9

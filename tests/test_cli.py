@@ -15,7 +15,7 @@ from matorder.algebra import DEFAULT_STRUCTURE_TOL, OperatorAlgebra, generate_al
 from matorder.case_studies import FunctionPullbackCone
 from matorder.cli import run
 from matorder.cones import DEFAULT_TOL_PSD, StandardCone, estimate_main_constants
-from matorder.errors import LevelUnsupported, MatOrderError, SchemaError
+from matorder.errors import DimensionMismatch, LevelUnsupported, MatOrderError, SchemaError
 from matorder.order_norms import DEFAULT_BISECT_TOL
 from matorder.serialization import (
     algebra_from_obj,
@@ -72,7 +72,7 @@ def test_algebra_roundtrip(m2_full):
 def test_cone_roundtrip(std_m2):
     again = cone_from_obj(cone_to_obj(std_m2))
     assert isinstance(again, StandardCone)
-    assert again.member(1, np.eye(2, dtype=complex))
+    assert again.member_many(1, [np.eye(2, dtype=complex)])[0]
 
 
 def test_pullback_cone_roundtrip():
@@ -463,6 +463,56 @@ def test_an_algebra_file_with_an_unknown_key_exits_4(workdir, tmp_path, capsys):
     code, rep = _run(workdir, ["kadison-demo", "--algebra", str(tmp_path / "m2.json"),
                                "--similarity", str(workdir / "S.json")], capsys)
     assert code == 4 and rep["error"]["pointer"] == "/unit"
+
+
+@pytest.mark.parametrize("where, pointer", [
+    ("S", "/S/extra"),
+    ("basis", "/algebra/basis/0/extra"),
+    ("generators", "/0/extra"),
+])
+def test_a_matrix_object_with_an_unknown_key_exits_4_at_that_key(workdir, capsys, tmp_path,
+                                                                 where, pointer):
+    if where == "generators":
+        obj, args = [dict(matrix_to_obj(E12), extra=1)], ["close-algebra", "--generators"]
+    else:
+        obj, args = json.loads((workdir / "sim_cone.json").read_text()), ["check-cones", "--cone"]
+        (obj["S"] if where == "S" else obj["algebra"]["basis"][0])["extra"] = 1
+    (tmp_path / "extra.json").write_text(canonical_json(obj))
+    code, rep = _run(workdir, args + [str(tmp_path / "extra.json"), "--samples", "5"], capsys)
+    assert code == 4 and "result" not in rep
+    assert rep["error"]["type"] == "SchemaError" and rep["error"]["pointer"] == pointer
+
+
+@pytest.mark.parametrize("grid", [[0.5, 0.2], [0.0, 2.0]])
+def test_a_pullback_grid_not_increasing_in_the_unit_interval_exits_4(workdir, capsys, tmp_path,
+                                                                     grid):
+    (tmp_path / "grid.json").write_text(canonical_json({"variant": "pullback", "grid": grid}))
+    code, rep = _run(workdir, ["check-cones", "--cone", str(tmp_path / "grid.json"),
+                               "--samples", "5"], capsys)
+    assert code == 4 and "result" not in rep
+    assert rep["error"]["type"] == "SchemaError" and rep["error"]["pointer"] == "/grid/1"
+
+
+def test_a_pullback_grid_loads_within_the_slack_of_its_samples():
+    # C1Sample's 1e-12 slack at 0 and 1, and nothing more.
+    grid = [-1e-13, 0.5, 1.0 + 1e-13]
+    assert list(cone_from_obj({"variant": "pullback", "grid": grid}).grid) == grid
+    for bad, k in (([-1e-11, 1.0], 0), ([0.0, 1.0 + 1e-11], 1), ([0.0, 0.5, 0.5], 2)):
+        with pytest.raises(SchemaError) as err:
+            cone_from_obj({"variant": "pullback", "grid": bad})
+        assert err.value.pointer == f"/grid/{k}"
+
+
+def test_close_algebra_with_generators_of_mixed_sizes_exits_4(workdir, capsys, tmp_path):
+    mats = [np.eye(n, dtype=complex) for n in (2, 3, 2)]
+    (tmp_path / "mixed.json").write_text(canonical_json([matrix_to_obj(m) for m in mats]))
+    code, rep = _run(workdir, ["close-algebra", "--generators", str(tmp_path / "mixed.json")],
+                     capsys)
+    assert code == 4 and "result" not in rep
+    assert rep["error"]["type"] == "SchemaError" and rep["error"]["pointer"] == "/1/dim"
+    # Library callers keep the typed numerical error.
+    with pytest.raises(DimensionMismatch, match="generators have mixed dimensions"):
+        generate_algebra(mats)
 
 
 def test_every_benchmark_input_file_loads(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ from conftest import E11, E12, WORKED_B, WORKED_S, mat, random_similarity, rando
 from doubles import AllHermitianCone, PairedSpanCone, ZeroCone, ZeroedCornerCone
 from matorder import _linalg as la
 from matorder import cones as cones_mod
+from matorder import involution as involution_mod
 from matorder.algebra import (
     OperatorAlgebra,
     _outside,
@@ -29,27 +30,27 @@ from matorder.cones import (
 )
 from matorder.errors import (DimensionMismatch, MembershipError, NumericalStall,
                              SourceNotStarClosed)
-from matorder.involution import _split
+from matorder.involution import decompose
 from matorder.order_norms import order_unit_seminorm
 from references import amplify, compress_via_conjugations, membership_residual
 from test_shifts import _opaque
 
 
 def test_member_unit_and_indefinite(std_m2):
-    assert std_m2.member(1, np.eye(2, dtype=complex))
-    assert not std_m2.member(1, np.diag([1.0, -1.0]).astype(complex))
+    assert std_m2.member_many(1, [np.eye(2, dtype=complex)])[0]
+    assert not std_m2.member_many(1, [np.diag([1.0, -1.0]).astype(complex)])[0]
 
 
 def test_member_raises_outside_algebra(span_i_e11):
     cone = StandardCone(span_i_e11)
     with pytest.raises(MembershipError):
-        cone.member(1, E12)
+        cone.member_many(1, [E12])[0]
 
 
 def test_similarity_member_worked_instance(worked_sim_cone):
     # S b S^-1 = E_11, which is PSD.
-    assert worked_sim_cone.member(1, WORKED_B)
-    assert not worked_sim_cone.member(1, -WORKED_B)
+    assert worked_sim_cone.member_many(1, [WORKED_B])[0]
+    assert not worked_sim_cone.member_many(1, [-WORKED_B])[0]
 
 
 def test_similarity_member_matches_straightened(worked_sim_cone):
@@ -57,12 +58,12 @@ def test_similarity_member_matches_straightened(worked_sim_cone):
     std = StandardCone(worked_sim_cone.straight_algebra)
     for n in (1, 2):
         for _ in range(10):
-            c = worked_sim_cone.sample(n, rng)
-            assert worked_sim_cone.member(n, c)
-            assert std.member(n, worked_sim_cone.straighten(n, c))
-            h = worked_sim_cone.sample_span(n, rng)
-            assert worked_sim_cone.member(n, h) == std.member(
-                n, worked_sim_cone.straighten(n, h))
+            c = worked_sim_cone.sample_many(n, 1, rng)[0]
+            assert worked_sim_cone.member_many(n, [c])[0]
+            assert std.member_many(n, [worked_sim_cone.straighten(n, c)])[0]
+            h = worked_sim_cone.sample_span_many(n, 1, rng)[0]
+            assert worked_sim_cone.member_many(n, [h]) == std.member_many(
+                n, [worked_sim_cone.straighten(n, h)])
 
 
 def _m2_plus_c_cone(variant):
@@ -87,8 +88,8 @@ def test_blockwise_oracle_matches_amplified_reference(variant, n):
     ref_level = amplify(cone.algebra, n)
     big_s = np.kron(np.eye(n), s)
     dim = cone.level_dim(n)
-    cands = [cone.sample(n, rng) for _ in range(3)]
-    cands += [-cone.sample(n, rng), cone.sample_span(n, rng), cone.unit(n)]
+    cands = [cone.sample_many(n, 1, rng)[0] for _ in range(3)]
+    cands += [-cone.sample_many(n, 1, rng)[0], cone.sample_span_many(n, 1, rng)[0], cone.unit(n)]
     cands += [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))]
     verdicts = []
     for x in cands:
@@ -96,11 +97,11 @@ def test_blockwise_oracle_matches_amplified_reference(variant, n):
         assert level_residual(cone.algebra, x) == pytest.approx(ref, rel=1e-9, abs=1e-12)
         if ref > cone.algebra.structure_tol * (1.0 + np.linalg.norm(x)):
             with pytest.raises(MembershipError):
-                cone.member(n, x)
+                cone.member_many(n, [x])[0]
             verdicts.append("outside")
         else:
             expected = cone._psd_test(big_s @ x @ np.linalg.inv(big_s))
-            assert cone.member(n, x) == expected
+            assert cone.member_many(n, [x])[0] == expected
             verdicts.append(expected)
     assert verdicts.count(True) >= 4 and False in verdicts and "outside" in verdicts
 
@@ -114,13 +115,13 @@ def test_a_stack_raises_for_its_first_element_outside(variant, n):
     dim = cone.level_dim(n)
     noise = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
              for _ in range(2)]
-    xs = np.stack([cone.unit(n), cone.sample(n, rng), cone.sample_span(n, rng) + 1e-3 * noise[0],
-                   noise[1]])
+    xs = np.stack([cone.unit(n), cone.sample_many(n, 1, rng)[0],
+                   cone.sample_span_many(n, 1, rng)[0] + 1e-3 * noise[0], noise[1]])
     want = membership_residual(amplify(cone.algebra, n), xs[2])
     assert cone.algebra.structure_tol * (1.0 + np.linalg.norm(xs[2])) < want < membership_residual(
         amplify(cone.algebra, n), xs[3])
     for ask in (lambda: cone.member_many(n, xs), lambda: cone.member_many(n, list(xs)),
-                lambda: _split(cone, n, xs, cone.span_basis(n))):
+                lambda: decompose(cone, n, xs, cone.span_basis(n))):
         with pytest.raises(MembershipError) as err:
             ask()
         assert err.value.residual == pytest.approx(want, rel=1e-12)
@@ -151,7 +152,7 @@ def test_member_raises_outside_algebra_at_level_2(variant, span_i_e11, worked_si
     cone = StandardCone(span_i_e11) if variant == "standard" else worked_sim_cone
     x = np.kron(mat([[1, 0], [0, 0]]), np.eye(2)) + np.kron(mat([[0, 0], [0, 1]]), E12)
     with pytest.raises(MembershipError) as err:
-        cone.member(2, x)
+        cone.member_many(2, [x])[0]
     ref = membership_residual(amplify(cone.algebra, 2), x)
     assert ref > 0.1
     assert err.value.residual == pytest.approx(ref, rel=1e-12)
@@ -162,7 +163,7 @@ def test_member_raises_outside_algebra_at_level_2(variant, span_i_e11, worked_si
 def test_member_rejects_wrong_shape(fixture, n, shape, request):
     cone = request.getfixturevalue(fixture)
     with pytest.raises(DimensionMismatch):
-        cone.member(n, np.zeros(shape, dtype=complex))
+        cone.member_many(n, [np.zeros(shape, dtype=complex)])[0]
 
 
 def test_blockwise_similarity_maps_match_kron(worked_sim_cone):
@@ -176,7 +177,7 @@ def test_blockwise_similarity_maps_match_kron(worked_sim_cone):
         x = rng.standard_normal((2 * n, 2 * n)) + 1j * rng.standard_normal((2 * n, 2 * n))
         np.testing.assert_allclose(worked_sim_cone.straighten(n, x),
                                    kron_i(n, s) @ x @ kron_i(n, s_inv), atol=1e-12)
-        np.testing.assert_allclose(worked_sim_cone.unstraighten(n, x),
+        np.testing.assert_allclose(worked_sim_cone.frame.unstraighten(x),
                                    kron_i(n, s_inv) @ x @ kron_i(n, s), atol=1e-12)
     a = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
     ref = kron_i(3, s_inv) @ (kron_i(2, s) @ a @ kron_i(3, s_inv)).conj().T @ kron_i(2, s)
@@ -227,9 +228,9 @@ def test_row_selection_embedding(std_m2):
     sel = np.zeros((2, 4), dtype=complex)
     sel[:2, :2] = np.eye(2)
     for _ in range(5):
-        c = std_m2.sample(1, rng)
+        c = std_m2.sample_many(1, 1, rng)[0]
         embedded = sel.conj().T @ c @ sel
-        assert std_m2.member(2, embedded)
+        assert std_m2.member_many(2, [embedded])[0]
 
 
 @pytest.mark.parametrize("fixture", ["std_m2", "std_m3", "worked_sim_cone"])
@@ -359,10 +360,10 @@ def test_compress_matches_conjugation_sum():
 def test_compress_contraction_and_cone_stability(std_m2):
     rng = np.random.default_rng(11)
     for _ in range(25):
-        c = std_m2.sample(2, rng)
+        c = std_m2.sample_many(2, 1, rng)[0]
         out = compress(c, 0, 1)
         assert np.linalg.norm(out, 2) <= np.linalg.norm(c, 2) + 1e-10
-        assert std_m2.member(2, out)
+        assert std_m2.member_many(2, [out])[0]
 
 
 def test_compress_commutes_with_doubling():
@@ -509,7 +510,7 @@ def test_pointedness_falls_back_to_a_lineality_direction_when_e_is_outside_the_a
     check = cones_mod._lineality_check(cone, 1)
     assert check.verdict == "fail"
     with pytest.raises(MembershipError):
-        cone.member(1, cone.unit(1))
+        cone.member_many(1, [cone.unit(1)])[0]
     h, minus_h = check.witness.members
     np.testing.assert_allclose(np.abs(h), E11.real, atol=1e-12)
     np.testing.assert_array_equal(minus_h, -h)
@@ -524,6 +525,20 @@ def test_the_oracle_protocol_is_declared_abstract():
     with pytest.raises(TypeError, match="abstract"):
         ConeOracle(None)
     assert not hasattr(ConeOracle, "sharp_block")
+    # A one-element question is a stack of one: no cone has a second method for it.
+    for cls in (ConeOracle, SimilarityCone, FunctionPullbackCone):
+        for name in ("member", "sample", "sample_span", "norm", "unstraighten"):
+            assert not hasattr(cls, name), (cls.__name__, name)
+    assert not hasattr(involution_mod, "_split")
+
+
+def test_replay_asks_a_membership_witness_in_one_call(m2_full):
+    cone, calls = StandardCone(m2_full), []
+    member_many, e = cone.member_many, cone.unit(1)
+    cone.member_many = lambda n, xs: calls.append(len(xs)) or member_many(n, xs)
+    witness = cones_mod.Witness("conic-combination", 1, (e, 2.0 * e), -e)
+    assert replay_witness(cone, witness)
+    assert calls == [3]
 
 
 def test_bisection_over_its_step_budget_stalls(monkeypatch, std_m2):

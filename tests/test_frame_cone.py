@@ -71,7 +71,7 @@ def test_standard_cone_is_the_identity_frame(m2_full):
     assert cone.s is None and cone.straight_algebra is m2_full
     x = np.arange(16, dtype=complex).reshape(4, 4)
     assert cone.straighten(2, x) is x
-    assert cone.unstraighten(2, x) is x
+    assert cone.frame.unstraighten(x) is x
     assert "similarity_cond" not in cone.describe()
 
 

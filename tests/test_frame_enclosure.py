@@ -60,7 +60,7 @@ def _confirmed(copy, n, cs, t, bracket):
 def _norms_agree(cone, n, rng, asked):
     """Both norms ask the frame cone nothing and keep the replay's bits; the replay
     asks its 5 (seminorm) or 10 (pre-C*-norm) matrices in one batch."""
-    a, x = cone.sample_span(n, rng), random_element(cone.algebra, rng, level=n)
+    a, x = cone.sample_span_many(n, 1, rng)[0], random_element(cone.algebra, rng, level=n)
     copy = instance_oracle(cone)
     for norm, z, t, calls, size in (
             (lambda c: order_unit_seminorm(c, n, a), a, lambda r: r, 3, 5),
@@ -79,7 +79,7 @@ def _norms_agree(cone, n, rng, asked):
 
 def _shifts_agree(cone, n, rng, asked):
     copy = instance_oracle(cone)
-    a = cone.sample_span(n, rng)
+    a = cone.sample_span_many(n, 1, rng)[0]
     members = list(cone.sample_many(n, 2, rng))
     ups = [a, -a, -members[0]]
     widths = [0.2 * cone.tol_psd * (1.0 + m) for m in cone.norm_many(n, members)]
@@ -131,7 +131,7 @@ def test_an_ill_conditioned_frame_replays_the_ends(m2_full, asked):
     # On M_2 = S M_2 S^-1 at cond(S) = 1e3, delta exceeds a width of 1e-10.
     cone = SimilarityCone(m2_full, np.diag([1.0, 1e3]).astype(complex) @ WORKED_S)
     h = np.array([[2.0, 1.0 - 1.0j], [1.0 + 1.0j, -1.0]])
-    a = cone.unstraighten(1, h)
+    a = cone.frame.unstraighten(h)
     assert _one_replay(cone, 1, a, asked).oracle_calls == 3
     assert asked[0] == 5
 
@@ -202,7 +202,7 @@ class _Swapped(SimilarityCone):
 def test_an_overridden_shift_pair_keeps_bisecting(kind, planted_sim_cone, asked):
     cone = kind(planted_sim_cone.algebra, planted_sim_cone.s)
     assert cones._frame_oracle(cone) and not cones._frame_oracle(cone, "min_shift_pair")
-    a = cone.sample_span(2, np.random.default_rng(48))
+    a = cone.sample_span_many(2, 1, np.random.default_rng(48))[0]
     asked.clear()
     got = order_unit_seminorm(cone, 2, a)
     assert asked[0] == 5 and got.iterations > 0

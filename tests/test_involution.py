@@ -13,7 +13,6 @@ from matorder.errors import (CertificationFailed, DecompositionInfeasible, Decom
                              DimensionMismatch, LevelUnsupported, SpanUnstable)
 from matorder.involution import (
     InvolutionMap,
-    _split,
     certify_level,
     decompose,
     real_cone_span,
@@ -44,20 +43,21 @@ def test_real_cone_span_zero_cone(m2_full):
 
 
 def test_decompose_standard_split(std_m2):
-    x1, x2 = decompose(std_m2, 1, E12, span=real_cone_span(std_m2, 1))
+    (x1,), (x2,) = decompose(std_m2, 1, E12[None], span=real_cone_span(std_m2, 1))
     np.testing.assert_allclose(x1, 0.5 * (E12 + E21), atol=1e-10)
     np.testing.assert_allclose(x2, (E12 - E21) / 2j, atol=1e-10)
 
 
 def test_decompose_hermitian_fixed(std_m2):
     h = np.diag([2.0, -5.0]).astype(complex)
-    x1, x2 = decompose(std_m2, 1, h, span=real_cone_span(std_m2, 1))
+    (x1,), (x2,) = decompose(std_m2, 1, h[None], span=real_cone_span(std_m2, 1))
     np.testing.assert_allclose(x1, h, atol=1e-10)
     np.testing.assert_allclose(x2, 0 * h, atol=1e-10)
 
 
 def test_decompose_similarity_imaginary(worked_sim_cone):
-    x1, x2 = decompose(worked_sim_cone, 1, 1j * WORKED_B, span=real_cone_span(worked_sim_cone, 1))
+    span = real_cone_span(worked_sim_cone, 1)
+    (x1,), (x2,) = decompose(worked_sim_cone, 1, (1j * WORKED_B)[None], span=span)
     np.testing.assert_allclose(x1, 0 * WORKED_B, atol=1e-10)
     np.testing.assert_allclose(x2, WORKED_B, atol=1e-10)
 
@@ -160,11 +160,11 @@ def test_sharp_conjugation_preserves_cone(worked_sim_cone, worked_algebra):
     rng = np.random.default_rng(3)
     for _ in range(10):
         x = random_element(worked_algebra, rng)
-        c = worked_sim_cone.sample(1, rng)
+        c = worked_sim_cone.sample_many(1, 1, rng)[0]
         prod = inv(x) @ c @ x
-        assert worked_sim_cone.member(1, prod)
+        assert worked_sim_cone.member_many(1, [prod])[0]
 
-        x1, x2 = decompose(worked_sim_cone, 1, x, span=span)
+        (x1,), (x2,) = decompose(worked_sim_cone, 1, x[None], span=span)
         big = np.block([[-x1, -1j * x2], [1j * x2, x1]])
         middle = big @ np.kron(np.eye(2), c) @ big
         row = np.hstack([np.eye(2), np.eye(2)])
@@ -175,7 +175,7 @@ def test_sharp_conjugation_preserves_cone(worked_sim_cone, worked_algebra):
 def test_degenerate_span_raises(m2_full):
     cone = ZeroCone(m2_full)
     with pytest.raises(DecompositionInfeasible, match="cone span is trivial"):
-        decompose(cone, 1, np.eye(2, dtype=complex), span=real_cone_span(cone, 1))
+        decompose(cone, 1, np.eye(2, dtype=complex)[None], span=real_cone_span(cone, 1))
 
 
 @pytest.mark.parametrize("fixture", ["std_m2", "worked_sim_cone", "planted_sim_cone"])
@@ -214,7 +214,7 @@ def test_batched_recovery_matches_per_element_decompose(fixture, level, request)
     span = real_cone_span(cone, level)
     one_by_one = []
     for b in basis:
-        x1, x2 = decompose(cone, level, b, span=span)
+        (x1,), (x2,) = decompose(cone, level, b[None], span=span)
         one_by_one.append(x1 - 1j * x2)
     np.testing.assert_allclose(batched, np.stack(one_by_one), rtol=0, atol=1e-12)
 
@@ -330,14 +330,14 @@ def test_a_sampled_span_off_the_exact_one_raises(span_i_e11):
 def test_a_span_meeting_i_span_is_not_unique(std_m2):
     span = np.stack([np.eye(2), 1j * np.eye(2)]) / np.sqrt(2.0)
     with pytest.raises(DecompositionNotUnique, match="span meets i\\*span in dimension 2"):
-        decompose(std_m2, 1, np.eye(2, dtype=complex), span=span)
+        decompose(std_m2, 1, np.eye(2, dtype=complex)[None], span=span)
 
 
 def test_a_span_too_small_for_the_algebra_is_infeasible(std_m2):
     span = (np.eye(2) / np.sqrt(2.0))[None].astype(complex)
     with pytest.raises(DecompositionInfeasible,
                        match="span \\+ i\\*span has real dimension 2, the algebra needs 8"):
-        decompose(std_m2, 1, np.eye(2, dtype=complex), span=span)
+        decompose(std_m2, 1, np.eye(2, dtype=complex)[None], span=span)
 
 
 def test_a_span_tilted_out_of_the_algebra_misses_its_split(span_i_e11):
@@ -346,10 +346,10 @@ def test_a_span_tilted_out_of_the_algebra_misses_its_split(span_i_e11):
     tilted = (np.diag([0.0, 1.0]) + eps * (E12 + E21) / np.sqrt(2.0)) / np.sqrt(1.0 + eps ** 2)
     span = np.stack([E11, tilted]).astype(complex)
     cone = StandardCone(span_i_e11)
-    x1, x2 = decompose(cone, 1, E11, span=span)
+    (x1,), (x2,) = decompose(cone, 1, E11[None], span=span)
     np.testing.assert_allclose(x1 + 1j * x2, E11, atol=1e-12)
     with pytest.raises(DecompositionInfeasible, match="decomposition residual 0.001 outside"):
-        decompose(cone, 1, np.diag([0.0, 1.0]).astype(complex), span=span)
+        decompose(cone, 1, np.diag([0.0, 1.0]).astype(complex)[None], span=span)
 
 
 # -- frame cones: the involution from the realisation theorem -----------------
@@ -452,7 +452,7 @@ def test_opaque_cones_keep_the_sampled_recovery_bit_for_bit(make, m2_full, m3_fu
     calls = _counted_draws(monkeypatch, cone)
     got = recover_involution(cone, seed=4)
     assert calls
-    x1, x2 = _split(cone, 1, cone.algebra.basis, real_cone_span(cone, 1, seed=4))
+    x1, x2 = decompose(cone, 1, cone.algebra.basis, real_cone_span(cone, 1, seed=4))
     want = InvolutionMap(cone.algebra, x1 - 1j * x2)
     assert got.images.tobytes() == want.images.tobytes() and got.norm_bound(4) == want.norm_bound(4)
 
@@ -462,7 +462,7 @@ def test_an_explicit_span_keeps_the_sampled_split_on_a_frame_cone(worked_sim_con
     # recovers the same images by sampling that span.
     span = real_cone_span(worked_sim_cone, 1, seed=1)
     calls = _counted_draws(monkeypatch, worked_sim_cone)
-    x1, x2 = _split(worked_sim_cone, 1, worked_sim_cone.algebra.basis, span)
+    x1, x2 = decompose(worked_sim_cone, 1, worked_sim_cone.algebra.basis, span)
     assert calls == []
     inv = recover_involution(instance_oracle(worked_sim_cone), seed=1)
     assert calls

@@ -49,9 +49,9 @@ def _cone(frame, kind):
 
 def _reference_span(cone, n):
     """The amplified build: Hermitian part of M_n of the straightened algebra,
-    carried back through `unstraighten`."""
+    carried back through `frame.unstraighten`."""
     span = hermitian_part_basis(amplify(cone.straight_algebra, n))
-    return la.orthonormal_stack(np.stack([cone.unstraighten(n, h) for h in span]))
+    return la.orthonormal_stack(np.stack([cone.frame.unstraighten(h) for h in span]))
 
 
 def _residuals(basis, others):

@@ -1,5 +1,5 @@
-"""The batched membership oracle: `member_many` against `member` element by
-element, its errors, overriding doubles asked through the stacked form, the
+"""The batched membership oracle: `member_many` against itself asked one element
+at a time, its errors, overriding doubles asked through the stacked form, the
 sampled-inclusion runner that asks it one same-level run at a time, and the
 shift searches and norms that ask it one sign at a time."""
 
@@ -40,8 +40,9 @@ class _CountingCone(StandardCone):
 
 
 def _candidates(cone, n, rng):
-    return ([cone.sample(n, rng) for _ in range(3)] + [-cone.sample(n, rng)]
-            + [cone.sample_span(n, rng) for _ in range(3)] + [cone.unit(n), -cone.unit(n)])
+    return ([cone.sample_many(n, 1, rng)[0] for _ in range(3)] + [-cone.sample_many(n, 1, rng)[0]]
+            + [cone.sample_span_many(n, 1, rng)[0] for _ in range(3)]
+            + [cone.unit(n), -cone.unit(n)])
 
 
 @pytest.mark.parametrize("fixture", ["std_m3", "worked_sim_cone", "planted_sim_cone"])
@@ -50,7 +51,7 @@ def test_member_many_matches_member(fixture, n, request):
     cone = request.getfixturevalue(fixture)
     xs = _candidates(cone, n, np.random.default_rng(n))
     got = cone.member_many(n, xs)
-    assert got == [cone.member(n, x) for x in xs]
+    assert got == [cone.member_many(n, [x])[0] for x in xs]
     assert True in got and False in got
     assert cone.member_many(n, []) == []
 
@@ -64,14 +65,16 @@ def test_member_many_matches_member_at_certified_bracket_ends(fixture, n, reques
     rng = np.random.default_rng(10 + n)
     e = cone.unit(n)
     xs = [e]
-    for c in (cone.sample_span(n, rng), -cone.sample(n, rng), cone.sample(n, rng)):
+    for c in (cone.sample_span_many(n, 1, rng)[0], -cone.sample_many(n, 1, rng)[0],
+              cone.sample_many(n, 1, rng)[0]):
         r = cone.min_shift_pair(n, c)[0]
         bis = shift_bisection(cone, n, (c,))
-        found = certify(bis, r, 0.2 * cone.tol_psd * (1.0 + cone.norm(n, c)), floor=-np.inf)
+        width = 0.2 * cone.tol_psd * (1.0 + cone.norm_many(n, [c])[0])
+        found = certify(bis, r, width, floor=-np.inf)
         assert found is not None
         xs += [t * e + c for t in (found[0], r, found[1])]
     got = cone.member_many(n, xs)
-    assert got == [cone.member(n, x) for x in xs]
+    assert got == [cone.member_many(n, [x])[0] for x in xs]
     assert got[0] and all(got[3::3]) and not any(got[1::3])
 
 
@@ -89,7 +92,7 @@ def test_member_many_raises_as_member(std_m2, span_i_e11):
 def test_member_many_asks_an_overriding_double_once_per_element(m2_full):
     cone = _CountingCone(m2_full)
     xs = _candidates(cone, 2, np.random.default_rng(0))
-    assert cone.member_many(2, xs) == [StandardCone(m2_full).member(2, x) for x in xs]
+    assert cone.member_many(2, xs) == [StandardCone(m2_full).member_many(2, [x])[0] for x in xs]
     assert len(cone.asked) == len(xs)
     assert all(a is x for a, x in zip(cone.asked, xs))
 
@@ -97,19 +100,20 @@ def test_member_many_asks_an_overriding_double_once_per_element(m2_full):
 def test_member_many_falls_back_for_overridden_straighten_and_instance_member(m2_full):
     rng = np.random.default_rng(1)
     skewed = SkewedLevelCone(m2_full)
-    xs = [skewed.sample(2, rng) for _ in range(3)] + [StandardCone(m2_full).sample(2, rng)]
+    xs = ([skewed.sample_many(2, 1, rng)[0] for _ in range(3)]
+          + [StandardCone(m2_full).sample_many(2, 1, rng)[0]])
     # The overridden straighten is asked once, with the whole stack.
     shapes, straighten = [], skewed.straighten
     skewed.straighten = lambda n, x: shapes.append(np.shape(x)) or straighten(n, x)
     got = skewed.member_many(2, xs)
     assert shapes == [(len(xs), 4, 4)]
-    assert got == [skewed.member(2, x) for x in xs] and False in got
+    assert got == [skewed.member_many(2, [x])[0] for x in xs] and False in got
     counted = copy.copy(StandardCone(m2_full))
     asked = []
     counted.member_many = lambda n, xs: asked.extend(xs) or [True] * len(xs)
     assert counted.member_many(1, [-np.eye(2)]) == [True] and len(asked) == 1
-    # `member` is the instance's stacked form asked about one element.
-    assert counted.member(1, -np.eye(2)) is True and len(asked) == 2
+    # A one-element question is the same stacked call, asked again.
+    assert counted.member_many(1, [-np.eye(2)])[0] is True and len(asked) == 2
 
 
 def test_first_escape_reports_the_first_escape_of_a_run_in_draw_order(std_m2):
@@ -134,7 +138,7 @@ def test_first_escape_on_a_double_matches_the_sequential_runner(m2_full):
     cone = ZeroedCornerCone(m2_full)
     runs = [list(_scalar_conjugations(cone, (1, 2), 3, np.random.default_rng(7)))
             for _ in range(2)]
-    want = next(w for w in runs[0] if not cone.member(w.level, w.outside))
+    want = next(w for w in runs[0] if not cone.member_many(w.level, [w.outside])[0])
     got = _first_escape(cone, iter(runs[1]))
     assert (got.level, got.note) == (want.level, want.note)
     np.testing.assert_array_equal(got.outside, want.outside)
@@ -185,11 +189,11 @@ def test_batched_and_per_element_paths_give_identical_results(fixture, n, opaque
     if opaque:
         pair = [_opaque(k) for k in pair]
     rng = np.random.default_rng(30 + n)
-    a, x = cone.sample_span(n, rng), random_element(cone.algebra, rng, level=n)
-    c, below = cone.sample(n, rng), -cone.sample(n, rng)
-    width = 0.2 * cone.tol_psd * (1.0 + cone.norm(n, c))
+    a, x = cone.sample_span_many(n, 1, rng)[0], random_element(cone.algebra, rng, level=n)
+    c, below = cone.sample_many(n, 1, rng)[0], -cone.sample_many(n, 1, rng)[0]
+    width = 0.2 * cone.tol_psd * (1.0 + cone.norm_many(n, [c])[0])
     fast, slow = ([order_unit_seminorm(k, n, a), pre_cstar_norm(k, None, n, x),
-                   _inf_shifts(k, n, [below], [cone.norm(n, below)], 1e-9)[0],
+                   _inf_shifts(k, n, [below], [cone.norm_many(n, [below])[0]], 1e-9)[0],
                    _sup_shifts_down(k, n, [c], [width])[0],
                    _audit_digest(check_order_unit_archimedean(k, n, samples=3, seed=n))]
                   for k in pair)
@@ -202,7 +206,7 @@ def test_batched_and_per_element_paths_give_identical_results(fixture, n, opaque
 def test_exact_two_sided_certificate_decides_five_matrices_in_two_calls(fixture, n, request):
     base = request.getfixturevalue(fixture)
     cone = _Recording(base.algebra, base.s)
-    a = cone.sample_span(n, np.random.default_rng(40 + n))
+    a = cone.sample_span_many(n, 1, np.random.default_rng(40 + n))[0]
     rep = order_unit_seminorm(cone, n, a)
     assert (rep.iterations, rep.oracle_calls) == (0, 3)
     # One call: hi, mid and lo for the binding sign, which fails at lo, then
@@ -224,7 +228,7 @@ def test_a_refine_step_asks_the_second_sign_only_inside_the_first(fixture, reque
     base = request.getfixturevalue(fixture)
     cone = _opaque(_Recording(base.algebra, base.s))
     n, e = 2, cone.unit(2)
-    a = cone.sample_span(n, np.random.default_rng(50))
+    a = cone.sample_span_many(n, 1, np.random.default_rng(50))[0]
     rep = order_unit_seminorm(cone, n, a)
     assert rep.iterations > 10
     # x = t e + s a: the traceless part a0 of a is orthogonal to e, so the

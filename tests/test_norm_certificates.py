@@ -98,7 +98,7 @@ def _norms(cone, n, a, x):
 def test_norms_match_the_two_call_reference(kind, fixture, n, request):
     cone = _cone(kind, fixture, request)
     rng = np.random.default_rng(60 + n)
-    a, x = cone.sample_span(n, rng), random_element(cone.algebra, rng, level=n)
+    a, x = cone.sample_span_many(n, 1, rng)[0], random_element(cone.algebra, rng, level=n)
     (semi, pre, semi_batches, pre_batches), (ref_semi, ref_pre, ref_semi_b, ref_pre_b) = \
         _norms(cone, n, a, x)
     if kind == "swapped":
@@ -149,7 +149,8 @@ def test_a_zero_element_certifies_at_zero_in_one_call(std_m3):
 def test_shift_pair_matches_two_min_shifts(fixture, n, request):
     cone = request.getfixturevalue(fixture)
     rng = np.random.default_rng(70 + n)
-    for c in (cone.sample_span(n, rng), -cone.sample(n, rng), cone.sample(n, rng)):
+    for c in (cone.sample_span_many(n, 1, rng)[0], -cone.sample_many(n, 1, rng)[0],
+              cone.sample_many(n, 1, rng)[0]):
         up, down = cone.min_shift_pair(n, c)
         neg_up, neg_down = cone.min_shift_pair(n, -c)
         # spec(-h) = -spec(h) up to the eigensolver's rounding.
@@ -160,7 +161,7 @@ def test_shift_pair_matches_two_min_shifts(fixture, n, request):
 
 def test_an_overridden_min_shift_or_straighten_is_asked_once_per_sign(std_m3, monkeypatch):
     rng = np.random.default_rng(80)
-    c = std_m3.sample_span(2, rng)
+    c = std_m3.sample_span_many(2, 1, rng)[0]
     asked = []
     shifts = SimilarityCone.min_shift_pair
 
@@ -200,7 +201,7 @@ def test_a_certified_norm_is_one_eigensolve_and_one_member_many(fixture, n, requ
     base = request.getfixturevalue(fixture)
     cone = _Recording(base.algebra, base.s)
     rng = np.random.default_rng(90 + n)
-    a, x = cone.sample_span(n, rng), random_element(cone.algebra, rng, level=n)
+    a, x = cone.sample_span_many(n, 1, rng)[0], random_element(cone.algebra, rng, level=n)
     solves = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -237,7 +238,7 @@ def test_every_certificate_is_one_member_many(kind, fixture, n, request, monkeyp
     monkeypatch.setattr(cones, "_certify", recorded)
     monkeypatch.setattr(order_norms, "_certify", recorded)
     rng = np.random.default_rng(100 + n)
-    a, x = cone.sample_span(n, rng), random_element(cone.algebra, rng, level=n)
+    a, x = cone.sample_span_many(n, 1, rng)[0], random_element(cone.algebra, rng, level=n)
     members = list(cone.sample_many(n, 2, rng))
     order_unit_seminorm(cone, n, a)
     pre_cstar_norm(cone, None, n, x)

@@ -75,8 +75,8 @@ def test_formula_agreement_is_tight(std_m2, m2_full):
 def test_seminorm_axioms_on_samples(std_m3):
     rng = np.random.default_rng(2)
     for _ in range(10):
-        a = std_m3.sample_span(1, rng)
-        b = std_m3.sample_span(1, rng)
+        a = std_m3.sample_span_many(1, 1, rng)[0]
+        b = std_m3.sample_span_many(1, 1, rng)[0]
         na = order_unit_seminorm(std_m3, 1, a).value
         nb = order_unit_seminorm(std_m3, 1, b).value
         nab = order_unit_seminorm(std_m3, 1, a + b).value
@@ -135,7 +135,7 @@ def test_boundary_witness_accepted(std_m2):
     a = np.diag([1.0, -1.0]).astype(complex)
     r = order_unit_seminorm(std_m2, 1, a).value
     assert r == pytest.approx(1.0, abs=1e-7)
-    assert std_m2.member(1, r * np.eye(2) + a)
+    assert std_m2.member_many(1, [r * np.eye(2) + a])[0]
 
 
 def test_pre_cstar_norm_formulas_that_disagree_raise(m2_full):

@@ -61,7 +61,7 @@ def _planted(h, tol, factor, plant):
        st.integers(1, 6), st.sampled_from((-1.0, 1.0)), st.sampled_from(("eig", "defect")))
 def test_psd_test_matches_svd_slack_at_the_threshold(seed, n, similarity, k, sign, plant):
     cone, rng = _draw_cone(seed, similarity)
-    y = cone.straighten(n, cone.sample(n, rng))
+    y = cone.straighten(n, cone.sample_many(n, 1, rng)[0])
     h = 0.5 * (y + la.dagger(y))
     x = _planted(h, cone.tol_psd, 1.0 + sign * 10.0 ** -k, plant)
     expected = _reference(cone, x)
@@ -98,12 +98,12 @@ def _count_linalg(monkeypatch):
 def test_oracle_work_is_one_eigensolve_and_no_svd(fixture, n, request, monkeypatch):
     cone = copy.copy(request.getfixturevalue(fixture))
     rng = np.random.default_rng(11)
-    c, a = cone.sample(n, rng), cone.sample_span(n, rng)
+    c, a = cone.sample_many(n, 1, rng)[0], cone.sample_span_many(n, 1, rng)[0]
     x = random_element(cone.algebra, rng, level=n)
     counts = _count_linalg(monkeypatch)
 
-    for call in (lambda: cone.member(n, c), lambda: cone.member(n, -c),
-                 lambda: cone.member(n, a), lambda: cone.min_shift_pair(n, a),
+    for call in (lambda: cone.member_many(n, [c])[0], lambda: cone.member_many(n, [-c])[0],
+                 lambda: cone.member_many(n, [a])[0], lambda: cone.min_shift_pair(n, a),
                  lambda: cone.min_shift_pair(n, -c)):
         counts.update(svd=0, eigvalsh=0, eigensolves=0)
         call()

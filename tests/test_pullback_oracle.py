@@ -73,7 +73,7 @@ def test_member_many_matches_the_per_sample_member(m):
                for t in certificate(float(r), 0.2 * cone.tol_psd, -np.inf)]
     got = cone.member_many(1, xs)
     assert got == [pullback_member(cone, x) for x in xs]
-    assert got == [cone.member(1, x) for x in xs]
+    assert got == [cone.member_many(1, [x])[0] for x in xs]
     assert True in got and False in got
     assert cone.member_many(1, []) == []
 
@@ -101,7 +101,7 @@ def test_norm_many_keeps_the_per_sample_bits(m):
     xs = _real(cone, rng) + _complex(cone, rng)
     norms = cone.norm_many(1, xs)
     assert norms == [c1_norm_per_sample(x) for x in xs]
-    assert norms == [c1_norm(x) for x in xs] == [cone.norm(1, x) for x in xs]
+    assert norms == [c1_norm(x) for x in xs] == [cone.norm_many(1, [x])[0] for x in xs]
     assert all(type(v) is float for v in norms)
     assert cone.norm_many(1, []) == []
     for seed in (0, 1):
@@ -145,7 +145,7 @@ def test_stacked_draws_keep_the_stream_and_bits(m, span):
         assert got.grid is cone.grid
         assert np.array_equal(got.f_values, ref.f_values)
         assert np.array_equal(got.f_derivs, ref.f_derivs)
-    one = (cone.sample_span if span else cone.sample)(1, stacked)
+    one = (cone.sample_span_many if span else cone.sample_many)(1, 1, stacked)[0]
     ref = pullback_trig(cone, single)
     ref = ref if span else ref * ref
     assert np.array_equal(one.f_values, ref.f_values)
@@ -195,7 +195,7 @@ def test_a_non_real_element_takes_the_bisection_bracket(m):
     # The same search plus the one certificate call that failed.
     assert exact_calls == len(cone.batches) + 1
     assert got[0] > 1.0 and got[1] is None
-    assert cone.member(1, (got[0] + tol) * cone.unit(1) + near)
+    assert cone.member_many(1, [(got[0] + tol) * cone.unit(1) + near])[0]
 
 
 def test_an_empty_grid_is_a_typed_error_at_construction():
@@ -206,8 +206,8 @@ def test_an_empty_grid_is_a_typed_error_at_construction():
 def test_a_matrix_is_not_a_pullback_cone_element():
     cone = FunctionPullbackCone(np.linspace(0.0, 1.0, 4))
     x = np.eye(1, dtype=complex)
-    for ask in (lambda: cone.member(1, x), lambda: cone.min_shift_pair(1, x),
-                lambda: cone.min_shift_pair(1, [x]), lambda: cone.norm(1, x),
+    for ask in (lambda: cone.member_many(1, [x])[0], lambda: cone.min_shift_pair(1, x),
+                lambda: cone.min_shift_pair(1, [x]), lambda: cone.norm_many(1, [x])[0],
                 lambda: cone.straighten(1, x), lambda: cone.mul(1, x, x)):
         with pytest.raises(MatOrderError, match="C1Sample"):
             ask()
@@ -220,7 +220,7 @@ def test_the_cone_has_level_one_only_and_its_involution_conjugates():
     y = x.conj()
     assert np.array_equal(y.f_values, x.f_values.conj())
     assert np.array_equal(y.f_derivs, x.f_derivs.conj())
-    for ask in (lambda: cone.member(2, x), lambda: cone.min_shift_pair(2, [x]),
+    for ask in (lambda: cone.member_many(2, [x])[0], lambda: cone.min_shift_pair(2, [x]),
                 lambda: cone.sample_many(2, 1, np.random.default_rng(0))):
         with pytest.raises(LevelUnsupported, match="level 1 only"):
             ask()
@@ -241,7 +241,7 @@ def test_samples_on_different_grids_do_not_combine():
     same = C1Sample(np.linspace(0.0, 1.0, 4), zeros + 2.0, zeros)
     assert np.array_equal((a + same).f_values, zeros + 3.0)
     cone = FunctionPullbackCone(np.linspace(0.0, 1.0, 4))
-    for ask in (lambda: cone.member_many(1, [a, b]), lambda: cone.member(1, b),
+    for ask in (lambda: cone.member_many(1, [a, b]), lambda: cone.member_many(1, [b])[0],
                 lambda: cone.norm_many(1, [b]), lambda: cone.min_shift_pair(1, b),
                 lambda: cone.min_shift_pair(1, [a, b]), lambda: cone.mul(1, a, b)):
         with pytest.raises(MatOrderError):
@@ -260,8 +260,8 @@ def test_arithmetic_reuses_the_validated_grid(monkeypatch):
 
     monkeypatch.setattr(C1Sample, "__post_init__", no_validation)
     for out in (a + b, a - b, a * b, 2.0 * a, a * (1 + 1j), -a, a.conj(),
-                cone.unit(1), cone.sample(1, np.random.default_rng(0)),
-                cone.sample_span(1, np.random.default_rng(0))):
+                cone.unit(1), cone.sample_many(1, 1, np.random.default_rng(0))[0],
+                cone.sample_span_many(1, 1, np.random.default_rng(0))[0]):
         assert out.grid is a.grid
     np.testing.assert_array_equal((a * b).f_derivs, np.cos(grid) * grid + np.sin(grid))
     # A sample built from outside, or scaled pointwise by an array, is validated.

@@ -81,8 +81,9 @@ def _square(r):
 def _elements(cone, n, rng):
     """Span samples, cone samples, a negated sample, -e and zero."""
     d = cone.level_dim(n)
-    return ([cone.sample_span(n, rng) for _ in range(2)] + list(cone.sample_many(n, 2, rng))
-            + [-cone.sample(n, rng), -cone.unit(n), np.zeros((d, d), dtype=complex)])
+    return ([cone.sample_span_many(n, 1, rng)[0] for _ in range(2)]
+            + list(cone.sample_many(n, 2, rng))
+            + [-cone.sample_many(n, 1, rng)[0], -cone.unit(n), np.zeros((d, d), dtype=complex)])
 
 
 @pytest.mark.parametrize("name", CONES)

@@ -87,11 +87,11 @@ def test_exact_shifts_match_bisection_fallback(seed, n, similarity):
     e = cone.unit(n)
     tol = DEFAULT_BISECT_TOL
 
-    a = cone.sample_span(n, rng)
+    a = cone.sample_span_many(n, 1, rng)[0]
     exact, fallback = order_unit_seminorm(cone, n, a), order_unit_seminorm(slow, n, a)
     assert exact.iterations == 0 and fallback.iterations > 0
     assert abs(exact.value - fallback.value) <= tol * (1.0 + fallback.value)
-    _assert_certified(lambda r: cone.member(n, r * e + a) and cone.member(n, r * e - a),
+    _assert_certified(lambda r: all(cone.member_many(n, [r * e + a, r * e - a])),
                       exact.bracket[0], exact.value, exact.bracket[1])
 
     x = random_element(cone.algebra, rng, level=n)
@@ -99,31 +99,31 @@ def test_exact_shifts_match_bisection_fallback(seed, n, similarity):
     exact, fallback = pre_cstar_norm(cone, None, n, x), pre_cstar_norm(slow, None, n, x)
     assert exact.iterations == 0 and fallback.iterations > 0
     assert abs(exact.value - fallback.value) <= tol * (1.0 + fallback.value)
-    _assert_certified(lambda r: cone.member(n, r * r * e + z) and cone.member(n, r * r * e - z),
+    _assert_certified(lambda r: all(cone.member_many(n, [r * r * e + z, r * r * e - z])),
                       exact.bracket[0], exact.value, exact.bracket[1])
 
-    c = -cone.sample(n, rng)
-    scale = cone.norm(n, c)
+    c = -cone.sample_many(n, 1, rng)[0]
+    scale = cone.norm_many(n, [c])[0]
     width = 1e-9
     r_exact = _inf_shifts(cone, n, [c], [scale], width)[0]
     assert abs(r_exact - _inf_shifts(slow, n, [c], [scale], width)[0]) <= width
-    _assert_certified(lambda r: cone.member(n, r * scale * e + c),
+    _assert_certified(lambda r: cone.member_many(n, [r * scale * e + c])[0],
                       r_exact - width, r_exact, r_exact + width)
 
-    c = cone.sample(n, rng)
-    width = 0.2 * cone.tol_psd * (1.0 + cone.norm(n, c))
+    c = cone.sample_many(n, 1, rng)[0]
+    width = 0.2 * cone.tol_psd * (1.0 + cone.norm_many(n, [c])[0])
     [(lo, hi)], [(flo, fhi)] = (_sup_shifts_down(k, n, [c], [width]) for k in (cone, slow))
     assert hi - lo <= width
     assert abs(0.5 * (lo + hi) - 0.5 * (flo + fhi)) <= width
     # In r = -mu the member side is r = -lo.
-    _assert_certified(lambda r: cone.member(n, r * e + c), -hi, -0.5 * (lo + hi), -lo)
+    _assert_certified(lambda r: cone.member_many(n, [r * e + c])[0], -hi, -0.5 * (lo + hi), -lo)
 
 
 @pytest.mark.parametrize("fixture,n", [("std_m2", 1), ("std_m3", 2), ("worked_sim_cone", 4)])
 def test_exact_path_work_is_pinned(fixture, n, request):
     cone = _counting(request.getfixturevalue(fixture))
     rng = np.random.default_rng(5)
-    a = cone.sample_span(n, rng)
+    a = cone.sample_span_many(n, 1, rng)[0]
     rep = order_unit_seminorm(cone, n, a)
     assert rep.iterations == 0 and rep.oracle_calls <= 3
     rep = pre_cstar_norm(cone, None, n, random_element(cone.algebra, rng, level=n))
@@ -143,7 +143,8 @@ class _HiddenPair(StandardCone):
 def test_a_cone_that_hides_its_shift_pair_is_opaque_to_norms_and_audits(std_m3):
     cone, want = _counting(_HiddenPair(std_m3.algebra)), _opaque(std_m3)
     rng = np.random.default_rng(7)
-    cs = [cone.sample_span(2, rng), -cone.sample(2, rng), cone.sample(2, rng)]
+    cs = [cone.sample_span_many(2, 1, rng)[0], -cone.sample_many(2, 1, rng)[0],
+          cone.sample_many(2, 1, rng)[0]]
     ones = [1.0] * len(cs)
     # No exact shift to certify, so no bracket and no membership question.
     assert _exact_brackets(cone, 2, cs, ones, [1e-9] * len(cs), 0.0) == [None] * len(cs)

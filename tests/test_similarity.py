@@ -228,10 +228,10 @@ def test_order_isomorphism_both_ways(worked_algebra, worked_sim_cone):
         big_s = np.kron(np.eye(n), s)
         big_s_inv = np.kron(np.eye(n), s_inv)
         for _ in range(8):
-            c = worked_sim_cone.sample(n, rng)
-            assert image_cone.member(n, big_s @ c @ big_s_inv)
-            p = image_cone.sample(n, rng)
-            assert worked_sim_cone.member(n, big_s_inv @ p @ big_s)
+            c = worked_sim_cone.sample_many(n, 1, rng)[0]
+            assert image_cone.member_many(n, [big_s @ c @ big_s_inv])[0]
+            p = image_cone.sample_many(n, 1, rng)[0]
+            assert worked_sim_cone.member_many(n, [big_s_inv @ p @ big_s])[0]
 
 
 def test_cb_upper_bound_closed_form():

@@ -39,15 +39,16 @@ def _reference_inf_shift(cone, n, c, scale, abs_tol):
 
 
 def _reference_draw(cone, n, rng, span):
-    """One `sample` / `sample_span` draw as made before the stacked form."""
+    """One cone (or span) draw as made before the stacked form."""
     g = random_element(cone.straight_algebra, rng, level=n)
-    return cone.unstraighten(n, 0.5 * (g + la.dagger(g)) if span else la.dagger(g) @ g)
+    return cone.frame.unstraighten(0.5 * (g + la.dagger(g)) if span else la.dagger(g) @ g)
 
 
 def _candidates(cone, n, rng):
     """Span samples, negated and differenced cone samples, and -e."""
-    return ([cone.sample_span(n, rng) for _ in range(3)] + [-cone.sample(n, rng)]
-            + [cone.sample(n, rng) - cone.sample(n, rng), -cone.unit(n)])
+    return ([cone.sample_span_many(n, 1, rng)[0] for _ in range(3)]
+            + [-cone.sample_many(n, 1, rng)[0]]
+            + [cone.sample_many(n, 1, rng)[0] - cone.sample_many(n, 1, rng)[0], -cone.unit(n)])
 
 
 @pytest.mark.parametrize("fixture", CONES)
@@ -56,8 +57,9 @@ def _candidates(cone, n, rng):
 def test_stacked_draws_match_single_draws(fixture, n, span, request):
     cone = request.getfixturevalue(fixture)
     stacked, single, ref = (np.random.default_rng(10 + n) for _ in range(3))
-    many = (cone.sample_span_many if span else cone.sample_many)(n, 5, stacked)
-    one = np.stack([(cone.sample_span if span else cone.sample)(n, single) for _ in range(5)])
+    draw = cone.sample_span_many if span else cone.sample_many
+    many = draw(n, 5, stacked)
+    one = np.stack([draw(n, 1, single)[0] for _ in range(5)])
     assert many.shape == one.shape == (5, cone.level_dim(n), cone.level_dim(n))
     np.testing.assert_allclose(many, one, rtol=0, atol=1e-13 * np.abs(one).max())
     assert stacked.bit_generator.state == single.bit_generator.state
@@ -71,7 +73,7 @@ def test_norm_many_and_stacked_min_shift_keep_the_bits(fixture, n, request):
     cone = request.getfixturevalue(fixture)
     cands = _candidates(cone, n, np.random.default_rng(20 + n))
     norms = cone.norm_many(n, cands)
-    assert norms == [cone.norm(n, c) for c in cands]
+    assert norms == [cone.norm_many(n, [c])[0] for c in cands]
     assert all(type(v) is float for v in norms)
     pair = cone.min_shift_pair(n, np.stack(cands))
     assert [shifts.shape for shifts in pair] == [(len(cands),)] * 2
@@ -87,7 +89,7 @@ def test_inf_shifts_match_the_per_element_search(fixture, n, opaque, request):
     cone = _opaque(cone) if opaque else cone
     cands = _candidates(cone, n, np.random.default_rng(30 + n))
     # Scale 1 and the ambient norm, as the order-unit check and r4 ask them.
-    for scales in ([1.0] * len(cands), [cone.norm(n, c) for c in cands]):
+    for scales in ([1.0] * len(cands), [cone.norm_many(n, [c])[0] for c in cands]):
         got = _inf_shifts(cone, n, cands, scales, 1e-9)
         assert got == [_reference_inf_shift(cone, n, c, s, 1e-9)
                        for c, s in zip(cands, scales)]
@@ -131,8 +133,8 @@ def test_exact_brackets_match_the_per_element_certificate(fixture, opaque, floor
 @pytest.mark.parametrize("double", DOUBLES)
 def test_doubles_are_asked_one_element_at_a_time(double, m2_full, monkeypatch):
     """Each stacked method a double overrides answers a batched call once, and
-    each one-element call (`sample`, `sample_span`, `member`) once, as a batch
-    of one, whose answers are then the double's own."""
+    each one-element call, a batch of one, once, whose answers are then the
+    double's own."""
     names = ("sample_many", "sample_span_many", "member_many")
     asked = []
     for name in names:
@@ -148,13 +150,13 @@ def test_doubles_are_asked_one_element_at_a_time(double, m2_full, monkeypatch):
     stacked, single = np.random.default_rng(60), np.random.default_rng(60)
     many = cone.sample_many(n, k, stacked)
     spans = cone.sample_span_many(n, k, stacked)
-    for got, draw in ((many, cone.sample), (spans, cone.sample_span)):
-        want = [draw(n, single) for _ in range(k)]
+    for got, draw in ((many, cone.sample_many), (spans, cone.sample_span_many)):
+        want = [draw(n, 1, single)[0] for _ in range(k)]
         for x, y in zip(got, want, strict=True):
             np.testing.assert_allclose(x, y, rtol=0, atol=1e-13 * (1.0 + np.abs(y).max()))
     xs = [cone.unit(n), -cone.unit(n), many[0]]
     asked.clear()
-    assert cone.member_many(n, xs) == [cone.member(n, x) for x in xs]
+    assert cone.member_many(n, xs) == [cone.member_many(n, [x])[0] for x in xs]
     if "member_many" in overridden:
         assert asked.count("member_many") == 1 + len(xs)
     for name, draw in (("sample_many", cone.sample_many),

@@ -75,7 +75,7 @@ def test_a_proper_subalgebra_projects_once_per_membership_call(span_i_e11, work)
         cone.member_many(n, xs)
         assert work == {"coords_of": 1, "level_residual": 1}
     with pytest.raises(MembershipError):
-        cone.member(1, E12)
+        cone.member_many(1, [E12])[0]
 
 
 @pytest.mark.parametrize("big_n", range(1, 7))
