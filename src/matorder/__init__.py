@@ -59,8 +59,6 @@ from .similarity import (
     StarRepresentation,
     build_star_rep,
     cb_lower_bound,
-    cb_upper_bound_from_similarity,
-    find_pd,
     minimize_condition,
     reconstruct_similarity,
     solve_Q,
@@ -91,14 +89,12 @@ __all__ = [
     "c1_inequality_check",
     "c1_norm",
     "cb_lower_bound",
-    "cb_upper_bound_from_similarity",
     "check_order_unit_archimedean",
     "compress",
     "conjugate_algebra",
     "decompose",
     "doubling_embed",
     "estimate_main_constants",
-    "find_pd",
     "generate_algebra",
     "hermitian_part_basis",
     "j_symmetrize",

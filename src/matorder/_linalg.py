@@ -73,11 +73,6 @@ def random_complex_many(rng: np.random.Generator, k: int, shape) -> np.ndarray:
     return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
 
 
-def random_complex(rng: np.random.Generator, shape) -> np.ndarray:
-    """One `random_complex_many` draw."""
-    return random_complex_many(rng, 1, shape)[0]
-
-
 def _rank(s: np.ndarray, scale: float | None = None) -> int:
     """The one rank rule: the number of singular values (descending) above
     RANK_RTOL * s[0], or RANK_RTOL * max(s[0], scale) given the entry scale."""

@@ -92,9 +92,6 @@ class OperatorAlgebra:
         flat = self.basis.reshape(self.dim, -1)
         return np.conj(np.conj(x).reshape(*x.shape[:-2], flat.shape[1]) @ flat.T)
 
-    def unit_matrix(self) -> np.ndarray:
-        return self.synthesize(self.unit_coords)
-
     def validate(self) -> None:
         """MembershipError unless the basis is orthonormal, the unit reconstructs the
         identity and products stay in the span (construction decides star-closure)."""
@@ -103,7 +100,7 @@ class OperatorAlgebra:
         gram_defect = float(np.max(np.abs(gram - np.eye(d)))) if d else 0.0
         if gram_defect > 10 * self.structure_tol:
             raise MembershipError("basis not orthonormal", gram_defect)
-        unit_defect = la.frob(self.unit_matrix() - np.eye(self.ambient_dim))
+        unit_defect = la.frob(self.synthesize(self.unit_coords) - np.eye(self.ambient_dim))
         # The level-n unit's residual sqrt(n) d meets `_outside`'s bound at every n.
         if unit_defect > self.structure_tol * np.sqrt(self.ambient_dim):
             raise MembershipError("unit does not reconstruct the identity", unit_defect)
@@ -288,7 +285,8 @@ def random_element(algebra: OperatorAlgebra, rng: np.random.Generator,
                    level: int = 1) -> np.ndarray:
     """Random member of M_level(A) with complex Gaussian coordinates, drawn
     in the order of `block_coords` (block (i, j) row-major, then k)."""
-    return block_synth(la.random_complex(rng, (level, level, algebra.dim)), algebra.basis)
+    return block_synth(la.random_complex_many(rng, 1, (level, level, algebra.dim))[0],
+                       algebra.basis)
 
 
 def hermitian_part_basis(algebra: OperatorAlgebra) -> np.ndarray:

@@ -409,7 +409,7 @@ def c1_inequality_check(samples: int = 500, seed: int = 0,
                         grid_size: int = 64) -> InequalityReport:
     """Verify ||f|| >= max(||f||_inf, ||f'||_inf) / sqrt(2) >= ||f||_1 / (2 sqrt(2))
     on random complex samples, with ||f||_1 = ||f||_inf + ||f'||_inf."""
-    # The stream of `samples` (values, derivatives) pairs of random_complex draws.
+    # The stream of `samples` (values, derivatives) pairs of complex Gaussian draws.
     drawn = la.random_complex_many(np.random.default_rng(seed), 2 * samples, (grid_size,))
     vals, ders = drawn[0::2], drawn[1::2]
     norm = _c1_norms(vals, ders)

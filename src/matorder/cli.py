@@ -98,6 +98,8 @@ def _load_cone(path: str, config: RunConfig):
 # ---------------------------------------------------------------------------
 
 def _cmd_close_algebra(args, config: RunConfig):
+    if args.max_dim < 1:
+        raise SchemaError("/max-dim", "must be >= 1")
     obj = load_json(args.generators)
     if not isinstance(obj, list) or not obj:
         raise SchemaError("", "generators file must hold a nonempty list of matrices")

@@ -391,10 +391,10 @@ class SimilarityCone(ConeOracle):
         pair = ((-low - t * (1.0 + high)) / (1.0 + t), (high - t * (1.0 - low)) / (1.0 + t))
         return tuple(r if r.ndim else float(r) for r in pair)
 
-    def sharp_block(self, n: int, m: int, a: np.ndarray) -> np.ndarray:
-        """Involution of a rectangular block matrix over the algebra: (a_ij)^sharp transposed
-        at block level, one conjugation by the frame (the ambient adjoint in the identity
-        frame, whatever `straighten` a subclass sets)."""
+    def sharp_block(self, a: np.ndarray) -> np.ndarray:
+        """Involution of a rectangular block matrix over the algebra, its block shape read
+        off `a`: (a_ij)^sharp transposed at block level, one conjugation by the frame (the
+        ambient adjoint in the identity frame, whatever `straighten` a subclass sets)."""
         return self.frame.unstraighten(la.dagger(self.frame.straighten(a)))
 
     def sample_many(self, n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -657,7 +657,7 @@ def _algebra_conjugations(cone: ConeOracle, levels: tuple, trials: int,
         for m in levels:
             cs = _stack(cone, n, cone.sample_many(n, trials, rng))
             a = block_synth(la.random_complex_many(rng, trials, (n, m, alg.dim)), alg.basis)
-            for c, out in zip(cs, cone.sharp_block(n, m, a) @ cs @ a):
+            for c, out in zip(cs, cone.sharp_block(a) @ cs @ a):
                 yield Witness("algebra-conjugation", m, (c,) if n == m else (), out,
                               f"A^sharp C_{n} A escaped C_{m}")
 

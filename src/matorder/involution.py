@@ -153,7 +153,7 @@ def recover_involution(cone: ConeOracle, *, seed: int = 0) -> InvolutionMap:
     over `real_cone_span(cone, 1, seed)`; `certify_level` certifies it at a level n > 1."""
     cone.level_dim(1)  # LevelUnsupported for a cone without matrix levels
     if _realised(cone):
-        return InvolutionMap(cone.algebra, cone.sharp_block(1, 1, cone.algebra.basis))
+        return InvolutionMap(cone.algebra, cone.sharp_block(cone.algebra.basis))
     x1, x2 = decompose(cone, 1, cone.algebra.basis, real_cone_span(cone, 1, seed=seed))
     return InvolutionMap(cone.algebra, x1 - 1j * x2)
 
@@ -205,7 +205,7 @@ def verify_matrix_involution(cone: ConeOracle, n: int, samples: int = CERT_SAMPL
                                 f"the cone's algebra has {cone.algebra.basis.shape}")
     need = n * n * cone.algebra.dim
     if _realised(cone) and involution1.algebra is cone.algebra and np.array_equal(
-            involution1.images, cone.sharp_block(1, 1, cone.algebra.basis)):
+            involution1.images, cone.sharp_block(cone.algebra.basis)):
         return InvolutionComparison(n, None, 0, None, need, _THEOREM)
     upper = np.triu_indices(n)
     rng = np.random.default_rng(seed + 5)

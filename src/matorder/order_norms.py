@@ -9,7 +9,9 @@ uncertified value) builds a `cones._Bisection`.  A NaN or inf entry raises
 MatOrderError before any sharp or eigensolve.
 The pre-C*-norm is the square root of the seminorm of x^sharp x, cross-checked
 against the search for inf{r : r^2 e +- x^sharp x in C}; both formulas share
-the shifts and the certificate call.
+the shifts and the certificate call.  The sharp is one callable on a block matrix,
+its shape read off the matrix: the cone's own `sharp_block`, or the `InvolutionMap`
+handed to `pre_cstar_norm`.
 The order-unit and Archimedean checks are `cones.check_order_unit_archimedean`.
 """
 
@@ -40,12 +42,6 @@ class NormReport:
     bracket: tuple
     iterations: int
     oracle_calls: int
-
-
-def _sharp(cone: ConeOracle, n: int, involution, x: np.ndarray) -> np.ndarray:
-    """x^sharp at level n: the given callable (an InvolutionMap extends entrywise
-    to any level), else the cone's own `sharp_block`."""
-    return cone.sharp_block(n, n, x) if involution is None else involution(x)
 
 
 def _finite(x: np.ndarray) -> np.ndarray:
@@ -115,7 +111,7 @@ def order_unit_seminorm(cone: ConeOracle, n: int, a,
     bisection fallback's midpoint (see `_norm_searches`).
     """
     a = _finite(_stack(cone, n, [a])[0])
-    _check_self_adjoint(a, cone.sharp_block(n, n, a))
+    _check_self_adjoint(a, cone.sharp_block(a))
     return _norm_searches(cone, n, a, bisect_tol, ((False, False),))[0]
 
 
@@ -124,10 +120,12 @@ def pre_cstar_norm(cone: ConeOracle, involution, n: int, x,
     """sqrt of the seminorm of x^sharp x, cross-checked against the direct
     search for inf{r : r^2 e +- x^sharp x in C}; the two must agree to
     2 * bisect_tol (relative).  Both come from one `_norm_searches`, so from
-    one pair of exact shifts and one certificate call."""
+    one pair of exact shifts and one certificate call.  The sharp is the `InvolutionMap`
+    given (it extends entrywise to any level), or the cone's own `sharp_block` for None."""
     x = _finite(_stack(cone, n, [x])[0])
-    z = _sharp(cone, n, involution, x) @ x
-    _check_self_adjoint(z, _sharp(cone, n, involution, z))
+    sharp = cone.sharp_block if involution is None else involution
+    z = sharp(x) @ x
+    _check_self_adjoint(z, sharp(z))
     via_sqrt, direct = _norm_searches(cone, n, z, bisect_tol, ((False, True), (True, False)))
     value_sqrt = float(np.sqrt(via_sqrt.value))
     value_direct = direct.value
@@ -160,7 +158,7 @@ def null_space(cone: ConeOracle, n: int) -> np.ndarray:
     small = [b for b in basis if norm(b) <= NULL_TOL]
     rng = np.random.default_rng(0)
     for _ in range(3 if small else 0):
-        coeffs = la.random_complex(rng, len(small))
+        coeffs = la.random_complex_many(rng, 1, len(small))[0]
         coeffs /= np.linalg.norm(coeffs)
         if norm(np.tensordot(coeffs, np.stack(small), axes=(0, 0))) > NULL_TOL:
             # Span is not closed under combination: keep only directions

@@ -208,30 +208,6 @@ def _hermitian_space(space) -> np.ndarray:
     return space if len(reduced) == len(space) else reduced
 
 
-def find_pd(space: np.ndarray) -> np.ndarray:
-    """Positive definite element of the solution space, rescaled to
-    lambda_min = 1.
-
-    Phase one of the barrier solve: maximizes s subject to
-    s I <= Q(c) <= I (a compact set for an independent basis; a dependent
-    one is first reduced to an orthonormal basis of its span).  Any
-    iterate with s > 0 is a positive definite solution, however small s
-    (its condition number is at most 1/s); the solve returns the first
-    centred iterate (Newton decrement below 1) whose s is at least its
-    duality gap, so s >= s*/2 for the maximum s*.  When s stays <= 0 the
-    solve runs to its gap tolerance; when it ends at s <= 0,
-    NoPositiveSolution carries the dual W >= 0 with tr W = 1 and
-    |tr(W Q_j)| <= s + gap for every (reduced) basis element: it proves
-    lambda_min <= s + gap for every Q(c) <= I, so no element of the space
-    has a condition number below 1 / (s + gap) (the theorem of the
-    alternatives: an exact W with tr(W Q_j) = 0 excludes every positive
-    definite Q).
-    """
-    space = _hermitian_space(space)
-    q = np.tensordot(_phase_one(space)[0], space, axes=(0, 0))
-    return q / np.linalg.eigvalsh(q)[0]
-
-
 def _certificate_from(q: np.ndarray, gap: float | None = None) -> SimilarityCertificate:
     q = 0.5 * (q + la.dagger(q))
     evals = np.linalg.eigvalsh(q)
@@ -245,14 +221,14 @@ def minimize_condition(space: np.ndarray) -> SimilarityCertificate:
     """Certificate with the condition number minimized over the positive
     definite elements of the solution space.
 
-    Phase two of the barrier solve: once phase one (as in `find_pd`, which
-    stops at s >= s*/2) has found s > 0 (it raises NoPositiveSolution
-    otherwise), minimizes t
-    subject to I <= Q(c) <= t I, warm-started from phase one's (c, s) at
-    (2 c / s, 4 / s), until the duality gap is at most 1e-10 (1 + t); beyond
-    t ~ 1e5 the target rises to the rounding floor 20 N eps t (1 + t).  The
-    gap is recorded on the certificate and certifies the optimum: the
-    minimal condition number lies in [cond - gap, cond].
+    Phase two of the barrier solve: once `_phase_one` (which stops at
+    s >= s*/2) has found s > 0 (it raises NoPositiveSolution with its dual
+    certificate otherwise), minimizes t subject to I <= Q(c) <= t I,
+    warm-started from phase one's (c, s) at (2 c / s, 4 / s), until the
+    duality gap is at most 1e-10 (1 + t); beyond t ~ 1e5 the target rises
+    to the rounding floor 20 N eps t (1 + t).  The gap is recorded on the
+    certificate and certifies the optimum: the minimal condition number
+    lies in [cond - gap, cond].
     """
     space = _hermitian_space(space)
     c, s = _phase_one(space)
@@ -301,12 +277,6 @@ def build_star_rep(algebra: OperatorAlgebra, cone: ConeOracle, q,
                    residual_cone=float(residual_cone), frame=frame)
     return StarRepresentation(images=images, image_algebra=image_algebra(algebra, images),
                               certificate=cert)
-
-
-def cb_upper_bound_from_similarity(cert: SimilarityCertificate) -> float:
-    """sqrt(cond(Q)) = ||S|| ||S^-1||, an upper bound for the cb norm of the
-    conjugation the certificate implements."""
-    return float(np.sqrt(cert.cond))
 
 
 def _top_pair(z: np.ndarray, images: np.ndarray, from_algebra: OperatorAlgebra) -> tuple:
@@ -370,7 +340,7 @@ def cb_lower_bound(images: np.ndarray, from_algebra: OperatorAlgebra,
     unitz = np.einsum("uv,j->uvj", np.eye(k), from_algebra.unit_coords)
     starts.append(unitz / np.linalg.norm(unitz))
     while len(starts) < CB_RESTARTS:
-        z = la.random_complex(rng, (k, k, d))
+        z = la.random_complex_many(rng, 1, (k, k, d))[0]
         starts.append(z / np.linalg.norm(z))
     return max(_polish(images, from_algebra, *_top_pair(z, images, from_algebra))
                for z in starts)
@@ -444,7 +414,7 @@ def reconstruct_similarity(algebra: OperatorAlgebra, cone: ConeOracle,
     star = build_star_rep(algebra, cone, minimize_condition(space), involution=involution,
                           cert_tol=cert_tol, levels=levels, samples=samples, seed=seed)
     inverse_images = star.certificate.frame.unstraighten(star.image_algebra.basis)
-    upper = cb_upper_bound_from_similarity(star.certificate)
+    upper = float(np.sqrt(star.certificate.cond))  # ||S|| ||S^-1|| bounds the cb norm
     k, lower = 1, _frame_witness(star.certificate.s, inverse_images, star.image_algebra)
     for k in sorted({1, ceiling}) if upper - lower > cert_tol * upper else ():
         lower = max(lower, cb_lower_bound(inverse_images, star.image_algebra, k, seed))

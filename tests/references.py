@@ -68,7 +68,7 @@ from matorder.cones import (_BOUNDARY_WIDTH_FACTOR, ConeOracle, ConstantEstimate
 from matorder.errors import (CertificationFailed, DimensionCapExceeded, DimensionMismatch,
                              NoPositiveSolution, NumericalStall, SpanUnstable)
 from matorder.involution import SPAN_ROUNDS, InvolutionComparison
-from matorder.order_norms import DEFAULT_BISECT_TOL, NormReport, _check_self_adjoint, _sharp
+from matorder.order_norms import DEFAULT_BISECT_TOL, NormReport, _check_self_adjoint
 
 def membership_residual(algebra: OperatorAlgebra, x: np.ndarray) -> float:
     """Frobenius distance of x from the algebra span."""
@@ -505,8 +505,9 @@ def pre_cstar_norm_two_calls(cone: ConeOracle, involution, n: int, x,
     """sqrt of the seminorm of x^sharp x, cross-checked against the direct
     search for inf{r : r^2 e +- x^sharp x in C}, each path certified on its own."""
     x = as_matrix(x)
-    z = _sharp(cone, n, involution, x) @ x
-    _check_self_adjoint(z, _sharp(cone, n, involution, z))
+    sharp = cone.sharp_block if involution is None else involution
+    z = sharp(x) @ x
+    _check_self_adjoint(z, sharp(z))
     shifts = _two_shifts(cone, n, z)
 
     via_sqrt = norm_search_two_calls(cone, n, z, bisect_tol, sqrt_refine=True, shifts=shifts)
@@ -687,7 +688,7 @@ def cb_lower_bound_two_stage(images: np.ndarray, from_algebra: OperatorAlgebra,
     unitz = np.einsum("uv,j->uvj", np.eye(k), from_algebra.unit_coords)
     starts.append(unitz / np.linalg.norm(unitz))
     while len(starts) < similarity.CB_RESTARTS:
-        z = la.random_complex(rng, (k, k, d))
+        z = la.random_complex_many(rng, 1, (k, k, d))[0]
         starts.append(z / np.linalg.norm(z))
 
     etas = np.array([1.0, 0.5, 0.2, 0.08])[:, None, None, None]
@@ -852,7 +853,8 @@ def c1_inequality_check_per_sample(samples: int, seed: int, grid_size: int) -> t
     grid = np.linspace(0.0, 1.0, grid_size)
     violations, worst = 0, np.inf
     for _ in range(samples):
-        f = C1Sample(grid, la.random_complex(rng, grid_size), la.random_complex(rng, grid_size))
+        f = C1Sample(grid, la.random_complex_many(rng, 1, grid_size)[0],
+                     la.random_complex_many(rng, 1, grid_size)[0])
         norm = c1_norm_per_sample(f)
         sup, dsup = (float(np.max(np.abs(v))) if grid_size else 0.0
                      for v in (f.f_values, f.f_derivs))

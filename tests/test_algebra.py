@@ -213,7 +213,7 @@ def test_amplify_shapes_and_unit():
     assert amp.ambient_dim == 4
     assert amp.dim == algebra.dim * 4
     assert amp.star_closed == algebra.star_closed
-    np.testing.assert_allclose(amp.unit_matrix(), np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(amp.synthesize(amp.unit_coords), np.eye(4), atol=1e-12)
     amp.validate()
 
 

@@ -241,7 +241,8 @@ def test_c1_embedded_norm_matches_full_svd(m):
     rng = np.random.default_rng(m)
     grid = np.linspace(0.0, 1.0, m)
     for _ in range(5):
-        s = C1Sample(grid, la.random_complex(rng, m), la.random_complex(rng, m))
+        s = C1Sample(grid, la.random_complex_many(rng, 1, m)[0],
+                     la.random_complex_many(rng, 1, m)[0])
         got = _embedded_norms(s.f_values[None], s.f_derivs[None])
         assert got.tolist() == [pytest.approx(la.opnorm(c1_embed(s)), rel=1e-13)]
 
@@ -251,8 +252,8 @@ def test_c1_norm_rejects_an_entry_off_the_diagonal_blocks():
     # diagonal blocks and no lower-left entry is ever written: both hold exactly.
     for m in (1, 8, 64):
         rng = np.random.default_rng(m)
-        s = C1Sample(np.linspace(0.0, 1.0, m), la.random_complex(rng, m),
-                     la.random_complex(rng, m))
+        s = C1Sample(np.linspace(0.0, 1.0, m), la.random_complex_many(rng, 1, m)[0],
+                     la.random_complex_many(rng, 1, m)[0])
         blocks = case_studies._c1_blocks(s.f_values, s.f_derivs)
         embedded = c1_embed(s)
         diag = np.arange(m)
@@ -268,15 +269,15 @@ def _kernel_cases() -> dict:
     cases["random-mixed"] = (np.geomspace(1e-150, 1e150, 500)[:, None, None]
                              * la.random_complex_many(rng, 500, (2, 2)))
     unitaries = np.linalg.qr(la.random_complex_many(rng, 200, (2, 2)))[0]
-    cases["scalar-unitary"] = la.random_complex(rng, 200)[:, None, None] * unitaries
+    cases["scalar-unitary"] = la.random_complex_many(rng, 1, 200)[0][:, None, None] * unitaries
     cases["rank-one"] = np.einsum("ki,kj->kij", la.random_complex_many(rng, 200, 2),
                                   la.random_complex_many(rng, 200, 2))
     cases["zero"] = np.zeros((3, 2, 2), dtype=complex)
-    f = la.random_complex(rng, 200)
+    f = la.random_complex_many(rng, 1, 200)[0]
     cases["c1-flat"] = case_studies._c1_blocks(f, np.zeros(200))
-    cases["c1-steep"] = case_studies._c1_blocks(f, 1e8 * la.random_complex(rng, 200))
+    cases["c1-steep"] = case_studies._c1_blocks(f, 1e8 * la.random_complex_many(rng, 1, 200)[0])
     cases["c1-mixed"] = case_studies._c1_blocks(
-        f, np.geomspace(1e-9, 1e9, 200) * la.random_complex(rng, 200))
+        f, np.geomspace(1e-9, 1e9, 200) * la.random_complex_many(rng, 1, 200)[0])
     return cases
 
 

@@ -515,6 +515,16 @@ def test_close_algebra_with_generators_of_mixed_sizes_exits_4(workdir, capsys, t
         generate_algebra(mats)
 
 
+@pytest.mark.parametrize("max_dim", ["0", "-3"])
+def test_close_algebra_with_a_max_dim_below_1_exits_4(workdir, capsys, tmp_path, max_dim):
+    (tmp_path / "gens.json").write_text(canonical_json([matrix_to_obj(E12)]))
+    code, rep = _run(workdir, ["close-algebra", "--generators", str(tmp_path / "gens.json"),
+                               "--max-dim", max_dim], capsys)
+    assert code == 4 and "result" not in rep
+    assert rep["error"] == {"type": "SchemaError", "pointer": "/max-dim",
+                            "message": "must be >= 1"}
+
+
 def test_every_benchmark_input_file_loads(tmp_path, monkeypatch):
     load_workloads(monkeypatch).build_cli_session(np.random.default_rng(0), 2, str(tmp_path))
     files = sorted(tmp_path.glob("*.json"))

@@ -1,9 +1,12 @@
+import inspect
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
 from conftest import E11, E12, WORKED_B, WORKED_S, mat, random_similarity, random_unitary
 from doubles import AllHermitianCone, PairedSpanCone, ZeroCone, ZeroedCornerCone
+import matorder
 from matorder import _linalg as la
 from matorder import cones as cones_mod
 from matorder import involution as involution_mod
@@ -181,7 +184,7 @@ def test_blockwise_similarity_maps_match_kron(worked_sim_cone):
                                    kron_i(n, s_inv) @ x @ kron_i(n, s), atol=1e-12)
     a = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
     ref = kron_i(3, s_inv) @ (kron_i(2, s) @ a @ kron_i(3, s_inv)).conj().T @ kron_i(2, s)
-    np.testing.assert_allclose(worked_sim_cone.sharp_block(2, 3, a), ref, atol=1e-12)
+    np.testing.assert_allclose(worked_sim_cone.sharp_block(a), ref, atol=1e-12)
 
 
 @pytest.mark.parametrize("fixture", ["std_m2", "std_m3", "worked_sim_cone"])
@@ -530,6 +533,17 @@ def test_the_oracle_protocol_is_declared_abstract():
         for name in ("member", "sample", "sample_span", "norm", "unstraighten"):
             assert not hasattr(cls, name), (cls.__name__, name)
     assert not hasattr(involution_mod, "_split")
+
+
+def test_outside_the_oracle_each_question_is_asked_one_way():
+    # The sharp reads its block shape off its argument, as an InvolutionMap does, and
+    # no public name only re-asks another: the phase-one solve is minimize_condition's,
+    # the cb upper bound reconstruct_similarity's, a draw a stack of one.
+    assert list(inspect.signature(SimilarityCone.sharp_block).parameters) == ["self", "a"]
+    for owner, name in ((matorder, "find_pd"), (matorder, "cb_upper_bound_from_similarity"),
+                        (matorder.similarity, "find_pd"), (la, "random_complex"),
+                        (matorder.order_norms, "_sharp"), (OperatorAlgebra, "unit_matrix")):
+        assert not hasattr(owner, name), (owner.__name__, name)
 
 
 def test_replay_asks_a_membership_witness_in_one_call(m2_full):

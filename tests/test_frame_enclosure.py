@@ -64,7 +64,7 @@ def _norms_agree(cone, n, rng, asked):
     copy = instance_oracle(cone)
     for norm, z, t, calls, size in (
             (lambda c: order_unit_seminorm(c, n, a), a, lambda r: r, 3, 5),
-            (lambda c: pre_cstar_norm(c, None, n, x), cone.sharp_block(n, n, x) @ x,
+            (lambda c: pre_cstar_norm(c, None, n, x), cone.sharp_block(x) @ x,
              lambda r: r * r, 6, 10)):
         asked.clear()
         got = norm(cone)

@@ -67,10 +67,10 @@ def test_involution_map_apply_and_call_agree_at_every_level(worked_sim_cone, n):
     inv = recover_involution(worked_sim_cone)
     rng = np.random.default_rng(n)
     x = random_element(worked_sim_cone.algebra, rng, level=n)
-    np.testing.assert_allclose(inv(x), worked_sim_cone.sharp_block(n, n, x), atol=1e-9)
+    np.testing.assert_allclose(inv(x), worked_sim_cone.sharp_block(x), atol=1e-9)
     # A rectangular n x (n + 1) block matrix maps to (n + 1) x n blocks.
     a = np.hstack([x, random_element(worked_sim_cone.algebra, rng, level=n + 1)[:2 * n, :2]])
-    np.testing.assert_allclose(inv(a), worked_sim_cone.sharp_block(n, n + 1, a), atol=1e-9)
+    np.testing.assert_allclose(inv(a), worked_sim_cone.sharp_block(a), atol=1e-9)
 
 
 @pytest.mark.parametrize("consumer", [
@@ -369,7 +369,7 @@ def test_a_frame_cone_takes_its_involution_from_the_frame_and_draws_nothing(
     calls = _counted_draws(monkeypatch, cone)
     inv = recover_involution(cone, seed=2)
     assert calls == []
-    np.testing.assert_array_equal(inv.images, cone.sharp_block(1, 1, cone.algebra.basis))
+    np.testing.assert_array_equal(inv.images, cone.sharp_block(cone.algebra.basis))
     assert verify_matrix_involution(instance_oracle(cone), 2, seed=2, involution1=inv).passed
 
 
@@ -402,7 +402,7 @@ def test_full_m6_recovers_its_level_eight_involution_by_the_theorem(monkeypatch)
     inv = recover_involution(cone, seed=1)
     certify_level(cone, 8, inv, seed=1)
     assert calls == []
-    np.testing.assert_array_equal(inv.images, cone.sharp_block(1, 1, cone.algebra.basis))
+    np.testing.assert_array_equal(inv.images, cone.sharp_block(cone.algebra.basis))
     assert [(c.level, c.samples, c.rank, c.need, c.provenance[:8]) for c in certs] == [
         (8, 0, None, 64 * 36, "theorem:")]
 
@@ -423,14 +423,14 @@ def test_a_foreign_level_one_map_on_a_frame_cone_is_sampled_and_fails(planted_si
 class _AdjointSharp(SimilarityCone):
     """A frame cone whose `sharp_block` is the ambient adjoint, not its frame's involution."""
 
-    def sharp_block(self, n, m, a):
+    def sharp_block(self, a):
         return a.conj().swapaxes(-1, -2)
 
 
 def test_an_overridden_sharp_block_is_sampled_and_fails(planted_sim_cone, monkeypatch):
     # The realisation theorem speaks of the frame's involution, not of an overriding map.
     cone = _AdjointSharp(planted_sim_cone.algebra, WORKED_S)
-    adjoint = InvolutionMap(cone.algebra, cone.sharp_block(1, 1, cone.algebra.basis))
+    adjoint = InvolutionMap(cone.algebra, cone.sharp_block(cone.algebra.basis))
     calls = _counted_draws(monkeypatch, cone)
     cert = verify_matrix_involution(cone, 2, seed=2, involution1=adjoint)
     assert calls and (cert.samples, cert.provenance) == (20, "sampled") and not cert.passed

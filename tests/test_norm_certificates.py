@@ -55,9 +55,9 @@ def _square(r):
     return r * r
 
 
-def _sharp_x(cone, n, x):
+def _sharp_x(cone, x):
     """x^sharp x under the cone's own involution."""
-    return cone.sharp_block(n, n, x) @ x
+    return cone.sharp_block(x) @ x
 
 
 def _confirms(cone, n, z, t, bracket):
@@ -102,7 +102,7 @@ def test_norms_match_the_two_call_reference(kind, fixture, n, request):
     (semi, pre, semi_batches, pre_batches), (ref_semi, ref_pre, ref_semi_b, ref_pre_b) = \
         _norms(cone, n, a, x)
     if kind == "swapped":
-        for got, want, z, t in ((semi, ref_semi, a, _one), (pre, ref_pre, _sharp_x(cone, n, x),
+        for got, want, z, t in ((semi, ref_semi, a, _one), (pre, ref_pre, _sharp_x(cone, x),
                                                             _square)):
             assert got.iterations > 0
             assert abs(got.value - want.value) <= 2.0 * DEFAULT_BISECT_TOL * (1.0 + want.value)

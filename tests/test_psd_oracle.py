@@ -133,14 +133,14 @@ def test_gemm_synthesis_matches_tensordot(fixture, request):
     rng = np.random.default_rng(3)
     d = alg.dim
     for shape in [(d,), (5, d), (3, 3, d)]:
-        coords = la.random_complex(rng, shape)
+        coords = la.random_complex_many(rng, 1, shape)[0]
         np.testing.assert_allclose(alg.synthesize(coords),
                                    np.tensordot(coords, alg.basis, axes=(-1, 0)),
                                    rtol=1e-15, atol=0)
     assert alg.synthesize(np.zeros((0, d))).shape == (0, alg.ambient_dim, alg.ambient_dim)
-    images = la.random_complex(rng, (d, 3, 5))
+    images = la.random_complex_many(rng, 1, (d, 3, 5))[0]
     for k in (1, 2, 4):
-        coords = la.random_complex(rng, (k, k, d))
+        coords = la.random_complex_many(rng, 1, (k, k, d))[0]
         for mats in (alg.basis, images):
             ref = np.tensordot(coords, mats, axes=(2, 0)).swapaxes(1, 2)
             np.testing.assert_allclose(block_synth(coords, mats),

@@ -100,7 +100,7 @@ def test_noise_floor_needs_the_entry_scale():
 
 def test_real_kernel_is_a_real_orthonormal_stack_in_the_kernel():
     rng = np.random.default_rng(11)
-    basis = la.random_complex(rng, (6, 3, 3))
+    basis = la.random_complex_many(rng, 1, (6, 3, 3))[0]
     cols = rng.standard_normal((2, 6))
     out = la.real_kernel(basis, cols)
     assert out.shape == (4, 3, 3) and out.dtype == complex

@@ -28,8 +28,6 @@ from matorder.similarity import (
     _top_pair,
     build_star_rep,
     cb_lower_bound,
-    cb_upper_bound_from_similarity,
-    find_pd,
     minimize_condition,
     reconstruct_similarity,
     solve_Q,
@@ -72,16 +70,17 @@ def test_solve_Q_star_closed_contains_identity(m3_full, std_m3):
 
 
 def test_find_pd_worked_space(worked_algebra, worked_sim_cone):
-    space = _worked_space(worked_algebra, worked_sim_cone)
-    q = find_pd(space)
-    evals = np.linalg.eigvalsh(q)
-    assert evals[0] == pytest.approx(1.0, abs=1e-9)
+    # Phase one's (c, s): s I <= Q(c) <= I with s > 0, a positive definite solution.
+    space = similarity._hermitian_space(_worked_space(worked_algebra, worked_sim_cone))
+    c, s = similarity._phase_one(space)
+    evals = np.linalg.eigvalsh(np.tensordot(c, space, axes=(0, 0)))
+    assert 0.0 < s <= evals[0] and evals[-1] <= 1.0
 
 
 def test_find_pd_indefinite_ray():
     space = np.stack([np.diag([1.0, -1.0]).astype(complex) / np.sqrt(2)])
     with pytest.raises(NoPositiveSolution):
-        find_pd(space)
+        minimize_condition(space)
 
 
 def test_positive_definite_ray_is_not_called_infeasible():
@@ -91,7 +90,9 @@ def test_positive_definite_ray_is_not_called_infeasible():
     u = random_unitary(np.random.default_rng(0), 3)
     q = u @ np.diag([1.0, 1e-8, 0.5]) @ u.conj().T
     space = (q / np.linalg.norm(q))[None]
-    assert np.linalg.eigvalsh(find_pd(space))[0] == pytest.approx(1.0, abs=1e-6)
+    hermitian = similarity._hermitian_space(space)
+    c, s = similarity._phase_one(hermitian)
+    assert 0.0 < s <= np.linalg.eigvalsh(c[0] * hermitian[0])[0]
     cert = minimize_condition(space)
     assert cert.cond == pytest.approx(1e8, rel=1e-6)
     assert cert.cond - cert.gap <= 1e8 * (1.0 + 1e-6)
@@ -99,8 +100,10 @@ def test_positive_definite_ray_is_not_called_infeasible():
 
 def test_find_pd_scalar_space():
     space = np.stack([np.eye(2, dtype=complex) / np.sqrt(2)])
-    q = find_pd(space)
-    np.testing.assert_allclose(q, np.eye(2), atol=1e-10)
+    c, s = similarity._phase_one(space)
+    q = c[0] * space[0]
+    assert 0.0 < s <= np.linalg.eigvalsh(q)[0]
+    np.testing.assert_allclose(q / np.linalg.eigvalsh(q)[0], np.eye(2), atol=1e-10)
 
 
 def test_minimize_condition_worked_value(worked_algebra, worked_sim_cone):
@@ -166,7 +169,7 @@ def test_build_star_rep_takes_only_an_involution_map(m2_full, std_m2):
 
 def test_find_pd_empty_space():
     with pytest.raises(NoPositiveSolution):
-        find_pd(np.zeros((0, 2, 2), dtype=complex))
+        minimize_condition(np.zeros((0, 2, 2), dtype=complex))
 
 
 def test_build_star_rep_identity_for_star_closed(m2_full, std_m2):
@@ -235,12 +238,13 @@ def test_order_isomorphism_both_ways(worked_algebra, worked_sim_cone):
 
 
 def test_cb_upper_bound_closed_form():
-    cert = minimize_condition(np.stack([np.eye(2, dtype=complex)]))
-    assert cb_upper_bound_from_similarity(cert) == pytest.approx(1.0, abs=1e-12)
+    # The upper bound sqrt(cond(Q)) = ||S|| ||S^-1||, S = Q^(1/2).
     from matorder.similarity import _certificate_from
-    cert2 = _certificate_from(mat([[1, 1], [1, 3]]))
-    assert cb_upper_bound_from_similarity(cert2) == pytest.approx(
-        ONE_PLUS_SQRT2, abs=1e-12)
+    for cert, want in ((minimize_condition(np.stack([np.eye(2, dtype=complex)])), 1.0),
+                       (_certificate_from(mat([[1, 1], [1, 3]])), ONE_PLUS_SQRT2)):
+        assert np.sqrt(cert.cond) == pytest.approx(want, abs=1e-12)
+        assert la.opnorm(cert.s) * la.opnorm(np.linalg.inv(cert.s)) == pytest.approx(
+            want, abs=1e-12)
 
 
 def test_cb_lower_bound_identity(m2_full):
@@ -537,14 +541,14 @@ def _replay_dual(space, exc):
 def test_find_pd_indefinite_ray_dual_certificate():
     space = np.stack([np.diag([1.0, -1.0]).astype(complex) / np.sqrt(2)])
     with pytest.raises(NoPositiveSolution) as info:
-        find_pd(space)
+        minimize_condition(space)
     _replay_dual(space, info.value)
 
 
 def test_find_pd_indefinite_plane_dual_certificate():
     space = np.stack([np.diag([1.0, -1.0, 0.0]), np.diag([0.0, 1.0, -1.0])]).astype(complex)
     with pytest.raises(NoPositiveSolution) as info:
-        find_pd(space)
+        similarity._phase_one(space)
     _replay_dual(space, info.value)
     with pytest.raises(NoPositiveSolution) as info:
         minimize_condition(space)
@@ -558,7 +562,7 @@ def test_budget_exhaustion_is_a_stall_not_a_verdict(monkeypatch, worked_algebra,
 
     monkeypatch.setattr(similarity, "NEWTON_BUDGET", 3)
     with pytest.raises(NumericalStall):
-        find_pd(np.stack([np.diag([1.0, -1.0]).astype(complex) / np.sqrt(2)]))
+        minimize_condition(np.stack([np.diag([1.0, -1.0]).astype(complex) / np.sqrt(2)]))
     with pytest.raises(NumericalStall):
         minimize_condition(_worked_space(worked_algebra, worked_sim_cone))
 
@@ -655,7 +659,7 @@ def test_similarity_certificate_root_is_exactly_hermitian(size):
     # +-1e-17 imaginary parts that move with the eigensolver's rounding.
     from matorder import _linalg as la
     from matorder.similarity import _certificate_from
-    g = la.random_complex(np.random.default_rng(size), (size, size))
+    g = la.random_complex_many(np.random.default_rng(size), 1, (size, size))[0]
     q = g.conj().T @ g + np.eye(size)
     cert = _certificate_from(q)
     assert np.array_equal(cert.s, cert.s.conj().T)
@@ -814,7 +818,7 @@ def test_no_algebra_closed_by_construction_is_closed_again(
         monkeypatch, worked_algebra, worked_sim_cone, planted_sim_cone, m2_full, m3_full,
         span_i_e11):
     rng = np.random.default_rng(8)
-    m8 = generate_algebra([la.random_complex(rng, (8, 8))], include_adjoints=True)
+    m8 = generate_algebra([la.random_complex_many(rng, 1, (8, 8))[0]], include_adjoints=True)
     s = random_similarity(rng, 8, max_log10_cond=1.0)
     b8 = conjugate_algebra(m8, np.linalg.inv(s))
     cases = [(worked_algebra, worked_sim_cone), (planted_sim_cone.algebra, planted_sim_cone),
@@ -916,7 +920,7 @@ def _cb_sweep(count=16, seed=42):
         cases.append([(a, np.stack([s_inv @ x @ s for x in a.basis]), k, cond),
                       (b, np.stack([s @ x @ s_inv for x in b.basis]), k, cond),
                       (a, np.stack([x.T for x in a.basis]), k, float(a.ambient_dim)),
-                      (b, la.random_complex(rng, b.basis.shape), k, None)][kind])
+                      (b, la.random_complex_many(rng, 1, b.basis.shape)[0], k, None)][kind])
     return cases
 
 

@@ -185,7 +185,7 @@ def test_empty_batches(fixture, request):
 
 @pytest.mark.parametrize("shape", [(5, 4, 4), (3, 6, 2), (0, 3, 3)])
 def test_opnorm_of_a_stack_keeps_each_matrix_bits(shape):
-    x = la.random_complex(np.random.default_rng(80), shape)
+    x = la.random_complex_many(np.random.default_rng(80), 1, shape)[0]
     got = la.opnorm(x)
     assert got.shape == shape[:1]
     assert got.tolist() == [la.opnorm(m) for m in x]
@@ -193,8 +193,8 @@ def test_opnorm_of_a_stack_keeps_each_matrix_bits(shape):
 
 @pytest.mark.parametrize("shape", [3, (4,), (2, 3), (2, 2, 5), (0, 3)])
 def test_random_complex_many_is_the_stream_of_single_draws(shape):
-    # Each draw: its real parts, then its imaginary parts, as the earlier
-    # one-draw `random_complex` took them.
+    # Each draw: its real parts, then its imaginary parts, as a stack of one
+    # takes them.
     stacked, single = np.random.default_rng(90), np.random.default_rng(90)
     got = la.random_complex_many(stacked, 4, shape)
     want = np.stack([(single.standard_normal(shape) + 1j * single.standard_normal(shape))
@@ -202,4 +202,5 @@ def test_random_complex_many_is_the_stream_of_single_draws(shape):
     assert got.shape == want.shape and np.array_equal(got, want)
     assert stacked.bit_generator.state == single.bit_generator.state
     again = np.random.default_rng(90)
-    assert np.array_equal(np.stack([la.random_complex(again, shape) for _ in range(4)]), got)
+    singles = [la.random_complex_many(again, 1, shape)[0] for _ in range(4)]
+    assert np.array_equal(np.stack(singles), got)

@@ -54,7 +54,7 @@ def test_a_full_algebra_projects_nothing_to_check_membership(request, work, case
     assert algebra.dim == algebra.ambient_dim ** 2
     rng = np.random.default_rng(0)
     x = _hermitian(rng, size) + 1j * _hermitian(rng, size)
-    a = x + cone.sharp_block(n, n, x)
+    a = x + cone.sharp_block(x)
     work.update(coords_of=0, level_residual=0)
     cone.member_many(n, np.stack([a, -a, np.eye(size)]))
     cone.min_shift_pair(n, np.stack([a, x @ x.conj().T]))
