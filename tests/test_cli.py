@@ -48,12 +48,59 @@ def workdir(tmp_path_factory):
     (root / "nonsa.json").write_text(canonical_json(matrix_to_obj(E12)))
     (root / "gens.json").write_text(canonical_json([matrix_to_obj(E12)]))
     (root / "S.json").write_text(canonical_json(matrix_to_obj(WORKED_S)))
+    (root / "images.json").write_text(canonical_json([matrix_to_obj(b) for b in m2.basis]))
+    rng = np.random.default_rng(0)
+    (root / "random_images.json").write_text(canonical_json(
+        [matrix_to_obj(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+         for _ in range(m2.dim)]))
+    (root / "elem_offdiag.json").write_text(canonical_json(
+        matrix_to_obj(np.array([[3.0, 1.0], [1.0, -1.0]], dtype=complex))))
+    # diag(1, 2) + 1e-6 E12 spans a 2-dimensional algebra that misses its adjoint by ~1e-6.
+    (root / "near_normal.json").write_text(canonical_json(
+        [matrix_to_obj(np.array([[1.0, 1e-6], [0.0, 2.0]], dtype=complex))]))
+    # M_2 rounded to 1e-6: orthonormal within 1e-4, not within the default 1e-9.
+    rounded = algebra_to_obj(m2)
+    for b in rounded["basis"]:
+        b["entries"] = [[[round(v, 6) for v in z] for z in row] for row in b["entries"]]
+    (root / "rounded_m2.json").write_text(canonical_json(rounded))
+    (root / "rounded_cone.json").write_text(canonical_json(
+        {"variant": "standard", "algebra": "rounded_m2.json", "tol_psd": 1e-9}))
     return root
 
 
 def _run(workdir, args, capsys):
     code = run(args + ["--out", str(workdir / "out.json")])
     return code, json.loads((workdir / "out.json").read_text())
+
+
+# The tuning flags each command reads: the ones its parser takes and its report's config lists.
+FLAG_ROWS = {
+    "close-algebra": ("seed", "samples", "structure_tol"),
+    "check-cones": ("seed", "samples", "levels", "structure_tol"),
+    "order-norm": ("bisect_tol", "structure_tol"),
+    "involution": ("seed", "samples", "levels", "structure_tol"),
+    "similarity": ("seed", "samples", "levels", "cert_tol", "structure_tol"),
+    "cb-norm": ("seed", "structure_tol"),
+    "kadison-demo": ("seed", "samples", "levels", "cert_tol", "structure_tol"),
+    "c1-example": ("seed", "samples", "tol_psd"),
+}
+TUNING_FLAGS = ("seed", "samples", "levels", "tol_psd", "bisect_tol", "cert_tol", "structure_tol")
+
+# Inputs (in the workdir) that each command runs on.
+COMMAND_INPUTS = {
+    "close-algebra": ["--generators", "gens.json"],
+    "check-cones": ["--cone", "std_cone.json"],
+    "order-norm": ["--cone", "std_cone.json", "--element", "elem.json"],
+    "involution": ["--cone", "std_cone.json"],
+    "similarity": ["--cone", "sim_cone.json"],
+    "cb-norm": ["--algebra", "m2.json", "--images", "random_images.json"],
+    "kadison-demo": ["--algebra", "span_e11.json", "--similarity", "S.json"],
+    "c1-example": ["--grid-size", "4", "--frequencies", "1"],
+}
+
+
+def _inputs(workdir, args):
+    return [str(workdir / a) if a.endswith(".json") else a for a in args]
 
 
 # -- serialization roundtrips ------------------------------------------------
@@ -125,12 +172,7 @@ def test_check_cones_cmd(workdir, capsys):
 
 
 def test_check_cones_validates_the_algebra_at_structure_tol(workdir, capsys):
-    obj = algebra_to_obj(generate_algebra([E12], include_adjoints=True))
-    for b in obj["basis"]:
-        b["entries"] = [[[round(v, 6) for v in z] for z in row] for row in b["entries"]]
-    (workdir / "m2_rounded.json").write_text(canonical_json(
-        {"variant": "standard", "algebra": obj, "tol_psd": 1e-9}))
-    args = ["check-cones", "--cone", str(workdir / "m2_rounded.json"), "--samples", "10"]
+    args = ["check-cones", "--cone", str(workdir / "rounded_cone.json"), "--samples", "10"]
     code, rep = _run(workdir, args, capsys)
     assert code == 3
     assert rep["error"]["type"] == "MembershipError"
@@ -538,14 +580,16 @@ def test_every_benchmark_input_file_loads(tmp_path, monkeypatch):
 
 
 def test_parser_defaults_are_the_run_config_and_library_defaults():
-    args = cli_mod._build_parser().parse_args(["check-cones", "--cone", "c.json"])
-    config = cli_mod.RunConfig()
-    for name in ("seed", "samples", "tol_psd", "bisect_tol", "cert_tol", "structure_tol",
-                 "out"):
-        assert getattr(args, name) == getattr(config, name)
-    assert args.levels == "1,2" and config.levels == (1, 2)
-    assert (config.tol_psd, config.bisect_tol, config.cert_tol, config.structure_tol) == (
-        DEFAULT_TOL_PSD, DEFAULT_BISECT_TOL, sim_mod.DEFAULT_CERT_TOL, DEFAULT_STRUCTURE_TOL)
+    assert cli_mod._FLAGS == {
+        "seed": (int, 0), "samples": (int, 50), "levels": (str, "1,2"),
+        "tol_psd": (float, DEFAULT_TOL_PSD), "bisect_tol": (float, DEFAULT_BISECT_TOL),
+        "cert_tol": (float, sim_mod.DEFAULT_CERT_TOL),
+        "structure_tol": (float, DEFAULT_STRUCTURE_TOL)}
+    for command, inputs in COMMAND_INPUTS.items():
+        args = cli_mod._build_parser().parse_args([command, *inputs])
+        assert args.out is None
+        for flag in FLAG_ROWS[command]:
+            assert getattr(args, flag) == cli_mod._FLAGS[flag][1]
     assert cone_from_obj({"variant": "pullback", "grid": [0, 1]}).tol_psd == DEFAULT_TOL_PSD
 
 
@@ -599,13 +643,86 @@ def test_exit_code_bad_config(workdir, capsys):
 
 
 def test_report_embeds_config(workdir, capsys):
-    code, rep = _run(workdir, ["order-norm", "--cone",
-                               str(workdir / "std_cone.json"),
-                               "--element", str(workdir / "elem.json"),
+    code, rep = _run(workdir, ["check-cones", "--cone", str(workdir / "std_cone.json"),
                                "--seed", "7", "--samples", "3"], capsys)
     assert rep["config"]["seed"] == 7
     assert rep["config"]["samples"] == 3
     assert rep["config"]["levels"] == [1, 2]
+
+
+# -- the flag table: each command takes the tuning flags it reads, and no other ------
+
+# Two values of each flag.
+FLAG_VALUES = {"seed": ("0", "1"), "samples": ("50", "4"), "levels": ("1", "3"),
+               "tol_psd": ("1e-9", "0.3"), "bisect_tol": ("1e-10", "1e-15"),
+               "cert_tol": ("1e-7", "1e-30"), "structure_tol": ("1e-9", "1e-4")}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, row in FLAG_ROWS.items() for flag in TUNING_FLAGS
+    if flag not in row], ids="-".join)
+def test_a_command_refuses_a_flag_it_does_not_read(workdir, capsys, tmp_path, command, flag):
+    out = tmp_path / "out.json"
+    argv = [command, *_inputs(workdir, COMMAND_INPUTS[command]),
+            "--" + flag.replace("_", "-"), FLAG_VALUES[flag][1], "--out", str(out)]
+    assert run(argv) == 4 and not out.exists()
+    assert f"unrecognized arguments: --{flag.replace('_', '-')}" in capsys.readouterr().err
+
+
+DEFAULT_CONFIG = {"seed": 0, "samples": 50, "levels": [1, 2], "tol_psd": 1e-9,
+                  "bisect_tol": 1e-10, "cert_tol": 1e-7, "structure_tol": 1e-9}
+
+
+@pytest.mark.parametrize("command", FLAG_ROWS)
+def test_config_lists_the_flags_the_command_reads(workdir, capsys, command):
+    # A missing input fails after the config is checked, so each report carries it.
+    args = ["--grid-size", "0"] if command == "c1-example" else [
+        str(workdir / "missing.json") if a.endswith(".json") else a
+        for a in COMMAND_INPUTS[command]]
+    code, rep = _run(workdir, [command, *args], capsys)
+    assert code == 4 and "result" not in rep
+    assert rep["config"] == {flag: DEFAULT_CONFIG[flag] for flag in FLAG_ROWS[command]}
+
+
+# The inputs on which a flag's two values move a command's report where COMMAND_INPUTS'
+# do not.
+MOVING_INPUTS = {
+    ("close-algebra", "structure_tol"): ["--generators", "near_normal.json"],
+    ("check-cones", "structure_tol"): ["--cone", "rounded_cone.json"],
+    ("order-norm", "structure_tol"): ["--cone", "rounded_cone.json", "--element", "elem.json"],
+    ("order-norm", "bisect_tol"): ["--cone", "std_cone.json", "--element", "elem_offdiag.json"],
+    ("involution", "structure_tol"): ["--cone", "rounded_cone.json"],
+    ("similarity", "structure_tol"): ["--cone", "rounded_cone.json"],
+    ("cb-norm", "structure_tol"): ["--algebra", "rounded_m2.json", "--images", "images.json"],
+    ("kadison-demo", "structure_tol"): ["--algebra", "rounded_m2.json",
+                                        "--similarity", "S.json"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, row in FLAG_ROWS.items() for flag in row], ids="-".join)
+def test_each_flag_a_command_takes_moves_its_report(workdir, capsys, monkeypatch, command,
+                                                    flag):
+    if (command, flag) == ("involution", "samples"):
+        # The theorem decides every level of these frame cones without a draw; loaded
+        # as an opaque oracle, the cone is sampled.
+        load = cli_mod._load_cone
+        monkeypatch.setattr(cli_mod, "_load_cone", lambda *args: instance_oracle(load(*args)))
+    args = [command, *_inputs(workdir, MOVING_INPUTS.get((command, flag),
+                                                         COMMAND_INPUTS[command]))]
+    reports = []
+    for value in FLAG_VALUES[flag]:
+        _, rep = _run(workdir, args + ["--" + flag.replace("_", "-"), value], capsys)
+        config = rep.pop("config")
+        assert set(config) == set(FLAG_ROWS[command])
+        assert config[flag] == ([int(value)] if flag == "levels" else
+                                type(DEFAULT_CONFIG[flag])(value))
+        reports.append(canonical_json(rep))
+    if command == "close-algebra" and flag in ("seed", "samples"):
+        # Read by nothing: the benchmark's cli-session passes both to every command.
+        assert reports[0] == reports[1]
+    else:
+        assert reports[0] != reports[1]
 
 
 def test_determinism_byte_identical(workdir, capsys):
@@ -657,8 +774,6 @@ def test_audit_failure_maps_to_exit_2(workdir, tmp_path, monkeypatch):
     ["involution", "--cone", "std_cone.json", "--level", "0"],
 ])
 def test_level_below_one_is_a_schema_error(workdir, capsys, args):
-    m2 = algebra_from_obj(json.loads((workdir / "m2.json").read_text()))
-    (workdir / "images.json").write_text(canonical_json([matrix_to_obj(b) for b in m2.basis]))
     args = [str(workdir / a) if a.endswith(".json") else a for a in args]
     code, rep = _run(workdir, args, capsys)
     assert code == 4
@@ -687,9 +802,12 @@ def test_one_max_level_caps_levels_and_the_involution_level(workdir, capsys, mon
         assert code == 4
         assert rep["error"] == {"type": "SchemaError", "pointer": pointer, "message": message}
     monkeypatch.setattr(cli_mod, "MAX_LEVEL", 2)
-    with pytest.raises(SchemaError, match=r"levels must lie in 1\.\.2"):
-        cli_mod.RunConfig(levels=(1, 3)).validate()
-    cli_mod.RunConfig(levels=(1, 2)).validate()
+    code, rep = _run(workdir, cone + ["--levels", "1,3"], capsys)
+    assert code == 4
+    assert rep["error"] == {"type": "SchemaError", "pointer": "/config/levels",
+                            "message": "levels must lie in 1..2"}
+    code, rep = _run(workdir, cone + ["--levels", "1,2"], capsys)
+    assert code == 0 and rep["config"]["levels"] == [1, 2]
     code, rep = _run(workdir, cone + ["--level", "3"], capsys)
     assert code == 4
     assert rep["error"]["message"] == "must lie in 1..2"
@@ -697,7 +815,7 @@ def test_one_max_level_caps_levels_and_the_involution_level(workdir, capsys, mon
 
 def test_involution_on_a_skewed_level_cone_fails_certification(workdir, capsys, monkeypatch):
     m2 = algebra_from_obj(json.loads((workdir / "m2.json").read_text()))
-    monkeypatch.setattr(cli_mod, "_load_cone", lambda path, config: SkewedLevelCone(m2))
+    monkeypatch.setattr(cli_mod, "_load_cone", lambda path, tol: SkewedLevelCone(m2))
     code, rep = _run(workdir, ["involution", "--cone", str(workdir / "std_cone.json"),
                                "--level", "2"], capsys)
     assert code == 3
@@ -707,8 +825,10 @@ def test_involution_on_a_skewed_level_cone_fails_certification(workdir, capsys, 
 @pytest.mark.parametrize("flag", ["--tol-psd", "--bisect-tol", "--cert-tol", "--structure-tol"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
 def test_float_flags_must_be_finite_and_positive(workdir, capsys, flag, value):
-    code, rep = _run(workdir, ["order-norm", "--cone", str(workdir / "std_cone.json"),
-                               "--element", str(workdir / "elem.json"), flag, value], capsys)
+    command = {"--tol-psd": "c1-example", "--bisect-tol": "order-norm",
+               "--cert-tol": "similarity", "--structure-tol": "order-norm"}[flag]
+    code, rep = _run(workdir, [command, *_inputs(workdir, COMMAND_INPUTS[command]), flag, value],
+                     capsys)
     assert code == 4
     assert rep["error"]["type"] == "SchemaError"
     assert rep["error"]["pointer"] == "/config/" + flag[2:]

@@ -24,6 +24,7 @@ from matorder.cones import (
     SimilarityCone,
     StandardCone,
     _k_estimate,
+    _k_fails,
     audit_algebraically_admissible,
     audit_matrix_ordered,
     audit_star_admissible,
@@ -454,6 +455,12 @@ def test_k_estimate_fails_when_a_plus_ib_vanishes(m2_full):
     assert bad is not None and bad.kind == "norm-comparison" and bad.level == 1
     report = audit_star_admissible(PairedSpanCone(m2_full), levels=(1,), samples=4)
     assert [c.verdict for c in report.checks if c.axiom == "norm-comparison-K"] == ["fail"]
+
+
+def test_k_fails_only_when_a_plus_ib_is_below_1e_14_of_a():
+    # The cutoff is 1e-14 relative to max(||a||, 1): 5e-13 is a norm, 5e-15 a zero.
+    assert not _k_fails(1.0, 5e-13)
+    assert _k_fails(1.0, 5e-15)
 
 
 def test_k_witness_replays_from_its_pair(m2_full):

@@ -24,6 +24,7 @@ from matorder.errors import (DimensionMismatch, MatOrderError, MembershipError,
                              NoPositiveSolution, NumericalStall)
 from matorder.involution import recover_involution
 from matorder.similarity import (
+    ReconstructionResult,
     _polar_point,
     _top_pair,
     build_star_rep,
@@ -366,6 +367,12 @@ def test_reconstruct_sandwich(worked_algebra, worked_sim_cone):
     # The polar polish reaches the supremum 1 + sqrt(2) that cb_upper certifies.
     assert res.cb_upper - res.cb_lower <= 1e-9
     assert res.cb_upper <= level_one_inverse_bound(res) ** 2 * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("excess, ok", [(5e-7, True), (5e-6, False)])
+def test_the_sandwich_allows_cb_lower_above_cb_upper_by_1e_6(excess, ok):
+    res = ReconstructionResult(None, 0, None, cb_lower=2.0 + excess, cb_upper=2.0, cb_level=1)
+    assert res.sandwich_ok is ok
 
 
 def _recorded_cb_lower_bound(monkeypatch, weaken_level_one=False):
