@@ -233,7 +233,8 @@ class C1Sample:
             return C1Sample(self.grid, other * self.f_values, other * self.f_derivs)
         return self._on_grid(other * self.f_values, other * self.f_derivs)
 
-    __rmul__ = __mul__
+    # The product is the embedding's: c1_embed(f) @ c1_embed(g) = c1_embed(f * g).
+    __rmul__ = __matmul__ = __mul__
 
     def __neg__(self) -> "C1Sample":
         return (-1.0) * self
@@ -364,10 +365,6 @@ class FunctionPullbackCone(ConeOracle):
         # The faithful matrix picture: block upper-triangular embedding.
         self._guard(n, (x,))
         return c1_embed(x)
-
-    def mul(self, n: int, x, y) -> C1Sample:
-        self._guard(n, (x, y))
-        return x * y
 
     def _trig_many(self, n: int, k: int, rng: np.random.Generator) -> tuple:
         """k random trig polynomials as (values, derivatives) stacks, with the stream

@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Every command reads JSON inputs, runs the corresponding operation, and
-writes a single canonical JSON report (stdout or --out).  Exit codes:
-0 success, 2 audit failure (report carries witnesses), 3 typed numerical
-errors, 4 I/O or schema errors.
+writes a single canonical JSON report (stdout or --out).  A cone file is a
+`standard` or `similarity` cone, so every cone a command loads has matrix
+levels; `c1-example` builds its own level-1 cone.  Exit codes: 0 success,
+2 audit failure (report carries witnesses), 3 typed numerical errors, 4 I/O
+or schema errors.
 """
 
 from __future__ import annotations
@@ -80,25 +82,21 @@ def _cmd_close_algebra(args):
 def _cmd_check_cones(args):
     cone = _load_cone(args.cone, args.structure_tol)
     sampling = {"samples": args.samples, "seed": args.seed}
-    # A pullback cone (level 1 only) reports its constants and their level, and runs no audit.
-    pullback = cone.variant == "pullback"
-    levels = (1,) if pullback else args.levels
-    reports = [] if pullback else [cones.audit_algebraically_admissible(cone, n=1, **sampling),
-                                   cones.audit_matrix_ordered(cone, levels=levels, **sampling),
-                                   cones.audit_star_admissible(cone, levels=levels, **sampling)]
-    r1, alpha = cones.estimate_main_constants(cone, levels=levels, **sampling)
-    result = {"cone": cone.describe(), "constants": {"r1": r1.value, "alpha": alpha.value}}
-    if pullback:
-        return EXIT_OK, dict(result, levels=list(levels))
+    reports = [cones.audit_algebraically_admissible(cone, n=1, **sampling),
+               cones.audit_matrix_ordered(cone, levels=args.levels, **sampling),
+               cones.audit_star_admissible(cone, levels=args.levels, **sampling)]
+    r1, alpha = cones.estimate_main_constants(cone, levels=args.levels, **sampling)
     ok = all(r.passed for r in reports)
-    result.update(audits=[audit_to_obj(r) for r in reports], passed=ok)
-    return (EXIT_OK if ok else EXIT_AUDIT_FAIL), result
+    return (EXIT_OK if ok else EXIT_AUDIT_FAIL), {
+        "cone": cone.describe(), "constants": {"r1": r1.value, "alpha": alpha.value},
+        "audits": [audit_to_obj(r) for r in reports], "passed": ok}
 
 
 def _cmd_order_norm(args):
     cone = _load_cone(args.cone, args.structure_tol)
     x = matrix_from_obj(load_json(args.element))
-    level = args.level
+    # The level is the element's: a size that N does not divide fails in the norm.
+    level = max(1, len(x) // cone.algebra.ambient_dim)
     if args.kind == "seminorm":
         rep = order_norms.order_unit_seminorm(cone, level, x,
                                               bisect_tol=args.bisect_tol)
@@ -172,6 +170,8 @@ def _cmd_cb_norm(args):
 def _cmd_kadison_demo(args):
     algebra = algebra_from_obj(load_json(args.algebra), tol=args.structure_tol)
     s = matrix_from_obj(load_json(args.similarity))
+    _expect(s.shape == (algebra.ambient_dim,) * 2, "/dim",
+            "must match the algebra ambient dimension")
     report = case_studies.kadison_pipeline(
         algebra, s, levels=args.levels, samples=args.samples,
         seed=args.seed, cert_tol=args.cert_tol)
@@ -273,7 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("order-norm", "order-unit seminorm or pre-C*-norm")
     p.add_argument("--cone", required=True)
     p.add_argument("--element", required=True)
-    p.add_argument("--level", type=int, default=1)
     p.add_argument("--kind", choices=["seminorm", "precstar"], default="seminorm")
 
     p = command("involution", "recover the cone-induced involution")

@@ -238,9 +238,6 @@ class ConeOracle(abc.ABC):
         `la.opnorm` (one values-only SVD), with each matrix's bits."""
         return la.opnorm(_stack(self, n, xs)).tolist() if len(xs) else []
 
-    def mul(self, n: int, x, y):
-        return as_matrix(x) @ as_matrix(y)
-
     # -- oracle ------------------------------------------------------------
 
     @abc.abstractmethod
@@ -951,7 +948,7 @@ def estimate_main_constants(cone: ConeOracle, levels=(1, 2), samples: int = 60,
         zm = [x + (-1j) * y for x, y in spans]
         zp = [x + 1j * y for x, y in spans]
         nm, npl, nprod = (cone.norm_many(n, zs) for zs in
-                          (zm, zp, [cone.mul(n, a, b) for a, b in zip(zm, zp)]))
+                          (zm, zp, [a @ b for a, b in zip(zm, zp)]))
         alpha = least(alpha, n, spans, nprod, [a * b for a, b in zip(nm, npl)])
     return r1, alpha
 

@@ -5,9 +5,9 @@ Complex entries are [re, im] pairs.  Every report goes out through one
 `repr` writes it: the shortest text that reads back as the same double, with
 a decimal point or an exponent, so an integral float stays a float and -0.0
 keeps its sign.  Identical inputs and seeds produce byte-identical reports.
-Loaders raise SchemaError with a JSON-pointer path on malformed input, on an
-algebra whose `star_closed` its basis contradicts, on a pullback grid that
-leaves [0, 1] or does not increase strictly, and at any unknown key, a matrix
+Cone files are `standard` or `similarity` cones over an algebra.  Loaders
+raise SchemaError with a JSON-pointer path on malformed input, on an algebra
+whose `star_closed` its basis contradicts, and at any unknown key, a matrix
 object's included.
 """
 
@@ -20,8 +20,7 @@ import os
 import numpy as np
 
 from .algebra import DEFAULT_STRUCTURE_TOL, OperatorAlgebra
-from .case_studies import C1Sample, FunctionPullbackCone
-from .cones import (DEFAULT_TOL_PSD, AxiomCheck, ConeAuditReport, ConeOracle, ConstantEstimate,
+from .cones import (DEFAULT_TOL_PSD, AxiomCheck, ConeAuditReport, ConstantEstimate,
                     SimilarityCone, StandardCone, Witness)
 from .errors import SchemaError
 from .order_norms import NormReport
@@ -32,7 +31,7 @@ from .order_norms import NormReport
 # ---------------------------------------------------------------------------
 
 # Report dataclasses, written by their fields.
-_REPORT_TYPES = (Witness, AxiomCheck, ConstantEstimate, C1Sample, NormReport)
+_REPORT_TYPES = (Witness, AxiomCheck, ConstantEstimate, NormReport)
 
 
 def _encode(obj):
@@ -144,51 +143,32 @@ def algebra_from_obj(obj, pointer: str = "",
 # Cones
 # ---------------------------------------------------------------------------
 
-def cone_to_obj(cone: ConeOracle) -> dict:
-    out = {"variant": cone.variant, "tol_psd": cone.tol_psd}
-    if isinstance(cone, SimilarityCone):  # variant "standard" when S = None
-        out["algebra"] = algebra_to_obj(cone.algebra)
-        if cone.s is not None:
-            out["S"] = matrix_to_obj(cone.s)
-    else:  # pullback
-        out["grid"] = [float(q) for q in cone.grid]
+def cone_to_obj(cone: SimilarityCone) -> dict:
+    out = {"variant": cone.variant, "tol_psd": cone.tol_psd,
+           "algebra": algebra_to_obj(cone.algebra)}
+    if cone.s is not None:  # variant "standard" when S = None
+        out["S"] = matrix_to_obj(cone.s)
     return out
 
 
 def cone_from_obj(obj, base_dir: str = ".",
-                  tol: float = DEFAULT_STRUCTURE_TOL) -> ConeOracle:
+                  tol: float = DEFAULT_STRUCTURE_TOL) -> SimilarityCone:
     _expect(isinstance(obj, dict), "", "expected a cone object")
     variant = obj.get("variant")
-    _expect(variant in ("standard", "similarity", "pullback"),
-            "/variant", "must be standard, similarity or pullback")
+    _expect(variant in ("standard", "similarity"), "/variant", "must be standard or similarity")
     tol_psd = _number(obj.get("tol_psd", DEFAULT_TOL_PSD), "/tol_psd")
     _expect(tol_psd > 0, "/tol_psd", "must be a positive number")
-
-    def own(*fields):  # after the variant's own fields parse
-        _fields(obj, "", ("variant", "tol_psd") + fields, f"a {variant} cone")
-
-    if variant == "pullback":
-        grid = obj.get("grid")
-        _expect(isinstance(grid, list) and len(grid) >= 2, "/grid",
-                "must be a list of at least two points")
-        for k, q in enumerate(grid):  # the conditions C1Sample checks, point by point
-            _expect(-1e-12 <= _number(q, f"/grid/{k}") <= 1.0 + 1e-12, f"/grid/{k}",
-                    "must lie in [0, 1]")
-            _expect(k == 0 or q > grid[k - 1], f"/grid/{k}", "must exceed the point before it")
-        own("grid")
-        return FunctionPullbackCone(np.asarray(grid, dtype=float), float(tol_psd))
-
     alg_obj = obj.get("algebra")
     if isinstance(alg_obj, str):
         alg_obj = load_json(os.path.join(base_dir, alg_obj))
     algebra = algebra_from_obj(alg_obj, "/algebra", tol)
     if variant == "standard":
-        own("algebra")
+        _fields(obj, "", ("variant", "tol_psd", "algebra"), "a standard cone")
         return StandardCone(algebra, float(tol_psd))
     s = matrix_from_obj(obj.get("S"), "/S")
     _expect(s.shape == (algebra.ambient_dim,) * 2, "/S/dim",
             "must match the algebra ambient dimension")
-    own("algebra", "S")
+    _fields(obj, "", ("variant", "tol_psd", "algebra", "S"), "a similarity cone")
     return SimilarityCone(algebra, s, float(tol_psd))
 
 

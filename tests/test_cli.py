@@ -12,10 +12,9 @@ from doubles import SkewedLevelCone, instance_oracle
 from matorder import cli as cli_mod
 from matorder import similarity as sim_mod
 from matorder.algebra import DEFAULT_STRUCTURE_TOL, OperatorAlgebra, generate_algebra
-from matorder.case_studies import FunctionPullbackCone
 from matorder.cli import run
-from matorder.cones import DEFAULT_TOL_PSD, StandardCone, estimate_main_constants
-from matorder.errors import DimensionMismatch, LevelUnsupported, MatOrderError, SchemaError
+from matorder.cones import DEFAULT_TOL_PSD, StandardCone
+from matorder.errors import DimensionMismatch, SchemaError
 from matorder.order_norms import DEFAULT_BISECT_TOL
 from matorder.serialization import (
     algebra_from_obj,
@@ -122,15 +121,6 @@ def test_cone_roundtrip(std_m2):
     assert again.member_many(1, [np.eye(2, dtype=complex)])[0]
 
 
-def test_pullback_cone_roundtrip():
-    cone = FunctionPullbackCone(np.linspace(0.0, 1.0, 5), tol_psd=1e-7)
-    obj = cone_to_obj(cone)
-    assert obj == {"variant": "pullback", "tol_psd": 1e-7, "grid": [0.0, 0.25, 0.5, 0.75, 1.0]}
-    again = cone_from_obj(obj)
-    assert isinstance(again, FunctionPullbackCone)
-    assert np.array_equal(again.grid, cone.grid) and again.tol_psd == 1e-7
-
-
 def test_schema_error_pointer():
     with pytest.raises(SchemaError) as err:
         matrix_from_obj({"dim": 2, "entries": [[[0, 0], [0, 0]], [[0, 0]]]}, "/m")
@@ -228,13 +218,14 @@ def test_check_cones_similarity_cmd(workdir, capsys):
 
 
 def test_order_norm_amplified_level(workdir, capsys, tmp_path):
+    # The level is read off the element: a 4 x 4 element over M_2 is at level 2.
     elem = tmp_path / "elem4.json"
     elem.write_text(canonical_json(matrix_to_obj(
         np.diag([3.0, -1.0, 0.5, 0.0]).astype(complex))))
     code, rep = _run(workdir, ["order-norm", "--cone",
                                str(workdir / "std_cone.json"),
-                               "--element", str(elem), "--level", "2"], capsys)
-    assert code == 0
+                               "--element", str(elem)], capsys)
+    assert code == 0 and rep["result"]["level"] == 2
     assert rep["result"]["report"]["value"] == pytest.approx(3.0, abs=1e-7)
 
 
@@ -381,36 +372,14 @@ def test_exit_code_typed_error(workdir, capsys):
     assert rep["error"]["type"] == "NotSelfAdjoint"
 
 
-@pytest.fixture
-def pullback_cone(tmp_path):
-    path = tmp_path / "pullback.json"
-    path.write_text(canonical_json({"variant": "pullback", "grid": [0, 0.5, 1]}))
-    return path
-
-
-@pytest.mark.parametrize("kind", ["seminorm", "precstar"])
-def test_order_norm_on_a_pullback_cone_is_a_typed_error(workdir, capsys, tmp_path,
-                                                        pullback_cone, kind):
-    # The norms read a level-n matrix, and the cone has no matrix levels.
-    element = tmp_path / "one.json"
-    element.write_text(canonical_json(matrix_to_obj(np.eye(1, dtype=complex))))
-    code, rep = _run(workdir, ["order-norm", "--cone", str(pullback_cone),
-                               "--element", str(element), "--kind", kind], capsys)
-    assert code == 3 and issubclass(LevelUnsupported, MatOrderError)
-    assert rep["error"]["type"] == "LevelUnsupported"
-    assert "no matrix levels" in rep["error"]["message"]
-
-
 @pytest.fixture(scope="module")
 def sweep_cones(workdir):
-    """The standard cone over M_2, a similarity cone over M_2 with S = [[1, 1], [0, 1]]
-    and a pullback cone, as cone files."""
-    paths = {"standard": workdir / "std_cone.json", "similarity": workdir / "sweep_sim.json",
-             "pullback": workdir / "sweep_pullback.json"}
+    """The standard cone over M_2 and a similarity cone over M_2 with S = [[1, 1], [0, 1]],
+    as cone files."""
+    paths = {"standard": workdir / "std_cone.json", "similarity": workdir / "sweep_sim.json"}
     paths["similarity"].write_text(canonical_json(
         {"variant": "similarity", "algebra": "m2.json",
          "S": matrix_to_obj(np.array([[1.0, 1.0], [0.0, 1.0]])), "tol_psd": 1e-9}))
-    paths["pullback"].write_text(canonical_json({"variant": "pullback", "grid": [0, 0.5, 1]}))
     for size in (2, 3):
         (workdir / f"sweep_{size}.json").write_text(canonical_json(
             matrix_to_obj(np.diag(np.arange(size) - 1.0).astype(complex))))
@@ -424,7 +393,7 @@ def sweep_cones(workdir):
     ["involution", "--level", "2", "--samples", "8"],
     ["similarity", "--samples", "4"],
 ], ids=lambda args: "-".join(a.removesuffix(".json") for a in args if not a.startswith("--")))
-@pytest.mark.parametrize("cone", ["standard", "similarity", "pullback"])
+@pytest.mark.parametrize("cone", ["standard", "similarity"])
 def test_every_command_on_every_cone_exits_with_a_report(workdir, sweep_cones, cone, command):
     # The exit-code contract: a verdict (0 or 2) or a typed error (3), never a traceback.
     args = [workdir / a if a.endswith(".json") else a for a in command]
@@ -437,45 +406,30 @@ def test_every_command_on_every_cone_exits_with_a_report(workdir, sweep_cones, c
     assert ("error" in rep) == (code == 3) and ("result" in rep) == (code != 3)
 
 
-def test_check_cones_on_a_pullback_cone_reports_its_level_one_constants(workdir, capsys,
-                                                                        pullback_cone):
-    code, rep = _run(workdir, ["check-cones", "--cone", str(pullback_cone),
-                               "--samples", "8", "--seed", "3"], capsys)
-    assert code == 0
-    r1, alpha = estimate_main_constants(FunctionPullbackCone(np.array([0.0, 0.5, 1.0])),
-                                        (1,), samples=8, seed=3)
-    assert rep["result"] == {"cone": {"variant": "pullback", "tol_psd": 1e-9},
-                             "constants": {"r1": r1.value, "alpha": alpha.value},
-                             "levels": [1]}
-
-
-def test_check_cones_on_a_pullback_cone_names_level_one_whatever_levels_asks(
-        workdir, capsys, pullback_cone):
-    # The cone has level 1 only: the config keeps what was asked, the result what was measured.
-    args = ["check-cones", "--cone", str(pullback_cone), "--samples", "8", "--seed", "3"]
-    code, rep = _run(workdir, args + ["--levels", "2"], capsys)
-    assert code == 0 and rep["config"]["levels"] == [2]
-    assert rep["result"]["levels"] == [1]
-    _, level_one = _run(workdir, args, capsys)
-    assert rep["result"] == level_one["result"]
-
-
 @pytest.mark.parametrize("base, extra, pointer", [
     ("std_cone.json", {"S": matrix_to_obj(np.eye(2))}, "/S"),
     ("std_cone.json", {"grid": [0, 1]}, "/grid"),
     ("sim_cone.json", {"grid": [0, 1]}, "/grid"),
-    ({"variant": "pullback", "grid": [0, 0.5, 1]}, {"algebra": "m2.json"}, "/algebra"),
-    ({"variant": "pullback", "grid": [0, 0.5, 1]}, {"S": matrix_to_obj(np.eye(2))}, "/S"),
 ])
 def test_a_cone_file_with_a_field_of_another_variant_exits_4(workdir, capsys, base, extra,
                                                             pointer):
-    if isinstance(base, str):
-        base = json.loads((workdir / base).read_text())
+    base = json.loads((workdir / base).read_text())
     path = workdir / "stray_cone.json"
     path.write_text(canonical_json(dict(base, **extra)))
     code, rep = _run(workdir, ["check-cones", "--cone", str(path), "--samples", "5"], capsys)
     assert code == 4 and "result" not in rep
     assert rep["error"]["type"] == "SchemaError" and rep["error"]["pointer"] == pointer
+
+
+def test_a_pullback_cone_file_exits_4_at_its_variant(workdir, capsys, tmp_path):
+    # The C1 example's cone has level 1 only and is built by c1-example, never read from a file.
+    (tmp_path / "pullback.json").write_text(canonical_json(
+        {"variant": "pullback", "grid": [0, 0.5, 1]}))
+    code, rep = _run(workdir, ["check-cones", "--cone", str(tmp_path / "pullback.json"),
+                               "--samples", "5"], capsys)
+    assert code == 4 and "result" not in rep
+    assert rep["error"] == {"type": "SchemaError", "pointer": "/variant",
+                            "message": "must be standard or similarity"}
 
 
 @pytest.mark.parametrize("path, extra, pointer", [
@@ -525,26 +479,6 @@ def test_a_matrix_object_with_an_unknown_key_exits_4_at_that_key(workdir, capsys
     assert rep["error"]["type"] == "SchemaError" and rep["error"]["pointer"] == pointer
 
 
-@pytest.mark.parametrize("grid", [[0.5, 0.2], [0.0, 2.0]])
-def test_a_pullback_grid_not_increasing_in_the_unit_interval_exits_4(workdir, capsys, tmp_path,
-                                                                     grid):
-    (tmp_path / "grid.json").write_text(canonical_json({"variant": "pullback", "grid": grid}))
-    code, rep = _run(workdir, ["check-cones", "--cone", str(tmp_path / "grid.json"),
-                               "--samples", "5"], capsys)
-    assert code == 4 and "result" not in rep
-    assert rep["error"]["type"] == "SchemaError" and rep["error"]["pointer"] == "/grid/1"
-
-
-def test_a_pullback_grid_loads_within_the_slack_of_its_samples():
-    # C1Sample's 1e-12 slack at 0 and 1, and nothing more.
-    grid = [-1e-13, 0.5, 1.0 + 1e-13]
-    assert list(cone_from_obj({"variant": "pullback", "grid": grid}).grid) == grid
-    for bad, k in (([-1e-11, 1.0], 0), ([0.0, 1.0 + 1e-11], 1), ([0.0, 0.5, 0.5], 2)):
-        with pytest.raises(SchemaError) as err:
-            cone_from_obj({"variant": "pullback", "grid": bad})
-        assert err.value.pointer == f"/grid/{k}"
-
-
 def test_close_algebra_with_generators_of_mixed_sizes_exits_4(workdir, capsys, tmp_path):
     mats = [np.eye(n, dtype=complex) for n in (2, 3, 2)]
     (tmp_path / "mixed.json").write_text(canonical_json([matrix_to_obj(m) for m in mats]))
@@ -579,7 +513,7 @@ def test_every_benchmark_input_file_loads(tmp_path, monkeypatch):
             cone_from_obj(obj, base_dir=str(tmp_path))
 
 
-def test_parser_defaults_are_the_run_config_and_library_defaults():
+def test_parser_defaults_are_the_run_config_and_library_defaults(m2_full):
     assert cli_mod._FLAGS == {
         "seed": (int, 0), "samples": (int, 50), "levels": (str, "1,2"),
         "tol_psd": (float, DEFAULT_TOL_PSD), "bisect_tol": (float, DEFAULT_BISECT_TOL),
@@ -590,7 +524,8 @@ def test_parser_defaults_are_the_run_config_and_library_defaults():
         assert args.out is None
         for flag in FLAG_ROWS[command]:
             assert getattr(args, flag) == cli_mod._FLAGS[flag][1]
-    assert cone_from_obj({"variant": "pullback", "grid": [0, 1]}).tol_psd == DEFAULT_TOL_PSD
+    assert cone_from_obj({"variant": "standard",
+                          "algebra": algebra_to_obj(m2_full)}).tol_psd == DEFAULT_TOL_PSD
 
 
 def test_exit_code_schema_error(workdir, capsys):
@@ -766,9 +701,6 @@ def test_audit_failure_maps_to_exit_2(workdir, tmp_path, monkeypatch):
 # -- typed errors for levels and numeric schema fields --------------------------
 
 @pytest.mark.parametrize("args", [
-    ["order-norm", "--cone", "std_cone.json", "--element", "elem.json", "--level", "-1"],
-    ["order-norm", "--cone", "std_cone.json", "--element", "elem.json", "--level", "0",
-     "--kind", "precstar"],
     ["cb-norm", "--algebra", "m2.json", "--images", "images.json", "--level", "-1"],
     ["cb-norm", "--algebra", "m2.json", "--images", "images.json", "--level", "0"],
     ["involution", "--cone", "std_cone.json", "--level", "0"],
@@ -873,9 +805,6 @@ def test_matrix_numbers_must_be_finite_non_boolean(obj, pointer):
     ({"tol_psd": float("nan")}, "/tol_psd"),
     ({"tol_psd": "1e-9"}, "/tol_psd"),
     ({"algebra": {"ambient_dim": True}}, "/algebra/ambient_dim"),
-    ({"variant": "pullback", "grid": ["a", "b"]}, "/grid/0"),
-    ({"variant": "pullback", "grid": [0, None, 1]}, "/grid/1"),
-    ({"variant": "pullback", "grid": [0, float("inf")]}, "/grid/1"),
 ])
 def test_cone_numbers_must_be_finite_non_boolean(m2_full, patch, pointer):
     obj = dict(cone_to_obj(StandardCone(m2_full)), **patch)
@@ -940,6 +869,26 @@ def test_similarity_with_a_non_finite_inverse_exits_3(tiny_s_inputs, capsys, arg
     code, rep = _run(tiny_s_inputs, args, capsys)
     assert code == 3
     assert rep["error"] == {"type": "DimensionMismatch", "message": "similarity is singular"}
+
+
+def test_kadison_demo_with_a_similarity_of_another_size_exits_4_before_any_work(
+        workdir, capsys, tmp_path, monkeypatch):
+    # As a cone file's S fails at /S/dim, the similarity file fails at /dim.
+    (tmp_path / "S3.json").write_text(canonical_json(matrix_to_obj(np.eye(3))))
+    pipeline = cli_mod.case_studies.kadison_pipeline
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the pipeline ran on a similarity of another size")
+
+    monkeypatch.setattr(cli_mod.case_studies, "kadison_pipeline", no_work)
+    code, rep = _run(workdir, ["kadison-demo", "--algebra", str(workdir / "m2.json"),
+                               "--similarity", str(tmp_path / "S3.json")], capsys)
+    assert code == 4 and "result" not in rep
+    assert rep["error"] == {"type": "SchemaError", "pointer": "/dim",
+                            "message": "must match the algebra ambient dimension"}
+    # Library callers keep the typed numerical error.
+    with pytest.raises(DimensionMismatch, match=r"similarity must be 2x2, got \(3, 3\)"):
+        pipeline(algebra_from_obj(json.loads((workdir / "m2.json").read_text())), np.eye(3))
 
 
 def test_cb_norm_with_the_wrong_number_of_images_exits_4(workdir, capsys, tmp_path):
@@ -1029,10 +978,9 @@ REPORTS = {
     "close-algebra": ["close-algebra", "--generators", "gens.json", "--include-adjoints"],
     "check-cones": ["check-cones", "--cone", "std_cone.json", "--samples", "8", "--seed", "5"],
     "check-cones-similarity": ["check-cones", "--cone", "sim_cone.json", "--samples", "8"],
-    "check-cones-pullback": ["check-cones", "--cone", "pullback.json", "--samples", "8"],
     "order-norm": ["order-norm", "--cone", "std_cone.json", "--element", "elem.json"],
     "order-norm-precstar": ["order-norm", "--cone", "sim_cone.json", "--element", "elem.json",
-                            "--kind", "precstar", "--level", "2"],
+                            "--kind", "precstar"],
     "involution": ["involution", "--cone", "sim_cone.json", "--levels", "1,2,3",
                    "--samples", "8", "--level", "2"],
     "similarity": ["similarity", "--cone", "sim_cone.json", "--samples", "5"],
@@ -1051,8 +999,6 @@ REPORTS = {
 def test_reports_decode_as_the_17_digit_writers(workdir, capsys, monkeypatch, argv):
     m2 = generate_algebra([E12], include_adjoints=True)
     (workdir / "transpose.json").write_text(canonical_json([b.T for b in m2.basis]))
-    (workdir / "pullback.json").write_text(canonical_json(
-        {"variant": "pullback", "grid": [0, 0.25, 1]}))
     argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
     code, report = _run(workdir, argv, capsys)
     monkeypatch.setattr(cli_mod, "canonical_json", canonical_json_17g)

@@ -10,6 +10,7 @@ import matorder
 from matorder import _linalg as la
 from matorder import cones as cones_mod
 from matorder import involution as involution_mod
+from matorder import serialization as serialization_mod
 from matorder.algebra import (
     OperatorAlgebra,
     _outside,
@@ -535,9 +536,10 @@ def test_the_oracle_protocol_is_declared_abstract():
     with pytest.raises(TypeError, match="abstract"):
         ConeOracle(None)
     assert not hasattr(ConeOracle, "sharp_block")
-    # A one-element question is a stack of one: no cone has a second method for it.
+    # A one-element question is a stack of one: no cone has a second method for it, and
+    # a product is the elements' own `@`.
     for cls in (ConeOracle, SimilarityCone, FunctionPullbackCone):
-        for name in ("member", "sample", "sample_span", "norm", "unstraighten"):
+        for name in ("member", "sample", "sample_span", "norm", "unstraighten", "mul"):
             assert not hasattr(cls, name), (cls.__name__, name)
     assert not hasattr(involution_mod, "_split")
 
@@ -549,7 +551,10 @@ def test_outside_the_oracle_each_question_is_asked_one_way():
     assert list(inspect.signature(SimilarityCone.sharp_block).parameters) == ["self", "a"]
     for owner, name in ((matorder, "find_pd"), (matorder, "cb_upper_bound_from_similarity"),
                         (matorder.similarity, "find_pd"), (la, "random_complex"),
-                        (matorder.order_norms, "_sharp"), (OperatorAlgebra, "unit_matrix")):
+                        (matorder.order_norms, "_sharp"), (OperatorAlgebra, "unit_matrix"),
+                        # The C1 study's level-1 cone and its samples never reach a file.
+                        (serialization_mod, "C1Sample"),
+                        (serialization_mod, "FunctionPullbackCone")):
         assert not hasattr(owner, name), (owner.__name__, name)
 
 

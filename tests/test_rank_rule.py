@@ -88,6 +88,12 @@ def test_planted_spectrum_falls_on_the_planted_side(top, complex_entries):
     assert np.linalg.norm(rows @ v[:, planted_rank:]) <= turn
 
 
+def test_the_cutoff_is_one_part_in_ten_to_the_ten():
+    # Pinned on both sides: 5e-10 of the top value counts, 5e-11 does not.
+    assert la.rank(np.diag([1.0, 5e-10])) == 2
+    assert la.rank(np.diag([1.0, 5e-11])) == 1
+
+
 def test_noise_floor_needs_the_entry_scale():
     rng = np.random.default_rng(3)
     noise = 1e-16 * rng.standard_normal((10, 6))

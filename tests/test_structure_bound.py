@@ -78,6 +78,17 @@ def test_a_proper_subalgebra_projects_once_per_membership_call(span_i_e11, work)
         cone.member_many(1, [E12])[0]
 
 
+def test_the_bound_is_structure_tol_times_one_plus_the_frobenius_norm(span_i_e11):
+    # E12 lies wholly outside the diagonal algebra, so x = t E12 has residual t and
+    # ||x||_F = t: the bound 1e-9 (1 + t) refuses t = 5e-9 and takes t = 5e-10, as a
+    # matrix and as a stack of one.
+    assert span_i_e11.structure_tol == 1e-9
+    for shape in ((2, 2), (1, 2, 2)):
+        with pytest.raises(MembershipError):
+            _outside(span_i_e11, (5e-9 * E12).reshape(shape))
+        _outside(span_i_e11, (5e-10 * E12).reshape(shape))
+
+
 @pytest.mark.parametrize("big_n", range(1, 7))
 def test_the_skipped_bound_never_fails_on_a_full_algebra(big_n):
     rng = np.random.default_rng(big_n)
