@@ -217,6 +217,19 @@ def test_check_cones_similarity_cmd(workdir, capsys):
     assert rep["result"]["constants"]["r1"] > 0
 
 
+@pytest.mark.parametrize("kind", ["seminorm", "precstar"])
+def test_order_norm_on_an_element_smaller_than_the_algebra_is_level_one(workdir, capsys,
+                                                                        tmp_path, kind):
+    # A 1 x 1 element over M_2 reads as level 1, not 0: the stack refuses its size.
+    elem = tmp_path / "elem1.json"
+    elem.write_text(canonical_json(matrix_to_obj(np.eye(1, dtype=complex))))
+    code, rep = _run(workdir, ["order-norm", "--cone", str(workdir / "std_cone.json"),
+                               "--element", str(elem), "--kind", kind], capsys)
+    assert code == 3 and "result" not in rep
+    assert rep["error"] == {"type": "DimensionMismatch",
+                            "message": "level-1 elements must be 2x2, got [(1, 1)]"}
+
+
 def test_order_norm_amplified_level(workdir, capsys, tmp_path):
     # The level is read off the element: a 4 x 4 element over M_2 is at level 2.
     elem = tmp_path / "elem4.json"
@@ -386,13 +399,21 @@ def sweep_cones(workdir):
     return paths
 
 
-@pytest.mark.parametrize("command", [
+# Every command that reads a cone file, with the arguments the sweep gives it.
+CONE_COMMANDS = [
     ["check-cones", "--samples", "4"],
     *(["order-norm", "--kind", kind, "--element", f"sweep_{size}.json"]
       for kind in ("seminorm", "precstar") for size in (2, 3)),
     ["involution", "--level", "2", "--samples", "8"],
     ["similarity", "--samples", "4"],
-], ids=lambda args: "-".join(a.removesuffix(".json") for a in args if not a.startswith("--")))
+]
+
+
+def _command_id(args):
+    return "-".join(a.removesuffix(".json") for a in args if not a.startswith("--"))
+
+
+@pytest.mark.parametrize("command", CONE_COMMANDS, ids=_command_id)
 @pytest.mark.parametrize("cone", ["standard", "similarity"])
 def test_every_command_on_every_cone_exits_with_a_report(workdir, sweep_cones, cone, command):
     # The exit-code contract: a verdict (0 or 2) or a typed error (3), never a traceback.
@@ -410,6 +431,10 @@ def test_every_command_on_every_cone_exits_with_a_report(workdir, sweep_cones, c
     ("std_cone.json", {"S": matrix_to_obj(np.eye(2))}, "/S"),
     ("std_cone.json", {"grid": [0, 1]}, "/grid"),
     ("sim_cone.json", {"grid": [0, 1]}, "/grid"),
+    # Relabelled: a similarity file named standard carries S, a standard one named similarity
+    # lacks it.
+    ("sim_cone.json", {"variant": "standard"}, "/S"),
+    ("std_cone.json", {"variant": "similarity"}, "/S"),
 ])
 def test_a_cone_file_with_a_field_of_another_variant_exits_4(workdir, capsys, base, extra,
                                                             pointer):
@@ -421,13 +446,16 @@ def test_a_cone_file_with_a_field_of_another_variant_exits_4(workdir, capsys, ba
     assert rep["error"]["type"] == "SchemaError" and rep["error"]["pointer"] == pointer
 
 
-def test_a_pullback_cone_file_exits_4_at_its_variant(workdir, capsys, tmp_path):
-    # The C1 example's cone has level 1 only and is built by c1-example, never read from a file.
+@pytest.mark.parametrize("command", CONE_COMMANDS, ids=_command_id)
+def test_a_pullback_cone_file_exits_4_at_its_variant(workdir, sweep_cones, capsys, tmp_path,
+                                                    command):
+    # The C1 example's cone has level 1 only and is built by c1-example, never read from a
+    # file: every command that reads a cone file refuses one.
     (tmp_path / "pullback.json").write_text(canonical_json(
         {"variant": "pullback", "grid": [0, 0.5, 1]}))
-    code, rep = _run(workdir, ["check-cones", "--cone", str(tmp_path / "pullback.json"),
-                               "--samples", "5"], capsys)
-    assert code == 4 and "result" not in rep
+    args = [str(workdir / a) if a.endswith(".json") else a for a in command]
+    code, rep = _run(workdir, args + ["--cone", str(tmp_path / "pullback.json")], capsys)
+    assert code == 4 and "result" not in rep and rep["command"] == command[0]
     assert rep["error"] == {"type": "SchemaError", "pointer": "/variant",
                             "message": "must be standard or similarity"}
 
@@ -704,6 +732,7 @@ def test_audit_failure_maps_to_exit_2(workdir, tmp_path, monkeypatch):
     ["cb-norm", "--algebra", "m2.json", "--images", "images.json", "--level", "-1"],
     ["cb-norm", "--algebra", "m2.json", "--images", "images.json", "--level", "0"],
     ["involution", "--cone", "std_cone.json", "--level", "0"],
+    ["involution", "--cone", "std_cone.json", "--level", "-1"],
 ])
 def test_level_below_one_is_a_schema_error(workdir, capsys, args):
     args = [str(workdir / a) if a.endswith(".json") else a for a in args]
@@ -805,6 +834,11 @@ def test_matrix_numbers_must_be_finite_non_boolean(obj, pointer):
     ({"tol_psd": float("nan")}, "/tol_psd"),
     ({"tol_psd": "1e-9"}, "/tol_psd"),
     ({"algebra": {"ambient_dim": True}}, "/algebra/ambient_dim"),
+    ({"tol_psd": float("inf")}, "/tol_psd"),
+    ({"tol_psd": None}, "/tol_psd"),
+    ({"variant": "similarity", "S": {"dim": 2, "entries": [[[1, 0], [0, 0]],
+                                                          [[0, 0], [1, False]]]}},
+     "/S/entries/1/1/1"),
 ])
 def test_cone_numbers_must_be_finite_non_boolean(m2_full, patch, pointer):
     obj = dict(cone_to_obj(StandardCone(m2_full)), **patch)
@@ -981,6 +1015,8 @@ REPORTS = {
     "order-norm": ["order-norm", "--cone", "std_cone.json", "--element", "elem.json"],
     "order-norm-precstar": ["order-norm", "--cone", "sim_cone.json", "--element", "elem.json",
                             "--kind", "precstar"],
+    "order-norm-level-2": ["order-norm", "--cone", "std_cone.json", "--element", "elem4.json",
+                           "--kind", "precstar"],
     "involution": ["involution", "--cone", "sim_cone.json", "--levels", "1,2,3",
                    "--samples", "8", "--level", "2"],
     "similarity": ["similarity", "--cone", "sim_cone.json", "--samples", "5"],
@@ -999,6 +1035,8 @@ REPORTS = {
 def test_reports_decode_as_the_17_digit_writers(workdir, capsys, monkeypatch, argv):
     m2 = generate_algebra([E12], include_adjoints=True)
     (workdir / "transpose.json").write_text(canonical_json([b.T for b in m2.basis]))
+    (workdir / "elem4.json").write_text(canonical_json(matrix_to_obj(
+        np.diag([3.0, -1.0, 0.5, 0.0]).astype(complex))))
     argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
     code, report = _run(workdir, argv, capsys)
     monkeypatch.setattr(cli_mod, "canonical_json", canonical_json_17g)

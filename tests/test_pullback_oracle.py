@@ -204,6 +204,24 @@ def test_an_empty_grid_is_a_typed_error_at_construction():
         FunctionPullbackCone(np.array([]))
 
 
+@pytest.mark.parametrize("grid, message", [
+    ([0.5, 0.2], "strictly increasing"),
+    ([0.0, 0.5, 0.5], "strictly increasing"),
+    ([0.0, 2.0], r"lie in \[0, 1\]"),
+    ([-1e-11, 1.0], r"lie in \[0, 1\]"),
+    ([0.0, 1.0 + 1e-11], r"lie in \[0, 1\]"),
+], ids=["decreasing", "repeated", "past-one", "below-the-slack", "above-the-slack"])
+def test_a_grid_not_increasing_in_the_unit_interval_is_a_typed_error(grid, message):
+    with pytest.raises(MatOrderError, match=message):
+        FunctionPullbackCone(np.array(grid))
+
+
+def test_a_grid_is_taken_within_the_slack_of_its_samples():
+    # C1Sample's 1e-12 slack at 0 and 1, and nothing more.
+    grid = [-1e-13, 0.5, 1.0 + 1e-13]
+    assert list(FunctionPullbackCone(np.array(grid)).grid) == grid
+
+
 def test_a_matrix_is_not_a_pullback_cone_element():
     cone = FunctionPullbackCone(np.linspace(0.0, 1.0, 4))
     x = np.eye(1, dtype=complex)

@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import E12
-from doubles import PairedSpanCone, ZeroedCornerCone
+from doubles import AllHermitianCone, PairedSpanCone, ZeroedCornerCone
 from matorder.algebra import generate_algebra
-from matorder.cones import audit_matrix_ordered, audit_star_admissible
+from matorder.cones import (audit_algebraically_admissible, audit_matrix_ordered,
+                            audit_star_admissible)
 from matorder.serialization import audit_to_obj, canonical_json, matrix_to_obj
 from references import audit_to_obj_17g, canonical_json_17g
 
@@ -65,10 +66,12 @@ def test_matrix_objects_are_complex_pairs_row_by_row():
 def _witness_audits():
     m2 = generate_algebra([E12], include_adjoints=True)
     return [audit_star_admissible(PairedSpanCone(m2), (1, 2), samples=8, seed=3),
-            audit_matrix_ordered(ZeroedCornerCone(m2), (1, 2), samples=8, seed=3)]
+            audit_matrix_ordered(ZeroedCornerCone(m2), (1, 2), samples=8, seed=3),
+            audit_algebraically_admissible(ZeroedCornerCone(m2), n=1, samples=8, seed=3),
+            audit_matrix_ordered(AllHermitianCone(m2), (1, 2), samples=8, seed=3)]
 
 
-@pytest.mark.parametrize("report", _witness_audits(), ids=["K", "corner"])
+@pytest.mark.parametrize("report", _witness_audits(), ids=["K", "corner", "algebraic", "pointed"])
 def test_witness_audits_decode_as_the_17_digit_writers(report):
     assert not report.passed and report.failures()[0].witness is not None
     assert json.loads(canonical_json(audit_to_obj(report))) \
