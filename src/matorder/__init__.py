@@ -17,11 +17,11 @@ from .algebra import (
 )
 from .case_studies import (
     C1Sample,
-    FunctionPullbackCone,
     JSymmetricRep,
     c1_condition1_decay,
     c1_embed,
     c1_inequality_check,
+    c1_main_constants,
     c1_norm,
     j_symmetrize,
     jsym_norm_identity,
@@ -29,7 +29,6 @@ from .case_studies import (
 )
 from .cones import (
     ConeAuditReport,
-    ConeOracle,
     SimilarityCone,
     StandardCone,
     Witness,
@@ -69,8 +68,6 @@ __version__ = "0.1.0"
 __all__ = [
     "C1Sample",
     "ConeAuditReport",
-    "ConeOracle",
-    "FunctionPullbackCone",
     "InvolutionMap",
     "JSymmetricRep",
     "NormReport",
@@ -87,6 +84,7 @@ __all__ = [
     "c1_condition1_decay",
     "c1_embed",
     "c1_inequality_check",
+    "c1_main_constants",
     "c1_norm",
     "cb_lower_bound",
     "check_order_unit_archimedean",

@@ -23,13 +23,11 @@ from .algebra import (
     block_synth,
     image_algebra,
 )
-from .cones import (DEFAULT_TOL_PSD, ConeAuditReport, ConeOracle, SimilarityCone,
-                    audit_star_admissible)
+from .cones import ConeAuditReport, SimilarityCone, _samples, audit_star_admissible
 from .errors import (
     CertificationFailed,
     DimensionMismatch,
     GridTooCoarse,
-    LevelUnsupported,
     MatOrderError,
     SourceNotStarClosed,
 )
@@ -198,9 +196,10 @@ class C1Sample:
         ders = np.asarray(self.f_derivs, dtype=complex)
         if grid.ndim != 1 or vals.shape != grid.shape or ders.shape != grid.shape:
             raise MatOrderError("grid, values and derivatives must share a shape")
-        if grid.size and (grid[0] < -1e-12 or grid[-1] > 1.0 + 1e-12):
+        # Each test is written to fail on a NaN point, for which every comparison is False.
+        if grid.size and not (grid[0] >= -1e-12 and grid[-1] <= 1.0 + 1e-12):
             raise MatOrderError("grid must lie in [0, 1]")
-        if np.any(np.diff(grid) <= 0):
+        if not np.all(np.diff(grid) > 0):
             raise MatOrderError("grid must be strictly increasing")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "f_values", vals)
@@ -233,8 +232,7 @@ class C1Sample:
             return C1Sample(self.grid, other * self.f_values, other * self.f_derivs)
         return self._on_grid(other * self.f_values, other * self.f_derivs)
 
-    # The product is the embedding's: c1_embed(f) @ c1_embed(g) = c1_embed(f * g).
-    __rmul__ = __matmul__ = __mul__
+    __rmul__ = __mul__
 
     def __neg__(self) -> "C1Sample":
         return (-1.0) * self
@@ -299,96 +297,58 @@ def c1_norm(sample: C1Sample) -> float:
     return float(_c1_norms(sample.f_values[None], sample.f_derivs[None])[0])
 
 
-class FunctionPullbackCone(ConeOracle):
-    """Positivity cone {f >= 0 on the grid} of the function embedding, at level 1
-    only.  The ambient norm is the induced embedding norm, so the cone exposes
-    the degeneration of the closed-image conditions under grid refinement.  Each
-    oracle method is one pass over (k, m) stacks of samples on the cone's grid."""
+def _c1_trig(grid: np.ndarray, max_frequency: int, k: int, rng: np.random.Generator) -> tuple:
+    """k random real trig polynomials of degree max_frequency on the grid as (k, m) value and
+    derivative stacks, with the stream and bits of k draws (a_0, a_1, b_1, ... normal / (1 + j))
+    made one at a time."""
+    coeffs = rng.standard_normal((k, 2 * max_frequency + 1))
+    vals, ders = np.zeros((2, k, grid.size), dtype=complex)
+    for j in range(max_frequency + 1):
+        cos, sin = np.cos(2 * np.pi * j * grid), np.sin(2 * np.pi * j * grid)
+        a = coeffs[:, max(2 * j - 1, 0), None] / (1 + j)
+        vals += a * cos
+        ders += -a * 2 * np.pi * j * sin
+        if j > 0:
+            b = coeffs[:, 2 * j, None] / (1 + j)
+            vals += b * sin
+            ders += b * 2 * np.pi * j * cos
+    return vals, ders
 
-    variant = "pullback"
 
-    def __init__(self, grid, tol_psd: float = DEFAULT_TOL_PSD, max_frequency: int = 4):
-        super().__init__(None, tol_psd)
-        # The unit validates the grid once; the samples the cone builds share it.
-        self._unit = C1Sample(grid, np.ones(np.shape(grid)), np.zeros(np.shape(grid)))
-        if not self._unit.grid.size:
-            raise MatOrderError("a pullback cone needs a nonempty grid")
-        self.grid, self.max_frequency = self._unit.grid, int(max_frequency)
-        self._waves = [(np.cos(2 * np.pi * j * self.grid), np.sin(2 * np.pi * j * self.grid))
-                       for j in range(self.max_frequency + 1)]
+def c1_main_constants(grid, samples: int, seed: int, max_frequency: int = 4) -> tuple:
+    """Empirical (r1, alpha) of the positivity cone {f >= 0 on the grid} of the function
+    embedding, in its norm, from default_rng(seed): the draws `estimate_main_constants` makes
+    at level 1, each sample a `_c1_trig` polynomial g (its square g^2 for a cone element).
 
-    def _guard(self, n: int, xs=()) -> None:
-        """LevelUnsupported unless n = 1; MatOrderError unless each x of xs is a
-        `C1Sample` on the cone's grid."""
-        if n != 1:
-            raise LevelUnsupported("pullback cones are defined at level 1 only")
-        for x in xs:
-            if not isinstance(x, C1Sample):
-                raise MatOrderError(f"pullback cone elements are C1Sample, not {type(x).__name__}")
-            self._unit._check_grid(x.grid)
+    r1 = min ||c + d|| / max(||c||, ||d||) over `samples` pairs of cone elements and over the
+    complement pairs (c, r - c) of max(4, samples // 4) more, r = max c on the grid, so that
+    d = r - c >= 0 exactly; alpha = min ||(x - iy)(x + iy)|| / (||x - iy|| ||x + iy||) over
+    `samples` span pairs (x, y).  A ratio whose denominator is 1e-12 or less is skipped."""
+    _samples(samples)
+    grid = C1Sample(grid, np.zeros(np.shape(grid)), np.zeros(np.shape(grid))).grid  # validated
+    if not grid.size:
+        raise MatOrderError("the C1 constants need a nonempty grid")
+    rng = np.random.default_rng(seed)
 
-    def _stack(self, n: int, xs) -> tuple:
-        """(values, derivatives) of the samples xs as (k, m) stacks."""
-        self._guard(n, xs)
-        return tuple(np.array([getattr(x, f) for x in xs]).reshape(len(xs), self.grid.size)
-                     for f in ("f_values", "f_derivs"))
+    def squares(k):
+        vals, ders = _c1_trig(grid, max_frequency, k, rng)
+        return vals * vals, ders * vals + vals * ders
 
-    def member_many(self, n: int, xs) -> list:
-        """Per sample f: real within tol_psd * scale, and min Re f >= -tol_psd *
-        scale, scale = 1 + sup|f| + sup|f'|."""
-        vals, ders = self._stack(n, xs)
-        slack = self.tol_psd * (1.0 + np.max(np.abs(vals), axis=1) + np.max(np.abs(ders), axis=1))
-        real = np.maximum(np.abs(vals.imag).max(axis=1), np.abs(ders.imag).max(axis=1)) <= slack
-        return (real & (np.min(vals.real, axis=1) >= -slack)).tolist()
+    def least(nums, denoms):
+        kept = denoms > 1e-12
+        return float(np.min(nums[kept] / denoms[kept], initial=np.inf))
 
-    def min_shift_pair(self, n: int, c) -> tuple:
-        """(r(f), r(-f)) per sample (of a sequence), r(f) where min Re f + r meets -t (1 +
-        sup|f + r| + sup|f'|), t = tol_psd, taking sup|f + r| = max Re f + r; r(-f) has the
-        bits of the first sign of -f.  `_certify` decides every use: a non-real or
-        degenerate f fails it and is bisected."""
-        one = isinstance(c, C1Sample)
-        vals, ders = self._stack(n, [c] if one else c)
-        low, high, t = vals.real.min(axis=1), vals.real.max(axis=1), self.tol_psd
-        dsup = np.abs(ders).max(axis=1)
-        pair = ((-low - t * (1.0 + high + dsup)) / (1.0 + t),
-                (high - t * (1.0 - low + dsup)) / (1.0 + t))
-        return tuple(float(r[0]) if one else r for r in pair)
-
-    def unit(self, n: int) -> C1Sample:
-        self._guard(n)
-        return self._unit
-
-    def norm_many(self, n: int, xs) -> list:
-        return _c1_norms(*self._stack(n, xs)).tolist()
-
-    def straighten(self, n: int, x) -> np.ndarray:
-        # The faithful matrix picture: block upper-triangular embedding.
-        self._guard(n, (x,))
-        return c1_embed(x)
-
-    def _trig_many(self, n: int, k: int, rng: np.random.Generator) -> tuple:
-        """k random trig polynomials as (values, derivatives) stacks, with the stream
-        and bits of k draws (a_0, a_1, b_1, ... normal / (1 + j)) made one at a time."""
-        self._guard(n)
-        coeffs = rng.standard_normal((k, 2 * self.max_frequency + 1))
-        vals, ders = np.zeros((2, k, self.grid.size), dtype=complex)
-        for j, (cos, sin) in enumerate(self._waves):
-            a = coeffs[:, max(2 * j - 1, 0), None] / (1 + j)
-            vals += a * cos
-            ders += -a * 2 * np.pi * j * sin
-            if j > 0:
-                b = coeffs[:, 2 * j, None] / (1 + j)
-                vals += b * sin
-                ders += b * 2 * np.pi * j * cos
-        return vals, ders
-
-    def sample_many(self, n: int, k: int, rng: np.random.Generator) -> list:
-        """Squares g * g of k `sample_span_many` draws g."""
-        vals, ders = self._trig_many(n, k, rng)
-        return [self._unit._on_grid(v * v, d * v + v * d) for v, d in zip(vals, ders)]
-
-    def sample_span_many(self, n: int, k: int, rng: np.random.Generator) -> list:
-        return [self._unit._on_grid(v, d) for v, d in zip(*self._trig_many(n, k, rng))]
+    (cv, cd), (pv, pd) = squares(2 * samples), squares(max(4, samples // 4))
+    r = pv.real.max(axis=1, keepdims=True)
+    c = np.concatenate([cv[0::2], pv]), np.concatenate([cd[0::2], pd])
+    d = np.concatenate([cv[1::2], r - pv]), np.concatenate([cd[1::2], -pd])
+    nc, nd, ncd = _c1_norms(*c), _c1_norms(*d), _c1_norms(c[0] + d[0], c[1] + d[1])
+    r1 = least(ncd, np.maximum(nc, nd))
+    xv, xd = _c1_trig(grid, max_frequency, 2 * samples, rng)
+    (x, dx), (y, dy) = (xv[0::2], xd[0::2]), (xv[1::2], xd[1::2])
+    (zm, dzm), (zp, dzp) = (x + (-1j) * y, dx + (-1j) * dy), (x + 1j * y, dx + 1j * dy)
+    nm, npl = _c1_norms(zm, dzm), _c1_norms(zp, dzp)
+    return r1, least(_c1_norms(zm * zp, dzm * zp + zm * dzp), nm * npl)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,10 @@
 
 Every command reads JSON inputs, runs the corresponding operation, and
 writes a single canonical JSON report (stdout or --out).  A cone file is a
-`standard` or `similarity` cone, so every cone a command loads has matrix
-levels; `c1-example` builds its own level-1 cone.  Exit codes: 0 success,
-2 audit failure (report carries witnesses), 3 typed numerical errors, 4 I/O
-or schema errors.
+`standard` or `similarity` cone; `c1-example` reads none, and computes its
+function cone's constants on value and derivative samples of the grid.  Exit
+codes: 0 success, 2 audit failure (report carries witnesses), 3 typed
+numerical errors, 4 I/O or schema errors.
 """
 
 from __future__ import annotations
@@ -202,17 +202,14 @@ def _cmd_c1_example(args):
         k, np.linspace(0.0, 1.0, max(args.grid_size, 4 * k))) for k in args.frequencies}
     golden = case_studies.c1_norm(case_studies.C1Sample(
         np.array([1.0]), np.array([1.0 + 0j]), np.array([1.0 + 0j])))
-    cone = case_studies.FunctionPullbackCone(grid, args.tol_psd)
-    r1, alpha = cones.estimate_main_constants(cone, levels=(1,),
-                                              samples=args.samples,
-                                              seed=args.seed)
+    r1, alpha = case_studies.c1_main_constants(grid, args.samples, args.seed)
     result = {
         "grid_size": args.grid_size,
         "inequalities": {"samples": ineq.samples, "violations": ineq.violations,
                          "worst_margin": ineq.worst_margin},
         "condition1_decay": decay,
         "golden_ratio_norm": golden,
-        "pullback_constants": {"r1": r1.value, "alpha": alpha.value},
+        "pullback_constants": {"r1": r1, "alpha": alpha},
         "passed": ineq.passed,
     }
     return (EXIT_OK if ineq.passed else EXIT_AUDIT_FAIL), result
@@ -224,14 +221,13 @@ _FLAGS = {
     "seed": (int, 0),
     "samples": (int, 50),
     "levels": (str, "1,2"),
-    "tol_psd": (float, cones.DEFAULT_TOL_PSD),
     "bisect_tol": (float, order_norms.DEFAULT_BISECT_TOL),
     "cert_tol": (float, similarity.DEFAULT_CERT_TOL),
     "structure_tol": (float, DEFAULT_STRUCTURE_TOL),
 }
 
 # Each command: its handler and the tuning flags it reads, which its parser takes and its
-# report's config lists (a cone's tol_psd is its file's).
+# report's config lists (a cone's tol_psd is its file's: no command takes one).
 _COMMANDS = {
     # seed and samples go unread: the benchmark's cli-session passes them to every command.
     "close-algebra": (_cmd_close_algebra, ("seed", "samples", "structure_tol")),
@@ -242,7 +238,7 @@ _COMMANDS = {
     "cb-norm": (_cmd_cb_norm, ("seed", "structure_tol")),
     "kadison-demo": (_cmd_kadison_demo,
                      ("seed", "samples", "levels", "cert_tol", "structure_tol")),
-    "c1-example": (_cmd_c1_example, ("seed", "samples", "tol_psd")),
+    "c1-example": (_cmd_c1_example, ("seed", "samples")),
 }
 
 

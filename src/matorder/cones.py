@@ -5,8 +5,8 @@ The oracle protocol is stacked: `member_many`, `sample_many`, `sample_span_many`
 `norm_many` and `min_shift_pair` (both signs' exact shifts, of an element or a stack)
 are the contract, and a one-element question is a stack of one.
 `SimilarityCone` (Hermitian PSD after a fixed similarity S; `StandardCone` is
-S = I) and the pullback cone of `case_studies` implement it, each method one
-stacked pass, and each stacked question is decided once: `_stack` takes the
+S = I) is the one cone class, each method one stacked pass, and each stacked
+question is decided once: `_stack` takes the
 elements as one (k, nN, nN) array (DimensionMismatch for any other shape),
 `level_element` checks the stack against M_n(A) in one `algebra._outside`
 pass, and `_certify`, the one certificate of an exact shift, asks every point in
@@ -25,7 +25,6 @@ are built on first use and kept.
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
@@ -46,7 +45,6 @@ from .algebra import (
 )
 from .errors import (
     DimensionMismatch,
-    LevelUnsupported,
     MatOrderError,
     MembershipError,
     NumericalStall,
@@ -96,7 +94,7 @@ def _verdict(axiom: str, detail: str, bad: Witness | None) -> AxiomCheck:
     return AxiomCheck(axiom, "fail" if bad else "pass", detail, bad)
 
 
-def _sampled(cone: "ConeOracle", axiom: str, detail: str, candidates) -> AxiomCheck:
+def _sampled(cone: "SimilarityCone", axiom: str, detail: str, candidates) -> AxiomCheck:
     """A `_realised` cone passes every sampled axiom (Choi & Effros 1977); others run
     `_first_escape` on candidates()."""
     if _realised(cone):
@@ -104,7 +102,7 @@ def _sampled(cone: "ConeOracle", axiom: str, detail: str, candidates) -> AxiomCh
     return _verdict(axiom, detail, _first_escape(cone, candidates()))
 
 
-def _first_escape(cone: "ConeOracle", candidates) -> Witness | None:
+def _first_escape(cone: "SimilarityCone", candidates) -> Witness | None:
     """The sampled-inclusion runner: the first candidate in draw order whose
     `outside` is not in C at its level (as `replay_witness` tests), else None.
     Each maximal same-level run is drawn, then decided by one `member_many`;
@@ -135,7 +133,7 @@ def _streams(seed: int, k: int) -> list:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(k)]
 
 
-def _unit_check(cone: "ConeOracle", n: int, axiom: str, detail: str) -> AxiomCheck:
+def _unit_check(cone: "SimilarityCone", n: int, axiom: str, detail: str) -> AxiomCheck:
     return _verdict(axiom, detail, _first_escape(cone, [Witness("unit", n, (), cone.unit(n))]))
 
 
@@ -166,7 +164,7 @@ class ConeAuditReport:
         return [c for c in self.checks if c.verdict == "fail"]
 
 
-def replay_witness(cone: "ConeOracle", witness: Witness) -> bool:
+def replay_witness(cone: "SimilarityCone", witness: Witness) -> bool:
     """True when the recorded violation reproduces under fresh evaluation.
 
     Membership kinds re-test the members and the outside in one `member_many`
@@ -200,32 +198,48 @@ def replay_witness(cone: "ConeOracle", witness: Witness) -> bool:
 # Oracles
 # ---------------------------------------------------------------------------
 
-class ConeOracle(abc.ABC):
-    """Membership oracle for a cone family {C_n} on the stacked protocol.
+class SimilarityCone:
+    """PSD-frame cone: X is a member when (I_n kron S) X (.)^-1 is Hermitian
+    PSD, i.e. the cone pi^(n)(M_n(A)^+) for pi = S^-1 (.) S over the
+    star-closed A = S B S^-1 (`straight_algebra`) of the algebra B.
 
-    Subclasses provide the five abstract methods, one per question: the stacked
-    `member_many`, `sample_many` and `sample_span_many`, `straighten` and
-    `min_shift_pair`.  A cone with matrix levels also provides `sharp_block`,
-    its involution, which the order norms and the conjugation audits apply.
-    The exact span basis defaults to unknown (None): span checks say "unknown".
+    The oracle protocol is its methods, one per question: the stacked `member_many`,
+    `sample_many`, `sample_span_many` and `norm_many`, `straighten`, `min_shift_pair`,
+    `sharp_block` (the involution that the order norms and conjugation audits apply) and the
+    exact `span_basis`; a test double overrides some of them, a span it hides reading None
+    (span checks then say "unknown").  S is checked once into `frame` (S, S^-1), which every
+    S product reuses; s=None is the identity frame, variant "standard" (`StandardCone`).
+    A = S B S^-1, the span bases and the level-1 lineality kernel are built on first use and
+    kept read-only.
     """
 
-    variant = "abstract"
+    @property
+    def variant(self) -> str:
+        return "standard" if self.s is None else "similarity"
 
-    def __init__(self, algebra: OperatorAlgebra | None,
+    def __init__(self, algebra: OperatorAlgebra, s: np.ndarray | None,
                  tol_psd: float = DEFAULT_TOL_PSD):
         if not 0.0 < tol_psd < np.inf:  # NaN fails too
             raise MatOrderError(f"tol_psd must be finite and positive, got {tol_psd!r}")
         self.algebra = algebra
         self.tol_psd = float(tol_psd)
+        self.frame = _Frame() if s is None else _frame(s, algebra.ambient_dim)
+        self._spans: dict[int, np.ndarray] = {}
 
     # -- structure ---------------------------------------------------------
 
+    @property
+    def s(self) -> np.ndarray | None:
+        return self.frame.s
+
+    @cached_property
+    def straight_algebra(self) -> OperatorAlgebra:
+        """A = S B S^-1 (B when s is None), star-closed for honest inputs; a
+        similarity that loses rank raises DimensionMismatch here."""
+        return self.algebra if self.s is None else conjugate_algebra(self.algebra, self.frame)
+
     def level_dim(self, n: int) -> int:
-        """Size nN of a level-n element: LevelUnsupported for a cone without
-        matrix levels, DimensionMismatch for n < 1."""
-        if self.algebra is None:
-            raise LevelUnsupported(f"{self.variant} cone has no matrix levels")
+        """Size nN of a level-n element: DimensionMismatch for n < 1."""
         if n < 1:
             raise DimensionMismatch(f"matrix level must be >= 1, got {n}")
         return n * self.algebra.ambient_dim
@@ -238,22 +252,10 @@ class ConeOracle(abc.ABC):
         `la.opnorm` (one values-only SVD), with each matrix's bits."""
         return la.opnorm(_stack(self, n, xs)).tolist() if len(xs) else []
 
-    # -- oracle ------------------------------------------------------------
-
-    @abc.abstractmethod
-    def member_many(self, n: int, xs) -> list:
-        """Per level-n element of the sequence xs, in order, whether it is in C_n."""
-
-    @abc.abstractmethod
-    def min_shift_pair(self, n: int, c) -> tuple:
-        """(r(c), r(-c)), r(c) = inf{r real : r e_n + c in C_n} in closed form (per
-        matrix of a stack); (None, None) when the cone is opaque and shifts must
-        be found by bisection."""
-
-    @abc.abstractmethod
     def straighten(self, n: int, x) -> np.ndarray:
         """Map a level-n element (or stack) into the frame where the cone is PSD.
         Contract: it acts block by block as I_n (x) T, T its level-1 map."""
+        return self.frame.straighten(x)
 
     def level_element(self, n: int, x) -> np.ndarray:
         """x as a matrix (or a (k, nN, nN) stack) checked against M_n(A) block by
@@ -267,20 +269,76 @@ class ConeOracle(abc.ABC):
         _outside(self.algebra, x)
         return x
 
+    # -- oracle ------------------------------------------------------------
+
+    def member_many(self, n: int, xs) -> list:
+        """Per level-n element of the sequence xs, in order, whether it is in C_n: one
+        M_n(A) check, one straighten and one `_psd_test` (one LAPACK call per matrix, so
+        each verdict is that of the element asked alone)."""
+        return (self._psd_test(self.straighten(n, self.level_element(n, _stack(self, n, xs))))
+                .tolist() if len(xs) else [])
+
+    def _psd_test(self, y: np.ndarray):
+        """The one PSD rule, on a matrix (a bool) or a (k, d, d) stack (k bools):
+        herm_defect(y) and -lambda_min(h) within slack = tol_psd (1 + ||h||_2),
+        h = (y + y*)/2, from one Hermitian eigensolve ev of h (||h||_2 = max(-ev[0],
+        ev[-1]), no SVD).  It agrees with the slack tol_psd (1 + ||y||_2): once the
+        defect test passes, ||h|| <= ||y|| <= ||h|| + (nN/2) herm_defect(y), a slack
+        change below the rounding of ev[0] (5e-17 relative at nN = 48)."""
+        y_star = y.conj().swapaxes(-1, -2)
+        ev = np.linalg.eigvalsh(0.5 * (y + y_star))
+        slack = self.tol_psd * (1.0 + np.maximum(-ev[..., 0], ev[..., -1]))
+        return (np.abs(y - y_star).max(axis=(-2, -1)) <= slack) & (ev[..., 0] >= -slack)
+
+    def min_shift_pair(self, n: int, c) -> tuple:
+        """(r(c), r(-c)), where r I +- straighten(c) meets the `_psd_test` slack, from
+        one Hermitian eigensolve (stacked for a stack), no SVD: with lambda_1 <= ... <=
+        lambda_N the spectrum of h, the Hermitian part of straighten(c), and t = tol_psd,
+        r(c) = (-lambda_1 - t (1 + lambda_N)) / (1 + t) and
+        r(-c) = (lambda_N - t (1 - lambda_1)) / (1 + t), as spec(-h) = -spec(h)."""
+        y = self.straighten(n, self.level_element(n, c))
+        ev = np.linalg.eigvalsh(0.5 * (y + la.dagger(y)))
+        low, high, t = ev[..., 0], ev[..., -1], self.tol_psd
+        pair = ((-low - t * (1.0 + high)) / (1.0 + t), (high - t * (1.0 - low)) / (1.0 + t))
+        return tuple(r if r.ndim else float(r) for r in pair)
+
+    def sharp_block(self, a: np.ndarray) -> np.ndarray:
+        """Involution of a rectangular block matrix over the algebra, its block shape read
+        off `a`: (a_ij)^sharp transposed at block level, one conjugation by the frame (the
+        ambient adjoint in the identity frame, whatever `straighten` a subclass sets)."""
+        return self.frame.unstraighten(la.dagger(self.frame.straighten(a)))
+
     # -- sampling ----------------------------------------------------------
 
-    @abc.abstractmethod
-    def sample_many(self, n: int, k: int, rng: np.random.Generator):
-        """k random cone elements in draw order (a sequence, or a (k, nN, nN) stack)."""
+    def sample_many(self, n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+        """k random cone elements in draw order, as a (k, nN, nN) stack."""
+        return self._draw(n, k, rng, span=False)
 
-    @abc.abstractmethod
-    def sample_span_many(self, n: int, k: int, rng: np.random.Generator):
+    def sample_span_many(self, n: int, k: int, rng: np.random.Generator) -> np.ndarray:
         """k random elements of span_R(C_n - C_n) in draw order."""
+        return self._draw(n, k, rng, span=True)
+
+    def _draw(self, n: int, k: int, rng: np.random.Generator, span: bool) -> np.ndarray:
+        """k `random_element` draws g (their stream, one GEMM), then g* g or, for
+        span, (g + g*)/2, carried back by one blockwise unstraighten."""
+        alg = self.straight_algebra
+        g = block_synth(la.random_complex_many(rng, k, (n, n, alg.dim)), alg.basis)
+        return self.frame.unstraighten(0.5 * (g + la.dagger(g)) if span else la.dagger(g) @ g)
 
     def span_basis(self, n: int) -> np.ndarray | None:
-        """Exact real-orthonormal basis of span_R(C_n - C_n), if known; by
-        contract (M_n)_h (x) span_basis(1), which the 2i/2iii checks use."""
-        return None
+        """Exact real-orthonormal basis of span_R(C_n - C_n), by contract
+        (M_n)_h (x) span_basis(1), which the 2i/2iii checks use.  Level 1: the
+        straightened algebra's Hermitian part carried back by S; level n: its
+        Kronecker lift, real-orthonormal as tr(E_a E_b) = delta_ab."""
+        if n not in self._spans:
+            if n != 1:
+                span = _hermitian_kron(n, self.span_basis(1))
+            else:
+                span = hermitian_part_basis(self.straight_algebra)
+                if self.s is not None:
+                    span = la.orthonormal_stack(self.frame.unstraighten(span))
+            self._spans[n] = _freeze(span)
+        return self._spans[n]
 
     def lineality_basis(self, n: int) -> list | None:
         """Exact basis of C_n cap (-C_n), via the kernel of the PSD frame map;
@@ -318,111 +376,9 @@ class ConeOracle(abc.ABC):
         return la.rank(la.real_rows(np.concatenate([span, 1j * span])))
 
     def describe(self) -> dict:
-        out = {"variant": self.variant, "tol_psd": self.tol_psd}
-        if self.algebra is not None:
-            out["ambient_dim"] = self.algebra.ambient_dim
-            out["dim"] = self.algebra.dim
-        return out
-
-
-class SimilarityCone(ConeOracle):
-    """PSD-frame cone: X is a member when (I_n kron S) X (.)^-1 is Hermitian
-    PSD, i.e. the cone pi^(n)(M_n(A)^+) for pi = S^-1 (.) S over the
-    star-closed A = S B S^-1 (`straight_algebra`) of the algebra B.
-
-    S is checked once into `frame` (S, S^-1), which every S product reuses; s=None
-    is the identity frame, variant "standard" (`StandardCone`).  A = S B S^-1, the
-    span bases and the level-1 lineality kernel are built on first use and kept read-only.
-    """
-
-    @property
-    def variant(self) -> str:
-        return "standard" if self.s is None else "similarity"
-
-    def __init__(self, algebra: OperatorAlgebra, s: np.ndarray | None,
-                 tol_psd: float = DEFAULT_TOL_PSD):
-        super().__init__(algebra, tol_psd)
-        self.frame = _Frame() if s is None else _frame(s, algebra.ambient_dim)
-        self._spans: dict[int, np.ndarray] = {}
-
-    @property
-    def s(self) -> np.ndarray | None:
-        return self.frame.s
-
-    @cached_property
-    def straight_algebra(self) -> OperatorAlgebra:
-        """A = S B S^-1 (B when s is None), star-closed for honest inputs; a
-        similarity that loses rank raises DimensionMismatch here."""
-        return self.algebra if self.s is None else conjugate_algebra(self.algebra, self.frame)
-
-    def straighten(self, n: int, x) -> np.ndarray:
-        return self.frame.straighten(x)
-
-    def member_many(self, n: int, xs) -> list:
-        """One M_n(A) check, one straighten and one `_psd_test` (one LAPACK call
-        per matrix, so each verdict is that of the element asked alone)."""
-        return (self._psd_test(self.straighten(n, self.level_element(n, _stack(self, n, xs))))
-                .tolist() if len(xs) else [])
-
-    def _psd_test(self, y: np.ndarray):
-        """The one PSD rule, on a matrix (a bool) or a (k, d, d) stack (k bools):
-        herm_defect(y) and -lambda_min(h) within slack = tol_psd (1 + ||h||_2),
-        h = (y + y*)/2, from one Hermitian eigensolve ev of h (||h||_2 = max(-ev[0],
-        ev[-1]), no SVD).  It agrees with the slack tol_psd (1 + ||y||_2): once the
-        defect test passes, ||h|| <= ||y|| <= ||h|| + (nN/2) herm_defect(y), a slack
-        change below the rounding of ev[0] (5e-17 relative at nN = 48)."""
-        y_star = y.conj().swapaxes(-1, -2)
-        ev = np.linalg.eigvalsh(0.5 * (y + y_star))
-        slack = self.tol_psd * (1.0 + np.maximum(-ev[..., 0], ev[..., -1]))
-        return (np.abs(y - y_star).max(axis=(-2, -1)) <= slack) & (ev[..., 0] >= -slack)
-
-    def min_shift_pair(self, n: int, c) -> tuple:
-        """(r(c), r(-c)), where r I +- straighten(c) meets the `_psd_test` slack, from
-        one Hermitian eigensolve (stacked for a stack), no SVD: with lambda_1 <= ... <=
-        lambda_N the spectrum of h, the Hermitian part of straighten(c), and t = tol_psd,
-        r(c) = (-lambda_1 - t (1 + lambda_N)) / (1 + t) and
-        r(-c) = (lambda_N - t (1 - lambda_1)) / (1 + t), as spec(-h) = -spec(h)."""
-        y = self.straighten(n, self.level_element(n, c))
-        ev = np.linalg.eigvalsh(0.5 * (y + la.dagger(y)))
-        low, high, t = ev[..., 0], ev[..., -1], self.tol_psd
-        pair = ((-low - t * (1.0 + high)) / (1.0 + t), (high - t * (1.0 - low)) / (1.0 + t))
-        return tuple(r if r.ndim else float(r) for r in pair)
-
-    def sharp_block(self, a: np.ndarray) -> np.ndarray:
-        """Involution of a rectangular block matrix over the algebra, its block shape read
-        off `a`: (a_ij)^sharp transposed at block level, one conjugation by the frame (the
-        ambient adjoint in the identity frame, whatever `straighten` a subclass sets)."""
-        return self.frame.unstraighten(la.dagger(self.frame.straighten(a)))
-
-    def sample_many(self, n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-        return self._draw(n, k, rng, span=False)
-
-    def sample_span_many(self, n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-        return self._draw(n, k, rng, span=True)
-
-    def _draw(self, n: int, k: int, rng: np.random.Generator, span: bool) -> np.ndarray:
-        """k `random_element` draws g (their stream, one GEMM), then g* g or, for
-        span, (g + g*)/2, carried back by one blockwise unstraighten."""
-        alg = self.straight_algebra
-        g = block_synth(la.random_complex_many(rng, k, (n, n, alg.dim)), alg.basis)
-        return self.frame.unstraighten(0.5 * (g + la.dagger(g)) if span else la.dagger(g) @ g)
-
-    def span_basis(self, n: int) -> np.ndarray:
-        """Level 1: the straightened algebra's Hermitian part carried back by S;
-        level n: its Kronecker lift, real-orthonormal as tr(E_a E_b) = delta_ab."""
-        if n not in self._spans:
-            if n != 1:
-                span = _hermitian_kron(n, self.span_basis(1))
-            else:
-                span = hermitian_part_basis(self.straight_algebra)
-                if self.s is not None:
-                    span = la.orthonormal_stack(self.frame.unstraighten(span))
-            self._spans[n] = _freeze(span)
-        return self._spans[n]
-
-    def describe(self) -> dict:
         cond = {} if self.s is None else {"similarity_cond": self.frame.cond}
-        return super().describe() | cond
+        return {"variant": self.variant, "tol_psd": self.tol_psd,
+                "ambient_dim": self.algebra.ambient_dim, "dim": self.algebra.dim} | cond
 
 
 class StandardCone(SimilarityCone):
@@ -442,7 +398,7 @@ def _hermitian_kron(n: int, stack: np.ndarray) -> np.ndarray:
     return lifted.reshape(-1, n * big_n, n * big_n)
 
 
-def _stack(cone: "ConeOracle", n: int, xs) -> np.ndarray:
+def _stack(cone: "SimilarityCone", n: int, xs) -> np.ndarray:
     """Level-n elements (a sequence, or a stack) as one (k, nN, nN) array, k = 0
     too; DimensionMismatch for mixed shapes or any shape but (nN) x (nN)."""
     dim = cone.level_dim(n)
@@ -462,7 +418,7 @@ class _Bisection:
     true above).  Each r asks one `member_many` per c, up to the first c
     outside; `calls` counts the r asked and `iterations` the bisection steps."""
 
-    def __init__(self, cone: ConeOracle, n: int, cs, t):
+    def __init__(self, cone: SimilarityCone, n: int, cs, t):
         self.cone, self.n, self.cs, self.t = cone, n, cs, t
         self.e, self.calls, self.iterations = cone.unit(n), 0, 0
 
@@ -500,7 +456,7 @@ class _Bisection:
         return lo, hi
 
 
-def _certify(cone: ConeOracle, n: int, asks) -> list:
+def _certify(cone: SimilarityCone, n: int, asks) -> list:
     """The one shift certificate, from at most one `member_many` call.  Per ask (cs, r, width,
     floor, t): cs the elements (binding c first), r an exact shift (None: opaque) and t the map
     from r to the multiple of e_n asked.  If r <= floor it asks t(floor) e_n + c for every c,
@@ -552,7 +508,7 @@ def _enclosed(cone: SimilarityCone, n: int, cs, r: float, t, xs) -> bool:
             and ts[2] - ts[0] > delta and ts[0] - ts[3] > delta + 2 * tol * tol / (1 - tol * tol))
 
 
-def _exact_brackets(cone: ConeOracle, n: int, cs, scales, widths, floor: float) -> list:
+def _exact_brackets(cone: SimilarityCone, n: int, cs, scales, widths, floor: float) -> list:
     """Per c of cs, the `_certify` bracket of r(c) / scale for r * scale * e_n + c
     (None: opaque or uncertified), r(c) the first sign of one stacked
     `min_shift_pair`, and one `_certify`."""
@@ -563,7 +519,7 @@ def _exact_brackets(cone: ConeOracle, n: int, cs, scales, widths, floor: float) 
         for c, r, scale, width in zip(cs, rs, scales, widths)])]
 
 
-def _inf_shifts(cone: ConeOracle, n: int, cs, scales, abs_tol: float) -> list:
+def _inf_shifts(cone: SimilarityCone, n: int, cs, scales, abs_tol: float) -> list:
     """inf{r >= 0 : r * scale * e_n + c in C_n} to abs_tol per c of cs: the
     midpoint of its `_exact_brackets`, else of a `_Bisection` built for that c
     alone; None where the search finds no bracket."""
@@ -581,7 +537,7 @@ def _inf_shifts(cone: ConeOracle, n: int, cs, scales, abs_tol: float) -> list:
         cone, n, cs, scales, [abs_tol] * len(cs), 0.0))]
 
 
-def _sup_shifts_down(cone: ConeOracle, n: int, cs, widths) -> list:
+def _sup_shifts_down(cone: SimilarityCone, n: int, cs, widths) -> list:
     """Per cone member c of cs, a bracket of sup{mu >= 0 : c - mu * e_n in C_n}
     of width w: -r(c) as `_exact_brackets` certifies it, else a
     `_Bisection` in r = -mu from [-top, 0], top = ||straighten(c)|| + 1."""
@@ -602,7 +558,7 @@ def _sup_shifts_down(cone: ConeOracle, n: int, cs, widths) -> list:
 # Audits
 # ---------------------------------------------------------------------------
 
-def _lineality_check(cone: ConeOracle, n: int) -> AxiomCheck:
+def _lineality_check(cone: SimilarityCone, n: int) -> AxiomCheck:
     """C_n cap (-C_n) = {0} by the exact lineality basis; without an exact span,
     "fail" when e_n and -e_n are both members and "unknown" otherwise."""
     name, lin = f"pointedness-level-{n}", cone.lineality_basis(n)
@@ -623,7 +579,7 @@ def _lineality_check(cone: ConeOracle, n: int) -> AxiomCheck:
                       Witness("lineality", n, (h, -h), None, "both signs are cone members"))
 
 
-def _scalar_conjugations(cone: ConeOracle, levels: tuple, trials: int,
+def _scalar_conjugations(cone: SimilarityCone, levels: tuple, trials: int,
                          rng: np.random.Generator):
     """Candidates B* c B in C_m for c in C_n and scalar n x m B, over every
     level pair: `trials` Gaussian B, plus the cyclic permutation (n = m > 1)
@@ -644,7 +600,7 @@ def _scalar_conjugations(cone: ConeOracle, levels: tuple, trials: int,
                               f"B* C_{n} B escaped C_{m}")
 
 
-def _algebra_conjugations(cone: ConeOracle, levels: tuple, trials: int,
+def _algebra_conjugations(cone: SimilarityCone, levels: tuple, trials: int,
                           rng: np.random.Generator):
     """Candidates a^sharp c a in C_m for c in C_n and a in M_{n,m}(A), over
     every level pair.  At levels (n,) this is conjugation stability
@@ -659,7 +615,7 @@ def _algebra_conjugations(cone: ConeOracle, levels: tuple, trials: int,
                               f"A^sharp C_{n} A escaped C_{m}")
 
 
-def _order_unit_checks(cone: ConeOracle, n: int, trials: int,
+def _order_unit_checks(cone: SimilarityCone, n: int, trials: int,
                        unit_rng: np.random.Generator, arch_rng: np.random.Generator) -> list:
     """The "order-unit" and "archimedean" checks at level n, `trials` candidates
     each.  A span sample a fails the first when no shift r e + a, or then
@@ -701,7 +657,7 @@ def _order_unit_checks(cone: ConeOracle, n: int, trials: int,
                      boundaries)]
 
 
-def check_order_unit_archimedean(cone: ConeOracle, n: int = 1, samples: int = 20,
+def check_order_unit_archimedean(cone: SimilarityCone, n: int = 1, samples: int = 20,
                                  seed: int = 0) -> ConeAuditReport:
     """The audit's order-unit and Archimedean checks alone, `_sampled` from seed."""
     _samples(samples)
@@ -709,7 +665,7 @@ def check_order_unit_archimedean(cone: ConeOracle, n: int = 1, samples: int = 20
                            _order_unit_checks(cone, n, samples, *_streams(seed, 2)))
 
 
-def audit_algebraically_admissible(cone: ConeOracle, n: int = 1,
+def audit_algebraically_admissible(cone: SimilarityCone, n: int = 1,
                                    samples: int = 40, seed: int = 0) -> ConeAuditReport:
     """Audit of the single-level cone axioms with order-unit checks.
 
@@ -718,7 +674,6 @@ def audit_algebraically_admissible(cone: ConeOracle, n: int = 1,
     (boundary elements remain members as r -> 0) are `_sampled`.
     """
     _samples(samples)
-    cone.level_dim(n)  # LevelUnsupported for a cone without matrix levels
     if not cone.straight_algebra.star_closed:
         raise SourceNotStarClosed("classical cone audit needs a star-closed (straightened) algebra")
     combo_rng, conj_rng, unit_rng, arch_rng = _streams(seed, 4)
@@ -740,7 +695,7 @@ def audit_algebraically_admissible(cone: ConeOracle, n: int = 1,
     ])
 
 
-def audit_matrix_ordered(cone: ConeOracle, levels=(1, 2), samples: int = 30,
+def audit_matrix_ordered(cone: SimilarityCone, levels=(1, 2), samples: int = 30,
                          seed: int = 0) -> ConeAuditReport:
     """Audit of the matrix-order axioms across levels.
 
@@ -750,7 +705,6 @@ def audit_matrix_ordered(cone: ConeOracle, levels=(1, 2), samples: int = 30,
     a row-selection embedding off the theorem).
     """
     _samples(samples)
-    cone.level_dim(1)  # LevelUnsupported for a cone without matrix levels
     scalar_rng, algebra_rng = _streams(seed, 2)
     levels = _levels(levels)
     return ConeAuditReport("matrix-ordered", levels, samples, seed, [
@@ -764,7 +718,7 @@ def audit_matrix_ordered(cone: ConeOracle, levels=(1, 2), samples: int = 30,
     ])
 
 
-def _span_checks(cone: ConeOracle, n: int) -> list:
+def _span_checks(cone: SimilarityCone, n: int) -> list:
     """2i and 2iii at level n by exact ranks of the span V of C_n:
     dim_R(V + iV) = 2 dim_C M_n(A) and V cap iV = 0; "unknown" when the
     cone has no exact span.  Both ranks are n^2 times those of V_1; a failure's
@@ -795,7 +749,7 @@ def _span_checks(cone: ConeOracle, n: int) -> list:
             _verdict(names[1], f"dim_R(V cap iV) = {2 * v - rank}", wit_2iii)]
 
 
-def _frame_oracle(cone: ConeOracle, *also) -> bool:
+def _frame_oracle(cone: SimilarityCone, *also) -> bool:
     """Whether C_n and its involution are `SimilarityCone`'s own PSD rule and frame adjoint:
     no step of its oracle, nor a method named in `also`, is overridden."""
     own = lambda m: getattr(getattr(cone, m, None), "__func__", None) is getattr(SimilarityCone, m)
@@ -807,12 +761,12 @@ def _frame_oracle(cone: ConeOracle, *also) -> bool:
 _THEOREM = "theorem: C_n = pi^(n)^-1(M_n(A)^+), A = S B S^-1 star-closed"
 
 
-def _realised(cone: ConeOracle) -> bool:
+def _realised(cone: SimilarityCone) -> bool:
     """A `_frame_oracle` cone over a star-closed A = S B S^-1, so C_n = pi^(n)^-1(M_n(A)^+)."""
     return _frame_oracle(cone) and cone.straight_algebra.star_closed
 
 
-def _r4_estimate(cone: ConeOracle, levels: tuple, samples: int,
+def _r4_estimate(cone: SimilarityCone, levels: tuple, samples: int,
                  rng: np.random.Generator) -> tuple:
     """Condition 4: r4 = sup over candidates of inf{r : r ||c|| e + c in C};
     a candidate no bounded shift brings into C fails with 8 ||c|| e + c.  A
@@ -849,7 +803,7 @@ def _k_fails(na: float, nz: float) -> bool:
     return nz <= 1e-14 * max(na, 1.0) and na > 1e-10
 
 
-def _k_estimate(cone: ConeOracle, levels: tuple, samples: int,
+def _k_estimate(cone: SimilarityCone, levels: tuple, samples: int,
                 rng: np.random.Generator) -> tuple:
     """K = sup ||a|| / ||a + ib|| over sampled span pairs (a, b); the pair
     (a, 0) pins the estimate at >= 1 exactly.  ||a + ib|| = 0 < ||a|| is the
@@ -868,7 +822,7 @@ def _k_estimate(cone: ConeOracle, levels: tuple, samples: int,
     return best, None
 
 
-def audit_star_admissible(cone: ConeOracle, levels=(1, 2), samples: int = 50,
+def audit_star_admissible(cone: SimilarityCone, levels=(1, 2), samples: int = 50,
                           seed: int = 0) -> ConeAuditReport:
     """Audit of the five cone conditions that survive completely bounded
     isomorphism, with empirical constants r4 and K.
@@ -880,7 +834,6 @@ def audit_star_admissible(cone: ConeOracle, levels=(1, 2), samples: int = 50,
     `_frame_oracle` cone's r4 is -e_n's certified shift (`_r4_estimate`).
     """
     _samples(samples)
-    cone.level_dim(1)  # LevelUnsupported for a cone without matrix levels
     diff_rng, scalar_rng, r4_rng, k_rng = _streams(seed, 4)
     levels = _levels(levels)
     checks = [_unit_check(cone, 1, "unit-in-C1", "e in C_1")]
@@ -909,7 +862,7 @@ def audit_star_admissible(cone: ConeOracle, levels=(1, 2), samples: int = 50,
                            {"r4": r4, "K": k})
 
 
-def estimate_main_constants(cone: ConeOracle, levels=(1, 2), samples: int = 60,
+def estimate_main_constants(cone: SimilarityCone, levels=(1, 2), samples: int = 60,
                             seed: int = 0):
     """Empirical (r1, alpha) for the closed-image conditions.
 

@@ -71,10 +71,6 @@ class GridTooCoarse(MatOrderError):
     pass
 
 
-class LevelUnsupported(MatOrderError):
-    """The cone variant does not implement the requested matrix level."""
-
-
 class SchemaError(MatOrderError):
     """Malformed input file (CLI exit code 4); carries a JSON-pointer path."""
 

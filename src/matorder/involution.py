@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _linalg as la
 from .algebra import OperatorAlgebra, _outside, block_coords, block_synth
-from .cones import _THEOREM, ConeOracle, _realised, _stack
+from .cones import _THEOREM, SimilarityCone, _realised, _stack
 from .errors import (CertificationFailed, DecompositionInfeasible, DecompositionNotUnique,
                      DimensionMismatch, SpanUnstable)
 
@@ -34,7 +34,7 @@ CERT_SAMPLES = 20
 CERT_CHUNK_BYTES = 2 ** 18
 
 
-def real_cone_span(cone: ConeOracle, n: int = 1, seed: int = 0) -> np.ndarray:
+def real_cone_span(cone: SimilarityCone, n: int = 1, seed: int = 0) -> np.ndarray:
     """Real-orthonormal basis (as matrices) of span_R(C_n - C_n).
 
     Grown from cone samples, 2 dim M_n(A) + 8 a round, until the dimension
@@ -44,7 +44,6 @@ def real_cone_span(cone: ConeOracle, n: int = 1, seed: int = 0) -> np.ndarray:
     Raises SpanUnstable when growth does not settle in SPAN_ROUNDS rounds.
     """
     rng = np.random.default_rng(seed)
-    cone.level_dim(n)  # LevelUnsupported for a cone without matrix levels
     samples = 2 * n * n * cone.algebra.dim + 8
 
     drawn: list[np.ndarray] = []
@@ -82,7 +81,7 @@ def real_cone_span(cone: ConeOracle, n: int = 1, seed: int = 0) -> np.ndarray:
     return basis
 
 
-def decompose(cone: ConeOracle, n: int, xs: np.ndarray, span: np.ndarray) -> tuple:
+def decompose(cone: SimilarityCone, n: int, xs: np.ndarray, span: np.ndarray) -> tuple:
     """Unique splits x = x1 + i x2 of every matrix of the (k, nN, nN) stack xs over
     the real span V, a real basis of span_R(C_n - C_n), as the stacks (x1, x2): one
     SVD decides the rank and solves for all right-hand sides.  One `_outside` pass
@@ -91,7 +90,6 @@ def decompose(cone: ConeOracle, n: int, xs: np.ndarray, span: np.ndarray) -> tup
     structure_tol (1 + ||x||_F): a V tilted out of M_n(A) (a sampled span at large
     cond(S)) splits no x exactly."""
     v = span.shape[0]
-    cone.level_dim(n)  # LevelUnsupported for a cone without matrix levels
     lvl_dim = n * n * cone.algebra.dim
     if v == 0:
         raise DecompositionInfeasible("cone span is trivial")
@@ -148,17 +146,16 @@ class InvolutionMap:
         return float(np.max(ratios, initial=1.0))
 
 
-def recover_involution(cone: ConeOracle, *, seed: int = 0) -> InvolutionMap:
+def recover_involution(cone: SimilarityCone, *, seed: int = 0) -> InvolutionMap:
     """x -> x1 - i x2 on A: a `_realised` cone's `sharp_block`, drawing nothing, else the split
     over `real_cone_span(cone, 1, seed)`; `certify_level` certifies it at a level n > 1."""
-    cone.level_dim(1)  # LevelUnsupported for a cone without matrix levels
     if _realised(cone):
         return InvolutionMap(cone.algebra, cone.sharp_block(cone.algebra.basis))
     x1, x2 = decompose(cone, 1, cone.algebra.basis, real_cone_span(cone, 1, seed=seed))
     return InvolutionMap(cone.algebra, x1 - 1j * x2)
 
 
-def certify_level(cone: ConeOracle, n: int, involution1: InvolutionMap, seed: int = 0,
+def certify_level(cone: SimilarityCone, n: int, involution1: InvolutionMap, seed: int = 0,
                   samples: int = CERT_SAMPLES) -> "InvolutionComparison":
     """`verify_matrix_involution` at level n with at least CERT_SAMPLES samples;
     CertificationFailed unless it passes."""
@@ -187,7 +184,7 @@ class InvolutionComparison:
                                                 and self.rank == self.need)
 
 
-def verify_matrix_involution(cone: ConeOracle, n: int, samples: int = CERT_SAMPLES,
+def verify_matrix_involution(cone: SimilarityCone, n: int, samples: int = CERT_SAMPLES,
                              seed: int = 0, *,
                              involution1: InvolutionMap) -> InvolutionComparison:
     """Certify that the entrywise extension of the level-1 map involution1 is the
@@ -198,7 +195,6 @@ def verify_matrix_involution(cone: ConeOracle, n: int, samples: int = CERT_SAMPL
     On a `_realised` cone whose level-1 map is its own `sharp_block` the realisation
     theorem certifies every level, and nothing is drawn.  DimensionMismatch, before any
     draw, for a map whose images are not shaped as the cone's algebra basis."""
-    # LevelUnsupported for a cone without matrix levels
     chunk = max(1, CERT_CHUNK_BYTES // (16 * cone.level_dim(n) ** 2))
     if involution1.images.shape != cone.algebra.basis.shape:
         raise DimensionMismatch(f"involution images of shape {involution1.images.shape}, "

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _linalg as la
 from .algebra import block_synth
-from .cones import ConeOracle, _Bisection, _certify, _stack
+from .cones import SimilarityCone, _Bisection, _certify, _stack
 from .errors import CertificationFailed, MatOrderError, NotSelfAdjoint
 
 DEFAULT_BISECT_TOL = 1e-10
@@ -55,7 +55,7 @@ def _check_self_adjoint(a: np.ndarray, a_sharp: np.ndarray) -> None:
         raise NotSelfAdjoint("order-unit seminorm needs a sharp-self-adjoint element")
 
 
-def _norm_searches(cone: ConeOracle, n: int, z: np.ndarray, bisect_tol: float,
+def _norm_searches(cone: SimilarityCone, n: int, z: np.ndarray, bisect_tol: float,
                    paths: tuple) -> list:
     """Per (squared, sqrt_refine) of paths, the bracket of
     inf{r >= 0 : t e_n + z and t e_n - z in C_n}, t = r (r^2 if squared).
@@ -101,7 +101,7 @@ def _norm_searches(cone: ConeOracle, n: int, z: np.ndarray, bisect_tol: float,
     return reports
 
 
-def order_unit_seminorm(cone: ConeOracle, n: int, a,
+def order_unit_seminorm(cone: SimilarityCone, n: int, a,
                         bisect_tol: float = DEFAULT_BISECT_TOL) -> NormReport:
     """inf{r > 0 : r e_n + a in C_n and r e_n - a in C_n}.
 
@@ -115,7 +115,7 @@ def order_unit_seminorm(cone: ConeOracle, n: int, a,
     return _norm_searches(cone, n, a, bisect_tol, ((False, False),))[0]
 
 
-def pre_cstar_norm(cone: ConeOracle, involution, n: int, x,
+def pre_cstar_norm(cone: SimilarityCone, involution, n: int, x,
                    bisect_tol: float = DEFAULT_BISECT_TOL) -> NormReport:
     """sqrt of the seminorm of x^sharp x, cross-checked against the direct
     search for inf{r : r^2 e +- x^sharp x in C}; the two must agree to
@@ -141,7 +141,7 @@ def pre_cstar_norm(cone: ConeOracle, involution, n: int, x,
                       via_sqrt.oracle_calls + direct.oracle_calls)
 
 
-def null_space(cone: ConeOracle, n: int) -> np.ndarray:
+def null_space(cone: SimilarityCone, n: int) -> np.ndarray:
     """Basis of {x : |x| <= NULL_TOL} for the pre-C*-norm under the cone's own `sharp_block`.
 
     Thresholds the norm on the basis kron(E_ij, b_k) of M_n(A), built from unit
@@ -151,7 +151,7 @@ def null_space(cone: ConeOracle, n: int) -> np.ndarray:
     def norm(x):
         return pre_cstar_norm(cone, None, n, x).value
 
-    dim = cone.level_dim(n)  # LevelUnsupported for a cone without matrix levels
+    dim = cone.level_dim(n)
     d = cone.algebra.dim
     basis = (block_synth(np.eye(1, n * n * d, k).reshape(n, n, d), cone.algebra.basis)
              for k in range(n * n * d))

@@ -25,7 +25,7 @@ import numpy as np
 from . import _linalg as la
 from .algebra import (OperatorAlgebra, _Frame, _frame, block_coords, block_synth, commutant,
                       generate_algebra, image_algebra)
-from .cones import ConeOracle, _stack
+from .cones import SimilarityCone, _stack
 from .errors import (CertificationFailed, DimensionMismatch, MatOrderError, NoPositiveSolution,
                      NumericalStall)
 from .involution import InvolutionMap, recover_involution
@@ -238,7 +238,7 @@ def minimize_condition(space: np.ndarray) -> SimilarityCertificate:
     return _certificate_from(np.tensordot(x[:k], space, axes=(0, 0)), gap)
 
 
-def build_star_rep(algebra: OperatorAlgebra, cone: ConeOracle, q,
+def build_star_rep(algebra: OperatorAlgebra, cone: SimilarityCone, q,
                    involution: InvolutionMap, cert_tol: float = DEFAULT_CERT_TOL,
                    levels=(1, 2, 4), samples: int = 12, seed: int = 0) -> StarRepresentation:
     """The map tau(b) = Q^(1/2) b Q^(-1/2) with its image algebra, the span of the images
@@ -387,7 +387,7 @@ def _sharp_closure(algebra: OperatorAlgebra, domain: OperatorAlgebra, involution
     return generate_algebra([*algebra.basis, *sharp], tol=algebra.structure_tol)
 
 
-def reconstruct_similarity(algebra: OperatorAlgebra, cone: ConeOracle,
+def reconstruct_similarity(algebra: OperatorAlgebra, cone: SimilarityCone,
                            seed: int = 0, cb_level: int | None = None,
                            cert_tol: float = DEFAULT_CERT_TOL,
                            levels=(1, 2, 4), samples: int = 12) -> ReconstructionResult:
@@ -399,12 +399,10 @@ def reconstruct_similarity(algebra: OperatorAlgebra, cone: ConeOracle,
     `cb_lower_bound` calls follow: the inverse direction's, then the forward one's,
     at level 1 and then the ceiling `cb_level` (N when None; below 1 DimensionMismatch before
     any solve), each only while still open.  `samples`: per level, for `build_star_rep`.
-    The cone's involution is defined on its own algebra only: a cone without matrix levels
-    raises LevelUnsupported first, then a basis not in it DimensionMismatch for the wrong
-    size, MembershipError for a basis element outside.  Q is solved on the algebra's
-    `_sharp_closure`.
+    The cone's involution is defined on its own algebra only: a basis not in it raises
+    DimensionMismatch for the wrong size, MembershipError for a basis element outside.
+    Q is solved on the algebra's `_sharp_closure`.
     """
-    cone.level_dim(1)
     ceiling = algebra.ambient_dim if cb_level is None else cb_level
     if ceiling < 1:
         raise DimensionMismatch(f"matrix level must be >= 1, got {ceiling}")

@@ -60,6 +60,13 @@ class ZeroedCornerCone(StandardCone):
         return out
 
 
+class NoSpanCone(StandardCone):
+    """An honest cone that claims no exact span basis."""
+
+    def span_basis(self, n):
+        return None
+
+
 class ZeroCone(StandardCone):
     """The trivial cone {0}."""
 

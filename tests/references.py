@@ -24,9 +24,9 @@ certificate left open.  The rest are the involution and similarity layers
 before their stacked passes: a barrier solve over a list of LMI blocks whose
 phase one runs to its gap, and the cone span, `norm_bound`, level-n
 certificate, `build_star_rep` cone residual and norm identity drawn and
-measured one element at a time.  `pullback_trig`, `pullback_member`,
+measured one element at a time.  `c1_trig`, `c1_main_constants_per_sample`,
 `c1_norm_per_sample` and `c1_inequality_check_per_sample` are the function
-embedding's pullback cone and norm one sample at a time, before their
+embedding's draws, main constants and norm one sample at a time, before their
 stacked passes; `membership_residual` is the distance from an algebra span.
 `hermitian_part_basis_loop` and `conjugate_per_basis` build the Hermitian-part
 basis and a similarity's basis images one basis element at a time, as the
@@ -62,7 +62,7 @@ from matorder import similarity
 from matorder.algebra import (DEFAULT_MAX_DIM, DEFAULT_STRUCTURE_TOL, OperatorAlgebra,
                               as_matrix, block_coords, block_synth, random_element)
 from matorder.case_studies import C1Sample, NormIdentityReport, c1_embed
-from matorder.cones import (_BOUNDARY_WIDTH_FACTOR, ConeOracle, ConstantEstimate, Witness,
+from matorder.cones import (_BOUNDARY_WIDTH_FACTOR, ConstantEstimate, SimilarityCone, Witness,
                             _algebra_conjugations, _Bisection, _first_escape, _inf_shifts,
                             _scalar_conjugations, _stack, _streams, _sup_shifts_down)
 from matorder.errors import (CertificationFailed, DimensionCapExceeded, DimensionMismatch,
@@ -294,7 +294,7 @@ class ShiftBisection(_Bisection):
         return found if found is not None else super().search(upper0, stop)
 
 
-def shift_bisection(cone: ConeOracle, n: int, cs, scale: float = 1.0,
+def shift_bisection(cone: SimilarityCone, n: int, cs, scale: float = 1.0,
                     squared: bool = False) -> ShiftBisection:
     """A `ShiftBisection` on t e_n + c in C_n for all c of cs (binding c first),
     t = r * scale (r^2 if squared)."""
@@ -312,7 +312,7 @@ def certify(bis, r: float | None, width: float, floor: float = 0.0) -> tuple | N
     return certified(points, bis.many(points))
 
 
-def two_sided_verdicts(cone: ConeOracle, n: int, cs: tuple, asks: list) -> list:
+def two_sided_verdicts(cone: SimilarityCone, n: int, cs: tuple, asks: list) -> list:
     """Per tuple ts of asks (a `certificate`, hi first, or empty), whether
     t e_n + c is in C_n for both c of cs (binding c first), t in ts.  One
     `member_many` asks the binding c at every t and the other c at all but lo;
@@ -335,7 +335,7 @@ def two_sided_verdicts(cone: ConeOracle, n: int, cs: tuple, asks: list) -> list:
     return [[a and b for a, b in zip(ok, also)] for ok, also in zip(first, second)]
 
 
-def exact_brackets(cone: ConeOracle, n: int, cs, scales, widths, floor: float) -> list:
+def exact_brackets(cone: SimilarityCone, n: int, cs, scales, widths, floor: float) -> list:
     """Per c of cs, the `certify` bracket of r(c) / scale for
     r * scale * e_n + c (None: opaque or uncertified), from the first sign of one
     stacked `min_shift_pair` and one `member_many` for every certificate point."""
@@ -350,7 +350,7 @@ def exact_brackets(cone: ConeOracle, n: int, cs, scales, widths, floor: float) -
     return [certified(rs, [next(inside) for _ in rs]) for rs in points]
 
 
-def r4_sampled(cone: ConeOracle, levels, samples: int, rng: np.random.Generator) -> tuple:
+def r4_sampled(cone: SimilarityCone, levels, samples: int, rng: np.random.Generator) -> tuple:
     """`cones._r4_estimate` over the sampled candidates at every level: `samples`
     span draws, the differences of 2 (samples // 2) cone draws, -e_n and four
     negated cone draws, in that order and from rng in that order.  Returns
@@ -380,7 +380,7 @@ def r4_sampled(cone: ConeOracle, levels, samples: int, rng: np.random.Generator)
     return best, bad, asked
 
 
-def sampled_checks(cone: ConeOracle, n: int, levels, samples: int, seed: int) -> dict:
+def sampled_checks(cone: SimilarityCone, n: int, levels, samples: int, seed: int) -> dict:
     """Per axiom of the eight sampled audit checks, the first escape of its
     candidates (None: none escaped), drawn from the child stream of seed its
     audit gives it: conic combinations, conjugation stability, order unit and
@@ -446,7 +446,7 @@ def sampled_checks(cone: ConeOracle, n: int, levels, samples: int, seed: int) ->
     return {axiom: _first_escape(cone, run) for axiom, run in runs.items()}
 
 
-def sup_shift_down(cone: ConeOracle, n: int, c: np.ndarray, abs_tol: float) -> tuple:
+def sup_shift_down(cone: SimilarityCone, n: int, c: np.ndarray, abs_tol: float) -> tuple:
     """Bracket of sup{mu >= 0 : c - mu * e_n in C_n} for a cone member c:
     -r(c) certified by the oracle, else bisection in r = -mu (the earlier
     one-element form, which asks the exact shift and its certificate again)."""
@@ -460,13 +460,13 @@ def sup_shift_down(cone: ConeOracle, n: int, c: np.ndarray, abs_tol: float) -> t
     return -found[1], -found[0]
 
 
-def _two_shifts(cone: ConeOracle, n: int, z: np.ndarray) -> tuple:
+def _two_shifts(cone: SimilarityCone, n: int, z: np.ndarray) -> tuple:
     """(r(z), r(-z)) from two eigensolves: the first sign of `min_shift_pair` at
     z and at -z."""
     return cone.min_shift_pair(n, z)[0], cone.min_shift_pair(n, -z)[0]
 
 
-def norm_search_two_calls(cone: ConeOracle, n: int, z: np.ndarray, bisect_tol: float,
+def norm_search_two_calls(cone: SimilarityCone, n: int, z: np.ndarray, bisect_tol: float,
                           squared: bool = False, sqrt_refine: bool = False,
                           shifts: tuple | None = None) -> NormReport:
     """inf{r >= 0 : t e_n + z and t e_n - z in C_n}, t = r (r^2 if squared).
@@ -500,7 +500,7 @@ def norm_search_two_calls(cone: ConeOracle, n: int, z: np.ndarray, bisect_tol: f
     return NormReport(0.5 * (lo + hi), (lo, hi), bis.iterations, bis.calls)
 
 
-def pre_cstar_norm_two_calls(cone: ConeOracle, involution, n: int, x,
+def pre_cstar_norm_two_calls(cone: SimilarityCone, involution, n: int, x,
                              bisect_tol: float = DEFAULT_BISECT_TOL) -> NormReport:
     """sqrt of the seminorm of x^sharp x, cross-checked against the direct
     search for inf{r : r^2 e +- x^sharp x in C}, each path certified on its own."""
@@ -723,7 +723,7 @@ def cb_lower_bound_two_stage(images: np.ndarray, from_algebra: OperatorAlgebra,
         images, from_algebra, *_top_pair_scored(best_z, images, from_algebra, best_scored)))
 
 
-def real_cone_span_per_sample(cone: ConeOracle, n: int = 1, seed: int = 0) -> np.ndarray:
+def real_cone_span_per_sample(cone: SimilarityCone, n: int = 1, seed: int = 0) -> np.ndarray:
     """`real_cone_span`'s sampled basis, its rounds drawn one element at a time
     (without the exact-span cross-check)."""
     rng = np.random.default_rng(seed)
@@ -755,7 +755,7 @@ def bound_2k_per_element(algebra: OperatorAlgebra, involution, seed: int = 0) ->
     return float(bound)
 
 
-def verify_matrix_involution_per_sample(cone: ConeOracle, n: int, samples: int, seed: int,
+def verify_matrix_involution_per_sample(cone: SimilarityCone, n: int, samples: int, seed: int,
                                         involution1) -> InvolutionComparison:
     """`verify_matrix_involution`, one draw and one residual per row."""
     need = n * n * cone.algebra.dim
@@ -770,7 +770,7 @@ def verify_matrix_involution_per_sample(cone: ConeOracle, n: int, samples: int, 
     return InvolutionComparison(n, float(worst), samples, la.rank(rows), need)
 
 
-def residual_cone_kron(cone: ConeOracle, s: np.ndarray, levels, samples: int,
+def residual_cone_kron(cone: SimilarityCone, s: np.ndarray, levels, samples: int,
                        seed: int = 0) -> float:
     """`build_star_rep`'s residual_cone: each sample conjugated by kron(I_n, S)
     and measured alone."""
@@ -803,29 +803,50 @@ def jsym_norm_identity_per_sample(images: np.ndarray, algebra: OperatorAlgebra, 
     return NormIdentityReport(float(worst), witness, tuple(levels), samples)
 
 
-def pullback_trig(cone, rng: np.random.Generator) -> C1Sample:
-    """One random trigonometric polynomial on the pullback cone's grid, drawn
-    and accumulated one coefficient at a time (the earlier `_trig`)."""
-    vals = np.zeros_like(cone.grid, dtype=complex)
-    ders = np.zeros_like(cone.grid, dtype=complex)
-    for j in range(cone.max_frequency + 1):
+def c1_trig(grid: np.ndarray, max_frequency: int, rng: np.random.Generator) -> C1Sample:
+    """One random real trigonometric polynomial on the grid, drawn and accumulated
+    one coefficient at a time (the earlier `_trig` of the pullback cone)."""
+    vals = np.zeros_like(grid, dtype=complex)
+    ders = np.zeros_like(grid, dtype=complex)
+    for j in range(max_frequency + 1):
         a = rng.standard_normal() / (1 + j)
-        vals += a * np.cos(2 * np.pi * j * cone.grid)
-        ders += -a * 2 * np.pi * j * np.sin(2 * np.pi * j * cone.grid)
+        vals += a * np.cos(2 * np.pi * j * grid)
+        ders += -a * 2 * np.pi * j * np.sin(2 * np.pi * j * grid)
         if j > 0:
             b = rng.standard_normal() / (1 + j)
-            vals += b * np.sin(2 * np.pi * j * cone.grid)
-            ders += b * 2 * np.pi * j * np.cos(2 * np.pi * j * cone.grid)
-    return C1Sample(cone.grid, vals, ders)
+            vals += b * np.sin(2 * np.pi * j * grid)
+            ders += b * 2 * np.pi * j * np.cos(2 * np.pi * j * grid)
+    return C1Sample(grid, vals, ders)
 
 
-def pullback_member(cone, x: C1Sample) -> bool:
-    """The pullback cone's test for one sample, element by element."""
-    scale = 1.0 + np.max(np.abs(x.f_values)) + np.max(np.abs(x.f_derivs))
-    if max(np.max(np.abs(x.f_values.imag)), np.max(np.abs(x.f_derivs.imag))) \
-            > cone.tol_psd * scale:
-        return False
-    return bool(np.min(x.f_values.real) >= -cone.tol_psd * scale)
+def c1_main_constants_per_sample(grid: np.ndarray, samples: int, seed: int,
+                                 max_frequency: int = 4) -> tuple:
+    """(r1, alpha, complements) of `c1_main_constants`, one `c1_trig` draw, `C1Sample`
+    product and `c1_norm_per_sample` at a time, in the draw order `estimate_main_constants`
+    had on the pullback cone; complements are the d = r - c, r = max c, of its
+    complement pairs, in order."""
+    rng = np.random.default_rng(seed)
+    draw = lambda: c1_trig(grid, max_frequency, rng)
+    squares = [g * g for g in (draw() for _ in range(2 * samples))]
+    pairs, complements = list(zip(squares[0::2], squares[1::2])), []
+    for _ in range(max(4, samples // 4)):
+        g = draw()
+        c = g * g
+        d = C1Sample(grid, np.max(c.f_values.real) - c.f_values, -c.f_derivs)
+        pairs.append((c, d))
+        complements.append(d)
+    r1 = alpha = np.inf
+    for c, d in pairs:
+        denom = max(c1_norm_per_sample(c), c1_norm_per_sample(d))
+        if denom > 1e-12:
+            r1 = min(r1, c1_norm_per_sample(c + d) / denom)
+    spans = [draw() for _ in range(2 * samples)]
+    for x, y in zip(spans[0::2], spans[1::2]):
+        zm, zp = x + (-1j) * y, x + 1j * y
+        denom = c1_norm_per_sample(zm) * c1_norm_per_sample(zp)
+        if denom > 1e-12:
+            alpha = min(alpha, c1_norm_per_sample(zm * zp) / denom)
+    return r1, alpha, complements
 
 
 def c1_norm_per_sample(sample: C1Sample) -> float:

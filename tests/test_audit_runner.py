@@ -8,7 +8,8 @@ import numpy as np
 from conftest import WORKED_S
 import pytest
 
-from doubles import AllHermitianCone, GappedCone, SkewedLevelCone, ZeroCone, ZeroedCornerCone
+from doubles import (AllHermitianCone, GappedCone, NoSpanCone, SkewedLevelCone, ZeroCone,
+                     ZeroedCornerCone)
 from matorder import algebra
 from matorder.algebra import conjugate_algebra
 from matorder.cones import (
@@ -38,13 +39,6 @@ class _RejectsFirstCandidate(StandardCone):
                 self.rejected = True
                 got[k] = False
         return got
-
-
-class _NoSpanCone(StandardCone):
-    """An honest cone that claims no exact span basis."""
-
-    def span_basis(self, n):
-        return None
 
 
 class _NoSpanAllHermitianCone(AllHermitianCone):
@@ -90,7 +84,7 @@ def test_early_exit_of_one_check_leaves_later_draws_unchanged(m2_full):
 
 
 def test_missing_span_basis_gives_unknown_span_verdicts(m2_full):
-    report = audit_star_admissible(_NoSpanCone(m2_full), levels=(1, 2), samples=4, seed=0)
+    report = audit_star_admissible(NoSpanCone(m2_full), levels=(1, 2), samples=4, seed=0)
     verdicts = {c.axiom: c.verdict for c in report.checks}
     for n in (1, 2):
         assert verdicts[f"span-decomposition-2i-level-{n}"] == "unknown"
@@ -116,7 +110,7 @@ def test_pointedness_fails_on_plus_minus_e_without_a_span(m2_full, audit):
 
 @pytest.mark.parametrize("audit", sorted(_POINTED_AUDITS))
 def test_pointedness_reads_unknown_on_an_honest_cone_without_a_span(m2_full, audit):
-    report = _POINTED_AUDITS[audit](_NoSpanCone(m2_full))
+    report = _POINTED_AUDITS[audit](NoSpanCone(m2_full))
     check = {c.axiom: c for c in report.checks}["pointedness-level-1"]
     assert (check.verdict, check.detail, check.witness) == (
         "unknown", "no exact span available", None)

@@ -11,16 +11,16 @@ from matorder.algebra import generate_algebra, random_element
 from matorder.case_studies import (
     C1Sample,
     _embedded_norms,
-    FunctionPullbackCone,
     c1_condition1_decay,
     c1_embed,
     c1_inequality_check,
+    c1_main_constants,
     c1_norm,
     j_symmetrize,
     jsym_norm_identity,
     kadison_pipeline,
 )
-from matorder.cones import StandardCone, compress, estimate_main_constants
+from matorder.cones import StandardCone, compress
 from matorder.errors import (
     CertificationFailed,
     DimensionMismatch,
@@ -313,9 +313,8 @@ def test_no_c1_norm_path_builds_the_dense_embedding(monkeypatch):
     monkeypatch.setattr(case_studies, "c1_embed", calls.append)
     grid = np.linspace(0.0, 1.0, 16)
     s = C1Sample(grid, np.ones(16), np.full(16, 0.5))
-    cone = FunctionPullbackCone(grid)
     c1_norm(s)
-    cone.norm_many(1, [cone.unit(1), s])
+    c1_main_constants(grid, 5, 0)
     c1_inequality_check(samples=5, seed=0, grid_size=16)
     c1_condition1_decay(4, grid)
     assert calls == []
@@ -329,8 +328,8 @@ def test_c1_norm_of_a_non_finite_sample_is_a_typed_error(bad, channel):
     parts = {"f_values": np.ones(8, dtype=complex), "f_derivs": np.zeros(8, dtype=complex)}
     parts[channel][3] = bad
     s = C1Sample(grid, **parts)
-    cone = FunctionPullbackCone(grid)
-    for norm in (lambda: c1_norm(s), lambda: cone.norm_many(1, [cone.unit(1), s])):
+    stacks = (np.stack([np.ones(8), s.f_values]), np.stack([np.zeros(8), s.f_derivs]))
+    for norm in (lambda: c1_norm(s), lambda: case_studies._c1_norms(*stacks)):
         with pytest.raises(MatOrderError, match="finite"):
             norm()
 
@@ -395,18 +394,6 @@ def test_c1_decay_grid_too_coarse():
 def test_c1_decay_rejects_frequencies_below_one(k):
     with pytest.raises(DimensionMismatch):
         c1_condition1_decay(k, np.linspace(0, 1, 64))
-
-
-def test_pullback_cone_membership_and_constants():
-    grid = np.linspace(0, 1, 64)
-    cone = FunctionPullbackCone(grid)
-    rng = np.random.default_rng(2)
-    c = cone.sample_many(1, 1, rng)[0]
-    assert cone.member_many(1, [c])[0]
-    assert not cone.member_many(1, [(-1.0) * c + (-0.1) * cone.unit(1)])[0]
-    r1, alpha = estimate_main_constants(cone, levels=(1,), samples=30, seed=3)
-    assert 0.0 < r1.value <= 2.0
-    assert 0.0 < alpha.value <= 1.0 + 1e-9
 
 
 # -- options with one value in use ------------------------------------------

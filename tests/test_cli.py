@@ -81,8 +81,9 @@ FLAG_ROWS = {
     "similarity": ("seed", "samples", "levels", "cert_tol", "structure_tol"),
     "cb-norm": ("seed", "structure_tol"),
     "kadison-demo": ("seed", "samples", "levels", "cert_tol", "structure_tol"),
-    "c1-example": ("seed", "samples", "tol_psd"),
+    "c1-example": ("seed", "samples"),
 }
+# The tuning flags, and tol_psd, which no command takes (a cone's is its file's).
 TUNING_FLAGS = ("seed", "samples", "levels", "tol_psd", "bisect_tol", "cert_tol", "structure_tol")
 
 # Inputs (in the workdir) that each command runs on.
@@ -544,7 +545,7 @@ def test_every_benchmark_input_file_loads(tmp_path, monkeypatch):
 def test_parser_defaults_are_the_run_config_and_library_defaults(m2_full):
     assert cli_mod._FLAGS == {
         "seed": (int, 0), "samples": (int, 50), "levels": (str, "1,2"),
-        "tol_psd": (float, DEFAULT_TOL_PSD), "bisect_tol": (float, DEFAULT_BISECT_TOL),
+        "bisect_tol": (float, DEFAULT_BISECT_TOL),
         "cert_tol": (float, sim_mod.DEFAULT_CERT_TOL),
         "structure_tol": (float, DEFAULT_STRUCTURE_TOL)}
     for command, inputs in COMMAND_INPUTS.items():
@@ -632,8 +633,8 @@ def test_a_command_refuses_a_flag_it_does_not_read(workdir, capsys, tmp_path, co
     assert f"unrecognized arguments: --{flag.replace('_', '-')}" in capsys.readouterr().err
 
 
-DEFAULT_CONFIG = {"seed": 0, "samples": 50, "levels": [1, 2], "tol_psd": 1e-9,
-                  "bisect_tol": 1e-10, "cert_tol": 1e-7, "structure_tol": 1e-9}
+DEFAULT_CONFIG = {"seed": 0, "samples": 50, "levels": [1, 2], "bisect_tol": 1e-10,
+                  "cert_tol": 1e-7, "structure_tol": 1e-9}
 
 
 @pytest.mark.parametrize("command", FLAG_ROWS)
@@ -783,11 +784,11 @@ def test_involution_on_a_skewed_level_cone_fails_certification(workdir, capsys, 
     assert rep["error"]["type"] == "CertificationFailed"
 
 
-@pytest.mark.parametrize("flag", ["--tol-psd", "--bisect-tol", "--cert-tol", "--structure-tol"])
+@pytest.mark.parametrize("flag", ["--bisect-tol", "--cert-tol", "--structure-tol"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
 def test_float_flags_must_be_finite_and_positive(workdir, capsys, flag, value):
-    command = {"--tol-psd": "c1-example", "--bisect-tol": "order-norm",
-               "--cert-tol": "similarity", "--structure-tol": "order-norm"}[flag]
+    command = {"--bisect-tol": "order-norm", "--cert-tol": "similarity",
+               "--structure-tol": "order-norm"}[flag]
     code, rep = _run(workdir, [command, *_inputs(workdir, COMMAND_INPUTS[command]), flag, value],
                      capsys)
     assert code == 4
@@ -836,6 +837,8 @@ def test_matrix_numbers_must_be_finite_non_boolean(obj, pointer):
     ({"algebra": {"ambient_dim": True}}, "/algebra/ambient_dim"),
     ({"tol_psd": float("inf")}, "/tol_psd"),
     ({"tol_psd": None}, "/tol_psd"),
+    ({"tol_psd": 0.0}, "/tol_psd"),
+    ({"tol_psd": -1e-9}, "/tol_psd"),
     ({"variant": "similarity", "S": {"dim": 2, "entries": [[[1, 0], [0, 0]],
                                                           [[0, 0], [1, False]]]}},
      "/S/entries/1/1/1"),
@@ -854,6 +857,19 @@ def test_boolean_tol_psd_is_a_schema_error_not_a_norm(workdir, capsys, tmp_path)
     code, rep = _run(workdir, ["order-norm", "--cone", str(cone),
                                "--element", str(workdir / "elem.json")], capsys)
     assert code == 4
+    assert rep["error"]["pointer"] == "/tol_psd"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, 0.0])
+def test_a_cone_file_tol_psd_must_be_finite_and_positive(workdir, capsys, tmp_path, value):
+    # No command takes a PSD tolerance: the cone file's is checked where it is read.
+    cone = tmp_path / "bad_tol.json"
+    cone.write_text(json.dumps({"variant": "standard", "algebra": str(workdir / "m2.json"),
+                                "tol_psd": value}))
+    code, rep = _run(workdir, ["order-norm", "--cone", str(cone),
+                               "--element", str(workdir / "elem.json")], capsys)
+    assert code == 4
+    assert rep["error"]["type"] == "SchemaError"
     assert rep["error"]["pointer"] == "/tol_psd"
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from conftest import E11, E12, WORKED_B, WORKED_S, mat, random_similarity, random_unitary
-from doubles import AllHermitianCone, PairedSpanCone, ZeroCone, ZeroedCornerCone
+from conftest import E11, E12, E22, WORKED_B, WORKED_S, mat, random_similarity, random_unitary
+from doubles import AllHermitianCone, NoSpanCone, PairedSpanCone, ZeroCone, ZeroedCornerCone
 import matorder
 from matorder import _linalg as la
 from matorder import cones as cones_mod
@@ -19,9 +19,7 @@ from matorder.algebra import (
     generate_algebra,
     level_residual,
 )
-from matorder.case_studies import FunctionPullbackCone
 from matorder.cones import (
-    ConeOracle,
     SimilarityCone,
     StandardCone,
     _k_estimate,
@@ -284,17 +282,6 @@ def test_main_constants_standard(std_m2):
     assert len(r1.witness) == 2 and len(alpha.witness) == 2
 
 
-def test_pullback_r1_decays_with_refinement():
-    from matorder.case_studies import FunctionPullbackCone
-
-    estimates = []
-    for m, mf in ((32, 4), (128, 16)):
-        cone = FunctionPullbackCone(np.linspace(0, 1, m), max_frequency=mf)
-        r1, _ = estimate_main_constants(cone, levels=(1,), samples=30, seed=5)
-        estimates.append(r1.value)
-    assert estimates[1] < 0.5 * estimates[0]
-
-
 def test_all_hermitian_cone_fails_pointedness(m2_full):
     cone = AllHermitianCone(m2_full)
     report = audit_star_admissible(cone, levels=(1,), samples=10, seed=7)
@@ -489,10 +476,14 @@ def test_a_member_witness_replays_only_while_its_members_are_in(std_m2):
 
 @pytest.mark.parametrize("kind", ["span-deficiency", "span-overlap"])
 def test_a_span_witness_does_not_replay_on_a_cone_without_an_exact_span(kind):
-    cone = FunctionPullbackCone(np.linspace(0.0, 1.0, 8))
+    # E12 lies outside span + i*span of the diagonal algebra, so the deficiency replays on
+    # the exact span; without an exact span neither kind replays.
+    diag = OperatorAlgebra(np.stack([E11, E22]))
+    witness = cones_mod.Witness(kind, 1, (E12,), E12)
+    assert replay_witness(StandardCone(diag), witness) == (kind == "span-deficiency")
+    cone = NoSpanCone(diag)
     assert cone.span_basis(1) is None
-    x = np.eye(8, dtype=complex)
-    assert not replay_witness(cone, cones_mod.Witness(kind, 1, (x,), x))
+    assert not replay_witness(cone, witness)
 
 
 class _TrivialCone(ZeroCone):
@@ -528,19 +519,21 @@ def test_pointedness_falls_back_to_a_lineality_direction_when_e_is_outside_the_a
     assert cone.member_many(1, [h, -h]) == [True, True]
 
 
-def test_the_oracle_protocol_is_declared_abstract():
-    # Both concrete cones implement these, one method per question; sharp_block,
-    # the involution, is the similarity cone's.
-    assert ConeOracle.__abstractmethods__ == {"member_many", "min_shift_pair", "straighten",
-                                              "sample_many", "sample_span_many"}
-    with pytest.raises(TypeError, match="abstract"):
-        ConeOracle(None)
-    assert not hasattr(ConeOracle, "sharp_block")
-    # A one-element question is a stack of one: no cone has a second method for it, and
+def test_one_cone_class_carries_the_oracle_protocol():
+    # SimilarityCone is the one cone class (StandardCone its identity frame), with no
+    # abstract base and no level-less variant; sharp_block, the involution, is its own.
+    assert SimilarityCone.__mro__ == (SimilarityCone, object)
+    assert StandardCone.__mro__ == (StandardCone, SimilarityCone, object)
+    for owner, name in ((cones_mod, "ConeOracle"), (matorder, "ConeOracle"),
+                        (matorder.case_studies, "FunctionPullbackCone"),
+                        (matorder, "FunctionPullbackCone"),
+                        (matorder.errors, "LevelUnsupported")):
+        assert not hasattr(owner, name), (owner.__name__, name)
+    assert callable(SimilarityCone.sharp_block)
+    # A one-element question is a stack of one: the cone has no second method for it, and
     # a product is the elements' own `@`.
-    for cls in (ConeOracle, SimilarityCone, FunctionPullbackCone):
-        for name in ("member", "sample", "sample_span", "norm", "unstraighten", "mul"):
-            assert not hasattr(cls, name), (cls.__name__, name)
+    for name in ("member", "sample", "sample_span", "norm", "unstraighten", "mul"):
+        assert not hasattr(SimilarityCone, name), name
     assert not hasattr(involution_mod, "_split")
 
 
@@ -552,9 +545,10 @@ def test_outside_the_oracle_each_question_is_asked_one_way():
     for owner, name in ((matorder, "find_pd"), (matorder, "cb_upper_bound_from_similarity"),
                         (matorder.similarity, "find_pd"), (la, "random_complex"),
                         (matorder.order_norms, "_sharp"), (OperatorAlgebra, "unit_matrix"),
-                        # The C1 study's level-1 cone and its samples never reach a file.
+                        # The C1 study's samples never reach a file.
                         (serialization_mod, "C1Sample"),
-                        (serialization_mod, "FunctionPullbackCone")):
+                        # The C1 constants multiply samples with `*`, the embedding's product.
+                        (matorder.case_studies.C1Sample, "__matmul__")):
         assert not hasattr(owner, name), (owner.__name__, name)
 
 

@@ -1,6 +1,6 @@
 """The one PSD-frame cone class: the identity frame, the per-level span
-store, level-1 structure built on first use, and typed errors for cones
-without matrix levels and for invalid tolerances or similarities."""
+store, level-1 structure built on first use, and typed errors for invalid
+tolerances or similarities."""
 
 import sys
 
@@ -12,7 +12,6 @@ from doubles import AllHermitianCone
 from matorder import _linalg as la
 from matorder import algebra, cones
 from matorder.algebra import conjugate_algebra, random_element
-from matorder.case_studies import FunctionPullbackCone
 from matorder.cones import (
     SimilarityCone,
     StandardCone,
@@ -21,7 +20,7 @@ from matorder.cones import (
     audit_star_admissible,
     estimate_main_constants,
 )
-from matorder.errors import DimensionMismatch, LevelUnsupported, MatOrderError
+from matorder.errors import DimensionMismatch, MatOrderError
 from matorder.involution import real_cone_span
 from matorder.order_norms import order_unit_seminorm, pre_cstar_norm
 from matorder.serialization import cone_from_obj, cone_to_obj
@@ -105,13 +104,6 @@ def test_identity_frame_involution_is_the_ambient_adjoint(m2_full):
     np.testing.assert_array_equal(cone.sharp_block(x[:, :2]), la.dagger(x[:, :2]))
 
 
-@pytest.mark.parametrize("audit", [audit_algebraically_admissible, audit_matrix_ordered,
-                                   audit_star_admissible])
-def test_audits_on_a_pullback_cone_raise_level_unsupported(audit):
-    with pytest.raises(LevelUnsupported):
-        audit(FunctionPullbackCone(np.linspace(0.0, 1.0, 8)))
-
-
 def _count_calls(monkeypatch, owner, name, record):
     inner = getattr(owner, name)
 
@@ -167,8 +159,7 @@ def test_check_cones_builds_level_one_structure_once(monkeypatch, m2_full):
 @pytest.mark.parametrize("make", [
     lambda alg, tol: StandardCone(alg, tol),
     lambda alg, tol: SimilarityCone(alg, WORKED_S, tol),
-    lambda alg, tol: FunctionPullbackCone(np.linspace(0.0, 1.0, 3), tol_psd=tol),
-], ids=["standard", "similarity", "pullback"])
+], ids=["standard", "similarity"])
 def test_invalid_tol_psd_is_a_typed_error(m2_full, make, tol_psd):
     with pytest.raises(MatOrderError, match="tol_psd"):
         make(m2_full, tol_psd)

@@ -8,7 +8,9 @@ brackets agree bit for bit, the copy's oracle confirms both ends, and only
 `oracle_calls` differs.  Where the rounding bound or the premise fails (a
 bracket narrower than the bound, an ill-conditioned frame, the zero element, a
 threshold the slack moves below lo, an element off Hermitian in the frame, an
-overridden `min_shift_pair`) the replay runs as before."""
+overridden `min_shift_pair`) the replay runs as before.  Each margin of the bound is
+pinned from both sides: a width either side of 8 delta, a Hermitian defect either side
+of tol_psd - 2 delta, and mid either side of r + delta."""
 
 import json
 
@@ -182,6 +184,50 @@ def test_a_narrow_bisect_tol_replays_the_ends_on_the_cli(tmp_path, m2_full, aske
     (narrow_asked, narrow), (wide_asked, wide) = reports
     assert narrow_asked == [5] and narrow["result"]["report"]["oracle_calls"] == 3
     assert wide_asked == [] and wide["result"]["report"]["oracle_calls"] == 0
+
+
+# -- the rounding bound, pinned from both sides of each of its margins ----------
+# On std_m2, c = diag(-1, 2) has r(c) = 1 - 4e-9 and ||c||_F = sqrt(5), so every ask below
+# has delta = 8 * 2 * eps * (max|t| + sqrt(5)) = 1.1497e-14 to four digits.
+_DIAG = np.diag([-1.0, 2.0]).astype(complex)
+_DELTA = 16.0 * np.finfo(float).eps * (1.0 + np.sqrt(5.0))
+
+
+@pytest.mark.parametrize("width, replays", [(4e-14, True), (1.6e-13, False)])
+def test_a_certificate_narrower_than_eight_deltas_replays_the_ends(std_m2, asked, width,
+                                                                   replays):
+    # lo sits width/8 below r: 5e-15 is between delta/8 and delta, 2e-14 above delta.
+    assert _DELTA / 8 < 4e-14 / 8 < _DELTA < 1.6e-13 / 8
+    args = ([_DIAG], [1.0], [width], 0.0)
+    asked.clear()
+    got = cones._exact_brackets(std_m2, 1, *args)
+    assert asked == ([3] if replays else [])
+    assert got == cones._exact_brackets(instance_oracle(std_m2), 1, *args)
+
+
+@pytest.mark.parametrize("defect, replays", [(1e-9 - 1e-14, True), (1e-9 - 4e-14, False)])
+def test_a_hermitian_defect_within_two_deltas_of_tol_psd_replays_the_ends(std_m2, asked,
+                                                                          defect, replays):
+    # The defect plus 2 delta must stay within tol_psd = 1e-9: tol - 1e-14 lies between
+    # tol - 2 delta and tol, tol - 4e-14 below tol - 2 delta.
+    assert 1e-9 - 2 * _DELTA < 1e-9 - 1e-14 and 1e-9 - 4e-14 < 1e-9 - 2 * _DELTA
+    c = _DIAG.copy()
+    c[1, 0] = defect
+    args = ([c], [1.0], [1e-9], 0.0)
+    asked.clear()
+    got = cones._exact_brackets(std_m2, 1, *args)
+    assert asked == ([3] if replays else [])
+    assert got == cones._exact_brackets(instance_oracle(std_m2), 1, *args)
+
+
+@pytest.mark.parametrize("margin, enclosed", [(0.5, False), (2.0, True)])
+def test_mid_must_clear_r_by_delta(std_m2, margin, enclosed):
+    # `_certify` puts mid as far above r as lo below, so the lo side binds there; asked
+    # directly, mid half a delta above r is not enclosed, and two deltas above r is.
+    r = std_m2.min_shift_pair(1, _DIAG)[0]
+    mid, lo = r + margin * _DELTA, r - 1e-6
+    assert cones._enclosed(std_m2, 1, [_DIAG], r, lambda x: x,
+                           (2 * mid - lo, mid, lo)) == enclosed
 
 
 class _Shifted(SimilarityCone):

@@ -7,10 +7,9 @@ from doubles import (AllHermitianCone, GappedCone, GrowingSpanCone, RotatedSampl
                      SkewedLevelCone, ZeroCone, ZeroedCornerCone, instance_oracle)
 from matorder import involution as involution_mod
 from matorder.algebra import conjugate_algebra, generate_algebra, random_element
-from matorder.case_studies import FunctionPullbackCone
 from matorder.cones import SimilarityCone, StandardCone, audit_matrix_ordered
 from matorder.errors import (CertificationFailed, DecompositionInfeasible, DecompositionNotUnique,
-                             DimensionMismatch, LevelUnsupported, SpanUnstable)
+                             DimensionMismatch, SpanUnstable)
 from matorder.involution import (
     InvolutionMap,
     certify_level,
@@ -19,7 +18,6 @@ from matorder.involution import (
     recover_involution,
     verify_matrix_involution,
 )
-from matorder.order_norms import null_space
 from references import amplify
 
 
@@ -71,16 +69,6 @@ def test_involution_map_apply_and_call_agree_at_every_level(worked_sim_cone, n):
     # A rectangular n x (n + 1) block matrix maps to (n + 1) x n blocks.
     a = np.hstack([x, random_element(worked_sim_cone.algebra, rng, level=n + 1)[:2 * n, :2]])
     np.testing.assert_allclose(inv(a), worked_sim_cone.sharp_block(a), atol=1e-9)
-
-
-@pytest.mark.parametrize("consumer", [
-    lambda cone: recover_involution(cone),
-    lambda cone: null_space(cone, 1),
-    lambda cone: real_cone_span(cone, 1),
-], ids=["recover_involution", "null_space", "real_cone_span"])
-def test_level_consumers_reject_cones_without_matrix_levels(consumer):
-    with pytest.raises(LevelUnsupported):
-        consumer(FunctionPullbackCone(np.linspace(0.0, 1.0, 8)))
 
 
 def test_sharp_examples(std_m2, worked_sim_cone):

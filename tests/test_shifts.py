@@ -17,7 +17,6 @@ from conftest import random_similarity, random_star_closed_algebra
 from doubles import AllHermitianCone, ZeroCone, ZeroedCornerCone
 from matorder import order_norms
 from matorder.algebra import conjugate_algebra, random_element
-from matorder.case_studies import FunctionPullbackCone
 from matorder.cones import (
     SimilarityCone,
     StandardCone,
@@ -26,7 +25,6 @@ from matorder.cones import (
     _sup_shifts_down,
     audit_algebraically_admissible,
     audit_star_admissible,
-    estimate_main_constants,
     replay_witness,
 )
 from matorder.errors import UnboundedAbove
@@ -184,23 +182,6 @@ def test_zeroed_corner_audits_fail_with_replayable_witnesses(m2_full, audit):
     for check in report.failures():
         if check.witness is not None:
             assert replay_witness(cone, check.witness)
-
-
-def test_pullback_cone_is_opaque_and_constants_unchanged():
-    cone = FunctionPullbackCone(np.linspace(0, 1, 32), max_frequency=4)
-    slow = _opaque(cone)
-    assert slow.min_shift_pair(1, cone.unit(1)) == (None, None)
-    r1, alpha = estimate_main_constants(slow, levels=(1,), samples=12, seed=5)
-    # Values of the bisection-only implementation, which the opaque cone keeps.
-    assert r1.value == 0.061485847182760796
-    assert alpha.value == 0.05162988935373106
-    # The certified exact shifts keep alpha's bits and move r1 by less than the
-    # bisection's shift_tol.
-    t = cone.tol_psd
-    assert cone.min_shift_pair(1, cone.unit(1)) == ((-1.0 - t * 2.0) / (1.0 + t), 1.0 / (1.0 + t))
-    exact_r1, exact_alpha = estimate_main_constants(cone, levels=(1,), samples=12, seed=5)
-    assert exact_alpha.value == alpha.value
-    assert abs(exact_r1.value - r1.value) <= 1e-9
 
 
 def test_null_space_passes_bisect_tol_to_every_norm(monkeypatch, std_m2):
