@@ -9,9 +9,9 @@ S = I) is the one cone class, each method one stacked pass, and each stacked
 question is decided once: `_stack` takes the
 elements as one (k, nN, nN) array (DimensionMismatch for any other shape),
 `level_element` checks the stack against M_n(A) in one `algebra._outside`
-pass, and `_certify`, the one certificate of an exact shift, asks every point in
-one `member_many` call, or none where `SimilarityCone`'s own PSD rule encloses
-the shift; `_Bisection` is the one fallback search.
+pass, and `_certify`, the one certificate of an exact shift, asks every point in one
+`member_many` call, or none where `SimilarityCone`'s own PSD rule encloses the shift by
+a bound read off its own straightened stack; `_Bisection` is the one fallback search.
 Audit verdicts carry replayable witnesses.  `_sampled` decides each sampled
 check: `SimilarityCone`'s own PSD rule over a star-closed A = S B S^-1 passes
 by the realisation theorem, C_n = pi^(n)^-1(M_n(A)^+), and draws nothing; any
@@ -296,11 +296,7 @@ class SimilarityCone:
         lambda_N the spectrum of h, the Hermitian part of straighten(c), and t = tol_psd,
         r(c) = (-lambda_1 - t (1 + lambda_N)) / (1 + t) and
         r(-c) = (lambda_N - t (1 - lambda_1)) / (1 + t), as spec(-h) = -spec(h)."""
-        y = self.straighten(n, self.level_element(n, c))
-        ev = np.linalg.eigvalsh(0.5 * (y + la.dagger(y)))
-        low, high, t = ev[..., 0], ev[..., -1], self.tol_psd
-        pair = ((-low - t * (1.0 + high)) / (1.0 + t), (high - t * (1.0 - low)) / (1.0 + t))
-        return tuple(r if r.ndim else float(r) for r in pair)
+        return _shift_pass(self, n, c)[:2]
 
     def sharp_block(self, a: np.ndarray) -> np.ndarray:
         """Involution of a rectangular block matrix over the algebra, its block shape read
@@ -398,6 +394,28 @@ def _hermitian_kron(n: int, stack: np.ndarray) -> np.ndarray:
     return lifted.reshape(-1, n * big_n, n * big_n)
 
 
+def _shift_pass(cone: SimilarityCone, n: int, c) -> tuple:
+    """`min_shift_pair`'s one straightening y and eigensolve, with the bound `_enclosed` reads
+    off y, per c (a list for a stack): (r(c), r(-c), (max|y - y*|, ||c||_F))."""
+    c = cone.level_element(n, c)
+    y = cone.straighten(n, c)
+    y_star = la.dagger(y)
+    ev = np.linalg.eigvalsh(0.5 * (y + y_star))
+    low, high, t = ev[..., 0], ev[..., -1], cone.tol_psd
+    pair = ((-low - t * (1.0 + high)) / (1.0 + t), (high - t * (1.0 - low)) / (1.0 + t))
+    defect = np.abs(y - y_star).max(axis=(-2, -1))
+    bound = ((float(defect), la.frob(c)) if c.ndim == 2
+             else list(zip(defect.tolist(), map(la.frob, c))))
+    return *(r if r.ndim else float(r) for r in pair), bound
+
+
+def _exact_shifts(cone: SimilarityCone, n: int, c) -> tuple:
+    """(r(c), r(-c), bound): `_shift_pass` where `_certify` may enclose (a `_frame_oracle` cone
+    with its own `min_shift_pair` and unit), else `min_shift_pair` and None, a replay."""
+    frame = _frame_oracle(cone, "min_shift_pair", "unit")
+    return _shift_pass(cone, n, c) if frame else (*cone.min_shift_pair(n, c), None)
+
+
 def _stack(cone: "SimilarityCone", n: int, xs) -> np.ndarray:
     """Level-n elements (a sequence, or a stack) as one (k, nN, nN) array, k = 0
     too; DimensionMismatch for mixed shapes or any shape but (nN) x (nN)."""
@@ -458,30 +476,30 @@ class _Bisection:
 
 def _certify(cone: SimilarityCone, n: int, asks) -> list:
     """The one shift certificate, from at most one `member_many` call.  Per ask (cs, r, width,
-    floor, t): cs the elements (binding c first), r an exact shift (None: opaque) and t the map
-    from r to the multiple of e_n asked.  If r <= floor it asks t(floor) e_n + c for every c,
-    certifying (floor, floor) when all are inside; else the binding c at hi, mid and lo and the
-    others at hi and mid (mid = r + width/8, lo = max(r - width/8, floor), hi = 2 mid - lo),
-    certifying [lo, hi] when every c is inside at hi and mid and the binding c outside at lo (a
-    shift placed high, or the wrong sign named binding, is left open).  A `_frame_oracle` cone
-    with its own `min_shift_pair` and unit asks nothing when every ask is `_enclosed`, nor runs
-    `level_element` on t e_n + c: `min_shift_pair` checked c, and e_n is in M_n(A) up to the
-    unit defect `OperatorAlgebra.validate` bounds.  Returns per ask (the certified bracket or
-    None, the number of r asked); nothing to ask makes no call."""
+    floor, t, bound): cs the elements (binding c first), r an exact shift (None: opaque), t the map
+    from r to the multiple of e_n asked and bound `_exact_shifts`' bound of cs (None: replay).  If
+    r <= floor it asks t(floor) e_n + c for every c, certifying (floor, floor) when all are inside;
+    else the binding c at hi, mid and lo and the others at hi and mid (mid = r + width/8, lo =
+    max(r - width/8, floor), hi = 2 mid - lo), certifying [lo, hi] when every c is inside at hi and
+    mid and the binding c outside at lo (a shift placed high, or the wrong sign named binding, is
+    left open).  It asks nothing when every ask has a bound and is `_enclosed`, nor runs
+    `level_element` on t e_n + c: the exact shift's own pass checked c, and e_n is in M_n(A) up
+    to the unit defect `OperatorAlgebra.validate` bounds.  Returns per ask (the certified bracket
+    or None, the number of r asked); nothing to ask makes no call."""
     points = []
-    for _, r, width, floor, _ in asks:
+    for _, r, width, floor, *_ in asks:
         if r is None or r <= floor:
             points.append(() if r is None else (floor,))
         else:
             lo, mid = max(r - 0.125 * width, floor), r + 0.125 * width
             points.append((2.0 * mid - lo, mid, lo))
-    if _frame_oracle(cone, "min_shift_pair", "unit") and all(len(xs) == 3 and _enclosed(
-            cone, n, cs, r, t, xs) for (cs, r, *_, t), xs in zip(asks, points)):
+    if all(len(xs) == 3 and bound is not None and _enclosed(cone, n, bound, r, t, xs)
+           for (_, r, *_, t, bound), xs in zip(asks, points)):
         return [((xs[-1], xs[0]), 0) for xs in points]
     e = cone.unit(n)
     # Per ask and c, the multiples of e_n asked: all for the binding c, all but lo for the others.
     tss = [[tuple(t(x) for x in xs[:2 if k else 3]) for k in range(len(cs))]
-           for (cs, *_, t), xs in zip(asks, points)]
+           for (cs, *_, t, _), xs in zip(asks, points)]
     inside = iter(cone.member_many(n, [t * e + c for (cs, *_), ts in zip(asks, tss)
                                        for c, tc in zip(cs, ts) for t in tc])
                   if any(points) else ())
@@ -493,30 +511,31 @@ def _certify(cone: SimilarityCone, n: int, asks) -> list:
     return out
 
 
-def _enclosed(cone: SimilarityCone, n: int, cs, r: float, t, xs) -> bool:
-    """Whether `_psd_test`, deciding t e_n + c by t I + straighten(c), must find every c of cs
-    inside at t(hi) and t(mid) and the binding c outside at t(lo), xs = (hi, mid, lo).  Unrounded,
-    the slack is met from t(r) up, or from at most 2 tol^2 / (1 - tol^2) below when spec(h) spans
-    under 2 tol / (1 - tol), tol = tol_psd.  Rounding moves r and each verdict by at most delta =
-    8 nN eps cond(S) (max|t| + ||c||_F), cond(S) = 1 in the identity frame: Weyl's inequality for
-    eigvalsh's backward error nN eps ||H||, in `min_shift_pair` and in the replay, plus the
-    rounding of straighten(t e_n + c) against t I + straighten(c)."""
-    ts, ys, tol = [t(x) for x in (r, *xs)], cone.straighten(n, _stack(cone, n, cs)), cone.tol_psd
-    delta = (8.0 * len(ys[0]) * np.finfo(float).eps * (1.0 if cone.s is None else cone.frame.cond)
-             * (max(map(abs, ts)) + max(map(la.frob, cs))))
-    return (tol < 1.0 and np.abs(ys - la.dagger(ys)).max() + 2.0 * delta <= tol  # Hermitian
+def _enclosed(cone: SimilarityCone, n: int, bound: tuple, r: float, t, xs) -> bool:
+    """Whether `_psd_test`, deciding t e_n + c by t I + straighten(c) = y, must find every c of an
+    ask inside at t(hi) and t(mid) and the binding c outside at t(lo), xs = (hi, mid, lo), bound =
+    (max|y - y*|, ||c||_F) from the exact shift's own pass.  Unrounded, the slack is met from t(r)
+    up, or from at most 2 tol^2 / (1 - tol^2) below when spec(h) spans under 2 tol / (1 - tol),
+    tol = tol_psd.  Rounding moves r and each verdict by at most delta = 8 nN eps cond(S) (max|t|
+    + ||c||_F), cond(S) = 1 in the identity frame: Weyl's inequality for eigvalsh's backward error
+    nN eps ||H||, in `min_shift_pair` and in the replay, plus the rounding of straighten(t e_n +
+    c) against t I + straighten(c)."""
+    (defect, size), ts, tol = bound, [t(x) for x in (r, *xs)], cone.tol_psd
+    delta = (8.0 * cone.level_dim(n) * np.finfo(float).eps
+             * (1.0 if cone.s is None else cone.frame.cond) * (max(map(abs, ts)) + size))
+    return (tol < 1.0 and defect + 2.0 * delta <= tol  # Hermitian
             and ts[2] - ts[0] > delta and ts[0] - ts[3] > delta + 2 * tol * tol / (1 - tol * tol))
 
 
 def _exact_brackets(cone: SimilarityCone, n: int, cs, scales, widths, floor: float) -> list:
     """Per c of cs, the `_certify` bracket of r(c) / scale for r * scale * e_n + c
     (None: opaque or uncertified), r(c) the first sign of one stacked
-    `min_shift_pair`, and one `_certify`."""
-    exact = cone.min_shift_pair(n, cs)[0] if len(cs) else None
+    `_exact_shifts`, and one `_certify`."""
+    exact, _, bounds = _exact_shifts(cone, n, cs) if len(cs) else ((), (), ())
     rs = [None] * len(cs) if exact is None else [float(r) / s for r, s in zip(exact, scales)]
     return [bracket for bracket, _ in _certify(cone, n, [
-        ((c,), r, width, floor, lambda x, s=scale: x * s)
-        for c, r, scale, width in zip(cs, rs, scales, widths)])]
+        ((c,), r, width, floor, lambda x, s=scale: x * s, bound)
+        for c, r, scale, width, bound in zip(cs, rs, scales, widths, bounds or [None] * len(cs))])]
 
 
 def _inf_shifts(cone: SimilarityCone, n: int, cs, scales, abs_tol: float) -> list:

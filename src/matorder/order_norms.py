@@ -1,12 +1,12 @@
 """Cone-induced order-unit seminorms and the induced pre-C*-norm.
 
-The seminorm of a self-adjoint element is inf{r : r e +- a in C}, computed
-exactly as max(r(a), r(-a), 0) from one `min_shift_pair` (one
-eigensolve on a PSD-frame cone), its bracket certified by one `cones._certify`,
-which on a PSD-frame cone's own oracle asks nothing, the PSD rule enclosing the
-shift; only a bracket the certificate leaves open (an opaque cone, an
-uncertified value) builds a `cones._Bisection`.  A NaN or inf entry raises
-MatOrderError before any sharp or eigensolve.
+The seminorm of a self-adjoint element is inf{r : r e +- a in C}, computed exactly
+as max(r(a), r(-a), 0) from one `cones._exact_shifts` (one straightening and one
+eigensolve on a PSD-frame cone), its bracket certified by one `cones._certify`, which
+on a PSD-frame cone's own oracle asks nothing, the PSD rule enclosing the shift by a
+bound read off that straightened element; only a bracket the certificate leaves open
+(an opaque cone, an overridden `min_shift_pair`, an uncertified value) builds a
+`cones._Bisection`.  A NaN or inf entry raises MatOrderError before any sharp or eigensolve.
 The pre-C*-norm is the square root of the seminorm of x^sharp x, cross-checked
 against the search for inf{r : r^2 e +- x^sharp x in C}; both formulas share
 the shifts and the certificate call.  The sharp is one callable on a block matrix,
@@ -23,10 +23,12 @@ import numpy as np
 
 from . import _linalg as la
 from .algebra import block_synth
-from .cones import SimilarityCone, _Bisection, _certify, _stack
+from .cones import SimilarityCone, _Bisection, _certify, _exact_shifts, _stack
 from .errors import CertificationFailed, MatOrderError, NotSelfAdjoint
 
 DEFAULT_BISECT_TOL = 1e-10
+# ||a^sharp - a||_F bound, relative to 1 + ||a||_F: far above the rounding of a computed sharp.
+SHARP_TOL = 1e-8
 # null_space keeps the algebra basis directions whose pre-C*-norm is at most this.
 NULL_TOL = 1e-6
 
@@ -51,7 +53,7 @@ def _finite(x: np.ndarray) -> np.ndarray:
 
 
 def _check_self_adjoint(a: np.ndarray, a_sharp: np.ndarray) -> None:
-    if la.frob(a_sharp - a) > 1e-8 * (1.0 + la.frob(a)):
+    if la.frob(a_sharp - a) > SHARP_TOL * (1.0 + la.frob(a)):
         raise NotSelfAdjoint("order-unit seminorm needs a sharp-self-adjoint element")
 
 
@@ -60,13 +62,13 @@ def _norm_searches(cone: SimilarityCone, n: int, z: np.ndarray, bisect_tol: floa
     """Per (squared, sqrt_refine) of paths, the bracket of
     inf{r >= 0 : t e_n + z and t e_n - z in C_n}, t = r (r^2 if squared).
 
-    Both signs' exact shifts come from one `min_shift_pair` (one eigensolve on a
-    PSD-frame cone), and every path's certificate from one `cones._certify`
-    call, binding sign first.  Only a path it leaves open builds a `_Bisection`,
+    Both signs' exact shifts and their enclosure bound (z and -z share it, as negation
+    is exact) come from one `_exact_shifts`, and every path's certificate from one
+    `cones._certify` call, binding sign first.  Only a path it leaves open builds a `_Bisection`,
     from [0, 2 ||straighten(z)|| + 1] (square-rooted if squared), asking the
     other sign only where the binding one is inside.
     """
-    up, down = cone.min_shift_pair(n, z)
+    up, down, bound = _exact_shifts(cone, n, z)
     exact = None if up is None or down is None else max(up, down, 0.0)
     cs = (z, -z) if exact is None or up >= down else (-z, z)
 
@@ -82,7 +84,7 @@ def _norm_searches(cone: SimilarityCone, n: int, z: np.ndarray, bisect_tol: floa
     asks = []
     for (squared, sqrt_refine), t in zip(paths, ts):
         r = None if exact is None else float(np.sqrt(exact)) if squared else exact
-        asks.append((cs, r, None if r is None else width(r, sqrt_refine), 0.0, t))
+        asks.append((cs, r, None if r is None else width(r, sqrt_refine), 0.0, t, bound))
     reports = []
     for (squared, sqrt_refine), t, (found, asked) in zip(paths, ts, _certify(cone, n, asks)):
         iterations = calls = 0

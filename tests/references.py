@@ -48,7 +48,10 @@ the whitened data and its QR factor: it whitens and factors on every Newton
 pass, and `similarity._barrier` must match it bit for bit.
 `cb_lower_bound_two_stage` is the cb lower bound when a Frobenius-ball ascent
 ran before the polar polish, which `similarity.cb_lower_bound` must not fall
-below.
+below.  `enclosed_per_ask` is the shift certificate's rounding bound when it
+straightened each ask's elements again and took their Frobenius norms per ask,
+which `cones._enclosed`, reading the exact shift's own pass, must match verdict
+for verdict.
 """
 
 import json
@@ -348,6 +351,16 @@ def exact_brackets(cone: SimilarityCone, n: int, cs, scales, widths, floor: floa
     inside = iter(cone.member_many(n, [r * scale * e + c for c, scale, rs in zip(cs, scales, points)
                                        for r in rs]))
     return [certified(rs, [next(inside) for _ in rs]) for rs in points]
+
+
+def enclosed_per_ask(cone: SimilarityCone, n: int, cs, r: float, t, xs) -> bool:
+    """`cones._enclosed` as it was before the exact shift handed on its straightened
+    stack: every c of cs stacked and straightened again, and ||c||_F taken per c."""
+    ts, ys, tol = [t(x) for x in (r, *xs)], cone.straighten(n, _stack(cone, n, cs)), cone.tol_psd
+    delta = (8.0 * len(ys[0]) * np.finfo(float).eps * (1.0 if cone.s is None else cone.frame.cond)
+             * (max(map(abs, ts)) + max(map(la.frob, cs))))
+    return (tol < 1.0 and np.abs(ys - la.dagger(ys)).max() + 2.0 * delta <= tol  # Hermitian
+            and ts[2] - ts[0] > delta and ts[0] - ts[3] > delta + 2 * tol * tol / (1 - tol * tol))
 
 
 def r4_sampled(cone: SimilarityCone, levels, samples: int, rng: np.random.Generator) -> tuple:

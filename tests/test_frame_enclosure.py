@@ -10,7 +10,12 @@ bracket narrower than the bound, an ill-conditioned frame, the zero element, a
 threshold the slack moves below lo, an element off Hermitian in the frame, an
 overridden `min_shift_pair`) the replay runs as before.  Each margin of the bound is
 pinned from both sides: a width either side of 8 delta, a Hermitian defect either side
-of tol_psd - 2 delta, and mid either side of r + delta."""
+of tol_psd - 2 delta, and mid either side of r + delta.
+
+The bound is read off the exact shift's own pass: each exact norm and each stacked
+`_exact_brackets` straightens its elements once, and every ask's verdict is that of
+`references.enclosed_per_ask`, which straightened each ask's elements again.  The
+pair (z, -z) shares one bound because negation is exact in the frame."""
 
 import json
 
@@ -20,12 +25,15 @@ import pytest
 from conftest import WORKED_S
 from doubles import instance_oracle
 from matorder import cones
-from matorder.algebra import generate_algebra, random_element
+from matorder import _linalg as la
+from matorder import order_norms
+from matorder.algebra import _Frame, generate_algebra, random_element
 from matorder.cli import run
 from matorder.cones import SimilarityCone, StandardCone
 from matorder.errors import MatOrderError
 from matorder.order_norms import order_unit_seminorm, pre_cstar_norm
 from matorder.serialization import algebra_to_obj, canonical_json, matrix_to_obj
+from references import certificate, enclosed_per_ask
 
 CONES = ["std_m2", "std_m3", "worked_sim_cone", "planted_sim_cone"]
 
@@ -42,6 +50,57 @@ def asked(monkeypatch):
 
     monkeypatch.setattr(SimilarityCone, "member_many", recorded)
     return sizes
+
+
+@pytest.fixture
+def verdicts(monkeypatch):
+    """Per ask with a bound handed to `cones._certify` whose points are three, the pair
+    (`cones._enclosed`'s verdict, `references.enclosed_per_ask`'s verdict)."""
+    pairs = []
+    certify = cones._certify
+
+    def recorded(cone, n, asks):
+        for cs, r, width, floor, t, bound in asks:
+            xs = () if r is None else certificate(r, width, floor)
+            if bound is not None and len(xs) == 3:
+                pairs.append((cones._enclosed(cone, n, bound, r, t, xs),
+                              enclosed_per_ask(cone, n, cs, r, t, xs)))
+        return certify(cone, n, asks)
+
+    monkeypatch.setattr(cones, "_certify", recorded)
+    monkeypatch.setattr(order_norms, "_certify", recorded)
+    return pairs
+
+
+def _same_verdicts(verdicts, *expected):
+    """Some ask was checked, each verdict is the per-ask reference's, and the verdicts
+    seen are `expected`."""
+    got = [ok for ok, _ in verdicts]
+    assert got and got == [want for _, want in verdicts]
+    assert set(got) == set(expected)
+
+
+@pytest.fixture
+def straightened(monkeypatch):
+    """The shape of every `_Frame.straighten` argument outside `SimilarityCone.sharp_block`."""
+    shapes, in_sharp = [], []
+    straighten, sharp_block = _Frame.straighten, SimilarityCone.sharp_block
+
+    def counted(self, x):
+        if not in_sharp:
+            shapes.append(np.shape(x))
+        return straighten(self, x)
+
+    def sharp(self, a):
+        in_sharp.append(True)
+        try:
+            return sharp_block(self, a)
+        finally:
+            in_sharp.pop()
+
+    monkeypatch.setattr(_Frame, "straighten", counted)
+    monkeypatch.setattr(SimilarityCone, "sharp_block", sharp)
+    return shapes
 
 
 @pytest.fixture(scope="module")
@@ -103,16 +162,62 @@ def _shifts_agree(cone, n, rng, asked):
 
 @pytest.mark.parametrize("fixture", CONES)
 @pytest.mark.parametrize("n", [1, 2, 4])
-def test_frame_cone_brackets_match_the_replay_bit_for_bit(fixture, n, request, asked):
+def test_frame_cone_brackets_match_the_replay_bit_for_bit(fixture, n, request, asked,
+                                                          verdicts):
     cone = request.getfixturevalue(fixture)
     assert cones._frame_oracle(cone, "min_shift_pair", "unit")
     rng = np.random.default_rng(470 + n)
     _norms_agree(cone, n, rng, asked)
     _shifts_agree(cone, n, rng, asked)
+    _same_verdicts(verdicts, True)
 
 
-def test_full_m6_level_eight_norms_ask_nothing(full_m6, asked):
+def test_full_m6_level_eight_norms_ask_nothing(full_m6, asked, verdicts):
     _norms_agree(full_m6, 8, np.random.default_rng(478), asked)
+    _same_verdicts(verdicts, True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_each_exact_norm_straightens_its_element_once(planted_sim_cone, n, asked,
+                                                      straightened):
+    cone = planted_sim_cone
+    rng = np.random.default_rng(540 + n)
+    a, x = cone.sample_span_many(n, 1, rng)[0], random_element(cone.algebra, rng, level=n)
+    dim = cone.level_dim(n)
+    for norm in (lambda: order_unit_seminorm(cone, n, a),
+                 lambda: pre_cstar_norm(cone, None, n, x)):
+        straightened.clear()
+        rep = norm()
+        assert (rep.iterations, rep.oracle_calls) == (0, 0)
+        assert straightened == [(dim, dim)]
+    assert asked == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_exact_brackets_straighten_the_stack_once(planted_sim_cone, n, asked, straightened):
+    # Once for the stack of k, where each ask used to straighten its element again.
+    cone = planted_sim_cone
+    rng = np.random.default_rng(550 + n)
+    a = cone.sample_span_many(n, 1, rng)[0]
+    cs = [a, -a, -cone.sample_many(n, 1, rng)[0]]
+    straightened.clear()
+    got = cones._exact_brackets(cone, n, cs, [1.0, 2.0, 1.0], [1e-9] * 3, 0.0)
+    assert None not in got
+    assert straightened == [(3, cone.level_dim(n), cone.level_dim(n))]
+    assert asked == []
+
+
+@pytest.mark.parametrize("fixture", ["worked_sim_cone", "planted_sim_cone"])
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_negation_is_exact_in_the_frame(fixture, n, request):
+    # The premise that lets (z, -z) share one bound: straighten and frob see -z as -z.
+    cone = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(560 + n)
+    x = random_element(cone.algebra, rng, level=n)
+    for z in (x, cone.sharp_block(x) @ x, cone.sample_span_many(n, 1, rng)[0]):
+        assert np.array_equal(cone.straighten(n, -z), -cone.straighten(n, z))
+        assert la.frob(-z) == la.frob(z)
+        assert cones._shift_pass(cone, n, -z)[2] == cones._shift_pass(cone, n, z)[2]
 
 
 # -- fallbacks: the replay still runs where the bound or the premise fails ----
@@ -129,13 +234,14 @@ def _one_replay(cone, n, elem, asked):
     return got
 
 
-def test_an_ill_conditioned_frame_replays_the_ends(m2_full, asked):
+def test_an_ill_conditioned_frame_replays_the_ends(m2_full, asked, verdicts):
     # On M_2 = S M_2 S^-1 at cond(S) = 1e3, delta exceeds a width of 1e-10.
     cone = SimilarityCone(m2_full, np.diag([1.0, 1e3]).astype(complex) @ WORKED_S)
     h = np.array([[2.0, 1.0 - 1.0j], [1.0 + 1.0j, -1.0]])
     a = cone.frame.unstraighten(h)
     assert _one_replay(cone, 1, a, asked).oracle_calls == 3
     assert asked[0] == 5
+    _same_verdicts(verdicts, False)
 
 
 def test_the_zero_element_replays_its_floor(std_m3, asked):
@@ -145,7 +251,7 @@ def test_the_zero_element_replays_its_floor(std_m3, asked):
     assert asked[0] == 2
 
 
-def test_a_narrow_spectrum_under_a_wide_slack_replays_the_ends(m2_full, asked):
+def test_a_narrow_spectrum_under_a_wide_slack_replays_the_ends(m2_full, asked, verdicts):
     # At tol_psd = 0.1 the slack puts -e's threshold 2 tol^2 / (1 - tol^2) below
     # r = 1 / (1 + tol), under lo: the replay finds -e inside at lo and leaves it open.
     cone = StandardCone(m2_full, tol_psd=0.1)
@@ -154,9 +260,10 @@ def test_a_narrow_spectrum_under_a_wide_slack_replays_the_ends(m2_full, asked):
     assert cones._exact_brackets(cone, 1, *args) == [None]
     assert asked == [3]
     assert cones._exact_brackets(instance_oracle(cone), 1, *args) == [None]
+    _same_verdicts(verdicts, False)
 
 
-def test_an_element_off_hermitian_in_the_frame_replays_the_ends(std_m2, asked):
+def test_an_element_off_hermitian_in_the_frame_replays_the_ends(std_m2, asked, verdicts):
     # Sharp-self-adjoint within the norms' 1e-8, but its Hermitian defect 1e-8 exceeds
     # the PSD rule's slack until t e + a reaches about 8, far above the exact shift 3.
     a = np.array([[3.0, 5e-9j], [5e-9j, -1.0]])
@@ -166,9 +273,10 @@ def test_an_element_off_hermitian_in_the_frame_replays_the_ends(std_m2, asked):
     want = order_unit_seminorm(instance_oracle(std_m2), 1, a)
     assert (got.value, got.bracket, got.oracle_calls) == (
         want.value, want.bracket, want.oracle_calls)
+    _same_verdicts(verdicts, False)
 
 
-def test_a_narrow_bisect_tol_replays_the_ends_on_the_cli(tmp_path, m2_full, asked):
+def test_a_narrow_bisect_tol_replays_the_ends_on_the_cli(tmp_path, m2_full, asked, verdicts):
     (tmp_path / "m2.json").write_text(canonical_json(algebra_to_obj(m2_full)))
     (tmp_path / "cone.json").write_text(canonical_json(
         {"variant": "standard", "algebra": "m2.json", "tol_psd": 1e-9}))
@@ -184,6 +292,7 @@ def test_a_narrow_bisect_tol_replays_the_ends_on_the_cli(tmp_path, m2_full, aske
     (narrow_asked, narrow), (wide_asked, wide) = reports
     assert narrow_asked == [5] and narrow["result"]["report"]["oracle_calls"] == 3
     assert wide_asked == [] and wide["result"]["report"]["oracle_calls"] == 0
+    _same_verdicts(verdicts, False, True)
 
 
 # -- the rounding bound, pinned from both sides of each of its margins ----------
@@ -194,8 +303,8 @@ _DELTA = 16.0 * np.finfo(float).eps * (1.0 + np.sqrt(5.0))
 
 
 @pytest.mark.parametrize("width, replays", [(4e-14, True), (1.6e-13, False)])
-def test_a_certificate_narrower_than_eight_deltas_replays_the_ends(std_m2, asked, width,
-                                                                   replays):
+def test_a_certificate_narrower_than_eight_deltas_replays_the_ends(std_m2, asked, verdicts,
+                                                                   width, replays):
     # lo sits width/8 below r: 5e-15 is between delta/8 and delta, 2e-14 above delta.
     assert _DELTA / 8 < 4e-14 / 8 < _DELTA < 1.6e-13 / 8
     args = ([_DIAG], [1.0], [width], 0.0)
@@ -203,11 +312,13 @@ def test_a_certificate_narrower_than_eight_deltas_replays_the_ends(std_m2, asked
     got = cones._exact_brackets(std_m2, 1, *args)
     assert asked == ([3] if replays else [])
     assert got == cones._exact_brackets(instance_oracle(std_m2), 1, *args)
+    _same_verdicts(verdicts, not replays)
 
 
 @pytest.mark.parametrize("defect, replays", [(1e-9 - 1e-14, True), (1e-9 - 4e-14, False)])
 def test_a_hermitian_defect_within_two_deltas_of_tol_psd_replays_the_ends(std_m2, asked,
-                                                                          defect, replays):
+                                                                          verdicts, defect,
+                                                                          replays):
     # The defect plus 2 delta must stay within tol_psd = 1e-9: tol - 1e-14 lies between
     # tol - 2 delta and tol, tol - 4e-14 below tol - 2 delta.
     assert 1e-9 - 2 * _DELTA < 1e-9 - 1e-14 and 1e-9 - 4e-14 < 1e-9 - 2 * _DELTA
@@ -218,16 +329,19 @@ def test_a_hermitian_defect_within_two_deltas_of_tol_psd_replays_the_ends(std_m2
     got = cones._exact_brackets(std_m2, 1, *args)
     assert asked == ([3] if replays else [])
     assert got == cones._exact_brackets(instance_oracle(std_m2), 1, *args)
+    _same_verdicts(verdicts, not replays)
 
 
 @pytest.mark.parametrize("margin, enclosed", [(0.5, False), (2.0, True)])
 def test_mid_must_clear_r_by_delta(std_m2, margin, enclosed):
     # `_certify` puts mid as far above r as lo below, so the lo side binds there; asked
     # directly, mid half a delta above r is not enclosed, and two deltas above r is.
-    r = std_m2.min_shift_pair(1, _DIAG)[0]
+    r, _, bound = cones._shift_pass(std_m2, 1, _DIAG)
     mid, lo = r + margin * _DELTA, r - 1e-6
-    assert cones._enclosed(std_m2, 1, [_DIAG], r, lambda x: x,
-                           (2 * mid - lo, mid, lo)) == enclosed
+    assert bound == (0.0, np.sqrt(5.0))
+    xs = (2 * mid - lo, mid, lo)
+    assert cones._enclosed(std_m2, 1, bound, r, lambda x: x, xs) == enclosed
+    assert enclosed_per_ask(std_m2, 1, [_DIAG], r, lambda x: x, xs) == enclosed
 
 
 class _Shifted(SimilarityCone):

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import E12, WORKED_B
 from doubles import AllHermitianCone, GappedCone, ZeroCone
+from matorder import _linalg as la
 from matorder.algebra import random_element
 from matorder.cones import check_order_unit_archimedean
 from matorder.errors import CertificationFailed, NotSelfAdjoint, UnboundedAbove
@@ -37,6 +38,21 @@ def test_seminorm_worked_similarity(worked_sim_cone):
 def test_seminorm_rejects_non_self_adjoint(std_m2):
     with pytest.raises(NotSelfAdjoint):
         order_unit_seminorm(std_m2, 1, E12)
+
+
+@pytest.mark.parametrize("factor, raises", [(0.5, False), (2.0, True)])
+def test_the_sharp_defect_bound_is_1e_8_relative(std_m2, factor, raises):
+    # a = diag(3, -1) + i eps (E_12 + E_21): ||a^sharp - a||_F = 2 sqrt2 eps, at factor
+    # times the bound 1e-8 (1 + ||a||_F) that `order_norms.SHARP_TOL` sets.
+    eps = factor * 1e-8 * (1.0 + np.sqrt(10.0)) / (2.0 * np.sqrt(2.0))
+    a = np.array([[3.0, 1j * eps], [1j * eps, -1.0]])
+    defect = la.frob(std_m2.sharp_block(a) - a) / (1.0 + la.frob(a))
+    assert defect == pytest.approx(factor * 1e-8, rel=1e-9)
+    if raises:
+        with pytest.raises(NotSelfAdjoint):
+            order_unit_seminorm(std_m2, 1, a)
+    else:
+        assert order_unit_seminorm(std_m2, 1, a).value >= 3.0
 
 
 def test_seminorm_unbounded_for_zero_cone(m2_full):

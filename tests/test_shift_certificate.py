@@ -19,6 +19,7 @@ from matorder.cones import (
     StandardCone,
     _certify,
     _exact_brackets,
+    _exact_shifts,
     _inf_shifts,
     _sup_shifts_down,
     check_order_unit_archimedean,
@@ -96,25 +97,29 @@ def test_certify_matches_the_two_sided_reference(name, n, request):
     rng = np.random.default_rng(100 + n)
     for a in _elements(cone, n, rng)[:3]:
         up, down = exact.min_shift_pair(n, a)
+        # A recorded oracle is not the frame's own: its exact shifts carry no enclosure
+        # bound, so every ask below is replayed.
+        bound = _exact_shifts(cone, n, a)[2]
+        assert bound is None
         r = max(up, down, 0.0)
         cs = (a, -a) if up >= down else (-a, a)
         width = 1e-10 * (1.0 + r)
-        asks = [(cs, r, width, 0.0, _one),                    # hi, mid, lo
-                (cs, np.sqrt(r), width, 0.0, _square),        # squared
-                (cs, -1.0, width, 0.0, _one),                 # (floor,)
-                (cs, r + 8.0 * width, width, 0.0, _one),      # inside at lo
-                (cs, None, width, 0.0, _one)]
+        asks = [(cs, r, width, 0.0, _one, bound),                    # hi, mid, lo
+                (cs, np.sqrt(r), width, 0.0, _square, bound),        # squared
+                (cs, -1.0, width, 0.0, _one, bound),                 # (floor,)
+                (cs, r + 8.0 * width, width, 0.0, _one, bound),      # inside at lo
+                (cs, None, width, 0.0, _one, bound)]
         got, got_b = _run(cone, lambda: _certify(cone, n, asks))
-        points = [() if x is None else certificate(x, w, floor) for _, x, w, floor, _ in asks]
+        points = [() if x is None else certificate(x, w, floor) for _, x, w, floor, *_ in asks]
         want, want_b = _run(cone, lambda: two_sided_verdicts(
-            cone, n, cs, [tuple(t(x) for x in xs) for (*_, t), xs in zip(asks, points)]))
+            cone, n, cs, [tuple(t(x) for x in xs) for (*_, t, _), xs in zip(asks, points)]))
         assert got == [(certified(xs, ok) if xs else None, len(xs))
                        for xs, ok in zip(points, want)]
         # One call: the reference's first, without its second call at lo.
         _same_batches(got_b, want_b[:1])
     assert _run(cone, lambda: _certify(cone, n, []))[0] == []
-    assert _run(cone, lambda: _certify(cone, n, [((cone.unit(n),), None, 0.0, 0.0, _one)])) == (
-        [(None, 0)], [])
+    opaque_ask = ((cone.unit(n),), None, 0.0, 0.0, _one, None)
+    assert _run(cone, lambda: _certify(cone, n, [opaque_ask])) == ([(None, 0)], [])
 
 
 @pytest.mark.parametrize("name", CONES)
