@@ -3,17 +3,16 @@ adjoint-closed one.
 
 Requiring (S b S^-1)* = S b^sharp S^-1 for Q = S* S reduces to the linear
 system b* Q = Q b^sharp, so the candidate Q's form a real vector space of
-Hermitian matrices.  One log-barrier Newton solver for linear matrix
-inequalities, each Newton step one Cholesky, inverse and whitening on the
-stack of LMI blocks, serves two phases: phase one maximizes lambda_min over
-Q(c) <= I and either stops at a positive definite solution (the first
-centred iterate whose lambda_min is positive and at least its duality gap,
-so at least half the maximum) or returns the dual certificate of the bound it proves on lambda_min; phase
-two minimizes t subject to I <= Q(c) <= t I (Boyd, El Ghaoui, Feron &
-Balakrishnan, LMIs in System and Control Theory, 3.1), and its duality gap
-certifies the optimum.  The principal square root of the optimum gives the
-similarity together with completely-bounded-norm bounds; `build_star_rep`
-checks it on stacks of cone samples.
+Hermitian matrices.  One log-barrier Newton solver for linear matrix inequalities serves
+two phases; each Newton step takes one whitening of the stack of LMI blocks, one eigensolve
+of the whitened step for an exact line search along it, and one Cholesky and inverse at the
+point chosen.  Phase one maximizes lambda_min over Q(c) <= I and either stops at a positive
+definite solution (the first centred iterate whose lambda_min is positive and at least its
+duality gap, so at least half the maximum) or returns the dual certificate of the bound it
+proves on lambda_min; phase two minimizes t subject to I <= Q(c) <= t I (Boyd, El Ghaoui,
+Feron & Balakrishnan, LMIs in System and Control Theory, 3.1), and its duality gap certifies
+the optimum.  The principal square root of the optimum gives the similarity together with
+completely-bounded-norm bounds; `build_star_rep` checks it on stacks of cone samples.
 """
 
 from __future__ import annotations
@@ -41,10 +40,13 @@ NEWTON_BUDGET = 400
 # no gap below ~ m eps t^2 can be certified: the relative target never
 # drops below GAP_FLOOR_FACTOR m t.
 GAP_FLOOR_FACTOR = 10.0 * np.finfo(float).eps
+# Exact line search: stop at a 1-D Newton decrement phi'^2 / phi'' below this, within about
+# half of it of the minimum; a step at lambda >= 1/2 gains at least 1/2 - log(3/2) > 0.09.
+LINE_DECREMENT = 1e-6
 # cb_lower_bound: its starts (the swap and unit starts, then random ones), and the step
 # cap of the polar polish (which stops at a step that does not rise).
 CB_RESTARTS = 12
-CB_ITERS = 60
+CB_ITERS = 120
 
 
 @dataclass(frozen=True)
@@ -98,17 +100,18 @@ def _barrier(f0: np.ndarray, fs: np.ndarray, cost: np.ndarray, x: np.ndarray,
     for every block b of the stacks f0 (B, n, n) and fs (B, k, n, n), from a
     strictly feasible x.
 
-    Barrier method (Boyd & Vandenberghe, ch. 11): damped Newton steps on
-    tau cost @ x - sum_b log det F_b(x), trial points tested for
-    feasibility by one stacked Cholesky, tau raised tenfold once the Newton
-    decrement lambda is below 1/2.  At any iterate with lambda < 1 the Newton
-    step dF gives duals Z_b = F_b^-1 (I - dF_b F_b^-1) / tau, positive
-    definite and meeting sum_b tr(Z_b fs[b, i]) = cost[i] exactly, so
-    gap = sum_b tr(Z_b F_b(x)) bounds cost @ x minus the optimum.  Returns
-    (x, gap, Z) once gap <= max(GAP_RTOL, GAP_FLOOR_FACTOR B n |cost @ x|)
-    (1 + |cost @ x|), or at the first such iterate where stop(x, gap) holds;
-    raises NumericalStall, naming the cause, when the Newton budget runs out,
-    the Newton system is singular or the line search accepts no step.
+    Barrier method (Boyd & Vandenberghe, ch. 11): Newton steps on tau cost @ x -
+    sum_b log det F_b(x), tau raised tenfold once the Newton decrement lambda is below 1/2.
+    Along dx the barrier depends on the eigenvalues of the whitened step dG = L^-1 dF L^-*
+    alone (Vandenberghe & Boyd, SIAM Review 1996), so `_line_step` minimizes it exactly over
+    the feasible steps; one stacked Cholesky at the point chosen checks it, and the step
+    halves until the Armijo test holds, a guard against rounding.  At any iterate with
+    lambda < 1 the Newton step dF gives duals Z_b = F_b^-1 (I - dF_b F_b^-1) / tau, positive
+    definite and meeting sum_b tr(Z_b fs[b, i]) = cost[i] exactly, so gap =
+    sum_b tr(Z_b F_b(x)) bounds cost @ x minus the optimum.  Returns (x, gap, Z) once
+    gap <= max(GAP_RTOL, GAP_FLOOR_FACTOR B n |cost @ x|) (1 + |cost @ x|), or at the first
+    such iterate where stop(x, gap) holds; raises NumericalStall, naming the cause, when the
+    Newton budget runs out, the Newton system is singular or the line search accepts no step.
     """
     m = f0.shape[0] * f0.shape[1]
     tau = m / (1.0 + abs(cost @ x))
@@ -139,9 +142,8 @@ def _barrier(f0: np.ndarray, fs: np.ndarray, cost: np.ndarray, x: np.ndarray,
         except np.linalg.LinAlgError as exc:  # dependent basis: no unique Newton step
             raise NumericalStall(f"barrier solve stalled short of its gap tolerance: singular "
                                  f"Newton system (tau {tau:.3g})") from exc
-        lam2 = float(-grad @ dx)
+        lam2, dg = float(-grad @ dx), np.tensordot(dx, g, axes=(0, 1))
         if lam2 < 1.0:
-            dg = np.tensordot(dx, g, axes=(0, 1))
             gap = float(m - np.trace(dg, axis1=1, axis2=2).real.sum()) / tau
             obj = abs(cost @ x)
             if (gap <= max(GAP_RTOL, GAP_FLOOR_FACTOR * m * obj) * (1.0 + obj)
@@ -150,7 +152,7 @@ def _barrier(f0: np.ndarray, fs: np.ndarray, cost: np.ndarray, x: np.ndarray,
             if lam2 < 0.25:
                 tau *= 10.0
                 continue
-        step, base = 1.0, neg_logdet(linv)
+        step, base = _line_step(tau * (cost @ dx), np.linalg.eigvalsh(dg)), neg_logdet(linv)
         while step > 1e-12:
             # Armijo test on the step actually taken: one lost to rounding
             # (x + step dx == x) is no progress.
@@ -166,6 +168,23 @@ def _barrier(f0: np.ndarray, fs: np.ndarray, cost: np.ndarray, x: np.ndarray,
         x, linv, r = xt, trial, None
     raise NumericalStall(f"barrier solve stalled short of its gap tolerance: budget of "
                          f"{NEWTON_BUDGET} Newton steps spent (tau {tau:.3g})")
+
+
+def _line_step(slope: float, lam: np.ndarray) -> float:
+    """The minimizer of phi(a) = slope a - sum log(1 + a lam) over [0, -1 / min lam), to a
+    decrement phi'^2 / phi'' <= LINE_DECREMENT: Newton steps on phi' from a = 1 (the Newton
+    step's own length), bisecting the bracket [lo, hi] on its root whenever one leaves it."""
+    lam, slope = np.ravel(lam).tolist(), float(slope)  # 2N floats: Python beats numpy here
+    lo, hi, a = 0.0, -1.0 / min(lam) if min(lam) < 0.0 else np.inf, 1.0
+    for _ in range(NEWTON_BUDGET):
+        a = a if lo < a < hi else 0.5 * (lo + hi)
+        w = [v / (1.0 + a * v) for v in lam]
+        d1, d2 = slope - sum(w), sum([v * v for v in w])
+        if d1 * d1 <= LINE_DECREMENT * d2:
+            break
+        lo, hi = (a, hi) if d1 < 0.0 else (lo, a)
+        a -= d1 / d2
+    return a
 
 
 def _box_blocks(space: np.ndarray, low: tuple, high: tuple) -> tuple:

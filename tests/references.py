@@ -22,9 +22,9 @@ one-sided one of the audits, and the Archimedean boundary's search, which
 asks the exact shift and its certificate again for each element the stacked
 certificate left open.  The rest are the involution and similarity layers
 before their stacked passes: a barrier solve over a list of LMI blocks whose
-phase one runs to its gap, and the cone span, `norm_bound`, level-n
-certificate, `build_star_rep` cone residual and norm identity drawn and
-measured one element at a time.  `c1_trig`, `c1_main_constants_per_sample`,
+line search halves from step 1 and whose phase one runs to its gap, and the
+cone span, `norm_bound`, level-n certificate, `build_star_rep` cone residual
+and norm identity drawn and measured one element at a time.  `c1_trig`, `c1_main_constants_per_sample`,
 `c1_norm_per_sample` and `c1_inequality_check_per_sample` are the function
 embedding's draws, main constants and norm one sample at a time, before their
 stacked passes; `membership_residual` is the distance from an algebra span.
@@ -43,9 +43,9 @@ each float with 17 significant digits (an integral float as an integer) and
 per-type converters for audits, checks, witnesses and constants.
 `from_basis` is the earlier algebra constructor's derivation of N, the unit's
 coordinates and star-closure, which `OperatorAlgebra` must match bit for bit.
-`barrier_refactoring` is the stacked barrier solve before a raised tau reused
-the whitened data and its QR factor: it whitens and factors on every Newton
-pass, and `similarity._barrier` must match it bit for bit.
+`barrier_refactoring` is the stacked barrier solve, exact line search included,
+before a raised tau reused the whitened data and its QR factor: it whitens and
+factors on every Newton pass, and `similarity._barrier` must match it bit for bit.
 `cb_lower_bound_two_stage` is the cb lower bound when a Frobenius-ball ascent
 ran before the polar polish, which `similarity.cb_lower_bound` must not fall
 below.  `enclosed_per_ask` is the shift certificate's rounding bound when it
@@ -541,7 +541,8 @@ def pre_cstar_norm_two_calls(cone: SimilarityCone, involution, n: int, x,
 
 def barrier_blocks(blocks: list, cost: np.ndarray, x: np.ndarray) -> tuple:
     """The barrier solve over a list of LMI blocks (f0, fs), one Cholesky,
-    inverse and whitening per block, run to its gap tolerance."""
+    inverse and whitening per block, its line search halving from step 1, run
+    to its gap tolerance."""
     m = sum(f0.shape[0] for f0, _ in blocks)
     tau = m / (1.0 + abs(cost @ x))
 
@@ -618,9 +619,8 @@ def barrier_refactoring(f0: np.ndarray, fs: np.ndarray, cost: np.ndarray, x: np.
             dx = -np.linalg.solve(r, np.linalg.solve(r.T, grad))
         except np.linalg.LinAlgError:
             break
-        lam2 = float(-grad @ dx)
+        lam2, dg = float(-grad @ dx), np.tensordot(dx, g, axes=(0, 1))
         if lam2 < 1.0:
-            dg = np.tensordot(dx, g, axes=(0, 1))
             gap = float(m - np.trace(dg, axis1=1, axis2=2).real.sum()) / tau
             obj = abs(cost @ x)
             target = max(similarity.GAP_RTOL, similarity.GAP_FLOOR_FACTOR * m * obj)
@@ -629,7 +629,8 @@ def barrier_refactoring(f0: np.ndarray, fs: np.ndarray, cost: np.ndarray, x: np.
             if lam2 < 0.25:
                 tau *= 10.0
                 continue
-        step, base = 1.0, neg_logdet(linv)
+        step = similarity._line_step(tau * (cost @ dx), np.linalg.eigvalsh(dg))
+        base = neg_logdet(linv)
         while step > 1e-12:
             xt = x + step * dx
             trial = inverse_factors(xt)

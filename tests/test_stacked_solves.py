@@ -79,6 +79,22 @@ def _counting_qr(monkeypatch):
     return steps
 
 
+def _failing_cholesky(monkeypatch):
+    """A record of the Cholesky factorizations that raise LinAlgError."""
+    failed = []
+    cholesky = np.linalg.cholesky
+
+    def counted(*args, **kwargs):
+        try:
+            return cholesky(*args, **kwargs)
+        except np.linalg.LinAlgError:
+            failed.append(1)
+            raise
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    return failed
+
+
 def _involution(cone, fixture):
     """The recovered involution, or for a double (whose span may not split M_2)
     the adjoint of the standard cone it corrupts."""
@@ -104,6 +120,20 @@ def test_minimize_condition_within_the_references_certified_gap(space, request):
     slack = 1e-12 * want.cond
     assert got.cond >= want.cond - want.gap - slack
     assert want.cond >= got.cond - got.gap - slack
+
+
+# Newton steps of both phases, pinned as ceilings; the search that halved from step 1 took
+# 39, 36, 37, 35, 38, 60 and 40, and 60 to 77 of its Cholesky factorizations failed.
+@pytest.mark.parametrize("space, ceiling", [
+    ("std_m2", 25), ("worked_sim_cone", 27), ("planted_sim_cone", 27), ("planted-3", 28),
+    ("planted-4", 29), ("kadison-1", 24), ("kadison-2", 28),
+])
+def test_the_exact_line_search_fails_no_cholesky(space, ceiling, request, monkeypatch):
+    space = _named_space(space, request)
+    failed, steps = _failing_cholesky(monkeypatch), _counting_qr(monkeypatch)
+    minimize_condition(space)
+    assert failed == []
+    assert len(steps) <= ceiling
 
 
 @pytest.mark.parametrize("space", ["worked_sim_cone", "planted-3", "planted-4", "kadison-1"])
