@@ -1,9 +1,10 @@
 """The involution and similarity layers' stacked passes against their
 one-element references: the barrier solve on stacked LMI blocks (each cond
-within the other side's certified gap, the same dual certificates), a phase
-one that stops once feasible, and the cone span, `norm_bound`, level-n
-certificate, `build_star_rep` cone residual and norm identity drawn and
-measured in stacks.  Every double of `tests/doubles.py` is drawn one
+within the other side's certified gap, the same dual certificates, no failed
+Cholesky and at most its pinned Newton steps), a phase one that stops once
+feasible, and the cone span, `norm_bound`, level-n certificate,
+`build_star_rep` cone residual and norm identity drawn and measured in
+stacks.  Every double of `tests/doubles.py` is drawn one
 element at a time and gives the reference's answers."""
 
 import copy
