@@ -248,9 +248,9 @@ class SimilarityCone:
         return np.eye(self.level_dim(n), dtype=complex)
 
     def norm_many(self, n: int, xs) -> list:
-        """Operator norm of each level-n element of xs, from one stacked
-        `la.opnorm` (one values-only SVD), with each matrix's bits."""
-        return la.opnorm(_stack(self, n, xs)).tolist() if len(xs) else []
+        """Operator norm of each level-n element of xs, from one stacked Gram eigensolve,
+        `la.top_singular_values`: within (nN + 4) eps / 2 of the SVD's, relative."""
+        return la.top_singular_values(_stack(self, n, xs)).tolist() if len(xs) else []
 
     def straighten(self, n: int, x) -> np.ndarray:
         """Map a level-n element (or stack) into the frame where the cone is PSD.
@@ -829,10 +829,10 @@ def _k_estimate(cone: SimilarityCone, levels: tuple, samples: int,
     failure, a norm fact rather than an inclusion."""
     best = ConstantEstimate("K", 0.0, levels[0])
     for n in levels:
-        drawn = cone.sample_span_many(n, 2 * samples + 1, rng)
-        pairs = list(zip(drawn[0:-1:2], drawn[1::2])) + [(drawn[-1], 0.0 * drawn[-1])]
-        for (a, b), na, nz in zip(pairs, cone.norm_many(n, [a for a, _ in pairs]),
-                                  cone.norm_many(n, [a + 1j * b for a, b in pairs])):
+        drawn = _stack(cone, n, cone.sample_span_many(n, 2 * samples + 1, rng))
+        firsts, seconds = drawn[0::2], np.concatenate([drawn[1::2], 0.0 * drawn[-1:]])
+        norms = cone.norm_many(n, np.concatenate([firsts, firsts + 1j * seconds]))
+        for a, b, na, nz in zip(firsts, seconds, *np.reshape(norms, (2, -1)).tolist()):
             if _k_fails(na, nz):
                 return best, Witness("norm-comparison", n, (a, b), None,
                                      "||a + ib|| vanished with ||a|| > 0")
@@ -900,28 +900,24 @@ def estimate_main_constants(cone: SimilarityCone, levels=(1, 2), samples: int = 
         return best
 
     for n in levels:
-        drawn = cone.sample_many(n, 2 * samples, rng)
-        pairs = list(zip(drawn[0::2], drawn[1::2]))
+        drawn = _stack(cone, n, cone.sample_many(n, 2 * samples, rng))
         # Complement pairs (c, r e - c) probe the extremal cancellations
         # that independent draws never hit (c + d collapses to a multiple
         # of the unit while c itself can be large in the ambient norm).
-        e = cone.unit(n)
         shift_tol = 1e-9
-        drawn = cone.sample_many(n, max(4, samples // 4), rng)
-        negated = [(-1.0) * c for c in drawn]
-        for c, r in zip(drawn, _inf_shifts(cone, n, negated, [1.0] * len(negated), shift_tol)):
-            if r is not None and r > 1e-9:
-                pairs.append((c, (r + shift_tol) * e + (-1.0) * c))
-        nc, nd, ncd = (cone.norm_many(n, xs) for xs in
-                       ([c for c, _ in pairs], [d for _, d in pairs], [c + d for c, d in pairs]))
-        r1 = least(r1, n, pairs, ncd, map(max, nc, nd))
-        drawn = cone.sample_span_many(n, 2 * samples, rng)
-        spans = list(zip(drawn[0::2], drawn[1::2]))
-        zm = [x + (-1j) * y for x, y in spans]
-        zp = [x + 1j * y for x, y in spans]
-        nm, npl, nprod = (cone.norm_many(n, zs) for zs in
-                          (zm, zp, [a @ b for a, b in zip(zm, zp)]))
-        alpha = least(alpha, n, spans, nprod, [a * b for a, b in zip(nm, npl)])
+        comp = _stack(cone, n, cone.sample_many(n, max(4, samples // 4), rng))
+        rs = np.array(_inf_shifts(cone, n, (-1.0) * comp, [1.0] * len(comp), shift_tol), float)
+        comp, rs = comp[rs > 1e-9], rs[rs > 1e-9, None, None]  # A None shift reads NaN.
+        c = np.concatenate([drawn[0::2], comp])
+        d = np.concatenate([drawn[1::2], (rs + shift_tol) * cone.unit(n) + (-1.0) * comp])
+        drawn = _stack(cone, n, cone.sample_span_many(n, 2 * samples, rng))
+        x, y = drawn[0::2], drawn[1::2]
+        zm, zp = x + (-1j) * y, x + 1j * y
+        norms = cone.norm_many(n, np.concatenate([c, d, c + d, zm, zp, zm @ zp]))
+        nc, nd, ncd = np.reshape(norms[:3 * len(c)], (3, -1)).tolist()
+        nm, npl, nprod = np.reshape(norms[3 * len(c):], (3, -1)).tolist()
+        r1 = least(r1, n, list(zip(c, d)), ncd, map(max, nc, nd))
+        alpha = least(alpha, n, list(zip(x, y)), nprod, [a * b for a, b in zip(nm, npl)])
     return r1, alpha
 
 

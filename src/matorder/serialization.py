@@ -14,8 +14,10 @@ object's included.
 from __future__ import annotations
 
 import json
-import math
 import os
+import sys
+from contextlib import suppress
+from itertools import chain
 
 import numpy as np
 
@@ -78,11 +80,10 @@ def _fields(obj: dict, pointer: str, fields: tuple, what: str) -> None:
 
 
 def _number(value, pointer: str):
-    """value as a finite JSON number (booleans are not numbers), else
-    SchemaError at pointer."""
+    """value as a finite JSON number that a double holds (booleans are not numbers),
+    else SchemaError at pointer: an integer beyond the largest double is refused too."""
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool)
-            and (isinstance(value, int) or math.isfinite(value)), pointer,
-            "must be a finite number")
+            and abs(value) <= sys.float_info.max, pointer, "must be a finite number")
     return value
 
 
@@ -94,6 +95,12 @@ def matrix_from_obj(obj, pointer: str = "") -> np.ndarray:
     entries = obj.get("entries")
     _expect(isinstance(entries, list) and len(entries) == n,
             pointer + "/entries", f"expected {n} rows")
+    with suppress(TypeError, ValueError, OverflowError):  # Else the walker names the bad entry.
+        pairs, cells = np.array(entries, dtype=float), list(chain.from_iterable(entries))
+        kinds = set(map(type, chain(entries, cells, chain.from_iterable(cells))))  # No bool.
+        if pairs.shape == (n, n, 2) and np.isfinite(pairs).all() and kinds <= {list, int, float}:
+            _fields(obj, pointer, ("dim", "entries"), "a matrix")
+            return pairs.view(complex)[..., 0]
     out = np.zeros((n, n), dtype=complex)
     for i, row in enumerate(entries):
         _expect(isinstance(row, list) and len(row) == n,

@@ -127,6 +127,7 @@ def _barrier(f0: np.ndarray, fs: np.ndarray, cost: np.ndarray, x: np.ndarray,
         return 2.0 * np.sum(np.log(np.abs(np.diagonal(linv, axis1=1, axis2=2))))
 
     linv, r = inverse_factors(x), None
+    base = neg_logdet(linv)
     for _ in range(NEWTON_BUDGET):
         # Whitened data G_bi = L_b^-1 fs[b, i] L_b^-*, kept while only tau rises: the gradient is
         # tau cost - tr G_bi, the Hessian J^T J for J = [vec G_bi] (real over imaginary parts);
@@ -152,20 +153,20 @@ def _barrier(f0: np.ndarray, fs: np.ndarray, cost: np.ndarray, x: np.ndarray,
             if lam2 < 0.25:
                 tau *= 10.0
                 continue
-        step, base = _line_step(tau * (cost @ dx), np.linalg.eigvalsh(dg)), neg_logdet(linv)
+        step = _line_step(tau * (cost @ dx), np.linalg.eigvalsh(dg))
         while step > 1e-12:
             # Armijo test on the step actually taken: one lost to rounding
             # (x + step dx == x) is no progress.
             xt = x + step * dx
             trial = inverse_factors(xt)
-            if trial is not None and (tau * (cost @ (xt - x)) + neg_logdet(trial) - base
+            if trial is not None and (tau * (cost @ (xt - x)) + (ld := neg_logdet(trial)) - base
                                       <= -0.25 * step * lam2):
                 break
             step *= 0.5
         else:
             raise NumericalStall(f"barrier solve stalled short of its gap tolerance: no step "
                                  f"accepted by the line search (tau {tau:.3g})")
-        x, linv, r = xt, trial, None
+        x, linv, r, base = xt, trial, None, ld
     raise NumericalStall(f"barrier solve stalled short of its gap tolerance: budget of "
                          f"{NEWTON_BUDGET} Newton steps spent (tau {tau:.3g})")
 
@@ -254,7 +255,7 @@ def minimize_condition(space: np.ndarray) -> SimilarityCertificate:
     k = space.shape[0]
     x, gap, _ = _barrier(*_box_blocks(space, (1.0, 0.0), (0.0, 1.0)),
                          np.eye(k + 1)[k], np.append(2.0 * c / s, 4.0 / s))
-    return _certificate_from(np.tensordot(x[:k], space, axes=(0, 0)), gap)
+    return _certificate_from(np.tensordot(x[:k], space, axes=(0, 0)), float(gap))
 
 
 def build_star_rep(algebra: OperatorAlgebra, cone: SimilarityCone, q,

@@ -128,6 +128,41 @@ def test_schema_error_pointer():
     assert err.value.pointer.startswith("/m/entries/1")
 
 
+def test_the_reader_keeps_signed_zeros_and_every_entry_bit():
+    entries = [[[-0.0, -0.0], [1, 2 ** 60 + 1]], [[1e-310, -2.5], [0, -0.0]]]
+    x = matrix_from_obj({"dim": 2, "entries": entries})
+    want = np.array([[complex(*pair) for pair in row] for row in entries])
+    assert x.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad, pointer, reason", [
+    (True, "/m/entries/1/0/1", "must be a finite number"),
+    ("1.5", "/m/entries/1/0/1", "must be a finite number"),
+    (None, "/m/entries/1/0/1", "must be a finite number"),
+    (10 ** 400, "/m/entries/1/0/1", "must be a finite number"),
+    ([0.0], "/m/entries/1/0/1", "must be a finite number"),
+    ((0.0, 1.0), "/m/entries/1/0/1", "must be a finite number"),
+], ids=["bool", "string", "null", "huge-int", "list", "tuple"])
+def test_the_reader_names_the_entry_that_fails_its_checks(bad, pointer, reason):
+    entries = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, bad], [1.0, 0.0]]]
+    with pytest.raises(SchemaError) as err:
+        matrix_from_obj({"dim": 2, "entries": entries}, "/m")
+    assert (err.value.pointer, err.value.reason) == (pointer, reason)
+
+
+def test_the_walker_reads_what_the_fast_path_does_not_vouch_for():
+    # A numpy scalar is a float, but not of type float: the entry-by-entry reader takes it.
+    got = matrix_from_obj({"dim": 1, "entries": [[[np.float64(0.5), -0.0]]]})
+    assert got.tobytes() == np.array([[complex(0.5, -0.0)]]).tobytes()
+
+
+def test_the_reader_takes_json_lists_only():
+    for entries, pointer in [([((1, 0),)], "/entries/0"), ([[(1, 0)]], "/entries/0/0")]:
+        with pytest.raises(SchemaError) as err:
+            matrix_from_obj({"dim": 1, "entries": entries})
+        assert err.value.pointer == pointer
+
+
 def test_canonical_json_shortest_round_trip():
     assert canonical_json({"x": 1.0 / 3.0}) == '{"x":0.3333333333333333}\n'
     with pytest.raises(ValueError):
@@ -506,6 +541,26 @@ def test_a_matrix_object_with_an_unknown_key_exits_4_at_that_key(workdir, capsys
     code, rep = _run(workdir, args + [str(tmp_path / "extra.json"), "--samples", "5"], capsys)
     assert code == 4 and "result" not in rep
     assert rep["error"]["type"] == "SchemaError" and rep["error"]["pointer"] == pointer
+
+
+@pytest.mark.parametrize("where, pointer", [
+    ("generators", "/0/entries/0/1/0"),
+    ("tol_psd", "/tol_psd"),
+])
+def test_an_integer_beyond_the_largest_double_exits_4_at_its_pointer(workdir, capsys, tmp_path,
+                                                                    where, pointer):
+    # 10^400 reads back as a Python int, which complex() and float() cannot take.
+    if where == "generators":
+        obj, args = [matrix_to_obj(E12)], ["close-algebra", "--generators"]
+        obj[0]["entries"][0][1][0] = 10 ** 400
+    else:
+        obj, args = ({"variant": "standard", "algebra": str(workdir / "m2.json"),
+                      "tol_psd": 10 ** 400}, ["check-cones", "--cone"])
+    (tmp_path / "huge.json").write_text(json.dumps(obj))
+    code, rep = _run(workdir, args + [str(tmp_path / "huge.json"), "--samples", "5"], capsys)
+    assert code == 4 and "result" not in rep
+    assert rep["error"] == {"type": "SchemaError", "pointer": pointer,
+                            "message": "must be a finite number"}
 
 
 def test_close_algebra_with_generators_of_mixed_sizes_exits_4(workdir, capsys, tmp_path):

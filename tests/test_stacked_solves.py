@@ -123,6 +123,12 @@ def test_minimize_condition_within_the_references_certified_gap(space, request):
     assert want.cond >= got.cond - got.gap - slack
 
 
+@pytest.mark.parametrize("space", ["std_m2", "kadison-1"])
+def test_the_certificate_gap_and_cond_are_python_floats(space, request):
+    cert = minimize_condition(_named_space(space, request))
+    assert type(cert.gap) is float and type(cert.cond) is float
+
+
 # Newton steps of both phases, pinned as ceilings; the search that halved from step 1 took
 # 39, 36, 37, 35, 38, 60 and 40, and 60 to 77 of its Cholesky factorizations failed.
 @pytest.mark.parametrize("space, ceiling", [
