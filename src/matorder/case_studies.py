@@ -6,7 +6,9 @@ The doubling a -> pi(a) (+) pi(a*)* turns any bounded representation into a
 J-symmetric one (J the coordinate swap), which forces the norm identity
 ||rho^(n)(a)|| = ||rho^(n)(a*)|| and hence the cone axioms needed for the
 reconstruction pipeline.  The function embedding f -> [[f, f'], [0, f]]
-realizes an operator algebra whose induced norm mixes f and f'.
+realizes an operator algebra whose induced norm mixes f and f'.  Its study
+computes on (k, m) stacks of values and derivatives, the product rule spelled
+where the constants take products; `C1Sample` is one checked sample.
 """
 
 from __future__ import annotations
@@ -183,8 +185,9 @@ def kadison_pipeline(algebra: OperatorAlgebra, s: np.ndarray, levels=(1, 2),
 
 @dataclass(frozen=True)
 class C1Sample:
-    """Function and derivative samples on a grid in [0, 1].  Arithmetic combines
-    samples on one grid only and builds its result on that validated grid."""
+    """Function and derivative samples on a strictly increasing grid in [0, 1]: the
+    checked record of one sample.  The study computes on (k, m) value and derivative
+    stacks, so a sample has no arithmetic."""
 
     grid: np.ndarray
     f_values: np.ndarray
@@ -204,41 +207,6 @@ class C1Sample:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "f_values", vals)
         object.__setattr__(self, "f_derivs", ders)
-
-    def _on_grid(self, vals: np.ndarray, ders: np.ndarray) -> "C1Sample":
-        """A sample on this grid from complex arrays of its shape, unvalidated."""
-        out = object.__new__(C1Sample)
-        vars(out).update(grid=self.grid, f_values=vals, f_derivs=ders)
-        return out
-
-    def _check_grid(self, grid: np.ndarray) -> None:
-        if grid is not self.grid and not np.array_equal(grid, self.grid):
-            raise MatOrderError("samples on different grids do not combine")
-
-    def __add__(self, other: "C1Sample") -> "C1Sample":
-        self._check_grid(other.grid)
-        return self._on_grid(self.f_values + other.f_values, self.f_derivs + other.f_derivs)
-
-    def __sub__(self, other: "C1Sample") -> "C1Sample":
-        self._check_grid(other.grid)
-        return self._on_grid(self.f_values - other.f_values, self.f_derivs - other.f_derivs)
-
-    def __mul__(self, other):
-        if isinstance(other, C1Sample):
-            self._check_grid(other.grid)  # product rule on the derivative channel
-            return self._on_grid(self.f_values * other.f_values,
-                                 self.f_derivs * other.f_values + self.f_values * other.f_derivs)
-        if np.ndim(other):  # pointwise by an array: a new sample, validated
-            return C1Sample(self.grid, other * self.f_values, other * self.f_derivs)
-        return self._on_grid(other * self.f_values, other * self.f_derivs)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "C1Sample":
-        return (-1.0) * self
-
-    def conj(self) -> "C1Sample":
-        return self._on_grid(self.f_values.conj(), self.f_derivs.conj())
 
 
 def _c1_blocks(vals: np.ndarray, ders: np.ndarray) -> np.ndarray:
@@ -389,8 +357,7 @@ def c1_condition1_decay(k: int, grid: np.ndarray) -> float:
         raise GridTooCoarse(f"grid with {grid.size} points cannot resolve frequency {k}")
     phase = 2.0 * np.pi * k * grid
     c = C1Sample(grid, 1.0 - np.cos(phase), 2.0 * np.pi * k * np.sin(phase))
-    d = C1Sample(grid, 2.0 - c.f_values, -c.f_derivs)
-    total = c + d
-    top, bottom = _c1_norms(np.stack([total.f_values, c.f_values]),
-                            np.stack([total.f_derivs, c.f_derivs]))
+    d_vals, d_ders = 2.0 - c.f_values, -c.f_derivs
+    top, bottom = _c1_norms(np.stack([c.f_values + d_vals, c.f_values]),
+                            np.stack([c.f_derivs + d_ders, c.f_derivs]))
     return float(top / bottom)

@@ -142,7 +142,7 @@ def _cmd_similarity(args):
     res = similarity.reconstruct_similarity(
         algebra, cone, seed=args.seed, cert_tol=args.cert_tol,
         levels=args.levels, samples=args.samples)
-    return EXIT_OK, {
+    return (EXIT_OK if res.sandwich_ok else EXIT_AUDIT_FAIL), {
         "q_space_dim": res.q_space_dim,
         "certificate": _certificate_obj(res.certificate),
         "cb_lower": res.cb_lower,

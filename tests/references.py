@@ -27,7 +27,8 @@ cone span, `norm_bound`, level-n certificate, `build_star_rep` cone residual
 and norm identity drawn and measured one element at a time.  `c1_trig`, `c1_main_constants_per_sample`,
 `c1_norm_per_sample` and `c1_inequality_check_per_sample` are the function
 embedding's draws, main constants and norm one sample at a time, before their
-stacked passes; `membership_residual` is the distance from an algebra span.
+stacked passes, with `c1_product` the product rule on one sample's arrays;
+`membership_residual` is the distance from an algebra span.
 `hermitian_part_basis_loop` and `conjugate_per_basis` build the Hermitian-part
 basis and a similarity's basis images one basis element at a time, as the
 library did before its stacked forms; `j_symmetrize_per_element` builds the
@@ -833,19 +834,26 @@ def c1_trig(grid: np.ndarray, max_frequency: int, rng: np.random.Generator) -> C
     return C1Sample(grid, vals, ders)
 
 
+def c1_product(f: C1Sample, g: C1Sample) -> C1Sample:
+    """The embedding's product of two samples on one grid, the product rule spelled on
+    their arrays: (fg, f'g + fg')."""
+    return C1Sample(f.grid, f.f_values * g.f_values,
+                    f.f_derivs * g.f_values + f.f_values * g.f_derivs)
+
+
 def c1_main_constants_per_sample(grid: np.ndarray, samples: int, seed: int,
                                  max_frequency: int = 4) -> tuple:
-    """(r1, alpha, complements) of `c1_main_constants`, one `c1_trig` draw, `C1Sample`
-    product and `c1_norm_per_sample` at a time, in the draw order `estimate_main_constants`
+    """(r1, alpha, complements) of `c1_main_constants`, one `c1_trig` draw, `c1_product`
+    and `c1_norm_per_sample` at a time, in the draw order `estimate_main_constants`
     had on the pullback cone; complements are the d = r - c, r = max c, of its
     complement pairs, in order."""
     rng = np.random.default_rng(seed)
     draw = lambda: c1_trig(grid, max_frequency, rng)
-    squares = [g * g for g in (draw() for _ in range(2 * samples))]
+    squares = [c1_product(g, g) for g in (draw() for _ in range(2 * samples))]
     pairs, complements = list(zip(squares[0::2], squares[1::2])), []
     for _ in range(max(4, samples // 4)):
         g = draw()
-        c = g * g
+        c = c1_product(g, g)
         d = C1Sample(grid, np.max(c.f_values.real) - c.f_values, -c.f_derivs)
         pairs.append((c, d))
         complements.append(d)
@@ -853,13 +861,15 @@ def c1_main_constants_per_sample(grid: np.ndarray, samples: int, seed: int,
     for c, d in pairs:
         denom = max(c1_norm_per_sample(c), c1_norm_per_sample(d))
         if denom > 1e-12:
-            r1 = min(r1, c1_norm_per_sample(c + d) / denom)
+            total = C1Sample(grid, c.f_values + d.f_values, c.f_derivs + d.f_derivs)
+            r1 = min(r1, c1_norm_per_sample(total) / denom)
     spans = [draw() for _ in range(2 * samples)]
     for x, y in zip(spans[0::2], spans[1::2]):
-        zm, zp = x + (-1j) * y, x + 1j * y
+        zm, zp = (C1Sample(grid, x.f_values + s * y.f_values, x.f_derivs + s * y.f_derivs)
+                  for s in (-1j, 1j))
         denom = c1_norm_per_sample(zm) * c1_norm_per_sample(zp)
         if denom > 1e-12:
-            alpha = min(alpha, c1_norm_per_sample(zm * zp) / denom)
+            alpha = min(alpha, c1_norm_per_sample(c1_product(zm, zp)) / denom)
     return r1, alpha, complements
 
 

@@ -353,15 +353,32 @@ def test_c1_sample_validation():
                  np.zeros(2, dtype=complex))
 
 
-def test_c1_product_rule():
+def test_c1_product_rule(monkeypatch):
+    # The embedding's product is the product rule: [[f, f'], [0, f]] [[g, g'], [0, g]]
+    # has the blocks of (fg, f'g + fg').
     grid = np.linspace(0, 1, 9)
-    f = C1Sample(grid, np.sin(grid).astype(complex),
-                 np.cos(grid).astype(complex))
-    g = C1Sample(grid, grid.astype(complex), np.ones(9, dtype=complex))
-    prod = f * g
-    np.testing.assert_allclose(prod.f_values, np.sin(grid) * grid, atol=1e-12)
-    np.testing.assert_allclose(prod.f_derivs,
-                               np.cos(grid) * grid + np.sin(grid), atol=1e-12)
+    embed = lambda vals, ders: c1_embed(C1Sample(grid, vals, ders))
+    got = embed(np.sin(grid), np.cos(grid)) @ embed(grid, np.ones(9))
+    np.testing.assert_allclose(got, embed(np.sin(grid) * grid, np.cos(grid) * grid + np.sin(grid)),
+                               rtol=0, atol=1e-15)
+    # So are the pairs c1_main_constants forms: the squares g^2 of its cone draws and
+    # the alpha products (x - iy)(x + iy) of its span pairs.
+    draws, stacks = [], []
+    trig, norms = case_studies._c1_trig, case_studies._c1_norms
+    monkeypatch.setattr(case_studies, "_c1_trig", lambda *a: draws.append(trig(*a)) or draws[-1])
+    monkeypatch.setattr(case_studies, "_c1_norms", lambda *a: stacks.append(a) or norms(*a))
+    samples = 3
+    c1_main_constants(grid, samples, 7)
+    (gv, gd), (pv, pd) = draws[:2]
+    # Pairs (c, d): c the even draws' squares, then the complement pairs'; d the odd draws'.
+    squared = ((stacks[0], (np.concatenate([gv[0::2], pv]), np.concatenate([gd[0::2], pd]))),
+               (stacks[1], (gv[1::2], gd[1::2])))
+    pairs = [(g, g, gg) for stack, drawn in squared for g, gg in zip(zip(*drawn), zip(*stack))]
+    pairs += zip(*(zip(*stack) for stack in stacks[-3:]), strict=True)
+    assert len(pairs) == 3 * samples + max(4, samples // 4)
+    for f, g, fg in pairs:
+        want = embed(*f) @ embed(*g)
+        np.testing.assert_allclose(embed(*fg), want, rtol=0, atol=1e-14 * np.abs(want).max())
 
 
 def test_c1_inequalities():

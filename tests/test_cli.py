@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import runpy
@@ -951,6 +952,22 @@ def test_similarity_passes_samples_to_the_star_rep(workdir, capsys, monkeypatch)
                              "--samples", "5"], capsys)
     assert code == 0
     assert seen == [5]
+
+
+def test_similarity_exits_2_on_an_open_sandwich(workdir, capsys, monkeypatch):
+    # A certificate whose cb lower bound exceeds its upper bound is a failed check.
+    reconstruct = sim_mod.reconstruct_similarity
+
+    def opened(*args, **kwargs):
+        res = reconstruct(*args, **kwargs)
+        return dataclasses.replace(res, cb_lower=res.cb_upper + 1e-3)
+
+    monkeypatch.setattr(sim_mod, "reconstruct_similarity", opened)
+    code, rep = _run(workdir, ["similarity", "--cone", str(workdir / "sim_cone.json"),
+                               "--samples", "5"], capsys)
+    assert code == 2
+    assert rep["result"]["sandwich_ok"] is False
+    assert rep["result"]["cb_lower"] > rep["result"]["cb_upper"] + 1e-6
 
 
 @pytest.fixture(scope="module")

@@ -547,8 +547,11 @@ def test_outside_the_oracle_each_question_is_asked_one_way():
                         (matorder.order_norms, "_sharp"), (OperatorAlgebra, "unit_matrix"),
                         # The C1 study's samples never reach a file.
                         (serialization_mod, "C1Sample"),
-                        # The C1 constants multiply samples with `*`, the embedding's product.
-                        (matorder.case_studies.C1Sample, "__matmul__")):
+                        # The C1 study computes on value and derivative stacks: a sample
+                        # is a checked record with no arithmetic.
+                        *((matorder.case_studies.C1Sample, name) for name in (
+                            "__matmul__", "__add__", "__sub__", "__mul__", "__rmul__",
+                            "__neg__", "conj"))):
         assert not hasattr(owner, name), (owner.__name__, name)
 
 
