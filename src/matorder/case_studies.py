@@ -291,32 +291,33 @@ def c1_main_constants(grid, samples: int, seed: int, max_frequency: int = 4) -> 
     r1 = min ||c + d|| / max(||c||, ||d||) over `samples` pairs of cone elements and over the
     complement pairs (c, r - c) of max(4, samples // 4) more, r = max c on the grid, so that
     d = r - c >= 0 exactly; alpha = min ||(x - iy)(x + iy)|| / (||x - iy|| ||x + iy||) over
-    `samples` span pairs (x, y).  A ratio whose denominator is 1e-12 or less is skipped."""
+    `samples` span pairs (x, y).  A ratio whose denominator is 1e-12 or less is skipped.
+    The draws are one `_c1_trig` stack in draw order, and the norms one `_c1_norms` pass over
+    [c, d, c + d, x - iy, x + iy, (x - iy)(x + iy)]; both work row by row."""
     _samples(samples)
     grid = C1Sample(grid, np.zeros(np.shape(grid)), np.zeros(np.shape(grid))).grid  # validated
     if not grid.size:
         raise MatOrderError("the C1 constants need a nonempty grid")
-    rng = np.random.default_rng(seed)
-
-    def squares(k):
-        vals, ders = _c1_trig(grid, max_frequency, k, rng)
-        return vals * vals, ders * vals + vals * ders
+    pairs = max(4, samples // 4)
+    n, cones = samples + pairs, 2 * samples + pairs
+    vals, ders = _c1_trig(grid, max_frequency, cones + 2 * samples, np.random.default_rng(seed))
+    v, dv = vals[:cones], ders[:cones]
+    (cv, pv), (cd, pd) = (np.split(z, [2 * samples]) for z in (v * v, dv * v + v * dv))
+    r = pv.real.max(axis=1, keepdims=True)
+    c = np.concatenate([cv[0::2], pv]), np.concatenate([cd[0::2], pd])
+    d = np.concatenate([cv[1::2], r - pv]), np.concatenate([cd[1::2], -pd])
+    (x, dx), (y, dy) = ((vals[i::2], ders[i::2]) for i in (cones, cones + 1))
+    (zm, dzm), (zp, dzp) = (x + (-1j) * y, dx + (-1j) * dy), (x + 1j * y, dx + 1j * dy)
+    stack = [c, d, (c[0] + d[0], c[1] + d[1]), (zm, dzm), (zp, dzp),
+             (zm * zp, dzm * zp + zm * dzp)]
+    nc, nd, ncd, nm, npl, nzz = np.split(_c1_norms(*map(np.concatenate, zip(*stack))),
+                                         np.cumsum([n, n, n, samples, samples]))
 
     def least(nums, denoms):
         kept = denoms > 1e-12
         return float(np.min(nums[kept] / denoms[kept], initial=np.inf))
 
-    (cv, cd), (pv, pd) = squares(2 * samples), squares(max(4, samples // 4))
-    r = pv.real.max(axis=1, keepdims=True)
-    c = np.concatenate([cv[0::2], pv]), np.concatenate([cd[0::2], pd])
-    d = np.concatenate([cv[1::2], r - pv]), np.concatenate([cd[1::2], -pd])
-    nc, nd, ncd = _c1_norms(*c), _c1_norms(*d), _c1_norms(c[0] + d[0], c[1] + d[1])
-    r1 = least(ncd, np.maximum(nc, nd))
-    xv, xd = _c1_trig(grid, max_frequency, 2 * samples, rng)
-    (x, dx), (y, dy) = (xv[0::2], xd[0::2]), (xv[1::2], xd[1::2])
-    (zm, dzm), (zp, dzp) = (x + (-1j) * y, dx + (-1j) * dy), (x + 1j * y, dx + 1j * dy)
-    nm, npl = _c1_norms(zm, dzm), _c1_norms(zp, dzp)
-    return r1, least(_c1_norms(zm * zp, dzm * zp + zm * dzp), nm * npl)
+    return least(ncd, np.maximum(nc, nd)), least(nzz, nm * npl)
 
 
 @dataclass(frozen=True)
@@ -346,18 +347,23 @@ def c1_inequality_check(samples: int = 500, seed: int = 0,
     return InequalityReport(samples, violations, float(worst))
 
 
-def c1_condition1_decay(k: int, grid: np.ndarray) -> float:
-    """Ratio ||c + d|| / ||c|| for c = 1 - cos(2 pi k x) and d = 2 - c, both nonnegative: it
-    decays like 1/k, as c has a large derivative and c + d is constant.  Scaling c and d
-    by any eps != 0 leaves it unchanged (c1_norm is homogeneous)."""
-    if k < 1:
-        raise DimensionMismatch(f"frequency must be >= 1, got {k}")
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < 4 * k:
-        raise GridTooCoarse(f"grid with {grid.size} points cannot resolve frequency {k}")
-    phase = 2.0 * np.pi * k * grid
-    c = C1Sample(grid, 1.0 - np.cos(phase), 2.0 * np.pi * k * np.sin(phase))
-    d_vals, d_ders = 2.0 - c.f_values, -c.f_derivs
-    top, bottom = _c1_norms(np.stack([c.f_values + d_vals, c.f_values]),
-                            np.stack([c.f_derivs + d_ders, c.f_derivs]))
-    return float(top / bottom)
+def c1_condition1_decay(frequencies, grid) -> list:
+    """Ratio ||c + d|| / ||c|| for c = 1 - cos(2 pi k x) and d = 2 - c, both nonnegative, for
+    each frequency k in order, from one `_c1_norms` pass over the grid: it decays like 1/k,
+    as c has a large derivative and c + d is constant.  Scaling c and d by any eps != 0
+    leaves it unchanged (c1_norm is homogeneous).  The first k below 1, or above a quarter
+    of the grid's points, raises its typed error."""
+    for k in frequencies:
+        if k < 1:
+            raise DimensionMismatch(f"frequency must be >= 1, got {k}")
+        if np.size(grid) < 4 * k:
+            raise GridTooCoarse(f"grid with {np.size(grid)} points cannot resolve frequency {k}")
+    grid = C1Sample(grid, np.zeros(np.shape(grid)), np.zeros(np.shape(grid))).grid
+    ks = np.asarray(frequencies, dtype=float).reshape(-1, 1)
+    phase = 2.0 * np.pi * ks * grid
+    c_vals = (1.0 - np.cos(phase)).astype(complex)
+    c_ders = (2.0 * np.pi * ks * np.sin(phase)).astype(complex)
+    d_vals, d_ders = 2.0 - c_vals, -c_ders
+    top, bottom = np.split(_c1_norms(np.concatenate([c_vals + d_vals, c_vals]),
+                                     np.concatenate([c_ders + d_ders, c_ders])), 2)
+    return (top / bottom).tolist()

@@ -198,8 +198,11 @@ def _cmd_c1_example(args):
     ineq = case_studies.c1_inequality_check(samples=args.samples,
                                             seed=args.seed,
                                             grid_size=args.grid_size)
-    decay = {str(k): case_studies.c1_condition1_decay(
-        k, np.linspace(0.0, 1.0, max(args.grid_size, 4 * k))) for k in args.frequencies}
+    by_grid = {}  # one decay call per grid size max(grid_size, 4k)
+    for k in dict.fromkeys(args.frequencies):
+        by_grid.setdefault(max(args.grid_size, 4 * k), []).append(k)
+    decay = {str(k): ratio for m, ks in by_grid.items() for k, ratio in
+             zip(ks, case_studies.c1_condition1_decay(ks, np.linspace(0.0, 1.0, m)))}
     golden = case_studies.c1_norm(case_studies.C1Sample(
         np.array([1.0]), np.array([1.0 + 0j]), np.array([1.0 + 0j])))
     r1, alpha = case_studies.c1_main_constants(grid, args.samples, args.seed)

@@ -28,6 +28,8 @@ and norm identity drawn and measured one element at a time.  `c1_trig`, `c1_main
 `c1_norm_per_sample` and `c1_inequality_check_per_sample` are the function
 embedding's draws, main constants and norm one sample at a time, before their
 stacked passes, with `c1_product` the product rule on one sample's arrays;
+`c1_condition1_decay_per_frequency` is the condition-1 decay of one frequency,
+as the library measured it before one call took a list of frequencies;
 `membership_residual` is the distance from an algebra span.
 `hermitian_part_basis_loop` and `conjugate_per_basis` build the Hermitian-part
 basis and a similarity's basis images one basis element at a time, as the
@@ -65,12 +67,12 @@ from matorder import _linalg as la
 from matorder import similarity
 from matorder.algebra import (DEFAULT_MAX_DIM, DEFAULT_STRUCTURE_TOL, OperatorAlgebra,
                               as_matrix, block_coords, block_synth, random_element)
-from matorder.case_studies import C1Sample, NormIdentityReport, c1_embed
+from matorder.case_studies import C1Sample, NormIdentityReport, _c1_norms, c1_embed
 from matorder.cones import (_BOUNDARY_WIDTH_FACTOR, ConstantEstimate, SimilarityCone, Witness,
                             _algebra_conjugations, _Bisection, _first_escape, _inf_shifts,
                             _scalar_conjugations, _stack, _streams, _sup_shifts_down)
 from matorder.errors import (CertificationFailed, DimensionCapExceeded, DimensionMismatch,
-                             NoPositiveSolution, NumericalStall, SpanUnstable)
+                             GridTooCoarse, NoPositiveSolution, NumericalStall, SpanUnstable)
 from matorder.involution import SPAN_ROUNDS, InvolutionComparison
 from matorder.order_norms import DEFAULT_BISECT_TOL, NormReport, _check_self_adjoint
 
@@ -909,6 +911,21 @@ def c1_inequality_check_per_sample(samples: int, seed: int, grid_size: int) -> t
         if norm < mid - 1e-12 or mid < low - 1e-12:
             violations += 1
     return violations, float(worst)
+
+
+def c1_condition1_decay_per_frequency(k: int, grid: np.ndarray) -> float:
+    """`c1_condition1_decay` of one frequency, one `_c1_norms` call of two rows per k."""
+    if k < 1:
+        raise DimensionMismatch(f"frequency must be >= 1, got {k}")
+    grid = np.asarray(grid, dtype=float)
+    if grid.size < 4 * k:
+        raise GridTooCoarse(f"grid with {grid.size} points cannot resolve frequency {k}")
+    phase = 2.0 * np.pi * k * grid
+    c = C1Sample(grid, 1.0 - np.cos(phase), 2.0 * np.pi * k * np.sin(phase))
+    d_vals, d_ders = 2.0 - c.f_values, -c.f_derivs
+    top, bottom = _c1_norms(np.stack([c.f_values + d_vals, c.f_values]),
+                            np.stack([c.f_derivs + d_ders, c.f_derivs]))
+    return float(top / bottom)
 
 
 def _fmt_float_17g(x: float) -> str:

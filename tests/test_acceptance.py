@@ -246,7 +246,7 @@ def test_criterion_9_function_embedding():
     decay_ok = True
     fine = np.linspace(0.0, 1.0, 256)
     for k in (4, 8, 16, 32):
-        if c1_condition1_decay(k, fine) > 1.0 / k:
+        if c1_condition1_decay([k], fine)[0] > 1.0 / k:
             decay_ok = False
     ok = worst <= 1e-10 and golden_ok and ineq.violations == 0 and decay_ok
     _report(9, f"function embedding: closed form vs operator norm "

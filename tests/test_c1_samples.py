@@ -1,10 +1,13 @@
 """The function embedding's samples and constants against their one-sample
 references in `references.py`: `c1_main_constants` (alpha and r1 bits, and
-complements d = r - c that are real with grid minimum exactly 0), the stream
-and bits of its stacked draws, `c1_norm` bits (and the stacked norms behind
-the inequality check and the condition-1 decay), the r1 decay under grid
-refinement, `C1Sample`'s grid checks, and the typed error of an empty grid.
-Inputs are built on the samples' arrays: a sample has no arithmetic."""
+complements d = r - c that are real with grid minimum exactly 0, read at their
+offsets in its one norm stack; one draw and one norm pass), the stream and
+bits of its stacked draws, `c1_norm` bits (and the stacked norms behind the
+inequality check), the condition-1 decay of a list of frequencies against
+`c1_condition1_decay_per_frequency` (bits, the first bad frequency's error,
+the empty list), the r1 decay under grid refinement, `C1Sample`'s grid
+checks, and the typed error of an empty grid.  Inputs are built on the
+samples' arrays: a sample has no arithmetic."""
 
 import numpy as np
 import pytest
@@ -18,8 +21,9 @@ from matorder.case_studies import (
     c1_main_constants,
     c1_norm,
 )
-from matorder.errors import MatOrderError
+from matorder.errors import DimensionMismatch, GridTooCoarse, MatOrderError
 from references import (
+    c1_condition1_decay_per_frequency,
     c1_inequality_check_per_sample,
     c1_main_constants_per_sample,
     c1_norm_per_sample,
@@ -65,13 +69,28 @@ def test_main_constants_match_the_per_sample_reference(monkeypatch, m, samples, 
     want_r1, want_alpha, complements = c1_main_constants_per_sample(grid, samples, seed)
     assert type(r1) is type(alpha) is float
     assert (r1, alpha) == (want_r1, want_alpha)
-    # The second norm stack is the d of every pair; the complements d = r - c end it.
-    vals, ders = stacks[1]
-    vals, ders = vals[-len(complements):], ders[-len(complements):]
+    # The one norm stack is [c, d, c + d, ...], n = samples + len(complements) rows each;
+    # the complements d = r - c end its d rows.
+    (vals, ders), = stacks
+    n = samples + len(complements)
+    vals, ders = vals[2 * n - len(complements):2 * n], ders[2 * n - len(complements):2 * n]
     for got, want in zip(zip(vals, ders), complements, strict=True):
         assert np.array_equal(got[0], want.f_values) and np.array_equal(got[1], want.f_derivs)
     assert not vals.imag.any() and not ders.imag.any()
     assert (vals.real.min(axis=1) == 0.0).all()
+
+
+@pytest.mark.parametrize("samples", [1, 12, 50])
+def test_main_constants_take_one_draw_and_one_norm_pass(monkeypatch, samples):
+    calls = {"_c1_trig": [], "_c1_norms": []}
+    for name, calls_of in calls.items():
+        original = getattr(case_studies, name)
+        monkeypatch.setattr(case_studies, name,
+                            lambda *a, _f=original, _c=calls_of: _c.append(a) or _f(*a))
+    c1_main_constants(np.linspace(0.0, 1.0, 16), samples, 3)
+    pairs = max(4, samples // 4)
+    assert [a[2] for a in calls["_c1_trig"]] == [2 * samples + pairs + 2 * samples]
+    assert [len(a[0]) for a in calls["_c1_norms"]] == [3 * (samples + pairs) + 3 * samples]
 
 
 def test_r1_decays_with_refinement():
@@ -120,8 +139,36 @@ def test_c1_norm_keeps_the_per_sample_bits(m):
         phase = 2.0 * np.pi * k * grid
         c = C1Sample(grid, 1.0 - np.cos(phase), 2.0 * np.pi * k * np.sin(phase))
         d = C1Sample(grid, 2.0 - c.f_values, -c.f_derivs)
-        assert c1_condition1_decay(k, grid) == \
-            c1_norm_per_sample(_sum(c, d)) / c1_norm_per_sample(c)
+        assert c1_condition1_decay([k], grid) == \
+            [c1_norm_per_sample(_sum(c, d)) / c1_norm_per_sample(c)]
+
+
+@pytest.mark.parametrize("m", [8, 64, 100, 256])
+def test_condition1_decay_keeps_the_per_frequency_bits(m):
+    grid = np.linspace(0.0, 1.0, m)
+    every = list(range(1, m // 4 + 1))
+    for ks in (every, every[::-1], [m // 4, 1, m // 4, 2, 1] + every[::3], [1], [m // 4]):
+        got = c1_condition1_decay(ks, grid)
+        assert all(type(v) is float for v in got)
+        assert got == [c1_condition1_decay_per_frequency(k, grid) for k in ks]
+
+
+@pytest.mark.parametrize("ks, error, k", [
+    ([4, 0, -3], DimensionMismatch, "got 0"),
+    ([4, 17, 0], GridTooCoarse, "frequency 17"),
+    ([0, 17], DimensionMismatch, "got 0"),
+    ([16, 17, 18], GridTooCoarse, "frequency 17"),
+], ids=["below-one", "too-fine-first", "below-one-first", "too-fine"])
+def test_condition1_decay_names_the_first_bad_frequency(ks, error, k):
+    grid = np.linspace(0.0, 1.0, 64)
+    with pytest.raises(error, match=k):
+        c1_condition1_decay(ks, grid)
+    with pytest.raises(error, match=k):
+        [c1_condition1_decay_per_frequency(f, grid) for f in ks]
+
+
+def test_condition1_decay_of_no_frequency_is_empty():
+    assert c1_condition1_decay([], np.linspace(0.0, 1.0, 8)) == []
 
 
 def test_empty_stacks_and_a_one_point_grid_keep_the_per_sample_bits():

@@ -316,7 +316,7 @@ def test_no_c1_norm_path_builds_the_dense_embedding(monkeypatch):
     c1_norm(s)
     c1_main_constants(grid, 5, 0)
     c1_inequality_check(samples=5, seed=0, grid_size=16)
-    c1_condition1_decay(4, grid)
+    c1_condition1_decay([4], grid)
     assert calls == []
 
 
@@ -362,19 +362,29 @@ def test_c1_product_rule(monkeypatch):
     np.testing.assert_allclose(got, embed(np.sin(grid) * grid, np.cos(grid) * grid + np.sin(grid)),
                                rtol=0, atol=1e-15)
     # So are the pairs c1_main_constants forms: the squares g^2 of its cone draws and
-    # the alpha products (x - iy)(x + iy) of its span pairs.
+    # the alpha products (x - iy)(x + iy) of its span pairs.  Its one draw holds 2 samples
+    # cone draws, the complement draws, then 2 samples span draws; its one norm stack holds
+    # [c, d, c + d, x - iy, x + iy, (x - iy)(x + iy)], n rows for each of the first three.
     draws, stacks = [], []
     trig, norms = case_studies._c1_trig, case_studies._c1_norms
     monkeypatch.setattr(case_studies, "_c1_trig", lambda *a: draws.append(trig(*a)) or draws[-1])
     monkeypatch.setattr(case_studies, "_c1_norms", lambda *a: stacks.append(a) or norms(*a))
     samples = 3
     c1_main_constants(grid, samples, 7)
-    (gv, gd), (pv, pd) = draws[:2]
+    (vals, ders), = draws
+    (sv, sd), = stacks
+    complements = max(4, samples // 4)
+    n, cone_draws = samples + complements, 2 * samples + complements
+    (gv, gd), (pv, pd) = (vals[:2 * samples], ders[:2 * samples]), \
+        (vals[2 * samples:cone_draws], ders[2 * samples:cone_draws])
     # Pairs (c, d): c the even draws' squares, then the complement pairs'; d the odd draws'.
-    squared = ((stacks[0], (np.concatenate([gv[0::2], pv]), np.concatenate([gd[0::2], pd]))),
-               (stacks[1], (gv[1::2], gd[1::2])))
+    squared = (((sv[:n], sd[:n]), (np.concatenate([gv[0::2], pv]), np.concatenate([gd[0::2], pd]))),
+               ((sv[n:n + samples], sd[n:n + samples]), (gv[1::2], gd[1::2])))
     pairs = [(g, g, gg) for stack, drawn in squared for g, gg in zip(zip(*drawn), zip(*stack))]
-    pairs += zip(*(zip(*stack) for stack in stacks[-3:]), strict=True)
+    at = np.cumsum([3 * n, samples, samples, samples])
+    alpha = [(sv[a:b], sd[a:b]) for a, b in zip(at[:-1], at[1:])]
+    pairs += zip(*(zip(*stack) for stack in alpha), strict=True)
+    assert len(vals) == cone_draws + 2 * samples and len(sv) == at[-1]
     assert len(pairs) == 3 * samples + max(4, samples // 4)
     for f, g, fg in pairs:
         want = embed(*f) @ embed(*g)
@@ -389,7 +399,7 @@ def test_c1_inequalities():
 
 def test_c1_decay_bounds_and_monotonicity():
     grid = np.linspace(0, 1, 256)
-    ratios = {k: c1_condition1_decay(k, grid) for k in (4, 8, 16, 32)}
+    ratios = dict(zip((4, 8, 16, 32), c1_condition1_decay([4, 8, 16, 32], grid)))
     for k, r in ratios.items():
         assert r <= 1.0 / k
     assert ratios[8] < ratios[4]
@@ -399,18 +409,18 @@ def test_c1_decay_bounds_and_monotonicity():
 
 def test_c1_decay_pinned_value():
     # c1_norm is homogeneous: the ratio for c and d scaled by any eps != 0.
-    assert c1_condition1_decay(4, np.linspace(0, 1, 64)) == 0.07947018639009361
+    assert c1_condition1_decay([4], np.linspace(0, 1, 64)) == [0.07947018639009361]
 
 
 def test_c1_decay_grid_too_coarse():
     with pytest.raises(GridTooCoarse):
-        c1_condition1_decay(16, np.linspace(0, 1, 17))
+        c1_condition1_decay([16], np.linspace(0, 1, 17))
 
 
 @pytest.mark.parametrize("k", [0, -3])
 def test_c1_decay_rejects_frequencies_below_one(k):
     with pytest.raises(DimensionMismatch):
-        c1_condition1_decay(k, np.linspace(0, 1, 64))
+        c1_condition1_decay([k], np.linspace(0, 1, 64))
 
 
 # -- options with one value in use ------------------------------------------
@@ -421,7 +431,7 @@ def test_c1_decay_rejects_frequencies_below_one(k):
     lambda alg: kadison_pipeline(alg, WORKED_S, cb_level=2),
     lambda alg: null_space(StandardCone(alg), 1, bisect_tol=1e-6),
     lambda alg: j_symmetrize(alg),
-    lambda alg: c1_condition1_decay(4),
+    lambda alg: c1_condition1_decay([4]),
 ], ids=["cone_from_obj-pointer", "compress-ambient_dim", "kadison_pipeline-cb_level",
         "null_space-bisect_tol", "j_symmetrize-pi_images", "c1_condition1_decay-grid"])
 def test_a_removed_option_raises_type_error(m2_full, call):

@@ -26,7 +26,13 @@ from matorder.serialization import (
     matrix_from_obj,
     matrix_to_obj,
 )
-from references import audit_to_obj_17g, canonical_json_17g
+from references import (
+    audit_to_obj_17g,
+    c1_condition1_decay_per_frequency,
+    c1_inequality_check_per_sample,
+    c1_main_constants_per_sample,
+    canonical_json_17g,
+)
 from test_similarity import _diagonal_cone, _rotated_commutative_algebra
 
 
@@ -412,6 +418,42 @@ def test_c1_example_takes_no_svd(workdir, capsys, monkeypatch):
                                "--frequencies", "4,8,16,32", "--samples", "10"], capsys)
     assert code == 0 and rep["result"]["passed"]
     assert calls == []
+
+
+def test_c1_example_makes_one_decay_call_per_grid(workdir, capsys, monkeypatch):
+    decay, calls = cli_mod.case_studies.c1_condition1_decay, []
+
+    def counted(frequencies, grid):
+        calls.append((list(frequencies), len(grid)))
+        return decay(frequencies, grid)
+
+    monkeypatch.setattr(cli_mod.case_studies, "c1_condition1_decay", counted)
+    code, rep = _run(workdir, ["c1-example", "--grid-size", "64",
+                               "--frequencies", "4,32,8,4", "--samples", "5"], capsys)
+    assert code == 0
+    assert [m for _, m in calls] == [64, 128]
+    assert sorted(k for ks, _ in calls for k in ks) == [4, 8, 32]
+    assert rep["result"]["condition1_decay"] == {
+        str(k): c1_condition1_decay_per_frequency(k, np.linspace(0.0, 1.0, max(64, 4 * k)))
+        for k in (4, 32, 8)}
+
+
+@pytest.mark.parametrize("seed", [5, 1741])
+def test_the_benchmark_c1_example_writes_the_per_sample_references(workdir, capsys, seed):
+    # The benchmark's c1-example argv, with its --samples 10.
+    code, rep = _run(workdir, ["c1-example", "--grid-size", "64", "--frequencies", "4,8,16,32",
+                               "--seed", str(seed), "--samples", "10"], capsys)
+    assert code == 0
+    grid = np.linspace(0.0, 1.0, 64)
+    r1, alpha, _ = c1_main_constants_per_sample(grid, 10, seed)
+    violations, worst = c1_inequality_check_per_sample(10, seed, 64)
+    result = rep["result"]
+    assert result["pullback_constants"] == {"r1": r1, "alpha": alpha}
+    assert result["condition1_decay"] == {
+        str(k): c1_condition1_decay_per_frequency(k, np.linspace(0.0, 1.0, max(64, 4 * k)))
+        for k in (4, 8, 16, 32)}
+    assert result["inequalities"] == {"samples": 10, "violations": violations,
+                                      "worst_margin": worst}
 
 
 def test_exit_code_typed_error(workdir, capsys):
