@@ -13,7 +13,6 @@ from .algebra import (
     doubling_embed,
     generate_algebra,
     hermitian_part_basis,
-    project,
 )
 from .case_studies import (
     C1Sample,
@@ -102,7 +101,6 @@ __all__ = [
     "null_space",
     "order_unit_seminorm",
     "pre_cstar_norm",
-    "project",
     "real_cone_span",
     "reconstruct_similarity",
     "recover_involution",

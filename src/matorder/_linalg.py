@@ -28,6 +28,12 @@ def frob(x: np.ndarray) -> float:
     return float(np.linalg.norm(x))
 
 
+def frob_each(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack: numpy's row `norm`, bit for bit, unwrapped."""
+    flat = x.reshape(len(x), -1)
+    return np.sqrt(np.add.reduce((flat.conj() * flat).real, axis=1))
+
+
 def opnorm(x: np.ndarray):
     """Operator norm: the top singular value, as `norm(x, 2)` without its wrapper;
     of a (k, m, n) stack, the array of each matrix's, from one values-only SVD."""

@@ -11,7 +11,8 @@ coordinates ordered block (i, j) row-major, then basis index k.  Only
 layout; every level-n consumer goes through them, and no basis of M_n(A) is
 ever materialised: a map given by its basis images acts on a (stack of) block
 matrices as `block_synth(block_coords(algebra, x), images)`.  `_frame` checks
-and inverts a similarity once, into a `_Frame`.
+and inverts a similarity once, into a `_Frame`.  The structure bound `_outside`
+and its `level_residual` take (k, nN, mN) stacks only, never a bare matrix.
 """
 
 from __future__ import annotations
@@ -153,18 +154,6 @@ def _frame(s, dim: int) -> _Frame:
     raise DimensionMismatch("similarity is singular")
 
 
-def project(algebra: OperatorAlgebra, x: np.ndarray) -> np.ndarray:
-    """Coordinates of x in the algebra, or `_outside`'s MembershipError with the
-    residual when ||x - synth(coords)||_F > structure_tol (1 + ||x||_F)."""
-    x = as_matrix(x)
-    if x.shape != (algebra.ambient_dim, algebra.ambient_dim):
-        raise DimensionMismatch(
-            f"expected {algebra.ambient_dim}x{algebra.ambient_dim}, got {x.shape}"
-        )
-    _outside(algebra, x)
-    return algebra.coords_of(x)
-
-
 def _block_view(algebra: OperatorAlgebra, x: np.ndarray) -> np.ndarray:
     """The (n, m, N, N) view of the N x N blocks of an (nN) x (mN) matrix,
     or the (k, n, m, N, N) view of a stack of k of them."""
@@ -174,6 +163,14 @@ def _block_view(algebra: OperatorAlgebra, x: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"expected a matrix of {big_n}x{big_n} blocks, got {x.shape}")
     return x.reshape(*x.shape[:-2], x.shape[-2] // big_n, big_n,
                      x.shape[-1] // big_n, big_n).swapaxes(-3, -2)
+
+
+def _stack_view(algebra: OperatorAlgebra, x: np.ndarray) -> np.ndarray:
+    """`_block_view` of a (k, nN, mN) stack: DimensionMismatch for a bare matrix too."""
+    x = as_matrix(x)
+    if x.ndim != 3:
+        raise DimensionMismatch(f"expected a (k, nN, mN) stack, got {x.shape}")
+    return _block_view(algebra, x)
 
 
 def block_coords(algebra: OperatorAlgebra, x: np.ndarray) -> np.ndarray:
@@ -194,33 +191,28 @@ def block_synth(coords: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return blocks.swapaxes(-3, -2).reshape(*lead, n * rows, m * cols)
 
 
-def level_residual(algebra: OperatorAlgebra, x: np.ndarray):
-    """Distance of a matrix of N x N blocks from M_n(A) on one view of its
-    blocks: the basis kron(E_ij, b_k) of M_n(A) is orthonormal, so the
-    distance is that of the blocks from A, summed in quadrature.  A stack
-    (k, nN, mN) gives its k distances from its one (k, n, m, N, N) view."""
-    x = as_matrix(x)
-    blocks = _block_view(algebra, x)
+def level_residual(algebra: OperatorAlgebra, x: np.ndarray) -> np.ndarray:
+    """Distance of each matrix of a (k, nN, mN) stack from M_n(A), on one (k, n, m, N, N)
+    view of its blocks: the basis kron(E_ij, b_k) of M_n(A) is orthonormal, so a distance
+    is that of the blocks from A, summed in quadrature.  DimensionMismatch for a bare
+    matrix (ask it as a stack of one) or any other shape."""
+    blocks = _stack_view(algebra, x)
     diff = blocks - algebra.synthesize(algebra.coords_of(blocks))
-    return np.linalg.norm(diff.reshape(len(x), -1), axis=1) if x.ndim == 3 else la.frob(diff)
+    return la.frob_each(diff)
 
 
 def _outside(algebra: OperatorAlgebra, x: np.ndarray) -> None:
-    """The one structure bound: MembershipError, with its residual, for x (a matrix of N x N
-    blocks) or the first matrix of a stack x whose `level_residual` exceeds structure_tol
-    (1 + ||x||_F), the stack decided in one pass; vacuous, so skipped, on a full algebra."""
+    """The one structure bound: MembershipError, with its residual, for the first matrix of
+    a (k, nN, mN) stack x whose `level_residual` exceeds structure_tol (1 + ||x||_F), in one
+    pass (vacuous, so skipped, on a full algebra); DimensionMismatch for any other shape."""
     if algebra._full:  # M_n(M_N) holds every matrix of N x N blocks: only the shape can fail
-        _block_view(algebra, x)
+        _stack_view(algebra, x)
         return
     residual = level_residual(algebra, x)
-    if x.ndim == 2:
-        over = [0] if residual > algebra.structure_tol * (1.0 + la.frob(x)) else []
-        residual = [residual]
-    else:
-        size = np.linalg.norm(x.reshape(len(x), -1), axis=1)
-        over = np.flatnonzero(residual > algebra.structure_tol * (1.0 + size))
-    if len(over):
-        raise MembershipError("element outside M_n(A)", residual[over[0]])
+    size = la.frob_each(x)
+    over = residual > algebra.structure_tol * (1.0 + size)
+    if np.count_nonzero(over):
+        raise MembershipError("element outside M_n(A)", residual[over.argmax()])
 
 
 def generate_algebra(

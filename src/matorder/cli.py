@@ -38,6 +38,7 @@ EXIT_AUDIT_FAIL = 2
 EXIT_TYPED_ERROR = 3
 EXIT_SCHEMA_ERROR = 4
 MAX_LEVEL = 8  # the highest level that --levels and involution --level accept
+MAX_GRID = 4096  # the most points a c1-example grid may have: --grid-size and 4k
 
 
 def _certificate_obj(cert: similarity.SimilarityCertificate) -> dict:
@@ -190,10 +191,12 @@ def _cmd_kadison_demo(args):
 
 
 def _cmd_c1_example(args):
-    if args.grid_size < 1:
-        raise SchemaError("/grid-size", "must be >= 1")
+    if not 1 <= args.grid_size <= MAX_GRID:
+        raise SchemaError("/grid-size", f"must lie in 1..{MAX_GRID}")
     if min(args.frequencies) < 1:
         raise SchemaError("/frequencies", "every frequency must be >= 1")
+    if 4 * max(args.frequencies) > MAX_GRID:
+        raise SchemaError("/frequencies", f"every frequency k needs 4k <= {MAX_GRID} grid points")
     grid = np.linspace(0.0, 1.0, args.grid_size)
     ineq = case_studies.c1_inequality_check(samples=args.samples,
                                             seed=args.seed,

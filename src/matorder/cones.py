@@ -258,15 +258,15 @@ class SimilarityCone:
         return self.frame.straighten(x)
 
     def level_element(self, n: int, x) -> np.ndarray:
-        """x as a matrix (or a (k, nN, nN) stack) checked against M_n(A) block by
+        """x as given, a matrix or a (k, nN, nN) stack, checked against M_n(A) block by
         block: DimensionMismatch unless it is (nN) x (nN), else `_outside`'s
-        MembershipError for it, or for the first matrix of the stack, when its
-        distance from M_n(A) exceeds structure_tol * (1 + ||x||_F)."""
+        MembershipError for the first matrix of the stack (a matrix is asked as a stack
+        of one) whose distance from M_n(A) exceeds structure_tol * (1 + ||x||_F)."""
         x = as_matrix(x)
         dim = self.level_dim(n)
         if x.shape[-2:] != (dim, dim) or x.ndim > 3:
             raise DimensionMismatch(f"level-{n} element must be {dim}x{dim}, got {x.shape}")
-        _outside(self.algebra, x)
+        _outside(self.algebra, x.reshape(-1, dim, dim))
         return x
 
     # -- oracle ------------------------------------------------------------

@@ -30,7 +30,9 @@ embedding's draws, main constants and norm one sample at a time, before their
 stacked passes, with `c1_product` the product rule on one sample's arrays;
 `c1_condition1_decay_per_frequency` is the condition-1 decay of one frequency,
 as the library measured it before one call took a list of frequencies;
-`membership_residual` is the distance from an algebra span.
+`membership_residual` is the distance from an algebra span, and
+`level_residual_matrix_or_stack` and `outside_matrix_or_stack` are the structure
+bound when it took a bare matrix as well as a stack, with a comparison for each.
 `hermitian_part_basis_loop` and `conjugate_per_basis` build the Hermitian-part
 basis and a similarity's basis images one basis element at a time, as the
 library did before its stacked forms; `j_symmetrize_per_element` builds the
@@ -66,13 +68,15 @@ import numpy as np
 from matorder import _linalg as la
 from matorder import similarity
 from matorder.algebra import (DEFAULT_MAX_DIM, DEFAULT_STRUCTURE_TOL, OperatorAlgebra,
-                              as_matrix, block_coords, block_synth, random_element)
+                              _block_view, as_matrix, block_coords, block_synth,
+                              random_element)
 from matorder.case_studies import C1Sample, NormIdentityReport, _c1_norms, c1_embed
 from matorder.cones import (_BOUNDARY_WIDTH_FACTOR, ConstantEstimate, SimilarityCone, Witness,
                             _algebra_conjugations, _Bisection, _first_escape, _inf_shifts,
                             _scalar_conjugations, _stack, _streams, _sup_shifts_down)
 from matorder.errors import (CertificationFailed, DimensionCapExceeded, DimensionMismatch,
-                             GridTooCoarse, NoPositiveSolution, NumericalStall, SpanUnstable)
+                             GridTooCoarse, MembershipError, NoPositiveSolution, NumericalStall,
+                             SpanUnstable)
 from matorder.involution import SPAN_ROUNDS, InvolutionComparison
 from matorder.order_norms import DEFAULT_BISECT_TOL, NormReport, _check_self_adjoint
 
@@ -80,6 +84,35 @@ def membership_residual(algebra: OperatorAlgebra, x: np.ndarray) -> float:
     """Frobenius distance of x from the algebra span."""
     x = as_matrix(x)
     return la.frob(x - algebra.synthesize(algebra.coords_of(x)))
+
+
+def level_residual_matrix_or_stack(algebra: OperatorAlgebra, x: np.ndarray):
+    """Distance of a matrix of N x N blocks from M_n(A) on one view of its
+    blocks: the basis kron(E_ij, b_k) of M_n(A) is orthonormal, so the
+    distance is that of the blocks from A, summed in quadrature.  A stack
+    (k, nN, mN) gives its k distances from its one (k, n, m, N, N) view."""
+    x = as_matrix(x)
+    blocks = _block_view(algebra, x)
+    diff = blocks - algebra.synthesize(algebra.coords_of(blocks))
+    return np.linalg.norm(diff.reshape(len(x), -1), axis=1) if x.ndim == 3 else la.frob(diff)
+
+
+def outside_matrix_or_stack(algebra: OperatorAlgebra, x: np.ndarray) -> None:
+    """The one structure bound: MembershipError, with its residual, for x (a matrix of N x N
+    blocks) or the first matrix of a stack x whose `level_residual` exceeds structure_tol
+    (1 + ||x||_F), the stack decided in one pass; vacuous, so skipped, on a full algebra."""
+    if algebra._full:  # M_n(M_N) holds every matrix of N x N blocks: only the shape can fail
+        _block_view(algebra, x)
+        return
+    residual = level_residual_matrix_or_stack(algebra, x)
+    if x.ndim == 2:
+        over = [0] if residual > algebra.structure_tol * (1.0 + la.frob(x)) else []
+        residual = [residual]
+    else:
+        size = np.linalg.norm(x.reshape(len(x), -1), axis=1)
+        over = np.flatnonzero(residual > algebra.structure_tol * (1.0 + size))
+    if len(over):
+        raise MembershipError("element outside M_n(A)", residual[over[0]])
 
 
 def hermitian_part_basis_loop(algebra: OperatorAlgebra) -> np.ndarray:

@@ -12,6 +12,7 @@ from matorder.algebra import (
     OperatorAlgebra,
     _frame,
     _Frame,
+    _outside,
     block_coords,
     block_synth,
     commutant,
@@ -21,7 +22,6 @@ from matorder.algebra import (
     hermitian_part_basis,
     image_algebra,
     level_residual,
-    project,
     random_element,
 )
 from matorder.errors import DimensionCapExceeded, DimensionMismatch, MembershipError
@@ -42,7 +42,7 @@ def test_generate_non_star_closed():
     assert algebra.dim == 2
     assert not algebra.star_closed
     # b is idempotent, so the span closes without new directions.
-    coords = project(algebra, WORKED_B @ WORKED_B)
+    coords = algebra.coords_of(WORKED_B @ WORKED_B)
     np.testing.assert_allclose(algebra.synthesize(coords), WORKED_B, atol=1e-12)
 
 
@@ -136,10 +136,10 @@ def test_full_m17_closes_under_the_default_cap():
 
 def _first_escape_per_product(algebra):
     """The `MembershipError` of the first product b_i b_j outside the span, in
-    (i, j) order, asked one `project` at a time; None if every one projects."""
+    (i, j) order, each asked of `_outside` as a stack of one; None if every one is in it."""
     for x in (bi @ bj for bi in algebra.basis for bj in algebra.basis):
         try:
-            project(algebra, x)
+            _outside(algebra, x[None])
         except MembershipError as err:
             return err
     return None
@@ -178,7 +178,7 @@ def test_validate_fails_as_the_per_product_reference(star_closed):
 
 def _same_escape(got, want):
     """The same message, and the same product: its residual, from the stacked
-    pass rather than from `project` alone, to 1e-12 relative."""
+    pass rather than from the product alone, to 1e-12 relative."""
     assert str(got) == str(want)
     assert got.residual == pytest.approx(want.residual, rel=1e-12)
 
@@ -188,22 +188,22 @@ def test_generate_dimension_mismatch():
         generate_algebra([E11, np.eye(3, dtype=complex)])
 
 
-def test_project_unit_coords():
+def test_coords_of_the_unit():
     algebra = generate_algebra([E11])
-    coords = project(algebra, np.eye(2, dtype=complex))
+    coords = algebra.coords_of(np.eye(2, dtype=complex))
     np.testing.assert_allclose(coords, algebra.unit_coords, atol=1e-12)
 
 
-def test_project_e22_as_unit_minus_e11():
+def test_coords_of_e22_as_unit_minus_e11():
     algebra = generate_algebra([E11])
-    coords = project(algebra, E22)
+    coords = algebra.coords_of(E22)
     np.testing.assert_allclose(algebra.synthesize(coords), np.eye(2) - E11, atol=1e-12)
 
 
-def test_project_membership_error_carries_residual():
+def test_outside_membership_error_carries_residual():
     algebra = generate_algebra([E11])
     with pytest.raises(MembershipError) as err:
-        project(algebra, E12)
+        _outside(algebra, E12[None])
     assert err.value.residual == pytest.approx(1.0, abs=1e-12)
 
 
@@ -225,7 +225,7 @@ def test_amplify_level_one_is_identity():
 def test_amplify_preserves_hermitian_blocks(m2_full):
     amp = amplify(m2_full, 2)
     h = np.kron(E11, mat([[2, 1j], [-1j, 0]]))
-    coords = project(amp, h)
+    coords = amp.coords_of(h)
     np.testing.assert_allclose(amp.synthesize(coords), h, atol=1e-12)
     assert np.allclose(h, h.conj().T)
 
@@ -242,7 +242,7 @@ def test_random_element_level_matches_amplified(m3_full):
         ref = random_element(amplify(m3_full, n), np.random.default_rng(n))
         got = random_element(m3_full, np.random.default_rng(n), level=n)
         np.testing.assert_allclose(got, ref, atol=1e-12)
-        assert level_residual(m3_full, got) < 1e-12
+        assert level_residual(m3_full, got[None])[0] < 1e-12
 
 
 def _block_algebra(kind):
@@ -413,11 +413,6 @@ def test_a_similarity_of_the_wrong_shape_is_rejected(m2_full):
         _frame(np.eye(3), 2)
     with pytest.raises(DimensionMismatch, match=r"similarity must be 2x2, got \(3, 3\)"):
         conjugate_algebra(m2_full, np.eye(3))
-
-
-def test_project_rejects_a_matrix_of_the_wrong_shape(m2_full):
-    with pytest.raises(DimensionMismatch, match=r"expected 2x2, got \(3, 3\)"):
-        project(m2_full, np.eye(3))
 
 
 def test_generate_algebra_rejects_bad_generators_and_caps():

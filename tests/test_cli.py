@@ -391,6 +391,9 @@ def test_c1_example_cmd(workdir, capsys):
     ("--frequencies", "4,-3", "/frequencies"),
     ("--grid-size", "0", "/grid-size"),
     ("--grid-size", "-5", "/grid-size"),
+    ("--frequencies", "99999999999", "/frequencies"),
+    ("--frequencies", "4,1025", "/frequencies"),
+    ("--grid-size", "4097", "/grid-size"),
 ])
 def test_c1_example_rejects_bad_sizes_with_a_schema_report(workdir, capsys, flag, value, pointer):
     code, rep = _run(workdir, ["c1-example", "--samples", "5", flag, value], capsys)

@@ -97,7 +97,8 @@ def test_blockwise_oracle_matches_amplified_reference(variant, n):
     verdicts = []
     for x in cands:
         ref = membership_residual(ref_level, x)
-        assert level_residual(cone.algebra, x) == pytest.approx(ref, rel=1e-9, abs=1e-12)
+        residual = level_residual(cone.algebra, x[None])[0]
+        assert residual == pytest.approx(ref, rel=1e-9, abs=1e-12)
         if ref > cone.algebra.structure_tol * (1.0 + np.linalg.norm(x)):
             with pytest.raises(MembershipError):
                 cone.member_many(n, [x])[0]

@@ -488,7 +488,7 @@ def test_polar_steps_stay_in_the_algebra_and_never_lower_the_value(seed):
     val, grad = _top_pair(z, images, algebra)
     for _ in range(20):
         x = _polar_point(grad, algebra)
-        assert level_residual(algebra, x) <= algebra.structure_tol
+        assert level_residual(algebra, x[None])[0] <= algebra.structure_tol
         z = block_coords(algebra, x)
         new, grad = _top_pair(z, images, algebra)
         assert new >= val * (1.0 - 1e-13)
