@@ -30,7 +30,7 @@ def frob(x: np.ndarray) -> float:
 
 def frob_each(x: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix of a stack: numpy's row `norm`, bit for bit, unwrapped."""
-    flat = x.reshape(len(x), -1)
+    flat = x.reshape(len(x), x.size // max(len(x), 1))  # an empty stack too
     return np.sqrt(np.add.reduce((flat.conj() * flat).real, axis=1))
 
 

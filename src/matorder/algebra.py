@@ -11,8 +11,8 @@ coordinates ordered block (i, j) row-major, then basis index k.  Only
 layout; every level-n consumer goes through them, and no basis of M_n(A) is
 ever materialised: a map given by its basis images acts on a (stack of) block
 matrices as `block_synth(block_coords(algebra, x), images)`.  `_frame` checks
-and inverts a similarity once, into a `_Frame`.  The structure bound `_outside`
-and its `level_residual` take (k, nN, mN) stacks only, never a bare matrix.
+and inverts a similarity once, into a `_Frame`.  The structure bound `_outside` (which
+returns the sizes ||x||_F it compares) and its `level_residual` take (k, nN, mN) stacks only.
 """
 
 from __future__ import annotations
@@ -118,25 +118,31 @@ def as_matrix(x) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class _Frame:
     """A checked S and its one S^-1 (both None: the identity frame); straighten is (I kron S)
-    X (I kron S^-1) on the N x N blocks of X or of a stack's matrices; cond(S) on first read."""
+    X (I kron S^-1) on the N x N blocks of X or of a stack's matrices, unstraighten the same with
+    the factors swapped; cond(S) = s[0] / s[-1] of one values-only SVD, on first read."""
 
     s: np.ndarray | None = None
     s_inv: np.ndarray | None = None
 
     def straighten(self, x) -> np.ndarray:
-        x = as_matrix(x)
-        if self.s is None:
-            return x
-        big_n, cols = self.s.shape[0], x.shape[-1]
-        y = (self.s @ x.reshape(-1, big_n, cols)).reshape(-1, cols)
-        return (y.reshape(-1, big_n) @ self.s_inv).reshape(x.shape)
+        return _conjugate(self.s, self.s_inv, x)
 
     def unstraighten(self, y) -> np.ndarray:
-        return _Frame(self.s_inv, self.s).straighten(y)
+        return _conjugate(self.s_inv, self.s, y)
 
     @cached_property
     def cond(self) -> float:
-        return float(np.linalg.cond(self.s))
+        s = np.linalg.svd(self.s, compute_uv=False)
+        return float(s[0] / s[-1])
+
+
+def _conjugate(left: np.ndarray | None, right: np.ndarray | None, x) -> np.ndarray:
+    x = as_matrix(x)
+    if left is None:
+        return x
+    big_n, cols = left.shape[0], x.shape[-1]
+    y = (left @ x.reshape(-1, big_n, cols)).reshape(-1, cols)
+    return (y.reshape(-1, big_n) @ right).reshape(x.shape)
 
 
 def _frame(s, dim: int) -> _Frame:
@@ -201,18 +207,19 @@ def level_residual(algebra: OperatorAlgebra, x: np.ndarray) -> np.ndarray:
     return la.frob_each(diff)
 
 
-def _outside(algebra: OperatorAlgebra, x: np.ndarray) -> None:
-    """The one structure bound: MembershipError, with its residual, for the first matrix of
-    a (k, nN, mN) stack x whose `level_residual` exceeds structure_tol (1 + ||x||_F), in one
-    pass (vacuous, so skipped, on a full algebra); DimensionMismatch for any other shape."""
+def _outside(algebra: OperatorAlgebra, x: np.ndarray) -> np.ndarray:
+    """The one structure bound: MembershipError, with its residual, for the first matrix of a
+    (k, nN, mN) stack x whose `level_residual` exceeds structure_tol (1 + ||x||_F), in one pass
+    (vacuous, so skipped, on a full algebra), else those sizes ||x||_F; DimensionMismatch."""
     if algebra._full:  # M_n(M_N) holds every matrix of N x N blocks: only the shape can fail
         _stack_view(algebra, x)
-        return
+        return la.frob_each(x)
     residual = level_residual(algebra, x)
     size = la.frob_each(x)
     over = residual > algebra.structure_tol * (1.0 + size)
     if np.count_nonzero(over):
         raise MembershipError("element outside M_n(A)", residual[over.argmax()])
+    return size
 
 
 def generate_algebra(

@@ -39,6 +39,7 @@ EXIT_TYPED_ERROR = 3
 EXIT_SCHEMA_ERROR = 4
 MAX_LEVEL = 8  # the highest level that --levels and involution --level accept
 MAX_GRID = 4096  # the most points a c1-example grid may have: --grid-size and 4k
+MAX_SAMPLES = 1024  # the most --samples: c1-example draws ~136 B a sample per grid point
 
 
 def _certificate_obj(cert: similarity.SimilarityCertificate) -> dict:
@@ -310,8 +311,8 @@ def _config(args) -> dict:
             args.levels = config["levels"] = tuple(int(v) for v in args.levels.split(","))
         except ValueError:
             raise SchemaError("/config/levels", "must be a comma-separated list of integers")
-    if config.get("samples", 1) < 1:
-        raise SchemaError("/config/samples", "must be >= 1")
+    if not 1 <= config.get("samples", 1) <= MAX_SAMPLES:
+        raise SchemaError("/config/samples", f"must lie in 1..{MAX_SAMPLES}")
     levels = config.get("levels", (1,))
     if not levels or any(l < 1 or l > MAX_LEVEL for l in levels):
         raise SchemaError("/config/levels", f"levels must lie in 1..{MAX_LEVEL}")

@@ -296,7 +296,9 @@ class SimilarityCone:
         lambda_N the spectrum of h, the Hermitian part of straighten(c), and t = tol_psd,
         r(c) = (-lambda_1 - t (1 + lambda_N)) / (1 + t) and
         r(-c) = (lambda_N - t (1 - lambda_1)) / (1 + t), as spec(-h) = -spec(h)."""
-        return _shift_pass(self, n, c)[:2]
+        c = self.level_element(n, c)
+        pair = _shift_pass(self, self.straighten(n, c).reshape(-1, *c.shape[-2:]))[:2]
+        return tuple(np.array(r) if c.ndim == 3 else r[0] for r in pair)
 
     def sharp_block(self, a: np.ndarray) -> np.ndarray:
         """Involution of a rectangular block matrix over the algebra, its block shape read
@@ -394,26 +396,27 @@ def _hermitian_kron(n: int, stack: np.ndarray) -> np.ndarray:
     return lifted.reshape(-1, n * big_n, n * big_n)
 
 
-def _shift_pass(cone: SimilarityCone, n: int, c) -> tuple:
-    """`min_shift_pair`'s one straightening y and eigensolve, with the bound `_enclosed` reads
-    off y, per c (a list for a stack): (r(c), r(-c), (max|y - y*|, ||c||_F))."""
-    c = cone.level_element(n, c)
-    y = cone.straighten(n, c)
-    y_star = la.dagger(y)
+def _shift_pass(cone: SimilarityCone, y: np.ndarray) -> tuple:
+    """`min_shift_pair`'s one eigensolve of the straightened (k, nN, nN) stack y: the lists r(c),
+    r(-c) (Python floats, numpy's bits) and max|y - y*|, which `_enclosed` reads."""
+    t, y_star = cone.tol_psd, la.dagger(y)
     ev = np.linalg.eigvalsh(0.5 * (y + y_star))
-    low, high, t = ev[..., 0], ev[..., -1], cone.tol_psd
-    pair = ((-low - t * (1.0 + high)) / (1.0 + t), (high - t * (1.0 - low)) / (1.0 + t))
-    defect = np.abs(y - y_star).max(axis=(-2, -1))
-    bound = ((float(defect), la.frob(c)) if c.ndim == 2
-             else list(zip(defect.tolist(), map(la.frob, c))))
-    return *(r if r.ndim else float(r) for r in pair), bound
+    pairs = list(zip(ev[:, 0].tolist(), ev[:, -1].tolist()))  # (lambda_1, lambda_N) per c
+    return ([(-low - t * (1.0 + high)) / (1.0 + t) for low, high in pairs],
+            [(high - t * (1.0 - low)) / (1.0 + t) for low, high in pairs],
+            np.abs(y - y_star).max(axis=(-2, -1)).tolist())
 
 
-def _exact_shifts(cone: SimilarityCone, n: int, c) -> tuple:
-    """(r(c), r(-c), bound): `_shift_pass` where `_certify` may enclose (a `_frame_oracle` cone
-    with its own `min_shift_pair` and unit), else `min_shift_pair` and None, a replay."""
-    frame = _frame_oracle(cone, "min_shift_pair", "unit")
-    return _shift_pass(cone, n, c) if frame else (*cone.min_shift_pair(n, c), None)
+def _exact_shifts(cone: SimilarityCone, n: int, cs) -> tuple:
+    """(r(c), r(-c), bound) per c of cs: where `_certify` may enclose (a `_frame_oracle` cone with
+    its own `min_shift_pair` and unit), one `_outside` pass (its sizes ||c||_F), one straightening
+    y and one `_shift_pass`, bound (max|y - y*|, ||c||_F) per c; else `min_shift_pair`, None."""
+    if not _frame_oracle(cone, "min_shift_pair", "unit"):
+        return (*cone.min_shift_pair(n, cs), None)
+    cs = _stack(cone, n, cs)
+    sizes = _outside(cone.algebra, cs).tolist()
+    up, down, defects = _shift_pass(cone, cone.frame.straighten(cs))
+    return up, down, list(zip(defects, sizes))
 
 
 def _stack(cone: "SimilarityCone", n: int, xs) -> np.ndarray:

@@ -87,8 +87,8 @@ def decompose(cone: SimilarityCone, n: int, xs: np.ndarray, span: np.ndarray) ->
     SVD decides the rank and solves for all right-hand sides.  One `_outside` pass
     raises MembershipError for the first x outside M_n(A), and one pass over the
     splits DecompositionInfeasible for the first that misses its x by more than
-    structure_tol (1 + ||x||_F): a V tilted out of M_n(A) (a sampled span at large
-    cond(S)) splits no x exactly."""
+    structure_tol (1 + ||x||_F), ||x||_F as `_outside` took it: a V tilted out of M_n(A)
+    (a sampled span at large cond(S)) splits no x exactly.  An empty stack splits into two."""
     v = span.shape[0]
     lvl_dim = n * n * cone.algebra.dim
     if v == 0:
@@ -104,12 +104,12 @@ def decompose(cone: SimilarityCone, n: int, xs: np.ndarray, span: np.ndarray) ->
         raise DecompositionInfeasible(
             f"span + i*span has real dimension {rank}, the algebra needs {2 * lvl_dim}"
         )
-    _outside(cone.algebra, xs)
+    size = _outside(cone.algebra, xs)
     # rows.T has full column rank 2v: its least-squares solution is U S^-1 V^T b.
     coeffs = u @ ((vt @ la.real_rows(xs).T) / s[:, None])
     x1 = np.tensordot(coeffs[:v].T, span, axes=(1, 0))
     x2 = np.tensordot(coeffs[v:].T, span, axes=(1, 0))
-    size, miss = (np.linalg.norm(y.reshape(len(xs), -1), axis=1) for y in (xs, xs - x1 - 1j * x2))
+    miss = la.frob_each(xs - x1 - 1j * x2)
     over = np.flatnonzero(miss > cone.algebra.structure_tol * (1.0 + size))
     if len(over):
         raise DecompositionInfeasible(

@@ -1,17 +1,16 @@
 """Cone-induced order-unit seminorms and the induced pre-C*-norm.
 
-The seminorm of a self-adjoint element is inf{r : r e +- a in C}, computed exactly
-as max(r(a), r(-a), 0) from one `cones._exact_shifts` (one straightening and one
-eigensolve on a PSD-frame cone), its bracket certified by one `cones._certify`, which
-on a PSD-frame cone's own oracle asks nothing, the PSD rule enclosing the shift by a
-bound read off that straightened element; only a bracket the certificate leaves open
-(an opaque cone, an overridden `min_shift_pair`, an uncertified value) builds a
-`cones._Bisection`.  A NaN or inf entry raises MatOrderError before any sharp or eigensolve.
-The pre-C*-norm is the square root of the seminorm of x^sharp x, cross-checked
-against the search for inf{r : r^2 e +- x^sharp x in C}; both formulas share
-the shifts and the certificate call.  The sharp is one callable on a block matrix,
-its shape read off the matrix: the cone's own `sharp_block`, or the `InvolutionMap`
-handed to `pre_cstar_norm`.
+The seminorm of a self-adjoint element is inf{r : r e +- a in C}, computed exactly as
+max(r(a), r(-a), 0) in one pass over a (`_shifts`): on a PSD-frame cone's own oracle a is
+straightened once, into y, its sharp read off y, its one ||a||_F taken by `algebra._outside`
+for the sharp check and the enclosure bound, and both shifts read off one eigensolve.  One
+`cones._certify` certifies the bracket, asking such an oracle nothing; only a bracket it leaves
+open (an opaque cone, an overridden `min_shift_pair`, an uncertified value) builds a
+`cones._Bisection`.  A NaN or inf entry raises MatOrderError before any sharp or eigensolve,
+and NotSelfAdjoint comes before the structure bound's MembershipError.
+The pre-C*-norm is the square root of the seminorm of x^sharp x, cross-checked against the
+search for inf{r : r^2 e +- x^sharp x in C}; both formulas share the pass and the certificate.
+The sharp is the cone's own `sharp_block`, or the `InvolutionMap` handed to `pre_cstar_norm`.
 The order-unit and Archimedean checks are `cones.check_order_unit_archimedean`.
 """
 
@@ -22,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg as la
-from .algebra import block_synth
-from .cones import SimilarityCone, _Bisection, _certify, _exact_shifts, _stack
-from .errors import CertificationFailed, MatOrderError, NotSelfAdjoint
+from .algebra import _outside, block_synth
+from .cones import SimilarityCone, _Bisection, _certify, _frame_oracle, _shift_pass, _stack
+from .errors import CertificationFailed, MatOrderError, MembershipError, NotSelfAdjoint
 
 DEFAULT_BISECT_TOL = 1e-10
 # ||a^sharp - a||_F bound, relative to 1 + ||a||_F: far above the rounding of a computed sharp.
@@ -52,23 +51,43 @@ def _finite(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _check_self_adjoint(a: np.ndarray, a_sharp: np.ndarray) -> None:
-    if la.frob(a_sharp - a) > SHARP_TOL * (1.0 + la.frob(a)):
+def _check_self_adjoint(miss: float, size: float) -> None:  # ||a^sharp - a||_F, ||a||_F
+    if miss > SHARP_TOL * (1.0 + size):
         raise NotSelfAdjoint("order-unit seminorm needs a sharp-self-adjoint element")
 
 
-def _norm_searches(cone: SimilarityCone, n: int, z: np.ndarray, bisect_tol: float,
+def _shifts(cone: SimilarityCone, n: int, z: np.ndarray, sharp) -> tuple:
+    """z's sharp check, then `cones._exact_shifts`(z), in one pass on a `_frame_oracle` cone: one
+    straightening y, the sharp (None: the cone's own) read off y as unstraighten(y*), and
+    `_outside`'s ||z||_F; any other cone is asked its sharp and `min_shift_pair` (bound None)."""
+    if not _frame_oracle(cone, "min_shift_pair", "unit"):
+        _check_self_adjoint(la.frob((cone.sharp_block if sharp is None else sharp)(z) - z),
+                            la.frob(z))
+        return (*cone.min_shift_pair(n, z), None)
+    y = cone.frame.straighten(z[None])
+    miss = la.frob((cone.frame.unstraighten(la.dagger(y)) if sharp is None else sharp(z)) - z)
+    try:
+        size, = _outside(cone.algebra, z[None]).tolist()
+    except MembershipError:  # NotSelfAdjoint speaks first
+        _check_self_adjoint(miss, la.frob(z))
+        raise
+    _check_self_adjoint(miss, size)
+    (up,), (down,), (defect,) = _shift_pass(cone, y)
+    return up, down, (defect, size)
+
+
+def _norm_searches(cone: SimilarityCone, n: int, z: np.ndarray, sharp, bisect_tol: float,
                    paths: tuple) -> list:
     """Per (squared, sqrt_refine) of paths, the bracket of
     inf{r >= 0 : t e_n + z and t e_n - z in C_n}, t = r (r^2 if squared).
 
     Both signs' exact shifts and their enclosure bound (z and -z share it, as negation
-    is exact) come from one `_exact_shifts`, and every path's certificate from one
-    `cones._certify` call, binding sign first.  Only a path it leaves open builds a `_Bisection`,
-    from [0, 2 ||straighten(z)|| + 1] (square-rooted if squared), asking the
-    other sign only where the binding one is inside.
+    is exact) come from one `_shifts`, which checks z's sharp first, and every path's
+    certificate from one `cones._certify` call, binding sign first.  Only a path it leaves
+    open builds a `_Bisection`, from [0, 2 ||straighten(z)|| + 1] (square-rooted if squared),
+    asking the other sign only where the binding one is inside.
     """
-    up, down, bound = _exact_shifts(cone, n, z)
+    up, down, bound = _shifts(cone, n, z, sharp)
     exact = None if up is None or down is None else max(up, down, 0.0)
     cs = (z, -z) if exact is None or up >= down else (-z, z)
 
@@ -108,13 +127,12 @@ def order_unit_seminorm(cone: SimilarityCone, n: int, a,
     """inf{r > 0 : r e_n + a in C_n and r e_n - a in C_n}.
 
     Requires a to be a sharp-self-adjoint level-n matrix, checked by `cones._stack`
-    before the cone's own `sharp_block` is applied.  The value is the exact
+    before the cone's own sharp is applied.  The value is the exact
     shift with a certified bracket of width bisect_tol (1 + value), or the
     bisection fallback's midpoint (see `_norm_searches`).
     """
     a = _finite(_stack(cone, n, [a])[0])
-    _check_self_adjoint(a, cone.sharp_block(a))
-    return _norm_searches(cone, n, a, bisect_tol, ((False, False),))[0]
+    return _norm_searches(cone, n, a, None, bisect_tol, ((False, False),))[0]
 
 
 def pre_cstar_norm(cone: SimilarityCone, involution, n: int, x,
@@ -125,10 +143,9 @@ def pre_cstar_norm(cone: SimilarityCone, involution, n: int, x,
     one pair of exact shifts and one certificate call.  The sharp is the `InvolutionMap`
     given (it extends entrywise to any level), or the cone's own `sharp_block` for None."""
     x = _finite(_stack(cone, n, [x])[0])
-    sharp = cone.sharp_block if involution is None else involution
-    z = sharp(x) @ x
-    _check_self_adjoint(z, sharp(z))
-    via_sqrt, direct = _norm_searches(cone, n, z, bisect_tol, ((False, True), (True, False)))
+    z = (cone.sharp_block if involution is None else involution)(x) @ x
+    via_sqrt, direct = _norm_searches(cone, n, z, involution, bisect_tol,
+                                      ((False, True), (True, False)))
     value_sqrt = float(np.sqrt(via_sqrt.value))
     value_direct = direct.value
 

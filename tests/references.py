@@ -56,7 +56,12 @@ ran before the polar polish, which `similarity.cb_lower_bound` must not fall
 below.  `enclosed_per_ask` is the shift certificate's rounding bound when it
 straightened each ask's elements again and took their Frobenius norms per ask,
 which `cones._enclosed`, reading the exact shift's own pass, must match verdict
-for verdict.
+for verdict.  `order_unit_seminorm_sharp_first` and `pre_cstar_norm_sharp_first`
+are the order norms before one pass over their element: the sharp check applies
+`sharp_block` (one straightening) and takes ||z||_F, the shift pass straightens z
+again and takes ||z||_F twice more (`_outside` and the bound), and the shifts are
+numpy scalars; `check_self_adjoint_matrices` is that sharp check.  The library must
+match them `repr` for repr.
 """
 
 import json
@@ -72,13 +77,14 @@ from matorder.algebra import (DEFAULT_MAX_DIM, DEFAULT_STRUCTURE_TOL, OperatorAl
                               random_element)
 from matorder.case_studies import C1Sample, NormIdentityReport, _c1_norms, c1_embed
 from matorder.cones import (_BOUNDARY_WIDTH_FACTOR, ConstantEstimate, SimilarityCone, Witness,
-                            _algebra_conjugations, _Bisection, _first_escape, _inf_shifts,
-                            _scalar_conjugations, _stack, _streams, _sup_shifts_down)
+                            _algebra_conjugations, _Bisection, _certify, _first_escape,
+                            _frame_oracle, _inf_shifts, _scalar_conjugations, _stack, _streams,
+                            _sup_shifts_down)
 from matorder.errors import (CertificationFailed, DimensionCapExceeded, DimensionMismatch,
-                             GridTooCoarse, MembershipError, NoPositiveSolution, NumericalStall,
-                             SpanUnstable)
+                             GridTooCoarse, MatOrderError, MembershipError, NoPositiveSolution,
+                             NotSelfAdjoint, NumericalStall, SpanUnstable)
 from matorder.involution import SPAN_ROUNDS, InvolutionComparison
-from matorder.order_norms import DEFAULT_BISECT_TOL, NormReport, _check_self_adjoint
+from matorder.order_norms import DEFAULT_BISECT_TOL, SHARP_TOL, NormReport
 
 def membership_residual(algebra: OperatorAlgebra, x: np.ndarray) -> float:
     """Frobenius distance of x from the algebra span."""
@@ -556,7 +562,7 @@ def pre_cstar_norm_two_calls(cone: SimilarityCone, involution, n: int, x,
     x = as_matrix(x)
     sharp = cone.sharp_block if involution is None else involution
     z = sharp(x) @ x
-    _check_self_adjoint(z, sharp(z))
+    check_self_adjoint_matrices(z, sharp(z))
     shifts = _two_shifts(cone, n, z)
 
     via_sqrt = norm_search_two_calls(cone, n, z, bisect_tol, sqrt_refine=True, shifts=shifts)
@@ -573,6 +579,126 @@ def pre_cstar_norm_two_calls(cone: SimilarityCone, involution, n: int, x,
     return NormReport(value_sqrt, bracket,
                       via_sqrt.iterations + direct.iterations,
                       via_sqrt.oracle_calls + direct.oracle_calls)
+
+
+def _finite_element(x: np.ndarray) -> np.ndarray:
+    if not np.isfinite(x).all():  # before any sharp or eigensolve sees a NaN or inf
+        raise MatOrderError("element is not finite")
+    return x
+
+
+def check_self_adjoint_matrices(a: np.ndarray, a_sharp: np.ndarray) -> None:
+    if la.frob(a_sharp - a) > SHARP_TOL * (1.0 + la.frob(a)):
+        raise NotSelfAdjoint("order-unit seminorm needs a sharp-self-adjoint element")
+
+
+def _norm_searches_sharp_first(cone: SimilarityCone, n: int, z: np.ndarray,
+                               bisect_tol: float, paths: tuple) -> list:
+    """Per (squared, sqrt_refine) of paths, the bracket of
+    inf{r >= 0 : t e_n + z and t e_n - z in C_n}, t = r (r^2 if squared).
+
+    Both signs' exact shifts and their enclosure bound (z and -z share it, as negation
+    is exact) come from one `_exact_shifts_sized_again`, and every path's certificate from one
+    `cones._certify` call, binding sign first.  Only a path it leaves open builds a `_Bisection`,
+    from [0, 2 ||straighten(z)|| + 1] (square-rooted if squared), asking the
+    other sign only where the binding one is inside.
+    """
+    up, down, bound = _exact_shifts_sized_again(cone, n, z)
+    exact = None if up is None or down is None else max(up, down, 0.0)
+    cs = (z, -z) if exact is None or up >= down else (-z, z)
+
+    def width(r, sqrt_refine):
+        # sqrt_refine: sqrt(bracket) has width ~ bisect_tol, as accurate as a
+        # direct search in r (and never looser, since 2 sqrt(r) <= 1 + r).
+        # A certified bracket is already this narrow.
+        if sqrt_refine:
+            return max(2.0 * np.sqrt(r) * bisect_tol, bisect_tol ** 2)
+        return bisect_tol * (1.0 + r)
+
+    ts = [(lambda r: r * r) if squared else (lambda r: r) for squared, _ in paths]
+    asks = []
+    for (squared, sqrt_refine), t in zip(paths, ts):
+        r = None if exact is None else float(np.sqrt(exact)) if squared else exact
+        asks.append((cs, r, None if r is None else width(r, sqrt_refine), 0.0, t, bound))
+    reports = []
+    for (squared, sqrt_refine), t, (found, asked) in zip(paths, ts, _certify(cone, n, asks)):
+        iterations = calls = 0
+        if found is None:
+            bis = _Bisection(cone, n, cs, t)
+            found = bis.search(
+                lambda: (np.sqrt if squared else float)(
+                    2.0 * la.opnorm(cone.straighten(n, z)) + 1.0),
+                lambda l, h: bisect_tol * (1.0 + 0.5 * (l + h)))
+            if sqrt_refine and found[1] > 0.0:
+                target = width(max(found[0], 0.0), True)
+                found = bis.refine(*found, lambda l, h: target)
+            iterations, calls = bis.iterations, bis.calls
+        lo, hi = found
+        reports.append(NormReport(0.5 * (lo + hi), (lo, hi), iterations, asked + calls))
+    return reports
+
+
+def order_unit_seminorm_sharp_first(cone: SimilarityCone, n: int, a,
+                                    bisect_tol: float = DEFAULT_BISECT_TOL) -> NormReport:
+    """inf{r > 0 : r e_n + a in C_n and r e_n - a in C_n}.
+
+    Requires a to be a sharp-self-adjoint level-n matrix, checked by `cones._stack`
+    before the cone's own `sharp_block` is applied.  The value is the exact
+    shift with a certified bracket of width bisect_tol (1 + value), or the
+    bisection fallback's midpoint (see `_norm_searches`).
+    """
+    a = _finite_element(_stack(cone, n, [a])[0])
+    check_self_adjoint_matrices(a, cone.sharp_block(a))
+    return _norm_searches_sharp_first(cone, n, a, bisect_tol, ((False, False),))[0]
+
+
+def pre_cstar_norm_sharp_first(cone: SimilarityCone, involution, n: int, x,
+                               bisect_tol: float = DEFAULT_BISECT_TOL) -> NormReport:
+    """sqrt of the seminorm of x^sharp x, cross-checked against the direct
+    search for inf{r : r^2 e +- x^sharp x in C}; the two must agree to
+    2 * bisect_tol (relative).  Both come from one `_norm_searches`, so from
+    one pair of exact shifts and one certificate call.  The sharp is the `InvolutionMap`
+    given (it extends entrywise to any level), or the cone's own `sharp_block` for None."""
+    x = _finite_element(_stack(cone, n, [x])[0])
+    sharp = cone.sharp_block if involution is None else involution
+    z = sharp(x) @ x
+    check_self_adjoint_matrices(z, sharp(z))
+    via_sqrt, direct = _norm_searches_sharp_first(cone, n, z, bisect_tol,
+                                                  ((False, True), (True, False)))
+    value_sqrt = float(np.sqrt(via_sqrt.value))
+    value_direct = direct.value
+
+    if abs(value_sqrt - value_direct) > 2.0 * bisect_tol * (1.0 + value_direct):
+        raise CertificationFailed(
+            f"pre-C*-norm formulas disagree: sqrt path {value_sqrt:.17g}, "
+            f"direct path {value_direct:.17g}"
+        )
+    bracket = tuple(float(np.sqrt(max(b, 0.0))) for b in via_sqrt.bracket)
+    return NormReport(value_sqrt, bracket,
+                      via_sqrt.iterations + direct.iterations,
+                      via_sqrt.oracle_calls + direct.oracle_calls)
+
+
+def _shift_pass_sized_again(cone: SimilarityCone, n: int, c) -> tuple:
+    """`min_shift_pair`'s one straightening y and eigensolve, with the bound `_enclosed` reads
+    off y, per c (a list for a stack): (r(c), r(-c), (max|y - y*|, ||c||_F))."""
+    c = cone.level_element(n, c)
+    y = cone.straighten(n, c)
+    y_star = la.dagger(y)
+    ev = np.linalg.eigvalsh(0.5 * (y + y_star))
+    low, high, t = ev[..., 0], ev[..., -1], cone.tol_psd
+    pair = ((-low - t * (1.0 + high)) / (1.0 + t), (high - t * (1.0 - low)) / (1.0 + t))
+    defect = np.abs(y - y_star).max(axis=(-2, -1))
+    bound = ((float(defect), la.frob(c)) if c.ndim == 2
+             else list(zip(defect.tolist(), map(la.frob, c))))
+    return *(r if r.ndim else float(r) for r in pair), bound
+
+
+def _exact_shifts_sized_again(cone: SimilarityCone, n: int, c) -> tuple:
+    """(r(c), r(-c), bound): `_shift_pass` where `_certify` may enclose (a `_frame_oracle` cone
+    with its own `min_shift_pair` and unit), else `min_shift_pair` and None, a replay."""
+    frame = _frame_oracle(cone, "min_shift_pair", "unit")
+    return _shift_pass_sized_again(cone, n, c) if frame else (*cone.min_shift_pair(n, c), None)
 
 
 def barrier_blocks(blocks: list, cost: np.ndarray, x: np.ndarray) -> tuple:

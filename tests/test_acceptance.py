@@ -88,7 +88,7 @@ def test_criterion_2_norm_formula_agreement():
         x = x / np.linalg.norm(x)
         z = x.conj().T @ x
 
-        via_sqrt = np.sqrt(_norm_searches(cone, 1, z, DEFAULT_BISECT_TOL,
+        via_sqrt = np.sqrt(_norm_searches(cone, 1, z, None, DEFAULT_BISECT_TOL,
                                           ((False, True),))[0].value)
 
         # Independent route: bisect r directly on r^2 e +- z membership.

@@ -13,7 +13,7 @@ from doubles import SkewedLevelCone, instance_oracle
 from matorder import cli as cli_mod
 from matorder import similarity as sim_mod
 from matorder.algebra import DEFAULT_STRUCTURE_TOL, OperatorAlgebra, generate_algebra
-from matorder.cli import run
+from matorder.cli import MAX_SAMPLES, run
 from matorder.cones import DEFAULT_TOL_PSD, StandardCone
 from matorder.errors import DimensionMismatch, SchemaError
 from matorder.order_norms import DEFAULT_BISECT_TOL
@@ -394,11 +394,23 @@ def test_c1_example_cmd(workdir, capsys):
     ("--frequencies", "99999999999", "/frequencies"),
     ("--frequencies", "4,1025", "/frequencies"),
     ("--grid-size", "4097", "/grid-size"),
+    # A draw of 1e12 samples would not fit in memory: the cap speaks before any draw.
+    ("--samples", "1000000000000", "/config/samples"),
+    ("--samples", "1025", "/config/samples"),
 ])
 def test_c1_example_rejects_bad_sizes_with_a_schema_report(workdir, capsys, flag, value, pointer):
     code, rep = _run(workdir, ["c1-example", "--samples", "5", flag, value], capsys)
     assert code == 4 and "result" not in rep
     assert rep["error"]["type"] == "SchemaError" and rep["error"]["pointer"] == pointer
+
+
+@pytest.mark.parametrize("samples, code", [(MAX_SAMPLES, 0), (MAX_SAMPLES + 1, 4)])
+def test_samples_are_capped_at_max_samples(workdir, capsys, tmp_path, samples, code):
+    # close-algebra takes --samples unread, so the cap is asked without a draw.
+    (tmp_path / "gens.json").write_text(canonical_json([matrix_to_obj(E12)]))
+    got, rep = _run(workdir, ["close-algebra", "--generators", str(tmp_path / "gens.json"),
+                              "--samples", str(samples)], capsys)
+    assert got == code and ("result" in rep) == (code == 0)
 
 
 def test_c1_example_runs_on_a_one_point_grid(workdir, capsys):

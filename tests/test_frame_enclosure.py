@@ -82,25 +82,16 @@ def _same_verdicts(verdicts, *expected):
 
 @pytest.fixture
 def straightened(monkeypatch):
-    """The shape of every `_Frame.straighten` argument outside `SimilarityCone.sharp_block`."""
-    shapes, in_sharp = [], []
-    straighten, sharp_block = _Frame.straighten, SimilarityCone.sharp_block
+    """Every frame product as (its direction, the shape of its argument): "S" for a
+    `_Frame.straighten`, "S^-1" for an unstraighten."""
+    calls = []
+    for name, direction in (("straighten", "S"), ("unstraighten", "S^-1")):
+        def counted(self, x, inner=getattr(_Frame, name), direction=direction):
+            calls.append((direction, np.shape(x)))
+            return inner(self, x)
 
-    def counted(self, x):
-        if not in_sharp:
-            shapes.append(np.shape(x))
-        return straighten(self, x)
-
-    def sharp(self, a):
-        in_sharp.append(True)
-        try:
-            return sharp_block(self, a)
-        finally:
-            in_sharp.pop()
-
-    monkeypatch.setattr(_Frame, "straighten", counted)
-    monkeypatch.setattr(SimilarityCone, "sharp_block", sharp)
-    return shapes
+        monkeypatch.setattr(_Frame, name, counted)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -180,16 +171,21 @@ def test_full_m6_level_eight_norms_ask_nothing(full_m6, asked, verdicts):
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_each_exact_norm_straightens_its_element_once(planted_sim_cone, n, asked,
                                                       straightened):
+    # The seminorm's a is straightened once, into y, and its sharp read off y: two frame
+    # products.  The pre-C*-norm's x^sharp is `sharp_block`'s two, and z = x^sharp x takes
+    # two more.
     cone = planted_sim_cone
     rng = np.random.default_rng(540 + n)
     a, x = cone.sample_span_many(n, 1, rng)[0], random_element(cone.algebra, rng, level=n)
     dim = cone.level_dim(n)
-    for norm in (lambda: order_unit_seminorm(cone, n, a),
-                 lambda: pre_cstar_norm(cone, None, n, x)):
+    one = [("S", (1, dim, dim)), ("S^-1", (1, dim, dim))]
+    for norm, products in ((lambda: order_unit_seminorm(cone, n, a), one),
+                           (lambda: pre_cstar_norm(cone, None, n, x),
+                            [("S", (dim, dim)), ("S^-1", (dim, dim)), *one])):
         straightened.clear()
         rep = norm()
         assert (rep.iterations, rep.oracle_calls) == (0, 0)
-        assert straightened == [(dim, dim)]
+        assert straightened == products
     assert asked == []
 
 
@@ -203,7 +199,7 @@ def test_exact_brackets_straighten_the_stack_once(planted_sim_cone, n, asked, st
     straightened.clear()
     got = cones._exact_brackets(cone, n, cs, [1.0, 2.0, 1.0], [1e-9] * 3, 0.0)
     assert None not in got
-    assert straightened == [(3, cone.level_dim(n), cone.level_dim(n))]
+    assert straightened == [("S", (3, cone.level_dim(n), cone.level_dim(n)))]
     assert asked == []
 
 
@@ -216,8 +212,8 @@ def test_negation_is_exact_in_the_frame(fixture, n, request):
     x = random_element(cone.algebra, rng, level=n)
     for z in (x, cone.sharp_block(x) @ x, cone.sample_span_many(n, 1, rng)[0]):
         assert np.array_equal(cone.straighten(n, -z), -cone.straighten(n, z))
-        assert la.frob(-z) == la.frob(z)
-        assert cones._shift_pass(cone, n, -z)[2] == cones._shift_pass(cone, n, z)[2]
+        assert np.array_equal(la.frob_each(-z[None]), la.frob_each(z[None]))
+        assert cones._exact_shifts(cone, n, [-z])[2] == cones._exact_shifts(cone, n, [z])[2]
 
 
 # -- fallbacks: the replay still runs where the bound or the premise fails ----
@@ -336,7 +332,7 @@ def test_a_hermitian_defect_within_two_deltas_of_tol_psd_replays_the_ends(std_m2
 def test_mid_must_clear_r_by_delta(std_m2, margin, enclosed):
     # `_certify` puts mid as far above r as lo below, so the lo side binds there; asked
     # directly, mid half a delta above r is not enclosed, and two deltas above r is.
-    r, _, bound = cones._shift_pass(std_m2, 1, _DIAG)
+    (r,), _, (bound,) = cones._exact_shifts(std_m2, 1, [_DIAG])
     mid, lo = r + margin * _DELTA, r - 1e-6
     assert bound == (0.0, np.sqrt(5.0))
     xs = (2 * mid - lo, mid, lo)

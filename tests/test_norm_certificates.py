@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from doubles import SkewedLevelCone
+from matorder import _linalg as la
 from matorder import cones, order_norms
 from matorder.algebra import random_element
 from matorder.cones import SimilarityCone
@@ -202,23 +203,28 @@ def test_a_certified_norm_is_one_eigensolve_and_one_member_many(fixture, n, requ
     cone = _Recording(base.algebra, base.s)
     rng = np.random.default_rng(90 + n)
     a, x = cone.sample_span_many(n, 1, rng)[0], random_element(cone.algebra, rng, level=n)
-    solves = []
-    eigvalsh = np.linalg.eigvalsh
+    solves, frobs = [], []
+    eigvalsh, frob = np.linalg.eigvalsh, la.frob
 
     def counted(h, *args, **kwargs):
         solves.append(np.shape(h))
         return eigvalsh(h, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(la, "frob", lambda y: frobs.append(np.shape(y)) or frob(y))
     for rep_of, size in ((lambda: order_unit_seminorm(cone, n, a), 5),
                          (lambda: pre_cstar_norm(cone, None, n, x), 10)):
         solves.clear()
+        frobs.clear()
         cone.batches.clear()
         assert rep_of().iterations == 0
         dim = cone.level_dim(n)
-        # The shift pair's eigensolve, then the certificate's stacked one.
-        assert solves == [(dim, dim), (size, dim, dim)]
+        # The shift pair's eigensolve, on its element as a stack of one, then the
+        # certificate's stacked one.
+        assert solves == [(1, dim, dim), (size, dim, dim)]
         assert [len(xs) for xs, _ in cone.batches] == [size]
+        # The sharp check's two norms, and no other: the shift pair takes no ||z||_F.
+        assert frobs == [(dim, dim)] * 2
 
 
 @pytest.mark.parametrize("kind", ["honest", "opaque", "shifted", "swapped"])

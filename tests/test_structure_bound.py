@@ -13,6 +13,7 @@ from matorder.algebra import (OperatorAlgebra, _outside, block_coords, block_syn
                               generate_algebra, level_residual, random_element)
 from matorder.cones import StandardCone
 from matorder.errors import DimensionMismatch, MembershipError
+from matorder.involution import decompose
 from matorder.order_norms import order_unit_seminorm, pre_cstar_norm
 from references import level_residual_matrix_or_stack, outside_matrix_or_stack
 
@@ -214,3 +215,24 @@ def test_frob_each_is_numpys_row_norm_bit_for_bit():
                   (real + 1j * real).swapaxes(-1, -2)):
             want = np.linalg.norm(x.reshape(len(x), -1), axis=1)
             assert np.array_equal(la.frob_each(x), want)
+
+
+@pytest.mark.parametrize("fixture", ["span_i_e11", "m2_full"])
+def test_outside_returns_the_sizes_it_compares(fixture, request):
+    # On a full algebra too, where it compares nothing: the order norms read ||z||_F here.
+    algebra = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(7)
+    x = np.stack([random_element(algebra, rng, level=2) for _ in range(3)])
+    assert np.array_equal(_outside(algebra, x), la.frob_each(x))
+
+
+def test_an_empty_stack_has_empty_sizes(span_i_e11):
+    # A (0, nN, nN) stack on a proper subalgebra: reshape(0, -1) cannot infer a row size,
+    # so the row norms of the structure bound and of `decompose` give it one.
+    cone, empty = StandardCone(span_i_e11), np.zeros((0, 4, 4), dtype=complex)
+    for sizes in (la.frob_each(empty), level_residual(span_i_e11, empty),
+                  _outside(span_i_e11, empty)):
+        assert sizes.shape == (0,)
+    assert cone.level_element(2, empty).shape == (0, 4, 4)
+    x1, x2 = decompose(cone, 2, empty, cone.span_basis(2))
+    assert x1.shape == x2.shape == (0, 4, 4)
